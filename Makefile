@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-check progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak
+.PHONY: test race bench bench-check bench-selftest progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak
 
 # chaos runs the fault-injection matrix, checkpoint/resume equivalence,
 # and cancellation tests under the race detector.
@@ -51,6 +51,13 @@ bench:
 # per probe falls below 1.1x an equal-budget static target list.
 bench-check:
 	$(GO) run ./cmd/bench -benchtime 150ms -check
+
+# bench-selftest vets and tests the benchmark in bench/ — a module of its
+# own, which `go build ./... && go test ./...` never compiles. Its
+# replay-equals-engine and toy-scale workload checks are what notice
+# when probe, core, netsim, sched or store change shape under it.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 # progress-sample writes a small campaign's NDJSON progress stream —
 # the live-observability artifact CI uploads for every build.

@@ -39,7 +39,7 @@ func (a *AdaptiveCampaign) Checkpoint() ([]byte, error) {
 		innerArt = art
 	}
 	buf := append([]byte(nil), checkpointMagic...)
-	return appendSection(buf, sectAdaptive, a.appendAdaptive(nil, innerArt)), nil
+	return appendSection(buf, sectAdaptive, func(b []byte) []byte { return a.appendAdaptive(b, innerArt) }), nil
 }
 
 func (a *AdaptiveCampaign) appendAdaptive(buf, innerArt []byte) []byte {
@@ -90,9 +90,7 @@ func (a *AdaptiveCampaign) appendAdaptive(buf, innerArt []byte) []byte {
 	src := cfg.Source.AppendState(nil)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(src)))
 	buf = append(buf, src...)
-	enc := a.total.AppendBinary(nil)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-	buf = append(buf, enc...)
+	buf = appendStore(buf, a.total)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(innerArt)))
 	return append(buf, innerArt...)
 }

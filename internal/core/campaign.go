@@ -42,6 +42,7 @@ import (
 	"io"
 	"net/netip"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,6 +51,7 @@ import (
 
 	"beholder/internal/perm"
 	"beholder/internal/probe"
+	"beholder/internal/sorted"
 	"beholder/internal/telemetry"
 	"beholder/internal/wire"
 )
@@ -196,6 +198,7 @@ type shardState struct {
 	conn     probe.Conn
 	prober   *Yarrp6
 	store    *probe.Store
+	observer probe.Observer // the caller's observer, under the track tap
 	prog     *telemetry.Progress
 	track    *ifaceTimes
 	stats    Stats
@@ -428,11 +431,10 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 			ss.store = probe.NewStore(cfg.RecordPaths)
 		}
 		if trackOn {
-			ss.track = &ifaceTimes{first: make(map[netip.Addr]time.Duration)}
-			if rsh != nil {
-				for a, at := range rsh.firstSeen {
-					ss.track.first[a] = at
-				}
+			if rsh != nil && rsh.track != nil {
+				ss.track = rsh.track
+			} else {
+				ss.track = newIfaceTimes(0)
 			}
 		}
 		if rsh != nil && rsh.done {
@@ -453,8 +455,11 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 		scfg.stop = &c.stop
 		scfg.pulse = &c.beat
 		if cfg.NewObserver != nil {
-			scfg.Observer = cfg.NewObserver(s)
+			ss.observer = cfg.NewObserver(s)
+		} else if rsh != nil {
+			ss.observer = rsh.observer
 		}
+		scfg.Observer = ss.observer
 		if cfg.Telemetry != nil {
 			scfg.telemetry = cfg.Telemetry.NewShard()
 		}
@@ -490,7 +495,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 			scfg.progress = ss.prog
 		}
 		if ss.track != nil {
-			ss.track.inner = scfg.Observer
+			ss.track.inner = ss.observer
 			scfg.Observer = ss.track
 		}
 		ss.conn = conn
@@ -771,7 +776,7 @@ func (c *Campaign) recoverRanges(ranges []recoverRange, tmpl *probe.TmplStore, t
 					scfg.progress = ss.prog
 				}
 				if trackOn {
-					ss.track = &ifaceTimes{first: make(map[netip.Addr]time.Duration)}
+					ss.track = newIfaceTimes(0)
 					scfg.Observer = ss.track
 				}
 				if j == 0 && len(rr.pending) > 0 {
@@ -873,37 +878,72 @@ func mergeStoreTree(stores []*probe.Store) *probe.Store {
 	return stores[0]
 }
 
+// ifaceSeen is one interface address and the virtual instant a shard
+// first saw it at.
+type ifaceSeen struct {
+	addr netip.Addr
+	at   time.Duration
+}
+
 // ifaceTimes is the per-shard reply tap behind the global discovery
 // curve: it records the first virtual instant each interface address
 // was seen at, then forwards the reply to the user's observer. One
-// map lookup per Time Exceeded reply; insertions are bounded by the
+// map operation per Time Exceeded reply; insertions are bounded by the
 // shard's unique-interface count.
 type ifaceTimes struct {
 	inner probe.Observer
-	first map[netip.Addr]time.Duration
+	known map[netip.Addr]struct{}
+	// seen holds one entry per known address: ascending by address up to
+	// nSorted — the order checkpoints serialize — and in arrival order
+	// beyond, so a checkpoint sorts only what the shard discovered since
+	// the previous one.
+	seen    []ifaceSeen
+	nSorted int
+}
+
+func newIfaceTimes(n int) *ifaceTimes {
+	return &ifaceTimes{known: make(map[netip.Addr]struct{}, n), seen: make([]ifaceSeen, 0, n)}
+}
+
+// add records a's first sighting unless a is already known.
+func (o *ifaceTimes) add(a netip.Addr, at time.Duration) {
+	before := len(o.known)
+	o.known[a] = struct{}{}
+	if len(o.known) != before {
+		o.seen = sorted.Append(o.seen, ifaceSeen{a, at})
+	}
 }
 
 func (o *ifaceTimes) OnReply(r probe.Reply) {
 	if r.Kind == probe.KindTimeExceeded {
-		if _, ok := o.first[r.From]; !ok {
-			o.first[r.From] = r.At
-		}
+		o.add(r.From, r.At)
 	}
 	if o.inner != nil {
 		o.inner.OnReply(r)
 	}
 }
 
-// firstSeenAt folds the per-shard first-sighting maps into the global
+// sortedSeen returns the first sightings ascending by address.
+func (o *ifaceTimes) sortedSeen() []ifaceSeen {
+	sorted.Tail(o.seen, o.nSorted, func(a, b ifaceSeen) int { return a.addr.Compare(b.addr) })
+	o.nSorted = len(o.seen)
+	return o.seen
+}
+
+// firstSeenAt folds the per-shard first sightings into the global
 // first-seen instants — minimized across shards, one entry per distinct
 // interface address — sorted ascending. Both the curve merge and the
 // progress merge count interfaces by walking this list.
 func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
-	first := make(map[netip.Addr]time.Duration)
+	n := 0
 	for _, tr := range tracks {
-		for a, at := range tr.first {
-			if cur, ok := first[a]; !ok || at < cur {
-				first[a] = at
+		n += len(tr.seen)
+	}
+	first := make(map[netip.Addr]time.Duration, n)
+	for _, tr := range tracks {
+		for _, e := range tr.seen {
+			if cur, ok := first[e.addr]; !ok || e.at < cur {
+				first[e.addr] = e.at
 			}
 		}
 	}
@@ -911,7 +951,7 @@ func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
 	for _, at := range first {
 		seenAt = append(seenAt, at)
 	}
-	sort.Slice(seenAt, func(i, j int) bool { return seenAt[i] < seenAt[j] })
+	slices.Sort(seenAt)
 	return seenAt
 }
 

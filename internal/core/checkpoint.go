@@ -31,7 +31,7 @@ import (
 	"io"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"beholder/internal/probe"
@@ -85,17 +85,23 @@ var ErrNotCheckpointable = errors.New("yarrp6: campaign is not checkpointable")
 
 // resumeShard is one shard's decoded checkpoint state.
 type resumeShard struct {
-	done      bool
-	stats     Stats
-	rs        *shardResume // nil when done
-	samples   []telemetry.Sample
-	firstSeen map[netip.Addr]time.Duration
-	store     *probe.Store
+	done    bool
+	stats   Stats
+	rs      *shardResume // nil when done
+	samples []telemetry.Sample
+	// track and store are owned by the resumed campaign from here on:
+	// RunContext installs them as the shard's own instead of copying.
+	track *ifaceTimes // nil when the run kept no first-seen instants
+	store *probe.Store
 	// conn, when non-nil, is the live connection the shard state was
 	// captured from (Campaign.Rewind): the resumed shard reuses it
 	// instead of opening a fresh clone, keeping the simulator's flow-plan
 	// and template caches warm across a periodic checkpoint.
 	conn probe.Conn
+	// observer is the live shard's reply observer, carried across a
+	// Rewind so that it goes on seeing every reply of the shard; nil for
+	// artifact-decoded resumes. ResumeConfig.NewObserver overrides it.
+	observer probe.Observer
 }
 
 // resumeState is a decoded artifact: the campaign shape plus every
@@ -115,17 +121,43 @@ type resumeState struct {
 // discovery-curve and progress series, counter deltas, and in-flight
 // replies; Resume reconstructs a campaign that continues the run
 // exactly. Quarantine-degraded campaigns are not checkpointable.
-func (c *Campaign) Checkpoint() ([]byte, error) {
+func (c *Campaign) Checkpoint() ([]byte, error) { return c.AppendCheckpoint(nil) }
+
+// AppendCheckpoint is Checkpoint into a caller-supplied buffer: it
+// appends the artifact to buf and returns the extended slice. Every
+// section is encoded in place — header reserved, payload appended,
+// length and CRC patched — so the shard stores are written exactly
+// once, and a buffer with enough capacity makes the whole artifact
+// allocation-free but for the index merges. Periodic checkpointing
+// passes a retired artifact back in as the next buffer.
+func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
 	if !c.keep || len(c.shards) == 0 {
 		return nil, ErrNotCheckpointable
 	}
 	if c.quarantined {
 		return nil, fmt.Errorf("%w: shards were quarantined", ErrNotCheckpointable)
 	}
-	buf := append([]byte(nil), checkpointMagic...)
-	buf = appendSection(buf, sectConfig, c.appendConfig(nil))
+	// Size the buffer once: the bulky parts exactly, an allowance for each
+	// shard's counters, curve and progress samples. Falling short would
+	// only cost a regrowth.
+	size := 4096 + 16*len(c.cfg.Targets)
 	for _, ss := range c.shards {
-		buf = appendSection(buf, sectShard, c.appendShard(nil, ss))
+		size += 16<<10 + ss.store.EncodedSize()
+		if ss.track != nil {
+			size += 24 * len(ss.track.seen)
+		}
+		if rs := ss.rs; rs != nil {
+			size += len(rs.simState)
+			for _, pr := range rs.pending {
+				size += 12 + len(pr.data)
+			}
+		}
+	}
+	buf = slices.Grow(buf, size)
+	buf = append(buf, checkpointMagic...)
+	buf = appendSection(buf, sectConfig, c.appendConfig)
+	for _, ss := range c.shards {
+		buf = appendSection(buf, sectShard, func(b []byte) []byte { return c.appendShard(b, ss) })
 	}
 	return buf, nil
 }
@@ -133,9 +165,10 @@ func (c *Campaign) Checkpoint() ([]byte, error) {
 // Rewind returns a fresh campaign that continues this interrupted run
 // in-process — the same continuation Resume(Checkpoint(), ...) builds,
 // without the serialize/decode round trip. The receiver hands its live
-// shard state (stores, permutation cursors, in-flight replies,
-// simulator blobs) to the returned campaign and must not be run,
-// checkpointed, or rewound again. Periodic checkpointing wants this
+// shard state (stores, first-seen indexes, observers, permutation
+// cursors, in-flight replies, simulator blobs) to the returned campaign
+// by ownership, not by copy, and must not be run, checkpointed, merged,
+// or rewound again. Periodic checkpointing wants this
 // path: each snapshot cycle pays one serialization for the durable
 // artifact, not a second full decode just to keep running. The
 // continuation is byte-identical to the artifact round trip — both
@@ -149,10 +182,7 @@ func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error
 	}
 	state := &resumeState{epoch: c.epoch, shards: make([]*resumeShard, 0, len(c.shards))}
 	for _, ss := range c.shards {
-		sh := &resumeShard{done: ss.done, stats: ss.stats, store: ss.store}
-		if ss.track != nil {
-			sh.firstSeen = ss.track.first
-		}
+		sh := &resumeShard{done: ss.done, stats: ss.stats, store: ss.store, track: ss.track}
 		if ss.done {
 			if ss.prog != nil {
 				sh.samples = ss.prog.Samples()
@@ -170,6 +200,7 @@ func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error
 			sh.samples = rs.samples
 			sh.rs = rs
 			sh.conn = ss.conn
+			sh.observer = ss.observer
 		}
 		state.shards = append(state.shards, sh)
 	}
@@ -184,11 +215,26 @@ func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error
 	return &Campaign{cfg: cfg, connOf: connOf, epoch: c.epoch, res: state}, nil
 }
 
-func appendSection(buf []byte, typ byte, payload []byte) []byte {
-	buf = append(buf, typ)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+// appendSection frames one section in place: it reserves the header,
+// lets encode append the payload, then patches the payload's length and
+// CRC into the header.
+func appendSection(buf []byte, typ byte, encode func([]byte) []byte) []byte {
+	buf = append(buf, typ, 0, 0, 0, 0, 0, 0, 0, 0)
+	start := len(buf)
+	buf = encode(buf)
+	binary.LittleEndian.PutUint32(buf[start-8:], uint32(len(buf)-start))
+	binary.LittleEndian.PutUint32(buf[start-4:], crc32.ChecksumIEEE(buf[start:]))
+	return buf
+}
+
+// appendStore appends a store's encoding behind its u32 length, encoded
+// in place and the length patched afterwards.
+func appendStore(buf []byte, s *probe.Store) []byte {
+	buf = append(buf, 0, 0, 0, 0)
+	start := len(buf)
+	buf = s.AppendBinary(buf)
+	binary.LittleEndian.PutUint32(buf[start-4:], uint32(len(buf)-start))
+	return buf
 }
 
 func (c *Campaign) appendConfig(buf []byte) []byte {
@@ -290,23 +336,17 @@ func (c *Campaign) appendShard(buf []byte, ss *shardState) []byte {
 	}
 	if ss.track != nil {
 		buf = append(buf, 1)
-		addrs := make([]netip.Addr, 0, len(ss.track.first))
-		for a := range ss.track.first {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(addrs)))
-		for _, a := range addrs {
-			a16 := a.As16()
+		seen := ss.track.sortedSeen()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seen)))
+		for _, e := range seen {
+			a16 := e.addr.As16()
 			buf = append(buf, a16[:]...)
-			buf = appendDur(buf, ss.track.first[a])
+			buf = appendDur(buf, e.at)
 		}
 	} else {
 		buf = append(buf, 0)
 	}
-	enc := ss.store.AppendBinary(nil)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-	buf = append(buf, enc...)
+	buf = appendStore(buf, ss.store)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rs.simState)))
 	return append(buf, rs.simState...)
 }
@@ -321,7 +361,10 @@ func appendDur(buf []byte, d time.Duration) []byte {
 type ResumeConfig struct {
 	// NewObserver rebuilds per-shard observers. Resumed shards only see
 	// replies arriving after the resume instant; derive streaming
-	// artifacts from the merged store (graph.FromStore) instead.
+	// artifacts from the merged store (graph.FromStore) instead. When it
+	// is nil, a Resume runs without observers, while a Rewind keeps each
+	// live shard's observer — which has seen every reply of the shard so
+	// far and goes on seeing the rest.
 	NewObserver func(shard int) probe.Observer
 	// Telemetry receives the resumed run's metrics. Restored counter
 	// totals replay into it on the first flush, so its final state
@@ -687,15 +730,17 @@ func decodeShard(payload []byte, version int) (*resumeShard, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		sh.firstSeen = make(map[netip.Addr]time.Duration, nSeen)
+		sh.track = newIfaceTimes(nSeen)
 		for i := 0; i < nSeen; i++ {
 			a, err := r.addr()
 			if err != nil {
 				return nil, 0, err
 			}
-			if sh.firstSeen[a], err = r.dur(); err != nil {
+			at, err := r.dur()
+			if err != nil {
 				return nil, 0, err
 			}
+			sh.track.add(a, at)
 		}
 	}
 	nStore, err := r.count(1)

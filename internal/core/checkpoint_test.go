@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,11 +228,56 @@ func TestCampaignCheckpointChain(t *testing.T) {
 	assertRunsEqual(t, "chained resume", got, ref)
 }
 
+// TestCheckpointBytePin pins the artifact format: the SHA-256 of
+// Checkpoint() for one fixed 2-shard fill campaign with progress on,
+// interrupted at a fixed virtual instant. The digest was recorded before
+// the encoder was rebuilt around the canonical index and in-place
+// sections, so "no format change" is enforced rather than asserted; a
+// deliberate format change bumps the magic and re-records it.
+func TestCheckpointBytePin(t *testing.T) {
+	const seed = 1213
+	const want = "ee14ef052c3a0306f03720e4a726084540f49ae7f896b3d36caa6c26cc1b3e4a"
+	targets := campaignTargets(t, seed, 61)
+	v := ckptVantage(seed)
+	cfg := campaignCfg(targets)
+	cfg.Batch = 64
+	camp := NewCampaign(CampaignConfig{
+		Config: cfg, Shards: 2, RecordPaths: true,
+		Progress:    &ProgressConfig{},
+		InterruptAt: 1100 * time.Millisecond,
+	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
+	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	art, err := camp.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(art)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("artifact digest %s (%d bytes), want %s", got, len(art), want)
+	}
+	// Appending behind a prefix yields the same artifact bytes.
+	again, err := camp.AppendCheckpoint([]byte("prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again[6:], art) {
+		t.Fatal("AppendCheckpoint into a used buffer differs from Checkpoint")
+	}
+}
+
 // TestCampaignRewindChain drives the in-process continuation path the
 // scheduler's periodic checkpointing takes: DeferMerge skips the
 // partial-store fold on each interrupted run, Checkpoint serializes the
 // durable artifact, and Rewind continues on the live connections —
-// no decode round trip, no fresh clones. The final results must be
+// no decode round trip, no fresh clones, stores and first-seen indexes
+// handed over rather than copied. Beside it runs the chain the hand-over
+// replaces, Resume(Checkpoint()) on a fresh universe at every cut: at
+// each cut the two must agree on the artifact bytes, the merged curve
+// and the progress series (whose interface counts derive from the
+// first-seen instants), so a hand-over that aliased or dropped state
+// shows at the cut where it happens. The final results must be
 // byte-identical to the uninterrupted reference.
 func TestCampaignRewindChain(t *testing.T) {
 	const seed = 7171
@@ -239,30 +287,47 @@ func TestCampaignRewindChain(t *testing.T) {
 	v := ckptVantage(seed)
 	cfg := campaignCfg(targets)
 	cfg.Batch = 64
-	var progress bytes.Buffer
+	var progress, progress2 bytes.Buffer
 	connOf := func(_ int, start time.Duration) probe.Conn { return v.Clone(start) }
 	cuts := []time.Duration{400 * time.Millisecond, 900 * time.Millisecond, 1400 * time.Millisecond}
-	camp := NewCampaign(CampaignConfig{
+	ccfg := CampaignConfig{
 		Config: cfg, Shards: 2, RecordPaths: true,
 		Telemetry:  telemetry.NewRegistry(),
 		Progress:   &ProgressConfig{Writer: &progress},
 		DeferMerge: true, InterruptAt: cuts[0],
-	}, connOf)
+	}
+	camp := NewCampaign(ccfg, connOf)
+	ccfg.Telemetry = telemetry.NewRegistry()
+	ccfg.Progress = &ProgressConfig{Writer: &progress2}
+	v2 := ckptVantage(seed)
+	decoded := NewCampaign(ccfg, func(_ int, start time.Duration) probe.Conn { return v2.Clone(start) })
 	for i := 0; ; i++ {
 		store, stats, err := camp.Run()
+		store2, stats2, err2 := decoded.Run()
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("cut %d: rewound chain: %v, decoded chain: %v", i, err, err2)
+		}
 		if err == nil {
 			got := ckptRun{store: store, graph: graphNDJSON(t, store), progress: progress.Bytes(), stats: stats}
 			assertRunsEqual(t, "rewound", got, ref)
+			got2 := ckptRun{store: store2, graph: graphNDJSON(t, store2), progress: progress2.Bytes(), stats: stats2}
+			assertRunsEqual(t, "decoded", got2, ref)
 			break
 		}
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("cut %d: %v", i, err)
+		if !errors.Is(err, ErrInterrupted) || !errors.Is(err2, ErrInterrupted) {
+			t.Fatalf("cut %d: %v / %v", i, err, err2)
 		}
 		if store != nil {
 			t.Fatalf("cut %d: DeferMerge run returned a merged store", i)
 		}
 		if camp.MergedStore() == nil {
 			t.Fatalf("cut %d: MergedStore returned nil after deferred interrupt", i)
+		}
+		if !slices.Equal(stats.Curve, stats2.Curve) {
+			t.Fatalf("cut %d: partial curve differs between the chains", i)
+		}
+		if !slices.Equal(stats.Progress, stats2.Progress) {
+			t.Fatalf("cut %d: partial progress series differs between the chains", i)
 		}
 		// The durable artifact is still cut here on the periodic path;
 		// it must stay decodable even though the continuation is live.
@@ -272,6 +337,13 @@ func TestCampaignRewindChain(t *testing.T) {
 		}
 		if _, err := InspectCheckpoint(art); err != nil {
 			t.Fatalf("cut %d: artifact invalid: %v", i, err)
+		}
+		art2, err := decoded.Checkpoint()
+		if err != nil {
+			t.Fatalf("cut %d: decoded chain checkpoint: %v", i, err)
+		}
+		if !bytes.Equal(art, art2) {
+			t.Fatalf("cut %d: rewound chain's artifact differs from the Resume(Checkpoint()) chain's", i)
 		}
 		next := time.Duration(0)
 		if i+1 < len(cuts) {
@@ -284,6 +356,15 @@ func TestCampaignRewindChain(t *testing.T) {
 		}, connOf)
 		if err != nil {
 			t.Fatalf("cut %d: rewind: %v", i, err)
+		}
+		fresh := ckptVantage(seed)
+		decoded, err = Resume(art2, ResumeConfig{
+			Telemetry:      telemetry.NewRegistry(),
+			ProgressWriter: &progress2,
+			InterruptAt:    next,
+		}, func(_ int, start time.Duration) probe.Conn { return fresh.Clone(start) })
+		if err != nil {
+			t.Fatalf("cut %d: resume: %v", i, err)
 		}
 	}
 }

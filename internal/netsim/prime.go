@@ -1,12 +1,15 @@
 package netsim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
+	"beholder/internal/sorted"
 	"beholder/internal/wire"
 )
 
@@ -181,18 +184,18 @@ func (v *Vantage) PrimeIdx(tok int, ttl uint8, at time.Duration) {
 // RouterKey (ASN u32, Class u8, K1 u64, K2 u64) + tokens f64 + last i64.
 const simStateEntrySize = 4 + 1 + 8 + 8 + 8 + 8
 
-// simStateKeyLess is the router-key order sim-state blobs are sorted
+// simStateKeyCompare is the router-key order sim-state blobs are sorted
 // in: (ASN, Class, K1, K2) lexicographic.
-func simStateKeyLess(a, b RouterKey) bool {
+func simStateKeyCompare(a, b RouterKey) int {
 	switch {
 	case a.ASN != b.ASN:
-		return a.ASN < b.ASN
+		return cmp.Compare(a.ASN, b.ASN)
 	case a.Class != b.Class:
-		return a.Class < b.Class
+		return cmp.Compare(a.Class, b.Class)
 	case a.K1 != b.K1:
-		return a.K1 < b.K1
+		return cmp.Compare(a.K1, b.K1)
 	}
-	return a.K2 < b.K2
+	return cmp.Compare(a.K2, b.K2)
 }
 
 // simEntry reads record i of a sim-state entry region.
@@ -213,45 +216,38 @@ func simEntry(data []byte, i int) (k RouterKey, tokens float64, last time.Durati
 // never touched (and so still carries exactly the imported state).
 // Entries are sorted by router key, so equal states serialize to equal
 // bytes. Campaign checkpointing stores the blob in the artifact;
-// ImportSimState restores it.
+// ImportSimState restores it. The export is one merge of two ascending
+// sequences — the router index, of which only the routers born since
+// the previous export need sorting, and the imported records.
 func (v *Vantage) ExportSimState(buf []byte) []byte {
-	type rec struct {
-		key    RouterKey
-		tokens float64
-		last   time.Duration
-	}
-	recs := make([]rec, 0, len(v.routers)+len(v.simPending)/simStateEntrySize)
-	for k, r := range v.routers {
-		recs = append(recs, rec{k, r.tokens, r.last})
-	}
-	for i := 0; i < len(v.simPending)/simStateEntrySize; i++ {
-		k, tokens, last := simEntry(v.simPending, i)
-		if _, ok := v.routers[k]; ok {
-			continue // materialized since import; the live bucket wins
+	sorted.Tail(v.routerIdx, v.routersSorted, func(a, b *Router) int { return simStateKeyCompare(a.Key, b.Key) })
+	v.routersSorted = len(v.routerIdx)
+	pending := v.simPending
+	buf = slices.Grow(buf, 4+len(v.routerIdx)*simStateEntrySize+len(pending))
+	head := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	for _, r := range v.routerIdx {
+		// Imported records ahead of r belong to routers never touched
+		// here; a record for r itself is stale — the live bucket wins.
+		for len(pending) > 0 {
+			k, _, _ := simEntry(pending, 0)
+			c := simStateKeyCompare(k, r.Key)
+			if c < 0 {
+				buf = append(buf, pending[:simStateEntrySize]...)
+			} else if c > 0 {
+				break
+			}
+			pending = pending[simStateEntrySize:]
 		}
-		recs = append(recs, rec{k, tokens, last})
-	}
-	// Sort an index permutation rather than the records: group priming
-	// snapshots a campaign's full router set several times per run, and
-	// 4-byte swaps keep that off the copy budget.
-	idx := make([]int32, len(recs))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(i, j int) bool { return simStateKeyLess(recs[idx[i]].key, recs[idx[j]].key) })
-	if buf == nil {
-		buf = make([]byte, 0, 4+len(recs)*simStateEntrySize)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, i := range idx {
-		r := &recs[i]
-		buf = binary.LittleEndian.AppendUint32(buf, r.key.ASN)
-		buf = append(buf, r.key.Class)
-		buf = binary.LittleEndian.AppendUint64(buf, r.key.K1)
-		buf = binary.LittleEndian.AppendUint64(buf, r.key.K2)
+		buf = binary.LittleEndian.AppendUint32(buf, r.Key.ASN)
+		buf = append(buf, r.Key.Class)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key.K1)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key.K2)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.tokens))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.last))
 	}
+	buf = append(buf, pending...)
+	binary.LittleEndian.PutUint32(buf[head:], uint32((len(buf)-head-4)/simStateEntrySize))
 	return buf
 }
 
@@ -276,8 +272,14 @@ func (v *Vantage) ImportSimState(data []byte) error {
 	if uint64(len(data)) != uint64(n)*simStateEntrySize {
 		return fmt.Errorf("netsim: sim state: %d bytes for %d routers", len(data), n)
 	}
+	var prev RouterKey
 	for i := 0; i < int(n); i++ {
 		k, tokens, _ := simEntry(data, i)
+		// Lookup and export both rely on the canonical order.
+		if i > 0 && simStateKeyCompare(prev, k) >= 0 {
+			return fmt.Errorf("netsim: sim state: router %v out of order", k)
+		}
+		prev = k
 		if math.IsNaN(tokens) || math.IsInf(tokens, 0) || tokens < 0 {
 			return fmt.Errorf("netsim: sim state: invalid token level for router %v", k)
 		}
@@ -309,7 +311,7 @@ func (v *Vantage) simLookup(key RouterKey) (tokens float64, last time.Duration, 
 	}
 	i := sort.Search(n, func(i int) bool {
 		k, _, _ := simEntry(v.simPending, i)
-		return !simStateKeyLess(k, key)
+		return simStateKeyCompare(k, key) >= 0
 	})
 	if i == n {
 		return 0, 0, false

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 )
@@ -172,6 +173,54 @@ func TestSimStateLazyImport(t *testing.T) {
 	if got, want := merged.ExportSimState(nil), a.ExportSimState(nil); !bytes.Equal(got, want) {
 		t.Fatal("merged export (live + pending) differs from the uninterrupted vantage")
 	}
+
+	// Routers born after an export — here on paths the import never saw —
+	// join the sorted index on the next one. Each export must equal the
+	// straightforward collect-and-sort of the live routers plus the
+	// imported records no live router supersedes.
+	imported := binary.LittleEndian.Uint32(blob)
+	for i, dst := range primeTargets(u, 40)[12:] {
+		_ = merged.Send(buildEchoProbe(v.LocalAddr(), dst, uint8(4+i%12)))
+		merged.Sleep(time.Millisecond)
+		if got, want := merged.ExportSimState([]byte("prefix")), referenceSimState(merged); !bytes.Equal(got[6:], want) {
+			t.Fatal("export differs from the collect-and-sort reference")
+		}
+	}
+	if n := binary.LittleEndian.Uint32(merged.ExportSimState(nil)); n <= imported {
+		t.Fatalf("follow-up probes materialized no new router (%d records, %d imported)", n, imported)
+	}
+}
+
+// referenceSimState is the export ExportSimState's index merge
+// replaced: every live router and every unsuperseded imported record,
+// collected and sorted by key.
+func referenceSimState(v *Vantage) []byte {
+	type rec struct {
+		key    RouterKey
+		tokens float64
+		last   time.Duration
+	}
+	var recs []rec
+	for k, r := range v.routers {
+		recs = append(recs, rec{k, r.tokens, r.last})
+	}
+	for i := 0; i < len(v.simPending)/simStateEntrySize; i++ {
+		k, tokens, last := simEntry(v.simPending, i)
+		if _, ok := v.routers[k]; !ok {
+			recs = append(recs, rec{k, tokens, last})
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return simStateKeyCompare(recs[i].key, recs[j].key) < 0 })
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
+	for _, r := range recs {
+		buf = binary.LittleEndian.AppendUint32(buf, r.key.ASN)
+		buf = append(buf, r.key.Class)
+		buf = binary.LittleEndian.AppendUint64(buf, r.key.K1)
+		buf = binary.LittleEndian.AppendUint64(buf, r.key.K2)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.tokens))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.last))
+	}
+	return buf
 }
 
 // TestImportSimStateErrors: structurally invalid blobs are rejected
@@ -206,6 +255,14 @@ func TestImportSimStateErrors(t *testing.T) {
 		}),
 		"unknown AS": corrupt(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[4:], 0xfffffff0)
+		}),
+		"out of order": corrupt(func(b []byte) {
+			first := append([]byte(nil), b[4:4+simStateEntrySize]...)
+			copy(b[4:], b[4+simStateEntrySize:4+2*simStateEntrySize])
+			copy(b[4+simStateEntrySize:], first)
+		}),
+		"duplicate router": corrupt(func(b []byte) {
+			copy(b[4+simStateEntrySize:], b[4:4+simStateEntrySize])
 		}),
 	}
 	for name, data := range cases {

@@ -9,6 +9,7 @@ import (
 
 	"beholder/internal/faultsim"
 	"beholder/internal/ipv6"
+	"beholder/internal/sorted"
 	"beholder/internal/wire"
 )
 
@@ -61,6 +62,12 @@ type Vantage struct {
 	// bucket is mutable, and it is owned — never shared — by the
 	// materializing vantage, so concurrent vantages need no locking.
 	routers map[RouterKey]*Router
+	// routerIdx lists the values of routers — routers are born, never
+	// retired — ascending by key up to routersSorted and in birth order
+	// beyond: ExportSimState walks it instead of collecting and sorting
+	// the whole map for every snapshot.
+	routerIdx     []*Router
+	routersSorted int
 
 	queue deliveryQueue
 	dec   wire.Decoded // scratch decoder reused across Send calls
@@ -374,13 +381,18 @@ func (v *Vantage) router(key RouterKey, as *AS, now time.Duration) *Router {
 			if r.tokens > r.burst {
 				r.tokens = r.burst
 			}
-			v.routers[key] = r
+			v.addRouter(r)
 			return r
 		}
 	}
 	r := v.u.newRouter(key, as, now)
-	v.routers[key] = r
+	v.addRouter(r)
 	return r
+}
+
+func (v *Vantage) addRouter(r *Router) {
+	v.routers[r.Key] = r
+	v.routerIdx = sorted.Append(v.routerIdx, r)
 }
 
 // stepRouter resolves (and memoizes into the plan step) the router for

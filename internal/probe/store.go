@@ -1,9 +1,12 @@
 package probe
 
 import (
+	"cmp"
 	"math/bits"
 	"net/netip"
-	"sort"
+	"slices"
+
+	"beholder/internal/sorted"
 )
 
 // HopEntry is one responsive hop of a traced path.
@@ -18,10 +21,13 @@ type Trace struct {
 	// Hops holds Time-Exceeded sources by probe TTL, unordered; use
 	// SortedHops for path order. Duplicate TTLs keep the first answer
 	// (Paris-stable flows make later answers identical in practice).
+	// Read-only outside this package: the store keeps it in step with
+	// the TTL bitmap below.
 	Hops []HopEntry
-	// seen is a 256-bit bitmap of TTLs present in Hops, so the per-reply
-	// duplicate check on the hot path is one word test instead of a
-	// linear scan over the hop list.
+	// seen is a 256-bit bitmap of exactly the TTLs present in Hops, so
+	// the per-reply duplicate check on the hot path is one word test
+	// instead of a linear scan over the hop list, and the encoder walks
+	// it to emit hops in TTL order without sorting.
 	seen [4]uint64
 	// Reached reports a destination-originated response (echo reply,
 	// port unreachable, RST) was received from the target itself.
@@ -41,9 +47,8 @@ func (t *Trace) markTTL(ttl uint8) {
 
 // SortedHops returns the hops ordered by TTL.
 func (t *Trace) SortedHops() []HopEntry {
-	out := make([]HopEntry, len(t.Hops))
-	copy(out, t.Hops)
-	sort.Slice(out, func(i, j int) bool { return out[i].TTL < out[j].TTL })
+	out := slices.Clone(t.Hops)
+	slices.SortFunc(out, func(a, b HopEntry) int { return cmp.Compare(a.TTL, b.TTL) })
 	return out
 }
 
@@ -64,10 +69,26 @@ func (t *Trace) PathLength() int {
 // engine gives every shard its own Store and folds them together
 // afterwards with Merge, which is deterministic regardless of how the
 // shard goroutines interleaved.
+//
+// Beside the lookup maps the store keeps a canonical index: every trace
+// and every interface address is appended to a slice when it is created
+// — by Add, by Merge, and by DecodeStore, the only three paths that
+// create either — so AppendBinary walks slices in canonical order
+// instead of collecting and sorting the map keys on every encode. The
+// index is sorted lazily: each encode sorts only the entries appended
+// since the previous one and merges them into the sorted prefix.
 type Store struct {
 	recordPaths bool
 	traces      map[netip.Addr]*Trace
 	interfaces  map[netip.Addr]struct{}
+
+	// traceIdx and ifaceIdx are the canonical index: the values of
+	// traces and the keys of interfaces, each ascending up to its
+	// *Sorted mark and in creation order beyond it.
+	traceIdx     []*Trace
+	ifaceIdx     []netip.Addr
+	tracesSorted int
+	ifacesSorted int
 
 	// lastTarget/lastTrace memoize the most recent trace touched by Add.
 	// Replies cluster by target (fill-mode follow-ups, the sequential
@@ -121,11 +142,7 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	switch r.Kind {
 	case KindTimeExceeded:
 		s.TimeExceeded++
-		// Insert unconditionally and detect novelty from the size delta:
-		// one map operation instead of a lookup followed by an insert.
-		before := len(s.interfaces)
-		s.interfaces[r.From] = struct{}{}
-		newInterface = len(s.interfaces) != before
+		newInterface = s.addInterface(r.From)
 	case KindEchoReply:
 		s.EchoReplies++
 	case KindTCPRst:
@@ -154,7 +171,7 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 			}
 			t.Hops = s.hopSlab[:0:16]
 			s.hopSlab = s.hopSlab[16:]
-			s.traces[r.Target] = t
+			s.addTrace(t)
 		}
 		s.lastTarget, s.lastTrace = r.Target, t
 	}
@@ -178,6 +195,25 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	return newInterface
 }
 
+// addInterface inserts a into the interface set and reports whether it
+// was new. It inserts unconditionally and detects novelty from the size
+// delta: one map operation instead of a lookup followed by an insert.
+func (s *Store) addInterface(a netip.Addr) bool {
+	before := len(s.interfaces)
+	s.interfaces[a] = struct{}{}
+	if len(s.interfaces) == before {
+		return false
+	}
+	s.ifaceIdx = sorted.Append(s.ifaceIdx, a)
+	return true
+}
+
+// addTrace registers a newly created trace under its target.
+func (s *Store) addTrace(t *Trace) {
+	s.traces[t.Target] = t
+	s.traceIdx = sorted.Append(s.traceIdx, t)
+}
+
 // Merge folds src into s. Campaign shards probe disjoint slices of the
 // (target × TTL) domain, so hop entries never collide; if they do (e.g.
 // merging overlapping ad-hoc campaigns), the entry already present wins,
@@ -194,17 +230,17 @@ func (s *Store) Merge(src *Store) {
 	for code, n := range src.DestUnreachByCode {
 		s.DestUnreachByCode[code] += n
 	}
-	for a := range src.interfaces {
-		s.interfaces[a] = struct{}{}
+	for _, a := range src.ifaceIdx {
+		s.addInterface(a)
 	}
 	if !s.recordPaths {
 		return
 	}
-	for target, st := range src.traces {
-		t := s.traces[target]
+	for _, st := range src.traceIdx {
+		t := s.traces[st.Target]
 		if t == nil {
-			t = &Trace{Target: target}
-			s.traces[target] = t
+			t = &Trace{Target: st.Target}
+			s.addTrace(t)
 		}
 		for _, hop := range st.Hops {
 			if !t.HasTTL(hop.TTL) {

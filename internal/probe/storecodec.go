@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
-	"sort"
+	"slices"
+
+	"beholder/internal/sorted"
 )
 
 // Store serialization for campaign checkpointing. The encoding is a
@@ -19,8 +22,41 @@ import (
 // ErrStoreDecode is wrapped by every store-decoding failure.
 var ErrStoreDecode = errors.New("probe: malformed store encoding")
 
-// AppendBinary appends the store's canonical binary encoding to buf.
+// canonicalize brings the canonical index into encoding order.
+func (s *Store) canonicalize() {
+	sorted.Tail(s.ifaceIdx, s.ifacesSorted, netip.Addr.Compare)
+	s.ifacesSorted = len(s.ifaceIdx)
+	sorted.Tail(s.traceIdx, s.tracesSorted, func(a, b *Trace) int { return a.Target.Compare(b.Target) })
+	s.tracesSorted = len(s.traceIdx)
+}
+
+// EncodedSize returns the exact length of the store's encoding.
+func (s *Store) EncodedSize() int {
+	n := 1 + 5*8 + 4 + 9*len(s.DestUnreachByCode) + 4 + 16*len(s.ifaceIdx) + 4
+	for _, t := range s.traceIdx {
+		n += 16 + 1 + 4 + 17*len(t.Hops) + 4 + 9*len(t.DestUnreach)
+	}
+	return n
+}
+
+// sortedCodes returns m's keys ascending, in scratch.
+func sortedCodes[V any](m map[uint8]V, scratch *[256]uint8) []uint8 {
+	codes := scratch[:0]
+	for code := range m {
+		codes = append(codes, code)
+	}
+	slices.Sort(codes)
+	return codes
+}
+
+// AppendBinary appends the store's canonical binary encoding to buf. It
+// grows buf once, to the exact size, and walks the canonical index, so
+// an encode into a large enough buffer allocates only the scratch of
+// the index tail merge. Like Add and Merge it reorders store internals
+// and must not run concurrently with any other method.
 func (s *Store) AppendBinary(buf []byte) []byte {
+	s.canonicalize()
+	buf = slices.Grow(buf, s.EncodedSize())
 	flag := byte(0)
 	if s.recordPaths {
 		flag = 1
@@ -32,56 +68,51 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 	buf = appendI64(buf, s.Unparseable)
 	buf = appendI64(buf, s.Rewritten)
 
-	codes := make([]int, 0, len(s.DestUnreachByCode))
-	for code := range s.DestUnreachByCode {
-		codes = append(codes, int(code))
-	}
-	sort.Ints(codes)
+	var scratch [256]uint8
+	codes := sortedCodes(s.DestUnreachByCode, &scratch)
 	buf = appendU32(buf, uint32(len(codes)))
 	for _, code := range codes {
-		buf = append(buf, byte(code))
-		buf = appendI64(buf, s.DestUnreachByCode[uint8(code)])
+		buf = append(buf, code)
+		buf = appendI64(buf, s.DestUnreachByCode[code])
 	}
 
-	ifaces := s.Interfaces()
-	sort.Slice(ifaces, func(i, j int) bool { return ifaces[i].Less(ifaces[j]) })
-	buf = appendU32(buf, uint32(len(ifaces)))
-	for _, a := range ifaces {
+	buf = appendU32(buf, uint32(len(s.ifaceIdx)))
+	for _, a := range s.ifaceIdx {
 		a16 := a.As16()
 		buf = append(buf, a16[:]...)
 	}
 
-	targets := make([]netip.Addr, 0, len(s.traces))
-	for t := range s.traces {
-		targets = append(targets, t)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
-	buf = appendU32(buf, uint32(len(targets)))
-	for _, target := range targets {
-		t := s.traces[target]
-		t16 := target.As16()
+	// Hop addresses by TTL: a trace's hops land in their slots and are
+	// read back along its TTL bitmap, which holds exactly the TTLs in
+	// Hops — path order without a sort. Slots of other traces' TTLs are
+	// stale but never read.
+	var byTTL [256]netip.Addr
+	buf = appendU32(buf, uint32(len(s.traceIdx)))
+	for _, t := range s.traceIdx {
+		t16 := t.Target.As16()
 		buf = append(buf, t16[:]...)
 		reached := byte(0)
 		if t.Reached {
 			reached = 1
 		}
 		buf = append(buf, reached)
-		hops := t.SortedHops()
-		buf = appendU32(buf, uint32(len(hops)))
-		for _, h := range hops {
-			buf = append(buf, h.TTL)
-			h16 := h.Addr.As16()
-			buf = append(buf, h16[:]...)
+		buf = appendU32(buf, uint32(len(t.Hops)))
+		for _, h := range t.Hops {
+			byTTL[h.TTL] = h.Addr
 		}
-		tcodes := make([]int, 0, len(t.DestUnreach))
-		for code := range t.DestUnreach {
-			tcodes = append(tcodes, int(code))
+		for w, word := range t.seen {
+			for ; word != 0; word &= word - 1 {
+				ttl := w<<6 | bits.TrailingZeros64(word)
+				h16 := byTTL[ttl].As16()
+				buf = append(buf, byte(ttl))
+				buf = append(buf, h16[:]...)
+			}
 		}
-		sort.Ints(tcodes)
-		buf = appendU32(buf, uint32(len(tcodes)))
-		for _, code := range tcodes {
-			buf = append(buf, byte(code))
-			buf = appendI64(buf, int64(t.DestUnreach[uint8(code)]))
+		codes := sortedCodes(t.DestUnreach, &scratch)
+		buf = appendU32(buf, uint32(len(codes)))
+		for _, code := range codes {
+			buf = append(buf, code)
+			buf = appendI64(buf, int64(t.DestUnreach[code]))
 		}
 	}
 	return buf
@@ -137,7 +168,7 @@ func DecodeStore(data []byte) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.interfaces[a] = struct{}{}
+		s.addInterface(a)
 	}
 
 	nTraces, err := r.count(16 + 1 + 4 + 4)
@@ -190,8 +221,8 @@ func DecodeStore(data []byte) (*Store, error) {
 			}
 			t.DestUnreach[code] = int(n)
 		}
-		if s.recordPaths {
-			s.traces[target] = t
+		if s.recordPaths && s.traces[target] == nil {
+			s.addTrace(t)
 		}
 	}
 	if r.off != len(data) {

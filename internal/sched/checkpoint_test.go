@@ -3,6 +3,8 @@ package sched
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,16 +17,13 @@ import (
 	"beholder/internal/testutil"
 )
 
-// TestPeriodicCheckpoint pins the periodic-checkpoint cycle: a
-// wall-slowed campaign under CheckpointEvery is interrupted,
-// snapshotted to the sink, and resumed several times, completes with
-// zero retries consumed, and its store is byte-identical to the solo
-// uninterrupted run. Every sink artifact must be a structurally valid
-// checkpoint, and the snapshots must surface in telemetry and the
-// tenant stream.
-func TestPeriodicCheckpoint(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
-	const seed = 1310
+// periodicRun drives one wall-slowed 2-shard campaign through a
+// single-worker supervisor snapshotting every `every` (0: never) and
+// returns its result, its tenant stream, and a copy of every artifact
+// the sink saw. The watchdog never fires: only the checkpoint timer may
+// interrupt.
+func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry) (*Result, CampaignSpec, string, [][]byte) {
+	t.Helper()
 	env := newTestEnv(seed, nil)
 	// Slow sends so the campaign spans many checkpoint intervals;
 	// virtual time (and so every result byte) is untouched.
@@ -40,18 +39,17 @@ func TestPeriodicCheckpoint(t *testing.T) {
 
 	var mu sync.Mutex
 	var artifacts [][]byte
-	reg := telemetry.NewRegistry()
 	s, err := New(Config{
-		Opener:  op,
-		Tenants: []Tenant{{Name: "acme"}},
-		Workers: 1,
-		// The watchdog must never fire here: only the checkpoint
-		// timer may interrupt.
+		Opener:          op,
+		Tenants:         []Tenant{{Name: "acme"}},
+		Workers:         1,
 		StallBudget:     30 * time.Second,
-		CheckpointEvery: 25 * time.Millisecond,
+		CheckpointEvery: every,
 		CheckpointSink: func(spec *CampaignSpec, art []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
+			// The supervisor reuses art's memory for a later snapshot:
+			// keep a copy, as the sink contract asks.
 			artifacts = append(artifacts, append([]byte(nil), art...))
 			return nil
 		},
@@ -83,22 +81,45 @@ func TestPeriodicCheckpoint(t *testing.T) {
 		t.Fatalf("periodic checkpoints consumed %d retries", res.Retries)
 	}
 	drainAll(t, s)
-
 	mu.Lock()
+	defer mu.Unlock()
+	return res, spec, stream.String(), artifacts
+}
+
+// TestPeriodicCheckpoint pins the periodic-checkpoint cycle: a
+// wall-slowed campaign under CheckpointEvery is interrupted,
+// snapshotted to the sink, and resumed several times, completes with
+// zero retries consumed, and its store is byte-identical to the solo
+// uninterrupted run. Every sink artifact — each encoded into the memory
+// of the one before last — must be a structurally valid checkpoint, and
+// the snapshots must surface in telemetry and the tenant stream.
+func TestPeriodicCheckpoint(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 1310
+	reg := telemetry.NewRegistry()
+	res, spec, stream, artifacts := periodicRun(t, seed, 25*time.Millisecond, reg)
 	n := len(artifacts)
-	mu.Unlock()
-	if n == 0 {
-		t.Fatal("no periodic checkpoint reached the sink")
+	if n < 3 {
+		t.Fatalf("%d periodic checkpoints reached the sink, want enough to reuse a buffer", n)
 	}
 	for i, art := range artifacts {
 		if _, err := core.InspectCheckpoint(art); err != nil {
 			t.Fatalf("sink artifact %d invalid: %v", i, err)
 		}
 	}
-	if got := counterVal(t, reg.Snapshot(), "sched_checkpoints_total"); got != int64(n) {
+	snap := reg.Snapshot()
+	if got := counterVal(t, snap, "sched_checkpoints_total"); got != int64(n) {
 		t.Fatalf("sched_checkpoints_total = %d, sink saw %d", got, n)
 	}
-	if !strings.Contains(stream.String(), `"checkpoint"`) {
+	for _, name := range []string{"sched_checkpoint_encode_usec", "sched_checkpoint_sink_usec"} {
+		if h, ok := snap.Histogram(name); !ok || h.Count != int64(n) {
+			t.Fatalf("%s: %d observations (present %v), want %d", name, h.Count, ok, n)
+		}
+	}
+	if g, ok := snap.Gauge("sched_checkpoint_bytes"); !ok || g != int64(len(artifacts[n-1])) {
+		t.Fatalf("sched_checkpoint_bytes = %d, last artifact has %d bytes", g, len(artifacts[n-1]))
+	}
+	if !strings.Contains(stream, `"checkpoint"`) {
 		t.Fatal("no checkpoint event on the tenant stream")
 	}
 
@@ -108,6 +129,59 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(res.Store.AppendBinary(nil), solo.AppendBinary(nil)) {
 		t.Fatalf("store after %d periodic checkpoint cycles differs from solo run", n)
+	}
+}
+
+// shardDeltas extracts each shard's (nodes, edges) sequence from a
+// tenant stream's delta events.
+func shardDeltas(t *testing.T, stream string) map[int][][2]int {
+	t.Helper()
+	out := make(map[int][][2]int)
+	dec := json.NewDecoder(strings.NewReader(stream))
+	for dec.More() {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Event == "delta" {
+			out[ev.Shard] = append(out[ev.Shard], [2]int{ev.Nodes, ev.Edges})
+		}
+	}
+	return out
+}
+
+// TestPeriodicCheckpointKeepsObservers pins that the in-process
+// continuation keeps each live shard's observer: the per-shard delta
+// subsequence of a periodically checkpointed campaign never drops back
+// in node count (a fresh observer would restart from an empty graph and
+// re-announce every known hop) and equals the uninterrupted campaign's,
+// event for event.
+func TestPeriodicCheckpointKeepsObservers(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 1312
+	_, _, stream, artifacts := periodicRun(t, seed, 25*time.Millisecond, nil)
+	if len(artifacts) < 2 {
+		t.Fatalf("%d periodic checkpoints, want several", len(artifacts))
+	}
+	_, _, plain, _ := periodicRun(t, seed, 0, nil)
+	got, want := shardDeltas(t, stream), shardDeltas(t, plain)
+	if len(want) != 2 {
+		t.Fatalf("uninterrupted stream has deltas of %d shards, want 2", len(want))
+	}
+	for shard, seq := range got {
+		for i := 1; i < len(seq); i++ {
+			// Nodes only grow; edges may shrink by one when a hop lands
+			// inside a TTL gap and splits the edge spanning it.
+			if seq[i][0] < seq[i-1][0] {
+				t.Fatalf("shard %d: delta %d drops from %v to %v", shard, i, seq[i-1], seq[i])
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		for shard := range want {
+			t.Logf("shard %d: %d deltas checkpointed, %d uninterrupted", shard, len(got[shard]), len(want[shard]))
+		}
+		t.Fatal("per-shard delta sequences differ from the uninterrupted campaign's")
 	}
 }
 

@@ -111,7 +111,9 @@ type Config struct {
 	// CheckpointSink receives each periodic checkpoint artifact. A
 	// sink error is counted (sched_checkpoint_sink_errors_total) and
 	// the campaign keeps running — losing a snapshot degrades crash
-	// durability, not the run.
+	// durability, not the run. The sink must not retain artifact after
+	// returning: the supervisor encodes a later snapshot into the same
+	// memory. A sink that keeps the bytes copies them.
 	CheckpointSink func(spec *CampaignSpec, artifact []byte) error
 	// Telemetry, when non-nil, receives the sched_* metrics and every
 	// campaign's hot-path yarrp_* metrics.
@@ -363,8 +365,13 @@ type schedMetrics struct {
 	submitted, rejected, completed, incomplete *telemetry.Counter
 	drained, retries, watchdog, breakerOpened  *telemetry.Counter
 	checkpoints, ckptSinkErrors                *telemetry.Counter
-	queueDepth, running                        *telemetry.Gauge
+	queueDepth, running, ckptBytes             *telemetry.Gauge
+	ckptEncode, ckptSink                       *telemetry.Histogram
 }
+
+// ckptBucketsUSec buckets the wall time of one snapshot's encode and of
+// its sink call, in microseconds.
+var ckptBucketsUSec = []int64{100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000}
 
 // Supervisor is the multi-tenant campaign scheduler. Create with New,
 // submit with Submit, shut down with Drain.
@@ -425,6 +432,9 @@ func New(cfg Config) (*Supervisor, error) {
 			ckptSinkErrors: r.Counter("sched_checkpoint_sink_errors_total"),
 			queueDepth:     r.Gauge("sched_queue_depth"),
 			running:        r.Gauge("sched_running"),
+			ckptBytes:      r.Gauge("sched_checkpoint_bytes"),
+			ckptEncode:     r.Histogram("sched_checkpoint_encode_usec", ckptBucketsUSec),
+			ckptSink:       r.Histogram("sched_checkpoint_sink_usec", ckptBucketsUSec),
 		}
 	}
 	s.wg.Add(cfg.Workers)
@@ -655,6 +665,11 @@ func (s *Supervisor) runJob(j *job) {
 	}
 	artifact := j.spec.Resume
 	var rewound *core.Campaign
+	// lastArt is the latest periodic snapshot (artifact aliases it until
+	// a failover replaces it); spare is the one before, which nothing
+	// references any more — the sink has returned and the continuation
+	// was handed over in-process — so the next encode reuses its memory.
+	var lastArt, spare []byte
 	attempt := 0
 	for {
 		attempt++
@@ -712,7 +727,13 @@ func (s *Supervisor) runJob(j *job) {
 			// The campaign ran with DeferMerge, so the interrupted store
 			// arrives nil; terminal paths fold it on demand, and the
 			// periodic continuation below skips the fold entirely.
-			art, ckErr := camp.Checkpoint()
+			encStart := time.Now()
+			art, ckErr := camp.AppendCheckpoint(spare[:0])
+			spare = nil
+			if ckErr == nil && s.met.ckptEncode != nil {
+				s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
+				s.met.ckptBytes.Set(int64(len(art)))
+			}
 			switch {
 			case s.isDraining():
 				if ckErr != nil {
@@ -769,15 +790,23 @@ func (s *Supervisor) runJob(j *job) {
 					s.met.checkpoints.Inc()
 				}
 				if s.cfg.CheckpointSink != nil {
-					if err := s.cfg.CheckpointSink(&j.spec, art); err != nil && s.met.ckptSinkErrors != nil {
+					sinkStart := time.Now()
+					err := s.cfg.CheckpointSink(&j.spec, art)
+					if s.met.ckptSink != nil {
+						s.met.ckptSink.Observe(time.Since(sinkStart).Microseconds())
+					}
+					if err != nil && s.met.ckptSinkErrors != nil {
 						s.met.ckptSinkErrors.Inc()
 					}
 				}
 				j.st.event(Event{Event: "checkpoint", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt})
 				// Continue in-process: the artifact already hit the sink,
-				// so the continuation skips the decode round trip. Rewind
-				// can only refuse what Checkpoint would also have refused,
-				// but fall back to the artifact path on principle.
+				// so the continuation skips the decode round trip, and the
+				// live shards keep their observers (nil NewObserver), so a
+				// tenant's delta stream continues instead of restarting from
+				// an empty graph. Rewind can only refuse what Checkpoint
+				// would also have refused, but fall back to the artifact
+				// path on principle.
 				factory, ferr := s.cfg.Opener(&j.spec)
 				if ferr != nil {
 					s.breakerFailure(j)
@@ -785,13 +814,13 @@ func (s *Supervisor) runJob(j *job) {
 					return
 				}
 				if next, rwErr := camp.Rewind(core.ResumeConfig{
-					NewObserver: s.observerFactory(j),
 					Telemetry:   s.tel,
 					InterruptAt: j.spec.Deadline,
 				}, factory); rwErr == nil {
 					rewound = next
 				}
 				artifact = art
+				spare, lastArt = lastArt, art
 				continue
 			default:
 				// The campaign's own virtual deadline fired.
