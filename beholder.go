@@ -581,7 +581,8 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 		}
 		var g *graph.Graph
 		if opt.Graph {
-			g = graph.Union(builders...)
+			// The builders exist only to be merged: hand them over.
+			g = graph.Fold(builders...)
 		}
 		res := &Result{
 			ProbesSent:  stats.ProbesSent,

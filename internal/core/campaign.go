@@ -17,12 +17,13 @@
 // the goroutine interleaving, and a 1-shard Campaign is byte-identical
 // to calling Yarrp6.Run directly. Router token buckets — the one piece
 // of per-packet state that is NOT a pure function of (probe, send time)
-// — are carried across shard boundaries too: before the shards launch,
+// — are carried across shard boundaries too: beside the running shards,
 // the campaign replays the schedule prefix [0, lo_max) once through the
-// simulator's prime fast path and hands each shard a bucket snapshot
-// taken at its own window start, so even under sustained ICMPv6
-// rate-limit saturation every shard sees exactly the bucket levels the
-// serial run would have left it (TestCampaignSaturationMatrix).
+// simulator's prime fast path and releases each shard with a bucket
+// snapshot the moment the replay reaches its window start, so even under
+// sustained ICMPv6 rate-limit saturation every shard sees exactly the
+// bucket levels the serial run would have left it
+// (TestCampaignSaturationMatrix).
 //
 // The same statelessness that makes sharding trivial makes the campaign
 // recoverable. Each shard's progress is exactly one permutation cursor
@@ -205,6 +206,9 @@ type shardState struct {
 	err      error        // fatal run error (quarantines the shard)
 	rs       *shardResume // capture from an interrupted or failed run
 	done     bool
+	// ready, when non-nil, parks the shard goroutine until the primer has
+	// imported the shard's window-start bucket snapshot (startPrimer).
+	ready chan struct{}
 }
 
 // NewCampaign creates a sharded campaign; validation happens in Run.
@@ -212,23 +216,47 @@ func NewCampaign(cfg CampaignConfig, connOf ConnFactory) *Campaign {
 	return &Campaign{cfg: cfg, connOf: connOf}
 }
 
-// primeGroup advances every fresh shard's router token-bucket state to
-// its window-start instant with one shared replay pass. Shard k's
-// buckets must open exactly where the single serial prober's stood
-// after probes [0, lo_k) — per-shard replay achieves that but costs
-// Σ lo_k = domain·(N−1)/2 probe evaluations. Instead the highest-window
-// fresh shard's connection replays the serial prefix once (it needs the
-// full [0, lo_max) pass anyway), and as the replay cursor crosses each
-// lower shard's window boundary the bucket state is snapshotted and
-// handed to that shard's connection — identical state, domain·(N−1)/N
-// fewer evaluations, and the shared flow-plan and probe-template caches
-// are warm before any window sends. The replay rebuilds probes with the
-// campaign's base instance byte and epoch — the serial prober's exact
-// schedule, which is the history being reproduced. Shards whose
-// connections lack prime or snapshot support, resumed shards (their
-// artifact carries the interrupt-instant state), and recovery probers
-// keep the per-prober replay inside Yarrp6.Run.
-func (c *Campaign) primeGroup(tmpl *probe.TmplStore) {
+// campaignPhaseBucketsUSec buckets the wall time of a campaign's
+// once-per-run sections: the prime replay, a shard's wait for its bucket
+// snapshot, and the store fold.
+var campaignPhaseBucketsUSec = []int64{100, 1000, 10_000, 100_000, 1_000_000, 10_000_000}
+
+// observePhase records the wall time since t0 on the campaign's
+// registry; a campaign without telemetry records nothing.
+func (c *Campaign) observePhase(name string, t0 time.Time) {
+	if reg := c.cfg.Telemetry; reg != nil {
+		reg.Histogram(name, campaignPhaseBucketsUSec).Observe(time.Since(t0).Microseconds())
+	}
+}
+
+// startPrimer advances every fresh shard's router token-bucket state to
+// its window-start instant with one shared replay pass that runs beside
+// the shards instead of before them. Shard k's buckets must open exactly
+// where the single serial prober's stood after probes [0, lo_k) —
+// per-shard replay achieves that but costs Σ lo_k = domain·(N−1)/2 probe
+// evaluations. Instead the highest-window fresh shard's connection
+// replays the serial prefix once (it needs the full [0, lo_max) pass
+// anyway) on the primer goroutine, and the instant the replay cursor
+// crosses a lower shard's window boundary the bucket state is
+// snapshotted, imported into that shard's connection, and the shard —
+// parked on its ready channel until then — is released; the last shard
+// is released once the replay has left prime mode. Shard 0 (window start
+// 0) needs no priming and never waits. Every shard therefore opens with
+// exactly the bucket levels a serial-then-parallel prime would have
+// given it: its own connection is touched only before its release, the
+// replay is complete up to lo_k before shard k sends, and what the
+// overlapping parties do share — the plan-core cache and the template
+// store — shards already wrote concurrently. The replay rebuilds probes
+// with the campaign's base instance byte and epoch — the serial prober's
+// exact schedule, which is the history being reproduced — is
+// uninterruptible, and pulses the campaign heartbeat so a watchdog never
+// mistakes it for a stall. Shards whose connections lack prime or
+// snapshot support, resumed shards (their artifact carries the
+// interrupt-instant state), recovery probers, and any shard released
+// un-primed (failed import, replay cut short) keep the per-prober replay
+// inside Yarrp6.Run. The returned channel closes when the primer
+// goroutine exits; nil means nothing needed priming.
+func (c *Campaign) startPrimer(tmpl *probe.TmplStore, began time.Time) <-chan struct{} {
 	var cands []*shardState
 	for _, ss := range c.shards {
 		if ss.done || ss.prober == nil || ss.prober.cfg.resume != nil || ss.lo == 0 {
@@ -237,23 +265,23 @@ func (c *Campaign) primeGroup(tmpl *probe.TmplStore) {
 		cands = append(cands, ss)
 	}
 	if len(cands) == 0 {
-		return
+		return nil
 	}
 	last := cands[len(cands)-1]
 	pr, okP := last.conn.(probe.Primer)
 	exp, okS := last.conn.(probe.SimStateCheckpointer)
 	if !okP || !okS {
-		return
+		return nil
 	}
 	for _, ss := range cands[:len(cands)-1] {
 		if _, ok := ss.conn.(probe.SimStateCheckpointer); !ok {
-			return
+			return nil
 		}
 	}
 	cfg := &c.cfg.Config
 	p, err := perm.New(cfg.Key, c.domain)
 	if err != nil {
-		return
+		return nil
 	}
 	base := last.conn.Now() - time.Duration(last.lo)*c.gap
 	codec := probe.NewCodec(last.conn, cfg.Proto, cfg.Instance)
@@ -263,56 +291,42 @@ func (c *Campaign) primeGroup(tmpl *probe.TmplStore) {
 	} else {
 		codec.SetProbeCache(tmplCacheSize(len(cfg.Targets)))
 	}
-	nt := uint64(len(cfg.Targets))
-	pkt := make([]byte, 128)
-	blobs := make([][]byte, len(cands)-1)
-	// Flow tokens, dense by target index: each target's flow is
-	// registered once from its first replayed probe, and the remaining
-	// ~TTL-span probes of the flow replay through the token — skipping
-	// the per-probe packet build and decode that dominate full Prime.
-	toks := make([]int, len(cfg.Targets))
-	for i := range toks {
-		toks[i] = -1
+	cuts := make([]uint64, len(cands)-1)
+	for i, ss := range cands {
+		ss.ready = make(chan struct{})
+		if i < len(cuts) {
+			cuts[i] = ss.lo
+		}
 	}
-	pr.BeginPrime()
-	it := p.Resume(0)
-	k := 0
-	for {
-		for k < len(blobs) && it.Pos() == cands[k].lo {
-			blobs[k] = exp.ExportSimState(nil)
-			k++
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		waiting := cands
+		release := func() {
+			c.observePhase("yarrp_shard_prime_wait_usec", began)
+			close(waiting[0].ready)
+			waiting = waiting[1:]
 		}
-		if it.Pos() >= last.lo {
-			break
-		}
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		at := base + time.Duration(it.Pos()-1)*c.gap
-		ti := v % nt
-		ttl := cfg.MinTTL + uint8(v/nt)
-		if toks[ti] < 0 {
-			n := codec.BuildProbeAt(pkt, cfg.Targets[ti], ttl, at)
-			t, err := pr.PrimeFlow(pkt[:n])
-			if err != nil {
-				continue
+		// However the replay ends, nobody stays parked: a shard released
+		// without its primed mark replays its own prefix inside Run.
+		defer func() {
+			for len(waiting) > 0 {
+				release()
 			}
-			toks[ti] = t
-		}
-		pr.PrimeIdx(toks[ti], ttl, at)
-	}
-	pr.EndPrime()
-	for i, ss := range cands[:len(blobs)] {
-		if blobs[i] == nil {
-			continue
-		}
-		if err := ss.conn.(probe.SimStateCheckpointer).ImportSimState(blobs[i]); err != nil {
-			continue // the shard's own Run replays the prefix instead
-		}
-		ss.prober.cfg.primed = true
-	}
-	last.prober.cfg.primed = true
+		}()
+		pprof.Do(context.Background(), pprof.Labels("yarrp6-shard", "prime"), func(context.Context) {
+			t0 := time.Now()
+			last.prober.cfg.primed = replayPrefix(pr, p, codec, cfg, last.lo, base, c.gap, &c.beat, cuts, func(i int) {
+				ss := cands[i]
+				if ss.conn.(probe.SimStateCheckpointer).ImportSimState(exp.ExportSimState(nil)) == nil {
+					ss.prober.cfg.primed = true
+				}
+				release()
+			})
+			c.observePhase("yarrp_prime_replay_usec", t0)
+		})
+	}()
+	return done
 }
 
 // Epoch returns the campaign epoch in absolute virtual time, valid
@@ -368,6 +382,7 @@ func (c *Campaign) Run() (*probe.Store, CampaignStats, error) {
 // order (equal to virtual-time order of the shard windows) after every
 // goroutine has finished.
 func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats, error) {
+	began := time.Now()
 	cfg := &c.cfg
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -502,7 +517,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 		ss.prober = New(conn, scfg)
 	}
 
-	c.primeGroup(tmpl)
+	primer := c.startPrimer(tmpl, began)
 
 	// Cancellation watcher: flips the shared stop flag the probers poll
 	// at batch boundaries. The watcher exits through stopWatch when the
@@ -529,6 +544,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	}
 
 	c.runShards(c.shards)
+	if primer != nil {
+		<-primer
+	}
 	close(stopWatch)
 	<-watcherDone
 
@@ -652,6 +670,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 // overlapping ad-hoc inputs. A checkpointable run merges clones so
 // Checkpoint can still serialize the per-shard stores.
 func (c *Campaign) mergeShards(all []*shardState) *probe.Store {
+	defer c.observePhase("yarrp_fold_usec", time.Now())
 	stores := make([]*probe.Store, len(all))
 	for i, ss := range all {
 		stores[i] = ss.store
@@ -691,6 +710,9 @@ func (c *Campaign) runShards(shards []*shardState) {
 		wg.Add(1)
 		go func(ss *shardState) {
 			defer wg.Done()
+			if ss.ready != nil {
+				<-ss.ready // parked until the primer hands over the window-start buckets
+			}
 			// Label the shard goroutine so -cpuprofile output from the
 			// drivers attributes campaign time to (shard, batch) without
 			// any manual goroutine archaeology in pprof.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/netip"
 	"testing"
 	"time"
@@ -73,5 +75,32 @@ func TestGraphShardCacheMatrix(t *testing.T) {
 				t.Errorf("graph differs at shards=%d planCache=%d (ref: 1 shard, cache off)", shards, cache)
 			}
 		}
+	}
+}
+
+// TestGraphExportBytePin pins the canonical exports of one fixed
+// campaign — the 4-shard, plan-cache-on cell of the matrix above — to
+// the SHA-256 digests recorded before the graph interned addresses into
+// dense ids: NDJSON of the folded per-shard builders, DOT of the
+// store-derived graph. "No output byte changed" is enforced, not
+// asserted.
+func TestGraphExportBytePin(t *testing.T) {
+	const (
+		seed       = 909
+		wantNDJSON = "c9eabf52fc2d408c053b2959b886df0e41f945a441b2576abbd5dd031325c8df"
+		wantDOT    = "fd79295e5efac23a0ba86e5539815e87cf1c6bef557a2bd16ebfa9ac6dff935f"
+	)
+	nd, store := graphCampaign(t, seed, campaignTargets(t, seed, 96), 4, 4096)
+	sum := sha256.Sum256(nd)
+	if got := hex.EncodeToString(sum[:]); got != wantNDJSON {
+		t.Fatalf("NDJSON digest %s (%d bytes), want %s", got, len(nd), wantNDJSON)
+	}
+	var dot bytes.Buffer
+	if err := graph.FromStore(store, "US-EDU-1", wire.ProtoICMPv6).WriteDOT(&dot, nil); err != nil {
+		t.Fatal(err)
+	}
+	sum = sha256.Sum256(dot.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != wantDOT {
+		t.Fatalf("DOT digest %s (%d bytes), want %s", got, dot.Len(), wantDOT)
 	}
 }

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"sync/atomic"
+	"time"
+
+	"beholder/internal/perm"
+	"beholder/internal/probe"
+)
+
+// replayPulseEvery is how many replayed probes pass between heartbeat
+// pulses: a replay is uninterruptible but must not look wedged to a
+// supervision watchdog, however long the prefix is.
+const replayPulseEvery = 1024
+
+// replayPrefix replays the serial probe schedule for permutation indices
+// [0, hi) against pr's rate-limiter state: every probe preceding a
+// permutation window is evaluated at its original departure instant
+// (base + i×gap), so router token buckets end exactly where the single
+// serial prober would have left them. Each target's flow is registered
+// once from its first replayed probe (built with codec) and the
+// remaining ~TTL-span probes of the flow replay through the token —
+// skipping the per-probe packet build and decode that dominate full
+// Prime. Fill-mode follow-ups and neighborhood skips are not part of the
+// raw schedule the replay covers; see the campaign package comment for
+// what that bounds.
+//
+// cuts, ascending and at most hi, are cursor positions the caller wants
+// to observe: reached(i) runs — still inside the prime bracket — the
+// moment the cursor stands at cuts[i], after probe cuts[i]−1 and before
+// probe cuts[i]. The campaign cuts a bucket snapshot for the shard whose
+// window opens there. pulse, when non-nil, is bumped every
+// replayPulseEvery probes. The return value reports that the replay
+// covered the whole prefix.
+func replayPrefix(pr probe.Primer, p *perm.Perm, codec *probe.Codec, cfg *Config, hi uint64, base, gap time.Duration, pulse *atomic.Int64, cuts []uint64, reached func(i int)) bool {
+	nt := uint64(len(cfg.Targets))
+	toks := make([]int, len(cfg.Targets))
+	for i := range toks {
+		toks[i] = -1
+	}
+	pkt := make([]byte, probeStride)
+	pr.BeginPrime()
+	defer pr.EndPrime()
+	it := p.Resume(0)
+	k := 0
+	for {
+		pos := it.Pos()
+		for k < len(cuts) && pos == cuts[k] {
+			reached(k)
+			k++
+		}
+		if pos >= hi {
+			return true
+		}
+		v, ok := it.Next()
+		if !ok {
+			return false
+		}
+		if pulse != nil && pos%replayPulseEvery == 0 {
+			pulse.Add(1)
+		}
+		at := base + time.Duration(pos)*gap
+		ti := v % nt
+		ttl := cfg.MinTTL + uint8(v/nt)
+		if toks[ti] < 0 {
+			n := codec.BuildProbeAt(pkt, cfg.Targets[ti], ttl, at)
+			t, err := pr.PrimeFlow(pkt[:n])
+			if err != nil {
+				continue
+			}
+			toks[ti] = t
+		}
+		pr.PrimeIdx(toks[ti], ttl, at)
+	}
+}

@@ -129,8 +129,8 @@ type Config struct {
 	// reconstructing a checkpointed campaign.
 	resume *shardResume
 	// primed records that the campaign already advanced this shard's
-	// rate-limiter state to the window-start instant (single-pass group
-	// priming with snapshot handoff), so Run must not replay the serial
+	// rate-limiter state to the window-start instant (the shared replay
+	// pass with snapshot handoff), so Run must not replay the serial
 	// prefix again.
 	primed bool
 }
@@ -725,47 +725,14 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	return y.stats, nil
 }
 
-// primeBuckets replays the serial probe schedule for permutation
-// indices [0, hi) against the connection's rate-limiter state: every
-// probe preceding this prober's window is rebuilt and evaluated at its
-// original departure instant (base + i×gap), so router token buckets
-// open exactly where the single serial prober would have left them.
-// Connections without prime support (live sockets) skip it — a real
-// network carries its own history. Fill-mode follow-ups and
-// neighborhood skips are not part of the raw schedule the replay
-// covers; see the campaign package comment for what that bounds.
+// primeBuckets is the per-prober fallback replay of the serial schedule
+// prefix [0, hi): recovery probers, direct windowed Run calls, shards
+// whose snapshot import failed, and resumes from artifacts without a
+// sim-state blob. Connections without prime support (live sockets) skip
+// it — a real network carries its own history.
 func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base, gap time.Duration) {
-	pr, ok := y.conn.(probe.Primer)
-	if !ok || hi == 0 {
-		return
-	}
-	nt := uint64(len(y.cfg.Targets))
-	toks := make([]int, len(y.cfg.Targets))
-	for i := range toks {
-		toks[i] = -1
-	}
-	pr.BeginPrime()
-	defer pr.EndPrime()
-	it := p.Resume(0)
-	for it.Pos() < hi {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		at := base + time.Duration(it.Pos()-1)*gap
-		ti := v % nt
-		ttl := y.cfg.MinTTL + uint8(v/nt)
-		if toks[ti] < 0 {
-			// First replayed probe of this target's flow: register it,
-			// then replay every probe of the flow by token.
-			n := y.codec.BuildProbeAt(y.pkt, y.cfg.Targets[ti], ttl, at)
-			t, err := pr.PrimeFlow(y.pkt[:n])
-			if err != nil {
-				continue
-			}
-			toks[ti] = t
-		}
-		pr.PrimeIdx(toks[ti], ttl, at)
+	if pr, ok := y.conn.(probe.Primer); ok && hi > 0 {
+		replayPrefix(pr, p, y.codec, &y.cfg, hi, base, gap, y.cfg.pulse, nil, nil)
 	}
 }
 

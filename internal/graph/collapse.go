@@ -112,21 +112,28 @@ func (g *Graph) Collapse(resolve Resolver) *RouterGraph {
 		nodes:    make(map[RouterID]RouterNode),
 		edges:    make(map[RouterEdge]int64),
 	}
-	for a, fl := range g.nodes {
-		id := routerOf(a, resolve)
-		n := rg.nodes[id]
+	// One resolver call per address, whatever its edge degree; an id
+	// that is no node is never an edge endpoint either.
+	routers := make([]RouterID, len(g.addrs))
+	for id, fl := range g.flags {
+		if fl == 0 {
+			continue
+		}
+		rid := routerOf(g.addrs[id], resolve)
+		routers[id] = rid
+		n := rg.nodes[rid]
 		n.Flags |= fl
 		n.Interfaces++
-		rg.nodes[id] = n
+		rg.nodes[rid] = n
 	}
-	rg.Folded = len(g.nodes) - len(rg.nodes)
+	rg.Folded = g.nNodes - len(rg.nodes)
 	for e, n := range g.edges {
-		src, dst := routerOf(e.Src, resolve), routerOf(e.Dst, resolve)
+		src, dst := routers[e.src], routers[e.dst]
 		if src == dst {
 			rg.IntraRouter += n
 			continue
 		}
-		rg.edges[RouterEdge{Src: src, Dst: dst, Proto: e.Proto, V: e.V}] += n
+		rg.edges[RouterEdge{Src: src, Dst: dst, Proto: e.proto, V: e.v}] += n
 	}
 	return rg
 }

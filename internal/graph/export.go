@@ -51,24 +51,36 @@ func protoName(p uint8) string {
 	return strconv.Itoa(int(p))
 }
 
-// sortedNodes returns the node addresses in canonical (address) order.
-func (g *Graph) sortedNodes() []netip.Addr {
-	out := make([]netip.Addr, 0, len(g.nodes))
-	for a := range g.nodes {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+// node is one node in its public form.
+type node struct {
+	addr  netip.Addr
+	flags NodeFlags
+}
+
+// sortedNodes returns the nodes in canonical (address) order.
+func (g *Graph) sortedNodes() []node {
+	out := make([]node, 0, g.nNodes)
+	g.ForEachNode(func(a netip.Addr, fl NodeFlags) {
+		out = append(out, node{a, fl})
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].addr.Compare(out[j].addr) < 0 })
 	return out
+}
+
+// countedEdge is one edge in its public form with its multiplicity.
+type countedEdge struct {
+	Edge
+	n int64
 }
 
 // sortedEdges returns the edges in canonical order: by source, then
 // destination, gap, protocol, and vantage *name* — never by vantage
 // index, so graphs merged in different orders export byte-identically.
-func (g *Graph) sortedEdges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
+func (g *Graph) sortedEdges() []countedEdge {
+	out := make([]countedEdge, 0, len(g.edges))
+	g.ForEachEdge(func(e Edge, n int64) {
+		out = append(out, countedEdge{e, n})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if c := a.Src.Compare(b.Src); c != 0 {
@@ -98,11 +110,11 @@ func (g *Graph) sortedEdges() []Edge {
 func (g *Graph) WriteNDJSON(w io.Writer, tbl *bgp.Table) error {
 	vjson := quoteList(g.Vantages())
 	if _, err := fmt.Fprintf(w, `{"graph":{"vantages":%s,"nodes":%d,"edges":%d,"paths":%d,"traversals":%d}}`+"\n",
-		vjson, len(g.nodes), len(g.edges), len(g.paths), g.traversals); err != nil {
+		vjson, g.nNodes, len(g.edges), g.nPaths, g.traversals); err != nil {
 		return err
 	}
-	for _, a := range g.sortedNodes() {
-		fl := g.nodes[a]
+	for _, nd := range g.sortedNodes() {
+		a, fl := nd.addr, nd.flags
 		asn := originOf(tbl, a)
 		if _, err := fmt.Fprintf(w, `{"node":{"addr":%q,"iface":%t,"dest":%t,"asn":%d}}`+"\n",
 			a, fl&NodeInterface != 0, fl&NodeDest != 0, asn); err != nil {
@@ -112,7 +124,7 @@ func (g *Graph) WriteNDJSON(w io.Writer, tbl *bgp.Table) error {
 	for _, e := range g.sortedEdges() {
 		if _, err := fmt.Fprintf(w, `{"edge":{"src":%q,"dst":%q,"gap":%d,"proto":%q,"vantage":%q,"srcAsn":%d,"dstAsn":%d,"n":%d}}`+"\n",
 			e.Src, e.Dst, e.Gap, protoName(e.Proto), g.VantageName(e.V),
-			originOf(tbl, e.Src), originOf(tbl, e.Dst), g.edges[e]); err != nil {
+			originOf(tbl, e.Src), originOf(tbl, e.Dst), e.n); err != nil {
 			return err
 		}
 	}
@@ -127,8 +139,8 @@ func (g *Graph) WriteDOT(w io.Writer, tbl *bgp.Table) error {
 	if _, err := fmt.Fprint(w, "digraph topology {\n  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n"); err != nil {
 		return err
 	}
-	for _, a := range g.sortedNodes() {
-		fl := g.nodes[a]
+	for _, nd := range g.sortedNodes() {
+		a, fl := nd.addr, nd.flags
 		attrs := ""
 		if fl&NodeDest != 0 {
 			attrs = ", shape=box"
@@ -149,7 +161,7 @@ func (g *Graph) WriteDOT(w io.Writer, tbl *bgp.Table) error {
 			style = ", style=dashed"
 		}
 		if _, err := fmt.Fprintf(w, "  %q -> %q [label=\"gap=%d n=%d\"%s];\n",
-			e.Src, e.Dst, e.Gap, g.edges[e], style); err != nil {
+			e.Src, e.Dst, e.Gap, e.n, style); err != nil {
 			return err
 		}
 	}

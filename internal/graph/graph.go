@@ -26,11 +26,15 @@
 package graph
 
 import (
+	"cmp"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
 	"beholder/internal/probe"
+	"beholder/internal/sorted"
 )
 
 // NodeFlags classifies how an address entered the graph.
@@ -64,20 +68,36 @@ type Edge struct {
 }
 
 // pathKey identifies one path skeleton: what one vantage learned about
-// one target under one transport. Keying by vantage and protocol keeps
-// differing views of the same target apart, which is what makes Merge
-// serve both shard folding (same key space, disjoint TTLs) and
-// cross-vantage union (disjoint key spaces).
-type pathKey struct {
-	v      uint8
-	proto  uint8
-	target netip.Addr
+// one target under one transport, packed as target id, vantage index and
+// protocol into a single word (the runtime's 64-bit map fast path).
+// Keying by vantage and protocol keeps differing views of the same
+// target apart, which is what makes Merge serve both shard folding (same
+// key space, disjoint TTLs) and cross-vantage union (disjoint key
+// spaces).
+type pathKey uint64
+
+func makePathKey(v, proto uint8, target uint32) pathKey {
+	return pathKey(target)<<16 | pathKey(v)<<8 | pathKey(proto)
+}
+
+func (k pathKey) target() uint32 { return uint32(k >> 16) }
+func (k pathKey) v() uint8       { return uint8(k >> 8) }
+func (k pathKey) proto() uint8   { return uint8(k) }
+
+// edgeKey is the internal form of Edge: address ids instead of
+// addresses. Twelve pointer-free bytes, so the edge multiset — the
+// graph's largest and hottest map — hashes a quarter of what an
+// address-keyed entry would and is never scanned by the garbage
+// collector.
+type edgeKey struct {
+	src, dst      uint32
+	gap, proto, v uint8
 }
 
 // hop is one responsive hop of a path skeleton.
 type hop struct {
-	ttl  uint8
-	addr netip.Addr
+	ttl uint8
+	id  uint32
 }
 
 // path is the per-(vantage, proto, target) skeleton edges derive from.
@@ -91,23 +111,36 @@ type path struct {
 // incremental construction. It implements probe.Observer; a Graph is
 // owned by a single prober goroutine while its campaign runs, and
 // shard/vantage subgraphs are folded afterwards with Merge.
+//
+// Every address the graph meets — hop source, reached destination, or
+// merely the target a path is keyed by — is interned once into a dense
+// uint32 id; paths, hops and edges hold ids, and addresses reappear only
+// at the public boundary (Edge, ForEach*, export, Collapse). An id is a
+// node exactly when its flags are nonzero: a target that never answered
+// owns an id, keys its path skeleton, and is not a node.
 type Graph struct {
 	vantages []string
 	self     uint8 // vantage index OnReply attributes replies to
 
-	nodes map[netip.Addr]NodeFlags
-	paths map[pathKey]*path
-	edges map[Edge]int64
+	ids    map[netip.Addr]uint32
+	addrs  []netip.Addr // id -> address
+	flags  []NodeFlags  // id -> classification; zero: not a node
+	nNodes int          // ids with nonzero flags
+
+	// first[id] is the first skeleton created for target id — in a
+	// single-vantage, single-protocol graph (every shard builder) the
+	// only one, so the reply path reaches a skeleton by index, with no
+	// second hash lookup. Further (vantage, protocol) views of a target
+	// that already has one live in more.
+	first  []*path
+	more   map[pathKey]*path
+	nPaths int
+
+	edges map[edgeKey]int64
 
 	// traversals counts edge insertions net of removals: the sum of all
 	// multi-edge counts, i.e. path-hops contributing topology.
 	traversals int64
-
-	// lastKey/lastPath memoize the most recent path touched: replies
-	// cluster by target (fill follow-ups, sequential probing), so the
-	// memo removes the map lookup for the common repeat case.
-	lastKey  pathKey
-	lastPath *path
 
 	// block slab-allocates path structs in fixed pieces and hopSlab
 	// pre-backs their hop lists, keeping the observer's steady-state
@@ -119,16 +152,20 @@ type Graph struct {
 // New creates an empty graph whose OnReply attributes replies to the
 // named vantage.
 func New(vantage string) *Graph {
-	g := newEmpty()
+	g := newSized(0)
 	g.self = g.vantageIndex(vantage)
 	return g
 }
 
-func newEmpty() *Graph {
+// newSized creates an empty graph with room for the given id count.
+func newSized(ids int) *Graph {
 	return &Graph{
-		nodes: make(map[netip.Addr]NodeFlags),
-		paths: make(map[pathKey]*path),
-		edges: make(map[Edge]int64),
+		ids:   make(map[netip.Addr]uint32, ids),
+		addrs: make([]netip.Addr, 0, ids),
+		flags: make([]NodeFlags, 0, ids),
+		first: make([]*path, 0, ids),
+		more:  make(map[pathKey]*path),
+		edges: make(map[edgeKey]int64),
 	}
 }
 
@@ -137,52 +174,113 @@ func newEmpty() *Graph {
 // independent of argument order up to vantage-table layout, which
 // canonical export normalizes away.
 //
-// Three or more inputs merge as a parallel tree: the first level
-// copy-merges adjacent pairs into fresh graphs on worker goroutines,
-// later levels fold those (now privately owned) intermediates pairwise,
-// so union latency over N shard subgraphs is O(log N) pairwise merges.
-// Adjacent pairing preserves left-to-right vantage interning order, so
-// even the pre-normalization vantage table matches the serial fold.
-func Union(gs ...*Graph) *Graph {
-	if len(gs) <= 2 {
-		out := newEmpty()
-		for _, g := range gs {
-			out.Merge(g)
-		}
-		return out
+// The fold is the same in-place parallel tree Fold runs; Union only
+// clones, at each level, a receiving graph that is still one of the
+// caller's — an input that is merely read (every right-hand side, an odd
+// one out) is never copied.
+func Union(gs ...*Graph) *Graph { return foldTree(gs, false) }
+
+// Fold is the consuming Union: it folds the graphs into gs[0] and
+// returns it, copying nothing. The caller hands over every input — none
+// may be used afterwards (the receivers are mutated, and which inputs
+// end up receivers is the fold's business). Shard subgraphs a campaign
+// built only to merge are the intended input.
+func Fold(gs ...*Graph) *Graph { return foldTree(gs, true) }
+
+// foldTree merges gs as a parallel in-place tree: level k merges blocks
+// of 2^k adjacent graphs into their left neighbors on worker goroutines,
+// so fold latency over N subgraphs is O(log N) pairwise merges. Adjacent
+// pairing preserves left-to-right vantage interning order, so even the
+// pre-normalization vantage table matches a serial fold. owned reports
+// that the inputs may be mutated; otherwise a receiver is cloned the
+// first time it receives.
+func foldTree(gs []*Graph, owned bool) *Graph {
+	if len(gs) == 0 {
+		return newSized(0)
 	}
-	cur := make([]*Graph, (len(gs)+1)/2)
+	cur := append([]*Graph(nil), gs...)
+	mine := make([]bool, len(cur))
+	for i := range mine {
+		mine[i] = owned
+	}
 	var wg sync.WaitGroup
-	for i := range cur {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out := newEmpty()
-			out.Merge(gs[2*i])
-			if 2*i+1 < len(gs) {
-				out.Merge(gs[2*i+1])
-			}
-			cur[i] = out
-		}(i)
-	}
-	wg.Wait()
 	for len(cur) > 1 {
 		pairs := len(cur) / 2
 		for i := 0; i < pairs; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
+				if !mine[2*i] {
+					cur[2*i], mine[2*i] = cur[2*i].clone(), true
+				}
 				cur[2*i].Merge(cur[2*i+1])
 			}(i)
 		}
 		wg.Wait()
-		next := cur[:0]
+		n := 0
 		for i := 0; i < len(cur); i += 2 {
-			next = append(next, cur[i])
+			cur[n], mine[n] = cur[i], mine[i]
+			n++
 		}
-		cur = next
+		cur, mine = cur[:n], mine[:n]
+	}
+	if !mine[0] {
+		return cur[0].clone()
 	}
 	return cur[0]
+}
+
+// clone returns a deep copy of g: the same ids, flags, skeletons and
+// edge multiset, sharing no mutable state.
+func (g *Graph) clone() *Graph {
+	out := &Graph{
+		vantages:   slices.Clone(g.vantages),
+		self:       g.self,
+		ids:        maps.Clone(g.ids),
+		addrs:      slices.Clone(g.addrs),
+		flags:      slices.Clone(g.flags),
+		nNodes:     g.nNodes,
+		first:      make([]*path, len(g.first)),
+		more:       make(map[pathKey]*path, len(g.more)),
+		nPaths:     g.nPaths,
+		edges:      maps.Clone(g.edges),
+		traversals: g.traversals,
+	}
+	// One slab for the skeletons and one for their hop lists, each list
+	// keeping room to grow as the clone receives merges.
+	nHops := 0
+	g.forEachPath(func(p *path) { nHops += max(len(p.hops), hopRoom) })
+	slab := make([]path, g.nPaths)
+	hops := make([]hop, nHops)
+	copyOf := func(p *path) *path {
+		room := max(len(p.hops), hopRoom)
+		np := &slab[0]
+		slab = slab[1:]
+		*np = path{key: p.key, hops: append(hops[:0:room], p.hops...), reached: p.reached}
+		hops = hops[room:]
+		return np
+	}
+	for id, p := range g.first {
+		if p != nil {
+			out.first[id] = copyOf(p)
+		}
+	}
+	for k, p := range g.more {
+		out.more[k] = copyOf(p)
+	}
+	return out
+}
+
+// forEachPath calls fn for every skeleton, in unspecified order.
+func (g *Graph) forEachPath(fn func(p *path)) {
+	for _, p := range g.first {
+		if p != nil {
+			fn(p)
+		}
+	}
+	for _, p := range g.more {
+		fn(p)
+	}
 }
 
 // vantageIndex interns a vantage name.
@@ -206,6 +304,34 @@ func (g *Graph) Vantages() []string {
 	return out
 }
 
+// intern returns a's id, assigning the next dense one on first sight.
+func (g *Graph) intern(a netip.Addr) uint32 {
+	id, ok := g.ids[a]
+	if !ok {
+		id = uint32(len(g.addrs))
+		g.ids[a] = id
+		g.addrs = sorted.Append(g.addrs, a)
+		g.flags = sorted.Append(g.flags, 0)
+		g.first = sorted.Append(g.first, nil)
+	}
+	return id
+}
+
+// pathKeyOf builds the key of what this graph's vantage learned about
+// target under proto.
+func (g *Graph) pathKeyOf(proto uint8, target netip.Addr) pathKey {
+	return makePathKey(g.self, proto, g.intern(target))
+}
+
+// mark ORs fl into id's classification, counting the id as a node the
+// first time it gains any.
+func (g *Graph) mark(id uint32, fl NodeFlags) {
+	if g.flags[id] == 0 && fl != 0 {
+		g.nNodes++
+	}
+	g.flags[id] |= fl
+}
+
 // OnReply folds one parsed probe reply into the graph; it is the
 // streaming observer hook probers call after storing the reply. The
 // rules mirror probe.Store.Add exactly — first answer per (target, TTL)
@@ -215,44 +341,57 @@ func (g *Graph) Vantages() []string {
 func (g *Graph) OnReply(r probe.Reply) {
 	switch r.Kind {
 	case probe.KindTimeExceeded:
-		g.nodes[r.From] |= NodeInterface
+		from := g.intern(r.From)
+		g.mark(from, NodeInterface)
 		if r.Target.IsValid() && r.TTL != 0 {
-			g.insertHop(pathKey{g.self, r.Proto, r.Target}, r.TTL, r.From, false)
+			g.insertHop(g.pathKeyOf(r.Proto, r.Target), r.TTL, from, false)
 		}
 	case probe.KindEchoReply, probe.KindTCPRst:
-		g.reach(pathKey{g.self, r.Proto, r.Target})
+		g.reach(g.pathKeyOf(r.Proto, r.Target))
 	case probe.KindDestUnreach:
 		if r.Code == 4 && r.Target.IsValid() { // port unreachable: from the destination
-			g.reach(pathKey{g.self, r.Proto, r.Target})
+			g.reach(g.pathKeyOf(r.Proto, r.Target))
 		}
 	}
 }
+
+// hopRoom is the hop-list capacity a new skeleton starts with.
+const hopRoom = 16
 
 // getPath returns (creating if needed) the skeleton for k.
 func (g *Graph) getPath(k pathKey) *path {
-	if g.lastPath != nil && g.lastKey == k {
-		return g.lastPath
-	}
-	p := g.paths[k]
-	if p == nil {
-		if len(g.block) == 0 {
-			g.block = make([]path, 64)
+	p := g.first[k.target()]
+	switch {
+	case p == nil:
+		p = g.newPath(k)
+		g.first[k.target()] = p
+	case p.key != k:
+		if p = g.more[k]; p == nil {
+			p = g.newPath(k)
+			g.more[k] = p
 		}
-		p = &g.block[0]
-		g.block = g.block[1:]
-		p.key = k
-		if len(g.hopSlab) < 16 {
-			g.hopSlab = make([]hop, 16*128)
-		}
-		p.hops = g.hopSlab[:0:16]
-		g.hopSlab = g.hopSlab[16:]
-		g.paths[k] = p
 	}
-	g.lastKey, g.lastPath = k, p
 	return p
 }
 
-// insertHop places (ttl, addr) on k's skeleton and restores the edge
+// newPath hands out an empty skeleton for k from the slabs.
+func (g *Graph) newPath(k pathKey) *path {
+	if len(g.block) == 0 {
+		g.block = make([]path, 64)
+	}
+	p := &g.block[0]
+	g.block = g.block[1:]
+	p.key = k
+	if len(g.hopSlab) < hopRoom {
+		g.hopSlab = make([]hop, hopRoom*128)
+	}
+	p.hops = g.hopSlab[:0:hopRoom]
+	g.hopSlab = g.hopSlab[hopRoom:]
+	g.nPaths++
+	return p
+}
+
+// insertHop places (ttl, id) on k's skeleton and restores the edge
 // invariant around it. tiebreak selects the TTL-collision policy:
 // false keeps the hop already present (Store.Add's first-answer rule —
 // the streaming path, where "first" is well defined), true keeps the
@@ -260,7 +399,7 @@ func (g *Graph) getPath(k pathKey) *path {
 // makes merging order-independent even for overlapping ad-hoc merges —
 // campaign shards never collide: their (target × TTL) slices are
 // disjoint).
-func (g *Graph) insertHop(k pathKey, ttl uint8, addr netip.Addr, tiebreak bool) {
+func (g *Graph) insertHop(k pathKey, ttl uint8, id uint32, tiebreak bool) {
 	p := g.getPath(k)
 	// Binary search for the insertion point; paths are short (≤ the TTL
 	// range), so this is a handful of comparisons.
@@ -274,17 +413,17 @@ func (g *Graph) insertHop(k pathKey, ttl uint8, addr netip.Addr, tiebreak bool) 
 		}
 	}
 	if lo < len(p.hops) && p.hops[lo].ttl == ttl {
-		old := p.hops[lo].addr
-		if !tiebreak || old == addr || old.Compare(addr) <= 0 {
+		old := p.hops[lo].id
+		if !tiebreak || old == id || g.addrs[old].Compare(g.addrs[id]) <= 0 {
 			return
 		}
-		g.replaceHop(p, lo, addr)
+		g.replaceHop(p, lo, id)
 		return
 	}
-	g.nodes[addr] |= NodeInterface
+	g.mark(id, NodeInterface)
 	p.hops = append(p.hops, hop{})
 	copy(p.hops[lo+1:], p.hops[lo:])
-	p.hops[lo] = hop{ttl: ttl, addr: addr}
+	p.hops[lo] = hop{ttl: ttl, id: id}
 
 	var pred, succ *hop
 	if lo > 0 {
@@ -296,48 +435,48 @@ func (g *Graph) insertHop(k pathKey, ttl uint8, addr netip.Addr, tiebreak bool) 
 	switch {
 	case pred != nil && succ != nil:
 		// Interval split: the spanning edge becomes two sub-edges.
-		g.edgeDelta(pred.addr, succ.addr, succ.ttl-pred.ttl, k, -1)
-		g.edgeDelta(pred.addr, addr, ttl-pred.ttl, k, +1)
-		g.edgeDelta(addr, succ.addr, succ.ttl-ttl, k, +1)
+		g.edgeDelta(pred.id, succ.id, succ.ttl-pred.ttl, k, -1)
+		g.edgeDelta(pred.id, id, ttl-pred.ttl, k, +1)
+		g.edgeDelta(id, succ.id, succ.ttl-ttl, k, +1)
 	case pred != nil:
 		// New last hop: extend the path, and re-anchor the destination
 		// edge if the target already answered.
-		g.edgeDelta(pred.addr, addr, ttl-pred.ttl, k, +1)
+		g.edgeDelta(pred.id, id, ttl-pred.ttl, k, +1)
 		if p.reached {
-			g.edgeDelta(pred.addr, k.target, DestGap, k, -1)
-			g.edgeDelta(addr, k.target, DestGap, k, +1)
+			g.edgeDelta(pred.id, k.target(), DestGap, k, -1)
+			g.edgeDelta(id, k.target(), DestGap, k, +1)
 		}
 	case succ != nil:
-		g.edgeDelta(addr, succ.addr, succ.ttl-ttl, k, +1)
+		g.edgeDelta(id, succ.id, succ.ttl-ttl, k, +1)
 	default:
 		// First hop of the path; the destination edge, if any, anchors
 		// here.
 		if p.reached {
-			g.edgeDelta(addr, k.target, DestGap, k, +1)
+			g.edgeDelta(id, k.target(), DestGap, k, +1)
 		}
 	}
 }
 
 // replaceHop swaps the address at position i for a tie-break winner and
 // repairs the adjacent edges.
-func (g *Graph) replaceHop(p *path, i int, addr netip.Addr) {
+func (g *Graph) replaceHop(p *path, i int, id uint32) {
 	k := p.key
 	old := p.hops[i]
-	g.nodes[addr] |= NodeInterface
+	g.mark(id, NodeInterface)
 	if i > 0 {
 		pred := p.hops[i-1]
-		g.edgeDelta(pred.addr, old.addr, old.ttl-pred.ttl, k, -1)
-		g.edgeDelta(pred.addr, addr, old.ttl-pred.ttl, k, +1)
+		g.edgeDelta(pred.id, old.id, old.ttl-pred.ttl, k, -1)
+		g.edgeDelta(pred.id, id, old.ttl-pred.ttl, k, +1)
 	}
 	if i+1 < len(p.hops) {
 		succ := p.hops[i+1]
-		g.edgeDelta(old.addr, succ.addr, succ.ttl-old.ttl, k, -1)
-		g.edgeDelta(addr, succ.addr, succ.ttl-old.ttl, k, +1)
+		g.edgeDelta(old.id, succ.id, succ.ttl-old.ttl, k, -1)
+		g.edgeDelta(id, succ.id, succ.ttl-old.ttl, k, +1)
 	} else if p.reached {
-		g.edgeDelta(old.addr, k.target, DestGap, k, -1)
-		g.edgeDelta(addr, k.target, DestGap, k, +1)
+		g.edgeDelta(old.id, k.target(), DestGap, k, -1)
+		g.edgeDelta(id, k.target(), DestGap, k, +1)
 	}
-	p.hops[i].addr = addr
+	p.hops[i].id = id
 	// The displaced address may still be an interface via other paths;
 	// its node entry stays — interface discovery is monotone.
 }
@@ -350,23 +489,24 @@ func (g *Graph) reach(k pathKey) {
 		return
 	}
 	p.reached = true
-	g.nodes[k.target] |= NodeDest
+	g.mark(k.target(), NodeDest)
 	if n := len(p.hops); n > 0 {
-		g.edgeDelta(p.hops[n-1].addr, k.target, DestGap, k, +1)
+		g.edgeDelta(p.hops[n-1].id, k.target(), DestGap, k, +1)
 	}
 }
 
 // edgeDelta adjusts one multi-edge count, dropping zeroed entries so
 // the edge map always holds exactly the live multiset.
-func (g *Graph) edgeDelta(src, dst netip.Addr, gap uint8, k pathKey, d int64) {
-	e := Edge{Src: src, Dst: dst, Gap: gap, Proto: k.proto, V: k.v}
-	n := g.edges[e] + d
-	if n <= 0 {
+func (g *Graph) edgeDelta(src, dst uint32, gap uint8, k pathKey, d int64) {
+	e := edgeKey{src: src, dst: dst, gap: gap, proto: k.proto(), v: k.v()}
+	g.traversals += d
+	if d > 0 {
+		g.edges[e] += d
+	} else if n := g.edges[e] + d; n <= 0 {
 		delete(g.edges, e)
 	} else {
 		g.edges[e] = n
 	}
-	g.traversals += d
 }
 
 // Merge folds o into g (o is not modified). Same-vantage path skeletons
@@ -374,7 +514,9 @@ func (g *Graph) edgeDelta(src, dst netip.Addr, gap uint8, k pathKey, d int64) {
 // disjoint campaign shards never produce) and OR reached flags; edges
 // re-derive through the same incremental maintenance, so the merged
 // edge multiset is the pure function of the merged skeletons —
-// identical however subgraphs are grouped or ordered.
+// identical however subgraphs are grouped or ordered. o's ids are
+// translated through one table built in a single pass over its address
+// list — one address lookup per address o knows, none per hop or edge.
 func (g *Graph) Merge(o *Graph) {
 	if o == nil || g == o {
 		return
@@ -383,18 +525,20 @@ func (g *Graph) Merge(o *Graph) {
 	for i, name := range o.vantages {
 		vmap[i] = g.vantageIndex(name)
 	}
-	for a, fl := range o.nodes {
-		g.nodes[a] |= fl
+	remap := make([]uint32, len(o.addrs))
+	for i, a := range o.addrs {
+		remap[i] = g.intern(a)
+		g.mark(remap[i], o.flags[i])
 	}
-	for k, p := range o.paths {
-		nk := pathKey{v: vmap[k.v], proto: k.proto, target: k.target}
+	o.forEachPath(func(p *path) {
+		k := makePathKey(vmap[p.key.v()], p.key.proto(), remap[p.key.target()])
 		for _, h := range p.hops {
-			g.insertHop(nk, h.ttl, h.addr, true)
+			g.insertHop(k, h.ttl, remap[h.id], true)
 		}
 		if p.reached {
-			g.reach(nk)
+			g.reach(k)
 		}
-	}
+	})
 }
 
 // FromStore batch-builds the graph a streaming observer would have
@@ -404,14 +548,20 @@ func (g *Graph) Merge(o *Graph) {
 // addresses without path placement (mangled quotations) are imported as
 // bare nodes.
 func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
-	g := New(vantage)
+	g := newSized(st.NumInterfaces() + st.NumTraces())
+	g.self = g.vantageIndex(vantage)
 	st.ForEachInterface(func(a netip.Addr) {
-		g.nodes[a] |= NodeInterface
+		g.mark(g.intern(a), NodeInterface)
 	})
+	var hops []probe.HopEntry
 	for _, tr := range st.Traces() {
-		k := pathKey{g.self, proto, tr.Target}
-		for _, h := range tr.SortedHops() {
-			g.insertHop(k, h.TTL, h.Addr, false)
+		k := g.pathKeyOf(proto, tr.Target)
+		// In TTL order every insertion extends the path: one edge each,
+		// no interval splits.
+		hops = append(hops[:0], tr.Hops...)
+		slices.SortFunc(hops, func(a, b probe.HopEntry) int { return cmp.Compare(a.TTL, b.TTL) })
+		for _, h := range hops {
+			g.insertHop(k, h.TTL, g.intern(h.Addr), false)
 		}
 		if tr.Reached {
 			g.reach(k)
@@ -422,34 +572,46 @@ func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 
 // NumNodes returns the node count (interfaces plus reached
 // destinations).
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.nNodes }
 
 // NumEdges returns the count of distinct annotated edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // NumPaths returns the count of path skeletons (per vantage, protocol,
 // and target).
-func (g *Graph) NumPaths() int { return len(g.paths) }
+func (g *Graph) NumPaths() int { return g.nPaths }
 
 // Traversals returns the sum of multi-edge counts: how many path-links
 // the edge multiset folds together.
 func (g *Graph) Traversals() int64 { return g.traversals }
 
 // NodeFlagsOf returns a node's classification, or 0 if absent.
-func (g *Graph) NodeFlagsOf(a netip.Addr) NodeFlags { return g.nodes[a] }
+func (g *Graph) NodeFlagsOf(a netip.Addr) NodeFlags {
+	if id, ok := g.ids[a]; ok {
+		return g.flags[id]
+	}
+	return 0
+}
 
 // ForEachNode calls fn for every node, in unspecified order.
 func (g *Graph) ForEachNode(fn func(addr netip.Addr, flags NodeFlags)) {
-	for a, fl := range g.nodes {
-		fn(a, fl)
+	for id, fl := range g.flags {
+		if fl != 0 {
+			fn(g.addrs[id], fl)
+		}
 	}
+}
+
+// edgeOf translates an internal edge to its public form.
+func (g *Graph) edgeOf(e edgeKey) Edge {
+	return Edge{Src: g.addrs[e.src], Dst: g.addrs[e.dst], Gap: e.gap, Proto: e.proto, V: e.v}
 }
 
 // ForEachEdge calls fn for every annotated edge with its multiplicity,
 // in unspecified order.
 func (g *Graph) ForEachEdge(fn func(e Edge, n int64)) {
 	for e, n := range g.edges {
-		fn(e, n)
+		fn(g.edgeOf(e), n)
 	}
 }
 
@@ -466,31 +628,36 @@ func (g *Graph) VantageName(v uint8) string {
 // indices resolved by name). Determinism tests use it; canonical export
 // equality is implied.
 func (g *Graph) Equal(o *Graph) bool {
-	if len(g.nodes) != len(o.nodes) || len(g.edges) != len(o.edges) {
+	if g.nNodes != o.nNodes || len(g.edges) != len(o.edges) {
 		return false
 	}
-	for a, fl := range g.nodes {
-		if o.nodes[a] != fl {
+	// g's ids in o's numbering; an address o never met maps nowhere.
+	const absent = ^uint32(0)
+	remap := make([]uint32, len(g.addrs))
+	for id, a := range g.addrs {
+		oid, ok := o.ids[a]
+		if !ok {
+			oid = absent
+		}
+		remap[id] = oid
+		var ofl NodeFlags
+		if ok {
+			ofl = o.flags[oid]
+		}
+		if ofl != g.flags[id] {
 			return false
 		}
 	}
-	remap := make([]int, len(g.vantages))
+	vmap := make([]int, len(g.vantages))
 	for i, name := range g.vantages {
-		remap[i] = -1
-		for j, oname := range o.vantages {
-			if oname == name {
-				remap[i] = j
-			}
-		}
+		vmap[i] = slices.Index(o.vantages, name)
 	}
 	for e, n := range g.edges {
-		ov := remap[e.V]
-		if ov < 0 {
+		ov := vmap[e.v]
+		if ov < 0 || remap[e.src] == absent || remap[e.dst] == absent {
 			return false
 		}
-		oe := e
-		oe.V = uint8(ov)
-		if o.edges[oe] != n {
+		if o.edges[edgeKey{src: remap[e.src], dst: remap[e.dst], gap: e.gap, proto: e.proto, v: uint8(ov)}] != n {
 			return false
 		}
 	}

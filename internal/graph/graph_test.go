@@ -28,6 +28,17 @@ func te(target, from netip.Addr, ttl uint8) probe.Reply {
 	}
 }
 
+// edgeCount returns e's multiplicity in g, 0 when absent.
+func edgeCount(g *Graph, e Edge) int64 {
+	var n int64
+	g.ForEachEdge(func(ge Edge, gn int64) {
+		if ge == e {
+			n = gn
+		}
+	})
+	return n
+}
+
 func echo(target netip.Addr) probe.Reply {
 	return probe.Reply{Kind: probe.KindEchoReply, From: target, Target: target, Proto: wire.ProtoICMPv6}
 }
@@ -48,7 +59,7 @@ func TestIncrementalIntervalSplit(t *testing.T) {
 		t.Fatalf("edges = %d, want 1 (spanning 1->3)", g.NumEdges())
 	}
 	wantSpan := Edge{Src: h1, Dst: h3, Gap: 2, Proto: wire.ProtoICMPv6}
-	if g.edges[wantSpan] != 1 {
+	if edgeCount(g, wantSpan) != 1 {
 		t.Fatalf("spanning edge missing: %v", g.edges)
 	}
 	// Middle hop arrives: the gap-2 edge must split into two gap-1
@@ -57,14 +68,14 @@ func TestIncrementalIntervalSplit(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("edges = %d, want 2 after split", g.NumEdges())
 	}
-	if _, ok := g.edges[wantSpan]; ok {
+	if edgeCount(g, wantSpan) != 0 {
 		t.Fatal("spanning edge survived the split")
 	}
 	for _, e := range []Edge{
 		{Src: h1, Dst: h2, Gap: 1, Proto: wire.ProtoICMPv6},
 		{Src: h2, Dst: h3, Gap: 1, Proto: wire.ProtoICMPv6},
 	} {
-		if g.edges[e] != 1 {
+		if edgeCount(g, e) != 1 {
 			t.Fatalf("missing sub-edge %v", e)
 		}
 	}
@@ -79,7 +90,7 @@ func TestIncrementalIntervalSplit(t *testing.T) {
 	// The target answers: a dashed destination edge from the last hop.
 	g.OnReply(echo(tgt))
 	de := Edge{Src: h3, Dst: tgt, Gap: DestGap, Proto: wire.ProtoICMPv6}
-	if g.edges[de] != 1 {
+	if edgeCount(g, de) != 1 {
 		t.Fatal("destination edge missing")
 	}
 	if g.NodeFlagsOf(tgt)&NodeDest == 0 {
@@ -88,10 +99,10 @@ func TestIncrementalIntervalSplit(t *testing.T) {
 	// A deeper hop arrives afterwards: the destination edge re-anchors.
 	h4 := addr(t, "2001:db8:4::1")
 	g.OnReply(te(tgt, h4, 5))
-	if _, ok := g.edges[de]; ok {
+	if edgeCount(g, de) != 0 {
 		t.Fatal("stale destination edge from old last hop")
 	}
-	if g.edges[Edge{Src: h4, Dst: tgt, Gap: DestGap, Proto: wire.ProtoICMPv6}] != 1 {
+	if edgeCount(g, Edge{Src: h4, Dst: tgt, Gap: DestGap, Proto: wire.ProtoICMPv6}) != 1 {
 		t.Fatal("destination edge did not re-anchor to the new last hop")
 	}
 }
@@ -220,7 +231,7 @@ func TestTieBreakCommutes(t *testing.T) {
 	if !ab.Equal(ba) {
 		t.Fatal("tie-break is order-dependent")
 	}
-	if ab.edges[Edge{Src: addr(t, "2001:db8:0::1"), Dst: lo, Gap: 1, Proto: wire.ProtoICMPv6}] != 1 {
+	if edgeCount(ab, Edge{Src: addr(t, "2001:db8:0::1"), Dst: lo, Gap: 1, Proto: wire.ProtoICMPv6}) != 1 {
 		t.Fatal("tie-break did not keep the smaller address")
 	}
 }

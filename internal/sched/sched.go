@@ -709,7 +709,7 @@ func (s *Supervisor) runJob(j *job) {
 		}
 		j.st.event(Event{Event: "started", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt})
 
-		store, stats, runErr, fired, ckptReq := s.runAttempt(camp)
+		store, stats, runErr, fired, ckptReq := s.runAttempt(camp, j.st)
 		switch {
 		case runErr == nil:
 			res := &Result{State: StateCompleted, Store: store, Stats: stats}
@@ -840,8 +840,9 @@ func (s *Supervisor) runJob(j *job) {
 // heartbeat; fired reports whether the watchdog interrupted it, and
 // ckptReq that the periodic-checkpoint timer did. At most one of the
 // two interrupt sources claims an attempt: the checkpoint timer
-// defers to a watchdog that has already fired, and vice versa.
-func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats core.CampaignStats, err error, fired, ckptReq bool) {
+// defers to a watchdog that has already fired, and vice versa. Each
+// watchdog poll also flushes the tenant stream's buffered deltas.
+func (s *Supervisor) runAttempt(camp *core.Campaign, st *stream) (store *probe.Store, stats core.CampaignStats, err error, fired, ckptReq bool) {
 	type runOut struct {
 		store *probe.Store
 		stats core.CampaignStats
@@ -876,6 +877,7 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 				camp.Interrupt()
 			}
 		case <-timer.C:
+			st.flush()
 			if b := camp.Beat(); b != lastBeat {
 				lastBeat, lastMove = b, time.Now()
 			} else if !fired && !ckptReq && time.Since(lastMove) >= s.cfg.StallBudget {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"sync"
@@ -28,11 +29,16 @@ type Event struct {
 	Replies  int64  `json:"replies,omitempty"`
 }
 
-// stream is a locked NDJSON encoder over one tenant's writer. Shard
-// observers emit concurrently from their own goroutines, so every event
-// write is serialized here; the writer itself sees whole lines only.
+// stream is a locked, buffered NDJSON encoder over one tenant's writer.
+// Shard observers emit concurrently from their own goroutines, so every
+// event is serialized here. Delta events — one per novel reply — only
+// fill the buffer; lifecycle events flush it, and so does the
+// supervisor's watchdog poll, so a tailing tenant sees deltas at most
+// one poll late while the writer is spared a write per reply. Bytes and
+// event order are exactly the unbuffered stream's.
 type stream struct {
 	mu  sync.Mutex
+	buf *bufio.Writer
 	enc *json.Encoder
 }
 
@@ -40,18 +46,37 @@ func newStream(w io.Writer) *stream {
 	if w == nil {
 		return nil
 	}
-	return &stream{enc: json.NewEncoder(w)}
+	buf := bufio.NewWriter(w)
+	return &stream{buf: buf, enc: json.NewEncoder(buf)}
 }
 
-// event encodes one record; nil streams swallow everything so callers
-// never branch.
+// event encodes one lifecycle record and flushes everything buffered up
+// to and including it; nil streams swallow everything so callers never
+// branch.
 func (st *stream) event(ev Event) {
+	st.delta(ev)
+	st.flush()
+}
+
+// delta encodes one record into the buffer, leaving the flush to the
+// next lifecycle event or poll.
+func (st *stream) delta(ev Event) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	_ = st.enc.Encode(ev) // a broken tenant sink must not fail the campaign
+}
+
+// flush hands the buffered records to the writer.
+func (st *stream) flush() {
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_ = st.buf.Flush() // as above
 }
 
 // deltaObserver is the per-shard streaming hook: it folds every stored
@@ -76,7 +101,7 @@ func (o *deltaObserver) OnReply(r probe.Reply) {
 	o.g.OnReply(r)
 	if n, e := o.g.NumNodes(), o.g.NumEdges(); n > o.nodes || e > o.edges {
 		o.nodes, o.edges = n, e
-		o.st.event(Event{Event: "delta", Tenant: o.tenant, Campaign: o.campaign,
+		o.st.delta(Event{Event: "delta", Tenant: o.tenant, Campaign: o.campaign,
 			Shard: o.shard, Nodes: n, Edges: e})
 	}
 }
