@@ -280,13 +280,18 @@ type YarrpOptions struct {
 	// because fill probes are reply-dependent). Result.Curve is the
 	// global discovery curve interleaved from the shard windows by
 	// virtual time; the per-window curves remain in Result.ShardStats.
-	// Default 1.
+	// Default 1. Every run is a campaign, one shard included: a crashed
+	// single-shard run returns its partial Result with Quarantined == [0]
+	// and no error — a lone shard probes on the vantage's own connection,
+	// its recovery probers get the same dead one, and the unprobed
+	// remainder lands in Result.Incomplete.
 	Shards int
 	// Batch is the probe-pipeline send-batch size: permutation draw,
 	// probe build, and simulator routing are dispatched Batch probes at
 	// a time. Batching never changes the virtual schedule — results are
 	// byte-identical at any value. Zero selects the engine default
-	// (core.DefaultBatch); one disables batching.
+	// (core.DefaultBatch); one dispatches probe by probe through the
+	// same loop.
 	Batch int
 	// Graph enables streaming topology-graph construction: an observer
 	// on the prober (one per shard) folds every reply into the
@@ -314,8 +319,8 @@ type YarrpOptions struct {
 	// campaign virtual time (as an operator's signal handler would at a
 	// wall instant). RunYarrp6 then returns the partial Result — with
 	// Result.Checkpoint holding the serialized resume artifact — and an
-	// error wrapping ErrInterrupted. Setting it forces the campaign
-	// engine even for one shard, so the run is checkpointable.
+	// error wrapping ErrInterrupted. Every run, one shard included, is a
+	// campaign and so checkpointable.
 	InterruptAt time.Duration
 	// Adaptive, when non-nil, switches the run to closed-loop
 	// probabilistic target generation: the targets passed to RunYarrp6
@@ -383,8 +388,9 @@ type Result struct {
 	// virtual time (exact in probes and in unique-interface counts);
 	// the per-window curves live in ShardStats.
 	Curve []core.CurvePoint
-	// ShardStats holds the per-shard counter breakdown of a sharded
-	// campaign; nil for single-instance runs.
+	// ShardStats holds the per-instance counter breakdown of a campaign
+	// that ran more than one prober instance (shards, or the recovery
+	// probers of a crashed shard); nil for single-instance runs.
 	ShardStats []core.Stats
 	// PlanHits, PlanMisses, PlanEvictions and SharedPlanHits are the
 	// flow-plan cache counters accumulated by this run alone (summed
@@ -484,160 +490,185 @@ func CollapseGraph(g *graph.Graph, aliases *AliasSet) *graph.RouterGraph {
 	return g.Collapse(graph.StoreResolver(st))
 }
 
-// RunYarrp6 probes targets with the randomized stateless prober. With
-// opt.Shards > 1 the permutation domain is split across that many
-// concurrent prober instances, each on its own cloned vantage
-// connection, replaying the single-instance virtual schedule in a
-// fraction of the wall time (see YarrpOptions.Shards for the exact
-// equivalence guarantee). With opt.Adaptive the targets are instead the
+// coreConfig is the one mapping from facade probing options to the
+// engine's configuration; RunYarrp6, its adaptive variant and
+// Scheduler.Submit all go through it, so out-of-range values get the
+// same verdict everywhere instead of being truncated to a uint8.
+func (o *YarrpOptions) coreConfig(targets []netip.Addr) (core.Config, error) {
+	proto, err := transportProto(o.Transport)
+	if err != nil {
+		return core.Config{}, err
+	}
+	if o.MaxTTL < 0 || o.MaxTTL > 255 {
+		return core.Config{}, fmt.Errorf("beholder: MaxTTL %d out of range", o.MaxTTL)
+	}
+	return core.Config{
+		Targets: targets,
+		PPS:     o.Rate,
+		MaxTTL:  uint8(o.MaxTTL),
+		Proto:   proto,
+		Key:     o.Key,
+		Fill:    o.Fill,
+		Batch:   o.Batch,
+	}, nil
+}
+
+// campaignRun is the bracket around one campaign-shaped run — static or
+// adaptive, fresh or resumed: beginRun records the baselines, connOf
+// hands the engine its connections, finish turns the engine's outcome
+// into the Result.
+type campaignRun struct {
+	v         *Vantage
+	opt       *YarrpOptions
+	vsBefore  netsim.VantageStats
+	simBefore netsim.SimStats
+	// epoch is the absolute virtual instant shard clones open relative
+	// to: the vantage's own timeline for a fresh run, the artifact's
+	// original epoch for a resumed one — clones must reopen at the
+	// original instants for the keyed per-packet draws to replay.
+	epoch  time.Duration
+	clones []*netsim.Vantage
+	own    bool // probing on the vantage's own connection, no clones
+}
+
+func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
+	r := &campaignRun{v: v, opt: opt, vsBefore: v.v.Stats, epoch: v.clk, own: own}
+	if opt.Telemetry != nil {
+		r.simBefore = v.in.u.StatsSnapshot()
+	}
+	if !own {
+		v.v.BeginShardGroup()
+	}
+	return r
+}
+
+// connOf is the run's core.ConnFactory. A lone shard owns the whole
+// window; probing on the vantage's own connection keeps the plan cache
+// (and its counters) where it can serve the vantage's next run. Every
+// other run probes on clones of the vantage, each opened at its window's
+// offset from the run's epoch.
+func (r *campaignRun) connOf(_ int, start time.Duration) probe.Conn {
+	if r.own {
+		return r.v.v
+	}
+	nv := r.v.v.Clone(r.epoch + start)
+	r.clones = append(r.clones, nv)
+	return nv
+}
+
+// finish is the one epilogue: a fatal engine error is returned bare;
+// otherwise the vantage's clock is settled, result builds the Result,
+// the plan-cache and telemetry figures are folded in, and an interrupted
+// run's checkpoint is attached beside its ErrInterrupted.
+func (r *campaignRun) finish(runErr error, elapsed time.Duration, result func() *Result, checkpoint func() ([]byte, error)) (*Result, error) {
+	interrupted := errors.Is(runErr, core.ErrInterrupted)
+	if runErr != nil && !interrupted {
+		return nil, runErr
+	}
+	v := r.v
+	if r.own {
+		v.clk = v.v.Now()
+	} else {
+		// The campaign ran on clones: drive v's own clock through it so
+		// follow-up operations on this vantage see the same virtual time
+		// at any shard count. The vantage's own timeline advances with
+		// it — never from another vantage's concurrent activity on the
+		// shared clock.
+		v.v.Sleep(elapsed)
+		v.clk = r.epoch + elapsed
+	}
+	res := result()
+	res.setPlanStats(v, r.vsBefore, r.clones)
+	if reg := r.opt.Telemetry; reg != nil {
+		v.publishRunTelemetry(reg, r.simBefore, res)
+		res.Telemetry = reg.Snapshot()
+	}
+	if interrupted {
+		art, err := checkpoint()
+		if err != nil {
+			return nil, err
+		}
+		res.Checkpoint = art
+	}
+	return res, runErr
+}
+
+// campaignResult assembles a Result from an engine outcome.
+func (v *Vantage) campaignResult(store *probe.Store, stats core.CampaignStats, proto uint8) *Result {
+	res := &Result{
+		ProbesSent:  stats.ProbesSent,
+		Fills:       stats.Fills,
+		Replies:     stats.Replies,
+		Elapsed:     stats.Elapsed,
+		Curve:       stats.Curve,
+		Progress:    stats.Progress,
+		Quarantined: stats.Quarantined,
+		Incomplete:  stats.Incomplete,
+		store:       store,
+		vantage:     v.v.Name(),
+		proto:       proto,
+	}
+	if len(stats.PerShard) > 1 {
+		res.ShardStats = stats.PerShard
+	}
+	return res
+}
+
+// RunYarrp6 probes targets with the randomized stateless prober. Every
+// run is a core.Campaign: with opt.Shards > 1 the permutation domain is
+// split across that many concurrent prober instances, each on its own
+// cloned vantage connection, replaying the single-instance virtual
+// schedule in a fraction of the wall time (see YarrpOptions.Shards for
+// the exact equivalence guarantee); one shard probes on the vantage's
+// own connection. With opt.Adaptive the targets are instead the
 // generator's seed observations and the campaign grows its own domain
 // epoch by epoch (see AdaptiveOptions).
 func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, error) {
 	if opt.Adaptive != nil {
 		return v.runAdaptive(targets, opt)
 	}
-	proto, err := transportProto(opt.Transport)
+	cfg, err := opt.coreConfig(targets)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		Targets: targets,
-		PPS:     opt.Rate,
-		MaxTTL:  uint8(opt.MaxTTL),
-		Proto:   proto,
-		Key:     opt.Key,
-		Fill:    opt.Fill,
-		Batch:   opt.Batch,
+	shards := max(opt.Shards, 1)
+	run := v.beginRun(&opt, shards == 1)
+	ccfg := core.CampaignConfig{
+		Config:      cfg,
+		Shards:      shards,
+		RecordPaths: true,
+		Telemetry:   opt.Telemetry,
+		InterruptAt: opt.InterruptAt,
 	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
+	// The progress series rides along with telemetry too: its sampling
+	// grid is what makes it deterministic across shard and batch settings.
+	if opt.Progress != nil || opt.Telemetry != nil {
+		ccfg.Progress = &core.ProgressConfig{
+			Writer:   opt.Progress,
+			PerShard: opt.ProgressPerShard,
+		}
 	}
-	// Telemetry and progress streaming run on the campaign engine even
-	// for a single instance: its sampling grid is what makes the series
-	// deterministic across shard and batch settings.
-	if opt.Shards > 1 || opt.Telemetry != nil || opt.Progress != nil || opt.InterruptAt > 0 {
-		shards := opt.Shards
-		if shards < 1 {
-			shards = 1
+	// With streaming graph construction, every shard folds replies into
+	// its own subgraph; the subgraphs merge after the run into exactly
+	// the graph one unsharded prober would have built.
+	var builders []*graph.Graph
+	if opt.Graph {
+		builders = make([]*graph.Graph, shards)
+		ccfg.NewObserver = func(s int) probe.Observer {
+			builders[s] = graph.New(v.v.Name())
+			return builders[s]
 		}
-		epoch := v.clk
-		// With streaming graph construction, every shard folds replies
-		// into its own subgraph; the subgraphs merge after the run into
-		// exactly the graph one unsharded prober would have built.
-		var builders []*graph.Graph
-		ccfg := core.CampaignConfig{
-			Config:      cfg,
-			Shards:      shards,
-			RecordPaths: true,
-			Telemetry:   opt.Telemetry,
-			InterruptAt: opt.InterruptAt,
-		}
-		if opt.Progress != nil || opt.Telemetry != nil {
-			ccfg.Progress = &core.ProgressConfig{
-				Writer:   opt.Progress,
-				PerShard: opt.ProgressPerShard,
-			}
-		}
-		if opt.Graph {
-			builders = make([]*graph.Graph, shards)
-			ccfg.NewObserver = func(s int) probe.Observer {
-				builders[s] = graph.New(v.v.Name())
-				return builders[s]
-			}
-		}
-		var clones []*netsim.Vantage
-		var factory core.ConnFactory
-		if shards > 1 {
-			v.v.BeginShardGroup()
-			factory = func(_ int, start time.Duration) probe.Conn {
-				nv := v.v.Clone(epoch + start)
-				clones = append(clones, nv)
-				return nv
-			}
-		} else {
-			// A lone campaign shard owns the whole window; probing on
-			// the vantage's own connection keeps the plan cache (and
-			// its counters) where direct serial runs leave them.
-			factory = func(_ int, _ time.Duration) probe.Conn { return v.v }
-		}
-		camp := core.NewCampaign(ccfg, factory)
-		store, stats, err := camp.Run()
-		interrupted := errors.Is(err, core.ErrInterrupted)
-		if err != nil && !interrupted {
-			return nil, err
-		}
-		if shards > 1 {
-			// The serial path drives v's own clock through the campaign;
-			// mirror that here so follow-up operations on this vantage
-			// see the same virtual time at any shard count. The
-			// vantage's own timeline advances with it — never from
-			// another vantage's concurrent activity on the shared clock.
-			v.v.Sleep(stats.Elapsed)
-			v.clk = epoch + stats.Elapsed
-		} else {
-			v.clk = v.v.Now()
-		}
-		var g *graph.Graph
+	}
+	camp := core.NewCampaign(ccfg, run.connOf)
+	store, stats, err := camp.Run()
+	return run.finish(err, stats.Elapsed, func() *Result {
+		res := v.campaignResult(store, stats, cfg.Proto)
 		if opt.Graph {
 			// The builders exist only to be merged: hand them over.
-			g = graph.Fold(builders...)
+			res.graph = graph.Fold(builders...)
 		}
-		res := &Result{
-			ProbesSent:  stats.ProbesSent,
-			Fills:       stats.Fills,
-			Replies:     stats.Replies,
-			Elapsed:     stats.Elapsed,
-			Curve:       stats.Curve,
-			ShardStats:  stats.PerShard,
-			Progress:    stats.Progress,
-			Quarantined: stats.Quarantined,
-			Incomplete:  stats.Incomplete,
-			store:       store,
-			graph:       g,
-			vantage:     v.v.Name(),
-			proto:       proto,
-		}
-		res.setPlanStats(v, vsBefore, clones)
-		if opt.Telemetry != nil {
-			v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-			res.Telemetry = opt.Telemetry.Snapshot()
-		}
-		if interrupted {
-			art, cerr := camp.Checkpoint()
-			if cerr != nil {
-				return nil, cerr
-			}
-			res.Checkpoint = art
-			return res, err
-		}
-		return res, nil
-	}
-	var g *graph.Graph
-	if opt.Graph {
-		g = graph.New(v.v.Name())
-		cfg.Observer = g
-	}
-	store := probe.NewStore(true)
-	stats, err := core.New(v.v, cfg).Run(store)
-	if err != nil {
-		return nil, err
-	}
-	v.clk = v.v.Now()
-	res := &Result{
-		ProbesSent: stats.ProbesSent,
-		Fills:      stats.Fills,
-		Replies:    stats.Replies,
-		Elapsed:    stats.Elapsed,
-		Curve:      stats.Curve,
-		store:      store,
-		graph:      g,
-		vantage:    v.v.Name(),
-		proto:      proto,
-	}
-	res.setPlanStats(v, vsBefore, nil)
-	return res, nil
+		return res
+	}, camp.Checkpoint)
 }
 
 // ResumeYarrp6 resumes an interrupted campaign from the checkpoint
@@ -658,73 +689,28 @@ func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, erro
 	if core.IsAdaptiveCheckpoint(artifact) {
 		return v.resumeAdaptive(artifact, opt)
 	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	var clones []*netsim.Vantage
-	var camp *core.Campaign
-	v.v.BeginShardGroup()
-	factory := func(_ int, start time.Duration) probe.Conn {
-		// The artifact's epoch anchors the original absolute schedule;
-		// clones must reopen at those instants for the keyed per-packet
-		// draws to replay.
-		nv := v.v.Clone(camp.Epoch() + start)
-		clones = append(clones, nv)
-		return nv
-	}
+	run := v.beginRun(&opt, false)
 	camp, err := core.Resume(artifact, core.ResumeConfig{
 		Telemetry:        opt.Telemetry,
 		ProgressWriter:   opt.Progress,
 		ProgressPerShard: opt.ProgressPerShard,
 		InterruptAt:      opt.InterruptAt,
-	}, factory)
+	}, run.connOf)
 	if err != nil {
 		return nil, err
 	}
+	run.epoch = camp.Epoch()
 	store, stats, err := camp.Run()
-	interrupted := errors.Is(err, core.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, err
-	}
-	v.v.Sleep(stats.Elapsed)
-	v.clk = camp.Epoch() + stats.Elapsed
-	res := &Result{
-		ProbesSent:  stats.ProbesSent,
-		Fills:       stats.Fills,
-		Replies:     stats.Replies,
-		Elapsed:     stats.Elapsed,
-		Curve:       stats.Curve,
-		ShardStats:  stats.PerShard,
-		Progress:    stats.Progress,
-		Quarantined: stats.Quarantined,
-		Incomplete:  stats.Incomplete,
-		store:       store,
-		vantage:     v.v.Name(),
-		proto:       camp.Proto(),
-	}
-	res.setPlanStats(v, vsBefore, clones)
-	if opt.Telemetry != nil {
-		v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-		res.Telemetry = opt.Telemetry.Snapshot()
-	}
-	if interrupted {
-		art, cerr := camp.Checkpoint()
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.Checkpoint = art
-		return res, err
-	}
-	return res, nil
+	return run.finish(err, stats.Elapsed, func() *Result {
+		return v.campaignResult(store, stats, camp.Proto())
+	}, camp.Checkpoint)
 }
 
 // runAdaptive executes a closed-loop adaptive campaign: seeds build a
 // gen6prob source, and the core adaptive engine alternates sharded
 // probing epochs with trie re-weighting and boundary alias detection.
 func (v *Vantage) runAdaptive(seeds []netip.Addr, opt YarrpOptions) (*Result, error) {
-	proto, err := transportProto(opt.Transport)
+	cfg, err := opt.coreConfig(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -732,67 +718,27 @@ func (v *Vantage) runAdaptive(seeds []netip.Addr, opt YarrpOptions) (*Result, er
 		return nil, fmt.Errorf("beholder: progress streaming is unsupported under adaptive generation")
 	}
 	ao := *opt.Adaptive
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	src := gen6prob.New(seeds, gen6prob.Config{Key: opt.Key})
-	acfg := core.AdaptiveConfig{
+	run := v.beginRun(&opt, false)
+	camp := core.NewAdaptive(core.AdaptiveConfig{
 		CampaignConfig: core.CampaignConfig{
-			Config: core.Config{
-				PPS:    opt.Rate,
-				MaxTTL: uint8(opt.MaxTTL),
-				Proto:  proto,
-				Key:    opt.Key,
-				Fill:   opt.Fill,
-				Batch:  opt.Batch,
-			},
-			Shards:      shards,
+			Config:      cfg,
+			Shards:      max(opt.Shards, 1),
 			RecordPaths: true,
 			Telemetry:   opt.Telemetry,
 			InterruptAt: opt.InterruptAt,
 		},
-		Source:        src,
+		Source:        gen6prob.New(seeds, gen6prob.Config{Key: opt.Key}),
 		Budget:        ao.Budget,
 		EpochTargets:  ao.EpochTargets,
 		MaxEpochs:     ao.MaxEpochs,
 		DetectAliases: v.adaptiveAliasHook(ao.AliasMinHits),
-	}
-	epoch := v.clk
-	v.v.BeginShardGroup()
-	var clones []*netsim.Vantage
-	camp := core.NewAdaptive(acfg, func(_ int, start time.Duration) probe.Conn {
-		nv := v.v.Clone(epoch + start)
-		clones = append(clones, nv)
-		return nv
-	})
+	}, run.connOf)
 	store, astats, err := camp.Run()
-	interrupted := errors.Is(err, core.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, err
-	}
-	v.v.Sleep(astats.Elapsed)
-	v.clk = epoch + astats.Elapsed
-	res := v.adaptiveResult(store, astats, proto)
-	res.setPlanStats(v, vsBefore, clones)
-	if opt.Telemetry != nil {
-		v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-		res.Telemetry = opt.Telemetry.Snapshot()
-	}
-	if interrupted {
-		art, cerr := camp.Checkpoint()
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.Checkpoint = art
-		return res, err
-	}
-	return res, nil
+	return run.finish(err, astats.Elapsed, func() *Result {
+		res := v.campaignResult(store, core.CampaignStats{Stats: astats.Stats}, cfg.Proto)
+		res.Epochs = astats.Epochs
+		return res
+	}, camp.Checkpoint)
 }
 
 // resumeAdaptive continues an interrupted adaptive campaign: the
@@ -811,68 +757,26 @@ func (v *Vantage) resumeAdaptive(artifact []byte, opt YarrpOptions) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	vsBefore := v.v.Stats
-	var simBefore netsim.SimStats
-	if opt.Telemetry != nil {
-		simBefore = v.in.u.StatsSnapshot()
-	}
-	// The artifact pins the permutation key; the generator's sampler is
-	// keyed identically so its restored counter replays the same draws.
-	src := gen6prob.New(ao.Seeds, gen6prob.Config{Key: info.Key})
-	v.v.BeginShardGroup()
-	var clones []*netsim.Vantage
-	var camp *core.AdaptiveCampaign
-	camp, err = core.ResumeAdaptive(artifact, core.AdaptiveResumeConfig{
-		Source:        src,
+	run := v.beginRun(&opt, false)
+	camp, err := core.ResumeAdaptive(artifact, core.AdaptiveResumeConfig{
+		// The artifact pins the permutation key; the generator's sampler
+		// is keyed identically so its restored counter replays the same
+		// draws.
+		Source:        gen6prob.New(ao.Seeds, gen6prob.Config{Key: info.Key}),
 		DetectAliases: v.adaptiveAliasHook(ao.AliasMinHits),
 		Telemetry:     opt.Telemetry,
 		InterruptAt:   opt.InterruptAt,
-	}, func(_ int, start time.Duration) probe.Conn {
-		nv := v.v.Clone(camp.Epoch() + start)
-		clones = append(clones, nv)
-		return nv
-	})
+	}, run.connOf)
 	if err != nil {
 		return nil, err
 	}
+	run.epoch = camp.Epoch()
 	store, astats, err := camp.Run()
-	interrupted := errors.Is(err, core.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, err
-	}
-	v.v.Sleep(astats.Elapsed)
-	v.clk = camp.Epoch() + astats.Elapsed
-	res := v.adaptiveResult(store, astats, info.Proto)
-	res.setPlanStats(v, vsBefore, clones)
-	if opt.Telemetry != nil {
-		v.publishRunTelemetry(opt.Telemetry, simBefore, res)
-		res.Telemetry = opt.Telemetry.Snapshot()
-	}
-	if interrupted {
-		art, cerr := camp.Checkpoint()
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.Checkpoint = art
-		return res, err
-	}
-	return res, nil
-}
-
-// adaptiveResult assembles a Result from an adaptive run's merged store
-// and statistics.
-func (v *Vantage) adaptiveResult(store *probe.Store, astats core.AdaptiveStats, proto uint8) *Result {
-	return &Result{
-		ProbesSent: astats.ProbesSent,
-		Fills:      astats.Fills,
-		Replies:    astats.Replies,
-		Elapsed:    astats.Elapsed,
-		Curve:      astats.Curve,
-		Epochs:     astats.Epochs,
-		store:      store,
-		vantage:    v.v.Name(),
-		proto:      proto,
-	}
+	return run.finish(err, astats.Elapsed, func() *Result {
+		res := v.campaignResult(store, core.CampaignStats{Stats: astats.Stats}, info.Proto)
+		res.Epochs = astats.Epochs
+		return res
+	}, camp.Checkpoint)
 }
 
 // adaptiveAliasHook builds the between-epoch alias-detection hook:

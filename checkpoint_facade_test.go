@@ -2,7 +2,10 @@ package beholder
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -106,5 +109,93 @@ func TestFacadeFaultedCampaign(t *testing.T) {
 	snap := reg.Snapshot()
 	if n, ok := snap.Counter("sim_fault_crash_denials_total"); !ok || n == 0 {
 		t.Fatal("sim_fault_crash_denials_total not published")
+	}
+}
+
+// TestFacadeSingleShardPin holds a plain 1-shard RunYarrp6 — no
+// telemetry, no progress, no interrupt — to what it produced at the last
+// commit where such a run bypassed the campaign engine and drove a prober
+// directly: store and graph bytes, discovery curve, elapsed time, the
+// plan-cache counters, and where the vantage's clock stands afterwards.
+func TestFacadeSingleShardPin(t *testing.T) {
+	in := NewSmallInternet(3)
+	v := in.NewVantage("pin-test")
+	targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := v.RunYarrp6(targets, YarrpOptions{Rate: 2000, MaxTTL: 12, Key: 1, Fill: true, Graph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	var curve, g bytes.Buffer
+	for _, p := range res.Curve {
+		fmt.Fprintf(&curve, "%d %d %d\n", p.At, p.Probes, p.Interfaces)
+	}
+	if err := res.Graph().WriteNDJSON(&g, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("store %s graph %s curve %s probes %d fills %d replies %d elapsed %d plan %d/%d/%d/%d clock %d/%d shardstats %d",
+		digest(res.Store().AppendBinary(nil)), digest(g.Bytes()), digest(curve.Bytes()),
+		res.ProbesSent, res.Fills, res.Replies, res.Elapsed,
+		res.PlanHits, res.PlanMisses, res.PlanEvictions, res.SharedPlanHits,
+		v.clk, v.v.Now(), len(res.ShardStats))
+	const want = "store ae760b8b54c31ac5f2378479d5f8788df767476fcbf05419de81ae126a5ca35a" +
+		" graph e19c551a58f8c7d3593e0abce47609889f0315140950202bc8b25222831be8d0" +
+		" curve e7f43270ba415502e8d1dfc480bc76fd587948798cb9405af83f9c0d875c6f48" +
+		" probes 7659 fills 75 replies 5769 elapsed 5792000000 plan 6988/671/42/15" +
+		" clock 5792000000/5792000000 shardstats 0"
+	if got != want {
+		t.Fatalf("1-shard run changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFacadeCrashedSingleShard: every run is a campaign, so a vantage
+// that dies mid-run behaves the same at one shard as at many, telemetry
+// or not — the shard is quarantined and the partial Result comes back
+// without an error. A lone shard probes on the vantage's own connection
+// and its recovery probers get the same dead connection, so the unprobed
+// remainder is reported in Incomplete rather than recovered.
+func TestFacadeCrashedSingleShard(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	for _, withTelemetry := range []bool{false, true} {
+		in := NewSmallInternet(3)
+		in.SetFaults(&FaultConfig{Seed: 5, Rules: []FaultRule{
+			{Vantage: "crash-test", Shard: FaultAnyShard, Kind: FaultCrash, At: 200 * time.Millisecond},
+		}})
+		v := in.NewVantage("crash-test")
+		targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := YarrpOptions{Rate: 2000, MaxTTL: 12, Key: 1}
+		if withTelemetry {
+			opt.Telemetry = NewTelemetry()
+		}
+		res, err := v.RunYarrp6(targets, opt)
+		if err != nil {
+			t.Fatalf("telemetry=%v: crashed run returned error %v, want a degraded Result", withTelemetry, err)
+		}
+		if len(res.Quarantined) != 1 || res.Quarantined[0] != 0 {
+			t.Fatalf("telemetry=%v: quarantined = %v, want [0]", withTelemetry, res.Quarantined)
+		}
+		// 2000 pps for 200 ms: the crash lands after 400 probes.
+		domain := uint64(len(targets)) * 12
+		if res.ProbesSent != 400 || res.NumInterfaces() == 0 {
+			t.Fatalf("telemetry=%v: %d probes sent, %d interfaces; want the 400 pre-crash probes in the store",
+				withTelemetry, res.ProbesSent, res.NumInterfaces())
+		}
+		var missing uint64
+		for _, r := range res.Incomplete {
+			missing += r.Hi - r.Lo
+		}
+		if last := res.Incomplete[len(res.Incomplete)-1]; missing != domain-400 || last.Hi != domain {
+			t.Fatalf("telemetry=%v: incomplete %v covers %d indices, want the %d after the crash",
+				withTelemetry, res.Incomplete, missing, domain-400)
+		}
 	}
 }

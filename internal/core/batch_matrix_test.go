@@ -69,6 +69,12 @@ func TestCampaignShardBatchMatrix(t *testing.T) {
 	if len(refProgress) == 0 {
 		t.Fatal("reference run produced an empty progress stream")
 	}
+	// The reference cell's bytes as the retired one-probe-per-iteration
+	// loop produced them (see serial_pin_test.go): batch = 1 is held to
+	// that loop's output, not to itself.
+	pinDigest(t, "reference store", refStore.AppendBinary(nil), "a7504c44a6742010ae970f42f7d694c2c1ac2b88926bf4e20e918e458284314a")
+	pinDigest(t, "reference graph", refGraph, "27750dd89579f563c7ea85f8f3fa09c350a57a7cd41716814f975515fbde97da")
+	pinDigest(t, "reference progress", refProgress, "837e62a213640cdc1b678f4ee90fcaeeb422dd7eddbb34101e6674ac66fedba9")
 	for _, shards := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 7, 64} {
 			if shards == 1 && batch == 1 {

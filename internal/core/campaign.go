@@ -256,7 +256,7 @@ func (c *Campaign) observePhase(name string, t0 time.Time) {
 // un-primed (failed import, replay cut short) keep the per-prober replay
 // inside Yarrp6.Run. The returned channel closes when the primer
 // goroutine exits; nil means nothing needed priming.
-func (c *Campaign) startPrimer(tmpl *probe.TmplStore, began time.Time) <-chan struct{} {
+func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 	var cands []*shardState
 	for _, ss := range c.shards {
 		if ss.done || ss.prober == nil || ss.prober.cfg.resume != nil || ss.lo == 0 {
@@ -286,8 +286,8 @@ func (c *Campaign) startPrimer(tmpl *probe.TmplStore, began time.Time) <-chan st
 	base := last.conn.Now() - time.Duration(last.lo)*c.gap
 	codec := probe.NewCodec(last.conn, cfg.Proto, cfg.Instance)
 	codec.SetEpoch(base)
-	if tmpl != nil {
-		codec.UseSharedTemplates(tmpl)
+	if c.tmpl != nil {
+		codec.UseSharedTemplates(c.tmpl)
 	} else {
 		codec.SetProbeCache(tmplCacheSize(len(cfg.Targets)))
 	}
@@ -329,6 +329,100 @@ func (c *Campaign) startPrimer(tmpl *probe.TmplStore, began time.Time) <-chan st
 	return done
 }
 
+// tracking reports whether shards keep per-interface first-seen
+// instants: they feed the global discovery-curve merge and the progress
+// interface counts, so single-shard runs without progress skip the
+// bookkeeping.
+func (c *Campaign) tracking() bool { return c.cfg.Shards > 1 || c.cfg.Progress != nil }
+
+// newShard builds one prober slot over the permutation window [lo, hi).
+// It serves the configured shards — fresh, or continued from rsh when
+// the campaign was built by Resume or Rewind — and, with index at or
+// past the configured shard count, the recovery probers of a quarantined
+// range, which differ only in running without the caller's observers
+// and without the interrupt instant.
+func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, rsh *resumeShard) *shardState {
+	cfg := &c.cfg
+	hasProg := cfg.Progress != nil
+	recovery := index >= cfg.Shards
+	ss := &shardState{index: index, lo: lo, hi: hi, instance: instance}
+	if rsh != nil {
+		ss.store = rsh.store
+	} else {
+		ss.store = probe.NewStore(cfg.RecordPaths)
+	}
+	if c.tracking() {
+		if rsh != nil && rsh.track != nil {
+			ss.track = rsh.track
+		} else {
+			ss.track = newIfaceTimes(0)
+		}
+	}
+	if rsh != nil && rsh.done {
+		// This shard finished before the checkpoint; its stored results
+		// feed the merge directly.
+		ss.done = true
+		ss.stats = rsh.stats
+		if hasProg {
+			ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
+			ss.prog.Restore(rsh.samples)
+		}
+		return ss
+	}
+	scfg := cfg.Config
+	scfg.Instance = instance
+	scfg.PermStart, scfg.PermEnd = lo, hi
+	scfg.sharedTmpl = c.tmpl
+	scfg.stop = &c.stop
+	scfg.pulse = &c.beat
+	switch {
+	case recovery: // runs without the caller's observers (see NewObserver)
+	case cfg.NewObserver != nil:
+		ss.observer = cfg.NewObserver(index)
+	case rsh != nil:
+		ss.observer = rsh.observer
+	}
+	scfg.Observer = ss.observer
+	if ss.track != nil {
+		ss.track.inner = ss.observer
+		scfg.Observer = ss.track
+	}
+	if cfg.Telemetry != nil {
+		scfg.telemetry = cfg.Telemetry.NewShard()
+	}
+	start := time.Duration(lo) * c.gap
+	if rsh != nil {
+		scfg.resume = rsh.rs
+		start = rsh.rs.now - c.res.epoch
+	}
+	// A live rewind hands back the interrupted shard's own connection —
+	// already at the captured instant, caches warm, in-flight replies
+	// queued.
+	if rsh != nil && rsh.conn != nil {
+		ss.conn = rsh.conn
+	} else {
+		ss.conn = c.connOf(index, start)
+	}
+	if index == 0 && c.res == nil {
+		// Shard 0's window opens at offset zero, so its connection's
+		// current instant is the campaign epoch in absolute virtual
+		// time — the origin every progress threshold counts from.
+		c.epoch = ss.conn.Now()
+	}
+	if cfg.InterruptAt > 0 && !recovery {
+		scfg.interruptAt = c.epoch + cfg.InterruptAt
+	}
+	if hasProg {
+		ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
+		if rsh != nil {
+			ss.prog.Restore(rsh.rs.samples)
+		}
+		scfg.progress = ss.prog
+	}
+	ss.prober = New(ss.conn, scfg)
+	return ss
+}
+
 // Epoch returns the campaign epoch in absolute virtual time, valid
 // after RunContext has started the shards. Resume factories use it to
 // position recovery and resumed connections.
@@ -344,11 +438,11 @@ func (c *Campaign) Epoch() time.Duration { return c.epoch }
 func (c *Campaign) Interrupt() { c.stop.Store(true) }
 
 // Beat returns the campaign's liveness heartbeat: a counter every
-// shard prober bumps each time it polls its stop conditions (per probe
-// on the serial path, per send run batched, per drain iteration). A
-// running campaign's Beat advances continuously in wall time; a value
-// that stops moving means every shard is wedged or finished. Safe to
-// read concurrently with the run.
+// shard prober bumps each time it polls its stop conditions (per send
+// run while probing, per iteration in the drain tail). A running
+// campaign's Beat advances continuously in wall time; a value that stops
+// moving means every shard is wedged or finished. Safe to read
+// concurrently with the run.
 func (c *Campaign) Beat() int64 { return c.beat.Load() }
 
 // Proto returns the campaign's transport protocol — for resumed
@@ -419,105 +513,25 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	// One template store for the whole campaign: shard codecs differ
 	// only by instance byte, which templates hold variable, so each
 	// target's probe template is built once instead of once per shard.
-	var tmpl *probe.TmplStore
 	if c.res != nil && c.res.tmpl != nil {
-		tmpl = c.res.tmpl
+		c.tmpl = c.res.tmpl
 	} else if cfg.Shards > 1 {
-		tmpl = probe.NewTmplStore(tmplCacheSize(len(cfg.Targets)))
+		c.tmpl = probe.NewTmplStore(tmplCacheSize(len(cfg.Targets)))
 	}
-	c.tmpl = tmpl
-	// Per-shard interface first-seen tracking feeds the global
-	// discovery-curve merge and the progress interface counts;
-	// single-shard runs without progress skip the bookkeeping.
-	trackOn := cfg.Shards > 1 || hasProg
 
+	// The constructor runs serially: connection construction may mutate
+	// shared vantage state (clock-group registration).
 	c.shards = make([]*shardState, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
+	for s := range c.shards {
 		lo, hi := shardRange(c.domain, s, cfg.Shards)
-		ss := &shardState{index: s, lo: lo, hi: hi, instance: cfg.Instance + uint8(s)}
-		c.shards[s] = ss
 		var rsh *resumeShard
 		if c.res != nil {
 			rsh = c.res.shards[s]
 		}
-		if rsh != nil {
-			ss.store = rsh.store
-		} else {
-			ss.store = probe.NewStore(cfg.RecordPaths)
-		}
-		if trackOn {
-			if rsh != nil && rsh.track != nil {
-				ss.track = rsh.track
-			} else {
-				ss.track = newIfaceTimes(0)
-			}
-		}
-		if rsh != nil && rsh.done {
-			// This shard finished before the checkpoint; its stored
-			// results feed the merge directly.
-			ss.done = true
-			ss.stats = rsh.stats
-			if hasProg {
-				ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
-				ss.prog.Restore(rsh.samples)
-			}
-			continue
-		}
-		scfg := cfg.Config
-		scfg.Instance = ss.instance
-		scfg.PermStart, scfg.PermEnd = lo, hi
-		scfg.sharedTmpl = tmpl
-		scfg.stop = &c.stop
-		scfg.pulse = &c.beat
-		if cfg.NewObserver != nil {
-			ss.observer = cfg.NewObserver(s)
-		} else if rsh != nil {
-			ss.observer = rsh.observer
-		}
-		scfg.Observer = ss.observer
-		if cfg.Telemetry != nil {
-			scfg.telemetry = cfg.Telemetry.NewShard()
-		}
-		start := time.Duration(lo) * c.gap
-		if rsh != nil {
-			scfg.resume = rsh.rs
-			start = rsh.rs.now - c.res.epoch
-		}
-		// The factory runs serially: connection construction may mutate
-		// shared vantage state (clock-group registration). A live rewind
-		// hands back the interrupted shard's own connection — already at
-		// the captured instant, caches warm, in-flight replies queued.
-		var conn probe.Conn
-		if rsh != nil && rsh.conn != nil {
-			conn = rsh.conn
-		} else {
-			conn = c.connOf(s, start)
-		}
-		if s == 0 && c.res == nil {
-			// Shard 0's window opens at offset zero, so its connection's
-			// current instant is the campaign epoch in absolute virtual
-			// time — the origin every progress threshold counts from.
-			c.epoch = conn.Now()
-		}
-		if cfg.InterruptAt > 0 {
-			scfg.interruptAt = c.epoch + cfg.InterruptAt
-		}
-		if hasProg {
-			ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
-			if rsh != nil {
-				ss.prog.Restore(rsh.rs.samples)
-			}
-			scfg.progress = ss.prog
-		}
-		if ss.track != nil {
-			ss.track.inner = ss.observer
-			scfg.Observer = ss.track
-		}
-		ss.conn = conn
-		ss.prober = New(conn, scfg)
+		c.shards[s] = c.newShard(s, lo, hi, cfg.Instance+uint8(s), rsh)
 	}
 
-	primer := c.startPrimer(tmpl, began)
+	primer := c.startPrimer(began)
 
 	// Cancellation watcher: flips the shared stop flag the probers poll
 	// at batch boundaries. The watcher exits through stopWatch when the
@@ -560,19 +574,14 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 		switch {
 		case ss.err != nil:
 			out.Quarantined = append(out.Quarantined, ss.index)
-			rr := recoverRange{instance: ss.instance, lo: ss.lo, hi: ss.hi}
-			if ss.rs != nil {
-				rr.lo = ss.rs.cursor
-				rr.pending = ss.rs.pending
-			}
-			if rr.lo < rr.hi || len(rr.pending) > 0 {
+			if rr, ok := ss.remainder(); ok {
 				failed = append(failed, rr)
 			}
 		case ss.rs != nil:
 			interrupted = true
 		}
 	}
-	recovered := c.recoverRanges(failed, tmpl, trackOn, hasProg, &out)
+	recovered := c.recoverRanges(failed, &out)
 	c.quarantined = len(out.Quarantined) > 0
 	c.keep = interrupted || cfg.InterruptAt > 0
 
@@ -583,10 +592,18 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	out.PerShard = make([]Stats, 0, len(all))
 	var end time.Duration
 	starts := make([]time.Duration, 0, len(all))
+	var tracks []*ifaceTimes
+	var progs []*telemetry.Progress
 	for _, ss := range all {
 		st := ss.stats
 		out.PerShard = append(out.PerShard, st)
 		starts = append(starts, time.Duration(ss.lo)*c.gap)
+		if ss.track != nil {
+			tracks = append(tracks, ss.track)
+		}
+		if ss.prog != nil {
+			progs = append(progs, ss.prog)
+		}
 		out.ProbesSent += st.ProbesSent
 		out.Fills += st.Fills
 		out.Skipped += st.Skipped
@@ -619,29 +636,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	switch {
 	case len(all) == 1:
 		out.Curve = all[0].stats.Curve
-	case trackOn:
-		tracks := make([]*ifaceTimes, 0, len(all))
-		for _, ss := range all {
-			if ss.track != nil {
-				tracks = append(tracks, ss.track)
-			}
-		}
+	case c.tracking():
 		out.Curve = mergeCurves(out.PerShard, tracks)
 	}
 	if hasProg {
 		// First sightings relative to the campaign epoch, sorted: the
 		// merge counts interfaces by walking this list against each
 		// threshold.
-		tracks := make([]*ifaceTimes, 0, len(all))
-		progs := make([]*telemetry.Progress, 0, len(all))
-		for _, ss := range all {
-			if ss.track != nil {
-				tracks = append(tracks, ss.track)
-			}
-			if ss.prog != nil {
-				progs = append(progs, ss.prog)
-			}
-		}
 		seenAt := firstSeenAt(tracks)
 		for i := range seenAt {
 			seenAt[i] -= c.epoch
@@ -723,10 +724,10 @@ func (c *Campaign) runShards(shards []*shardState) {
 				case err == nil:
 					ss.done = true
 				case errors.Is(err, ErrInterrupted):
-					ss.rs = ss.prober.ResumeState()
+					ss.rs = ss.prober.rs
 				default:
 					ss.err = err
-					ss.rs = ss.prober.ResumeState()
+					ss.rs = ss.prober.rs
 				}
 			})
 		}(ss)
@@ -743,6 +744,17 @@ type recoverRange struct {
 	pending  []pendingReply
 }
 
+// remainder returns what a failed prober left undone, and whether there
+// is anything in it to recover.
+func (ss *shardState) remainder() (recoverRange, bool) {
+	rr := recoverRange{instance: ss.instance, lo: ss.lo, hi: ss.hi}
+	if ss.rs != nil {
+		rr.lo = ss.rs.cursor
+		rr.pending = ss.rs.pending
+	}
+	return rr, rr.lo < rr.hi || len(rr.pending) > 0
+}
+
 // recoverRanges re-probes quarantined ranges through fresh connections.
 // Each range is re-sharded across as many recovery probers as there are
 // surviving shards, every recovery connection's clock opening at the
@@ -753,7 +765,7 @@ type recoverRange struct {
 // the quarantined shard's instance byte, honor cancellation, and rounds
 // are bounded: ranges whose recovery probers keep dying are returned in
 // CampaignStats.Incomplete.
-func (c *Campaign) recoverRanges(ranges []recoverRange, tmpl *probe.TmplStore, trackOn, hasProg bool, out *CampaignStats) []*shardState {
+func (c *Campaign) recoverRanges(ranges []recoverRange, out *CampaignStats) []*shardState {
 	if len(ranges) == 0 {
 		return nil
 	}
@@ -781,38 +793,17 @@ func (c *Campaign) recoverRanges(ranges []recoverRange, tmpl *probe.TmplStore, t
 				if a == b && !(j == 0 && len(rr.pending) > 0) {
 					continue
 				}
-				ss := &shardState{index: nextIdx, lo: a, hi: b, instance: rr.instance}
+				ss := c.newShard(nextIdx, a, b, rr.instance, nil)
 				nextIdx++
-				scfg := cfg.Config
-				scfg.Instance = rr.instance
-				scfg.PermStart, scfg.PermEnd = a, b
-				scfg.sharedTmpl = tmpl
-				scfg.stop = &c.stop
-				scfg.pulse = &c.beat
-				if cfg.Telemetry != nil {
-					scfg.telemetry = cfg.Telemetry.NewShard()
-				}
-				conn := c.connOf(ss.index, time.Duration(a)*c.gap)
-				if hasProg {
-					ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
-					scfg.progress = ss.prog
-				}
-				if trackOn {
-					ss.track = newIfaceTimes(0)
-					scfg.Observer = ss.track
-				}
 				if j == 0 && len(rr.pending) > 0 {
 					// The dead shard's in-flight replies drain through the
 					// first recovery connection at their original instants.
-					if ck, ok := conn.(probe.ConnCheckpointer); ok {
+					if ck, ok := ss.conn.(probe.ConnCheckpointer); ok {
 						for _, pr := range rr.pending {
 							ck.InjectReply(pr.at, pr.data)
 						}
 					}
 				}
-				ss.store = probe.NewStore(cfg.RecordPaths)
-				ss.conn = conn
-				ss.prober = New(conn, scfg)
 				batch = append(batch, ss)
 			}
 		}
@@ -822,12 +813,7 @@ func (c *Campaign) recoverRanges(ranges []recoverRange, tmpl *probe.TmplStore, t
 		for _, ss := range batch {
 			switch {
 			case ss.err != nil:
-				rr := recoverRange{instance: ss.instance, lo: ss.lo, hi: ss.hi}
-				if ss.rs != nil {
-					rr.lo = ss.rs.cursor
-					rr.pending = ss.rs.pending
-				}
-				if rr.lo < rr.hi || len(rr.pending) > 0 {
+				if rr, ok := ss.remainder(); ok {
 					ranges = append(ranges, rr)
 				}
 			case ss.rs != nil:

@@ -17,13 +17,11 @@
 // it: each shard section ends with an opaque simulator-state blob
 // (probe.SimStateCheckpointer) that the resumed connection imports, so
 // interrupt plus resume is byte-exact even when an ICMPv6 rate limiter
-// was saturated across the interrupt instant. Version-01 artifacts lack
-// the blob; resuming one falls back to prime replay of the schedule
-// preceding the cursor (probe.Primer), which is exact for non-fill
-// runs.
+// was saturated across the interrupt instant.
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,28 +37,8 @@ import (
 )
 
 // checkpointMagic opens every artifact; the trailing digits are the
-// format version, so a layout change bumps the magic itself. Version 02
-// added the per-shard simulator-state blob (router token-bucket levels)
-// and the adaptive-campaign section; version 01 artifacts still decode
-// (their shards carry no blob, so blob-less resume semantics apply).
-const (
-	checkpointMagic   = "Y6CKPT02"
-	checkpointMagicV1 = "Y6CKPT01"
-)
-
-// checkpointVersion validates the artifact magic, returning the format
-// version and the remaining section bytes.
-func checkpointVersion(artifact []byte) (int, []byte, error) {
-	if len(artifact) >= len(checkpointMagic) {
-		switch string(artifact[:len(checkpointMagic)]) {
-		case checkpointMagic:
-			return 2, artifact[len(checkpointMagic):], nil
-		case checkpointMagicV1:
-			return 1, artifact[len(checkpointMagic):], nil
-		}
-	}
-	return 0, nil, fmt.Errorf("%w: bad magic", ErrCheckpoint)
-}
+// format version, so a layout change bumps the magic itself.
+const checkpointMagic = "Y6CKPT02"
 
 // Artifact section types.
 const (
@@ -131,11 +109,8 @@ func (c *Campaign) Checkpoint() ([]byte, error) { return c.AppendCheckpoint(nil)
 // allocation-free but for the index merges. Periodic checkpointing
 // passes a retired artifact back in as the next buffer.
 func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
-	if !c.keep || len(c.shards) == 0 {
-		return nil, ErrNotCheckpointable
-	}
-	if c.quarantined {
-		return nil, fmt.Errorf("%w: shards were quarantined", ErrNotCheckpointable)
+	if err := c.checkpointable(); err != nil {
+		return nil, err
 	}
 	// Size the buffer once: the bulky parts exactly, an allowance for each
 	// shard's counters, curve and progress samples. Falling short would
@@ -162,6 +137,18 @@ func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// checkpointable reports why the campaign's state cannot be carried
+// forward, by artifact or by Rewind; nil when it can.
+func (c *Campaign) checkpointable() error {
+	if !c.keep || len(c.shards) == 0 {
+		return ErrNotCheckpointable
+	}
+	if c.quarantined {
+		return fmt.Errorf("%w: shards were quarantined", ErrNotCheckpointable)
+	}
+	return nil
+}
+
 // Rewind returns a fresh campaign that continues this interrupted run
 // in-process — the same continuation Resume(Checkpoint(), ...) builds,
 // without the serialize/decode round trip. The receiver hands its live
@@ -174,11 +161,8 @@ func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
 // continuation is byte-identical to the artifact round trip — both
 // feed RunContext the state captured at the same probe boundary.
 func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
-	if !c.keep || len(c.shards) == 0 {
-		return nil, ErrNotCheckpointable
-	}
-	if c.quarantined {
-		return nil, fmt.Errorf("%w: shards were quarantined", ErrNotCheckpointable)
+	if err := c.checkpointable(); err != nil {
+		return nil, err
 	}
 	state := &resumeState{epoch: c.epoch, shards: make([]*resumeShard, 0, len(c.shards))}
 	for _, ss := range c.shards {
@@ -249,13 +233,7 @@ func (c *Campaign) appendConfig(buf []byte) []byte {
 	if cfg.Progress != nil {
 		flags |= 4
 	}
-	buf = append(buf, flags, cfg.MinTTL, cfg.MaxTTL, cfg.Proto, cfg.Instance, cfg.FillLimit, cfg.NeighborhoodTTL)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.PPS))
-	buf = binary.LittleEndian.AppendUint64(buf, cfg.Key)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Shards))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Batch))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(cfg.NeighborhoodWindow))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(cfg.DrainTimeout))
+	buf = appendTuning(append(buf, flags), cfg)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.epoch))
 	buf = binary.LittleEndian.AppendUint64(buf, c.slots)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cfg.Targets)))
@@ -264,6 +242,28 @@ func (c *Campaign) appendConfig(buf []byte) []byte {
 		buf = append(buf, t16[:]...)
 	}
 	return buf
+}
+
+// appendTuning appends the probing parameters every config-bearing
+// section carries behind its own flag byte, MinTTL through DrainTimeout;
+// ckReader.tuning is its decoder.
+func appendTuning(buf []byte, cfg *CampaignConfig) []byte {
+	buf = append(buf, cfg.MinTTL, cfg.MaxTTL, cfg.Proto, cfg.Instance, cfg.FillLimit, cfg.NeighborhoodTTL)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.PPS))
+	buf = binary.LittleEndian.AppendUint64(buf, cfg.Key)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Shards))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Batch))
+	buf = appendDur(buf, cfg.NeighborhoodWindow)
+	return appendDur(buf, cfg.DrainTimeout)
+}
+
+// appendCounters appends a Stats' counters and elapsed time (not its
+// curve); ckReader.counters is its decoder.
+func appendCounters(buf []byte, st *Stats) []byte {
+	for _, n := range []int64{st.ProbesSent, st.Fills, st.Skipped, st.Replies, st.NotMine, st.Retries} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	}
+	return appendDur(buf, st.Elapsed)
 }
 
 func (c *Campaign) appendShard(buf []byte, ss *shardState) []byte {
@@ -283,16 +283,9 @@ func (c *Campaign) appendShard(buf []byte, ss *shardState) []byte {
 	buf = appendDur(buf, rs.drainDeadline)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(rs.nextCurve))
 
-	st := ss.stats
-	buf = appendDur(buf, time.Duration(st.ProbesSent))
-	buf = appendDur(buf, time.Duration(st.Fills))
-	buf = appendDur(buf, time.Duration(st.Skipped))
-	buf = appendDur(buf, time.Duration(st.Replies))
-	buf = appendDur(buf, time.Duration(st.NotMine))
-	buf = appendDur(buf, time.Duration(st.Retries))
-	buf = appendDur(buf, st.Elapsed)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.Curve)))
-	for _, p := range st.Curve {
+	buf = appendCounters(buf, &ss.stats)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ss.stats.Curve)))
+	for _, p := range ss.stats.Curve {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Probes))
 		buf = appendDur(buf, p.At)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Interfaces))
@@ -389,17 +382,60 @@ type ResumeConfig struct {
 // offset from the original campaign epoch — Campaign.Epoch exposes it.
 // RunContext then continues the run exactly where Checkpoint cut it.
 func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
-	version, rest, err := checkpointVersion(artifact)
+	sec, err := readSections(artifact)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		cfg     CampaignConfig
-		state   resumeState
-		slots   uint64
-		hasProg bool
-		gotCfg  bool
-	)
+	if sec.adaptive != nil {
+		return nil, fmt.Errorf("%w: adaptive artifact; use ResumeAdaptive", ErrCheckpoint)
+	}
+	cfg := sec.cfg
+	state := &resumeState{epoch: sec.epoch}
+	for i, payload := range sec.shards {
+		sh, idx, err := decodeShard(payload)
+		if err != nil {
+			return nil, err
+		}
+		if idx != i {
+			return nil, fmt.Errorf("%w: shard %d out of order", ErrCheckpoint, idx)
+		}
+		state.shards = append(state.shards, sh)
+	}
+	if sec.hasProg {
+		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, SampleEvery: sec.slots, PerShard: rc.ProgressPerShard}
+	}
+	cfg.NewObserver = rc.NewObserver
+	cfg.Telemetry = rc.Telemetry
+	cfg.InterruptAt = rc.InterruptAt
+	return &Campaign{cfg: cfg, connOf: connOf, epoch: state.epoch, res: state}, nil
+}
+
+// sections is an artifact taken apart by readSections: either a campaign
+// — its decoded config section plus one payload per shard — or a lone
+// adaptive payload. The payloads alias the artifact and are CRC-verified
+// but not yet parsed.
+type sections struct {
+	cfg      CampaignConfig
+	epoch    time.Duration
+	slots    uint64
+	hasProg  bool
+	shards   [][]byte
+	adaptive []byte // nil for a campaign artifact
+}
+
+// readSections is the one artifact reader, the mirror of appendSection:
+// it checks the magic, walks the [type][u32 len][u32 crc][payload]
+// frames verifying each checksum, and enforces the container's shape — a
+// config section first and exactly one shard section per configured
+// shard, or an adaptive section alone. Resume, ResumeAdaptive and
+// InspectCheckpoint all start here.
+func readSections(artifact []byte) (*sections, error) {
+	rest, ok := bytes.CutPrefix(artifact, []byte(checkpointMagic))
+	if !ok {
+		return nil, fmt.Errorf("%w: bad magic", ErrCheckpoint)
+	}
+	sec := &sections{}
+	gotCfg := false
 	for len(rest) > 0 {
 		if len(rest) < 9 {
 			return nil, fmt.Errorf("%w: truncated section header", ErrCheckpoint)
@@ -416,13 +452,15 @@ func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, er
 		if crc32.ChecksumIEEE(payload) != sum {
 			return nil, fmt.Errorf("%w: section %d: %w", ErrCheckpoint, typ, ErrCheckpointCRC)
 		}
+		if sec.adaptive != nil || typ == sectAdaptive && gotCfg {
+			return nil, fmt.Errorf("%w: adaptive section must be the artifact's only section", ErrCheckpoint)
+		}
 		switch typ {
 		case sectConfig:
 			if gotCfg {
 				return nil, fmt.Errorf("%w: duplicate config section", ErrCheckpoint)
 			}
-			var err error
-			if slots, hasProg, err = decodeConfig(payload, &cfg, &state); err != nil {
+			if err := sec.decodeConfig(payload); err != nil {
 				return nil, err
 			}
 			gotCfg = true
@@ -430,33 +468,23 @@ func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, er
 			if !gotCfg {
 				return nil, fmt.Errorf("%w: shard section before config", ErrCheckpoint)
 			}
-			sh, idx, err := decodeShard(payload, version)
-			if err != nil {
-				return nil, err
-			}
-			if idx != len(state.shards) || idx >= cfg.Shards {
-				return nil, fmt.Errorf("%w: shard %d out of order", ErrCheckpoint, idx)
-			}
-			state.shards = append(state.shards, sh)
+			sec.shards = append(sec.shards, payload)
 		case sectAdaptive:
-			return nil, fmt.Errorf("%w: adaptive artifact; use ResumeAdaptive", ErrCheckpoint)
+			sec.adaptive = payload
 		default:
 			return nil, fmt.Errorf("%w: unknown section type %d", ErrCheckpoint, typ)
 		}
 	}
+	if sec.adaptive != nil {
+		return sec, nil
+	}
 	if !gotCfg {
 		return nil, fmt.Errorf("%w: missing config section", ErrCheckpoint)
 	}
-	if len(state.shards) != cfg.Shards {
-		return nil, fmt.Errorf("%w: %d shard sections for %d shards", ErrCheckpoint, len(state.shards), cfg.Shards)
+	if len(sec.shards) != sec.cfg.Shards {
+		return nil, fmt.Errorf("%w: %d shard sections for %d shards", ErrCheckpoint, len(sec.shards), sec.cfg.Shards)
 	}
-	if hasProg {
-		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, SampleEvery: slots, PerShard: rc.ProgressPerShard}
-	}
-	cfg.NewObserver = rc.NewObserver
-	cfg.Telemetry = rc.Telemetry
-	cfg.InterruptAt = rc.InterruptAt
-	return &Campaign{cfg: cfg, connOf: connOf, epoch: state.epoch, res: &state}, nil
+	return sec, nil
 }
 
 // ckReader is a bounds-checked cursor over an untrusted artifact
@@ -543,74 +571,91 @@ func (r *ckReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-func decodeConfig(payload []byte, cfg *CampaignConfig, state *resumeState) (slots uint64, hasProg bool, err error) {
-	r := ckReader{buf: payload}
-	flags, err := r.u8()
-	if err != nil {
-		return 0, false, err
-	}
-	cfg.RecordPaths = flags&1 != 0
-	cfg.Fill = flags&2 != 0
-	hasProg = flags&4 != 0
-	fields := []*uint8{&cfg.MinTTL, &cfg.MaxTTL, &cfg.Proto, &cfg.Instance, &cfg.FillLimit, &cfg.NeighborhoodTTL}
-	for _, f := range fields {
+// tuning decodes the block appendTuning wrote.
+func (r *ckReader) tuning(cfg *CampaignConfig) (err error) {
+	for _, f := range []*uint8{&cfg.MinTTL, &cfg.MaxTTL, &cfg.Proto, &cfg.Instance, &cfg.FillLimit, &cfg.NeighborhoodTTL} {
 		if *f, err = r.u8(); err != nil {
-			return 0, false, err
+			return err
 		}
 	}
 	pps, err := r.u64()
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	cfg.PPS = math.Float64frombits(pps)
 	if cfg.PPS <= 0 || math.IsNaN(cfg.PPS) || math.IsInf(cfg.PPS, 0) {
-		return 0, false, fmt.Errorf("%w: invalid PPS", ErrCheckpoint)
+		return fmt.Errorf("%w: invalid PPS", ErrCheckpoint)
 	}
 	if cfg.Key, err = r.u64(); err != nil {
-		return 0, false, err
+		return err
 	}
 	shards, err := r.u32()
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	if shards == 0 || shards > 1<<16 {
-		return 0, false, fmt.Errorf("%w: invalid shard count %d", ErrCheckpoint, shards)
+		return fmt.Errorf("%w: invalid shard count %d", ErrCheckpoint, shards)
 	}
 	cfg.Shards = int(shards)
 	batch, err := r.u32()
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	cfg.Batch = int(batch)
 	if cfg.NeighborhoodWindow, err = r.dur(); err != nil {
-		return 0, false, err
+		return err
 	}
-	if cfg.DrainTimeout, err = r.dur(); err != nil {
-		return 0, false, err
+	cfg.DrainTimeout, err = r.dur()
+	return err
+}
+
+// counters decodes the block appendCounters wrote.
+func (r *ckReader) counters(st *Stats) (err error) {
+	for _, f := range []*int64{&st.ProbesSent, &st.Fills, &st.Skipped, &st.Replies, &st.NotMine, &st.Retries} {
+		if *f, err = r.i64(); err != nil {
+			return err
+		}
 	}
-	if state.epoch, err = r.dur(); err != nil {
-		return 0, false, err
+	st.Elapsed, err = r.dur()
+	return err
+}
+
+func (sec *sections) decodeConfig(payload []byte) error {
+	cfg := &sec.cfg
+	r := ckReader{buf: payload}
+	flags, err := r.u8()
+	if err != nil {
+		return err
 	}
-	if slots, err = r.u64(); err != nil {
-		return 0, false, err
+	cfg.RecordPaths = flags&1 != 0
+	cfg.Fill = flags&2 != 0
+	sec.hasProg = flags&4 != 0
+	if err = r.tuning(cfg); err != nil {
+		return err
+	}
+	if sec.epoch, err = r.dur(); err != nil {
+		return err
+	}
+	if sec.slots, err = r.u64(); err != nil {
+		return err
 	}
 	nt, err := r.count(16)
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	cfg.Targets = make([]netip.Addr, nt)
 	for i := range cfg.Targets {
 		if cfg.Targets[i], err = r.addr(); err != nil {
-			return 0, false, err
+			return err
 		}
 	}
 	if r.off != len(payload) {
-		return 0, false, fmt.Errorf("%w: %d trailing config bytes", ErrCheckpoint, len(payload)-r.off)
+		return fmt.Errorf("%w: %d trailing config bytes", ErrCheckpoint, len(payload)-r.off)
 	}
-	return slots, hasProg, nil
+	return nil
 }
 
-func decodeShard(payload []byte, version int) (*resumeShard, int, error) {
+func decodeShard(payload []byte) (*resumeShard, int, error) {
 	r := ckReader{buf: payload}
 	idx32, err := r.u32()
 	if err != nil {
@@ -639,13 +684,7 @@ func decodeShard(payload []byte, version int) (*resumeShard, int, error) {
 		return nil, 0, err
 	}
 	rs.nextCurve = int64(nc)
-	ints := []*int64{&sh.stats.ProbesSent, &sh.stats.Fills, &sh.stats.Skipped, &sh.stats.Replies, &sh.stats.NotMine, &sh.stats.Retries}
-	for _, f := range ints {
-		if *f, err = r.i64(); err != nil {
-			return nil, 0, err
-		}
-	}
-	if sh.stats.Elapsed, err = r.dur(); err != nil {
+	if err = r.counters(&sh.stats); err != nil {
 		return nil, 0, err
 	}
 	ncurve, err := r.count(20)
@@ -754,16 +793,13 @@ func decodeShard(payload []byte, version int) (*resumeShard, int, error) {
 	if sh.store, err = probe.DecodeStore(enc); err != nil {
 		return nil, 0, fmt.Errorf("%w: shard store: %v", ErrCheckpoint, err)
 	}
-	if version >= 2 {
-		// The simulator-state blob closes every version-02 shard section;
-		// version-01 payloads end at the store.
-		nSim, err := r.count(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		if rs.simState, err = r.bytes(nSim); err != nil {
-			return nil, 0, err
-		}
+	// The simulator-state blob closes the section.
+	nSim, err := r.count(1)
+	if err != nil {
+		return nil, 0, err
+	}
+	if rs.simState, err = r.bytes(nSim); err != nil {
+		return nil, 0, err
 	}
 	if r.off != len(payload) {
 		return nil, 0, fmt.Errorf("%w: %d trailing shard bytes", ErrCheckpoint, len(payload)-r.off)

@@ -492,6 +492,11 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, err := Resume([]byte("Y6CKPT99"), ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("wrong version: %v", err)
 	}
+	// Version 01 is not read any more: its magic is just a wrong one.
+	old := append([]byte("Y6CKPT01"), art[len(checkpointMagic):]...)
+	if _, err := Resume(old, ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("version-01 magic: %v", err)
+	}
 	// The intact artifact still resumes.
 	if _, err := Resume(art, ResumeConfig{}, nil); err != nil {
 		t.Fatalf("intact artifact rejected: %v", err)

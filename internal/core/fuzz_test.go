@@ -70,8 +70,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
-	f.Add(downgradeArtifactV1(f, valid))
 	adaptive := fuzzAdaptiveArtifact(f)
+	// A well-framed container of the wrong shape: an adaptive section
+	// behind a complete campaign.
+	f.Add(append(append([]byte(nil), valid...), adaptive[len(checkpointMagic):]...))
 	f.Add(adaptive)
 	f.Add(adaptive[:len(adaptive)-7])
 	aflipped := append([]byte(nil), adaptive...)

@@ -4,12 +4,7 @@
 // and the supervisor reports what a drained campaign contained.
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"time"
-)
+import "time"
 
 // CheckpointInfo is the campaign shape embedded in a checkpoint
 // artifact's config section. Everything a resumed run pins from the
@@ -17,9 +12,6 @@ import (
 // fast on a mismatch instead of silently continuing with different
 // parameters than it asked for.
 type CheckpointInfo struct {
-	// Version is the artifact format version (the digits in the magic):
-	// 2 for current artifacts, 1 for pre-simulator-state ones.
-	Version        int
 	Shards         int
 	Batch          int
 	Proto          uint8
@@ -42,84 +34,26 @@ type CheckpointInfo struct {
 }
 
 // InspectCheckpoint decodes an artifact's config section without
-// reconstructing the campaign. It performs the same structural
-// validation as Resume — magic, section framing, per-section CRC, one
+// reconstructing the campaign. It reads the artifact through the same
+// readSections as Resume — magic, section framing, per-section CRC, one
 // shard section per configured shard — so an artifact that inspects
 // cleanly will also decode (shard payloads themselves are only
 // CRC-verified here, not parsed).
 func InspectCheckpoint(artifact []byte) (CheckpointInfo, error) {
-	var info CheckpointInfo
-	version, rest, err := checkpointVersion(artifact)
+	sec, err := readSections(artifact)
 	if err != nil {
-		return info, err
+		return CheckpointInfo{}, err
 	}
-	info.Version = version
-	var (
-		cfg    CampaignConfig
-		state  resumeState
-		gotCfg bool
-		shards int
-	)
-	for len(rest) > 0 {
-		if len(rest) < 9 {
-			return info, fmt.Errorf("%w: truncated section header", ErrCheckpoint)
+	cfg, targets, epoch := &sec.cfg, len(sec.cfg.Targets), sec.epoch
+	info := CheckpointInfo{Progress: sec.hasProg}
+	if sec.adaptive != nil {
+		st, _, err := decodeAdaptive(sec.adaptive)
+		if err != nil {
+			return CheckpointInfo{}, err
 		}
-		typ := rest[0]
-		n := binary.LittleEndian.Uint32(rest[1:])
-		sum := binary.LittleEndian.Uint32(rest[5:])
-		rest = rest[9:]
-		if uint64(n) > uint64(len(rest)) {
-			return info, fmt.Errorf("%w: section %d length %d exceeds input", ErrCheckpoint, typ, n)
-		}
-		payload := rest[:n]
-		rest = rest[n:]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return info, fmt.Errorf("%w: section %d: %w", ErrCheckpoint, typ, ErrCheckpointCRC)
-		}
-		switch typ {
-		case sectConfig:
-			if gotCfg {
-				return info, fmt.Errorf("%w: duplicate config section", ErrCheckpoint)
-			}
-			var err error
-			if _, info.Progress, err = decodeConfig(payload, &cfg, &state); err != nil {
-				return info, err
-			}
-			gotCfg = true
-		case sectShard:
-			shards++
-		case sectAdaptive:
-			if gotCfg || shards > 0 || len(rest) > 0 {
-				return info, fmt.Errorf("%w: adaptive section must be the artifact's only section", ErrCheckpoint)
-			}
-			st, err := decodeAdaptive(payload)
-			if err != nil {
-				return info, err
-			}
-			info.Adaptive = true
-			info.AdaptiveEpoch = st.epoch
-			info.Shards = st.cfg.Shards
-			info.Batch = st.cfg.Batch
-			info.Proto = st.cfg.Proto
-			info.Instance = st.cfg.Instance
-			info.MinTTL = st.cfg.MinTTL
-			info.MaxTTL = st.cfg.MaxTTL
-			info.PPS = st.cfg.PPS
-			info.Key = st.cfg.Key
-			info.Targets = len(st.pending)
-			info.Fill = st.cfg.Fill
-			info.RecordPaths = st.cfg.RecordPaths
-			info.Epoch = st.origin
-			return info, nil
-		default:
-			return info, fmt.Errorf("%w: unknown section type %d", ErrCheckpoint, typ)
-		}
-	}
-	if !gotCfg {
-		return info, fmt.Errorf("%w: missing config section", ErrCheckpoint)
-	}
-	if shards != cfg.Shards {
-		return info, fmt.Errorf("%w: %d shard sections for %d shards", ErrCheckpoint, shards, cfg.Shards)
+		cfg, targets, epoch = &st.cfg.CampaignConfig, len(st.pending), st.origin
+		info.Adaptive = true
+		info.AdaptiveEpoch = st.epoch
 	}
 	info.Shards = cfg.Shards
 	info.Batch = cfg.Batch
@@ -129,9 +63,9 @@ func InspectCheckpoint(artifact []byte) (CheckpointInfo, error) {
 	info.MaxTTL = cfg.MaxTTL
 	info.PPS = cfg.PPS
 	info.Key = cfg.Key
-	info.Targets = len(cfg.Targets)
+	info.Targets = targets
 	info.Fill = cfg.Fill
 	info.RecordPaths = cfg.RecordPaths
-	info.Epoch = state.epoch
+	info.Epoch = epoch
 	return info, nil
 }

@@ -58,15 +58,13 @@ type Config struct {
 	// still counts from the connection's current time.
 	PermStart, PermEnd uint64
 	// Batch is the send-batch size: how many probes are built and
-	// handed to the connection per batch call when it supports batching
-	// (probe.BatchConn). Batching changes only how probes are
-	// processed, never the virtual schedule — every probe departs at
-	// the same instant, every reply is drained at the same instant, and
-	// all results are byte-identical at any batch size. Zero selects
-	// DefaultBatch; values below one (and connections without batch
-	// support, and runs using the neighborhood heuristic, whose skip
-	// decisions are taken per probe instant) degrade to one probe per
-	// call.
+	// handed to the connection per SendBatch call. Batching changes only
+	// how probes are processed, never the virtual schedule — every probe
+	// departs at the same instant, every reply is drained at the same
+	// instant, and all results are byte-identical at any batch size.
+	// Zero selects DefaultBatch; values below one mean one probe per
+	// call, and so does the neighborhood heuristic, whose skip decisions
+	// are taken per probe instant.
 	Batch int
 	// Fill enables fill mode: a response from hop h >= MaxTTL triggers
 	// an immediate probe at h+1, up to FillLimit (Section 4.1).
@@ -109,7 +107,7 @@ type Config struct {
 
 	// interruptAt, when nonzero, stops the run the moment the clock
 	// reaches that absolute virtual instant: Run captures its complete
-	// state (ResumeState) and returns ErrInterrupted. Because batched
+	// state (Yarrp6.rs) and returns ErrInterrupted. Because batched
 	// send runs are capped at the instant and early-stop drains never
 	// advance the clock, the interrupt lands exactly there — nothing is
 	// sent at or past it. Campaign sets it for checkpointing.
@@ -195,7 +193,7 @@ type Stats struct {
 
 // ErrInterrupted reports that a run stopped at its interrupt instant or
 // on a cancellation request. The prober's complete state was captured
-// first (ResumeState), so the run can be checkpointed and continued.
+// first, so the run can be checkpointed and continued.
 var ErrInterrupted = errors.New("yarrp6: interrupted")
 
 // retryMax bounds consecutive transient send failures: each failure
@@ -273,14 +271,14 @@ type Yarrp6 struct {
 	cfg   Config
 	codec *probe.Codec
 
-	// bc is the connection's batched fast path, nil when the connection
-	// only implements the single-packet contract.
+	// bc is conn as the batched contract the send loop and the drain
+	// run on; Run sets it, or rejects the connection.
 	bc probe.BatchConn
 
-	pkt  []byte
-	rbuf []byte
+	// pkt holds the fill probes, which go out one at a time.
+	pkt []byte
 
-	// Batched-pipeline state: idx is the permutation index buffer
+	// Send-pipeline state: idx is the permutation index buffer
 	// NextBatch fills, ring backs one pre-built packet per batch slot,
 	// pkts aliases the built packets, and rbatch/rsizes receive drained
 	// replies recvBatch at a time. All are allocated once per Run.
@@ -311,7 +309,8 @@ type Yarrp6 struct {
 	lastNew [256]time.Duration
 
 	// rs is the state captured when a run is interrupted or fails; nil
-	// after a clean completion.
+	// after a clean completion. Campaign serializes it into checkpoint
+	// artifacts and feeds it to shard recovery.
 	rs *shardResume
 }
 
@@ -401,8 +400,8 @@ func (y *Yarrp6) recordSample(at time.Duration) {
 func (y *Yarrp6) stopNow() bool {
 	if y.cfg.pulse != nil {
 		// One heartbeat per stop poll covers every loop at a single
-		// touchpoint: per probe on the serial path, per send run on the
-		// batched path, per iteration in the drain tail.
+		// touchpoint: per send run while probing, per iteration in the
+		// drain tail.
 		y.cfg.pulse.Add(1)
 	}
 	if y.cfg.interruptAt > 0 && y.conn.Now() >= y.cfg.interruptAt {
@@ -447,11 +446,6 @@ func (y *Yarrp6) capture(cursor uint64, nextCurve int64, drainDeadline time.Dura
 	y.rs = rs
 }
 
-// ResumeState returns the state captured by an interrupted or failed
-// run, nil after a clean completion. Campaign serializes it into
-// checkpoint artifacts and feeds it to shard recovery.
-func (y *Yarrp6) ResumeState() *shardResume { return y.rs }
-
 // maybeSample records a progress sample when the clock has crossed the
 // next threshold. Main-loop clock advances are whole gap multiples and
 // thresholds sit on the same grid, so the crossing lands exactly on the
@@ -468,12 +462,7 @@ func (y *Yarrp6) maybeSample() {
 
 // New creates a prober. The configuration is validated at Run.
 func New(conn probe.Conn, cfg Config) *Yarrp6 {
-	return &Yarrp6{
-		conn: conn,
-		cfg:  cfg,
-		pkt:  make([]byte, 128),
-		rbuf: make([]byte, wire.MinMTU),
-	}
+	return &Yarrp6{conn: conn, cfg: cfg, pkt: make([]byte, 128)}
 }
 
 // initCodec validates configuration and anchors the codec epoch at the
@@ -511,24 +500,23 @@ func tmplCacheSize(n int) int {
 	return size
 }
 
-// buildProbe constructs the wire packet for (target, ttl) into buf.
-func (y *Yarrp6) buildProbe(buf []byte, target netip.Addr, ttl uint8) int {
-	return y.codec.BuildProbe(buf, target, ttl)
-}
-
 // Run executes the campaign, folding every recovered reply into store.
 //
-// The inner loop is batched: permutation indices are drawn Batch at a
-// time, the probes for a batch are pre-built into a packet ring — each
-// stamped for its own departure instant — and the whole batch is handed
-// to the connection in one BatchConn.SendBatch call, which paces the
-// packets internally and stops early the moment a reply becomes
-// deliverable so the drain happens at exactly the instant a per-probe
-// loop would have drained. Batching therefore changes dispatch counts
-// only; the virtual schedule — send times, drain times, fill times,
-// curve samples — is identical at every batch size, and identical to
-// the historical one-probe-per-iteration loop.
+// There is one send loop, and it is batched: permutation indices are
+// drawn Batch at a time, the probes for a batch are pre-built into a
+// packet ring — each stamped for its own departure instant — and the
+// whole batch is handed to the connection in one BatchConn.SendBatch
+// call, which paces the packets internally and stops early the moment a
+// reply becomes deliverable so the drain happens at exactly the instant
+// a per-probe loop would drain. Batching therefore changes dispatch
+// counts only; the virtual schedule — send times, drain times, fill
+// times, curve samples — is identical at every batch size, one included.
+// The connection must implement probe.BatchConn.
 func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
+	var ok bool
+	if y.bc, ok = y.conn.(probe.BatchConn); !ok {
+		return Stats{}, fmt.Errorf("yarrp6: connection %T does not implement probe.BatchConn", y.conn)
+	}
 	if err := y.initCodec(); err != nil {
 		return Stats{}, err
 	}
@@ -599,21 +587,13 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 				ck.InjectReply(pr.at, pr.data)
 			}
 		}
-		// Restore the rate-limiter state captured at the interrupt, or —
-		// for artifacts predating the sim-state blob — reconstruct it by
-		// replaying the serial schedule up to the captured cursor. A live
-		// continuation needs neither: the connection still holds both.
-		restored := rs.live
-		if !restored && len(rs.simState) > 0 {
-			if sk, ok := y.conn.(probe.SimStateCheckpointer); ok {
-				if err := sk.ImportSimState(rs.simState); err != nil {
-					return Stats{}, fmt.Errorf("yarrp6: sim state: %w", err)
-				}
-				restored = true
+		// Restore the rate-limiter state captured at the interrupt. A
+		// live continuation needs neither restore: the connection still
+		// holds both.
+		if sk, ok := y.conn.(probe.SimStateCheckpointer); ok && !rs.live && len(rs.simState) > 0 {
+			if err := sk.ImportSimState(rs.simState); err != nil {
+				return Stats{}, fmt.Errorf("yarrp6: sim state: %w", err)
 			}
-		}
-		if !restored {
-			y.primeBuckets(p, rs.cursor, rs.epoch-time.Duration(start)*gap, gap)
 		}
 	} else if start > 0 && !cfg.primed {
 		// Window-sliced run (campaign shard or recovery prober): advance
@@ -628,27 +608,16 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 		y.primeBuckets(p, start, y.conn.Now()-time.Duration(start)*gap, gap)
 	}
 
-	y.bc, _ = y.conn.(probe.BatchConn)
-	if y.bc != nil {
-		// Batched sends may defer shared-counter updates; publish exact
-		// totals on every exit path so post-run readers see them.
-		defer y.bc.FlushStats()
-	}
+	// Batched sends may defer shared-counter updates; publish exact
+	// totals on every exit path so post-run readers see them.
+	defer y.bc.FlushStats()
 	batch := cfg.Batch
-	if y.bc == nil || cfg.NeighborhoodWindow > 0 {
-		// The fallback shim sends one packet per call anyway, and the
-		// neighborhood heuristic's skip decision must be taken at each
-		// probe's own instant against drain-fresh state.
+	if cfg.NeighborhoodWindow > 0 {
+		// The neighborhood heuristic's skip decision must be taken at
+		// each probe's own instant against drain-fresh state.
 		batch = 1
 	}
-
-	it := p.Resume(iterStart)
-	if batch > 1 {
-		err = y.runBatched(store, it, end, gap, batch, curveStep, &nextCurve)
-	} else {
-		err = y.runSerial(store, it, end, gap, curveStep, &nextCurve)
-	}
-	if err != nil {
+	if err := y.runBatched(store, p.Resume(iterStart), end, gap, batch, curveStep, &nextCurve); err != nil {
 		return y.stats, err
 	}
 	if y.prog != nil {
@@ -662,9 +631,9 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	// schedule on the same virtual instants a longer-running prober
 	// would drain at, so a campaign shard processes its tail replies —
 	// and sends any fill probes they trigger — at exactly the times the
-	// unsharded prober would have. Batch-capable connections expose the
-	// delivery queue, so stretches of virtual time where nothing can
-	// arrive are crossed in one sleep: the clock lands on the same
+	// unsharded prober would have. The connection exposes its delivery
+	// queue, so stretches of virtual time where nothing can arrive are
+	// crossed in one sleep: the clock lands on the same
 	// gap-multiple instants, and every reply is still processed at the
 	// first such instant at or past its delivery time — the stepped
 	// loop's schedule exactly, minus the empty iterations.
@@ -689,7 +658,7 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 			return y.stats, ErrInterrupted
 		}
 		steps := int64(1)
-		if y.bc != nil && gap > 0 {
+		if gap > 0 {
 			kmax := int64((deadline - now + gap - 1) / gap)
 			if at, ok := y.bc.NextDeliveryAt(); !ok {
 				steps = kmax
@@ -726,67 +695,17 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 }
 
 // primeBuckets is the per-prober fallback replay of the serial schedule
-// prefix [0, hi): recovery probers, direct windowed Run calls, shards
-// whose snapshot import failed, and resumes from artifacts without a
-// sim-state blob. Connections without prime support (live sockets) skip
-// it — a real network carries its own history.
+// prefix [0, hi): recovery probers, direct windowed Run calls, and
+// shards whose snapshot import failed. Connections without prime support
+// (live sockets) skip it — a real network carries its own history.
 func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base, gap time.Duration) {
 	if pr, ok := y.conn.(probe.Primer); ok && hi > 0 {
 		replayPrefix(pr, p, y.codec, &y.cfg, hi, base, gap, y.cfg.pulse, nil, nil)
 	}
 }
 
-// runSerial is the one-probe-per-iteration loop: the path for
-// connections without batch support and for the neighborhood heuristic.
-func (y *Yarrp6) runSerial(store *probe.Store, it *perm.Iterator, end uint64, gap time.Duration, curveStep int64, nextCurve *int64) error {
-	cfg := &y.cfg
-	nt := uint64(len(cfg.Targets))
-	retries := 0
-	for it.Pos() < end {
-		if y.stopNow() {
-			y.capture(it.Pos(), *nextCurve, 0)
-			return ErrInterrupted
-		}
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		target := cfg.Targets[v%nt]
-		ttl := cfg.MinTTL + uint8(v/nt)
-		if y.skipByNeighborhood(ttl) {
-			y.stats.Skipped++
-			continue
-		}
-		for {
-			err := y.sendProbe(target, ttl)
-			if err == nil {
-				retries = 0
-				break
-			}
-			if !probe.IsTransient(err) || retries >= retryMax {
-				y.capture(it.Pos()-1, *nextCurve, 0)
-				return err
-			}
-			// Transient send failure: back off one slot and rebuild at
-			// the new instant (sendProbe stamps at build time).
-			retries++
-			y.stats.Retries++
-			y.conn.Sleep(gap)
-		}
-		y.conn.Sleep(gap)
-		// Empty-queue fast path: when the connection can report that
-		// nothing is queued, the drain costs one predicted branch
-		// instead of a Recv dispatch and heap check.
-		if y.bc == nil || y.bc.Pending() > 0 {
-			y.drainAll(store)
-		}
-		y.recordCurve(store, nextCurve, curveStep)
-		y.maybeSample()
-	}
-	return nil
-}
-
-// runBatched is the batched inner loop over a batch-capable connection.
+// runBatched is the send loop — the only one: it walks the permutation
+// window [it.Pos(), end), batch probes per SendBatch call.
 func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, gap time.Duration, batch int, curveStep int64, nextCurve *int64) error {
 	cfg := &y.cfg
 	if len(y.idx) < batch {
@@ -810,20 +729,19 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 		if n == 0 {
 			break
 		}
+		if y.skipByNeighborhood(cfg.MinTTL + uint8(y.idx[0]/nt)) {
+			// Under the heuristic the batch is this one probe (Run pins
+			// batch = 1): the skipped index consumes no send slot and the
+			// clock stays where it is.
+			y.stats.Skipped++
+			continue
+		}
 		// Pre-build the batch, each packet stamped for its own
 		// departure instant. The clock advances by exactly gap per
 		// send — and early-stop drains do not advance it — so the
 		// predicted instants equal the actual ones and the wire bytes
 		// match a build-at-send exactly.
-		t0 := y.conn.Now()
-		for i := 0; i < n; i++ {
-			v := y.idx[i]
-			target := cfg.Targets[v%nt]
-			ttl := cfg.MinTTL + uint8(v/nt)
-			off := i * probeStride
-			m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], target, ttl, t0+time.Duration(i)*gap)
-			y.pkts[i] = y.ring[off : off+m]
-		}
+		y.buildBatch(0, n, y.conn.Now(), gap)
 		sent := 0
 		for sent < n {
 			if sent > 0 && y.stopNow() {
@@ -835,17 +753,16 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			}
 			lim := n
 			// Cap each send run at the next curve threshold so the
-			// sample is taken at exactly the probe count the serial
-			// loop would have sampled it at (within a run the counter
-			// advances by one per probe — drains, and with them fills,
-			// only happen between runs).
+			// sample is taken at exactly that probe count at every batch
+			// size (within a run the counter advances by one per probe —
+			// drains, and with them fills, only happen between runs).
 			if toCurve := *nextCurve - y.stats.ProbesSent; int64(lim-sent) > toCurve {
 				lim = sent + int(toCurve)
 			}
 			// Cap likewise at the next progress threshold: the clock is
 			// gap-aligned here and thresholds sit on the grid, so the run
 			// ends exactly on the threshold instant and the sample reads
-			// the same counters the serial loop would have sampled.
+			// the same counters at every batch size.
 			if y.prog != nil && gap > 0 {
 				if rem := int64((y.nextSample - y.conn.Now()) / gap); rem < int64(lim-sent) {
 					lim = sent + int(rem)
@@ -855,7 +772,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			// it, so the interrupted prefix of the schedule matches the
 			// uninterrupted run exactly. An off-grid instant caps the
 			// run mid-slot; the loop-top check then captures before the
-			// next send, which is the same cut a serial loop would make.
+			// next send.
 			if y.cfg.interruptAt > 0 && gap > 0 {
 				if rem := int64((y.cfg.interruptAt - y.conn.Now()) / gap); rem < int64(lim-sent) {
 					if rem < 0 {
@@ -889,23 +806,11 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 				retries++
 				y.stats.Retries++
 				y.conn.Sleep(gap)
-				t := y.conn.Now()
-				for i := sent; i < n; i++ {
-					v := y.idx[i]
-					target := cfg.Targets[v%nt]
-					ttl := cfg.MinTTL + uint8(v/nt)
-					off := i * probeStride
-					w := y.codec.BuildProbeAt(y.ring[off:off+probeStride], target, ttl, t+time.Duration(i-sent)*gap)
-					y.pkts[i] = y.ring[off : off+w]
-				}
-				if y.bc.Pending() > 0 {
-					y.drainAll(store)
-				}
-				y.recordCurve(store, nextCurve, curveStep)
-				y.maybeSample()
-				continue
+				y.buildBatch(sent, n, y.conn.Now(), gap)
+				deliverable = true
+			} else {
+				retries = 0
 			}
-			retries = 0
 			if deliverable {
 				y.drainAll(store)
 			}
@@ -914,6 +819,20 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 		}
 	}
 	return nil
+}
+
+// buildBatch builds the probes for the drawn indices idx[from:n] into
+// their ring slots, the first stamped for departure at t0 and each
+// following one a gap later.
+func (y *Yarrp6) buildBatch(from, n int, t0, gap time.Duration) {
+	cfg := &y.cfg
+	nt := uint64(len(cfg.Targets))
+	for i := from; i < n; i++ {
+		v := y.idx[i]
+		off := i * probeStride
+		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], cfg.Targets[v%nt], cfg.MinTTL+uint8(v/nt), t0+time.Duration(i-from)*gap)
+		y.pkts[i] = y.ring[off : off+m]
+	}
 }
 
 // recordCurve appends a discovery-curve sample when the probe counter
@@ -941,7 +860,7 @@ func (y *Yarrp6) skipByNeighborhood(ttl uint8) bool {
 }
 
 func (y *Yarrp6) sendProbe(target netip.Addr, ttl uint8) error {
-	n := y.buildProbe(y.pkt, target, ttl)
+	n := y.codec.BuildProbe(y.pkt, target, ttl)
 	if err := y.conn.Send(y.pkt[:n]); err != nil {
 		return err
 	}
@@ -949,38 +868,25 @@ func (y *Yarrp6) sendProbe(target netip.Addr, ttl uint8) error {
 	return nil
 }
 
-// drainAll processes every deliverable reply, recvBatch at a time on
-// batch-capable connections. Replies come out in delivery order either
-// way, and fills triggered while processing schedule strictly future
-// deliveries, so the batched drain folds exactly what the per-reply
-// Recv loop would have folded.
+// drainAll processes every deliverable reply, recvBatch at a time.
+// Replies come out in delivery order, and fills triggered while
+// processing schedule strictly future deliveries, so one pass folds
+// everything that is due.
 func (y *Yarrp6) drainAll(store *probe.Store) {
-	if y.bc != nil {
-		if y.rsizes == nil {
-			y.rbatch = make([]byte, recvBatch*wire.MinMTU)
-			y.rsizes = make([]int, recvBatch)
-		}
-		for {
-			n := y.bc.RecvBatch(y.rbatch, y.rsizes)
-			if n == 0 {
-				return
-			}
-			off := 0
-			for i := 0; i < n; i++ {
-				y.handleReply(y.rbatch[off:off+y.rsizes[i]], store)
-				off += y.rsizes[i]
-			}
-			if n < len(y.rsizes) {
-				return
-			}
-		}
+	if y.rsizes == nil {
+		y.rbatch = make([]byte, recvBatch*wire.MinMTU)
+		y.rsizes = make([]int, recvBatch)
 	}
 	for {
-		n, ok := y.conn.Recv(y.rbuf)
-		if !ok {
+		n := y.bc.RecvBatch(y.rbatch, y.rsizes)
+		off := 0
+		for i := 0; i < n; i++ {
+			y.handleReply(y.rbatch[off:off+y.rsizes[i]], store)
+			off += y.rsizes[i]
+		}
+		if n < len(y.rsizes) {
 			return
 		}
-		y.handleReply(y.rbuf[:n], store)
 	}
 }
 

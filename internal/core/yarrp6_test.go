@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,7 +53,7 @@ func TestProbeChecksumConstantPerTarget(t *testing.T) {
 		for ttl := uint8(1); ttl <= 16; ttl++ {
 			v.Sleep(3 * time.Millisecond) // timestamps differ probe to probe
 			buf := make([]byte, 128)
-			n := y.buildProbe(buf, target, ttl)
+			n := y.codec.BuildProbe(buf, target, ttl)
 			var d wire.Decoded
 			if err := d.Decode(buf[:n]); err != nil {
 				t.Fatal(err)
@@ -96,7 +97,7 @@ func TestProbeChecksumConstantQuick(t *testing.T) {
 		ttl := ttlRaw%32 + 1
 		v.Sleep(time.Duration(dt) * time.Microsecond)
 		buf := make([]byte, 128)
-		n := y.buildProbe(buf, target, ttl)
+		n := y.codec.BuildProbe(buf, target, ttl)
 		var d wire.Decoded
 		if d.Decode(buf[:n]) != nil {
 			return false
@@ -273,13 +274,10 @@ func TestForeignRepliesIgnored(t *testing.T) {
 
 func TestNeighborhoodSkipsStableTTLs(t *testing.T) {
 	u, v := testVantage(t, 9)
-	targets := gatewayTargets(u, 200, 9)
+	cfg := neighborhoodCfg(u)
+	targets := cfg.Targets
 	store := probe.NewStore(false)
-	y := New(v, Config{
-		Targets: targets, PPS: 2000, MaxTTL: 8, Key: 2,
-		NeighborhoodWindow: 200 * time.Millisecond, NeighborhoodTTL: 3,
-	})
-	stats, err := y.Run(store)
+	stats, err := New(v, cfg).Run(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +287,12 @@ func TestNeighborhoodSkipsStableTTLs(t *testing.T) {
 	if stats.ProbesSent+stats.Skipped != int64(len(targets))*8 {
 		t.Errorf("sent %d + skipped %d != domain %d", stats.ProbesSent, stats.Skipped, len(targets)*8)
 	}
-	_ = u
+	// Recorded from the retired one-probe-per-iteration loop; see
+	// serial_pin_test.go.
+	if stats.ProbesSent != 1165 || stats.Skipped != 435 {
+		t.Errorf("sent %d skipped %d, want 1165 and 435", stats.ProbesSent, stats.Skipped)
+	}
+	pinDigest(t, "store", store.AppendBinary(nil), "ff593e494807d551ff27381b32144a0b30186f7e41f69f67e86ba7688f449f3c")
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -307,6 +310,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsPlainConn: the one send loop is batched, so a connection
+// offering only the single-packet contract is a configuration error,
+// reported before the clock moves or anything is sent.
+func TestRunRejectsPlainConn(t *testing.T) {
+	_, v := testVantage(t, 10)
+	plain := struct{ probe.Conn }{v}
+	before := v.Now()
+	_, err := New(plain, Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}}).Run(probe.NewStore(false))
+	if err == nil || !strings.Contains(err.Error(), "probe.BatchConn") {
+		t.Fatalf("plain Conn: got %v, want an error naming probe.BatchConn", err)
+	}
+	if v.Now() != before {
+		t.Fatalf("rejected run advanced the clock to %v", v.Now())
+	}
+}
+
 func BenchmarkBuildProbe(b *testing.B) {
 	_, v := testVantage(b, 11)
 	y := New(v, Config{Targets: []netip.Addr{ipv6.MustAddr("2400:5::1")}})
@@ -318,6 +337,6 @@ func BenchmarkBuildProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y.buildProbe(buf, target, uint8(i%16+1))
+		y.codec.BuildProbe(buf, target, uint8(i%16+1))
 	}
 }

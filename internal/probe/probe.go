@@ -28,11 +28,11 @@ type Conn interface {
 	Sleep(d time.Duration)
 }
 
-// BatchConn is the optional batched extension of Conn (sendmmsg /
-// recvmmsg shaped). netsim.Vantage implements it; a raw-socket
-// implementation would map SendBatch to sendmmsg and RecvBatch to
-// recvmmsg. Probers must not require it — the SendBatch helper degrades
-// to the single-packet Conn contract for connections that lack it.
+// BatchConn is the batched extension of Conn (sendmmsg / recvmmsg
+// shaped). netsim.Vantage implements it; a raw-socket implementation
+// would map SendBatch to sendmmsg and RecvBatch to recvmmsg. Yarrp6
+// requires it — its one send loop is batched; the baseline probers and
+// alias detection use the single-packet Conn contract alone.
 type BatchConn interface {
 	Conn
 	// SendBatch transmits pkts in order, advancing the clock by gap
@@ -47,10 +47,6 @@ type BatchConn interface {
 	// time — at most len(sizes) of them — back-to-back into buf,
 	// recording each reply's length in sizes, and returns the count.
 	RecvBatch(buf []byte, sizes []int) int
-	// Pending reports how many replies are queued (deliverable now or
-	// still in flight). A zero return makes draining a no-op, which is
-	// the prober's empty-queue fast path.
-	Pending() int
 	// NextDeliveryAt returns the earliest queued reply's delivery time;
 	// ok is false when nothing is queued at all.
 	NextDeliveryAt() (at time.Duration, ok bool)
@@ -148,26 +144,6 @@ func unwrap(err error) error {
 		return u.Unwrap()
 	}
 	return nil
-}
-
-// SendBatch sends pkts through c with inter-packet gap pacing: a
-// batch-capable connection processes the whole batch in one call, and
-// any other Conn falls back to a single packet per call (the shim that
-// keeps existing connections working — deliverable is then reported
-// true so the caller drains after every packet, which is precisely the
-// serial schedule).
-func SendBatch(c Conn, pkts [][]byte, gap time.Duration) (sent int, deliverable bool, err error) {
-	if bc, ok := c.(BatchConn); ok {
-		return bc.SendBatch(pkts, gap)
-	}
-	if len(pkts) == 0 {
-		return 0, false, nil
-	}
-	if err := c.Send(pkts[0]); err != nil {
-		return 0, false, err
-	}
-	c.Sleep(gap)
-	return 1, true, nil
 }
 
 // ReplyKind classifies a parsed response.

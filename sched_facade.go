@@ -240,12 +240,10 @@ func (s *Scheduler) open(spec *sched.CampaignSpec) (core.ConnFactory, error) {
 // ErrRateBudget, ErrDraining, ErrDuplicate, ErrBreakerOpen) or an
 // artifact-validation error for an unusable Resume artifact.
 func (s *Scheduler) Submit(v *Vantage, targets []netip.Addr, opt SubmitOptions) (*CampaignHandle, error) {
-	proto, err := transportProto(opt.Transport)
+	yo := YarrpOptions{Rate: opt.Rate, MaxTTL: opt.MaxTTL, Transport: opt.Transport, Fill: opt.Fill, Key: opt.Key, Batch: opt.Batch}
+	cfg, err := yo.coreConfig(targets)
 	if err != nil {
 		return nil, err
-	}
-	if opt.MaxTTL < 0 || opt.MaxTTL > 255 {
-		return nil, fmt.Errorf("beholder: MaxTTL %d out of range", opt.MaxTTL)
 	}
 	s.mu.Lock()
 	s.vantages[v.v.Name()] = v.v
@@ -254,14 +252,14 @@ func (s *Scheduler) Submit(v *Vantage, targets []netip.Addr, opt SubmitOptions) 
 		Tenant:   opt.Tenant,
 		Name:     opt.Name,
 		Vantage:  v.v.Name(),
-		Targets:  targets,
-		Rate:     opt.Rate,
-		MaxTTL:   uint8(opt.MaxTTL),
-		Proto:    proto,
-		Fill:     opt.Fill,
-		Key:      opt.Key,
+		Targets:  cfg.Targets,
+		Rate:     cfg.PPS,
+		MaxTTL:   cfg.MaxTTL,
+		Proto:    cfg.Proto,
+		Fill:     cfg.Fill,
+		Key:      cfg.Key,
 		Shards:   opt.Shards,
-		Batch:    opt.Batch,
+		Batch:    cfg.Batch,
 		Deadline: opt.Deadline,
 		Stream:   opt.Stream,
 		Resume:   opt.Resume,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"beholder/internal/testutil"
@@ -110,5 +111,77 @@ func TestFacadeScheduler(t *testing.T) {
 	}
 	if n, ok := reg.Snapshot().Counter("sched_completed_total"); !ok || n != 2 {
 		t.Fatalf("sched_completed_total = %d (%v)", n, ok)
+	}
+}
+
+// TestMaxTTLRangeEverywhere: the three entry points that turn facade
+// options into an engine configuration — RunYarrp6, adaptive RunYarrp6,
+// Scheduler.Submit — share one mapping, so an out-of-range MaxTTL gets
+// the same verdict from each instead of being truncated to a uint8 by
+// some (300 used to probe to TTL 44, -1 to 255).
+func TestMaxTTLRangeEverywhere(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	in := NewSmallInternet(11)
+	all, err := in.TargetSet("caida", 64, "lowbyte1", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := all[:4]
+	sch, err := in.NewScheduler(SchedulerOptions{Tenants: []Tenant{{Name: "alice"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sch.Drain(context.Background())
+
+	// probesPerTarget is how deep an accepted value must probe (zero
+	// selects the default of 16); 0 marks a value that must be rejected.
+	for _, tc := range []struct{ maxTTL, probesPerTarget int }{
+		{-1, 0}, {0, 16}, {16, 16}, {255, 255}, {256, 0}, {300, 0},
+	} {
+		name := fmt.Sprintf("ttl-%d", tc.maxTTL)
+		entries := map[string]func() (int64, error){
+			"RunYarrp6": func() (int64, error) {
+				res, err := in.NewVantage(name).RunYarrp6(targets, YarrpOptions{Rate: 4000, MaxTTL: tc.maxTTL, Key: 1})
+				if err != nil {
+					return 0, err
+				}
+				return res.ProbesSent / int64(len(targets)), nil
+			},
+			"adaptive": func() (int64, error) {
+				res, err := in.NewVantage(name+"-a").RunYarrp6(targets, YarrpOptions{Rate: 4000, MaxTTL: tc.maxTTL, Key: 1,
+					Adaptive: &AdaptiveOptions{EpochTargets: 4, MaxEpochs: 1, AliasMinHits: -1}})
+				if err != nil {
+					return 0, err
+				}
+				return res.ProbesSent / int64(res.Epochs[0].Targets), nil
+			},
+			"Submit": func() (int64, error) {
+				h, err := sch.Submit(in.NewVantage(name+"-s"), targets, SubmitOptions{
+					Tenant: "alice", Name: name, Rate: 4000, MaxTTL: tc.maxTTL, Key: 1})
+				if err != nil {
+					return 0, err
+				}
+				res, err := h.Wait(context.Background())
+				if err != nil {
+					return 0, err
+				}
+				return res.Stats.ProbesSent / int64(len(targets)), nil
+			},
+		}
+		for entry, run := range entries {
+			probes, err := run()
+			if tc.probesPerTarget == 0 {
+				want := fmt.Sprintf("beholder: MaxTTL %d out of range", tc.maxTTL)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s MaxTTL %d: got (%d probes, %v), want error %q", entry, tc.maxTTL, probes, err, want)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s MaxTTL %d: %v", entry, tc.maxTTL, err)
+			} else if probes != int64(tc.probesPerTarget) {
+				t.Errorf("%s MaxTTL %d: %d probes per target, want %d", entry, tc.maxTTL, probes, tc.probesPerTarget)
+			}
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"beholder/internal/core"
+	"beholder/internal/gen6prob"
 	"beholder/internal/netsim"
 	"beholder/internal/probe"
 	"beholder/internal/wire"
@@ -94,25 +95,28 @@ func main() {
 	write(pe, "seed-tcp", bs([]byte{0x3f, 0xfe}), by(255), by(2), by(63))
 
 	// core: FuzzCheckpointDecode — a real interrupted-campaign artifact,
-	// a truncation, and a CRC flip.
-	art := checkpointArtifact()
+	// a truncation, a CRC flip, and an adaptive artifact cut mid-epoch
+	// (so it embeds an inner campaign artifact).
+	art, adaptive := checkpointArtifacts()
 	cd := "internal/core/testdata/fuzz/FuzzCheckpointDecode"
 	write(cd, "seed-valid", bs(art))
 	write(cd, "seed-truncated", bs(art[:len(art)*2/3]))
 	flipped := append([]byte(nil), art...)
 	flipped[len(flipped)/2] ^= 0x04
 	write(cd, "seed-crc-flip", bs(flipped))
+	write(cd, "seed-adaptive", bs(adaptive))
 
 	fmt.Println("corpus written")
 }
 
-// checkpointArtifact interrupts a small deterministic netsim campaign
-// and serializes its checkpoint.
-func checkpointArtifact() []byte {
+// checkpointArtifacts interrupts a small deterministic netsim campaign,
+// static and adaptive, and serializes each one's checkpoint.
+func checkpointArtifacts() (static, adaptive []byte) {
 	cfg := netsim.TestConfig(77)
 	cfg.AggressivePercent = 0
 	u := netsim.NewUniverse(cfg)
 	v := u.NewVantage(netsim.VantageSpec{Name: "US-EDU-1", Kind: netsim.KindUniversity, ChainLen: 4})
+	clone := func(_ int, start time.Duration) probe.Conn { return v.Clone(start) }
 
 	rng := rand.New(rand.NewSource(77))
 	var targets []netip.Addr
@@ -126,19 +130,35 @@ func checkpointArtifact() []byte {
 		targets = append(targets, u.GatewayAddr(lan, as))
 	}
 
-	camp := core.NewCampaign(core.CampaignConfig{
+	ccfg := core.CampaignConfig{
 		Config:      core.Config{Targets: targets, PPS: 500, MaxTTL: 12, Key: 11, Fill: true},
 		Shards:      2,
 		RecordPaths: true,
 		Progress:    &core.ProgressConfig{},
 		InterruptAt: 120 * time.Millisecond,
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
+	}
+	camp := core.NewCampaign(ccfg, clone)
 	if _, _, err := camp.Run(); !errors.Is(err, core.ErrInterrupted) {
 		panic(fmt.Sprintf("gencorpus checkpoint campaign: %v", err))
 	}
-	art, err := camp.Checkpoint()
+	static, err := camp.Checkpoint()
 	if err != nil {
 		panic(err)
 	}
-	return art
+
+	// The same tuning, the targets now the generator's seed observations.
+	ccfg.Targets, ccfg.Progress = nil, nil
+	ad := core.NewAdaptive(core.AdaptiveConfig{
+		CampaignConfig: ccfg,
+		Source:         gen6prob.New(targets, gen6prob.Config{Key: 11}),
+		EpochTargets:   8,
+		MaxEpochs:      3,
+	}, clone)
+	if _, _, err := ad.Run(); !errors.Is(err, core.ErrInterrupted) {
+		panic(fmt.Sprintf("gencorpus adaptive campaign: %v", err))
+	}
+	if adaptive, err = ad.Checkpoint(); err != nil {
+		panic(err)
+	}
+	return static, adaptive
 }
