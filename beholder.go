@@ -210,20 +210,22 @@ func (v *Vantage) Addr() netip.Addr { return v.v.LocalAddr() }
 // Conn exposes the vantage as a probe connection for direct prober use.
 func (v *Vantage) Conn() probe.Conn { return v.v }
 
-// SetPlanCache resizes this vantage's flow-plan cache (entries <= 0
-// disables it). The cache memoizes the simulator's per-flow path plans —
-// pure functions of the universe seed and flow identity — so results are
-// byte-identical at any setting; the knob trades memory for probing
-// speed. See DESIGN.md "The packet fast path".
+// SetPlanCache gives this vantage a private flow-plan table of a fixed
+// number of slots in place of the self-sizing one its identity shares
+// (entries <= 0: no table at all). The table keeps the simulator's
+// per-flow path plans — pure functions of the universe seed, vantage
+// identity and flow — so results are byte-identical at any setting; the
+// knob trades memory for probing speed. See DESIGN.md "The packet fast
+// path".
 func (v *Vantage) SetPlanCache(entries int) { v.v.SetPlanCache(entries) }
 
-// PlanCacheStats returns the vantage's flow-plan cache hit/miss counters.
+// PlanCacheStats returns the vantage's flow-plan table hit/miss counters.
 func (v *Vantage) PlanCacheStats() (hits, misses int64) {
 	return v.v.Stats.PlanHits, v.v.Stats.PlanMisses
 }
 
-// PlanCacheEvictions returns how many plan-cache misses displaced a
-// different flow's entry from its direct-mapped slot — the conflict-miss
+// PlanCacheEvictions returns how many plan-table misses displaced a
+// different flow's core because its probe window was full — the conflict
 // share of the miss counter.
 func (v *Vantage) PlanCacheEvictions() int64 { return v.v.Stats.PlanEvictions }
 
@@ -393,12 +395,21 @@ type Result struct {
 	// probers of a crashed shard); nil for single-instance runs.
 	ShardStats []core.Stats
 	// PlanHits, PlanMisses, PlanEvictions and SharedPlanHits are the
-	// flow-plan cache counters accumulated by this run alone (summed
-	// across shard clones for sharded campaigns).
+	// flow-plan table counters accumulated by this run alone (summed
+	// across shard clones for sharded campaigns). SharedPlanHits is the
+	// part of PlanHits served by a core another vantage published — a
+	// sibling shard, or an earlier vantage of the same identity.
 	PlanHits       int64
 	PlanMisses     int64
 	PlanEvictions  int64
 	SharedPlanHits int64
+	// PlanTableSlots and PlanTableCores describe the vantage's plan
+	// table as the run left it — slot count, and slots holding a plan —
+	// and PlanTableGrowths counts the times it rebuilt itself larger
+	// during the run.
+	PlanTableSlots   int
+	PlanTableCores   int
+	PlanTableGrowths int64
 	// Progress is the campaign's virtual-time progress series, present
 	// when YarrpOptions.Progress or Telemetry was set.
 	Progress []ProgressPoint
@@ -522,6 +533,8 @@ type campaignRun struct {
 	opt       *YarrpOptions
 	vsBefore  netsim.VantageStats
 	simBefore netsim.SimStats
+	// growthsBefore is the plan table's rebuild count when the run began.
+	growthsBefore int64
 	// epoch is the absolute virtual instant shard clones open relative
 	// to: the vantage's own timeline for a fresh run, the artifact's
 	// original epoch for a resumed one — clones must reopen at the
@@ -533,6 +546,7 @@ type campaignRun struct {
 
 func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
 	r := &campaignRun{v: v, opt: opt, vsBefore: v.v.Stats, epoch: v.clk, own: own}
+	_, _, r.growthsBefore = v.v.PlanTableStats()
 	if opt.Telemetry != nil {
 		r.simBefore = v.in.u.StatsSnapshot()
 	}
@@ -543,8 +557,8 @@ func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
 }
 
 // connOf is the run's core.ConnFactory. A lone shard owns the whole
-// window; probing on the vantage's own connection keeps the plan cache
-// (and its counters) where it can serve the vantage's next run. Every
+// window; probing on the vantage's own connection keeps the routers it
+// materialized (and the plan counters) with the vantage. Every
 // other run probes on clones of the vantage, each opened at its window's
 // offset from the run's epoch.
 func (r *campaignRun) connOf(_ int, start time.Duration) probe.Conn {
@@ -578,7 +592,7 @@ func (r *campaignRun) finish(runErr error, elapsed time.Duration, result func() 
 		v.clk = r.epoch + elapsed
 	}
 	res := result()
-	res.setPlanStats(v, r.vsBefore, r.clones)
+	res.setPlanStats(v, r.vsBefore, r.growthsBefore, r.clones)
 	if reg := r.opt.Telemetry; reg != nil {
 		v.publishRunTelemetry(reg, r.simBefore, res)
 		res.Telemetry = reg.Snapshot()
@@ -782,7 +796,7 @@ func (v *Vantage) resumeAdaptive(artifact []byte, opt YarrpOptions) (*Result, er
 // adaptiveAliasHook builds the between-epoch alias-detection hook:
 // candidate /64s whose targets all answered are probed with the APD
 // scheme on a private boundary clone. The clone owns its clock, token
-// buckets, and plan cache, so the verdicts are a pure function of
+// buckets and runs without a plan table, so the verdicts are a pure function of
 // (universe seed, epoch, candidates) — deterministic at any shard count
 // — and the campaign schedule is undisturbed. A negative minHits
 // disables detection.
@@ -806,11 +820,12 @@ func (v *Vantage) adaptiveAliasHook(minHits int) func(int, *probe.Store) []netip
 	}
 }
 
-// setPlanStats fills the result's flow-plan cache counters: the parent
+// setPlanStats fills the result's flow-plan table counters — the parent
 // vantage's delta over the run plus, for sharded campaigns, the shard
 // clones' whole-life counters (clones are born zeroed and die with the
-// run).
-func (r *Result) setPlanStats(v *Vantage, before netsim.VantageStats, clones []*netsim.Vantage) {
+// run) — and the table's shape at run end, with its rebuilds since
+// growthsBefore.
+func (r *Result) setPlanStats(v *Vantage, before netsim.VantageStats, growthsBefore int64, clones []*netsim.Vantage) {
 	after := v.v.Stats
 	r.PlanHits = after.PlanHits - before.PlanHits
 	r.PlanMisses = after.PlanMisses - before.PlanMisses
@@ -822,6 +837,8 @@ func (r *Result) setPlanStats(v *Vantage, before netsim.VantageStats, clones []*
 		r.PlanEvictions += c.Stats.PlanEvictions
 		r.SharedPlanHits += c.Stats.SharedPlanHits
 	}
+	r.PlanTableSlots, r.PlanTableCores, r.PlanTableGrowths = v.v.PlanTableStats()
+	r.PlanTableGrowths -= growthsBefore
 }
 
 // publishRunTelemetry folds the facade-level counters of one finished
@@ -850,6 +867,9 @@ func (v *Vantage) publishRunTelemetry(reg *TelemetryRegistry, simBefore netsim.S
 	add("plan_cache_misses_total", res.PlanMisses)
 	add("plan_cache_evictions_total", res.PlanEvictions)
 	add("shared_plan_hits_total", res.SharedPlanHits)
+	reg.Gauge("plan_table_slots").Set(int64(res.PlanTableSlots))
+	reg.Gauge("plan_table_cores").Set(int64(res.PlanTableCores))
+	add("plan_table_growths_total", res.PlanTableGrowths)
 	reg.Gauge("store_unique_interfaces").Set(int64(res.store.NumInterfaces()))
 	reg.Gauge("store_traces").Set(int64(res.store.NumTraces()))
 	if res.graph != nil {
@@ -987,12 +1007,10 @@ func AliasCandidates(targets []netip.Addr) []netip.Prefix {
 // whose random addresses answer are aliased — a middlebox, not hosts.
 func (v *Vantage) DetectAliases(candidates []netip.Prefix, opt AliasOptions) *AliasSet {
 	// APD probes each random address exactly once, so its flows never
-	// repeat and the flow-plan cache cannot hit; run with it disabled to
-	// skip the per-miss cache bookkeeping. Plans are pure functions of
-	// the flow, so this changes no results.
-	prev := v.v.PlanCacheSize()
-	v.v.SetPlanCache(0)
-	defer v.v.SetPlanCache(prev)
+	// repeat and the flow-plan table cannot hit; run without it so the
+	// one-shot flows are neither published nor counted toward its size.
+	// Plans are pure functions of the flow, so this changes no results.
+	defer v.v.SuspendPlanCache()()
 	params := alias.Params{
 		Probes:     opt.Probes,
 		MinReplies: opt.MinReplies,
@@ -1040,6 +1058,7 @@ const FixedIID = target.FixedIIDValue
 // examples and tests.
 func MustAddr(s string) netip.Addr { return ipv6.MustAddr(s) }
 
-// SharedPlanHits returns how many private plan-cache misses were served
-// from the campaign-shared plan-core cache instead of a fresh compute.
+// SharedPlanHits returns how many plan-table hits were served by a core
+// another vantage published (a shard clone, or an earlier vantage of the
+// same identity).
 func (v *Vantage) SharedPlanHits() int64 { return v.v.Stats.SharedPlanHits }

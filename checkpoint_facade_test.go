@@ -115,8 +115,11 @@ func TestFacadeFaultedCampaign(t *testing.T) {
 // TestFacadeSingleShardPin holds a plain 1-shard RunYarrp6 — no
 // telemetry, no progress, no interrupt — to what it produced at the last
 // commit where such a run bypassed the campaign engine and drove a prober
-// directly: store and graph bytes, discovery curve, elapsed time, the
-// plan-cache counters, and where the vantage's clock stands afterwards.
+// directly: store and graph bytes, discovery curve, elapsed time, and
+// where the vantage's clock stands afterwards. The plan counters are the
+// shared plan table's, which replaced that commit's private cache
+// (6988/671/42/15 there): one miss per flow — 632 targets — and nothing
+// evicted or served by another vantage.
 func TestFacadeSingleShardPin(t *testing.T) {
 	in := NewSmallInternet(3)
 	v := in.NewVantage("pin-test")
@@ -147,7 +150,7 @@ func TestFacadeSingleShardPin(t *testing.T) {
 	const want = "store ae760b8b54c31ac5f2378479d5f8788df767476fcbf05419de81ae126a5ca35a" +
 		" graph e19c551a58f8c7d3593e0abce47609889f0315140950202bc8b25222831be8d0" +
 		" curve e7f43270ba415502e8d1dfc480bc76fd587948798cb9405af83f9c0d875c6f48" +
-		" probes 7659 fills 75 replies 5769 elapsed 5792000000 plan 6988/671/42/15" +
+		" probes 7659 fills 75 replies 5769 elapsed 5792000000 plan 7027/632/0/0" +
 		" clock 5792000000/5792000000 shardstats 0"
 	if got != want {
 		t.Fatalf("1-shard run changed:\n got %s\nwant %s", got, want)

@@ -7,6 +7,7 @@ package beholder
 // with -race to cover the concurrent cases.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -173,5 +174,38 @@ func TestSetPlanCacheMidstream(t *testing.T) {
 	}
 	if !second.Store().Equal(want.Store()) {
 		t.Fatal("mid-stream cache resize changed results")
+	}
+}
+
+// TestPlanTableKeyedByAttachment: the universe keeps one plan table per
+// vantage identity, and that identity is everything planning reads from
+// the vantage — name, hosting AS, access-chain length. Two vantages that
+// share only a name (attached elsewhere after a Reset) must not serve
+// each other's access chains and AS paths.
+func TestPlanTableKeyedByAttachment(t *testing.T) {
+	run := func(in *Internet) []byte {
+		targets, err := in.TargetSet("tum", 64, "lowbyte1", 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := in.NewVantageAt("X", "hosting", 2).RunYarrp6(targets, YarrpOptions{Rate: 8000, MaxTTL: 16, Key: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Store().AppendBinary(nil)
+	}
+	want := run(NewSmallInternet(5))
+
+	in := NewSmallInternet(5)
+	targets, err := in.TargetSet("tum", 64, "lowbyte1", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.NewVantageAt("X", "university", 4).RunYarrp6(targets, YarrpOptions{Rate: 8000, MaxTTL: 16, Key: 7}); err != nil {
+		t.Fatal(err)
+	}
+	in.Reset()
+	if got := run(in); !bytes.Equal(got, want) {
+		t.Fatalf("vantage X re-attached at a hosting AS encodes to %d bytes, a fresh Internet's to %d: plans leaked across attachments", len(got), len(want))
 	}
 }

@@ -187,7 +187,6 @@ type Campaign struct {
 	quarantined bool
 	res         *resumeState  // non-nil when built by Resume or Rewind
 	deferred    []*shardState // interrupted run's unmerged shards (DeferMerge)
-	tmpl        *probe.TmplStore
 }
 
 // shardState is one prober's slot in the campaign: its permutation
@@ -245,8 +244,8 @@ func (c *Campaign) observePhase(name string, t0 time.Time) {
 // exactly the bucket levels a serial-then-parallel prime would have
 // given it: its own connection is touched only before its release, the
 // replay is complete up to lo_k before shard k sends, and what the
-// overlapping parties do share — the plan-core cache and the template
-// store — shards already wrote concurrently. The replay rebuilds probes
+// overlapping parties do share — the vantage's plan table — shards
+// already wrote concurrently. The replay rebuilds probes
 // with the campaign's base instance byte and epoch — the serial prober's
 // exact schedule, which is the history being reproduced — is
 // uninterruptible, and pulses the campaign heartbeat so a watchdog never
@@ -286,11 +285,6 @@ func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 	base := last.conn.Now() - time.Duration(last.lo)*c.gap
 	codec := probe.NewCodec(last.conn, cfg.Proto, cfg.Instance)
 	codec.SetEpoch(base)
-	if c.tmpl != nil {
-		codec.UseSharedTemplates(c.tmpl)
-	} else {
-		codec.SetProbeCache(tmplCacheSize(len(cfg.Targets)))
-	}
 	cuts := make([]uint64, len(cands)-1)
 	for i, ss := range cands {
 		ss.ready = make(chan struct{})
@@ -372,7 +366,6 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, rsh *resum
 	scfg := cfg.Config
 	scfg.Instance = instance
 	scfg.PermStart, scfg.PermEnd = lo, hi
-	scfg.sharedTmpl = c.tmpl
 	scfg.stop = &c.stop
 	scfg.pulse = &c.beat
 	switch {
@@ -438,11 +431,12 @@ func (c *Campaign) Epoch() time.Duration { return c.epoch }
 func (c *Campaign) Interrupt() { c.stop.Store(true) }
 
 // Beat returns the campaign's liveness heartbeat: a counter every
-// shard prober bumps each time it polls its stop conditions (per send
-// run while probing, per iteration in the drain tail). A running
-// campaign's Beat advances continuously in wall time; a value that stops
-// moving means every shard is wedged or finished. Safe to read
-// concurrently with the run.
+// shard prober bumps on its first and every 64th poll of its stop
+// conditions (it polls per send run while probing, per iteration in the
+// drain tail), and the prime replay every 1 024 probes. A running
+// campaign's Beat advances many times a second in wall time; a value
+// that stops moving means every shard is wedged or finished. Safe to
+// read concurrently with the run.
 func (c *Campaign) Beat() int64 { return c.beat.Load() }
 
 // Proto returns the campaign's transport protocol — for resumed
@@ -508,15 +502,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 			c.slots = c.domain/128 + 1
 		}
 		c.stepDur = time.Duration(c.slots) * c.gap
-	}
-
-	// One template store for the whole campaign: shard codecs differ
-	// only by instance byte, which templates hold variable, so each
-	// target's probe template is built once instead of once per shard.
-	if c.res != nil && c.res.tmpl != nil {
-		c.tmpl = c.res.tmpl
-	} else if cfg.Shards > 1 {
-		c.tmpl = probe.NewTmplStore(tmplCacheSize(len(cfg.Targets)))
 	}
 
 	// The constructor runs serially: connection construction may mutate

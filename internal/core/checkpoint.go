@@ -73,8 +73,7 @@ type resumeShard struct {
 	store *probe.Store
 	// conn, when non-nil, is the live connection the shard state was
 	// captured from (Campaign.Rewind): the resumed shard reuses it
-	// instead of opening a fresh clone, keeping the simulator's flow-plan
-	// and template caches warm across a periodic checkpoint.
+	// instead of opening a fresh clone.
 	conn probe.Conn
 	// observer is the live shard's reply observer, carried across a
 	// Rewind so that it goes on seeing every reply of the shard; nil for
@@ -87,10 +86,6 @@ type resumeShard struct {
 type resumeState struct {
 	epoch  time.Duration
 	shards []*resumeShard
-	// tmpl carries the campaign's shared probe-template store across an
-	// in-process Rewind so rebuilt shard codecs skip re-deriving every
-	// target's template. Nil for artifact-decoded resumes.
-	tmpl *probe.TmplStore
 }
 
 // Checkpoint serializes the campaign's complete state after an
@@ -188,7 +183,6 @@ func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error
 		}
 		state.shards = append(state.shards, sh)
 	}
-	state.tmpl = c.tmpl
 	cfg := c.cfg
 	cfg.NewObserver = rc.NewObserver
 	cfg.Telemetry = rc.Telemetry

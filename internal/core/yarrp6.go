@@ -84,13 +84,6 @@ type Config struct {
 	// through. It runs on the prober goroutine, after the store fold.
 	Observer probe.Observer
 
-	// sharedTmpl routes probe-template caching through a campaign-shared
-	// store instead of a per-prober cache: shard codecs differ only by
-	// instance byte, which templates hold variable, so each target's
-	// template is built once per campaign rather than once per shard.
-	// Campaign sets it; zero means a private per-prober cache.
-	sharedTmpl *probe.TmplStore
-
 	// telemetry, when set, is this prober's shard-local metric sink.
 	// Counters derived from Stats fold in at curve-sample cadence and run
 	// end (the delta-flush discipline); only the distribution metrics
@@ -117,9 +110,9 @@ type Config struct {
 	// between send runs only, so a clean stop costs one predicted load
 	// per batch.
 	stop *atomic.Bool
-	// pulse, when non-nil, is incremented every time the prober polls
-	// its stop conditions — the liveness heartbeat supervision
-	// watchdogs read. A prober that stops beating is wedged (or its
+	// pulse, when non-nil, is the liveness heartbeat supervision
+	// watchdogs read: the prober bumps it on every pulseEvery-th poll of
+	// its stop conditions. A prober that stops beating is wedged (or its
 	// connection is blocked), whatever its virtual clock says.
 	pulse *atomic.Int64
 	// resume, when non-nil, restores the state captured by a previous
@@ -195,6 +188,12 @@ type Stats struct {
 // on a cancellation request. The prober's complete state was captured
 // first, so the run can be checkpointed and continued.
 var ErrInterrupted = errors.New("yarrp6: interrupted")
+
+// pulseEvery is how many stop polls pass between a prober's heartbeat
+// pulses (cf. replayPulseEvery): a send run is a handful of probes, so
+// even a connection throttled to milliseconds per run beats several
+// times a second.
+const pulseEvery = 64
 
 // retryMax bounds consecutive transient send failures: each failure
 // backs off one send slot and rebuilds the unsent probes for their
@@ -308,6 +307,9 @@ type Yarrp6 struct {
 	// targets — the prober stays O(1) in destinations.
 	lastNew [256]time.Duration
 
+	// polls counts stop polls, pacing the heartbeat (see stopNow).
+	polls uint32
+
 	// rs is the state captured when a run is interrupted or fails; nil
 	// after a clean completion. Campaign serializes it into checkpoint
 	// artifacts and feeds it to shard recovery.
@@ -399,10 +401,15 @@ func (y *Yarrp6) recordSample(at time.Duration) {
 // are off.
 func (y *Yarrp6) stopNow() bool {
 	if y.cfg.pulse != nil {
-		// One heartbeat per stop poll covers every loop at a single
-		// touchpoint: per send run while probing, per iteration in the
-		// drain tail.
-		y.cfg.pulse.Add(1)
+		// The stop poll is the single touchpoint of every loop — per send
+		// run while probing, per iteration in the drain tail — and at
+		// campaign rates that is every other probe, from every shard,
+		// onto one cache line. Counting polls shard-locally and beating
+		// on the first and every pulseEvery-th keeps the line quiet.
+		if y.polls%pulseEvery == 0 {
+			y.cfg.pulse.Add(1)
+		}
+		y.polls++
 	}
 	if y.cfg.interruptAt > 0 && y.conn.Now() >= y.cfg.interruptAt {
 		return true
@@ -473,31 +480,7 @@ func (y *Yarrp6) initCodec() error {
 		return err
 	}
 	y.codec = probe.NewCodec(y.conn, y.cfg.Proto, y.cfg.Instance)
-	// Each target is probed at every TTL in the randomized range with an
-	// identical flow identity; the template cache turns all but the
-	// first build per target into a copy-and-patch. Campaign shards
-	// share one template store (templates are instance-neutral); a solo
-	// prober gets a private cache sized to the target set (quarter
-	// loaded, capped — slots beyond that only cost arena zeroing per
-	// run, and a collision merely rebuilds).
-	if y.cfg.sharedTmpl != nil {
-		y.codec.UseSharedTemplates(y.cfg.sharedTmpl)
-	} else {
-		y.codec.SetProbeCache(tmplCacheSize(len(y.cfg.Targets)))
-	}
 	return nil
-}
-
-// tmplCacheSize picks the probe-template slot count for n targets.
-func tmplCacheSize(n int) int {
-	size := 8192
-	for s := 64; s < size; s <<= 1 {
-		if s >= 4*n {
-			size = s
-			break
-		}
-	}
-	return size
 }
 
 // Run executes the campaign, folding every recovered reply into store.

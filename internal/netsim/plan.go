@@ -157,7 +157,7 @@ func (u *Universe) HostExists(addr netip.Addr) bool {
 }
 
 // hostOnLAN is the host-population half of HostExists: it assumes lan is
-// addr's fully provisioned /64 in as's plan. The vantage flow-plan cache
+// addr's fully provisioned /64 in as's plan. Plan computation
 // calls it directly with the descent chain it already computed, so the
 // per-probe host check costs no second routing lookup or plan descent.
 func (u *Universe) hostOnLAN(addr netip.Addr, lan netip.Prefix, as *AS) bool {

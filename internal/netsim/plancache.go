@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"math/bits"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -9,132 +11,125 @@ import (
 	"beholder/internal/wire"
 )
 
-// Flow-plan cache. plan computation — access chain, BFS walk over the AS
+// Flow-plan table. Plan computation — access chain, BFS walk over the AS
 // graph, routing-table lookup, subnet descent — is a pure function of
-// (universe seed, destination, transport, flow hash): the hop limit only
-// selects where along the planned path a probe dies, and Yarrp6 holds the
-// flow identity constant per target across all ~16 TTLs precisely so that
-// ECMP routers keep it on one path. The cache exploits that: the first
+// (universe seed, vantage identity, destination, transport, flow hash):
+// the hop limit only selects where along the planned path a probe dies,
+// and Yarrp6 holds the flow identity constant per target across all ~16
+// TTLs precisely so that ECMP routers keep it on one path. The first
 // probe toward a flow materializes the full plan (router step keys, step
 // ASes, outcome, error index, a prefix-summed RTT table, and the host
-// lookup), and the remaining probes of the same flow reuse it.
+// lookup) as an immutable planCore and publishes it; every later probe of
+// the flow — from this vantage, a shard clone, or a later vantage with
+// the same identity — reads that core in place. Nothing is copied per
+// vantage: routers are resolved through the vantage's own router map.
 //
-// Eviction is deterministic and allocation-bounded: the cache is a
-// fixed-size slot array organized as two-way sets indexed by the flow
-// hash, with a per-set LRU bit deciding which way a miss overwrites
-// (reusing the victim's backing arrays when they fit and carving
-// exact-size replacements from per-vantage arenas otherwise). Two ways
-// matter: under Yarrp6's randomized permutation a pair of flows hashing
-// to the same set alternates touches, so a direct-mapped slot would
-// evict on every one — the dominant miss class at campaign scale — while
-// two ways keep both resident. No map iteration, no clock, no randomness
-// is consulted, so a replayed campaign touches slots in an identical
-// sequence — and because every cached value equals what a fresh
-// computation would produce, results are byte-identical at ANY cache
-// size and associativity, including zero (cache disabled). Shard
-// determinism is preserved structurally, not probabilistically.
+// The table is an open-addressed array of atomically published core
+// pointers, probed over a short window from the flow's home slot. It
+// sizes itself from the flows it observes: while fewer than a quarter of
+// the slots are live a flow nearly always finds a free slot in its
+// window, so nothing is evicted and the only misses are first touches;
+// when the live share passes a quarter the table is rebuilt four times
+// larger, up to planTableMaxBytes, beyond which a full window evicts in
+// place. No map iteration, no clock, no randomness is consulted, and
+// every published value equals what a fresh computation would produce,
+// so results are byte-identical at ANY table size — including none — and
+// under any interleaving of the shards that share it.
 
-// planCacheDefaultEntries sizes the per-vantage slot array when the
-// universe Config leaves PlanCacheSize zero. Conflict-miss rate decays
-// like e^(-targets/slots) under Yarrp6's randomized permutation, so the
-// default comfortably covers campaign-scale target sets; TestConfig trims
-// it for small universes.
-const planCacheDefaultEntries = 1 << 16
+const (
+	// planTableMinSlots is a self-sizing table's first size: small
+	// enough that an idle vantage identity costs a few KB.
+	planTableMinSlots = 1 << 10
 
-// routerStep is one hop of a materialized path plan. r memoizes the
-// vantage's materialized router for the step after its first touch, so
-// repeated probes of a cached flow skip the router-map lookup; it starts
-// nil and is filled lazily (see Vantage.stepRouter), never shared across
-// vantages. The owning AS is held by index — the pointer is only needed
-// at router birth, and one pointer word fewer per step keeps the write
-// barriers off the bulk step copies (core rehydration, plan install,
-// prime-flow pinning) that run per flow at campaign scale. rtt carries
-// the prefix-summed round-trip table inline: steps[i].rtt is the
-// doubled one-way latency over steps 0..i, so the former per-reply
-// pathRTT loop is a single O(1) field load.
-type routerStep struct {
-	key   RouterKey
-	asIdx int32
-	r     *Router
-	rtt   time.Duration
-}
+	// planTableMaxBytes caps a self-sizing table's slot array: 2 MiB is
+	// 262 144 slots. It was chosen from the widest workload the
+	// benchmark runs, wide-serial's 65 534 flows: the table settles at
+	// this size with a quarter of its slots live — ≈ 41 MB of cores at
+	// the ≈ 620 B (72 B + 13.7 steps × 40 B) a default-universe core
+	// measures — and evicts about one flow in a thousand. A working set
+	// up to four times that still fits, with window conflicts rising as
+	// the slots fill; fully loaded the table pins ≈ 165 MB, between the
+	// ≈ 95 MB a serial vantage and the ≈ 310 MB a vantage with four
+	// shard clones held in private slot arrays, step pages and the
+	// shared core array before there was one table. Past that, flows
+	// evict each other in place.
+	planTableMaxBytes = 2 << 20
+	planTableMaxSlots = planTableMaxBytes / (bits.UintSize / 8)
 
-// planEntry is one cached flow plan. The zero value is an empty slot.
-// The struct is entirely pointer-free — the destination is raw address
-// words, the destination AS an index, and the step list an offset/length
-// pair into the vantage's contiguous step store — so the whole slot
-// array is a single no-scan allocation the garbage collector never
-// walks.
-type planEntry struct {
-	// Cache key: destination plus the packed flow identity beyond it
+	// planWindow is how many consecutive slots a lookup probes from the
+	// flow's home slot. A hit dereferences 1.2 cores on average below a
+	// quarter load, and a window of eight is then full for about one
+	// flow in a thousand (four: one in twenty — those flows evict each
+	// other on every touch). The window also bounds what a miss costs
+	// once a table at its cap has filled up.
+	planWindow = 8
+)
+
+// planCore is one flow's plan: the immutable value every vantage of one
+// identity shares. Everything in it — outcome, step keys, AS indices,
+// prefix-summed RTTs, the ECMP flow hash — is a pure function of
+// (universe seed, vantage identity, flow). Cores are never mutated after
+// publication.
+type planCore struct {
+	// Key: destination plus the packed flow identity beyond it
 	// (transport, flow label, ports/checksum/identifier — see
 	// flowKeyOf). Matching on these raw fields lets the lookup index
 	// with two mixes instead of deriving the full seven-mix ECMP flow
 	// hash per probe; fh memoizes that hash — which the per-packet
-	// draws and ECMP selection still consume — from the entry's
-	// compute.
+	// draws and ECMP selection still consume.
 	dst     ipv6.U128
 	flowKey uint64
 	fh      uint64
-	used    bool
-	// lru lives on way 0 of each two-way set and marks way 0 as the
-	// least-recently-used way; the bit on way 1 is dead. Replacement
-	// state, not plan state — it never affects results.
-	lru bool
 
-	outcome outcomeKind
-	reject  bool // reject-route rather than no-route
-	exists  bool // outcome == outHost: destination is a live host
-
-	n        uint16 // number of router steps
-	errorIdx uint16 // step originating a destination-unreachable
-	stepOff  uint32 // start of the step list in Vantage.stepStore
-	stepCap  uint16 // reserved slots at stepOff (size-class rounded)
+	pub      uint32 // serial of the publishing vantage
 	destAS   int32  // index into Universe.ases; -1 when unrouted
+	errorIdx uint16 // step originating a destination-unreachable
+	outcome  outcomeKind
+	reject   bool // reject-route rather than no-route
+	exists   bool // outcome == outHost: destination is a live host
+	steps    []coreStep
 }
 
-// Step-store pages: fixed-size, never moved, lazily allocated. A
-// reservation never crosses a page boundary (the tail of a page is
-// padded when a plan would not fit), so offset arithmetic addresses one
-// page. Paths are bounded by the AS-path walk at a few hundred steps —
-// far below the page size.
-const (
-	stepPageShift = 11
-	stepPageSize  = 1 << stepPageShift
-	stepPageMask  = stepPageSize - 1
-)
-
-// stepAt returns the step at global offset off.
-func (v *Vantage) stepAt(off uint32) *routerStep {
-	return &v.stepPages[off>>stepPageShift][off&stepPageMask]
+// coreStep is one hop of a plan: the router key, the owning AS by index
+// (the pointer is only needed at router birth), and the prefix-summed
+// round trip — steps[i].rtt is the doubled one-way latency over steps
+// 0..i, so a reply's path RTT is one field load.
+type coreStep struct {
+	key   RouterKey
+	asIdx int32
+	rtt   time.Duration
 }
 
-// stepsAt returns the n-step list starting at global offset off.
-func (v *Vantage) stepsAt(off uint32, n int) []routerStep {
-	i := off & stepPageMask
-	return v.stepPages[off>>stepPageShift][i : int(i)+n]
+// planTable is the plan table of one vantage identity. Readers load the
+// current slot array through an atomic pointer; a rebuild re-inserts the
+// live pointers into a larger array under mu and swaps it in, so a
+// reader on the old array still sees valid cores and an insert that
+// races the swap is merely lost.
+type planTable struct {
+	tab     atomic.Pointer[planSlots]
+	fixed   bool // configured size: never rebuilt
+	mu      sync.Mutex
+	growths atomic.Int64
 }
 
-// reserveSteps reserves cls contiguous step slots, returning their
-// global offset. Reservations are size-class rounded so evictions can
-// reuse them in place.
-func (v *Vantage) reserveSteps(cls int) uint32 {
-	if rem := stepPageSize - int(v.stepNext&stepPageMask); rem < cls {
-		v.stepNext += uint32(rem) // pad out the page tail
-	}
-	for int(v.stepNext>>stepPageShift) >= len(v.stepPages) {
-		v.stepPages = append(v.stepPages, make([]routerStep, stepPageSize))
-	}
-	off := v.stepNext
-	v.stepNext += uint32(cls)
-	return off
+// planSlots is one generation of a table's slot array.
+type planSlots struct {
+	slots []atomic.Pointer[planCore]
+	cores atomic.Int64 // live slots
+}
+
+// newPlanTable creates a table of n slots; fixed tables keep that size.
+func newPlanTable(n int, fixed bool) *planTable {
+	pt := &planTable{fixed: fixed}
+	pt.tab.Store(&planSlots{slots: make([]atomic.Pointer[planCore], n)})
+	return pt
 }
 
 // flowKeyOf packs the probe's flow identity beyond (src, dst) into one
 // comparable word: ports / checksum+identifier (32 bits), flow label
 // (20 bits), transport (8 bits). Together with the destination words
 // (and the per-vantage source) it fully determines the flow — the same
-// fields the ECMP flow hash folds, held raw so a cache probe needs no
+// fields the ECMP flow hash folds, held raw so a table probe needs no
 // hash chain.
 func flowKeyOf(d *wire.Decoded) uint64 {
 	var extra uint64
@@ -149,241 +144,178 @@ func flowKeyOf(d *wire.Decoded) uint64 {
 	return extra<<28 | uint64(d.IPv6.FlowLabel)<<8 | uint64(d.Proto)
 }
 
-// planIdx spreads a flow over plan-cache sets: two mixes in place of
-// the seven-mix ECMP hash. Set placement affects only which flows
-// compete for residency — results are byte-identical under any
-// placement — so the cheaper spread trades nothing.
-func planIdx(d ipv6.U128, flowKey uint64) uint64 {
-	return mix64(d.Hi ^ mix64(d.Lo^flowKey))
+// home maps a flow to its home slot among n: two mixes in place of the
+// seven-mix ECMP hash, range-reduced by multiplication so n need not be
+// a power of two. Placement affects only which flows compete for a
+// window — results are byte-identical under any placement.
+func home(d ipv6.U128, flowKey uint64, n int) int {
+	hi, _ := bits.Mul64(mix64(d.Hi^mix64(d.Lo^flowKey)), uint64(n))
+	return int(hi)
 }
 
-// lookupPlan returns the plan for the decoded probe, from cache when
-// possible. The returned entry is owned by the vantage and valid until
-// the next lookupPlan call.
-func (v *Vantage) lookupPlan(d *wire.Decoded) *planEntry {
+// lookupPlan returns the plan for the decoded probe: the published core
+// when the flow is in the table, a fresh compute — published for
+// everyone after — otherwise. With no table the plan is computed into
+// the vantage's scratch core, valid until the next lookupPlan call.
+func (v *Vantage) lookupPlan(d *wire.Decoded) *planCore {
 	dstU := ipv6.FromAddr(d.IPv6.Dst)
 	fk := flowKeyOf(d)
-	sets := uint64(v.planSize) / 2
-	if sets == 0 {
-		if v.planSize == 1 {
-			// One slot: degenerate direct-mapped cache.
-			if v.planSlots == nil {
-				v.planSlots = make([]planEntry, 1)
-			}
-			e := &v.planSlots[0]
-			if e.used && e.dst == dstU && e.flowKey == fk {
-				v.Stats.PlanHits++
-				return e
-			}
-			if e.used {
-				v.Stats.PlanEvictions++
-			}
-			v.Stats.PlanMisses++
-			v.computePlan(d, dstU, fk, e)
-			return e
-		}
+	pt := v.plans
+	if pt == nil {
 		v.Stats.PlanMisses++
-		v.computePlan(d, dstU, fk, &v.planScratch)
-		return &v.planScratch
+		return v.computePlan(d, dstU, fk)
 	}
-	if v.planSlots == nil {
-		v.planSlots = make([]planEntry, v.planSize)
-	}
-	base := 2 * (planIdx(dstU, fk) % sets)
-	e0, e1 := &v.planSlots[base], &v.planSlots[base+1]
-	if e0.used && e0.dst == dstU && e0.flowKey == fk {
-		v.Stats.PlanHits++
-		e0.lru = false
-		return e0
-	}
-	if e1.used && e1.dst == dstU && e1.flowKey == fk {
-		v.Stats.PlanHits++
-		e0.lru = true
-		return e1
+	t := pt.tab.Load()
+	n := len(t.slots)
+	h0 := home(dstU, fk, n)
+	var free *atomic.Pointer[planCore]
+	for i, w := h0, 0; w < planWindow && w < n; w++ {
+		sp := &t.slots[i]
+		c := sp.Load()
+		if c == nil {
+			free = sp
+			break
+		}
+		if c.dst == dstU && c.flowKey == fk {
+			v.Stats.PlanHits++
+			if c.pub != v.serial {
+				v.Stats.SharedPlanHits++
+			}
+			return c
+		}
+		if i++; i == n {
+			i = 0
+		}
 	}
 	v.Stats.PlanMisses++
-	var victim *planEntry
-	switch {
-	case !e0.used:
-		victim = e0
-	case !e1.used:
-		victim = e1
-	case e0.lru:
-		victim = e0
-	default:
-		victim = e1
-	}
-	if victim.used {
+	c := v.publish(v.computePlan(d, dstU, fk))
+	if free == nil {
+		// A window of other live flows: evict in place.
 		v.Stats.PlanEvictions++
-	}
-	v.computePlan(d, dstU, fk, victim)
-	e0.lru = victim == e1
-	return victim
-}
-
-// SetPlanCache resizes this vantage's flow-plan cache to the given number
-// of slots (organized as two-way sets); entries <= 0 disables caching
-// (every probe replans into a reused scratch entry). Results are
-// byte-identical at any setting — the cache stores pure-function values —
-// so this knob trades only memory against speed: disable it for workloads
-// whose flows never repeat (aliased-prefix detection probes each random
-// address once).
-// Existing cached plans are discarded. Clones inherit the parent's
-// configured size with a private (initially empty) cache.
-func (v *Vantage) SetPlanCache(entries int) {
-	if entries < 0 {
-		entries = 0
-	}
-	v.planSize = entries
-	v.planSlots = nil
-}
-
-// PlanCacheSize returns the configured slot count (0 when disabled).
-func (v *Vantage) PlanCacheSize() int { return v.planSize }
-
-// planCore is one flow's plan in vantage-independent form: the
-// immutable value a campaign's shard clones share. Everything in it —
-// outcome, step keys, AS indices, prefix-summed RTTs, the ECMP flow
-// hash — is a pure function of (universe seed, vantage identity, flow),
-// and clones inherit the parent's identity, so one clone's compute
-// serves them all. Cores are never mutated after publication; the
-// per-vantage router memo stays in the private step pages.
-type planCore struct {
-	dst      ipv6.U128
-	flowKey  uint64
-	fh       uint64
-	outcome  outcomeKind
-	reject   bool
-	exists   bool
-	n        uint16
-	errorIdx uint16
-	destAS   int32
-	steps    []coreStep
-}
-
-// coreStep is one shared plan step: the router key, the owning AS by
-// index (pointers stay out of the shared value), and the prefix-summed
-// round trip.
-type coreStep struct {
-	key   RouterKey
-	asIdx int32
-	rtt   time.Duration
-}
-
-// sharedPlans is the campaign-scope plan-core cache: a direct-mapped
-// slot array of atomically published immutable cores, shared by a
-// parent vantage and every shard clone. Racing computes of the same
-// flow publish semantically identical values (plans are pure), so
-// last-write-wins needs no locking; a slot collision merely evicts.
-type sharedPlans struct {
-	slots []atomic.Pointer[planCore]
-}
-
-// computePlan materializes the plan for the decoded probe into e: from
-// the campaign-shared core cache when a sibling shard (or an earlier
-// campaign from this vantage family) already planned the flow, freshly
-// otherwise — publishing the fresh result for the siblings.
-func (v *Vantage) computePlan(d *wire.Decoded, dstU ipv6.U128, flowKey uint64, e *planEntry) {
-	var sp *atomic.Pointer[planCore]
-	// The shared cache only serves plan-caching vantages: with the
-	// private cache disabled (one-shot flows like alias detection)
-	// publishing cores would cost allocations per probe for hits that
-	// can never come.
-	if v.shared != nil && v.planSize > 0 {
-		sp = &v.shared.slots[planIdx(dstU, flowKey)%uint64(len(v.shared.slots))]
-		if c := sp.Load(); c != nil && c.dst == dstU && c.flowKey == flowKey {
-			v.Stats.SharedPlanHits++
-			v.fillFromCore(e, c)
-			return
+		t.slots[h0].Store(c)
+	} else if free.CompareAndSwap(nil, c) {
+		if t.cores.Add(1)*4 > int64(n) && !pt.fixed && 4*n <= planTableMaxSlots {
+			pt.grow(t)
 		}
 	}
-	v.computePlanFresh(d, dstU, flowKey, e)
-	if sp != nil {
-		sp.Store(v.coreOf(e))
+	// A failed swap means a sibling took the slot between the probe and
+	// the insert; its core (often this very flow's) stays, ours serves
+	// this probe.
+	return c
+}
+
+// grow rebuilds the table four times larger by re-inserting old's live
+// pointers, unless a sibling already replaced old.
+func (pt *planTable) grow(old *planSlots) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if pt.tab.Load() != old {
+		return
+	}
+	n := 4 * len(old.slots)
+	t := &planSlots{slots: make([]atomic.Pointer[planCore], n)}
+	for k := range old.slots {
+		c := old.slots[k].Load()
+		if c == nil {
+			continue
+		}
+		// The new array is private until the swap and at most a
+		// sixteenth full; a core that still finds its window full is
+		// dropped and recomputed on its next touch.
+		for i, w := home(c.dst, c.flowKey, n), 0; w < planWindow; w++ {
+			if t.slots[i].Load() == nil {
+				t.slots[i].Store(c)
+				t.cores.Add(1)
+				break
+			}
+			if i++; i == n {
+				i = 0
+			}
+		}
+	}
+	pt.tab.Store(t)
+	pt.growths.Add(1)
+}
+
+// SetPlanCache replaces this vantage's plan table with a private one of
+// a fixed number of slots, which never grows; entries <= 0 leaves the
+// vantage without a table (every probe replans into a reused scratch
+// core). Results are byte-identical at any setting — the table stores
+// pure-function values — so this knob trades only memory against speed:
+// go without a table for workloads whose flows never repeat
+// (aliased-prefix detection probes each random address once). Clones
+// made afterwards share the new table.
+func (v *Vantage) SetPlanCache(entries int) {
+	v.plans = nil
+	if entries > 0 {
+		v.plans = newPlanTable(entries, true)
 	}
 }
 
-// fillFromCore rehydrates e from a shared core: header fields copied,
-// steps laid into this vantage's private pages (router memos start
-// empty — routers are vantage-owned).
-func (v *Vantage) fillFromCore(e *planEntry, c *planCore) {
-	oldOff, oldCap := e.stepOff, e.stepCap
-	*e = planEntry{
-		dst: c.dst, flowKey: c.flowKey, fh: c.fh, used: true,
-		outcome: c.outcome, reject: c.reject, exists: c.exists,
-		n: c.n, errorIdx: c.errorIdx, destAS: c.destAS,
-	}
-	n := len(c.steps)
-	if int(oldCap) >= n {
-		e.stepOff, e.stepCap = oldOff, oldCap
-	} else {
-		cls := (n + 7) &^ 7
-		e.stepOff = v.reserveSteps(cls)
-		e.stepCap = uint16(cls)
-	}
-	dst := v.stepsAt(e.stepOff, n)
-	for i := 0; i < n; i++ {
-		dst[i] = routerStep{key: c.steps[i].key, asIdx: c.steps[i].asIdx, rtt: c.steps[i].rtt}
-	}
+// SuspendPlanCache takes the vantage's plan table away until the
+// returned function is called: in between, every probe replans into the
+// scratch core and nothing is published.
+func (v *Vantage) SuspendPlanCache() (resume func()) {
+	pt := v.plans
+	v.plans = nil
+	return func() { v.plans = pt }
 }
 
-// coreOf snapshots e (and its laid-out steps) as an immutable shared
-// core. Cores and their step lists are carved from vantage-owned slabs
-// — racing shards publish a few thousand cores per campaign, and slab
-// pieces keep that off the per-flow allocation ledger. Carved pieces
-// are never reused, so published cores stay immutable.
-func (v *Vantage) coreOf(e *planEntry) *planCore {
-	n := int(e.n)
+// PlanTableStats reports the vantage's plan table: its current slot
+// count, how many hold a core, and how many times it has been rebuilt
+// larger. All zero without a table.
+func (v *Vantage) PlanTableStats() (slots, cores int, growths int64) {
+	if v.plans == nil {
+		return 0, 0, 0
+	}
+	t := v.plans.tab.Load()
+	return len(t.slots), int(t.cores.Load()), v.plans.growths.Load()
+}
+
+// publish copies the scratch core e (and its steps) into an immutable
+// core. Cores and their step lists are carved from vantage-owned slabs —
+// a cold campaign publishes one core per flow, and slab pieces keep that
+// off the per-flow allocation ledger. Carved pieces are never reused, so
+// published cores stay immutable.
+func (v *Vantage) publish(e *planCore) *planCore {
+	n := len(e.steps)
 	if len(v.coreBlock) == 0 {
 		v.coreBlock = make([]planCore, 64)
 	}
 	c := &v.coreBlock[0]
 	v.coreBlock = v.coreBlock[1:]
-	*c = planCore{
-		dst: e.dst, flowKey: e.flowKey, fh: e.fh,
-		outcome: e.outcome, reject: e.reject, exists: e.exists,
-		n: e.n, errorIdx: e.errorIdx, destAS: e.destAS,
-	}
 	if len(v.coreSteps) < n {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		v.coreSteps = make([]coreStep, size)
+		v.coreSteps = make([]coreStep, max(n, 4096))
 	}
+	*c = *e
 	c.steps = v.coreSteps[:n:n]
 	v.coreSteps = v.coreSteps[n:]
-	src := v.stepsAt(e.stepOff, n)
-	for i := 0; i < n; i++ {
-		c.steps[i] = coreStep{key: src[i].key, asIdx: src[i].asIdx, rtt: src[i].rtt}
-	}
+	copy(c.steps, e.steps)
 	return c
 }
 
-// computePlanFresh materializes the router path for the decoded probe
-// into e. The path is laid out in the vantage's compute scratch and then
-// stored with exact-size backing (reusing e's arrays when they fit). It
-// mirrors the planning the simulator did per probe before the cache
-// existed; keeping it a pure function of (seed, dst, flow identity) is
-// what licenses caching and sharing it.
-func (v *Vantage) computePlanFresh(d *wire.Decoded, dstU ipv6.U128, flowKey uint64, e *planEntry) {
+// computePlan materializes the router path for the decoded probe into
+// the vantage's scratch core and returns it. It mirrors the planning the
+// simulator did per probe before plans were kept; that it is a pure
+// function of (seed, vantage identity, dst, flow identity) is what
+// licenses keeping and sharing the result.
+func (v *Vantage) computePlan(d *wire.Decoded, dstU ipv6.U128, flowKey uint64) *planCore {
 	u := v.u
 	fh := flowHashU(u.seed, v.srcU, dstU, d)
-	steps := v.scratchSteps[:0]
-	oldOff, oldCap := e.stepOff, e.stepCap
-	*e = planEntry{dst: dstU, flowKey: flowKey, fh: fh, used: true, destAS: -1}
+	steps := v.scratch.steps[:0]
+	e := &v.scratch
+	*e = planCore{dst: dstU, flowKey: flowKey, fh: fh, pub: v.serial, destAS: -1}
 
 	// On-premise access chain.
 	for i := 0; i < v.spec.ChainLen; i++ {
-		steps = append(steps, routerStep{key: RouterKey{ASN: v.as.ASN, Class: classAccess, K1: v.id, K2: uint64(i)}, asIdx: int32(v.as.Idx)})
+		steps = append(steps, coreStep{key: RouterKey{ASN: v.as.ASN, Class: classAccess, K1: v.id, K2: uint64(i)}, asIdx: int32(v.as.Idx)})
 	}
 
 	rt, ok := u.table.Lookup(d.IPv6.Dst)
 	if !ok {
 		// Unrouted destination: the border router reports no-route.
 		e.outcome = outNoRoute
-		v.storePlan(e, steps, oldOff, oldCap, len(steps)-1)
-		return
+		return v.storePlan(steps, len(steps)-1)
 	}
 	destAS := u.byASN[rt.Origin]
 	e.destAS = int32(destAS.Idx)
@@ -414,7 +346,7 @@ func (v *Vantage) computePlanFresh(d *wire.Decoded, dstU ipv6.U128, flowKey uint
 		}
 		ingress := h(u.seed, 34, uint64(prevASN), lbSel)
 		for j := 0; j < hops; j++ {
-			steps = append(steps, routerStep{key: RouterKey{ASN: as.ASN, Class: classBackbone, K1: ingress, K2: uint64(j)}, asIdx: int32(as.Idx)})
+			steps = append(steps, coreStep{key: RouterKey{ASN: as.ASN, Class: classBackbone, K1: ingress, K2: uint64(j)}, asIdx: int32(as.Idx)})
 		}
 		// Transport filtering at the destination AS border.
 		if as == destAS && !filtered {
@@ -433,15 +365,14 @@ func (v *Vantage) computePlanFresh(d *wire.Decoded, dstU ipv6.U128, flowKey uint
 		}
 		// Steps past the filter can never be traversed; drop them so the
 		// cached plan holds exactly the reachable prefix of the path.
-		v.storePlan(e, steps[:filterIdx+1], oldOff, oldCap, filterIdx)
-		return
+		return v.storePlan(steps[:filterIdx+1], filterIdx)
 	}
 
 	// Intra-AS descent through the destination's subnet hierarchy.
 	var buf [8]netip.Prefix
 	chain, full := u.descent(destAS, rt.Prefix, d.IPv6.Dst, buf[:])
 	for _, sub := range chain {
-		steps = append(steps, routerStep{key: RouterKey{
+		steps = append(steps, coreStep{key: RouterKey{
 			ASN:   destAS.ASN,
 			Class: classLevel,
 			K1:    ipv6.FromAddr(sub.Addr()).Hi,
@@ -451,40 +382,23 @@ func (v *Vantage) computePlanFresh(d *wire.Decoded, dstU ipv6.U128, flowKey uint
 	if !full {
 		e.outcome = outNoRoute
 		e.reject = destAS.RejectRoute
-		v.storePlan(e, steps, oldOff, oldCap, len(steps)-1)
-		return
+		return v.storePlan(steps, len(steps)-1)
 	}
 	e.outcome = outHost
 	e.exists = len(chain) > 0 && u.hostOnLAN(d.IPv6.Dst, chain[len(chain)-1], destAS)
-	v.storePlan(e, steps, oldOff, oldCap, len(steps)-1)
+	return v.storePlan(steps, len(steps)-1)
 }
 
-// storePlan installs the step list (held in the compute scratch) into e
-// and fills the inline prefix-summed RTT field: steps[i].rtt is the
-// doubled one-way latency across steps 0..i. The bytes live in the
-// vantage's contiguous step store at a size-class-rounded reservation;
-// an evicted entry's reservation is reused whenever the new plan fits,
-// so store growth is bounded by the slot count times the handful of
-// size classes, not by campaign length.
-func (v *Vantage) storePlan(e *planEntry, steps []routerStep, oldOff uint32, oldCap uint16, errorIdx int) {
-	v.scratchSteps = steps[:0] // keep the (possibly grown) scratch array
-	n := len(steps)
-	e.n = uint16(n)
-	e.errorIdx = uint16(errorIdx)
-
-	if int(oldCap) >= n {
-		e.stepOff, e.stepCap = oldOff, oldCap
-	} else {
-		cls := (n + 7) &^ 7 // size class: round up to 8 steps
-		e.stepOff = v.reserveSteps(cls)
-		e.stepCap = uint16(cls)
-	}
-	dst := v.stepsAt(e.stepOff, n)
-	copy(dst, steps)
+// storePlan closes the scratch core over its step list and fills the
+// prefix-summed RTT field: steps[i].rtt is the doubled one-way latency
+// across steps 0..i.
+func (v *Vantage) storePlan(steps []coreStep, errorIdx int) *planCore {
 	var oneWay time.Duration
-	for i := 0; i < n; i++ {
-		oneWay += v.u.linkLatency(dst[i].key)
-		dst[i].rtt = 2 * oneWay
-		dst[i].r = nil
+	for i := range steps {
+		oneWay += v.u.linkLatency(steps[i].key)
+		steps[i].rtt = 2 * oneWay
 	}
+	v.scratch.steps = steps // keeps the (possibly grown) array for the next compute
+	v.scratch.errorIdx = uint16(errorIdx)
+	return &v.scratch
 }

@@ -1,0 +1,178 @@
+package netsim
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"beholder/internal/wire"
+)
+
+// cloneTrace is what one clone of a shared-table run produced: a digest
+// of every reply with its delivery instant, and its exported bucket
+// state.
+type cloneTrace struct {
+	replies  [sha256.Size]byte
+	received int64
+	sim      []byte
+}
+
+// driveSharedTable sends overlapping flow sequences from four concurrent
+// clones of v — clone k walks the destinations from offset k·n/4, every
+// destination at three TTLs, fast enough to drain shared buckets — and
+// returns each clone's trace, the probes routed, and the table lookups
+// the clones counted.
+func driveSharedTable(t *testing.T, u *Universe, v *Vantage) (traces [4]cloneTrace, routed, lookups int64) {
+	t.Helper()
+	dsts := primeTargets(u, 200)
+	var wg sync.WaitGroup
+	var clones [4]*Vantage
+	for k := range clones {
+		clones[k] = v.Clone(time.Duration(k) * time.Second)
+		wg.Add(1)
+		go func(c *Vantage, tr *cloneTrace, off int) {
+			defer wg.Done()
+			h := sha256.New()
+			buf := make([]byte, wire.MinMTU)
+			drain := func() {
+				for {
+					n, ok := c.Recv(buf)
+					if !ok {
+						return
+					}
+					at := c.Now()
+					h.Write([]byte{byte(at), byte(at >> 8), byte(at >> 16), byte(at >> 24), byte(at >> 32), byte(n), byte(n >> 8)})
+					h.Write(buf[:n])
+				}
+			}
+			for round := 0; round < 3; round++ {
+				for j := range dsts {
+					d := dsts[(off+j)%len(dsts)]
+					if err := c.Send(buildEchoProbe(c.LocalAddr(), d, uint8(2+3*round+j%3))); err != nil {
+						t.Error(err)
+						return
+					}
+					c.Sleep(200 * time.Microsecond)
+					drain()
+				}
+			}
+			c.Sleep(3 * time.Second)
+			drain()
+			h.Sum(tr.replies[:0])
+			tr.received = c.Stats.Received
+			tr.sim = c.ExportSimState(nil)
+		}(clones[k], &traces[k], k*len(dsts)/4)
+	}
+	wg.Wait()
+	for _, c := range clones {
+		routed += c.Stats.Sent
+		lookups += c.Stats.PlanHits + c.Stats.PlanMisses
+	}
+	return traces, routed, lookups
+}
+
+// TestSharedPlanTableConcurrent: four clones publishing into and reading
+// from one table — a self-sizing one that must rebuild itself under them,
+// and a one-slot one where every flow evicts every other — see exactly
+// the replies and leave exactly the bucket state of clones that plan
+// every probe from scratch, and every routed probe is counted as one
+// table hit or miss. Run under -race: the table is the only state the
+// clones share on the packet path.
+func TestSharedPlanTableConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	run := func(setup func(v *Vantage)) ([4]cloneTrace, *Vantage) {
+		u := testUniverse(t)
+		v := u.NewVantage(VantageSpec{Name: "shared-table", Kind: KindUniversity, ChainLen: 3})
+		setup(v)
+		traces, routed, lookups := driveSharedTable(t, u, v)
+		if routed != 4*3*200 || lookups != routed {
+			t.Fatalf("routed %d probes (want %d), counted %d table lookups", routed, 4*3*200, lookups)
+		}
+		return traces, v
+	}
+	want, _ := run(func(v *Vantage) { v.SetPlanCache(0) })
+	var total int64
+	for _, tr := range want {
+		total += tr.received
+	}
+	if total == 0 {
+		t.Fatal("reference run received nothing")
+	}
+	check := func(name string, got [4]cloneTrace) {
+		t.Helper()
+		for k := range got {
+			if got[k].replies != want[k].replies || got[k].received != want[k].received {
+				t.Errorf("%s: clone %d replies differ from the table-less run (%d vs %d received)", name, k, got[k].received, want[k].received)
+			}
+			if !bytes.Equal(got[k].sim, want[k].sim) {
+				t.Errorf("%s: clone %d exported sim state differs from the table-less run", name, k)
+			}
+		}
+	}
+
+	got, v := run(func(v *Vantage) { v.plans = newPlanTable(64, false) })
+	check("self-sizing from 64 slots", got)
+	slots, cores, growths := v.PlanTableStats()
+	t.Logf("self-sizing from 64: %d slots, %d cores, %d growths; reference run received %d replies", slots, cores, growths, total)
+	if growths < 2 || slots != 64<<(2*growths) {
+		t.Errorf("self-sizing table: %d growths to %d slots, want >= 2 growths of 4x from 64", growths, slots)
+	}
+	if cores < 150 || cores > 200 {
+		t.Errorf("self-sizing table holds %d cores after 200 flows", cores)
+	}
+
+	got, v = run(func(v *Vantage) { v.SetPlanCache(1) })
+	check("one fixed slot", got)
+	if slots, _, growths := v.PlanTableStats(); slots != 1 || growths != 0 {
+		t.Errorf("fixed table: %d slots after %d growths, want 1 and 0", slots, growths)
+	}
+}
+
+// TestPlanTableGrowthKeepsPlans: a serial vantage that outgrows its
+// table several times over misses each flow once (but for the odd full
+// window while the table is tiny) — the rebuilds carry every published
+// core along — and a clone's hits on those cores count as served by
+// another vantage.
+func TestPlanTableGrowthKeepsPlans(t *testing.T) {
+	u := testUniverse(t)
+	spec := VantageSpec{Name: "grow", Kind: KindUniversity, ChainLen: 3}
+	v := u.NewVantage(spec)
+	v.plans = newPlanTable(16, false)
+	dsts := primeTargets(u, 300)
+	flows := make(map[[16]byte]bool)
+	for _, d := range dsts {
+		flows[d.As16()] = true
+	}
+	for ttl := uint8(1); ttl <= 3; ttl++ {
+		for _, d := range dsts {
+			if err := v.Send(buildEchoProbe(v.LocalAddr(), d, ttl)); err != nil {
+				t.Fatal(err)
+			}
+			v.Sleep(time.Millisecond)
+		}
+	}
+	slots, cores, growths := v.PlanTableStats()
+	t.Logf("%d flows: %d slots, %d cores, %d growths, %d misses, %d evictions", len(flows), slots, cores, growths, v.Stats.PlanMisses, v.Stats.PlanEvictions)
+	if extra := v.Stats.PlanMisses - int64(len(flows)); extra < 0 || extra > 2*v.Stats.PlanEvictions || v.Stats.PlanEvictions > int64(len(flows)/50) {
+		t.Errorf("%d misses, %d evictions over %d flows: growth lost plans", v.Stats.PlanMisses, v.Stats.PlanEvictions, len(flows))
+	}
+	if growths < 3 || cores*4 > slots+4 || cores < len(flows)-int(v.Stats.PlanEvictions) {
+		t.Errorf("table at %d slots, %d cores, %d growths for %d flows", slots, cores, growths, len(flows))
+	}
+	if v.Stats.SharedPlanHits != 0 {
+		t.Errorf("%d shared hits on a lone vantage", v.Stats.SharedPlanHits)
+	}
+
+	w := v.Clone(0)
+	for _, d := range dsts {
+		if err := w.Send(buildEchoProbe(w.LocalAddr(), d, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Stats.PlanHits == 0 || w.Stats.SharedPlanHits != w.Stats.PlanHits {
+		t.Errorf("clone: %d hits, %d of them on another vantage's cores; want all", w.Stats.PlanHits, w.Stats.SharedPlanHits)
+	}
+}

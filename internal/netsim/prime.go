@@ -70,16 +70,12 @@ func (v *Vantage) EndPrime() {
 	v.primeFlows = v.primeFlows[:0]
 }
 
-// primeFlow is the pinned per-flow replay state behind a PrimeFlow
-// token: the slice of the flow's plan that bucket evaluation consults,
-// copied out of the plan cache (whose entries are evictable and reuse
-// their step reservations) into a reservation owned by the token.
+// primeFlow is the per-flow replay state behind a PrimeFlow token: the
+// flow's plan — an immutable core, so holding the pointer pins it
+// whatever the table evicts — and whether its reached-destination probes
+// consult a bucket.
 type primeFlow struct {
-	fh       uint64
-	stepOff  uint32
-	n        uint16
-	errorIdx uint16
-	outcome  outcomeKind
+	plan *planCore
 	// nd marks a reached-destination flow whose probes fall through to
 	// the gateway neighbor-discovery failure path — the only
 	// reached-destination case that touches a router token bucket.
@@ -99,9 +95,11 @@ func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 	}
 	d := &v.dec
 	plan := v.lookupPlan(d)
-	n := int(plan.n)
-	tok := len(v.primeFlows)
-	f := primeFlow{fh: plan.fh, n: plan.n, errorIdx: plan.errorIdx, outcome: plan.outcome, nd: true}
+	if plan == &v.scratch {
+		// No table: the scratch core is overwritten by the next lookup.
+		plan = v.publish(plan)
+	}
+	f := primeFlow{plan: plan, nd: true}
 	if plan.exists {
 		switch {
 		case d.Proto == wire.ProtoICMPv6 && d.ICMPv6.Type == wire.ICMPv6EchoRequest,
@@ -111,11 +109,8 @@ func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 			f.nd = false
 		}
 	}
-	cls := (n + 7) &^ 7
-	f.stepOff = v.reserveSteps(cls)
-	copy(v.stepsAt(f.stepOff, n), v.stepsAt(plan.stepOff, n))
 	v.primeFlows = append(v.primeFlows, f)
-	return tok, nil
+	return len(v.primeFlows) - 1, nil
 }
 
 // PrimeIdx replays one probe of a registered flow at virtual instant at:
@@ -126,40 +121,31 @@ func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 // paths together.
 func (v *Vantage) PrimeIdx(tok int, ttl uint8, at time.Duration) {
 	f := &v.primeFlows[tok]
-	pk := h(f.fh, 40, uint64(ttl))
-	n := int(f.n)
+	plan := f.plan
+	pk := h(plan.fh, 40, uint64(ttl))
+	n := len(plan.steps)
 	if t := int(ttl); t <= n {
 		// Hop-limit expiry on the path: Time Exceeded from step ttl-1.
 		if v.lost(pk, at, 2*t) {
 			return
 		}
-		st := v.stepAt(f.stepOff + uint32(t-1))
-		if st.r == nil {
-			st.r = v.router(st.key, v.u.ases[st.asIdx], at)
+		if r := v.stepRouter(plan, t-1, at); !r.unresponsive {
+			r.allowICMP(at)
 		}
-		if st.r.unresponsive {
-			return
-		}
-		st.r.allowICMP(at)
 		return
 	}
-	switch f.outcome {
+	switch plan.outcome {
 	case outNoRoute, outFilteredAdmin:
-		if f.outcome == outNoRoute && hashFloat(h(pk, drawNoRoute, uint64(at))) < 0.65 {
+		if plan.outcome == outNoRoute && hashFloat(h(pk, drawNoRoute, uint64(at))) < 0.65 {
 			return
 		}
-		idx := int(f.errorIdx)
+		idx := int(plan.errorIdx)
 		if v.lost(pk, at, 2*(idx+1)) {
 			return
 		}
-		st := v.stepAt(f.stepOff + uint32(idx))
-		if st.r == nil {
-			st.r = v.router(st.key, v.u.ases[st.asIdx], at)
+		if r := v.stepRouter(plan, idx, at); !r.unresponsive {
+			r.allowICMP(at)
 		}
-		if st.r.unresponsive {
-			return
-		}
-		st.r.allowICMP(at)
 	case outFilteredSilent:
 	default: // outHost
 		if !f.nd {
@@ -169,12 +155,8 @@ func (v *Vantage) PrimeIdx(tok int, ttl uint8, at time.Duration) {
 			return
 		}
 		if hashFloat(h(pk, drawND, uint64(at))) < 0.6 {
-			st := v.stepAt(f.stepOff + uint32(f.errorIdx))
-			if st.r == nil {
-				st.r = v.router(st.key, v.u.ases[st.asIdx], at)
-			}
-			if !st.r.unresponsive {
-				st.r.allowICMP(at)
+			if r := v.stepRouter(plan, int(plan.errorIdx), at); !r.unresponsive {
+				r.allowICMP(at)
 			}
 		}
 	}

@@ -99,21 +99,23 @@ type Universe struct {
 	lossSurvive []float64
 
 	// planShare hands every vantage of one identity (a named vantage
-	// and all its shard clones, across campaigns) one shared plan-core
-	// cache: plans are pure functions of (seed, identity, flow), so a
-	// later campaign — or a sibling shard — starts from the flows
-	// already planned. Guarded by planShareMu at vantage creation only;
-	// the packet path touches the cache through atomics.
+	// at its attachment, all its shard clones, and later vantages
+	// attached the same way) one plan table: plans are pure functions
+	// of (seed, identity, flow), so a later campaign — or a sibling
+	// shard — starts from the flows already planned. Guarded by
+	// planShareMu at vantage creation only; the packet path touches the
+	// table through atomics.
 	planShareMu sync.Mutex
-	planShare   map[uint64]*sharedPlans
+	planShare   map[planIdentity]*planTable
 
 	// vantages tracks every vantage attached to this universe, weakly:
 	// ResetState must flush their pending stat deltas before zeroing
 	// Stats, but bench loops create a fresh vantage per Reset and a
 	// strong registry would pin every dead one (with its buffer pools)
 	// for the universe's lifetime. Dead entries are compacted on reset.
-	vantMu   sync.Mutex
-	vantages []weak.Pointer[Vantage]
+	vantMu     sync.Mutex
+	vantages   []weak.Pointer[Vantage]
+	vantSerial uint32 // last serial handed to a vantage (plan publisher mark)
 
 	// Stats counts globally observable simulator events; tests assert on
 	// these to validate mechanism behaviour (e.g. rate-limit suppression).
@@ -261,10 +263,12 @@ func (u *Universe) ResetState() {
 }
 
 // registerVantage weakly tracks a vantage for ResetState's pending-delta
-// flush. NewVantage and Clone call it; entries whose vantage has been
+// flush and gives it its serial. NewVantage and Clone call it; entries whose vantage has been
 // collected are compacted on the next reset.
 func (u *Universe) registerVantage(v *Vantage) {
 	u.vantMu.Lock()
+	u.vantSerial++
+	v.serial = u.vantSerial
 	u.vantages = append(u.vantages, weak.Make(v))
 	u.vantMu.Unlock()
 }

@@ -29,13 +29,12 @@ type VantageSpec struct {
 // selection, loss, jitter, unreachable generation — is a pure function
 // of the universe seed, the probe bytes, and the probe's virtual send
 // time. Combined with per-vantage ownership of all mutable state (clock,
-// router token buckets, delivery queue, plan cache, buffer free list),
-// this makes concurrent vantages race-free and their results independent
+// router token buckets, delivery queue, buffer free list), this makes concurrent vantages race-free and their results independent
 // of goroutine scheduling: a sharded campaign that reproduces a single
 // prober's (packet, time) schedule reproduces its replies.
 //
 // The packet path is allocation-free at steady state: path plans come
-// from the per-vantage flow-plan cache (see plancache.go), reply buffers
+// from the identity's flow-plan table (see plancache.go), reply buffers
 // cycle through a free list that Recv refills, and the delivery queue is
 // an unboxed min-heap of value entries.
 type Vantage struct {
@@ -72,35 +71,18 @@ type Vantage struct {
 	queue deliveryQueue
 	dec   wire.Decoded // scratch decoder reused across Send calls
 
-	// Flow-plan cache (plancache.go). planSlots is allocated lazily on
-	// the first Send so idle vantages cost nothing; planScratch serves
-	// cache-disabled operation without allocating per probe. The arenas
-	// feed step/RTT backing arrays to cache slots in bulk, so a cache
-	// miss — even a compulsory miss on a never-reused flow — costs no
-	// per-probe allocation.
-	planSize     int
-	planSlots    []planEntry
-	planScratch  planEntry
-	scratchSteps []routerStep
-
-	// shared is the campaign-scope plan-core cache (plancache.go):
-	// created on the parent at the first Clone and inherited by every
-	// shard clone, so one shard's plan compute serves the whole
-	// campaign. Nil outside sharded operation — the serial path pays
-	// nothing for it. coreBlock and coreSteps are this vantage's
+	// plans is the flow-plan table (plancache.go) this vantage reads
+	// and publishes into: the universe's table for the vantage's
+	// identity, shared with every clone and with later vantages of the
+	// same identity, unless SetPlanCache replaced it. Nil means no
+	// table: every probe replans into scratch. serial names this vantage
+	// in the cores it publishes; coreBlock and coreSteps are its
 	// publication slabs: carved, never reused.
-	shared    *sharedPlans
+	plans     *planTable
+	serial    uint32
+	scratch   planCore
 	coreBlock []planCore
 	coreSteps []coreStep
-
-	// stepPages back every cached plan's step list, addressed by
-	// offset/length from the (pointer-free) cache slots. Pages are
-	// fixed-size and never move, so offsets stay valid as the store
-	// grows without the copy churn of a single growing slice; evicted
-	// entries' reservations are reused in place, so the store converges
-	// to roughly one size-class reservation per occupied slot.
-	stepPages [][]routerStep
-	stepNext  uint32
 
 	// Reply-buffer pool: bufs owns every buffer ever issued at this
 	// vantage; the free stacks hold the indices available for reuse, one
@@ -161,17 +143,19 @@ type Vantage struct {
 type VantageStats struct {
 	Sent     int64
 	Received int64
-	// PlanHits and PlanMisses count flow-plan cache outcomes; with the
-	// cache disabled every probe is a miss. Cache effectiveness is
-	// observable here without affecting results (cached plans are pure).
+	// PlanHits and PlanMisses count flow-plan table outcomes — every
+	// routed probe is one or the other; without a table every probe is
+	// a miss. Table effectiveness is observable here without affecting
+	// results (plans are pure).
 	PlanHits   int64
 	PlanMisses int64
-	// SharedPlanHits counts private-cache misses served from the
-	// campaign-shared plan-core cache instead of a fresh compute.
+	// SharedPlanHits counts the hits on a core another vantage
+	// published: a sibling shard, or an earlier vantage of the same
+	// identity.
 	SharedPlanHits int64
 	// PlanEvictions counts misses that displaced a different flow's
-	// entry from its direct-mapped slot — the conflict-miss share of
-	// PlanMisses.
+	// core because its whole probe window was live — the conflict share
+	// of PlanMisses.
 	PlanEvictions int64
 }
 
@@ -195,18 +179,17 @@ func (u *Universe) NewVantage(spec VantageSpec) *Vantage {
 	}
 	as := pool[h(u.seed, 31, nameKey)%uint64(len(pool))]
 	v := &Vantage{
-		u:        u,
-		spec:     spec,
-		id:       nameKey,
-		as:       as,
-		addr:     ipv6.WithIID(ipv6.NthSubprefix(as.Prefixes[0], 64, 0xbeef).Addr(), 0x1),
-		clk:      &u.clock,
-		routers:  make(map[RouterKey]*Router),
-		planSize: u.planCacheSize(),
+		u:       u,
+		spec:    spec,
+		id:      nameKey,
+		as:      as,
+		addr:    ipv6.WithIID(ipv6.NthSubprefix(as.Prefixes[0], 64, 0xbeef).Addr(), 0x1),
+		clk:     &u.clock,
+		routers: make(map[RouterKey]*Router),
 	}
 	v.srcU = ipv6.FromAddr(v.addr)
 	v.parent = u.bfsTree(as.Idx)
-	v.shared = u.sharedPlansFor(nameKey, v.planSize)
+	v.plans = u.plansFor(planIdentity{name: nameKey, as: as.Idx, chainLen: spec.ChainLen})
 	v.faults = u.cfg.Faults.PlanFor(spec.Name, "", 0)
 	v.hasFaults = v.faults.Active()
 	v.errTransient.Vantage = spec.Name
@@ -214,54 +197,48 @@ func (u *Universe) NewVantage(spec VantageSpec) *Vantage {
 	return v
 }
 
-// sharedPlansFor returns (creating on first use) the plan-core cache
-// shared by every vantage with the given identity key. Nil when plan
-// caching is disabled for the universe.
-func (u *Universe) sharedPlansFor(id uint64, planSize int) *sharedPlans {
-	if planSize <= 0 {
+// planIdentity is everything plan computation reads from the vantage:
+// the name key (access-chain router keys), the hosting AS (source
+// address, BFS tree) and the access-chain length. Vantages that agree on
+// all three compute identical plans and share one table.
+type planIdentity struct {
+	name     uint64
+	as       int
+	chainLen int
+}
+
+// plansFor returns (creating on first use) the plan table shared by
+// every vantage of one identity: self-sizing by default, of a fixed size
+// when the universe Config names one, nil when it disables plan keeping.
+func (u *Universe) plansFor(id planIdentity) *planTable {
+	if u.cfg.PlanCacheSize < 0 {
 		return nil
 	}
 	u.planShareMu.Lock()
 	defer u.planShareMu.Unlock()
 	if u.planShare == nil {
-		u.planShare = make(map[uint64]*sharedPlans)
+		u.planShare = make(map[planIdentity]*planTable)
 	}
-	sp := u.planShare[id]
-	if sp == nil {
-		sp = &sharedPlans{slots: make([]atomic.Pointer[planCore], planSize)}
-		u.planShare[id] = sp
+	pt := u.planShare[id]
+	if pt == nil {
+		if n := u.cfg.PlanCacheSize; n > 0 {
+			pt = newPlanTable(n, true)
+		} else {
+			pt = newPlanTable(planTableMinSlots, false)
+		}
+		u.planShare[id] = pt
 	}
-	return sp
-}
-
-// planCacheSize resolves the configured flow-plan cache size.
-func (u *Universe) planCacheSize() int {
-	switch {
-	case u.cfg.PlanCacheSize > 0:
-		return u.cfg.PlanCacheSize
-	case u.cfg.PlanCacheSize < 0:
-		return 0
-	}
-	return planCacheDefaultEntries
+	return pt
 }
 
 // Clone returns a shard vantage with the same identity — name, hosting
 // AS, source address, access-chain router keys — but private mutable
 // state: its own clock opened at virtual time start, its own delivery
-// queue, buffer free list, plan cache, counters, and router token
-// buckets. The clone's clock joins the parent's ClockGroup so the
+// queue, buffer free list, counters, and router token buckets; it reads
+// and publishes into the parent's plan table. The clone's clock joins the parent's ClockGroup so the
 // campaign's coordinated watermark covers it. Clones must be created
 // before the shards start running (Clone mutates the parent's group).
 func (v *Vantage) Clone(start time.Duration) *Vantage {
-	if v.shared == nil && v.planSize > 0 {
-		// Shard clones share one plan-core cache with the parent (and
-		// with each other): plans are pure functions of the inherited
-		// vantage identity, so the first shard to plan a flow plans it
-		// for all of them. Created once per vantage family; successive
-		// campaigns keep it warm (stale entries stay correct — the
-		// topology is immutable).
-		v.shared = &sharedPlans{slots: make([]atomic.Pointer[planCore], v.planSize)}
-	}
 	nv := &Vantage{
 		u:        v.u,
 		spec:     v.spec,
@@ -272,8 +249,7 @@ func (v *Vantage) Clone(start time.Duration) *Vantage {
 		clk:      NewClockAt(start),
 		parent:   v.parent, // read-only after construction
 		routers:  make(map[RouterKey]*Router),
-		planSize: v.planSize,
-		shared:   v.shared,
+		plans:    v.plans,
 		campaign: v.campaign,
 		shardOrd: v.nextClone,
 	}
@@ -395,17 +371,12 @@ func (v *Vantage) addRouter(r *Router) {
 	v.routerIdx = sorted.Append(v.routerIdx, r)
 }
 
-// stepRouter resolves (and memoizes into the plan step) the router for
-// plan step idx. The memo lives inside the cached plan entry, so a hit
-// flow's probes touch the router with a single pointer load instead of a
-// map lookup; the routers map remains the authority, so every plan entry
-// holding the same key resolves to the same (vantage-owned) router.
-func (v *Vantage) stepRouter(plan *planEntry, idx int, now time.Duration) *Router {
-	st := v.stepAt(plan.stepOff + uint32(idx))
-	if st.r == nil {
-		st.r = v.router(st.key, v.u.ases[st.asIdx], now)
-	}
-	return st.r
+// stepRouter resolves the router for plan step idx through the
+// vantage's router map: plans are shared and immutable, routers — with
+// their live token buckets — are vantage-owned.
+func (v *Vantage) stepRouter(plan *planCore, idx int, now time.Duration) *Router {
+	st := &plan.steps[idx]
+	return v.router(st.key, v.u.ases[st.asIdx], now)
 }
 
 // outcomes of path planning.
@@ -429,7 +400,7 @@ func flowHash(seed uint64, d *wire.Decoded) uint64 {
 
 // flowHashU is flowHash with the address words already extracted; the
 // vantage fast path supplies its cached source words and the destination
-// words it needs anyway for the plan-cache key. The mix chain is written
+// words it needs anyway for the plan-table key. The mix chain is written
 // out with fixed arity — same sequence and values as the variadic h —
 // because this runs once per routed packet.
 func flowHashU(seed uint64, s, t ipv6.U128, d *wire.Decoded) uint64 {
@@ -639,7 +610,7 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 	st.packetsRouted++
 
 	plan := v.lookupPlan(d)
-	planN := int(plan.n)
+	planN := len(plan.steps)
 	ttl := int(d.IPv6.HopLimit)
 	now := v.clk.Now()
 	if v.priming {
@@ -715,7 +686,7 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 		st.lossDropped++
 		return nil
 	}
-	rtt := v.stepAt(plan.stepOff+uint32(planN-1)).rtt + v.jitter(pk, now)
+	rtt := plan.steps[planN-1].rtt + v.jitter(pk, now)
 	switch {
 	case plan.exists && d.Proto == wire.ProtoICMPv6 && d.ICMPv6.Type == wire.ICMPv6EchoRequest:
 		if v.u.ases[plan.destAS].BlockEcho {
@@ -772,7 +743,7 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 
 // scheduleError builds and enqueues an ICMPv6 error from router r quoting
 // the probe, arriving after the round-trip to step idx.
-func (v *Vantage) scheduleError(st *simDelta, r *Router, typ, code uint8, probe []byte, plan *planEntry, idx int, now time.Duration, pk uint64) {
+func (v *Vantage) scheduleError(st *simDelta, r *Router, typ, code uint8, probe []byte, plan *planCore, idx int, now time.Duration, pk uint64) {
 	if v.priming {
 		// The bucket decision already happened; the reply itself is not
 		// scheduled during prime replay.
@@ -788,7 +759,7 @@ func (v *Vantage) scheduleError(st *simDelta, r *Router, typ, code uint8, probe 
 	}
 	bi := v.getBuf(wire.IPv6HeaderLen + wire.ICMPv6HeaderLen + len(quote))
 	n := wire.BuildICMPv6Error(v.bufs[bi], typ, code, r.Addr, v.addr, quote, 64)
-	rtt := v.stepAt(plan.stepOff+uint32(idx)).rtt + v.jitter(pk, now)
+	rtt := plan.steps[idx].rtt + v.jitter(pk, now)
 	v.deliverReply(st, bi, n, now+rtt, pk, now)
 }
 

@@ -3,10 +3,8 @@ package probe
 import (
 	"encoding/binary"
 	"net/netip"
-	"sync/atomic"
 	"time"
 
-	"beholder/internal/ipv6"
 	"beholder/internal/wire"
 )
 
@@ -33,99 +31,81 @@ type Codec struct {
 	dec   wire.Decoded
 	inner wire.Decoded
 
-	// Probe-template cache (see BuildProbe): a direct-mapped,
-	// pointer-free slot array of fully serialized per-target probes.
-	// Opt-in via SetProbeCache — probers whose targets repeat (Yarrp6's
-	// ~16 TTLs per target, the stateful tracers' per-destination walks)
-	// enable it; one-shot workloads like alias detection leave it off.
-	tmpl       []probeTmpl
-	tmplSize   int
+	// Constant packet image (see BuildProbeAt): the codec's probe with
+	// every per-target and per-probe byte zeroed, serialized once. base
+	// is the folded ones'-complement sum of its pseudo-header and
+	// segment; sumOff and ckOff locate the two 16-bit fields that carry
+	// the per-target checksum constant.
+	img        [imgMax]byte
+	imgLen     int
+	base       uint32
+	sumOff     int
+	ckOff      int
 	payloadOff int
-
-	// sharedTmpl, when non-nil, replaces the private template cache
-	// with a campaign-shared store: templates are instance-neutral (the
-	// instance byte is patched per build like the TTL), so the shards
-	// of one campaign — which differ only in their instance byte —
-	// build each target's template once between them.
-	sharedTmpl *TmplStore
 
 	// NotMine counts replies that failed the magic/instance/identifier
 	// authentication.
 	NotMine int64
 }
 
-// tmplPktMax bounds cacheable probe sizes; the module's own probes are
-// 60-72 bytes (40 header + 8-20 transport + 12 payload).
-const tmplPktMax = 80
+// imgMax bounds the packet image; the module's own probes are 60-72
+// bytes (40 header + 8-20 transport + 12 payload).
+const imgMax = 80
 
-// probeTmpl is one cached serialized probe. The variable bytes — hop
-// limit, payload TTL, elapsed timestamp, checksum fudge — are stored
-// zeroed, and sBase is the folded ones'-complement sum of everything
-// else (pseudo-header, constant bytes, and the forced checksum value),
-// so a cache hit re-derives the fudge with a few integer adds instead of
-// re-checksumming the packet. The struct is pointer-free: the slot array
-// is a single no-scan allocation.
-type probeTmpl struct {
-	dst   ipv6.U128
-	used  bool
-	n     int32
-	sBase uint32
-	pkt   [tmplPktMax]byte
-}
-
-// SetProbeCache resizes the codec's probe-template cache to the given
-// number of direct-mapped slots (entries <= 0 disables it, the default).
-// Cached probes are byte-identical to freshly built ones — the cache is
-// purely a speed/memory trade.
-func (c *Codec) SetProbeCache(entries int) {
-	if entries < 0 {
-		entries = 0
-	}
-	c.tmplSize = entries
-	c.tmpl = nil
-}
-
-// TmplStore is a concurrent probe-template store shared by the codecs
-// of one campaign's shards: direct-mapped slots of atomically published
-// immutable templates. Templates are instance-neutral, so codecs that
-// differ only in their instance byte (campaign shards, by construction)
-// share them; racing publishes of one target produce identical values,
-// so last-write-wins needs no locking. Probes served from the store are
-// byte-identical to fresh builds — same guarantee as the private cache.
-type TmplStore struct {
-	slots []atomic.Pointer[probeTmpl]
-}
-
-// NewTmplStore creates a shared template store with the given number of
-// direct-mapped slots (rounded up to at least one).
-func NewTmplStore(entries int) *TmplStore {
-	if entries < 1 {
-		entries = 1
-	}
-	return &TmplStore{slots: make([]atomic.Pointer[probeTmpl], entries)}
-}
-
-// UseSharedTemplates routes this codec's template caching through the
-// shared store (replacing any private cache).
-func (c *Codec) UseSharedTemplates(s *TmplStore) {
-	c.sharedTmpl = s
-	c.tmpl = nil
-	c.tmplSize = 0
-}
+// SetProbeCache does nothing: probes are built arithmetically from the
+// codec's constant image (see BuildProbeAt), at one cost for every
+// target, so there is no cache to size. Kept because the benchmark in
+// bench/ calls it; see ROADMAP.
+func (c *Codec) SetProbeCache(entries int) {}
 
 // NewCodec creates a codec for the given transport, anchored at the
 // connection's current time.
 func NewCodec(conn Conn, proto, instance uint8) *Codec {
 	c := &Codec{conn: conn, proto: proto, instance: instance, epoch: conn.Now()}
+	t := wire.IPv6HeaderLen
 	switch proto {
 	case wire.ProtoUDP:
-		c.payloadOff = wire.IPv6HeaderLen + wire.UDPHeaderLen
+		c.sumOff, c.ckOff, c.payloadOff = t, t+6, t+wire.UDPHeaderLen
 	case wire.ProtoTCP:
-		c.payloadOff = wire.IPv6HeaderLen + wire.TCPHeaderLen
+		c.sumOff, c.ckOff, c.payloadOff = t, t+16, t+wire.TCPHeaderLen
 	default:
-		c.payloadOff = wire.IPv6HeaderLen + wire.ICMPv6HeaderLen
+		c.sumOff, c.ckOff, c.payloadOff = t+4, t+2, t+wire.ICMPv6HeaderLen
 	}
+
+	// The image is the probe toward the unspecified address at TTL zero:
+	// what remains constant once destination, per-target checksum
+	// constant, hop limit, instance, TTL, elapsed time and fudge are taken
+	// out. BuildPacket installs a true checksum; it is cleared, and base
+	// sums what is left.
+	var payload [PayloadLen]byte
+	binary.BigEndian.PutUint32(payload[0:4], Magic)
+	src, dst := conn.LocalAddr(), netip.IPv6Unspecified()
+	c.imgLen = c.marshal(c.img[:], src, dst, 0, 0, payload[:])
+	c.img[c.ckOff], c.img[c.ckOff+1] = 0, 0
+	var cs wire.Checksummer
+	cs.AddPseudoHeader(src, dst, c.imgLen-wire.IPv6HeaderLen, proto)
+	cs.Add(c.img[wire.IPv6HeaderLen:c.imgLen])
+	c.base = uint32(cs.RawSum())
 	return c
+}
+
+// marshal serializes the codec's probe layout: the IPv6 header and the
+// transport header carrying sum in its source port (UDP, TCP) or
+// identifier (ICMPv6), with a true transport checksum.
+func (c *Codec) marshal(buf []byte, src, dst netip.Addr, ttl uint8, sum uint16, payload []byte) int {
+	hdr := wire.IPv6Header{HopLimit: ttl, Src: src, Dst: dst}
+	var udp wire.UDPHeader
+	var tcp wire.TCPHeader
+	var icmp wire.ICMPv6Header
+	switch c.proto {
+	case wire.ProtoUDP:
+		udp = wire.UDPHeader{SrcPort: sum, DstPort: 80}
+	case wire.ProtoTCP:
+		tcp = wire.TCPHeader{SrcPort: sum, DstPort: 80, Flags: wire.TCPSyn, Window: 65535}
+	default:
+		icmp = wire.ICMPv6Header{Type: wire.ICMPv6EchoRequest, ID: sum, Seq: 80}
+	}
+	return wire.BuildPacket(buf, &hdr, c.proto, &udp, &tcp, &icmp, payload)
 }
 
 // Epoch returns the campaign time origin used for RTT timestamps.
@@ -148,12 +128,7 @@ func targetSum(target netip.Addr) uint16 {
 }
 
 // BuildProbe constructs the wire packet for (target, ttl) into buf,
-// returning its length. With the probe cache enabled, repeat targets are
-// served from a serialized template: only the hop limit, the payload TTL
-// byte, the elapsed timestamp, and the checksum fudge differ between a
-// target's probes, and the fudge follows from the template's precomputed
-// base sum by ones'-complement arithmetic — no header marshalling and no
-// byte checksumming on a hit, byte-identical output either way.
+// returning its length, stamped with the connection's current time.
 func (c *Codec) BuildProbe(buf []byte, target netip.Addr, ttl uint8) int {
 	return c.BuildProbeAt(buf, target, ttl, c.conn.Now())
 }
@@ -165,151 +140,47 @@ func (c *Codec) BuildProbe(buf []byte, target netip.Addr, ttl uint8) int {
 // stamped for its own future departure instant — the clock advances by
 // exactly one inter-probe gap per send, so the predicted instants equal
 // the actual ones and the wire bytes match a per-probe build exactly.
+//
+// No header is marshalled and no byte is checksummed: a probe differs
+// from the codec's constant image only in the destination, the
+// per-target constant in two 16-bit fields, and the hop limit, instance,
+// TTL, elapsed time and fudge. The build copies the image, stores those,
+// and solves the fudge by ones'-complement arithmetic on the image's
+// base sum — the cost is the same for every probe, whatever the number
+// of targets, and the bytes are those of a full serialization.
 func (c *Codec) BuildProbeAt(buf []byte, target netip.Addr, ttl uint8, at time.Duration) int {
 	elapsed := uint32((at - c.epoch) / time.Microsecond)
-	if c.sharedTmpl != nil {
-		tu := ipv6.FromAddr(target)
-		slot := &c.sharedTmpl.slots[tmplMix(tu)%uint64(len(c.sharedTmpl.slots))]
-		if tp := slot.Load(); tp != nil && tp.dst == tu {
-			n := int(tp.n)
-			copy(buf[:n], tp.pkt[:n])
-			c.patchProbe(buf[:n], ttl, elapsed, tp.sBase)
-			return n
-		}
-		n := c.buildProbeSlow(buf, target, ttl, elapsed)
-		if n <= tmplPktMax {
-			tp := &probeTmpl{dst: tu, used: true, n: int32(n)}
-			copy(tp.pkt[:n], buf[:n])
-			c.templatize(tp, target, n)
-			slot.Store(tp)
-		}
-		return n
-	}
-	if c.tmplSize > 0 {
-		if c.tmpl == nil {
-			c.tmpl = make([]probeTmpl, c.tmplSize)
-		}
-		tu := ipv6.FromAddr(target)
-		slot := &c.tmpl[tmplMix(tu)%uint64(c.tmplSize)]
-		if slot.used && slot.dst == tu {
-			n := int(slot.n)
-			copy(buf[:n], slot.pkt[:n])
-			c.patchProbe(buf[:n], ttl, elapsed, slot.sBase)
-			return n
-		}
-		n := c.buildProbeSlow(buf, target, ttl, elapsed)
-		if n <= tmplPktMax {
-			slot.dst = tu
-			slot.used = true
-			slot.n = int32(n)
-			copy(slot.pkt[:n], buf[:n])
-			c.templatize(slot, target, n)
-		}
-		return n
-	}
-	return c.buildProbeSlow(buf, target, ttl, elapsed)
-}
+	pkt := buf[:c.imgLen]
+	copy(pkt, c.img[:c.imgLen])
+	dst := target.As16()
+	copy(pkt[24:40], dst[:])
 
-// tmplMix spreads structured address words over the template slots.
-func tmplMix(u ipv6.U128) uint64 {
-	x := u.Hi*0x9e3779b97f4a7c15 ^ u.Lo
-	x ^= x >> 29
-	x *= 0xbf58476d1ce4e5b9
-	return x ^ x>>32
-}
-
-// buildProbeSlow is the full serialization path: header and transport
-// marshalling, checksum, and fudge forcing.
-func (c *Codec) buildProbeSlow(buf []byte, target netip.Addr, ttl uint8, elapsed uint32) int {
-	var payload [PayloadLen]byte
-	binary.BigEndian.PutUint32(payload[0:4], Magic)
-	payload[4] = c.instance
-	payload[5] = ttl
-	binary.BigEndian.PutUint32(payload[6:10], elapsed)
-	// payload[10:12] is the checksum fudge, solved for below.
-
+	// The constant carried in the port/identifier and forced into the
+	// transport checksum.
 	sum := targetSum(target)
-	hdr := wire.IPv6Header{HopLimit: ttl, Src: c.conn.LocalAddr(), Dst: target}
-	var udp wire.UDPHeader
-	var tcp wire.TCPHeader
-	var icmp wire.ICMPv6Header
-	switch c.proto {
-	case wire.ProtoUDP:
-		udp = wire.UDPHeader{SrcPort: sum, DstPort: 80}
-	case wire.ProtoTCP:
-		tcp = wire.TCPHeader{SrcPort: sum, DstPort: 80, Flags: wire.TCPSyn, Window: 65535}
-	default:
-		icmp = wire.ICMPv6Header{Type: wire.ICMPv6EchoRequest, ID: sum, Seq: 80}
-	}
-	n := wire.BuildPacket(buf, &hdr, c.proto, &udp, &tcp, &icmp, payload[:])
-	c.forceChecksum(buf[:n], sum)
-	return n
-}
+	pkt[c.sumOff], pkt[c.sumOff+1] = byte(sum>>8), byte(sum)
+	pkt[c.ckOff], pkt[c.ckOff+1] = byte(sum>>8), byte(sum)
 
-// templatize zeroes the template's variable bytes (hop limit, payload
-// instance and TTL, elapsed, fudge) and records the folded sum of
-// everything that remains — the per-target constant the per-probe fudge
-// is derived from. The instance byte counts as variable so shard codecs
-// differing only by instance can share one template.
-func (c *Codec) templatize(slot *probeTmpl, target netip.Addr, n int) {
-	po := c.payloadOff
-	slot.pkt[7] = 0 // hop limit (outside the transport checksum, but patched per probe)
-	for i := po + 4; i < po+PayloadLen; i++ {
-		slot.pkt[i] = 0
-	}
-	var cs wire.Checksummer
-	cs.AddPseudoHeader(c.conn.LocalAddr(), target, n-wire.IPv6HeaderLen, c.proto)
-	cs.Add(slot.pkt[wire.IPv6HeaderLen:n])
-	slot.sBase = uint32(cs.RawSum())
-}
-
-// patchProbe writes the per-probe variable bytes into a template copy.
-// The fudge keeps the forced checksum valid: the new segment sum is
-// sBase plus the freshly written words (the instance/TTL word and the
-// elapsed halves), and the fudge is its complement deficit — the same
-// value a full rebuild would solve for.
-func (c *Codec) patchProbe(pkt []byte, ttl uint8, elapsed uint32, sBase uint32) {
 	po := c.payloadOff
 	pkt[7] = ttl
 	pkt[po+4] = c.instance
 	pkt[po+5] = ttl
 	binary.BigEndian.PutUint32(pkt[po+6:po+10], elapsed)
-	raw := sBase + uint32(c.instance)<<8 + uint32(ttl) + elapsed>>16 + elapsed&0xffff
+
+	// With the wanted checksum installed the ones'-complement sum over
+	// pseudo-header and segment must come to 0xffff, so the fudge is its
+	// complement deficit. The destination adds its folded sum to the
+	// pseudo-header and the constant — that sum's complement — appears
+	// twice; one copy cancels the destination (x + ^x = 0xffff, which is
+	// zero in this arithmetic), the other is added here. Six terms of
+	// at most 16 bits each: two folds reach 16 bits.
+	raw := c.base + uint32(sum) + uint32(c.instance)<<8 + uint32(ttl) + elapsed>>16 + elapsed&0xffff
 	raw = raw>>16 + raw&0xffff
 	raw = raw>>16 + raw&0xffff
 	fudge := 0xffff - uint16(raw)
 	pkt[po+10] = byte(fudge >> 8)
 	pkt[po+11] = byte(fudge)
-}
-
-// forceChecksum rewrites the transport checksum to want and solves the
-// payload fudge so the checksum verifies: with the wanted value
-// installed, the ones'-complement sum over pseudo-header and segment must
-// come to 0xffff, so the fudge is its complement deficit.
-//
-// No bytes are re-summed: BuildPacket already installed the true
-// checksum over a zeroed checksum field and zeroed fudge, and its
-// complement IS the folded segment sum, so the deficit follows
-// arithmetically. This halves the per-probe checksum work.
-func (c *Codec) forceChecksum(pkt []byte, want uint16) {
-	var ckOff int
-	switch c.proto {
-	case wire.ProtoUDP:
-		ckOff = wire.IPv6HeaderLen + 6
-	case wire.ProtoTCP:
-		ckOff = wire.IPv6HeaderLen + 16
-	default:
-		ckOff = wire.IPv6HeaderLen + 2
-	}
-	fudgeOff := len(pkt) - 2
-	have := uint16(pkt[ckOff])<<8 | uint16(pkt[ckOff+1])
-	raw := uint32(^have) + uint32(want)
-	raw = raw>>16 + raw&0xffff
-	fudge := 0xffff - uint16(raw)
-	pkt[ckOff] = byte(want >> 8)
-	pkt[ckOff+1] = byte(want)
-	pkt[fudgeOff] = byte(fudge >> 8)
-	pkt[fudgeOff+1] = byte(fudge)
+	return c.imgLen
 }
 
 // ParseReply decodes one received packet and reconstructs probe state.

@@ -65,41 +65,39 @@ func FuzzParseReply(f *testing.F) {
 	})
 }
 
-// FuzzProbeCacheEquivalence is the checksum-fudge equivalence check:
-// for any (target, ttl, proto), the template-cached build — which
-// derives the checksum fudge by ones'-complement arithmetic from the
-// template's base sum — must produce a byte-identical packet to the
-// full serialization path, and both must carry a verifying transport
-// checksum.
-func FuzzProbeCacheEquivalence(f *testing.F) {
-	f.Add([]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 1}, uint8(1), uint8(0), uint8(0))
-	f.Add([]byte{0x20, 0x01, 0xff, 0xff}, uint8(16), uint8(1), uint8(200))
-	f.Add([]byte{0x3f, 0xfe}, uint8(255), uint8(2), uint8(63))
+// FuzzProbeBuildEquivalence holds the arithmetic probe build to the full
+// serialization: for any (target, TTL, transport, instance, send time)
+// the packet BuildProbeAt derives from the codec's constant image must be
+// byte-identical to buildProbeSlow's, carry the per-target constant in
+// its checksum field, and verify against a full checksum recompute. The
+// seeds cover each transport, an address whose folded sum is 0xffff (its
+// checksum constant takes the 0 → 0xffff branch), instances 0 and 255,
+// and send times of zero and past 2¹⁶ µs (both elapsed halves nonzero).
+func FuzzProbeBuildEquivalence(f *testing.F) {
+	f.Add([]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 1}, uint8(1), uint8(0), uint8(7), uint32(0))
+	f.Add([]byte{0x20, 0x01, 0xff, 0xff}, uint8(16), uint8(1), uint8(0), uint32(200_000))
+	f.Add([]byte{0x3f, 0xfe}, uint8(255), uint8(2), uint8(255), uint32(63_000))
+	f.Add([]byte{0x20, 0x00, 0xdf, 0xff}, uint8(9), uint8(0), uint8(255), uint32(1<<16+1))
+	f.Add([]byte{0x20, 0x00, 0xdf, 0xff}, uint8(0), uint8(1), uint8(0), uint32(0))
+	f.Add([]byte{0x20, 0x00, 0, 0, 0xdf, 0xff}, uint8(32), uint8(2), uint8(1), uint32(1<<32-1))
 
-	f.Fuzz(func(t *testing.T, targetSeed []byte, ttl, protoSel, sleepMs uint8) {
+	f.Fuzz(func(t *testing.T, targetSeed []byte, ttl, protoSel, instance uint8, elapsedUs uint32) {
 		proto := []uint8{wire.ProtoICMPv6, wire.ProtoUDP, wire.ProtoTCP}[int(protoSel)%3]
 		var tb [16]byte
 		copy(tb[:], targetSeed)
 		tb[0] |= 0x20
 		target := netip.AddrFrom16(tb)
 
-		plain := &fuzzConn{addr: netip.MustParseAddr("2001:db8:100::1")}
-		cached := &fuzzConn{addr: netip.MustParseAddr("2001:db8:100::1")}
-		slow := NewCodec(plain, proto, 7)
-		fast := NewCodec(cached, proto, 7)
-		fast.SetProbeCache(64)
+		conn := &fuzzConn{addr: netip.MustParseAddr("2001:db8:100::1")}
+		codec := NewCodec(conn, proto, instance)
+		at := time.Duration(elapsedUs) * time.Microsecond
 
-		var a, b, c [128]byte
-		// Prime the template, then advance both clocks identically so
-		// the cached rebuild patches a nonzero elapsed timestamp.
-		fast.BuildProbe(c[:], target, ttl)
-		plain.Sleep(time.Duration(sleepMs) * time.Millisecond)
-		cached.Sleep(time.Duration(sleepMs) * time.Millisecond)
-
-		na := slow.BuildProbe(a[:], target, ttl)
-		nb := fast.BuildProbe(b[:], target, ttl)
+		var a, b, g [128]byte
+		na := codec.buildProbeSlow(a[:], target, ttl, at)
+		nb := codec.BuildProbeAt(b[:], target, ttl, at)
 		if na != nb || !bytes.Equal(a[:na], b[:nb]) {
-			t.Fatalf("cached probe differs from full rebuild for %s ttl %d proto %d", target, ttl, proto)
+			t.Fatalf("arithmetic build differs from full serialization for %s ttl %d proto %d instance %d at %v:\n got %x\nwant %x",
+				target, ttl, proto, instance, at, b[:nb], a[:na])
 		}
 		var d wire.Decoded
 		if err := d.Decode(b[:nb]); err != nil {
@@ -108,24 +106,27 @@ func FuzzProbeCacheEquivalence(f *testing.F) {
 		if !d.VerifyTransportChecksum(b[:nb]) {
 			t.Fatal("arithmetic checksum fudge does not verify against full recompute")
 		}
+		var ck uint16
+		switch proto {
+		case wire.ProtoUDP:
+			ck = d.UDP.Checksum
+		case wire.ProtoTCP:
+			ck = d.TCP.Checksum
+		default:
+			ck = d.ICMPv6.Checksum
+		}
+		if ck != targetSum(target) {
+			t.Fatalf("transport checksum %#04x, want the per-target constant %#04x", ck, targetSum(target))
+		}
 
 		// Batch-build equivalence: BuildProbeAt stamped for a future
 		// instant must equal BuildProbe issued once the clock reaches
 		// that instant — the exact prediction the batched prober makes
-		// when it pre-builds a send batch — via both the template-cache
-		// and the full-serialization paths.
-		at := cached.Now() + time.Duration(sleepMs)*time.Millisecond
-		var e, g [128]byte
-		ne := fast.BuildProbeAt(e[:], target, ttl, at)
-		cached.Sleep(at - cached.Now())
-		ng := fast.BuildProbe(g[:], target, ttl)
-		if ne != ng || !bytes.Equal(e[:ne], g[:ng]) {
-			t.Fatalf("pre-stamped batch build differs from build-at-send for %s ttl %d proto %d", target, ttl, proto)
-		}
-		plain.Sleep(at - plain.Now())
-		nh := slow.BuildProbeAt(a[:], target, ttl, at)
-		if nh != ne || !bytes.Equal(a[:nh], e[:ne]) {
-			t.Fatalf("uncached BuildProbeAt differs from cached for %s ttl %d proto %d", target, ttl, proto)
+		// when it pre-builds a send batch.
+		conn.Sleep(at)
+		ng := codec.BuildProbe(g[:], target, ttl)
+		if ng != nb || !bytes.Equal(g[:ng], b[:nb]) {
+			t.Fatalf("pre-stamped build differs from build-at-send for %s ttl %d proto %d", target, ttl, proto)
 		}
 	})
 }

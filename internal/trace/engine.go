@@ -128,9 +128,6 @@ type engine struct {
 func newEngine(conn probe.Conn, cfg EngineConfig, store *probe.Store) *engine {
 	cfg.setDefaults()
 	codec := probe.NewCodec(conn, cfg.Proto, 0)
-	// A windowed tracer probes each in-flight destination once per TTL
-	// round; a cache covering a few windows of targets serves them.
-	codec.SetProbeCache(2048)
 	return &engine{
 		conn:   conn,
 		cfg:    cfg,

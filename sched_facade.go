@@ -99,7 +99,9 @@ type SchedulerOptions struct {
 	// batch by that much. Virtual time — and therefore every result
 	// byte — is untouched; the knob only stretches a campaign's
 	// wall-clock footprint so crash/kill harnesses (and cautious
-	// operators) get a window to interrupt it mid-flight.
+	// operators) get a window to interrupt it mid-flight. A shard's
+	// heartbeat moves once per 64 send runs, so keep 64 × SendDelay well
+	// under StallBudget or the watchdog reads the throttle as a stall.
 	SendDelay time.Duration
 	// Telemetry, when non-nil, receives sched_* supervisor metrics and
 	// the campaigns' hot-path yarrp_* metrics.

@@ -121,8 +121,15 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 	if got := counter("plan_cache_hits_total"); got != res.PlanHits {
 		t.Errorf("plan_cache_hits_total = %d, want %d", got, res.PlanHits)
 	}
-	if counter("sim_packets_routed_total") == 0 {
-		t.Error("sim_packets_routed_total is zero after a campaign")
+	if routed := counter("sim_packets_routed_total"); routed == 0 || res.PlanHits+res.PlanMisses != routed {
+		t.Errorf("sim_packets_routed_total = %d, plan table hits + misses = %d", routed, res.PlanHits+res.PlanMisses)
+	}
+	if slots, cores := gauge("plan_table_slots"), gauge("plan_table_cores"); slots != int64(res.PlanTableSlots) ||
+		cores != int64(res.PlanTableCores) || cores == 0 || cores > slots {
+		t.Errorf("plan_table_slots/cores = %d/%d, result has %d/%d", slots, cores, res.PlanTableSlots, res.PlanTableCores)
+	}
+	if got := counter("plan_table_growths_total"); got != res.PlanTableGrowths {
+		t.Errorf("plan_table_growths_total = %d, want %d", got, res.PlanTableGrowths)
 	}
 	if got := gauge("store_unique_interfaces"); got != int64(res.NumInterfaces()) {
 		t.Errorf("store_unique_interfaces = %d, want %d", got, res.NumInterfaces())

@@ -32,8 +32,9 @@ func write(dir, name string, lines ...string) {
 	}
 }
 
-func bs(b []byte) string { return "[]byte(" + strconv.Quote(string(b)) + ")" }
-func by(v uint8) string  { return "byte(" + strconv.QuoteRuneToASCII(rune(v)) + ")" }
+func bs(b []byte) string  { return "[]byte(" + strconv.Quote(string(b)) + ")" }
+func by(v uint8) string   { return "byte(" + strconv.QuoteRuneToASCII(rune(v)) + ")" }
+func u32(v uint32) string { return "uint32(" + strconv.FormatUint(uint64(v), 10) + ")" }
 
 type frozenConn struct {
 	addr netip.Addr
@@ -87,12 +88,14 @@ func main() {
 	write(pd, "seed-truncated-quote", bs(errBuf[:en-probe.PayloadLen]))
 	write(pd, "seed-bare-probe", bs(buf[:pn]))
 
-	// probe: FuzzProbeCacheEquivalence — (targetSeed, ttl, protoSel,
-	// sleepMs).
-	pe := "internal/probe/testdata/fuzz/FuzzProbeCacheEquivalence"
-	write(pe, "seed-icmp6", bs([]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 1}), by(1), by(0), by(0))
-	write(pe, "seed-udp", bs([]byte{0x20, 0x01, 0xff, 0xff}), by(16), by(1), by(200))
-	write(pe, "seed-tcp", bs([]byte{0x3f, 0xfe}), by(255), by(2), by(63))
+	// probe: FuzzProbeBuildEquivalence — (targetSeed, ttl, protoSel,
+	// instance, elapsedUs). The dfff address folds to 0xffff, so its
+	// checksum constant takes the 0 → 0xffff branch.
+	pe := "internal/probe/testdata/fuzz/FuzzProbeBuildEquivalence"
+	write(pe, "seed-icmp6", bs([]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 1}), by(1), by(0), by(7), u32(0))
+	write(pe, "seed-udp", bs([]byte{0x20, 0x01, 0xff, 0xff}), by(16), by(1), by(0), u32(200_000))
+	write(pe, "seed-tcp", bs([]byte{0x3f, 0xfe}), by(255), by(2), by(255), u32(63_000))
+	write(pe, "seed-zero-sum", bs([]byte{0x20, 0x00, 0xdf, 0xff}), by(9), by(0), by(255), u32(1<<16+1))
 
 	// core: FuzzCheckpointDecode — a real interrupted-campaign artifact,
 	// a truncation, a CRC flip, and an adaptive artifact cut mid-epoch
