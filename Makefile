@@ -4,10 +4,11 @@ GO ?= go
 
 .PHONY: test race bench bench-check bench-selftest progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak loc
 
-# chaos runs the fault-injection matrix, checkpoint/resume equivalence,
-# and cancellation tests under the race detector.
+# chaos runs the fault-injection matrix, checkpoint/resume and rewind
+# equivalence, the interrupt and cancellation tests, and the rate-limit
+# saturation matrix under the race detector.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel' ./internal/core
+	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel|Rewind|Interrupt|Saturation' ./internal/core
 
 # soak runs the multi-tenant scheduler chaos harness under the race
 # detector: concurrent tenant campaigns under injected crash/stall/

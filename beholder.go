@@ -673,11 +673,21 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 			return builders[s]
 		}
 	}
-	camp := core.NewCampaign(ccfg, run.connOf)
+	return run.finishCampaign(core.NewCampaign(ccfg, run.connOf), builders)
+}
+
+// finishCampaign runs a static campaign — fresh or resumed — and closes
+// the run; an interrupted campaign's partial store is folded here, where
+// it is published. builders, when streaming graph construction was on,
+// are the per-shard subgraphs.
+func (r *campaignRun) finishCampaign(camp *core.Campaign, builders []*graph.Graph) (*Result, error) {
 	store, stats, err := camp.Run()
-	return run.finish(err, stats.Elapsed, func() *Result {
-		res := v.campaignResult(store, stats, cfg.Proto)
-		if opt.Graph {
+	if errors.Is(err, core.ErrInterrupted) {
+		store = camp.MergedStore()
+	}
+	return r.finish(err, stats.Elapsed, func() *Result {
+		res := r.v.campaignResult(store, stats, camp.Proto())
+		if builders != nil {
 			// The builders exist only to be merged: hand them over.
 			res.graph = graph.Fold(builders...)
 		}
@@ -714,10 +724,7 @@ func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, erro
 		return nil, err
 	}
 	run.epoch = camp.Epoch()
-	store, stats, err := camp.Run()
-	return run.finish(err, stats.Elapsed, func() *Result {
-		return v.campaignResult(store, stats, camp.Proto())
-	}, camp.Checkpoint)
+	return run.finishCampaign(camp, nil)
 }
 
 // runAdaptive executes a closed-loop adaptive campaign: seeds build a

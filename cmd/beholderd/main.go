@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/netip"
@@ -654,14 +655,37 @@ func splitKey(key string) (tenant, name string) {
 	return key, key
 }
 
+// maxSubmitBytes bounds a /submit body. A million explicit targets is
+// ~40 MB of JSON; anything larger should come through the seed pipeline.
+const maxSubmitBytes = 64 << 20
+
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// A submission is outside input: bounded in size, and exactly one
+	// JSON object of known fields (persisted specs, read back by
+	// recoverState, stay leniently decoded).
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
 	var req campaignReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	err := dec.Decode(&req)
+	if err == nil {
+		// Nothing but whitespace may follow the object.
+		if _, terr := dec.Token(); terr == nil {
+			err = errors.New("trailing data after the campaign object")
+		} else if terr != io.EOF {
+			err = terr
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	if _, err := d.submit(req, nil, true); err != nil {

@@ -345,7 +345,7 @@ func (a *AdaptiveCampaign) runEpoch(ctx context.Context, inner *Campaign, ttlSpa
 		ps.Curve = nil
 		a.partial = &ps
 		merged := cloneStore(a.total)
-		merged.Merge(store)
+		merged.Merge(inner.MergedStore())
 		return merged, false, ErrInterrupted
 	default:
 		return nil, false, err

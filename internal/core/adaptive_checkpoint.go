@@ -88,113 +88,45 @@ func decodeAdaptive(payload []byte) (a *AdaptiveCampaign, source []byte, err err
 	a = &AdaptiveCampaign{originSet: true, resumed: true}
 	cfg := &a.cfg
 	r := ckReader{buf: payload}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
+	flags := r.u8()
 	hasInner := flags&1 != 0
 	cfg.Fill = flags&2 != 0
 	cfg.RecordPaths = flags&4 != 0
-	if err = r.tuning(&cfg.CampaignConfig); err != nil {
-		return nil, nil, err
+	r.tuning(&cfg.CampaignConfig)
+	cfg.Budget = r.i64()
+	cfg.EpochTargets = int(r.u32())
+	cfg.MaxEpochs = int(r.u32())
+	if cfg.MaxEpochs == 0 || cfg.EpochTargets <= 0 {
+		r.fail("invalid adaptive bounds")
 	}
-	budget, err := r.u64()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Budget = int64(budget)
-	et, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.EpochTargets = int(et)
-	me, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.MaxEpochs = int(me)
-	if me == 0 || cfg.EpochTargets <= 0 {
-		return nil, nil, fmt.Errorf("%w: invalid adaptive bounds", ErrCheckpoint)
-	}
-	ep, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	a.epoch = int(ep)
-	if a.base, err = r.dur(); err != nil {
-		return nil, nil, err
-	}
-	if a.origin, err = r.dur(); err != nil {
-		return nil, nil, err
-	}
-	if a.spent, err = r.i64(); err != nil {
-		return nil, nil, err
-	}
-	nEpochs, err := r.count(68)
-	if err != nil {
-		return nil, nil, err
-	}
-	a.epochs = make([]EpochStats, nEpochs)
+	a.epoch = int(r.u32())
+	a.base = r.dur()
+	a.origin = r.dur()
+	a.spent = r.i64()
+	a.epochs = make([]EpochStats, r.count(68))
 	for i := range a.epochs {
 		e := &a.epochs[i]
 		e.Epoch = i
-		tn, err := r.u32()
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Targets = int(tn)
-		if e.Base, err = r.dur(); err != nil {
-			return nil, nil, err
-		}
-		if err = r.counters(&e.Stats); err != nil {
-			return nil, nil, err
-		}
-		ifaces, err := r.u32()
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Interfaces = int(ifaces)
+		e.Targets = int(r.u32())
+		e.Base = r.dur()
+		r.counters(&e.Stats)
+		e.Interfaces = int(r.u32())
 	}
-	nPend, err := r.count(16)
-	if err != nil {
-		return nil, nil, err
-	}
-	a.pending = make([]netip.Addr, nPend)
+	a.pending = make([]netip.Addr, r.count(16))
 	for i := range a.pending {
-		if a.pending[i], err = r.addr(); err != nil {
-			return nil, nil, err
-		}
+		a.pending[i] = r.addr()
 	}
-	nSrc, err := r.count(1)
-	if err != nil {
-		return nil, nil, err
+	source = r.bytes(r.count(1))
+	enc := r.take(r.count(1))
+	a.resumeInner = r.bytes(r.count(1))
+	if hasInner != (len(a.resumeInner) > 0) {
+		r.fail("inner-artifact flag mismatch")
 	}
-	if source, err = r.bytes(nSrc); err != nil {
-		return nil, nil, err
-	}
-	nStore, err := r.count(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	enc, err := r.bytes(nStore)
-	if err != nil {
+	if err := r.done("adaptive"); err != nil {
 		return nil, nil, err
 	}
 	if a.total, err = probe.DecodeStore(enc); err != nil {
 		return nil, nil, fmt.Errorf("%w: adaptive store: %v", ErrCheckpoint, err)
-	}
-	nInner, err := r.count(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if a.resumeInner, err = r.bytes(nInner); err != nil {
-		return nil, nil, err
-	}
-	if hasInner != (len(a.resumeInner) > 0) {
-		return nil, nil, fmt.Errorf("%w: inner-artifact flag mismatch", ErrCheckpoint)
-	}
-	if r.off != len(payload) {
-		return nil, nil, fmt.Errorf("%w: %d trailing adaptive bytes", ErrCheckpoint, len(payload)-r.off)
 	}
 	return a, source, nil
 }

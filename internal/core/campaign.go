@@ -101,18 +101,9 @@ type CampaignConfig struct {
 	// InterruptAt, when nonzero, stops the campaign at that virtual
 	// instant (relative to the campaign epoch): no shard sends at or
 	// past it, RunContext returns ErrInterrupted with the partial
-	// results, and Checkpoint serializes the complete state so Resume
+	// statistics, and Checkpoint serializes the complete state so Resume
 	// continues the run as if it had never stopped.
 	InterruptAt time.Duration
-	// DeferMerge skips the partial-store fold on interrupted runs:
-	// RunContext returns a nil store with ErrInterrupted, and
-	// MergedStore folds the shard stores on demand. Supervisors that
-	// interrupt only to checkpoint-and-continue (periodic snapshots)
-	// discard the partial merge, so deferring it keeps each snapshot
-	// cycle from paying two full passes over the result set (the
-	// checkpoint-preserving clones plus the tree merge) for nothing.
-	// Completed runs always merge inline.
-	DeferMerge bool
 }
 
 // ProgressConfig parameterizes the campaign progress stream.
@@ -169,7 +160,8 @@ const maxRecoveryRounds = 3
 
 // Campaign is a sharded Yarrp6 run. A Campaign value runs once; after
 // an interrupted run (InterruptAt or context cancellation) it retains
-// the complete per-shard state, and Checkpoint serializes it.
+// the complete per-shard state: Checkpoint serializes it, Rewind hands it
+// to a continuation, MergedStore folds its partial results.
 type Campaign struct {
 	cfg    CampaignConfig
 	connOf ConnFactory
@@ -185,12 +177,19 @@ type Campaign struct {
 	beat        atomic.Int64
 	keep        bool // per-shard state preserved (interruptible run)
 	quarantined bool
-	res         *resumeState  // non-nil when built by Resume or Rewind
-	deferred    []*shardState // interrupted run's unmerged shards (DeferMerge)
+	// prev holds the shard records this campaign continues — decoded by
+	// Resume or handed over by Rewind; nil for a fresh campaign.
+	prev []*shardState
+	// partial holds an interrupted run's shards and recovery probers,
+	// whose stores MergedStore folds on demand.
+	partial []*shardState
 }
 
-// shardState is one prober's slot in the campaign: its permutation
-// window, connection, result store, and outcome.
+// shardState is the one campaign-side record of a shard: its permutation
+// window, connection, result store, first-seen list, progress samples,
+// counters, and the prober's capture when the run stopped short. A run
+// fills it, Checkpoint encodes it, Resume decodes into it, and Rewind
+// passes it on as it is.
 type shardState struct {
 	index    int
 	lo, hi   uint64
@@ -198,7 +197,7 @@ type shardState struct {
 	conn     probe.Conn
 	prober   *Yarrp6
 	store    *probe.Store
-	observer probe.Observer // the caller's observer, under the track tap
+	observer probe.Observer // the caller's observer
 	prog     *telemetry.Progress
 	track    *ifaceTimes
 	stats    Stats
@@ -330,37 +329,26 @@ func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 func (c *Campaign) tracking() bool { return c.cfg.Shards > 1 || c.cfg.Progress != nil }
 
 // newShard builds one prober slot over the permutation window [lo, hi).
-// It serves the configured shards — fresh, or continued from rsh when
-// the campaign was built by Resume or Rewind — and, with index at or
-// past the configured shard count, the recovery probers of a quarantined
+// It serves the configured shards — fresh, or continuing prev when the
+// campaign was built by Resume or Rewind — and, with index at or past
+// the configured shard count, the recovery probers of a quarantined
 // range, which differ only in running without the caller's observers
 // and without the interrupt instant.
-func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, rsh *resumeShard) *shardState {
+func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shardState) *shardState {
 	cfg := &c.cfg
-	hasProg := cfg.Progress != nil
 	recovery := index >= cfg.Shards
 	ss := &shardState{index: index, lo: lo, hi: hi, instance: instance}
-	if rsh != nil {
-		ss.store = rsh.store
+	if prev != nil {
+		ss.store, ss.track, ss.prog, ss.stats, ss.done = prev.store, prev.track, prev.prog, prev.stats, prev.done
 	} else {
 		ss.store = probe.NewStore(cfg.RecordPaths)
 	}
-	if c.tracking() {
-		if rsh != nil && rsh.track != nil {
-			ss.track = rsh.track
-		} else {
-			ss.track = newIfaceTimes(0)
-		}
+	if ss.track == nil && c.tracking() {
+		ss.track = &ifaceTimes{}
 	}
-	if rsh != nil && rsh.done {
-		// This shard finished before the checkpoint; its stored results
+	if ss.done {
+		// This shard finished before the interrupt; its stored results
 		// feed the merge directly.
-		ss.done = true
-		ss.stats = rsh.stats
-		if hasProg {
-			ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
-			ss.prog.Restore(rsh.samples)
-		}
 		return ss
 	}
 	scfg := cfg.Config
@@ -368,35 +356,32 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, rsh *resum
 	scfg.PermStart, scfg.PermEnd = lo, hi
 	scfg.stop = &c.stop
 	scfg.pulse = &c.beat
+	scfg.track = ss.track
 	switch {
 	case recovery: // runs without the caller's observers (see NewObserver)
 	case cfg.NewObserver != nil:
 		ss.observer = cfg.NewObserver(index)
-	case rsh != nil:
-		ss.observer = rsh.observer
+	case prev != nil:
+		ss.observer = prev.observer
 	}
 	scfg.Observer = ss.observer
-	if ss.track != nil {
-		ss.track.inner = ss.observer
-		scfg.Observer = ss.track
-	}
 	if cfg.Telemetry != nil {
 		scfg.telemetry = cfg.Telemetry.NewShard()
 	}
 	start := time.Duration(lo) * c.gap
-	if rsh != nil {
-		scfg.resume = rsh.rs
-		start = rsh.rs.now - c.res.epoch
+	if prev != nil {
+		// A live rewind hands back the interrupted shard's own connection
+		// — already at the captured instant, in-flight replies queued,
+		// buckets current — so the prober restores neither.
+		prev.rs.live = prev.conn != nil
+		scfg.resume, scfg.resumeStats = prev.rs, prev.stats
+		start = prev.rs.now - c.epoch
+		ss.conn = prev.conn
 	}
-	// A live rewind hands back the interrupted shard's own connection —
-	// already at the captured instant, caches warm, in-flight replies
-	// queued.
-	if rsh != nil && rsh.conn != nil {
-		ss.conn = rsh.conn
-	} else {
+	if ss.conn == nil {
 		ss.conn = c.connOf(index, start)
 	}
-	if index == 0 && c.res == nil {
+	if index == 0 && c.prev == nil {
 		// Shard 0's window opens at offset zero, so its connection's
 		// current instant is the campaign epoch in absolute virtual
 		// time — the origin every progress threshold counts from.
@@ -405,10 +390,9 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, rsh *resum
 	if cfg.InterruptAt > 0 && !recovery {
 		scfg.interruptAt = c.epoch + cfg.InterruptAt
 	}
-	if hasProg {
-		ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
-		if rsh != nil {
-			ss.prog.Restore(rsh.rs.samples)
+	if cfg.Progress != nil {
+		if ss.prog == nil {
+			ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
 		}
 		scfg.progress = ss.prog
 	}
@@ -462,36 +446,53 @@ func (c *Campaign) Run() (*probe.Store, CampaignStats, error) {
 	return c.RunContext(context.Background())
 }
 
-// RunContext executes the campaign. Cancelling ctx stops every shard at
-// its next batch boundary: pending telemetry is flushed, the partial
-// merged store and statistics are returned with ErrInterrupted, and the
-// campaign stays checkpointable. The merge is deterministic: shards own
-// disjoint permutation slices, and their stores are folded in shard
-// order (equal to virtual-time order of the shard windows) after every
-// goroutine has finished.
+// RunContext executes the campaign as five steps over its shard
+// records: open builds them, prime starts the shared bucket replay
+// beside them, probe drives them to completion or interrupt, recover
+// re-probes what quarantined shards left undone, and report folds the
+// outcome. Cancelling ctx stops every shard at its next batch boundary:
+// pending telemetry is flushed, the partial statistics are returned
+// with ErrInterrupted and a nil store — MergedStore folds the partial
+// results for callers that publish them — and the campaign stays
+// checkpointable. The merge is deterministic: shards own disjoint
+// permutation slices, and their stores are folded in shard order (equal
+// to virtual-time order of the shard windows) after every goroutine has
+// finished.
 func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats, error) {
 	began := time.Now()
+	if err := c.open(); err != nil {
+		return nil, CampaignStats{}, err
+	}
+	primer := c.startPrimer(began)
+	c.probe(ctx, primer)
+	out, all, interrupted := c.recover()
+	return c.report(out, all, interrupted)
+}
+
+// open validates the configuration, fixes the campaign's schedule grid,
+// and builds one shard record per configured shard — fresh, or
+// continuing the records of the run this campaign resumes.
+func (c *Campaign) open() error {
 	cfg := &c.cfg
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	if err := cfg.Config.setDefaults(); err != nil {
-		return nil, CampaignStats{}, err
+		return err
 	}
 	if cfg.PermStart != 0 || cfg.PermEnd != 0 {
-		return nil, CampaignStats{}, fmt.Errorf("yarrp6: campaign owns the permutation split; clear PermStart/PermEnd")
+		return fmt.Errorf("yarrp6: campaign owns the permutation split; clear PermStart/PermEnd")
 	}
 	if cfg.Config.Observer != nil {
-		return nil, CampaignStats{}, fmt.Errorf("yarrp6: campaign shards may not share one observer; use NewObserver")
+		return fmt.Errorf("yarrp6: campaign shards may not share one observer; use NewObserver")
 	}
 	c.domain = Domain(&cfg.Config)
-	if uint64(cfg.Shards) > c.domain && c.res == nil {
+	if uint64(cfg.Shards) > c.domain && c.prev == nil {
 		cfg.Shards = int(c.domain)
 	}
-	c.gap = time.Duration(float64(time.Second) / cfg.PPS)
+	c.gap = sendGap(cfg.PPS)
 
-	hasProg := cfg.Progress != nil
-	if hasProg {
+	if cfg.Progress != nil {
 		// Progress sampling: thresholds are epoch + k·step where step is
 		// a whole number of permutation slots — the same virtual-time
 		// grid the probe schedule lives on, so every shard crosses
@@ -509,15 +510,18 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	c.shards = make([]*shardState, cfg.Shards)
 	for s := range c.shards {
 		lo, hi := shardRange(c.domain, s, cfg.Shards)
-		var rsh *resumeShard
-		if c.res != nil {
-			rsh = c.res.shards[s]
+		var prev *shardState
+		if c.prev != nil {
+			prev = c.prev[s]
 		}
-		c.shards[s] = c.newShard(s, lo, hi, cfg.Instance+uint8(s), rsh)
+		c.shards[s] = c.newShard(s, lo, hi, cfg.Instance+uint8(s), prev)
 	}
+	return nil
+}
 
-	primer := c.startPrimer(began)
-
+// probe runs the configured shards to completion or interrupt under the
+// cancellation watcher, and joins the primer.
+func (c *Campaign) probe(ctx context.Context, primer <-chan struct{}) {
 	// Cancellation watcher: flips the shared stop flag the probers poll
 	// at batch boundaries. The watcher exits through stopWatch when the
 	// shards finish first, so no goroutine outlives RunContext.
@@ -548,12 +552,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	}
 	close(stopWatch)
 	<-watcherDone
+}
 
-	// Classify outcomes: fatal shard errors quarantine the shard and
-	// hand its remaining range to recovery; interrupts keep the campaign
-	// checkpointable.
-	var out CampaignStats
-	interrupted := false
+// recover classifies the shard outcomes — fatal shard errors quarantine
+// the shard and hand its remaining range to recovery probers; interrupts
+// keep the campaign checkpointable — and returns every record that
+// holds results: the configured shards, then the recovery probers.
+func (c *Campaign) recover() (out CampaignStats, all []*shardState, interrupted bool) {
 	var failed []recoverRange
 	for _, ss := range c.shards {
 		switch {
@@ -568,12 +573,15 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	}
 	recovered := c.recoverRanges(failed, &out)
 	c.quarantined = len(out.Quarantined) > 0
-	c.keep = interrupted || cfg.InterruptAt > 0
+	c.keep = interrupted || c.cfg.InterruptAt > 0
+	return out, slices.Concat(c.shards, recovered), interrupted
+}
 
-	all := make([]*shardState, 0, len(c.shards)+len(recovered))
-	all = append(all, c.shards...)
-	all = append(all, recovered...)
-
+// report folds the shard records into the campaign's outcome: summed
+// counters, the merged store (a completed run's; an interrupted run's
+// partial fold waits for MergedStore), the global discovery curve, and
+// the progress series.
+func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool) (*probe.Store, CampaignStats, error) {
 	out.PerShard = make([]Stats, 0, len(all))
 	var end time.Duration
 	starts := make([]time.Duration, 0, len(all))
@@ -605,13 +613,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 			end = t
 		}
 	}
-	// Fold the shard stores — unless the caller deferred the interrupt
-	// merge, in which case the shards are parked for MergedStore and
-	// the partial fold (clones plus tree merge, two full passes over
-	// the result set) is skipped entirely.
 	var merged *probe.Store
-	if interrupted && cfg.DeferMerge {
-		c.deferred = all
+	if interrupted {
+		c.partial = all
 	} else {
 		merged = c.mergeShards(all)
 	}
@@ -624,7 +628,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 	case c.tracking():
 		out.Curve = mergeCurves(out.PerShard, tracks)
 	}
-	if hasProg {
+	if cfg := c.cfg.Progress; cfg != nil {
 		// First sightings relative to the campaign epoch, sorted: the
 		// merge counts interfaces by walking this list against each
 		// threshold.
@@ -633,14 +637,14 @@ func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats,
 			seenAt[i] -= c.epoch
 		}
 		out.Progress = telemetry.Merge(progs, seenAt, c.stepDur, end)
-		if w := cfg.Progress.Writer; w != nil && !interrupted {
+		if w := cfg.Writer; w != nil && !interrupted {
 			if err := c.writeProgress(w, out, starts); err != nil {
 				return merged, out, fmt.Errorf("progress stream: %w", err)
 			}
 		}
 	}
 	if interrupted {
-		return merged, out, ErrInterrupted
+		return nil, out, ErrInterrupted
 	}
 	return merged, out, nil
 }
@@ -671,16 +675,17 @@ func (c *Campaign) mergeShards(all []*shardState) *probe.Store {
 	return mergeStoreTree(stores)
 }
 
-// MergedStore folds an interrupted DeferMerge run's partial results on
-// demand — the store RunContext would have returned inline. It returns
-// nil when no deferred merge is pending (the run completed, or
-// DeferMerge was off). The campaign stays checkpointable: the fold
-// works on clones, exactly as the inline merge does.
+// MergedStore folds an interrupted run's partial results — every shard's
+// and recovery prober's store, in shard order — into one store. The
+// fold is paid only by callers that publish a partial view; a
+// checkpoint-and-continue cycle never asks. The campaign stays
+// checkpointable: the fold works on clones. It returns nil when the run
+// was not interrupted (RunContext returned the merged store itself).
 func (c *Campaign) MergedStore() *probe.Store {
-	if c.deferred == nil {
+	if c.partial == nil {
 		return nil
 	}
-	return c.mergeShards(c.deferred)
+	return c.mergeShards(c.partial)
 }
 
 // runShards drives the given probers concurrently, one goroutine per
@@ -878,42 +883,22 @@ type ifaceSeen struct {
 	at   time.Duration
 }
 
-// ifaceTimes is the per-shard reply tap behind the global discovery
-// curve: it records the first virtual instant each interface address
-// was seen at, then forwards the reply to the user's observer. One
-// map operation per Time Exceeded reply; insertions are bounded by the
-// shard's unique-interface count.
+// ifaceTimes is a shard's first-seen list behind the global discovery
+// curve: the virtual instant of every interface address's first
+// sighting, appended by the prober when the shard's store reports the
+// address as new — the store is the one set of known interfaces, so the
+// list holds each of its addresses exactly once.
 type ifaceTimes struct {
-	inner probe.Observer
-	known map[netip.Addr]struct{}
-	// seen holds one entry per known address: ascending by address up to
-	// nSorted — the order checkpoints serialize — and in arrival order
-	// beyond, so a checkpoint sorts only what the shard discovered since
-	// the previous one.
+	// seen is ascending by address up to nSorted — the order checkpoints
+	// serialize — and in arrival order beyond, so a checkpoint sorts only
+	// what the shard discovered since the previous one.
 	seen    []ifaceSeen
 	nSorted int
 }
 
-func newIfaceTimes(n int) *ifaceTimes {
-	return &ifaceTimes{known: make(map[netip.Addr]struct{}, n), seen: make([]ifaceSeen, 0, n)}
-}
-
-// add records a's first sighting unless a is already known.
+// add records a's first sighting; the caller vouches that a is new.
 func (o *ifaceTimes) add(a netip.Addr, at time.Duration) {
-	before := len(o.known)
-	o.known[a] = struct{}{}
-	if len(o.known) != before {
-		o.seen = sorted.Append(o.seen, ifaceSeen{a, at})
-	}
-}
-
-func (o *ifaceTimes) OnReply(r probe.Reply) {
-	if r.Kind == probe.KindTimeExceeded {
-		o.add(r.From, r.At)
-	}
-	if o.inner != nil {
-		o.inner.OnReply(r)
-	}
+	o.seen = sorted.Append(o.seen, ifaceSeen{a, at})
 }
 
 // sortedSeen returns the first sightings ascending by address.

@@ -61,33 +61,6 @@ var (
 // probers are not part of the artifact schema).
 var ErrNotCheckpointable = errors.New("yarrp6: campaign is not checkpointable")
 
-// resumeShard is one shard's decoded checkpoint state.
-type resumeShard struct {
-	done    bool
-	stats   Stats
-	rs      *shardResume // nil when done
-	samples []telemetry.Sample
-	// track and store are owned by the resumed campaign from here on:
-	// RunContext installs them as the shard's own instead of copying.
-	track *ifaceTimes // nil when the run kept no first-seen instants
-	store *probe.Store
-	// conn, when non-nil, is the live connection the shard state was
-	// captured from (Campaign.Rewind): the resumed shard reuses it
-	// instead of opening a fresh clone.
-	conn probe.Conn
-	// observer is the live shard's reply observer, carried across a
-	// Rewind so that it goes on seeing every reply of the shard; nil for
-	// artifact-decoded resumes. ResumeConfig.NewObserver overrides it.
-	observer probe.Observer
-}
-
-// resumeState is a decoded artifact: the campaign shape plus every
-// shard's state.
-type resumeState struct {
-	epoch  time.Duration
-	shards []*resumeShard
-}
-
 // Checkpoint serializes the campaign's complete state after an
 // interrupted RunContext (InterruptAt or context cancellation). The
 // artifact captures per-shard permutation cursors, store snapshots,
@@ -127,7 +100,7 @@ func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
 	buf = append(buf, checkpointMagic...)
 	buf = appendSection(buf, sectConfig, c.appendConfig)
 	for _, ss := range c.shards {
-		buf = appendSection(buf, sectShard, func(b []byte) []byte { return c.appendShard(b, ss) })
+		buf = appendSection(buf, sectShard, ss.appendTo)
 	}
 	return buf, nil
 }
@@ -146,51 +119,22 @@ func (c *Campaign) checkpointable() error {
 
 // Rewind returns a fresh campaign that continues this interrupted run
 // in-process — the same continuation Resume(Checkpoint(), ...) builds,
-// without the serialize/decode round trip. The receiver hands its live
-// shard state (stores, first-seen indexes, observers, permutation
-// cursors, in-flight replies, simulator blobs) to the returned campaign
-// by ownership, not by copy, and must not be run, checkpointed, merged,
-// or rewound again. Periodic checkpointing wants this
-// path: each snapshot cycle pays one serialization for the durable
-// artifact, not a second full decode just to keep running. The
-// continuation is byte-identical to the artifact round trip — both
-// feed RunContext the state captured at the same probe boundary.
+// without the serialize/decode round trip. It is a hand-over of the
+// shard records themselves (stores, first-seen lists, progress samples,
+// observers, captures, live connections), not a copy, so the receiver
+// must not be run, checkpointed, merged, or rewound again. Periodic
+// checkpointing wants this path: each snapshot cycle pays one
+// serialization for the durable artifact, not a second full decode just
+// to keep running. The continuation is byte-identical to the artifact
+// round trip — both feed RunContext the records as they stood at the
+// same probe boundary.
 func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
 	if err := c.checkpointable(); err != nil {
 		return nil, err
 	}
-	state := &resumeState{epoch: c.epoch, shards: make([]*resumeShard, 0, len(c.shards))}
-	for _, ss := range c.shards {
-		sh := &resumeShard{done: ss.done, stats: ss.stats, store: ss.store, track: ss.track}
-		if ss.done {
-			if ss.prog != nil {
-				sh.samples = ss.prog.Samples()
-			}
-		} else {
-			rs := ss.rs
-			if rs == nil {
-				return nil, ErrNotCheckpointable
-			}
-			// Mirror decodeShard: the capture's stats double as the
-			// restored run state for a live shard.
-			rs.stats = ss.stats
-			rs.notMine = ss.stats.NotMine
-			rs.live = true
-			sh.samples = rs.samples
-			sh.rs = rs
-			sh.conn = ss.conn
-			sh.observer = ss.observer
-		}
-		state.shards = append(state.shards, sh)
-	}
 	cfg := c.cfg
-	cfg.NewObserver = rc.NewObserver
-	cfg.Telemetry = rc.Telemetry
-	cfg.InterruptAt = rc.InterruptAt
-	if cfg.Progress != nil {
-		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, SampleEvery: c.slots, PerShard: rc.ProgressPerShard}
-	}
-	return &Campaign{cfg: cfg, connOf: connOf, epoch: c.epoch, res: state}, nil
+	rc.apply(&cfg, cfg.Progress != nil, c.slots)
+	return &Campaign{cfg: cfg, connOf: connOf, epoch: c.epoch, prev: c.shards}, nil
 }
 
 // appendSection frames one section in place: it reserves the header,
@@ -260,7 +204,9 @@ func appendCounters(buf []byte, st *Stats) []byte {
 	return appendDur(buf, st.Elapsed)
 }
 
-func (c *Campaign) appendShard(buf []byte, ss *shardState) []byte {
+// appendTo appends the shard record's section payload; decodeShard is
+// its decoder.
+func (ss *shardState) appendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ss.index))
 	done := byte(0)
 	if ss.done {
@@ -300,8 +246,8 @@ func (c *Campaign) appendShard(buf []byte, ss *shardState) []byte {
 			buf = appendDur(buf, at)
 		}
 	}
-	samples := rs.samples
-	if ss.done && ss.prog != nil {
+	var samples []telemetry.Sample
+	if ss.prog != nil {
 		samples = ss.prog.Samples()
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(samples)))
@@ -370,6 +316,19 @@ type ResumeConfig struct {
 	InterruptAt time.Duration
 }
 
+// apply lays the resumed run's non-serializable halves over the
+// configuration it continues: progress carries over, on the original
+// sampling grid, exactly when the original run had it.
+func (rc *ResumeConfig) apply(cfg *CampaignConfig, hasProg bool, slots uint64) {
+	cfg.Progress = nil
+	if hasProg {
+		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, SampleEvery: slots, PerShard: rc.ProgressPerShard}
+	}
+	cfg.NewObserver = rc.NewObserver
+	cfg.Telemetry = rc.Telemetry
+	cfg.InterruptAt = rc.InterruptAt
+}
+
 // Resume reconstructs a checkpointed campaign. connOf must produce
 // connections over the same (or an identically seeded) vantage universe
 // as the original run, opening each shard's clock at the requested
@@ -383,25 +342,18 @@ func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, er
 	if sec.adaptive != nil {
 		return nil, fmt.Errorf("%w: adaptive artifact; use ResumeAdaptive", ErrCheckpoint)
 	}
-	cfg := sec.cfg
-	state := &resumeState{epoch: sec.epoch}
+	prev := make([]*shardState, len(sec.shards))
 	for i, payload := range sec.shards {
-		sh, idx, err := decodeShard(payload)
-		if err != nil {
+		if prev[i], err = sec.decodeShard(payload); err != nil {
 			return nil, err
 		}
-		if idx != i {
-			return nil, fmt.Errorf("%w: shard %d out of order", ErrCheckpoint, idx)
+		if prev[i].index != i {
+			return nil, fmt.Errorf("%w: shard %d out of order", ErrCheckpoint, prev[i].index)
 		}
-		state.shards = append(state.shards, sh)
 	}
-	if sec.hasProg {
-		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, SampleEvery: sec.slots, PerShard: rc.ProgressPerShard}
-	}
-	cfg.NewObserver = rc.NewObserver
-	cfg.Telemetry = rc.Telemetry
-	cfg.InterruptAt = rc.InterruptAt
-	return &Campaign{cfg: cfg, connOf: connOf, epoch: state.epoch, res: state}, nil
+	cfg := sec.cfg
+	rc.apply(&cfg, sec.hasProg, sec.slots)
+	return &Campaign{cfg: cfg, connOf: connOf, epoch: sec.epoch, prev: prev}, nil
 }
 
 // sections is an artifact taken apart by readSections: either a campaign
@@ -482,330 +434,196 @@ func readSections(artifact []byte) (*sections, error) {
 }
 
 // ckReader is a bounds-checked cursor over an untrusted artifact
-// payload.
+// payload. The first failed read or check sticks in err and every later
+// read returns zero, so a decoder reads its layout straight through —
+// the mirror of the encoder — and asks done once.
 type ckReader struct {
 	buf []byte
 	off int
+	err error
 }
 
-func (r *ckReader) need(n int) error {
+// fail records a decode error unless an earlier one already stands.
+func (r *ckReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCheckpoint}, args...)...)
+	}
+}
+
+// take returns the next n bytes, or nil once the payload has run short.
+func (r *ckReader) take(n int) []byte {
 	if len(r.buf)-r.off < n {
-		return fmt.Errorf("%w: truncated payload at offset %d", ErrCheckpoint, r.off)
+		r.fail("truncated payload at offset %d", r.off)
 	}
-	return nil
-}
-
-func (r *ckReader) u8() (byte, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
+	if r.err != nil {
+		return nil
 	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
+	r.off += n
+	return r.buf[r.off-n : r.off]
 }
 
-func (r *ckReader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
+func (r *ckReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
+	return 0
 }
 
-func (r *ckReader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
+func (r *ckReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
+	return 0
 }
 
-func (r *ckReader) dur() (time.Duration, error) {
-	v, err := r.u64()
-	return time.Duration(v), err
+func (r *ckReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
-func (r *ckReader) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
+func (r *ckReader) dur() time.Duration { return time.Duration(r.u64()) }
+func (r *ckReader) i64() int64         { return int64(r.u64()) }
 
 // count reads a length prefix and rejects values that cannot fit in the
 // remaining payload, so corrupt lengths fail fast instead of driving
 // huge allocations.
-func (r *ckReader) count(elemMin int) (int, error) {
-	v, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
+func (r *ckReader) count(elemMin int) int {
+	v := r.u32()
 	if int64(v)*int64(elemMin) > int64(len(r.buf)-r.off) {
-		return 0, fmt.Errorf("%w: implausible count %d at offset %d", ErrCheckpoint, v, r.off)
+		r.fail("implausible count %d at offset %d", v, r.off)
 	}
-	return int(v), nil
+	if r.err != nil {
+		return 0
+	}
+	return int(v)
 }
 
-func (r *ckReader) addr() (netip.Addr, error) {
-	if err := r.need(16); err != nil {
-		return netip.Addr{}, err
-	}
+func (r *ckReader) addr() netip.Addr {
 	var a16 [16]byte
-	copy(a16[:], r.buf[r.off:])
-	r.off += 16
-	return netip.AddrFrom16(a16), nil
+	copy(a16[:], r.take(16))
+	return netip.AddrFrom16(a16)
 }
 
-func (r *ckReader) bytes(n int) ([]byte, error) {
-	if err := r.need(n); err != nil {
-		return nil, err
+// bytes returns a copy of the next n bytes.
+func (r *ckReader) bytes(n int) []byte { return append([]byte(nil), r.take(n)...) }
+
+// done closes a decode: the first error met, or a complaint about bytes
+// left over behind the layout.
+func (r *ckReader) done(what string) error {
+	if r.off != len(r.buf) {
+		r.fail("%d trailing %s bytes", len(r.buf)-r.off, what)
 	}
-	b := append([]byte(nil), r.buf[r.off:r.off+n]...)
-	r.off += n
-	return b, nil
+	return r.err
 }
 
 // tuning decodes the block appendTuning wrote.
-func (r *ckReader) tuning(cfg *CampaignConfig) (err error) {
+func (r *ckReader) tuning(cfg *CampaignConfig) {
 	for _, f := range []*uint8{&cfg.MinTTL, &cfg.MaxTTL, &cfg.Proto, &cfg.Instance, &cfg.FillLimit, &cfg.NeighborhoodTTL} {
-		if *f, err = r.u8(); err != nil {
-			return err
-		}
+		*f = r.u8()
 	}
-	pps, err := r.u64()
-	if err != nil {
-		return err
-	}
-	cfg.PPS = math.Float64frombits(pps)
+	cfg.PPS = math.Float64frombits(r.u64())
 	if cfg.PPS <= 0 || math.IsNaN(cfg.PPS) || math.IsInf(cfg.PPS, 0) {
-		return fmt.Errorf("%w: invalid PPS", ErrCheckpoint)
+		r.fail("invalid PPS")
 	}
-	if cfg.Key, err = r.u64(); err != nil {
-		return err
-	}
-	shards, err := r.u32()
-	if err != nil {
-		return err
-	}
+	cfg.Key = r.u64()
+	shards := r.u32()
 	if shards == 0 || shards > 1<<16 {
-		return fmt.Errorf("%w: invalid shard count %d", ErrCheckpoint, shards)
+		r.fail("invalid shard count %d", shards)
 	}
 	cfg.Shards = int(shards)
-	batch, err := r.u32()
-	if err != nil {
-		return err
-	}
-	cfg.Batch = int(batch)
-	if cfg.NeighborhoodWindow, err = r.dur(); err != nil {
-		return err
-	}
-	cfg.DrainTimeout, err = r.dur()
-	return err
+	cfg.Batch = int(r.u32())
+	cfg.NeighborhoodWindow = r.dur()
+	cfg.DrainTimeout = r.dur()
 }
 
 // counters decodes the block appendCounters wrote.
-func (r *ckReader) counters(st *Stats) (err error) {
+func (r *ckReader) counters(st *Stats) {
 	for _, f := range []*int64{&st.ProbesSent, &st.Fills, &st.Skipped, &st.Replies, &st.NotMine, &st.Retries} {
-		if *f, err = r.i64(); err != nil {
-			return err
-		}
+		*f = r.i64()
 	}
-	st.Elapsed, err = r.dur()
-	return err
+	st.Elapsed = r.dur()
 }
 
 func (sec *sections) decodeConfig(payload []byte) error {
 	cfg := &sec.cfg
 	r := ckReader{buf: payload}
-	flags, err := r.u8()
-	if err != nil {
-		return err
-	}
+	flags := r.u8()
 	cfg.RecordPaths = flags&1 != 0
 	cfg.Fill = flags&2 != 0
 	sec.hasProg = flags&4 != 0
-	if err = r.tuning(cfg); err != nil {
-		return err
-	}
-	if sec.epoch, err = r.dur(); err != nil {
-		return err
-	}
-	if sec.slots, err = r.u64(); err != nil {
-		return err
-	}
-	nt, err := r.count(16)
-	if err != nil {
-		return err
-	}
-	cfg.Targets = make([]netip.Addr, nt)
+	r.tuning(cfg)
+	sec.epoch = r.dur()
+	sec.slots = r.u64()
+	cfg.Targets = make([]netip.Addr, r.count(16))
 	for i := range cfg.Targets {
-		if cfg.Targets[i], err = r.addr(); err != nil {
-			return err
-		}
+		cfg.Targets[i] = r.addr()
 	}
-	if r.off != len(payload) {
-		return fmt.Errorf("%w: %d trailing config bytes", ErrCheckpoint, len(payload)-r.off)
-	}
-	return nil
+	return r.done("config")
 }
 
-func decodeShard(payload []byte) (*resumeShard, int, error) {
+// decodeShard decodes one shard section into the record a resumed
+// campaign continues, field for field the mirror of appendTo. An
+// unfinished shard's capture is restored whole; a finished one carries
+// only its results.
+func (sec *sections) decodeShard(payload []byte) (*shardState, error) {
 	r := ckReader{buf: payload}
-	idx32, err := r.u32()
-	if err != nil {
-		return nil, 0, err
-	}
-	doneB, err := r.u8()
-	if err != nil {
-		return nil, 0, err
-	}
-	sh := &resumeShard{done: doneB != 0}
-	rs := &shardResume{}
-	if rs.cursor, err = r.u64(); err != nil {
-		return nil, 0, err
-	}
-	if rs.epoch, err = r.dur(); err != nil {
-		return nil, 0, err
-	}
-	if rs.now, err = r.dur(); err != nil {
-		return nil, 0, err
-	}
-	if rs.drainDeadline, err = r.dur(); err != nil {
-		return nil, 0, err
-	}
-	nc, err := r.u64()
-	if err != nil {
-		return nil, 0, err
-	}
-	rs.nextCurve = int64(nc)
-	if err = r.counters(&sh.stats); err != nil {
-		return nil, 0, err
-	}
-	ncurve, err := r.count(20)
-	if err != nil {
-		return nil, 0, err
-	}
-	sh.stats.Curve = make([]CurvePoint, ncurve)
-	for i := range sh.stats.Curve {
-		p := &sh.stats.Curve[i]
-		if p.Probes, err = r.i64(); err != nil {
-			return nil, 0, err
-		}
-		if p.At, err = r.dur(); err != nil {
-			return nil, 0, err
-		}
-		ifaces, err := r.u32()
-		if err != nil {
-			return nil, 0, err
-		}
-		p.Interfaces = int(ifaces)
+	ss := &shardState{index: int(r.u32()), done: r.u8() != 0}
+	rs := &shardResume{cursor: r.u64(), epoch: r.dur(), now: r.dur(), drainDeadline: r.dur(), nextCurve: r.i64()}
+	r.counters(&ss.stats)
+	ss.stats.Curve = make([]CurvePoint, r.count(20))
+	for i := range ss.stats.Curve {
+		ss.stats.Curve[i] = CurvePoint{Probes: r.i64(), At: r.dur(), Interfaces: int(r.u32())}
 	}
 	for i := range rs.kindCount {
-		if rs.kindCount[i], err = r.i64(); err != nil {
-			return nil, 0, err
+		rs.kindCount[i] = r.i64()
+	}
+	for n := r.count(9); n > 0; n-- {
+		ttl := r.u8()
+		rs.lastNew[ttl] = r.dur()
+	}
+	samples := make([]telemetry.Sample, r.count(64))
+	for i := range samples {
+		s := &samples[i]
+		s.At = r.dur()
+		for _, f := range []*int64{&s.Probes, &s.Fills, &s.Replies, &s.TimeExceeded, &s.EchoReplies, &s.DestUnreach, &s.TCPRsts} {
+			*f = r.i64()
 		}
 	}
-	nLast, err := r.count(9)
-	if err != nil {
-		return nil, 0, err
+	if sec.hasProg {
+		// The recorder the resumed shard goes on sampling into, on the
+		// original run's grid.
+		ss.prog = telemetry.NewProgress(sec.epoch, time.Duration(sec.slots)*sendGap(sec.cfg.PPS))
+		ss.prog.Restore(samples)
 	}
-	for i := 0; i < nLast; i++ {
-		ttl, err := r.u8()
-		if err != nil {
-			return nil, 0, err
-		}
-		if rs.lastNew[ttl], err = r.dur(); err != nil {
-			return nil, 0, err
-		}
+	for n := r.count(12); n > 0; n-- {
+		at := r.dur()
+		rs.pending = append(rs.pending, pendingReply{at: at, data: r.bytes(r.count(1))})
 	}
-	nSamples, err := r.count(64)
-	if err != nil {
-		return nil, 0, err
-	}
-	sh.samples = make([]telemetry.Sample, nSamples)
-	for i := range sh.samples {
-		s := &sh.samples[i]
-		if s.At, err = r.dur(); err != nil {
-			return nil, 0, err
-		}
-		ints := []*int64{&s.Probes, &s.Fills, &s.Replies, &s.TimeExceeded, &s.EchoReplies, &s.DestUnreach, &s.TCPRsts}
-		for _, f := range ints {
-			if *f, err = r.i64(); err != nil {
-				return nil, 0, err
+	if r.u8() != 0 {
+		seen := make([]ifaceSeen, r.count(24))
+		for i := range seen {
+			seen[i] = ifaceSeen{addr: r.addr(), at: r.dur()}
+			// The encoder writes each interface once, ascending; the next
+			// checkpoint's index merge and the curve merge rely on it.
+			if i > 0 && seen[i-1].addr.Compare(seen[i].addr) >= 0 {
+				r.fail("first-seen list out of order at entry %d", i)
 			}
 		}
+		ss.track = &ifaceTimes{seen: seen, nSorted: len(seen)}
 	}
-	nPend, err := r.count(12)
-	if err != nil {
-		return nil, 0, err
+	enc := r.take(r.count(1))
+	rs.simState = r.bytes(r.count(1)) // the simulator-state blob closes the section
+	if err := r.done("shard"); err != nil {
+		return nil, err
 	}
-	for i := 0; i < nPend; i++ {
-		at, err := r.dur()
-		if err != nil {
-			return nil, 0, err
-		}
-		n, err := r.count(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		data, err := r.bytes(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		rs.pending = append(rs.pending, pendingReply{at: at, data: data})
+	var err error
+	if ss.store, err = probe.DecodeStore(enc); err != nil {
+		return nil, fmt.Errorf("%w: shard store: %v", ErrCheckpoint, err)
 	}
-	hasSeen, err := r.u8()
-	if err != nil {
-		return nil, 0, err
+	if !ss.done {
+		ss.rs = rs
 	}
-	if hasSeen != 0 {
-		nSeen, err := r.count(24)
-		if err != nil {
-			return nil, 0, err
-		}
-		sh.track = newIfaceTimes(nSeen)
-		for i := 0; i < nSeen; i++ {
-			a, err := r.addr()
-			if err != nil {
-				return nil, 0, err
-			}
-			at, err := r.dur()
-			if err != nil {
-				return nil, 0, err
-			}
-			sh.track.add(a, at)
-		}
-	}
-	nStore, err := r.count(1)
-	if err != nil {
-		return nil, 0, err
-	}
-	enc, err := r.bytes(nStore)
-	if err != nil {
-		return nil, 0, err
-	}
-	if sh.store, err = probe.DecodeStore(enc); err != nil {
-		return nil, 0, fmt.Errorf("%w: shard store: %v", ErrCheckpoint, err)
-	}
-	// The simulator-state blob closes the section.
-	nSim, err := r.count(1)
-	if err != nil {
-		return nil, 0, err
-	}
-	if rs.simState, err = r.bytes(nSim); err != nil {
-		return nil, 0, err
-	}
-	if r.off != len(payload) {
-		return nil, 0, fmt.Errorf("%w: %d trailing shard bytes", ErrCheckpoint, len(payload)-r.off)
-	}
-	if !sh.done {
-		// Restore the full interrupted-run state. The curve, counters,
-		// and samples live in the resume capture; stats doubles as the
-		// merge-time view for done shards only.
-		rs.stats = sh.stats
-		rs.notMine = sh.stats.NotMine
-		rs.samples = sh.samples
-		sh.rs = rs
-	}
-	return sh, int(idx32), nil
+	return ss, nil
 }

@@ -84,12 +84,11 @@ func ckptInterruptResume(t *testing.T, seed int64, targets []netip.Addr, shards,
 		Progress:    &ProgressConfig{},
 		InterruptAt: interruptAt,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	partial, _, err := camp.Run()
-	if !errors.Is(err, ErrInterrupted) {
+	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got err %v, want ErrInterrupted", err)
 	}
-	if partial == nil {
-		t.Fatal("interrupted run returned no partial store")
+	if camp.MergedStore() == nil {
+		t.Fatal("interrupted run folds no partial store")
 	}
 	art, err := camp.Checkpoint()
 	if err != nil {
@@ -268,9 +267,9 @@ func TestCheckpointBytePin(t *testing.T) {
 }
 
 // TestCampaignRewindChain drives the in-process continuation path the
-// scheduler's periodic checkpointing takes: DeferMerge skips the
-// partial-store fold on each interrupted run, Checkpoint serializes the
-// durable artifact, and Rewind continues on the live connections —
+// scheduler's periodic checkpointing takes: an interrupted run folds no
+// partial store unless asked, Checkpoint serializes the durable
+// artifact, and Rewind continues on the live connections —
 // no decode round trip, no fresh clones, stores and first-seen indexes
 // handed over rather than copied. Beside it runs the chain the hand-over
 // replaces, Resume(Checkpoint()) on a fresh universe at every cut: at
@@ -292,9 +291,9 @@ func TestCampaignRewindChain(t *testing.T) {
 	cuts := []time.Duration{400 * time.Millisecond, 900 * time.Millisecond, 1400 * time.Millisecond}
 	ccfg := CampaignConfig{
 		Config: cfg, Shards: 2, RecordPaths: true,
-		Telemetry:  telemetry.NewRegistry(),
-		Progress:   &ProgressConfig{Writer: &progress},
-		DeferMerge: true, InterruptAt: cuts[0],
+		Telemetry:   telemetry.NewRegistry(),
+		Progress:    &ProgressConfig{Writer: &progress},
+		InterruptAt: cuts[0],
 	}
 	camp := NewCampaign(ccfg, connOf)
 	ccfg.Telemetry = telemetry.NewRegistry()
@@ -318,10 +317,10 @@ func TestCampaignRewindChain(t *testing.T) {
 			t.Fatalf("cut %d: %v / %v", i, err, err2)
 		}
 		if store != nil {
-			t.Fatalf("cut %d: DeferMerge run returned a merged store", i)
+			t.Fatalf("cut %d: interrupted run returned a merged store", i)
 		}
 		if camp.MergedStore() == nil {
-			t.Fatalf("cut %d: MergedStore returned nil after deferred interrupt", i)
+			t.Fatalf("cut %d: MergedStore returned nil after an interrupt", i)
 		}
 		if !slices.Equal(stats.Curve, stats2.Curve) {
 			t.Fatalf("cut %d: partial curve differs between the chains", i)
@@ -386,12 +385,12 @@ func TestCampaignCancelBeforeRun(t *testing.T) {
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	store, stats, err := camp.RunContext(ctx)
+	_, stats, err := camp.RunContext(ctx)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("cancelled run: got %v, want ErrInterrupted", err)
 	}
-	if store == nil {
-		t.Fatal("cancelled run returned no store")
+	if camp.MergedStore() == nil {
+		t.Fatal("cancelled run folds no store")
 	}
 	if stats.ProbesSent != 0 {
 		t.Fatalf("pre-cancelled run sent %d probes", stats.ProbesSent)
@@ -426,15 +425,18 @@ func TestCampaignCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	store, _, err := camp.RunContext(ctx)
-	if err != nil && !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("cancelled run: %v", err)
-	}
-	if store == nil {
-		t.Fatal("cancelled run returned no store")
-	}
 	if err == nil {
 		// The campaign outran the cancel; nothing to resume.
+		if store == nil {
+			t.Fatal("completed run returned no store")
+		}
 		return
+	}
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("cancelled run: %v", err)
+	}
+	if camp.MergedStore() == nil {
+		t.Fatal("cancelled run folds no store")
 	}
 	art, cerr := camp.Checkpoint()
 	if cerr != nil {
@@ -496,6 +498,33 @@ func TestCheckpointErrors(t *testing.T) {
 	old := append([]byte("Y6CKPT01"), art[len(checkpointMagic):]...)
 	if _, err := Resume(old, ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("version-01 magic: %v", err)
+	}
+	// The encoder writes a shard's first-seen list strictly ascending by
+	// address, each interface once; the decoder holds artifacts to that
+	// even when every checksum is right. Re-frame shard 0 with two
+	// entries swapped, then with one duplicated.
+	sec, err := readSections(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := art[len(art)-(9+len(sec.shards[1])):]
+	head := art[:len(art)-len(tail)-(9+len(sec.shards[0]))]
+	for name, mutate := range map[string]func(seen []ifaceSeen){
+		"swapped":    func(seen []ifaceSeen) { seen[0], seen[1] = seen[1], seen[0] },
+		"duplicated": func(seen []ifaceSeen) { seen[1].addr = seen[0].addr },
+	} {
+		ss, err := sec.decodeShard(sec.shards[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ss.track.seen) < 2 {
+			t.Fatalf("shard 0 saw %d interfaces before the interrupt; need two to disorder", len(ss.track.seen))
+		}
+		mutate(ss.track.seen)
+		bad := append(appendSection(slices.Clone(head), sectShard, ss.appendTo), tail...)
+		if _, err := Resume(bad, ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) || errors.Is(err, ErrCheckpointCRC) {
+			t.Fatalf("%s first-seen entries: got %v, want a well-framed ErrCheckpoint", name, err)
+		}
 	}
 	// The intact artifact still resumes.
 	if _, err := Resume(art, ResumeConfig{}, nil); err != nil {

@@ -20,8 +20,7 @@ const replayPulseEvery = 1024
 // serial prober would have left them. Each target's flow is registered
 // once from its first replayed probe (built with codec) and the
 // remaining ~TTL-span probes of the flow replay through the token —
-// skipping the per-probe packet build and decode that dominate full
-// Prime. Fill-mode follow-ups and neighborhood skips are not part of the
+// no per-probe packet build or decode. Fill-mode follow-ups and neighborhood skips are not part of the
 // raw schedule the replay covers; see the campaign package comment for
 // what that bounds.
 //

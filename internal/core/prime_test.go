@@ -24,18 +24,18 @@ import (
 // embedded vantage.
 type slowPrimeConn struct {
 	*netsim.Vantage
-	priming *atomic.Bool // shared by the campaign's connections
-	n       int
+	replaying *atomic.Bool // shared by the campaign's connections
+	n         int
 }
 
 func (c *slowPrimeConn) BeginPrime() {
-	c.priming.Store(true)
+	c.replaying.Store(true)
 	c.Vantage.BeginPrime()
 }
 
 func (c *slowPrimeConn) EndPrime() {
 	c.Vantage.EndPrime()
-	c.priming.Store(false)
+	c.replaying.Store(false)
 }
 
 func (c *slowPrimeConn) PrimeIdx(tok int, ttl uint8, at time.Duration) {
@@ -68,7 +68,7 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 	_, v := saturationVantage(seed)
 	cfg := saturationCfg(targets)
 	cfg.Batch = batch
-	var priming atomic.Bool
+	var replaying atomic.Bool
 	var progress bytes.Buffer
 	camp := NewCampaign(CampaignConfig{
 		Config:      cfg,
@@ -78,7 +78,7 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 		Progress:    &ProgressConfig{Writer: &progress},
 		InterruptAt: cut.interruptAt,
 	}, func(_ int, start time.Duration) probe.Conn {
-		return &slowPrimeConn{Vantage: v.Clone(start), priming: &priming}
+		return &slowPrimeConn{Vantage: v.Clone(start), replaying: &replaying}
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -90,7 +90,7 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 		go func() {
 			defer close(fired)
 			time.Sleep(cut.interruptIn)
-			duringReplay = priming.Load()
+			duringReplay = replaying.Load()
 			camp.Interrupt()
 		}()
 	} else {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -115,10 +116,16 @@ type Config struct {
 	// its stop conditions. A prober that stops beating is wedged (or its
 	// connection is blocked), whatever its virtual clock says.
 	pulse *atomic.Int64
-	// resume, when non-nil, restores the state captured by a previous
-	// interrupted run before probing continues. Campaign sets it when
-	// reconstructing a checkpointed campaign.
-	resume *shardResume
+	// track, when non-nil, receives the first-seen instant of every
+	// interface the store reports as new — the shard's contribution to the
+	// campaign-global discovery curve and progress interface counts.
+	track *ifaceTimes
+	// resume, when non-nil, continues a previous interrupted run from its
+	// capture; resumeStats carries that run's counters and curve, and its
+	// progress samples are already in progress. Campaign sets them when it
+	// continues a shard record (Resume or Rewind).
+	resume      *shardResume
+	resumeStats Stats
 	// primed records that the campaign already advanced this shard's
 	// rate-limiter state to the window-start instant (the shared replay
 	// pass with snapshot handoff), so Run must not replay the serial
@@ -141,6 +148,11 @@ func (c *Config) setDefaults() error {
 	}
 	if c.PPS <= 0 {
 		c.PPS = 1000
+	}
+	if sendGap(c.PPS) <= 0 {
+		// A zero gap parks the clock: the drain tail would sleep zero
+		// nanoseconds forever, short of its deadline.
+		return fmt.Errorf("yarrp6: rate %g pps is beyond the clock's nanosecond resolution (at most 1e9)", c.PPS)
 	}
 	if c.Proto == 0 {
 		c.Proto = wire.ProtoICMPv6
@@ -165,6 +177,13 @@ func (c *Config) setDefaults() error {
 	}
 	return nil
 }
+
+// Validate reports the configuration error a run would fail with,
+// without applying defaults to c — the admission-time check.
+func (c Config) Validate() error { return c.setDefaults() }
+
+// sendGap is the inter-probe interval at pps probes per second.
+func sendGap(pps float64) time.Duration { return time.Duration(float64(time.Second) / pps) }
 
 // Domain returns the size of the (target × TTL) permutation domain of a
 // configuration whose defaults have been applied.
@@ -207,26 +226,22 @@ type pendingReply struct {
 	data []byte
 }
 
-// shardResume is the complete captured state of one interrupted (or
-// failed) shard prober. Together with the immutable campaign
-// configuration it is sufficient to continue the run so that interrupt
-// plus resume reproduces the uninterrupted schedule byte for byte: the
+// shardResume is the prober's own capture at an interrupt (or fatal
+// failure): what, beside the run's returned Stats, its progress recorder
+// and its store, is needed to continue the run so that interrupt plus
+// resume reproduces the uninterrupted schedule byte for byte. The
 // permutation cursor and clock say what to send and when, the codec
-// epoch keeps probe timestamps on the original series, the counters and
-// curve continue unbroken, and the pending replies restore the
-// connection's in-flight delivery queue.
+// epoch keeps probe timestamps on the original series, and the pending
+// replies restore the connection's in-flight delivery queue.
 type shardResume struct {
 	cursor        uint64        // next unsent permutation index
 	epoch         time.Duration // codec epoch (absolute virtual time)
 	now           time.Duration // clock at capture (absolute virtual time)
 	drainDeadline time.Duration // nonzero when captured inside the drain tail
-	stats         Stats
 	kindCount     [probe.KindOther + 1]int64
-	notMine       int64
 	nextCurve     int64
 	lastNew       [256]time.Duration
 	pending       []pendingReply
-	samples       []telemetry.Sample
 	// simState is the connection's exported simulator-state blob (router
 	// token-bucket levels) at the capture instant; nil for connections
 	// without checkpoint support. Restoring it makes a resumed run exact
@@ -302,6 +317,17 @@ type Yarrp6 struct {
 	// means off.
 	prog       *telemetry.Progress
 	nextSample time.Duration
+
+	// The run's fixed schedule: gap is the inter-probe interval, end the
+	// window's last permutation index plus one. The discovery curve is
+	// sampled whenever ProbesSent reaches nextCurve, which then advances
+	// by curveStep — a monotonic threshold, because fill-mode probes
+	// advance the counter inside handleReply and a modulo check would skip
+	// sample points whenever a fill lands between two loop iterations.
+	gap       time.Duration
+	end       uint64
+	curveStep int64
+	nextCurve int64
 
 	// Neighborhood heuristic state: bounded by the TTL range, not by
 	// targets — the prober stays O(1) in destinations.
@@ -417,12 +443,12 @@ func (y *Yarrp6) stopNow() bool {
 	return y.cfg.stop != nil && y.cfg.stop.Load()
 }
 
-// capture snapshots the complete run state at an interrupt, fatal send
-// error, or drain-tail stop. cursor is the next unsent permutation
-// index; drainDeadline is nonzero only when the capture happened inside
-// the drain tail (the window itself is complete). Pending telemetry is
+// capture snapshots the run state at an interrupt, fatal send error, or
+// drain-tail stop. cursor is the next unsent permutation index;
+// drainDeadline is nonzero only when the capture happened inside the
+// drain tail (the window itself is complete). Pending telemetry is
 // flushed so the registry is exact at the capture instant.
-func (y *Yarrp6) capture(cursor uint64, nextCurve int64, drainDeadline time.Duration) {
+func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 	// Fold the live authentication-failure counter into the returned
 	// partial stats the same way a completed run would.
 	y.stats.NotMine = y.codec.NotMine
@@ -431,15 +457,9 @@ func (y *Yarrp6) capture(cursor uint64, nextCurve int64, drainDeadline time.Dura
 		epoch:         y.codec.Epoch(),
 		now:           y.conn.Now(),
 		drainDeadline: drainDeadline,
-		stats:         y.stats,
 		kindCount:     y.kindCount,
-		notMine:       y.codec.NotMine,
-		nextCurve:     nextCurve,
+		nextCurve:     y.nextCurve,
 		lastNew:       y.lastNew,
-	}
-	rs.stats.Curve = append([]CurvePoint(nil), y.stats.Curve...)
-	if y.prog != nil {
-		rs.samples = append([]telemetry.Sample(nil), y.prog.Samples()...)
 	}
 	if ck, ok := y.conn.(probe.ConnCheckpointer); ok {
 		ck.ExportPending(func(at time.Duration, data []byte) {
@@ -483,7 +503,9 @@ func (y *Yarrp6) initCodec() error {
 	return nil
 }
 
-// Run executes the campaign, folding every recovered reply into store.
+// Run executes the campaign, folding every recovered reply into store:
+// restore a previous run's capture or prime the window's rate-limiter
+// history, send the window, drain the tail.
 //
 // There is one send loop, and it is batched: permutation indices are
 // drawn Batch at a time, the probes for a batch are pre-built into a
@@ -503,13 +525,12 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	if err := y.initCodec(); err != nil {
 		return Stats{}, err
 	}
-	cfg := y.cfg
-	y.stats = Stats{}
+	cfg := &y.cfg
 	y.kindCount = [probe.KindOther + 1]int64{}
 	y.rs = nil
 	y.initTelemetry()
 
-	domain := Domain(&cfg)
+	domain := Domain(cfg)
 	p, err := perm.New(cfg.Key, domain)
 	if err != nil {
 		return Stats{}, fmt.Errorf("yarrp6: %w", err)
@@ -521,16 +542,13 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	if start > end {
 		return Stats{}, fmt.Errorf("yarrp6: PermStart %d beyond PermEnd %d", start, end)
 	}
-	gap := time.Duration(float64(time.Second) / cfg.PPS)
-	// Sample the discovery curve on a monotonic probe-count threshold:
-	// fill-mode probes advance the counter inside handleReply, so a
-	// modulo check would skip sample points whenever a fill lands
-	// between two loop iterations. The curve is bounded by the step
-	// arithmetic at ~129 samples plus the final point; preallocating it
-	// keeps append off the steady-state send path.
-	curveStep := int64((end-start)/128) + 1
-	nextCurve := curveStep
-	y.stats.Curve = make([]CurvePoint, 0, 132)
+	y.gap, y.end = sendGap(cfg.PPS), end
+	// The curve is bounded by the step arithmetic at ~129 samples plus the
+	// final point; preallocating it keeps append off the steady-state send
+	// path.
+	y.curveStep = int64((end-start)/128) + 1
+	y.nextCurve = y.curveStep
+	y.stats = Stats{Curve: make([]CurvePoint, 0, 132)}
 
 	// Progress sampling thresholds live on the same virtual-time grid as
 	// the probe schedule (the campaign's step is a whole multiple of gap),
@@ -540,44 +558,12 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 		y.nextSample = y.prog.NextThreshold(y.conn.Now())
 	}
 
-	// Resume restore: continue an interrupted run exactly where it
-	// stopped. The iterator starts at the captured cursor (curveStep
-	// stays derived from the original window, so thresholds fall on the
-	// uninterrupted run's probe counts), the codec epoch goes back to
-	// the original run's so probe timestamps continue the same series,
-	// and the captured in-flight replies are re-queued at their original
-	// delivery instants. The connection's clock is the caller's job: it
-	// must open at the captured instant.
-	iterStart := start
-	var drainDeadline time.Duration
+	cursor, drainDeadline := start, time.Duration(0)
 	if rs := cfg.resume; rs != nil {
-		y.codec.SetEpoch(rs.epoch)
-		y.codec.NotMine = rs.notMine
-		y.stats = rs.stats
-		y.stats.Curve = append(y.stats.Curve[:0:0], rs.stats.Curve...)
-		y.stats.Elapsed = 0
-		y.kindCount = rs.kindCount
-		y.lastNew = rs.lastNew
-		nextCurve = rs.nextCurve
-		iterStart = rs.cursor
-		drainDeadline = rs.drainDeadline
-		if y.prog != nil {
-			y.prog.Restore(rs.samples)
-			y.nextSample = y.prog.NextThreshold(y.conn.Now())
+		if err := y.restore(rs); err != nil {
+			return Stats{}, err
 		}
-		if ck, ok := y.conn.(probe.ConnCheckpointer); ok && !rs.live {
-			for _, pr := range rs.pending {
-				ck.InjectReply(pr.at, pr.data)
-			}
-		}
-		// Restore the rate-limiter state captured at the interrupt. A
-		// live continuation needs neither restore: the connection still
-		// holds both.
-		if sk, ok := y.conn.(probe.SimStateCheckpointer); ok && !rs.live && len(rs.simState) > 0 {
-			if err := sk.ImportSimState(rs.simState); err != nil {
-				return Stats{}, fmt.Errorf("yarrp6: sim state: %w", err)
-			}
-		}
+		cursor, drainDeadline = rs.cursor, rs.drainDeadline
 	} else if start > 0 && !cfg.primed {
 		// Window-sliced run (campaign shard or recovery prober): advance
 		// the connection's rate-limiter state to the window-start instant
@@ -588,44 +574,75 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 		// shared replay pass and hands each clone a bucket snapshot —
 		// leaving this per-prober replay to recovery probers and direct
 		// windowed Run calls.
-		y.primeBuckets(p, start, y.conn.Now()-time.Duration(start)*gap, gap)
+		y.primeBuckets(p, start, y.conn.Now()-time.Duration(start)*y.gap)
 	}
 
 	// Batched sends may defer shared-counter updates; publish exact
 	// totals on every exit path so post-run readers see them.
 	defer y.bc.FlushStats()
-	batch := cfg.Batch
-	if cfg.NeighborhoodWindow > 0 {
-		// The neighborhood heuristic's skip decision must be taken at
-		// each probe's own instant against drain-fresh state.
-		batch = 1
-	}
-	if err := y.runBatched(store, p.Resume(iterStart), end, gap, batch, curveStep, &nextCurve); err != nil {
+	if err := y.send(store, p.Resume(cursor)); err != nil {
 		return y.stats, err
 	}
+	return y.drain(store, drainDeadline)
+}
+
+// restore continues an interrupted run exactly where rs captured it. The
+// iterator starts at the captured cursor (curveStep stays derived from
+// the original window, so thresholds fall on the uninterrupted run's
+// probe counts), the codec epoch goes back to the original run's so
+// probe timestamps continue the same series, the counters and curve
+// continue from resumeStats, and the captured in-flight replies are
+// re-queued at their original delivery instants. The connection's clock
+// is the caller's job: it must open at the captured instant.
+func (y *Yarrp6) restore(rs *shardResume) error {
+	y.stats = y.cfg.resumeStats
+	y.stats.Curve = slices.Clone(y.stats.Curve)
+	y.stats.Elapsed = 0
+	y.codec.SetEpoch(rs.epoch)
+	y.codec.NotMine = y.stats.NotMine
+	y.kindCount = rs.kindCount
+	y.lastNew = rs.lastNew
+	y.nextCurve = rs.nextCurve
+	if rs.live {
+		// The connection still holds its queue and its buckets.
+		return nil
+	}
+	if ck, ok := y.conn.(probe.ConnCheckpointer); ok {
+		for _, pr := range rs.pending {
+			ck.InjectReply(pr.at, pr.data)
+		}
+	}
+	if sk, ok := y.conn.(probe.SimStateCheckpointer); ok && len(rs.simState) > 0 {
+		if err := sk.ImportSimState(rs.simState); err != nil {
+			return fmt.Errorf("yarrp6: sim state: %w", err)
+		}
+	}
+	return nil
+}
+
+// drain collects stragglers after the window's last probe and closes
+// the run. Stepping by the send gap keeps the drain schedule on the same
+// virtual instants a longer-running prober would drain at, so a campaign
+// shard processes its tail replies — and sends any fill probes they
+// trigger — at exactly the times the unsharded prober would have. The
+// connection exposes its delivery queue, so stretches of virtual time
+// where nothing can arrive are crossed in one sleep: the clock lands on
+// the same gap-multiple instants, and every reply is still processed at
+// the first such instant at or past its delivery time — the stepped
+// loop's schedule exactly, minus the empty iterations. A nonzero
+// deadline is a resumed tail's: the original run's deadline stands
+// instead of extending the tail from the resume instant.
+func (y *Yarrp6) drain(store *probe.Store, deadline time.Duration) (Stats, error) {
 	if y.prog != nil {
 		// Pin the window-exit state: the shard may sit idle in its drain
 		// tail across many thresholds, and the merge needs a sample at or
 		// before each of them carrying the completed-window counters.
 		y.recordSample(y.conn.Now())
 	}
-
-	// Collect stragglers. Stepping by the send gap keeps this drain
-	// schedule on the same virtual instants a longer-running prober
-	// would drain at, so a campaign shard processes its tail replies —
-	// and sends any fill probes they trigger — at exactly the times the
-	// unsharded prober would have. The connection exposes its delivery
-	// queue, so stretches of virtual time where nothing can arrive are
-	// crossed in one sleep: the clock lands on the same
-	// gap-multiple instants, and every reply is still processed at the
-	// first such instant at or past its delivery time — the stepped
-	// loop's schedule exactly, minus the empty iterations.
-	deadline := y.conn.Now() + cfg.DrainTimeout
-	if drainDeadline > 0 {
-		// Resumed inside the drain tail: keep the original run's
-		// deadline instead of extending the tail from the resume instant.
-		deadline = drainDeadline
+	if deadline == 0 {
+		deadline = y.conn.Now() + y.cfg.DrainTimeout
 	}
+	gap := y.gap
 	for {
 		now := y.conn.Now()
 		if now >= deadline {
@@ -637,20 +654,14 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 			// finishes the same tail. Interrupt instants inside a
 			// fast-forwarded empty stretch take effect at the next drain
 			// instant — nothing observable happens in between.
-			y.capture(end, nextCurve, deadline)
+			y.capture(y.end, deadline)
 			return y.stats, ErrInterrupted
 		}
-		steps := int64(1)
-		if gap > 0 {
-			kmax := int64((deadline - now + gap - 1) / gap)
-			if at, ok := y.bc.NextDeliveryAt(); !ok {
-				steps = kmax
-			} else if at > now {
-				steps = int64((at - now + gap - 1) / gap)
-				if steps > kmax {
-					steps = kmax
-				}
-			}
+		// Whole gaps to the deadline, or to the earliest queued delivery
+		// when that comes first; a reply already due is one step away.
+		steps := int64((deadline - now + gap - 1) / gap)
+		if at, ok := y.bc.NextDeliveryAt(); ok {
+			steps = min(steps, max(1, int64((at-now+gap-1)/gap)))
 		}
 		if y.tel.sh != nil {
 			y.tel.drainGap.Observe(steps)
@@ -681,16 +692,23 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 // prefix [0, hi): recovery probers, direct windowed Run calls, and
 // shards whose snapshot import failed. Connections without prime support
 // (live sockets) skip it — a real network carries its own history.
-func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base, gap time.Duration) {
+func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base time.Duration) {
 	if pr, ok := y.conn.(probe.Primer); ok && hi > 0 {
-		replayPrefix(pr, p, y.codec, &y.cfg, hi, base, gap, y.cfg.pulse, nil, nil)
+		replayPrefix(pr, p, y.codec, &y.cfg, hi, base, y.gap, y.cfg.pulse, nil, nil)
 	}
 }
 
-// runBatched is the send loop — the only one: it walks the permutation
-// window [it.Pos(), end), batch probes per SendBatch call.
-func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, gap time.Duration, batch int, curveStep int64, nextCurve *int64) error {
+// send is the send loop — the only one: it walks the permutation window
+// [it.Pos(), end), Batch probes per SendBatch call.
+func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 	cfg := &y.cfg
+	gap, end := y.gap, y.end
+	batch := cfg.Batch
+	if cfg.NeighborhoodWindow > 0 {
+		// The neighborhood heuristic's skip decision must be taken at
+		// each probe's own instant against drain-fresh state.
+		batch = 1
+	}
 	if len(y.idx) < batch {
 		y.idx = make([]uint64, batch)
 		y.ring = make([]byte, batch*probeStride)
@@ -701,7 +719,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 	for it.Pos() < end {
 		posBase := it.Pos()
 		if y.stopNow() {
-			y.capture(posBase, *nextCurve, 0)
+			y.capture(posBase, 0)
 			return ErrInterrupted
 		}
 		k := uint64(batch)
@@ -713,9 +731,8 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			break
 		}
 		if y.skipByNeighborhood(cfg.MinTTL + uint8(y.idx[0]/nt)) {
-			// Under the heuristic the batch is this one probe (Run pins
-			// batch = 1): the skipped index consumes no send slot and the
-			// clock stays where it is.
+			// Under the heuristic the batch is this one probe: the skipped
+			// index consumes no send slot and the clock stays where it is.
 			y.stats.Skipped++
 			continue
 		}
@@ -731,7 +748,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 				// Mid-batch interrupt: the iterator already consumed the
 				// whole batch, so the cursor is the base position plus
 				// the probes actually sent.
-				y.capture(posBase+uint64(sent), *nextCurve, 0)
+				y.capture(posBase+uint64(sent), 0)
 				return ErrInterrupted
 			}
 			lim := n
@@ -739,14 +756,14 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			// sample is taken at exactly that probe count at every batch
 			// size (within a run the counter advances by one per probe —
 			// drains, and with them fills, only happen between runs).
-			if toCurve := *nextCurve - y.stats.ProbesSent; int64(lim-sent) > toCurve {
+			if toCurve := y.nextCurve - y.stats.ProbesSent; int64(lim-sent) > toCurve {
 				lim = sent + int(toCurve)
 			}
 			// Cap likewise at the next progress threshold: the clock is
 			// gap-aligned here and thresholds sit on the grid, so the run
 			// ends exactly on the threshold instant and the sample reads
 			// the same counters at every batch size.
-			if y.prog != nil && gap > 0 {
+			if y.prog != nil {
 				if rem := int64((y.nextSample - y.conn.Now()) / gap); rem < int64(lim-sent) {
 					lim = sent + int(rem)
 				}
@@ -756,15 +773,12 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			// uninterrupted run exactly. An off-grid instant caps the
 			// run mid-slot; the loop-top check then captures before the
 			// next send.
-			if y.cfg.interruptAt > 0 && gap > 0 {
-				if rem := int64((y.cfg.interruptAt - y.conn.Now()) / gap); rem < int64(lim-sent) {
-					if rem < 0 {
-						rem = 0
-					}
-					lim = sent + int(rem)
+			if cfg.interruptAt > 0 {
+				if rem := int64((cfg.interruptAt - y.conn.Now()) / gap); rem < int64(lim-sent) {
+					lim = sent + int(max(rem, 0))
 				}
 				if lim == sent {
-					y.capture(posBase+uint64(sent), *nextCurve, 0)
+					y.capture(posBase+uint64(sent), 0)
 					return ErrInterrupted
 				}
 			}
@@ -779,7 +793,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			sent += m
 			if err != nil {
 				if !probe.IsTransient(err) || retries >= retryMax {
-					y.capture(posBase+uint64(sent), *nextCurve, 0)
+					y.capture(posBase+uint64(sent), 0)
 					return err
 				}
 				// Transient send failure: back off one slot, rebuild the
@@ -797,7 +811,7 @@ func (y *Yarrp6) runBatched(store *probe.Store, it *perm.Iterator, end uint64, g
 			if deliverable {
 				y.drainAll(store)
 			}
-			y.recordCurve(store, nextCurve, curveStep)
+			y.recordCurve(store)
 			y.maybeSample()
 		}
 	}
@@ -821,11 +835,11 @@ func (y *Yarrp6) buildBatch(from, n int, t0, gap time.Duration) {
 // recordCurve appends a discovery-curve sample when the probe counter
 // has crossed the next threshold, then advances the threshold past the
 // counter.
-func (y *Yarrp6) recordCurve(store *probe.Store, nextCurve *int64, curveStep int64) {
-	if y.stats.ProbesSent >= *nextCurve {
+func (y *Yarrp6) recordCurve(store *probe.Store) {
+	if y.stats.ProbesSent >= y.nextCurve {
 		y.stats.Curve = append(y.stats.Curve, CurvePoint{y.stats.ProbesSent, store.NumInterfaces(), y.conn.Now()})
-		for *nextCurve <= y.stats.ProbesSent {
-			*nextCurve += curveStep
+		for y.nextCurve <= y.stats.ProbesSent {
+			y.nextCurve += y.curveStep
 		}
 		// Fold pending telemetry into the shared registry at curve
 		// cadence (~130 times per run): the live endpoint stays fresh
@@ -886,6 +900,9 @@ func (y *Yarrp6) handleReply(b []byte, store *probe.Store) {
 		y.tel.rtt.Observe(int64(r.RTT / time.Microsecond))
 	}
 	newIface := store.Add(r)
+	if newIface && y.cfg.track != nil {
+		y.cfg.track.add(r.From, r.At)
+	}
 	if y.cfg.Observer != nil {
 		y.cfg.Observer.OnReply(r)
 	}

@@ -20,14 +20,15 @@ import (
 // probe bytes, send time). Two mechanisms make that state exact across
 // the campaign engine's structural transformations:
 //
-//   - Prime replay (BeginPrime/Prime/EndPrime): a shard clone replays
-//     the serial probe schedule that precedes its permutation window,
-//     evaluating every routing decision and token-bucket consumption at
-//     the replayed instants without scheduling replies, counting stats,
-//     or consulting the fault plane. After the replay the clone's
-//     buckets hold exactly the levels the single serial prober's would
-//     have held at the window-start instant, so N-shard reply counters
-//     match serial even past ICMPv6 rate-limit saturation.
+//   - Prime replay (BeginPrime/PrimeFlow/PrimeIdx/EndPrime): a shard
+//     clone replays the serial probe schedule that precedes its
+//     permutation window, evaluating every loss draw and token-bucket
+//     consumption at the replayed instants without decoding packets,
+//     scheduling replies, counting stats, or consulting the fault plane.
+//     After the replay the clone's buckets hold exactly the levels the
+//     single serial prober's would have held at the window-start
+//     instant, so N-shard reply counters match serial even past ICMPv6
+//     rate-limit saturation.
 //
 //   - Sim-state blobs (ExportSimState/ImportSimState): a checkpointing
 //     prober exports the bucket levels at the interrupt instant and the
@@ -36,37 +37,19 @@ import (
 //     including bucket consumption from fill probes, which a replay of
 //     the raw schedule alone could not reproduce.
 
-// BeginPrime enters priming mode: subsequent Prime calls route probes
+// BeginPrime opens a prime replay: PrimeFlow/PrimeIdx evaluate probes
 // against the router token buckets at explicit replayed instants while
 // the clock stays parked, no replies are scheduled, and the fault plane
-// is bypassed (a faulted vantage's own schedule deviates from serial
-// anyway, and prime replays the serial history). Vantage stats are
-// snapshotted and restored at EndPrime; universe stats are untouched.
-func (v *Vantage) BeginPrime() {
-	v.priming = true
-	v.primeSaved = v.Stats
-	v.primeFaults = v.hasFaults
-	v.hasFaults = false
-}
+// is never consulted (a faulted vantage's own schedule deviates from
+// serial anyway, and prime replays the serial history). Vantage stats —
+// PrimeFlow's plan lookups count as hits and misses — are snapshotted
+// here and restored at EndPrime; universe stats are untouched.
+func (v *Vantage) BeginPrime() { v.primeSaved = v.Stats }
 
-// Prime replays one probe of the serial schedule at virtual instant at:
-// the path plan, loss/ND draws, and router token-bucket refill/consume
-// happen exactly as a serial sender's would have at that instant.
-// Callers must bracket Prime sequences in BeginPrime/EndPrime and replay
-// probes in schedule order (bucket refill clamps backwards time).
-func (v *Vantage) Prime(pkt []byte, at time.Duration) error {
-	v.primeNow = at
-	var st simDelta // discarded: prime contributes nothing to universe stats
-	return v.send1(pkt, &st)
-}
-
-// EndPrime leaves priming mode, restoring the vantage stats and fault
-// plane BeginPrime saved. Flow tokens issued by PrimeFlow are
-// invalidated.
+// EndPrime closes the replay, restoring the vantage stats BeginPrime
+// saved. Flow tokens issued by PrimeFlow are invalidated.
 func (v *Vantage) EndPrime() {
 	v.Stats = v.primeSaved
-	v.hasFaults = v.primeFaults
-	v.priming = false
 	v.primeFlows = v.primeFlows[:0]
 }
 
@@ -82,13 +65,13 @@ type primeFlow struct {
 	nd bool
 }
 
-// PrimeFlow registers the probe's flow for fast replay and returns its
-// token. The full Prime path pays packet decode, plan lookup, and the
-// reply-construction branches on every replayed probe; a Yarrp6 replay
-// touches each flow ~TTL-span times, so callers register the flow once
-// (building one representative probe — flow identity is constant per
-// target by Yarrp6 construction) and replay each (TTL, instant) through
-// PrimeIdx. Tokens are valid until EndPrime.
+// PrimeFlow registers the probe's flow for replay and returns its
+// token. Sending a probe pays packet decode, plan lookup, and the
+// reply-construction branches; a Yarrp6 replay touches each flow
+// ~TTL-span times, so callers register the flow once (building one
+// representative probe — flow identity is constant per target by Yarrp6
+// construction) and replay each (TTL, instant) through PrimeIdx. Tokens
+// are valid until EndPrime.
 func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 	if err := v.dec.Decode(pkt); err != nil {
 		return 0, fmt.Errorf("netsim: undecodable probe: %w", err)
@@ -114,11 +97,12 @@ func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 }
 
 // PrimeIdx replays one probe of a registered flow at virtual instant at:
-// the same loss/ND draws and router token-bucket refill/consume Prime
-// performs via send1, with everything that cannot touch a bucket —
-// packet parsing, plan lookup, reply construction — elided. The branch
-// structure mirrors send1's; the prime-equivalence test pins the two
-// paths together.
+// the same loss/ND draws and router token-bucket refill/consume send1
+// performs for a sent probe, with everything that cannot touch a bucket
+// — packet parsing, plan lookup, reply construction — elided. Probes
+// must be replayed in schedule order (bucket refill clamps backwards
+// time). The branch structure mirrors send1's; the prime-equivalence
+// test pins the replay to really sending the schedule.
 func (v *Vantage) PrimeIdx(tok int, ttl uint8, at time.Duration) {
 	f := &v.primeFlows[tok]
 	plan := f.plan

@@ -55,12 +55,12 @@ func simStateTokens(t *testing.T, blob []byte) []float64 {
 	return out
 }
 
-// TestPrimeFastPathMatchesPrime pins the three ways of evaluating the
-// same probe schedule's token-bucket history to each other: real sends,
-// the reference Prime replay, and the PrimeFlow/PrimeIdx fast path must
-// leave byte-identical exported bucket state — on a schedule fast
-// enough to saturate the shared access routers, where any divergence in
-// the replayed branch structure would surface as a token-level drift.
+// TestPrimeFastPathMatchesPrime pins the prime replay to the history it
+// stands in for: really sending a probe schedule and replaying it
+// through PrimeFlow/PrimeIdx must leave byte-identical exported bucket
+// state — on a schedule fast enough to saturate the shared access
+// routers, where any divergence in the replayed branch structure would
+// surface as a token-level drift.
 func TestPrimeFastPathMatchesPrime(t *testing.T) {
 	u := testUniverse(t)
 	v := u.NewVantage(VantageSpec{Name: "prime", Kind: KindUniversity, ChainLen: 3})
@@ -75,15 +75,6 @@ func TestPrimeFastPathMatchesPrime(t *testing.T) {
 	if real.Now() != end {
 		t.Fatalf("real schedule ended at %v, want %v", real.Now(), end)
 	}
-
-	ref := v.Clone(0)
-	ref.BeginPrime()
-	primeSchedule(len(targets), maxTTL, 16, func(ti int, ttl uint8, at time.Duration) {
-		if err := ref.Prime(buildEchoProbe(ref.LocalAddr(), targets[ti], ttl), at); err != nil {
-			t.Fatal(err)
-		}
-	})
-	ref.EndPrime()
 
 	fast := v.Clone(0)
 	fast.BeginPrime()
@@ -104,15 +95,10 @@ func TestPrimeFastPathMatchesPrime(t *testing.T) {
 	fast.EndPrime()
 
 	blobReal := real.ExportSimState(nil)
-	blobRef := ref.ExportSimState(nil)
-	blobFast := fast.ExportSimState(nil)
-	if !bytes.Equal(blobRef, blobReal) {
-		t.Fatal("Prime replay and real sends leave different bucket state")
+	if !bytes.Equal(fast.ExportSimState(nil), blobReal) {
+		t.Fatal("PrimeFlow/PrimeIdx replay and real sends leave different bucket state")
 	}
-	if !bytes.Equal(blobFast, blobRef) {
-		t.Fatal("PrimeFlow/PrimeIdx fast path and Prime leave different bucket state")
-	}
-	tokens := simStateTokens(t, blobRef)
+	tokens := simStateTokens(t, blobReal)
 	if len(tokens) == 0 {
 		t.Fatal("schedule touched no routers")
 	}

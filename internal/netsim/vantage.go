@@ -119,16 +119,10 @@ type Vantage struct {
 	nextClone    int
 	errTransient faultsim.TransientSendError
 
-	// Priming mode (prime.go): while priming, send1 evaluates routing
-	// decisions and router token-bucket consumption at primeNow instead of
-	// the clock, schedules no replies, and rolls its stat side effects
-	// back at EndPrime. primeSaved/primeFaults hold the state restored
-	// when the replay ends.
-	priming     bool
-	primeNow    time.Duration
-	primeSaved  VantageStats
-	primeFaults bool
-	primeFlows  []primeFlow // PrimeFlow token table, valid until EndPrime
+	// Prime replay (prime.go): primeSaved holds the stats EndPrime
+	// restores, primeFlows the PrimeFlow token table, valid until then.
+	primeSaved VantageStats
+	primeFlows []primeFlow
 
 	// simPending holds imported sim-state records (ImportSimState) not
 	// yet claimed by a router birth; router() consults it so imported
@@ -613,11 +607,6 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 	planN := len(plan.steps)
 	ttl := int(d.IPv6.HopLimit)
 	now := v.clk.Now()
-	if v.priming {
-		// Prime replay evaluates the probe at its serial-history instant;
-		// the clock itself stays parked at the shard's window start.
-		now = v.primeNow
-	}
 	// The per-packet draw key folds the cached flow hash with the hop
 	// limit (the pktKey of old: h(flowHash(...), 40, hopLimit)).
 	pk := h(plan.fh, 40, uint64(d.IPv6.HopLimit))
@@ -694,9 +683,6 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 			return nil
 		}
 		st.echoRepliesSent++
-		if v.priming {
-			return nil
-		}
 		payload := d.Payload
 		if max := wire.MinMTU - wire.IPv6HeaderLen - wire.ICMPv6HeaderLen; len(payload) > max {
 			// The return path, like the quote path, is MinMTU-bound (the
@@ -711,17 +697,11 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
 	case plan.exists && d.Proto == wire.ProtoUDP:
 		st.portUnreachSent++
-		if v.priming {
-			return nil
-		}
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.ICMPv6HeaderLen + len(pkt))
 		n := wire.BuildICMPv6Error(v.bufs[bi], wire.ICMPv6DstUnreach, wire.CodePortUnreachable, d.IPv6.Dst, v.addr, pkt, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
 	case plan.exists && d.Proto == wire.ProtoTCP:
 		st.tcpRstsSent++
-		if v.priming {
-			return nil
-		}
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.TCPHeaderLen)
 		n := wire.BuildTCPRst(v.bufs[bi], d.IPv6.Dst, v.addr, &d.TCP, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
@@ -744,11 +724,6 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 // scheduleError builds and enqueues an ICMPv6 error from router r quoting
 // the probe, arriving after the round-trip to step idx.
 func (v *Vantage) scheduleError(st *simDelta, r *Router, typ, code uint8, probe []byte, plan *planCore, idx int, now time.Duration, pk uint64) {
-	if v.priming {
-		// The bucket decision already happened; the reply itself is not
-		// scheduled during prime replay.
-		return
-	}
 	quote := probe
 	if r.truncateQuote && len(quote) > 48 {
 		// Legacy gear quoting IPv4-style: header plus 8 bytes.

@@ -83,25 +83,23 @@ type ConnCheckpointer interface {
 // this interface, which is what makes N-shard reply counters match the
 // serial run even past ICMPv6 rate-limit saturation.
 type Primer interface {
-	// BeginPrime enters priming mode: Prime calls evaluate probes at
+	// BeginPrime opens a replay: PrimeFlow and PrimeIdx evaluate probes at
 	// explicit replayed instants, mutating rate-limiter state only — no
 	// replies, no stats, no clock movement.
 	BeginPrime()
-	// Prime replays one probe of the preceding serial schedule at
-	// virtual instant at. Probes must be replayed in schedule order.
-	Prime(pkt []byte, at time.Duration) error
-	// PrimeFlow registers a probe's flow for fast replay, returning a
-	// token for PrimeIdx. A Yarrp6 schedule revisits each flow once per
-	// TTL, so registering the flow once (from any representative probe
-	// of it — flow identity is TTL-independent by construction) and
-	// replaying per-(TTL, instant) through the token skips the per-probe
-	// packet build and decode that dominate Prime. Tokens are valid
-	// until EndPrime.
+	// PrimeFlow registers a probe's flow for replay, returning a token
+	// for PrimeIdx. A Yarrp6 schedule revisits each flow once per TTL, so
+	// registering the flow once (from any representative probe of it —
+	// flow identity is TTL-independent by construction) and replaying
+	// per-(TTL, instant) through the token skips the per-probe packet
+	// build and decode that would dominate. Tokens are valid until
+	// EndPrime.
 	PrimeFlow(pkt []byte) (int, error)
-	// PrimeIdx replays one probe of a registered flow at virtual
-	// instant at, equivalent to Prime on the corresponding packet.
+	// PrimeIdx replays one probe of a registered flow — the one the
+	// preceding serial schedule sent at hop limit ttl and virtual instant
+	// at. Probes must be replayed in schedule order.
 	PrimeIdx(tok int, ttl uint8, at time.Duration)
-	// EndPrime leaves priming mode.
+	// EndPrime closes the replay.
 	EndPrime()
 }
 

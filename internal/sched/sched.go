@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,9 +156,9 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// CampaignSpec is one submitted campaign. The probing parameters
-// mirror core.Config; the supervisor owns sharding, deadlines, and
-// retry policy around them.
+// CampaignSpec is one submitted campaign: the engine's own probing
+// block, with the supervisor owning sharding, deadlines, and retry
+// policy around it.
 type CampaignSpec struct {
 	// Tenant names the submitting tenant (must be configured).
 	Tenant string
@@ -170,17 +169,13 @@ type CampaignSpec struct {
 	// It is also the circuit-breaker key and the campaign tag prefix
 	// fault rules address (Tag).
 	Vantage string
-	// Targets, Rate, MinTTL, MaxTTL, Proto, Fill, Key, Shards, Batch
-	// parameterize the underlying campaign (zero values pick the core
-	// defaults; Rate zero means 1000 PPS).
-	Targets        []netip.Addr
-	Rate           float64
-	MinTTL, MaxTTL uint8
-	Proto          uint8
-	Fill           bool
-	Key            uint64
-	Shards         int
-	Batch          int
+	// Config is the probing block handed to the campaign as it is (zero
+	// values pick the core defaults; PPS zero means 1000). The campaign
+	// owns the permutation split and the observers: PermStart, PermEnd
+	// and Observer must stay zero.
+	core.Config
+	// Shards is the number of concurrent prober instances. Default 1.
+	Shards int
 	// Deadline, when nonzero, interrupts the campaign at that virtual
 	// instant (relative to the campaign epoch) and degrades it to
 	// StateIncomplete with reason "deadline".
@@ -203,8 +198,8 @@ func (s *CampaignSpec) Tag() string { return s.Tenant + "/" + s.Name }
 
 // effRate is the admission-ledger rate: the core default when unset.
 func (s *CampaignSpec) effRate() float64 {
-	if s.Rate > 0 {
-		return s.Rate
+	if s.PPS > 0 {
+		return s.PPS
 	}
 	return 1000
 }
@@ -446,16 +441,22 @@ func New(cfg Config) (*Supervisor, error) {
 
 // Submit admits one campaign, or rejects it with a typed error:
 // ErrDraining, ErrUnknownTenant, ErrDuplicate, ErrBreakerOpen,
-// ErrRateBudget, ErrQueueFull, or an artifact-validation error for
+// ErrRateBudget, ErrQueueFull, the engine's configuration error for an
+// unrunnable probing block, or an artifact-validation error for
 // unusable Resume artifacts.
 func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
+	// Validate up front so an unrunnable spec or a corrupt checkpoint is
+	// an admission failure, not a late worker-side surprise. A resumed
+	// campaign's probing block is the artifact's.
+	var err error
 	if spec.Resume != nil {
-		// Validate the artifact up front so a corrupt checkpoint is a
-		// typed admission failure, not a late worker-side surprise.
-		if _, err := core.InspectCheckpoint(spec.Resume); err != nil {
-			s.reject()
-			return nil, err
-		}
+		_, err = core.InspectCheckpoint(spec.Resume)
+	} else {
+		err = spec.Config.Validate()
+	}
+	if err != nil {
+		s.reject()
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -619,26 +620,12 @@ func (s *Supervisor) isDraining() bool {
 func (s *Supervisor) campaignConfig(j *job) core.CampaignConfig {
 	sp := &j.spec
 	return core.CampaignConfig{
-		Config: core.Config{
-			Targets: sp.Targets,
-			MinTTL:  sp.MinTTL,
-			MaxTTL:  sp.MaxTTL,
-			PPS:     sp.Rate,
-			Proto:   sp.Proto,
-			Fill:    sp.Fill,
-			Key:     sp.Key,
-			Batch:   sp.Batch,
-		},
+		Config:      sp.Config,
 		Shards:      sp.Shards,
 		RecordPaths: true,
 		Telemetry:   s.tel,
 		NewObserver: s.observerFactory(j),
 		InterruptAt: sp.Deadline,
-		// Interrupted partial stores are folded lazily (MergedStore) on
-		// the terminal paths that actually publish them; the periodic
-		// checkpoint-and-continue path never asks, so snapshot cycles
-		// skip the fold.
-		DeferMerge: true,
 	}
 }
 
@@ -724,9 +711,9 @@ func (s *Supervisor) runJob(j *job) {
 			return
 
 		case errors.Is(runErr, core.ErrInterrupted):
-			// The campaign ran with DeferMerge, so the interrupted store
-			// arrives nil; terminal paths fold it on demand, and the
-			// periodic continuation below skips the fold entirely.
+			// An interrupted run returns no store: the terminal paths fold
+			// it on demand (MergedStore), and the periodic continuation
+			// below skips the fold entirely.
 			encStart := time.Now()
 			art, ckErr := camp.AppendCheckpoint(spare[:0])
 			spare = nil

@@ -87,16 +87,7 @@ func (e *testEnv) opener(spec *CampaignSpec) (core.ConnFactory, error) {
 // result bytes).
 func coreConfigOf(spec CampaignSpec) core.CampaignConfig {
 	return core.CampaignConfig{
-		Config: core.Config{
-			Targets: spec.Targets,
-			MinTTL:  spec.MinTTL,
-			MaxTTL:  spec.MaxTTL,
-			PPS:     spec.Rate,
-			Proto:   spec.Proto,
-			Fill:    spec.Fill,
-			Key:     spec.Key,
-			Batch:   spec.Batch,
-		},
+		Config:      spec.Config,
 		Shards:      spec.Shards,
 		RecordPaths: true,
 		InterruptAt: spec.Deadline,
@@ -121,7 +112,7 @@ func soloRun(t testing.TB, seed int64, fc *faultsim.Config, spec CampaignSpec) (
 func testSpec(tenant, name string, targets []netip.Addr) CampaignSpec {
 	return CampaignSpec{
 		Tenant: tenant, Name: name, Vantage: "US-EDU-1",
-		Targets: targets, Rate: 500, MaxTTL: 12, Key: 11, Fill: true,
+		Config: core.Config{Targets: targets, PPS: 500, MaxTTL: 12, Key: 11, Fill: true},
 	}
 }
 
@@ -244,7 +235,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
 	sp := testSpec("alpha", "run", targets)
-	sp.Rate = 1000
+	sp.PPS = 1000
 	h1, err := s.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +255,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	big := testSpec("alpha", "big", targets)
-	big.Rate = 600 // 1000 reserved of 1500
+	big.PPS = 600 // 1000 reserved of 1500
 	if _, err := s.Submit(big); !errors.Is(err, ErrRateBudget) {
 		t.Fatalf("rate budget: %v", err)
 	}

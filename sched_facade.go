@@ -239,7 +239,8 @@ func (s *Scheduler) open(spec *sched.CampaignSpec) (core.ConnFactory, error) {
 
 // Submit admits one campaign probing targets from v, or rejects it with
 // one of the typed admission errors (ErrQueueFull, ErrUnknownTenant,
-// ErrRateBudget, ErrDraining, ErrDuplicate, ErrBreakerOpen) or an
+// ErrRateBudget, ErrDraining, ErrDuplicate, ErrBreakerOpen), the
+// engine's configuration error for options it cannot run, or an
 // artifact-validation error for an unusable Resume artifact.
 func (s *Scheduler) Submit(v *Vantage, targets []netip.Addr, opt SubmitOptions) (*CampaignHandle, error) {
 	yo := YarrpOptions{Rate: opt.Rate, MaxTTL: opt.MaxTTL, Transport: opt.Transport, Fill: opt.Fill, Key: opt.Key, Batch: opt.Batch}
@@ -254,14 +255,8 @@ func (s *Scheduler) Submit(v *Vantage, targets []netip.Addr, opt SubmitOptions) 
 		Tenant:   opt.Tenant,
 		Name:     opt.Name,
 		Vantage:  v.v.Name(),
-		Targets:  cfg.Targets,
-		Rate:     cfg.PPS,
-		MaxTTL:   cfg.MaxTTL,
-		Proto:    cfg.Proto,
-		Fill:     cfg.Fill,
-		Key:      cfg.Key,
+		Config:   cfg,
 		Shards:   opt.Shards,
-		Batch:    cfg.Batch,
 		Deadline: opt.Deadline,
 		Stream:   opt.Stream,
 		Resume:   opt.Resume,

@@ -3,8 +3,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -98,8 +100,9 @@ func main() {
 	write(pe, "seed-zero-sum", bs([]byte{0x20, 0x00, 0xdf, 0xff}), by(9), by(0), by(255), u32(1<<16+1))
 
 	// core: FuzzCheckpointDecode — a real interrupted-campaign artifact,
-	// a truncation, a CRC flip, and an adaptive artifact cut mid-epoch
-	// (so it embeds an inner campaign artifact).
+	// a truncation, a CRC flip, a well-framed artifact whose first-seen
+	// list is out of address order, and an adaptive artifact cut
+	// mid-epoch (so it embeds an inner campaign artifact).
 	art, adaptive := checkpointArtifacts()
 	cd := "internal/core/testdata/fuzz/FuzzCheckpointDecode"
 	write(cd, "seed-valid", bs(art))
@@ -107,9 +110,43 @@ func main() {
 	flipped := append([]byte(nil), art...)
 	flipped[len(flipped)/2] ^= 0x04
 	write(cd, "seed-crc-flip", bs(flipped))
+	write(cd, "seed-unsorted-seen", bs(unsortedSeen(art)))
 	write(cd, "seed-adaptive", bs(adaptive))
 
 	fmt.Println("corpus written")
+}
+
+// unsortedSeen returns a copy of a campaign artifact with the first two
+// entries of shard 0's first-seen list swapped and the section checksum
+// recomputed: every frame is right, but the list is not in the address
+// order the encoder writes.
+func unsortedSeen(art []byte) []byte {
+	le32 := func(b []byte) int { return int(binary.LittleEndian.Uint32(b)) }
+	out := append([]byte(nil), art...)
+	// Sections are [type u8][len u32][crc u32][payload]; the config
+	// section comes first, shard 0's second.
+	sect := len("Y6CKPT02")
+	sect += 9 + le32(out[sect+1:])
+	p := out[sect+9 : sect+9+le32(out[sect+1:])]
+	off := 4 + 1 + 8 + 3*8 + 8 + 7*8      // index, done, cursor, three instants, curve threshold, counters
+	off += 4 + 20*le32(p[off:])           // curve points
+	off += 8 * (int(probe.KindOther) + 1) // reply-kind tallies
+	off += 4 + 9*le32(p[off:])            // neighborhood instants
+	off += 4 + 64*le32(p[off:])           // progress samples
+	pending := le32(p[off:])
+	off += 4
+	for ; pending > 0; pending-- {
+		off += 8 + 4 + le32(p[off+8:])
+	}
+	if p[off] != 1 || le32(p[off+1:]) < 2 {
+		panic("gencorpus: shard 0 has fewer than two first-seen entries")
+	}
+	a, b := p[off+5:off+29], p[off+29:off+53] // 16-byte address + instant each
+	for i := range a {
+		a[i], b[i] = b[i], a[i]
+	}
+	binary.LittleEndian.PutUint32(out[sect+5:], crc32.ChecksumIEEE(p))
+	return out
 }
 
 // checkpointArtifacts interrupts a small deterministic netsim campaign,
