@@ -86,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzBuildDecodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz '^FuzzParseReply$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzProbeBuildEquivalence$$' -fuzztime $(FUZZTIME) ./internal/probe
+	$(GO) test -run xxx -fuzz '^FuzzDecodeStore$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store
 

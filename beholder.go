@@ -410,6 +410,14 @@ type Result struct {
 	PlanTableSlots   int
 	PlanTableCores   int
 	PlanTableGrowths int64
+	// AddrTableSlots and AddrTableAddrs describe the address tables the
+	// run filed its replies in — one per shard, shared by the shard's
+	// store and topology graph — summed over shards as they stood before
+	// the fold: slots allocated, and addresses interned (interfaces,
+	// traced targets, and whatever else a shard's graph met). An adaptive
+	// run reports the one table of its accumulated store.
+	AddrTableSlots int
+	AddrTableAddrs int
 	// Progress is the campaign's virtual-time progress series, present
 	// when YarrpOptions.Progress or Telemetry was set.
 	Progress []ProgressPoint
@@ -621,6 +629,12 @@ func (v *Vantage) campaignResult(store *probe.Store, stats core.CampaignStats, p
 		store:       store,
 		vantage:     v.v.Name(),
 		proto:       proto,
+
+		AddrTableSlots: stats.AddrTableSlots,
+		AddrTableAddrs: stats.AddrTableAddrs,
+	}
+	if res.AddrTableSlots == 0 && store != nil {
+		res.AddrTableSlots, res.AddrTableAddrs = store.AddrTable().Slots(), store.AddrTable().Len()
 	}
 	if len(stats.PerShard) > 1 {
 		res.ShardStats = stats.PerShard
@@ -877,6 +891,8 @@ func (v *Vantage) publishRunTelemetry(reg *TelemetryRegistry, simBefore netsim.S
 	reg.Gauge("plan_table_slots").Set(int64(res.PlanTableSlots))
 	reg.Gauge("plan_table_cores").Set(int64(res.PlanTableCores))
 	add("plan_table_growths_total", res.PlanTableGrowths)
+	reg.Gauge("addr_table_slots").Set(int64(res.AddrTableSlots))
+	reg.Gauge("addr_table_addrs").Set(int64(res.AddrTableAddrs))
 	reg.Gauge("store_unique_interfaces").Set(int64(res.store.NumInterfaces()))
 	reg.Gauge("store_traces").Set(int64(res.store.NumTraces()))
 	if res.graph != nil {

@@ -357,6 +357,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "yarrp6: plan table %d hits / %d misses (%d evictions), %d shared-core hits; %d slots, %d cores, %d growths\n",
 		res.PlanHits, res.PlanMisses, res.PlanEvictions, res.SharedPlanHits,
 		res.PlanTableSlots, res.PlanTableCores, res.PlanTableGrowths)
+	fmt.Fprintf(os.Stderr, "yarrp6: address tables %d slots, %d addresses\n", res.AddrTableSlots, res.AddrTableAddrs)
 	if *graphOut != "" {
 		// AS-annotated from the simulator's BGP table; NDJSON or DOT by
 		// file extension.

@@ -50,6 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/perm"
 	"beholder/internal/probe"
 	"beholder/internal/sorted"
@@ -145,6 +146,12 @@ type CampaignStats struct {
 	// campaign epoch; the final point lands at Elapsed with the campaign
 	// totals.
 	Progress []telemetry.Point
+	// AddrTableSlots and AddrTableAddrs sum, over every shard and recovery
+	// prober, the slot count of the store's address table and the
+	// addresses interned in it when the shard stopped — before the fold
+	// fills shard 0's table with everybody else's.
+	AddrTableSlots int
+	AddrTableAddrs int
 	// Quarantined lists shards that failed with a fatal connection
 	// error; their remaining ranges were re-probed through recovery
 	// connections where possible.
@@ -208,6 +215,21 @@ type shardState struct {
 	// imported the shard's window-start bucket snapshot (startPrimer).
 	ready chan struct{}
 }
+
+// tableBinder is implemented by an observer that interns addresses and
+// can do so through a table handed to it (graph.Graph): the shard's store
+// files every reply in its address table just before the observer sees
+// the same reply, so an observer bound to that table finds both addresses
+// in cache instead of hashing them into an index of its own.
+type tableBinder interface {
+	BindTable(*ipv6.Table)
+}
+
+// shardAddrs sizes a fresh shard store's address table from the campaign's
+// target count: every shard's window meets nearly every target, and a
+// campaign discovers about as many interfaces again, so the table is
+// allocated once instead of doubling its way up while the shard probes.
+func shardAddrs(targets int) int { return 2 * targets }
 
 // NewCampaign creates a sharded campaign; validation happens in Run.
 func NewCampaign(cfg CampaignConfig, connOf ConnFactory) *Campaign {
@@ -341,7 +363,7 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if prev != nil {
 		ss.store, ss.track, ss.prog, ss.stats, ss.done = prev.store, prev.track, prev.prog, prev.stats, prev.done
 	} else {
-		ss.store = probe.NewStore(cfg.RecordPaths)
+		ss.store = probe.NewStoreSized(cfg.RecordPaths, shardAddrs(len(cfg.Targets)))
 	}
 	if ss.track == nil && c.tracking() {
 		ss.track = &ifaceTimes{}
@@ -361,6 +383,9 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	case recovery: // runs without the caller's observers (see NewObserver)
 	case cfg.NewObserver != nil:
 		ss.observer = cfg.NewObserver(index)
+		if b, ok := ss.observer.(tableBinder); ok {
+			b.BindTable(ss.store.AddrTable())
+		}
 	case prev != nil:
 		ss.observer = prev.observer
 	}
@@ -603,6 +628,8 @@ func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool
 		out.Replies += st.Replies
 		out.NotMine += st.NotMine
 		out.Retries += st.Retries
+		out.AddrTableSlots += ss.store.AddrTable().Slots()
+		out.AddrTableAddrs += ss.store.AddrTable().Len()
 		var t time.Duration
 		if ss.rs != nil && !ss.done {
 			t = ss.rs.now - c.epoch
@@ -667,7 +694,7 @@ func (c *Campaign) mergeShards(all []*shardState) *probe.Store {
 	}
 	if c.keep {
 		for i := range stores {
-			clone := probe.NewStore(c.cfg.RecordPaths)
+			clone := probe.NewStoreSized(c.cfg.RecordPaths, stores[i].AddrTable().Len())
 			clone.Merge(stores[i])
 			stores[i] = clone
 		}

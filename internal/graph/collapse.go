@@ -114,12 +114,12 @@ func (g *Graph) Collapse(resolve Resolver) *RouterGraph {
 	}
 	// One resolver call per address, whatever its edge degree; an id
 	// that is no node is never an edge endpoint either.
-	routers := make([]RouterID, len(g.addrs))
+	routers := make([]RouterID, len(g.flags))
 	for id, fl := range g.flags {
 		if fl == 0 {
 			continue
 		}
-		rid := routerOf(g.addrs[id], resolve)
+		rid := routerOf(g.tab.Addr(uint32(id)), resolve)
 		routers[id] = rid
 		n := rg.nodes[rid]
 		n.Flags |= fl
@@ -127,7 +127,7 @@ func (g *Graph) Collapse(resolve Resolver) *RouterGraph {
 		rg.nodes[rid] = n
 	}
 	rg.Folded = g.nNodes - len(rg.nodes)
-	for e, n := range g.edges {
+	for e, n := range g.derive().edges {
 		src, dst := routers[e.src], routers[e.dst]
 		if src == dst {
 			rg.IntraRouter += n

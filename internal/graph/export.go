@@ -77,7 +77,7 @@ type countedEdge struct {
 // destination, gap, protocol, and vantage *name* — never by vantage
 // index, so graphs merged in different orders export byte-identically.
 func (g *Graph) sortedEdges() []countedEdge {
-	out := make([]countedEdge, 0, len(g.edges))
+	out := make([]countedEdge, 0, g.NumEdges())
 	g.ForEachEdge(func(e Edge, n int64) {
 		out = append(out, countedEdge{e, n})
 	})
@@ -110,7 +110,7 @@ func (g *Graph) sortedEdges() []countedEdge {
 func (g *Graph) WriteNDJSON(w io.Writer, tbl *bgp.Table) error {
 	vjson := quoteList(g.Vantages())
 	if _, err := fmt.Fprintf(w, `{"graph":{"vantages":%s,"nodes":%d,"edges":%d,"paths":%d,"traversals":%d}}`+"\n",
-		vjson, g.nNodes, len(g.edges), g.nPaths, g.traversals); err != nil {
+		vjson, g.nNodes, g.NumEdges(), g.nPaths, g.Traversals()); err != nil {
 		return err
 	}
 	for _, nd := range g.sortedNodes() {

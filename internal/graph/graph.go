@@ -6,13 +6,18 @@
 // package constructs that graph *while the campaign runs*.
 //
 // The builder is streaming: it implements probe.Observer, folding every
-// reply into per-(vantage, protocol, target) path skeletons and
-// maintaining the derived edge multiset incrementally, so no post-hoc
-// scan over a multi-million-trace store is needed. Hops arrive in
-// randomized TTL order (that is Yarrp6's whole point), so edge
-// maintenance is incremental interval splitting: a hop landing between
-// two already-known hops replaces their spanning edge with the two
-// sub-edges.
+// reply into per-(vantage, protocol, target) path skeletons, so no
+// post-hoc scan over a multi-million-trace store is needed. The edge
+// multiset is a pure function of the skeletons, and a graph nobody has
+// asked for edges keeps none: replies and merges touch skeletons only,
+// and the first reader (NumEdges, Traversals, ForEachEdge, Equal,
+// Collapse, the exports) derives the multiset in one pass, one insert per
+// path link. From then on it is maintained incrementally — hops arrive in
+// randomized TTL order (that is Yarrp6's whole point), so a hop landing
+// between two already-known hops replaces their spanning edge with the
+// two sub-edges — which is what a consumer that reads the edge count
+// after every reply pays for, and nobody else. Fold, Union and FromStore
+// return graphs that already hold their derived edges.
 //
 // Determinism is the package's core invariant. The node set and edge
 // multiset are pure functions of the final path skeletons — never of
@@ -33,6 +38,7 @@ import (
 	"sort"
 	"sync"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/probe"
 	"beholder/internal/sorted"
 )
@@ -114,18 +120,21 @@ type path struct {
 //
 // Every address the graph meets — hop source, reached destination, or
 // merely the target a path is keyed by — is interned once into a dense
-// uint32 id; paths, hops and edges hold ids, and addresses reappear only
-// at the public boundary (Edge, ForEach*, export, Collapse). An id is a
-// node exactly when its flags are nonzero: a target that never answered
-// owns an id, keys its path skeleton, and is not a node.
+// uint32 id through an ipv6.Table; paths, hops and edges hold ids, and
+// addresses reappear only at the public boundary (Edge, ForEach*, export,
+// Collapse). An id is a node exactly when its flags are nonzero: a target
+// that never answered owns an id, keys its path skeleton, and is not a
+// node. The table is the graph's own unless BindTable replaced it with
+// the one the shard's store files the same replies in; a shared table
+// may hold ids the graph has not met, which flags and first simply do
+// not reach yet.
 type Graph struct {
 	vantages []string
 	self     uint8 // vantage index OnReply attributes replies to
 
-	ids    map[netip.Addr]uint32
-	addrs  []netip.Addr // id -> address
-	flags  []NodeFlags  // id -> classification; zero: not a node
-	nNodes int          // ids with nonzero flags
+	tab    *ipv6.Table // address <-> id
+	flags  []NodeFlags // id -> classification; zero or out of range: not a node
+	nNodes int         // ids with nonzero flags
 
 	// first[id] is the first skeleton created for target id — in a
 	// single-vantage, single-protocol graph (every shard builder) the
@@ -136,10 +145,10 @@ type Graph struct {
 	more   map[pathKey]*path
 	nPaths int
 
-	edges map[edgeKey]int64
-
-	// traversals counts edge insertions net of removals: the sum of all
-	// multi-edge counts, i.e. path-hops contributing topology.
+	// edges is the edge multiset derived from the skeletons, nil until
+	// its first reader asks (derive); traversals, valid with it, is the
+	// sum of all multi-edge counts, i.e. path-links contributing topology.
+	edges      map[edgeKey]int64
 	traversals int64
 
 	// block slab-allocates path structs in fixed pieces and hopSlab
@@ -152,20 +161,34 @@ type Graph struct {
 // New creates an empty graph whose OnReply attributes replies to the
 // named vantage.
 func New(vantage string) *Graph {
-	g := newSized(0)
+	g := newOver(ipv6.NewTable(0))
 	g.self = g.vantageIndex(vantage)
 	return g
 }
 
-// newSized creates an empty graph with room for the given id count.
-func newSized(ids int) *Graph {
+// newOver creates an empty graph interning through tab.
+func newOver(tab *ipv6.Table) *Graph {
 	return &Graph{
-		ids:   make(map[netip.Addr]uint32, ids),
-		addrs: make([]netip.Addr, 0, ids),
-		flags: make([]NodeFlags, 0, ids),
-		first: make([]*path, 0, ids),
+		tab:   tab,
+		flags: make([]NodeFlags, tab.Len()),
+		first: make([]*path, tab.Len()),
 		more:  make(map[pathKey]*path),
-		edges: make(map[edgeKey]int64),
+	}
+}
+
+// BindTable makes a graph that has met no address yet intern through t
+// instead of a table of its own. The campaign engine binds each shard's
+// observer to the shard store's table: the store files a reply's source
+// and target a few nanoseconds before the graph asks for the same two
+// addresses, so the graph's lookups land on cache lines the store just
+// touched instead of costing two more cold probes. t's owner words stay
+// the store's; the graph only takes ids. A bound graph interns into t, so
+// it may be written only by whoever may write t at the time — the shard's
+// prober during the run, one fold at a time afterwards (see ipv6.Table).
+// A graph that already holds addresses keeps its own table.
+func (g *Graph) BindTable(t *ipv6.Table) {
+	if g.tab.Len() == 0 {
+		g.tab = t
 	}
 }
 
@@ -178,14 +201,17 @@ func newSized(ids int) *Graph {
 // clones, at each level, a receiving graph that is still one of the
 // caller's — an input that is merely read (every right-hand side, an odd
 // one out) is never copied.
-func Union(gs ...*Graph) *Graph { return foldTree(gs, false) }
+func Union(gs ...*Graph) *Graph { return foldTree(gs, false).derive() }
 
 // Fold is the consuming Union: it folds the graphs into gs[0] and
 // returns it, copying nothing. The caller hands over every input — none
 // may be used afterwards (the receivers are mutated, and which inputs
-// end up receivers is the fold's business). Shard subgraphs a campaign
-// built only to merge are the intended input.
-func Fold(gs ...*Graph) *Graph { return foldTree(gs, true) }
+// end up receivers is the fold's business), and a receiver bound to a
+// shard store's table interns into it, so the stores must be at rest.
+// Shard subgraphs a campaign built only to merge are the intended input:
+// nobody read their edges, so the fold merges skeletons only and the
+// multiset is derived once, from the result.
+func Fold(gs ...*Graph) *Graph { return foldTree(gs, true).derive() }
 
 // foldTree merges gs as a parallel in-place tree: level k merges blocks
 // of 2^k adjacent graphs into their left neighbors on worker goroutines,
@@ -196,7 +222,7 @@ func Fold(gs ...*Graph) *Graph { return foldTree(gs, true) }
 // first time it receives.
 func foldTree(gs []*Graph, owned bool) *Graph {
 	if len(gs) == 0 {
-		return newSized(0)
+		return newOver(ipv6.NewTable(0))
 	}
 	cur := append([]*Graph(nil), gs...)
 	mine := make([]bool, len(cur))
@@ -230,14 +256,14 @@ func foldTree(gs []*Graph, owned bool) *Graph {
 	return cur[0]
 }
 
-// clone returns a deep copy of g: the same ids, flags, skeletons and
-// edge multiset, sharing no mutable state.
+// clone returns a deep copy of g: the same ids, flags, skeletons and (if
+// derived) edge multiset, sharing no mutable state — a bound graph's
+// clone owns a copy of the table.
 func (g *Graph) clone() *Graph {
 	out := &Graph{
 		vantages:   slices.Clone(g.vantages),
 		self:       g.self,
-		ids:        maps.Clone(g.ids),
-		addrs:      slices.Clone(g.addrs),
+		tab:        g.tab.Clone(),
 		flags:      slices.Clone(g.flags),
 		nNodes:     g.nNodes,
 		first:      make([]*path, len(g.first)),
@@ -304,13 +330,11 @@ func (g *Graph) Vantages() []string {
 	return out
 }
 
-// intern returns a's id, assigning the next dense one on first sight.
+// intern returns a's id, assigning the next dense one on first sight,
+// and makes flags and first reach it.
 func (g *Graph) intern(a netip.Addr) uint32 {
-	id, ok := g.ids[a]
-	if !ok {
-		id = uint32(len(g.addrs))
-		g.ids[a] = id
-		g.addrs = sorted.Append(g.addrs, a)
+	id, _ := g.tab.Intern(a)
+	for int(id) >= len(g.flags) {
 		g.flags = sorted.Append(g.flags, 0)
 		g.first = sorted.Append(g.first, nil)
 	}
@@ -347,7 +371,9 @@ func (g *Graph) OnReply(r probe.Reply) {
 			g.insertHop(g.pathKeyOf(r.Proto, r.Target), r.TTL, from, false)
 		}
 	case probe.KindEchoReply, probe.KindTCPRst:
-		g.reach(g.pathKeyOf(r.Proto, r.Target))
+		if r.Target.IsValid() {
+			g.reach(g.pathKeyOf(r.Proto, r.Target))
+		}
 	case probe.KindDestUnreach:
 		if r.Code == 4 && r.Target.IsValid() { // port unreachable: from the destination
 			g.reach(g.pathKeyOf(r.Proto, r.Target))
@@ -391,9 +417,9 @@ func (g *Graph) newPath(k pathKey) *path {
 	return p
 }
 
-// insertHop places (ttl, id) on k's skeleton and restores the edge
-// invariant around it. tiebreak selects the TTL-collision policy:
-// false keeps the hop already present (Store.Add's first-answer rule —
+// insertHop places (ttl, id) on k's skeleton and, in a graph whose edges
+// are derived, restores the edge invariant around it. tiebreak selects
+// the TTL-collision policy: false keeps the hop already present (Store.Add's first-answer rule —
 // the streaming path, where "first" is well defined), true keeps the
 // lexicographically smaller address (Merge's commutative rule, which
 // makes merging order-independent even for overlapping ad-hoc merges —
@@ -414,7 +440,7 @@ func (g *Graph) insertHop(k pathKey, ttl uint8, id uint32, tiebreak bool) {
 	}
 	if lo < len(p.hops) && p.hops[lo].ttl == ttl {
 		old := p.hops[lo].id
-		if !tiebreak || old == id || g.addrs[old].Compare(g.addrs[id]) <= 0 {
+		if !tiebreak || old == id || g.tab.Addr(old).Compare(g.tab.Addr(id)) <= 0 {
 			return
 		}
 		g.replaceHop(p, lo, id)
@@ -424,6 +450,9 @@ func (g *Graph) insertHop(k pathKey, ttl uint8, id uint32, tiebreak bool) {
 	p.hops = append(p.hops, hop{})
 	copy(p.hops[lo+1:], p.hops[lo:])
 	p.hops[lo] = hop{ttl: ttl, id: id}
+	if g.edges == nil {
+		return
+	}
 
 	var pred, succ *hop
 	if lo > 0 {
@@ -463,6 +492,12 @@ func (g *Graph) replaceHop(p *path, i int, id uint32) {
 	k := p.key
 	old := p.hops[i]
 	g.mark(id, NodeInterface)
+	p.hops[i].id = id
+	// The displaced address may still be an interface via other paths;
+	// its node entry stays — interface discovery is monotone.
+	if g.edges == nil {
+		return
+	}
 	if i > 0 {
 		pred := p.hops[i-1]
 		g.edgeDelta(pred.id, old.id, old.ttl-pred.ttl, k, -1)
@@ -476,9 +511,6 @@ func (g *Graph) replaceHop(p *path, i int, id uint32) {
 		g.edgeDelta(old.id, k.target(), DestGap, k, -1)
 		g.edgeDelta(id, k.target(), DestGap, k, +1)
 	}
-	p.hops[i].id = id
-	// The displaced address may still be an interface via other paths;
-	// its node entry stays — interface discovery is monotone.
 }
 
 // reach records that k's target responded itself, adding the periphery
@@ -490,13 +522,13 @@ func (g *Graph) reach(k pathKey) {
 	}
 	p.reached = true
 	g.mark(k.target(), NodeDest)
-	if n := len(p.hops); n > 0 {
+	if n := len(p.hops); n > 0 && g.edges != nil {
 		g.edgeDelta(p.hops[n-1].id, k.target(), DestGap, k, +1)
 	}
 }
 
-// edgeDelta adjusts one multi-edge count, dropping zeroed entries so
-// the edge map always holds exactly the live multiset.
+// edgeDelta adjusts one multi-edge count of a derived graph, dropping
+// zeroed entries so the edge map always holds exactly the live multiset.
 func (g *Graph) edgeDelta(src, dst uint32, gap uint8, k pathKey, d int64) {
 	e := edgeKey{src: src, dst: dst, gap: gap, proto: k.proto(), v: k.v()}
 	g.traversals += d
@@ -509,14 +541,40 @@ func (g *Graph) edgeDelta(src, dst uint32, gap uint8, k pathKey, d int64) {
 	}
 }
 
+// derive builds the edge multiset from the skeletons unless the graph
+// already holds it, and returns g: one insert per link between
+// consecutive hops, plus the destination edge of a reached path that has
+// a last hop. Every reader of edges calls it first; afterwards insertHop,
+// replaceHop and reach keep the multiset current.
+func (g *Graph) derive() *Graph {
+	if g.edges != nil {
+		return g
+	}
+	// Nearly every node is some hop's successor or a reached destination,
+	// so it ends at least one distinct edge: the node count is a floor
+	// that spares the map its early doublings.
+	g.edges = make(map[edgeKey]int64, g.nNodes)
+	g.forEachPath(func(p *path) {
+		k := p.key
+		for i := 1; i < len(p.hops); i++ {
+			a, b := p.hops[i-1], p.hops[i]
+			g.edgeDelta(a.id, b.id, b.ttl-a.ttl, k, +1)
+		}
+		if n := len(p.hops); n > 0 && p.reached {
+			g.edgeDelta(p.hops[n-1].id, k.target(), DestGap, k, +1)
+		}
+	})
+	return g
+}
+
 // Merge folds o into g (o is not modified). Same-vantage path skeletons
 // union hop sets (commutative tie-break on TTL collisions, which
-// disjoint campaign shards never produce) and OR reached flags; edges
-// re-derive through the same incremental maintenance, so the merged
-// edge multiset is the pure function of the merged skeletons —
-// identical however subgraphs are grouped or ordered. o's ids are
-// translated through one table built in a single pass over its address
-// list — one address lookup per address o knows, none per hop or edge.
+// disjoint campaign shards never produce) and OR reached flags; the edge
+// multiset is the pure function of the merged skeletons — identical
+// however subgraphs are grouped or ordered — derived later if g holds
+// none yet, maintained as the hops land if it does. o's ids are
+// translated through one table built in a single pass over its id list —
+// one table probe per address o has met, none per hop or edge.
 func (g *Graph) Merge(o *Graph) {
 	if o == nil || g == o {
 		return
@@ -525,10 +583,10 @@ func (g *Graph) Merge(o *Graph) {
 	for i, name := range o.vantages {
 		vmap[i] = g.vantageIndex(name)
 	}
-	remap := make([]uint32, len(o.addrs))
-	for i, a := range o.addrs {
-		remap[i] = g.intern(a)
-		g.mark(remap[i], o.flags[i])
+	remap := make([]uint32, len(o.flags))
+	for i, fl := range o.flags {
+		remap[i] = g.intern(o.tab.Addr(uint32(i)))
+		g.mark(remap[i], fl)
 	}
 	o.forEachPath(func(p *path) {
 		k := makePathKey(vmap[p.key.v()], p.key.proto(), remap[p.key.target()])
@@ -546,18 +604,21 @@ func (g *Graph) Merge(o *Graph) {
 // equivalent by design (and by test). proto annotates the edges, since
 // the store does not retain the probing transport; extra interface
 // addresses without path placement (mangled quotations) are imported as
-// bare nodes.
+// bare nodes. The graph starts from a copy of the store's address table,
+// so interfaces and targets keep the ids the store gave them and only
+// hop addresses are looked up; the returned graph holds its edges.
 func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
-	g := newSized(st.NumInterfaces() + st.NumTraces())
+	g := newOver(st.AddrTable().Clone())
 	g.self = g.vantageIndex(vantage)
-	st.ForEachInterface(func(a netip.Addr) {
-		g.mark(g.intern(a), NodeInterface)
-	})
 	var hops []probe.HopEntry
-	for _, tr := range st.Traces() {
-		k := g.pathKeyOf(proto, tr.Target)
-		// In TTL order every insertion extends the path: one edge each,
-		// no interval splits.
+	st.ForEachAddr(func(id uint32, iface bool, tr *probe.Trace) {
+		if iface {
+			g.mark(id, NodeInterface)
+		}
+		if tr == nil {
+			return
+		}
+		k := makePathKey(g.self, proto, id)
 		hops = append(hops[:0], tr.Hops...)
 		slices.SortFunc(hops, func(a, b probe.HopEntry) int { return cmp.Compare(a.TTL, b.TTL) })
 		for _, h := range hops {
@@ -566,8 +627,8 @@ func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 		if tr.Reached {
 			g.reach(k)
 		}
-	}
-	return g
+	})
+	return g.derive()
 }
 
 // NumNodes returns the node count (interfaces plus reached
@@ -575,7 +636,7 @@ func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 func (g *Graph) NumNodes() int { return g.nNodes }
 
 // NumEdges returns the count of distinct annotated edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return len(g.derive().edges) }
 
 // NumPaths returns the count of path skeletons (per vantage, protocol,
 // and target).
@@ -583,11 +644,11 @@ func (g *Graph) NumPaths() int { return g.nPaths }
 
 // Traversals returns the sum of multi-edge counts: how many path-links
 // the edge multiset folds together.
-func (g *Graph) Traversals() int64 { return g.traversals }
+func (g *Graph) Traversals() int64 { return g.derive().traversals }
 
 // NodeFlagsOf returns a node's classification, or 0 if absent.
 func (g *Graph) NodeFlagsOf(a netip.Addr) NodeFlags {
-	if id, ok := g.ids[a]; ok {
+	if id, _, ok := g.tab.Find(a); ok && int(id) < len(g.flags) {
 		return g.flags[id]
 	}
 	return 0
@@ -597,20 +658,20 @@ func (g *Graph) NodeFlagsOf(a netip.Addr) NodeFlags {
 func (g *Graph) ForEachNode(fn func(addr netip.Addr, flags NodeFlags)) {
 	for id, fl := range g.flags {
 		if fl != 0 {
-			fn(g.addrs[id], fl)
+			fn(g.tab.Addr(uint32(id)), fl)
 		}
 	}
 }
 
 // edgeOf translates an internal edge to its public form.
 func (g *Graph) edgeOf(e edgeKey) Edge {
-	return Edge{Src: g.addrs[e.src], Dst: g.addrs[e.dst], Gap: e.gap, Proto: e.proto, V: e.v}
+	return Edge{Src: g.tab.Addr(e.src), Dst: g.tab.Addr(e.dst), Gap: e.gap, Proto: e.proto, V: e.v}
 }
 
 // ForEachEdge calls fn for every annotated edge with its multiplicity,
 // in unspecified order.
 func (g *Graph) ForEachEdge(fn func(e Edge, n int64)) {
-	for e, n := range g.edges {
+	for e, n := range g.derive().edges {
 		fn(g.edgeOf(e), n)
 	}
 }
@@ -628,23 +689,23 @@ func (g *Graph) VantageName(v uint8) string {
 // indices resolved by name). Determinism tests use it; canonical export
 // equality is implied.
 func (g *Graph) Equal(o *Graph) bool {
-	if g.nNodes != o.nNodes || len(g.edges) != len(o.edges) {
+	if g.nNodes != o.nNodes || g.NumEdges() != o.NumEdges() {
 		return false
 	}
 	// g's ids in o's numbering; an address o never met maps nowhere.
 	const absent = ^uint32(0)
-	remap := make([]uint32, len(g.addrs))
-	for id, a := range g.addrs {
-		oid, ok := o.ids[a]
+	remap := make([]uint32, len(g.flags))
+	for id, fl := range g.flags {
+		oid, _, ok := o.tab.Find(g.tab.Addr(uint32(id)))
 		if !ok {
 			oid = absent
 		}
 		remap[id] = oid
 		var ofl NodeFlags
-		if ok {
+		if ok && int(oid) < len(o.flags) {
 			ofl = o.flags[oid]
 		}
-		if ofl != g.flags[id] {
+		if ofl != fl {
 			return false
 		}
 	}

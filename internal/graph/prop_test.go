@@ -289,3 +289,104 @@ func TestGraphOverlappingMergeMatchesReference(t *testing.T) {
 		requireSame(t, label+" Fold(b, a)", Fold(b2, a2), ref, want)
 	}
 }
+
+// ndjsonOf renders g's canonical NDJSON.
+func ndjsonOf(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteNDJSON(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGraphEdgeStatesAndTablesAgree builds one view's graph every way the
+// package offers and requires one topology. A graph whose edges are read
+// after every reply (derived while empty, maintained by interval
+// splitting from then on — the tenant stream's observer) tracks the
+// reference's counters reply by reply; a graph read only at the end
+// (skeletons all along, one derivation); a graph bound to the table of
+// the store that files the same replies first; FromStore over that store;
+// and the campaign's shape — window shards of store plus bound graph,
+// stores folded, then graphs folded over the tables the stores share —
+// are all Equal and export the same NDJSON bytes. The streams carry
+// duplicate TTL answers, quotations that lost the target or the TTL, and
+// reaches landing before, between and after the hops of their path.
+func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		var stream []observed
+		for _, o := range propStream(rng) {
+			if o.v == 0 && o.r.Proto == wire.ProtoICMPv6 {
+				stream = append(stream, o)
+			}
+		}
+		label := fmt.Sprintf("trial %d", trial)
+
+		ref := newReference("A")
+		eager, lazy, bound := New("A"), New("A"), New("A")
+		st := probe.NewStore(true)
+		bound.BindTable(st.AddrTable())
+		for i, o := range stream {
+			ref.OnReply(o.r)
+			eager.OnReply(o.r)
+			if eager.NumEdges() != len(ref.edges) || eager.Traversals() != ref.traversals {
+				t.Fatalf("%s: after reply %d the maintained graph has %d edges / %d traversals, reference %d / %d",
+					label, i, eager.NumEdges(), eager.Traversals(), len(ref.edges), ref.traversals)
+			}
+			lazy.OnReply(o.r)
+			st.Add(o.r)
+			bound.OnReply(o.r)
+		}
+		if lazy.edges != nil || bound.edges != nil {
+			t.Fatalf("%s: a graph nobody read holds an edge multiset", label)
+		}
+		want := ndjsonOf(t, eager)
+		requireSame(t, label+" maintained", eager, ref, exportsOf(t, ref))
+
+		// The campaign's shape, at the shard counts it runs with.
+		n := []int{2, 4}[trial%2]
+		parts := partitions(rng, stream, n)
+		stores := make([]*probe.Store, n)
+		shards := make([]*Graph, n)
+		for i, part := range parts {
+			stores[i] = probe.NewStore(true)
+			shards[i] = New("A")
+			shards[i].BindTable(stores[i].AddrTable())
+			for _, o := range part {
+				stores[i].Add(o.r)
+				shards[i].OnReply(o.r)
+			}
+		}
+		for _, s := range stores[1:] {
+			stores[0].Merge(s)
+		}
+		if !stores[0].Equal(st) {
+			t.Fatalf("%s: folded shard stores differ from the whole store", label)
+		}
+		folded := Fold(shards...)
+		if folded.edges == nil {
+			t.Fatalf("%s: Fold returned a graph without its edges", label)
+		}
+
+		batch := FromStore(st, "A", wire.ProtoICMPv6)
+		if batch.edges == nil {
+			t.Fatalf("%s: FromStore returned a graph without its edges", label)
+		}
+		for name, g := range map[string]*Graph{
+			"read at the end": lazy, "table-bound": bound, "FromStore": batch,
+			"bound shards folded": folded, "FromStore of the folded stores": FromStore(stores[0], "A", wire.ProtoICMPv6),
+		} {
+			if !g.Equal(eager) || !eager.Equal(g) {
+				t.Fatalf("%s: the %s graph is not Equal to the maintained one", label, name)
+			}
+			if got := ndjsonOf(t, g); !bytes.Equal(got, want) {
+				t.Fatalf("%s: the %s graph exports\n%s\nthe maintained one\n%s", label, name, got, want)
+			}
+		}
+		// A bound graph leaves the store's results alone.
+		if !stores[0].Equal(st) || st.NumInterfaces() != len(st.Interfaces()) {
+			t.Fatalf("%s: graphs interning through a store's table changed the store", label)
+		}
+	}
+}

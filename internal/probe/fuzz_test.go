@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -127,6 +128,32 @@ func FuzzProbeBuildEquivalence(f *testing.F) {
 		ng := codec.BuildProbe(g[:], target, ttl)
 		if ng != nb || !bytes.Equal(g[:ng], b[:nb]) {
 			t.Fatalf("pre-stamped build differs from build-at-send for %s ttl %d proto %d", target, ttl, proto)
+		}
+	})
+}
+
+// FuzzDecodeStore feeds DecodeStore arbitrary bytes — directly, not
+// behind the checkpoint artifact's CRC framing, which a fuzzer rarely
+// gets past. It must never panic, fail only with ErrStoreDecode, and
+// accept nothing but canonical encodings: whatever decodes re-encodes to
+// exactly the input.
+func FuzzDecodeStore(f *testing.F) {
+	f.Add(NewStore(true).AppendBinary(nil))
+	f.Add(NewStore(false).AppendBinary(nil))
+	f.Add(storeFixture(true).AppendBinary(nil))
+	f.Add(storeFixture(false).AppendBinary(nil))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeStore(data)
+		if err != nil {
+			if !errors.Is(err, ErrStoreDecode) {
+				t.Fatalf("decode error %v does not wrap ErrStoreDecode", err)
+			}
+			return
+		}
+		if got := s.AppendBinary(nil); !bytes.Equal(got, data) {
+			t.Fatalf("accepted a non-canonical encoding:\n  in %x\n out %x", data, got)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/sorted"
 )
 
@@ -70,20 +71,34 @@ func (t *Trace) PathLength() int {
 // afterwards with Merge, which is deterministic regardless of how the
 // shard goroutines interleaved.
 //
-// Beside the lookup maps the store keeps a canonical index: every trace
-// and every interface address is appended to a slice when it is created
-// — by Add, by Merge, and by DecodeStore, the only three paths that
-// create either — so AppendBinary walks slices in canonical order
-// instead of collecting and sorting the map keys on every encode. The
-// index is sorted lazily: each encode sorts only the entries appended
-// since the previous one and merges them into the sorted prefix.
+// The store's one address index is an ipv6.Table: a reply's source and
+// its target are each one table probe, and what the store knows about an
+// address — is it an interface, which trace does it key — sits in the
+// owner word of the address's slot, so the probe that finds the address
+// has already fetched its state. The table is also what a shard's
+// topology graph interns through (AddrTable); addresses only the graph
+// has met carry a zero word and are no part of the store's results.
+//
+// Beside the table the store keeps a canonical index: every trace and
+// every interface address is appended to a slice when it is created — by
+// Add, by Merge, and by DecodeStore, the only three paths that create
+// either — so AppendBinary walks slices in canonical order instead of
+// collecting and sorting keys on every encode. The index is sorted
+// lazily: each encode sorts only the entries appended since the previous
+// one and merges them into the sorted prefix.
 type Store struct {
 	recordPaths bool
-	traces      map[netip.Addr]*Trace
-	interfaces  map[netip.Addr]struct{}
+	tab         *ipv6.Table
 
-	// traceIdx and ifaceIdx are the canonical index: the values of
-	// traces and the keys of interfaces, each ascending up to its
+	// blocks holds every trace in creation order, in slabs of traceBlock:
+	// trace number n is blocks[n/traceBlock][n%traceBlock] (traceIn).
+	// The reply fold path therefore allocates once per traceBlock
+	// discovered targets, and trace pointers are stable for the store's
+	// lifetime.
+	blocks [][]Trace
+
+	// traceIdx and ifaceIdx are the canonical index: every trace, and
+	// every address whose word carries ifaceBit, each ascending up to its
 	// *Sorted mark and in creation order beyond it.
 	traceIdx     []*Trace
 	ifaceIdx     []netip.Addr
@@ -93,16 +108,12 @@ type Store struct {
 	// lastTarget/lastTrace memoize the most recent trace touched by Add.
 	// Replies cluster by target (fill-mode follow-ups, the sequential
 	// baseline's per-destination bursts), so the memo removes the
-	// per-reply map lookup for the common repeat case. Trace pointers
-	// are stable for the store's lifetime, so the memo never dangles.
+	// per-reply table probe for the common repeat case.
 	lastTarget netip.Addr
 	lastTrace  *Trace
 
-	// block and hopSlab are slabs handed out in fixed pieces, so the
-	// reply fold path allocates once per 64 discovered targets instead
-	// of once per target, and hop lists grow through a shared block
-	// instead of the 1-2-4-8 reallocation ladder per trace.
-	block   []Trace
+	// hopSlab is handed out in fixed pieces, so hop lists grow through a
+	// shared block instead of the 1-2-4-8 reallocation ladder per trace.
 	hopSlab []HopEntry
 
 	// Response mix (Table 4): ICMPv6 type/code counts.
@@ -114,18 +125,36 @@ type Store struct {
 	Rewritten         int64 // quoted target failed the checksum cross-check
 }
 
+// The owner word of a table slot, as the store uses it: the top bit marks
+// an interface address, the rest is the address's trace number plus one
+// (zero: no trace).
+const (
+	ifaceBit   uint32 = 1 << 31
+	traceMask         = ifaceBit - 1
+	traceBlock        = 64
+)
+
 // NewStore creates a result store. recordPaths enables per-target trace
 // retention (needed for path analysis and subnet discovery); without it
 // only aggregate counters and the interface set are kept, which is what
 // pure discovery-power measurements need.
-func NewStore(recordPaths bool) *Store {
+func NewStore(recordPaths bool) *Store { return NewStoreSized(recordPaths, 0) }
+
+// NewStoreSized is NewStore with an address table that holds addrs
+// addresses — interfaces plus traced targets — before it first grows.
+func NewStoreSized(recordPaths bool, addrs int) *Store {
 	return &Store{
 		recordPaths:       recordPaths,
-		traces:            make(map[netip.Addr]*Trace),
-		interfaces:        make(map[netip.Addr]struct{}),
+		tab:               ipv6.NewTable(addrs),
 		DestUnreachByCode: make(map[uint8]int64),
 	}
 }
+
+// AddrTable returns the store's address table, for a consumer that sees
+// the same replies on the same goroutine (the shard's topology graph) to
+// intern through instead of hashing every address again. The owner words
+// are the store's.
+func (s *Store) AddrTable() *ipv6.Table { return s.tab }
 
 // RecordsPaths reports whether per-target traces are retained.
 func (s *Store) RecordsPaths() bool { return s.recordPaths }
@@ -155,14 +184,8 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	}
 	t := s.lastTrace
 	if t == nil || s.lastTarget != r.Target {
-		t = s.traces[r.Target]
-		if t == nil {
-			if len(s.block) == 0 {
-				s.block = make([]Trace, 64)
-			}
-			t = &s.block[0]
-			s.block = s.block[1:]
-			t.Target = r.Target
+		t = s.traceOf(r.Target)
+		if t.Hops == nil {
 			// Pre-back the hop list with a slab piece covering the
 			// default randomized TTL range; deeper traces (fill mode)
 			// regrow normally.
@@ -171,7 +194,6 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 			}
 			t.Hops = s.hopSlab[:0:16]
 			s.hopSlab = s.hopSlab[16:]
-			s.addTrace(t)
 		}
 		s.lastTarget, s.lastTrace = r.Target, t
 	}
@@ -196,22 +218,42 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 }
 
 // addInterface inserts a into the interface set and reports whether it
-// was new. It inserts unconditionally and detects novelty from the size
-// delta: one map operation instead of a lookup followed by an insert.
+// was new: one table probe, the verdict read off the slot it lands on.
 func (s *Store) addInterface(a netip.Addr) bool {
-	before := len(s.interfaces)
-	s.interfaces[a] = struct{}{}
-	if len(s.interfaces) == before {
+	_, w := s.tab.Intern(a)
+	if *w&ifaceBit != 0 {
 		return false
 	}
+	*w |= ifaceBit
 	s.ifaceIdx = sorted.Append(s.ifaceIdx, a)
 	return true
 }
 
-// addTrace registers a newly created trace under its target.
-func (s *Store) addTrace(t *Trace) {
-	s.traces[t.Target] = t
+// traceOf returns target's trace, creating an empty one (nil Hops) on
+// first sight: one table probe either way.
+func (s *Store) traceOf(target netip.Addr) *Trace {
+	_, w := s.tab.Intern(target)
+	if t := s.traceIn(*w); t != nil {
+		return t
+	}
+	n := uint32(len(s.traceIdx))
+	*w |= n + 1
+	if n%traceBlock == 0 {
+		s.blocks = append(s.blocks, make([]Trace, traceBlock))
+	}
+	t := s.traceIn(*w)
+	t.Target = target
 	s.traceIdx = sorted.Append(s.traceIdx, t)
+	return t
+}
+
+// traceIn returns the trace a slot's owner word names, or nil.
+func (s *Store) traceIn(w uint32) *Trace {
+	n := w & traceMask
+	if n == 0 {
+		return nil
+	}
+	return &s.blocks[(n-1)/traceBlock][(n-1)%traceBlock]
 }
 
 // Merge folds src into s. Campaign shards probe disjoint slices of the
@@ -220,8 +262,12 @@ func (s *Store) addTrace(t *Trace) {
 // matching Add's first-answer rule — merge shards in virtual-time order
 // to keep that rule meaningful. Merging is pure set union plus counter
 // addition, so the merged store is identical however the shard goroutines
-// interleaved. src is not modified.
+// interleaved. src is not modified; merging a store into itself is a
+// no-op. Every source entry costs one probe of s's table.
 func (s *Store) Merge(src *Store) {
+	if s == src {
+		return
+	}
 	s.TimeExceeded += src.TimeExceeded
 	s.EchoReplies += src.EchoReplies
 	s.TCPRsts += src.TCPRsts
@@ -237,11 +283,7 @@ func (s *Store) Merge(src *Store) {
 		return
 	}
 	for _, st := range src.traceIdx {
-		t := s.traces[st.Target]
-		if t == nil {
-			t = &Trace{Target: st.Target}
-			s.addTrace(t)
-		}
+		t := s.traceOf(st.Target)
 		for _, hop := range st.Hops {
 			if !t.HasTTL(hop.TTL) {
 				t.markTTL(hop.TTL)
@@ -277,22 +319,22 @@ func (s *Store) Equal(o *Store) bool {
 			return false
 		}
 	}
-	if len(s.interfaces) != len(o.interfaces) {
+	if len(s.ifaceIdx) != len(o.ifaceIdx) {
 		return false
 	}
-	for a := range s.interfaces {
-		if _, ok := o.interfaces[a]; !ok {
+	for _, a := range s.ifaceIdx {
+		if !o.AddrSeen(a) {
 			return false
 		}
 	}
 	if s.recordPaths != o.recordPaths {
 		return false
 	}
-	if len(s.traces) != len(o.traces) {
+	if len(s.traceIdx) != len(o.traceIdx) {
 		return false
 	}
-	for target, st := range s.traces {
-		ot := o.traces[target]
+	for _, st := range s.traceIdx {
+		ot := o.Trace(st.Target)
 		if ot == nil || st.Reached != ot.Reached || st.seen != ot.seen ||
 			len(st.Hops) != len(ot.Hops) || len(st.DestUnreach) != len(ot.DestUnreach) {
 			return false
@@ -313,13 +355,13 @@ func (s *Store) Equal(o *Store) bool {
 }
 
 // NumInterfaces returns the count of unique Time-Exceeded sources.
-func (s *Store) NumInterfaces() int { return len(s.interfaces) }
+func (s *Store) NumInterfaces() int { return len(s.ifaceIdx) }
 
 // AddrSeen reports whether addr was discovered as an interface address,
 // without materializing the interface slice.
 func (s *Store) AddrSeen(addr netip.Addr) bool {
-	_, ok := s.interfaces[addr]
-	return ok
+	_, w, _ := s.tab.Find(addr)
+	return w&ifaceBit != 0
 }
 
 // ForEachInterface calls fn for every discovered interface address, in
@@ -327,36 +369,39 @@ func (s *Store) AddrSeen(addr netip.Addr) bool {
 // own structures use it to avoid allocating the full slice Interfaces
 // returns.
 func (s *Store) ForEachInterface(fn func(netip.Addr)) {
-	for a := range s.interfaces {
+	for _, a := range s.ifaceIdx {
 		fn(a)
 	}
 }
 
 // Interfaces returns the discovered interface addresses, unordered. The
 // result is allocated exactly once at full size.
-func (s *Store) Interfaces() []netip.Addr {
-	out := make([]netip.Addr, 0, len(s.interfaces))
-	for a := range s.interfaces {
-		out = append(out, a)
-	}
-	return out
-}
+func (s *Store) Interfaces() []netip.Addr { return slices.Clone(s.ifaceIdx) }
 
 // Trace returns the per-target record, or nil without path recording.
-func (s *Store) Trace(target netip.Addr) *Trace { return s.traces[target] }
+func (s *Store) Trace(target netip.Addr) *Trace {
+	_, w, _ := s.tab.Find(target)
+	return s.traceIn(w)
+}
 
 // Traces returns all retained traces, unordered. The result is allocated
 // exactly once at full size.
-func (s *Store) Traces() []*Trace {
-	out := make([]*Trace, 0, len(s.traces))
-	for _, t := range s.traces {
-		out = append(out, t)
-	}
-	return out
-}
+func (s *Store) Traces() []*Trace { return slices.Clone(s.traceIdx) }
 
 // NumTraces returns how many targets have any recorded response.
-func (s *Store) NumTraces() int { return len(s.traces) }
+func (s *Store) NumTraces() int { return len(s.traceIdx) }
+
+// ForEachAddr walks the store's address table in id order: every address
+// the table holds, whether it is an interface, and its trace (nil when it
+// keys none). A graph that starts from a copy of the table (see
+// graph.FromStore) reads the store's results by id this way, without
+// hashing an address.
+func (s *Store) ForEachAddr(fn func(id uint32, iface bool, t *Trace)) {
+	for id := uint32(0); int(id) < s.tab.Len(); id++ {
+		w := s.tab.Word(id)
+		fn(id, w&ifaceBit != 0, s.traceIn(w))
+	}
+}
 
 // OtherICMPv6 returns the count of non-Time-Exceeded ICMPv6 responses
 // (Table 3's "Other ICMPv6" column).

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -144,5 +145,61 @@ func TestStoreEqualDetectsDifferences(t *testing.T) {
 	b.Add(Reply{Kind: KindEchoReply, From: addrN(1), Target: addrN(1)})
 	if a.Equal(b) {
 		t.Fatal("Reached/counter difference missed")
+	}
+}
+
+// TestStoreSelfMergeAndForeignAddresses: merging a store into itself
+// changes nothing, and neither does another consumer interning addresses
+// of its own through the store's table — they carry a zero word, so the
+// store's counts, lookups, equality and encoding ignore them and
+// ForEachAddr reports them as neither interface nor trace. A store sized
+// up front holds exactly what an unsized one does.
+func TestStoreSelfMergeAndForeignAddresses(t *testing.T) {
+	replies := synthReplies(800, 7)
+	s, sized := NewStore(true), NewStoreSized(true, 4096)
+	for _, r := range replies {
+		s.Add(r)
+		sized.Add(r)
+	}
+	want := s.AppendBinary(nil)
+	if !sized.Equal(s) || !bytes.Equal(sized.AppendBinary(nil), want) {
+		t.Fatal("a sized store differs from an unsized one")
+	}
+	if slots := sized.AddrTable().Slots(); slots != NewStoreSized(true, 4096).AddrTable().Slots() {
+		t.Fatalf("a table sized for 4096 addresses grew to %d slots under %d", slots, sized.AddrTable().Len())
+	}
+
+	s.Merge(s)
+	if !s.Equal(sized) || !bytes.Equal(s.AppendBinary(nil), want) {
+		t.Fatal("merging a store into itself changed it")
+	}
+
+	nIfaces, nTraces, nAddrs := s.NumInterfaces(), s.NumTraces(), s.AddrTable().Len()
+	for i := 0; i < 500; i++ { // enough to force the table to grow
+		s.AddrTable().Intern(addrN(50_000 + i))
+	}
+	if s.NumInterfaces() != nIfaces || len(s.Interfaces()) != nIfaces || s.NumTraces() != nTraces ||
+		s.AddrSeen(addrN(50_001)) || s.Trace(addrN(50_001)) != nil {
+		t.Fatal("addresses interned by another consumer show up in the store's results")
+	}
+	if !s.Equal(sized) || !sized.Equal(s) || !bytes.Equal(s.AppendBinary(nil), want) {
+		t.Fatal("addresses interned by another consumer changed the store")
+	}
+	var ifaces, traces, foreign int
+	s.ForEachAddr(func(id uint32, iface bool, tr *Trace) {
+		switch {
+		case iface || tr != nil:
+			if iface {
+				ifaces++
+			}
+			if tr != nil {
+				traces++
+			}
+		case int(id) >= nAddrs:
+			foreign++
+		}
+	})
+	if ifaces != nIfaces || traces != nTraces || foreign != 500 {
+		t.Fatalf("ForEachAddr saw %d interfaces, %d traces, %d foreign addresses; want %d, %d, 500", ifaces, traces, foreign, nIfaces, nTraces)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/sorted"
 )
 
@@ -118,115 +119,78 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeStore reconstructs a store from its canonical encoding. It
-// never panics on malformed input; every failure wraps ErrStoreDecode.
+// DecodeStore reconstructs a store from its canonical encoding, reading
+// the layout AppendBinary wrote straight through. It accepts exactly
+// what AppendBinary can produce — flags of 0 or 1, code lists, interfaces
+// and traces strictly ascending, hops strictly ascending by TTL, no
+// traces in a path-less store — so whatever decodes re-encodes to the
+// same bytes, and the decoded indexes arrive sorted. It never panics on
+// malformed input; every failure wraps ErrStoreDecode.
 func DecodeStore(data []byte) (*Store, error) {
 	r := byteReader{buf: data}
-	flag, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore(flag != 0)
-	if s.TimeExceeded, err = r.i64(); err != nil {
-		return nil, err
-	}
-	if s.EchoReplies, err = r.i64(); err != nil {
-		return nil, err
-	}
-	if s.TCPRsts, err = r.i64(); err != nil {
-		return nil, err
-	}
-	if s.Unparseable, err = r.i64(); err != nil {
-		return nil, err
-	}
-	if s.Rewritten, err = r.i64(); err != nil {
-		return nil, err
-	}
+	s := &Store{recordPaths: r.flag("path-recording")}
+	s.TimeExceeded = r.i64()
+	s.EchoReplies = r.i64()
+	s.TCPRsts = r.i64()
+	s.Unparseable = r.i64()
+	s.Rewritten = r.i64()
+	s.DestUnreachByCode = make(map[uint8]int64)
+	r.codes(func(code uint8, n int64) { s.DestUnreachByCode[code] = n })
 
-	nCodes, err := r.count(9)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nCodes; i++ {
-		code, err := r.u8()
-		if err != nil {
-			return nil, err
+	// Ascending order makes every entry distinct, so the lists are the
+	// canonical index as they stand; the table is sized for both before
+	// either is filed in it.
+	s.ifaceIdx = make([]netip.Addr, r.count(16))
+	for i := range s.ifaceIdx {
+		s.ifaceIdx[i] = r.addr()
+		if i > 0 && s.ifaceIdx[i-1].Compare(s.ifaceIdx[i]) >= 0 {
+			r.fail("interface %d out of order", i)
 		}
-		n, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		s.DestUnreachByCode[code] = n
 	}
+	nTraces := r.count(16 + 1 + 4 + 4)
+	if nTraces > 0 && !s.recordPaths {
+		r.fail("%d traces in a path-less store", nTraces)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	s.tab = ipv6.NewTable(len(s.ifaceIdx) + nTraces)
+	for _, a := range s.ifaceIdx {
+		_, w := s.tab.Intern(a)
+		*w |= ifaceBit
+	}
+	s.ifacesSorted = len(s.ifaceIdx)
 
-	nIfaces, err := r.count(16)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nIfaces; i++ {
-		a, err := r.addr()
-		if err != nil {
-			return nil, err
+	s.traceIdx = make([]*Trace, 0, nTraces)
+	for i := 0; i < nTraces && r.err == nil; i++ {
+		target := r.addr()
+		if i > 0 && s.traceIdx[i-1].Target.Compare(target) >= 0 {
+			r.fail("trace %d out of order", i)
+			break
 		}
-		s.addInterface(a)
-	}
-
-	nTraces, err := r.count(16 + 1 + 4 + 4)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nTraces; i++ {
-		target, err := r.addr()
-		if err != nil {
-			return nil, err
+		t := s.traceOf(target)
+		t.Reached = r.flag("reached")
+		if nHops := r.count(17); nHops > 0 {
+			t.Hops = make([]HopEntry, nHops)
 		}
-		reached, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		t := &Trace{Target: target, Reached: reached != 0}
-		nHops, err := r.count(17)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nHops; j++ {
-			ttl, err := r.u8()
-			if err != nil {
-				return nil, err
+		for j := range t.Hops {
+			h := HopEntry{TTL: r.u8(), Addr: r.addr()}
+			if j > 0 && t.Hops[j-1].TTL >= h.TTL {
+				r.fail("trace %d: hop %d out of order", i, j)
 			}
-			a, err := r.addr()
-			if err != nil {
-				return nil, err
-			}
-			if !t.HasTTL(ttl) {
-				t.markTTL(ttl)
-				t.Hops = append(t.Hops, HopEntry{TTL: ttl, Addr: a})
-			}
+			t.Hops[j] = h
+			t.markTTL(h.TTL)
 		}
-		nT, err := r.count(9)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nT; j++ {
-			code, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			n, err := r.i64()
-			if err != nil {
-				return nil, err
-			}
+		r.codes(func(code uint8, n int64) {
 			if t.DestUnreach == nil {
 				t.DestUnreach = make(map[uint8]int)
 			}
 			t.DestUnreach[code] = int(n)
-		}
-		if s.recordPaths && s.traces[target] == nil {
-			s.addTrace(t)
-		}
+		})
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrStoreDecode, len(data)-r.off)
+	s.tracesSorted = len(s.traceIdx)
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -239,67 +203,106 @@ func appendI64(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
 
-// byteReader is a bounds-checked cursor over an untrusted encoding.
+// byteReader is a bounds-checked cursor over an untrusted encoding. The
+// first failed read or check sticks in err and every later read returns
+// zero, so the decoder reads its layout straight through — the mirror of
+// the encoder — and asks done once.
 type byteReader struct {
 	buf []byte
 	off int
+	err error
 }
 
-func (r *byteReader) need(n int) error {
+// fail records a decode error unless an earlier one already stands.
+func (r *byteReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrStoreDecode}, args...)...)
+	}
+}
+
+// take returns the next n bytes, or nil once the input has run short.
+func (r *byteReader) take(n int) []byte {
 	if len(r.buf)-r.off < n {
-		return fmt.Errorf("%w: truncated at offset %d (need %d bytes)", ErrStoreDecode, r.off, n)
+		r.fail("truncated at offset %d (need %d bytes)", r.off, n)
 	}
-	return nil
+	if r.err != nil {
+		return nil
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off]
 }
 
-func (r *byteReader) u8() (byte, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
+func (r *byteReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
+	return 0
 }
 
-func (r *byteReader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
+// flag reads a byte the encoder writes as 0 or 1.
+func (r *byteReader) flag(what string) bool {
+	b := r.u8()
+	if b > 1 {
+		r.fail("%s flag %d at offset %d", what, b, r.off-1)
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
+	return b == 1
 }
 
-func (r *byteReader) i64() (int64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
+func (r *byteReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return int64(v), nil
+	return 0
+}
+
+func (r *byteReader) i64() int64 {
+	if b := r.take(8); b != nil {
+		return int64(binary.LittleEndian.Uint64(b))
+	}
+	return 0
 }
 
 // count reads a length prefix and rejects values that could not
 // possibly fit in the remaining input (each element needs at least
 // elemMin bytes), so corrupt lengths fail fast instead of driving huge
 // allocations.
-func (r *byteReader) count(elemMin int) (int, error) {
-	v, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
+func (r *byteReader) count(elemMin int) int {
+	v := r.u32()
 	if int64(v)*int64(elemMin) > int64(len(r.buf)-r.off) {
-		return 0, fmt.Errorf("%w: implausible count %d at offset %d", ErrStoreDecode, v, r.off)
+		r.fail("implausible count %d at offset %d", v, r.off)
 	}
-	return int(v), nil
+	if r.err != nil {
+		return 0
+	}
+	return int(v)
 }
 
-func (r *byteReader) addr() (netip.Addr, error) {
-	if err := r.need(16); err != nil {
-		return netip.Addr{}, err
-	}
+func (r *byteReader) addr() netip.Addr {
 	var a16 [16]byte
-	copy(a16[:], r.buf[r.off:])
-	r.off += 16
-	return netip.AddrFrom16(a16), nil
+	copy(a16[:], r.take(16))
+	return netip.AddrFrom16(a16)
+}
+
+// codes reads a counted (code, count) list, strictly ascending by code.
+func (r *byteReader) codes(set func(code uint8, n int64)) {
+	prev := -1
+	for n := r.count(9); n > 0 && r.err == nil; n-- {
+		code, v := r.u8(), r.i64()
+		if int(code) <= prev {
+			r.fail("code %d out of order at offset %d", code, r.off-9)
+		}
+		if r.err == nil {
+			set(code, v)
+		}
+		prev = int(code)
+	}
+}
+
+// done closes a decode: the first error met, or a complaint about bytes
+// left over behind the layout.
+func (r *byteReader) done() error {
+	if r.off != len(r.buf) {
+		r.fail("%d trailing bytes", len(r.buf)-r.off)
+	}
+	return r.err
 }

@@ -46,14 +46,14 @@ func referenceEncode(s *Store) []byte {
 		buf = append(buf, a16[:]...)
 	}
 
-	targets := make([]netip.Addr, 0, len(s.traces))
-	for t := range s.traces {
-		targets = append(targets, t)
+	targets := make([]netip.Addr, 0, s.NumTraces())
+	for _, t := range s.Traces() {
+		targets = append(targets, t.Target)
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
 	buf = appendU32(buf, uint32(len(targets)))
 	for _, target := range targets {
-		t := s.traces[target]
+		t := s.Trace(target)
 		t16 := target.As16()
 		buf = append(buf, t16[:]...)
 		reached := byte(0)

@@ -89,3 +89,123 @@ func TestStoreCodecRejectsMalformed(t *testing.T) {
 		t.Fatalf("corrupt count: got %v, want ErrStoreDecode", err)
 	}
 }
+
+// rawStore spells out a store encoding field by field, in whatever order
+// and with whatever flag bytes a test wants — the malformed blobs
+// AppendBinary can never produce.
+type rawStore struct {
+	flag   byte
+	codes  []rawCode
+	ifaces []netip.Addr
+	traces []rawTrace
+}
+
+type rawCode struct {
+	code uint8
+	n    int64
+}
+
+type rawTrace struct {
+	target  netip.Addr
+	reached byte
+	hops    []HopEntry
+	codes   []rawCode
+}
+
+func (r rawStore) encode() []byte {
+	buf := []byte{r.flag}
+	for i := int64(1); i <= 5; i++ {
+		buf = appendI64(buf, i)
+	}
+	appendCodes := func(codes []rawCode) {
+		buf = appendU32(buf, uint32(len(codes)))
+		for _, c := range codes {
+			buf = appendI64(append(buf, c.code), c.n)
+		}
+	}
+	appendAddr := func(a netip.Addr) {
+		a16 := a.As16()
+		buf = append(buf, a16[:]...)
+	}
+	appendCodes(r.codes)
+	buf = appendU32(buf, uint32(len(r.ifaces)))
+	for _, a := range r.ifaces {
+		appendAddr(a)
+	}
+	buf = appendU32(buf, uint32(len(r.traces)))
+	for _, t := range r.traces {
+		appendAddr(t.target)
+		buf = append(buf, t.reached)
+		buf = appendU32(buf, uint32(len(t.hops)))
+		for _, h := range t.hops {
+			buf = append(buf, h.TTL)
+			appendAddr(h.Addr)
+		}
+		appendCodes(t.codes)
+	}
+	return buf
+}
+
+// TestDecodeStoreAcceptsOnlyCanonical: DecodeStore takes exactly what
+// AppendBinary writes. A canonical blob round-trips byte for byte and
+// arrives with its indexes marked sorted; the same blob with two entries
+// swapped, one repeated, or a list descending — interfaces, traces, hop
+// TTLs, either code list — or with a flag byte other than 0 or 1, or with
+// traces in a path-less store, fails with ErrStoreDecode.
+func TestDecodeStoreAcceptsOnlyCanonical(t *testing.T) {
+	a := func(s string) netip.Addr { return netip.MustParseAddr(s) }
+	canonical := func() rawStore {
+		return rawStore{
+			flag:   1,
+			codes:  []rawCode{{1, 7}, {4, 2}},
+			ifaces: []netip.Addr{a("2001:db8::1"), a("2001:db8::2"), a("2001:db8:1::")},
+			traces: []rawTrace{
+				{target: a("2001:db8:a::1"), reached: 1,
+					hops:  []HopEntry{{1, a("2001:db8::1")}, {3, a("2001:db8::2")}, {17, a("2001:db8:1::")}},
+					codes: []rawCode{{1, 1}, {4, 1}}},
+				{target: a("2001:db8:a::2")},
+				{target: a("2001:db8:b::"), hops: []HopEntry{{2, a("2001:db8::9")}}},
+			},
+		}
+	}
+	enc := canonical().encode()
+	s, err := DecodeStore(enc)
+	if err != nil {
+		t.Fatalf("canonical blob: %v", err)
+	}
+	if s.ifacesSorted != 3 || s.tracesSorted != 3 {
+		t.Fatalf("decoded indexes sorted up to %d/%d, want 3/3", s.ifacesSorted, s.tracesSorted)
+	}
+	if got := s.AppendBinary(nil); string(got) != string(enc) {
+		t.Fatalf("canonical blob re-encodes differently:\n got %x\nwant %x", got, enc)
+	}
+	if !s.AddrSeen(a("2001:db8::2")) || s.AddrSeen(a("2001:db8::9")) || s.Trace(a("2001:db8:a::1")).PathLength() != 17 {
+		t.Fatal("decoded store answers wrongly")
+	}
+
+	cases := map[string]func(r *rawStore){
+		"interfaces swapped":    func(r *rawStore) { r.ifaces[0], r.ifaces[1] = r.ifaces[1], r.ifaces[0] },
+		"interface repeated":    func(r *rawStore) { r.ifaces[1] = r.ifaces[0] },
+		"interfaces descending": func(r *rawStore) { r.ifaces[0], r.ifaces[2] = r.ifaces[2], r.ifaces[0] },
+		"traces swapped":        func(r *rawStore) { r.traces[1], r.traces[2] = r.traces[2], r.traces[1] },
+		"trace repeated":        func(r *rawStore) { r.traces[1].target = r.traces[0].target },
+		"traces descending":     func(r *rawStore) { r.traces[0], r.traces[2] = r.traces[2], r.traces[0] },
+		"hops swapped":          func(r *rawStore) { h := r.traces[0].hops; h[0], h[1] = h[1], h[0] },
+		"hop TTL repeated":      func(r *rawStore) { r.traces[0].hops[1].TTL = 1 },
+		"hops descending":       func(r *rawStore) { h := r.traces[0].hops; h[0], h[2] = h[2], h[0] },
+		"codes swapped":         func(r *rawStore) { r.codes[0], r.codes[1] = r.codes[1], r.codes[0] },
+		"code repeated":         func(r *rawStore) { r.codes[1].code = 1 },
+		"trace codes swapped":   func(r *rawStore) { c := r.traces[0].codes; c[0], c[1] = c[1], c[0] },
+		"trace code repeated":   func(r *rawStore) { r.traces[0].codes[1].code = 1 },
+		"path flag 2":           func(r *rawStore) { r.flag = 2 },
+		"reached flag 2":        func(r *rawStore) { r.traces[0].reached = 2 },
+		"traces without paths":  func(r *rawStore) { r.flag = 0 },
+	}
+	for name, mutate := range cases {
+		r := canonical()
+		mutate(&r)
+		if _, err := DecodeStore(r.encode()); !errors.Is(err, ErrStoreDecode) {
+			t.Errorf("%s: got %v, want ErrStoreDecode", name, err)
+		}
+	}
+}

@@ -131,6 +131,11 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 	if got := counter("plan_table_growths_total"); got != res.PlanTableGrowths {
 		t.Errorf("plan_table_growths_total = %d, want %d", got, res.PlanTableGrowths)
 	}
+	if slots, addrs := gauge("addr_table_slots"), gauge("addr_table_addrs"); slots != int64(res.AddrTableSlots) ||
+		addrs != int64(res.AddrTableAddrs) || addrs < gauge("store_unique_interfaces") || addrs < gauge("store_traces") || slots < addrs {
+		t.Errorf("addr_table_slots/addrs = %d/%d (result %d/%d) for %d interfaces and %d traces", slots, addrs,
+			res.AddrTableSlots, res.AddrTableAddrs, gauge("store_unique_interfaces"), gauge("store_traces"))
+	}
 	if got := gauge("store_unique_interfaces"); got != int64(res.NumInterfaces()) {
 		t.Errorf("store_unique_interfaces = %d, want %d", got, res.NumInterfaces())
 	}

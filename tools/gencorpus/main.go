@@ -99,6 +99,25 @@ func main() {
 	write(pe, "seed-tcp", bs([]byte{0x3f, 0xfe}), by(255), by(2), by(255), u32(63_000))
 	write(pe, "seed-zero-sum", bs([]byte{0x20, 0x00, 0xdf, 0xff}), by(9), by(0), by(255), u32(1<<16+1))
 
+	// probe: FuzzDecodeStore — the empty store, one trace that fill mode
+	// carried past TTL 16 to its destination, and a path-less store with
+	// destination-unreachable codes.
+	ps := "internal/probe/testdata/fuzz/FuzzDecodeStore"
+	write(ps, "seed-empty", bs(probe.NewStore(true).AppendBinary(nil)))
+	filled := probe.NewStore(true)
+	for ttl := uint8(1); ttl <= 19; ttl++ {
+		hop := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 3, 14: ttl, 15: 1})
+		filled.Add(probe.Reply{Kind: probe.KindTimeExceeded, From: hop, Target: target, TTL: ttl, StateRecovered: true})
+	}
+	filled.Add(probe.Reply{Kind: probe.KindEchoReply, From: target, Target: target})
+	write(ps, "seed-filled-trace", bs(filled.AppendBinary(nil)))
+	unreach := probe.NewStore(false)
+	for _, code := range []uint8{1, 1, 3, 4} {
+		unreach.Add(probe.Reply{Kind: probe.KindDestUnreach, Code: code, From: router, Target: target})
+	}
+	unreach.Add(probe.Reply{Kind: probe.KindTimeExceeded, From: router, Target: target, TTL: 2})
+	write(ps, "seed-dest-unreach", bs(unreach.AppendBinary(nil)))
+
 	// core: FuzzCheckpointDecode — a real interrupted-campaign artifact,
 	// a truncation, a CRC flip, a well-framed artifact whose first-seen
 	// list is out of address order, and an adaptive artifact cut
