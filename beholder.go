@@ -295,12 +295,11 @@ type YarrpOptions struct {
 	// (core.DefaultBatch); one dispatches probe by probe through the
 	// same loop.
 	Batch int
-	// Graph enables streaming topology-graph construction: an observer
-	// on the prober (one per shard) folds every reply into the
-	// interface-level multigraph while the campaign runs, so
-	// Result.Graph() costs nothing extra at any store size. Without it,
-	// Result.Graph() falls back to a post-hoc batch build over the
-	// trace store — same graph, but a full store scan.
+	// Graph makes the run return with its topology graph built — fresh,
+	// resumed, adaptive or interrupted alike — so Result.Graph() is
+	// already paid for and the graph_* telemetry gauges are published.
+	// It decides only when the graph is built, never how: without it the
+	// same construction runs on the first Result.Graph() call.
 	Graph bool
 	// Telemetry, when non-nil, collects hot-path metrics for the run:
 	// yarrp_* probe/reply counters and RTT/batch-fill/drain-gap
@@ -411,10 +410,9 @@ type Result struct {
 	PlanTableCores   int
 	PlanTableGrowths int64
 	// AddrTableSlots and AddrTableAddrs describe the address tables the
-	// run filed its replies in — one per shard, shared by the shard's
-	// store and topology graph — summed over shards as they stood before
-	// the fold: slots allocated, and addresses interned (interfaces,
-	// traced targets, and whatever else a shard's graph met). An adaptive
+	// run's stores filed their replies in — one per shard — summed over
+	// shards as they stood before the fold: slots allocated, and
+	// addresses interned (interfaces and traced targets). An adaptive
 	// run reports the one table of its accumulated store.
 	AddrTableSlots int
 	AddrTableAddrs int
@@ -478,13 +476,13 @@ func (r *Result) Discovered(addr netip.Addr) bool { return r.store.AddrSeen(addr
 // Store exposes the underlying result store for analysis.
 func (r *Result) Store() *probe.Store { return r.store }
 
-// Graph returns the campaign's interface-level topology graph. With
-// YarrpOptions.Graph it is the streaming graph built during the run
-// (shard subgraphs already merged); otherwise it is batch-built from
-// the trace store on first call and cached — the two constructions are
-// equivalent. The graph supports canonical NDJSON/DOT export, router
-// collapse against alias-detection results, and cross-vantage union via
-// UnionGraphs.
+// Graph returns the campaign's interface-level topology graph: a pure
+// function of the merged trace store (graph.FromStore), whatever produced
+// the store — one shard or many, recovery probers, a resumed or an
+// adaptive run. It is built once — before the run returned with
+// YarrpOptions.Graph, on the first call otherwise — and cached. The graph
+// supports canonical NDJSON/DOT export, router collapse against
+// alias-detection results, and cross-vantage union via UnionGraphs.
 func (r *Result) Graph() *graph.Graph {
 	if r.graph == nil {
 		r.graph = graph.FromStore(r.store, r.vantage, r.proto)
@@ -580,8 +578,9 @@ func (r *campaignRun) connOf(_ int, start time.Duration) probe.Conn {
 
 // finish is the one epilogue: a fatal engine error is returned bare;
 // otherwise the vantage's clock is settled, result builds the Result,
-// the plan-cache and telemetry figures are folded in, and an interrupted
-// run's checkpoint is attached beside its ErrInterrupted.
+// its graph is built if the options asked for it up front, the plan-cache
+// and telemetry figures are folded in, and an interrupted run's checkpoint
+// is attached beside its ErrInterrupted.
 func (r *campaignRun) finish(runErr error, elapsed time.Duration, result func() *Result, checkpoint func() ([]byte, error)) (*Result, error) {
 	interrupted := errors.Is(runErr, core.ErrInterrupted)
 	if runErr != nil && !interrupted {
@@ -600,6 +599,9 @@ func (r *campaignRun) finish(runErr error, elapsed time.Duration, result func() 
 		v.clk = r.epoch + elapsed
 	}
 	res := result()
+	if r.opt.Graph {
+		res.Graph()
+	}
 	res.setPlanStats(v, r.vsBefore, r.growthsBefore, r.clones)
 	if reg := r.opt.Telemetry; reg != nil {
 		v.publishRunTelemetry(reg, r.simBefore, res)
@@ -676,36 +678,19 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 			PerShard: opt.ProgressPerShard,
 		}
 	}
-	// With streaming graph construction, every shard folds replies into
-	// its own subgraph; the subgraphs merge after the run into exactly
-	// the graph one unsharded prober would have built.
-	var builders []*graph.Graph
-	if opt.Graph {
-		builders = make([]*graph.Graph, shards)
-		ccfg.NewObserver = func(s int) probe.Observer {
-			builders[s] = graph.New(v.v.Name())
-			return builders[s]
-		}
-	}
-	return run.finishCampaign(core.NewCampaign(ccfg, run.connOf), builders)
+	return run.finishCampaign(core.NewCampaign(ccfg, run.connOf))
 }
 
 // finishCampaign runs a static campaign — fresh or resumed — and closes
 // the run; an interrupted campaign's partial store is folded here, where
-// it is published. builders, when streaming graph construction was on,
-// are the per-shard subgraphs.
-func (r *campaignRun) finishCampaign(camp *core.Campaign, builders []*graph.Graph) (*Result, error) {
+// it is published.
+func (r *campaignRun) finishCampaign(camp *core.Campaign) (*Result, error) {
 	store, stats, err := camp.Run()
 	if errors.Is(err, core.ErrInterrupted) {
 		store = camp.MergedStore()
 	}
 	return r.finish(err, stats.Elapsed, func() *Result {
-		res := r.v.campaignResult(store, stats, camp.Proto())
-		if builders != nil {
-			// The builders exist only to be merged: hand them over.
-			res.graph = graph.Fold(builders...)
-		}
-		return res
+		return r.v.campaignResult(store, stats, camp.Proto())
 	}, camp.Checkpoint)
 }
 
@@ -713,16 +698,14 @@ func (r *campaignRun) finishCampaign(camp *core.Campaign, builders []*graph.Grap
 // artifact a previous run's Result.Checkpoint carried, and runs it to
 // completion (or to opt.InterruptAt again — checkpoints compose). The
 // artifact pins the campaign configuration; of opt only Telemetry,
-// Progress, ProgressPerShard, and InterruptAt apply (plus Adaptive for
-// adaptive artifacts, which must carry the original seed set in
+// Progress, ProgressPerShard, Graph, and InterruptAt apply (plus Adaptive
+// for adaptive artifacts, which must carry the original seed set in
 // Adaptive.Seeds). Resumed on an identically-seeded Internet replayed
 // to the same virtual instant, the finished campaign is byte-identical
 // — store, graph, progress stream, discovery curve — to one that was
 // never interrupted: router token-bucket levels ride in the artifact,
 // so even rate-limiters saturated across the interrupt instant replay
-// exactly. The resumed run's Result.Graph() is batch-built from the
-// trace store (streaming observers cannot see pre-interrupt replies;
-// the two constructions are equivalent).
+// exactly.
 func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, error) {
 	if core.IsAdaptiveCheckpoint(artifact) {
 		return v.resumeAdaptive(artifact, opt)
@@ -738,7 +721,7 @@ func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, erro
 		return nil, err
 	}
 	run.epoch = camp.Epoch()
-	return run.finishCampaign(camp, nil)
+	return run.finishCampaign(camp)
 }
 
 // runAdaptive executes a closed-loop adaptive campaign: seeds build a

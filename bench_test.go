@@ -416,10 +416,10 @@ func BenchmarkYarrp6Throughput(b *testing.B) {
 	_ = netip.Addr{}
 }
 
-// BenchmarkYarrp6GraphObserver is BenchmarkYarrp6Throughput with the
-// streaming topology-graph observer attached: the observer must stay
-// within the fast path's allocs/probe budget (the same bound
-// make bench-check enforces).
+// BenchmarkYarrp6GraphObserver is BenchmarkYarrp6Throughput returning
+// with its topology graph built (YarrpOptions.Graph; the name predates
+// the store-derived build): run plus graph must stay within the fast
+// path's allocs/probe budget (the same bound make bench-check enforces).
 func BenchmarkYarrp6GraphObserver(b *testing.B) {
 	in := NewSmallInternet(5)
 	targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.3)
@@ -443,7 +443,7 @@ func BenchmarkYarrp6GraphObserver(b *testing.B) {
 	}
 	b.StopTimer()
 	if edges == 0 {
-		b.Fatal("graph observer built no edges")
+		b.Fatal("campaign graph has no edges")
 	}
 	b.ReportMetric(float64(mallocsNow()-m0)/float64(sent), "allocs/probe")
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "probes/s")

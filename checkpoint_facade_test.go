@@ -50,10 +50,11 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	}
 
 	var progress bytes.Buffer
-	res, err := v.ResumeYarrp6(partial.Checkpoint, YarrpOptions{Progress: &progress})
+	res, err := v.ResumeYarrp6(partial.Checkpoint, YarrpOptions{Progress: &progress, Graph: true, Telemetry: NewTelemetry()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireGraphGauges(t, res)
 	if res.ProbesSent != ref.ProbesSent || res.Fills != ref.Fills || res.Replies != ref.Replies {
 		t.Fatalf("resumed counters %d/%d/%d differ from uninterrupted %d/%d/%d",
 			res.ProbesSent, res.Fills, res.Replies, ref.ProbesSent, ref.Fills, ref.Replies)
@@ -85,7 +86,7 @@ func TestFacadeFaultedCampaign(t *testing.T) {
 		}
 		reg := NewTelemetry()
 		res, err := v.RunYarrp6(targets, YarrpOptions{
-			Rate: 2000, MaxTTL: 12, Key: 1, Fill: true, Shards: 2, Telemetry: reg,
+			Rate: 2000, MaxTTL: 12, Key: 1, Fill: true, Shards: 2, Graph: true, Telemetry: reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -105,6 +106,19 @@ func TestFacadeFaultedCampaign(t *testing.T) {
 	}
 	if !faulted.Store().Equal(clean.Store()) {
 		t.Fatal("crash-recovered store differs from fault-free store")
+	}
+	// The graph is a function of the store: what the recovery probers
+	// collected is in it.
+	var cg, fg bytes.Buffer
+	if err := clean.Graph().WriteNDJSON(&cg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := faulted.Graph().WriteNDJSON(&fg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !faulted.Graph().Equal(clean.Graph()) || !bytes.Equal(fg.Bytes(), cg.Bytes()) {
+		t.Fatalf("crash-recovered graph (%d nodes, %d edges) differs from fault-free graph (%d nodes, %d edges)",
+			faulted.Graph().NumNodes(), faulted.Graph().NumEdges(), clean.Graph().NumNodes(), clean.Graph().NumEdges())
 	}
 	snap := reg.Snapshot()
 	if n, ok := snap.Counter("sim_fault_crash_denials_total"); !ok || n == 0 {

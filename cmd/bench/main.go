@@ -1,5 +1,5 @@
 // Command bench measures the repository's hot-path benchmarks — Yarrp6
-// campaign throughput (with and without the graph observer), the
+// campaign throughput (with and without the graph build), the
 // sharded campaign engine, and aliased-prefix detection — plus a
 // shard-scaling sweep (shard counts × send-batch sizes, engine time
 // only), and writes the results as JSON (BENCH_PR8.json by default):
@@ -54,7 +54,7 @@ var baselinePreFastpath = map[string]Result{
 	"AliasDetect":      {ProbesPerSec: 787487, AllocsPerProbe: 1.46},
 }
 
-// baselinePR3 is the BENCH_PR3.json measurement (commit c115efc, the
+// baselinePR3 is the PR 3 measurement (commit c115efc, the
 // zero-allocation packet fast path, same 1-core container) — the
 // baseline the batched-pipeline PR is judged against.
 var baselinePR3 = map[string]Result{
@@ -90,7 +90,7 @@ type AdaptiveYield struct {
 	Ratio float64 `json:"ratio"`
 }
 
-// Report is the BENCH_PR5.json document.
+// Report is the BENCH_PR8.json document.
 type Report struct {
 	Note    string            `json:"note"`
 	NumCPU  int               `json:"num_cpu"`
@@ -385,8 +385,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The same campaign with the streaming topology-graph observer
-	// attached (mirrors BenchmarkYarrp6GraphObserver): graph ingest must
+	// The same campaign returning with its topology graph built
+	// (mirrors BenchmarkYarrp6GraphObserver): run plus graph build must
 	// stay within the fast-path allocs/probe bound, so -check gates it
 	// alongside the bare run.
 	cur["Yarrp6Graph"] = measure(func() int64 {
@@ -398,7 +398,7 @@ func main() {
 			panic(err)
 		}
 		if res.Graph().NumEdges() == 0 {
-			panic("bench: graph observer built no edges")
+			panic("bench: campaign graph has no edges")
 		}
 		return res.ProbesSent
 	})

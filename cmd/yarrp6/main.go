@@ -78,7 +78,7 @@ func main() {
 		batch     = flag.Int("batch", 0, "probe-pipeline send batch size (0 = engine default; results are identical at any value)")
 		vantage   = flag.String("vantage", "US-EDU-1", "vantage name")
 		hops      = flag.Bool("hops", false, "print per-target hop listings")
-		graphOut  = flag.String("graph", "", "export the topology graph to this file (.ndjson for NDJSON, anything else for Graphviz DOT); the graph is built streaming during the run")
+		graphOut  = flag.String("graph", "", "export the topology graph to this file (.ndjson for NDJSON, anything else for Graphviz DOT); the graph is built from the trace store when the run ends")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (post-campaign) to this file")
 		progress  = flag.String("progress", "", `stream virtual-time NDJSON progress samples to this file ("-" for stderr); byte-identical at any -shards/-batch`)

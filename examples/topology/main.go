@@ -26,8 +26,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "topology: %d targets across %d ASes\n", len(targets), in.NumASes())
 
-	// One graph-observed campaign per vantage: the graph is built
-	// streaming, while probes fly, not from the stored traces.
+	// One campaign per vantage, each returning with the graph of its
+	// stored traces built.
 	var graphs []*beholder.Result
 	for _, name := range []string{"vantage-west", "vantage-east"} {
 		v := in.NewVantage(name)

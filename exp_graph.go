@@ -4,9 +4,9 @@ package beholder
 // graph, not a probe log, and the value of another vantage point is the
 // marginal topology it contributes to the union (Section 5.3's
 // cross-vantage argument, restated at the graph level). GraphStudy runs
-// one z64 campaign per vantage with the streaming graph observer
-// attached, unions the per-vantage graphs, and collapses interfaces
-// into routers against the simulator's exact aliased ground truth.
+// one z64 campaign per vantage, builds each vantage's graph from its
+// trace store, unions them, and collapses interfaces into routers
+// against the simulator's exact aliased ground truth.
 
 import (
 	"sync"
@@ -26,8 +26,8 @@ import (
 // router-collapse pass has real work to do.
 const graphStudySeed = "fdns_any"
 
-// graphCampaigns runs (or fetches) one graph-observed campaign per
-// vantage, in vantageSpecs order. The three campaigns probe through
+// graphCampaigns runs (or fetches) one campaign per vantage and returns
+// their graphs, in vantageSpecs order. The three campaigns probe through
 // independent cloned vantages of the shared read-only universe, so they
 // run concurrently with deterministic results.
 func (e *Experiments) graphCampaigns() []*graph.Graph {
@@ -57,21 +57,19 @@ func (e *Experiments) graphCampaigns() []*graph.Graph {
 				Kind:     vantageSpecs[i].kind,
 				ChainLen: vantageSpecs[i].chain,
 			}).Clone(0)
-			g := graph.New(vantageSpecs[i].name)
 			store := probe.NewStore(true)
 			y := core.New(v, core.Config{
-				Targets:  set.Targets.Addrs(),
-				PPS:      e.opt.Rate,
-				MaxTTL:   16,
-				Proto:    wire.ProtoICMPv6,
-				Key:      uint64(e.opt.Seed) ^ 0x67726166 ^ uint64(i)<<32,
-				Fill:     true,
-				Observer: g,
+				Targets: set.Targets.Addrs(),
+				PPS:     e.opt.Rate,
+				MaxTTL:  16,
+				Proto:   wire.ProtoICMPv6,
+				Key:     uint64(e.opt.Seed) ^ 0x67726166 ^ uint64(i)<<32,
+				Fill:    true,
 			})
 			if _, err := y.Run(store); err != nil {
 				panic("beholder: graph campaign failed: " + err.Error())
 			}
-			gs[i] = g
+			gs[i] = graph.FromStore(store, vantageSpecs[i].name, wire.ProtoICMPv6)
 		}(i)
 	}
 	wg.Wait()

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// graphExport runs one fdns_any z64 campaign with the streaming graph
-// observer under the given shard count and plan-cache size, returning
-// the canonical NDJSON bytes of the resulting graph.
+// graphExport runs one fdns_any z64 campaign under the given shard count
+// and plan-cache size, returning the canonical NDJSON bytes of its graph.
 func graphExport(t *testing.T, shards, planCache int) []byte {
 	t.Helper()
 	in := NewSmallInternet(77)
@@ -34,7 +33,7 @@ func graphExport(t *testing.T, shards, planCache int) []byte {
 }
 
 // TestGraphPlanCacheDeterminism: at every shard count, the plan cache
-// must not change the streamed graph by a byte. (The full shards ×
+// must not change the campaign's graph by a byte. (The full shards ×
 // cache matrix — including cross-shard-count byte equality — lives in
 // internal/core's TestGraphShardCacheMatrix on a non-scarce universe,
 // where cross-shard store equality is exact; this facade run keeps the
@@ -51,43 +50,43 @@ func TestGraphPlanCacheDeterminism(t *testing.T) {
 }
 
 // TestResultGraphFallback: without YarrpOptions.Graph, Result.Graph()
-// batch-builds from the trace store — and must equal the streamed
-// graph.
+// builds the graph on first call — and it must equal the one a
+// Graph: true run returns with.
 func TestResultGraphFallback(t *testing.T) {
-	run := func(stream bool) *Result {
+	run := func(eager bool) *Result {
 		in := NewSmallInternet(31)
 		targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := in.NewVantage("graph-fallback")
-		res, err := v.RunYarrp6(targets, YarrpOptions{Rate: 20000, MaxTTL: 16, Key: 3, Graph: stream})
+		res, err := v.RunYarrp6(targets, YarrpOptions{Rate: 20000, MaxTTL: 16, Key: 3, Graph: eager})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	streamed, batch := run(true), run(false)
+	built, lazy := run(true), run(false)
 	var a, b bytes.Buffer
-	if err := streamed.Graph().WriteNDJSON(&a, nil); err != nil {
+	if err := built.Graph().WriteNDJSON(&a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := batch.Graph().WriteNDJSON(&b, nil); err != nil {
+	if err := lazy.Graph().WriteNDJSON(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("streamed and store-derived graphs differ")
+		t.Fatal("graphs built at run end and on first call differ")
 	}
 	// The graph's interface nodes mirror the store's interface set.
-	m := streamed.Graph()
+	m := built.Graph()
 	ifaces := 0
-	for _, addr := range streamed.Interfaces() {
+	for _, addr := range built.Interfaces() {
 		if m.NodeFlagsOf(addr) != 0 {
 			ifaces++
 		}
 	}
-	if ifaces != streamed.NumInterfaces() {
-		t.Fatalf("graph covers %d of %d store interfaces", ifaces, streamed.NumInterfaces())
+	if ifaces != built.NumInterfaces() {
+		t.Fatalf("graph covers %d of %d store interfaces", ifaces, built.NumInterfaces())
 	}
 }
 

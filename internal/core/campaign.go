@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"beholder/internal/ipv6"
 	"beholder/internal/perm"
 	"beholder/internal/probe"
 	"beholder/internal/sorted"
@@ -81,13 +80,13 @@ type CampaignConfig struct {
 	// NewObserver, when non-nil, builds the per-shard reply observer:
 	// shard s's prober calls NewObserver(s)'s OnReply for every stored
 	// reply, on the shard goroutine. The factory runs serially before
-	// any shard starts; the caller folds whatever the observers built
-	// (per-shard topology subgraphs, say) after Run returns. Config's
-	// own Observer field must be left nil — shards may not share one
-	// unsynchronized observer. Recovery probers and resumed shards do
-	// not replay already-processed replies through observers; derive
-	// streaming artifacts from the merged store (graph.FromStore) when
-	// a campaign was recovered or resumed.
+	// any shard starts. Config's own Observer field must be left nil —
+	// shards may not share one unsynchronized observer. Observers are for
+	// live streams (the scheduler's tenant deltas): recovery probers run
+	// without them and resumed shards do not replay already-processed
+	// replies through them, so a delta stream goes quiet over a recovered
+	// range. A campaign's results — its graph included — are functions of
+	// the merged store (graph.FromStore), never of what observers saw.
 	NewObserver func(shard int) probe.Observer
 	// Telemetry, when non-nil, aggregates hot-path metrics: each shard
 	// folds its counters and histograms into its own telemetry.Shard
@@ -214,15 +213,6 @@ type shardState struct {
 	// ready, when non-nil, parks the shard goroutine until the primer has
 	// imported the shard's window-start bucket snapshot (startPrimer).
 	ready chan struct{}
-}
-
-// tableBinder is implemented by an observer that interns addresses and
-// can do so through a table handed to it (graph.Graph): the shard's store
-// files every reply in its address table just before the observer sees
-// the same reply, so an observer bound to that table finds both addresses
-// in cache instead of hashing them into an index of its own.
-type tableBinder interface {
-	BindTable(*ipv6.Table)
 }
 
 // shardAddrs sizes a fresh shard store's address table from the campaign's
@@ -383,9 +373,6 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	case recovery: // runs without the caller's observers (see NewObserver)
 	case cfg.NewObserver != nil:
 		ss.observer = cfg.NewObserver(index)
-		if b, ok := ss.observer.(tableBinder); ok {
-			b.BindTable(ss.store.AddrTable())
-		}
 	case prev != nil:
 		ss.observer = prev.observer
 	}

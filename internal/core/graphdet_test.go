@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"beholder/internal/graph"
-	"beholder/internal/ipv6"
 	"beholder/internal/netsim"
 	"beholder/internal/probe"
 	"beholder/internal/wire"
@@ -103,73 +102,5 @@ func TestGraphExportBytePin(t *testing.T) {
 	sum = sha256.Sum256(dot.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != wantDOT {
 		t.Fatalf("DOT digest %s (%d bytes), want %s", got, dot.Len(), wantDOT)
-	}
-}
-
-// tableObserver is an observer that asks for the shard store's address
-// table and checks the promise that comes with it: every reply it is
-// shown has already been filed there by the store.
-type tableObserver struct {
-	tab     *ipv6.Table
-	replies int
-	unfiled int
-}
-
-func (o *tableObserver) BindTable(t *ipv6.Table) { o.tab = t }
-
-func (o *tableObserver) OnReply(r probe.Reply) {
-	o.replies++
-	if _, _, ok := o.tab.Find(r.From); r.Kind == probe.KindTimeExceeded && !ok {
-		o.unfiled++
-	}
-	if _, _, ok := o.tab.Find(r.Target); r.Target.IsValid() && !ok {
-		o.unfiled++
-	}
-}
-
-// TestCampaignBindsObserverToShardTable: an observer with a BindTable
-// method receives its own shard's store table — one table per shard,
-// none shared between shards — before the first reply, and finds every
-// reply's addresses in it; the folded store's table ends up holding what
-// all of them held.
-func TestCampaignBindsObserverToShardTable(t *testing.T) {
-	const seed, shards = 909, 3
-	u := campaignUniverse(seed)
-	v := u.NewVantage(netsim.VantageSpec{Name: "US-EDU-1", Kind: netsim.KindUniversity, ChainLen: 4})
-	obs := make([]*tableObserver, shards)
-	camp := NewCampaign(CampaignConfig{
-		Config:      campaignCfg(campaignTargets(t, seed, 96)),
-		Shards:      shards,
-		RecordPaths: true,
-		NewObserver: func(s int) probe.Observer {
-			obs[s] = &tableObserver{}
-			return obs[s]
-		},
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	store, stats, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := 0
-	for s, o := range obs {
-		if o.tab == nil || o.replies == 0 || o.unfiled != 0 {
-			t.Fatalf("shard %d: table %v, %d replies, %d of them not yet filed by the store", s, o.tab != nil, o.replies, o.unfiled)
-		}
-		for _, p := range obs[:s] {
-			if p.tab == o.tab {
-				t.Fatalf("shard %d shares its table with an earlier shard", s)
-			}
-		}
-		if s > 0 {
-			// Shard 0's table has received the fold; the others stand as
-			// their shard left them.
-			addrs += o.tab.Len()
-		}
-	}
-	if obs[0].tab != store.AddrTable() {
-		t.Fatal("the merged store is not shard 0's store")
-	}
-	if stats.AddrTableAddrs <= addrs || stats.AddrTableSlots < stats.AddrTableAddrs {
-		t.Fatalf("AddrTableAddrs/Slots = %d/%d; shards 1.. alone hold %d addresses", stats.AddrTableAddrs, stats.AddrTableSlots, addrs)
 	}
 }

@@ -81,8 +81,8 @@ type Config struct {
 	// probe. Default 2s.
 	DrainTimeout time.Duration
 	// Observer, when non-nil, receives every stored reply as it
-	// arrives — the streaming hook the topology-graph builder attaches
-	// through. It runs on the prober goroutine, after the store fold.
+	// arrives — the hook a live consumer (a tenant's delta stream)
+	// attaches through. It runs on the prober goroutine, after the store fold.
 	Observer probe.Observer
 
 	// telemetry, when set, is this prober's shard-local metric sink.

@@ -121,51 +121,3 @@ func BenchmarkGraphUnion4(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkReplyFold is the receive side of a campaign shard without the
-// campaign: a campaign-shaped reply stream (40 k targets, ~0.5 M replies,
-// shuffled) filed in a store and then in its topology graph, reply by
-// reply, as Yarrp6.handleReply does, and folded the way Campaign and the
-// facade fold — stores first, then graphs, edges derived from the result.
-// It exists to compare address-table layouts and binding choices in
-// seconds instead of one 20 s benchmark run per try. "serial" is one
-// shard; "shards4" is four window shards (each quarter of the stream, so
-// every shard meets most routers and most targets) plus the fold;
-// "unbound" gives the graph a table of its own, which is what a reply
-// cost before store and graph shared one.
-func BenchmarkReplyFold(b *testing.B) {
-	replies := campaignReplies(9, 40000)
-	run := func(b *testing.B, shards int, bind bool) {
-		b.ReportAllocs()
-		m0 := testingAllocs()
-		for i := 0; i < b.N; i++ {
-			stores := make([]*probe.Store, shards)
-			graphs := make([]*Graph, shards)
-			for s := range stores {
-				stores[s] = probe.NewStoreSized(true, 2*40000)
-				graphs[s] = New("bench")
-				if bind {
-					graphs[s].BindTable(stores[s].AddrTable())
-				}
-				lo, hi := len(replies)*s/shards, len(replies)*(s+1)/shards
-				for _, r := range replies[lo:hi] {
-					stores[s].Add(r)
-					graphs[s].OnReply(r)
-				}
-			}
-			for _, st := range stores[1:] {
-				stores[0].Merge(st)
-			}
-			if g := Fold(graphs...); g.NumEdges() == 0 || stores[0].NumInterfaces() == 0 {
-				b.Fatal("empty fold")
-			}
-		}
-		n := float64(b.N) * float64(len(replies))
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/reply")
-		b.ReportMetric(float64(testingAllocs()-m0)/n, "allocs/reply")
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, true) })
-	b.Run("serial-unbound", func(b *testing.B) { run(b, 1, false) })
-	b.Run("shards4", func(b *testing.B) { run(b, 4, true) })
-	b.Run("shards4-unbound", func(b *testing.B) { run(b, 4, false) })
-}

@@ -2,22 +2,26 @@
 // graph. Probe logs and interface counts are intermediate artifacts —
 // the paper's comparisons (discovery power per strategy, marginal gain
 // per vantage, periphery structure) are statements about the
-// interface-level directed multigraph a campaign induces, and this
-// package constructs that graph *while the campaign runs*.
+// interface-level directed multigraph a campaign induces.
 //
-// The builder is streaming: it implements probe.Observer, folding every
-// reply into per-(vantage, protocol, target) path skeletons, so no
-// post-hoc scan over a multi-million-trace store is needed. The edge
-// multiset is a pure function of the skeletons, and a graph nobody has
-// asked for edges keeps none: replies and merges touch skeletons only,
-// and the first reader (NumEdges, Traversals, ForEachEdge, Equal,
-// Collapse, the exports) derives the multiset in one pass, one insert per
-// path link. From then on it is maintained incrementally — hops arrive in
-// randomized TTL order (that is Yarrp6's whole point), so a hop landing
-// between two already-known hops replaces their spanning edge with the
-// two sub-edges — which is what a consumer that reads the edge count
-// after every reply pays for, and nobody else. Fold, Union and FromStore
-// return graphs that already hold their derived edges.
+// A campaign's graph is a function of its trace store: FromStore builds
+// it in one pass over the final traces, and that is how every finished
+// run — sharded, recovered, resumed, supervised — gets its graph. A Graph
+// is also a probe.Observer, folding replies one at a time into the same
+// per-(vantage, protocol, target) path skeletons, for a consumer that
+// must report on a campaign still running (the scheduler's tenant delta
+// stream).
+//
+// The edge multiset is a pure function of the skeletons, and a graph
+// nobody has asked for edges keeps none: replies and merges touch
+// skeletons only, and the first reader (NumEdges, Traversals, ForEachEdge,
+// Equal, Collapse, the exports) derives the multiset in one pass, one
+// insert per path link. From then on it is maintained incrementally — hops
+// arrive in randomized TTL order (that is Yarrp6's whole point), so a hop
+// landing between two already-known hops replaces their spanning edge with
+// the two sub-edges — which is what a consumer that reads the edge count
+// after every reply pays for, and nobody else. Union and FromStore return
+// graphs that already hold their derived edges.
 //
 // Determinism is the package's core invariant. The node set and edge
 // multiset are pure functions of the final path skeletons — never of
@@ -124,16 +128,13 @@ type path struct {
 // addresses reappear only at the public boundary (Edge, ForEach*, export,
 // Collapse). An id is a node exactly when its flags are nonzero: a target
 // that never answered owns an id, keys its path skeleton, and is not a
-// node. The table is the graph's own unless BindTable replaced it with
-// the one the shard's store files the same replies in; a shared table
-// may hold ids the graph has not met, which flags and first simply do
-// not reach yet.
+// node. The table is the graph's own, and flags and first always span it.
 type Graph struct {
 	vantages []string
 	self     uint8 // vantage index OnReply attributes replies to
 
 	tab    *ipv6.Table // address <-> id
-	flags  []NodeFlags // id -> classification; zero or out of range: not a node
+	flags  []NodeFlags // id -> classification; zero: not a node
 	nNodes int         // ids with nonzero flags
 
 	// first[id] is the first skeleton created for target id — in a
@@ -176,59 +177,26 @@ func newOver(tab *ipv6.Table) *Graph {
 	}
 }
 
-// BindTable makes a graph that has met no address yet intern through t
-// instead of a table of its own. The campaign engine binds each shard's
-// observer to the shard store's table: the store files a reply's source
-// and target a few nanoseconds before the graph asks for the same two
-// addresses, so the graph's lookups land on cache lines the store just
-// touched instead of costing two more cold probes. t's owner words stay
-// the store's; the graph only takes ids. A bound graph interns into t, so
-// it may be written only by whoever may write t at the time — the shard's
-// prober during the run, one fold at a time afterwards (see ipv6.Table).
-// A graph that already holds addresses keeps its own table.
-func (g *Graph) BindTable(t *ipv6.Table) {
-	if g.tab.Len() == 0 {
-		g.tab = t
-	}
-}
-
 // Union folds any number of graphs into a fresh one (the inputs are not
 // modified). Merge is commutative and associative, so the result is
 // independent of argument order up to vantage-table layout, which
 // canonical export normalizes away.
 //
-// The fold is the same in-place parallel tree Fold runs; Union only
-// clones, at each level, a receiving graph that is still one of the
-// caller's — an input that is merely read (every right-hand side, an odd
-// one out) is never copied.
-func Union(gs ...*Graph) *Graph { return foldTree(gs, false).derive() }
-
-// Fold is the consuming Union: it folds the graphs into gs[0] and
-// returns it, copying nothing. The caller hands over every input — none
-// may be used afterwards (the receivers are mutated, and which inputs
-// end up receivers is the fold's business), and a receiver bound to a
-// shard store's table interns into it, so the stores must be at rest.
-// Shard subgraphs a campaign built only to merge are the intended input:
-// nobody read their edges, so the fold merges skeletons only and the
-// multiset is derived once, from the result.
-func Fold(gs ...*Graph) *Graph { return foldTree(gs, true).derive() }
-
-// foldTree merges gs as a parallel in-place tree: level k merges blocks
-// of 2^k adjacent graphs into their left neighbors on worker goroutines,
-// so fold latency over N subgraphs is O(log N) pairwise merges. Adjacent
-// pairing preserves left-to-right vantage interning order, so even the
-// pre-normalization vantage table matches a serial fold. owned reports
-// that the inputs may be mutated; otherwise a receiver is cloned the
-// first time it receives.
-func foldTree(gs []*Graph, owned bool) *Graph {
+// The fold is a parallel tree: level k merges blocks of 2^k adjacent
+// graphs into their left neighbors on worker goroutines, so fold latency
+// over N subgraphs is O(log N) pairwise merges. Adjacent pairing preserves
+// left-to-right vantage interning order, so even the pre-normalization
+// vantage table matches a serial fold. A receiver that is still one of the
+// caller's is cloned the first time it receives — an input that is merely
+// read (every right-hand side, an odd one out) is never copied — and
+// inputs nobody asked for edges merge as skeletons only, the multiset
+// derived once, from the result.
+func Union(gs ...*Graph) *Graph {
 	if len(gs) == 0 {
-		return newOver(ipv6.NewTable(0))
+		return newOver(ipv6.NewTable(0)).derive()
 	}
 	cur := append([]*Graph(nil), gs...)
-	mine := make([]bool, len(cur))
-	for i := range mine {
-		mine[i] = owned
-	}
+	mine := make([]bool, len(cur)) // cur[i] is a clone this fold owns
 	var wg sync.WaitGroup
 	for len(cur) > 1 {
 		pairs := len(cur) / 2
@@ -251,14 +219,13 @@ func foldTree(gs []*Graph, owned bool) *Graph {
 		cur, mine = cur[:n], mine[:n]
 	}
 	if !mine[0] {
-		return cur[0].clone()
+		cur[0] = cur[0].clone()
 	}
-	return cur[0]
+	return cur[0].derive()
 }
 
 // clone returns a deep copy of g: the same ids, flags, skeletons and (if
-// derived) edge multiset, sharing no mutable state — a bound graph's
-// clone owns a copy of the table.
+// derived) edge multiset, sharing no mutable state.
 func (g *Graph) clone() *Graph {
 	out := &Graph{
 		vantages:   slices.Clone(g.vantages),
@@ -334,7 +301,7 @@ func (g *Graph) Vantages() []string {
 // and makes flags and first reach it.
 func (g *Graph) intern(a netip.Addr) uint32 {
 	id, _ := g.tab.Intern(a)
-	for int(id) >= len(g.flags) {
+	if int(id) == len(g.flags) {
 		g.flags = sorted.Append(g.flags, 0)
 		g.first = sorted.Append(g.first, nil)
 	}
@@ -599,14 +566,15 @@ func (g *Graph) Merge(o *Graph) {
 	})
 }
 
-// FromStore batch-builds the graph a streaming observer would have
-// produced over the store's traces: the two constructions are
-// equivalent by design (and by test). proto annotates the edges, since
-// the store does not retain the probing transport; extra interface
-// addresses without path placement (mangled quotations) are imported as
-// bare nodes. The graph starts from a copy of the store's address table,
-// so interfaces and targets keep the ids the store gave them and only
-// hop addresses are looked up; the returned graph holds its edges.
+// FromStore builds the graph of the store's traces — the graph an
+// observer shown the same replies one by one would have produced: the two
+// constructions are equivalent by design (and by test). proto annotates
+// the edges, since the store does not retain the probing transport; extra
+// interface addresses without path placement (mangled quotations) are
+// imported as bare nodes. The graph starts from a copy of the store's
+// address table, so interfaces and targets keep the ids the store gave
+// them and only hop addresses are looked up; the returned graph holds its
+// edges.
 func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 	g := newOver(st.AddrTable().Clone())
 	g.self = g.vantageIndex(vantage)
@@ -648,7 +616,7 @@ func (g *Graph) Traversals() int64 { return g.derive().traversals }
 
 // NodeFlagsOf returns a node's classification, or 0 if absent.
 func (g *Graph) NodeFlagsOf(a netip.Addr) NodeFlags {
-	if id, _, ok := g.tab.Find(a); ok && int(id) < len(g.flags) {
+	if id, _, ok := g.tab.Find(a); ok {
 		return g.flags[id]
 	}
 	return 0
@@ -702,7 +670,7 @@ func (g *Graph) Equal(o *Graph) bool {
 		}
 		remap[id] = oid
 		var ofl NodeFlags
-		if ok && int(oid) < len(o.flags) {
+		if ok {
 			ofl = o.flags[oid]
 		}
 		if ofl != fl {

@@ -160,10 +160,10 @@ func buildParts(parts [][]observed) []*Graph {
 
 // TestGraphMatchesReference holds the dense-id Graph to the
 // address-keyed builder it replaced, on random hostile streams: built
-// by streaming, by folding 2-5 arbitrary partitions with Union and with
-// the consuming Fold in shuffled order, and through FromStore, it must
-// agree with the reference on every counter and on every canonical
-// export byte — and Union must leave its inputs as it found them.
+// by streaming, by folding 2-5 arbitrary partitions with Union in
+// shuffled order, and through FromStore, it must agree with the reference
+// on every counter and on every canonical export byte — and Union must
+// leave its inputs as it found them.
 func TestGraphMatchesReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -209,14 +209,6 @@ func TestGraphMatchesReference(t *testing.T) {
 						t.Fatalf("%s: Union modified input %d of %d", label, i, len(gs))
 					}
 				}
-			}
-			// The consuming fold owns its inputs: build them afresh.
-			gs = buildParts(parts)
-			rng.Shuffle(len(gs), func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
-			f := Fold(gs...)
-			requireSame(t, fmt.Sprintf("%s Fold of %d parts", label, n), f, ref, want)
-			if !f.Equal(whole) {
-				t.Fatalf("%s: Fold of %d parts is not Equal to the streamed graph", label, n)
 			}
 		}
 
@@ -283,10 +275,6 @@ func TestGraphOverlappingMergeMatchesReference(t *testing.T) {
 		label := fmt.Sprintf("trial %d", trial)
 		requireSame(t, label+" Union(a, b)", Union(a, b), ref, want)
 		requireSame(t, label+" Union(b, a)", Union(b, a), ref, want)
-		a2, _ := build(streams[0])
-		b2, _ := build(streams[1])
-		requireSame(t, label+" Fold(a, b)", Fold(a, b), ref, want)
-		requireSame(t, label+" Fold(b, a)", Fold(b2, a2), ref, want)
 	}
 }
 
@@ -305,13 +293,13 @@ func ndjsonOf(t *testing.T, g *Graph) []byte {
 // after every reply (derived while empty, maintained by interval
 // splitting from then on — the tenant stream's observer) tracks the
 // reference's counters reply by reply; a graph read only at the end
-// (skeletons all along, one derivation); a graph bound to the table of
-// the store that files the same replies first; FromStore over that store;
-// and the campaign's shape — window shards of store plus bound graph,
-// stores folded, then graphs folded over the tables the stores share —
-// are all Equal and export the same NDJSON bytes. The streams carry
-// duplicate TTL answers, quotations that lost the target or the TTL, and
-// reaches landing before, between and after the hops of their path.
+// (skeletons all along, one derivation); FromStore over the store that
+// filed the same replies; and the campaign's shape — window shards of
+// store plus graph, the graphs united, the stores folded and FromStore
+// run over the fold's table — are all Equal and export the same NDJSON
+// bytes. The streams carry duplicate TTL answers, quotations that lost
+// the target or the TTL, and reaches landing before, between and after
+// the hops of their path.
 func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(2000 + trial)))
@@ -324,9 +312,8 @@ func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 		label := fmt.Sprintf("trial %d", trial)
 
 		ref := newReference("A")
-		eager, lazy, bound := New("A"), New("A"), New("A")
+		eager, lazy := New("A"), New("A")
 		st := probe.NewStore(true)
-		bound.BindTable(st.AddrTable())
 		for i, o := range stream {
 			ref.OnReply(o.r)
 			eager.OnReply(o.r)
@@ -336,9 +323,8 @@ func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 			}
 			lazy.OnReply(o.r)
 			st.Add(o.r)
-			bound.OnReply(o.r)
 		}
-		if lazy.edges != nil || bound.edges != nil {
+		if lazy.edges != nil {
 			t.Fatalf("%s: a graph nobody read holds an edge multiset", label)
 		}
 		want := ndjsonOf(t, eager)
@@ -352,7 +338,6 @@ func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 		for i, part := range parts {
 			stores[i] = probe.NewStore(true)
 			shards[i] = New("A")
-			shards[i].BindTable(stores[i].AddrTable())
 			for _, o := range part {
 				stores[i].Add(o.r)
 				shards[i].OnReply(o.r)
@@ -364,9 +349,9 @@ func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 		if !stores[0].Equal(st) {
 			t.Fatalf("%s: folded shard stores differ from the whole store", label)
 		}
-		folded := Fold(shards...)
-		if folded.edges == nil {
-			t.Fatalf("%s: Fold returned a graph without its edges", label)
+		united := Union(shards...)
+		if united.edges == nil {
+			t.Fatalf("%s: Union returned a graph without its edges", label)
 		}
 
 		batch := FromStore(st, "A", wire.ProtoICMPv6)
@@ -374,8 +359,8 @@ func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 			t.Fatalf("%s: FromStore returned a graph without its edges", label)
 		}
 		for name, g := range map[string]*Graph{
-			"read at the end": lazy, "table-bound": bound, "FromStore": batch,
-			"bound shards folded": folded, "FromStore of the folded stores": FromStore(stores[0], "A", wire.ProtoICMPv6),
+			"read at the end": lazy, "FromStore": batch,
+			"shards united": united, "FromStore of the folded stores": FromStore(stores[0], "A", wire.ProtoICMPv6),
 		} {
 			if !g.Equal(eager) || !eager.Equal(g) {
 				t.Fatalf("%s: the %s graph is not Equal to the maintained one", label, name)
@@ -384,9 +369,9 @@ func TestGraphEdgeStatesAndTablesAgree(t *testing.T) {
 				t.Fatalf("%s: the %s graph exports\n%s\nthe maintained one\n%s", label, name, got, want)
 			}
 		}
-		// A bound graph leaves the store's results alone.
+		// FromStore copies the table: the store's results stand.
 		if !stores[0].Equal(st) || st.NumInterfaces() != len(st.Interfaces()) {
-			t.Fatalf("%s: graphs interning through a store's table changed the store", label)
+			t.Fatalf("%s: building graphs from a store changed the store", label)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // Table interns IPv6 addresses into dense ids: the first address it is
 // shown becomes id 0, the next new one id 1, and so on. It is the address
-// index a campaign shard's result store and topology graph share, so a
-// reply's source and target are each hashed once per shard however many
-// consumers file them.
+// index of a campaign shard's result store, and — copied, ids intact — of
+// the topology graph built from the merged store, so an address the store
+// filed is never hashed again.
 //
 // The table is open-addressed with linear probing over 24-byte slots —
 // the address's two words, the id, and one 32-bit word that belongs to
@@ -23,11 +23,11 @@ import (
 // address is its IPv4-mapped form, zones are ignored, and the zero
 // netip.Addr is "::".
 //
-// Ownership: a table is written by one goroutine at a time. During a run
-// that is the shard's prober (store, then observer, on every reply);
-// afterwards it is whichever fold currently owns that shard's store or
-// graph. Intern and writes through its word pointer are writes; Find, Addr,
-// Word, Len and Clone only read and may run concurrently with each other.
+// Ownership: a table belongs to one store or one graph and is written by
+// one goroutine at a time — the shard's prober during a run, whichever
+// fold owns the store or graph afterwards. Intern and writes through its
+// word pointer are writes; Find, Addr, Word, Len and Clone only read and
+// may run concurrently with each other.
 type Table struct {
 	slots []tableSlot // power-of-two length, or nil before the first Intern
 	byID  []uint32    // id -> slot index

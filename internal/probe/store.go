@@ -75,9 +75,8 @@ func (t *Trace) PathLength() int {
 // its target are each one table probe, and what the store knows about an
 // address — is it an interface, which trace does it key — sits in the
 // owner word of the address's slot, so the probe that finds the address
-// has already fetched its state. The table is also what a shard's
-// topology graph interns through (AddrTable); addresses only the graph
-// has met carry a zero word and are no part of the store's results.
+// has already fetched its state. The table is the store's alone; a
+// topology graph starts from a copy of it (graph.FromStore).
 //
 // Beside the table the store keeps a canonical index: every trace and
 // every interface address is appended to a slice when it is created — by
@@ -150,10 +149,9 @@ func NewStoreSized(recordPaths bool, addrs int) *Store {
 	}
 }
 
-// AddrTable returns the store's address table, for a consumer that sees
-// the same replies on the same goroutine (the shard's topology graph) to
-// intern through instead of hashing every address again. The owner words
-// are the store's.
+// AddrTable returns the store's address table for reading — its size, or
+// a Clone whose ids match ForEachAddr's (graph.FromStore). Writing it is
+// the store's business alone.
 func (s *Store) AddrTable() *ipv6.Table { return s.tab }
 
 // RecordsPaths reports whether per-target traces are retained.

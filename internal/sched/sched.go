@@ -355,7 +355,7 @@ type job struct {
 }
 
 // schedMetrics bundles the supervisor's telemetry instruments; all nil
-// when no registry is configured.
+// when no registry is configured — nil instruments swallow their writes.
 type schedMetrics struct {
 	submitted, rejected, completed, incomplete *telemetry.Counter
 	drained, retries, watchdog, breakerOpened  *telemetry.Counter
@@ -501,10 +501,8 @@ func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 	s.active[spec.Tag()] = j
 	s.all = append(s.all, j)
 	s.queue = append(s.queue, j)
-	if s.met.submitted != nil {
-		s.met.submitted.Inc()
-		s.met.queueDepth.Set(int64(len(s.queue)))
-	}
+	s.met.submitted.Inc()
+	s.met.queueDepth.Set(int64(len(s.queue)))
 	if s.tel != nil {
 		s.tel.Counter("sched_tenant_submitted_total_" + spec.Tenant).Inc()
 	}
@@ -514,9 +512,7 @@ func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 }
 
 func (s *Supervisor) reject() {
-	if s.met.rejected != nil {
-		s.met.rejected.Inc()
-	}
+	s.met.rejected.Inc()
 }
 
 // Status reports every admitted campaign in submission order.
@@ -590,10 +586,8 @@ func (s *Supervisor) worker() {
 		j.state = StateRunning
 		ts := s.tenants[j.spec.Tenant]
 		ts.running++
-		if s.met.queueDepth != nil {
-			s.met.queueDepth.Set(int64(len(s.queue)))
-			s.met.running.Set(s.runningLocked())
-		}
+		s.met.queueDepth.Set(int64(len(s.queue)))
+		s.met.running.Set(s.runningLocked())
 		s.mu.Unlock()
 		s.runJob(j)
 	}
@@ -717,7 +711,7 @@ func (s *Supervisor) runJob(j *job) {
 			encStart := time.Now()
 			art, ckErr := camp.AppendCheckpoint(spare[:0])
 			spare = nil
-			if ckErr == nil && s.met.ckptEncode != nil {
+			if ckErr == nil {
 				s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
 				s.met.ckptBytes.Set(int64(len(art)))
 			}
@@ -732,9 +726,7 @@ func (s *Supervisor) runJob(j *job) {
 				s.finalize(j, &Result{State: StateDrained, Reason: "drained", Store: camp.MergedStore(), Stats: stats, Artifact: art})
 				return
 			case fired:
-				if s.met.watchdog != nil {
-					s.met.watchdog.Inc()
-				}
+				s.met.watchdog.Inc()
 				if ckErr != nil {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
@@ -746,9 +738,7 @@ func (s *Supervisor) runJob(j *job) {
 					return
 				}
 				j.retries++
-				if s.met.retries != nil {
-					s.met.retries.Inc()
-				}
+				s.met.retries.Inc()
 				j.st.event(Event{Event: "retry", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt, Reason: "watchdog"})
 				if s.backoff(j.retries) {
 					// Drain began during the backoff; the checkpoint in
@@ -773,16 +763,12 @@ func (s *Supervisor) runJob(j *job) {
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
 					return
 				}
-				if s.met.checkpoints != nil {
-					s.met.checkpoints.Inc()
-				}
+				s.met.checkpoints.Inc()
 				if s.cfg.CheckpointSink != nil {
 					sinkStart := time.Now()
 					err := s.cfg.CheckpointSink(&j.spec, art)
-					if s.met.ckptSink != nil {
-						s.met.ckptSink.Observe(time.Since(sinkStart).Microseconds())
-					}
-					if err != nil && s.met.ckptSinkErrors != nil {
+					s.met.ckptSink.Observe(time.Since(sinkStart).Microseconds())
+					if err != nil {
 						s.met.ckptSinkErrors.Inc()
 					}
 				}
@@ -898,7 +884,7 @@ func (s *Supervisor) backoff(retry int) bool {
 }
 
 func (s *Supervisor) breakerFailure(j *job) {
-	if s.breaker.failure(j.spec.Vantage) && s.met.breakerOpened != nil {
+	if s.breaker.failure(j.spec.Vantage) {
 		s.met.breakerOpened.Inc()
 	}
 }
@@ -924,27 +910,19 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 		ts.running--
 	}
 	delete(s.active, j.spec.Tag())
-	if s.met.running != nil {
-		s.met.running.Set(s.runningLocked())
-	}
+	s.met.running.Set(s.runningLocked())
 	s.mu.Unlock()
 
 	switch res.State {
 	case StateCompleted:
-		if s.met.completed != nil {
-			s.met.completed.Inc()
-		}
+		s.met.completed.Inc()
 		if s.tel != nil {
 			s.tel.Counter("sched_tenant_completed_total_" + j.spec.Tenant).Inc()
 		}
 	case StateIncomplete:
-		if s.met.incomplete != nil {
-			s.met.incomplete.Inc()
-		}
+		s.met.incomplete.Inc()
 	case StateDrained:
-		if s.met.drained != nil {
-			s.met.drained.Inc()
-		}
+		s.met.drained.Inc()
 	}
 	ev := Event{Event: res.State.String(), Tenant: j.spec.Tenant, Campaign: j.spec.Name, Reason: res.Reason}
 	if res.Store != nil {
@@ -990,9 +968,7 @@ func (s *Supervisor) Drain(ctx context.Context) ([]Drained, error) {
 	close(s.drainCh)
 	queued := s.queue
 	s.queue = nil
-	if s.met.queueDepth != nil {
-		s.met.queueDepth.Set(0)
-	}
+	s.met.queueDepth.Set(0)
 	var live []*job
 	for _, j := range s.all {
 		if j.state == StateRunning {

@@ -209,11 +209,9 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.dropped = nil
 	s.report.Entries = len(s.entries)
-	if s.met.entries != nil {
-		s.met.entries.Set(int64(len(s.entries)))
-		s.met.generation.Set(int64(s.gen))
-		s.met.truncated.Add(s.report.JournalTruncated)
-	}
+	s.met.entries.Set(int64(len(s.entries)))
+	s.met.generation.Set(int64(s.gen))
+	s.met.truncated.Add(s.report.JournalTruncated)
 	return s, nil
 }
 
@@ -418,9 +416,7 @@ func (s *Store) quarantineLocked(name, reason string) {
 		os.Remove(src)
 	}
 	s.report.Quarantined = append(s.report.Quarantined, Quarantined{File: name, Reason: reason})
-	if s.met.quarantined != nil {
-		s.met.quarantined.Inc()
-	}
+	s.met.quarantined.Inc()
 }
 
 // Put durably stores data under (key, kind), replacing any previous
@@ -468,12 +464,10 @@ func (s *Store) Put(key, kind string, data []byte) error {
 		os.Remove(filepath.Join(s.dir, old.File))
 	}
 	s.entries[ek] = Entry{Key: key, Kind: kind, Gen: gen, File: fname, Size: rec.Size, CRC: rec.CRC}
-	if s.met.puts != nil {
-		s.met.puts.Inc()
-		s.met.bytes.Add(int64(len(data)))
-		s.met.entries.Set(int64(len(s.entries)))
-		s.met.generation.Set(int64(s.gen))
-	}
+	s.met.puts.Inc()
+	s.met.bytes.Add(int64(len(data)))
+	s.met.entries.Set(int64(len(s.entries)))
+	s.met.generation.Set(int64(s.gen))
 	return nil
 }
 
@@ -516,11 +510,9 @@ func (s *Store) Delete(key, kind string) error {
 	s.gen = gen
 	delete(s.entries, ek)
 	os.Remove(filepath.Join(s.dir, e.File))
-	if s.met.dels != nil {
-		s.met.dels.Inc()
-		s.met.entries.Set(int64(len(s.entries)))
-		s.met.generation.Set(int64(s.gen))
-	}
+	s.met.dels.Inc()
+	s.met.entries.Set(int64(len(s.entries)))
+	s.met.generation.Set(int64(s.gen))
 	return nil
 }
 
@@ -545,10 +537,8 @@ func (s *Store) Quarantine(key, kind, reason string) error {
 	s.gen = gen
 	delete(s.entries, ek)
 	s.quarantineLocked(e.File, reason)
-	if s.met.entries != nil {
-		s.met.entries.Set(int64(len(s.entries)))
-		s.met.generation.Set(int64(s.gen))
-	}
+	s.met.entries.Set(int64(len(s.entries)))
+	s.met.generation.Set(int64(s.gen))
 	return nil
 }
 
@@ -619,9 +609,7 @@ func (s *Store) appendRecord(rec record) error {
 	if err := s.man.Sync(); err != nil {
 		return err
 	}
-	if s.met.fsyncs != nil {
-		s.met.fsyncs.Inc()
-	}
+	s.met.fsyncs.Inc()
 	return nil
 }
 
@@ -636,7 +624,7 @@ func (s *Store) syncDir() error {
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil && s.met.fsyncs != nil {
+	if err == nil {
 		s.met.fsyncs.Inc()
 	}
 	return err

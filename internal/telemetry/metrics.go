@@ -25,14 +25,21 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter. Like Gauge.Set
+// and Histogram.Observe, its writes swallow a nil receiver, so a
+// component built without a registry keeps nil instruments and never
+// branches on them.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -41,7 +48,11 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -60,6 +71,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	h.counts[bucketOf(h.bounds, v)].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)

@@ -40,6 +40,17 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if hv.Count != 6 || hv.Sum != 5+10+11+20+21+1000 {
 		t.Fatalf("count/sum = %d/%d", hv.Count, hv.Sum)
 	}
+	// Nil instruments — a component built without a registry — swallow
+	// every write.
+	var (
+		nc *Counter
+		ng *Gauge
+		nh *Histogram
+	)
+	nc.Inc()
+	nc.Add(4)
+	ng.Set(7)
+	nh.Observe(5)
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {

@@ -29,6 +29,20 @@ func telemetryTargets(in *Internet, t *testing.T) []netip.Addr {
 	return targets
 }
 
+// requireGraphGauges holds a Graph: true run to its contract: the graph
+// was built before the run returned, so the run's own telemetry snapshot
+// carries its node and edge counts.
+func requireGraphGauges(t *testing.T, res *Result) {
+	t.Helper()
+	nodes, okN := res.Telemetry.Gauge("graph_nodes")
+	edges, okE := res.Telemetry.Gauge("graph_edges")
+	g := res.Graph()
+	if !okN || !okE || nodes != int64(g.NumNodes()) || edges != int64(g.NumEdges()) || edges == 0 {
+		t.Errorf("graph_nodes/graph_edges = %d/%d (published %v/%v), graph has %d/%d",
+			nodes, edges, okN, okE, g.NumNodes(), g.NumEdges())
+	}
+}
+
 // runProgress executes one campaign under the golden configuration and
 // returns the NDJSON progress stream it produced. The rate sits below
 // the simulated routers' ICMPv6 rate-limit saturation point: above it,
@@ -139,9 +153,7 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 	if got := gauge("store_unique_interfaces"); got != int64(res.NumInterfaces()) {
 		t.Errorf("store_unique_interfaces = %d, want %d", got, res.NumInterfaces())
 	}
-	if got := gauge("graph_nodes"); got != int64(res.Graph().NumNodes()) {
-		t.Errorf("graph_nodes = %d, want %d", got, res.Graph().NumNodes())
-	}
+	requireGraphGauges(t, res)
 	if _, ok := snap.Histogram("yarrp_rtt_usec"); !ok {
 		t.Error("yarrp_rtt_usec histogram missing")
 	}
@@ -155,6 +167,19 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 	if last.At != res.Elapsed {
 		t.Errorf("final progress point at %s, want %s", last.At, res.Elapsed)
 	}
+
+	// An adaptive run honours Graph the same way.
+	ares, err := in.NewVantage("TEL-2").RunYarrp6(telemetryTargets(in, t), YarrpOptions{
+		Rate: 8000, MaxTTL: 16, Shards: 2, Graph: true, Telemetry: NewTelemetry(),
+		Adaptive: &AdaptiveOptions{EpochTargets: 32, MaxEpochs: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ares.Epochs) == 0 {
+		t.Fatal("adaptive run reports no epochs")
+	}
+	requireGraphGauges(t, ares)
 }
 
 // TestTelemetryEquivalence proves that switching telemetry and progress
