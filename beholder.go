@@ -210,25 +210,6 @@ func (v *Vantage) Addr() netip.Addr { return v.v.LocalAddr() }
 // Conn exposes the vantage as a probe connection for direct prober use.
 func (v *Vantage) Conn() probe.Conn { return v.v }
 
-// SetPlanCache gives this vantage a private flow-plan table of a fixed
-// number of slots in place of the self-sizing one its identity shares
-// (entries <= 0: no table at all). The table keeps the simulator's
-// per-flow path plans — pure functions of the universe seed, vantage
-// identity and flow — so results are byte-identical at any setting; the
-// knob trades memory for probing speed. See DESIGN.md "The packet fast
-// path".
-func (v *Vantage) SetPlanCache(entries int) { v.v.SetPlanCache(entries) }
-
-// PlanCacheStats returns the vantage's flow-plan table hit/miss counters.
-func (v *Vantage) PlanCacheStats() (hits, misses int64) {
-	return v.v.Stats.PlanHits, v.v.Stats.PlanMisses
-}
-
-// PlanCacheEvictions returns how many plan-table misses displaced a
-// different flow's core because its probe window was full — the conflict
-// share of the miss counter.
-func (v *Vantage) PlanCacheEvictions() int64 { return v.v.Stats.PlanEvictions }
-
 // TelemetryRegistry aggregates campaign metrics: counters, gauges, and
 // fixed-bucket histograms. One registry may span several runs (and
 // several concurrent shards — each holds a private delta buffer that
@@ -279,7 +260,8 @@ type YarrpOptions struct {
 	// advanced through the serial schedule preceding its window, so
 	// even rate-limit-saturated regimes shard exactly (see
 	// core.Campaign; fill mode retains a narrow saturation caveat
-	// because fill probes are reply-dependent). Result.Curve is the
+	// because fill probes are reply-dependent — the core package
+	// comment states its bound). Result.Curve is the
 	// global discovery curve interleaved from the shard windows by
 	// virtual time; the per-window curves remain in Result.ShardStats.
 	// Default 1. Every run is a campaign, one shard included: a crashed
@@ -749,7 +731,7 @@ func (v *Vantage) runAdaptive(seeds []netip.Addr, opt YarrpOptions) (*Result, er
 		Budget:        ao.Budget,
 		EpochTargets:  ao.EpochTargets,
 		MaxEpochs:     ao.MaxEpochs,
-		DetectAliases: v.adaptiveAliasHook(ao.AliasMinHits),
+		DetectAliases: aliasHook(v.v, v.in.seed, ao.AliasMinHits),
 	}, run.connOf)
 	store, astats, err := camp.Run()
 	return run.finish(err, astats.Elapsed, func() *Result {
@@ -781,7 +763,7 @@ func (v *Vantage) resumeAdaptive(artifact []byte, opt YarrpOptions) (*Result, er
 		// is keyed identically so its restored counter replays the same
 		// draws.
 		Source:        gen6prob.New(ao.Seeds, gen6prob.Config{Key: info.Key}),
-		DetectAliases: v.adaptiveAliasHook(ao.AliasMinHits),
+		DetectAliases: aliasHook(v.v, v.in.seed, ao.AliasMinHits),
 		Telemetry:     opt.Telemetry,
 		InterruptAt:   opt.InterruptAt,
 	}, run.connOf)
@@ -797,29 +779,27 @@ func (v *Vantage) resumeAdaptive(artifact []byte, opt YarrpOptions) (*Result, er
 	}, camp.Checkpoint)
 }
 
-// adaptiveAliasHook builds the between-epoch alias-detection hook:
-// candidate /64s whose targets all answered are probed with the APD
-// scheme on a private boundary clone. The clone owns its clock, token
-// buckets and runs without a plan table, so the verdicts are a pure function of
-// (universe seed, epoch, candidates) — deterministic at any shard count
-// — and the campaign schedule is undisturbed. A negative minHits
-// disables detection.
-func (v *Vantage) adaptiveAliasHook(minHits int) func(int, *probe.Store) []netip.Prefix {
+// aliasHook builds an adaptive campaign's between-epoch alias-detection
+// hook: candidate /64s whose targets all answered are probed with the
+// APD scheme on a private boundary clone of pv. The clone owns its
+// clock and token buckets, so the verdicts are a pure function of
+// (seed, epoch, candidates) — deterministic at any shard count — and the
+// campaign schedule is undisturbed; like DetectAliases it probes without
+// a plan table. A negative minHits disables detection; 0 means 1.
+func aliasHook(pv *netsim.Vantage, seed int64, minHits int) func(int, *probe.Store) []netip.Prefix {
 	if minHits < 0 {
 		return nil
 	}
-	if minHits == 0 {
-		minHits = 1
-	}
+	minHits = max(minHits, 1)
 	return func(epoch int, store *probe.Store) []netip.Prefix {
 		cands := gen6prob.AliasCandidates(store, minHits)
 		if len(cands) == 0 {
 			return nil
 		}
-		nv := v.v.Clone(0)
-		nv.SetPlanCache(0)
+		nv := pv.Clone(0)
+		defer nv.SuspendPlanCache()()
 		det := alias.NewDetector(nv, alias.DefaultParams())
-		rng := rand.New(rand.NewSource(v.in.seed ^ int64(epoch+1)*0xa11a5))
+		rng := rand.New(rand.NewSource(seed ^ int64(epoch+1)*0xa11a5))
 		return det.Detect(cands, rng).Aliased.Prefixes()
 	}
 }
@@ -1063,8 +1043,3 @@ const FixedIID = target.FixedIIDValue
 // MustAddr parses an IPv6 address, panicking on error; a convenience for
 // examples and tests.
 func MustAddr(s string) netip.Addr { return ipv6.MustAddr(s) }
-
-// SharedPlanHits returns how many plan-table hits were served by a core
-// another vantage published (a shard clone, or an earlier vantage of the
-// same identity).
-func (v *Vantage) SharedPlanHits() int64 { return v.v.Stats.SharedPlanHits }

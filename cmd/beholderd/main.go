@@ -659,6 +659,13 @@ func splitKey(key string) (tenant, name string) {
 // ~40 MB of JSON; anything larger should come through the seed pipeline.
 const maxSubmitBytes = 64 << 20
 
+// maxSubmitScale bounds a /submit body's seed-list scale, which
+// Internet.TargetSet spends inside the handler building all nine seed
+// lists: at 4 (small universe, caida z64 lowbyte1) that takes 3.2 s and
+// allocates 1.25 GB, 431 MB of it from the OS, and the cost grows
+// linearly from there. No workload uses more than 3.
+const maxSubmitScale = 4
+
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -678,6 +685,10 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		} else if terr != io.EOF {
 			err = terr
 		}
+	}
+	if err == nil && (req.Scale < 0 || req.Scale > maxSubmitScale) {
+		// Zero selects the default scale.
+		err = fmt.Errorf("scale %g outside (0, %d]", req.Scale, maxSubmitScale)
 	}
 	if err != nil {
 		status := http.StatusBadRequest

@@ -54,7 +54,8 @@ func (d *daemon) post(body string) int {
 
 // TestSubmitHostileBodies: a /submit body is outside input. Oversized,
 // unknown-field, trailing-data and unrunnable submissions are refused
-// with the right status and admit nothing; a well-formed one still
+// promptly with the right status and admit nothing — a seed-list scale
+// out of bounds before any target generation; a well-formed one still
 // queues.
 func TestSubmitHostileBodies(t *testing.T) {
 	d := newTestDaemon(t)
@@ -69,10 +70,19 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"trailing garbage", ok + ` }`, http.StatusBadRequest},
 		{"not json", `tenant=alice`, http.StatusBadRequest},
 		{"rate beyond the clock", `{"tenant":"alice","name":"fast","targets":["2001:db8::1"],"rate":2e9}`, http.StatusBadRequest},
+		{"scale 1e6", `{"tenant":"alice","name":"huge","scale":1e6}`, http.StatusBadRequest},
+		{"negative scale", `{"tenant":"alice","name":"neg","scale":-1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		if got := d.post(c.body); got != c.want {
-			t.Errorf("%s: status %d, want %d", c.name, got, c.want)
+		code := make(chan int, 1)
+		go func() { code <- d.post(c.body) }()
+		select {
+		case got := <-code:
+			if got != c.want {
+				t.Errorf("%s: status %d, want %d", c.name, got, c.want)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: no answer within 20s", c.name)
 		}
 	}
 	if st := d.sch.Status(); len(st) != 0 {

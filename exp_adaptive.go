@@ -10,11 +10,9 @@ package beholder
 // probe than any fixed target set.
 
 import (
-	"math/rand"
 	"net/netip"
 	"time"
 
-	"beholder/internal/alias"
 	"beholder/internal/core"
 	"beholder/internal/gen6prob"
 	"beholder/internal/netsim"
@@ -121,21 +119,11 @@ func (e *Experiments) runAdaptive(seedAddrs []netip.Addr, key uint64, budget int
 			Shards:      1,
 			RecordPaths: true,
 		},
-		Source:       src,
-		Budget:       budget,
-		EpochTargets: 16,
-		MaxEpochs:    32,
-		DetectAliases: func(ep int, st *probe.Store) []netip.Prefix {
-			cands := gen6prob.AliasCandidates(st, 1)
-			if len(cands) == 0 {
-				return nil
-			}
-			nv := pv.Clone(0)
-			nv.SetPlanCache(0)
-			det := alias.NewDetector(nv, alias.DefaultParams())
-			rng := rand.New(rand.NewSource(e.opt.Seed ^ int64(ep+1)*0xa11a5))
-			return det.Detect(cands, rng).Aliased.Prefixes()
-		},
+		Source:        src,
+		Budget:        budget,
+		EpochTargets:  16,
+		MaxEpochs:     32,
+		DetectAliases: aliasHook(pv, e.opt.Seed, 1),
 	}
 	camp := core.NewAdaptive(acfg, func(_ int, start time.Duration) probe.Conn {
 		return pv.Clone(start)

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// graphExport runs one fdns_any z64 campaign under the given shard count
-// and plan-cache size, returning the canonical NDJSON bytes of its graph.
-func graphExport(t *testing.T, shards, planCache int) []byte {
+// graphExport runs one fdns_any z64 campaign under the given shard count,
+// with the vantage's plan table or without one, returning the canonical
+// NDJSON bytes of its graph.
+func graphExport(t *testing.T, shards int, table bool) []byte {
 	t.Helper()
 	in := NewSmallInternet(77)
 	targets, err := in.TargetSet("fdns_any", 64, "fixediid", 0.4)
@@ -15,7 +16,9 @@ func graphExport(t *testing.T, shards, planCache int) []byte {
 		t.Fatal(err)
 	}
 	v := in.NewVantage("graph-det")
-	v.SetPlanCache(planCache)
+	if !table {
+		defer v.v.SuspendPlanCache()()
+	}
 	res, err := v.RunYarrp6(targets, YarrpOptions{
 		Rate: 20000, MaxTTL: 16, Key: 7, Fill: true, Shards: shards, Graph: true,
 	})
@@ -32,19 +35,17 @@ func graphExport(t *testing.T, shards, planCache int) []byte {
 	return buf.Bytes()
 }
 
-// TestGraphPlanCacheDeterminism: at every shard count, the plan cache
+// TestGraphPlanCacheDeterminism: at every shard count, the plan table
 // must not change the campaign's graph by a byte. (The full shards ×
-// cache matrix — including cross-shard-count byte equality — lives in
-// internal/core's TestGraphShardCacheMatrix on a non-scarce universe,
-// where cross-shard store equality is exact; this facade run keeps the
-// default universe, whose saturated rate limiters make shard counts
-// legitimately differ by a few boundary replies, see core.Campaign.)
+// table matrix — including cross-shard-count byte equality — lives in
+// internal/core's TestGraphShardCacheMatrix on a non-saturating
+// universe; this facade run is a fill-mode campaign past the small
+// universe's rate-limit saturation point, where shard counts may
+// legitimately differ by a few replies — see core's package comment.)
 func TestGraphPlanCacheDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		off := graphExport(t, shards, 0)
-		on := graphExport(t, shards, 4096)
-		if !bytes.Equal(off, on) {
-			t.Errorf("graph differs between plan cache off/on at shards=%d", shards)
+		if !bytes.Equal(graphExport(t, shards, false), graphExport(t, shards, true)) {
+			t.Errorf("graph differs between plan table off/on at shards=%d", shards)
 		}
 	}
 }

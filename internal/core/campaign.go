@@ -25,6 +25,20 @@
 // bucket levels the serial run would have left it
 // (TestCampaignSaturationMatrix).
 //
+// The replay covers the raw (target × TTL) schedule and nothing that
+// depends on replies: fill-mode follow-ups, which a shard sends only when
+// a reply calls for them, and neighborhood skips. A shard therefore
+// opens with buckets that have not paid for earlier windows' fills and
+// have paid for the probes the heuristic skipped. A bucket refills
+// within its depth/rate, so the difference reaches only routers such
+// probes crossed within that time of a window start, and changes a reply
+// only where one of those buckets runs dry: below rate-limit saturation
+// a fill-mode campaign is exact at any shard count
+// (TestCampaignShardCacheMatrix), past it a few replies near window
+// starts may differ. The neighborhood
+// heuristic's skip pattern is shard-local by design, so campaigns using
+// it differ across shard counts regardless.
+//
 // The same statelessness that makes sharding trivial makes the campaign
 // recoverable. Each shard's progress is exactly one permutation cursor
 // plus its result store, so a campaign interrupted at any virtual

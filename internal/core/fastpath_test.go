@@ -1,12 +1,12 @@
 package core
 
-// Shard × plan-cache determinism matrix. The sharded campaign engine
+// Shard × plan-table determinism matrix. The sharded campaign engine
 // replays the single-prober schedule, and the simulator's flow-plan
-// cache stores pure-function values — so every combination of shard
-// count and cache setting must merge to the same store. Uses the
-// campaign tests' non-saturating rate-limit regime: shard equality only
-// holds exactly when token buckets never empty (they are epoch-scoped
-// per shard, see Campaign's package comment).
+// table stores pure-function values — so every shard count, with the
+// table or without it, must merge to the same store. Uses the campaign
+// tests' non-saturating rate-limit regime: these campaigns run fill
+// mode, whose probes fall outside the prime replay (see the package
+// comment), so shard equality is exact only while buckets never empty.
 
 import (
 	"testing"
@@ -16,14 +16,16 @@ import (
 	"beholder/internal/probe"
 )
 
-// runShardedCache is runSharded with an explicit plan-cache override on
-// the parent vantage; clones (one per shard) inherit it.
-func runShardedCache(t *testing.T, seed int64, shards int, planCache int) *probe.Store {
+// runShardedCache is runSharded with the parent vantage's plan table
+// kept or suspended; clones (one per shard) inherit the choice.
+func runShardedCache(t *testing.T, seed int64, shards int, table bool) *probe.Store {
 	t.Helper()
 	targets := campaignTargets(t, seed, 64)
 	u := campaignUniverse(seed)
 	v := u.NewVantage(netsim.VantageSpec{Name: "US-EDU-1", Kind: netsim.KindUniversity, ChainLen: 4})
-	v.SetPlanCache(planCache)
+	if !table {
+		defer v.SuspendPlanCache()()
+	}
 	camp := NewCampaign(CampaignConfig{
 		Config:      campaignCfg(targets),
 		Shards:      shards,
@@ -36,27 +38,20 @@ func runShardedCache(t *testing.T, seed int64, shards int, planCache int) *probe
 	return store
 }
 
-// TestCampaignShardCacheMatrix: {1, 4} shards × {default cache, cache
-// off, tiny cache} all produce probe.Store-equal results — determinism
-// is not traded for speed.
+// TestCampaignShardCacheMatrix: {1, 4} shards × {table, no table} all
+// produce probe.Store-equal results — determinism is not traded for
+// speed.
 func TestCampaignShardCacheMatrix(t *testing.T) {
 	const seed = 77
-	ref := runShardedCache(t, seed, 1, 1<<13)
-	cases := []struct {
-		name      string
-		shards    int
-		planCache int
-	}{
-		{"1shard-off", 1, 0},
-		{"1shard-tiny", 1, 16},
-		{"4shard-default", 4, 1 << 13},
-		{"4shard-off", 4, 0},
-		{"4shard-tiny", 4, 16},
-	}
-	for _, tc := range cases {
-		got := runShardedCache(t, seed, tc.shards, tc.planCache)
-		if !got.Equal(ref) {
-			t.Fatalf("%s: store differs from 1-shard default-cache reference", tc.name)
+	ref := runShardedCache(t, seed, 1, true)
+	for _, shards := range []int{1, 4} {
+		for _, table := range []bool{false, true} {
+			if shards == 1 && table {
+				continue
+			}
+			if !runShardedCache(t, seed, shards, table).Equal(ref) {
+				t.Fatalf("shards=%d table=%v: store differs from the 1-shard reference with the table", shards, table)
+			}
 		}
 	}
 }

@@ -15,14 +15,16 @@ import (
 )
 
 // graphCampaign runs one campaign with per-shard streaming graph
-// observers on a fresh non-scarce universe (see campaignUniverse) and
-// returns the merged graph's canonical NDJSON bytes plus the merged
-// store.
-func graphCampaign(t *testing.T, seed int64, targets []netip.Addr, shards, planCache int) ([]byte, *probe.Store) {
+// observers on a fresh non-scarce universe (see campaignUniverse), with
+// the vantage's plan table or without one, and returns the merged
+// graph's canonical NDJSON bytes plus the merged store.
+func graphCampaign(t *testing.T, seed int64, targets []netip.Addr, shards int, table bool) ([]byte, *probe.Store) {
 	t.Helper()
 	u := campaignUniverse(seed)
 	v := u.NewVantage(netsim.VantageSpec{Name: "US-EDU-1", Kind: netsim.KindUniversity, ChainLen: 4})
-	v.SetPlanCache(planCache)
+	if !table {
+		defer v.SuspendPlanCache()()
+	}
 	builders := make([]*graph.Graph, shards)
 	camp := NewCampaign(CampaignConfig{
 		Config:      campaignCfg(targets),
@@ -56,31 +58,31 @@ func graphCampaign(t *testing.T, seed int64, targets []netip.Addr, shards, planC
 // TestGraphShardCacheMatrix is the PR's acceptance criterion at the
 // engine level: for the same seed and key, the merged campaign graph is
 // byte-identical under canonical NDJSON export across shard counts
-// {1, 2, 4} and plan cache on/off. The -race CI job runs this test too,
-// certifying the per-shard observers share nothing.
+// {1, 2, 4} with the plan table and without it. The -race CI job runs
+// this test too, certifying the per-shard observers share nothing.
 func TestGraphShardCacheMatrix(t *testing.T) {
 	const seed = 909
 	targets := campaignTargets(t, seed, 96)
-	ref, refStore := graphCampaign(t, seed, targets, 1, 0)
+	ref, refStore := graphCampaign(t, seed, targets, 1, false)
 	for _, shards := range []int{1, 2, 4} {
-		for _, cache := range []int{0, 4096} {
-			if shards == 1 && cache == 0 {
+		for _, table := range []bool{false, true} {
+			if shards == 1 && !table {
 				continue
 			}
-			got, store := graphCampaign(t, seed, targets, shards, cache)
+			got, store := graphCampaign(t, seed, targets, shards, table)
 			if !store.Equal(refStore) {
-				t.Fatalf("store differs at shards=%d planCache=%d", shards, cache)
+				t.Fatalf("store differs at shards=%d table=%v", shards, table)
 			}
 			if !bytes.Equal(ref, got) {
-				t.Errorf("graph differs at shards=%d planCache=%d (ref: 1 shard, cache off)", shards, cache)
+				t.Errorf("graph differs at shards=%d table=%v (ref: 1 shard, no table)", shards, table)
 			}
 		}
 	}
 }
 
 // TestGraphExportBytePin pins the canonical exports of one fixed
-// campaign — the 4-shard, plan-cache-on cell of the matrix above — to
-// the SHA-256 digests recorded before the graph interned addresses into
+// campaign — the matrix's 4-shard cell with the plan table — to the
+// SHA-256 digests recorded before the graph interned addresses into
 // dense ids: NDJSON of the folded per-shard builders, DOT of the
 // store-derived graph. "No output byte changed" is enforced, not
 // asserted.
@@ -90,7 +92,7 @@ func TestGraphExportBytePin(t *testing.T) {
 		wantNDJSON = "c9eabf52fc2d408c053b2959b886df0e41f945a441b2576abbd5dd031325c8df"
 		wantDOT    = "fd79295e5efac23a0ba86e5539815e87cf1c6bef557a2bd16ebfa9ac6dff935f"
 	)
-	nd, store := graphCampaign(t, seed, campaignTargets(t, seed, 96), 4, 4096)
+	nd, store := graphCampaign(t, seed, campaignTargets(t, seed, 96), 4, true)
 	sum := sha256.Sum256(nd)
 	if got := hex.EncodeToString(sum[:]); got != wantNDJSON {
 		t.Fatalf("NDJSON digest %s (%d bytes), want %s", got, len(nd), wantNDJSON)

@@ -84,14 +84,6 @@ type Config struct {
 	CDNPercent        int // percent of hosting ASes operating CDN-style front ends
 	AliasedLANPercent int // percent of provisioned /64s in CDN ASes that are aliased
 
-	// PlanCacheSize sizes the flow-plan table each vantage identity
-	// shares (plancache.go): 0 lets it size itself from the flows it
-	// sees, n > 0 fixes it at n slots, negative means no table. Purely a
-	// speed/memory trade — plans are pure functions of (seed, vantage
-	// identity, flow), so results are byte-identical at any setting.
-	// Vantage.SetPlanCache overrides it per vantage.
-	PlanCacheSize int
-
 	// Faults attaches the deterministic fault-injection plane
 	// (internal/faultsim): per-vantage crash/stall schedules, transient
 	// send errors, reply truncation/corruption, and delayed-burst
@@ -143,8 +135,5 @@ func TestConfig(seed int64) Config {
 	c.NumASes = 120
 	c.NumTier1 = 4
 	c.Tier2Frac = 10
-	// Small universes probe small target sets; a few thousand fixed
-	// slots hold them all.
-	c.PlanCacheSize = 1 << 13
 	return c
 }

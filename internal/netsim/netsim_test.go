@@ -562,13 +562,13 @@ func TestResetStateFlushesPendingDeltas(t *testing.T) {
 	}
 }
 
-// TestPlanEvictions: with a tiny direct-mapped cache, distinct flows
-// hashed onto the same slot must be counted as evictions — the
-// conflict-miss share of PlanMisses.
+// TestPlanEvictions: in a table capped at one slot, distinct flows
+// competing for it must be counted as evictions — the conflict-miss
+// share of PlanMisses.
 func TestPlanEvictions(t *testing.T) {
 	u := testUniverse(t)
 	v := u.NewVantage(VantageSpec{Name: "evict", Kind: KindUniversity, ChainLen: 3})
-	v.SetPlanCache(1) // every distinct flow collides
+	v.plans = newPlanTable(1, 1) // every distinct flow collides
 	rng := rand.New(rand.NewSource(9))
 	as := u.RandomAS(rng, KindHosting)
 	var dsts []netip.Addr

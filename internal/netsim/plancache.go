@@ -31,17 +31,19 @@ import (
 // window, so nothing is evicted and the only misses are first touches;
 // when the live share passes a quarter the table is rebuilt four times
 // larger, up to planTableMaxBytes, beyond which a full window evicts in
-// place. No map iteration, no clock, no randomness is consulted, and
-// every published value equals what a fresh computation would produce,
-// so results are byte-identical at ANY table size — including none — and
-// under any interleaving of the shards that share it.
+// place. Every universe's tables follow this one rule; only netsim's
+// own eviction tests build tables with a lower cap. No map iteration, no
+// clock, no randomness is consulted, and every published value equals
+// what a fresh computation would produce, so results are byte-identical
+// at ANY table size — including none — and under any interleaving of the
+// shards that share it.
 
 const (
-	// planTableMinSlots is a self-sizing table's first size: small
-	// enough that an idle vantage identity costs a few KB.
+	// planTableMinSlots is a table's first size: small enough that an
+	// idle vantage identity costs a few KB.
 	planTableMinSlots = 1 << 10
 
-	// planTableMaxBytes caps a self-sizing table's slot array: 2 MiB is
+	// planTableMaxBytes caps a table's slot array: 2 MiB is
 	// 262 144 slots. It was chosen from the widest workload the
 	// benchmark runs, wide-serial's 65 534 flows: the table settles at
 	// this size with a quarter of its slots live — ≈ 41 MB of cores at
@@ -106,10 +108,10 @@ type coreStep struct {
 // reader on the old array still sees valid cores and an insert that
 // races the swap is merely lost.
 type planTable struct {
-	tab     atomic.Pointer[planSlots]
-	fixed   bool // configured size: never rebuilt
-	mu      sync.Mutex
-	growths atomic.Int64
+	tab      atomic.Pointer[planSlots]
+	maxSlots int // no rebuild would exceed this
+	mu       sync.Mutex
+	growths  atomic.Int64
 }
 
 // planSlots is one generation of a table's slot array.
@@ -118,9 +120,9 @@ type planSlots struct {
 	cores atomic.Int64 // live slots
 }
 
-// newPlanTable creates a table of n slots; fixed tables keep that size.
-func newPlanTable(n int, fixed bool) *planTable {
-	pt := &planTable{fixed: fixed}
+// newPlanTable creates a table of n slots that grows up to maxSlots.
+func newPlanTable(n, maxSlots int) *planTable {
+	pt := &planTable{maxSlots: maxSlots}
 	pt.tab.Store(&planSlots{slots: make([]atomic.Pointer[planCore], n)})
 	return pt
 }
@@ -194,7 +196,7 @@ func (v *Vantage) lookupPlan(d *wire.Decoded) *planCore {
 		v.Stats.PlanEvictions++
 		t.slots[h0].Store(c)
 	} else if free.CompareAndSwap(nil, c) {
-		if t.cores.Add(1)*4 > int64(n) && !pt.fixed && 4*n <= planTableMaxSlots {
+		if t.cores.Add(1)*4 > int64(n) && 4*n <= pt.maxSlots {
 			pt.grow(t)
 		}
 	}
@@ -237,24 +239,13 @@ func (pt *planTable) grow(old *planSlots) {
 	pt.growths.Add(1)
 }
 
-// SetPlanCache replaces this vantage's plan table with a private one of
-// a fixed number of slots, which never grows; entries <= 0 leaves the
-// vantage without a table (every probe replans into a reused scratch
-// core). Results are byte-identical at any setting — the table stores
-// pure-function values — so this knob trades only memory against speed:
-// go without a table for workloads whose flows never repeat
-// (aliased-prefix detection probes each random address once). Clones
-// made afterwards share the new table.
-func (v *Vantage) SetPlanCache(entries int) {
-	v.plans = nil
-	if entries > 0 {
-		v.plans = newPlanTable(entries, true)
-	}
-}
-
 // SuspendPlanCache takes the vantage's plan table away until the
 // returned function is called: in between, every probe replans into the
-// scratch core and nothing is published.
+// scratch core and nothing is published, and clones made meanwhile go
+// without a table too. It is for workloads whose flows never repeat
+// (aliased-prefix detection probes each random address once); results
+// are byte-identical either way, since the table holds pure-function
+// values.
 func (v *Vantage) SuspendPlanCache() (resume func()) {
 	pt := v.plans
 	v.plans = nil

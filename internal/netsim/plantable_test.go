@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/wire"
 )
 
@@ -75,8 +76,8 @@ func driveSharedTable(t *testing.T, u *Universe, v *Vantage) (traces [4]cloneTra
 }
 
 // TestSharedPlanTableConcurrent: four clones publishing into and reading
-// from one table — a self-sizing one that must rebuild itself under them,
-// and a one-slot one where every flow evicts every other — see exactly
+// from one table — one that must rebuild itself under them, and one
+// capped at a single slot where every flow evicts every other — see exactly
 // the replies and leave exactly the bucket state of clones that plan
 // every probe from scratch, and every routed probe is counted as one
 // table hit or miss. Run under -race: the table is the only state the
@@ -93,7 +94,7 @@ func TestSharedPlanTableConcurrent(t *testing.T) {
 		}
 		return traces, v
 	}
-	want, _ := run(func(v *Vantage) { v.SetPlanCache(0) })
+	want, _ := run(func(v *Vantage) { v.plans = nil })
 	var total int64
 	for _, tr := range want {
 		total += tr.received
@@ -113,21 +114,21 @@ func TestSharedPlanTableConcurrent(t *testing.T) {
 		}
 	}
 
-	got, v := run(func(v *Vantage) { v.plans = newPlanTable(64, false) })
-	check("self-sizing from 64 slots", got)
+	got, v := run(func(v *Vantage) { v.plans = newPlanTable(64, planTableMaxSlots) })
+	check("growing from 64 slots", got)
 	slots, cores, growths := v.PlanTableStats()
-	t.Logf("self-sizing from 64: %d slots, %d cores, %d growths; reference run received %d replies", slots, cores, growths, total)
+	t.Logf("from 64: %d slots, %d cores, %d growths; reference run received %d replies", slots, cores, growths, total)
 	if growths < 2 || slots != 64<<(2*growths) {
-		t.Errorf("self-sizing table: %d growths to %d slots, want >= 2 growths of 4x from 64", growths, slots)
+		t.Errorf("table: %d growths to %d slots, want >= 2 growths of 4x from 64", growths, slots)
 	}
 	if cores < 150 || cores > 200 {
-		t.Errorf("self-sizing table holds %d cores after 200 flows", cores)
+		t.Errorf("table holds %d cores after 200 flows", cores)
 	}
 
-	got, v = run(func(v *Vantage) { v.SetPlanCache(1) })
-	check("one fixed slot", got)
+	got, v = run(func(v *Vantage) { v.plans = newPlanTable(1, 1) })
+	check("capped at one slot", got)
 	if slots, _, growths := v.PlanTableStats(); slots != 1 || growths != 0 {
-		t.Errorf("fixed table: %d slots after %d growths, want 1 and 0", slots, growths)
+		t.Errorf("capped table: %d slots after %d growths, want 1 and 0", slots, growths)
 	}
 }
 
@@ -135,12 +136,13 @@ func TestSharedPlanTableConcurrent(t *testing.T) {
 // table several times over misses each flow once (but for the odd full
 // window while the table is tiny) — the rebuilds carry every published
 // core along — and a clone's hits on those cores count as served by
-// another vantage.
+// another vantage. The same holds, with no eviction at all, for the
+// table a vantage gets by default.
 func TestPlanTableGrowthKeepsPlans(t *testing.T) {
 	u := testUniverse(t)
 	spec := VantageSpec{Name: "grow", Kind: KindUniversity, ChainLen: 3}
 	v := u.NewVantage(spec)
-	v.plans = newPlanTable(16, false)
+	v.plans = newPlanTable(16, planTableMaxSlots)
 	dsts := primeTargets(u, 300)
 	flows := make(map[[16]byte]bool)
 	for _, d := range dsts {
@@ -174,5 +176,25 @@ func TestPlanTableGrowthKeepsPlans(t *testing.T) {
 	}
 	if w.Stats.PlanHits == 0 || w.Stats.SharedPlanHits != w.Stats.PlanHits {
 		t.Errorf("clone: %d hits, %d of them on another vantage's cores; want all", w.Stats.PlanHits, w.Stats.SharedPlanHits)
+	}
+
+	// The table every TestConfig vantage gets, driven past the 8 192
+	// fixed slots TestConfig once pinned (daemon-burst probes 11 337
+	// flows from one identity): it grows past them, every flow misses
+	// once and hits at its second TTL, and nothing is evicted.
+	const nFlows = 10000
+	big := u.NewVantage(VantageSpec{Name: "grow-default", Kind: KindUniversity, ChainLen: 3})
+	gw := dsts[0] // distinct IIDs under one routed /64: one flow each
+	for ttl := uint8(2); ttl <= 3; ttl++ {
+		for i := range nFlows {
+			if err := big.Send(buildEchoProbe(big.LocalAddr(), ipv6.WithIID(gw, uint64(i)+2), ttl)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slots, _, _ = big.PlanTableStats()
+	if st := big.Stats; st.PlanEvictions != 0 || st.PlanMisses != nFlows || st.PlanHits != nFlows || slots <= 8192 {
+		t.Errorf("%d flows on the default table: %d misses, %d hits, %d evictions at %d slots; want one miss per flow, no eviction, > 8192 slots",
+			nFlows, st.PlanMisses, st.PlanHits, st.PlanEvictions, slots)
 	}
 }

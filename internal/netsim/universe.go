@@ -23,10 +23,11 @@
 // committed virtual time and only ever advances, so a sharded campaign
 // that replays a single prober's (packet, time) schedule elicits the
 // identical replies regardless of goroutine interleaving. Token-bucket
-// state is epoch-scoped to the materializing vantage: buckets open full
-// at each shard's window start, a deviation from serial bucket carryover
-// that vanishes whenever the inter-window gap exceeds the bucket refill
-// time (always, at randomized-probing hit rates).
+// state is owned by the materializing vantage and carried across shard
+// windows explicitly: the campaign primes each clone's buckets to the
+// serial schedule's levels at its window start (prime.go,
+// ExportSimState/ImportSimState); core's package comment states what
+// that replay leaves out.
 package netsim
 
 import (

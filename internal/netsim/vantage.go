@@ -74,8 +74,8 @@ type Vantage struct {
 	// plans is the flow-plan table (plancache.go) this vantage reads
 	// and publishes into: the universe's table for the vantage's
 	// identity, shared with every clone and with later vantages of the
-	// same identity, unless SetPlanCache replaced it. Nil means no
-	// table: every probe replans into scratch. serial names this vantage
+	// same identity. Nil (SuspendPlanCache) means no table: every probe
+	// replans into scratch. serial names this vantage
 	// in the cores it publishes; coreBlock and coreSteps are its
 	// publication slabs: carved, never reused.
 	plans     *planTable
@@ -201,13 +201,9 @@ type planIdentity struct {
 	chainLen int
 }
 
-// plansFor returns (creating on first use) the plan table shared by
-// every vantage of one identity: self-sizing by default, of a fixed size
-// when the universe Config names one, nil when it disables plan keeping.
+// plansFor returns (creating on first use) the self-sizing plan table
+// shared by every vantage of one identity.
 func (u *Universe) plansFor(id planIdentity) *planTable {
-	if u.cfg.PlanCacheSize < 0 {
-		return nil
-	}
 	u.planShareMu.Lock()
 	defer u.planShareMu.Unlock()
 	if u.planShare == nil {
@@ -215,11 +211,7 @@ func (u *Universe) plansFor(id planIdentity) *planTable {
 	}
 	pt := u.planShare[id]
 	if pt == nil {
-		if n := u.cfg.PlanCacheSize; n > 0 {
-			pt = newPlanTable(n, true)
-		} else {
-			pt = newPlanTable(planTableMinSlots, false)
-		}
+		pt = newPlanTable(planTableMinSlots, planTableMaxSlots)
 		u.planShare[id] = pt
 	}
 	return pt

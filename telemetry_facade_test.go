@@ -45,10 +45,10 @@ func requireGraphGauges(t *testing.T, res *Result) {
 
 // runProgress executes one campaign under the golden configuration and
 // returns the NDJSON progress stream it produced. The rate sits below
-// the simulated routers' ICMPv6 rate-limit saturation point: above it,
-// shard counts legitimately differ by a few extra replies near shard
-// window starts (token buckets are epoch-scoped per shard), which would
-// break the byte-identity this test asserts.
+// the simulated routers' ICMPv6 rate-limit saturation point, where the
+// stream was first recorded; shard clones open on primed token buckets,
+// so it would shard byte-identically past that point too (fill mode
+// aside, see core's package comment).
 func runProgress(t *testing.T, shards, batch int) []byte {
 	t.Helper()
 	in := NewSmallInternet(2018)
