@@ -13,10 +13,11 @@ chaos:
 # soak runs the multi-tenant scheduler chaos harness under the race
 # detector: concurrent tenant campaigns under injected crash/stall/
 # transient faults, supervisor-neutrality byte-equality, watchdog
-# failover, and the drain -> restart -> drain continuation chain. The
-# wall cap keeps a wedged supervisor from hanging CI.
+# failover, the drain -> restart -> drain continuation chain, and the
+# tenant stream's progress records across all of them. The wall cap
+# keeps a wedged supervisor from hanging CI.
 soak:
-	$(GO) test -race -count=1 -timeout 5m -run 'Soak|ChaosSoak|Neutrality|Watchdog|Admission|Breaker|PeriodicCheckpoint' ./internal/sched
+	$(GO) test -race -count=1 -timeout 5m -run 'Soak|ChaosSoak|Neutrality|Watchdog|Admission|Breaker|PeriodicCheckpoint|StreamCarriesProgress' ./internal/sched
 
 # crashsoak is the process-level kill-9 harness plus the durable-store
 # unit suite: real beholderd subprocesses SIGKILLed at randomized
@@ -67,12 +68,14 @@ progress-sample:
 	head -3 progress-sample.ndjson
 
 # loc prints the non-test line count of the engine and its facade — the
-# files ROADMAP "Collapse the engine" is measured on — and, as a second
-# figure, that of internal/graph. CHANGES.md records them before and
-# after a collapsing PR; nothing gates on them.
+# files ROADMAP "Collapse the engine" is measured on — then that of
+# internal/graph, then all non-test Go outside bench/ (the figure ROADMAP
+# quotes). CHANGES.md records them before and after a collapsing PR;
+# nothing gates on them.
 loc:
 	@ls internal/core/*.go | grep -v _test.go | xargs wc -l internal/probe/probe.go beholder.go sched_facade.go | tail -1
 	@ls internal/graph/*.go | grep -v _test.go | xargs wc -l | tail -1 | sed 's/total/internal\/graph/'
+	@echo "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l) non-test Go outside bench/"
 
 fmt:
 	gofmt -l .

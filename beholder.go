@@ -119,13 +119,10 @@ func (in *Internet) SeedLists(scale float64) map[string]seeds.List {
 
 // TargetSet runs the three-step target generation pipeline for one seed
 // source: seeds → zn prefix transformation → IID synthesis. synth is one
-// of "lowbyte1", "fixediid", "randomiid", "known".
+// of "lowbyte1", "fixediid", "randomiid", "known"; zn must lie in
+// [1, 128] unless synth is "known", which probes the seeds themselves
+// and ignores it.
 func (in *Internet) TargetSet(seedName string, zn int, synth string, scale float64) ([]netip.Addr, error) {
-	lists := in.SeedLists(scale)
-	list, ok := lists[seedName]
-	if !ok {
-		return nil, fmt.Errorf("beholder: unknown seed list %q", seedName)
-	}
 	var method target.Synth
 	switch synth {
 	case "lowbyte1":
@@ -138,6 +135,13 @@ func (in *Internet) TargetSet(seedName string, zn int, synth string, scale float
 		method = target.Known
 	default:
 		return nil, fmt.Errorf("beholder: unknown synthesis %q", synth)
+	}
+	if method != target.Known && (zn < 1 || zn > 128) {
+		return nil, fmt.Errorf("beholder: zn %d outside [1, 128]", zn)
+	}
+	list, ok := in.SeedLists(scale)[seedName]
+	if !ok {
+		return nil, fmt.Errorf("beholder: unknown seed list %q", seedName)
 	}
 	rng := rand.New(rand.NewSource(in.seed))
 	set := target.Build(list, target.Spec{SeedName: seedName, ZN: zn, Synth: method}, rng)

@@ -58,6 +58,14 @@ func TestFacadeErrors(t *testing.T) {
 	if _, err := in.TargetSet("caida", 64, "nope", 0.2); err == nil {
 		t.Error("unknown synthesis accepted")
 	}
+	for _, zn := range []int{-5, 0, 129, 200} {
+		if _, err := in.TargetSet("caida", zn, "lowbyte1", 0.2); err == nil {
+			t.Errorf("zn %d accepted", zn)
+		}
+	}
+	if _, err := in.TargetSet("caida", 0, "known", 0.2); err != nil {
+		t.Errorf("known synthesis refused its ignored zn: %v", err)
+	}
 	v := in.NewVantage("x")
 	if _, err := v.RunYarrp6([]netip.Addr{}, YarrpOptions{}); err == nil {
 		t.Error("empty targets accepted")

@@ -22,10 +22,13 @@
 // snapshot; results remain byte-identical to an uninterrupted run.
 // SIGTERM and SIGINT trigger the same graceful drain as POST /drain.
 //
-// Each campaign's NDJSON result stream (lifecycle events plus
-// incremental graph deltas) is appended to -state-dir as
-// <tenant>__<name>.stream.ndjson while it runs; streams are
-// append-only logs outside the store's atomicity domain.
+// Each campaign's NDJSON result stream is appended to -state-dir as
+// <tenant>__<name>.stream.ndjson while it runs: lifecycle events as they
+// happen (checkpoint events with the probes and replies so far), then,
+// once the campaign completes, its virtual-time progress series — the
+// sample and summary records `yarrp6 -progress` writes for the same
+// campaign. Streams are append-only logs outside the store's atomicity
+// domain.
 //
 // Example (two tenants, one resumable state dir):
 //
@@ -82,7 +85,7 @@ type campaignReq struct {
 	Targets []string `json:"targets,omitempty"`
 	// Seed-generation pipeline (used when Targets is empty).
 	Seeds string  `json:"seeds,omitempty"` // default caida
-	ZN    int     `json:"zn,omitempty"`    // default 64
+	ZN    int     `json:"zn,omitempty"`    // default 64; else 1–128 (synth known ignores it)
 	Synth string  `json:"synth,omitempty"` // default lowbyte1
 	Scale float64 `json:"scale,omitempty"` // default 0.2
 	// Probing options, as in yarrp6.

@@ -55,8 +55,8 @@ func (d *daemon) post(body string) int {
 // TestSubmitHostileBodies: a /submit body is outside input. Oversized,
 // unknown-field, trailing-data and unrunnable submissions are refused
 // promptly with the right status and admit nothing — a seed-list scale
-// out of bounds before any target generation; a well-formed one still
-// queues.
+// or zn out of bounds before any target generation; a well-formed one
+// still queues.
 func TestSubmitHostileBodies(t *testing.T) {
 	d := newTestDaemon(t)
 	const ok = `{"tenant":"alice","name":"c1","targets":["2001:db8::1","2001:db8::2"],"maxttl":4}`
@@ -72,6 +72,8 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"rate beyond the clock", `{"tenant":"alice","name":"fast","targets":["2001:db8::1"],"rate":2e9}`, http.StatusBadRequest},
 		{"scale 1e6", `{"tenant":"alice","name":"huge","scale":1e6}`, http.StatusBadRequest},
 		{"negative scale", `{"tenant":"alice","name":"neg","scale":-1}`, http.StatusBadRequest},
+		{"zn -5", `{"tenant":"alice","name":"zneg","zn":-5}`, http.StatusBadRequest},
+		{"zn 200", `{"tenant":"alice","name":"zbig","zn":200}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code := make(chan int, 1)

@@ -229,7 +229,6 @@ func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, Adapti
 			innerIA = cfg.InterruptAt - a.base
 		}
 		inner, err := Resume(a.resumeInner, ResumeConfig{
-			NewObserver: cfg.NewObserver,
 			Telemetry:   cfg.Telemetry,
 			InterruptAt: innerIA,
 		}, a.epochConnOf())

@@ -132,7 +132,8 @@ func decodeAdaptive(payload []byte) (a *AdaptiveCampaign, source []byte, err err
 }
 
 // AdaptiveResumeConfig supplies the non-serializable halves of a
-// resumed adaptive campaign.
+// resumed adaptive campaign. Like every continuation, the resumed run's
+// epochs probe without observers.
 type AdaptiveResumeConfig struct {
 	// Source is a freshly constructed target source built from the same
 	// parameters (seeds, configuration) as the original run's; its
@@ -142,8 +143,6 @@ type AdaptiveResumeConfig struct {
 	// detection on the resumed run (the original run's verdicts are
 	// already folded into the source state).
 	DetectAliases func(epoch int, store *probe.Store) []netip.Prefix
-	// NewObserver rebuilds per-shard observers for the remaining epochs.
-	NewObserver func(shard int) probe.Observer
 	// Telemetry receives the resumed run's metrics.
 	Telemetry *telemetry.Registry
 	// InterruptAt, when nonzero, interrupts the resumed run in turn at
@@ -179,7 +178,6 @@ func ResumeAdaptive(artifact []byte, rc AdaptiveResumeConfig, connOf ConnFactory
 	a.connOf = connOf
 	a.cfg.Source = rc.Source
 	a.cfg.DetectAliases = rc.DetectAliases
-	a.cfg.NewObserver = rc.NewObserver
 	a.cfg.Telemetry = rc.Telemetry
 	a.cfg.InterruptAt = rc.InterruptAt
 	return a, nil

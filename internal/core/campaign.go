@@ -95,12 +95,14 @@ type CampaignConfig struct {
 	// shard s's prober calls NewObserver(s)'s OnReply for every stored
 	// reply, on the shard goroutine. The factory runs serially before
 	// any shard starts. Config's own Observer field must be left nil —
-	// shards may not share one unsynchronized observer. Observers are for
-	// live streams (the scheduler's tenant deltas): recovery probers run
-	// without them and resumed shards do not replay already-processed
-	// replies through them, so a delta stream goes quiet over a recovered
-	// range. A campaign's results — its graph included — are functions of
-	// the merged store (graph.FromStore), never of what observers saw.
+	// shards may not share one unsynchronized observer. Only a fresh
+	// campaign's configured shards get observers: recovery probers and
+	// the shards of a resumed or rewound campaign run without them. A
+	// campaign's results — its graph included — are functions of the
+	// merged store (graph.FromStore), and a live view of a running
+	// campaign is its Progress series; what remains here serves the
+	// benchmark module's layer attribution, which times a streaming graph
+	// observer (bench/layers.go).
 	NewObserver func(shard int) probe.Observer
 	// Telemetry, when non-nil, aggregates hot-path metrics: each shard
 	// folds its counters and histograms into its own telemetry.Shard
@@ -120,7 +122,10 @@ type CampaignConfig struct {
 	InterruptAt time.Duration
 }
 
-// ProgressConfig parameterizes the campaign progress stream.
+// ProgressConfig parameterizes the campaign progress stream. Samples fall
+// every domain/128 + 1 permutation slots — the discovery-curve step,
+// ~129 samples per campaign — and a resumed campaign keeps the grid its
+// artifact recorded.
 type ProgressConfig struct {
 	// Writer, when non-nil, receives the NDJSON stream after the run:
 	// sample records in virtual-time order, optional per-shard records,
@@ -128,10 +133,6 @@ type ProgressConfig struct {
 	// identical at any shard count and batch size. Interrupted runs do
 	// not write the stream (the resumed run writes the whole series).
 	Writer io.Writer
-	// SampleEvery is the sampling interval in permutation slots (probe
-	// departures). Zero picks domain/128 + 1, the discovery-curve step,
-	// giving ~129 samples per campaign.
-	SampleEvery uint64
 	// PerShard adds per-shard window records (start, elapsed, lag,
 	// counters) to the stream. These describe the shard layout itself,
 	// so they vary with the shard count and are excluded from
@@ -217,7 +218,6 @@ type shardState struct {
 	conn     probe.Conn
 	prober   *Yarrp6
 	store    *probe.Store
-	observer probe.Observer // the caller's observer
 	prog     *telemetry.Progress
 	track    *ifaceTimes
 	stats    Stats
@@ -358,8 +358,8 @@ func (c *Campaign) tracking() bool { return c.cfg.Shards > 1 || c.cfg.Progress !
 // It serves the configured shards — fresh, or continuing prev when the
 // campaign was built by Resume or Rewind — and, with index at or past
 // the configured shard count, the recovery probers of a quarantined
-// range, which differ only in running without the caller's observers
-// and without the interrupt instant.
+// range, which differ only in running without the interrupt instant.
+// Only fresh configured shards get the caller's observers.
 func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shardState) *shardState {
 	cfg := &c.cfg
 	recovery := index >= cfg.Shards
@@ -383,14 +383,9 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	scfg.stop = &c.stop
 	scfg.pulse = &c.beat
 	scfg.track = ss.track
-	switch {
-	case recovery: // runs without the caller's observers (see NewObserver)
-	case cfg.NewObserver != nil:
-		ss.observer = cfg.NewObserver(index)
-	case prev != nil:
-		ss.observer = prev.observer
+	if cfg.NewObserver != nil && !recovery && prev == nil {
+		scfg.Observer = cfg.NewObserver(index)
 	}
-	scfg.Observer = ss.observer
 	if cfg.Telemetry != nil {
 		scfg.telemetry = cfg.Telemetry.NewShard()
 	}
@@ -523,8 +518,7 @@ func (c *Campaign) open() error {
 		// a whole number of permutation slots — the same virtual-time
 		// grid the probe schedule lives on, so every shard crosses
 		// thresholds at identical campaign-global instants whatever its
-		// window offset.
-		c.slots = cfg.Progress.SampleEvery
+		// window offset. A continuation keeps its artifact's grid.
 		if c.slots == 0 {
 			c.slots = c.domain/128 + 1
 		}

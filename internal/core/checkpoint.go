@@ -121,20 +121,21 @@ func (c *Campaign) checkpointable() error {
 // in-process — the same continuation Resume(Checkpoint(), ...) builds,
 // without the serialize/decode round trip. It is a hand-over of the
 // shard records themselves (stores, first-seen lists, progress samples,
-// observers, captures, live connections), not a copy, so the receiver
-// must not be run, checkpointed, merged, or rewound again. Periodic
-// checkpointing wants this path: each snapshot cycle pays one
-// serialization for the durable artifact, not a second full decode just
-// to keep running. The continuation is byte-identical to the artifact
-// round trip — both feed RunContext the records as they stood at the
-// same probe boundary.
+// captures, live connections), not a copy, so the receiver must not be
+// run, checkpointed, merged, or rewound again. Like a resumed one, the
+// continuation runs without observers; its live view is the progress
+// stream rc.ProgressWriter receives. Periodic checkpointing wants this
+// path: each snapshot cycle pays one serialization for the durable
+// artifact, not a second full decode just to keep running. The
+// continuation is byte-identical to the artifact round trip — both feed
+// RunContext the records as they stood at the same probe boundary.
 func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
 	if err := c.checkpointable(); err != nil {
 		return nil, err
 	}
 	cfg := c.cfg
-	rc.apply(&cfg, cfg.Progress != nil, c.slots)
-	return &Campaign{cfg: cfg, connOf: connOf, epoch: c.epoch, prev: c.shards}, nil
+	rc.apply(&cfg, cfg.Progress != nil)
+	return &Campaign{cfg: cfg, connOf: connOf, epoch: c.epoch, slots: c.slots, prev: c.shards}, nil
 }
 
 // appendSection frames one section in place: it reserves the header,
@@ -288,17 +289,13 @@ func appendDur(buf []byte, d time.Duration) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(d))
 }
 
-// ResumeConfig supplies the non-serializable halves of a resumed
-// campaign — observers, telemetry, progress output — plus an optional
-// new interrupt instant for chained checkpointing.
+// ResumeConfig supplies the non-serializable halves of a resumed or
+// rewound campaign — telemetry and progress output — plus an optional
+// new interrupt instant for chained checkpointing. Continuations run
+// without observers: what they would have reported, the progress stream
+// reports exactly, and a campaign's graph is graph.FromStore of its
+// merged store.
 type ResumeConfig struct {
-	// NewObserver rebuilds per-shard observers. Resumed shards only see
-	// replies arriving after the resume instant; derive streaming
-	// artifacts from the merged store (graph.FromStore) instead. When it
-	// is nil, a Resume runs without observers, while a Rewind keeps each
-	// live shard's observer — which has seen every reply of the shard so
-	// far and goes on seeing the rest.
-	NewObserver func(shard int) probe.Observer
 	// Telemetry receives the resumed run's metrics. Restored counter
 	// totals replay into it on the first flush, so its final state
 	// matches an uninterrupted run's registry.
@@ -317,14 +314,13 @@ type ResumeConfig struct {
 }
 
 // apply lays the resumed run's non-serializable halves over the
-// configuration it continues: progress carries over, on the original
-// sampling grid, exactly when the original run had it.
-func (rc *ResumeConfig) apply(cfg *CampaignConfig, hasProg bool, slots uint64) {
+// configuration it continues: progress carries over exactly when the
+// original run had it (the campaign keeps its sampling grid).
+func (rc *ResumeConfig) apply(cfg *CampaignConfig, hasProg bool) {
 	cfg.Progress = nil
 	if hasProg {
-		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, SampleEvery: slots, PerShard: rc.ProgressPerShard}
+		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, PerShard: rc.ProgressPerShard}
 	}
-	cfg.NewObserver = rc.NewObserver
 	cfg.Telemetry = rc.Telemetry
 	cfg.InterruptAt = rc.InterruptAt
 }
@@ -352,8 +348,8 @@ func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, er
 		}
 	}
 	cfg := sec.cfg
-	rc.apply(&cfg, sec.hasProg, sec.slots)
-	return &Campaign{cfg: cfg, connOf: connOf, epoch: sec.epoch, prev: prev}, nil
+	rc.apply(&cfg, sec.hasProg)
+	return &Campaign{cfg: cfg, connOf: connOf, epoch: sec.epoch, slots: sec.slots, prev: prev}, nil
 }
 
 // sections is an artifact taken apart by readSections: either a campaign

@@ -81,8 +81,9 @@ type Config struct {
 	// probe. Default 2s.
 	DrainTimeout time.Duration
 	// Observer, when non-nil, receives every stored reply as it
-	// arrives — the hook a live consumer (a tenant's delta stream)
-	// attaches through. It runs on the prober goroutine, after the store fold.
+	// arrives. It runs on the prober goroutine, after the store fold. The
+	// service attaches none — a running campaign's live view is its
+	// progress series; the benchmark module's graph-layer timing does.
 	Observer probe.Observer
 
 	// telemetry, when set, is this prober's shard-local metric sink.

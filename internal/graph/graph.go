@@ -8,20 +8,17 @@
 // it in one pass over the final traces, and that is how every finished
 // run — sharded, recovered, resumed, supervised — gets its graph. A Graph
 // is also a probe.Observer, folding replies one at a time into the same
-// per-(vantage, protocol, target) path skeletons, for a consumer that
-// must report on a campaign still running (the scheduler's tenant delta
-// stream).
+// per-(vantage, protocol, target) path skeletons; no service path streams
+// one (a running campaign's live view is its progress series), and the
+// benchmark module's layer timing is what builds them.
 //
 // The edge multiset is a pure function of the skeletons, and a graph
-// nobody has asked for edges keeps none: replies and merges touch
-// skeletons only, and the first reader (NumEdges, Traversals, ForEachEdge,
-// Equal, Collapse, the exports) derives the multiset in one pass, one
-// insert per path link. From then on it is maintained incrementally — hops
-// arrive in randomized TTL order (that is Yarrp6's whole point), so a hop
-// landing between two already-known hops replaces their spanning edge with
-// the two sub-edges — which is what a consumer that reads the edge count
-// after every reply pays for, and nobody else. Union and FromStore return
-// graphs that already hold their derived edges.
+// keeps it only between reads: replies and merges touch skeletons only,
+// the first reader (NumEdges, Traversals, ForEachEdge, Equal, Collapse,
+// the exports) derives the multiset in one pass, one insert per path
+// link, and the next change to a skeleton drops it again for the next
+// reader to re-derive. Union and FromStore return graphs that already
+// hold their derived edges.
 //
 // Determinism is the package's core invariant. The node set and edge
 // multiset are pure functions of the final path skeletons — never of
@@ -36,7 +33,6 @@ package graph
 
 import (
 	"cmp"
-	"maps"
 	"net/netip"
 	"slices"
 	"sort"
@@ -146,9 +142,10 @@ type Graph struct {
 	more   map[pathKey]*path
 	nPaths int
 
-	// edges is the edge multiset derived from the skeletons, nil until
-	// its first reader asks (derive); traversals, valid with it, is the
-	// sum of all multi-edge counts, i.e. path-links contributing topology.
+	// edges is the edge multiset derived from the skeletons, nil until a
+	// reader asks (derive) and again after any skeleton changes;
+	// traversals, valid with it, is the sum of all multi-edge counts,
+	// i.e. path-links contributing topology.
 	edges      map[edgeKey]int64
 	traversals int64
 
@@ -224,20 +221,18 @@ func Union(gs ...*Graph) *Graph {
 	return cur[0].derive()
 }
 
-// clone returns a deep copy of g: the same ids, flags, skeletons and (if
-// derived) edge multiset, sharing no mutable state.
+// clone returns a deep copy of g's ids, flags and skeletons, sharing no
+// mutable state; its edges are derived on first read.
 func (g *Graph) clone() *Graph {
 	out := &Graph{
-		vantages:   slices.Clone(g.vantages),
-		self:       g.self,
-		tab:        g.tab.Clone(),
-		flags:      slices.Clone(g.flags),
-		nNodes:     g.nNodes,
-		first:      make([]*path, len(g.first)),
-		more:       make(map[pathKey]*path, len(g.more)),
-		nPaths:     g.nPaths,
-		edges:      maps.Clone(g.edges),
-		traversals: g.traversals,
+		vantages: slices.Clone(g.vantages),
+		self:     g.self,
+		tab:      g.tab.Clone(),
+		flags:    slices.Clone(g.flags),
+		nNodes:   g.nNodes,
+		first:    make([]*path, len(g.first)),
+		more:     make(map[pathKey]*path, len(g.more)),
+		nPaths:   g.nPaths,
 	}
 	// One slab for the skeletons and one for their hop lists, each list
 	// keeping room to grow as the clone receives merges.
@@ -384,14 +379,13 @@ func (g *Graph) newPath(k pathKey) *path {
 	return p
 }
 
-// insertHop places (ttl, id) on k's skeleton and, in a graph whose edges
-// are derived, restores the edge invariant around it. tiebreak selects
-// the TTL-collision policy: false keeps the hop already present (Store.Add's first-answer rule —
-// the streaming path, where "first" is well defined), true keeps the
-// lexicographically smaller address (Merge's commutative rule, which
-// makes merging order-independent even for overlapping ad-hoc merges —
-// campaign shards never collide: their (target × TTL) slices are
-// disjoint).
+// insertHop places (ttl, id) on k's skeleton. tiebreak selects the
+// TTL-collision policy: false keeps the hop already present (Store.Add's
+// first-answer rule — the streaming path, where "first" is well
+// defined), true keeps the lexicographically smaller address (Merge's
+// commutative rule, which makes merging order-independent even for
+// overlapping ad-hoc merges — campaign shards never collide: their
+// (target × TTL) slices are disjoint).
 func (g *Graph) insertHop(k pathKey, ttl uint8, id uint32, tiebreak bool) {
 	p := g.getPath(k)
 	// Binary search for the insertion point; paths are short (≤ the TTL
@@ -410,78 +404,20 @@ func (g *Graph) insertHop(k pathKey, ttl uint8, id uint32, tiebreak bool) {
 		if !tiebreak || old == id || g.tab.Addr(old).Compare(g.tab.Addr(id)) <= 0 {
 			return
 		}
-		g.replaceHop(p, lo, id)
-		return
+		// The displaced address may still be an interface via other
+		// paths; its node entry stays — interface discovery is monotone.
+		p.hops[lo].id = id
+	} else {
+		p.hops = append(p.hops, hop{})
+		copy(p.hops[lo+1:], p.hops[lo:])
+		p.hops[lo] = hop{ttl: ttl, id: id}
 	}
 	g.mark(id, NodeInterface)
-	p.hops = append(p.hops, hop{})
-	copy(p.hops[lo+1:], p.hops[lo:])
-	p.hops[lo] = hop{ttl: ttl, id: id}
-	if g.edges == nil {
-		return
-	}
-
-	var pred, succ *hop
-	if lo > 0 {
-		pred = &p.hops[lo-1]
-	}
-	if lo+1 < len(p.hops) {
-		succ = &p.hops[lo+1]
-	}
-	switch {
-	case pred != nil && succ != nil:
-		// Interval split: the spanning edge becomes two sub-edges.
-		g.edgeDelta(pred.id, succ.id, succ.ttl-pred.ttl, k, -1)
-		g.edgeDelta(pred.id, id, ttl-pred.ttl, k, +1)
-		g.edgeDelta(id, succ.id, succ.ttl-ttl, k, +1)
-	case pred != nil:
-		// New last hop: extend the path, and re-anchor the destination
-		// edge if the target already answered.
-		g.edgeDelta(pred.id, id, ttl-pred.ttl, k, +1)
-		if p.reached {
-			g.edgeDelta(pred.id, k.target(), DestGap, k, -1)
-			g.edgeDelta(id, k.target(), DestGap, k, +1)
-		}
-	case succ != nil:
-		g.edgeDelta(id, succ.id, succ.ttl-ttl, k, +1)
-	default:
-		// First hop of the path; the destination edge, if any, anchors
-		// here.
-		if p.reached {
-			g.edgeDelta(id, k.target(), DestGap, k, +1)
-		}
-	}
-}
-
-// replaceHop swaps the address at position i for a tie-break winner and
-// repairs the adjacent edges.
-func (g *Graph) replaceHop(p *path, i int, id uint32) {
-	k := p.key
-	old := p.hops[i]
-	g.mark(id, NodeInterface)
-	p.hops[i].id = id
-	// The displaced address may still be an interface via other paths;
-	// its node entry stays — interface discovery is monotone.
-	if g.edges == nil {
-		return
-	}
-	if i > 0 {
-		pred := p.hops[i-1]
-		g.edgeDelta(pred.id, old.id, old.ttl-pred.ttl, k, -1)
-		g.edgeDelta(pred.id, id, old.ttl-pred.ttl, k, +1)
-	}
-	if i+1 < len(p.hops) {
-		succ := p.hops[i+1]
-		g.edgeDelta(old.id, succ.id, succ.ttl-old.ttl, k, -1)
-		g.edgeDelta(id, succ.id, succ.ttl-old.ttl, k, +1)
-	} else if p.reached {
-		g.edgeDelta(old.id, k.target(), DestGap, k, -1)
-		g.edgeDelta(id, k.target(), DestGap, k, +1)
-	}
+	g.edges = nil // stale: the next reader derives the multiset afresh
 }
 
 // reach records that k's target responded itself, adding the periphery
-// node and, once a last hop exists, the destination edge.
+// node.
 func (g *Graph) reach(k pathKey) {
 	p := g.getPath(k)
 	if p.reached {
@@ -489,30 +425,20 @@ func (g *Graph) reach(k pathKey) {
 	}
 	p.reached = true
 	g.mark(k.target(), NodeDest)
-	if n := len(p.hops); n > 0 && g.edges != nil {
-		g.edgeDelta(p.hops[n-1].id, k.target(), DestGap, k, +1)
-	}
+	g.edges = nil
 }
 
-// edgeDelta adjusts one multi-edge count of a derived graph, dropping
-// zeroed entries so the edge map always holds exactly the live multiset.
-func (g *Graph) edgeDelta(src, dst uint32, gap uint8, k pathKey, d int64) {
-	e := edgeKey{src: src, dst: dst, gap: gap, proto: k.proto(), v: k.v()}
-	g.traversals += d
-	if d > 0 {
-		g.edges[e] += d
-	} else if n := g.edges[e] + d; n <= 0 {
-		delete(g.edges, e)
-	} else {
-		g.edges[e] = n
-	}
+// addEdge counts one path link into the edge multiset.
+func (g *Graph) addEdge(src, dst uint32, gap uint8, k pathKey) {
+	g.edges[edgeKey{src: src, dst: dst, gap: gap, proto: k.proto(), v: k.v()}]++
+	g.traversals++
 }
 
 // derive builds the edge multiset from the skeletons unless the graph
 // already holds it, and returns g: one insert per link between
 // consecutive hops, plus the destination edge of a reached path that has
-// a last hop. Every reader of edges calls it first; afterwards insertHop,
-// replaceHop and reach keep the multiset current.
+// a last hop. Every reader of edges calls it first; any later change to
+// a skeleton drops the multiset again.
 func (g *Graph) derive() *Graph {
 	if g.edges != nil {
 		return g
@@ -520,15 +446,15 @@ func (g *Graph) derive() *Graph {
 	// Nearly every node is some hop's successor or a reached destination,
 	// so it ends at least one distinct edge: the node count is a floor
 	// that spares the map its early doublings.
-	g.edges = make(map[edgeKey]int64, g.nNodes)
+	g.edges, g.traversals = make(map[edgeKey]int64, g.nNodes), 0
 	g.forEachPath(func(p *path) {
 		k := p.key
 		for i := 1; i < len(p.hops); i++ {
 			a, b := p.hops[i-1], p.hops[i]
-			g.edgeDelta(a.id, b.id, b.ttl-a.ttl, k, +1)
+			g.addEdge(a.id, b.id, b.ttl-a.ttl, k)
 		}
 		if n := len(p.hops); n > 0 && p.reached {
-			g.edgeDelta(p.hops[n-1].id, k.target(), DestGap, k, +1)
+			g.addEdge(p.hops[n-1].id, k.target(), DestGap, k)
 		}
 	})
 	return g
@@ -538,8 +464,8 @@ func (g *Graph) derive() *Graph {
 // union hop sets (commutative tie-break on TTL collisions, which
 // disjoint campaign shards never produce) and OR reached flags; the edge
 // multiset is the pure function of the merged skeletons — identical
-// however subgraphs are grouped or ordered — derived later if g holds
-// none yet, maintained as the hops land if it does. o's ids are
+// however subgraphs are grouped or ordered — derived by its next
+// reader. o's ids are
 // translated through one table built in a single pass over its id list —
 // one table probe per address o has met, none per hop or edge.
 func (g *Graph) Merge(o *Graph) {

@@ -290,8 +290,8 @@ func ndjsonOf(t *testing.T, g *Graph) []byte {
 
 // TestGraphEdgeStatesAndTablesAgree builds one view's graph every way the
 // package offers and requires one topology. A graph whose edges are read
-// after every reply (derived while empty, maintained by interval
-// splitting from then on — the tenant stream's observer) tracks the
+// after every reply (each reply drops the multiset, each read re-derives
+// it from the skeletons) tracks the
 // reference's counters reply by reply; a graph read only at the end
 // (skeletons all along, one derivation); FromStore over the store that
 // filed the same replies; and the campaign's shape — window shards of

@@ -3,8 +3,6 @@ package sched
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -129,59 +127,6 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(res.Store.AppendBinary(nil), solo.AppendBinary(nil)) {
 		t.Fatalf("store after %d periodic checkpoint cycles differs from solo run", n)
-	}
-}
-
-// shardDeltas extracts each shard's (nodes, edges) sequence from a
-// tenant stream's delta events.
-func shardDeltas(t *testing.T, stream string) map[int][][2]int {
-	t.Helper()
-	out := make(map[int][][2]int)
-	dec := json.NewDecoder(strings.NewReader(stream))
-	for dec.More() {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Event == "delta" {
-			out[ev.Shard] = append(out[ev.Shard], [2]int{ev.Nodes, ev.Edges})
-		}
-	}
-	return out
-}
-
-// TestPeriodicCheckpointKeepsObservers pins that the in-process
-// continuation keeps each live shard's observer: the per-shard delta
-// subsequence of a periodically checkpointed campaign never drops back
-// in node count (a fresh observer would restart from an empty graph and
-// re-announce every known hop) and equals the uninterrupted campaign's,
-// event for event.
-func TestPeriodicCheckpointKeepsObservers(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
-	const seed = 1312
-	_, _, stream, artifacts := periodicRun(t, seed, 25*time.Millisecond, nil)
-	if len(artifacts) < 2 {
-		t.Fatalf("%d periodic checkpoints, want several", len(artifacts))
-	}
-	_, _, plain, _ := periodicRun(t, seed, 0, nil)
-	got, want := shardDeltas(t, stream), shardDeltas(t, plain)
-	if len(want) != 2 {
-		t.Fatalf("uninterrupted stream has deltas of %d shards, want 2", len(want))
-	}
-	for shard, seq := range got {
-		for i := 1; i < len(seq); i++ {
-			// Nodes only grow; edges may shrink by one when a hop lands
-			// inside a TTL gap and splits the edge spanning it.
-			if seq[i][0] < seq[i-1][0] {
-				t.Fatalf("shard %d: delta %d drops from %v to %v", shard, i, seq[i-1], seq[i])
-			}
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		for shard := range want {
-			t.Logf("shard %d: %d deltas checkpointed, %d uninterrupted", shard, len(got[shard]), len(want[shard]))
-		}
-		t.Fatal("per-shard delta sequences differ from the uninterrupted campaign's")
 	}
 }
 

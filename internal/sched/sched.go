@@ -180,10 +180,15 @@ type CampaignSpec struct {
 	// instant (relative to the campaign epoch) and degrades it to
 	// StateIncomplete with reason "deadline".
 	Deadline time.Duration
-	// Stream, when non-nil, receives the tenant's NDJSON event stream:
-	// lifecycle events plus incremental graph deltas as the campaign's
-	// shard observers see new topology. Writes are serialized; the
-	// writer itself need not be concurrency-safe.
+	// Stream, when non-nil, receives the tenant's NDJSON stream: lifecycle
+	// events (Event), checkpoint events with the cumulative probe and reply
+	// counts, and — once, when the campaign completes — its progress
+	// series, the sample and summary records of core.ProgressConfig,
+	// byte-identical to the bare campaign's at any shard count and however
+	// many checkpoints and failovers it went through. A resumed campaign
+	// streams progress when the run it continues was submitted with a
+	// stream. Writes are serialized; the writer itself need not be
+	// concurrency-safe.
 	Stream io.Writer
 	// Resume, when non-nil, is a checkpoint artifact to continue
 	// instead of starting fresh — the restart half of a drained
@@ -610,28 +615,33 @@ func (s *Supervisor) isDraining() bool {
 	}
 }
 
-// campaignConfig maps a spec onto the core campaign configuration.
+// campaignConfig maps a spec onto the core campaign configuration: a
+// campaign with a tenant stream records its progress series and writes
+// it there.
 func (s *Supervisor) campaignConfig(j *job) core.CampaignConfig {
 	sp := &j.spec
-	return core.CampaignConfig{
+	cfg := core.CampaignConfig{
 		Config:      sp.Config,
 		Shards:      sp.Shards,
 		RecordPaths: true,
 		Telemetry:   s.tel,
-		NewObserver: s.observerFactory(j),
 		InterruptAt: sp.Deadline,
 	}
+	if j.st != nil {
+		cfg.Progress = &core.ProgressConfig{Writer: j.st}
+	}
+	return cfg
 }
 
-// observerFactory builds the per-shard streaming observers; nil when
-// the tenant attached no stream (so core skips observer plumbing).
-func (s *Supervisor) observerFactory(j *job) func(shard int) probe.Observer {
-	if j.st == nil {
-		return nil
+// resumeConfig is campaignConfig's counterpart for continuations — a
+// failover or resubmission from an artifact, or a periodic checkpoint's
+// in-process rewind.
+func (s *Supervisor) resumeConfig(j *job) core.ResumeConfig {
+	rc := core.ResumeConfig{Telemetry: s.tel, InterruptAt: j.spec.Deadline}
+	if j.st != nil {
+		rc.ProgressWriter = j.st
 	}
-	return func(shard int) probe.Observer {
-		return newDeltaObserver(j.st, j.spec.Vantage, j.spec.Tenant, j.spec.Name, shard)
-	}
+	return rc
 }
 
 // runJob drives one campaign through its attempts: run, and on a
@@ -669,11 +679,7 @@ func (s *Supervisor) runJob(j *job) {
 			if artifact == nil {
 				camp = core.NewCampaign(s.campaignConfig(j), factory)
 			} else {
-				camp, err = core.Resume(artifact, core.ResumeConfig{
-					NewObserver: s.observerFactory(j),
-					Telemetry:   s.tel,
-					InterruptAt: j.spec.Deadline,
-				}, factory)
+				camp, err = core.Resume(artifact, s.resumeConfig(j), factory)
 				if err != nil {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Err: err})
@@ -690,7 +696,7 @@ func (s *Supervisor) runJob(j *job) {
 		}
 		j.st.event(Event{Event: "started", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt})
 
-		store, stats, runErr, fired, ckptReq := s.runAttempt(camp, j.st)
+		store, stats, runErr, fired, ckptReq := s.runAttempt(camp)
 		switch {
 		case runErr == nil:
 			res := &Result{State: StateCompleted, Store: store, Stats: stats}
@@ -772,24 +778,19 @@ func (s *Supervisor) runJob(j *job) {
 						s.met.ckptSinkErrors.Inc()
 					}
 				}
-				j.st.event(Event{Event: "checkpoint", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt})
+				j.st.event(Event{Event: "checkpoint", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt,
+					Probes: stats.ProbesSent, Replies: stats.Replies})
 				// Continue in-process: the artifact already hit the sink,
-				// so the continuation skips the decode round trip, and the
-				// live shards keep their observers (nil NewObserver), so a
-				// tenant's delta stream continues instead of restarting from
-				// an empty graph. Rewind can only refuse what Checkpoint
-				// would also have refused, but fall back to the artifact
-				// path on principle.
+				// so the continuation skips the decode round trip. Rewind
+				// can only refuse what Checkpoint would also have refused,
+				// but fall back to the artifact path on principle.
 				factory, ferr := s.cfg.Opener(&j.spec)
 				if ferr != nil {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: ferr})
 					return
 				}
-				if next, rwErr := camp.Rewind(core.ResumeConfig{
-					Telemetry:   s.tel,
-					InterruptAt: j.spec.Deadline,
-				}, factory); rwErr == nil {
+				if next, rwErr := camp.Rewind(s.resumeConfig(j), factory); rwErr == nil {
 					rewound = next
 				}
 				artifact = art
@@ -813,9 +814,8 @@ func (s *Supervisor) runJob(j *job) {
 // heartbeat; fired reports whether the watchdog interrupted it, and
 // ckptReq that the periodic-checkpoint timer did. At most one of the
 // two interrupt sources claims an attempt: the checkpoint timer
-// defers to a watchdog that has already fired, and vice versa. Each
-// watchdog poll also flushes the tenant stream's buffered deltas.
-func (s *Supervisor) runAttempt(camp *core.Campaign, st *stream) (store *probe.Store, stats core.CampaignStats, err error, fired, ckptReq bool) {
+// defers to a watchdog that has already fired, and vice versa.
+func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats core.CampaignStats, err error, fired, ckptReq bool) {
 	type runOut struct {
 		store *probe.Store
 		stats core.CampaignStats
@@ -850,7 +850,6 @@ func (s *Supervisor) runAttempt(camp *core.Campaign, st *stream) (store *probe.S
 				camp.Interrupt()
 			}
 		case <-timer.C:
-			st.flush()
 			if b := camp.Beat(); b != lastBeat {
 				lastBeat, lastMove = b, time.Now()
 			} else if !fired && !ckptReq && time.Since(lastMove) >= s.cfg.StallBudget {

@@ -4,110 +4,175 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"beholder/internal/core"
-	"beholder/internal/graph"
+	"beholder/internal/netsim"
 	"beholder/internal/probe"
 	"beholder/internal/testutil"
 )
 
-// countingWriter records every Write call it receives.
-type countingWriter struct {
-	mu     sync.Mutex
-	writes int
-	buf    bytes.Buffer
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.writes++
-	return w.buf.Write(p)
-}
-
-// unbufferedDeltas is the stream's reference: the delta observer as it
-// was before buffering, one encoder write per novel reply.
-type unbufferedDeltas struct {
-	enc          *json.Encoder
-	g            *graph.Graph
-	spec         CampaignSpec
-	nodes, edges int
-}
-
-func (o *unbufferedDeltas) OnReply(r probe.Reply) {
-	o.g.OnReply(r)
-	if n, e := o.g.NumNodes(), o.g.NumEdges(); n > o.nodes || e > o.edges {
-		o.nodes, o.edges = n, e
-		_ = o.enc.Encode(Event{Event: "delta", Tenant: o.spec.Tenant, Campaign: o.spec.Name, Nodes: n, Edges: e})
+// progressOf keeps a tenant stream's progress records — its sample and
+// summary lines — in stream order.
+func progressOf(stream []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(stream, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"type":"sample"`)) || bytes.HasPrefix(line, []byte(`{"type":"summary"`)) {
+			out = append(out, line...)
+		}
 	}
+	return out
 }
 
-// TestStreamBuffersDeltas: a tenant stream costs its writer far fewer
-// writes than it carries events, and buffering is invisible in the
-// bytes — they equal an unbuffered reference run's, event for event.
-func TestStreamBuffersDeltas(t *testing.T) {
+// eventsOf decodes a tenant stream's lifecycle events in stream order.
+func eventsOf(t *testing.T, stream []byte) []Event {
+	t.Helper()
+	var out []Event
+	for _, line := range bytes.Split(stream, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"event"`)) {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// TestStreamCarriesProgress: a streamed supervised campaign's sample and
+// summary records are the bare 1-shard run's progress NDJSON byte for
+// byte — written once, by the attempt that completes — whatever the
+// shard count, however many periodic checkpoints cut it, after a
+// watchdog failover, and across a drain and a resubmission of the drained
+// artifact to a fresh supervisor. Its checkpoint events carry the run's
+// cumulative counts.
+func TestStreamCarriesProgress(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 6211
-	env := newTestEnv(seed, nil)
-	s, err := New(Config{Opener: env.opener, Tenants: []Tenant{{Name: "t"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w countingWriter
-	// One shard: the order deltas arrive in is then the reply order, the
-	// same in every run.
-	sp := testSpec("t", "fill", schedTargets(seed, 400))
-	sp.Stream = &w
-	h, err := s.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	res, err := h.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.State != StateCompleted {
-		t.Fatalf("state %v (%s)", res.State, res.Reason)
-	}
-	drainAll(t, s)
+	base := testSpec("t", "c", schedTargets(seed, 48))
 
-	got := w.buf.Bytes()
-	events := bytes.Count(got, []byte("\n"))
-	if events < 1000 {
-		t.Fatalf("only %d events: the campaign is too small to show buffering", events)
-	}
-	if w.writes*10 > events {
-		t.Fatalf("%d writes for %d events, want at least 10x fewer", w.writes, events)
-	}
-
-	// The reference: the same campaign bare, its deltas written straight
-	// through an encoder, between the lifecycle events the supervisor
-	// emits around a first-attempt run.
 	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	_ = enc.Encode(Event{Event: "submitted", Tenant: sp.Tenant, Campaign: sp.Name})
-	_ = enc.Encode(Event{Event: "started", Tenant: sp.Tenant, Campaign: sp.Name, Attempt: 1})
-	refEnv := newTestEnv(seed, nil)
-	factory, err := refEnv.opener(&sp)
+	factory, err := newTestEnv(seed, nil).opener(&base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := coreConfigOf(sp)
-	ccfg.NewObserver = func(int) probe.Observer {
-		return &unbufferedDeltas{enc: enc, g: graph.New(sp.Vantage), spec: sp}
-	}
-	if _, _, err := core.NewCampaign(ccfg, factory).Run(); err != nil {
+	ref := coreConfigOf(base)
+	ref.Progress = &core.ProgressConfig{Writer: &want}
+	if _, _, err := core.NewCampaign(ref, factory).Run(); err != nil {
 		t.Fatal(err)
 	}
-	_ = enc.Encode(Event{Event: "completed", Tenant: sp.Tenant, Campaign: sp.Name,
-		Probes: res.Stats.ProbesSent, Replies: res.Stats.Replies,
-		Nodes: res.Graph.NumNodes(), Edges: res.Graph.NumEdges()})
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("buffered stream differs from the unbuffered reference (%d vs %d bytes)", len(got), want.Len())
+
+	for _, c := range []struct {
+		name     string
+		shards   int
+		every    time.Duration
+		failover bool // the first attempt's connections wedge
+		redrive  bool // drained mid-run, resubmitted to a fresh supervisor
+	}{
+		{name: "1-shard", shards: 1},
+		{name: "2-shards", shards: 2},
+		{name: "1-shard-checkpointed", shards: 1, every: 25 * time.Millisecond},
+		{name: "2-shards-checkpointed", shards: 2, every: 25 * time.Millisecond},
+		{name: "watchdog-failover", shards: 1, failover: true},
+		{name: "drain-and-resubmit", shards: 2, redrive: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Wall-slowed sends (virtual time untouched) let checkpoints
+			// and the drain land mid-run; a wedged first attempt makes the
+			// watchdog fail over, as in TestWatchdogFailover.
+			var attempts atomic.Int32
+			var wedged atomic.Bool
+			newSupervisor := func() *Supervisor {
+				env := newTestEnv(seed, nil)
+				cfg := Config{Tenants: []Tenant{{Name: "t"}}, StallBudget: 30 * time.Second, CheckpointEvery: c.every}
+				cfg.Opener = func(spec *CampaignSpec) (core.ConnFactory, error) {
+					inner, err := env.opener(spec)
+					if err != nil {
+						return nil, err
+					}
+					first := attempts.Add(1) == 1
+					return func(shard int, start time.Duration) probe.Conn {
+						v := inner(shard, start).(*netsim.Vantage)
+						switch {
+						case c.failover && first:
+							return &wedgeConn{Vantage: v, wedged: &wedged, block: 400 * time.Millisecond}
+						case c.failover:
+							return v
+						}
+						return &slowConn{Vantage: v, delay: time.Millisecond}
+					}, nil
+				}
+				if c.failover {
+					cfg.WatchdogPoll, cfg.StallBudget, cfg.BackoffBase = 5*time.Millisecond, 100*time.Millisecond, time.Millisecond
+				}
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+
+			var stream bytes.Buffer
+			sp := base
+			sp.Shards, sp.Batch, sp.Stream = c.shards, 1, &stream
+			s := newSupervisor()
+			if c.redrive {
+				if _, err := s.Submit(sp); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(25 * time.Millisecond)
+				ds := drainAll(t, s)
+				if len(ds) != 1 || ds[0].Artifact == nil {
+					t.Fatalf("drain returned %d campaigns, want one with an artifact", len(ds))
+				}
+				sp = ds[0].Spec
+				sp.Resume = ds[0].Artifact
+				s = newSupervisor()
+			}
+			h, err := s.Submit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			res, err := h.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainAll(t, s)
+			if res.State != StateCompleted {
+				t.Fatalf("state %v (%s)", res.State, res.Reason)
+			}
+			if c.failover && (res.Retries != 1 || !wedged.Load()) {
+				t.Fatalf("%d failovers (wedged %v), want 1", res.Retries, wedged.Load())
+			}
+
+			if got := progressOf(stream.Bytes()); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("stream progress differs from the bare 1-shard run's:\n%s\nwant\n%s", got, want.Bytes())
+			}
+			evs := eventsOf(t, stream.Bytes())
+			if evs[0].Event != "submitted" || evs[len(evs)-1].Event != "completed" {
+				t.Fatalf("stream opens %q and closes %q", evs[0].Event, evs[len(evs)-1].Event)
+			}
+			checkpoints, last := 0, int64(0)
+			for _, ev := range evs {
+				if ev.Event != "checkpoint" {
+					continue
+				}
+				checkpoints++
+				if ev.Probes <= last || ev.Probes > res.Stats.ProbesSent || ev.Replies > res.Stats.Replies {
+					t.Fatalf("checkpoint %d counts %d probes / %d replies after %d, run total %d / %d",
+						checkpoints, ev.Probes, ev.Replies, last, res.Stats.ProbesSent, res.Stats.Replies)
+				}
+				last = ev.Probes
+			}
+			if c.every > 0 && checkpoints < 2 {
+				t.Fatalf("%d checkpoint events, want several", checkpoints)
+			}
+		})
 	}
 }

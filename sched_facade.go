@@ -128,9 +128,12 @@ type SubmitOptions struct {
 	// Deadline, when positive, interrupts the campaign at that instant
 	// of campaign virtual time and degrades it to CampaignIncomplete.
 	Deadline time.Duration
-	// Stream, when non-nil, receives the tenant's NDJSON event stream:
-	// lifecycle records plus incremental graph deltas as the campaign
-	// discovers topology.
+	// Stream, when non-nil, receives the tenant's NDJSON stream:
+	// lifecycle records (CampaignEvent; checkpoint records carry the
+	// cumulative probe and reply counts) and, once the campaign completes,
+	// its progress series — the sample and summary records
+	// YarrpOptions.Progress writes for the same campaign run bare,
+	// byte for byte.
 	Stream io.Writer
 	// Resume, when non-nil, continues a drained campaign from its
 	// checkpoint artifact instead of starting fresh; the artifact

@@ -89,7 +89,7 @@ func TestFacadeScheduler(t *testing.T) {
 		t.Fatal("alice's supervised graph differs from bare run")
 	}
 
-	// The stream narrates admission → start → deltas → completion.
+	// The stream narrates admission → start → progress → completion.
 	dec := json.NewDecoder(&stream)
 	var evs []CampaignEvent
 	for dec.More() {
