@@ -446,7 +446,12 @@ func (r *Result) Path(target netip.Addr) []probe.HopEntry {
 	if t == nil {
 		return nil
 	}
-	return t.SortedHops()
+	tab := r.store.AddrTable()
+	out := make([]probe.HopEntry, 0, t.PathLength())
+	r.store.ForEachHop(t, func(ttl uint8, id uint32) {
+		out = append(out, probe.HopEntry{TTL: ttl, Addr: tab.Addr(id)})
+	})
+	return out
 }
 
 // Reached reports whether the target itself responded.

@@ -122,6 +122,10 @@ type daemon struct {
 	sch      *beholder.Scheduler
 	st       *store.Store
 	stateDir string
+	// tenants holds the -tenants names. A submission naming anyone else
+	// is refused before it costs anything: no vantage materialized (and
+	// its plan table kept for good), no target set generated.
+	tenants map[string]bool
 
 	mu       sync.Mutex
 	vantages map[string]*beholder.Vantage
@@ -219,8 +223,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	tenantSet := make(map[string]bool, len(tl))
+	for _, t := range tl {
+		tenantSet[t.Name] = true
+	}
 	d := &daemon{
 		in: in, sch: sch, st: st, stateDir: *stateDir,
+		tenants:  tenantSet,
 		vantages: map[string]*beholder.Vantage{},
 		done:     make(chan struct{}),
 	}
@@ -388,6 +397,9 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 	}
 	if err := validIdent(req.Name); err != nil {
 		return nil, fmt.Errorf("name: %w", err)
+	}
+	if !d.tenants[req.Tenant] {
+		return nil, fmt.Errorf("%w: %q", beholder.ErrUnknownTenant, req.Tenant)
 	}
 	vname := req.Vantage
 	if vname == "" {

@@ -28,6 +28,7 @@ func newTestDaemon(t *testing.T) *daemon {
 	}
 	d := &daemon{
 		in: in, sch: sch, st: st, stateDir: dir,
+		tenants:  map[string]bool{"alice": true},
 		vantages: map[string]*beholder.Vantage{},
 		done:     make(chan struct{}),
 	}
@@ -55,8 +56,8 @@ func (d *daemon) post(body string) int {
 // TestSubmitHostileBodies: a /submit body is outside input. Oversized,
 // unknown-field, trailing-data and unrunnable submissions are refused
 // promptly with the right status and admit nothing — a seed-list scale
-// or zn out of bounds before any target generation; a well-formed one
-// still queues.
+// or zn out of bounds before any target generation, an unknown tenant
+// before its vantage is materialized; a well-formed one still queues.
 func TestSubmitHostileBodies(t *testing.T) {
 	d := newTestDaemon(t)
 	const ok = `{"tenant":"alice","name":"c1","targets":["2001:db8::1","2001:db8::2"],"maxttl":4}`
@@ -74,6 +75,7 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"negative scale", `{"tenant":"alice","name":"neg","scale":-1}`, http.StatusBadRequest},
 		{"zn -5", `{"tenant":"alice","name":"zneg","zn":-5}`, http.StatusBadRequest},
 		{"zn 200", `{"tenant":"alice","name":"zbig","zn":200}`, http.StatusBadRequest},
+		{"unknown tenant", `{"tenant":"mallory","name":"x","vantage":"V-NEW","scale":4}`, http.StatusForbidden},
 	}
 	for _, c := range cases {
 		code := make(chan int, 1)
@@ -89,6 +91,12 @@ func TestSubmitHostileBodies(t *testing.T) {
 	}
 	if st := d.sch.Status(); len(st) != 0 {
 		t.Fatalf("hostile submissions admitted %d campaign(s): %+v", len(st), st)
+	}
+	d.mu.Lock()
+	_, materialized := d.vantages["V-NEW"]
+	d.mu.Unlock()
+	if materialized {
+		t.Fatal("an unknown tenant's submission materialized its vantage")
 	}
 	if got := d.post(ok + "\n"); got != http.StatusOK {
 		t.Fatalf("valid body: status %d", got)

@@ -22,11 +22,11 @@ import (
 func PerHopResponsiveness(store *probe.Store, maxTTL int, denom int) []float64 {
 	counts := make([]int, maxTTL+1)
 	for _, tr := range store.Traces() {
-		for _, h := range tr.Hops {
-			if int(h.TTL) <= maxTTL {
-				counts[h.TTL]++
+		store.ForEachHop(tr, func(ttl uint8, _ uint32) {
+			if int(ttl) <= maxTTL {
+				counts[ttl]++
 			}
-		}
+		})
 	}
 	out := make([]float64, maxTTL)
 	for ttl := 1; ttl <= maxTTL; ttl++ {
@@ -66,13 +66,14 @@ func Percentile(sorted []int, p int) int {
 // returned slice is sorted ascending.
 func EUIOffsets(store *probe.Store) []int {
 	var out []int
+	tab := store.AddrTable()
 	for _, tr := range store.Traces() {
 		plen := tr.PathLength()
-		for _, h := range tr.Hops {
-			if ipv6.IsEUI64IID(ipv6.IID(h.Addr)) {
-				out = append(out, int(h.TTL)-plen)
+		store.ForEachHop(tr, func(ttl uint8, id uint32) {
+			if ipv6.IsEUI64IID(ipv6.IID(tab.Addr(id))) {
+				out = append(out, int(ttl)-plen)
 			}
-		}
+		})
 	}
 	sort.Ints(out)
 	return out
@@ -95,17 +96,23 @@ func CountEUIInterfaces(store *probe.Store) int {
 // origin ASN — Table 7's "Reach Target ASN" column.
 func ReachedTargetASNFraction(store *probe.Store, table *bgp.Table) float64 {
 	total, reached := 0, 0
+	tab := store.AddrTable()
 	for _, tr := range store.Traces() {
 		asn := table.Origin(tr.Target)
 		if asn == 0 {
 			continue
 		}
 		total++
-		for _, h := range tr.Hops {
-			if hopASN := table.OriginAny(h.Addr); hopASN != 0 && table.SameOrg(hopASN, asn) {
-				reached++
-				break
+		in := false
+		store.ForEachHop(tr, func(_ uint8, id uint32) {
+			if in {
+				return
 			}
+			hopASN := table.OriginAny(tab.Addr(id))
+			in = hopASN != 0 && table.SameOrg(hopASN, asn)
+		})
+		if in {
+			reached++
 		}
 	}
 	if total == 0 {

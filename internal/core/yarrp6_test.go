@@ -135,15 +135,15 @@ func TestCampaignDiscoversTopology(t *testing.T) {
 	// addresses valid.
 	checked := 0
 	for _, tr := range store.Traces() {
-		for _, hop := range tr.SortedHops() {
-			if hop.TTL < 1 || hop.TTL > 16 {
-				t.Fatalf("hop TTL %d out of range", hop.TTL)
+		store.ForEachHop(tr, func(ttl uint8, id uint32) {
+			if ttl < 1 || ttl > 16 {
+				t.Fatalf("hop TTL %d out of range", ttl)
 			}
-			if !hop.Addr.Is6() {
-				t.Fatalf("bad hop addr %s", hop.Addr)
+			if a := store.AddrTable().Addr(id); !a.Is6() {
+				t.Fatalf("bad hop addr %s", a)
 			}
 			checked++
-		}
+		})
 	}
 	if checked == 0 {
 		t.Error("no hops recorded")
@@ -261,12 +261,12 @@ func TestForeignRepliesIgnored(t *testing.T) {
 	if y.codec.NotMine == 0 {
 		t.Error("forged reply not flagged NotMine")
 	}
-	if store.Trace(targets[0]) != nil {
-		for _, h := range store.Trace(targets[0]).Hops {
-			if h.Addr == ipv6.MustAddr("2400:99::1") {
+	if tr := store.Trace(targets[0]); tr != nil {
+		store.ForEachHop(tr, func(_ uint8, id uint32) {
+			if store.AddrTable().Addr(id) == ipv6.MustAddr("2400:99::1") {
 				t.Error("forged hop entered the trace store")
 			}
-		}
+		})
 	}
 	_ = before
 	_ = u

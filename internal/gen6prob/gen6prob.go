@@ -431,18 +431,20 @@ func (s *Source) applyFeedback(fb *core.Feedback) {
 	// the first target (in that order) whose trace carries it.
 	sort.Slice(traces, func(i, j int) bool { return traces[i].Target.Less(traces[j].Target) })
 	novel := make(map[netip.Addr]struct{})
+	tab := fb.Store.AddrTable()
 	for _, tr := range traces {
 		var count uint64
-		for _, h := range tr.Hops {
-			if fb.Total != nil && fb.Total.AddrSeen(h.Addr) {
-				continue
+		fb.Store.ForEachHop(tr, func(_ uint8, id uint32) {
+			a := tab.Addr(id)
+			if fb.Total != nil && fb.Total.AddrSeen(a) {
+				return
 			}
-			if _, dup := novel[h.Addr]; dup {
-				continue
+			if _, dup := novel[a]; dup {
+				return
 			}
-			novel[h.Addr] = struct{}{}
+			novel[a] = struct{}{}
 			count++
-		}
+		})
 		if count > 0 {
 			s.insertTo(tr.Target, count*s.cfg.RewardWeight, s.cfg.RewardDepth)
 		}

@@ -32,7 +32,6 @@
 package graph
 
 import (
-	"cmp"
 	"net/netip"
 	"slices"
 	"sort"
@@ -498,13 +497,13 @@ func (g *Graph) Merge(o *Graph) {
 // the edges, since the store does not retain the probing transport; extra
 // interface addresses without path placement (mangled quotations) are
 // imported as bare nodes. The graph starts from a copy of the store's
-// address table, so interfaces and targets keep the ids the store gave
-// them and only hop addresses are looked up; the returned graph holds its
-// edges.
+// address table, so every address — interface, target and hop — keeps
+// the id the store gave it: the store's hop ids are the graph's node ids,
+// in TTL order already, and nothing is looked up. The returned graph
+// holds its edges.
 func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 	g := newOver(st.AddrTable().Clone())
 	g.self = g.vantageIndex(vantage)
-	var hops []probe.HopEntry
 	st.ForEachAddr(func(id uint32, iface bool, tr *probe.Trace) {
 		if iface {
 			g.mark(id, NodeInterface)
@@ -513,11 +512,9 @@ func FromStore(st *probe.Store, vantage string, proto uint8) *Graph {
 			return
 		}
 		k := makePathKey(g.self, proto, id)
-		hops = append(hops[:0], tr.Hops...)
-		slices.SortFunc(hops, func(a, b probe.HopEntry) int { return cmp.Compare(a.TTL, b.TTL) })
-		for _, h := range hops {
-			g.insertHop(k, h.TTL, g.intern(h.Addr), false)
-		}
+		st.ForEachHop(tr, func(ttl uint8, from uint32) {
+			g.insertHop(k, ttl, from, false)
+		})
 		if tr.Reached {
 			g.reach(k)
 		}

@@ -136,7 +136,9 @@ func FuzzProbeBuildEquivalence(f *testing.F) {
 // behind the checkpoint artifact's CRC framing, which a fuzzer rarely
 // gets past. It must never panic, fail only with ErrStoreDecode, and
 // accept nothing but canonical encodings: whatever decodes re-encodes to
-// exactly the input.
+// exactly the input. Every decoded hop must read back through
+// ForEachHop as an id of an address the store's table holds, in strictly
+// ascending TTL order ending at the trace's PathLength.
 func FuzzDecodeStore(f *testing.F) {
 	f.Add(NewStore(true).AppendBinary(nil))
 	f.Add(NewStore(false).AppendBinary(nil))
@@ -154,6 +156,25 @@ func FuzzDecodeStore(f *testing.F) {
 		}
 		if got := s.AppendBinary(nil); !bytes.Equal(got, data) {
 			t.Fatalf("accepted a non-canonical encoding:\n  in %x\n out %x", data, got)
+		}
+		tab := s.AddrTable()
+		for _, tr := range s.Traces() {
+			hops, last := 0, -1
+			s.ForEachHop(tr, func(ttl uint8, id uint32) {
+				if int(id) >= tab.Len() {
+					t.Fatalf("trace %s: hop id %d outside a table of %d", tr.Target, id, tab.Len())
+				}
+				if got, _, ok := tab.Find(tab.Addr(id)); !ok || got != id {
+					t.Fatalf("trace %s: hop id %d does not name its address %s", tr.Target, id, tab.Addr(id))
+				}
+				if int(ttl) <= last || !tr.HasTTL(ttl) {
+					t.Fatalf("trace %s: hop TTL %d after %d, or missing from the TTL bitmap", tr.Target, ttl, last)
+				}
+				hops, last = hops+1, int(ttl)
+			})
+			if hops > 0 && last != tr.PathLength() || hops == 0 && tr.PathLength() != 0 {
+				t.Fatalf("trace %s: last hop TTL %d, PathLength %d", tr.Target, last, tr.PathLength())
+			}
 		}
 	})
 }

@@ -46,7 +46,7 @@ func TestStorePathRecording(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no trace")
 	}
-	hops := tr.SortedHops()
+	hops := hopsOf(s, tr)
 	if len(hops) != 3 {
 		t.Fatalf("hops = %d", len(hops))
 	}
@@ -125,7 +125,7 @@ func TestStoreZeroTTLNotRecordedAsHop(t *testing.T) {
 	r.StateRecovered = false
 	s.Add(r)
 	tr := s.Trace(addr("2001:db8::1"))
-	if tr != nil && len(tr.Hops) != 0 {
+	if tr != nil && len(hopsOf(s, tr)) != 0 {
 		t.Error("TTL-0 reply recorded as a hop")
 	}
 }

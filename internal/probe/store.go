@@ -1,7 +1,6 @@
 package probe
 
 import (
-	"cmp"
 	"math/bits"
 	"net/netip"
 	"slices"
@@ -10,25 +9,37 @@ import (
 	"beholder/internal/sorted"
 )
 
-// HopEntry is one responsive hop of a traced path.
+// HopEntry is one responsive hop of a traced path with its address
+// resolved — what Result.Path hands out. The store itself keeps a hop as
+// its TTL and the id of its address in the store's table (see hop).
 type HopEntry struct {
 	TTL  uint8
 	Addr netip.Addr
 }
 
+// hop is one responsive hop as a store keeps it: the probe TTL and the id
+// of the hop address in the store's address table. Every hop address is
+// an address the table already holds — Add files r.From as an interface
+// one step before it files the hop — so a hop is 8 pointer-free bytes,
+// a quarter of a HopEntry, and the garbage collector never scans a hop
+// list.
+type hop struct {
+	ttl uint8
+	id  uint32
+}
+
 // Trace accumulates the responses attributable to one target.
 type Trace struct {
 	Target netip.Addr
-	// Hops holds Time-Exceeded sources by probe TTL, unordered; use
-	// SortedHops for path order. Duplicate TTLs keep the first answer
-	// (Paris-stable flows make later answers identical in practice).
-	// Read-only outside this package: the store keeps it in step with
-	// the TTL bitmap below.
-	Hops []HopEntry
-	// seen is a 256-bit bitmap of exactly the TTLs present in Hops, so
+	// hops holds the Time-Exceeded sources in ascending TTL order, one per
+	// TTL: duplicate TTLs keep the first answer (Paris-stable flows make
+	// later answers identical in practice). The ids are the owning
+	// store's; read the hops through Store.ForEachHop.
+	hops []hop
+	// seen is a 256-bit bitmap of exactly the TTLs present in hops, so
 	// the per-reply duplicate check on the hot path is one word test
-	// instead of a linear scan over the hop list, and the encoder walks
-	// it to emit hops in TTL order without sorting.
+	// instead of a scan, and a new hop's place in the TTL-ordered list is
+	// the count of seen TTLs below it.
 	seen [4]uint64
 	// Reached reports a destination-originated response (echo reply,
 	// port unreachable, RST) was received from the target itself.
@@ -42,15 +53,20 @@ func (t *Trace) HasTTL(ttl uint8) bool {
 	return t.seen[ttl>>6]&(1<<(ttl&63)) != 0
 }
 
-func (t *Trace) markTTL(ttl uint8) {
-	t.seen[ttl>>6] |= 1 << (ttl & 63)
-}
-
-// SortedHops returns the hops ordered by TTL.
-func (t *Trace) SortedHops() []HopEntry {
-	out := slices.Clone(t.Hops)
-	slices.SortFunc(out, func(a, b HopEntry) int { return cmp.Compare(a.TTL, b.TTL) })
-	return out
+// addHop files the hop (ttl, id) in TTL order unless ttl already has one.
+func (t *Trace) addHop(ttl uint8, id uint32) {
+	if t.HasTTL(ttl) {
+		return
+	}
+	w := ttl >> 6
+	i := bits.OnesCount64(t.seen[w] & (1<<(ttl&63) - 1))
+	for _, below := range t.seen[:w] {
+		i += bits.OnesCount64(below)
+	}
+	t.seen[w] |= 1 << (ttl & 63)
+	t.hops = append(t.hops, hop{})
+	copy(t.hops[i+1:], t.hops[i:])
+	t.hops[i] = hop{ttl: ttl, id: id}
 }
 
 // PathLength returns the highest responding TTL (the paper's path length
@@ -75,8 +91,10 @@ func (t *Trace) PathLength() int {
 // its target are each one table probe, and what the store knows about an
 // address — is it an interface, which trace does it key — sits in the
 // owner word of the address's slot, so the probe that finds the address
-// has already fetched its state. The table is the store's alone; a
-// topology graph starts from a copy of it (graph.FromStore).
+// has already fetched its state. Hops name their addresses by table id,
+// so a trace holds no address but its target. The table is the store's
+// alone; a topology graph starts from a copy of it (graph.FromStore), in
+// which the store's ids are its node ids.
 //
 // Beside the table the store keeps a canonical index: every trace and
 // every interface address is appended to a slice when it is created — by
@@ -111,9 +129,10 @@ type Store struct {
 	lastTarget netip.Addr
 	lastTrace  *Trace
 
-	// hopSlab is handed out in fixed pieces, so hop lists grow through a
-	// shared block instead of the 1-2-4-8 reallocation ladder per trace.
-	hopSlab []HopEntry
+	// hopSlab is handed out in hopPiece-hop pieces, so hop lists grow
+	// through a shared block instead of the 1-2-4-8 reallocation ladder
+	// per trace (hopList).
+	hopSlab []hop
 
 	// Response mix (Table 4): ICMPv6 type/code counts.
 	TimeExceeded      int64
@@ -132,6 +151,28 @@ const (
 	traceMask         = ifaceBit - 1
 	traceBlock        = 64
 )
+
+// A new hop list starts as a hopPiece-hop piece of a 64 KB slab that
+// holds hopChunk pieces; a piece covers the default randomized TTL
+// range, and deeper traces (fill mode) regrow normally.
+const (
+	hopPiece = 16
+	hopChunk = 512
+)
+
+// hopList returns an empty hop list with room for n hops: a slab piece
+// while n fits one, a list of its own beyond.
+func (s *Store) hopList(n int) []hop {
+	if n > hopPiece {
+		return make([]hop, 0, n)
+	}
+	if len(s.hopSlab) < hopPiece {
+		s.hopSlab = make([]hop, hopPiece*hopChunk)
+	}
+	l := s.hopSlab[:0:hopPiece]
+	s.hopSlab = s.hopSlab[hopPiece:]
+	return l
+}
 
 // NewStore creates a result store. recordPaths enables per-target trace
 // retention (needed for path analysis and subnet discovery); without it
@@ -166,10 +207,11 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	if r.TargetRewritten {
 		s.Rewritten++
 	}
+	var from uint32
 	switch r.Kind {
 	case KindTimeExceeded:
 		s.TimeExceeded++
-		newInterface = s.addInterface(r.From)
+		from, newInterface = s.addInterface(r.From)
 	case KindEchoReply:
 		s.EchoReplies++
 	case KindTCPRst:
@@ -183,23 +225,15 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	t := s.lastTrace
 	if t == nil || s.lastTarget != r.Target {
 		t = s.traceOf(r.Target)
-		if t.Hops == nil {
-			// Pre-back the hop list with a slab piece covering the
-			// default randomized TTL range; deeper traces (fill mode)
-			// regrow normally.
-			if len(s.hopSlab) < 16 {
-				s.hopSlab = make([]HopEntry, 16*128)
-			}
-			t.Hops = s.hopSlab[:0:16]
-			s.hopSlab = s.hopSlab[16:]
+		if t.hops == nil {
+			t.hops = s.hopList(hopPiece)
 		}
 		s.lastTarget, s.lastTrace = r.Target, t
 	}
 	switch r.Kind {
 	case KindTimeExceeded:
-		if r.TTL != 0 && !t.HasTTL(r.TTL) {
-			t.markTTL(r.TTL)
-			t.Hops = append(t.Hops, HopEntry{TTL: r.TTL, Addr: r.From})
+		if r.TTL != 0 {
+			t.addHop(r.TTL, from)
 		}
 	case KindEchoReply, KindTCPRst:
 		t.Reached = true
@@ -215,10 +249,17 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	return newInterface
 }
 
-// addInterface inserts a into the interface set and reports whether it
-// was new: one table probe, the verdict read off the slot it lands on.
-func (s *Store) addInterface(a netip.Addr) bool {
-	_, w := s.tab.Intern(a)
+// addInterface inserts a into the interface set and returns its id and
+// whether it was new: one table probe, the verdict read off the slot it
+// lands on.
+func (s *Store) addInterface(a netip.Addr) (id uint32, added bool) {
+	id, w := s.tab.Intern(a)
+	return id, s.markInterface(w, a)
+}
+
+// markInterface files the address a whose owner word is *w as an
+// interface, reporting whether it was not one yet.
+func (s *Store) markInterface(w *uint32, a netip.Addr) bool {
 	if *w&ifaceBit != 0 {
 		return false
 	}
@@ -227,10 +268,16 @@ func (s *Store) addInterface(a netip.Addr) bool {
 	return true
 }
 
-// traceOf returns target's trace, creating an empty one (nil Hops) on
+// traceOf returns target's trace, creating an empty one (nil hops) on
 // first sight: one table probe either way.
 func (s *Store) traceOf(target netip.Addr) *Trace {
 	_, w := s.tab.Intern(target)
+	return s.traceAt(w, target)
+}
+
+// traceAt returns the trace of target, whose owner word is *w, creating
+// an empty one on first sight.
+func (s *Store) traceAt(w *uint32, target netip.Addr) *Trace {
 	if t := s.traceIn(*w); t != nil {
 		return t
 	}
@@ -261,7 +308,12 @@ func (s *Store) traceIn(w uint32) *Trace {
 // to keep that rule meaningful. Merging is pure set union plus counter
 // addition, so the merged store is identical however the shard goroutines
 // interleaved. src is not modified; merging a store into itself is a
-// no-op. Every source entry costs one probe of s's table.
+// no-op.
+//
+// Every address src files — interface, trace target, or both — costs one
+// probe of s's table, in one pass over src's table in id order that also
+// records the address's id in s. Hops then cross by id through that
+// array: no hop address is hashed again.
 func (s *Store) Merge(src *Store) {
 	if s == src {
 		return
@@ -274,19 +326,46 @@ func (s *Store) Merge(src *Store) {
 	for code, n := range src.DestUnreachByCode {
 		s.DestUnreachByCode[code] += n
 	}
-	for _, a := range src.ifaceIdx {
-		s.addInterface(a)
+	remap := make([]uint32, src.tab.Len()) // src id -> s id + 1; zero: not yet translated
+	var into []*Trace                      // src trace number -> s's trace
+	if s.recordPaths {
+		into = make([]*Trace, len(src.traceIdx))
 	}
-	if !s.recordPaths {
-		return
+	for id := range remap {
+		w := src.tab.Word(uint32(id))
+		n := w & traceMask
+		if !s.recordPaths {
+			n = 0
+		}
+		if w&ifaceBit == 0 && n == 0 {
+			continue
+		}
+		a := src.tab.Addr(uint32(id))
+		sid, sw := s.tab.Intern(a)
+		remap[id] = sid + 1
+		if w&ifaceBit != 0 {
+			s.markInterface(sw, a)
+		}
+		if n != 0 {
+			into[n-1] = s.traceAt(sw, a)
+		}
 	}
-	for _, st := range src.traceIdx {
-		t := s.traceOf(st.Target)
-		for _, hop := range st.Hops {
-			if !t.HasTTL(hop.TTL) {
-				t.markTTL(hop.TTL)
-				t.Hops = append(t.Hops, hop)
+	for n, t := range into {
+		st := src.traceIn(uint32(n) + 1)
+		if t.hops == nil && len(st.hops) > 0 {
+			t.hops = s.hopList(len(st.hops))
+		}
+		for _, h := range st.hops {
+			if t.HasTTL(h.ttl) {
+				continue
 			}
+			if remap[h.id] == 0 {
+				// A hop address that is no interface: only a decoded
+				// store holds one, and the pass above skipped it.
+				sid, _ := s.tab.Intern(src.tab.Addr(h.id))
+				remap[h.id] = sid + 1
+			}
+			t.addHop(h.ttl, remap[h.id]-1)
 		}
 		t.Reached = t.Reached || st.Reached
 		if len(st.DestUnreach) > 0 {
@@ -334,12 +413,13 @@ func (s *Store) Equal(o *Store) bool {
 	for _, st := range s.traceIdx {
 		ot := o.Trace(st.Target)
 		if ot == nil || st.Reached != ot.Reached || st.seen != ot.seen ||
-			len(st.Hops) != len(ot.Hops) || len(st.DestUnreach) != len(ot.DestUnreach) {
+			len(st.DestUnreach) != len(ot.DestUnreach) {
 			return false
 		}
-		sh, oh := st.SortedHops(), ot.SortedHops()
-		for i := range sh {
-			if sh[i] != oh[i] {
+		// Equal TTL bitmaps line the TTL-ordered hop lists up entry for
+		// entry; each store's ids resolve through its own table.
+		for i, h := range st.hops {
+			if s.tab.Addr(h.id) != o.tab.Addr(ot.hops[i].id) {
 				return false
 			}
 		}
@@ -388,6 +468,16 @@ func (s *Store) Traces() []*Trace { return slices.Clone(s.traceIdx) }
 
 // NumTraces returns how many targets have any recorded response.
 func (s *Store) NumTraces() int { return len(s.traceIdx) }
+
+// ForEachHop calls fn for every hop of t, one of this store's traces, in
+// ascending TTL order: the TTL and the id of the hop address in the
+// store's table. AddrTable().Addr resolves the id; a graph built on a
+// copy of the table (graph.FromStore) uses it as its node id.
+func (s *Store) ForEachHop(t *Trace, fn func(ttl uint8, id uint32)) {
+	for _, h := range t.hops {
+		fn(h.ttl, h.id)
+	}
+}
 
 // ForEachAddr walks the store's address table in id order: every address
 // the table holds, whether it is an interface, and its trace (nil when it

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"beholder/internal/ipv6"
@@ -17,6 +18,15 @@ func addrN(n int) netip.Addr {
 	return ipv6.U128{Hi: 0x2400_0000_0000_0000, Lo: uint64(n)}.Addr()
 }
 
+// hopsOf reads t's hops through the accessor, addresses resolved.
+func hopsOf(s *Store, t *Trace) []HopEntry {
+	var out []HopEntry
+	s.ForEachHop(t, func(ttl uint8, id uint32) {
+		out = append(out, HopEntry{TTL: ttl, Addr: s.AddrTable().Addr(id)})
+	})
+	return out
+}
+
 func TestTraceTTLBitmap(t *testing.T) {
 	s := NewStore(true)
 	target := addrN(1)
@@ -27,10 +37,11 @@ func TestTraceTTLBitmap(t *testing.T) {
 	if !tr.HasTTL(3) || !tr.HasTTL(7) || tr.HasTTL(4) {
 		t.Fatalf("bitmap wrong: %v", tr.seen)
 	}
-	if len(tr.Hops) != 2 {
-		t.Fatalf("hops = %d want 2 (duplicate TTL must not append)", len(tr.Hops))
+	hops := hopsOf(s, tr)
+	if len(hops) != 2 {
+		t.Fatalf("hops = %d want 2 (duplicate TTL must not append)", len(hops))
 	}
-	if tr.Hops[0].Addr != addrN(100) {
+	if hops[0].Addr != addrN(100) {
 		t.Fatal("duplicate TTL displaced the first answer")
 	}
 	if tr.PathLength() != 7 {
@@ -201,5 +212,38 @@ func TestStoreSelfMergeAndForeignAddresses(t *testing.T) {
 	})
 	if ifaces != nIfaces || traces != nTraces || foreign != 500 {
 		t.Fatalf("ForEachAddr saw %d interfaces, %d traces, %d foreign addresses; want %d, %d, 500", ifaces, traces, foreign, nIfaces, nTraces)
+	}
+}
+
+// TestHopFootprint bounds the bytes a stored hop costs. 1 024 traces ×
+// 16 TTLs are filed through Add into a store sized up front, every trace
+// reusing the same 16 hop addresses, so the table never grows and all the
+// fill allocates is trace slabs, hop slabs and the trace index. A hop is
+// 8 bytes — a TTL and a table id — so the fill costs about 15 bytes per
+// hop (8 of hop slab, 6 of trace slab, 1 of index); a 32-byte hop holding
+// its address would cost about 40.
+func TestHopFootprint(t *testing.T) {
+	const traces, ttls = 1024, 16
+	replies := make([]Reply, 0, traces*ttls)
+	for i := 0; i < traces; i++ {
+		for ttl := 1; ttl <= ttls; ttl++ {
+			replies = append(replies, teReplyAt(addrN(10_000+i), addrN(ttl), uint8(ttl)))
+		}
+	}
+	s := NewStoreSized(true, traces+ttls)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range replies {
+		s.Add(r)
+	}
+	runtime.ReadMemStats(&after)
+	if s.NumTraces() != traces || s.NumInterfaces() != ttls || s.Trace(addrN(10_000)).PathLength() != ttls {
+		t.Fatalf("fill stored %d traces, %d interfaces", s.NumTraces(), s.NumInterfaces())
+	}
+	perHop := float64(after.TotalAlloc-before.TotalAlloc) / (traces * ttls)
+	t.Logf("%.1f bytes allocated per stored hop", perHop)
+	if perHop > 20 {
+		t.Fatalf("%.1f bytes allocated per stored hop, want <= 20", perHop)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"net/netip"
 	"slices"
 
@@ -16,9 +15,9 @@ import (
 // plain length-prefixed binary layout in canonical order — counters,
 // then the sorted interface set, then traces sorted by target with hops
 // sorted by TTL — so the same store always encodes to the same bytes.
-// The TTL-seen bitmaps, slab allocators, and the last-trace memo are
-// reconstruction artifacts and are rebuilt on decode rather than
-// stored.
+// Hops are written as addresses, never as table ids: the ids, TTL-seen
+// bitmaps, slab allocators, and the last-trace memo are reconstruction
+// artifacts and are rebuilt on decode rather than stored.
 
 // ErrStoreDecode is wrapped by every store-decoding failure.
 var ErrStoreDecode = errors.New("probe: malformed store encoding")
@@ -35,7 +34,7 @@ func (s *Store) canonicalize() {
 func (s *Store) EncodedSize() int {
 	n := 1 + 5*8 + 4 + 9*len(s.DestUnreachByCode) + 4 + 16*len(s.ifaceIdx) + 4
 	for _, t := range s.traceIdx {
-		n += 16 + 1 + 4 + 17*len(t.Hops) + 4 + 9*len(t.DestUnreach)
+		n += 16 + 1 + 4 + 17*len(t.hops) + 4 + 9*len(t.DestUnreach)
 	}
 	return n
 }
@@ -83,11 +82,14 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 		buf = append(buf, a16[:]...)
 	}
 
-	// Hop addresses by TTL: a trace's hops land in their slots and are
-	// read back along its TTL bitmap, which holds exactly the TTLs in
-	// Hops — path order without a sort. Slots of other traces' TTLs are
-	// stale but never read.
-	var byTTL [256]netip.Addr
+	// Hops are kept in TTL order, so they are written as they stand, each
+	// id resolved to its address. One address recurs across many traces
+	// (every path shares its first hops), so a small direct-mapped cache
+	// by id spares most hops the table's two dependent loads.
+	var cache [256]struct {
+		ref uint32 // id + 1; zero: empty
+		a16 [16]byte
+	}
 	buf = appendU32(buf, uint32(len(s.traceIdx)))
 	for _, t := range s.traceIdx {
 		t16 := t.Target.As16()
@@ -97,17 +99,14 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 			reached = 1
 		}
 		buf = append(buf, reached)
-		buf = appendU32(buf, uint32(len(t.Hops)))
-		for _, h := range t.Hops {
-			byTTL[h.TTL] = h.Addr
-		}
-		for w, word := range t.seen {
-			for ; word != 0; word &= word - 1 {
-				ttl := w<<6 | bits.TrailingZeros64(word)
-				h16 := byTTL[ttl].As16()
-				buf = append(buf, byte(ttl))
-				buf = append(buf, h16[:]...)
+		buf = appendU32(buf, uint32(len(t.hops)))
+		for _, h := range t.hops {
+			e := &cache[h.id%uint32(len(cache))]
+			if e.ref != h.id+1 {
+				e.ref, e.a16 = h.id+1, s.tab.Addr(h.id).As16()
 			}
+			buf = append(buf, h.ttl)
+			buf = append(buf, e.a16[:]...)
 		}
 		codes := sortedCodes(t.DestUnreach, &scratch)
 		buf = appendU32(buf, uint32(len(codes)))
@@ -170,16 +169,18 @@ func DecodeStore(data []byte) (*Store, error) {
 		}
 		t := s.traceOf(target)
 		t.Reached = r.flag("reached")
+		// Hop addresses are interned like the ones Add files, interfaces
+		// or not: a hop outside the interface list still decodes.
 		if nHops := r.count(17); nHops > 0 {
-			t.Hops = make([]HopEntry, nHops)
-		}
-		for j := range t.Hops {
-			h := HopEntry{TTL: r.u8(), Addr: r.addr()}
-			if j > 0 && t.Hops[j-1].TTL >= h.TTL {
-				r.fail("trace %d: hop %d out of order", i, j)
+			t.hops = s.hopList(nHops)
+			for j := 0; j < nHops && r.err == nil; j++ {
+				ttl, a := r.u8(), r.addr()
+				if j > 0 && t.hops[j-1].ttl >= ttl {
+					r.fail("trace %d: hop %d out of order", i, j)
+				}
+				id, _ := s.tab.Intern(a)
+				t.addHop(ttl, id)
 			}
-			t.Hops[j] = h
-			t.markTTL(h.TTL)
 		}
 		r.codes(func(code uint8, n int64) {
 			if t.DestUnreach == nil {

@@ -61,7 +61,7 @@ func referenceEncode(s *Store) []byte {
 			reached = 1
 		}
 		buf = append(buf, reached)
-		hops := append([]HopEntry(nil), t.Hops...)
+		hops := hopsOf(s, t)
 		sort.Slice(hops, func(i, j int) bool { return hops[i].TTL < hops[j].TTL })
 		buf = appendU32(buf, uint32(len(hops)))
 		for _, h := range hops {

@@ -100,7 +100,7 @@ func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32, p Params)
 	for i := 0; i+1 < len(traces); i++ {
 		a, b := traces[i], traces[i+1]
 		res.PairsExamined++
-		if dpl, ok := divergent(a, b, table, vantageASN, p); ok {
+		if dpl, ok := divergent(store, a, b, table, vantageASN, p); ok {
 			res.PairsAccepted++
 			if dpl > 64 {
 				dpl = 64 // subnets no more specific than /64 at the edge
@@ -116,7 +116,7 @@ func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32, p Params)
 
 	// IA hack: last hop is the target LAN's ::1 gateway.
 	for _, t := range traces {
-		if lanPinned(t) {
+		if lanPinned(store, t) {
 			res.IAHackCount++
 			if bound[t.Target] < 64 {
 				bound[t.Target] = 64
@@ -150,23 +150,24 @@ func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32, p Params)
 
 // lanPinned reports whether the trace's deepest hop is the ::1 gateway of
 // the target's own /64.
-func lanPinned(t *probe.Trace) bool {
-	hops := t.SortedHops()
-	if len(hops) == 0 {
+func lanPinned(store *probe.Store, t *probe.Trace) bool {
+	last, ok := uint32(0), false
+	store.ForEachHop(t, func(_ uint8, id uint32) { last, ok = id, true })
+	if !ok {
 		return false
 	}
-	last := hops[len(hops)-1].Addr
-	return ipv6.IID(last) == 1 && ipv6.SubnetPrefix64(last) == ipv6.SubnetPrefix64(t.Target)
+	a := store.AddrTable().Addr(last)
+	return ipv6.IID(a) == 1 && ipv6.SubnetPrefix64(a) == ipv6.SubnetPrefix64(t.Target)
 }
 
 func lanPinnedAddr(store *probe.Store, target netip.Addr) bool {
 	t := store.Trace(target)
-	return t != nil && lanPinned(t)
+	return t != nil && lanPinned(store, t)
 }
 
 // divergent tests one target pair per discoverByPathDiv's parameters,
 // returning the pair's DPL when accepted.
-func divergent(a, b *probe.Trace, table *bgp.Table, vantageASN uint32, p Params) (int, bool) {
+func divergent(store *probe.Store, a, b *probe.Trace, table *bgp.Table, vantageASN uint32, p Params) (int, bool) {
 	targetASNA := table.Origin(a.Target)
 	targetASNB := table.Origin(b.Target)
 	if targetASNA == 0 || targetASNB == 0 {
@@ -178,8 +179,8 @@ func divergent(a, b *probe.Trace, table *bgp.Table, vantageASN uint32, p Params)
 
 	// Locate the divergence TTL: the first TTL where both paths answered
 	// with different addresses.
-	hopsA := hopMap(a)
-	hopsB := hopMap(b)
+	hopsA := hopMap(store, a)
+	hopsB := hopMap(store, b)
 	maxTTL := maxKey(hopsA)
 	if m := maxKey(hopsB); m > maxTTL {
 		maxTTL = m
@@ -239,11 +240,10 @@ func divergent(a, b *probe.Trace, table *bgp.Table, vantageASN uint32, p Params)
 	return ipv6.PairDPL(a.Target, b.Target), true
 }
 
-func hopMap(t *probe.Trace) map[int]netip.Addr {
-	m := make(map[int]netip.Addr, len(t.Hops))
-	for _, h := range t.Hops {
-		m[int(h.TTL)] = h.Addr
-	}
+func hopMap(store *probe.Store, t *probe.Trace) map[int]netip.Addr {
+	m := make(map[int]netip.Addr, t.PathLength())
+	tab := store.AddrTable()
+	store.ForEachHop(t, func(ttl uint8, id uint32) { m[int(ttl)] = tab.Addr(id) })
 	return m
 }
 

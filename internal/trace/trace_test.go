@@ -46,11 +46,8 @@ func TestSequentialTracesPaths(t *testing.T) {
 	// hops (hop 1 responsive).
 	hop1 := 0
 	for _, tr := range store.Traces() {
-		for _, h := range tr.Hops {
-			if h.TTL == 1 {
-				hop1++
-				break
-			}
+		if tr.HasTTL(1) {
+			hop1++
 		}
 	}
 	if hop1 == 0 {
