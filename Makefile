@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzDecodeStore$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run xxx -fuzz '^FuzzImportSimState$$' -fuzztime $(FUZZTIME) ./internal/netsim
 
 # cover writes the aggregate coverage profile and prints the total; CI
 # fails if the total drops below its recorded baseline.

@@ -391,10 +391,13 @@ type Result struct {
 	// PlanTableSlots and PlanTableCores describe the vantage's plan
 	// table as the run left it — slot count, and slots holding a plan —
 	// and PlanTableGrowths counts the times it rebuilt itself larger
-	// during the run.
+	// during the run. PlanTableRouters is how many routers the vantage
+	// identity's plans have named so far, the size of the router
+	// registry beside the table: unlike the slots it has no byte cap.
 	PlanTableSlots   int
 	PlanTableCores   int
 	PlanTableGrowths int64
+	PlanTableRouters int
 	// AddrTableSlots and AddrTableAddrs describe the address tables the
 	// run's stores filed their replies in — one per shard — summed over
 	// shards as they stood before the fold: slots allocated, and
@@ -543,7 +546,7 @@ type campaignRun struct {
 
 func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
 	r := &campaignRun{v: v, opt: opt, vsBefore: v.v.Stats, epoch: v.clk, own: own}
-	_, _, r.growthsBefore = v.v.PlanTableStats()
+	_, _, r.growthsBefore, _ = v.v.PlanTableStats()
 	if opt.Telemetry != nil {
 		r.simBefore = v.in.u.StatsSnapshot()
 	}
@@ -830,7 +833,7 @@ func (r *Result) setPlanStats(v *Vantage, before netsim.VantageStats, growthsBef
 		r.PlanEvictions += c.Stats.PlanEvictions
 		r.SharedPlanHits += c.Stats.SharedPlanHits
 	}
-	r.PlanTableSlots, r.PlanTableCores, r.PlanTableGrowths = v.v.PlanTableStats()
+	r.PlanTableSlots, r.PlanTableCores, r.PlanTableGrowths, r.PlanTableRouters = v.v.PlanTableStats()
 	r.PlanTableGrowths -= growthsBefore
 }
 
@@ -862,6 +865,7 @@ func (v *Vantage) publishRunTelemetry(reg *TelemetryRegistry, simBefore netsim.S
 	add("shared_plan_hits_total", res.SharedPlanHits)
 	reg.Gauge("plan_table_slots").Set(int64(res.PlanTableSlots))
 	reg.Gauge("plan_table_cores").Set(int64(res.PlanTableCores))
+	reg.Gauge("plan_table_routers").Set(int64(res.PlanTableRouters))
 	add("plan_table_growths_total", res.PlanTableGrowths)
 	reg.Gauge("addr_table_slots").Set(int64(res.AddrTableSlots))
 	reg.Gauge("addr_table_addrs").Set(int64(res.AddrTableAddrs))

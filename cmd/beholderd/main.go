@@ -405,13 +405,9 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 	if vname == "" {
 		vname = "US-EDU-1"
 	}
-	d.mu.Lock()
-	v := d.vantages[vname]
-	if v == nil {
-		v = d.in.NewVantage(vname)
-		d.vantages[vname] = v
+	if err := validIdent(vname); err != nil {
+		return nil, fmt.Errorf("vantage: %w", err)
 	}
-	d.mu.Unlock()
 
 	var targets []netip.Addr
 	if resume == nil {
@@ -444,6 +440,17 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 			}
 		}
 	}
+	// Materialize the vantage — and with it its identity's plan table and
+	// router registry, which live as long as the universe — only for a
+	// submission whose targets resolved.
+	d.mu.Lock()
+	v := d.vantages[vname]
+	if v == nil {
+		v = d.in.NewVantage(vname)
+		d.vantages[vname] = v
+	}
+	d.mu.Unlock()
+
 	sp := d.streamPath(req.Tenant, req.Name)
 	_, statErr := os.Stat(sp)
 	stream, err := os.OpenFile(sp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

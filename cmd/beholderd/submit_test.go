@@ -56,8 +56,10 @@ func (d *daemon) post(body string) int {
 // TestSubmitHostileBodies: a /submit body is outside input. Oversized,
 // unknown-field, trailing-data and unrunnable submissions are refused
 // promptly with the right status and admit nothing — a seed-list scale
-// or zn out of bounds before any target generation, an unknown tenant
-// before its vantage is materialized; a well-formed one still queues.
+// or zn out of bounds before any target generation; an unknown tenant,
+// a target that does not parse or a vantage name outside the store's
+// alphabet before the vantage is materialized; a well-formed one still
+// queues.
 func TestSubmitHostileBodies(t *testing.T) {
 	d := newTestDaemon(t)
 	const ok = `{"tenant":"alice","name":"c1","targets":["2001:db8::1","2001:db8::2"],"maxttl":4}`
@@ -76,6 +78,8 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"zn -5", `{"tenant":"alice","name":"zneg","zn":-5}`, http.StatusBadRequest},
 		{"zn 200", `{"tenant":"alice","name":"zbig","zn":200}`, http.StatusBadRequest},
 		{"unknown tenant", `{"tenant":"mallory","name":"x","vantage":"V-NEW","scale":4}`, http.StatusForbidden},
+		{"bad target", `{"tenant":"alice","name":"x","vantage":"V-NEW","targets":["nope"]}`, http.StatusBadRequest},
+		{"bad vantage name", `{"tenant":"alice","name":"y","vantage":"a/b","targets":["2001:db8::1"]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code := make(chan int, 1)
@@ -93,11 +97,12 @@ func TestSubmitHostileBodies(t *testing.T) {
 		t.Fatalf("hostile submissions admitted %d campaign(s): %+v", len(st), st)
 	}
 	d.mu.Lock()
-	_, materialized := d.vantages["V-NEW"]
-	d.mu.Unlock()
-	if materialized {
-		t.Fatal("an unknown tenant's submission materialized its vantage")
+	for name := range d.vantages {
+		if name == "V-NEW" || name == "a/b" {
+			t.Errorf("a refused submission materialized vantage %q", name)
+		}
 	}
+	d.mu.Unlock()
 	if got := d.post(ok + "\n"); got != http.StatusOK {
 		t.Fatalf("valid body: status %d", got)
 	}

@@ -354,9 +354,9 @@ func main() {
 
 	fmt.Printf("probes %d fills %d replies %d interfaces %d elapsed %s\n",
 		res.ProbesSent, res.Fills, res.Replies, res.NumInterfaces(), res.Elapsed)
-	fmt.Fprintf(os.Stderr, "yarrp6: plan table %d hits / %d misses (%d evictions), %d shared-core hits; %d slots, %d cores, %d growths\n",
+	fmt.Fprintf(os.Stderr, "yarrp6: plan table %d hits / %d misses (%d evictions), %d shared-core hits; %d slots, %d cores, %d growths, %d routers\n",
 		res.PlanHits, res.PlanMisses, res.PlanEvictions, res.SharedPlanHits,
-		res.PlanTableSlots, res.PlanTableCores, res.PlanTableGrowths)
+		res.PlanTableSlots, res.PlanTableCores, res.PlanTableGrowths, res.PlanTableRouters)
 	fmt.Fprintf(os.Stderr, "yarrp6: address tables %d slots, %d addresses\n", res.AddrTableSlots, res.AddrTableAddrs)
 	if *graphOut != "" {
 		// AS-annotated from the simulator's BGP table; NDJSON or DOT by

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/bits"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,12 +18,14 @@ import (
 // the hop limit only selects where along the planned path a probe dies,
 // and Yarrp6 holds the flow identity constant per target across all ~16
 // TTLs precisely so that ECMP routers keep it on one path. The first
-// probe toward a flow materializes the full plan (router step keys, step
-// ASes, outcome, error index, a prefix-summed RTT table, and the host
-// lookup) as an immutable planCore and publishes it; every later probe of
-// the flow — from this vantage, a shard clone, or a later vantage with
-// the same identity — reads that core in place. Nothing is copied per
-// vantage: routers are resolved through the vantage's own router map.
+// probe toward a flow materializes the full plan (router ordinals,
+// outcome, error index, a prefix-summed RTT table, and the host lookup)
+// as an immutable planCore and publishes it; every later probe of the
+// flow — from this vantage, a shard clone, or a later vantage with the
+// same identity — reads that core in place. Nothing is copied per
+// vantage: a step names its router by the ordinal the identity's router
+// registry (router.go) gave its key, and each vantage resolves ordinals
+// through its own dense router slice.
 //
 // The table is an open-addressed array of atomically published core
 // pointers, probed over a short window from the flow's home slot. It
@@ -46,15 +49,16 @@ const (
 	// planTableMaxBytes caps a table's slot array: 2 MiB is
 	// 262 144 slots. It was chosen from the widest workload the
 	// benchmark runs, wide-serial's 65 534 flows: the table settles at
-	// this size with a quarter of its slots live — ≈ 41 MB of cores at
-	// the ≈ 620 B (72 B + 13.7 steps × 40 B) a default-universe core
+	// this size with a quarter of its slots live — ≈ 19 MB of cores at
+	// the ≈ 290 B (72 B + 13.7 steps × 16 B) a default-universe core
 	// measures — and evicts about one flow in a thousand. A working set
 	// up to four times that still fits, with window conflicts rising as
-	// the slots fill; fully loaded the table pins ≈ 165 MB, between the
-	// ≈ 95 MB a serial vantage and the ≈ 310 MB a vantage with four
-	// shard clones held in private slot arrays, step pages and the
-	// shared core array before there was one table. Past that, flows
-	// evict each other in place.
+	// the slots fill; fully loaded the table pins ≈ 76 MB, less than the
+	// ≈ 95 MB a serial vantage alone held in private slot arrays and
+	// step pages before there was one table. Past that, flows evict each
+	// other in place. The identity's router registry is not under this
+	// cap: it holds every router the identity's plans ever named
+	// (95 753 on wide-serial, ≈ 58 B each).
 	planTableMaxBytes = 2 << 20
 	planTableMaxSlots = planTableMaxBytes / (bits.UintSize / 8)
 
@@ -68,10 +72,11 @@ const (
 )
 
 // planCore is one flow's plan: the immutable value every vantage of one
-// identity shares. Everything in it — outcome, step keys, AS indices,
+// identity shares. Everything in it but the router ordinals — outcome,
 // prefix-summed RTTs, the ECMP flow hash — is a pure function of
-// (universe seed, vantage identity, flow). Cores are never mutated after
-// publication.
+// (universe seed, vantage identity, flow); the ordinals name the routers
+// that function yields, in the identity's registry. Cores are never
+// mutated after publication.
 type planCore struct {
 	// Key: destination plus the packed flow identity beyond it
 	// (transport, flow label, ports/checksum/identifier — see
@@ -92,14 +97,21 @@ type planCore struct {
 	steps    []coreStep
 }
 
-// coreStep is one hop of a plan: the router key, the owning AS by index
-// (the pointer is only needed at router birth), and the prefix-summed
-// round trip — steps[i].rtt is the doubled one-way latency over steps
-// 0..i, so a reply's path RTT is one field load.
+// coreStep is one hop of a plan, 16 bytes: the router's ordinal in the
+// identity's registry (key and hosting AS are only needed at router
+// birth, which reads them there), and the prefix-summed round trip —
+// steps[i].rtt is the doubled one-way latency over steps 0..i, so a
+// reply's path RTT is one field load.
 type coreStep struct {
-	key   RouterKey
-	asIdx int32
-	rtt   time.Duration
+	ord uint32
+	rtt time.Duration
+}
+
+// planHop is a hop as plan computation derives it, before interning:
+// the router key and its hosting AS's index.
+type planHop struct {
+	key RouterKey
+	as  int32
 }
 
 // planTable is the plan table of one vantage identity. Readers load the
@@ -252,15 +264,17 @@ func (v *Vantage) SuspendPlanCache() (resume func()) {
 	return func() { v.plans = pt }
 }
 
-// PlanTableStats reports the vantage's plan table: its current slot
+// PlanTableStats reports the vantage's plan table — its current slot
 // count, how many hold a core, and how many times it has been rebuilt
-// larger. All zero without a table.
-func (v *Vantage) PlanTableStats() (slots, cores int, growths int64) {
+// larger; all zero without a table — and how many routers the
+// identity's registry numbers, table or not.
+func (v *Vantage) PlanTableStats() (slots, cores int, growths int64, routers int) {
+	routers = v.reg.size()
 	if v.plans == nil {
-		return 0, 0, 0
+		return 0, 0, 0, routers
 	}
 	t := v.plans.tab.Load()
-	return len(t.slots), int(t.cores.Load()), v.plans.growths.Load()
+	return len(t.slots), int(t.cores.Load()), v.plans.growths.Load(), routers
 }
 
 // publish copies the scratch core e (and its steps) into an immutable
@@ -285,6 +299,27 @@ func (v *Vantage) publish(e *planCore) *planCore {
 	return c
 }
 
+// TruthPath returns the source addresses of the routers the probe's
+// flow traverses, in path order: element t-1 is the router a Time
+// Exceeded for hop limit t comes from. The path ends where the plan
+// does — at the destination's /64 gateway, or at the router that drops
+// or refuses the flow. It is the ground truth stored hops are checked
+// against: the plan is computed afresh, and no counter, plan table or
+// token bucket is touched. An undecodable probe has no path (nil).
+func (v *Vantage) TruthPath(pkt []byte) []netip.Addr {
+	var d wire.Decoded
+	if d.Decode(pkt) != nil {
+		return nil
+	}
+	plan := v.computePlan(&d, ipv6.FromAddr(d.IPv6.Dst), flowKeyOf(&d))
+	out := make([]netip.Addr, len(plan.steps))
+	for i, st := range plan.steps {
+		hop, _ := v.reg.entry(st.ord)
+		out[i] = v.u.routerAddr(hop.key, v.u.ases[hop.as])
+	}
+	return out
+}
+
 // computePlan materializes the router path for the decoded probe into
 // the vantage's scratch core and returns it. It mirrors the planning the
 // simulator did per probe before plans were kept; that it is a pure
@@ -293,20 +328,20 @@ func (v *Vantage) publish(e *planCore) *planCore {
 func (v *Vantage) computePlan(d *wire.Decoded, dstU ipv6.U128, flowKey uint64) *planCore {
 	u := v.u
 	fh := flowHashU(u.seed, v.srcU, dstU, d)
-	steps := v.scratch.steps[:0]
+	hops := v.hops[:0]
 	e := &v.scratch
-	*e = planCore{dst: dstU, flowKey: flowKey, fh: fh, pub: v.serial, destAS: -1}
+	*e = planCore{dst: dstU, flowKey: flowKey, fh: fh, pub: v.serial, destAS: -1, steps: e.steps[:0]}
 
 	// On-premise access chain.
 	for i := 0; i < v.spec.ChainLen; i++ {
-		steps = append(steps, coreStep{key: RouterKey{ASN: v.as.ASN, Class: classAccess, K1: v.id, K2: uint64(i)}, asIdx: int32(v.as.Idx)})
+		hops = append(hops, planHop{key: RouterKey{ASN: v.as.ASN, Class: classAccess, K1: v.id, K2: uint64(i)}, as: int32(v.as.Idx)})
 	}
 
 	rt, ok := u.table.Lookup(d.IPv6.Dst)
 	if !ok {
 		// Unrouted destination: the border router reports no-route.
 		e.outcome = outNoRoute
-		return v.storePlan(steps, len(steps)-1)
+		return v.storePlan(hops, len(hops)-1)
 	}
 	destAS := u.byASN[rt.Origin]
 	e.destAS = int32(destAS.Idx)
@@ -327,23 +362,23 @@ func (v *Vantage) computePlan(d *wire.Decoded, dstU ipv6.U128, flowKey uint64) *
 	filterAdmin := false
 	for i := pl - 1; i >= 0; i-- {
 		as := u.ases[asPath[i]]
-		hops := 1
+		span := 1
 		if as.Tier <= 2 {
-			hops = 1 + int(h(u.seed, 33, uint64(as.ASN), uint64(prevASN))%3)
+			span = 1 + int(h(u.seed, 33, uint64(as.ASN), uint64(prevASN))%3)
 		}
 		var lbSel uint64
 		if as.LoadBalanced {
 			lbSel = fh % uint64(as.LBWays)
 		}
 		ingress := h(u.seed, 34, uint64(prevASN), lbSel)
-		for j := 0; j < hops; j++ {
-			steps = append(steps, coreStep{key: RouterKey{ASN: as.ASN, Class: classBackbone, K1: ingress, K2: uint64(j)}, asIdx: int32(as.Idx)})
+		for j := 0; j < span; j++ {
+			hops = append(hops, planHop{key: RouterKey{ASN: as.ASN, Class: classBackbone, K1: ingress, K2: uint64(j)}, as: int32(as.Idx)})
 		}
 		// Transport filtering at the destination AS border.
 		if as == destAS && !filtered {
 			if (d.Proto == wire.ProtoUDP && as.BlockUDP) || (d.Proto == wire.ProtoTCP && as.BlockTCP) {
 				filtered = true
-				filterIdx = len(steps) - 1
+				filterIdx = len(hops) - 1
 				filterAdmin = h(u.seed, 35, uint64(as.ASN))%2 == 0
 			}
 		}
@@ -356,40 +391,44 @@ func (v *Vantage) computePlan(d *wire.Decoded, dstU ipv6.U128, flowKey uint64) *
 		}
 		// Steps past the filter can never be traversed; drop them so the
 		// cached plan holds exactly the reachable prefix of the path.
-		return v.storePlan(steps[:filterIdx+1], filterIdx)
+		return v.storePlan(hops[:filterIdx+1], filterIdx)
 	}
 
 	// Intra-AS descent through the destination's subnet hierarchy.
 	var buf [8]netip.Prefix
 	chain, full := u.descent(destAS, rt.Prefix, d.IPv6.Dst, buf[:])
 	for _, sub := range chain {
-		steps = append(steps, coreStep{key: RouterKey{
+		hops = append(hops, planHop{key: RouterKey{
 			ASN:   destAS.ASN,
 			Class: classLevel,
 			K1:    ipv6.FromAddr(sub.Addr()).Hi,
 			K2:    uint64(sub.Bits()),
-		}, asIdx: int32(destAS.Idx)})
+		}, as: int32(destAS.Idx)})
 	}
 	if !full {
 		e.outcome = outNoRoute
 		e.reject = destAS.RejectRoute
-		return v.storePlan(steps, len(steps)-1)
+		return v.storePlan(hops, len(hops)-1)
 	}
 	e.outcome = outHost
 	e.exists = len(chain) > 0 && u.hostOnLAN(d.IPv6.Dst, chain[len(chain)-1], destAS)
-	return v.storePlan(steps, len(steps)-1)
+	return v.storePlan(hops, len(hops)-1)
 }
 
-// storePlan closes the scratch core over its step list and fills the
-// prefix-summed RTT field: steps[i].rtt is the doubled one-way latency
-// across steps 0..i.
-func (v *Vantage) storePlan(steps []coreStep, errorIdx int) *planCore {
+// storePlan closes the scratch core over one step per hop: the hop's
+// router ordinal — all of a plan's keys interned under one registry
+// lock — and the prefix-summed RTT, steps[i].rtt being the doubled
+// one-way latency across hops 0..i.
+func (v *Vantage) storePlan(hops []planHop, errorIdx int) *planCore {
+	v.hops = hops // keeps the (possibly grown) array for the next compute
+	steps := slices.Grow(v.scratch.steps, len(hops))[:len(hops)]
 	var oneWay time.Duration
-	for i := range steps {
-		oneWay += v.u.linkLatency(steps[i].key)
+	for i := range hops {
+		oneWay += v.u.linkLatency(hops[i].key)
 		steps[i].rtt = 2 * oneWay
 	}
-	v.scratch.steps = steps // keeps the (possibly grown) array for the next compute
+	v.reg.intern(hops, steps)
+	v.scratch.steps = steps
 	v.scratch.errorIdx = uint16(errorIdx)
 	return &v.scratch
 }

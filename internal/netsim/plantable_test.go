@@ -3,7 +3,9 @@ package netsim
 import (
 	"bytes"
 	"crypto/sha256"
+	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,9 +23,44 @@ type cloneTrace struct {
 	sim      []byte
 }
 
-// driveSharedTable sends overlapping flow sequences from four concurrent
-// clones of v — clone k walks the destinations from offset k·n/4, every
-// destination at three TTLs, fast enough to drain shared buckets — and
+// driveClone walks dsts from offset off three times, every destination
+// at three TTLs and fast enough to drain shared buckets, and returns the
+// digest of every reply with its delivery instant and the exported
+// bucket state.
+func driveClone(c *Vantage, dsts []netip.Addr, off int) (tr cloneTrace, err error) {
+	h := sha256.New()
+	buf := make([]byte, wire.MinMTU)
+	drain := func() {
+		for {
+			n, ok := c.Recv(buf)
+			if !ok {
+				return
+			}
+			at := c.Now()
+			h.Write([]byte{byte(at), byte(at >> 8), byte(at >> 16), byte(at >> 24), byte(at >> 32), byte(n), byte(n >> 8)})
+			h.Write(buf[:n])
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for j := range dsts {
+			d := dsts[(off+j)%len(dsts)]
+			if err := c.Send(buildEchoProbe(c.LocalAddr(), d, uint8(2+3*round+j%3))); err != nil {
+				return tr, err
+			}
+			c.Sleep(200 * time.Microsecond)
+			drain()
+		}
+	}
+	c.Sleep(3 * time.Second)
+	drain()
+	h.Sum(tr.replies[:0])
+	tr.received = c.Stats.Received
+	tr.sim = c.ExportSimState(nil)
+	return tr, nil
+}
+
+// driveSharedTable runs driveClone on four concurrent clones of v —
+// clone k from offset k·n/4, so their flow sequences overlap — and
 // returns each clone's trace, the probes routed, and the table lookups
 // the clones counted.
 func driveSharedTable(t *testing.T, u *Universe, v *Vantage) (traces [4]cloneTrace, routed, lookups int64) {
@@ -34,38 +71,13 @@ func driveSharedTable(t *testing.T, u *Universe, v *Vantage) (traces [4]cloneTra
 	for k := range clones {
 		clones[k] = v.Clone(time.Duration(k) * time.Second)
 		wg.Add(1)
-		go func(c *Vantage, tr *cloneTrace, off int) {
+		go func() {
 			defer wg.Done()
-			h := sha256.New()
-			buf := make([]byte, wire.MinMTU)
-			drain := func() {
-				for {
-					n, ok := c.Recv(buf)
-					if !ok {
-						return
-					}
-					at := c.Now()
-					h.Write([]byte{byte(at), byte(at >> 8), byte(at >> 16), byte(at >> 24), byte(at >> 32), byte(n), byte(n >> 8)})
-					h.Write(buf[:n])
-				}
+			var err error
+			if traces[k], err = driveClone(clones[k], dsts, k*len(dsts)/4); err != nil {
+				t.Error(err)
 			}
-			for round := 0; round < 3; round++ {
-				for j := range dsts {
-					d := dsts[(off+j)%len(dsts)]
-					if err := c.Send(buildEchoProbe(c.LocalAddr(), d, uint8(2+3*round+j%3))); err != nil {
-						t.Error(err)
-						return
-					}
-					c.Sleep(200 * time.Microsecond)
-					drain()
-				}
-			}
-			c.Sleep(3 * time.Second)
-			drain()
-			h.Sum(tr.replies[:0])
-			tr.received = c.Stats.Received
-			tr.sim = c.ExportSimState(nil)
-		}(clones[k], &traces[k], k*len(dsts)/4)
+		}()
 	}
 	wg.Wait()
 	for _, c := range clones {
@@ -80,8 +92,10 @@ func driveSharedTable(t *testing.T, u *Universe, v *Vantage) (traces [4]cloneTra
 // capped at a single slot where every flow evicts every other — see exactly
 // the replies and leave exactly the bucket state of clones that plan
 // every probe from scratch, and every routed probe is counted as one
-// table hit or miss. Run under -race: the table is the only state the
-// clones share on the packet path.
+// table hit or miss. Run under -race: the table and the router registry
+// are the only state the clones share on the packet path, and the
+// registry, interned into concurrently, must still number each router
+// once.
 func TestSharedPlanTableConcurrent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func(setup func(v *Vantage)) ([4]cloneTrace, *Vantage) {
@@ -116,8 +130,9 @@ func TestSharedPlanTableConcurrent(t *testing.T) {
 
 	got, v := run(func(v *Vantage) { v.plans = newPlanTable(64, planTableMaxSlots) })
 	check("growing from 64 slots", got)
-	slots, cores, growths := v.PlanTableStats()
-	t.Logf("from 64: %d slots, %d cores, %d growths; reference run received %d replies", slots, cores, growths, total)
+	checkRegistry(t, v, primeTargets(v.u, 200))
+	slots, cores, growths, routers := v.PlanTableStats()
+	t.Logf("from 64: %d slots, %d cores, %d growths, %d routers; reference run received %d replies", slots, cores, growths, routers, total)
 	if growths < 2 || slots != 64<<(2*growths) {
 		t.Errorf("table: %d growths to %d slots, want >= 2 growths of 4x from 64", growths, slots)
 	}
@@ -127,7 +142,8 @@ func TestSharedPlanTableConcurrent(t *testing.T) {
 
 	got, v = run(func(v *Vantage) { v.plans = newPlanTable(1, 1) })
 	check("capped at one slot", got)
-	if slots, _, growths := v.PlanTableStats(); slots != 1 || growths != 0 {
+	checkRegistry(t, v, primeTargets(v.u, 200))
+	if slots, _, growths, _ := v.PlanTableStats(); slots != 1 || growths != 0 {
 		t.Errorf("capped table: %d slots after %d growths, want 1 and 0", slots, growths)
 	}
 }
@@ -156,7 +172,7 @@ func TestPlanTableGrowthKeepsPlans(t *testing.T) {
 			v.Sleep(time.Millisecond)
 		}
 	}
-	slots, cores, growths := v.PlanTableStats()
+	slots, cores, growths, _ := v.PlanTableStats()
 	t.Logf("%d flows: %d slots, %d cores, %d growths, %d misses, %d evictions", len(flows), slots, cores, growths, v.Stats.PlanMisses, v.Stats.PlanEvictions)
 	if extra := v.Stats.PlanMisses - int64(len(flows)); extra < 0 || extra > 2*v.Stats.PlanEvictions || v.Stats.PlanEvictions > int64(len(flows)/50) {
 		t.Errorf("%d misses, %d evictions over %d flows: growth lost plans", v.Stats.PlanMisses, v.Stats.PlanEvictions, len(flows))
@@ -192,9 +208,113 @@ func TestPlanTableGrowthKeepsPlans(t *testing.T) {
 			}
 		}
 	}
-	slots, _, _ = big.PlanTableStats()
+	slots, _, _, _ = big.PlanTableStats()
 	if st := big.Stats; st.PlanEvictions != 0 || st.PlanMisses != nFlows || st.PlanHits != nFlows || slots <= 8192 {
 		t.Errorf("%d flows on the default table: %d misses, %d hits, %d evictions at %d slots; want one miss per flow, no eviction, > 8192 slots",
 			nFlows, st.PlanMisses, st.PlanHits, st.PlanEvictions, slots)
+	}
+}
+
+// checkRegistry holds v's router registry, after flows to dsts were
+// planned into it by concurrent clones, to the keys those plans name:
+// replanning every flow from scratch numbers no new router and yields,
+// step for step, the ordinals of the cores the table published; every
+// ordinal maps back to the key its step was derived from; and the
+// registry holds exactly the distinct keys the plans name, each once.
+func checkRegistry(t *testing.T, v *Vantage, dsts []netip.Addr) {
+	t.Helper()
+	reg := v.reg
+	before := reg.size()
+	w := v.Clone(0)
+	w.plans = nil
+	named := make(map[RouterKey]bool)
+	planned := make(map[ipv6.U128][]coreStep)
+	for _, d := range dsts {
+		if err := w.dec.Decode(buildEchoProbe(w.LocalAddr(), d, 2)); err != nil {
+			t.Fatal(err)
+		}
+		dst := ipv6.FromAddr(d)
+		c := w.computePlan(&w.dec, dst, flowKeyOf(&w.dec))
+		for i, st := range c.steps {
+			if hop := reg.hops[st.ord]; hop != w.hops[i] {
+				t.Fatalf("flow %s step %d: ordinal %d names %v, the plan derived %v", d, i, st.ord, hop, w.hops[i])
+			}
+			named[w.hops[i].key] = true
+		}
+		planned[dst] = append([]coreStep(nil), c.steps...)
+	}
+	if after := reg.size(); after != before {
+		t.Errorf("replanning the driven flows numbered %d new routers", after-before)
+	}
+	if len(reg.hops) != len(named) || len(reg.ords) != len(reg.hops) {
+		t.Errorf("registry numbers %d routers (%d in its index) for the %d distinct routers the plans name", len(reg.hops), len(reg.ords), len(named))
+	}
+	for k, o := range reg.ords {
+		if reg.hops[o].key != k {
+			t.Fatalf("key %v indexed at ordinal %d, which names %v", k, o, reg.hops[o].key)
+		}
+	}
+	if v.plans == nil {
+		return
+	}
+	tab := v.plans.tab.Load()
+	for i := range tab.slots {
+		if c := tab.slots[i].Load(); c != nil && !slices.Equal(c.steps, planned[c.dst]) {
+			t.Errorf("published core for %v differs from its replanned steps", c.dst.Addr())
+		}
+	}
+}
+
+// TestOrdinalsInvisible: router ordinals are host-side names. Two
+// vantages of one identity — in two universes of one seed, so each has
+// a registry of its own — plan the same flows in opposite orders and so
+// number the same routers differently; driven through one schedule,
+// both see exactly the replies and leave exactly the bucket state of a
+// run without a plan table.
+func TestOrdinalsInvisible(t *testing.T) {
+	spec := VantageSpec{Name: "ordinals", Kind: KindUniversity, ChainLen: 3}
+	dsts := primeTargets(testUniverse(t), 120)
+	run := func(order []netip.Addr, table bool) (cloneTrace, *Vantage) {
+		t.Helper()
+		v := testUniverse(t).NewVantage(spec)
+		for _, d := range order {
+			if err := v.dec.Decode(buildEchoProbe(v.LocalAddr(), d, 1)); err != nil {
+				t.Fatal(err)
+			}
+			v.lookupPlan(&v.dec)
+		}
+		if !table {
+			v.plans = nil
+		}
+		tr, err := driveClone(v.Clone(0), dsts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, v
+	}
+	want, _ := run(nil, false)
+	if want.received == 0 {
+		t.Fatal("reference run received nothing")
+	}
+	reversed := slices.Clone(dsts)
+	slices.Reverse(reversed)
+	fwd, a := run(dsts, true)
+	rev, b := run(reversed, true)
+	renumbered := 0
+	for k, o := range a.reg.ords {
+		if b.reg.ords[k] != o {
+			renumbered++
+		}
+	}
+	if renumbered == 0 || len(a.reg.ords) != len(b.reg.ords) {
+		t.Fatalf("opposite planning orders numbered %d and %d routers, %d differently", len(a.reg.ords), len(b.reg.ords), renumbered)
+	}
+	for name, got := range map[string]cloneTrace{"forward": fwd, "reversed": rev} {
+		if got.replies != want.replies || got.received != want.received {
+			t.Errorf("%s numbering: replies differ from the table-less run (%d vs %d received)", name, got.received, want.received)
+		}
+		if !bytes.Equal(got.sim, want.sim) {
+			t.Errorf("%s numbering: exported sim state differs from the table-less run", name)
+		}
 	}
 }

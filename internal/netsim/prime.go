@@ -257,12 +257,9 @@ func (v *Vantage) ImportSimState(data []byte) error {
 	// caller must not modify data afterwards. (Checkpoint decoders and
 	// group priming both hand over buffers they never touch again.)
 	v.simPending = data
-	for k, r := range v.routers {
-		if tokens, last, ok := v.simLookup(k); ok {
-			r.tokens = tokens
-			if r.tokens > r.burst {
-				r.tokens = r.burst
-			}
+	for _, r := range v.routerIdx {
+		if tokens, last, ok := v.simLookup(r.Key); ok {
+			r.tokens = min(tokens, r.burst)
 			r.last = last
 		}
 	}

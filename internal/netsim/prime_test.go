@@ -187,12 +187,16 @@ func referenceSimState(v *Vantage) []byte {
 		last   time.Duration
 	}
 	var recs []rec
-	for k, r := range v.routers {
-		recs = append(recs, rec{k, r.tokens, r.last})
+	live := make(map[RouterKey]bool)
+	for _, r := range v.routers {
+		if r != nil {
+			recs = append(recs, rec{r.Key, r.tokens, r.last})
+			live[r.Key] = true
+		}
 	}
 	for i := 0; i < len(v.simPending)/simStateEntrySize; i++ {
 		k, tokens, last := simEntry(v.simPending, i)
-		if _, ok := v.routers[k]; !ok {
+		if !live[k] {
 			recs = append(recs, rec{k, tokens, last})
 		}
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"sync"
 	"time"
 
 	"beholder/internal/ipv6"
@@ -12,7 +13,8 @@ import (
 // only the single router that must generate a response is instantiated,
 // so its token bucket persists across probes while untouched hops cost
 // nothing. Materialized routers are owned by the vantage that touched
-// them (see Vantage.router): every router property except the live
+// them (see Vantage.router) and found by the ordinal the identity's
+// registry gave their key: every router property except the live
 // bucket level is a pure function of (seed, key), so concurrent vantages
 // derive identical routers without sharing mutable state.
 
@@ -29,6 +31,61 @@ type RouterKey struct {
 	Class uint8
 	K1    uint64 // access: vantage id; backbone: ingress/LB selector; level: subnet hi bits
 	K2    uint64 // access/backbone: hop index; level: subnet prefix length
+}
+
+// routerRegistry numbers the routers one vantage identity's plans name:
+// ordinal i is the router hops[i] names, with its hosting AS — key and
+// AS side by side, so a birth's read is one cache miss. Plan steps hold
+// ordinals and vantages keep their routers in a slice indexed by them,
+// so the packet path resolves a hop with a load instead of a hash. The
+// registry is shared, like the plan table, by every vantage of the
+// identity and outlives SuspendPlanCache (scratch plans need ordinals
+// too). It only grows: a plan computation interns its keys under mu
+// once, a router birth reads its entry under mu once, and nothing else
+// touches it.
+//
+// Ordinals are assigned in interning order, which depends on how
+// concurrent shards interleave, so they are host-side names only: no
+// reply, sim-state byte, store byte or counter may depend on one.
+type routerRegistry struct {
+	mu   sync.Mutex
+	ords map[RouterKey]uint32
+	hops []planHop
+}
+
+func newRouterRegistry() *routerRegistry {
+	return &routerRegistry{ords: make(map[RouterKey]uint32)}
+}
+
+// intern writes the ordinal of hops[i]'s router into steps[i].ord,
+// numbering routers seen for the first time.
+func (g *routerRegistry) intern(hops []planHop, steps []coreStep) {
+	g.mu.Lock()
+	for i := range hops {
+		o, ok := g.ords[hops[i].key]
+		if !ok {
+			o = uint32(len(g.hops))
+			g.ords[hops[i].key] = o
+			g.hops = append(g.hops, hops[i])
+		}
+		steps[i].ord = o
+	}
+	g.mu.Unlock()
+}
+
+// entry returns router ord's key and hosting AS index, and how many
+// routers the registry numbers.
+func (g *routerRegistry) entry(ord uint32) (hop planHop, n int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.hops[ord], len(g.hops)
+}
+
+// size returns how many routers the registry numbers.
+func (g *routerRegistry) size() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.hops)
 }
 
 // Router is a materialized packet forwarder with ICMPv6 generation state.

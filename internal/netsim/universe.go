@@ -101,13 +101,14 @@ type Universe struct {
 
 	// planShare hands every vantage of one identity (a named vantage
 	// at its attachment, all its shard clones, and later vantages
-	// attached the same way) one plan table: plans are pure functions
-	// of (seed, identity, flow), so a later campaign — or a sibling
-	// shard — starts from the flows already planned. Guarded by
-	// planShareMu at vantage creation only; the packet path touches the
-	// table through atomics.
+	// attached the same way) one plan table and one router registry:
+	// plans are pure functions of (seed, identity, flow), so a later
+	// campaign — or a sibling shard — starts from the flows already
+	// planned. Guarded by planShareMu at vantage creation only; the
+	// packet path touches the table through atomics and the registry
+	// under its own lock, once per computed plan and router birth.
 	planShareMu sync.Mutex
-	planShare   map[planIdentity]*planTable
+	planShare   map[planIdentity]identityShare
 
 	// vantages tracks every vantage attached to this universe, weakly:
 	// ResetState must flush their pending stat deltas before zeroing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -56,15 +57,16 @@ type Vantage struct {
 
 	parent []int32 // BFS shortest-path tree over the AS graph, -1 at root
 
-	// routers holds this vantage's lazily materialized routers. Router
-	// properties are pure functions of (seed, key); only the live token
-	// bucket is mutable, and it is owned — never shared — by the
-	// materializing vantage, so concurrent vantages need no locking.
-	routers map[RouterKey]*Router
-	// routerIdx lists the values of routers — routers are born, never
+	// routers holds this vantage's lazily materialized routers, indexed
+	// by their ordinal in reg, nil where not yet born. Router properties
+	// are pure functions of (seed, key); only the live token bucket is
+	// mutable, and it is owned — never shared — by the materializing
+	// vantage, so concurrent vantages need no locking.
+	routers []*Router
+	// routerIdx lists the born routers — routers are born, never
 	// retired — ascending by key up to routersSorted and in birth order
 	// beyond: ExportSimState walks it instead of collecting and sorting
-	// the whole map for every snapshot.
+	// the live routers for every snapshot.
 	routerIdx     []*Router
 	routersSorted int
 
@@ -75,12 +77,15 @@ type Vantage struct {
 	// and publishes into: the universe's table for the vantage's
 	// identity, shared with every clone and with later vantages of the
 	// same identity. Nil (SuspendPlanCache) means no table: every probe
-	// replans into scratch. serial names this vantage
-	// in the cores it publishes; coreBlock and coreSteps are its
-	// publication slabs: carved, never reused.
+	// replans into scratch. reg is the identity's router registry, shared
+	// the same way, table or not. serial names this vantage in the cores
+	// it publishes; hops is plan computation's scratch; coreBlock and
+	// coreSteps are its publication slabs: carved, never reused.
 	plans     *planTable
+	reg       *routerRegistry
 	serial    uint32
 	scratch   planCore
+	hops      []planHop
 	coreBlock []planCore
 	coreSteps []coreStep
 
@@ -173,17 +178,16 @@ func (u *Universe) NewVantage(spec VantageSpec) *Vantage {
 	}
 	as := pool[h(u.seed, 31, nameKey)%uint64(len(pool))]
 	v := &Vantage{
-		u:       u,
-		spec:    spec,
-		id:      nameKey,
-		as:      as,
-		addr:    ipv6.WithIID(ipv6.NthSubprefix(as.Prefixes[0], 64, 0xbeef).Addr(), 0x1),
-		clk:     &u.clock,
-		routers: make(map[RouterKey]*Router),
+		u:    u,
+		spec: spec,
+		id:   nameKey,
+		as:   as,
+		addr: ipv6.WithIID(ipv6.NthSubprefix(as.Prefixes[0], 64, 0xbeef).Addr(), 0x1),
+		clk:  &u.clock,
 	}
 	v.srcU = ipv6.FromAddr(v.addr)
 	v.parent = u.bfsTree(as.Idx)
-	v.plans = u.plansFor(planIdentity{name: nameKey, as: as.Idx, chainLen: spec.ChainLen})
+	v.plans, v.reg = u.plansFor(planIdentity{name: nameKey, as: as.Idx, chainLen: spec.ChainLen})
 	v.faults = u.cfg.Faults.PlanFor(spec.Name, "", 0)
 	v.hasFaults = v.faults.Active()
 	v.errTransient.Vantage = spec.Name
@@ -201,29 +205,37 @@ type planIdentity struct {
 	chainLen int
 }
 
-// plansFor returns (creating on first use) the self-sizing plan table
-// shared by every vantage of one identity.
-func (u *Universe) plansFor(id planIdentity) *planTable {
+// identityShare is what every vantage of one identity shares: its
+// self-sizing plan table and its router registry.
+type identityShare struct {
+	plans *planTable
+	reg   *routerRegistry
+}
+
+// plansFor returns (creating on first use) the plan table and router
+// registry shared by every vantage of one identity.
+func (u *Universe) plansFor(id planIdentity) (*planTable, *routerRegistry) {
 	u.planShareMu.Lock()
 	defer u.planShareMu.Unlock()
 	if u.planShare == nil {
-		u.planShare = make(map[planIdentity]*planTable)
+		u.planShare = make(map[planIdentity]identityShare)
 	}
-	pt := u.planShare[id]
-	if pt == nil {
-		pt = newPlanTable(planTableMinSlots, planTableMaxSlots)
-		u.planShare[id] = pt
+	sh, ok := u.planShare[id]
+	if !ok {
+		sh = identityShare{newPlanTable(planTableMinSlots, planTableMaxSlots), newRouterRegistry()}
+		u.planShare[id] = sh
 	}
-	return pt
+	return sh.plans, sh.reg
 }
 
 // Clone returns a shard vantage with the same identity — name, hosting
 // AS, source address, access-chain router keys — but private mutable
 // state: its own clock opened at virtual time start, its own delivery
 // queue, buffer free list, counters, and router token buckets; it reads
-// and publishes into the parent's plan table. The clone's clock joins the parent's ClockGroup so the
-// campaign's coordinated watermark covers it. Clones must be created
-// before the shards start running (Clone mutates the parent's group).
+// and publishes into the parent's plan table and router registry. The
+// clone's clock joins the parent's ClockGroup so the campaign's
+// coordinated watermark covers it. Clones must be created before the
+// shards start running (Clone mutates the parent's group).
 func (v *Vantage) Clone(start time.Duration) *Vantage {
 	nv := &Vantage{
 		u:        v.u,
@@ -234,8 +246,8 @@ func (v *Vantage) Clone(start time.Duration) *Vantage {
 		srcU:     v.srcU,
 		clk:      NewClockAt(start),
 		parent:   v.parent, // read-only after construction
-		routers:  make(map[RouterKey]*Router),
 		plans:    v.plans,
+		reg:      v.reg,
 		campaign: v.campaign,
 		shardOrd: v.nextClone,
 	}
@@ -324,45 +336,52 @@ func (v *Vantage) Now() time.Duration { return v.clk.Now() }
 // Sleep advances virtual time; probers call this to pace departures.
 func (v *Vantage) Sleep(d time.Duration) { v.clk.Sleep(d) }
 
-// router returns (materializing into this vantage's table if needed) the
-// router for key. now is the virtual instant of the touching probe — the
-// clock's current time on the live path, the replayed instant during
+// router returns (materializing into this vantage if needed) the router
+// with ordinal ord. now is the virtual instant of the touching probe —
+// the clock's current time on the live path, the replayed instant during
 // priming — so a router born under prime replay opens its bucket at the
 // same instant it would have opened at in the serial history.
-func (v *Vantage) router(key RouterKey, as *AS, now time.Duration) *Router {
-	if r, ok := v.routers[key]; ok {
-		return r
-	}
-	if len(v.simPending) > 0 {
-		// Imported sim state (checkpoint resume, campaign group priming)
-		// overrides the birth instant: the router opens with the bucket
-		// exactly where the exporting vantage's was.
-		if tokens, last, ok := v.simLookup(key); ok {
-			r := v.u.newRouter(key, as, last)
-			r.tokens = tokens
-			if r.tokens > r.burst {
-				r.tokens = r.burst
-			}
-			v.addRouter(r)
+func (v *Vantage) router(ord uint32, now time.Duration) *Router {
+	if int(ord) < len(v.routers) {
+		if r := v.routers[ord]; r != nil {
 			return r
 		}
 	}
-	r := v.u.newRouter(key, as, now)
-	v.addRouter(r)
+	return v.birth(ord, now)
+}
+
+// birth materializes router ord: the only packet-path read of the
+// registry, for the router's key and AS. The router slice grows to the
+// registry's size, doubling, so births of routers numbered since amortize.
+func (v *Vantage) birth(ord uint32, now time.Duration) *Router {
+	hop, n := v.reg.entry(ord)
+	if n > len(v.routers) {
+		if n > cap(v.routers) {
+			v.routers = slices.Grow(v.routers, max(n, 2*cap(v.routers))-len(v.routers))
+		}
+		v.routers = v.routers[:n]
+	}
+	as := v.u.ases[hop.as]
+	var r *Router
+	if tokens, last, ok := v.simLookup(hop.key); ok {
+		// Imported sim state (checkpoint resume, campaign group priming)
+		// overrides the birth instant: the router opens with the bucket
+		// exactly where the exporting vantage's was.
+		r = v.u.newRouter(hop.key, as, last)
+		r.tokens = min(tokens, r.burst)
+	} else {
+		r = v.u.newRouter(hop.key, as, now)
+	}
+	v.routers[ord] = r
+	v.routerIdx = sorted.Append(v.routerIdx, r)
 	return r
 }
 
-func (v *Vantage) addRouter(r *Router) {
-	v.routers[r.Key] = r
-	v.routerIdx = sorted.Append(v.routerIdx, r)
-}
-
-// stepRouter resolves the router for plan step idx through the
-// vantage's router map: plans are shared and immutable, routers — with
-// their live token buckets — are vantage-owned.
+// stepRouter resolves the router for plan step idx by its ordinal:
+// plans are shared and immutable, routers — with their live token
+// buckets — are vantage-owned.
 func (v *Vantage) stepRouter(plan *planCore, idx int, now time.Duration) *Router {
-	st := &plan.steps[idx]
-	return v.router(st.key, v.u.ases[st.asIdx], now)
+	return v.router(plan.steps[idx].ord, now)
 }
 
 // outcomes of path planning.

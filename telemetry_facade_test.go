@@ -142,6 +142,9 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 		cores != int64(res.PlanTableCores) || cores == 0 || cores > slots {
 		t.Errorf("plan_table_slots/cores = %d/%d, result has %d/%d", slots, cores, res.PlanTableSlots, res.PlanTableCores)
 	}
+	if got := gauge("plan_table_routers"); got != int64(res.PlanTableRouters) || got == 0 {
+		t.Errorf("plan_table_routers = %d, result has %d", got, res.PlanTableRouters)
+	}
 	if got := counter("plan_table_growths_total"); got != res.PlanTableGrowths {
 		t.Errorf("plan_table_growths_total = %d, want %d", got, res.PlanTableGrowths)
 	}
