@@ -178,26 +178,28 @@ func simEntry(data []byte, i int) (k RouterKey, tokens float64, last time.Durati
 
 // ExportSimState appends the vantage's mutable simulator state — the
 // router token-bucket levels — to buf and returns the extended slice:
-// the materialized routers, plus any imported records whose router was
-// never touched (and so still carries exactly the imported state).
-// Entries are sorted by router key, so equal states serialize to equal
-// bytes. Campaign checkpointing stores the blob in the artifact;
+// the born routers, plus any imported records whose router was never
+// touched (and so still carries exactly the imported state). Entries are
+// sorted by router key, so equal states serialize to equal bytes.
+// Campaign checkpointing stores the blob in the artifact;
 // ImportSimState restores it. The export is one merge of two ascending
-// sequences — the router index, of which only the routers born since
-// the previous export need sorting, and the imported records.
+// sequences — the key-sorted row index, of which only the rows born
+// since the previous export need sorting, and the imported records.
 func (v *Vantage) ExportSimState(buf []byte) []byte {
-	sorted.Tail(v.routerIdx, v.routersSorted, func(a, b *Router) int { return simStateKeyCompare(a.Key, b.Key) })
-	v.routersSorted = len(v.routerIdx)
+	n := len(v.byKey)
+	v.byKey = v.appendBorn(v.byKey, n)
+	sorted.Tail(v.byKey, n, func(a, b uint32) int { return simStateKeyCompare(v.row(a).key(), v.row(b).key()) })
 	pending := v.simPending
-	buf = slices.Grow(buf, 4+len(v.routerIdx)*simStateEntrySize+len(pending))
+	buf = slices.Grow(buf, 4+len(v.byKey)*simStateEntrySize+len(pending))
 	head := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
-	for _, r := range v.routerIdx {
+	for _, ref := range v.byKey {
+		r := v.row(ref)
 		// Imported records ahead of r belong to routers never touched
 		// here; a record for r itself is stale — the live bucket wins.
 		for len(pending) > 0 {
 			k, _, _ := simEntry(pending, 0)
-			c := simStateKeyCompare(k, r.Key)
+			c := simStateKeyCompare(k, r.key())
 			if c < 0 {
 				buf = append(buf, pending[:simStateEntrySize]...)
 			} else if c > 0 {
@@ -205,16 +207,28 @@ func (v *Vantage) ExportSimState(buf []byte) []byte {
 			}
 			pending = pending[simStateEntrySize:]
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, r.Key.ASN)
-		buf = append(buf, r.Key.Class)
-		buf = binary.LittleEndian.AppendUint64(buf, r.Key.K1)
-		buf = binary.LittleEndian.AppendUint64(buf, r.Key.K2)
+		buf = binary.LittleEndian.AppendUint32(buf, r.asn)
+		buf = append(buf, r.class)
+		buf = binary.LittleEndian.AppendUint64(buf, r.k1)
+		buf = binary.LittleEndian.AppendUint64(buf, r.k2)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.tokens))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.last))
 	}
 	buf = append(buf, pending...)
 	binary.LittleEndian.PutUint32(buf[head:], uint32((len(buf)-head-4)/simStateEntrySize))
 	return buf
+}
+
+// appendBorn appends to dst the refs of the rows born after the first
+// from, in birth order.
+func (v *Vantage) appendBorn(dst []uint32, from int) []uint32 {
+	for c, chunk := range v.rows {
+		for off := from; off < len(chunk); off++ {
+			dst = append(dst, uint32(c)<<rowChunkBits|uint32(off))
+		}
+		from = max(from-len(chunk), 0)
+	}
+	return dst
 }
 
 // ImportSimState restores the bucket levels serialized by
@@ -225,7 +239,7 @@ func (v *Vantage) ExportSimState(buf []byte) []byte {
 // as its own window touches them — importing costs nothing per router,
 // and the untouched majority of a sibling's routers never exists here
 // at all.
-// Records for routers the vantage had already materialized are applied
+// Records for routers the vantage had already born are applied
 // immediately; every router property beyond the bucket is re-derived
 // purely from (seed, key), so restored routers are identical to the
 // exporting vantage's.
@@ -257,10 +271,13 @@ func (v *Vantage) ImportSimState(data []byte) error {
 	// caller must not modify data afterwards. (Checkpoint decoders and
 	// group priming both hand over buffers they never touch again.)
 	v.simPending = data
-	for _, r := range v.routerIdx {
-		if tokens, last, ok := v.simLookup(r.Key); ok {
-			r.tokens = min(tokens, r.burst)
-			r.last = last
+	for _, chunk := range v.rows {
+		for i := range chunk {
+			r := &chunk[i]
+			if tokens, last, ok := v.simLookup(r.key()); ok {
+				r.tokens = min(tokens, r.burst)
+				r.last = last
+			}
 		}
 	}
 	return nil

@@ -188,10 +188,10 @@ func referenceSimState(v *Vantage) []byte {
 	}
 	var recs []rec
 	live := make(map[RouterKey]bool)
-	for _, r := range v.routers {
-		if r != nil {
-			recs = append(recs, rec{r.Key, r.tokens, r.last})
-			live[r.Key] = true
+	for _, chunk := range v.rows {
+		for _, r := range chunk {
+			recs = append(recs, rec{r.key(), r.tokens, r.last})
+			live[r.key()] = true
 		}
 	}
 	for i := 0; i < len(v.simPending)/simStateEntrySize; i++ {

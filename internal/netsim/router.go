@@ -10,9 +10,9 @@ import (
 
 // Router identity. Routers are materialized lazily: a probe's path is
 // planned as a sequence of RouterKeys (pure hashing, no allocation), and
-// only the single router that must generate a response is instantiated,
-// so its token bucket persists across probes while untouched hops cost
-// nothing. Materialized routers are owned by the vantage that touched
+// only the single router that must generate a response is born, as a
+// row, so its token bucket persists across probes while untouched hops
+// cost nothing. Born routers are owned by the vantage that touched
 // them (see Vantage.router) and found by the ordinal the identity's
 // registry gave their key: every router property except the live
 // bucket level is a pure function of (seed, key), so concurrent vantages
@@ -88,28 +88,38 @@ func (g *routerRegistry) size() int {
 	return len(g.hops)
 }
 
-// Router is a materialized packet forwarder with ICMPv6 generation state.
-type Router struct {
-	Key  RouterKey
-	Addr netip.Addr
+// routerRow is a born router: its key, its ICMPv6 source address and its
+// RFC 4443 origination state, 72 pointer-free bytes. The key is spelled
+// out field by field so the two flags fill its padding. A vantage keeps
+// its routers as rows in chunks the garbage collector never scans (see
+// Vantage.rows).
+type routerRow struct {
+	asn           uint32
+	class         uint8
+	unresponsive  bool // never originates ICMPv6
+	truncateQuote bool // quotes only IPv4-style 28+40 bytes, losing Yarrp6 state
+	k1, k2        uint64
+	addr          ipv6.U128 // ICMPv6 source address
 
 	// Token bucket for ICMPv6 origination (RFC 4443 §2.4(f)).
 	rate   float64 // tokens per second
 	burst  float64 // bucket capacity
 	tokens float64
 	last   time.Duration
-
-	unresponsive  bool // never originates ICMPv6
-	truncateQuote bool // quotes only IPv4-style 28+40 bytes, losing Yarrp6 state
 }
 
-// newRouter constructs the router for key with its bucket full as of now.
+// key returns the row's router key.
+func (r *routerRow) key() RouterKey {
+	return RouterKey{ASN: r.asn, Class: r.class, K1: r.k1, K2: r.k2}
+}
+
+// initRouter fills r with the router for key, its bucket full as of now.
 // Everything but the bucket level is a pure function of (seed, key), so
 // any vantage materializing the same key derives an identical router. as
 // carries the /64 gateway context for level routers, whose address
 // depends on the CPE plan; it is ignored otherwise.
-func (u *Universe) newRouter(key RouterKey, as *AS, now time.Duration) *Router {
-	r := &Router{Key: key, Addr: u.routerAddr(key, as)}
+func (u *Universe) initRouter(r *routerRow, key RouterKey, as *AS, now time.Duration) {
+	*r = routerRow{asn: key.ASN, class: key.Class, k1: key.K1, k2: key.K2, addr: ipv6.FromAddr(u.routerAddr(key, as))}
 	pk := h(u.seed, 21, uint64(key.ASN), uint64(key.Class), key.K1, key.K2)
 	cfg := u.cfg
 	span := cfg.RateLimitTokensMax - cfg.RateLimitTokensMin
@@ -151,7 +161,6 @@ func (u *Universe) newRouter(key RouterKey, as *AS, now time.Duration) *Router {
 	}
 	r.tokens = r.burst
 	r.last = now
-	return r
 }
 
 // routerAddr derives the ICMPv6 source address a router uses.
@@ -190,7 +199,7 @@ func (u *Universe) routerAddr(key RouterKey, as *AS) netip.Addr {
 // allowICMP consumes a token if available, refilling for elapsed virtual
 // time; a false result models RFC 4443 rate limiting suppressing the
 // ICMPv6 error.
-func (r *Router) allowICMP(now time.Duration) bool {
+func (r *routerRow) allowICMP(now time.Duration) bool {
 	if now > r.last {
 		r.tokens += r.rate * (now - r.last).Seconds()
 		if r.tokens > r.burst {
@@ -204,6 +213,3 @@ func (r *Router) allowICMP(now time.Duration) bool {
 	}
 	return false
 }
-
-// TokenLevel exposes the current bucket level for tests.
-func (r *Router) TokenLevel() float64 { return r.tokens }

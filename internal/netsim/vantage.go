@@ -10,7 +10,6 @@ import (
 
 	"beholder/internal/faultsim"
 	"beholder/internal/ipv6"
-	"beholder/internal/sorted"
 	"beholder/internal/wire"
 )
 
@@ -35,9 +34,10 @@ type VantageSpec struct {
 // prober's (packet, time) schedule reproduces its replies.
 //
 // The packet path is allocation-free at steady state: path plans come
-// from the identity's flow-plan table (see plancache.go), reply buffers
-// cycle through a free list that Recv refills, and the delivery queue is
-// an unboxed min-heap of value entries.
+// from the identity's flow-plan table (see plancache.go), a router's
+// birth appends a row to a chunk allocated once per 256 births, reply
+// buffers cycle through a free list that Recv refills, and the delivery
+// queue is an unboxed min-heap of value entries.
 type Vantage struct {
 	u    *Universe
 	spec VantageSpec
@@ -57,18 +57,23 @@ type Vantage struct {
 
 	parent []int32 // BFS shortest-path tree over the AS graph, -1 at root
 
-	// routers holds this vantage's lazily materialized routers, indexed
-	// by their ordinal in reg, nil where not yet born. Router properties
-	// are pure functions of (seed, key); only the live token bucket is
-	// mutable, and it is owned — never shared — by the materializing
-	// vantage, so concurrent vantages need no locking.
-	routers []*Router
-	// routerIdx lists the born routers — routers are born, never
-	// retired — ascending by key up to routersSorted and in birth order
-	// beyond: ExportSimState walks it instead of collecting and sorting
-	// the live routers for every snapshot.
-	routerIdx     []*Router
-	routersSorted int
+	// rows holds the routers born at this vantage — routers are born,
+	// never retired — in birth order, in chunks that never move, so a row
+	// pointer stays valid across later births. A row is named by its ref,
+	// chunk<<rowChunkBits | offset. Router properties are pure functions
+	// of (seed, key); only the live token bucket is mutable, and it is
+	// owned — never shared — by the materializing vantage, so concurrent
+	// vantages need no locking.
+	rows [][]routerRow
+	// rowOf maps a router's ordinal in reg to its row ref + 1, zero where
+	// the router is not born here.
+	rowOf []uint32
+	// byKey lists, ascending by router key, the refs of the rows born
+	// before the previous ExportSimState; the export sorts only the rows
+	// born since and merges them in, instead of collecting and sorting
+	// every row for every snapshot. A vantage that never exports never
+	// builds it.
+	byKey []uint32
 
 	queue deliveryQueue
 	dec   wire.Decoded // scratch decoder reused across Send calls
@@ -336,51 +341,73 @@ func (v *Vantage) Now() time.Duration { return v.clk.Now() }
 // Sleep advances virtual time; probers call this to pace departures.
 func (v *Vantage) Sleep(d time.Duration) { v.clk.Sleep(d) }
 
+// Row chunks: a vantage's first chunk holds rowChunkMax>>rowChunkRamp
+// rows and each later one twice its predecessor's, up to rowChunkMax
+// (18 KB), so a small campaign's clone leaves few rows unfilled and a
+// large one allocates once per rowChunkMax births.
+const (
+	rowChunkBits = 8
+	rowChunkMax  = 1 << rowChunkBits
+	rowChunkRamp = 3
+)
+
+// row returns the row ref names.
+func (v *Vantage) row(ref uint32) *routerRow {
+	return &v.rows[ref>>rowChunkBits][ref&(rowChunkMax-1)]
+}
+
 // router returns (materializing into this vantage if needed) the router
 // with ordinal ord. now is the virtual instant of the touching probe —
 // the clock's current time on the live path, the replayed instant during
 // priming — so a router born under prime replay opens its bucket at the
 // same instant it would have opened at in the serial history.
-func (v *Vantage) router(ord uint32, now time.Duration) *Router {
-	if int(ord) < len(v.routers) {
-		if r := v.routers[ord]; r != nil {
-			return r
+func (v *Vantage) router(ord uint32, now time.Duration) *routerRow {
+	if int(ord) < len(v.rowOf) {
+		if ref := v.rowOf[ord]; ref != 0 {
+			return v.row(ref - 1)
 		}
 	}
 	return v.birth(ord, now)
 }
 
-// birth materializes router ord: the only packet-path read of the
-// registry, for the router's key and AS. The router slice grows to the
-// registry's size, doubling, so births of routers numbered since amortize.
-func (v *Vantage) birth(ord uint32, now time.Duration) *Router {
+// birth materializes router ord into a new row: the only packet-path
+// read of the registry, for the router's key and AS. The ordinal index
+// grows to the registry's size, doubling, so births of routers numbered
+// since amortize.
+func (v *Vantage) birth(ord uint32, now time.Duration) *routerRow {
 	hop, n := v.reg.entry(ord)
-	if n > len(v.routers) {
-		if n > cap(v.routers) {
-			v.routers = slices.Grow(v.routers, max(n, 2*cap(v.routers))-len(v.routers))
+	if n > len(v.rowOf) {
+		if n > cap(v.rowOf) {
+			v.rowOf = slices.Grow(v.rowOf, max(n, 2*cap(v.rowOf))-len(v.rowOf))
 		}
-		v.routers = v.routers[:n]
+		v.rowOf = v.rowOf[:n]
 	}
+	c := len(v.rows) - 1
+	if c < 0 || len(v.rows[c]) == cap(v.rows[c]) {
+		c++
+		v.rows = append(v.rows, make([]routerRow, 0, rowChunkMax>>max(rowChunkRamp-c, 0)))
+	}
+	v.rows[c] = v.rows[c][:len(v.rows[c])+1]
+	ref := uint32(c)<<rowChunkBits | uint32(len(v.rows[c])-1)
+	v.rowOf[ord] = ref + 1
+	r := v.row(ref)
 	as := v.u.ases[hop.as]
-	var r *Router
 	if tokens, last, ok := v.simLookup(hop.key); ok {
 		// Imported sim state (checkpoint resume, campaign group priming)
 		// overrides the birth instant: the router opens with the bucket
 		// exactly where the exporting vantage's was.
-		r = v.u.newRouter(hop.key, as, last)
+		v.u.initRouter(r, hop.key, as, last)
 		r.tokens = min(tokens, r.burst)
 	} else {
-		r = v.u.newRouter(hop.key, as, now)
+		v.u.initRouter(r, hop.key, as, now)
 	}
-	v.routers[ord] = r
-	v.routerIdx = sorted.Append(v.routerIdx, r)
 	return r
 }
 
 // stepRouter resolves the router for plan step idx by its ordinal:
 // plans are shared and immutable, routers — with their live token
 // buckets — are vantage-owned.
-func (v *Vantage) stepRouter(plan *planCore, idx int, now time.Duration) *Router {
+func (v *Vantage) stepRouter(plan *planCore, idx int, now time.Duration) *routerRow {
 	return v.router(plan.steps[idx].ord, now)
 }
 
@@ -734,7 +761,7 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 
 // scheduleError builds and enqueues an ICMPv6 error from router r quoting
 // the probe, arriving after the round-trip to step idx.
-func (v *Vantage) scheduleError(st *simDelta, r *Router, typ, code uint8, probe []byte, plan *planCore, idx int, now time.Duration, pk uint64) {
+func (v *Vantage) scheduleError(st *simDelta, r *routerRow, typ, code uint8, probe []byte, plan *planCore, idx int, now time.Duration, pk uint64) {
 	quote := probe
 	if r.truncateQuote && len(quote) > 48 {
 		// Legacy gear quoting IPv4-style: header plus 8 bytes.
@@ -744,7 +771,7 @@ func (v *Vantage) scheduleError(st *simDelta, r *Router, typ, code uint8, probe 
 		quote = quote[:max]
 	}
 	bi := v.getBuf(wire.IPv6HeaderLen + wire.ICMPv6HeaderLen + len(quote))
-	n := wire.BuildICMPv6Error(v.bufs[bi], typ, code, r.Addr, v.addr, quote, 64)
+	n := wire.BuildICMPv6Error(v.bufs[bi], typ, code, r.addr.Addr(), v.addr, quote, 64)
 	rtt := plan.steps[idx].rtt + v.jitter(pk, now)
 	v.deliverReply(st, bi, n, now+rtt, pk, now)
 }

@@ -144,6 +144,7 @@ func FuzzDecodeStore(f *testing.F) {
 	f.Add(NewStore(false).AppendBinary(nil))
 	f.Add(storeFixture(true).AppendBinary(nil))
 	f.Add(storeFixture(false).AppendBinary(nil))
+	f.Add(nonPositiveCounts().encode())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -177,4 +178,31 @@ func FuzzDecodeStore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestParseTruncatedQuoteAllocs: a Time Exceeded whose quote a legacy
+// router cut to 48 bytes — the probe's IPv6 header and 8 transport
+// bytes, too short for its declared payload — parses to a reply for the
+// quoted target with its state lost, and parsing it allocates nothing:
+// the failed inner decode returns a preallocated error.
+func TestParseTruncatedQuoteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	conn := &fuzzConn{addr: netip.MustParseAddr("2001:db8:100::1")}
+	codec := NewCodec(conn, wire.ProtoICMPv6, 7)
+	var probe [128]byte
+	target := netip.MustParseAddr("2001:db8:200::2")
+	n := codec.BuildProbe(probe[:], target, 9)
+	var pkt [wire.MinMTU]byte
+	router := netip.MustParseAddr("2001:db8:300::3")
+	pn := wire.BuildICMPv6Error(pkt[:], wire.ICMPv6TimeExceeded, 0, router, conn.addr, probe[:min(n, 48)], 60)
+
+	r, ok := codec.ParseReply(pkt[:pn])
+	if !ok || r.Kind != KindTimeExceeded || r.From != router || r.Target != target || r.TTL != 0 || r.StateRecovered {
+		t.Fatalf("truncated quote parsed to %+v, ok=%v; want a stateless Time Exceeded for %s from %s", r, ok, target, router)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { codec.ParseReply(pkt[:pn]) }); allocs != 0 {
+		t.Fatalf("parsing a truncated-quote reply allocates %.0f times, want 0", allocs)
+	}
 }

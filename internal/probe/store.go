@@ -44,8 +44,22 @@ type Trace struct {
 	// Reached reports a destination-originated response (echo reply,
 	// port unreachable, RST) was received from the target itself.
 	Reached bool
-	// DestUnreach counts destination-unreachable responses by code.
-	DestUnreach map[uint8]int
+	// unreach heads the trace's destination-unreachable counts: the index
+	// + 1 of its lowest-code entry in the owning store's unreach slab,
+	// zero when it has none. Read the counts through
+	// Store.ForEachUnreach.
+	unreach uint32
+}
+
+// unreachEntry is one destination-unreachable count of one trace: the
+// code, how many replies carried it, and the index + 1 of the trace's
+// next-higher code in the same slab (zero ends the chain). Entries are
+// pointer-free and chained in ascending code order, so a trace's counts
+// cost no heap object of their own and read out in encoding order.
+type unreachEntry struct {
+	n    int64
+	next uint32
+	code uint8
 }
 
 // HasTTL reports whether a hop at ttl has been recorded.
@@ -133,6 +147,12 @@ type Store struct {
 	// through a shared block instead of the 1-2-4-8 reallocation ladder
 	// per trace (hopList).
 	hopSlab []hop
+
+	// unreach holds every trace's destination-unreachable entries,
+	// chained per trace from Trace.unreach. Entries are only ever added,
+	// each to one trace's chain, so its length is the store's count of
+	// (trace, code) pairs.
+	unreach []unreachEntry
 
 	// Response mix (Table 4): ICMPv6 type/code counts.
 	TimeExceeded      int64
@@ -241,12 +261,42 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 		if r.Code == 4 { // port unreachable comes from the destination
 			t.Reached = true
 		}
-		if t.DestUnreach == nil {
-			t.DestUnreach = make(map[uint8]int)
-		}
-		t.DestUnreach[r.Code]++
+		s.addUnreach(t, r.Code, 1)
 	}
 	return newInterface
+}
+
+// addUnreach adds n to t's destination-unreachable count for code,
+// chaining a new entry in code order when t has none for it yet.
+func (s *Store) addUnreach(t *Trace, code uint8, n int64) {
+	prev := uint32(0) // the entry the new one follows, index + 1; zero: none
+	for i := t.unreach; i != 0; i = s.unreach[i-1].next {
+		e := &s.unreach[i-1]
+		if e.code == code {
+			e.n += n
+			return
+		}
+		if e.code > code {
+			break
+		}
+		prev = i
+	}
+	s.unreach = sorted.Append(s.unreach, unreachEntry{n: n, code: code})
+	id := uint32(len(s.unreach))
+	link := &t.unreach // taken after the append, which may move the slab
+	if prev != 0 {
+		link = &s.unreach[prev-1].next
+	}
+	s.unreach[id-1].next, *link = *link, id
+}
+
+// ForEachUnreach calls fn for every destination-unreachable code t, one
+// of this store's traces, drew, in ascending code order, with the
+// number of replies that carried it.
+func (s *Store) ForEachUnreach(t *Trace, fn func(code uint8, n int64)) {
+	for i := t.unreach; i != 0; i = s.unreach[i-1].next {
+		fn(s.unreach[i-1].code, s.unreach[i-1].n)
+	}
 }
 
 // addInterface inserts a into the interface set and returns its id and
@@ -330,6 +380,9 @@ func (s *Store) Merge(src *Store) {
 	var into []*Trace                      // src trace number -> s's trace
 	if s.recordPaths {
 		into = make([]*Trace, len(src.traceIdx))
+		// Room for every src entry up front, so the fold below appends
+		// into one allocation at most.
+		s.unreach = slices.Grow(s.unreach, len(src.unreach))
 	}
 	for id := range remap {
 		w := src.tab.Word(uint32(id))
@@ -368,14 +421,7 @@ func (s *Store) Merge(src *Store) {
 			t.addHop(h.ttl, remap[h.id]-1)
 		}
 		t.Reached = t.Reached || st.Reached
-		if len(st.DestUnreach) > 0 {
-			if t.DestUnreach == nil {
-				t.DestUnreach = make(map[uint8]int, len(st.DestUnreach))
-			}
-			for code, n := range st.DestUnreach {
-				t.DestUnreach[code] += n
-			}
-		}
+		src.ForEachUnreach(st, func(code uint8, n int64) { s.addUnreach(t, code, n) })
 	}
 }
 
@@ -412,8 +458,7 @@ func (s *Store) Equal(o *Store) bool {
 	}
 	for _, st := range s.traceIdx {
 		ot := o.Trace(st.Target)
-		if ot == nil || st.Reached != ot.Reached || st.seen != ot.seen ||
-			len(st.DestUnreach) != len(ot.DestUnreach) {
+		if ot == nil || st.Reached != ot.Reached || st.seen != ot.seen {
 			return false
 		}
 		// Equal TTL bitmaps line the TTL-ordered hop lists up entry for
@@ -423,10 +468,14 @@ func (s *Store) Equal(o *Store) bool {
 				return false
 			}
 		}
-		for code, n := range st.DestUnreach {
-			if ot.DestUnreach[code] != n {
-				return false
-			}
+		// Both chains run in ascending code order: equal counts line up
+		// entry for entry.
+		i, j := st.unreach, ot.unreach
+		for i != 0 && j != 0 && s.unreach[i-1].code == o.unreach[j-1].code && s.unreach[i-1].n == o.unreach[j-1].n {
+			i, j = s.unreach[i-1].next, o.unreach[j-1].next
+		}
+		if i != 0 || j != 0 {
+			return false
 		}
 	}
 	return true

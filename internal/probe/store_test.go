@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"testing"
 
 	"beholder/internal/ipv6"
@@ -245,5 +246,64 @@ func TestHopFootprint(t *testing.T) {
 	t.Logf("%.1f bytes allocated per stored hop", perHop)
 	if perHop > 20 {
 		t.Fatalf("%.1f bytes allocated per stored hop, want <= 20", perHop)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds, whose
+// instrumentation changes what allocation pins measure.
+var raceEnabled bool
+
+// TestUnreachAddAllocs: a trace's destination-unreachable counts are
+// entries in a store-level slab, not a map per trace. Filing one on each
+// of 4 096 existing traces allocates only the slab's doublings, and
+// merging a store whose traces carry counts into a store holding the
+// same traces — half of them with counts of their own — allocates a
+// fixed handful of times (the id arrays and one slab growth), however
+// many traces there are. A map per trace cost at least one allocation
+// per trace on both paths.
+func TestUnreachAddAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	const traces = 4096
+	target := func(i int) netip.Addr { return addrN(10_000 + i) }
+	unreach := func(i int, code uint8) Reply {
+		return Reply{Kind: KindDestUnreach, Code: code, From: addrN(2), Target: target(i)}
+	}
+	fill := func() *Store {
+		s := NewStoreSized(true, 2*traces)
+		for i := 0; i < traces; i++ {
+			s.Add(teReplyAt(target(i), addrN(1), 1))
+		}
+		return s
+	}
+
+	s := fill()
+	if n := mallocs(func() {
+		for i := 0; i < traces; i++ {
+			s.Add(unreach(i, uint8(i%3)))
+		}
+	}); float64(n)/traces > 0.01 {
+		t.Errorf("%d Adds of a first unreachable code allocated %d times, want < 0.01 per Add", traces, n)
+	}
+
+	dst, src := fill(), fill()
+	for i := 0; i < traces; i++ {
+		if i%2 == 0 {
+			dst.Add(unreach(i, 3))
+		}
+		src.Add(unreach(i, 1))
+		src.Add(unreach(i, 3))
+		src.Add(unreach(i, 6))
+	}
+	if n := mallocs(func() { dst.Merge(src) }); n > 8 {
+		t.Errorf("merging %d traces' unreachable counts allocated %d times, want <= 8", traces, n)
+	}
+	for i, want := range map[int][]int64{7: {1, 1, 3, 1, 6, 1}, 8: {1, 1, 3, 2, 6, 1}} {
+		var got []int64
+		dst.ForEachUnreach(dst.Trace(target(i)), func(code uint8, n int64) { got = append(got, int64(code), n) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("trace %d merged to (code, count) pairs %v, want %v", i, got, want)
+		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 // then the sorted interface set, then traces sorted by target with hops
 // sorted by TTL — so the same store always encodes to the same bytes.
 // Hops are written as addresses, never as table ids: the ids, TTL-seen
-// bitmaps, slab allocators, and the last-trace memo are reconstruction
-// artifacts and are rebuilt on decode rather than stored.
+// bitmaps, slab allocators, unreachable-entry links and the last-trace
+// memo are reconstruction artifacts and are rebuilt on decode rather
+// than stored.
 
 // ErrStoreDecode is wrapped by every store-decoding failure.
 var ErrStoreDecode = errors.New("probe: malformed store encoding")
@@ -32,15 +33,15 @@ func (s *Store) canonicalize() {
 
 // EncodedSize returns the exact length of the store's encoding.
 func (s *Store) EncodedSize() int {
-	n := 1 + 5*8 + 4 + 9*len(s.DestUnreachByCode) + 4 + 16*len(s.ifaceIdx) + 4
+	n := 1 + 5*8 + 4 + 9*len(s.DestUnreachByCode) + 4 + 16*len(s.ifaceIdx) + 4 + 9*len(s.unreach)
 	for _, t := range s.traceIdx {
-		n += 16 + 1 + 4 + 17*len(t.hops) + 4 + 9*len(t.DestUnreach)
+		n += 16 + 1 + 4 + 17*len(t.hops) + 4
 	}
 	return n
 }
 
 // sortedCodes returns m's keys ascending, in scratch.
-func sortedCodes[V any](m map[uint8]V, scratch *[256]uint8) []uint8 {
+func sortedCodes(m map[uint8]int64, scratch *[256]uint8) []uint8 {
 	codes := scratch[:0]
 	for code := range m {
 		codes = append(codes, code)
@@ -108,12 +109,15 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 			buf = append(buf, h.ttl)
 			buf = append(buf, e.a16[:]...)
 		}
-		codes := sortedCodes(t.DestUnreach, &scratch)
-		buf = appendU32(buf, uint32(len(codes)))
-		for _, code := range codes {
+		// The chain runs in code order; its length is patched in after.
+		at, k := len(buf), uint32(0)
+		buf = appendU32(buf, 0)
+		s.ForEachUnreach(t, func(code uint8, n int64) {
 			buf = append(buf, code)
-			buf = appendI64(buf, int64(t.DestUnreach[code]))
-		}
+			buf = appendI64(buf, n)
+			k++
+		})
+		binary.LittleEndian.PutUint32(buf[at:], k)
 	}
 	return buf
 }
@@ -182,11 +186,14 @@ func DecodeStore(data []byte) (*Store, error) {
 				t.addHop(ttl, id)
 			}
 		}
+		// Codes arrive ascending: each entry chains to the next one.
 		r.codes(func(code uint8, n int64) {
-			if t.DestUnreach == nil {
-				t.DestUnreach = make(map[uint8]int)
+			s.unreach = sorted.Append(s.unreach, unreachEntry{n: n, code: code})
+			if id := uint32(len(s.unreach)); t.unreach == 0 {
+				t.unreach = id
+			} else {
+				s.unreach[id-2].next = id
 			}
-			t.DestUnreach[code] = int(n)
 		})
 	}
 	s.tracesSorted = len(s.traceIdx)
@@ -284,13 +291,18 @@ func (r *byteReader) addr() netip.Addr {
 	return netip.AddrFrom16(a16)
 }
 
-// codes reads a counted (code, count) list, strictly ascending by code.
+// codes reads a counted (code, count) list, strictly ascending by code,
+// every count positive: Add and Merge never file a code without a reply
+// carrying it.
 func (r *byteReader) codes(set func(code uint8, n int64)) {
 	prev := -1
 	for n := r.count(9); n > 0 && r.err == nil; n-- {
 		code, v := r.u8(), r.i64()
 		if int(code) <= prev {
 			r.fail("code %d out of order at offset %d", code, r.off-9)
+		}
+		if v <= 0 {
+			r.fail("code %d count %d at offset %d", code, v, r.off-8)
 		}
 		if r.err == nil {
 			set(code, v)

@@ -69,15 +69,17 @@ func referenceEncode(s *Store) []byte {
 			h16 := h.Addr.As16()
 			buf = append(buf, h16[:]...)
 		}
-		tcodes := make([]int, 0, len(t.DestUnreach))
-		for code := range t.DestUnreach {
+		unreach := make(map[uint8]int64)
+		s.ForEachUnreach(t, func(code uint8, n int64) { unreach[code] += n })
+		tcodes := make([]int, 0, len(unreach))
+		for code := range unreach {
 			tcodes = append(tcodes, int(code))
 		}
 		sort.Ints(tcodes)
 		buf = appendU32(buf, uint32(len(tcodes)))
 		for _, code := range tcodes {
 			buf = append(buf, byte(code))
-			buf = appendI64(buf, int64(t.DestUnreach[uint8(code)]))
+			buf = appendI64(buf, unreach[uint8(code)])
 		}
 	}
 	return buf

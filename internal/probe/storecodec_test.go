@@ -209,3 +209,43 @@ func TestDecodeStoreAcceptsOnlyCanonical(t *testing.T) {
 		}
 	}
 }
+
+// nonPositiveCounts is a canonical store blob but for its
+// destination-unreachable counts — zero at store level, negative on a
+// trace — which no Add or Merge can produce.
+func nonPositiveCounts() rawStore {
+	a := netip.MustParseAddr
+	return rawStore{
+		flag:   1,
+		codes:  []rawCode{{1, 0}, {4, 2}},
+		ifaces: []netip.Addr{a("2001:db8::1")},
+		traces: []rawTrace{{target: a("2001:db8:a::1"),
+			hops:  []HopEntry{{1, a("2001:db8::1")}},
+			codes: []rawCode{{1, -3}, {4, 1}}}},
+	}
+}
+
+// TestDecodeStoreRejectsNonPositiveCounts: a destination-unreachable
+// count of zero or below, in the store's counts or in a trace's, fails
+// with ErrStoreDecode — the blob would otherwise decode and re-encode
+// unchanged into a store no campaign can reach.
+func TestDecodeStoreRejectsNonPositiveCounts(t *testing.T) {
+	cases := map[string]func(r *rawStore){
+		"store count zero":     func(r *rawStore) { r.traces[0].codes[0].n = 1 },
+		"store count negative": func(r *rawStore) { r.codes[0].n, r.traces[0].codes[0].n = -1, 1 },
+		"trace count negative": func(r *rawStore) { r.codes[0].n = 7 },
+		"trace count zero":     func(r *rawStore) { r.codes[0].n, r.traces[0].codes[1].n = 7, 0 },
+	}
+	for name, mutate := range cases {
+		r := nonPositiveCounts()
+		mutate(&r)
+		if _, err := DecodeStore(r.encode()); !errors.Is(err, ErrStoreDecode) {
+			t.Errorf("%s: got %v, want ErrStoreDecode", name, err)
+		}
+	}
+	r := nonPositiveCounts()
+	r.codes[0].n, r.traces[0].codes[0].n = 7, 1
+	if _, err := DecodeStore(r.encode()); err != nil {
+		t.Fatalf("all counts positive: %v", err)
+	}
+}

@@ -17,6 +17,19 @@ var (
 	ErrBadChecksum = errors.New("wire: bad transport checksum")
 )
 
+// The decoders' per-packet failures, built once: a prober meets short
+// packets at line rate (every quote a legacy router cuts to 48 bytes
+// fails the inner decode), so a failed decode must not allocate. Each
+// wraps ErrTruncated or ErrBadVersion.
+var (
+	errShortIPv6    = fmt.Errorf("%w: IPv6 header needs %d bytes", ErrTruncated, IPv6HeaderLen)
+	errShortPayload = fmt.Errorf("%w: shorter than its declared payload", ErrTruncated)
+	errShortUDP     = fmt.Errorf("%w: UDP header needs %d bytes", ErrTruncated, UDPHeaderLen)
+	errShortTCP     = fmt.Errorf("%w: TCP header needs %d bytes", ErrTruncated, TCPHeaderLen)
+	errShortICMPv6  = fmt.Errorf("%w: ICMPv6 header needs %d bytes", ErrTruncated, ICMPv6HeaderLen)
+	errVersion      = fmt.Errorf("%w: version field is not 6", ErrBadVersion)
+)
+
 // IPv6Header is the 40-byte fixed IPv6 header (RFC 8200 §3).
 type IPv6Header struct {
 	TrafficClass  uint8
@@ -47,10 +60,10 @@ func (h *IPv6Header) Marshal(b []byte) int {
 // Unmarshal parses the header from b.
 func (h *IPv6Header) Unmarshal(b []byte) error {
 	if len(b) < IPv6HeaderLen {
-		return fmt.Errorf("%w: IPv6 header needs %d bytes, have %d", ErrTruncated, IPv6HeaderLen, len(b))
+		return errShortIPv6
 	}
 	if b[0]>>4 != 6 {
-		return fmt.Errorf("%w: version %d", ErrBadVersion, b[0]>>4)
+		return errVersion
 	}
 	h.TrafficClass = b[0]<<4 | b[1]>>4
 	h.FlowLabel = uint32(b[1]&0x0f)<<16 | uint32(binary.BigEndian.Uint16(b[2:4]))

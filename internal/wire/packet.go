@@ -87,7 +87,7 @@ func (d *Decoded) Decode(b []byte) error {
 	// Trust PayloadLength when it is consistent; packets shorter than the
 	// declared payload are truncated.
 	if int(d.IPv6.PayloadLength) > len(rest) {
-		return fmt.Errorf("%w: declared payload %d, have %d", ErrTruncated, d.IPv6.PayloadLength, len(rest))
+		return errShortPayload
 	}
 	rest = rest[:d.IPv6.PayloadLength]
 	d.Proto = 0

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // UDPHeaderLen is the fixed UDP header length.
 const UDPHeaderLen = 8
@@ -27,7 +24,7 @@ func (h *UDPHeader) Marshal(b []byte) int {
 // Unmarshal parses the header from b.
 func (h *UDPHeader) Unmarshal(b []byte) error {
 	if len(b) < UDPHeaderLen {
-		return fmt.Errorf("%w: UDP header needs %d bytes, have %d", ErrTruncated, UDPHeaderLen, len(b))
+		return errShortUDP
 	}
 	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	h.DstPort = binary.BigEndian.Uint16(b[2:4])
@@ -77,7 +74,7 @@ func (h *TCPHeader) Marshal(b []byte) int {
 // callers can skip options in foreign packets.
 func (h *TCPHeader) Unmarshal(b []byte) error {
 	if len(b) < TCPHeaderLen {
-		return fmt.Errorf("%w: TCP header needs %d bytes, have %d", ErrTruncated, TCPHeaderLen, len(b))
+		return errShortTCP
 	}
 	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	h.DstPort = binary.BigEndian.Uint16(b[2:4])
@@ -140,7 +137,7 @@ func (h *ICMPv6Header) Marshal(b []byte) int {
 // Unmarshal parses the header from b.
 func (h *ICMPv6Header) Unmarshal(b []byte) error {
 	if len(b) < ICMPv6HeaderLen {
-		return fmt.Errorf("%w: ICMPv6 header needs %d bytes, have %d", ErrTruncated, ICMPv6HeaderLen, len(b))
+		return errShortICMPv6
 	}
 	h.Type = b[0]
 	h.Code = b[1]

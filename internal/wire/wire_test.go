@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,45 @@ func TestDecodeTruncatedTransport(t *testing.T) {
 	// now exceeds available bytes.
 	if err := d.Decode(buf[:n-4]); err == nil {
 		t.Error("truncated transport accepted")
+	}
+}
+
+// TestDecodeFailuresAllocateNothing: every way a packet can be short or
+// not IPv6 fails with an error wrapping the matching sentinel, and
+// without allocating — a prober meets such packets at line rate.
+func TestDecodeFailuresAllocateNothing(t *testing.T) {
+	buf := make([]byte, MinMTU)
+	hdr := IPv6Header{HopLimit: 7, Src: probeSrc, Dst: probeDst}
+	udp := UDPHeader{SrcPort: 1, DstPort: 2}
+	n := BuildPacket(buf, &hdr, ProtoUDP, &udp, nil, nil, []byte("payload"))
+	// shortTransport declares (and carries) a transport shorter than
+	// proto's header.
+	shortTransport := func(proto uint8) []byte {
+		b := append([]byte(nil), buf[:IPv6HeaderLen+4]...)
+		b[4], b[5], b[6] = 0, 4, proto
+		return b
+	}
+	badVersion := append([]byte(nil), buf[:n]...)
+	badVersion[0] = 4 << 4
+	cases := map[string]struct {
+		pkt  []byte
+		want error
+	}{
+		"short IPv6 header": {buf[:IPv6HeaderLen-1], ErrTruncated},
+		"short payload":     {buf[:n-1], ErrTruncated},
+		"short UDP":         {shortTransport(ProtoUDP), ErrTruncated},
+		"short TCP":         {shortTransport(ProtoTCP), ErrTruncated},
+		"short ICMPv6":      {shortTransport(ProtoICMPv6), ErrTruncated},
+		"IPv4 version":      {badVersion, ErrBadVersion},
+	}
+	var d Decoded
+	for name, c := range cases {
+		if err := d.Decode(c.pkt); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", name, err, c.want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = d.Decode(c.pkt) }); allocs != 0 {
+			t.Errorf("%s: failed decode allocates %.0f times, want 0", name, allocs)
+		}
 	}
 }
 
