@@ -265,14 +265,11 @@ type YarrpOptions struct {
 	// even rate-limit-saturated regimes shard exactly (see
 	// core.Campaign; fill mode retains a narrow saturation caveat
 	// because fill probes are reply-dependent — the core package
-	// comment states its bound). Result.Curve is the
-	// global discovery curve interleaved from the shard windows by
-	// virtual time; the per-window curves remain in Result.ShardStats.
-	// Default 1. Every run is a campaign, one shard included: a crashed
-	// single-shard run returns its partial Result with Quarantined == [0]
-	// and no error — a lone shard probes on the vantage's own connection,
-	// its recovery probers get the same dead one, and the unprobed
-	// remainder lands in Result.Incomplete.
+	// comment states its bound). Default 1. Every run is a campaign, one
+	// shard included: a lone shard probes on the vantage's own
+	// connection, and when that connection dies mid-run the shard is
+	// quarantined and recovery probers re-probe its remainder on clones,
+	// exactly as for a shard of many.
 	Shards int
 	// Batch is the probe-pipeline send-batch size: permutation draw,
 	// probe build, and simulator routing are dispatched Batch probes at
@@ -294,10 +291,10 @@ type YarrpOptions struct {
 	// may be shared across runs; Result.Telemetry holds the snapshot
 	// taken when this run finished.
 	Telemetry *TelemetryRegistry
-	// Progress, when non-nil, streams the campaign's live progress as
-	// NDJSON sample records stamped in virtual time. The stream is
-	// deterministic: byte-identical at any Shards and Batch setting.
-	// The parsed series is also returned in Result.Progress.
+	// Progress, when non-nil, streams the campaign's progress series
+	// (Result.Progress) as NDJSON sample records stamped in virtual time.
+	// The stream is deterministic: byte-identical at any Shards and Batch
+	// setting.
 	Progress io.Writer
 	// ProgressPerShard appends per-shard breakdown records to the
 	// Progress stream after the sample series.
@@ -370,11 +367,6 @@ type Result struct {
 	Fills      int64
 	Replies    int64
 	Elapsed    time.Duration
-	// Curve samples discovery progress. For a sharded campaign it is
-	// the global curve interleaved from the per-shard windows by
-	// virtual time (exact in probes and in unique-interface counts);
-	// the per-window curves live in ShardStats.
-	Curve []core.CurvePoint
 	// ShardStats holds the per-instance counter breakdown of a campaign
 	// that ran more than one prober instance (shards, or the recovery
 	// probers of a crashed shard); nil for single-instance runs.
@@ -405,8 +397,11 @@ type Result struct {
 	// run reports the one table of its accumulated store.
 	AddrTableSlots int
 	AddrTableAddrs int
-	// Progress is the campaign's virtual-time progress series, present
-	// when YarrpOptions.Progress or Telemetry was set.
+	// Progress is the campaign's discovery series (the paper's Figure 7):
+	// cumulative probes, replies and unique interfaces on a virtual-time
+	// grid of ~129 points, the last at Elapsed with the run's totals.
+	// Present on every static run — byte-identical at any Shards and
+	// Batch — and nil for adaptive ones, whose Epochs chart discovery.
 	Progress []ProgressPoint
 	// Telemetry is the registry snapshot taken at run end, present when
 	// YarrpOptions.Telemetry was set.
@@ -541,7 +536,7 @@ type campaignRun struct {
 	// original instants for the keyed per-packet draws to replay.
 	epoch  time.Duration
 	clones []*netsim.Vantage
-	own    bool // probing on the vantage's own connection, no clones
+	own    bool // shard 0 probes on the vantage's own connection
 }
 
 func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
@@ -550,7 +545,9 @@ func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
 	if opt.Telemetry != nil {
 		r.simBefore = v.in.u.StatsSnapshot()
 	}
-	if !own {
+	if own {
+		v.v.BeginOwnShardGroup()
+	} else {
 		v.v.BeginShardGroup()
 	}
 	return r
@@ -558,11 +555,12 @@ func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
 
 // connOf is the run's core.ConnFactory. A lone shard owns the whole
 // window; probing on the vantage's own connection keeps the routers it
-// materialized (and the plan counters) with the vantage. Every
-// other run probes on clones of the vantage, each opened at its window's
-// offset from the run's epoch.
-func (r *campaignRun) connOf(_ int, start time.Duration) probe.Conn {
-	if r.own {
+// materialized (and the plan counters) with the vantage. Every other
+// prober — the shards of a sharded run, and the recovery probers of any
+// run, whose own connection may be the one that died — probes on a clone
+// of the vantage opened at its window's offset from the run's epoch.
+func (r *campaignRun) connOf(shard int, start time.Duration) probe.Conn {
+	if r.own && shard == 0 {
 		return r.v.v
 	}
 	nv := r.v.v.Clone(r.epoch + start)
@@ -582,6 +580,11 @@ func (r *campaignRun) finish(runErr error, elapsed time.Duration, result func() 
 	}
 	v := r.v
 	if r.own {
+		// Recovery probers may have carried the run past the instant the
+		// own connection stopped at.
+		if rest := r.epoch + elapsed - v.v.Now(); rest > 0 {
+			v.v.Sleep(rest)
+		}
 		v.clk = v.v.Now()
 	} else {
 		// The campaign ran on clones: drive v's own clock through it so
@@ -618,7 +621,6 @@ func (v *Vantage) campaignResult(store *probe.Store, stats core.CampaignStats, p
 		Fills:       stats.Fills,
 		Replies:     stats.Replies,
 		Elapsed:     stats.Elapsed,
-		Curve:       stats.Curve,
 		Progress:    stats.Progress,
 		Quarantined: stats.Quarantined,
 		Incomplete:  stats.Incomplete,
@@ -657,22 +659,15 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 	}
 	shards := max(opt.Shards, 1)
 	run := v.beginRun(&opt, shards == 1)
-	ccfg := core.CampaignConfig{
-		Config:      cfg,
-		Shards:      shards,
-		RecordPaths: true,
-		Telemetry:   opt.Telemetry,
-		InterruptAt: opt.InterruptAt,
-	}
-	// The progress series rides along with telemetry too: its sampling
-	// grid is what makes it deterministic across shard and batch settings.
-	if opt.Progress != nil || opt.Telemetry != nil {
-		ccfg.Progress = &core.ProgressConfig{
-			Writer:   opt.Progress,
-			PerShard: opt.ProgressPerShard,
-		}
-	}
-	return run.finishCampaign(core.NewCampaign(ccfg, run.connOf))
+	return run.finishCampaign(core.NewCampaign(core.CampaignConfig{
+		Config:           cfg,
+		Shards:           shards,
+		RecordPaths:      true,
+		Telemetry:        opt.Telemetry,
+		ProgressWriter:   opt.Progress,
+		ProgressPerShard: opt.ProgressPerShard,
+		InterruptAt:      opt.InterruptAt,
+	}, run.connOf))
 }
 
 // finishCampaign runs a static campaign — fresh or resumed — and closes
@@ -696,10 +691,9 @@ func (r *campaignRun) finishCampaign(camp *core.Campaign) (*Result, error) {
 // for adaptive artifacts, which must carry the original seed set in
 // Adaptive.Seeds). Resumed on an identically-seeded Internet replayed
 // to the same virtual instant, the finished campaign is byte-identical
-// — store, graph, progress stream, discovery curve — to one that was
-// never interrupted: router token-bucket levels ride in the artifact,
-// so even rate-limiters saturated across the interrupt instant replay
-// exactly.
+// — store, graph, progress series — to one that was never interrupted:
+// router token-bucket levels ride in the artifact, so even rate-limiters
+// saturated across the interrupt instant replay exactly.
 func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, error) {
 	if core.IsAdaptiveCheckpoint(artifact) {
 		return v.resumeAdaptive(artifact, opt)

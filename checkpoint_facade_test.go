@@ -107,6 +107,7 @@ func TestFacadeFaultedCampaign(t *testing.T) {
 	if !faulted.Store().Equal(clean.Store()) {
 		t.Fatal("crash-recovered store differs from fault-free store")
 	}
+	requireProgressTotals(t, faulted)
 	// The graph is a function of the store: what the recovery probers
 	// collected is in it.
 	var cg, fg bytes.Buffer
@@ -126,14 +127,70 @@ func TestFacadeFaultedCampaign(t *testing.T) {
 	}
 }
 
+// TestFacadeFaultedSingleShard is TestFacadeFaultedCampaign at one shard:
+// the lone shard probes on the vantage's own connection, and when that
+// connection dies its recovery probers re-probe the remainder on clones,
+// so the run ends as if nothing had happened — the fault-free store, the
+// fault-free vantage clock, and a progress series that lands on the
+// run's totals.
+func TestFacadeFaultedSingleShard(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	run := func(fc *FaultConfig) (*Result, *Vantage) {
+		in := NewSmallInternet(3)
+		in.SetFaults(fc)
+		v := in.NewVantage("fault-test")
+		targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.RunYarrp6(targets, YarrpOptions{Rate: 2000, MaxTTL: 12, Key: 1, Fill: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, v
+	}
+
+	clean, cv := run(nil)
+	faulted, fv := run(&FaultConfig{Seed: 5, Rules: []FaultRule{
+		{Vantage: "fault-test", Shard: 0, Kind: FaultCrash, At: 200 * time.Millisecond},
+	}})
+	if len(faulted.Quarantined) != 1 || faulted.Quarantined[0] != 0 {
+		t.Fatalf("quarantined = %v, want [0]", faulted.Quarantined)
+	}
+	if len(faulted.Incomplete) != 0 {
+		t.Fatalf("incomplete ranges: %v", faulted.Incomplete)
+	}
+	if !faulted.Store().Equal(clean.Store()) {
+		t.Fatal("crash-recovered store differs from fault-free store")
+	}
+	if fv.clk != cv.clk || fv.v.Now() != cv.v.Now() {
+		t.Fatalf("vantage clock %v/%v after recovery, fault-free %v/%v", fv.clk, fv.v.Now(), cv.clk, cv.v.Now())
+	}
+	requireProgressTotals(t, faulted)
+}
+
+// requireProgressTotals requires a run's progress series to end on its
+// totals: the probes sent and the interfaces in its merged store.
+func requireProgressTotals(t *testing.T, res *Result) {
+	t.Helper()
+	if len(res.Progress) == 0 {
+		t.Fatal("run has no progress series")
+	}
+	if last := res.Progress[len(res.Progress)-1]; last.Probes != res.ProbesSent || last.Interfaces != res.NumInterfaces() {
+		t.Fatalf("last progress point (%d probes, %d interfaces), run (%d, %d)",
+			last.Probes, last.Interfaces, res.ProbesSent, res.NumInterfaces())
+	}
+}
+
 // TestFacadeSingleShardPin holds a plain 1-shard RunYarrp6 — no
-// telemetry, no progress, no interrupt — to what it produced at the last
-// commit where such a run bypassed the campaign engine and drove a prober
-// directly: store and graph bytes, discovery curve, elapsed time, and
-// where the vantage's clock stands afterwards. The plan counters are the
-// shared plan table's, which replaced that commit's private cache
-// (6988/671/42/15 there): one miss per flow — 632 targets — and nothing
-// evicted or served by another vantage.
+// telemetry, no progress writer, no interrupt — to what it produced at
+// the last commit where such a run bypassed the campaign engine and drove
+// a prober directly: store and graph bytes, elapsed time, and where the
+// vantage's clock stands afterwards. The progress digest was recorded
+// when the progress series replaced the discovery curve. The plan
+// counters are the shared plan table's, which replaced that commit's
+// private cache (6988/671/42/15 there): one miss per flow — 632 targets —
+// and nothing evicted or served by another vantage.
 func TestFacadeSingleShardPin(t *testing.T) {
 	in := NewSmallInternet(3)
 	v := in.NewVantage("pin-test")
@@ -149,21 +206,21 @@ func TestFacadeSingleShardPin(t *testing.T) {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:])
 	}
-	var curve, g bytes.Buffer
-	for _, p := range res.Curve {
-		fmt.Fprintf(&curve, "%d %d %d\n", p.At, p.Probes, p.Interfaces)
+	var prog, g bytes.Buffer
+	for _, p := range res.Progress {
+		fmt.Fprintf(&prog, "%+v\n", p)
 	}
 	if err := res.Graph().WriteNDJSON(&g, nil); err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprintf("store %s graph %s curve %s probes %d fills %d replies %d elapsed %d plan %d/%d/%d/%d clock %d/%d shardstats %d",
-		digest(res.Store().AppendBinary(nil)), digest(g.Bytes()), digest(curve.Bytes()),
+	got := fmt.Sprintf("store %s graph %s progress %s probes %d fills %d replies %d elapsed %d plan %d/%d/%d/%d clock %d/%d shardstats %d",
+		digest(res.Store().AppendBinary(nil)), digest(g.Bytes()), digest(prog.Bytes()),
 		res.ProbesSent, res.Fills, res.Replies, res.Elapsed,
 		res.PlanHits, res.PlanMisses, res.PlanEvictions, res.SharedPlanHits,
 		v.clk, v.v.Now(), len(res.ShardStats))
 	const want = "store ae760b8b54c31ac5f2378479d5f8788df767476fcbf05419de81ae126a5ca35a" +
 		" graph e19c551a58f8c7d3593e0abce47609889f0315140950202bc8b25222831be8d0" +
-		" curve e7f43270ba415502e8d1dfc480bc76fd587948798cb9405af83f9c0d875c6f48" +
+		" progress af3a16fa398549365bc8d1d8bba6e0fffd4881ac57947f6d3b7acbbf7b9cf652" +
 		" probes 7659 fills 75 replies 5769 elapsed 5792000000 plan 7027/632/0/0" +
 		" clock 5792000000/5792000000 shardstats 0"
 	if got != want {
@@ -174,9 +231,9 @@ func TestFacadeSingleShardPin(t *testing.T) {
 // TestFacadeCrashedSingleShard: every run is a campaign, so a vantage
 // that dies mid-run behaves the same at one shard as at many, telemetry
 // or not — the shard is quarantined and the partial Result comes back
-// without an error. A lone shard probes on the vantage's own connection
-// and its recovery probers get the same dead connection, so the unprobed
-// remainder is reported in Incomplete rather than recovered.
+// without an error. Here the crash rule afflicts every shard ordinal, so
+// the recovery probers' clones die at their first probe too and the
+// unprobed remainder is reported in Incomplete rather than recovered.
 func TestFacadeCrashedSingleShard(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	for _, withTelemetry := range []bool{false, true} {

@@ -28,13 +28,15 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%-8s (%d targets)\n", name, len(targets))
-		// Print a decimated discovery curve.
-		step := len(res.Curve)/6 + 1
-		for i := 0; i < len(res.Curve); i += step {
-			p := res.Curve[i]
-			fmt.Printf("  %8d probes  %6d interfaces\n", p.Probes, p.Interfaces)
+		// Print the progress series, decimated; the drain tail after the
+		// last probe repeats the final point, so print that once.
+		last := res.Progress[len(res.Progress)-1]
+		step := len(res.Progress)/6 + 1
+		for i := 0; i < len(res.Progress); i += step {
+			if p := res.Progress[i]; p.Probes != last.Probes || p.Interfaces != last.Interfaces {
+				fmt.Printf("  %8d probes  %6d interfaces\n", p.Probes, p.Interfaces)
+			}
 		}
-		last := res.Curve[len(res.Curve)-1]
 		fmt.Printf("  %8d probes  %6d interfaces (final; yield %.2f%%)\n",
 			last.Probes, last.Interfaces, 100*float64(last.Interfaces)/float64(last.Probes+1))
 	}

@@ -217,8 +217,8 @@ func (e *Experiments) Figure6() *Figure {
 }
 
 // Figure7 reproduces "Address discovery power per z64 target set vs
-// probe packets emitted": the discovery curves from the EU-NET vantage,
-// including the random control.
+// probe packets emitted": the campaigns' progress series from the
+// EU-NET vantage, including the random control.
 func (e *Experiments) Figure7() *Figure {
 	fig := &Figure{
 		ID:     "Figure 7",
@@ -226,23 +226,25 @@ func (e *Experiments) Figure7() *Figure {
 		XLabel: "probes emitted",
 		YLabel: "unique interface addresses",
 	}
-	for _, c := range e.z64Campaigns() {
-		s := analysis.Series{Name: c.setName}
-		for _, p := range c.stats.Curve {
-			s.X = append(s.X, float64(p.Probes))
-			s.Y = append(s.Y, float64(p.Interfaces))
+	plot := func(name string, c *campResult) {
+		s := analysis.Series{Name: name}
+		for _, p := range c.progress {
+			// The drain tail repeats the last (probes, interfaces) pair
+			// at every sample; plot it once.
+			x, y := float64(p.Probes), float64(p.Interfaces)
+			if n := len(s.X); n > 0 && s.X[n-1] == x && s.Y[n-1] == y {
+				continue
+			}
+			s.X = append(s.X, x)
+			s.Y = append(s.Y, y)
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	// Random control.
-	set := e.targetSet("random", 64, target.FixedIID)
-	rc := e.runCampaign(0, set, wire.ProtoICMPv6, 16, true)
-	s := analysis.Series{Name: "random"}
-	for _, p := range rc.stats.Curve {
-		s.X = append(s.X, float64(p.Probes))
-		s.Y = append(s.Y, float64(p.Interfaces))
+	for _, c := range e.z64Campaigns() {
+		plot(c.setName, c)
 	}
-	fig.Series = append(fig.Series, s)
+	// Random control.
+	plot("random", e.runCampaign(0, e.targetSet("random", 64, target.FixedIID), wire.ProtoICMPv6, 16, true))
 	fig.Notes = append(fig.Notes,
 		"Expected shape: caida saturates early (breadth, no depth); random decays; 6gen mirrors random at an offset; cdn-k32 and tum keep discovering.")
 	return fig

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"beholder/internal/analysis"
 	"beholder/internal/core"
@@ -155,6 +156,7 @@ type campResult struct {
 	traces   int64
 	targets  int
 	stats    core.Stats
+	progress []ProgressPoint // the discovery series Figure 7 plots
 	ifaces   map[netip.Addr]struct{}
 	pfxs     map[netip.Prefix]struct{}
 	asns     map[uint32]struct{}
@@ -168,13 +170,13 @@ type campResult struct {
 	iaCount       int
 }
 
-// runCampaign executes one Yarrp6 campaign with path recording and
-// summarizes it. Each campaign probes through a cloned vantage with a
-// private clock opened at zero and pristine (vantage-owned) token
-// buckets — exactly the conditions the old shared-universe-plus-Reset
-// regime provided — while the universe itself is shared read-only, so
-// independent matrix cells run concurrently without rebuilding
-// topology.
+// runCampaign executes one single-shard Yarrp6 campaign with path
+// recording and summarizes it. Each campaign probes through a cloned
+// vantage with a private clock opened at zero and pristine
+// (vantage-owned) token buckets — exactly the conditions the old
+// shared-universe-plus-Reset regime provided — while the universe itself
+// is shared read-only, so independent matrix cells run concurrently
+// without rebuilding topology.
 func (e *Experiments) runCampaign(vspec int, set *target.Set, proto uint8, maxTTL uint8, fill bool) *campResult {
 	key := vantageSpecs[vspec].name + "/" + set.Name()
 	e.mu.Lock()
@@ -189,20 +191,23 @@ func (e *Experiments) runCampaign(vspec int, set *target.Set, proto uint8, maxTT
 		Kind:     vantageSpecs[vspec].kind,
 		ChainLen: vantageSpecs[vspec].chain,
 	}).Clone(0)
-	store := probe.NewStore(true)
-	y := core.New(v, core.Config{
-		Targets: set.Targets.Addrs(),
-		PPS:     e.opt.Rate,
-		MaxTTL:  maxTTL,
-		Proto:   proto,
-		Key:     uint64(e.opt.Seed) ^ uint64(vspec)<<32,
-		Fill:    fill,
-	})
-	stats, err := y.Run(store)
+	camp := core.NewCampaign(core.CampaignConfig{
+		Config: core.Config{
+			Targets: set.Targets.Addrs(),
+			PPS:     e.opt.Rate,
+			MaxTTL:  maxTTL,
+			Proto:   proto,
+			Key:     uint64(e.opt.Seed) ^ uint64(vspec)<<32,
+			Fill:    fill,
+		},
+		RecordPaths: true,
+	}, func(int, time.Duration) probe.Conn { return v })
+	store, stats, err := camp.Run()
 	if err != nil {
 		panic("beholder: campaign failed: " + err.Error())
 	}
-	c := e.summarize(u, vantageSpecs[vspec].name, set, store, stats, v.AS().ASN)
+	c := e.summarize(u, vantageSpecs[vspec].name, set, store, stats.Stats, v.AS().ASN)
+	c.progress = stats.Progress
 	e.mu.Lock()
 	e.campaigns[key] = c
 	e.mu.Unlock()

@@ -71,8 +71,8 @@ type TargetSource interface {
 
 // AdaptiveConfig parameterizes an adaptive campaign. The embedded
 // CampaignConfig is the per-epoch template: its Config.Targets must be
-// empty (the source supplies each epoch's targets), Progress must be
-// nil (the progress stream is per-campaign), and InterruptAt is
+// empty (the source supplies each epoch's targets), ProgressWriter must
+// be nil (the progress stream is per-campaign), and InterruptAt is
 // interpreted against the adaptive run's own virtual-time origin.
 type AdaptiveConfig struct {
 	CampaignConfig
@@ -102,16 +102,16 @@ type EpochStats struct {
 	// Base is the epoch window's opening instant, relative to the
 	// adaptive run's origin.
 	Base time.Duration
-	// Stats holds the epoch campaign's counters (Curve is nil; Elapsed
-	// is the epoch's own span).
+	// Stats holds the epoch campaign's counters (Elapsed is the epoch's
+	// own span).
 	Stats Stats
 	// Interfaces is the cumulative unique-interface count after the
 	// epoch — the adaptive run's discovery curve ordinate.
 	Interfaces int
 }
 
-// AdaptiveStats reports an adaptive run: merged counters, a discovery
-// curve with one point per epoch boundary, and the per-epoch breakdown.
+// AdaptiveStats reports an adaptive run: merged counters and the
+// per-epoch breakdown, whose boundaries chart its discovery curve.
 type AdaptiveStats struct {
 	Stats
 	Epochs []EpochStats
@@ -182,7 +182,7 @@ func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, Adapti
 	if cfg.Source == nil {
 		return nil, AdaptiveStats{}, fmt.Errorf("yarrp6: adaptive campaign needs a target source")
 	}
-	if cfg.Progress != nil {
+	if cfg.ProgressWriter != nil {
 		return nil, AdaptiveStats{}, fmt.Errorf("yarrp6: progress streaming is unsupported under adaptive generation")
 	}
 	if !a.resumed && len(cfg.Config.Targets) != 0 {
@@ -253,7 +253,6 @@ func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, Adapti
 		// derived key keeps the whole series reproducible from one key.
 		ccfg.Config.Key = perm.Derive(cfg.Key, uint64(a.epoch))
 		ccfg.RecordPaths = true
-		ccfg.Progress = nil
 		ccfg.InterruptAt = 0
 		if cfg.InterruptAt > 0 {
 			// The adaptive instant, re-expressed against this epoch's
@@ -340,9 +339,7 @@ func (a *AdaptiveCampaign) runEpoch(ctx context.Context, inner *Campaign, ttlSpa
 		// (they are not folded into the per-epoch record — the resumed
 		// run re-reports the epoch whole).
 		a.interrupted = true
-		ps := cst.Stats
-		ps.Curve = nil
-		a.partial = &ps
+		a.partial = &cst.Stats
 		merged := cloneStore(a.total)
 		merged.Merge(inner.MergedStore())
 		return merged, false, ErrInterrupted
@@ -351,7 +348,6 @@ func (a *AdaptiveCampaign) runEpoch(ctx context.Context, inner *Campaign, ttlSpa
 	}
 
 	epStats := cst.Stats
-	epStats.Curve = nil
 	a.spent += epStats.ProbesSent
 	epBase := a.base
 	a.base += epStats.Elapsed
@@ -392,11 +388,6 @@ func (a *AdaptiveCampaign) snapshot() AdaptiveStats {
 		out.Replies += e.Stats.Replies
 		out.NotMine += e.Stats.NotMine
 		out.Retries += e.Stats.Retries
-		out.Curve = append(out.Curve, CurvePoint{
-			Probes:     out.ProbesSent,
-			Interfaces: e.Interfaces,
-			At:         e.Base + e.Stats.Elapsed,
-		})
 	}
 	out.Elapsed = a.base
 	if p := a.partial; p != nil {

@@ -34,8 +34,8 @@ func batchCampaign(t *testing.T, seed int64, targets []netip.Addr, shards, batch
 			builders[s] = graph.New("US-EDU-1")
 			return builders[s]
 		},
-		Telemetry: telemetry.NewRegistry(),
-		Progress:  &ProgressConfig{Writer: &progress},
+		Telemetry:      telemetry.NewRegistry(),
+		ProgressWriter: &progress,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	store, stats, err := camp.Run()
 	if err != nil {
@@ -96,68 +96,46 @@ func TestCampaignShardBatchMatrix(t *testing.T) {
 				t.Fatalf("stats differ at shards=%d batch=%d: %+v vs %+v",
 					shards, batch, stats.Stats, refStats.Stats)
 			}
-			if shards == 1 {
-				// Single-shard curves must match the serial reference
-				// point for point regardless of batch size.
-				if len(stats.Curve) != len(refStats.Curve) {
-					t.Fatalf("curve length differs at batch=%d: %d vs %d", batch, len(stats.Curve), len(refStats.Curve))
-				}
-				for i := range stats.Curve {
-					if stats.Curve[i] != refStats.Curve[i] {
-						t.Fatalf("curve point %d differs at batch=%d: %+v vs %+v",
-							i, batch, stats.Curve[i], refStats.Curve[i])
-					}
-				}
-			}
 		}
 	}
 }
 
-// TestCampaignMergedCurve: a sharded campaign's global discovery curve —
-// interleaved from the per-shard curves by virtual time — must be
-// monotone in probes, instants, and interfaces, and must land exactly on
-// the campaign totals; its interface counts must agree with the serial
-// curve wherever both sample the same virtual instant.
-func TestCampaignMergedCurve(t *testing.T) {
+// TestCampaignFillProgressMatrix holds the discovery series in the
+// paper's Figure 7 configuration — fill mode on — to the contract the
+// store carries: CampaignStats.Progress, written as NDJSON samples, is
+// byte-identical at every shard count and batch size, whether the
+// interface counts come from a lone shard's own store or from the
+// shards' merged first sightings. It is monotone, and its last point
+// lands on the campaign totals.
+func TestCampaignFillProgressMatrix(t *testing.T) {
 	const seed = 77
 	targets := campaignTargets(t, seed, 64)
-	_, _, _, serial := batchCampaign(t, seed, targets, 1, 1)
-	store, _, _, stats := batchCampaign(t, seed, targets, 4, 64)
-
-	curve := stats.Curve
-	if len(curve) < 8 {
-		t.Fatalf("merged curve has only %d points", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].At < curve[i-1].At || curve[i].Probes < curve[i-1].Probes ||
-			curve[i].Interfaces < curve[i-1].Interfaces {
-			t.Fatalf("merged curve not monotone at point %d: %+v after %+v", i, curve[i], curve[i-1])
-		}
-	}
-	last := curve[len(curve)-1]
-	if last.Probes != stats.ProbesSent {
-		t.Fatalf("final curve probes %d != campaign probes %d", last.Probes, stats.ProbesSent)
-	}
-	if last.Interfaces != store.NumInterfaces() {
-		t.Fatalf("final curve interfaces %d != merged store interfaces %d", last.Interfaces, store.NumInterfaces())
-	}
-	// The serial curve samples a subset of the same virtual trajectory:
-	// at any instant both curves sample, the discovery state is the
-	// same, so interface counts must agree.
-	byAt := make(map[time.Duration]int, len(curve))
-	for _, p := range curve {
-		byAt[p.At] = p.Interfaces
-	}
-	checked := 0
-	for _, p := range serial.Curve {
-		if n, ok := byAt[p.At]; ok {
-			if n != p.Interfaces {
-				t.Fatalf("at %v: merged curve has %d interfaces, serial %d", p.At, n, p.Interfaces)
+	var ref []byte
+	for _, shards := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 64} {
+			store, _, _, stats := batchCampaign(t, seed, targets, shards, batch)
+			pts := stats.Progress
+			if len(pts) < 8 {
+				t.Fatalf("shards=%d batch=%d: progress series has only %d points", shards, batch, len(pts))
 			}
-			checked++
+			for i := 1; i < len(pts); i++ {
+				if pts[i].At <= pts[i-1].At || pts[i].Probes < pts[i-1].Probes || pts[i].Interfaces < pts[i-1].Interfaces {
+					t.Fatalf("shards=%d batch=%d: series not monotone at point %d: %+v after %+v", shards, batch, i, pts[i], pts[i-1])
+				}
+			}
+			if last := pts[len(pts)-1]; last.Probes != stats.ProbesSent || last.Interfaces != store.NumInterfaces() || last.At != stats.Elapsed {
+				t.Fatalf("shards=%d batch=%d: last point %+v, campaign %d probes, %d interfaces, elapsed %v",
+					shards, batch, last, stats.ProbesSent, store.NumInterfaces(), stats.Elapsed)
+			}
+			var buf bytes.Buffer
+			if err := telemetry.WritePoints(&buf, pts); err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), ref) {
+				t.Fatalf("progress samples differ at shards=%d batch=%d:\nref: %s\ngot: %s", shards, batch, ref, buf.Bytes())
+			}
 		}
-	}
-	if checked == 0 {
-		t.Fatal("serial and merged curves share no sample instants; cannot cross-check")
 	}
 }

@@ -58,7 +58,6 @@ import (
 	"net/netip"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -106,38 +105,28 @@ type CampaignConfig struct {
 	NewObserver func(shard int) probe.Observer
 	// Telemetry, when non-nil, aggregates hot-path metrics: each shard
 	// folds its counters and histograms into its own telemetry.Shard
-	// view of this registry at curve-sample cadence, so snapshots read
-	// campaign totals without any per-probe shared-atomic traffic.
+	// view of this registry at progress-sample crossings, so snapshots
+	// read campaign totals without any per-probe shared-atomic traffic.
 	Telemetry *telemetry.Registry
-	// Progress, when non-nil, enables the deterministic virtual-time
-	// progress stream: per-shard recorders merged into the global series
-	// in CampaignStats.Progress and, when Writer is set, streamed as
-	// NDJSON after the run.
-	Progress *ProgressConfig
+	// ProgressWriter, when non-nil, receives the campaign's progress
+	// series (CampaignStats.Progress, recorded for every campaign) as
+	// NDJSON after the run: sample records in virtual-time order,
+	// optional per-shard records, and a final summary record. Samples are
+	// deterministic — byte identical at any shard count and batch size.
+	// Interrupted runs do not write the stream (the resumed run writes
+	// the whole series).
+	ProgressWriter io.Writer
+	// ProgressPerShard adds per-shard window records (start, elapsed,
+	// lag, counters) to the stream. These describe the shard layout
+	// itself, so they vary with the shard count and are excluded from
+	// determinism comparisons.
+	ProgressPerShard bool
 	// InterruptAt, when nonzero, stops the campaign at that virtual
 	// instant (relative to the campaign epoch): no shard sends at or
 	// past it, RunContext returns ErrInterrupted with the partial
 	// statistics, and Checkpoint serializes the complete state so Resume
 	// continues the run as if it had never stopped.
 	InterruptAt time.Duration
-}
-
-// ProgressConfig parameterizes the campaign progress stream. Samples fall
-// every domain/128 + 1 permutation slots — the discovery-curve step,
-// ~129 samples per campaign — and a resumed campaign keeps the grid its
-// artifact recorded.
-type ProgressConfig struct {
-	// Writer, when non-nil, receives the NDJSON stream after the run:
-	// sample records in virtual-time order, optional per-shard records,
-	// and a final summary record. Samples are deterministic — byte
-	// identical at any shard count and batch size. Interrupted runs do
-	// not write the stream (the resumed run writes the whole series).
-	Writer io.Writer
-	// PerShard adds per-shard window records (start, elapsed, lag,
-	// counters) to the stream. These describe the shard layout itself,
-	// so they vary with the shard count and are excluded from
-	// determinism comparisons.
-	PerShard bool
 }
 
 // PermRange is a half-open permutation index range [Lo, Hi) that a
@@ -150,15 +139,16 @@ type PermRange struct {
 // breakdown.
 type CampaignStats struct {
 	Stats
-	// PerShard holds each shard's own counters (including its discovery
-	// curve over its window). The first Shards entries are the
-	// configured shards in order; any further entries are recovery
-	// probers that re-probed quarantined ranges.
+	// PerShard holds each shard's own counters. The first Shards entries
+	// are the configured shards in order; any further entries are
+	// recovery probers that re-probed quarantined ranges.
 	PerShard []Stats
-	// Progress is the merged virtual-time progress series, present when
-	// CampaignConfig.Progress was set. Timestamps are relative to the
-	// campaign epoch; the final point lands at Elapsed with the campaign
-	// totals.
+	// Progress is the campaign's discovery series (the paper's Figure 7):
+	// cumulative counters and unique interfaces, sampled every
+	// domain/128 + 1 permutation slots of virtual time — ~129 points per
+	// campaign; a resumed campaign keeps the grid its artifact recorded.
+	// Timestamps are relative to the campaign epoch; the final point lands
+	// at Elapsed with the campaign totals.
 	Progress []telemetry.Point
 	// AddrTableSlots and AddrTableAddrs sum, over every shard and recovery
 	// prober, the slot count of the store's address table and the
@@ -348,18 +338,14 @@ func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 	return done
 }
 
-// tracking reports whether shards keep per-interface first-seen
-// instants: they feed the global discovery-curve merge and the progress
-// interface counts, so single-shard runs without progress skip the
-// bookkeeping.
-func (c *Campaign) tracking() bool { return c.cfg.Shards > 1 || c.cfg.Progress != nil }
-
 // newShard builds one prober slot over the permutation window [lo, hi).
 // It serves the configured shards — fresh, or continuing prev when the
 // campaign was built by Resume or Rewind — and, with index at or past
 // the configured shard count, the recovery probers of a quarantined
 // range, which differ only in running without the interrupt instant.
-// Only fresh configured shards get the caller's observers.
+// Only fresh configured shards get the caller's observers. Shards keep a
+// first-sighting list only where more than one store is folded: a lone
+// configured shard's progress samples count its own store instead.
 func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shardState) *shardState {
 	cfg := &c.cfg
 	recovery := index >= cfg.Shards
@@ -369,7 +355,7 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	} else {
 		ss.store = probe.NewStoreSized(cfg.RecordPaths, shardAddrs(len(cfg.Targets)))
 	}
-	if ss.track == nil && c.tracking() {
+	if ss.track == nil && (cfg.Shards > 1 || recovery) {
 		ss.track = &ifaceTimes{}
 	}
 	if ss.done {
@@ -411,12 +397,10 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if cfg.InterruptAt > 0 && !recovery {
 		scfg.interruptAt = c.epoch + cfg.InterruptAt
 	}
-	if cfg.Progress != nil {
-		if ss.prog == nil {
-			ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
-		}
-		scfg.progress = ss.prog
+	if ss.prog == nil {
+		ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
 	}
+	scfg.progress = ss.prog
 	ss.prober = New(ss.conn, scfg)
 	return ss
 }
@@ -513,17 +497,15 @@ func (c *Campaign) open() error {
 	}
 	c.gap = sendGap(cfg.PPS)
 
-	if cfg.Progress != nil {
-		// Progress sampling: thresholds are epoch + k·step where step is
-		// a whole number of permutation slots — the same virtual-time
-		// grid the probe schedule lives on, so every shard crosses
-		// thresholds at identical campaign-global instants whatever its
-		// window offset. A continuation keeps its artifact's grid.
-		if c.slots == 0 {
-			c.slots = c.domain/128 + 1
-		}
-		c.stepDur = time.Duration(c.slots) * c.gap
+	// Progress sampling: thresholds are epoch + k·step where step is a
+	// whole number of permutation slots — the same virtual-time grid the
+	// probe schedule lives on, so every shard crosses thresholds at
+	// identical campaign-global instants whatever its window offset. A
+	// continuation keeps its artifact's grid.
+	if c.slots == 0 {
+		c.slots = c.domain/128 + 1
 	}
+	c.stepDur = time.Duration(c.slots) * c.gap
 
 	// The constructor runs serially: connection construction may mutate
 	// shared vantage state (clock-group registration).
@@ -598,25 +580,28 @@ func (c *Campaign) recover() (out CampaignStats, all []*shardState, interrupted 
 }
 
 // report folds the shard records into the campaign's outcome: summed
-// counters, the merged store (a completed run's; an interrupted run's
-// partial fold waits for MergedStore), the global discovery curve, and
-// the progress series.
+// counters, the progress series, and the merged store (a completed
+// run's; an interrupted run's partial fold waits for MergedStore).
 func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool) (*probe.Store, CampaignStats, error) {
 	out.PerShard = make([]Stats, 0, len(all))
 	var end time.Duration
 	starts := make([]time.Duration, 0, len(all))
 	var tracks []*ifaceTimes
-	var progs []*telemetry.Progress
+	progs := make([]*telemetry.Progress, 0, len(all))
+	// sampled is a lone shard's store, whose interfaces its own progress
+	// samples count; the recovery probers beside it add only the
+	// addresses it does not hold.
+	var sampled *probe.Store
 	for _, ss := range all {
 		st := ss.stats
 		out.PerShard = append(out.PerShard, st)
 		starts = append(starts, time.Duration(ss.lo)*c.gap)
 		if ss.track != nil {
 			tracks = append(tracks, ss.track)
+		} else {
+			sampled = ss.store
 		}
-		if ss.prog != nil {
-			progs = append(progs, ss.prog)
-		}
+		progs = append(progs, ss.prog)
 		out.ProbesSent += st.ProbesSent
 		out.Fills += st.Fills
 		out.Skipped += st.Skipped
@@ -635,34 +620,27 @@ func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool
 			end = t
 		}
 	}
+	// Elapsed spans the whole virtual schedule: from the campaign epoch
+	// to the last shard's drain deadline (or the interrupt instant).
+	out.Elapsed = end
+	// First sightings relative to the campaign epoch, sorted: the merge
+	// counts interfaces by walking this list against each threshold. They
+	// are read before the fold fills shard 0's store with everybody
+	// else's.
+	seenAt := firstSeenAt(tracks, sampled)
+	for i := range seenAt {
+		seenAt[i] -= c.epoch
+	}
+	out.Progress = telemetry.Merge(progs, seenAt, c.stepDur, end)
 	var merged *probe.Store
 	if interrupted {
 		c.partial = all
 	} else {
 		merged = c.mergeShards(all)
 	}
-	// Elapsed spans the whole virtual schedule: from the campaign epoch
-	// to the last shard's drain deadline (or the interrupt instant).
-	out.Elapsed = end
-	switch {
-	case len(all) == 1:
-		out.Curve = all[0].stats.Curve
-	case c.tracking():
-		out.Curve = mergeCurves(out.PerShard, tracks)
-	}
-	if cfg := c.cfg.Progress; cfg != nil {
-		// First sightings relative to the campaign epoch, sorted: the
-		// merge counts interfaces by walking this list against each
-		// threshold.
-		seenAt := firstSeenAt(tracks)
-		for i := range seenAt {
-			seenAt[i] -= c.epoch
-		}
-		out.Progress = telemetry.Merge(progs, seenAt, c.stepDur, end)
-		if w := cfg.Writer; w != nil && !interrupted {
-			if err := c.writeProgress(w, out, starts); err != nil {
-				return merged, out, fmt.Errorf("progress stream: %w", err)
-			}
+	if w := c.cfg.ProgressWriter; w != nil && !interrupted {
+		if err := c.writeProgress(w, out, starts); err != nil {
+			return merged, out, fmt.Errorf("progress stream: %w", err)
 		}
 	}
 	if interrupted {
@@ -850,7 +828,7 @@ func (c *Campaign) writeProgress(w io.Writer, out CampaignStats, starts []time.D
 	if err := telemetry.WritePoints(w, out.Progress); err != nil {
 		return err
 	}
-	if c.cfg.Progress.PerShard {
+	if c.cfg.ProgressPerShard {
 		lines := make([]telemetry.ShardLine, len(out.PerShard))
 		for s, st := range out.PerShard {
 			lines[s] = telemetry.ShardLine{
@@ -905,8 +883,8 @@ type ifaceSeen struct {
 	at   time.Duration
 }
 
-// ifaceTimes is a shard's first-seen list behind the global discovery
-// curve: the virtual instant of every interface address's first
+// ifaceTimes is a shard's first-seen list behind the progress interface
+// counts: the virtual instant of every interface address's first
 // sighting, appended by the prober when the shard's store reports the
 // address as new — the store is the one set of known interfaces, so the
 // list holds each of its addresses exactly once.
@@ -932,9 +910,11 @@ func (o *ifaceTimes) sortedSeen() []ifaceSeen {
 
 // firstSeenAt folds the per-shard first sightings into the global
 // first-seen instants — minimized across shards, one entry per distinct
-// interface address — sorted ascending. Both the curve merge and the
-// progress merge count interfaces by walking this list.
-func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
+// interface address — sorted ascending; the progress merge counts
+// interfaces by walking this list. Addresses in sampled, a lone shard's
+// store whose own samples count them, are left out: the recovery probers
+// that re-probe its range saw them no earlier than it did.
+func firstSeenAt(tracks []*ifaceTimes, sampled *probe.Store) []time.Duration {
 	n := 0
 	for _, tr := range tracks {
 		n += len(tr.seen)
@@ -942,6 +922,9 @@ func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
 	first := make(map[netip.Addr]time.Duration, n)
 	for _, tr := range tracks {
 		for _, e := range tr.seen {
+			if sampled != nil && sampled.AddrSeen(e.addr) {
+				continue
+			}
 			if cur, ok := first[e.addr]; !ok || e.at < cur {
 				first[e.addr] = e.at
 			}
@@ -953,55 +936,4 @@ func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
 	}
 	slices.Sort(seenAt)
 	return seenAt
-}
-
-// mergeCurves interleaves the per-shard discovery curves — which chart
-// disjoint permutation windows — into one global curve ordered by
-// virtual time. Shard curve samples already carry their virtual
-// instants (each shard's clock opens at lo×gap, so CurvePoint.At is
-// campaign-global time); the global probe count at an instant is the
-// sum of every shard's latest sample at or before it, and the global
-// interface count is the number of distinct addresses whose first
-// sighting — minimized across shards — is at or before it. The final
-// point therefore lands exactly on (total probes, merged unique
-// interfaces).
-func mergeCurves(perShard []Stats, tracks []*ifaceTimes) []CurvePoint {
-	seenAt := firstSeenAt(tracks)
-
-	type event struct {
-		at     time.Duration
-		shard  int
-		probes int64
-	}
-	var events []event
-	for s := range perShard {
-		for _, p := range perShard[s].Curve {
-			events = append(events, event{at: p.At, shard: s, probes: p.Probes})
-		}
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		return events[i].shard < events[j].shard
-	})
-
-	probesBy := make([]int64, len(perShard))
-	var total int64
-	out := make([]CurvePoint, 0, len(events))
-	ifaces := 0
-	for i, ev := range events {
-		total += ev.probes - probesBy[ev.shard]
-		probesBy[ev.shard] = ev.probes
-		// Emit one point per distinct instant, after folding every
-		// shard sample taken at it.
-		if i+1 < len(events) && events[i+1].at == ev.at {
-			continue
-		}
-		for ifaces < len(seenAt) && seenAt[ifaces] <= ev.at {
-			ifaces++
-		}
-		out = append(out, CurvePoint{Probes: total, Interfaces: ifaces, At: ev.at})
-	}
-	return out
 }

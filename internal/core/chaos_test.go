@@ -52,9 +52,7 @@ func chaosRun(t *testing.T, seed int64, fc *faultsim.Config, targets []netip.Add
 		InterruptAt: interruptAt,
 	}
 	if interruptAt == 0 {
-		ccfg.Progress = &ProgressConfig{Writer: &progress}
-	} else {
-		ccfg.Progress = &ProgressConfig{}
+		ccfg.ProgressWriter = &progress
 	}
 	camp := NewCampaign(ccfg, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	store, stats, err := camp.Run()

@@ -2,16 +2,18 @@
 //
 // Yarrp6's statelessness means a shard's entire progress is one
 // permutation cursor plus its result store; everything else a resumed
-// run needs — clocks, codec epochs, counters, curve and progress
-// series, in-flight replies — is small bookkeeping around that fact.
-// Checkpoint serializes it all into one versioned artifact: a magic
-// header followed by length-prefixed sections, each protected by its
-// own CRC32, so truncation and corruption are detected per section
-// with typed errors and the decoder never panics on arbitrary bytes
-// (FuzzCheckpointDecode pins this). Resume reconstructs the campaign
-// so that interrupt-at-any-instant plus resume reproduces the
-// uninterrupted run byte for byte — stores, discovery curves, and
-// progress streams alike — at any shard count and batch size.
+// run needs — clocks, codec epochs, counters, the progress series and
+// first sightings behind the discovery curve, in-flight replies — is
+// small bookkeeping around that fact. Checkpoint serializes it all into
+// one versioned artifact: a magic header followed by length-prefixed
+// sections, each protected by its own CRC32, so truncation and
+// corruption are detected per section with typed errors and the decoder
+// never panics on arbitrary bytes (FuzzCheckpointDecode pins this).
+// Resume reconstructs the campaign so that interrupt-at-any-instant plus
+// resume reproduces the uninterrupted run byte for byte — stores and
+// progress streams alike — at any shard count and batch size. Only the
+// current format version is read: an artifact written by an older
+// binary is rejected as a bad magic.
 //
 // Router token-bucket levels ride along when the connection supports
 // it: each shard section ends with an opaque simulator-state blob
@@ -38,7 +40,7 @@ import (
 
 // checkpointMagic opens every artifact; the trailing digits are the
 // format version, so a layout change bumps the magic itself.
-const checkpointMagic = "Y6CKPT02"
+const checkpointMagic = "Y6CKPT03"
 
 // Artifact section types.
 const (
@@ -64,7 +66,7 @@ var ErrNotCheckpointable = errors.New("yarrp6: campaign is not checkpointable")
 // Checkpoint serializes the campaign's complete state after an
 // interrupted RunContext (InterruptAt or context cancellation). The
 // artifact captures per-shard permutation cursors, store snapshots,
-// discovery-curve and progress series, counter deltas, and in-flight
+// progress series and first sightings, counter deltas, and in-flight
 // replies; Resume reconstructs a campaign that continues the run
 // exactly. Quarantine-degraded campaigns are not checkpointable.
 func (c *Campaign) Checkpoint() ([]byte, error) { return c.AppendCheckpoint(nil) }
@@ -81,8 +83,8 @@ func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	// Size the buffer once: the bulky parts exactly, an allowance for each
-	// shard's counters, curve and progress samples. Falling short would
-	// only cost a regrowth.
+	// shard's counters and progress samples. Falling short would only cost
+	// a regrowth.
 	size := 4096 + 16*len(c.cfg.Targets)
 	for _, ss := range c.shards {
 		size += 16<<10 + ss.store.EncodedSize()
@@ -134,7 +136,7 @@ func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error
 		return nil, err
 	}
 	cfg := c.cfg
-	rc.apply(&cfg, cfg.Progress != nil)
+	rc.apply(&cfg)
 	return &Campaign{cfg: cfg, connOf: connOf, epoch: c.epoch, slots: c.slots, prev: c.shards}, nil
 }
 
@@ -169,9 +171,6 @@ func (c *Campaign) appendConfig(buf []byte) []byte {
 	if cfg.Fill {
 		flags |= 2
 	}
-	if cfg.Progress != nil {
-		flags |= 4
-	}
 	buf = appendTuning(append(buf, flags), cfg)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.epoch))
 	buf = binary.LittleEndian.AppendUint64(buf, c.slots)
@@ -196,8 +195,8 @@ func appendTuning(buf []byte, cfg *CampaignConfig) []byte {
 	return appendDur(buf, cfg.DrainTimeout)
 }
 
-// appendCounters appends a Stats' counters and elapsed time (not its
-// curve); ckReader.counters is its decoder.
+// appendCounters appends a Stats' counters and elapsed time;
+// ckReader.counters is its decoder.
 func appendCounters(buf []byte, st *Stats) []byte {
 	for _, n := range []int64{st.ProbesSent, st.Fills, st.Skipped, st.Replies, st.NotMine, st.Retries} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
@@ -222,15 +221,7 @@ func (ss *shardState) appendTo(buf []byte) []byte {
 	buf = appendDur(buf, rs.epoch)
 	buf = appendDur(buf, rs.now)
 	buf = appendDur(buf, rs.drainDeadline)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rs.nextCurve))
-
 	buf = appendCounters(buf, &ss.stats)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ss.stats.Curve)))
-	for _, p := range ss.stats.Curve {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Probes))
-		buf = appendDur(buf, p.At)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Interfaces))
-	}
 	for _, k := range rs.kindCount {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	}
@@ -247,20 +238,13 @@ func (ss *shardState) appendTo(buf []byte) []byte {
 			buf = appendDur(buf, at)
 		}
 	}
-	var samples []telemetry.Sample
-	if ss.prog != nil {
-		samples = ss.prog.Samples()
-	}
+	samples := ss.prog.Samples()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(samples)))
 	for _, s := range samples {
 		buf = appendDur(buf, s.At)
-		buf = appendDur(buf, time.Duration(s.Probes))
-		buf = appendDur(buf, time.Duration(s.Fills))
-		buf = appendDur(buf, time.Duration(s.Replies))
-		buf = appendDur(buf, time.Duration(s.TimeExceeded))
-		buf = appendDur(buf, time.Duration(s.EchoReplies))
-		buf = appendDur(buf, time.Duration(s.DestUnreach))
-		buf = appendDur(buf, time.Duration(s.TCPRsts))
+		for _, n := range []int64{s.Probes, s.Fills, s.Replies, s.TimeExceeded, s.EchoReplies, s.DestUnreach, s.TCPRsts, s.Interfaces} {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rs.pending)))
 	for _, pr := range rs.pending {
@@ -300,8 +284,7 @@ type ResumeConfig struct {
 	// totals replay into it on the first flush, so its final state
 	// matches an uninterrupted run's registry.
 	Telemetry *telemetry.Registry
-	// ProgressWriter receives the full progress NDJSON stream when the
-	// original campaign had progress enabled (ignored otherwise): the
+	// ProgressWriter receives the full progress NDJSON stream: the
 	// restored pre-interrupt samples and the resumed run's together,
 	// byte-identical to the uninterrupted stream.
 	ProgressWriter io.Writer
@@ -314,13 +297,10 @@ type ResumeConfig struct {
 }
 
 // apply lays the resumed run's non-serializable halves over the
-// configuration it continues: progress carries over exactly when the
-// original run had it (the campaign keeps its sampling grid).
-func (rc *ResumeConfig) apply(cfg *CampaignConfig, hasProg bool) {
-	cfg.Progress = nil
-	if hasProg {
-		cfg.Progress = &ProgressConfig{Writer: rc.ProgressWriter, PerShard: rc.ProgressPerShard}
-	}
+// configuration it continues.
+func (rc *ResumeConfig) apply(cfg *CampaignConfig) {
+	cfg.ProgressWriter = rc.ProgressWriter
+	cfg.ProgressPerShard = rc.ProgressPerShard
 	cfg.Telemetry = rc.Telemetry
 	cfg.InterruptAt = rc.InterruptAt
 }
@@ -348,7 +328,7 @@ func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, er
 		}
 	}
 	cfg := sec.cfg
-	rc.apply(&cfg, sec.hasProg)
+	rc.apply(&cfg)
 	return &Campaign{cfg: cfg, connOf: connOf, epoch: sec.epoch, slots: sec.slots, prev: prev}, nil
 }
 
@@ -360,7 +340,6 @@ type sections struct {
 	cfg      CampaignConfig
 	epoch    time.Duration
 	slots    uint64
-	hasProg  bool
 	shards   [][]byte
 	adaptive []byte // nil for a campaign artifact
 }
@@ -548,10 +527,12 @@ func (sec *sections) decodeConfig(payload []byte) error {
 	flags := r.u8()
 	cfg.RecordPaths = flags&1 != 0
 	cfg.Fill = flags&2 != 0
-	sec.hasProg = flags&4 != 0
 	r.tuning(cfg)
 	sec.epoch = r.dur()
-	sec.slots = r.u64()
+	if sec.slots = r.u64(); sec.slots == 0 {
+		// Every campaign samples its progress; a zero step cannot.
+		r.fail("zero progress sampling step")
+	}
 	cfg.Targets = make([]netip.Addr, r.count(16))
 	for i := range cfg.Targets {
 		cfg.Targets[i] = r.addr()
@@ -566,12 +547,8 @@ func (sec *sections) decodeConfig(payload []byte) error {
 func (sec *sections) decodeShard(payload []byte) (*shardState, error) {
 	r := ckReader{buf: payload}
 	ss := &shardState{index: int(r.u32()), done: r.u8() != 0}
-	rs := &shardResume{cursor: r.u64(), epoch: r.dur(), now: r.dur(), drainDeadline: r.dur(), nextCurve: r.i64()}
+	rs := &shardResume{cursor: r.u64(), epoch: r.dur(), now: r.dur(), drainDeadline: r.dur()}
 	r.counters(&ss.stats)
-	ss.stats.Curve = make([]CurvePoint, r.count(20))
-	for i := range ss.stats.Curve {
-		ss.stats.Curve[i] = CurvePoint{Probes: r.i64(), At: r.dur(), Interfaces: int(r.u32())}
-	}
 	for i := range rs.kindCount {
 		rs.kindCount[i] = r.i64()
 	}
@@ -579,20 +556,18 @@ func (sec *sections) decodeShard(payload []byte) (*shardState, error) {
 		ttl := r.u8()
 		rs.lastNew[ttl] = r.dur()
 	}
-	samples := make([]telemetry.Sample, r.count(64))
+	samples := make([]telemetry.Sample, r.count(72))
 	for i := range samples {
 		s := &samples[i]
 		s.At = r.dur()
-		for _, f := range []*int64{&s.Probes, &s.Fills, &s.Replies, &s.TimeExceeded, &s.EchoReplies, &s.DestUnreach, &s.TCPRsts} {
+		for _, f := range []*int64{&s.Probes, &s.Fills, &s.Replies, &s.TimeExceeded, &s.EchoReplies, &s.DestUnreach, &s.TCPRsts, &s.Interfaces} {
 			*f = r.i64()
 		}
 	}
-	if sec.hasProg {
-		// The recorder the resumed shard goes on sampling into, on the
-		// original run's grid.
-		ss.prog = telemetry.NewProgress(sec.epoch, time.Duration(sec.slots)*sendGap(sec.cfg.PPS))
-		ss.prog.Restore(samples)
-	}
+	// The recorder the resumed shard goes on sampling into, on the
+	// original run's grid.
+	ss.prog = telemetry.NewProgress(sec.epoch, time.Duration(sec.slots)*sendGap(sec.cfg.PPS))
+	ss.prog.Restore(samples)
 	for n := r.count(12); n > 0; n-- {
 		at := r.dur()
 		rs.pending = append(rs.pending, pendingReply{at: at, data: r.bytes(r.count(1))})
@@ -602,7 +577,7 @@ func (sec *sections) decodeShard(payload []byte) (*shardState, error) {
 		for i := range seen {
 			seen[i] = ifaceSeen{addr: r.addr(), at: r.dur()}
 			// The encoder writes each interface once, ascending; the next
-			// checkpoint's index merge and the curve merge rely on it.
+			// checkpoint's index merge relies on it.
 			if i > 0 && seen[i-1].addr.Compare(seen[i].addr) >= 0 {
 				r.fail("first-seen list out of order at entry %d", i)
 			}

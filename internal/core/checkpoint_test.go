@@ -55,11 +55,11 @@ func ckptReference(t *testing.T, seed int64, targets []netip.Addr, shards, batch
 	cfg.Batch = batch
 	var progress bytes.Buffer
 	camp := NewCampaign(CampaignConfig{
-		Config:      cfg,
-		Shards:      shards,
-		RecordPaths: true,
-		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{Writer: &progress},
+		Config:         cfg,
+		Shards:         shards,
+		RecordPaths:    true,
+		Telemetry:      telemetry.NewRegistry(),
+		ProgressWriter: &progress,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	store, stats, err := camp.Run()
 	if err != nil {
@@ -81,7 +81,6 @@ func ckptInterruptResume(t *testing.T, seed int64, targets []netip.Addr, shards,
 		Shards:      shards,
 		RecordPaths: true,
 		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{},
 		InterruptAt: interruptAt,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
@@ -117,7 +116,7 @@ func ckptResume(t *testing.T, seed int64, art []byte) ckptRun {
 }
 
 // assertRunsEqual byte-compares the store, graph export, progress
-// stream, merged discovery curve, and counters of two runs.
+// stream, and counters of two runs.
 func assertRunsEqual(t *testing.T, label string, got, want ckptRun) {
 	t.Helper()
 	if !got.store.Equal(want.store) {
@@ -134,22 +133,13 @@ func assertRunsEqual(t *testing.T, label string, got, want ckptRun) {
 		g.NotMine != w.NotMine || g.Elapsed != w.Elapsed {
 		t.Fatalf("%s: stats differ: %+v vs %+v", label, g.Stats, w.Stats)
 	}
-	if len(g.Curve) != len(w.Curve) {
-		t.Fatalf("%s: curve length %d vs %d", label, len(g.Curve), len(w.Curve))
-	}
-	for i := range g.Curve {
-		if g.Curve[i] != w.Curve[i] {
-			t.Fatalf("%s: curve point %d differs: %+v vs %+v", label, i, g.Curve[i], w.Curve[i])
-		}
-	}
 }
 
 // TestCampaignCheckpointResumeMatrix is the checkpoint acceptance test:
 // at every (shards, batch) cell, a campaign interrupted mid-send and one
 // interrupted deep in its drain tail must — after resume on a fresh
 // identically-seeded universe — be byte-identical to the uninterrupted
-// run in store, graph export, progress stream, merged curve, and
-// counters.
+// run in store, graph export, progress stream, and counters.
 func TestCampaignCheckpointResumeMatrix(t *testing.T) {
 	const seed = 1213
 	targets := campaignTargets(t, seed, 61)
@@ -164,10 +154,9 @@ func TestCampaignCheckpointResumeMatrix(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 64} {
 			// The resumed run must equal the same-cell uninterrupted run in
-			// every artifact including the merged curve (whose point count
-			// depends on the shard layout); store, graph, and progress are
-			// additionally shard-count-invariant, so they must also equal
-			// the serial reference.
+			// every artifact; store, graph, and progress are additionally
+			// shard-count-invariant, so they must also equal the serial
+			// reference.
 			refCell := ckptReference(t, seed, targets, shards, batch)
 			if !refCell.store.Equal(ref.store) {
 				t.Fatalf("shards=%d batch=%d: reference store differs from serial reference", shards, batch)
@@ -196,7 +185,7 @@ func TestCampaignCheckpointChain(t *testing.T) {
 	cfg.Batch = 64
 	camp := NewCampaign(CampaignConfig{
 		Config: cfg, Shards: 2, RecordPaths: true,
-		Telemetry: telemetry.NewRegistry(), Progress: &ProgressConfig{},
+		Telemetry:   telemetry.NewRegistry(),
 		InterruptAt: 400 * time.Millisecond,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
@@ -228,21 +217,20 @@ func TestCampaignCheckpointChain(t *testing.T) {
 }
 
 // TestCheckpointBytePin pins the artifact format: the SHA-256 of
-// Checkpoint() for one fixed 2-shard fill campaign with progress on,
-// interrupted at a fixed virtual instant. The digest was recorded before
-// the encoder was rebuilt around the canonical index and in-place
-// sections, so "no format change" is enforced rather than asserted; a
-// deliberate format change bumps the magic and re-records it.
+// Checkpoint() for one fixed 2-shard fill campaign, interrupted at a
+// fixed virtual instant. The digest was recorded when the curve left the
+// shard sections (format 03), so "no format change" is enforced rather
+// than asserted; a deliberate format change bumps the magic and
+// re-records it.
 func TestCheckpointBytePin(t *testing.T) {
 	const seed = 1213
-	const want = "ee14ef052c3a0306f03720e4a726084540f49ae7f896b3d36caa6c26cc1b3e4a"
+	const want = "8ed2b3105267340b7069c2a069cb41813d67416312aa4b741981dac6d79602b6"
 	targets := campaignTargets(t, seed, 61)
 	v := ckptVantage(seed)
 	cfg := campaignCfg(targets)
 	cfg.Batch = 64
 	camp := NewCampaign(CampaignConfig{
 		Config: cfg, Shards: 2, RecordPaths: true,
-		Progress:    &ProgressConfig{},
 		InterruptAt: 1100 * time.Millisecond,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
@@ -273,9 +261,8 @@ func TestCheckpointBytePin(t *testing.T) {
 // no decode round trip, no fresh clones, stores and first-seen indexes
 // handed over rather than copied. Beside it runs the chain the hand-over
 // replaces, Resume(Checkpoint()) on a fresh universe at every cut: at
-// each cut the two must agree on the artifact bytes, the merged curve
-// and the progress series (whose interface counts derive from the
-// first-seen instants), so a hand-over that aliased or dropped state
+// each cut the two must agree on the artifact bytes and the progress
+// series (whose interface counts derive from the first-seen instants), so a hand-over that aliased or dropped state
 // shows at the cut where it happens. The final results must be
 // byte-identical to the uninterrupted reference.
 func TestCampaignRewindChain(t *testing.T) {
@@ -291,13 +278,13 @@ func TestCampaignRewindChain(t *testing.T) {
 	cuts := []time.Duration{400 * time.Millisecond, 900 * time.Millisecond, 1400 * time.Millisecond}
 	ccfg := CampaignConfig{
 		Config: cfg, Shards: 2, RecordPaths: true,
-		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{Writer: &progress},
-		InterruptAt: cuts[0],
+		Telemetry:      telemetry.NewRegistry(),
+		ProgressWriter: &progress,
+		InterruptAt:    cuts[0],
 	}
 	camp := NewCampaign(ccfg, connOf)
 	ccfg.Telemetry = telemetry.NewRegistry()
-	ccfg.Progress = &ProgressConfig{Writer: &progress2}
+	ccfg.ProgressWriter = &progress2
 	v2 := ckptVantage(seed)
 	decoded := NewCampaign(ccfg, func(_ int, start time.Duration) probe.Conn { return v2.Clone(start) })
 	for i := 0; ; i++ {
@@ -321,9 +308,6 @@ func TestCampaignRewindChain(t *testing.T) {
 		}
 		if camp.MergedStore() == nil {
 			t.Fatalf("cut %d: MergedStore returned nil after an interrupt", i)
-		}
-		if !slices.Equal(stats.Curve, stats2.Curve) {
-			t.Fatalf("cut %d: partial curve differs between the chains", i)
 		}
 		if !slices.Equal(stats.Progress, stats2.Progress) {
 			t.Fatalf("cut %d: partial progress series differs between the chains", i)
@@ -381,7 +365,7 @@ func TestCampaignCancelBeforeRun(t *testing.T) {
 	cfg.Batch = 64
 	camp := NewCampaign(CampaignConfig{
 		Config: cfg, Shards: 2, RecordPaths: true,
-		Telemetry: telemetry.NewRegistry(), Progress: &ProgressConfig{},
+		Telemetry: telemetry.NewRegistry(),
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -417,7 +401,7 @@ func TestCampaignCancelMidRun(t *testing.T) {
 	cfg.Batch = 64
 	camp := NewCampaign(CampaignConfig{
 		Config: cfg, Shards: 4, RecordPaths: true,
-		Telemetry: telemetry.NewRegistry(), Progress: &ProgressConfig{},
+		Telemetry: telemetry.NewRegistry(),
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -494,10 +478,11 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, err := Resume([]byte("Y6CKPT99"), ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("wrong version: %v", err)
 	}
-	// Version 01 is not read any more: its magic is just a wrong one.
-	old := append([]byte("Y6CKPT01"), art[len(checkpointMagic):]...)
+	// Older versions are not read any more: their magic is just a wrong
+	// one.
+	old := append([]byte("Y6CKPT02"), art[len(checkpointMagic):]...)
 	if _, err := Resume(old, ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
-		t.Fatalf("version-01 magic: %v", err)
+		t.Fatalf("version-02 magic: %v", err)
 	}
 	// The encoder writes a shard's first-seen list strictly ascending by
 	// address, each interface once; the decoder holds artifacts to that

@@ -22,7 +22,6 @@ func fuzzArtifact(tb testing.TB) []byte {
 		Shards:      2,
 		RecordPaths: true,
 		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{},
 		InterruptAt: 120 * time.Millisecond,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {

@@ -22,7 +22,6 @@ type CheckpointInfo struct {
 	Targets        int // target count (the addresses themselves stay in the artifact)
 	Fill           bool
 	RecordPaths    bool
-	Progress       bool
 	Epoch          time.Duration
 	// Adaptive reports an adaptive-campaign artifact (ResumeAdaptive
 	// decodes it, not Resume). Targets then counts the pending
@@ -45,7 +44,7 @@ func InspectCheckpoint(artifact []byte) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	cfg, targets, epoch := &sec.cfg, len(sec.cfg.Targets), sec.epoch
-	info := CheckpointInfo{Progress: sec.hasProg}
+	var info CheckpointInfo
 	if sec.adaptive != nil {
 		st, _, err := decodeAdaptive(sec.adaptive)
 		if err != nil {

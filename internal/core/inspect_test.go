@@ -25,7 +25,6 @@ func TestInspectCheckpoint(t *testing.T) {
 		Shards:      3,
 		RecordPaths: true,
 		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{},
 		InterruptAt: 150 * time.Millisecond,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
@@ -46,7 +45,7 @@ func TestInspectCheckpoint(t *testing.T) {
 	if info.Targets != len(targets) || info.Key != cfg.Key || info.PPS != cfg.PPS {
 		t.Fatalf("identity = targets %d key %d pps %v", info.Targets, info.Key, info.PPS)
 	}
-	if info.MinTTL != 1 || info.MaxTTL != cfg.MaxTTL || !info.Fill || !info.RecordPaths || !info.Progress {
+	if info.MinTTL != 1 || info.MaxTTL != cfg.MaxTTL || !info.Fill || !info.RecordPaths {
 		t.Fatalf("options = %+v", info)
 	}
 	if info.Epoch != camp.Epoch() {

@@ -71,12 +71,12 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 	var replaying atomic.Bool
 	var progress bytes.Buffer
 	camp := NewCampaign(CampaignConfig{
-		Config:      cfg,
-		Shards:      shards,
-		RecordPaths: true,
-		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{Writer: &progress},
-		InterruptAt: cut.interruptAt,
+		Config:         cfg,
+		Shards:         shards,
+		RecordPaths:    true,
+		Telemetry:      telemetry.NewRegistry(),
+		ProgressWriter: &progress,
+		InterruptAt:    cut.interruptAt,
 	}, func(_ int, start time.Duration) probe.Conn {
 		return &slowPrimeConn{Vantage: v.Clone(start), replaying: &replaying}
 	})
@@ -162,8 +162,7 @@ func TestPipelinedPrimeChaosCancel(t *testing.T) {
 	landed := 0
 	for _, shards := range []int{2, 4} {
 		for _, batch := range []int{1, 64} {
-			// The cell's own uninterrupted run carries the serial bytes
-			// (the merged curve alone is a function of the shard layout).
+			// The cell's own uninterrupted run carries the serial bytes.
 			ref := satCellReference(t, seed, targets, shards, batch, serial)
 			// Artifacts of the deterministic cuts, from the first
 			// GOMAXPROCS setting; the second must reproduce them.
@@ -225,11 +224,11 @@ func TestPipelinedPrimeChaosImportFails(t *testing.T) {
 		_, v := saturationVantage(seed)
 		var progress bytes.Buffer
 		camp := NewCampaign(CampaignConfig{
-			Config:      saturationCfg(targets),
-			Shards:      4,
-			RecordPaths: true,
-			Telemetry:   telemetry.NewRegistry(),
-			Progress:    &ProgressConfig{Writer: &progress},
+			Config:         saturationCfg(targets),
+			Shards:         4,
+			RecordPaths:    true,
+			Telemetry:      telemetry.NewRegistry(),
+			ProgressWriter: &progress,
 		}, func(shard int, start time.Duration) probe.Conn {
 			if shard == bad {
 				return noImportConn{v.Clone(start)}

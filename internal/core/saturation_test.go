@@ -44,11 +44,11 @@ func satReference(t *testing.T, seed int64, targets []netip.Addr, shards, batch 
 	cfg.Batch = batch
 	var progress bytes.Buffer
 	camp := NewCampaign(CampaignConfig{
-		Config:      cfg,
-		Shards:      shards,
-		RecordPaths: true,
-		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{Writer: &progress},
+		Config:         cfg,
+		Shards:         shards,
+		RecordPaths:    true,
+		Telemetry:      telemetry.NewRegistry(),
+		ProgressWriter: &progress,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	store, stats, err := camp.Run()
 	if err != nil {
@@ -70,7 +70,6 @@ func satInterruptResume(t *testing.T, seed int64, targets []netip.Addr, shards, 
 		Shards:      shards,
 		RecordPaths: true,
 		Telemetry:   telemetry.NewRegistry(),
-		Progress:    &ProgressConfig{},
 		InterruptAt: interruptAt,
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
 	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
@@ -101,7 +100,7 @@ func satInterruptResume(t *testing.T, seed int64, targets []netip.Addr, shards, 
 // batch) cell — uninterrupted, and interrupted both mid-send and in the
 // drain tail with a resume on a fresh universe — must stay
 // byte-identical to the serial reference in store, graph export,
-// progress stream, merged curve, and counters. This is the matrix that
+// progress stream, and counters. This is the matrix that
 // used to carry the "a few extra replies near shard-window starts"
 // caveat: shard clones now open with their buckets primed to the
 // window-start levels, and checkpoints carry the bucket state across

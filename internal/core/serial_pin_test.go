@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -113,13 +111,8 @@ func TestTransientSendBatchOnePin(t *testing.T) {
 			t.Errorf("batch %d: retries %d probes %d fills %d replies %d, want 87, 802, 70, 683",
 				batch, out.stats.Retries, out.stats.ProbesSent, out.stats.Fills, out.stats.Replies)
 		}
-		var curve bytes.Buffer
-		for _, p := range out.stats.Curve {
-			fmt.Fprintf(&curve, "%d %d %d\n", p.At, p.Probes, p.Interfaces)
-		}
 		pinDigest(t, "store", out.store.AppendBinary(nil), "f9b4f70b3f7db6df21288a8acc9fd376a50c13f0618020abc7cfad383af785dc")
 		pinDigest(t, "graph", out.graph, "408fa3461955324d5ac8fdea44bbf1d7c85411b9b1b5aeccc5abe38d71bb38db")
 		pinDigest(t, "progress", out.progress, "ef2d0d033b34328ac80f78cba923cb2e6d5560340b7613dc086ceebd6255cfab")
-		pinDigest(t, "curve", curve.Bytes(), "e71c79029d4fae5a3e6dada80017c99be0a02abd222fa00e7a89a69e7e797b26")
 	}
 }

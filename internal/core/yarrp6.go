@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -39,8 +38,7 @@ type Config struct {
 	// MinTTL and MaxTTL bound the randomized TTL range (inclusive).
 	// Defaults: 1 and 16 (the paper's tuned maximum, Table 6).
 	MinTTL, MaxTTL uint8
-	// PPS is the probing rate in packets per second. Default 1000 (the
-	// paper's campaign rate).
+	// PPS is the probing rate in packets per second. Default DefaultPPS.
 	PPS float64
 	// Proto selects the probe transport: wire.ProtoICMPv6 (default),
 	// wire.ProtoUDP, or wire.ProtoTCP.
@@ -87,8 +85,8 @@ type Config struct {
 	Observer probe.Observer
 
 	// telemetry, when set, is this prober's shard-local metric sink.
-	// Counters derived from Stats fold in at curve-sample cadence and run
-	// end (the delta-flush discipline); only the distribution metrics
+	// Counters derived from Stats fold in at progress-sample cadence and
+	// run end (the delta-flush discipline); only the distribution metrics
 	// (RTT, batch fill, drain gaps) observe per event, through local
 	// non-atomic views. Campaign sets it; nil costs nothing on the hot
 	// path beyond a few predicted nil checks per batch.
@@ -119,11 +117,12 @@ type Config struct {
 	pulse *atomic.Int64
 	// track, when non-nil, receives the first-seen instant of every
 	// interface the store reports as new — the shard's contribution to the
-	// campaign-global discovery curve and progress interface counts.
+	// progress interface counts when the campaign folds more than one
+	// store. Without it the progress samples carry the store's own count.
 	track *ifaceTimes
 	// resume, when non-nil, continues a previous interrupted run from its
-	// capture; resumeStats carries that run's counters and curve, and its
-	// progress samples are already in progress. Campaign sets them when it
+	// capture; resumeStats carries that run's counters, and its progress
+	// samples are already in progress. Campaign sets them when it
 	// continues a shard record (Resume or Rewind).
 	resume      *shardResume
 	resumeStats Stats
@@ -148,7 +147,7 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("yarrp6: MinTTL %d > MaxTTL %d", c.MinTTL, c.MaxTTL)
 	}
 	if c.PPS <= 0 {
-		c.PPS = 1000
+		c.PPS = DefaultPPS
 	}
 	if sendGap(c.PPS) <= 0 {
 		// A zero gap parks the clock: the drain tail would sleep zero
@@ -200,7 +199,6 @@ type Stats struct {
 	Replies    int64
 	NotMine    int64 // replies failing authentication
 	Retries    int64 // transient send failures retried after backoff
-	Curve      []CurvePoint
 	Elapsed    time.Duration
 }
 
@@ -240,7 +238,6 @@ type shardResume struct {
 	now           time.Duration // clock at capture (absolute virtual time)
 	drainDeadline time.Duration // nonzero when captured inside the drain tail
 	kindCount     [probe.KindOther + 1]int64
-	nextCurve     int64
 	lastNew       [256]time.Duration
 	pending       []pendingReply
 	// simState is the connection's exported simulator-state blob (router
@@ -256,16 +253,9 @@ type shardResume struct {
 	live bool
 }
 
-// CurvePoint samples discovery progress (Figure 7): after Probes probes,
-// Interfaces unique interface addresses were known.
-type CurvePoint struct {
-	Probes     int64
-	Interfaces int
-	// At is the virtual instant the sample was taken. Campaign uses it
-	// to interleave per-shard curves — which chart disjoint permutation
-	// windows — into one global discovery curve by virtual time.
-	At time.Duration
-}
+// DefaultPPS is the probing rate used when Config.PPS is unset: the
+// paper's campaign rate.
+const DefaultPPS = 1000
 
 // DefaultBatch is the send-batch size used when Config.Batch is zero:
 // probes are built and routed DefaultBatch at a time through
@@ -320,15 +310,9 @@ type Yarrp6 struct {
 	nextSample time.Duration
 
 	// The run's fixed schedule: gap is the inter-probe interval, end the
-	// window's last permutation index plus one. The discovery curve is
-	// sampled whenever ProbesSent reaches nextCurve, which then advances
-	// by curveStep — a monotonic threshold, because fill-mode probes
-	// advance the counter inside handleReply and a modulo check would skip
-	// sample points whenever a fill lands between two loop iterations.
-	gap       time.Duration
-	end       uint64
-	curveStep int64
-	nextCurve int64
+	// window's last permutation index plus one.
+	gap time.Duration
+	end uint64
 
 	// Neighborhood heuristic state: bounded by the TTL range, not by
 	// targets — the prober stays O(1) in destinations.
@@ -354,7 +338,7 @@ type telSink struct {
 	earlyStops, drainFF                      *telemetry.Local
 	rtt, batchFill, drainGap                 *telemetry.LocalHist
 
-	pub     Stats // published counter values (Curve unused)
+	pub     Stats // published counter values
 	pubKind [probe.KindOther + 1]int64
 }
 
@@ -384,8 +368,8 @@ func (y *Yarrp6) initTelemetry() {
 
 // telFlush publishes the counters mirrored from Stats/kindCount as deltas
 // since the previous flush, then folds every local into the shared
-// registry. Called at curve-sample cadence and at run end — never per
-// event.
+// registry. Called at progress-sample crossings and at run end — never
+// per event.
 func (y *Yarrp6) telFlush() {
 	t := &y.tel
 	if t.sh == nil {
@@ -400,17 +384,16 @@ func (y *Yarrp6) telFlush() {
 	t.echo.Add(y.kindCount[probe.KindEchoReply] - t.pubKind[probe.KindEchoReply])
 	t.unreach.Add(y.kindCount[probe.KindDestUnreach] - t.pubKind[probe.KindDestUnreach])
 	t.rst.Add(y.kindCount[probe.KindTCPRst] - t.pubKind[probe.KindTCPRst])
-	pub := y.stats
-	pub.Curve = nil
-	t.pub = pub
+	t.pub = y.stats
 	t.pubKind = y.kindCount
 	t.sh.Flush()
 }
 
 // recordSample appends the current counters to the progress recorder,
-// stamped at the virtual instant at.
-func (y *Yarrp6) recordSample(at time.Duration) {
-	y.prog.Record(telemetry.Sample{
+// stamped at the virtual instant at. A shard without a first-sighting
+// list samples its store's interface count as well.
+func (y *Yarrp6) recordSample(store *probe.Store, at time.Duration) {
+	s := telemetry.Sample{
 		At:           at,
 		Probes:       y.stats.ProbesSent,
 		Fills:        y.stats.Fills,
@@ -419,7 +402,11 @@ func (y *Yarrp6) recordSample(at time.Duration) {
 		EchoReplies:  y.kindCount[probe.KindEchoReply],
 		DestUnreach:  y.kindCount[probe.KindDestUnreach],
 		TCPRsts:      y.kindCount[probe.KindTCPRst],
-	})
+	}
+	if y.cfg.track == nil {
+		s.Interfaces = int64(store.NumInterfaces())
+	}
+	y.prog.Record(s)
 }
 
 // stopNow reports whether the run must interrupt before the next send:
@@ -459,7 +446,6 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 		now:           y.conn.Now(),
 		drainDeadline: drainDeadline,
 		kindCount:     y.kindCount,
-		nextCurve:     y.nextCurve,
 		lastNew:       y.lastNew,
 	}
 	if ck, ok := y.conn.(probe.ConnCheckpointer); ok {
@@ -477,14 +463,17 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 // maybeSample records a progress sample when the clock has crossed the
 // next threshold. Main-loop clock advances are whole gap multiples and
 // thresholds sit on the same grid, so the crossing lands exactly on the
-// threshold instant.
-func (y *Yarrp6) maybeSample() {
+// threshold instant. The crossing also folds pending telemetry into the
+// shared registry (~130 times per campaign): the live endpoint stays
+// fresh without shared-atomic traffic on the per-probe path.
+func (y *Yarrp6) maybeSample(store *probe.Store) {
 	if y.prog == nil {
 		return
 	}
 	if now := y.conn.Now(); now >= y.nextSample {
-		y.recordSample(now)
+		y.recordSample(store, now)
 		y.nextSample = y.prog.NextThreshold(now)
+		y.telFlush()
 	}
 }
 
@@ -516,7 +505,8 @@ func (y *Yarrp6) initCodec() error {
 // reply becomes deliverable so the drain happens at exactly the instant
 // a per-probe loop would drain. Batching therefore changes dispatch
 // counts only; the virtual schedule — send times, drain times, fill
-// times, curve samples — is identical at every batch size, one included.
+// times, progress samples — is identical at every batch size, one
+// included.
 // The connection must implement probe.BatchConn.
 func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	var ok bool
@@ -544,12 +534,7 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 		return Stats{}, fmt.Errorf("yarrp6: PermStart %d beyond PermEnd %d", start, end)
 	}
 	y.gap, y.end = sendGap(cfg.PPS), end
-	// The curve is bounded by the step arithmetic at ~129 samples plus the
-	// final point; preallocating it keeps append off the steady-state send
-	// path.
-	y.curveStep = int64((end-start)/128) + 1
-	y.nextCurve = y.curveStep
-	y.stats = Stats{Curve: make([]CurvePoint, 0, 132)}
+	y.stats = Stats{}
 
 	// Progress sampling thresholds live on the same virtual-time grid as
 	// the probe schedule (the campaign's step is a whole multiple of gap),
@@ -588,22 +573,18 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 }
 
 // restore continues an interrupted run exactly where rs captured it. The
-// iterator starts at the captured cursor (curveStep stays derived from
-// the original window, so thresholds fall on the uninterrupted run's
-// probe counts), the codec epoch goes back to the original run's so
-// probe timestamps continue the same series, the counters and curve
-// continue from resumeStats, and the captured in-flight replies are
-// re-queued at their original delivery instants. The connection's clock
-// is the caller's job: it must open at the captured instant.
+// iterator starts at the captured cursor, the codec epoch goes back to
+// the original run's so probe timestamps continue the same series, the
+// counters continue from resumeStats, and the captured in-flight replies
+// are re-queued at their original delivery instants. The connection's
+// clock is the caller's job: it must open at the captured instant.
 func (y *Yarrp6) restore(rs *shardResume) error {
 	y.stats = y.cfg.resumeStats
-	y.stats.Curve = slices.Clone(y.stats.Curve)
 	y.stats.Elapsed = 0
 	y.codec.SetEpoch(rs.epoch)
 	y.codec.NotMine = y.stats.NotMine
 	y.kindCount = rs.kindCount
 	y.lastNew = rs.lastNew
-	y.nextCurve = rs.nextCurve
 	if rs.live {
 		// The connection still holds its queue and its buckets.
 		return nil
@@ -638,7 +619,7 @@ func (y *Yarrp6) drain(store *probe.Store, deadline time.Duration) (Stats, error
 		// Pin the window-exit state: the shard may sit idle in its drain
 		// tail across many thresholds, and the merge needs a sample at or
 		// before each of them carrying the completed-window counters.
-		y.recordSample(y.conn.Now())
+		y.recordSample(store, y.conn.Now())
 	}
 	if deadline == 0 {
 		deadline = y.conn.Now() + y.cfg.DrainTimeout
@@ -676,14 +657,13 @@ func (y *Yarrp6) drain(store *probe.Store, deadline time.Duration) (Stats, error
 			// Pin tail activity at its drain instant so the merge
 			// attributes it to the right threshold; Record drops the
 			// sample when the drain changed nothing.
-			y.recordSample(y.conn.Now())
+			y.recordSample(store, y.conn.Now())
 		}
 	}
-	y.stats.Curve = append(y.stats.Curve, CurvePoint{y.stats.ProbesSent, store.NumInterfaces(), y.conn.Now()})
 	y.stats.Elapsed = y.conn.Now() - y.codec.Epoch()
 	y.stats.NotMine = y.codec.NotMine
 	if y.prog != nil {
-		y.recordSample(y.conn.Now())
+		y.recordSample(store, y.conn.Now())
 	}
 	y.telFlush()
 	return y.stats, nil
@@ -753,17 +733,11 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 				return ErrInterrupted
 			}
 			lim := n
-			// Cap each send run at the next curve threshold so the
-			// sample is taken at exactly that probe count at every batch
-			// size (within a run the counter advances by one per probe —
-			// drains, and with them fills, only happen between runs).
-			if toCurve := y.nextCurve - y.stats.ProbesSent; int64(lim-sent) > toCurve {
-				lim = sent + int(toCurve)
-			}
-			// Cap likewise at the next progress threshold: the clock is
-			// gap-aligned here and thresholds sit on the grid, so the run
-			// ends exactly on the threshold instant and the sample reads
-			// the same counters at every batch size.
+			// Cap each send run at the next progress threshold: the clock
+			// is gap-aligned here and thresholds sit on the grid, so the
+			// run ends exactly on the threshold instant and the sample
+			// reads the same counters at every batch size (drains, and
+			// with them fills, only happen between runs).
 			if y.prog != nil {
 				if rem := int64((y.nextSample - y.conn.Now()) / gap); rem < int64(lim-sent) {
 					lim = sent + int(rem)
@@ -792,8 +766,18 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 			}
 			y.stats.ProbesSent += int64(m)
 			sent += m
+			// Failures count as consecutive only while nothing gets out,
+			// so a run's length never decides the bound — batch 1 included.
+			if m > 0 || err == nil {
+				retries = 0
+			}
 			if err != nil {
 				if !probe.IsTransient(err) || retries >= retryMax {
+					if y.prog != nil {
+						// The failed prober's counters are final: pin them
+						// for every threshold past the failure.
+						y.recordSample(store, y.conn.Now())
+					}
 					y.capture(posBase+uint64(sent), 0)
 					return err
 				}
@@ -806,14 +790,11 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 				y.conn.Sleep(gap)
 				y.buildBatch(sent, n, y.conn.Now(), gap)
 				deliverable = true
-			} else {
-				retries = 0
 			}
 			if deliverable {
 				y.drainAll(store)
 			}
-			y.recordCurve(store)
-			y.maybeSample()
+			y.maybeSample(store)
 		}
 	}
 	return nil
@@ -830,22 +811,6 @@ func (y *Yarrp6) buildBatch(from, n int, t0, gap time.Duration) {
 		off := i * probeStride
 		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], cfg.Targets[v%nt], cfg.MinTTL+uint8(v/nt), t0+time.Duration(i-from)*gap)
 		y.pkts[i] = y.ring[off : off+m]
-	}
-}
-
-// recordCurve appends a discovery-curve sample when the probe counter
-// has crossed the next threshold, then advances the threshold past the
-// counter.
-func (y *Yarrp6) recordCurve(store *probe.Store) {
-	if y.stats.ProbesSent >= y.nextCurve {
-		y.stats.Curve = append(y.stats.Curve, CurvePoint{y.stats.ProbesSent, store.NumInterfaces(), y.conn.Now()})
-		for y.nextCurve <= y.stats.ProbesSent {
-			y.nextCurve += y.curveStep
-		}
-		// Fold pending telemetry into the shared registry at curve
-		// cadence (~130 times per run): the live endpoint stays fresh
-		// without shared-atomic traffic on the per-probe path.
-		y.telFlush()
 	}
 }
 

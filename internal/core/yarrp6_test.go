@@ -148,9 +148,6 @@ func TestCampaignDiscoversTopology(t *testing.T) {
 	if checked == 0 {
 		t.Error("no hops recorded")
 	}
-	if len(stats.Curve) < 2 {
-		t.Error("no discovery curve recorded")
-	}
 	_ = u
 }
 

@@ -32,6 +32,11 @@ func FuzzImportSimState(f *testing.F) {
 	blob := a.ExportSimState(nil)
 	f.Add(blob)
 	f.Add(blob[:len(blob)-simStateEntrySize/2])
+	// A refill instant at the clock's minimum: accepted, it would overflow
+	// the next refill into a negative token level.
+	early := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(early[4+29:], 1<<63)
+	f.Add(early)
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{})
 

@@ -254,7 +254,7 @@ func (v *Vantage) ImportSimState(data []byte) error {
 	}
 	var prev RouterKey
 	for i := 0; i < int(n); i++ {
-		k, tokens, _ := simEntry(data, i)
+		k, tokens, last := simEntry(data, i)
 		// Lookup and export both rely on the canonical order.
 		if i > 0 && simStateKeyCompare(prev, k) >= 0 {
 			return fmt.Errorf("netsim: sim state: router %v out of order", k)
@@ -262,6 +262,11 @@ func (v *Vantage) ImportSimState(data []byte) error {
 		prev = k
 		if math.IsNaN(tokens) || math.IsInf(tokens, 0) || tokens < 0 {
 			return fmt.Errorf("netsim: sim state: invalid token level for router %v", k)
+		}
+		// Virtual time never runs before zero; an instant that did would
+		// overflow the refill's elapsed time into a negative level.
+		if last < 0 {
+			return fmt.Errorf("netsim: sim state: negative refill instant for router %v", k)
 		}
 		if _, ok := v.u.ASByASN(k.ASN); !ok {
 			return fmt.Errorf("netsim: sim state: unknown AS %d", k.ASN)

@@ -57,7 +57,8 @@ type Tenant struct {
 	Name string
 	// RateBudget caps the summed probing rate (PPS) of the tenant's
 	// admitted campaigns — queued and running both; admission reserves
-	// the rate, completion releases it. Zero means unlimited.
+	// the rate (a resumed campaign's is its artifact's), completion
+	// releases it. Zero means unlimited.
 	RateBudget float64
 	// Priority orders dispatch: higher-priority tenants' campaigns
 	// start first. Equal priorities share fairly (fewest-running tenant
@@ -170,7 +171,8 @@ type CampaignSpec struct {
 	// fault rules address (Tag).
 	Vantage string
 	// Config is the probing block handed to the campaign as it is (zero
-	// values pick the core defaults; PPS zero means 1000). The campaign
+	// values pick the core defaults; PPS zero means core.DefaultPPS,
+	// which is also what admission charges). The campaign
 	// owns the permutation split and the observers: PermStart, PermEnd
 	// and Observer must stay zero.
 	core.Config
@@ -183,10 +185,11 @@ type CampaignSpec struct {
 	// Stream, when non-nil, receives the tenant's NDJSON stream: lifecycle
 	// events (Event), checkpoint events with the cumulative probe and reply
 	// counts, and — once, when the campaign completes — its progress
-	// series, the sample and summary records of core.ProgressConfig,
-	// byte-identical to the bare campaign's at any shard count and however
-	// many checkpoints and failovers it went through. A resumed campaign
-	// streams progress when the run it continues was submitted with a
+	// series, the sample and summary records of
+	// core.CampaignConfig.ProgressWriter, byte-identical to the bare
+	// campaign's at any shard count and however many checkpoints and
+	// failovers it went through. Every campaign records its progress, so
+	// a resumed one streams it whether or not the run it continues had a
 	// stream. Writes are serialized; the writer itself need not be
 	// concurrency-safe.
 	Stream io.Writer
@@ -200,14 +203,6 @@ type CampaignSpec struct {
 // Tag returns the campaign tag fault rules address: tenant-qualified
 // so two tenants' same-named campaigns stay distinct.
 func (s *CampaignSpec) Tag() string { return s.Tenant + "/" + s.Name }
-
-// effRate is the admission-ledger rate: the core default when unset.
-func (s *CampaignSpec) effRate() float64 {
-	if s.PPS > 0 {
-		return s.PPS
-	}
-	return 1000
-}
 
 // State is a campaign's lifecycle position.
 type State uint8
@@ -340,7 +335,7 @@ type CampaignStatus struct {
 // tenantState is a tenant's live admission ledger.
 type tenantState struct {
 	cfg      Tenant
-	admitted float64 // summed effRate of queued+running campaigns
+	admitted float64 // summed rate of queued+running campaigns
 	inflight int     // queued+running campaign count
 	running  int     // running campaign count (fair-share key)
 }
@@ -349,6 +344,7 @@ type tenantState struct {
 type job struct {
 	seq     uint64
 	spec    CampaignSpec
+	rate    float64 // probing rate charged to the tenant's RateBudget
 	h       *Handle
 	st      *stream
 	state   State
@@ -452,16 +448,22 @@ func New(cfg Config) (*Supervisor, error) {
 func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 	// Validate up front so an unrunnable spec or a corrupt checkpoint is
 	// an admission failure, not a late worker-side surprise. A resumed
-	// campaign's probing block is the artifact's.
+	// campaign's probing block — its rate included — is the artifact's.
 	var err error
+	rate := spec.PPS
 	if spec.Resume != nil {
-		_, err = core.InspectCheckpoint(spec.Resume)
+		var info core.CheckpointInfo
+		info, err = core.InspectCheckpoint(spec.Resume)
+		rate = info.PPS
 	} else {
 		err = spec.Config.Validate()
 	}
 	if err != nil {
 		s.reject()
 		return nil, err
+	}
+	if rate <= 0 {
+		rate = core.DefaultPPS
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -484,7 +486,7 @@ func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 		s.reject()
 		return nil, fmt.Errorf("%w: %s", ErrBreakerOpen, spec.Vantage)
 	}
-	if b := ts.cfg.RateBudget; b > 0 && ts.admitted+spec.effRate() > b {
+	if b := ts.cfg.RateBudget; b > 0 && ts.admitted+rate > b {
 		s.reject()
 		return nil, fmt.Errorf("%w: tenant %s at %.0f of %.0f pps", ErrRateBudget, spec.Tenant, ts.admitted, b)
 	}
@@ -496,12 +498,13 @@ func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 	j := &job{
 		seq:   s.nextSeq,
 		spec:  spec,
+		rate:  rate,
 		h:     &Handle{spec: spec, done: make(chan struct{})},
 		st:    newStream(spec.Stream),
 		state: StateQueued,
 	}
 	s.nextSeq++
-	ts.admitted += spec.effRate()
+	ts.admitted += rate
 	ts.inflight++
 	s.active[spec.Tag()] = j
 	s.all = append(s.all, j)
@@ -628,7 +631,7 @@ func (s *Supervisor) campaignConfig(j *job) core.CampaignConfig {
 		InterruptAt: sp.Deadline,
 	}
 	if j.st != nil {
-		cfg.Progress = &core.ProgressConfig{Writer: j.st}
+		cfg.ProgressWriter = j.st
 	}
 	return cfg
 }
@@ -903,7 +906,7 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 	j.state = res.State
 	j.reason = res.Reason
 	ts := s.tenants[j.spec.Tenant]
-	ts.admitted -= j.spec.effRate()
+	ts.admitted -= j.rate
 	ts.inflight--
 	if wasRunning {
 		ts.running--

@@ -331,6 +331,56 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestResumeChargedArtifactRate: a resubmitted artifact names only
+// tenant, campaign and artifact, as SubmitOptions.Resume invites, so
+// admission must charge the rate the artifact pins — a 10 000-pps
+// campaign does not fit a 5 000-pps budget because the spec's PPS is
+// unset. Completion releases what admission charged.
+func TestResumeChargedArtifactRate(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 4403
+	spec := testSpec("t", "c", schedTargets(seed, 16))
+	spec.PPS = 10_000
+	env := newTestEnv(seed, nil)
+	factory, err := env.opener(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := coreConfigOf(spec)
+	ccfg.InterruptAt = 5 * time.Millisecond
+	camp := core.NewCampaign(ccfg, factory)
+	if _, _, err := camp.Run(); !errors.Is(err, core.ErrInterrupted) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	art, err := camp.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Opener: env.opener, Tenants: []Tenant{
+		{Name: "small", RateBudget: 5_000}, {Name: "large", RateBudget: 10_000}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAll(t, s)
+	resume := func(tenant string) (*Handle, error) {
+		return s.Submit(CampaignSpec{Tenant: tenant, Name: "c", Vantage: "US-EDU-1", Resume: art})
+	}
+	if _, err := resume("small"); !errors.Is(err, ErrRateBudget) {
+		t.Fatalf("10 000-pps artifact under a 5 000-pps budget: got %v, want ErrRateBudget", err)
+	}
+	for i := 0; i < 2; i++ {
+		h, err := resume("large")
+		if err != nil {
+			t.Fatalf("submission %d under a 10 000-pps budget: %v", i, err)
+		}
+		<-h.Done()
+		if res := h.Result(); res.State != StateCompleted {
+			t.Fatalf("submission %d: %+v", i, res)
+		}
+	}
+}
+
 // TestDeadlineIncomplete: a campaign overrunning its virtual deadline
 // degrades to Incomplete with partial results, without tripping the
 // breaker — a deadline is tenant policy, not vantage fault.

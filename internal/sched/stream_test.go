@@ -61,7 +61,7 @@ func TestStreamCarriesProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := coreConfigOf(base)
-	ref.Progress = &core.ProgressConfig{Writer: &want}
+	ref.ProgressWriter = &want
 	if _, _, err := core.NewCampaign(ref, factory).Run(); err != nil {
 		t.Fatal(err)
 	}

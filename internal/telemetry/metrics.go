@@ -9,9 +9,8 @@
 //
 //   - Hot-path code never touches shared atomics per event. Each prober
 //     shard increments plain int64 fields through a Shard view and
-//     flushes them into the Registry's atomics at discovery-curve sample
-//     points and at run end — exactly the cadence netsim.Vantage batches
-//     its SimStats contributions at.
+//     flushes them into the Registry's atomics at progress-sample
+//     crossings and at run end.
 //
 //   - Everything observable is deterministic in virtual time. Progress
 //     samples are taken when the shard's virtual clock crosses
@@ -279,8 +278,8 @@ func (s *Shard) Histogram(name string, bounds []int64) *LocalHist {
 }
 
 // Flush folds every pending local count into the shared registry and
-// zeroes the local state. Call it at batch boundaries (curve samples, run
-// end) — never per event.
+// zeroes the local state. Call it at batch boundaries (progress samples,
+// run end) — never per event.
 func (s *Shard) Flush() {
 	for _, l := range s.locals {
 		if l.n != 0 {

@@ -17,18 +17,20 @@ import (
 // window lies. A shard records a sample whenever its clock crosses a
 // threshold inside its send loop (the loop caps send runs at thresholds,
 // so the crossing lands exactly on one), plus a pinning sample after any
-// drain-tail activity and at window/run boundaries. Record dedupes
-// consecutive samples with identical counters, so the series is exactly
-// the shard's state-change history evaluated at threshold precision.
+// drain-tail activity, at window/run boundaries and when the prober
+// fails. Record drops samples with unchanged counters and keeps, between
+// two thresholds, only the latest, so the series is exactly the shard's
+// state-change history evaluated at threshold precision.
 //
 // Merge then evaluates the global thresholds: at threshold T the campaign
 // state is the sum over shards of each shard's latest sample at or before
-// T, and the interface count is the number of addresses whose first
-// sighting (minimized across shards) is at or before T. Because the
-// sharded schedule IS the serial schedule (netsim's clock-window
-// invariant), this evaluation yields byte-identical streams at any shard
-// count and batch size — the telemetry extension of the store/graph/curve
-// byte-identity the matrix tests pin.
+// T, plus, in the interface count, the addresses whose first sighting
+// (minimized across the shards that keep first sightings) is at or before
+// T. Because the sharded schedule IS the serial schedule (netsim's
+// clock-window invariant), this evaluation yields byte-identical streams
+// at any shard count and batch size — the telemetry extension of the
+// store/graph byte-identity the matrix tests pin. The series is the
+// campaign's one discovery curve (the paper's Figure 7).
 type Progress struct {
 	epoch   time.Duration
 	step    time.Duration
@@ -46,14 +48,18 @@ type Sample struct {
 	EchoReplies  int64
 	DestUnreach  int64
 	TCPRsts      int64
+	// Interfaces is the shard store's interface count, for a shard whose
+	// discoveries no first-sighting list records (a campaign's lone
+	// shard); zero for a shard whose first sightings Merge counts.
+	Interfaces int64
 }
 
-// counters reports whether two samples carry identical counter state
+// sameCounters reports whether two samples carry identical counter state
 // (ignoring the timestamp).
 func sameCounters(a, b Sample) bool {
 	return a.Probes == b.Probes && a.Fills == b.Fills && a.Replies == b.Replies &&
 		a.TimeExceeded == b.TimeExceeded && a.EchoReplies == b.EchoReplies &&
-		a.DestUnreach == b.DestUnreach && a.TCPRsts == b.TCPRsts
+		a.DestUnreach == b.DestUnreach && a.TCPRsts == b.TCPRsts && a.Interfaces == b.Interfaces
 }
 
 // NewProgress creates a per-shard recorder. epoch is the campaign epoch
@@ -78,10 +84,22 @@ func (p *Progress) NextThreshold(now time.Duration) time.Duration {
 
 // Record appends a sample, dropping it when the counters are unchanged
 // from the previous record — an equal-counter sample at a later instant
-// adds nothing to threshold evaluation.
+// adds nothing to threshold evaluation — and overwriting the previous
+// record when no threshold lies between the two: Merge reads only the
+// latest sample at or before each threshold, so the previous one would
+// never be read. A shard's drain tail, which samples after every drain,
+// thus keeps about one sample per threshold.
 func (p *Progress) Record(s Sample) {
-	if n := len(p.samples); n > 0 && sameCounters(p.samples[n-1], s) {
-		return
+	if n := len(p.samples); n > 0 {
+		last := &p.samples[n-1]
+		if sameCounters(*last, s) {
+			return
+		}
+		// last sits k past a threshold; the next one is step-k later.
+		if k := (last.At - p.epoch) % p.step; k > 0 && s.At-last.At <= p.step-k {
+			*last = s
+			return
+		}
 	}
 	p.samples = append(p.samples, s)
 }
@@ -113,9 +131,11 @@ type Point struct {
 
 // Merge folds per-shard recorders into the campaign-global progress
 // series, evaluated at thresholds step, 2·step, … strictly below end plus
-// a final point at end itself. firstSeen holds the epoch-relative first
-// sighting instants of the distinct discovered interfaces, sorted
-// ascending; end is the campaign's elapsed virtual time.
+// a final point at end itself. A point's interface count is the sum of
+// the shards' sampled Interfaces plus the entries of firstSeen at or
+// before it: firstSeen holds the epoch-relative first sighting instants,
+// sorted ascending, of the distinct interfaces no sample counts. end is
+// the campaign's elapsed virtual time.
 func Merge(shards []*Progress, firstSeen []time.Duration, step, end time.Duration) []Point {
 	if len(shards) == 0 || step <= 0 {
 		return nil
@@ -142,11 +162,12 @@ func Merge(shards []*Progress, firstSeen []time.Duration, step, end time.Duratio
 			pt.EchoReplies += s.EchoReplies
 			pt.DestUnreach += s.DestUnreach
 			pt.TCPRsts += s.TCPRsts
+			pt.Interfaces += int(s.Interfaces)
 		}
 		for ifaces < len(firstSeen) && firstSeen[ifaces] <= t {
 			ifaces++
 		}
-		pt.Interfaces = ifaces
+		pt.Interfaces += ifaces
 		return pt
 	}
 	for t := step; t < end; t += step {

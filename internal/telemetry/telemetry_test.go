@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,12 +126,21 @@ func TestProgressRecordDedup(t *testing.T) {
 	p := NewProgress(0, 10)
 	p.Record(Sample{At: 5, Probes: 1})
 	p.Record(Sample{At: 7, Probes: 1}) // same counters → dropped
-	p.Record(Sample{At: 9, Probes: 2})
-	if n := len(p.Samples()); n != 2 {
-		t.Fatalf("samples = %d, want 2", n)
+	if s := p.Samples(); len(s) != 1 || s[0].At != 5 {
+		t.Fatalf("dedup kept %+v, want the sample at 5", s)
 	}
-	if p.Samples()[0].At != 5 {
-		t.Fatalf("dedup kept later stamp: %v", p.Samples()[0].At)
+	// Merge reads the latest sample at or before each threshold, so a
+	// sample with no threshold between it and the next is overwritten.
+	p.Record(Sample{At: 8, Probes: 2})  // no threshold in [5, 8)
+	p.Record(Sample{At: 10, Probes: 3}) // none in [8, 10) either
+	p.Record(Sample{At: 12, Probes: 4}) // threshold 10 reads the sample at 10
+	p.Record(Sample{At: 25, Probes: 5}) // threshold 20 reads the sample at 12
+	var got []time.Duration
+	for _, s := range p.Samples() {
+		got = append(got, s.At)
+	}
+	if want := []time.Duration{10, 12, 25}; !slices.Equal(got, want) {
+		t.Fatalf("samples at %v, want %v", got, want)
 	}
 }
 

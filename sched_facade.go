@@ -137,7 +137,8 @@ type SubmitOptions struct {
 	Stream io.Writer
 	// Resume, when non-nil, continues a drained campaign from its
 	// checkpoint artifact instead of starting fresh; the artifact
-	// supplies targets and tuning.
+	// supplies targets and tuning, and its rate is what the tenant's
+	// RateBudget is charged.
 	Resume []byte
 }
 

@@ -71,7 +71,7 @@ func runProgress(t *testing.T, shards, batch int) []byte {
 // TestProgressGolden pins the NDJSON progress stream schema and
 // content against a golden master, and proves the stream is
 // byte-identical across shard counts and batch sizes — the same
-// determinism contract the store and curve already carry.
+// determinism contract the store already carries.
 func TestProgressGolden(t *testing.T) {
 	ref := runProgress(t, 1, 0)
 	const golden = "testdata/progress.golden"

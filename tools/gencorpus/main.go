@@ -144,14 +144,13 @@ func unsortedSeen(art []byte) []byte {
 	out := append([]byte(nil), art...)
 	// Sections are [type u8][len u32][crc u32][payload]; the config
 	// section comes first, shard 0's second.
-	sect := len("Y6CKPT02")
+	sect := len("Y6CKPT03")
 	sect += 9 + le32(out[sect+1:])
 	p := out[sect+9 : sect+9+le32(out[sect+1:])]
-	off := 4 + 1 + 8 + 3*8 + 8 + 7*8      // index, done, cursor, three instants, curve threshold, counters
-	off += 4 + 20*le32(p[off:])           // curve points
+	off := 4 + 1 + 8 + 3*8 + 7*8          // index, done, cursor, three instants, counters
 	off += 8 * (int(probe.KindOther) + 1) // reply-kind tallies
 	off += 4 + 9*le32(p[off:])            // neighborhood instants
-	off += 4 + 64*le32(p[off:])           // progress samples
+	off += 4 + 72*le32(p[off:])           // progress samples
 	pending := le32(p[off:])
 	off += 4
 	for ; pending > 0; pending-- {
@@ -193,7 +192,6 @@ func checkpointArtifacts() (static, adaptive []byte) {
 		Config:      core.Config{Targets: targets, PPS: 500, MaxTTL: 12, Key: 11, Fill: true},
 		Shards:      2,
 		RecordPaths: true,
-		Progress:    &core.ProgressConfig{},
 		InterruptAt: 120 * time.Millisecond,
 	}
 	camp := core.NewCampaign(ccfg, clone)
@@ -206,7 +204,7 @@ func checkpointArtifacts() (static, adaptive []byte) {
 	}
 
 	// The same tuning, the targets now the generator's seed observations.
-	ccfg.Targets, ccfg.Progress = nil, nil
+	ccfg.Targets = nil
 	ad := core.NewAdaptive(core.AdaptiveConfig{
 		CampaignConfig: ccfg,
 		Source:         gen6prob.New(targets, gen6prob.Config{Key: 11}),
