@@ -96,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRestoreState$$' -fuzztime $(FUZZTIME) ./internal/gen6prob
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run xxx -fuzz '^FuzzImportSimState$$' -fuzztime $(FUZZTIME) ./internal/netsim
+	$(GO) test -run xxx -fuzz '^FuzzSubmitTargets$$' -fuzztime $(FUZZTIME) ./cmd/beholderd
 
 # cover writes the aggregate coverage profile and prints the total; CI
 # fails if the total drops below its recorded baseline.

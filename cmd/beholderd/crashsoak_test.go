@@ -15,7 +15,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/netip"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -67,13 +66,7 @@ func soakCampaigns(t *testing.T) []campaignReq {
 	if per > 36 {
 		per = 36
 	}
-	slice := func(i int) []string {
-		var out []string
-		for _, a := range all[i*per : (i+1)*per] {
-			out = append(out, a.String())
-		}
-		return out
-	}
+	slice := func(i int) targetList { return targetList{addrs: all[i*per : (i+1)*per]} }
 	reqs := []campaignReq{
 		{Tenant: "alice", Name: "c1", Targets: slice(0), Rate: 800, MaxTTL: 10, Fill: true, Key: 21, Shards: 2, Batch: 1},
 		{Tenant: "alice", Name: "c2", Targets: slice(1), Rate: 600, MaxTTL: 12, Fill: true, Key: 22, Shards: 2, Batch: 1},
@@ -96,11 +89,7 @@ func soloStoreBytes(t *testing.T, req campaignReq) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var targets []netip.Addr
-	for _, s := range req.Targets {
-		targets = append(targets, netip.MustParseAddr(s))
-	}
-	h, err := sch.Submit(in.NewVantage(soakVantage), targets, beholder.SubmitOptions{
+	h, err := sch.Submit(in.NewVantage(soakVantage), req.Targets.addrs, beholder.SubmitOptions{
 		Tenant: req.Tenant, Name: req.Name,
 		Rate: req.Rate, MaxTTL: req.MaxTTL, Transport: req.Transport,
 		Fill: req.Fill, Key: req.Key, Shards: req.Shards, Batch: req.Batch,

@@ -16,7 +16,9 @@
 // every -checkpoint-every of wall time, and final result stores are
 // persisted at completion — all through an atomic
 // temp/fsync/rename/dir-fsync protocol journaled in a CRC-framed
-// manifest. A beholderd killed with SIGKILL at any instant restarts
+// manifest. A spec blob is one compact JSON object whose targets are
+// an array of address strings, appended straight from the addresses;
+// the indented specs earlier releases wrote read back alike. A beholderd killed with SIGKILL at any instant restarts
 // on the same state dir, quarantines anything torn into
 // -state-dir/corrupt/, and resumes every campaign from its last
 // snapshot; results remain byte-identical to an uninterrupted run.
@@ -77,12 +79,13 @@ const (
 // campaignReq is the /submit body and the persisted spec format.
 // Targets come either explicit or from the seed-generation pipeline;
 // the persisted copy always pins the resolved target list so recovery
-// never depends on generation flags.
+// never depends on generation flags. Explicit targets decode straight
+// into addresses (targetList).
 type campaignReq struct {
-	Tenant  string   `json:"tenant"`
-	Name    string   `json:"name"`
-	Vantage string   `json:"vantage,omitempty"` // default US-EDU-1
-	Targets []string `json:"targets,omitempty"`
+	Tenant  string     `json:"tenant"`
+	Name    string     `json:"name"`
+	Vantage string     `json:"vantage,omitempty"` // default US-EDU-1
+	Targets targetList `json:"targets,omitzero"`
 	// Seed-generation pipeline (used when Targets is empty).
 	Seeds string  `json:"seeds,omitempty"` // default caida
 	ZN    int     `json:"zn,omitempty"`    // default 64; else 1–128 (synth known ignores it)
@@ -411,14 +414,11 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 
 	var targets []netip.Addr
 	if resume == nil {
-		if len(req.Targets) > 0 {
-			for _, s := range req.Targets {
-				a, err := netip.ParseAddr(s)
-				if err != nil {
-					return nil, fmt.Errorf("bad target %q: %w", s, err)
-				}
-				targets = append(targets, a)
-			}
+		if req.Targets.err != nil {
+			return nil, fmt.Errorf("bad target %q: %w", req.Targets.bad, req.Targets.err)
+		}
+		if len(req.Targets.addrs) > 0 {
+			targets = req.Targets.addrs
 		} else {
 			seeds, zn, synth, scale := req.Seeds, req.ZN, req.Synth, req.Scale
 			if seeds == "" {
@@ -476,12 +476,9 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 		// Pin the resolved target list so recovery never re-runs the
 		// generation pipeline (whose flags may have changed by then).
 		pinned := req
-		pinned.Targets = pinned.Targets[:0:0]
-		for _, a := range targets {
-			pinned.Targets = append(pinned.Targets, a.String())
-		}
+		pinned.Targets = targetList{addrs: targets}
 		pinned.Seeds, pinned.ZN, pinned.Synth, pinned.Scale = "", 0, "", 0
-		sc, merr := json.MarshalIndent(pinned, "", "  ")
+		sc, merr := json.Marshal(pinned)
 		if merr == nil {
 			merr = d.st.Put(key, kindSpec, sc)
 		}

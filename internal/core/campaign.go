@@ -915,25 +915,42 @@ func (o *ifaceTimes) sortedSeen() []ifaceSeen {
 // interfaces by walking this list. Addresses in sampled, a lone shard's
 // store whose own samples count them, are left out: the recovery probers
 // that re-probe its range saw them no earlier than it did.
+//
+// Each list is sorted by address (the order checkpoints want anyway), so
+// a k-way merge meets every address's sightings side by side: the fold
+// needs no set, only the output.
 func firstSeenAt(tracks []*ifaceTimes, sampled *probe.Store) []time.Duration {
+	lists := make([][]ifaceSeen, 0, len(tracks))
 	n := 0
 	for _, tr := range tracks {
-		n += len(tr.seen)
-	}
-	first := make(map[netip.Addr]time.Duration, n)
-	for _, tr := range tracks {
-		for _, e := range tr.seen {
-			if sampled != nil && sampled.AddrSeen(e.addr) {
-				continue
-			}
-			if cur, ok := first[e.addr]; !ok || e.at < cur {
-				first[e.addr] = e.at
-			}
+		if seen := tr.sortedSeen(); len(seen) > 0 {
+			lists = append(lists, seen)
+			n += len(seen)
 		}
 	}
-	seenAt := make([]time.Duration, 0, len(first))
-	for _, at := range first {
-		seenAt = append(seenAt, at)
+	seenAt := make([]time.Duration, 0, n)
+	for len(lists) > 0 {
+		// The smallest head address, and its earliest sighting across
+		// every list that holds it; those lists advance past it.
+		low := lists[0][0]
+		for _, l := range lists[1:] {
+			if c := l[0].addr.Compare(low.addr); c < 0 || c == 0 && l[0].at < low.at {
+				low = l[0]
+			}
+		}
+		live := lists[:0]
+		for _, l := range lists {
+			if l[0].addr == low.addr {
+				l = l[1:]
+			}
+			if len(l) > 0 {
+				live = append(live, l)
+			}
+		}
+		lists = live
+		if sampled == nil || !sampled.AddrSeen(low.addr) {
+			seenAt = append(seenAt, low.at)
+		}
 	}
 	slices.Sort(seenAt)
 	return seenAt

@@ -250,6 +250,9 @@ type shardResume struct {
 	kindCount     [probe.KindOther + 1]int64
 	lastNew       [256]time.Duration
 	pending       []pendingReply
+	// slab backs every pending reply's data: one copy per capture, not
+	// one per reply.
+	slab []byte
 	// simState is the connection's exported simulator-state blob (router
 	// token-bucket levels) at the capture instant; nil for connections
 	// without checkpoint support. Restoring it makes a resumed run exact
@@ -458,13 +461,27 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 		kindCount:     y.kindCount,
 		lastNew:       y.lastNew,
 	}
+	if prev := y.cfg.resume; prev != nil && prev.live {
+		// The capture this run continued from in-process is spent: its
+		// artifact holds a copy, and the connection never imported it.
+		// This capture takes over its memory.
+		rs.pending, rs.slab, rs.simState = prev.pending[:0], prev.slab[:0], prev.simState[:0]
+	}
 	if ck, ok := y.conn.(probe.ConnCheckpointer); ok {
 		ck.ExportPending(func(at time.Duration, data []byte) {
-			rs.pending = append(rs.pending, pendingReply{at: at, data: append([]byte(nil), data...)})
+			// Until the slab stops growing, data only lends its length.
+			rs.slab = append(rs.slab, data...)
+			rs.pending = append(rs.pending, pendingReply{at: at, data: data})
 		})
+		off := 0
+		for i := range rs.pending {
+			n := len(rs.pending[i].data)
+			rs.pending[i].data = rs.slab[off : off+n : off+n]
+			off += n
+		}
 	}
 	if sk, ok := y.conn.(probe.SimStateCheckpointer); ok {
-		rs.simState = sk.ExportSimState(nil)
+		rs.simState = sk.ExportSimState(rs.simState)
 	}
 	y.telFlush()
 	y.rs = rs

@@ -3,10 +3,12 @@ package sched
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"beholder/internal/core"
 	"beholder/internal/netsim"
@@ -15,6 +17,19 @@ import (
 	"beholder/internal/testutil"
 )
 
+// slowOpener is opener with every send wall-slowed by a millisecond, so
+// a campaign spans many checkpoint intervals; virtual time (and so every
+// result byte) is untouched.
+func (e *testEnv) slowOpener(spec *CampaignSpec) (core.ConnFactory, error) {
+	inner, err := e.opener(spec)
+	if err != nil {
+		return nil, err
+	}
+	return func(shard int, start time.Duration) probe.Conn {
+		return &slowConn{Vantage: inner(shard, start).(*netsim.Vantage), delay: time.Millisecond}
+	}, nil
+}
+
 // periodicRun drives one wall-slowed 2-shard campaign through a
 // single-worker supervisor snapshotting every `every` (0: never) and
 // returns its result, its tenant stream, and a copy of every artifact
@@ -22,19 +37,7 @@ import (
 // interrupt.
 func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry) (*Result, CampaignSpec, string, [][]byte) {
 	t.Helper()
-	env := newTestEnv(seed, nil)
-	// Slow sends so the campaign spans many checkpoint intervals;
-	// virtual time (and so every result byte) is untouched.
-	op := func(spec *CampaignSpec) (core.ConnFactory, error) {
-		inner, err := env.opener(spec)
-		if err != nil {
-			return nil, err
-		}
-		return func(shard int, start time.Duration) probe.Conn {
-			return &slowConn{Vantage: inner(shard, start).(*netsim.Vantage), delay: time.Millisecond}
-		}, nil
-	}
-
+	op := newTestEnv(seed, nil).slowOpener
 	var mu sync.Mutex
 	var artifacts [][]byte
 	s, err := New(Config{
@@ -168,5 +171,115 @@ func TestPeriodicCheckpointDisabled(t *testing.T) {
 	}
 	if got := counterVal(t, reg.Snapshot(), "sched_checkpoints_total"); got != 0 {
 		t.Fatalf("sched_checkpoints_total = %d, want 0", got)
+	}
+}
+
+// TestCheckpointMemoryOutlivesCampaign pins who owns a worker's artifact
+// memory. On one worker, a second periodically checkpointed campaign
+// hands the sink artifacts in memory the first one's snapshots grew; a
+// drained campaign's Result.Artifact escapes that memory for good — it
+// stays unchanged while it is resumed and further campaigns encode
+// snapshots — and the resumed run still equals its solo run.
+func TestCheckpointMemoryOutlivesCampaign(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 1312
+	env := newTestEnv(seed, nil)
+	var mu sync.Mutex
+	bases := map[string][]*byte{} // per campaign, where each artifact began
+	var held [][]byte             // keeps those addresses from being reused
+	firstSnap := make(chan struct{}, 1)
+	newSup := func() *Supervisor {
+		s, err := New(Config{
+			Opener:          env.slowOpener,
+			Tenants:         []Tenant{{Name: "acme"}},
+			Workers:         1,
+			StallBudget:     30 * time.Second,
+			CheckpointEvery: 25 * time.Millisecond,
+			CheckpointSink: func(spec *CampaignSpec, art []byte) error {
+				mu.Lock()
+				defer mu.Unlock()
+				bases[spec.Name] = append(bases[spec.Name], unsafe.SliceData(art))
+				held = append(held, art)
+				if spec.Name == "drained" {
+					select {
+					case firstSnap <- struct{}{}:
+					default:
+					}
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	spec := func(name string) CampaignSpec {
+		sp := testSpec("acme", name, schedTargets(seed, 48))
+		sp.Shards = 2
+		sp.Batch = 1
+		return sp
+	}
+	run := func(s *Supervisor, sp CampaignSpec) *Result {
+		t.Helper()
+		h, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Wait(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != StateCompleted {
+			t.Fatalf("%s: state %v (%s)", sp.Name, res.State, res.Reason)
+		}
+		return res
+	}
+
+	s := newSup()
+	run(s, spec("first"))
+	run(s, spec("second"))
+	mu.Lock()
+	if len(bases["first"]) < 3 || len(bases["second"]) == 0 {
+		t.Fatalf("snapshots: first %d, second %d", len(bases["first"]), len(bases["second"]))
+	}
+	reused := false
+	for _, b := range bases["second"] {
+		reused = reused || slices.Contains(bases["first"], b)
+	}
+	mu.Unlock()
+	if !reused {
+		t.Fatal("the second campaign encoded no snapshot into the first one's memory")
+	}
+
+	drained := spec("drained")
+	h, err := s.Submit(drained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-firstSnap
+	out := drainAll(t, s)
+	res := h.Result()
+	if res.State != StateDrained || len(out) != 1 || out[0].Artifact == nil {
+		t.Fatalf("drain: state %v (%s), %d drained", res.State, res.Reason, len(out))
+	}
+	art := res.Artifact
+	want := bytes.Clone(art)
+
+	s = newSup()
+	resumed := out[0].Spec
+	resumed.Resume = art
+	got := run(s, resumed)
+	run(s, spec("after"))
+	drainAll(t, s)
+	if !bytes.Equal(art, want) {
+		t.Fatal("a drained artifact changed while later campaigns encoded")
+	}
+	solo, _, err := soloRun(t, seed, nil, drained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Store.AppendBinary(nil), solo.AppendBinary(nil)) {
+		t.Fatal("the campaign resumed from its drained artifact differs from its solo run")
 	}
 }

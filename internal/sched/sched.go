@@ -112,8 +112,9 @@ type Config struct {
 	// sink error is counted (sched_checkpoint_sink_errors_total) and
 	// the campaign keeps running — losing a snapshot degrades crash
 	// durability, not the run. The sink must not retain artifact after
-	// returning: the supervisor encodes a later snapshot into the same
-	// memory. A sink that keeps the bytes copies them.
+	// returning: the worker encodes later snapshots — this campaign's or
+	// a later one's — into the same memory. A sink that keeps the bytes
+	// copies them.
 	CheckpointSink func(spec *CampaignSpec, artifact []byte) error
 	// Telemetry, when non-nil, receives the sched_* metrics and every
 	// campaign's hot-path yarrp_* metrics.
@@ -576,9 +577,12 @@ func (s *Supervisor) nextLocked() int {
 	return best
 }
 
-// worker pulls and runs campaigns until the supervisor stops.
+// worker pulls and runs campaigns until the supervisor stops. Its
+// checkpoint memory outlives each campaign, so the next one encodes its
+// snapshots into memory the last one grew.
 func (s *Supervisor) worker() {
 	defer s.wg.Done()
+	var bufs artifactBufs
 	for {
 		s.mu.Lock()
 		for !s.stopping && (s.draining || len(s.queue) == 0) {
@@ -597,9 +601,31 @@ func (s *Supervisor) worker() {
 		s.met.queueDepth.Set(int64(len(s.queue)))
 		s.met.running.Set(s.runningLocked())
 		s.mu.Unlock()
-		s.runJob(j)
+		s.runJob(j, &bufs)
 	}
 }
+
+// artifactBufs is a worker's checkpoint-artifact memory. last is the
+// latest periodic snapshot — while its campaign runs, the artifact a
+// failed rewind resumes from — and spare the one before it, which
+// nothing references: the sink has returned and the continuation was
+// handed over in-process. Once the campaign ends, both are free. An
+// artifact that escapes the worker — a drain's Result.Artifact, or a
+// watchdog failover's, which core.Resume may alias — is never retired
+// into them.
+type artifactBufs struct{ spare, last []byte }
+
+// take hands out the spare for the next encode; the artifact encoded
+// into it is the caller's until retired.
+func (b *artifactBufs) take() []byte {
+	buf := b.spare[:0]
+	b.spare = nil
+	return buf
+}
+
+// retire records art as the latest periodic snapshot, which frees the
+// one before it.
+func (b *artifactBufs) retire(art []byte) { b.spare, b.last = b.last, art }
 
 func (s *Supervisor) runningLocked() int64 {
 	var n int64
@@ -649,8 +675,9 @@ func (s *Supervisor) resumeConfig(j *job) core.ResumeConfig {
 
 // runJob drives one campaign through its attempts: run, and on a
 // watchdog interrupt checkpoint → back off → resume on fresh
-// connections, bounded by the retry budget.
-func (s *Supervisor) runJob(j *job) {
+// connections, bounded by the retry budget. Checkpoints encode into
+// bufs, the running worker's memory.
+func (s *Supervisor) runJob(j *job, bufs *artifactBufs) {
 	if !s.breaker.admit(j.spec.Vantage) {
 		// The vantage's breaker opened (or its half-open trial slot was
 		// claimed) while this campaign sat queued.
@@ -659,11 +686,6 @@ func (s *Supervisor) runJob(j *job) {
 	}
 	artifact := j.spec.Resume
 	var rewound *core.Campaign
-	// lastArt is the latest periodic snapshot (artifact aliases it until
-	// a failover replaces it); spare is the one before, which nothing
-	// references any more — the sink has returned and the continuation
-	// was handed over in-process — so the next encode reuses its memory.
-	var lastArt, spare []byte
 	attempt := 0
 	for {
 		attempt++
@@ -718,8 +740,7 @@ func (s *Supervisor) runJob(j *job) {
 			// it on demand (MergedStore), and the periodic continuation
 			// below skips the fold entirely.
 			encStart := time.Now()
-			art, ckErr := camp.AppendCheckpoint(spare[:0])
-			spare = nil
+			art, ckErr := camp.AppendCheckpoint(bufs.take())
 			if ckErr == nil {
 				s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
 				s.met.ckptBytes.Set(int64(len(art)))
@@ -797,7 +818,7 @@ func (s *Supervisor) runJob(j *job) {
 					rewound = next
 				}
 				artifact = art
-				spare, lastArt = lastArt, art
+				bufs.retire(art)
 				continue
 			default:
 				// The campaign's own virtual deadline fired.

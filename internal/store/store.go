@@ -437,7 +437,7 @@ func (s *Store) Put(key, kind string, data []byte) error {
 	gen := s.gen + 1
 	fname := blobName(key, gen, kind)
 	tmp := filepath.Join(s.dir, tmpPrefix+fname)
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := s.writeFileSync(tmp, data); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -631,7 +631,7 @@ func (s *Store) syncDir() error {
 }
 
 // writeFileSync writes data to path and fsyncs the file.
-func writeFileSync(path string, data []byte) error {
+func (s *Store) writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -644,6 +644,7 @@ func writeFileSync(path string, data []byte) error {
 		f.Close()
 		return err
 	}
+	s.met.fsyncs.Inc()
 	return f.Close()
 }
 

@@ -384,3 +384,33 @@ func TestTelemetrySurface(t *testing.T) {
 		t.Fatalf("generation gauge = %d", v)
 	}
 }
+
+// TestFsyncCount pins store_fsync_total to the fsyncs the protocol
+// performs: a Put syncs the blob, the directory after the rename and the
+// journal record (3); a Delete of a live entry syncs its journal record
+// (1); a Delete of an absent entry touches nothing.
+func TestFsyncCount(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: t.TempDir(), Telemetry: reg})
+	fsyncs := reg.Counter("store_fsync_total")
+	step := func(what string, want int64, op func()) {
+		t.Helper()
+		before := fsyncs.Value()
+		op()
+		if got := fsyncs.Value() - before; got != want {
+			t.Fatalf("%s: %d fsyncs counted, want %d", what, got, want)
+		}
+	}
+	step("put", 3, func() { mustPut(t, s, "k", "spec", []byte("abcd")) })
+	step("replacing put", 3, func() { mustPut(t, s, "k", "spec", []byte("efgh")) })
+	step("delete", 1, func() {
+		if err := s.Delete("k", "spec"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("delete of an absent entry", 0, func() {
+		if err := s.Delete("k", "spec"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -92,8 +92,8 @@ type SchedulerOptions struct {
 	// CheckpointSink receives each periodic checkpoint artifact. Sink
 	// errors are counted in telemetry and do not stop the campaign. The
 	// sink must not retain artifact after returning — the scheduler
-	// encodes a later snapshot into the same memory — so one that keeps
-	// the bytes copies them.
+	// encodes later snapshots, this campaign's or the next one's, into
+	// the same memory — so one that keeps the bytes copies them.
 	CheckpointSink func(tenant, name string, artifact []byte) error
 	// SendDelay, when positive, wall-delays every connection send
 	// batch by that much. Virtual time — and therefore every result

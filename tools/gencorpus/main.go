@@ -1,6 +1,6 @@
 // gencorpus writes the checked-in fuzz seed corpora for internal/wire,
-// internal/probe, internal/core and internal/gen6prob in Go's corpus
-// file format.
+// internal/probe, internal/core, internal/gen6prob and cmd/beholderd in
+// Go's corpus file format.
 package main
 
 import (
@@ -141,6 +141,30 @@ func main() {
 	write(gd, "seed-truncated", bs(source[:len(source)/2]))
 	fresh := gen6prob.New([]netip.Addr{src, dst, target}, gen6prob.Config{Key: 3, AliasMinHits: -1})
 	write(gd, "seed-fresh", bs(fresh.AppendState(nil)))
+
+	// cmd/beholderd: FuzzSubmitTargets — /submit targets values: plain
+	// and spaced lists, the empty list, null as the list and as an
+	// element, a string that is no address, non-string elements, a
+	// non-array value, escapes, zones and non-ASCII text.
+	st := "cmd/beholderd/testdata/fuzz/FuzzSubmitTargets"
+	for name, v := range map[string]string{
+		"seed-plain":      `["2001:db8::1","2001:db8::2"]`,
+		"seed-spaced":     " [ \"2001:db8::1\" ,\n\t\"::ffff:192.0.2.1\" ] ",
+		"seed-empty":      `[]`,
+		"seed-null":       `null`,
+		"seed-null-elem":  `["2001:db8::1",null]`,
+		"seed-bad":        `["2001:db8::1","nope"]`,
+		"seed-bad-number": `["nope",7]`,
+		"seed-nonstring":  `[true,{},[],1.5]`,
+		"seed-string":     `"2001:db8::1"`,
+		"seed-object":     `{"a":"2001:db8::1"}`,
+		"seed-escapes":    `["2001:db8::\u0031","2001:db8::\/1","\ud800"]`,
+		"seed-zones":      `["fe80::1%eth0","fe80::1%\"q\"","fe80::1%<&>"]`,
+		"seed-non-ascii":  "[\"fe80::1%é\",\"é\",\"\xff\"]",
+		"seed-ipv4":       `["192.0.2.1"]`,
+	} {
+		write(st, name, bs([]byte(v)))
+	}
 
 	fmt.Println("corpus written")
 }
