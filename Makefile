@@ -19,15 +19,18 @@ chaos:
 soak:
 	$(GO) test -race -count=1 -timeout 5m -run 'Soak|ChaosSoak|Neutrality|Watchdog|Admission|Breaker|PeriodicCheckpoint|StreamCarriesProgress' ./internal/sched
 
-# crashsoak is the process-level kill-9 harness plus the durable-store
-# unit suite: real beholderd subprocesses SIGKILLed at randomized
-# instants (mid-run, mid-periodic-checkpoint, mid-drain), restarted on
-# the same state dir, and required to finish every campaign byte-equal
-# to a solo fault-free run — with planted-corruption quarantine,
-# signal-drain, and zero-quarantine-on-clean-run checks riding along.
-# The wall cap keeps a wedged daemon from hanging CI.
+# crashsoak is the durable-store suite — every fault kind at every
+# filesystem step of a Put/Delete/Quarantine script — plus beholderd's
+# seeded crash-and-reopen harness over its long seed list (`go test
+# -short` runs a few): in-process daemon generations that each crash the
+# store's fault layer at a seeded step, one inside a drain, and reopen
+# on the surviving disk image, until a final generation finishes every
+# campaign byte-equal to its solo run. A failing seed replays with
+# go test -run 'TestCrashReopen/seed=N$' ./cmd/beholderd. One real
+# SIGKILL and one SIGTERM drain of a daemon subprocess ride along. The
+# wall cap keeps a wedged daemon from hanging CI.
 crashsoak:
-	$(GO) test -race -count=1 -timeout 8m ./internal/store ./cmd/beholderd
+	$(GO) test -race -count=1 -timeout 8m ./internal/store/... ./cmd/beholderd
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,7 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,6 +124,7 @@ type daemon struct {
 	in       *beholder.Internet
 	sch      *beholder.Scheduler
 	st       *store.Store
+	reg      *beholder.TelemetryRegistry
 	stateDir string
 	// tenants holds the -tenants names. A submission naming anyone else
 	// is refused before it costs anything: no vantage materialized (and
@@ -144,37 +145,31 @@ type daemon struct {
 	doneOnce sync.Once
 }
 
-func main() {
-	var (
-		simSeed   = flag.Int64("sim-seed", 2018, "simulated internetwork seed")
-		small     = flag.Bool("small", false, "use the small universe")
-		addr      = flag.String("addr", "localhost:6464", "HTTP listen address")
-		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening")
-		workers   = flag.Int("workers", 4, "campaigns run concurrently")
-		queue     = flag.Int("queue", 32, "admission queue limit")
-		tenants   = flag.String("tenants", "default", "comma-separated tenants, each name[:rate-budget[:priority]]")
-		stateDir  = flag.String("state-dir", "beholderd-state", "directory for the durable store and result streams")
-		stall     = flag.Duration("stall-budget", 2*time.Second, "watchdog stall budget before failover")
-		retries   = flag.Int("retries", 2, "watchdog failover budget per campaign")
-		ckptEvery = flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint interval for running campaigns (0 = drain-only)")
-		sendDelay = flag.Duration("send-delay", 0, "wall-delay every send batch (testing/ops throttle; results unchanged)")
-	)
-	flag.Parse()
+// options is what a daemon is built from: main fills it from its flags,
+// in-process tests directly. The daemon supplies the scheduler's
+// checkpoint sink and telemetry.
+type options struct {
+	beholder.SchedulerOptions
+	simSeed  int64
+	small    bool
+	stateDir string
+	fs       store.FS // nil: the operating system's
+}
 
-	tl, err := parseTenants(*tenants)
-	if err != nil {
-		fatal(err)
+// newDaemon opens the durable store under o.stateDir, starts the
+// scheduler, and consumes the previous generation's state: terminal
+// campaigns are retained as records, everything else is resubmitted
+// (resuming from its last checkpoint when one exists). A bad entry is
+// quarantined and skipped, never fatal.
+func newDaemon(o options) (*daemon, error) {
+	newInternet := beholder.NewInternet
+	if o.small {
+		newInternet = beholder.NewSmallInternet
 	}
-	var in *beholder.Internet
-	if *small {
-		in = beholder.NewSmallInternet(*simSeed)
-	} else {
-		in = beholder.NewInternet(*simSeed)
-	}
+	in := newInternet(o.simSeed)
 	reg := beholder.NewTelemetry()
-
 	st, err := store.Open(store.Config{
-		Dir: *stateDir,
+		Dir: o.stateDir,
 		Validate: map[string]func([]byte) error{
 			kindSpec: func(b []byte) error {
 				var req campaignReq
@@ -207,52 +202,70 @@ func main() {
 		},
 		KeepSuffixes: []string{".stream.ndjson"},
 		Telemetry:    reg,
+		FS:           o.fs,
 	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	scrubBanner(st.Report(), *stateDir)
+	scrubBanner(st.Report(), o.stateDir)
 
-	sch, err := in.NewScheduler(beholder.SchedulerOptions{
-		Tenants: tl, Workers: *workers, QueueLimit: *queue,
-		StallBudget: *stall, MaxRetries: *retries,
-		CheckpointEvery: *ckptEvery,
-		CheckpointSink: func(tenant, name string, artifact []byte) error {
-			return st.Put(storeKey(tenant, name), kindCkpt, artifact)
-		},
-		SendDelay: *sendDelay,
-		Telemetry: reg,
-	})
-	if err != nil {
-		fatal(err)
+	o.CheckpointSink = func(tenant, name string, artifact []byte) error {
+		return st.Put(storeKey(tenant, name), kindCkpt, artifact)
 	}
-	tenantSet := make(map[string]bool, len(tl))
-	for _, t := range tl {
-		tenantSet[t.Name] = true
+	o.Telemetry = reg
+	sch, err := in.NewScheduler(o.SchedulerOptions)
+	if err != nil {
+		st.Close()
+		return nil, err
 	}
 	d := &daemon{
-		in: in, sch: sch, st: st, stateDir: *stateDir,
-		tenants:  tenantSet,
+		in: in, sch: sch, st: st, reg: reg, stateDir: o.stateDir,
+		tenants:  make(map[string]bool, len(o.Tenants)),
 		vantages: map[string]*beholder.Vantage{},
 		done:     make(chan struct{}),
 	}
-
-	// A restarted daemon first consumes the previous generation's
-	// state: terminal campaigns are retained as records, everything
-	// else is resubmitted (resuming from its last checkpoint when one
-	// exists) before the HTTP surface opens. A bad entry is
-	// quarantined and skipped, never fatal.
+	for _, t := range o.Tenants {
+		d.tenants[t.Name] = true
+	}
 	resumed, retained, failed := d.recoverState()
 	if resumed+retained+failed > 0 {
 		fmt.Fprintf(os.Stderr, "beholderd: recovery from %s: %d resumed, %d already terminal, %d quarantined\n",
-			*stateDir, resumed, retained, failed)
+			o.stateDir, resumed, retained, failed)
+	}
+	return d, nil
+}
+
+func main() {
+	var o options
+	flag.Int64Var(&o.simSeed, "sim-seed", 2018, "simulated internetwork seed")
+	flag.BoolVar(&o.small, "small", false, "use the small universe")
+	addr := flag.String("addr", "localhost:6464", "HTTP listen address")
+	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
+	flag.IntVar(&o.Workers, "workers", 4, "campaigns run concurrently")
+	flag.IntVar(&o.QueueLimit, "queue", 32, "admission queue limit")
+	tenants := flag.String("tenants", "default", "comma-separated tenants, each name[:rate-budget[:priority]]")
+	flag.StringVar(&o.stateDir, "state-dir", "beholderd-state", "directory for the durable store and result streams")
+	flag.DurationVar(&o.StallBudget, "stall-budget", 2*time.Second, "watchdog stall budget before failover")
+	flag.IntVar(&o.MaxRetries, "retries", 2, "watchdog failover budget per campaign")
+	flag.DurationVar(&o.CheckpointEvery, "checkpoint-every", 5*time.Second, "periodic checkpoint interval for running campaigns (0 = drain-only)")
+	flag.Parse()
+
+	var err error
+	if o.Tenants, err = parseTenants(*tenants); err != nil {
+		fatal(err)
+	}
+	// The previous generation's campaigns are back in the scheduler
+	// before the HTTP surface opens.
+	d, err := newDaemon(o)
+	if err != nil {
+		fatal(err)
 	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", d.handleSubmit)
 	mux.HandleFunc("/campaigns", d.handleCampaigns)
 	mux.HandleFunc("/drain", d.handleDrain)
-	mux.Handle("/", telemetry.Handler(reg))
+	mux.Handle("/", telemetry.Handler(d.reg))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -262,7 +275,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "beholderd: %d tenant(s), %d worker(s), serving on http://%s\n", len(tl), *workers, ln.Addr())
+	fmt.Fprintf(os.Stderr, "beholderd: %d tenant(s), %d worker(s), serving on http://%s\n", len(o.Tenants), o.Workers, ln.Addr())
 
 	srv := &http.Server{Handler: mux}
 	go func() {
@@ -296,7 +309,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	srv.Shutdown(ctx)
 	cancel()
-	if err := st.Close(); err != nil {
+	if err := d.st.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "beholderd: store close: %v\n", err)
 	}
 	fmt.Fprintln(os.Stderr, "beholderd: state flushed; exiting")
@@ -404,10 +417,7 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 	if !d.tenants[req.Tenant] {
 		return nil, fmt.Errorf("%w: %q", beholder.ErrUnknownTenant, req.Tenant)
 	}
-	vname := req.Vantage
-	if vname == "" {
-		vname = "US-EDU-1"
-	}
+	vname := cmp.Or(req.Vantage, "US-EDU-1")
 	if err := validIdent(vname); err != nil {
 		return nil, fmt.Errorf("vantage: %w", err)
 	}
@@ -420,21 +430,9 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 		if len(req.Targets.addrs) > 0 {
 			targets = req.Targets.addrs
 		} else {
-			seeds, zn, synth, scale := req.Seeds, req.ZN, req.Synth, req.Scale
-			if seeds == "" {
-				seeds = "caida"
-			}
-			if zn == 0 {
-				zn = 64
-			}
-			if synth == "" {
-				synth = "lowbyte1"
-			}
-			if scale == 0 {
-				scale = 0.2
-			}
 			var err error
-			targets, err = d.in.TargetSet(seeds, zn, synth, scale)
+			targets, err = d.in.TargetSet(cmp.Or(req.Seeds, "caida"), cmp.Or(req.ZN, 64),
+				cmp.Or(req.Synth, "lowbyte1"), cmp.Or(req.Scale, 0.2))
 			if err != nil {
 				return nil, err
 			}
@@ -457,13 +455,34 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 	if err != nil {
 		return nil, err
 	}
-	h, err := d.sch.Submit(v, targets, beholder.SubmitOptions{
+	opts := beholder.SubmitOptions{
 		Tenant: req.Tenant, Name: req.Name,
 		Rate: req.Rate, MaxTTL: req.MaxTTL, Transport: req.Transport,
 		Fill: req.Fill, Key: req.Key, Shards: req.Shards, Batch: req.Batch,
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 		Stream:   stream, Resume: resume,
-	})
+	}
+	if persistSpec {
+		// Pin the resolved target list so recovery never re-runs the
+		// generation pipeline (whose flags may have changed by then).
+		// The spec's journal commit is the admission: a campaign is
+		// admitted exactly when its spec is durable, and a spec newer
+		// than a previous run's records supersedes them at recovery.
+		opts.Admit = func() error {
+			pinned := req
+			pinned.Targets = targetList{addrs: targets}
+			pinned.Seeds, pinned.ZN, pinned.Synth, pinned.Scale = "", 0, "", 0
+			spec, err := json.Marshal(pinned)
+			if err == nil {
+				err = d.st.Put(storeKey(req.Tenant, req.Name), kindSpec, spec)
+			}
+			if err != nil {
+				return fmt.Errorf("%w: %v", errNotDurable, err)
+			}
+			return nil
+		}
+	}
+	h, err := d.sch.Submit(v, targets, opts)
 	if err != nil {
 		stream.Close()
 		if statErr != nil {
@@ -471,24 +490,7 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 		}
 		return nil, err
 	}
-	key := storeKey(req.Tenant, req.Name)
 	if persistSpec {
-		// Pin the resolved target list so recovery never re-runs the
-		// generation pipeline (whose flags may have changed by then).
-		pinned := req
-		pinned.Targets = targetList{addrs: targets}
-		pinned.Seeds, pinned.ZN, pinned.Synth, pinned.Scale = "", 0, "", 0
-		sc, merr := json.Marshal(pinned)
-		if merr == nil {
-			merr = d.st.Put(key, kindSpec, sc)
-		}
-		if merr != nil {
-			fmt.Fprintf(os.Stderr, "beholderd: persist spec %s: %v\n", key, merr)
-		}
-		// A fresh run supersedes any previous terminal record under
-		// the same name.
-		d.st.Delete(key, kindDone)
-		d.st.Delete(key, kindStore)
 		d.dropRetained(req.Tenant, req.Name)
 	}
 	// The stream file lives as long as the campaign: once the terminal
@@ -512,9 +514,6 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 // drain path just wrote it — and their spec, for the next generation
 // to resume.
 func (d *daemon) persistTerminal(req campaignReq, res *beholder.CampaignResult) {
-	if res == nil {
-		return
-	}
 	key := storeKey(req.Tenant, req.Name)
 	switch res.State {
 	case beholder.CampaignCompleted, beholder.CampaignIncomplete:
@@ -552,18 +551,15 @@ func (d *daemon) streamPath(tenant, name string) string {
 // domain-level validation is quarantined and skipped — one bad blob
 // never blocks the rest.
 func (d *daemon) recoverState() (resumed, retained, failed int) {
+	var keys []string
 	byKey := make(map[string]map[string]store.Entry)
-	for _, e := range d.st.List() {
+	for _, e := range d.st.List() { // sorted by key
 		if byKey[e.Key] == nil {
 			byKey[e.Key] = make(map[string]store.Entry)
+			keys = append(keys, e.Key)
 		}
 		byKey[e.Key][e.Kind] = e
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 
 	for _, key := range keys {
 		kinds := byKey[key]
@@ -579,6 +575,14 @@ func (d *daemon) recoverState() (resumed, retained, failed int) {
 				failed++
 			} else {
 				haveSpec = true
+				// Records older than the spec belong to a run a
+				// resubmission under the same name superseded.
+				for kind, e := range kinds {
+					if e.Gen < kinds[kindSpec].Gen {
+						d.st.Delete(key, kind)
+						delete(kinds, kind)
+					}
+				}
 			}
 		}
 
@@ -593,13 +597,9 @@ func (d *daemon) recoverState() (resumed, retained, failed int) {
 				if !haveSpec {
 					tenant, name = splitKey(key)
 				}
-				vn := req.Vantage
-				if vn == "" {
-					vn = "US-EDU-1"
-				}
 				d.mu.Lock()
 				d.retained = append(d.retained, retainedLine{
-					Tenant: tenant, Campaign: name, Vantage: vn,
+					Tenant: tenant, Campaign: name, Vantage: cmp.Or(req.Vantage, "US-EDU-1"),
 					State: rec.State, Reason: rec.Reason,
 				})
 				d.mu.Unlock()
@@ -729,9 +729,15 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errNotDurable refuses a submission whose spec the store could not
+// make durable.
+var errNotDurable = errors.New("spec not durable")
+
 // submitStatus maps the scheduler's typed rejections onto HTTP codes.
 func submitStatus(err error) int {
 	switch {
+	case errors.Is(err, errNotDurable):
+		return http.StatusInternalServerError
 	case errors.Is(err, beholder.ErrQueueFull), errors.Is(err, beholder.ErrRateBudget):
 		return http.StatusTooManyRequests
 	case errors.Is(err, beholder.ErrDuplicate):

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -40,9 +41,6 @@ func stringSpecOf(req campaignReq) stringSpec {
 // completes byte-equal to its solo run, and the compact spec a daemon
 // pins at admission decodes, as strings, into the targets it was given.
 func TestSpecFormatCompat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real daemons")
-	}
 	stateDir := filepath.Join(t.TempDir(), "state")
 	reqs := soakCampaigns(t)[:2]
 	old, fresh := reqs[0], reqs[1]
@@ -61,24 +59,19 @@ func TestSpecFormatCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := startDaemon(t, stateDir, soakArgs()...)
-	p.submit(fresh)
-	p.waitCompleted([]string{old.Tenant + "/" + old.Name, fresh.Tenant + "/" + fresh.Name}, 90*time.Second)
-	p.drain()
-	p.waitExit()
+	d := startTestDaemon(t, soakOptions(stateDir, 5*time.Millisecond, nil))
+	if code := d.postReq(t, fresh); code != http.StatusOK {
+		t.Fatalf("submit: %d", code)
+	}
+	d.waitCompleted(t, reqs)
+	d.stop(t)
+	checkStores(t, stateDir, reqs)
 
 	st, err = store.Open(store.Config{Dir: stateDir, KeepSuffixes: []string{".stream.ndjson"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	got, err := st.Get(storeKey(old.Tenant, old.Name), kindStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, soloStoreBytes(t, old)) {
-		t.Fatal("campaign recovered from a string-target spec differs from its solo run")
-	}
 	pinned, err := st.Get(storeKey(fresh.Tenant, fresh.Name), kindSpec)
 	if err != nil {
 		t.Fatal(err)

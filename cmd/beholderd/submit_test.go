@@ -3,54 +3,23 @@ package main
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"beholder"
 	"beholder/internal/store"
+	"beholder/internal/store/faultfs"
 )
 
-// newTestDaemon builds an in-process daemon over a small universe and a
-// throwaway state dir, for driving the HTTP handlers directly.
-func newTestDaemon(t *testing.T) *daemon {
-	t.Helper()
-	dir := t.TempDir()
-	st, err := store.Open(store.Config{Dir: dir, KeepSuffixes: []string{".stream.ndjson"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := beholder.NewSmallInternet(5)
-	sch, err := in.NewScheduler(beholder.SchedulerOptions{Tenants: []beholder.Tenant{{Name: "alice"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{
-		in: in, sch: sch, st: st, stateDir: dir,
-		tenants:  map[string]bool{"alice": true},
-		vantages: map[string]*beholder.Vantage{},
-		done:     make(chan struct{}),
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if _, err := sch.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		d.streams.Wait()
-		if err := st.Close(); err != nil {
-			t.Errorf("store close: %v", err)
-		}
+// aliceDaemon is a daemon over small universe 5 with the one tenant
+// alice and a throwaway state dir, for driving the HTTP handlers.
+func aliceDaemon(t *testing.T) *daemon {
+	return startTestDaemon(t, options{
+		SchedulerOptions: beholder.SchedulerOptions{Tenants: []beholder.Tenant{{Name: "alice"}}},
+		simSeed:          5, small: true, stateDir: t.TempDir(),
 	})
-	return d
-}
-
-// post drives handleSubmit with body and returns the status code.
-func (d *daemon) post(body string) int {
-	rec := httptest.NewRecorder()
-	d.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/submit", strings.NewReader(body)))
-	return rec.Code
 }
 
 // TestSubmitHostileBodies: a /submit body is outside input. Oversized,
@@ -61,7 +30,7 @@ func (d *daemon) post(body string) int {
 // alphabet before the vantage is materialized; a well-formed one still
 // queues.
 func TestSubmitHostileBodies(t *testing.T) {
-	d := newTestDaemon(t)
+	d := aliceDaemon(t)
 	const ok = `{"tenant":"alice","name":"c1","targets":["2001:db8::1","2001:db8::2"],"maxttl":4}`
 	cases := []struct {
 		name, body string
@@ -149,4 +118,55 @@ func TestRateBeyondClockRejected(t *testing.T) {
 			t.Fatal("a 2e9 pps run did not return: the prober is wedged")
 		}
 	}
+}
+
+// TestSubmitDurable: a /submit answered 200 is durable, and one whose
+// spec the store cannot make durable admits nothing. A spec whose fsync
+// fails is refused with a 5xx and leaves no campaign in the scheduler.
+// A resubmission of a completed campaign, crashed right after its
+// admission, comes back live — the older done record does not shadow
+// it — and completes to its solo bytes.
+func TestSubmitDurable(t *testing.T) {
+	reqs := soakCampaigns(t)
+	stateDir := filepath.Join(t.TempDir(), "state")
+	ffs := faultfs.New(store.OS, 1)
+	d := startTestDaemon(t, soakOptions(stateDir, 0, ffs))
+	ffs.Arm(faultfs.Rule{Fault: faultfs.SyncEIO, At: ffs.Ops() + 1})
+	if code := d.postReq(t, reqs[0]); code < 500 {
+		t.Fatalf("submission whose spec fsync failed: status %d, want 5xx", code)
+	}
+	if st := d.sch.Status(); len(st) != 0 {
+		t.Fatalf("a submission that is not durable was admitted: %+v", st)
+	}
+
+	r := reqs[1]
+	if code := d.postReq(t, r); code != http.StatusOK {
+		t.Fatalf("submit: %d", code)
+	}
+	for {
+		if _, err := d.st.Get(storeKey(r.Tenant, r.Name), kindDone); err == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The resubmission's spec Put takes eight operations; crash at the
+	// first one after it.
+	ffs.Arm(faultfs.Rule{Fault: faultfs.Crash, At: ffs.Ops() + 9})
+	if code := d.postReq(t, r); code != http.StatusOK {
+		t.Fatalf("resubmit: %d", code)
+	}
+	select {
+	case <-ffs.Crashed():
+	case <-time.After(time.Minute):
+		t.Fatal("no filesystem operation after the resubmission's spec")
+	}
+	d.kill()
+
+	d = startTestDaemon(t, soakOptions(stateDir, 0, nil))
+	if st := d.sch.Status(); len(st) != 1 || st[0].Campaign != r.Name {
+		t.Fatalf("resubmission answered 200 not recovered as live: %+v, retained %+v", st, d.retained)
+	}
+	d.waitCompleted(t, []campaignReq{r})
+	d.stop(t)
+	checkStores(t, stateDir, []campaignReq{r})
 }

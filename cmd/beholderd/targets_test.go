@@ -109,7 +109,7 @@ func TestSubmitTargetErrors(t *testing.T) {
 	if !errors.As(err, &te) || !strings.Contains(err.Error(), "campaignReq.targets of type string") {
 		t.Fatalf("number element: %v", err)
 	}
-	d := newTestDaemon(t)
+	d := aliceDaemon(t)
 	req = campaignReq{}
 	if err := json.Unmarshal([]byte(`{"tenant":"alice","name":"x","targets":["2001:db8::1","nope"]}`), &req); err != nil {
 		t.Fatal(err)

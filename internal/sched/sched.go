@@ -35,7 +35,6 @@ import (
 	"beholder/internal/graph"
 	"beholder/internal/probe"
 	"beholder/internal/telemetry"
-	"beholder/internal/wire"
 )
 
 // Opener builds the connection factory for one campaign attempt. It is
@@ -199,6 +198,11 @@ type CampaignSpec struct {
 	// supervisor. The artifact supplies targets and tuning; the spec
 	// supplies tenant, vantage, stream, and policy.
 	Resume []byte
+	// Admit, when non-nil, runs once every admission check has passed
+	// and before the campaign is queued, while its tag, rate and queue
+	// slot are reserved: an error rejects the submission with that
+	// error, admitting nothing.
+	Admit func() error
 }
 
 // Tag returns the campaign tag fault rules address: tenant-qualified
@@ -378,15 +382,16 @@ type Supervisor struct {
 	met     schedMetrics
 	tel     *telemetry.Registry
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	tenants  map[string]*tenantState
-	active   map[string]*job // Tag() -> live job
-	all      []*job          // every job ever admitted, submission order
-	queue    []*job
-	nextSeq  uint64
-	draining bool
-	stopping bool
+	mu        sync.Mutex
+	cond      *sync.Cond
+	tenants   map[string]*tenantState
+	active    map[string]*job // Tag() -> live job
+	all       []*job          // every job ever admitted, submission order
+	queue     []*job
+	admitting int // submissions running CampaignSpec.Admit, each holding a queue slot
+	nextSeq   uint64
+	draining  bool
+	stopping  bool
 
 	drainCh chan struct{} // closed when draining starts
 	wg      sync.WaitGroup
@@ -491,23 +496,40 @@ func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 		s.reject()
 		return nil, fmt.Errorf("%w: tenant %s at %.0f of %.0f pps", ErrRateBudget, spec.Tenant, ts.admitted, b)
 	}
-	if len(s.queue) >= s.cfg.QueueLimit {
+	if len(s.queue)+s.admitting >= s.cfg.QueueLimit {
 		s.reject()
 		return nil, ErrQueueFull
 	}
 
 	j := &job{
-		seq:   s.nextSeq,
 		spec:  spec,
 		rate:  rate,
 		h:     &Handle{spec: spec, done: make(chan struct{})},
 		st:    newStream(spec.Stream),
 		state: StateQueued,
 	}
-	s.nextSeq++
+	// The campaign's tag, rate and queue slot are reserved from here, so
+	// admit can run unlocked.
 	ts.admitted += rate
 	ts.inflight++
 	s.active[spec.Tag()] = j
+	if spec.Admit != nil {
+		s.admitting++
+		s.mu.Unlock()
+		err := spec.Admit()
+		s.mu.Lock()
+		s.admitting--
+		s.cond.Broadcast() // for a Drain waiting on admissions
+		if err != nil {
+			ts.admitted -= rate
+			ts.inflight--
+			delete(s.active, spec.Tag())
+			s.reject()
+			return nil, err
+		}
+	}
+	j.seq = s.nextSeq
+	s.nextSeq++
 	s.all = append(s.all, j)
 	s.queue = append(s.queue, j)
 	s.met.submitted.Inc()
@@ -582,7 +604,7 @@ func (s *Supervisor) nextLocked() int {
 // snapshots into memory the last one grew.
 func (s *Supervisor) worker() {
 	defer s.wg.Done()
-	var bufs artifactBufs
+	var spare []byte
 	for {
 		s.mu.Lock()
 		for !s.stopping && (s.draining || len(s.queue) == 0) {
@@ -601,31 +623,9 @@ func (s *Supervisor) worker() {
 		s.met.queueDepth.Set(int64(len(s.queue)))
 		s.met.running.Set(s.runningLocked())
 		s.mu.Unlock()
-		s.runJob(j, &bufs)
+		s.runJob(j, &spare)
 	}
 }
-
-// artifactBufs is a worker's checkpoint-artifact memory. last is the
-// latest periodic snapshot — while its campaign runs, the artifact a
-// failed rewind resumes from — and spare the one before it, which
-// nothing references: the sink has returned and the continuation was
-// handed over in-process. Once the campaign ends, both are free. An
-// artifact that escapes the worker — a drain's Result.Artifact, or a
-// watchdog failover's, which core.Resume may alias — is never retired
-// into them.
-type artifactBufs struct{ spare, last []byte }
-
-// take hands out the spare for the next encode; the artifact encoded
-// into it is the caller's until retired.
-func (b *artifactBufs) take() []byte {
-	buf := b.spare[:0]
-	b.spare = nil
-	return buf
-}
-
-// retire records art as the latest periodic snapshot, which frees the
-// one before it.
-func (b *artifactBufs) retire(art []byte) { b.spare, b.last = b.last, art }
 
 func (s *Supervisor) runningLocked() int64 {
 	var n int64
@@ -676,8 +676,12 @@ func (s *Supervisor) resumeConfig(j *job) core.ResumeConfig {
 // runJob drives one campaign through its attempts: run, and on a
 // watchdog interrupt checkpoint → back off → resume on fresh
 // connections, bounded by the retry budget. Checkpoints encode into
-// bufs, the running worker's memory.
-func (s *Supervisor) runJob(j *job, bufs *artifactBufs) {
+// *spare, the running worker's memory. A periodic snapshot goes back
+// into it once its sink has returned, since the continuation is handed
+// over in-process and nothing else references it; an artifact that
+// escapes — a drain's Result.Artifact, or a watchdog failover's, which
+// core.Resume may alias — never does.
+func (s *Supervisor) runJob(j *job, spare *[]byte) {
 	if !s.breaker.admit(j.spec.Vantage) {
 		// The vantage's breaker opened (or its half-open trial slot was
 		// claimed) while this campaign sat queued.
@@ -740,7 +744,8 @@ func (s *Supervisor) runJob(j *job, bufs *artifactBufs) {
 			// it on demand (MergedStore), and the periodic continuation
 			// below skips the fold entirely.
 			encStart := time.Now()
-			art, ckErr := camp.AppendCheckpoint(bufs.take())
+			art, ckErr := camp.AppendCheckpoint((*spare)[:0])
+			*spare = nil
 			if ckErr == nil {
 				s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
 				s.met.ckptBytes.Set(int64(len(art)))
@@ -805,20 +810,20 @@ func (s *Supervisor) runJob(j *job, bufs *artifactBufs) {
 				j.st.event(Event{Event: "checkpoint", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt,
 					Probes: stats.ProbesSent, Replies: stats.Replies})
 				// Continue in-process: the artifact already hit the sink,
-				// so the continuation skips the decode round trip. Rewind
-				// can only refuse what Checkpoint would also have refused,
-				// but fall back to the artifact path on principle.
+				// so the continuation skips the decode round trip.
 				factory, ferr := s.cfg.Opener(&j.spec)
 				if ferr != nil {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: ferr})
 					return
 				}
-				if next, rwErr := camp.Rewind(s.resumeConfig(j), factory); rwErr == nil {
-					rewound = next
+				next, rwErr := camp.Rewind(s.resumeConfig(j), factory)
+				if rwErr != nil {
+					s.breakerFailure(j)
+					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: rwErr})
+					return
 				}
-				artifact = art
-				bufs.retire(art)
+				rewound, *spare = next, art
 				continue
 			default:
 				// The campaign's own virtual deadline fired.
@@ -919,7 +924,8 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 	res.Campaign = j.spec.Name
 	res.Retries = j.retries
 	if res.Store != nil {
-		res.Graph = graph.FromStore(res.Store, j.spec.Vantage, s.protoOf(j, res))
+		// A result with a store comes from a live campaign.
+		res.Graph = graph.FromStore(res.Store, j.spec.Vantage, j.camp.Load().Proto())
 	}
 
 	s.mu.Lock()
@@ -962,18 +968,6 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 	close(j.h.done)
 }
 
-// protoOf resolves the transport for graph derivation — from the
-// artifact for resumed campaigns, from the spec otherwise.
-func (s *Supervisor) protoOf(j *job, res *Result) uint8 {
-	if c := j.camp.Load(); c != nil {
-		return c.Proto()
-	}
-	if j.spec.Proto != 0 {
-		return j.spec.Proto
-	}
-	return wire.ProtoICMPv6
-}
-
 // Drain shuts the supervisor down gracefully: new submissions are
 // rejected with ErrDraining, running campaigns are interrupted and
 // checkpointed, queued campaigns are returned as bare specs, and the
@@ -989,6 +983,9 @@ func (s *Supervisor) Drain(ctx context.Context) ([]Drained, error) {
 	}
 	s.draining = true
 	close(s.drainCh)
+	for s.admitting > 0 {
+		s.cond.Wait() // an admitted campaign is queued before the drain
+	}
 	queued := s.queue
 	s.queue = nil
 	s.met.queueDepth.Set(0)

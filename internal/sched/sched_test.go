@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -582,4 +583,68 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker after trial = %v", st)
 	}
 	drainAll(t, s)
+}
+
+// TestAdmitReserves pins CampaignSpec.Admit: an error admits nothing;
+// while Admit runs, outside the supervisor's lock, the campaign's tag,
+// rate and queue slot stay reserved, so a duplicate, an over-budget
+// submission and one past the queue limit are refused; and a Drain that
+// begins meanwhile waits for it and hands the campaign back queued.
+func TestAdmitReserves(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 4402
+	env := newTestEnv(seed, nil)
+	targets := schedTargets(seed, 8)
+	s, err := New(Config{Opener: env.opener, Workers: 1, QueueLimit: 1,
+		Tenants: []Tenant{{Name: "acme", RateBudget: 900}, {Name: "beta"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := testSpec("acme", "refused", targets)
+	refused.Admit = func() error { return errors.New("disk full") }
+	if _, err := s.Submit(refused); err == nil || err.Error() != "disk full" {
+		t.Fatalf("failed Admit: %v", err)
+	}
+	if st := s.Status(); len(st) != 0 {
+		t.Fatalf("failed Admit admitted %+v", st)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	held := testSpec("acme", "held", targets)
+	held.Admit = func() error { close(entered); <-release; return nil }
+	admitted := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(held)
+		admitted <- err
+	}()
+	<-entered
+	if _, err := s.Submit(testSpec("acme", "held", targets)); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("duplicate during Admit: %v", err)
+	}
+	if _, err := s.Submit(testSpec("acme", "other", targets)); !errors.Is(err, ErrRateBudget) {
+		t.Fatalf("over budget during Admit: %v", err)
+	}
+	if _, err := s.Submit(testSpec("beta", "other", targets)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("past the queue limit during Admit: %v", err)
+	}
+	drained := make(chan []Drained, 1)
+	go func() {
+		out, _ := s.Drain(context.Background())
+		drained <- out
+	}()
+	for {
+		// Drain has begun once a new submission is refused as draining.
+		if _, err := s.Submit(testSpec("acme", "late", targets)); errors.Is(err, ErrDraining) {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-admitted; err != nil {
+		t.Fatalf("held Submit: %v", err)
+	}
+	out := <-drained
+	if len(out) != 1 || out[0].Spec.Name != "held" || out[0].Artifact != nil {
+		t.Fatalf("drain handed back %+v, want the held campaign queued", out)
+	}
 }

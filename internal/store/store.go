@@ -28,15 +28,16 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"os"
+	"maps"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,6 +81,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives the store_* counters and
 	// gauges.
 	Telemetry *telemetry.Registry
+
+	// FS is the filesystem the store runs on; nil means OS.
+	FS FS
 }
 
 // Entry describes one live blob tracked by the manifest.
@@ -152,25 +156,29 @@ type storeMetrics struct {
 type Store struct {
 	cfg Config
 	dir string
+	fs  FS
 
-	mu      sync.Mutex
-	man     *os.File // manifest journal, append-only; nil after Close
+	mu  sync.Mutex
+	man File // manifest journal, append-only
+	// err refuses writes: set by Close, and by a failed journal append,
+	// which may leave a partial frame behind that replay would read as
+	// a torn tail — every record appended after it would be lost.
+	err     error
 	gen     uint64
 	entries map[entryKey]Entry
 	report  ScrubReport
-	dropped []entryKey // entries dropped by the scrub, journaled as dels at Open
 	met     storeMetrics
 }
 
 // Open replays the manifest, scrubs the directory, and returns a
 // ready store. Arbitrary garbage in the directory never fails Open;
 // it is quarantined or deleted and reported via Report.
-func Open(cfg Config) (*Store, error) {
+func Open(cfg Config) (_ *Store, err error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
 	}
-	s := &Store{cfg: cfg, dir: cfg.Dir, entries: make(map[entryKey]Entry)}
-	if err := os.MkdirAll(filepath.Join(s.dir, corruptDir), 0o755); err != nil {
+	s := &Store{cfg: cfg, dir: cfg.Dir, fs: cmp.Or(cfg.FS, OS), entries: make(map[entryKey]Entry)}
+	if err := s.fs.MkdirAll(filepath.Join(s.dir, corruptDir)); err != nil {
 		return nil, err
 	}
 	if r := cfg.Telemetry; r != nil {
@@ -185,52 +193,54 @@ func Open(cfg Config) (*Store, error) {
 			generation:  r.Gauge("store_generation"),
 		}
 	}
-	if err := s.replayManifest(); err != nil {
+	path := filepath.Join(s.dir, manifestName)
+	data, err := s.fs.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	if err := s.scrub(); err != nil {
+	good := s.replayManifest(data)
+	if s.man, err = s.fs.Append(path); err != nil {
 		return nil, err
 	}
-	man, err := os.OpenFile(filepath.Join(s.dir, manifestName),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s.man = man
-	// Journal the scrub's drops so the next startup replays to the
-	// same live set without re-reporting them.
-	for _, ek := range s.dropped {
-		s.gen++
-		if err := s.appendRecord(record{Gen: s.gen, Op: opDel, Key: ek.key, Kind: ek.kind}); err != nil {
-			man.Close()
-			s.man = nil
+	defer func() {
+		if err != nil {
+			s.man.Close()
+		}
+	}()
+	if good < len(data) {
+		// Cut the torn tail in place, durably, before anything is
+		// appended behind it.
+		s.report.JournalTruncated = int64(len(data) - good)
+		if err = s.man.Truncate(int64(good)); err == nil {
+			err = s.man.Sync()
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
-	s.dropped = nil
+	dropped, err := s.scrub()
+	if err != nil {
+		return nil, err
+	}
+	// Journal the scrub's drops so the next startup replays to the
+	// same live set without re-reporting them.
+	for _, ek := range dropped {
+		if _, _, err := s.dropLocked(ek); err != nil {
+			return nil, err
+		}
+	}
 	s.report.Entries = len(s.entries)
-	s.met.entries.Set(int64(len(s.entries)))
-	s.met.generation.Set(int64(s.gen))
+	s.publishLocked()
 	s.met.truncated.Add(s.report.JournalTruncated)
 	return s, nil
 }
 
-// replayManifest loads the good prefix of manifest.log and truncates
-// any torn tail in place.
-func (s *Store) replayManifest() error {
-	path := filepath.Join(s.dir, manifestName)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
+// replayManifest folds the good prefix of the manifest journal into
+// the in-memory state and returns its length; what follows it is a
+// torn tail.
+func (s *Store) replayManifest(data []byte) int {
 	off := 0
-	for {
-		if len(data)-off < 8 {
-			break
-		}
+	for len(data)-off >= 8 {
 		n := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
 		if n == 0 || n > maxRecord || int(n) > len(data)-off-8 {
@@ -249,17 +259,7 @@ func (s *Store) replayManifest() error {
 		}
 		off += 8 + int(n)
 	}
-	if off < len(data) {
-		s.report.JournalTruncated = int64(len(data) - off)
-		if err := os.Truncate(path, int64(off)); err != nil {
-			return err
-		}
-		if f, err := os.OpenFile(path, os.O_WRONLY, 0); err == nil {
-			f.Sync()
-			f.Close()
-		}
-	}
-	return nil
+	return off
 }
 
 // applyRecord folds one journal record into the in-memory state. It
@@ -297,13 +297,16 @@ func (s *Store) applyRecord(rec record) bool {
 
 // scrub reconciles the directory contents against the replayed
 // manifest. It deletes temp and stale files, quarantines everything
-// the manifest cannot vouch for, and verifies every live blob.
-func (s *Store) scrub() error {
-	des, err := os.ReadDir(s.dir)
+// the manifest cannot vouch for, and verifies every live blob. It
+// returns the entries whose blob is bad or gone, sorted, for Open to
+// drop.
+func (s *Store) scrub() ([]entryKey, error) {
+	des, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	seen := make(map[entryKey]bool)
+	var dropped []entryKey
 	for _, de := range des {
 		name := de.Name()
 		if de.IsDir() || name == manifestName || s.keepFile(name) {
@@ -312,7 +315,7 @@ func (s *Store) scrub() error {
 		if strings.HasPrefix(name, tmpPrefix) {
 			// A write that crashed before rename; the entry (if
 			// any) still points at the previous generation.
-			os.Remove(filepath.Join(s.dir, name))
+			s.fs.Remove(filepath.Join(s.dir, name))
 			s.report.TmpRemoved++
 			continue
 		}
@@ -328,14 +331,13 @@ func (s *Store) scrub() error {
 			seen[ek] = true
 			if reason, bad := s.verifyEntry(e); bad {
 				s.quarantineLocked(name, reason)
-				delete(s.entries, ek)
-				s.dropped = append(s.dropped, ek)
+				dropped = append(dropped, ek)
 			}
 		case gen <= s.gen:
 			// A generation the journal has committed past: either
 			// a superseded blob or the remnant of a journaled
 			// delete. The live state does not reference it.
-			os.Remove(filepath.Join(s.dir, name))
+			s.fs.Remove(filepath.Join(s.dir, name))
 			s.report.StaleRemoved++
 		default:
 			// Renamed but never journaled: the write crashed
@@ -348,30 +350,22 @@ func (s *Store) scrub() error {
 	for ek, e := range s.entries {
 		if !seen[ek] {
 			s.report.Missing = append(s.report.Missing, e)
-			delete(s.entries, ek)
-			s.dropped = append(s.dropped, ek)
+			dropped = append(dropped, ek)
 		}
 	}
-	sort.Slice(s.report.Missing, func(i, j int) bool {
-		return s.report.Missing[i].File < s.report.Missing[j].File
+	slices.SortFunc(s.report.Missing, func(a, b Entry) int { return strings.Compare(a.File, b.File) })
+	slices.SortFunc(s.report.Quarantined, func(a, b Quarantined) int { return strings.Compare(a.File, b.File) })
+	slices.SortFunc(dropped, func(a, b entryKey) int {
+		return cmp.Or(strings.Compare(a.key, b.key), strings.Compare(a.kind, b.kind))
 	})
-	sort.Slice(s.report.Quarantined, func(i, j int) bool {
-		return s.report.Quarantined[i].File < s.report.Quarantined[j].File
-	})
-	sort.Slice(s.dropped, func(i, j int) bool {
-		if s.dropped[i].key != s.dropped[j].key {
-			return s.dropped[i].key < s.dropped[j].key
-		}
-		return s.dropped[i].kind < s.dropped[j].kind
-	})
-	return nil
+	return dropped, nil
 }
 
 // verifyEntry re-reads a live blob and checks size, CRC, and the
 // per-kind validator. It returns a quarantine reason when the blob is
 // bad.
 func (s *Store) verifyEntry(e Entry) (string, bool) {
-	data, err := os.ReadFile(filepath.Join(s.dir, e.File))
+	data, err := s.fs.ReadFile(filepath.Join(s.dir, e.File))
 	if err != nil {
 		return "unreadable: " + err.Error(), true
 	}
@@ -390,33 +384,31 @@ func (s *Store) verifyEntry(e Entry) (string, bool) {
 }
 
 func (s *Store) keepFile(name string) bool {
-	for _, suf := range s.cfg.KeepSuffixes {
-		if strings.HasSuffix(name, suf) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.cfg.KeepSuffixes, func(suf string) bool { return strings.HasSuffix(name, suf) })
 }
 
 // quarantineLocked moves dir/name into dir/corrupt/, uniquifying the
-// destination if needed, and records it in the report.
-func (s *Store) quarantineLocked(name, reason string) {
+// destination if needed, and records it in the report. A failed move
+// deletes the file instead and is returned.
+func (s *Store) quarantineLocked(name, reason string) error {
 	src := filepath.Join(s.dir, name)
 	dst := filepath.Join(s.dir, corruptDir, name)
 	for i := 2; ; i++ {
-		if _, err := os.Lstat(dst); errors.Is(err, fs.ErrNotExist) {
-			break
+		if _, err := s.fs.Stat(dst); err != nil {
+			break // free, or the rename below fails too
 		}
 		dst = filepath.Join(s.dir, corruptDir, name+"."+strconv.Itoa(i))
 	}
-	if err := os.Rename(src, dst); err != nil {
+	err := s.fs.Rename(src, dst)
+	if err != nil {
 		// Rename can only reasonably fail if the file vanished or
 		// the filesystem is read-only; fall back to deleting so a
 		// bad blob cannot be re-ingested on the next start.
-		os.Remove(src)
+		s.fs.Remove(src)
 	}
 	s.report.Quarantined = append(s.report.Quarantined, Quarantined{File: name, Reason: reason})
 	s.met.quarantined.Inc()
+	return err
 }
 
 // Put durably stores data under (key, kind), replacing any previous
@@ -431,23 +423,26 @@ func (s *Store) Put(key, kind string, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.man == nil {
-		return errors.New("store: closed")
+	if s.err != nil {
+		return s.err
 	}
 	gen := s.gen + 1
 	fname := blobName(key, gen, kind)
+	// The blob is fsynced, renamed into place, and its directory
+	// fsynced so the rename survives power loss.
 	tmp := filepath.Join(s.dir, tmpPrefix+fname)
 	if err := s.writeFileSync(tmp, data); err != nil {
-		os.Remove(tmp)
+		s.fs.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, fname)); err != nil {
-		os.Remove(tmp)
+	if err := s.fs.Rename(tmp, filepath.Join(s.dir, fname)); err != nil {
+		s.fs.Remove(tmp)
 		return err
 	}
-	if err := s.syncDir(); err != nil {
+	if err := s.fs.SyncDir(s.dir); err != nil {
 		return err
 	}
+	s.met.fsyncs.Inc()
 	rec := record{
 		Gen: gen, Op: opPut, Key: key, Kind: kind,
 		File: fname, Size: int64(len(data)), CRC: crc32.ChecksumIEEE(data),
@@ -461,13 +456,12 @@ func (s *Store) Put(key, kind string, data []byte) error {
 	s.gen = gen
 	ek := entryKey{key, kind}
 	if old, ok := s.entries[ek]; ok && old.File != fname {
-		os.Remove(filepath.Join(s.dir, old.File))
+		s.fs.Remove(filepath.Join(s.dir, old.File))
 	}
 	s.entries[ek] = Entry{Key: key, Kind: kind, Gen: gen, File: fname, Size: rec.Size, CRC: rec.CRC}
 	s.met.puts.Inc()
 	s.met.bytes.Add(int64(len(data)))
-	s.met.entries.Set(int64(len(s.entries)))
-	s.met.generation.Set(int64(s.gen))
+	s.publishLocked()
 	return nil
 }
 
@@ -475,12 +469,11 @@ func (s *Store) Put(key, kind string, data []byte) error {
 func (s *Store) Get(key, kind string) ([]byte, error) {
 	s.mu.Lock()
 	e, ok := s.entries[entryKey{key, kind}]
-	dir := s.dir
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNotFound, key, kind)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, e.File))
+	data, err := s.fs.ReadFile(filepath.Join(s.dir, e.File))
 	if err != nil {
 		return nil, err
 	}
@@ -495,68 +488,61 @@ func (s *Store) Get(key, kind string) ([]byte, error) {
 func (s *Store) Delete(key, kind string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.man == nil {
-		return errors.New("store: closed")
+	e, ok, err := s.dropLocked(entryKey{key, kind})
+	if ok {
+		s.fs.Remove(filepath.Join(s.dir, e.File))
+		s.met.dels.Inc()
 	}
-	ek := entryKey{key, kind}
-	e, ok := s.entries[ek]
-	if !ok {
-		return nil
-	}
-	gen := s.gen + 1
-	if err := s.appendRecord(record{Gen: gen, Op: opDel, Key: key, Kind: kind}); err != nil {
-		return err
-	}
-	s.gen = gen
-	delete(s.entries, ek)
-	os.Remove(filepath.Join(s.dir, e.File))
-	s.met.dels.Inc()
-	s.met.entries.Set(int64(len(s.entries)))
-	s.met.generation.Set(int64(s.gen))
-	return nil
+	return err
 }
 
 // Quarantine durably drops (key, kind) and moves its blob into
-// corrupt/ with the given reason. Used by recovery when a blob passes
+// corrupt/ with the given reason; when the move fails, the blob is
+// deleted and the error returned. Used by recovery when a blob passes
 // storage-level checks but fails domain-level ones.
 func (s *Store) Quarantine(key, kind, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.man == nil {
-		return errors.New("store: closed")
+	e, ok, err := s.dropLocked(entryKey{key, kind})
+	if ok {
+		err = s.quarantineLocked(e.File, reason)
 	}
-	ek := entryKey{key, kind}
-	e, ok := s.entries[ek]
-	if !ok {
-		return nil
+	return err
+}
+
+// dropLocked journals a del record for ek and forgets the entry,
+// returning it; ok is false when there was nothing to drop. The
+// caller disposes of the blob. Callers hold s.mu.
+func (s *Store) dropLocked(ek entryKey) (e Entry, ok bool, err error) {
+	if s.err != nil {
+		return Entry{}, false, s.err
 	}
-	gen := s.gen + 1
-	if err := s.appendRecord(record{Gen: gen, Op: opDel, Key: key, Kind: kind}); err != nil {
-		return err
+	if e, ok = s.entries[ek]; !ok {
+		return Entry{}, false, nil
 	}
-	s.gen = gen
+	if err := s.appendRecord(record{Gen: s.gen + 1, Op: opDel, Key: ek.key, Kind: ek.kind}); err != nil {
+		return Entry{}, false, err
+	}
+	s.gen++
 	delete(s.entries, ek)
-	s.quarantineLocked(e.File, reason)
+	s.publishLocked()
+	return e, true, nil
+}
+
+// publishLocked updates the entry and generation gauges. Callers hold
+// s.mu.
+func (s *Store) publishLocked() {
 	s.met.entries.Set(int64(len(s.entries)))
 	s.met.generation.Set(int64(s.gen))
-	return nil
 }
 
 // List returns the live entries sorted by key then kind.
 func (s *Store) List() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Kind < out[j].Kind
+	return slices.SortedFunc(maps.Values(s.entries), func(a, b Entry) int {
+		return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Kind, b.Kind))
 	})
-	return out
 }
 
 // Report returns what Open's recovery scrub found.
@@ -565,16 +551,6 @@ func (s *Store) Report() ScrubReport {
 	defer s.mu.Unlock()
 	return s.report
 }
-
-// Generation returns the current manifest generation counter.
-func (s *Store) Generation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close flushes and closes the manifest journal. The store rejects
 // writes afterwards.
@@ -589,11 +565,14 @@ func (s *Store) Close() error {
 		err = cerr
 	}
 	s.man = nil
+	s.err = errors.New("store: closed")
 	return err
 }
 
-// appendRecord frames, writes, and fsyncs one journal record. Callers
-// hold s.mu.
+// appendRecord frames, writes, and fsyncs one journal record. A
+// failure poisons the store: it refuses writes until reopened, when
+// replay cuts whatever partial frame the failure left. Callers hold
+// s.mu.
 func (s *Store) appendRecord(rec record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -603,49 +582,33 @@ func (s *Store) appendRecord(rec record) error {
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
-	if _, err := s.man.Write(frame); err != nil {
-		return err
+	if _, err = s.man.Write(frame); err == nil {
+		err = s.man.Sync()
 	}
-	if err := s.man.Sync(); err != nil {
-		return err
+	if err != nil {
+		s.err = fmt.Errorf("store: journal append failed, writes refused until reopen: %w", err)
+		return s.err
 	}
 	s.met.fsyncs.Inc()
 	return nil
 }
 
-// syncDir fsyncs the state directory so a completed rename survives
-// power loss. Callers hold s.mu.
-func (s *Store) syncDir() error {
-	d, err := os.Open(s.dir)
+// writeFileSync writes data to path and fsyncs the file.
+func (s *Store) writeFileSync(path string, data []byte) error {
+	f, err := s.fs.Create(path)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
 		s.met.fsyncs.Inc()
 	}
 	return err
-}
-
-// writeFileSync writes data to path and fsyncs the file.
-func (s *Store) writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	s.met.fsyncs.Inc()
-	return f.Close()
 }
 
 // blobName builds the versioned on-disk filename for an entry.

@@ -52,8 +52,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, err := s.Get("t__a", "nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if g := s.Generation(); g != 3 {
-		t.Fatalf("generation = %d, want 3", g)
+	if e := s.List(); len(e) != 2 || e[0].Gen != 3 || e[1].Gen != 1 {
+		t.Fatalf("entries %+v, want the ckpt at generation 3 and the spec at 1", e)
 	}
 	s.Close()
 
@@ -114,32 +114,7 @@ func TestCrashPartialTempFile(t *testing.T) {
 	}
 }
 
-// Crash point 2: the rename completed but the crash hit before the
-// manifest append (the commit point). The manifest is authoritative:
-// the unjournaled blob is quarantined and the old state stays live.
-func TestCrashRenamedButUnjournaled(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	mustPut(t, s, "camp", "ckpt", []byte("committed"))
-	s.Close()
-	// Gen 2 blob on disk, no journal record for it.
-	if err := os.WriteFile(filepath.Join(dir, "camp.2.ckpt"), []byte("uncommitted"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, Config{Dir: dir})
-	rep := s2.Report()
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Reason != "uncommitted write" {
-		t.Fatalf("quarantine: %+v", rep.Quarantined)
-	}
-	if got := mustGet(t, s2, "camp", "ckpt"); string(got) != "committed" {
-		t.Fatalf("want old state, got %q", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, corruptDir, "camp.2.ckpt")); err != nil {
-		t.Fatalf("quarantined file missing: %v", err)
-	}
-}
-
-// Crash point 3: a journaled entry whose blob has vanished (stale
+// Crash point 2: a journaled entry whose blob has vanished (stale
 // manifest entry). The entry is dropped and reported; the rest of the
 // store recovers.
 func TestCrashStaleManifestEntry(t *testing.T) {
@@ -167,42 +142,6 @@ func TestCrashStaleManifestEntry(t *testing.T) {
 	s3 := mustOpen(t, Config{Dir: dir})
 	if rep := s3.Report(); !rep.Clean() {
 		t.Fatalf("drop not journaled, scrub dirty: %+v", rep)
-	}
-}
-
-// Crash point 4: a torn journal tail (partial final record) is
-// truncated and every record before it survives.
-func TestCrashTornJournalTail(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	mustPut(t, s, "a", "spec", []byte("one"))
-	mustPut(t, s, "b", "spec", []byte("two"))
-	s.Close()
-	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A frame header promising more bytes than exist.
-	var torn [8]byte
-	binary.LittleEndian.PutUint32(torn[:], 500)
-	f.Write(torn[:])
-	f.Write([]byte("partial"))
-	f.Close()
-	s2 := mustOpen(t, Config{Dir: dir})
-	rep := s2.Report()
-	if rep.JournalTruncated == 0 {
-		t.Fatalf("torn tail not truncated: %+v", rep)
-	}
-	if got := mustGet(t, s2, "a", "spec"); string(got) != "one" {
-		t.Fatalf("got %q", got)
-	}
-	if got := mustGet(t, s2, "b", "spec"); string(got) != "two" {
-		t.Fatalf("got %q", got)
-	}
-	s2.Close()
-	s3 := mustOpen(t, Config{Dir: dir})
-	if rep := s3.Report(); rep.JournalTruncated != 0 {
-		t.Fatalf("truncation not persisted: %+v", rep)
 	}
 }
 

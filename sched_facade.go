@@ -95,14 +95,6 @@ type SchedulerOptions struct {
 	// encodes later snapshots, this campaign's or the next one's, into
 	// the same memory — so one that keeps the bytes copies them.
 	CheckpointSink func(tenant, name string, artifact []byte) error
-	// SendDelay, when positive, wall-delays every connection send
-	// batch by that much. Virtual time — and therefore every result
-	// byte — is untouched; the knob only stretches a campaign's
-	// wall-clock footprint so crash/kill harnesses (and cautious
-	// operators) get a window to interrupt it mid-flight. A shard's
-	// heartbeat moves once per 64 send runs, so keep 64 × SendDelay well
-	// under StallBudget or the watchdog reads the throttle as a stall.
-	SendDelay time.Duration
 	// Telemetry, when non-nil, receives sched_* supervisor metrics and
 	// the campaigns' hot-path yarrp_* metrics.
 	Telemetry *TelemetryRegistry
@@ -140,6 +132,10 @@ type SubmitOptions struct {
 	// supplies targets and tuning, and its rate is what the tenant's
 	// RateBudget is charged.
 	Resume []byte
+	// Admit, when non-nil, runs once every admission check has passed,
+	// before the campaign is queued: an error rejects the submission
+	// with it, admitting nothing. beholderd makes the spec durable here.
+	Admit func() error
 }
 
 // Scheduler is a multi-tenant campaign supervisor over one Internet.
@@ -149,10 +145,6 @@ type SubmitOptions struct {
 type Scheduler struct {
 	in  *Internet
 	sup *sched.Supervisor
-
-	// sendDelay is SchedulerOptions.SendDelay: a wall-only throttle
-	// wrapped around every shard connection.
-	sendDelay time.Duration
 
 	// mu serializes all shared-vantage mutation: concurrent campaigns'
 	// connection factories interleave arbitrarily (initial shards,
@@ -164,7 +156,7 @@ type Scheduler struct {
 
 // NewScheduler starts a campaign supervisor over this internetwork.
 func (in *Internet) NewScheduler(opt SchedulerOptions) (*Scheduler, error) {
-	s := &Scheduler{in: in, vantages: make(map[string]*netsim.Vantage), sendDelay: opt.SendDelay}
+	s := &Scheduler{in: in, vantages: make(map[string]*netsim.Vantage)}
 	var sink func(spec *sched.CampaignSpec, artifact []byte) error
 	if opt.CheckpointSink != nil {
 		userSink := opt.CheckpointSink
@@ -193,25 +185,6 @@ func (in *Internet) NewScheduler(opt SchedulerOptions) (*Scheduler, error) {
 	return s, nil
 }
 
-// throttledConn wall-delays sends while leaving virtual time — and so
-// every result byte — untouched. The embedded vantage keeps the
-// optional conn capabilities (priming, reply injection, sim-state
-// checkpointing) visible to the prober's interface assertions.
-type throttledConn struct {
-	*netsim.Vantage
-	delay time.Duration
-}
-
-func (c *throttledConn) Send(pkt []byte) error {
-	time.Sleep(c.delay)
-	return c.Vantage.Send(pkt)
-}
-
-func (c *throttledConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
-	time.Sleep(c.delay)
-	return c.Vantage.SendBatch(pkts, gap)
-}
-
 // open is the supervisor's per-attempt connection factory builder. It
 // pins the campaign's epoch to virtual zero: a campaign-tagged parent
 // clone opens at 0, and every shard connection — fresh, recovery, or
@@ -233,11 +206,7 @@ func (s *Scheduler) open(spec *sched.CampaignSpec) (core.ConnFactory, error) {
 	return func(_ int, start time.Duration) probe.Conn {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		c := p.Clone(start)
-		if s.sendDelay > 0 {
-			return &throttledConn{Vantage: c, delay: s.sendDelay}
-		}
-		return c
+		return p.Clone(start)
 	}, nil
 }
 
@@ -264,6 +233,7 @@ func (s *Scheduler) Submit(v *Vantage, targets []netip.Addr, opt SubmitOptions) 
 		Deadline: opt.Deadline,
 		Stream:   opt.Stream,
 		Resume:   opt.Resume,
+		Admit:    opt.Admit,
 	})
 }
 
