@@ -14,8 +14,11 @@ chaos:
 # detector: concurrent tenant campaigns under injected crash/stall/
 # transient faults, supervisor-neutrality byte-equality, watchdog
 # failover, the drain -> restart -> drain continuation chain, and the
-# tenant stream's progress records across all of them. The wall cap
-# keeps a wedged supervisor from hanging CI.
+# tenant stream's progress records across all of them. The watchdog,
+# breaker, periodic-checkpoint and stream tests advance a fake
+# supervision clock instead of sleeping; CI's soak job reruns them with
+# -count=10 after this target. The wall cap keeps a wedged supervisor
+# from hanging CI.
 soak:
 	$(GO) test -race -count=1 -timeout 5m -run 'Soak|ChaosSoak|Neutrality|Watchdog|Admission|Breaker|PeriodicCheckpoint|StreamCarriesProgress' ./internal/sched
 

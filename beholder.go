@@ -344,18 +344,6 @@ type AdaptiveOptions struct {
 // Result carries the checkpoint artifact to resume from.
 var ErrInterrupted = core.ErrInterrupted
 
-func transportProto(name string) (uint8, error) {
-	switch name {
-	case "", "icmp6", "icmpv6":
-		return wire.ProtoICMPv6, nil
-	case "udp":
-		return wire.ProtoUDP, nil
-	case "tcp":
-		return wire.ProtoTCP, nil
-	}
-	return 0, fmt.Errorf("beholder: unknown transport %q", name)
-}
-
 // Result holds a campaign's outcome.
 type Result struct {
 	ProbesSent int64
@@ -496,9 +484,9 @@ func CollapseGraph(g *graph.Graph, aliases *AliasSet) *graph.RouterGraph {
 // Scheduler.Submit all go through it, so out-of-range values get the
 // same verdict everywhere instead of being truncated to a uint8.
 func (o *YarrpOptions) coreConfig(targets []netip.Addr) (core.Config, error) {
-	proto, err := transportProto(o.Transport)
+	proto, err := wire.ProtoOfTransport(o.Transport)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, fmt.Errorf("beholder: %w", err)
 	}
 	if o.MaxTTL < 0 || o.MaxTTL > 255 {
 		return core.Config{}, fmt.Errorf("beholder: MaxTTL %d out of range", o.MaxTTL)

@@ -18,10 +18,11 @@
 // temp/fsync/rename/dir-fsync protocol journaled in a CRC-framed
 // manifest. A spec blob is one compact JSON object whose targets are
 // an array of address strings, appended straight from the addresses;
-// the indented specs earlier releases wrote read back alike. A beholderd killed with SIGKILL at any instant restarts
-// on the same state dir, quarantines anything torn into
-// -state-dir/corrupt/, and resumes every campaign from its last
-// snapshot; results remain byte-identical to an uninterrupted run.
+// the indented specs earlier releases wrote read back alike. A
+// beholderd killed with SIGKILL at any instant restarts on the same
+// state dir, quarantines anything torn into -state-dir/corrupt/, and
+// resumes every campaign from its last snapshot; results remain
+// byte-identical to an uninterrupted run.
 // SIGTERM and SIGINT trigger the same graceful drain as POST /drain.
 //
 // Each campaign's NDJSON result stream is appended to -state-dir as
@@ -413,6 +414,9 @@ func (d *daemon) submit(req campaignReq, resume []byte, persistSpec bool) (*beho
 	}
 	if err := validIdent(req.Name); err != nil {
 		return nil, fmt.Errorf("name: %w", err)
+	}
+	if key := storeKey(req.Tenant, req.Name); len(key) > store.MaxNameLen {
+		return nil, fmt.Errorf("tenant and name: store key of %d bytes exceeds %d", len(key), store.MaxNameLen)
 	}
 	if !d.tenants[req.Tenant] {
 		return nil, fmt.Errorf("%w: %q", beholder.ErrUnknownTenant, req.Tenant)

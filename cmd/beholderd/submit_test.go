@@ -26,9 +26,9 @@ func aliceDaemon(t *testing.T) *daemon {
 // unknown-field, trailing-data and unrunnable submissions are refused
 // promptly with the right status and admit nothing — a seed-list scale
 // or zn out of bounds before any target generation; an unknown tenant,
-// a target that does not parse or a vantage name outside the store's
-// alphabet before the vantage is materialized; a well-formed one still
-// queues.
+// a target that does not parse, a vantage name outside the store's
+// alphabet or a tenant and name too long for a store key before the
+// vantage is materialized; a well-formed one still queues.
 func TestSubmitHostileBodies(t *testing.T) {
 	d := aliceDaemon(t)
 	const ok = `{"tenant":"alice","name":"c1","targets":["2001:db8::1","2001:db8::2"],"maxttl":4}`
@@ -49,6 +49,7 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"unknown tenant", `{"tenant":"mallory","name":"x","vantage":"V-NEW","scale":4}`, http.StatusForbidden},
 		{"bad target", `{"tenant":"alice","name":"x","vantage":"V-NEW","targets":["nope"]}`, http.StatusBadRequest},
 		{"bad vantage name", `{"tenant":"alice","name":"y","vantage":"a/b","targets":["2001:db8::1"]}`, http.StatusBadRequest},
+		{"store key too long", `{"tenant":"alice","name":"` + strings.Repeat("n", store.MaxNameLen) + `","vantage":"V-NEW","targets":["2001:db8::1"]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code := make(chan int, 1)

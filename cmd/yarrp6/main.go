@@ -36,30 +36,6 @@ func conflictf(cond bool, format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// protoOfTransport maps the -transport flag to a wire protocol number.
-func protoOfTransport(name string) (uint8, error) {
-	switch name {
-	case "", "icmp6", "icmpv6":
-		return wire.ProtoICMPv6, nil
-	case "udp":
-		return wire.ProtoUDP, nil
-	case "tcp":
-		return wire.ProtoTCP, nil
-	}
-	return 0, fmt.Errorf("unknown transport %q", name)
-}
-
-// transportOfProto names a wire protocol number like the -transport flag.
-func transportOfProto(p uint8) string {
-	switch p {
-	case wire.ProtoUDP:
-		return "udp"
-	case wire.ProtoTCP:
-		return "tcp"
-	}
-	return "icmp6"
-}
-
 func main() {
 	var (
 		simSeed   = flag.Int64("sim-seed", 2018, "simulated internetwork seed")
@@ -150,7 +126,7 @@ func main() {
 		if effBatch <= 0 {
 			effBatch = core.DefaultBatch
 		}
-		wantProto, protoErr := protoOfTransport(*transport)
+		wantProto, protoErr := wire.ProtoOfTransport(*transport)
 		conflicts := map[string]func() string{
 			"shards": func() string {
 				return conflictf(*shards != info.Shards, "-shards %d (artifact: %d)", *shards, info.Shards)
@@ -160,9 +136,9 @@ func main() {
 			},
 			"transport": func() string {
 				if protoErr != nil {
-					return fmt.Sprintf("-transport %q (unknown; artifact: %s)", *transport, transportOfProto(info.Proto))
+					return fmt.Sprintf("-transport %q (unknown; artifact: %s)", *transport, wire.TransportName(info.Proto))
 				}
-				return conflictf(wantProto != info.Proto, "-transport %s (artifact: %s)", *transport, transportOfProto(info.Proto))
+				return conflictf(wantProto != info.Proto, "-transport %s (artifact: %s)", *transport, wire.TransportName(info.Proto))
 			},
 			"rate": func() string {
 				return conflictf(*rate != info.PPS, "-rate %g (artifact: %g)", *rate, info.PPS)
@@ -204,7 +180,7 @@ func main() {
 			kind = fmt.Sprintf("adaptive campaign at epoch %d", info.AdaptiveEpoch)
 		}
 		fmt.Fprintf(os.Stderr, "yarrp6: resuming %s from %s on vantage %s (%s): %d targets, %d shard(s), batch %d, %s, %g pps\n",
-			kind, *resume, *vantage, v.Addr(), info.Targets, info.Shards, info.Batch, transportOfProto(info.Proto), info.PPS)
+			kind, *resume, *vantage, v.Addr(), info.Targets, info.Shards, info.Batch, wire.TransportName(info.Proto), info.PPS)
 	} else {
 		var err error
 		if *input != "" {

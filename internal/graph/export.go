@@ -38,19 +38,6 @@ func WriteFile(path string, g *Graph, tbl *bgp.Table) error {
 	return err
 }
 
-// protoName renders a transport protocol for export.
-func protoName(p uint8) string {
-	switch p {
-	case wire.ProtoICMPv6:
-		return "icmp6"
-	case wire.ProtoUDP:
-		return "udp"
-	case wire.ProtoTCP:
-		return "tcp"
-	}
-	return strconv.Itoa(int(p))
-}
-
 // node is one node in its public form.
 type node struct {
 	addr  netip.Addr
@@ -123,7 +110,7 @@ func (g *Graph) WriteNDJSON(w io.Writer, tbl *bgp.Table) error {
 	}
 	for _, e := range g.sortedEdges() {
 		if _, err := fmt.Fprintf(w, `{"edge":{"src":%q,"dst":%q,"gap":%d,"proto":%q,"vantage":%q,"srcAsn":%d,"dstAsn":%d,"n":%d}}`+"\n",
-			e.Src, e.Dst, e.Gap, protoName(e.Proto), g.VantageName(e.V),
+			e.Src, e.Dst, e.Gap, wire.TransportName(e.Proto), g.VantageName(e.V),
 			originOf(tbl, e.Src), originOf(tbl, e.Dst), e.n); err != nil {
 			return err
 		}
@@ -217,7 +204,7 @@ func (rg *RouterGraph) WriteNDJSON(w io.Writer) error {
 	}
 	for _, e := range rg.sortedEdges() {
 		if _, err := fmt.Fprintf(w, `{"redge":{"src":%q,"dst":%q,"proto":%q,"vantage":%q,"n":%d}}`+"\n",
-			e.Src, e.Dst, protoName(e.Proto), rg.VantageName(e.V), rg.edges[e]); err != nil {
+			e.Src, e.Dst, wire.TransportName(e.Proto), rg.VantageName(e.V), rg.edges[e]); err != nil {
 			return err
 		}
 	}

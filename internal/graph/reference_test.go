@@ -15,6 +15,7 @@ import (
 
 	"beholder/internal/bgp"
 	"beholder/internal/probe"
+	"beholder/internal/wire"
 )
 
 // refPathKey identifies one refPath skeleton: what one vantage learned about
@@ -366,7 +367,7 @@ func (g *referenceGraph) WriteNDJSON(w io.Writer, tbl *bgp.Table) error {
 	}
 	for _, e := range g.sortedEdges() {
 		if _, err := fmt.Fprintf(w, `{"edge":{"src":%q,"dst":%q,"gap":%d,"proto":%q,"vantage":%q,"srcAsn":%d,"dstAsn":%d,"n":%d}}`+"\n",
-			e.Src, e.Dst, e.Gap, protoName(e.Proto), g.VantageName(e.V),
+			e.Src, e.Dst, e.Gap, wire.TransportName(e.Proto), g.VantageName(e.V),
 			originOf(tbl, e.Src), originOf(tbl, e.Dst), g.edges[e]); err != nil {
 			return err
 		}

@@ -32,17 +32,17 @@ func (s BreakerState) String() string {
 
 // breakerSet is the per-vantage circuit breaker bank. A vantage whose
 // campaigns keep failing — watchdog exhaustion, fatal run errors,
-// quarantine-degraded completions — trips after threshold consecutive
-// failures; while open, new campaigns on it are rejected at admission
-// and queued ones degrade to Incomplete at dispatch, so one faulty
-// vantage cannot wedge the whole service behind retry storms. After
-// cooldown the breaker half-opens and admits one trial: success closes
-// it, failure re-opens it (restarting the cooldown).
+// quarantine-degraded completions — trips after breakerThreshold
+// consecutive failures; while open, new campaigns on it are rejected at
+// admission and queued ones degrade to Incomplete at dispatch, so one
+// faulty vantage cannot wedge the whole service behind retry storms.
+// After breakerCooldown on the supervision clock the breaker half-opens
+// and admits one trial: success closes it, failure re-opens it
+// (restarting the cooldown).
 type breakerSet struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	m         map[string]*breakerEntry
+	mu    sync.Mutex
+	clock clock
+	m     map[string]*breakerEntry
 }
 
 type breakerEntry struct {
@@ -52,8 +52,13 @@ type breakerEntry struct {
 	openedAt time.Time
 }
 
-func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
-	return &breakerSet{threshold: threshold, cooldown: cooldown, m: make(map[string]*breakerEntry)}
+func newBreakerSet(clk clock) *breakerSet {
+	return &breakerSet{clock: clk, m: make(map[string]*breakerEntry)}
+}
+
+// cooling reports whether an open breaker is still inside its cooldown.
+func (b *breakerSet) cooling(e *breakerEntry) bool {
+	return b.clock.now().Sub(e.openedAt) < breakerCooldown
 }
 
 // state reports the breaker's current position for one vantage.
@@ -64,10 +69,10 @@ func (b *breakerSet) state(vantage string) BreakerState {
 	switch {
 	case e == nil || !e.open:
 		return BreakerClosed
-	case time.Since(e.openedAt) >= b.cooldown:
-		return BreakerHalfOpen
+	case b.cooling(e):
+		return BreakerOpen
 	}
-	return BreakerOpen
+	return BreakerHalfOpen
 }
 
 // admit reports whether a campaign on the vantage may proceed, claiming
@@ -79,7 +84,7 @@ func (b *breakerSet) admit(vantage string) bool {
 	if e == nil || !e.open {
 		return true
 	}
-	if time.Since(e.openedAt) < b.cooldown {
+	if b.cooling(e) {
 		return false
 	}
 	// Half-open: exactly one trial campaign at a time.
@@ -113,12 +118,12 @@ func (b *breakerSet) failure(vantage string) bool {
 	if e.open && e.probing {
 		// Failed half-open trial: straight back to open.
 		e.probing = false
-		e.openedAt = time.Now()
+		e.openedAt = b.clock.now()
 		return true
 	}
-	if !e.open && e.fails >= b.threshold {
+	if !e.open && e.fails >= breakerThreshold {
 		e.open = true
-		e.openedAt = time.Now()
+		e.openedAt = b.clock.now()
 		return true
 	}
 	return false

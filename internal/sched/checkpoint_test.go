@@ -17,36 +17,56 @@ import (
 	"beholder/internal/testutil"
 )
 
-// slowOpener is opener with every send wall-slowed by a millisecond, so
-// a campaign spans many checkpoint intervals; virtual time (and so every
-// result byte) is untouched.
-func (e *testEnv) slowOpener(spec *CampaignSpec) (core.ConnFactory, error) {
-	inner, err := e.opener(spec)
-	if err != nil {
-		return nil, err
+// slowOpener is opener with every send taking a millisecond of clk.
+func (e *testEnv) slowOpener(clk *fakeClock) Opener {
+	return func(spec *CampaignSpec) (core.ConnFactory, error) {
+		inner, err := e.opener(spec)
+		if err != nil {
+			return nil, err
+		}
+		return func(shard int, start time.Duration) probe.Conn {
+			return &slowConn{Vantage: inner(shard, start).(*netsim.Vantage), clk: clk, delay: time.Millisecond}
+		}, nil
 	}
-	return func(shard int, start time.Duration) probe.Conn {
-		return &slowConn{Vantage: inner(shard, start).(*netsim.Vantage), delay: time.Millisecond}
-	}, nil
 }
 
-// periodicRun drives one wall-slowed 2-shard campaign through a
+// slowConn makes every send advance the supervision clock by delay, so
+// a campaign spans many checkpoint intervals. Virtual time — and
+// therefore the result bytes — are untouched; resume equivalence holds
+// at any cut point, so the tests need no control over where a cut
+// lands.
+type slowConn struct {
+	*netsim.Vantage
+	clk   *fakeClock
+	delay time.Duration
+}
+
+func (c *slowConn) Send(pkt []byte) error {
+	c.clk.advance(c.delay)
+	return c.Vantage.Send(pkt)
+}
+
+func (c *slowConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
+	c.clk.advance(c.delay)
+	return c.Vantage.SendBatch(pkts, gap)
+}
+
+// periodicRun drives one slowed 2-shard campaign through a
 // single-worker supervisor snapshotting every `every` (0: never) and
 // returns its result, its tenant stream, and a copy of every artifact
 // the sink saw. The watchdog never fires: only the checkpoint timer may
 // interrupt.
 func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry) (*Result, CampaignSpec, string, [][]byte) {
 	t.Helper()
-	op := newTestEnv(seed, nil).slowOpener
+	clk := newFakeClock()
 	var mu sync.Mutex
 	var artifacts [][]byte
-	s, err := New(Config{
-		Opener:          op,
+	s, err := newSupervisor(newTestEnv(seed, nil).slowOpener(clk), Options{
 		Tenants:         []Tenant{{Name: "acme"}},
 		Workers:         1,
 		StallBudget:     30 * time.Second,
 		CheckpointEvery: every,
-		CheckpointSink: func(spec *CampaignSpec, art []byte) error {
+		CheckpointSink: func(_, _ string, art []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
 			// The supervisor reuses art's memory for a later snapshot:
@@ -55,7 +75,7 @@ func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.R
 			return nil
 		},
 		Telemetry: reg,
-	})
+	}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +108,7 @@ func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.R
 }
 
 // TestPeriodicCheckpoint pins the periodic-checkpoint cycle: a
-// wall-slowed campaign under CheckpointEvery is interrupted,
+// slowed campaign under CheckpointEvery is interrupted,
 // snapshotted to the sink, and resumed several times, completes with
 // zero retries consumed, and its store is byte-identical to the solo
 // uninterrupted run. Every sink artifact — each encoded into the memory
@@ -142,11 +162,10 @@ func TestPeriodicCheckpointDisabled(t *testing.T) {
 	env := newTestEnv(seed, nil)
 	reg := telemetry.NewRegistry()
 	called := false
-	s, err := New(Config{
-		Opener:  env.opener,
+	s, err := New(env.opener, Options{
 		Tenants: []Tenant{{Name: "acme"}},
 		Workers: 1,
-		CheckpointSink: func(*CampaignSpec, []byte) error {
+		CheckpointSink: func(string, string, []byte) error {
 			called = true
 			return nil
 		},
@@ -188,27 +207,32 @@ func TestCheckpointMemoryOutlivesCampaign(t *testing.T) {
 	bases := map[string][]*byte{} // per campaign, where each artifact began
 	var held [][]byte             // keeps those addresses from being reused
 	firstSnap := make(chan struct{}, 1)
+	var drainBegun <-chan struct{} // the first supervisor's drain signal
+	clk := newFakeClock()
 	newSup := func() *Supervisor {
-		s, err := New(Config{
-			Opener:          env.slowOpener,
+		s, err := newSupervisor(env.slowOpener(clk), Options{
 			Tenants:         []Tenant{{Name: "acme"}},
 			Workers:         1,
 			StallBudget:     30 * time.Second,
 			CheckpointEvery: 25 * time.Millisecond,
-			CheckpointSink: func(spec *CampaignSpec, art []byte) error {
+			CheckpointSink: func(_, name string, art []byte) error {
 				mu.Lock()
-				defer mu.Unlock()
-				bases[spec.Name] = append(bases[spec.Name], unsafe.SliceData(art))
+				bases[name] = append(bases[name], unsafe.SliceData(art))
 				held = append(held, art)
-				if spec.Name == "drained" {
+				mu.Unlock()
+				if name == "drained" {
+					// Hold the first supervisor's campaign at its first
+					// snapshot until the drain begins, so the drain lands
+					// mid-campaign.
 					select {
 					case firstSnap <- struct{}{}:
 					default:
 					}
+					<-drainBegun
 				}
 				return nil
 			},
-		})
+		}, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,6 +261,7 @@ func TestCheckpointMemoryOutlivesCampaign(t *testing.T) {
 	}
 
 	s := newSup()
+	drainBegun = s.drainCh
 	run(s, spec("first"))
 	run(s, spec("second"))
 	mu.Lock()

@@ -13,11 +13,13 @@ import (
 	"beholder/internal/testutil"
 )
 
-// slowPrimer wall-slows the prime replay: every `every`-th replayed
-// probe sleeps. Virtual time, and so every result byte, is untouched;
-// everything but PrimeIdx promotes from the embedded vantage.
+// slowPrimer slows the prime replay: every `every`-th replayed probe
+// takes delay of the supervision clock. Virtual time, and so every
+// result byte, is untouched; everything but PrimeIdx promotes from the
+// embedded vantage.
 type slowPrimer struct {
 	*netsim.Vantage
+	clk   *fakeClock
 	every int
 	delay time.Duration
 	n     int
@@ -25,17 +27,17 @@ type slowPrimer struct {
 
 func (p *slowPrimer) PrimeIdx(tok int, ttl uint8, at time.Duration) {
 	if p.n++; p.n%p.every == 0 {
-		time.Sleep(p.delay)
+		p.clk.advance(p.delay)
 	}
 	p.Vantage.PrimeIdx(tok, ttl, at)
 }
 
 // TestWatchdogSparesSlowReplay: the prime replay is uninterruptible and
 // sends nothing, but it is not a stall. A 4-shard campaign whose replay
-// takes several stall budgets of wall time — with stretches where every
-// released shard has already finished and only the replay is left to
-// show life — must complete on its first attempt: the replay itself
-// pulses the campaign heartbeat.
+// takes several stall budgets of supervision time — with stretches
+// where every released shard has already finished and only the replay
+// is left to show life — must complete on its first attempt: the
+// replay itself pulses the campaign heartbeat.
 func TestWatchdogSparesSlowReplay(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const (
@@ -43,6 +45,7 @@ func TestWatchdogSparesSlowReplay(t *testing.T) {
 		budget = 100 * time.Millisecond
 	)
 	env := newTestEnv(seed, nil)
+	clk := newFakeClock()
 	op := func(spec *CampaignSpec) (core.ConnFactory, error) {
 		inner, err := env.opener(spec)
 		if err != nil {
@@ -51,15 +54,12 @@ func TestWatchdogSparesSlowReplay(t *testing.T) {
 		return func(shard int, start time.Duration) probe.Conn {
 			// 20 ms per 1 000 replayed probes: the 36 k-probe replay below
 			// lasts ~0.7 s, and a shard's 12 k-probe window is released
-			// every ~0.24 s — long after the previous one has finished.
-			return &slowPrimer{Vantage: inner(shard, start).(*netsim.Vantage), every: 1000, delay: 20 * time.Millisecond}
+			// every ~0.24 s. Nothing else moves the clock, so the shards
+			// finish their windows in no time at all.
+			return &slowPrimer{Vantage: inner(shard, start).(*netsim.Vantage), clk: clk, every: 1000, delay: 20 * time.Millisecond}
 		}, nil
 	}
-	s, err := New(Config{
-		Opener: op, Tenants: []Tenant{{Name: "t"}},
-		WatchdogPoll: 5 * time.Millisecond, StallBudget: budget,
-		BackoffBase: time.Millisecond,
-	})
+	s, err := newSupervisor(op, Options{Tenants: []Tenant{{Name: "t"}}, StallBudget: budget}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestWatchdogSparesSlowReplay(t *testing.T) {
 	sp := testSpec("t", "slow-replay", schedTargets(seed, 4000)) // 48 000 probes
 	sp.Shards = 4
 	sp.Stream = &stream
-	began := time.Now()
+	began := clk.now()
 	h, err := s.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestWatchdogSparesSlowReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wall := time.Since(began); wall < 5*budget {
-		t.Fatalf("campaign took %v: the replay never outlasted the %v stall budget", wall, budget)
+	if took := clk.now().Sub(began); took < 5*budget {
+		t.Fatalf("campaign took %v: the replay never outlasted the %v stall budget", took, budget)
 	}
 	if res.State != StateCompleted || res.Retries != 0 {
 		t.Fatalf("state %v retries %d reason %q err %v, want completed on the first attempt", res.State, res.Retries, res.Reason, res.Err)

@@ -65,10 +65,8 @@ type Tenant struct {
 	Priority int
 }
 
-// Config parameterizes a Supervisor.
-type Config struct {
-	// Opener builds per-attempt connection factories. Required.
-	Opener Opener
+// Options parameterizes a Supervisor.
+type Options struct {
 	// Tenants lists the admissible tenants. Submissions naming anyone
 	// else are rejected with ErrUnknownTenant.
 	Tenants []Tenant
@@ -77,9 +75,6 @@ type Config struct {
 	// QueueLimit bounds the admitted-but-not-running queue; submissions
 	// past it are rejected with ErrQueueFull. Default 32.
 	QueueLimit int
-	// WatchdogPoll is the wall-clock cadence at which the watchdog
-	// samples each running campaign's heartbeat. Default 10ms.
-	WatchdogPoll time.Duration
 	// StallBudget is how long a running campaign's heartbeat may sit
 	// still (wall clock) before the watchdog declares it stalled,
 	// interrupts it, and fails over from the checkpoint. Default 2s.
@@ -87,16 +82,6 @@ type Config struct {
 	// MaxRetries bounds watchdog failovers per campaign; exhaustion
 	// degrades the campaign to StateIncomplete. Default 2.
 	MaxRetries int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between failover attempts: attempt k waits
-	// min(BackoffBase << (k-1), BackoffMax). Defaults 10ms and 500ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// vantage's circuit breaker; BreakerCooldown is how long it stays
-	// open before admitting a half-open trial. Defaults 3 and 1s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// CheckpointEvery, when positive, periodically snapshots each
 	// running campaign: after that much wall time the attempt is
 	// interrupted at a probe boundary, its checkpoint artifact is
@@ -105,54 +90,70 @@ type Config struct {
 	// the watchdog uses, so results stay byte-identical to an
 	// uninterrupted run. A process killed between snapshots loses at
 	// most one interval of virtual progress. Zero disables periodic
-	// checkpointing (drain-only snapshots, the previous behavior).
+	// checkpointing: a campaign is snapshotted only when drained.
 	CheckpointEvery time.Duration
-	// CheckpointSink receives each periodic checkpoint artifact. A
-	// sink error is counted (sched_checkpoint_sink_errors_total) and
-	// the campaign keeps running — losing a snapshot degrades crash
-	// durability, not the run. The sink must not retain artifact after
-	// returning: the worker encodes later snapshots — this campaign's or
-	// a later one's — into the same memory. A sink that keeps the bytes
-	// copies them.
-	CheckpointSink func(spec *CampaignSpec, artifact []byte) error
+	// CheckpointSink receives each periodic checkpoint artifact with
+	// the campaign's tenant and name. A sink error is counted
+	// (sched_checkpoint_sink_errors_total) and the campaign keeps
+	// running — losing a snapshot degrades crash durability, not the
+	// run. The sink must not retain artifact after returning: the
+	// worker encodes later snapshots — this campaign's or a later
+	// one's — into the same memory. A sink that keeps the bytes copies
+	// them.
+	CheckpointSink func(tenant, name string, artifact []byte) error
 	// Telemetry, when non-nil, receives the sched_* metrics and every
 	// campaign's hot-path yarrp_* metrics.
 	Telemetry *telemetry.Registry
 }
 
-func (c *Config) setDefaults() error {
-	if c.Opener == nil {
-		return errors.New("sched: Config.Opener is required")
-	}
-	if len(c.Tenants) == 0 {
+// The fixed supervision policy. The watchdog samples each running
+// campaign's heartbeat every watchdogPoll; failover attempt k backs off
+// min(backoffBase << (k-1), backoffMax); a vantage's breaker opens after
+// breakerThreshold consecutive failures and half-opens breakerCooldown
+// later.
+const (
+	watchdogPoll     = 10 * time.Millisecond
+	backoffBase      = 10 * time.Millisecond
+	backoffMax       = 500 * time.Millisecond
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
+
+// clock is the supervision clock: every policy time read — the
+// watchdog's poll and stall age, the checkpoint cadence, the failover
+// backoff and the breaker cooldown — goes through it. New passes the
+// system clock; tests advance a fake one.
+type clock interface {
+	now() time.Time
+	// timer returns a channel receiving the time once d has elapsed,
+	// and a stop that releases the timer early.
+	timer(d time.Duration) (<-chan time.Time, func())
+}
+
+type systemClock struct{}
+
+func (systemClock) now() time.Time { return time.Now() }
+
+func (systemClock) timer(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTimer(d)
+	return t.C, func() { t.Stop() }
+}
+
+func (o *Options) setDefaults() error {
+	if len(o.Tenants) == 0 {
 		return errors.New("sched: no tenants configured")
 	}
-	if c.Workers <= 0 {
-		c.Workers = 2
+	if o.Workers <= 0 {
+		o.Workers = 2
 	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 32
+	if o.QueueLimit <= 0 {
+		o.QueueLimit = 32
 	}
-	if c.WatchdogPoll <= 0 {
-		c.WatchdogPoll = 10 * time.Millisecond
+	if o.StallBudget <= 0 {
+		o.StallBudget = 2 * time.Second
 	}
-	if c.StallBudget <= 0 {
-		c.StallBudget = 2 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 2
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
+	if o.MaxRetries <= 0 {
+		o.MaxRetries = 2
 	}
 	return nil
 }
@@ -377,7 +378,9 @@ var ckptBucketsUSec = []int64{100, 200, 500, 1000, 2000, 5000, 10000, 20000, 500
 // Supervisor is the multi-tenant campaign scheduler. Create with New,
 // submit with Submit, shut down with Drain.
 type Supervisor struct {
-	cfg     Config
+	open    Opener
+	opt     Options
+	clock   clock
 	breaker *breakerSet
 	met     schedMetrics
 	tel     *telemetry.Registry
@@ -397,21 +400,29 @@ type Supervisor struct {
 	wg      sync.WaitGroup
 }
 
-// New validates the configuration and starts the worker pool.
-func New(cfg Config) (*Supervisor, error) {
-	if err := cfg.setDefaults(); err != nil {
+// New validates the options and starts the worker pool; open builds
+// every campaign attempt's connections.
+func New(open Opener, opt Options) (*Supervisor, error) {
+	return newSupervisor(open, opt, systemClock{})
+}
+
+// newSupervisor is New on a given supervision clock.
+func newSupervisor(open Opener, opt Options, clk clock) (*Supervisor, error) {
+	if err := opt.setDefaults(); err != nil {
 		return nil, err
 	}
 	s := &Supervisor{
-		cfg:     cfg,
-		breaker: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		tel:     cfg.Telemetry,
+		open:    open,
+		opt:     opt,
+		clock:   clk,
+		breaker: newBreakerSet(clk),
+		tel:     opt.Telemetry,
 		tenants: make(map[string]*tenantState),
 		active:  make(map[string]*job),
 		drainCh: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, t := range cfg.Tenants {
+	for _, t := range opt.Tenants {
 		if t.Name == "" {
 			return nil, errors.New("sched: tenant with empty name")
 		}
@@ -420,7 +431,7 @@ func New(cfg Config) (*Supervisor, error) {
 		}
 		s.tenants[t.Name] = &tenantState{cfg: t}
 	}
-	if r := cfg.Telemetry; r != nil {
+	if r := opt.Telemetry; r != nil {
 		s.met = schedMetrics{
 			submitted:      r.Counter("sched_submitted_total"),
 			rejected:       r.Counter("sched_rejected_total"),
@@ -439,8 +450,8 @@ func New(cfg Config) (*Supervisor, error) {
 			ckptSink:       r.Histogram("sched_checkpoint_sink_usec", ckptBucketsUSec),
 		}
 	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	s.wg.Add(opt.Workers)
+	for i := 0; i < opt.Workers; i++ {
 		go s.worker()
 	}
 	return s, nil
@@ -496,7 +507,7 @@ func (s *Supervisor) Submit(spec CampaignSpec) (*Handle, error) {
 		s.reject()
 		return nil, fmt.Errorf("%w: tenant %s at %.0f of %.0f pps", ErrRateBudget, spec.Tenant, ts.admitted, b)
 	}
-	if len(s.queue)+s.admitting >= s.cfg.QueueLimit {
+	if len(s.queue)+s.admitting >= s.opt.QueueLimit {
 		s.reject()
 		return nil, ErrQueueFull
 	}
@@ -699,7 +710,7 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 			// durable artifact was persisted but needs no decoding.
 			camp, rewound = rewound, nil
 		} else {
-			factory, err := s.cfg.Opener(&j.spec)
+			factory, err := s.open(&j.spec)
 			if err != nil {
 				s.breakerFailure(j)
 				s.finalize(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: err})
@@ -767,7 +778,7 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
 					return
 				}
-				if j.retries >= s.cfg.MaxRetries {
+				if j.retries >= s.opt.MaxRetries {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "watchdog-exhausted", Store: camp.MergedStore(), Stats: stats})
 					return
@@ -799,9 +810,9 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 					return
 				}
 				s.met.checkpoints.Inc()
-				if s.cfg.CheckpointSink != nil {
+				if s.opt.CheckpointSink != nil {
 					sinkStart := time.Now()
-					err := s.cfg.CheckpointSink(&j.spec, art)
+					err := s.opt.CheckpointSink(j.spec.Tenant, j.spec.Name, art)
 					s.met.ckptSink.Observe(time.Since(sinkStart).Microseconds())
 					if err != nil {
 						s.met.ckptSinkErrors.Inc()
@@ -811,7 +822,7 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 					Probes: stats.ProbesSent, Replies: stats.Replies})
 				// Continue in-process: the artifact already hit the sink,
 				// so the continuation skips the decode round trip.
-				factory, ferr := s.cfg.Opener(&j.spec)
+				factory, ferr := s.open(&j.spec)
 				if ferr != nil {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: ferr})
@@ -850,21 +861,23 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 		stats core.CampaignStats
 		err   error
 	}
+	// The timers are armed before the run starts, so the checkpoint
+	// interval and the stall age count from the attempt's first probe.
+	poll, stopPoll := s.clock.timer(watchdogPoll)
+	defer func() { stopPoll() }()
+	var ckptCh <-chan time.Time
+	if s.opt.CheckpointEvery > 0 {
+		var stopCkpt func()
+		ckptCh, stopCkpt = s.clock.timer(s.opt.CheckpointEvery)
+		defer stopCkpt()
+	}
+	lastBeat := camp.Beat()
+	lastMove := s.clock.now()
 	done := make(chan runOut, 1)
 	go func() {
 		st, cs, e := camp.Run()
 		done <- runOut{st, cs, e}
 	}()
-	timer := time.NewTimer(s.cfg.WatchdogPoll)
-	defer timer.Stop()
-	var ckptCh <-chan time.Time
-	if s.cfg.CheckpointEvery > 0 {
-		ckptTimer := time.NewTimer(s.cfg.CheckpointEvery)
-		defer ckptTimer.Stop()
-		ckptCh = ckptTimer.C
-	}
-	lastBeat := camp.Beat()
-	lastMove := time.Now()
 	for {
 		select {
 		case out := <-done:
@@ -878,10 +891,10 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 				ckptReq = true
 				camp.Interrupt()
 			}
-		case <-timer.C:
+		case now := <-poll:
 			if b := camp.Beat(); b != lastBeat {
-				lastBeat, lastMove = b, time.Now()
-			} else if !fired && !ckptReq && time.Since(lastMove) >= s.cfg.StallBudget {
+				lastBeat, lastMove = b, now
+			} else if !fired && !ckptReq && now.Sub(lastMove) >= s.opt.StallBudget {
 				// No stop poll within the budget: the campaign is wedged
 				// (or its connections are wall-blocked). Interrupt takes
 				// effect at the next boundary the prober reaches; until
@@ -889,7 +902,7 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 				fired = true
 				camp.Interrupt()
 			}
-			timer.Reset(s.cfg.WatchdogPoll)
+			poll, stopPoll = s.clock.timer(watchdogPoll)
 		}
 	}
 }
@@ -897,14 +910,14 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 // backoff sleeps the capped exponential failover delay; the return
 // value reports that a drain started and the retry must not happen.
 func (s *Supervisor) backoff(retry int) bool {
-	d := s.cfg.BackoffBase << (retry - 1)
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
+	d := backoffBase << (retry - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	elapsed, stop := s.clock.timer(d)
+	defer stop()
 	select {
-	case <-timer.C:
+	case <-elapsed:
 		return s.isDraining()
 	case <-s.drainCh:
 		return true

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -169,25 +172,34 @@ func TestDispatchOrder(t *testing.T) {
 }
 
 // TestBreakerSet pins the circuit breaker's state machine: threshold
-// trip, cooldown, single half-open trial, re-trip, and recovery.
+// trip, the exact cooldown boundary, a single half-open trial, re-trip
+// (which restarts the cooldown), and recovery.
 func TestBreakerSet(t *testing.T) {
-	b := newBreakerSet(2, 50*time.Millisecond)
+	clk := newFakeClock()
+	b := newBreakerSet(clk)
 	if !b.admit("V") || b.state("V") != BreakerClosed {
 		t.Fatal("fresh vantage not closed")
 	}
-	if b.failure("V") {
-		t.Fatal("first failure tripped early")
+	for i := 1; i < breakerThreshold; i++ {
+		if b.failure("V") {
+			t.Fatalf("failure %d tripped early", i)
+		}
 	}
 	if !b.failure("V") {
 		t.Fatal("threshold failure did not trip")
 	}
-	if b.admit("V") || b.state("V") != BreakerOpen {
-		t.Fatal("open breaker admitted")
+	coolDown := func(after string) {
+		t.Helper()
+		clk.advance(breakerCooldown - time.Nanosecond)
+		if b.admit("V") || b.state("V") != BreakerOpen {
+			t.Fatalf("after the %s: not open a nanosecond before the cooldown ends", after)
+		}
+		clk.advance(time.Nanosecond)
+		if b.state("V") != BreakerHalfOpen {
+			t.Fatalf("after the %s: not half-open when the cooldown ends", after)
+		}
 	}
-	time.Sleep(60 * time.Millisecond)
-	if b.state("V") != BreakerHalfOpen {
-		t.Fatal("cooldown did not half-open")
-	}
+	coolDown("first trip")
 	if !b.admit("V") {
 		t.Fatal("half-open refused the trial")
 	}
@@ -197,10 +209,7 @@ func TestBreakerSet(t *testing.T) {
 	if !b.failure("V") {
 		t.Fatal("failed trial did not re-trip")
 	}
-	if b.admit("V") {
-		t.Fatal("re-opened breaker admitted")
-	}
-	time.Sleep(60 * time.Millisecond)
+	coolDown("re-trip")
 	if !b.admit("V") {
 		t.Fatal("second trial refused")
 	}
@@ -218,14 +227,15 @@ func TestAdmissionControl(t *testing.T) {
 	const seed = 4401
 	env := newTestEnv(seed, nil)
 	targets := schedTargets(seed, 16)
-	gate := make(chan struct{})
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
 	op := func(spec *CampaignSpec) (core.ConnFactory, error) {
+		entered <- struct{}{}
 		<-gate
 		return env.opener(spec)
 	}
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{
-		Opener: op, Workers: 1, QueueLimit: 2, Telemetry: reg,
+	s, err := New(op, Options{
+		Workers: 1, QueueLimit: 2, Telemetry: reg,
 		Tenants: []Tenant{{Name: "alpha", RateBudget: 1500}, {Name: "beta"}},
 	})
 	if err != nil {
@@ -241,17 +251,9 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the worker to dequeue it (it then blocks in the gated
-	// opener) so the queue-limit checks below see an empty queue.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		st := s.Status()
-		if len(st) > 0 && st[0].State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first campaign never dispatched")
-		}
-	}
+	// Wait for the worker to dequeue it into the gated opener so the
+	// queue-limit checks below see an empty queue.
+	<-entered
 	if _, err := s.Submit(sp); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate: %v", err)
 	}
@@ -288,9 +290,7 @@ func TestAdmissionControl(t *testing.T) {
 		ds, err := s.Drain(ctx)
 		done <- drainOut{ds, err}
 	}()
-	for !s.isDraining() {
-		time.Sleep(time.Millisecond)
-	}
+	<-s.drainCh
 	if _, err := s.Submit(testSpec("beta", "late", targets)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestResumeChargedArtifactRate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(Config{Opener: env.opener, Tenants: []Tenant{
+	s, err := New(env.opener, Options{Tenants: []Tenant{
 		{Name: "small", RateBudget: 5_000}, {Name: "large", RateBudget: 10_000}}})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestDeadlineIncomplete(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 4402
 	env := newTestEnv(seed, nil)
-	s, err := New(Config{Opener: env.opener, Tenants: []Tenant{{Name: "t"}}})
+	s, err := New(env.opener, Options{Tenants: []Tenant{{Name: "t"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,23 +416,32 @@ func TestDeadlineIncomplete(t *testing.T) {
 	drainAll(t, s)
 }
 
-// wedgeConn wall-blocks one send mid-campaign — a hung socket, not a
+// wedgeConn hangs one send mid-campaign — a hung socket, not a
 // simulated fault, so virtual time and the result bytes are untouched.
-// Both serial and batched paths are overridden; everything else
-// (including checkpoint pending-reply export) promotes from the
-// embedded vantage.
+// While it hangs the supervision clock runs on, one watchdog poll (in
+// which the heartbeat may still have moved) and then a whole stall
+// budget (in which it cannot), so the watchdog interrupts the run
+// exactly once before the send returns. Both serial and batched paths
+// are overridden; everything else (including checkpoint pending-reply
+// export) promotes from the embedded vantage.
 type wedgeConn struct {
 	*netsim.Vantage
+	clk    *fakeClock
+	budget time.Duration
 	sends  int
 	wedged *atomic.Bool
-	block  time.Duration
 }
 
 func (w *wedgeConn) maybeWedge() {
 	w.sends++
-	if w.sends == 5 && w.wedged.CompareAndSwap(false, true) {
-		time.Sleep(w.block)
+	if w.sends != 5 || !w.wedged.CompareAndSwap(false, true) {
+		return
 	}
+	for _, d := range []time.Duration{watchdogPoll, w.budget} {
+		w.clk.blockUntil(1) // the watchdog's next poll is armed
+		w.clk.advance(d)
+	}
+	w.clk.blockUntil(1) // the watchdog took the stalled poll and re-armed
 }
 
 func (w *wedgeConn) Send(pkt []byte) error {
@@ -445,7 +454,36 @@ func (w *wedgeConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, erro
 	return w.Vantage.SendBatch(pkts, gap)
 }
 
-// TestWatchdogFailover: a campaign whose connection wall-hangs stops
+// retryTap is a tenant stream that signals each retry event, so a test
+// can advance the fake clock over the failover backoff that follows.
+type retryTap struct {
+	io.Writer
+	retry chan struct{}
+}
+
+func newRetryTap(w io.Writer) retryTap { return retryTap{w, make(chan struct{}, 1)} }
+
+func (r retryTap) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"event":"retry"`)) {
+		r.retry <- struct{}{}
+	}
+	return r.Writer.Write(p)
+}
+
+// overBackoff waits for h's watchdog retry and advances clk over the
+// backoff before the failover attempt: the only timer armed then.
+func overBackoff(t *testing.T, clk *fakeClock, tap retryTap, h *Handle) {
+	t.Helper()
+	select {
+	case <-tap.retry:
+	case <-h.Done():
+		t.Fatalf("campaign ended without a retry: %+v", h.Result())
+	}
+	clk.blockUntil(1)
+	clk.advance(backoffBase)
+}
+
+// TestWatchdogFailover: a campaign whose connection hangs stops
 // heartbeating; the watchdog interrupts it, the supervisor checkpoints
 // and resumes on fresh connections, and the final store is
 // byte-identical to an unsupervised run — failover is invisible in the
@@ -455,6 +493,8 @@ func TestWatchdogFailover(t *testing.T) {
 	const seed = 4403
 	env := newTestEnv(seed, nil)
 	targets := schedTargets(seed, 24)
+	clk := newFakeClock()
+	const budget = 100 * time.Millisecond
 	var attempts atomic.Int32
 	var wedged atomic.Bool
 	op := func(spec *CampaignSpec) (core.ConnFactory, error) {
@@ -467,23 +507,22 @@ func TestWatchdogFailover(t *testing.T) {
 		}
 		return func(shard int, start time.Duration) probe.Conn {
 			v := inner(shard, start).(*netsim.Vantage)
-			return &wedgeConn{Vantage: v, wedged: &wedged, block: 400 * time.Millisecond}
+			return &wedgeConn{Vantage: v, clk: clk, budget: budget, wedged: &wedged}
 		}, nil
 	}
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{
-		Opener: op, Tenants: []Tenant{{Name: "t"}}, Telemetry: reg,
-		WatchdogPoll: 5 * time.Millisecond, StallBudget: 100 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-	})
+	s, err := newSupervisor(op, Options{Tenants: []Tenant{{Name: "t"}}, Telemetry: reg, StallBudget: budget}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := testSpec("t", "wedge", targets) // 1 shard: the hung conn is the only heartbeat source
+	tap := newRetryTap(io.Discard)
+	sp.Stream = tap
 	h, err := s.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	overBackoff(t, clk, tap, h)
 	res, err := h.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -534,10 +573,8 @@ func TestBreakerLifecycle(t *testing.T) {
 		return env.opener(spec)
 	}
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{
-		Opener: op, Workers: 1, Tenants: []Tenant{{Name: "t"}}, Telemetry: reg,
-		BreakerThreshold: 2, BreakerCooldown: 150 * time.Millisecond,
-	})
+	clk := newFakeClock()
+	s, err := newSupervisor(op, Options{Workers: 1, Tenants: []Tenant{{Name: "t"}}, Telemetry: reg}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,26 +589,26 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		return res
 	}
-	if res := run("f1"); res.State != StateIncomplete || res.Reason != "open-failed" {
-		t.Fatalf("f1 = %+v", res)
+	for i := 1; i <= breakerThreshold; i++ {
+		if res := run(fmt.Sprintf("f%d", i)); res.State != StateIncomplete || res.Reason != "open-failed" {
+			t.Fatalf("f%d = %+v", i, res)
+		}
+		want := BreakerClosed
+		if i == breakerThreshold {
+			want = BreakerOpen
+		}
+		if st := s.BreakerState("US-EDU-1"); st != want {
+			t.Fatalf("breaker after %d failures = %v, want %v", i, st, want)
+		}
 	}
-	if st := s.BreakerState("US-EDU-1"); st != BreakerClosed {
-		t.Fatalf("breaker after one failure = %v", st)
-	}
-	if res := run("f2"); res.State != StateIncomplete {
-		t.Fatalf("f2 = %+v", res)
-	}
-	if st := s.BreakerState("US-EDU-1"); st != BreakerOpen {
-		t.Fatalf("breaker after threshold = %v", st)
-	}
-	if _, err := s.Submit(testSpec("t", "f3", targets)); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := s.Submit(testSpec("t", "rejected", targets)); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open-breaker submit: %v", err)
 	}
 	if got := counterVal(t, reg.Snapshot(), "sched_breaker_open_total"); got != 1 {
 		t.Fatalf("breaker-open count = %d", got)
 	}
 
-	time.Sleep(160 * time.Millisecond)
+	clk.advance(breakerCooldown)
 	if st := s.BreakerState("US-EDU-1"); st != BreakerHalfOpen {
 		t.Fatalf("breaker after cooldown = %v", st)
 	}
@@ -595,7 +632,7 @@ func TestAdmitReserves(t *testing.T) {
 	const seed = 4402
 	env := newTestEnv(seed, nil)
 	targets := schedTargets(seed, 8)
-	s, err := New(Config{Opener: env.opener, Workers: 1, QueueLimit: 1,
+	s, err := New(env.opener, Options{Workers: 1, QueueLimit: 1,
 		Tenants: []Tenant{{Name: "acme", RateBudget: 900}, {Name: "beta"}}})
 	if err != nil {
 		t.Fatal(err)

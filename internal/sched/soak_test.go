@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func TestSupervisedNeutrality(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 5001
 	env := newTestEnv(seed, nil)
-	s, err := New(Config{Opener: env.opener, Workers: 2,
+	s, err := New(env.opener, Options{Workers: 2,
 		Tenants: []Tenant{{Name: "ta"}, {Name: "tb"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -133,9 +134,11 @@ func TestChaosSoak(t *testing.T) {
 
 	// One fault plane for the whole universe: every rule is addressed
 	// to exactly one campaign tag, so tenants only feel their own
-	// chaos. The tenants are submitted against a single vantage, making
-	// the breaker threshold effectively "off" — vantage health is not
-	// under test here.
+	// chaos. Each case is submitted under a vantage name of its own —
+	// the breaker's key — so the crash cases' quarantine-degraded
+	// completions cannot open a breaker over the others: vantage health
+	// is not under test here. The test opener probes from the one
+	// US-EDU-1 vantage whatever the name.
 	var tenants []Tenant
 	specs := make([]CampaignSpec, len(cases))
 	fc := &faultsim.Config{Seed: 0x50a1}
@@ -143,6 +146,7 @@ func TestChaosSoak(t *testing.T) {
 		tenant := fmt.Sprintf("t%d", i)
 		tenants = append(tenants, Tenant{Name: tenant})
 		sp := testSpec(tenant, c.name, schedTargets(seed+int64(i), 40+i))
+		sp.Vantage = fmt.Sprintf("V%d", i)
 		sp.Shards, sp.Batch = c.shards, c.batch
 		specs[i] = sp
 		for _, r := range c.rules {
@@ -153,8 +157,7 @@ func TestChaosSoak(t *testing.T) {
 
 	env := newTestEnv(seed, fc)
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Opener: env.opener, Workers: 4, Tenants: tenants,
-		Telemetry: reg, BreakerThreshold: 100})
+	s, err := New(env.opener, Options{Workers: 4, Tenants: tenants, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,22 +221,44 @@ func TestChaosSoak(t *testing.T) {
 	drainAll(t, s)
 }
 
-// slowConn wall-delays every send so a wall-clock drain reliably lands
-// mid-campaign. Virtual time — and therefore the result bytes — are
-// untouched; resume equivalence holds at any cut point, so the tests
-// need no control over where the drain actually cuts.
-type slowConn struct {
-	*netsim.Vantage
-	delay time.Duration
+// gate holds a campaign's sends once one of its connections has made
+// `after` of them, until the supervisor begins draining: a drain timed
+// by progress instead of by any clock, so it lands mid-campaign with
+// every connection at most `after` sends in. Virtual time — and
+// therefore the result bytes — are untouched.
+type gate struct {
+	after int
+	open  <-chan struct{} // the supervisor's drain signal
+	once  sync.Once
+	held  chan struct{} // closed once a send is held
 }
 
-func (c *slowConn) Send(pkt []byte) error {
-	time.Sleep(c.delay)
+func newGate(s *Supervisor, after int) *gate {
+	return &gate{after: after, open: s.drainCh, held: make(chan struct{})}
+}
+
+type gatedConn struct {
+	*netsim.Vantage
+	g     *gate
+	sends int
+}
+
+func (g *gate) conn(v *netsim.Vantage) probe.Conn { return &gatedConn{Vantage: v, g: g} }
+
+func (c *gatedConn) hold() {
+	if c.sends++; c.sends > c.g.after {
+		c.g.once.Do(func() { close(c.g.held) })
+		<-c.g.open
+	}
+}
+
+func (c *gatedConn) Send(pkt []byte) error {
+	c.hold()
 	return c.Vantage.Send(pkt)
 }
 
-func (c *slowConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
-	time.Sleep(c.delay)
+func (c *gatedConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
+	c.hold()
 	return c.Vantage.SendBatch(pkts, gap)
 }
 
@@ -273,28 +298,34 @@ func TestSoakDrainRestartChain(t *testing.T) {
 		refs[sp.Tag()] = ref{store, stats}
 	}
 
-	// runStage executes one supervisor generation: submit, optionally
-	// drain after a wall delay, and split the outcomes into final
-	// results and respawn specs for the next generation.
+	// runStage executes one supervisor generation: submit, then either
+	// run every campaign to completion or — holdAfter > 0 — hold each
+	// campaign's connections past holdAfter sends and drain once every
+	// campaign is held; and split the outcomes into final results and
+	// respawn specs for the next generation. The supervisor's clock never
+	// moves, so no watchdog fires while a campaign is held.
 	finals := map[string]*Result{}
-	runStage := func(stage int, pending []CampaignSpec, slow bool, drainAfter time.Duration) []CampaignSpec {
+	runStage := func(stage int, pending []CampaignSpec, holdAfter int) []CampaignSpec {
 		env := newTestEnv(seed, fc)
-		op := env.opener
-		if slow {
-			op = func(spec *CampaignSpec) (core.ConnFactory, error) {
-				inner, err := env.opener(spec)
-				if err != nil {
-					return nil, err
-				}
-				return func(shard int, start time.Duration) probe.Conn {
-					return &slowConn{Vantage: inner(shard, start).(*netsim.Vantage), delay: time.Millisecond}
-				}, nil
+		gates := map[string]*gate{}
+		op := func(spec *CampaignSpec) (core.ConnFactory, error) {
+			inner, err := env.opener(spec)
+			g := gates[spec.Tag()]
+			if err != nil || g == nil {
+				return inner, err
 			}
+			return func(shard int, start time.Duration) probe.Conn {
+				return g.conn(inner(shard, start).(*netsim.Vantage))
+			}, nil
 		}
-		s, err := New(Config{Opener: op, Workers: len(pending), Tenants: tenants,
-			StallBudget: 30 * time.Second}) // slowed conns must not trip the watchdog
+		s, err := newSupervisor(op, Options{Workers: len(pending), Tenants: tenants}, newFakeClock())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if holdAfter > 0 {
+			for _, sp := range pending {
+				gates[sp.Tag()] = newGate(s, holdAfter)
+			}
 		}
 		handles := map[string]*Handle{}
 		for _, sp := range pending {
@@ -305,8 +336,13 @@ func TestSoakDrainRestartChain(t *testing.T) {
 			handles[sp.Tag()] = h
 		}
 		var next []CampaignSpec
-		if drainAfter > 0 {
-			time.Sleep(drainAfter)
+		if holdAfter > 0 {
+			for tag, h := range handles {
+				select {
+				case <-gates[tag].held:
+				case <-h.Done():
+				}
+			}
 			ds := drainAll(t, s)
 			for _, d := range ds {
 				sp := d.Spec
@@ -337,16 +373,18 @@ func TestSoakDrainRestartChain(t *testing.T) {
 		return next
 	}
 
+	// Two held stages of at most 25 sends per connection stay short of
+	// tc/c's crash, whose quarantine would leave nothing to checkpoint.
 	pending := specs
-	pending = runStage(1, pending, true, 25*time.Millisecond)
+	pending = runStage(1, pending, 25)
 	if len(finals) == len(specs) {
 		t.Log("every campaign completed before the first drain; chain degenerate but valid")
 	}
 	if len(pending) > 0 {
-		pending = runStage(2, pending, true, 25*time.Millisecond)
+		pending = runStage(2, pending, 25)
 	}
 	if len(pending) > 0 {
-		runStage(3, pending, false, 0)
+		runStage(3, pending, 0)
 	}
 
 	if len(finals) != len(specs) {

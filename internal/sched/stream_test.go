@@ -81,15 +81,18 @@ func TestStreamCarriesProgress(t *testing.T) {
 		{name: "drain-and-resubmit", shards: 2, redrive: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// Wall-slowed sends (virtual time untouched) let checkpoints
-			// and the drain land mid-run; a wedged first attempt makes the
-			// watchdog fail over, as in TestWatchdogFailover.
+			// Sends slowed on the supervision clock (virtual time
+			// untouched) let checkpoints land mid-run; a gated first
+			// attempt is drained mid-run; a wedged first attempt makes
+			// the watchdog fail over, as in TestWatchdogFailover.
+			clk := newFakeClock()
 			var attempts atomic.Int32
 			var wedged atomic.Bool
-			newSupervisor := func() *Supervisor {
+			var g *gate
+			opt := Options{Tenants: []Tenant{{Name: "t"}}, StallBudget: 30 * time.Second, CheckpointEvery: c.every}
+			newSup := func() *Supervisor {
 				env := newTestEnv(seed, nil)
-				cfg := Config{Tenants: []Tenant{{Name: "t"}}, StallBudget: 30 * time.Second, CheckpointEvery: c.every}
-				cfg.Opener = func(spec *CampaignSpec) (core.ConnFactory, error) {
+				op := func(spec *CampaignSpec) (core.ConnFactory, error) {
 					inner, err := env.opener(spec)
 					if err != nil {
 						return nil, err
@@ -99,17 +102,16 @@ func TestStreamCarriesProgress(t *testing.T) {
 						v := inner(shard, start).(*netsim.Vantage)
 						switch {
 						case c.failover && first:
-							return &wedgeConn{Vantage: v, wedged: &wedged, block: 400 * time.Millisecond}
+							return &wedgeConn{Vantage: v, clk: clk, budget: opt.StallBudget, wedged: &wedged}
 						case c.failover:
 							return v
+						case c.redrive && first:
+							return g.conn(v)
 						}
-						return &slowConn{Vantage: v, delay: time.Millisecond}
+						return &slowConn{Vantage: v, clk: clk, delay: time.Millisecond}
 					}, nil
 				}
-				if c.failover {
-					cfg.WatchdogPoll, cfg.StallBudget, cfg.BackoffBase = 5*time.Millisecond, 100*time.Millisecond, time.Millisecond
-				}
-				s, err := New(cfg)
+				s, err := newSupervisor(op, opt, clk)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,25 +119,30 @@ func TestStreamCarriesProgress(t *testing.T) {
 			}
 
 			var stream bytes.Buffer
+			tap := newRetryTap(&stream)
 			sp := base
-			sp.Shards, sp.Batch, sp.Stream = c.shards, 1, &stream
-			s := newSupervisor()
+			sp.Shards, sp.Batch, sp.Stream = c.shards, 1, tap
+			s := newSup()
 			if c.redrive {
+				g = newGate(s, 25)
 				if _, err := s.Submit(sp); err != nil {
 					t.Fatal(err)
 				}
-				time.Sleep(25 * time.Millisecond)
+				<-g.held
 				ds := drainAll(t, s)
 				if len(ds) != 1 || ds[0].Artifact == nil {
 					t.Fatalf("drain returned %d campaigns, want one with an artifact", len(ds))
 				}
 				sp = ds[0].Spec
 				sp.Resume = ds[0].Artifact
-				s = newSupervisor()
+				s = newSup()
 			}
 			h, err := s.Submit(sp)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.failover {
+				overBackoff(t, clk, tap, h)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()

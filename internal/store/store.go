@@ -634,13 +634,16 @@ func parseBlobName(name string) (key string, gen uint64, kind string, ok bool) {
 	return key, gen, kind, true
 }
 
+// MaxNameLen is the longest key or kind, in bytes, the store accepts.
+const MaxNameLen = 200
+
 // validName restricts keys and kinds to a filesystem- and
 // manifest-safe alphabet: letters, digits, underscore, dash.
 func validName(s string) error {
 	if s == "" {
 		return errors.New("empty name")
 	}
-	if len(s) > 200 {
+	if len(s) > MaxNameLen {
 		return errors.New("name too long")
 	}
 	for _, r := range s {

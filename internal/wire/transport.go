@@ -1,6 +1,38 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+	"strconv"
+)
+
+// ProtoOfTransport maps a transport name — "icmp6" (also "icmpv6" or
+// empty), "udp" or "tcp" — to its protocol number.
+func ProtoOfTransport(name string) (uint8, error) {
+	switch name {
+	case "", "icmp6", "icmpv6":
+		return ProtoICMPv6, nil
+	case "udp":
+		return ProtoUDP, nil
+	case "tcp":
+		return ProtoTCP, nil
+	}
+	return 0, fmt.Errorf("unknown transport %q", name)
+}
+
+// TransportName names a protocol number the way ProtoOfTransport reads
+// it; a number it does not know prints in decimal.
+func TransportName(p uint8) string {
+	switch p {
+	case ProtoICMPv6:
+		return "icmp6"
+	case ProtoUDP:
+		return "udp"
+	case ProtoTCP:
+		return "tcp"
+	}
+	return strconv.Itoa(int(p))
+}
 
 // UDPHeaderLen is the fixed UDP header length.
 const UDPHeaderLen = 8

@@ -63,42 +63,11 @@ var (
 
 // SchedulerOptions parameterizes a Scheduler. Zero values pick the
 // supervisor defaults (2 workers, queue of 32, 2s stall budget, 2
-// failover retries, breaker tripping after 3 consecutive failures).
-type SchedulerOptions struct {
-	// Tenants lists the admissible tenants. Required.
-	Tenants []Tenant
-	// Workers is the number of campaigns run concurrently.
-	Workers int
-	// QueueLimit bounds the admitted-but-not-running queue.
-	QueueLimit int
-	// StallBudget is how long a campaign's heartbeat may sit still
-	// (wall clock) before the watchdog interrupts it and fails over
-	// from the checkpoint; WatchdogPoll is the sampling cadence.
-	StallBudget  time.Duration
-	WatchdogPoll time.Duration
-	// MaxRetries bounds watchdog failovers per campaign.
-	MaxRetries int
-	// BreakerThreshold and BreakerCooldown shape the per-vantage
-	// circuit breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// CheckpointEvery, when positive, periodically interrupts each
-	// running campaign at a probe boundary, hands its checkpoint
-	// artifact to CheckpointSink, and resumes it — bounding what a
-	// process crash can lose to one interval of virtual progress.
-	// Results stay byte-identical to an uninterrupted run. Zero means
-	// drain-only snapshots.
-	CheckpointEvery time.Duration
-	// CheckpointSink receives each periodic checkpoint artifact. Sink
-	// errors are counted in telemetry and do not stop the campaign. The
-	// sink must not retain artifact after returning — the scheduler
-	// encodes later snapshots, this campaign's or the next one's, into
-	// the same memory — so one that keeps the bytes copies them.
-	CheckpointSink func(tenant, name string, artifact []byte) error
-	// Telemetry, when non-nil, receives sched_* supervisor metrics and
-	// the campaigns' hot-path yarrp_* metrics.
-	Telemetry *TelemetryRegistry
-}
+// failover retries); the watchdog poll, failover backoff and breaker
+// policy are fixed. CheckpointSink receives each periodic checkpoint
+// artifact with its campaign's tenant and name, and must copy the bytes
+// it keeps: the scheduler encodes later snapshots into the same memory.
+type SchedulerOptions = sched.Options
 
 // SubmitOptions parameterizes one supervised campaign. The probing
 // options mirror YarrpOptions; the supervisor owns deadlines, retry
@@ -157,27 +126,7 @@ type Scheduler struct {
 // NewScheduler starts a campaign supervisor over this internetwork.
 func (in *Internet) NewScheduler(opt SchedulerOptions) (*Scheduler, error) {
 	s := &Scheduler{in: in, vantages: make(map[string]*netsim.Vantage)}
-	var sink func(spec *sched.CampaignSpec, artifact []byte) error
-	if opt.CheckpointSink != nil {
-		userSink := opt.CheckpointSink
-		sink = func(spec *sched.CampaignSpec, artifact []byte) error {
-			return userSink(spec.Tenant, spec.Name, artifact)
-		}
-	}
-	sup, err := sched.New(sched.Config{
-		Opener:           s.open,
-		Tenants:          opt.Tenants,
-		Workers:          opt.Workers,
-		QueueLimit:       opt.QueueLimit,
-		WatchdogPoll:     opt.WatchdogPoll,
-		StallBudget:      opt.StallBudget,
-		MaxRetries:       opt.MaxRetries,
-		BreakerThreshold: opt.BreakerThreshold,
-		BreakerCooldown:  opt.BreakerCooldown,
-		CheckpointEvery:  opt.CheckpointEvery,
-		CheckpointSink:   sink,
-		Telemetry:        opt.Telemetry,
-	})
+	sup, err := sched.New(s.open, opt)
 	if err != nil {
 		return nil, err
 	}
