@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run xxx -fuzz '^FuzzImportSimState$$' -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run xxx -fuzz '^FuzzSubmitTargets$$' -fuzztime $(FUZZTIME) ./cmd/beholderd
+	$(GO) test -run xxx -fuzz '^FuzzAggregate$$' -fuzztime $(FUZZTIME) ./internal/kip
 
 # cover writes the aggregate coverage profile and prints the total; CI
 # fails if the total drops below its recorded baseline.

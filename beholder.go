@@ -108,13 +108,11 @@ const FaultAnyShard = faultsim.MatchAnyShard
 // fault schedule.
 func (in *Internet) SetFaults(fc *FaultConfig) { in.u.SetFaults(fc) }
 
-// SeedLists generates every seed source at the given scale (1.0 is
-// campaign scale). The result maps the paper's list names (caida,
-// fiebig, fdns_any, dnsdb, cdn-k32, cdn-k256, 6gen, tum, random) to
-// their contents.
-func (in *Internet) SeedLists(scale float64) map[string]seeds.List {
-	lists, _ := seeds.All(in.u, in.seed, seeds.Scale(scale))
-	return lists
+// SeedList generates one seed source at the given scale (1.0 is
+// campaign scale). name is one of the paper's list names: caida, dnsdb,
+// fiebig, fdns_any, cdn-k256, cdn-k32, 6gen, tum, random.
+func (in *Internet) SeedList(name string, scale float64) (seeds.List, error) {
+	return seeds.Build(in.u, in.seed, name, seeds.Scale(scale))
 }
 
 // TargetSet runs the three-step target generation pipeline for one seed
@@ -123,25 +121,19 @@ func (in *Internet) SeedLists(scale float64) map[string]seeds.List {
 // [1, 128] unless synth is "known", which probes the seeds themselves
 // and ignores it.
 func (in *Internet) TargetSet(seedName string, zn int, synth string, scale float64) ([]netip.Addr, error) {
-	var method target.Synth
-	switch synth {
-	case "lowbyte1":
-		method = target.LowByte1
-	case "fixediid":
-		method = target.FixedIID
-	case "randomiid":
-		method = target.RandomIID
-	case "known":
-		method = target.Known
-	default:
+	method := target.LowByte1
+	for method <= target.Known && method.String() != synth {
+		method++
+	}
+	if method > target.Known {
 		return nil, fmt.Errorf("beholder: unknown synthesis %q", synth)
 	}
 	if method != target.Known && (zn < 1 || zn > 128) {
 		return nil, fmt.Errorf("beholder: zn %d outside [1, 128]", zn)
 	}
-	list, ok := in.SeedLists(scale)[seedName]
-	if !ok {
-		return nil, fmt.Errorf("beholder: unknown seed list %q", seedName)
+	list, err := in.SeedList(seedName, scale)
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(in.seed))
 	set := target.Build(list, target.Spec{SeedName: seedName, ZN: zn, Synth: method}, rng)

@@ -72,6 +72,21 @@ func TestFacadeErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownSeedListBuildsNothing: an unknown seed-list name is refused
+// before any list is generated — a /submit naming one must not cost the
+// handler a full seed-list build.
+func TestUnknownSeedListBuildsNothing(t *testing.T) {
+	in := NewSmallInternet(3)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := in.TargetSet("nope", 64, "lowbyte1", 0.2); err == nil {
+			t.Fatal("unknown seed list accepted")
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("TargetSet of an unknown seed list allocated %.0f times, want <= 10", allocs)
+	}
+}
+
 func TestFacadeBaselinesAndSubnets(t *testing.T) {
 	in := NewSmallInternet(4)
 	v := in.NewVantageAt("base", "university", 3)

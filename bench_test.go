@@ -236,7 +236,10 @@ func BenchmarkSubnetValidation(b *testing.B) {
 // synthesis over a DNS-derived seed list.
 func BenchmarkTargetBuild(b *testing.B) {
 	in := NewSmallInternet(9)
-	list := in.SeedLists(0.5)["fdns_any"]
+	list, err := in.SeedList("fdns_any", 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var n int
 	b.ReportAllocs()
 	b.ResetTimer()

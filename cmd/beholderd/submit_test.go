@@ -25,10 +25,11 @@ func aliceDaemon(t *testing.T) *daemon {
 // TestSubmitHostileBodies: a /submit body is outside input. Oversized,
 // unknown-field, trailing-data and unrunnable submissions are refused
 // promptly with the right status and admit nothing — a seed-list scale
-// or zn out of bounds before any target generation; an unknown tenant,
-// a target that does not parse, a vantage name outside the store's
-// alphabet or a tenant and name too long for a store key before the
-// vantage is materialized; a well-formed one still queues.
+// or zn out of bounds, or an unknown seed list, before any target
+// generation; an unknown tenant, a target that does not parse, a vantage
+// name outside the store's alphabet or a tenant and name too long for a
+// store key before the vantage is materialized; a well-formed one still
+// queues.
 func TestSubmitHostileBodies(t *testing.T) {
 	d := aliceDaemon(t)
 	const ok = `{"tenant":"alice","name":"c1","targets":["2001:db8::1","2001:db8::2"],"maxttl":4}`
@@ -47,6 +48,7 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"zn -5", `{"tenant":"alice","name":"zneg","zn":-5}`, http.StatusBadRequest},
 		{"zn 200", `{"tenant":"alice","name":"zbig","zn":200}`, http.StatusBadRequest},
 		{"unknown tenant", `{"tenant":"mallory","name":"x","vantage":"V-NEW","scale":4}`, http.StatusForbidden},
+		{"unknown seed list", `{"tenant":"alice","name":"s","vantage":"V-NEW","seeds":"nope","scale":4}`, http.StatusBadRequest},
 		{"bad target", `{"tenant":"alice","name":"x","vantage":"V-NEW","targets":["nope"]}`, http.StatusBadRequest},
 		{"bad vantage name", `{"tenant":"alice","name":"y","vantage":"a/b","targets":["2001:db8::1"]}`, http.StatusBadRequest},
 		{"store key too long", `{"tenant":"alice","name":"` + strings.Repeat("n", store.MaxNameLen) + `","vantage":"V-NEW","targets":["2001:db8::1"]}`, http.StatusBadRequest},

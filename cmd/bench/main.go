@@ -449,7 +449,12 @@ func main() {
 	const advBudget = 4096
 	const advTTL = 16
 	advIn := beholder.NewSmallInternet(2018)
-	advSeeds := advIn.SeedLists(0.15)["dnsdb"].Addrs.Addrs()
+	advList, err := advIn.SeedList("dnsdb", 0.15)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+	advSeeds := advList.Addrs.Addrs()
 	staticTargets, err := advIn.TargetSet("dnsdb", 64, "lowbyte1", 0.15)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

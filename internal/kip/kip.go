@@ -12,7 +12,11 @@
 package kip
 
 import (
+	"cmp"
+	"math/bits"
 	"net/netip"
+	"slices"
+	"sort"
 
 	"beholder/internal/ipv6"
 )
@@ -32,11 +36,10 @@ type Observation struct {
 	Interval int          // interval index in [0, NumIntervals)
 }
 
-type trieNode struct {
-	child [2]*trieNode
-	// perInterval counts distinct active /64s beneath this node.
-	perInterval []uint32
-	depth       int
+// activity is a /64 (its 64 high bits) active in an interval.
+type activity struct {
+	hi       uint64
+	interval uint32
 }
 
 // Aggregate computes the anonymized aggregate set for the observations.
@@ -48,94 +51,76 @@ func Aggregate(obs []Observation, numIntervals int, p Params) []netip.Prefix {
 	if len(obs) == 0 || numIntervals <= 0 {
 		return nil
 	}
-	if p.K < 1 {
-		p.K = 1
-	}
+	p.K = max(p.K, 1)
 	if p.Percentile <= 0 || p.Percentile > 100 {
 		p.Percentile = 50
 	}
 
-	// Deduplicate (LAN, interval) pairs.
-	type key struct {
-		hi       uint64
-		interval int
-	}
-	seen := make(map[key]struct{}, len(obs))
-	root := &trieNode{perInterval: make([]uint32, numIntervals)}
+	// Sort the in-range activities by /64, then interval, and drop
+	// duplicates: a /64 seen twice in one interval is one client, not a
+	// crowd. Every prefix then covers one contiguous run of the slice.
+	acts := make([]activity, 0, len(obs))
 	for _, o := range obs {
-		lan := ipv6.CanonicalPrefix(netip.PrefixFrom(o.LAN.Addr(), 64))
-		hi := ipv6.FromAddr(lan.Addr()).Hi
-		k := key{hi, o.Interval}
-		if _, dup := seen[k]; dup || o.Interval < 0 || o.Interval >= numIntervals {
-			continue
-		}
-		seen[k] = struct{}{}
-		// Insert the 64 high bits, incrementing per-interval counters along
-		// the path: each distinct active /64 contributes one to every
-		// ancestor's simultaneity count for that interval.
-		n := root
-		n.perInterval[o.Interval]++
-		for d := 0; d < 64; d++ {
-			b := (hi >> (63 - d)) & 1
-			if n.child[b] == nil {
-				n.child[b] = &trieNode{perInterval: make([]uint32, numIntervals), depth: d + 1}
-			}
-			n = n.child[b]
-			n.perInterval[o.Interval]++
+		if o.Interval >= 0 && o.Interval < numIntervals {
+			acts = append(acts, activity{ipv6.FromAddr(o.LAN.Addr()).Hi, uint32(o.Interval)})
 		}
 	}
+	slices.SortFunc(acts, func(a, b activity) int {
+		if a.hi != b.hi {
+			return cmp.Compare(a.hi, b.hi)
+		}
+		return cmp.Compare(a.interval, b.interval)
+	})
+	acts = slices.Compact(acts)
 
 	// qualifies: at least p percent of the window's intervals saw K or
-	// more simultaneously-active /64s beneath the node (the "p'th
-	// percentile of intervals" condition of kIP).
-	need := (p.Percentile*numIntervals + 99) / 100 // ceil(p% of N), at least 1
-	if need < 1 {
-		need = 1
-	}
-	qualifies := func(n *trieNode) bool {
+	// more simultaneously-active /64s in the run (the "p'th percentile of
+	// intervals" condition of kIP).
+	need := max((p.Percentile*numIntervals+99)/100, 1) // ceil(p% of N), at least 1
+	counts := make([]uint32, numIntervals)
+	qualifies := func(run []activity) bool {
+		clear(counts)
 		meeting := 0
-		for _, c := range n.perInterval {
-			if int(c) >= p.K {
+		for _, a := range run {
+			counts[a.interval]++
+			if counts[a.interval] == uint32(p.K) {
 				meeting++
 			}
 		}
 		return meeting >= need
 	}
 
-	// Emit deepest qualifying nodes: walk down while a child qualifies.
+	// walk is handed a qualifying run. Its /64s share the high bits up to
+	// the first one where its first and last /64 differ; every prefix
+	// between covers the same run and qualifies too. Split the run at that
+	// bit and descend into the halves that qualify; when neither does,
+	// the shared prefix is the longest qualifying one.
 	var out []netip.Prefix
-	var walk func(n *trieNode, bits ipv6.U128)
-	walk = func(n *trieNode, bits ipv6.U128) {
-		anyChild := false
-		for b := 0; b < 2; b++ {
-			c := n.child[b]
-			if c != nil && qualifies(c) {
-				anyChild = true
+	var walk func(run []activity)
+	walk = func(run []activity) {
+		hi := run[0].hi
+		shared := bits.LeadingZeros64(hi ^ run[len(run)-1].hi)
+		if shared < 64 {
+			bit := uint64(1) << (63 - shared)
+			m := sort.Search(len(run), func(i int) bool { return run[i].hi&bit != 0 })
+			zero, one := run[:m], run[m:]
+			qz, qo := qualifies(zero), qualifies(one)
+			if qz {
+				walk(zero)
 			}
-		}
-		if anyChild {
-			for b := 0; b < 2; b++ {
-				c := n.child[b]
-				if c == nil {
-					continue
-				}
-				childBits := bits
-				if b == 1 {
-					childBits = bits.SetBit(c.depth-1, 1)
-				}
-				if qualifies(c) {
-					walk(c, childBits)
-				}
-				// Non-qualifying siblings are suppressed: their clients
+			if qo {
+				walk(one)
+			}
+			if qz || qo {
+				// Non-qualifying halves are suppressed: their clients
 				// lack a crowd of size K at this granularity.
+				return
 			}
-			return
 		}
-		// No child qualifies; this node is the longest qualifying prefix.
-		out = append(out, netip.PrefixFrom(bits.Addr(), n.depth))
+		out = append(out, netip.PrefixFrom(ipv6.U128{Hi: hi &^ (^uint64(0) >> shared)}.Addr(), shared))
 	}
-	if qualifies(root) {
-		walk(root, ipv6.U128{})
+	if len(acts) > 0 && qualifies(acts) {
+		walk(acts)
 	}
 	return out
 }

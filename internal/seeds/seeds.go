@@ -254,16 +254,19 @@ func CDNObservations(u *netsim.Universe, rng *rand.Rand, scale Scale, numInterva
 	return obs
 }
 
-// CDN builds the kIP-anonymized client prefix list for the paper's
-// anonymity parameter k (32 or 256). Because the simulated client
-// population is orders of magnitude smaller than a production CDN's, the
-// effective anonymity-set size is scaled down proportionally (preserving
-// the 8x ratio between the two lists); the published lists keep the
-// paper's names.
-func CDN(u *netsim.Universe, rng *rand.Rand, scale Scale, k int) List {
+// cdn builds the kIP-anonymized client prefix list for the paper's
+// anonymity parameter k (32 or 256) from the builder's CDN observation
+// pass, drawing the observations from rng only if no CDN list was built
+// yet. Because the simulated client population is orders of magnitude
+// smaller than a production CDN's, the effective anonymity-set size is
+// scaled down proportionally (preserving the 8x ratio between the two
+// lists); the published lists keep the paper's names.
+func (b *builder) cdn(rng *rand.Rand, k int) List {
 	const intervals = 24
-	obs := CDNObservations(u, rng, scale, intervals)
-	aggs := kip.Aggregate(obs, intervals, kip.Params{K: effectiveK(k, scale), Percentile: 50})
+	if b.cdnObs == nil {
+		b.cdnObs = CDNObservations(b.u, rng, b.scale, intervals)
+	}
+	aggs := kip.Aggregate(b.cdnObs, intervals, kip.Params{K: effectiveK(k, b.scale), Percentile: 50})
 	name := "cdn-k32"
 	if k >= 256 {
 		name = "cdn-k256"
@@ -274,11 +277,7 @@ func CDN(u *netsim.Universe, rng *rand.Rand, scale Scale, k int) List {
 // effectiveK maps the paper's k to the simulation's population scale:
 // k/8 at scale 1, floor 2, preserving k256/k32 = 8x.
 func effectiveK(paperK int, scale Scale) int {
-	k := int(float64(paperK) * float64(scale) / 16)
-	if k < 2 {
-		k = 2
-	}
-	return k
+	return max(int(float64(paperK)*float64(scale)/16), 2)
 }
 
 // SixGen builds the generative list: 6Gen in loose clustering mode, fed
@@ -318,9 +317,5 @@ func Random(u *netsim.Universe, rng *rand.Rand, n int) List {
 }
 
 func scaled(base int, scale Scale) int {
-	n := int(float64(base) * float64(scale))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(int(float64(base)*float64(scale)), 1)
 }

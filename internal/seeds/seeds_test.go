@@ -2,6 +2,8 @@ package seeds
 
 import (
 	"math/rand"
+	"net/netip"
+	"slices"
 	"testing"
 
 	"beholder/internal/addrclass"
@@ -94,8 +96,14 @@ func TestFDNSHas6to4AndServiceIIDs(t *testing.T) {
 
 func TestCDNPublishesOnlyPrefixes(t *testing.T) {
 	u := universe(t)
-	k32 := CDN(u, rand.New(rand.NewSource(4)), 1, 32)
-	k256 := CDN(u, rand.New(rand.NewSource(4)), 1, 256)
+	k32, err := Build(u, 4, "cdn-k32", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k256, err := Build(u, 4, "cdn-k256", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if k32.Addrs != nil {
 		t.Error("cdn must not publish client addresses")
 	}
@@ -219,12 +227,48 @@ func TestAllListsPopulated(t *testing.T) {
 	if len(subsets) == 0 {
 		t.Error("no TUM subsets")
 	}
-	if got := len(IndependentNames()); got != 6 {
-		t.Errorf("independent names = %d", got)
+}
+
+// TestBuildMatchesAll: every list built alone by Build equals All's
+// entry element for element — its RNG stream, the CDN lists' shared
+// observation pass and TUM's subsets do not depend on the other lists.
+func TestBuildMatchesAll(t *testing.T) {
+	u := universe(t)
+	for _, scale := range []Scale{0.25, 1} {
+		all, _ := All(u, 13, scale)
+		for name, want := range all {
+			got, err := Build(u, 13, name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != name || got.Name != want.Name || got.Method != want.Method {
+				t.Errorf("scale %v %s: built %q (%s), All has %q (%s)", scale, name, got.Name, got.Method, want.Name, want.Method)
+			}
+			if !slices.Equal(addrsOf(got), addrsOf(want)) {
+				t.Errorf("scale %v %s: addresses differ from All's", scale, name)
+			}
+			if !slices.Equal(prefixesOf(got), prefixesOf(want)) {
+				t.Errorf("scale %v %s: prefixes differ from All's", scale, name)
+			}
+		}
 	}
-	if got := Names(lists); len(got) != len(lists) {
-		t.Errorf("Names returned %d of %d", len(got), len(lists))
+	if _, err := Build(u, 13, "nope", 1); err == nil {
+		t.Error("Build accepted an unknown list name")
 	}
+}
+
+func addrsOf(l List) []netip.Addr {
+	if l.Addrs == nil {
+		return nil
+	}
+	return l.Addrs.Addrs()
+}
+
+func prefixesOf(l List) []netip.Prefix {
+	if l.Prefixes == nil {
+		return nil
+	}
+	return l.Prefixes.Prefixes()
 }
 
 func min(a, b int) int {

@@ -91,6 +91,5 @@ func TUM(u *netsim.Universe, rng *rand.Rand, scale Scale) (List, []Subset) {
 	zones := Fiebig(u, rand.New(rand.NewSource(rng.Int63())), Scale(float64(scale)*0.3)).Addrs.Addrs()
 	add("zonefiles", zones)
 
-	list := List{Name: "tum", Method: "Collection", Addrs: ipv6.NewSet(union)}
-	return list, subsets
+	return List{Name: "tum", Method: "Collection", Addrs: ipv6.NewSet(union)}, subsets
 }
