@@ -38,11 +38,22 @@ func (c *slowPrimeConn) EndPrime() {
 	c.replaying.Store(false)
 }
 
-func (c *slowPrimeConn) PrimeIdx(tok int, ttl uint8, at time.Duration) {
-	if c.n++; c.n%16 == 0 {
-		time.Sleep(200 * time.Microsecond)
+// PrimeRun pauses before every 16th replayed probe, splitting the run
+// there so the pause falls between the same probes it would between
+// one-probe replays.
+func (c *slowPrimeConn) PrimeRun(toks []int, ttls []uint8, at0, gap time.Duration) {
+	from := 0
+	for i, tok := range toks {
+		if tok < 0 {
+			continue
+		}
+		if c.n++; c.n%16 == 0 {
+			c.Vantage.PrimeRun(toks[from:i], ttls[from:i], at0+time.Duration(from)*gap, gap)
+			time.Sleep(200 * time.Microsecond)
+			from = i
+		}
 	}
-	c.Vantage.PrimeIdx(tok, ttl, at)
+	c.Vantage.PrimeRun(toks[from:], ttls[from:], at0+time.Duration(from)*gap, gap)
 }
 
 // noImportConn refuses bucket snapshots: the shard behind it is released

@@ -297,10 +297,12 @@ type Yarrp6 struct {
 	pkt []byte
 
 	// Send-pipeline state: idx is the permutation index buffer
-	// NextBatch fills, ring backs one pre-built packet per batch slot,
-	// pkts aliases the built packets, and rbatch/rsizes receive drained
-	// replies recvBatch at a time. All are allocated once per Run.
+	// NextBatch fills, tgts the batch's targets gathered from it, ring
+	// backs one pre-built packet per batch slot, pkts aliases the built
+	// packets, and rbatch/rsizes receive drained replies recvBatch at a
+	// time. All are allocated once per Run.
 	idx    []uint64
+	tgts   []netip.Addr
 	ring   []byte
 	pkts   [][]byte
 	rbatch []byte
@@ -719,6 +721,7 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 	}
 	if len(y.idx) < batch {
 		y.idx = make([]uint64, batch)
+		y.tgts = make([]netip.Addr, batch)
 		y.ring = make([]byte, batch*probeStride)
 		y.pkts = make([][]byte, batch)
 	}
@@ -829,14 +832,18 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 
 // buildBatch builds the probes for the drawn indices idx[from:n] into
 // their ring slots, the first stamped for departure at t0 and each
-// following one a gap later.
+// following one a gap later. The drawn targets are scattered over the
+// whole target list, so they are gathered first, in a loop of
+// independent loads, and the build then reads them in cache.
 func (y *Yarrp6) buildBatch(from, n int, t0, gap time.Duration) {
 	cfg := &y.cfg
 	nt := uint64(len(cfg.Targets))
 	for i := from; i < n; i++ {
-		v := y.idx[i]
+		y.tgts[i] = cfg.Targets[y.idx[i]%nt]
+	}
+	for i := from; i < n; i++ {
 		off := i * probeStride
-		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], cfg.Targets[v%nt], cfg.MinTTL+uint8(v/nt), t0+time.Duration(i-from)*gap)
+		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], y.tgts[i], cfg.MinTTL+uint8(y.idx[i]/nt), t0+time.Duration(i-from)*gap)
 		y.pkts[i] = y.ring[off : off+m]
 	}
 }

@@ -191,11 +191,7 @@ func (v *Vantage) lookupPlan(d *wire.Decoded) *planCore {
 			break
 		}
 		if c.dst == dstU && c.flowKey == fk {
-			v.Stats.PlanHits++
-			if c.pub != v.serial {
-				v.Stats.SharedPlanHits++
-			}
-			return c
+			return v.planHit(c)
 		}
 		if i++; i == n {
 			i = 0
@@ -215,6 +211,37 @@ func (v *Vantage) lookupPlan(d *wire.Decoded) *planCore {
 	// A failed swap means a sibling took the slot between the probe and
 	// the insert; its core (often this very flow's) stays, ours serves
 	// this probe.
+	return c
+}
+
+// gatheredPlan returns the core of the probe's gather slot gs
+// (gather.go), counted as a hit, when that core is the decoded probe's
+// flow and still sits in its slot of the current table generation; nil
+// otherwise, and the caller looks the plan up. Slots never empty within
+// a generation, so lookupPlan's window probe would have stopped at that
+// same core: the hit is the one the lookup would have counted. A slot
+// holds a core only when the calling SendBatch gathered it, which it
+// does only with a table.
+func (v *Vantage) gatheredPlan(d *wire.Decoded, gs gatherSlot) *planCore {
+	c := gs.c
+	if c == nil {
+		return nil
+	}
+	if t := v.plans.tab.Load(); t != v.gtab || t.slots[gs.slot].Load() != c {
+		return nil
+	}
+	if c.dst != ipv6.FromAddr(d.IPv6.Dst) || c.flowKey != flowKeyOf(d) {
+		return nil
+	}
+	return v.planHit(c)
+}
+
+// planHit counts a table hit on core c and returns it.
+func (v *Vantage) planHit(c *planCore) *planCore {
+	v.Stats.PlanHits++
+	if c.pub != v.serial {
+		v.Stats.SharedPlanHits++
+	}
 	return c
 }
 

@@ -20,7 +20,7 @@ import (
 // probe bytes, send time). Two mechanisms make that state exact across
 // the campaign engine's structural transformations:
 //
-//   - Prime replay (BeginPrime/PrimeFlow/PrimeIdx/EndPrime): a shard
+//   - Prime replay (BeginPrime/PrimeFlow/PrimeRun/EndPrime): a shard
 //     clone replays the serial probe schedule that precedes its
 //     permutation window, evaluating every loss draw and token-bucket
 //     consumption at the replayed instants without decoding packets,
@@ -37,7 +37,7 @@ import (
 //     including bucket consumption from fill probes, which a replay of
 //     the raw schedule alone could not reproduce.
 
-// BeginPrime opens a prime replay: PrimeFlow/PrimeIdx evaluate probes
+// BeginPrime opens a prime replay: PrimeFlow/PrimeRun evaluate probes
 // against the router token buckets at explicit replayed instants while
 // the clock stays parked, no replies are scheduled, and the fault plane
 // is never consulted (a faulted vantage's own schedule deviates from
@@ -70,7 +70,7 @@ type primeFlow struct {
 // reply-construction branches; a Yarrp6 replay touches each flow
 // ~TTL-span times, so callers register the flow once (building one
 // representative probe — flow identity is constant per target by Yarrp6
-// construction) and replay each (TTL, instant) through PrimeIdx. Tokens
+// construction) and replay each (TTL, instant) through PrimeRun. Tokens
 // are valid until EndPrime.
 func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 	if err := v.dec.Decode(pkt); err != nil {
@@ -96,15 +96,51 @@ func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 	return len(v.primeFlows) - 1, nil
 }
 
+// PrimeRun replays a run of probes of registered flows, probe i being
+// flow toks[i] at hop limit ttls[i], departing at at0 + i·gap; a
+// negative token skips its probe (its flow could not be registered) but
+// not its instant. Each probe gets the same loss/ND draws and router
+// token-bucket refill/consume send1 performs for a sent probe, with
+// everything that cannot touch a bucket — packet parsing, plan lookup,
+// reply construction — elided. Runs must be replayed in schedule order
+// (bucket refill clamps backwards time).
+//
+// The run is gathered, then replayed (gather.go): passes over the run
+// load every probe's plan core, step and router row, then the probes
+// are applied in order.
+func (v *Vantage) PrimeRun(toks []int, ttls []uint8, at0, gap time.Duration) {
+	if len(v.gather) < len(toks) {
+		v.gather = make([]gatherSlot, len(toks))
+	}
+	v.gnext = nil // the scratch no longer holds a send batch's gather
+	g := v.gather[:len(toks)]
+	for i, tok := range toks {
+		g[i] = gatherSlot{}
+		if tok >= 0 {
+			c := v.primeFlows[tok].plan
+			g[i] = gatherSlot{c: c, aux: stepOf(c, ttls[i])}
+		}
+	}
+	v.gsink += v.gatherRouters(g)
+	at := at0
+	for i, tok := range toks {
+		if tok >= 0 {
+			v.prime1(&v.primeFlows[tok], ttls[i], at)
+		}
+		at += gap
+	}
+}
+
 // PrimeIdx replays one probe of a registered flow at virtual instant at:
-// the same loss/ND draws and router token-bucket refill/consume send1
-// performs for a sent probe, with everything that cannot touch a bucket
-// — packet parsing, plan lookup, reply construction — elided. Probes
-// must be replayed in schedule order (bucket refill clamps backwards
-// time). The branch structure mirrors send1's; the prime-equivalence
-// test pins the replay to really sending the schedule.
+// the one-probe case of PrimeRun.
 func (v *Vantage) PrimeIdx(tok int, ttl uint8, at time.Duration) {
-	f := &v.primeFlows[tok]
+	v.prime1(&v.primeFlows[tok], ttl, at)
+}
+
+// prime1 replays one probe of flow f. The branch structure mirrors
+// send1's; the prime-equivalence tests pin the replay to really sending
+// the schedule.
+func (v *Vantage) prime1(f *primeFlow, ttl uint8, at time.Duration) {
 	plan := f.plan
 	pk := h(plan.fh, 40, uint64(ttl))
 	n := len(plan.steps)

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"beholder/internal/wire"
 )
 
 // primeTargets samples gateway destinations across hosting ASes: their
@@ -110,6 +112,97 @@ func TestPrimeFastPathMatchesPrime(t *testing.T) {
 	}
 	if drained == 0 {
 		t.Fatal("no bucket drained below one token; the schedule did not reach saturation")
+	}
+}
+
+// TestPrimeRunMatchesPrime replays TestPrimeFastPathMatchesPrime's
+// schedule through PrimeRun in uneven runs of 1, 7 and 64 probes, with
+// one target whose flow fails to register (its probe is undecodable, so
+// its token is skipped and a real send of it errors without effect): the
+// bucket state left behind must be byte-equal to really sending the
+// schedule and to replaying it one probe at a time through PrimeIdx.
+func TestPrimeRunMatchesPrime(t *testing.T) {
+	const (
+		maxTTL = 8
+		rounds = 16
+		gap    = 150 * time.Microsecond
+		skip   = 5 // the target whose flow fails to register
+	)
+	u := testUniverse(t)
+	v := u.NewVantage(VantageSpec{Name: "prime", Kind: KindUniversity, ChainLen: 3})
+	targets := primeTargets(u, 12)
+	probeOf := func(src netip.Addr, ti int, ttl uint8) []byte {
+		p := buildEchoProbe(src, targets[ti], ttl)
+		if ti == skip {
+			return p[:wire.IPv6HeaderLen-1]
+		}
+		return p
+	}
+
+	real := v.Clone(0)
+	primeSchedule(len(targets), maxTTL, rounds, func(ti int, ttl uint8, at time.Duration) {
+		_ = real.Send(probeOf(real.LocalAddr(), ti, ttl))
+		real.Sleep(gap)
+	})
+
+	// register returns ti's token on p, registering its flow on first
+	// use; -1 when the flow cannot be registered.
+	register := func(p *Vantage, toks []int, ti int, ttl uint8) int {
+		if toks[ti] < 0 {
+			if tok, err := p.PrimeFlow(probeOf(p.LocalAddr(), ti, ttl)); err == nil {
+				toks[ti] = tok
+			}
+		}
+		return toks[ti]
+	}
+	unregistered := func() []int {
+		toks := make([]int, len(targets))
+		for i := range toks {
+			toks[i] = -1
+		}
+		return toks
+	}
+
+	perProbe := v.Clone(0)
+	perProbe.BeginPrime()
+	toks := unregistered()
+	var sched []int // target index per schedule position
+	var ttls []uint8
+	primeSchedule(len(targets), maxTTL, rounds, func(ti int, ttl uint8, at time.Duration) {
+		if at != time.Duration(len(sched))*gap {
+			t.Fatalf("schedule position %d departs at %v, off the %v grid", len(sched), at, gap)
+		}
+		sched, ttls = append(sched, ti), append(ttls, ttl)
+		if tok := register(perProbe, toks, ti, ttl); tok >= 0 {
+			perProbe.PrimeIdx(tok, ttl, at)
+		}
+	})
+	perProbe.EndPrime()
+	if toks[skip] >= 0 {
+		t.Fatal("the undecodable probe registered a flow")
+	}
+
+	runs := v.Clone(0)
+	runs.BeginPrime()
+	toks = unregistered()
+	run := make([]int, 64)
+	sizes := []int{1, 7, 64}
+	for pos, si := 0, 0; pos < len(sched); si++ {
+		n := min(sizes[si%len(sizes)], len(sched)-pos)
+		for i := range n {
+			run[i] = register(runs, toks, sched[pos+i], ttls[pos+i])
+		}
+		runs.PrimeRun(run[:n], ttls[pos:pos+n], time.Duration(pos)*gap, gap)
+		pos += n
+	}
+	runs.EndPrime()
+
+	blobReal := real.ExportSimState(nil)
+	if !bytes.Equal(perProbe.ExportSimState(nil), blobReal) {
+		t.Fatal("per-probe PrimeIdx replay and real sends leave different bucket state")
+	}
+	if !bytes.Equal(runs.ExportSimState(nil), blobReal) {
+		t.Fatal("PrimeRun replay and real sends leave different bucket state")
 	}
 }
 

@@ -38,6 +38,13 @@ type VantageSpec struct {
 // birth appends a row to a chunk allocated once per 256 births, reply
 // buffers cycle through a free list that Recv refills, and the delivery
 // queue is an unboxed min-heap of value entries.
+//
+// SendBatch and PrimeRun gather, then act (gather.go): passes over the
+// batch load every probe's plan-table slot, plan core, step and router
+// row with loads independent of one another, and the in-order pass then
+// routes or replays on data already in cache. The gather's scratch is
+// allocated on first use, sized to the batch, and reused by a SendBatch
+// call that continues where the previous one stopped early.
 type Vantage struct {
 	u    *Universe
 	spec VantageSpec
@@ -128,6 +135,19 @@ type Vantage struct {
 	shardOrd     int
 	nextClone    int
 	errTransient faultsim.TransientSendError
+
+	// Send-batch gather (gather.go): gather[:gn] holds the gather slots
+	// of the current batch, for table generation gtab; gnext is the
+	// address of the slice element the last SendBatch call stopped before
+	// and gpos that element's gather slot, so a call that continues from
+	// it reuses the gather. gsink keeps the gathered router loads from
+	// being optimized away.
+	gather []gatherSlot
+	gtab   *planSlots
+	gnext  *[]byte
+	gpos   int
+	gn     int
+	gsink  uint64
 
 	// Prime replay (prime.go): primeSaved holds the stats EndPrime
 	// restores, primeFlows the PrimeFlow token table, valid until then.
@@ -568,7 +588,7 @@ func (d *simDelta) flush(s *SimStats) {
 // scheduling at most one reply for later Recv. Malformed packets error.
 func (v *Vantage) Send(pkt []byte) error {
 	var st simDelta
-	err := v.send1(pkt, &st)
+	err := v.send1(pkt, gatherSlot{}, &st)
 	st.flush(&v.u.Stats)
 	return err
 }
@@ -582,9 +602,20 @@ func (v *Vantage) Send(pkt []byte) error {
 // FlushStats; the clock itself still advances per packet (per-packet
 // draws are keyed on the exact send time, and clock-group watermarks
 // stay fine-grained).
+//
+// The batch is gathered before it is routed (gather.go). A call that
+// continues where the previous one stopped — pkts starting at the slice
+// element that call stopped before — reuses the gather, so a batch that
+// stops early for every few replies is still gathered once.
 func (v *Vantage) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
+	g := v.gatherBatch(pkts)
 	for i := range pkts {
-		if err := v.send1(pkts[i], &v.pend); err != nil {
+		var gs gatherSlot
+		if g != nil {
+			gs = g[i]
+		}
+		if err := v.send1(pkts[i], gs, &v.pend); err != nil {
+			v.gatherStop(pkts, g, i)
 			return i, v.deliverable(), err
 		}
 		v.clk.Sleep(gap)
@@ -592,12 +623,14 @@ func (v *Vantage) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error)
 			if v.pend.packetsRouted >= pendFlushEvery {
 				v.pend.flush(&v.u.Stats)
 			}
+			v.gatherStop(pkts, g, i+1)
 			return i + 1, true, nil
 		}
 	}
 	if v.pend.packetsRouted >= pendFlushEvery {
 		v.pend.flush(&v.u.Stats)
 	}
+	v.gatherStop(pkts, g, len(pkts))
 	return len(pkts), false, nil
 }
 
@@ -618,8 +651,9 @@ func (v *Vantage) deliverable() bool {
 
 // send1 is the shared routing core of Send and SendBatch: it decodes
 // and routes one probe, accumulating universe-stat contributions into
-// st instead of the shared atomics.
-func (v *Vantage) send1(pkt []byte, st *simDelta) error {
+// st instead of the shared atomics. gs is the probe's gather slot, zero
+// when it was not gathered.
+func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
 	if err := v.dec.Decode(pkt); err != nil {
 		return fmt.Errorf("netsim: undecodable probe: %w", err)
 	}
@@ -650,7 +684,10 @@ func (v *Vantage) send1(pkt []byte, st *simDelta) error {
 	v.Stats.Sent++
 	st.packetsRouted++
 
-	plan := v.lookupPlan(d)
+	plan := v.gatheredPlan(d, gs)
+	if plan == nil {
+		plan = v.lookupPlan(d)
+	}
 	planN := len(plan.steps)
 	ttl := int(d.IPv6.HopLimit)
 	now := v.clk.Now()

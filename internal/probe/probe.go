@@ -82,23 +82,30 @@ type ConnCheckpointer interface {
 // window-sliced run ([PermStart, PermEnd) with PermStart > 0) through
 // this interface, which is what makes N-shard reply counters match the
 // serial run even past ICMPv6 rate-limit saturation.
+//
+// The replay hands the connection runs of consecutive schedule
+// positions rather than one probe at a time, so a connection can load a
+// whole run's state before it applies the run in order (netsim gathers
+// each run's plans, steps and router rows first).
 type Primer interface {
-	// BeginPrime opens a replay: PrimeFlow and PrimeIdx evaluate probes at
-	// explicit replayed instants, mutating rate-limiter state only — no
-	// replies, no stats, no clock movement.
+	// BeginPrime opens a replay: PrimeFlow and PrimeRun evaluate probes
+	// at explicit replayed instants, mutating rate-limiter state only —
+	// no replies, no stats, no clock movement.
 	BeginPrime()
 	// PrimeFlow registers a probe's flow for replay, returning a token
-	// for PrimeIdx. A Yarrp6 schedule revisits each flow once per TTL, so
+	// for PrimeRun. A Yarrp6 schedule revisits each flow once per TTL, so
 	// registering the flow once (from any representative probe of it —
 	// flow identity is TTL-independent by construction) and replaying
 	// per-(TTL, instant) through the token skips the per-probe packet
 	// build and decode that would dominate. Tokens are valid until
 	// EndPrime.
 	PrimeFlow(pkt []byte) (int, error)
-	// PrimeIdx replays one probe of a registered flow — the one the
-	// preceding serial schedule sent at hop limit ttl and virtual instant
-	// at. Probes must be replayed in schedule order.
-	PrimeIdx(tok int, ttl uint8, at time.Duration)
+	// PrimeRun replays a run of consecutive probes of the preceding
+	// serial schedule: probe i is the one it sent for flow toks[i] at hop
+	// limit ttls[i] and virtual instant at0 + i·gap. A negative token
+	// skips its probe but not its instant. Runs must be replayed in
+	// schedule order.
+	PrimeRun(toks []int, ttls []uint8, at0, gap time.Duration)
 	// EndPrime closes the replay.
 	EndPrime()
 }

@@ -15,7 +15,7 @@ import (
 
 // slowPrimer slows the prime replay: every `every`-th replayed probe
 // takes delay of the supervision clock. Virtual time, and so every
-// result byte, is untouched; everything but PrimeIdx promotes from the
+// result byte, is untouched; everything but PrimeRun promotes from the
 // embedded vantage.
 type slowPrimer struct {
 	*netsim.Vantage
@@ -25,11 +25,22 @@ type slowPrimer struct {
 	n     int
 }
 
-func (p *slowPrimer) PrimeIdx(tok int, ttl uint8, at time.Duration) {
-	if p.n++; p.n%p.every == 0 {
-		p.clk.advance(p.delay)
+// PrimeRun advances the clock before every `every`-th replayed probe,
+// splitting the run there so the advance falls between the same probes
+// it would between one-probe replays.
+func (p *slowPrimer) PrimeRun(toks []int, ttls []uint8, at0, gap time.Duration) {
+	from := 0
+	for i, tok := range toks {
+		if tok < 0 {
+			continue
+		}
+		if p.n++; p.n%p.every == 0 {
+			p.Vantage.PrimeRun(toks[from:i], ttls[from:i], at0+time.Duration(from)*gap, gap)
+			p.clk.advance(p.delay)
+			from = i
+		}
 	}
-	p.Vantage.PrimeIdx(tok, ttl, at)
+	p.Vantage.PrimeRun(toks[from:], ttls[from:], at0+time.Duration(from)*gap, gap)
 }
 
 // TestWatchdogSparesSlowReplay: the prime replay is uninterruptible and
