@@ -238,22 +238,26 @@ func TestFacadeShardedCampaignMatches(t *testing.T) {
 	}
 }
 
-// TestExperimentWorkersEquality: the campaign matrix rendered with
-// concurrent workers must be byte-identical to the serial rendering —
-// cells are isolated, so parallelism is invisible in the artifacts.
+// TestExperimentWorkersEquality: the campaign matrix and the graph
+// study rendered with concurrent supervisor workers must be
+// byte-identical to the serial rendering — campaigns are isolated, so
+// parallelism is invisible in the artifacts.
 func TestExperimentWorkersEquality(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	render := func(workers int) (string, string) {
+	render := func(workers int) (string, string, string) {
 		e := NewExperiments(ExpOptions{Seed: 7, Scale: 0.1, Small: true, Rate: 2000, Workers: workers})
-		return e.Table7().Render(), e.Figure6().Render()
+		return e.Table7().Render(), e.Figure6().Render(), e.GraphStudy().Render()
 	}
-	t1, f1 := render(1)
-	t4, f4 := render(4)
+	t1, f1, g1 := render(1)
+	t4, f4, g4 := render(4)
 	if t1 != t4 {
 		t.Error("Table 7 differs between 1 and 4 workers")
 	}
 	if f1 != f4 {
 		t.Error("Figure 6 differs between 1 and 4 workers")
+	}
+	if g1 != g4 {
+		t.Error("graph study differs between 1 and 4 workers")
 	}
 }
 

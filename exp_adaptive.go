@@ -15,7 +15,6 @@ import (
 
 	"beholder/internal/core"
 	"beholder/internal/gen6prob"
-	"beholder/internal/netsim"
 	"beholder/internal/probe"
 	"beholder/internal/sixgen"
 	"beholder/internal/target"
@@ -57,29 +56,22 @@ func (e *Experiments) AdaptiveStudy() *Table {
 		t.AddRow(name, itoa(int(targets)), kfmt(probes), itoa(int(ifaces)), perK)
 	}
 
-	// Static pipelines: a fixed target list walked once by the serial
-	// prober, truncated to the shared budget.
-	runStatic := func(name string, targets []netip.Addr) {
-		if len(targets) > nTargets {
-			targets = targets[:nTargets]
-		}
-		v := e.adaptiveVantage().Clone(0)
-		store := probe.NewStore(true)
-		stats, err := core.New(v, core.Config{
-			Targets: targets,
-			PPS:     e.opt.Rate,
-			MaxTTL:  maxTTL,
-			Proto:   wire.ProtoICMPv6,
-			Key:     key,
-		}).Run(store)
-		if err != nil {
-			panic("beholder: adaptive study campaign failed: " + err.Error())
-		}
-		addRow(name, int64(len(targets)), stats.ProbesSent, int64(store.NumInterfaces()))
+	// Static pipelines: a fixed target list walked once, truncated to
+	// the shared budget.
+	static := []struct {
+		name    string
+		targets []netip.Addr
+	}{
+		{"static lowbyte (z64)", e.targetSet("dnsdb", 64, target.LowByte1).Targets.Addrs()},
+		{"static 6gen", sixgen.Generate(seedAddrs, sixgen.DefaultConfig(nTargets))},
 	}
-	lb := e.targetSet("dnsdb", 64, target.LowByte1)
-	runStatic("static lowbyte (z64)", lb.Targets.Addrs())
-	runStatic("static 6gen", sixgen.Generate(seedAddrs, sixgen.DefaultConfig(nTargets)))
+	subs := make([]submission, len(static))
+	for i, st := range static {
+		subs[i] = submission{e.vantage(0), st.targets[:min(len(st.targets), nTargets)], SubmitOptions{MaxTTL: maxTTL, Key: key}}
+	}
+	for i, r := range e.supervise(subs) {
+		addRow(static[i].name, int64(len(subs[i].targets)), r.Stats.ProbesSent, int64(r.Store.NumInterfaces()))
+	}
 
 	// Adaptive pipeline: same seeds, same vantage conditions, same
 	// budget — but the domain grows at epoch boundaries from discovery
@@ -93,20 +85,10 @@ func (e *Experiments) AdaptiveStudy() *Table {
 	return t
 }
 
-// adaptiveVantage attaches the study's EU-NET vantage (a fresh handle
-// each call; clones carry the per-run state).
-func (e *Experiments) adaptiveVantage() *netsim.Vantage {
-	return e.in.u.NewVantage(netsim.VantageSpec{
-		Name:     vantageSpecs[0].name,
-		Kind:     vantageSpecs[0].kind,
-		ChainLen: vantageSpecs[0].chain,
-	})
-}
-
 // runAdaptive drives one gen6prob-fed adaptive campaign over pristine
 // vantage clones and returns the merged store and run statistics.
 func (e *Experiments) runAdaptive(seedAddrs []netip.Addr, key uint64, budget int64, maxTTL uint8) (*probe.Store, core.CampaignStats) {
-	pv := e.adaptiveVantage()
+	pv := e.vantage(0).v
 	src := gen6prob.New(seedAddrs, gen6prob.Config{Key: key})
 	acfg := core.AdaptiveConfig{
 		CampaignConfig: core.CampaignConfig{

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 
 	"beholder/internal/alias"
-	"beholder/internal/netsim"
 	"beholder/internal/target"
 )
 
@@ -28,11 +27,7 @@ func (e *Experiments) AliasStudy() *Table {
 		set := e.targetSet(s, 64, target.FixedIID)
 		cands := alias.Candidates(set.Targets, 64)
 
-		e.in.Reset()
-		v := e.in.u.NewVantage(netsim.VantageSpec{
-			Name: vantageSpecs[0].name, Kind: vantageSpecs[0].kind, ChainLen: vantageSpecs[0].chain,
-		})
-		det := alias.NewDetector(v, alias.DefaultParams())
+		det := alias.NewDetector(e.trialVantage(0), alias.DefaultParams())
 		rng := rand.New(rand.NewSource(e.opt.Seed + 0xa11a5))
 		res := det.Detect(cands, rng)
 

@@ -13,14 +13,11 @@ import (
 	"beholder/internal/probe"
 	"beholder/internal/target"
 	"beholder/internal/trace"
-	"beholder/internal/wire"
 )
 
 // allCampaigns runs the full Table 7 matrix: every vantage, every
-// campaign seed, both aggregation levels. The cells are independent
-// (a shared read-only universe, a private cloned vantage each) and run
-// concurrently, up to ExpOptions.Workers at a time; results are
-// identical at any worker count.
+// campaign seed, both aggregation levels — 48 campaigns, submitted to
+// the supervisor at once.
 func (e *Experiments) allCampaigns() []*campResult {
 	var cells []campCell
 	for vidx := range vantageSpecs {
@@ -244,7 +241,7 @@ func (e *Experiments) Figure7() *Figure {
 		plot(c.setName, c)
 	}
 	// Random control.
-	plot("random", e.runCampaign(0, e.targetSet("random", 64, target.FixedIID), wire.ProtoICMPv6, 16, true))
+	plot("random", e.runCampaign(0, e.targetSet("random", 64, target.FixedIID)))
 	fig.Notes = append(fig.Notes,
 		"Expected shape: caida saturates early (breadth, no depth); random decays; 6gen mirrors random at an offset; cdn-k32 and tum keep discovering.")
 	return fig
@@ -298,7 +295,7 @@ func (e *Experiments) PlatformValidation() *Table {
 	// One Yarrp6 vantage, cdn-k32 targets (the paper's headline: an
 	// order of magnitude more interfaces than the platforms).
 	set := e.targetSet("cdn-k32", 64, target.FixedIID)
-	c := e.runCampaign(0, set, wire.ProtoICMPv6, 16, true)
+	c := e.runCampaign(0, set)
 	t.AddRow("Yarrp6 (1 vantage)", "1", kfmt(int64(c.targets)), kfmt(c.stats.ProbesSent), kfmt(int64(len(c.ifaces))))
 	t.Notes = append(t.Notes,
 		"Expected shape: Yarrp6 from a single vantage discovers a large multiple of the sequential platforms' interfaces.")

@@ -9,16 +9,10 @@ package beholder
 // against the simulator's exact aliased ground truth.
 
 import (
-	"sync"
-
 	"beholder/internal/alias"
 	"beholder/internal/analysis"
-	"beholder/internal/core"
 	"beholder/internal/graph"
-	"beholder/internal/netsim"
-	"beholder/internal/probe"
 	"beholder/internal/target"
-	"beholder/internal/wire"
 )
 
 // graphStudySeed is the target set the graph study probes: fdns_any
@@ -26,61 +20,22 @@ import (
 // router-collapse pass has real work to do.
 const graphStudySeed = "fdns_any"
 
-// graphCampaigns runs (or fetches) one campaign per vantage and returns
-// their graphs, in vantageSpecs order. The three campaigns probe through
-// independent cloned vantages of the shared read-only universe, so they
-// run concurrently with deterministic results.
+// graphCampaigns runs (or fetches) one campaign per vantage, together
+// under the supervisor, and returns their graphs in vantageSpecs order.
 func (e *Experiments) graphCampaigns() []*graph.Graph {
-	e.mu.Lock()
 	if e.graphs != nil {
-		gs := e.graphs
-		e.mu.Unlock()
-		return gs
+		return e.graphs
 	}
-	e.mu.Unlock()
-
 	set := e.targetSet(graphStudySeed, 64, target.FixedIID)
-	gs := make([]*graph.Graph, len(vantageSpecs))
-	// Honor the suite-wide Workers bound the way runCampaigns does:
-	// cells are independent (cloned vantages, read-only universe), so
-	// the result is identical at any worker count.
-	sem := make(chan struct{}, max(1, min(e.opt.Workers, len(vantageSpecs))))
-	var wg sync.WaitGroup
+	subs := make([]submission, len(vantageSpecs))
 	for i := range vantageSpecs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			v := e.in.u.NewVantage(netsim.VantageSpec{
-				Name:     vantageSpecs[i].name,
-				Kind:     vantageSpecs[i].kind,
-				ChainLen: vantageSpecs[i].chain,
-			}).Clone(0)
-			store := probe.NewStore(true)
-			y := core.New(v, core.Config{
-				Targets: set.Targets.Addrs(),
-				PPS:     e.opt.Rate,
-				MaxTTL:  16,
-				Proto:   wire.ProtoICMPv6,
-				Key:     uint64(e.opt.Seed) ^ 0x67726166 ^ uint64(i)<<32,
-				Fill:    true,
-			})
-			if _, err := y.Run(store); err != nil {
-				panic("beholder: graph campaign failed: " + err.Error())
-			}
-			gs[i] = graph.FromStore(store, vantageSpecs[i].name, wire.ProtoICMPv6)
-		}(i)
+		subs[i] = submission{e.vantage(i), set.Targets.Addrs(),
+			SubmitOptions{MaxTTL: 16, Fill: true, Key: uint64(e.opt.Seed) ^ 0x67726166 ^ uint64(i)<<32}}
 	}
-	wg.Wait()
-
-	e.mu.Lock()
-	if e.graphs == nil {
-		e.graphs = gs
+	for _, r := range e.supervise(subs) {
+		e.graphs = append(e.graphs, r.Graph)
 	}
-	gs = e.graphs
-	e.mu.Unlock()
-	return gs
+	return e.graphs
 }
 
 // GraphUnion returns the cross-vantage union of the graph study's

@@ -8,10 +8,8 @@ import (
 	"net/netip"
 
 	"beholder/internal/analysis"
-	"beholder/internal/core"
 	"beholder/internal/ipv6"
 	"beholder/internal/netsim"
-	"beholder/internal/probe"
 	"beholder/internal/subnet"
 	"beholder/internal/target"
 )
@@ -103,20 +101,18 @@ func (e *Experiments) SubnetValidation() *Table {
 	}
 	tgtSet := ipv6.NewSet(targets)
 
-	run := func(tgts []netip.Addr) subnet.ValidationReport {
-		e.in.Reset()
-		v := e.in.u.NewVantage(netsim.VantageSpec{Name: "EU-NET", Kind: netsim.KindHosting, ChainLen: 3})
-		store := probe.NewStore(true)
-		y := core.New(v, core.Config{Targets: tgts, PPS: e.opt.Rate, MaxTTL: 24, Fill: true, Key: 55})
-		if _, err := y.Run(store); err != nil {
-			panic("beholder: validation campaign failed: " + err.Error())
-		}
-		res := subnet.Discover(store, e.in.u.Table(), v.AS().ASN, subnet.DefaultParams())
-		return subnet.Validate(res.Candidates, truth)
+	// The dense and stratified campaigns, from the EU-NET vantage.
+	v := e.vantage(0)
+	opt := SubmitOptions{MaxTTL: 24, Fill: true, Key: 55}
+	var reports []subnet.ValidationReport
+	for _, r := range e.supervise([]submission{
+		{v, tgtSet.Addrs(), opt},
+		{v, subnet.StratifiedSample(tgtSet.Addrs(), truth), opt},
+	}) {
+		res := subnet.Discover(r.Store, e.in.u.Table(), v.v.AS().ASN, subnet.DefaultParams())
+		reports = append(reports, subnet.Validate(res.Candidates, truth))
 	}
-
-	dense := run(tgtSet.Addrs())
-	strat := run(subnet.StratifiedSample(tgtSet.Addrs(), truth))
+	dense, strat := reports[0], reports[1]
 
 	t := &Table{
 		ID:      "Subnet validation (§6)",

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"beholder/internal/analysis"
-	"beholder/internal/core"
 	"beholder/internal/netsim"
 	"beholder/internal/probe"
 	"beholder/internal/target"
@@ -16,27 +15,20 @@ import (
 	"beholder/internal/wire"
 )
 
-// trialVantage creates the canonical trial vantage on pristine state.
+// trialVantage creates the canonical trial vantage on pristine state,
+// for the baseline probers that drive it directly.
 func (e *Experiments) trialVantage(idx int) *netsim.Vantage {
 	e.in.Reset()
-	spec := vantageSpecs[idx]
-	return e.in.u.NewVantage(netsim.VantageSpec{Name: spec.name, Kind: spec.kind, ChainLen: spec.chain})
+	return e.vantage(idx).v
 }
 
-// runTrial executes one non-cached campaign and returns its store and
-// stats.
-func (e *Experiments) runTrial(v *netsim.Vantage, targets []netip.Addr, cfg core.Config) (*probe.Store, core.Stats) {
-	store := probe.NewStore(true)
-	cfg.Targets = targets
-	if cfg.PPS == 0 {
-		cfg.PPS = e.opt.Rate
+// runTrial runs one non-cached Yarrp6 campaign from vantageSpecs[idx]
+// on pristine state, under the supervisor.
+func (e *Experiments) runTrial(idx int, targets []netip.Addr, opt SubmitOptions) (res *CampaignResult) {
+	e.in.Reset()
+	for _, res = range e.supervise([]submission{{e.vantage(idx), targets, opt}}) {
 	}
-	y := core.New(v, cfg)
-	stats, err := y.Run(store)
-	if err != nil {
-		panic("beholder: trial failed: " + err.Error())
-	}
-	return store, stats
+	return res
 }
 
 // Table3 reproduces "ICMPv6 Trial Results by Transformation": probing
@@ -53,10 +45,9 @@ func (e *Experiments) Table3() *Table {
 	results := make(map[int]*res)
 	for _, n := range levels {
 		set := e.targetSet("fdns_any", n, target.FixedIID)
-		v := e.trialVantage(0)
-		store, stats := e.runTrial(v, set.Targets.Addrs(), core.Config{MaxTTL: 16, Key: uint64(n)})
-		r := &res{probes: stats.ProbesSent, other: store.OtherICMPv6(), ifaces: make(map[netip.Addr]struct{})}
-		store.ForEachInterface(func(a netip.Addr) { r.ifaces[a] = struct{}{} })
+		tr := e.runTrial(0, set.Targets.Addrs(), SubmitOptions{MaxTTL: 16, Key: uint64(n)})
+		r := &res{probes: tr.Stats.ProbesSent, other: tr.Store.OtherICMPv6(), ifaces: make(map[netip.Addr]struct{})}
+		tr.Store.ForEachInterface(func(a netip.Addr) { r.ifaces[a] = struct{}{} })
 		results[n] = r
 	}
 	// Exclusive interfaces per level.
@@ -108,17 +99,15 @@ func (e *Experiments) Table4() *Table {
 
 	for _, synth := range []target.Synth{target.LowByte1, target.FixedIID} {
 		set := e.targetSet("cdn-k256", 64, synth)
-		v := e.trialVantage(0)
 		// UDP probes so port-unreachable can appear, as with the paper's
 		// transport trials toward known hosts.
-		store, _ := e.runTrial(v, set.Targets.Addrs(), core.Config{MaxTTL: 16, Proto: wire.ProtoUDP, Key: 44})
-		mixes = append(mixes, collect(store))
+		tr := e.runTrial(0, set.Targets.Addrs(), SubmitOptions{MaxTTL: 16, Transport: "udp", Key: 44})
+		mixes = append(mixes, collect(tr.Store))
 		labels = append(labels, "CDN-k256 z64 "+synth.String())
 	}
 	known := e.targetSet("fiebig", 0, target.Known)
-	v := e.trialVantage(0)
-	store, _ := e.runTrial(v, known.Targets.Addrs(), core.Config{MaxTTL: 16, Proto: wire.ProtoUDP, Key: 45})
-	mixes = append(mixes, collect(store))
+	tr := e.runTrial(0, known.Targets.Addrs(), SubmitOptions{MaxTTL: 16, Transport: "udp", Key: 45})
+	mixes = append(mixes, collect(tr.Store))
 	labels = append(labels, "Fiebig known")
 
 	t := &Table{
@@ -158,18 +147,17 @@ func (e *Experiments) Table6() *Table {
 		Title:   "Fill Mode Trial Results (caida targets, fill limit 32)",
 		Headers: []string{"MaxTTL", "Probes", "Fills", "Int Addrs", "Yield %"},
 	}
-	for _, maxTTL := range []uint8{4, 8, 16, 32} {
-		v := e.trialVantage(0)
-		fill := maxTTL < 32
-		store, stats := e.runTrial(v, set.Targets.Addrs(), core.Config{
-			MaxTTL: maxTTL, Fill: fill, FillLimit: 32, Key: uint64(maxTTL),
+	for _, maxTTL := range []int{4, 8, 16, 32} {
+		tr := e.runTrial(0, set.Targets.Addrs(), SubmitOptions{
+			MaxTTL: maxTTL, Fill: maxTTL < 32, Key: uint64(maxTTL),
 		})
+		stats := tr.Stats
 		yield := 0.0
 		if stats.ProbesSent > 0 {
-			yield = float64(store.NumInterfaces()) / float64(stats.ProbesSent) * 100
+			yield = float64(tr.Store.NumInterfaces()) / float64(stats.ProbesSent) * 100
 		}
-		t.AddRow(itoa(int(maxTTL)), kfmt(stats.ProbesSent), kfmt(stats.Fills),
-			kfmt(int64(store.NumInterfaces())), fmtF(yield, 1))
+		t.AddRow(itoa(maxTTL), kfmt(stats.ProbesSent), kfmt(stats.Fills),
+			kfmt(int64(tr.Store.NumInterfaces())), fmtF(yield, 1))
 	}
 	t.Notes = append(t.Notes,
 		"Expected shape: an intermediate MaxTTL maximizes yield per probe; 32 wastes probes past path ends, tiny MaxTTLs strand fill mode behind unresponsive hops.")
@@ -206,10 +194,9 @@ func (e *Experiments) Figure5() (a, b *Figure) {
 				seqStore, maxTTL, len(targets)))
 
 			// Yarrp6: randomized.
-			v = e.trialVantage(vidx + 1)
-			yStore, _ := e.runTrial(v, targets, core.Config{MaxTTL: maxTTL, PPS: rate, Key: uint64(rate)})
+			y := e.runTrial(vidx+1, targets, SubmitOptions{MaxTTL: maxTTL, Rate: rate, Key: uint64(rate)})
 			fig.Series = append(fig.Series, perHopSeries("yarrp (rand) "+kfmt(int64(rate))+"pps",
-				yStore, maxTTL, len(targets)))
+				y.Store, maxTTL, len(targets)))
 		}
 		fig.Notes = append(fig.Notes,
 			"Expected shape: methods tie at 20pps; at 1k/2kpps sequential's hop-1 responsiveness collapses under ICMPv6 rate limiting while randomized stays near its slow-rate level.")
@@ -239,12 +226,8 @@ func (e *Experiments) ProtocolComparison() *Table {
 		Title:   "Transport protocol trial (caida targets, 20pps-equivalent)",
 		Headers: []string{"Transport", "Int Addrs", "Non-TE ICMPv6", "Reached"},
 	}
-	for _, p := range []struct {
-		name  string
-		proto uint8
-	}{{"ICMPv6", wire.ProtoICMPv6}, {"UDP", wire.ProtoUDP}, {"TCP", wire.ProtoTCP}} {
-		v := e.trialVantage(0)
-		store, _ := e.runTrial(v, set.Targets.Addrs(), core.Config{MaxTTL: 16, Proto: p.proto, Key: 77})
+	for _, p := range []struct{ name, transport string }{{"ICMPv6", "icmp6"}, {"UDP", "udp"}, {"TCP", "tcp"}} {
+		store := e.runTrial(0, set.Targets.Addrs(), SubmitOptions{MaxTTL: 16, Transport: p.transport, Key: 77}).Store
 		reached := 0
 		for _, tr := range store.Traces() {
 			if tr.Reached {
@@ -282,11 +265,10 @@ func (e *Experiments) DoubletreeStudy() *Table {
 		t.AddRow("doubletree", kfmt(int64(rate))+"pps", kfmt(dtStats.ProbesSent),
 			kfmt(int64(dtStore.NumInterfaces())), pct(dtResp[0]), kfmt(dtDrops))
 
-		v = e.trialVantage(0)
-		yStore, yStats := e.runTrial(v, targets, core.Config{MaxTTL: 16, PPS: rate, Key: uint64(rate) + 9})
-		yResp := analysis.PerHopResponsiveness(yStore, 16, len(targets))
-		t.AddRow("yarrp6", kfmt(int64(rate))+"pps", kfmt(yStats.ProbesSent),
-			kfmt(int64(yStore.NumInterfaces())), pct(yResp[0]), kfmt(e.in.u.Stats.RateLimitDropped))
+		y := e.runTrial(0, targets, SubmitOptions{MaxTTL: 16, Rate: rate, Key: uint64(rate) + 9})
+		yResp := analysis.PerHopResponsiveness(y.Store, 16, len(targets))
+		t.AddRow("yarrp6", kfmt(int64(rate))+"pps", kfmt(y.Stats.ProbesSent),
+			kfmt(int64(y.Store.NumInterfaces())), pct(yResp[0]), kfmt(e.in.u.Stats.RateLimitDropped))
 	}
 	t.Notes = append(t.Notes,
 		"Expected shape: Doubletree saves probes via stop sets but its backward probing keeps draining near-hop buckets at high rate; Yarrp6 sustains hop-1 responsiveness.")

@@ -1,22 +1,19 @@
 package beholder
 
 import (
+	"context"
+	"iter"
 	"math/rand"
 	"net/netip"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"beholder/internal/analysis"
 	"beholder/internal/core"
 	"beholder/internal/graph"
-	"beholder/internal/netsim"
-	"beholder/internal/probe"
 	"beholder/internal/seeds"
 	"beholder/internal/subnet"
 	"beholder/internal/target"
-	"beholder/internal/wire"
 )
 
 // ExpOptions scales the experiment suite. The defaults regenerate every
@@ -27,10 +24,12 @@ type ExpOptions struct {
 	Scale float64 // seed-list scale (1.0 = campaign scale)
 	Small bool    // use the small universe (tests, quick benches)
 	Rate  float64 // campaign probing rate in pps (default 1000)
-	// Workers bounds how many campaign-matrix cells (Table 7, Figures
-	// 6/7) run concurrently. Cells share one universe that is read-only
-	// on the packet path (event counters are atomic) and each probes
-	// through its own cloned vantage owning all mutable state, so cells
+	// Workers is the worker count of the campaign supervisor every
+	// static campaign runs under, as in beholderd: how many of a batch's
+	// campaigns (the Table 7 matrix, the graph study's vantages) probe
+	// concurrently. Campaigns share one universe that is read-only on
+	// the packet path (event counters are atomic) and each probes
+	// through its own cloned vantage owning all mutable state, so they
 	// race nothing and the rendered tables are identical at any worker
 	// count. Default: GOMAXPROCS.
 	Workers int
@@ -54,14 +53,11 @@ func (o *ExpOptions) setDefaults() {
 // Experiments regenerates the paper's evaluation. Each method returns a
 // renderable Table or Figure; expensive intermediates (seed lists,
 // target sets, the Table 7 campaign matrix) are computed once and
-// shared.
+// shared. Its methods must not be called concurrently.
 type Experiments struct {
 	opt ExpOptions
 	in  *Internet
 
-	// mu guards the lazily built caches below; campaign-matrix workers
-	// populate them concurrently.
-	mu         sync.Mutex
 	lists      map[string]seeds.List
 	tumSubsets []seeds.Subset
 
@@ -104,12 +100,6 @@ func NewExperiments(opt ExpOptions) *Experiments {
 func (e *Experiments) Internet() *Internet { return e.in }
 
 func (e *Experiments) seedLists() map[string]seeds.List {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.seedListsLocked()
-}
-
-func (e *Experiments) seedListsLocked() map[string]seeds.List {
 	if e.lists == nil {
 		e.lists, e.tumSubsets = seeds.All(e.in.u, e.opt.Seed, seeds.Scale(e.opt.Scale))
 	}
@@ -119,13 +109,11 @@ func (e *Experiments) seedListsLocked() map[string]seeds.List {
 // targetSet builds (and caches) one target set.
 func (e *Experiments) targetSet(seedName string, zn int, synth target.Synth) *target.Set {
 	spec := target.Spec{SeedName: seedName, ZN: zn, Synth: synth}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if s, ok := e.targetSets[spec.Name()]; ok {
 		return s
 	}
 	rng := rand.New(rand.NewSource(e.opt.Seed + int64(zn)))
-	s := target.Build(e.seedListsLocked()[seedName], spec, rng)
+	s := target.Build(e.seedLists()[seedName], spec, rng)
 	e.targetSets[spec.Name()] = s
 	return s
 }
@@ -138,13 +126,12 @@ var campaignSeeds = []string{"cdn-k32", "tum", "fdns_any", "dnsdb", "6gen", "cdn
 // on-premise path reproduces its lower yield and longer median paths
 // (Section 5.3).
 var vantageSpecs = []struct {
-	name  string
-	kind  netsim.ASKind
-	chain int
+	name, kind string
+	chain      int
 }{
-	{"EU-NET", netsim.KindHosting, 3},
-	{"US-EDU-1", netsim.KindUniversity, 4},
-	{"US-EDU-2", netsim.KindUniversity, 8},
+	{"EU-NET", "hosting", 3},
+	{"US-EDU-1", "university", 4},
+	{"US-EDU-2", "university", 8},
 }
 
 // campResult is the retained summary of one (vantage, target set)
@@ -153,7 +140,6 @@ var vantageSpecs = []struct {
 type campResult struct {
 	vantage  string
 	setName  string
-	traces   int64
 	targets  int
 	stats    core.Stats
 	progress []ProgressPoint // the discovery series Figure 7 plots
@@ -170,48 +156,61 @@ type campResult struct {
 	iaCount       int
 }
 
-// runCampaign executes one single-shard Yarrp6 campaign with path
-// recording and summarizes it. Each campaign probes through a cloned
-// vantage with a private clock opened at zero and pristine
-// (vantage-owned) token buckets — exactly the conditions the old
-// shared-universe-plus-Reset regime provided — while the universe itself
-// is shared read-only, so independent matrix cells run concurrently
-// without rebuilding topology.
-func (e *Experiments) runCampaign(vspec int, set *target.Set, proto uint8, maxTTL uint8, fill bool) *campResult {
-	key := vantageSpecs[vspec].name + "/" + set.Name()
-	e.mu.Lock()
-	if c, ok := e.campaigns[key]; ok {
-		e.mu.Unlock()
-		return c
+// vantage attaches vantageSpecs[i] to the suite's universe.
+func (e *Experiments) vantage(i int) *Vantage {
+	vs := vantageSpecs[i]
+	return e.in.NewVantageAt(vs.name, vs.kind, vs.chain)
+}
+
+// submission is one static campaign for supervise: the vantage it
+// probes from, its targets, and its probing options (Rate zero means
+// ExpOptions.Rate; supervise names the tenant and campaign).
+type submission struct {
+	v       *Vantage
+	targets []netip.Addr
+	opt     SubmitOptions
+}
+
+// supervise runs static campaigns the way beholderd runs them: under a
+// campaign Scheduler on the suite's universe, Workers at a time. Every
+// campaign probes from a clone of its vantage opened at virtual zero
+// with pristine (clone-owned) router state, so the results are
+// identical at any worker count. It yields them in submission order,
+// each as soon as its campaign completes, so the caller's work on one
+// overlaps the probing of the next. A campaign that does not complete
+// panics, as an engine error would.
+func (e *Experiments) supervise(subs []submission) iter.Seq2[int, *CampaignResult] {
+	return func(yield func(int, *CampaignResult) bool) {
+		s, err := e.in.NewScheduler(SchedulerOptions{
+			Tenants:    []Tenant{{Name: "experiments"}},
+			Workers:    e.opt.Workers,
+			QueueLimit: len(subs),
+		})
+		if err != nil {
+			panic("beholder: " + err.Error())
+		}
+		defer s.Drain(context.Background())
+		hs := make([]*CampaignHandle, len(subs))
+		for i, sub := range subs {
+			sub.opt.Tenant, sub.opt.Name = "experiments", itoa(i)
+			if sub.opt.Rate == 0 {
+				sub.opt.Rate = e.opt.Rate
+			}
+			if hs[i], err = s.Submit(sub.v, sub.targets, sub.opt); err != nil {
+				panic("beholder: campaign rejected: " + err.Error())
+			}
+		}
+		for i, h := range hs {
+			<-h.Done()
+			r := h.Result()
+			if r.State != CampaignCompleted {
+				panic("beholder: campaign " + r.State.String() + " (" + r.Reason + ")")
+			}
+			if !yield(i, r) {
+				return
+			}
+		}
 	}
-	e.mu.Unlock()
-	u := e.in.u
-	v := u.NewVantage(netsim.VantageSpec{
-		Name:     vantageSpecs[vspec].name,
-		Kind:     vantageSpecs[vspec].kind,
-		ChainLen: vantageSpecs[vspec].chain,
-	}).Clone(0)
-	camp := core.NewCampaign(core.CampaignConfig{
-		Config: core.Config{
-			Targets: set.Targets.Addrs(),
-			PPS:     e.opt.Rate,
-			MaxTTL:  maxTTL,
-			Proto:   proto,
-			Key:     uint64(e.opt.Seed) ^ uint64(vspec)<<32,
-			Fill:    fill,
-		},
-		RecordPaths: true,
-	}, func(int, time.Duration) probe.Conn { return v })
-	store, stats, err := camp.Run()
-	if err != nil {
-		panic("beholder: campaign failed: " + err.Error())
-	}
-	c := e.summarize(u, vantageSpecs[vspec].name, set, store, stats.Stats, v.AS().ASN)
-	c.progress = stats.Progress
-	e.mu.Lock()
-	e.campaigns[key] = c
-	e.mu.Unlock()
-	return c
 }
 
 // campCell names one cell of the campaign matrix.
@@ -220,52 +219,47 @@ type campCell struct {
 	set   *target.Set
 }
 
-// runCampaigns executes the given matrix cells, up to Workers at a time,
-// returning results in cell order. Cells are independent — a shared
-// read-only universe with per-cell cloned vantages, cache writes under
-// the mutex — so the result is identical at any worker count.
+// runCampaign runs (or fetches) one cell of the campaign matrix.
+func (e *Experiments) runCampaign(vspec int, set *target.Set) *campResult {
+	return e.runCampaigns([]campCell{{vspec, set}})[0]
+}
+
+// runCampaigns runs the matrix cells not yet cached — single-shard
+// ICMPv6 Yarrp6 campaigns at maxTTL 16 with fill, under the supervisor
+// — and returns every cell's summary in cell order.
 func (e *Experiments) runCampaigns(cells []campCell) []*campResult {
-	out := make([]*campResult, len(cells))
-	workers := e.opt.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i, c := range cells {
-			out[i] = e.runCampaign(c.vspec, c.set, wire.ProtoICMPv6, 16, true)
+	key := func(c campCell) string { return vantageSpecs[c.vspec].name + "/" + c.set.Name() }
+	var todo []campCell
+	var subs []submission
+	for _, c := range cells {
+		if _, ok := e.campaigns[key(c)]; !ok {
+			todo = append(todo, c)
+			subs = append(subs, submission{e.vantage(c.vspec), c.set.Targets.Addrs(),
+				SubmitOptions{MaxTTL: 16, Fill: true, Key: uint64(e.opt.Seed) ^ uint64(c.vspec)<<32}})
 		}
-		return out
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = e.runCampaign(cells[i].vspec, cells[i].set, wire.ProtoICMPv6, 16, true)
-			}
-		}()
+	for i, r := range e.supervise(subs) {
+		c := todo[i]
+		e.campaigns[key(c)] = e.summarize(vantageSpecs[c.vspec].name, c.set, r, subs[i].v.v.AS().ASN)
 	}
-	for i := range cells {
-		idx <- i
+	out := make([]*campResult, len(cells))
+	for i, c := range cells {
+		out[i] = e.campaigns[key(c)]
 	}
-	close(idx)
-	wg.Wait()
 	return out
 }
 
-func (e *Experiments) summarize(u *netsim.Universe, vantage string, set *target.Set, store *probe.Store, stats core.Stats, vantageASN uint32) *campResult {
-	table := u.Table()
+func (e *Experiments) summarize(vantage string, set *target.Set, r *CampaignResult, vantageASN uint32) *campResult {
+	table, store := e.in.u.Table(), r.Store
 	c := &campResult{
-		vantage: vantage,
-		setName: set.Name(),
-		traces:  int64(set.Targets.Len()),
-		targets: set.Targets.Len(),
-		stats:   stats,
-		ifaces:  make(map[netip.Addr]struct{}),
-		pfxs:    make(map[netip.Prefix]struct{}),
-		asns:    make(map[uint32]struct{}),
+		vantage:  vantage,
+		setName:  set.Name(),
+		targets:  set.Targets.Len(),
+		stats:    r.Stats.Stats,
+		progress: r.Stats.Progress,
+		ifaces:   make(map[netip.Addr]struct{}),
+		pfxs:     make(map[netip.Prefix]struct{}),
+		asns:     make(map[uint32]struct{}),
 	}
 	store.ForEachInterface(func(a netip.Addr) {
 		c.ifaces[a] = struct{}{}
@@ -291,8 +285,7 @@ func (e *Experiments) summarize(u *netsim.Universe, vantage string, set *target.
 }
 
 // z64Campaigns runs (or fetches) the EU-NET z64 campaign for every
-// Table 7 seed, the inputs to Figures 6, 7, and 8. Uncached cells run
-// concurrently, up to Workers at a time.
+// Table 7 seed, the inputs to Figures 6, 7, and 8.
 func (e *Experiments) z64Campaigns() []*campResult {
 	cells := make([]campCell, 0, len(campaignSeeds))
 	for _, s := range campaignSeeds {

@@ -364,6 +364,9 @@ func (v *Vantage) LocalAddr() netip.Addr { return v.addr }
 // AS returns the autonomous system hosting the vantage.
 func (v *Vantage) AS() *AS { return v.as }
 
+// ChainLen returns the vantage's on-premise access path length.
+func (v *Vantage) ChainLen() int { return v.spec.ChainLen }
+
 // Now returns the current virtual time at this vantage.
 func (v *Vantage) Now() time.Duration { return v.clk.Now() }
 

@@ -164,19 +164,30 @@ func (s *Scheduler) open(spec *sched.CampaignSpec) (core.ConnFactory, error) {
 // ErrRateBudget, ErrDraining, ErrDuplicate, ErrBreakerOpen), the
 // engine's configuration error for options it cannot run, or an
 // artifact-validation error for an unusable Resume artifact.
+//
+// Campaigns address their vantage by name — every attempt opens from
+// it, and the breaker and fault rules key on it — so a name keeps the
+// attachment (hosting AS and access-chain length) it was first
+// submitted with: a vantage of the same name attached elsewhere is
+// refused. Another vantage of the same attachment is accepted.
 func (s *Scheduler) Submit(v *Vantage, targets []netip.Addr, opt SubmitOptions) (*CampaignHandle, error) {
 	yo := YarrpOptions{Rate: opt.Rate, MaxTTL: opt.MaxTTL, Transport: opt.Transport, Fill: opt.Fill, Key: opt.Key, Batch: opt.Batch}
 	cfg, err := yo.coreConfig(targets)
 	if err != nil {
 		return nil, err
 	}
+	name := v.v.Name()
 	s.mu.Lock()
-	s.vantages[v.v.Name()] = v.v
+	if b := s.vantages[name]; b != nil && (b.AS() != v.v.AS() || b.ChainLen() != v.v.ChainLen()) {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("beholder: vantage %q is bound to AS%d with access chain %d", name, b.AS().ASN, b.ChainLen())
+	}
+	s.vantages[name] = v.v
 	s.mu.Unlock()
 	return s.sup.Submit(sched.CampaignSpec{
 		Tenant:   opt.Tenant,
 		Name:     opt.Name,
-		Vantage:  v.v.Name(),
+		Vantage:  name,
 		Config:   cfg,
 		Shards:   opt.Shards,
 		Deadline: opt.Deadline,

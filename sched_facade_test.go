@@ -185,3 +185,53 @@ func TestMaxTTLRangeEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerVantageBinding: every attempt of a supervised campaign
+// opens its vantage by name, so a campaign still queued must not probe
+// from a vantage submitted later under its name but attached elsewhere.
+// That submission is refused; one of the same attachment is accepted,
+// and both campaigns equal the bare run.
+func TestSchedulerVantageBinding(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	in := NewSmallInternet(11)
+	targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := in.NewScheduler(SchedulerOptions{Tenants: []Tenant{{Name: "alice"}}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sch.Drain(context.Background())
+	opt := func(name string) SubmitOptions {
+		return SubmitOptions{Tenant: "alice", Name: name, Rate: 2000, Key: 1}
+	}
+	// The blocker holds the one worker while a and c queue behind it.
+	var hs []*CampaignHandle
+	for _, c := range []struct {
+		name, vantage, kind string
+		chain               int
+	}{{"blocker", "blocker", "university", 4}, {"a", "X", "hosting", 3}, {"c", "X", "hosting", 3}} {
+		h, err := sch.Submit(in.NewVantageAt(c.vantage, c.kind, c.chain), targets, opt(c.name))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		hs = append(hs, h)
+	}
+	if _, err := sch.Submit(in.NewVantageAt("X", "university", 4), targets, opt("b")); err == nil {
+		t.Error("vantage X rebound to another attachment while campaigns a and c were queued")
+	}
+	bare, err := NewSmallInternet(11).NewVantageAt("X", "hosting", 3).RunYarrp6(targets, YarrpOptions{Rate: 2000, Key: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hs[1:] {
+		res, err := h.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != CampaignCompleted || !res.Store.Equal(bare.Store()) {
+			t.Errorf("campaign %s: %v, %d interfaces; bare run %d", res.Campaign, res.State, res.Store.NumInterfaces(), bare.NumInterfaces())
+		}
+	}
+}
