@@ -43,6 +43,7 @@ func TestSubmitHostileBodies(t *testing.T) {
 		{"trailing garbage", ok + ` }`, http.StatusBadRequest},
 		{"not json", `tenant=alice`, http.StatusBadRequest},
 		{"rate beyond the clock", `{"tenant":"alice","name":"fast","targets":["2001:db8::1"],"rate":2e9}`, http.StatusBadRequest},
+		{"schedule beyond the clock", `{"tenant":"alice","name":"slow","targets":["2001:db8::1"],"rate":1e-9}`, http.StatusBadRequest},
 		{"scale 1e6", `{"tenant":"alice","name":"huge","scale":1e6}`, http.StatusBadRequest},
 		{"negative scale", `{"tenant":"alice","name":"neg","scale":-1}`, http.StatusBadRequest},
 		{"zn -5", `{"tenant":"alice","name":"zneg","zn":-5}`, http.StatusBadRequest},

@@ -59,11 +59,13 @@ func TestPlanCacheOnOffStoreEquality(t *testing.T) {
 }
 
 // The 1-shard vs 4-shard × table/no-table cross-equality lives in
-// internal/core (TestCampaignShardCacheMatrix): these facade campaigns
-// run fill mode at a rate that saturates the small universe's rate
+// internal/core (TestCampaignEquivalence): these facade campaigns run
+// fill mode at a rate that saturates the small universe's rate
 // limiters, where fill probes — outside the prime replay, see core's
 // package comment — may move a few replies between shard counts; the
-// core tests construct the non-saturating regime.
+// property holds such draws to their own shard count. A facade graph is
+// graph.FromStore of the run's store, so the store equality above is
+// the graph's too.
 
 // TestConcurrentVantagesSharedUniverse races several distinct vantages
 // probing one universe at once (each campaign sharded, so cloned

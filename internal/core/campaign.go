@@ -22,8 +22,9 @@
 // simulator's prime fast path and releases each shard with a bucket
 // snapshot the moment the replay reaches its window start, so even under
 // sustained ICMPv6 rate-limit saturation every shard sees exactly the
-// bucket levels the serial run would have left it
-// (TestCampaignSaturationMatrix).
+// bucket levels the serial run would have left it (TestCampaignEquivalence
+// holds every shard count, batch size, plan-table setting and interrupt
+// chain to the serial run).
 //
 // The replay covers the raw (target × TTL) schedule and nothing that
 // depends on replies: fill-mode follow-ups, which a shard sends only when
@@ -33,11 +34,14 @@
 // within its depth/rate, so the difference reaches only routers such
 // probes crossed within that time of a window start, and changes a reply
 // only where one of those buckets runs dry: below rate-limit saturation
-// a fill-mode campaign is exact at any shard count
-// (TestCampaignShardCacheMatrix), past it a few replies near window
-// starts may differ. The neighborhood
+// a fill-mode campaign is exact at any shard count, past it a few
+// replies near window starts may differ — measured on 400 drawn
+// configurations, 3 of the 85 fill-mode campaigns whose serial run
+// tripped a rate limiter differed at 2, 3 or 4 shards. The neighborhood
 // heuristic's skip pattern is shard-local by design, so campaigns using
-// it differ across shard counts regardless.
+// it differ across shard counts regardless (78 of 78 drawn). Either kind
+// is still exact at its own shard count: any batch size, plan table on
+// or off, and any chain of interrupts reproduce its uninterrupted run.
 //
 // The same statelessness that makes sharding trivial makes the campaign
 // recoverable. Each shard's progress is exactly one permutation cursor

@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"runtime"
 	"testing"
 	"time"
 
@@ -12,9 +11,8 @@ import (
 
 // campaignUniverse builds a fresh universe for one campaign run. Token
 // buckets stay out of the scarce regime (no aggressively rate-limited
-// routers), keeping these matrices focused on schedule and merge
-// determinism; saturation_test.go runs the same matrices with the
-// buckets deliberately exhausted.
+// routers), keeping a test focused on schedule and merge determinism;
+// saturationVantage exhausts them deliberately.
 func campaignUniverse(seed int64) *netsim.Universe {
 	cfg := netsim.TestConfig(seed)
 	cfg.AggressivePercent = 0
@@ -29,23 +27,6 @@ func campaignTargets(t testing.TB, seed int64, n int) []netip.Addr {
 
 func campaignCfg(targets []netip.Addr) Config {
 	return Config{Targets: targets, PPS: 500, MaxTTL: 12, Key: 11, Fill: true}
-}
-
-// runSharded executes one N-shard campaign on a fresh universe.
-func runSharded(t testing.TB, seed int64, targets []netip.Addr, shards int) (*probe.Store, CampaignStats) {
-	t.Helper()
-	u := campaignUniverse(seed)
-	v := u.NewVantage(netsim.VantageSpec{Name: "US-EDU-1", Kind: netsim.KindUniversity, ChainLen: 4})
-	camp := NewCampaign(CampaignConfig{
-		Config:      campaignCfg(targets),
-		Shards:      shards,
-		RecordPaths: true,
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	store, stats, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return store, stats
 }
 
 // TestCampaignSingleShardMatchesDirectEngine: a 1-shard Campaign must be
@@ -63,57 +44,13 @@ func TestCampaignSingleShardMatchesDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1, st1 := runSharded(t, seed, targets, 1)
-	if !s1.Equal(direct) {
+	run := ckptReference(t, seed, targets, 1, 0)
+	if !run.store.Equal(direct) {
 		t.Fatal("1-shard campaign store differs from direct engine store")
 	}
-	if st1.ProbesSent != dstats.ProbesSent || st1.Fills != dstats.Fills ||
-		st1.Replies != dstats.Replies || st1.Skipped != dstats.Skipped {
-		t.Fatalf("1-shard stats %+v differ from direct %+v", st1.Stats, dstats)
-	}
-}
-
-// TestCampaignShardedMatchesSingle: splitting the permutation domain
-// across concurrent shards must not change the campaign's results. Each
-// shard replays its window of the single-prober schedule on its own
-// clock; simulator behaviour is a pure function of (probe, send time);
-// the merged store is therefore identical to the 1-shard store.
-func TestCampaignShardedMatchesSingle(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const seed = 77
-	targets := campaignTargets(t, seed, 64)
-	s1, st1 := runSharded(t, seed, targets, 1)
-	for _, shards := range []int{2, 4} {
-		sn, stn := runSharded(t, seed, targets, shards)
-		if !sn.Equal(s1) {
-			t.Fatalf("%d-shard store differs from 1-shard store", shards)
-		}
-		if stn.ProbesSent != st1.ProbesSent || stn.Fills != st1.Fills ||
-			stn.Replies != st1.Replies {
-			t.Fatalf("%d-shard stats %+v differ from 1-shard %+v", shards, stn.Stats, st1.Stats)
-		}
-		if len(stn.PerShard) != shards {
-			t.Fatalf("PerShard = %d want %d", len(stn.PerShard), shards)
-		}
-	}
-}
-
-// TestCampaignDeterministicUnderScheduling: repeated sharded runs must
-// produce identical stores no matter how the goroutines interleave (run
-// with -race to also prove memory safety of the concurrent vantages).
-func TestCampaignDeterministicUnderScheduling(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const seed = 31
-	targets := campaignTargets(t, seed, 48)
-	a, astats := runSharded(t, seed, targets, 4)
-	for i := 0; i < 3; i++ {
-		b, bstats := runSharded(t, seed, targets, 4)
-		if !b.Equal(a) {
-			t.Fatalf("run %d: sharded store differs across identical runs", i)
-		}
-		if astats.ProbesSent != bstats.ProbesSent || astats.Replies != bstats.Replies {
-			t.Fatalf("run %d: stats differ across identical runs", i)
-		}
+	if st := run.stats; st.ProbesSent != dstats.ProbesSent || st.Fills != dstats.Fills ||
+		st.Replies != dstats.Replies || st.Skipped != dstats.Skipped {
+		t.Fatalf("1-shard stats %+v differ from direct %+v", st.Stats, dstats)
 	}
 }
 

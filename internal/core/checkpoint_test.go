@@ -50,170 +50,28 @@ func graphNDJSON(t *testing.T, store *probe.Store) []byte {
 // ckptReference runs the uninterrupted campaign at the given cell.
 func ckptReference(t *testing.T, seed int64, targets []netip.Addr, shards, batch int) ckptRun {
 	t.Helper()
-	v := ckptVantage(seed)
-	cfg := campaignCfg(targets)
-	cfg.Batch = batch
-	var progress bytes.Buffer
-	camp := NewCampaign(CampaignConfig{
-		Config:         cfg,
-		Shards:         shards,
-		RecordPaths:    true,
-		Telemetry:      telemetry.NewRegistry(),
-		ProgressWriter: &progress,
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	store, stats, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ckptRun{store: store, graph: graphNDJSON(t, store), progress: progress.Bytes(), stats: stats}
-}
-
-// ckptInterruptResume interrupts the campaign at interruptAt, serializes
-// the checkpoint, then resumes it on a fresh identically-seeded universe
-// and runs to completion.
-func ckptInterruptResume(t *testing.T, seed int64, targets []netip.Addr, shards, batch int, interruptAt time.Duration) ckptRun {
-	t.Helper()
-	v := ckptVantage(seed)
-	cfg := campaignCfg(targets)
-	cfg.Batch = batch
-	camp := NewCampaign(CampaignConfig{
-		Config:      cfg,
-		Shards:      shards,
-		RecordPaths: true,
-		Telemetry:   telemetry.NewRegistry(),
-		InterruptAt: interruptAt,
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run: got err %v, want ErrInterrupted", err)
-	}
-	if camp.MergedStore() == nil {
-		t.Fatal("interrupted run folds no partial store")
-	}
-	art, err := camp.Checkpoint()
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	return ckptResume(t, seed, art)
-}
-
-// ckptResume resumes an artifact against a fresh universe.
-func ckptResume(t *testing.T, seed int64, art []byte) ckptRun {
-	t.Helper()
-	v := ckptVantage(seed)
-	var progress bytes.Buffer
-	camp, err := Resume(art, ResumeConfig{
-		Telemetry:      telemetry.NewRegistry(),
-		ProgressWriter: &progress,
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	store, stats, err := camp.Run()
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	return ckptRun{store: store, graph: graphNDJSON(t, store), progress: progress.Bytes(), stats: stats}
+	run, _ := eqDraw{seed: seed, cfg: campaignCfg(targets)}.run(t, eqVariant{shards: shards, batch: batch}, nil, nil)
+	return run
 }
 
 // assertRunsEqual byte-compares the store, graph export, progress
 // stream, and counters of two runs.
 func assertRunsEqual(t *testing.T, label string, got, want ckptRun) {
 	t.Helper()
-	if !got.store.Equal(want.store) {
+	if !bytes.Equal(got.store.AppendBinary(nil), want.store.AppendBinary(nil)) {
 		t.Fatalf("%s: store differs", label)
 	}
 	if !bytes.Equal(got.graph, want.graph) {
 		t.Errorf("%s: graph differs", label)
 	}
-	if !bytes.Equal(got.progress, want.progress) {
-		t.Errorf("%s: progress stream differs:\nwant: %s\ngot:  %s", label, want.progress, got.progress)
+	if !bytes.Equal(got.progress, want.progress) || !slices.Equal(got.stats.Progress, want.stats.Progress) {
+		t.Errorf("%s: progress differs:\nwant: %s\ngot:  %s", label, want.progress, got.progress)
 	}
 	g, w := got.stats, want.stats
 	if g.ProbesSent != w.ProbesSent || g.Fills != w.Fills || g.Replies != w.Replies ||
 		g.NotMine != w.NotMine || g.Elapsed != w.Elapsed {
 		t.Fatalf("%s: stats differ: %+v vs %+v", label, g.Stats, w.Stats)
 	}
-}
-
-// TestCampaignCheckpointResumeMatrix is the checkpoint acceptance test:
-// at every (shards, batch) cell, a campaign interrupted mid-send and one
-// interrupted deep in its drain tail must — after resume on a fresh
-// identically-seeded universe — be byte-identical to the uninterrupted
-// run in store, graph export, progress stream, and counters.
-func TestCampaignCheckpointResumeMatrix(t *testing.T) {
-	const seed = 1213
-	targets := campaignTargets(t, seed, 61)
-	// 732-slot domain at 500 pps: sends span 1.464s, drains reach ~3.5s.
-	// 600ms lands mid-window for early shards and before late shard
-	// windows open; 1.6s lands inside every shard's drain tail.
-	instants := []time.Duration{600 * time.Millisecond, 1600 * time.Millisecond}
-	ref := ckptReference(t, seed, targets, 1, 1)
-	if len(ref.progress) == 0 {
-		t.Fatal("reference run produced an empty progress stream")
-	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 64} {
-			// The resumed run must equal the same-cell uninterrupted run in
-			// every artifact; store, graph, and progress are additionally
-			// shard-count-invariant, so they must also equal the serial
-			// reference.
-			refCell := ckptReference(t, seed, targets, shards, batch)
-			if !refCell.store.Equal(ref.store) {
-				t.Fatalf("shards=%d batch=%d: reference store differs from serial reference", shards, batch)
-			}
-			if !bytes.Equal(refCell.progress, ref.progress) {
-				t.Fatalf("shards=%d batch=%d: reference progress differs from serial reference", shards, batch)
-			}
-			for _, at := range instants {
-				got := ckptInterruptResume(t, seed, targets, shards, batch, at)
-				t.Logf("shards=%d batch=%d interrupt=%v", shards, batch, at)
-				assertRunsEqual(t, "resumed", got, refCell)
-			}
-		}
-	}
-}
-
-// TestCampaignCheckpointChain interrupts, resumes with a second
-// interrupt, and resumes again: checkpoints compose.
-func TestCampaignCheckpointChain(t *testing.T) {
-	const seed = 4242
-	targets := campaignTargets(t, seed, 61)
-	ref := ckptReference(t, seed, targets, 2, 64)
-
-	v := ckptVantage(seed)
-	cfg := campaignCfg(targets)
-	cfg.Batch = 64
-	camp := NewCampaign(CampaignConfig{
-		Config: cfg, Shards: 2, RecordPaths: true,
-		Telemetry:   telemetry.NewRegistry(),
-		InterruptAt: 400 * time.Millisecond,
-	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	if _, _, err := camp.Run(); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("first interrupt: %v", err)
-	}
-	art1, err := camp.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	v2 := ckptVantage(seed)
-	camp2, err := Resume(art1, ResumeConfig{
-		Telemetry:   telemetry.NewRegistry(),
-		InterruptAt: 900 * time.Millisecond,
-	}, func(_ int, start time.Duration) probe.Conn { return v2.Clone(start) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := camp2.Run(); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("second interrupt: %v", err)
-	}
-	art2, err := camp2.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := ckptResume(t, seed, art2)
-	assertRunsEqual(t, "chained resume", got, ref)
 }
 
 // TestCheckpointBytePin pins the artifact format: the SHA-256 of
@@ -383,7 +241,7 @@ func TestCampaignCancelBeforeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ckptResume(t, seed, art)
+	got, _ := eqDraw{seed: seed, cfg: campaignCfg(targets)}.run(t, eqVariant{}, art, nil)
 	assertRunsEqual(t, "resume from zero", got, ref)
 }
 
@@ -426,7 +284,7 @@ func TestCampaignCancelMidRun(t *testing.T) {
 	if cerr != nil {
 		t.Fatal(cerr)
 	}
-	got := ckptResume(t, seed, art)
+	got, _ := eqDraw{seed: seed, cfg: campaignCfg(targets)}.run(t, eqVariant{}, art, nil)
 	assertRunsEqual(t, "resume after concurrent cancel", got, ref)
 }
 

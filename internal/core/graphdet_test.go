@@ -55,31 +55,6 @@ func graphCampaign(t *testing.T, seed int64, targets []netip.Addr, shards int, t
 	return buf.Bytes(), store
 }
 
-// TestGraphShardCacheMatrix is the PR's acceptance criterion at the
-// engine level: for the same seed and key, the merged campaign graph is
-// byte-identical under canonical NDJSON export across shard counts
-// {1, 2, 4} with the plan table and without it. The -race CI job runs
-// this test too, certifying the per-shard observers share nothing.
-func TestGraphShardCacheMatrix(t *testing.T) {
-	const seed = 909
-	targets := campaignTargets(t, seed, 96)
-	ref, refStore := graphCampaign(t, seed, targets, 1, false)
-	for _, shards := range []int{1, 2, 4} {
-		for _, table := range []bool{false, true} {
-			if shards == 1 && !table {
-				continue
-			}
-			got, store := graphCampaign(t, seed, targets, shards, table)
-			if !store.Equal(refStore) {
-				t.Fatalf("store differs at shards=%d table=%v", shards, table)
-			}
-			if !bytes.Equal(ref, got) {
-				t.Errorf("graph differs at shards=%d table=%v (ref: 1 shard, no table)", shards, table)
-			}
-		}
-	}
-}
-
 // TestGraphExportBytePin pins the canonical exports of one fixed
 // campaign — the matrix's 4-shard cell with the plan table — to the
 // SHA-256 digests recorded before the graph interned addresses into

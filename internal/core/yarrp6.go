@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"sync/atomic"
 	"time"
@@ -149,11 +150,6 @@ func (c *Config) setDefaults() error {
 	if c.PPS <= 0 {
 		c.PPS = DefaultPPS
 	}
-	if sendGap(c.PPS) <= 0 {
-		// A zero gap parks the clock: the drain tail would sleep zero
-		// nanoseconds forever, short of its deadline.
-		return fmt.Errorf("yarrp6: rate %g pps is beyond the clock's nanosecond resolution (at most 1e9)", c.PPS)
-	}
 	if c.Proto == 0 {
 		c.Proto = wire.ProtoICMPv6
 	}
@@ -174,6 +170,22 @@ func (c *Config) setDefaults() error {
 	}
 	if c.NeighborhoodWindow > 0 && c.NeighborhoodTTL == 0 {
 		c.NeighborhoodTTL = 3
+	}
+	// The whole schedule — every permutation slot, every fill the targets
+	// can add, then the drain tail — must fit the virtual clock, with as
+	// much again to spare for a nonzero starting instant. Past it the send
+	// loop's pacing arithmetic overflows and the prober spins in place.
+	slots := float64(Domain(c))
+	if c.Fill && c.FillLimit > c.MaxTTL {
+		slots += float64(len(c.Targets)) * float64(c.FillLimit-c.MaxTTL)
+	}
+	if slots*float64(time.Second)/c.PPS+float64(c.DrainTimeout) > math.MaxInt64/2 {
+		return fmt.Errorf("yarrp6: at %g pps the schedule outruns the virtual clock", c.PPS)
+	}
+	if sendGap(c.PPS) <= 0 {
+		// A zero gap parks the clock: the drain tail would sleep zero
+		// nanoseconds forever, short of its deadline.
+		return fmt.Errorf("yarrp6: rate %g pps is beyond the clock's nanosecond resolution (at most 1e9)", c.PPS)
 	}
 	return nil
 }
@@ -718,6 +730,10 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 		// The neighborhood heuristic's skip decision must be taken at
 		// each probe's own instant against drain-fresh state.
 		batch = 1
+	}
+	if w := end - it.Pos(); uint64(batch) > w {
+		// No batch outgrows the window, so neither do the send buffers.
+		batch = int(w)
 	}
 	if len(y.idx) < batch {
 		y.idx = make([]uint64, batch)

@@ -305,6 +305,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(v, badProto).Run(probe.NewStore(false)); err == nil {
 		t.Error("unknown transport accepted")
 	}
+	// 16 slots a 1e18 ns apart overflow the virtual clock.
+	slow := Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}, PPS: 1e-9}
+	if err := slow.Validate(); err == nil {
+		t.Error("a schedule past the virtual clock accepted")
+	}
+}
+
+// TestSendBuffersBoundedByWindow: a batch larger than the window sizes
+// the send buffers by the window.
+func TestSendBuffersBoundedByWindow(t *testing.T) {
+	u, v := testVantage(t, 12)
+	y := New(v, Config{Targets: gatewayTargets(u, 20, 12), MaxTTL: 8, Batch: 1 << 20})
+	if _, err := y.Run(probe.NewStore(false)); err != nil {
+		t.Fatal(err)
+	}
+	if window := 20 * 8; cap(y.ring) > window*probeStride {
+		t.Fatalf("send ring holds %d bytes for a %d-probe window", cap(y.ring), window)
+	}
 }
 
 // TestRunRejectsPlainConn: the one send loop is batched, so a connection
