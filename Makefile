@@ -5,11 +5,11 @@ GO ?= go
 .PHONY: test race bench bench-check bench-selftest progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak loc
 
 # chaos runs the fault-injection matrix, the rewind chain, the interrupt
-# and cancellation tests, and the campaign equivalence property — shards,
-# batches, plan table, checkpoint/resume and rewind cuts, past rate-limit
-# saturation — under the race detector.
+# and cancellation tests, and the campaign equivalence property with its
+# matrix rows — shards, batches, plan table, checkpoint/resume and rewind
+# cuts, past rate-limit saturation — under the race detector.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel|Rewind|Interrupt|Equivalence' ./internal/core
+	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel|Rewind|Interrupt|Equivalence|Matrix|ShardedMatches|Scheduling' ./internal/core
 
 # soak runs the multi-tenant scheduler chaos harness under the race
 # detector: concurrent tenant campaigns under injected crash/stall/

@@ -63,9 +63,9 @@ func TestPlanCacheOnOffStoreEquality(t *testing.T) {
 // fill mode at a rate that saturates the small universe's rate
 // limiters, where fill probes — outside the prime replay, see core's
 // package comment — may move a few replies between shard counts; the
-// property holds such draws to their own shard count. A facade graph is
-// graph.FromStore of the run's store, so the store equality above is
-// the graph's too.
+// property holds such draws to their own shard count.
+// TestGraphPlanCacheDeterminism holds the facade's graph to the same
+// table on/off equality.
 
 // TestConcurrentVantagesSharedUniverse races several distinct vantages
 // probing one universe at once (each campaign sharded, so cloned

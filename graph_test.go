@@ -5,6 +5,51 @@ import (
 	"testing"
 )
 
+// graphExport runs one fdns_any z64 campaign under the given shard count,
+// with the vantage's plan table or without one, returning the canonical
+// NDJSON bytes of its graph.
+func graphExport(t *testing.T, shards int, table bool) []byte {
+	t.Helper()
+	in := NewSmallInternet(77)
+	targets, err := in.TargetSet("fdns_any", 64, "fixediid", 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := in.NewVantage("graph-det")
+	if !table {
+		defer v.v.SuspendPlanCache()()
+	}
+	res, err := v.RunYarrp6(targets, YarrpOptions{
+		Rate: 20000, MaxTTL: 16, Key: 7, Fill: true, Shards: shards, Graph: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.Graph().WriteNDJSON(&buf, in.Universe().Table()); err != nil {
+		t.Fatal(err)
+	}
+	if res.Graph().NumEdges() == 0 {
+		t.Fatal("campaign built an empty graph")
+	}
+	return buf.Bytes()
+}
+
+// TestGraphPlanCacheDeterminism: at every shard count, the plan table
+// must not change the campaign's graph by a byte. (The full shards ×
+// table matrix — including cross-shard-count byte equality — lives in
+// internal/core's TestGraphShardCacheMatrix on a non-saturating
+// universe; this facade run is a fill-mode campaign past the small
+// universe's rate-limit saturation point, where shard counts may
+// legitimately differ by a few replies — see core's package comment.)
+func TestGraphPlanCacheDeterminism(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		if !bytes.Equal(graphExport(t, shards, false), graphExport(t, shards, true)) {
+			t.Errorf("graph differs between plan table off/on at shards=%d", shards)
+		}
+	}
+}
+
 // TestResultGraphFallback: without YarrpOptions.Graph, Result.Graph()
 // builds the graph on first call — and it must equal the one a
 // Graph: true run returns with.

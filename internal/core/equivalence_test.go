@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -100,39 +101,73 @@ func tableOff(vs []eqVariant) []eqVariant {
 	return vs
 }
 
-// equivalenceDraws lists the fixed rows — the configurations of the
-// hand-written matrices this test replaced — then drawnConfigs drawn
-// ones, from a fixed seed.
-func equivalenceDraws() []eqDraw {
-	ms := time.Millisecond
-	draws := []eqDraw{
-		// Shard × batch cells, and checkpoints mid-send and in the drain
-		// tail: 61 × 12 = 732 slots at 500 pps, sends span 1.464 s. The
-		// reference is pinned to the retired one-probe-per-iteration
-		// loop's bytes (serial_pin_test.go).
-		{seed: 1213, targets: 61, cfg: campaignCfg(nil), exact: true,
+// matrixRows are the configurations of the hand-written matrices this
+// property replaced, each a row of it run under the matrix's name by the
+// test of that name. Their variants are held to the serial run like
+// every drawn one.
+var matrixRows = func() map[string]eqDraw {
+	const ms = time.Millisecond
+	// Shard × batch cells, and checkpoints mid-send and in the drain
+	// tail: 61 × 12 = 732 slots at 500 pps, sends span 1.464 s. The
+	// reference is pinned to the retired one-probe-per-iteration loop's
+	// bytes (serial_pin_test.go).
+	row1213 := func(variants []eqVariant) eqDraw {
+		return eqDraw{seed: 1213, targets: 61, cfg: campaignCfg(nil), exact: true,
 			pins: []string{
 				"a7504c44a6742010ae970f42f7d694c2c1ac2b88926bf4e20e918e458284314a",
 				"27750dd89579f563c7ea85f8f3fa09c350a57a7cd41716814f975515fbde97da",
 				"837e62a213640cdc1b678f4ee90fcaeeb422dd7eddbb34101e6674ac66fedba9",
 			},
-			variants: append(grid([]int{1, 2, 4}, []int{1, 7, 64}), grid([]int{1, 2, 4}, []int{1, 64}, 600*ms, 1600*ms)...)},
-		// A checkpoint chain: two resumes.
-		{seed: 4242, targets: 61, cfg: campaignCfg(nil), exact: true,
+			variants: variants}
+	}
+	row77 := func(variants []eqVariant) eqDraw {
+		return eqDraw{seed: 77, targets: 64, cfg: campaignCfg(nil), exact: true, variants: variants}
+	}
+	return map[string]eqDraw{
+		"TestCampaignShardBatchMatrix":       row1213(grid([]int{1, 2, 4}, []int{1, 7, 64})),
+		"TestCampaignCheckpointResumeMatrix": row1213(grid([]int{1, 2, 4}, []int{1, 64}, 600*ms, 1600*ms)),
+		// Two resumes compose.
+		"TestCampaignCheckpointChain": {seed: 4242, targets: 61, cfg: campaignCfg(nil), exact: true,
 			variants: []eqVariant{{shards: 2, batch: 64, cuts: []eqCut{{400 * ms, true}, {900 * ms, true}}}}},
 		// Fill mode past rate-limit saturation, exact at every shard count
 		// on this seed: 48 × 12 slots at 8 kpps span 72 ms.
-		{seed: 907, saturate: true, targets: 48, cfg: saturationCfg(nil), exact: true,
+		"TestCampaignSaturationMatrix": {seed: 907, saturate: true, targets: 48, cfg: saturationCfg(nil), exact: true,
 			variants: append(grid([]int{1, 2, 4}, []int{1, 64}), grid([]int{1, 2, 4}, []int{1, 64}, 40*ms, 110*ms)...)},
-		// Fill-mode progress at every cell; the plan table off and on.
-		{seed: 77, targets: 64, cfg: campaignCfg(nil), exact: true,
-			variants: slices.Concat(grid([]int{1, 2, 4}, []int{1, 64}), tableOff(grid([]int{1, 4}, []int{0})), grid([]int{2, 4}, []int{0}))},
-		{seed: 909, targets: 96, cfg: campaignCfg(nil), exact: true,
+		"TestCampaignFillProgressMatrix":   row77(grid([]int{1, 2, 4}, []int{1, 64})),
+		"TestCampaignShardCacheMatrix":     row77(append(tableOff(grid([]int{1, 4}, []int{0})), grid([]int{4}, []int{0})...)),
+		"TestCampaignShardedMatchesSingle": row77(grid([]int{2, 4}, []int{0})),
+		"TestGraphShardCacheMatrix": {seed: 909, targets: 96, cfg: campaignCfg(nil), exact: true,
 			variants: append(grid([]int{1, 2, 4}, []int{0}), tableOff(grid([]int{1, 2, 4}, []int{0}))...)},
 		// Repeated 4-shard runs, however the goroutines interleave.
-		{seed: 31, targets: 48, cfg: campaignCfg(nil), exact: true,
+		"TestCampaignDeterministicUnderScheduling": {seed: 31, targets: 48, cfg: campaignCfg(nil), exact: true,
 			variants: grid([]int{4, 4, 4, 4}, []int{0})},
 	}
+}()
+
+func TestCampaignShardBatchMatrix(t *testing.T)             { checkRow(t) }
+func TestCampaignCheckpointResumeMatrix(t *testing.T)       { checkRow(t) }
+func TestCampaignCheckpointChain(t *testing.T)              { checkRow(t) }
+func TestCampaignSaturationMatrix(t *testing.T)             { checkRow(t) }
+func TestCampaignFillProgressMatrix(t *testing.T)           { checkRow(t) }
+func TestCampaignShardCacheMatrix(t *testing.T)             { checkRow(t) }
+func TestCampaignShardedMatchesSingle(t *testing.T)         { checkRow(t) }
+func TestGraphShardCacheMatrix(t *testing.T)                { checkRow(t) }
+func TestCampaignDeterministicUnderScheduling(t *testing.T) { checkRow(t) }
+
+// checkRow checks the matrix row named after the running test.
+func checkRow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	d, ok := matrixRows[t.Name()]
+	if !ok {
+		t.Fatalf("no matrix row named %s", t.Name())
+	}
+	t.Log(d)
+	d.check(t)
+}
+
+// equivalenceDraws draws drawnConfigs configurations from a fixed seed.
+func equivalenceDraws() []eqDraw {
+	var draws []eqDraw
 	rng := rand.New(rand.NewSource(40))
 	for range drawnConfigs {
 		d := eqDraw{seed: 1 + rng.Int63n(1<<16), saturate: rng.Intn(2) == 0, targets: 16 + rng.Intn(65)}
@@ -179,13 +214,16 @@ func equivalenceDraws() []eqDraw {
 // heuristic, and fill mode whose reference tripped a rate limiter.
 // Every run's progress series is monotone and ends on its totals, every
 // cut leaves a valid artifact, and every hop the reference stores is
-// the router the simulator's ground truth puts at that TTL.
+// the router the simulator's ground truth puts at that TTL. The
+// configurations of the matrices it replaced run as its fixed rows,
+// each under its matrix's name.
 //
 // A failing draw replays alone: go test -run 'TestCampaignEquivalence/draw=N$'.
 func TestCampaignEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	draws := equivalenceDraws()
-	variants, cuts := assertCoverage(t, draws)
+	rows := slices.Collect(maps.Values(matrixRows))
+	variants, cuts := assertCoverage(t, append(rows, draws...))
 	for i, d := range draws {
 		t.Run(fmt.Sprintf("draw=%d", i), func(t *testing.T) {
 			t.Log(d)
@@ -195,7 +233,7 @@ func TestCampaignEquivalence(t *testing.T) {
 	t.Logf("%d draws, %d variants, %d cuts", len(draws), variants, cuts)
 }
 
-// assertCoverage fails unless the draws cover every regime the contract
+// assertCoverage fails unless the draws, with the matrix rows, cover every regime the contract
 // speaks of — cuts only where they must land — and counts their variants
 // and cuts.
 func assertCoverage(t *testing.T, draws []eqDraw) (variants, cuts int) {
@@ -430,15 +468,31 @@ func (p *probeTap) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error
 	return n, deliverable, err
 }
 
+// TestStoredHopsMatchTruthPath checks a fault-free campaign on the small
+// universe, driven by the engine directly, against the simulator's
+// ground truth (see assertTruth).
+func TestStoredHopsMatchTruthPath(t *testing.T) {
+	u, v := testVantage(t, 5)
+	tap := &probeTap{Vantage: v, sent: make(map[probeAt][]byte)}
+	cfg := Config{Targets: gatewayTargets(u, 60, 5), PPS: 2000, MaxTTL: 16, Key: 3, Fill: true}
+	st := probe.NewStore(true)
+	if _, err := New(tap, cfg).Run(st); err != nil {
+		t.Fatal(err)
+	}
+	if hops, traces := assertTruth(t, tap, st, cfg.Targets); hops < 10*traces {
+		t.Fatalf("checked only %d hops over %d traces", hops, traces)
+	}
+}
+
 // assertTruth checks a store against the simulator's ground truth: every
 // hop it holds at TTL t is the router TruthPath puts at position t-1 of
 // the path of the probe sent to that target with hop limit t. Only Time
 // Exceeded replies become hops, so a hop names the router where the
-// probe expired.
-func assertTruth(t *testing.T, tap *probeTap, st *probe.Store, targets []netip.Addr) {
+// probe expired. It returns how many hops over how many traces it
+// checked.
+func assertTruth(t *testing.T, tap *probeTap, st *probe.Store, targets []netip.Addr) (hops, traces int) {
 	t.Helper()
 	tab := st.AddrTable()
-	hops, traces := 0, 0
 	for _, target := range targets {
 		tr := st.Trace(target)
 		if tr == nil {
@@ -468,4 +522,5 @@ func assertTruth(t *testing.T, tap *probeTap, st *probe.Store, targets []netip.A
 	if hops < traces || traces < len(targets)/2 {
 		t.Fatalf("checked only %d hops over %d traces of %d targets", hops, traces, len(targets))
 	}
+	return hops, traces
 }
