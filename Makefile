@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-check bench-selftest progress-sample fmt vet fuzz-smoke cover chaos soak crashsoak loc
+.PHONY: test race bench bench-check bench-selftest progress-sample cli-roundtrip fmt vet fuzz-smoke cover chaos soak crashsoak loc
 
 # chaos runs the fault-injection matrix, the rewind chain, the interrupt
 # and cancellation tests, and the campaign equivalence property with its
@@ -73,6 +73,19 @@ bench-selftest:
 progress-sample:
 	$(GO) run ./cmd/yarrp6 -small -seeds cdn-k32 -scale 0.2 -rate 8000 -shards 2 -progress progress-sample.ndjson
 	head -3 progress-sample.ndjson
+
+# cli-roundtrip runs one 1-shard yarrp6 campaign whole, then again cut
+# at 500ms of virtual time into a checkpoint and resumed from it: the
+# resumed run's stdout must equal the whole run's byte for byte. Its
+# files live in a temporary directory removed on exit.
+cli-roundtrip:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	y="$(GO) run ./cmd/yarrp6 -small"; \
+	$$y -seeds caida -scale 0.2 -rate 8000 >"$$d/whole"; \
+	$$y -seeds caida -scale 0.2 -rate 8000 -interrupt-at 500ms -checkpoint "$$d/run.ckpt" >/dev/null; \
+	$$y -resume "$$d/run.ckpt" >"$$d/resumed"; \
+	cmp "$$d/whole" "$$d/resumed"; \
+	echo "cli-roundtrip: resumed stdout equals the uninterrupted run's ($$(head -1 "$$d/whole"))"
 
 # loc prints the non-test line count of the engine and its facade — the
 # files ROADMAP "Collapse the engine" is measured on — then that of

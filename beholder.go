@@ -258,10 +258,10 @@ type YarrpOptions struct {
 	// core.Campaign; fill mode retains a narrow saturation caveat
 	// because fill probes are reply-dependent — the core package
 	// comment states its bound). Default 1. Every run is a campaign, one
-	// shard included: a lone shard probes on the vantage's own
-	// connection, and when that connection dies mid-run the shard is
-	// quarantined and recovery probers re-probe its remainder on clones,
-	// exactly as for a shard of many.
+	// shard included, and probes on clones only — the vantage's own
+	// connection never sends: a lone shard is clone 0 like the first of
+	// many, and when its connection dies mid-run it is quarantined and
+	// recovery probers re-probe its remainder on further clones.
 	Shards int
 	// Batch is the probe-pipeline send-batch size: permutation draw,
 	// probe build, and simulator routing are dispatched Batch probes at
@@ -347,10 +347,12 @@ type Result struct {
 	// probers of a crashed shard); nil for single-instance runs.
 	ShardStats []core.Stats
 	// PlanHits, PlanMisses, PlanEvictions and SharedPlanHits are the
-	// flow-plan table counters accumulated by this run alone (summed
-	// across shard clones for sharded campaigns). SharedPlanHits is the
-	// part of PlanHits served by a core another vantage published — a
-	// sibling shard, or an earlier vantage of the same identity.
+	// flow-plan table counters accumulated by this run alone, summed
+	// across the clones it probed on. SharedPlanHits is the part of
+	// PlanHits served by a core another vantage published — a sibling
+	// shard, or any earlier campaign of the same identity, an earlier
+	// campaign on this very vantage included (its cores were published by
+	// that campaign's clones).
 	PlanHits       int64
 	PlanMisses     int64
 	PlanEvictions  int64
@@ -501,7 +503,6 @@ func (o *YarrpOptions) coreConfig(targets []netip.Addr) (core.Config, error) {
 type campaignRun struct {
 	v         *Vantage
 	opt       *YarrpOptions
-	vsBefore  netsim.VantageStats
 	simBefore netsim.SimStats
 	// growthsBefore is the plan table's rebuild count when the run began.
 	growthsBefore int64
@@ -511,33 +512,24 @@ type campaignRun struct {
 	// original instants for the keyed per-packet draws to replay.
 	epoch  time.Duration
 	clones []*netsim.Vantage
-	own    bool // shard 0 probes on the vantage's own connection
 }
 
-func (v *Vantage) beginRun(opt *YarrpOptions, own bool) *campaignRun {
-	r := &campaignRun{v: v, opt: opt, vsBefore: v.v.Stats, epoch: v.clk, own: own}
+func (v *Vantage) beginRun(opt *YarrpOptions) *campaignRun {
+	r := &campaignRun{v: v, opt: opt, epoch: v.clk}
 	_, _, r.growthsBefore, _ = v.v.PlanTableStats()
 	if opt.Telemetry != nil {
 		r.simBefore = v.in.u.StatsSnapshot()
 	}
-	if own {
-		v.v.BeginOwnShardGroup()
-	} else {
-		v.v.BeginShardGroup()
-	}
+	v.v.BeginShardGroup()
 	return r
 }
 
-// connOf is the run's core.ConnFactory. A lone shard owns the whole
-// window; probing on the vantage's own connection keeps the routers it
-// materialized (and the plan counters) with the vantage. Every other
-// prober — the shards of a sharded run, and the recovery probers of any
-// run, whose own connection may be the one that died — probes on a clone
-// of the vantage opened at its window's offset from the run's epoch.
+// connOf is the run's core.ConnFactory: every prober — each shard, a
+// lone one included, and every recovery prober — probes on a clone of
+// the vantage opened at its window's offset from the run's epoch. The
+// vantage itself never probes, and a static run's prober s is clone
+// ordinal s, the identity fault rules match on.
 func (r *campaignRun) connOf(shard int, start time.Duration) probe.Conn {
-	if r.own && shard == 0 {
-		return r.v.v
-	}
 	nv := r.v.v.Clone(r.epoch + start)
 	r.clones = append(r.clones, nv)
 	return nv
@@ -554,27 +546,18 @@ func (r *campaignRun) finish(runErr error, elapsed time.Duration, result func() 
 		return nil, runErr
 	}
 	v := r.v
-	if r.own {
-		// Recovery probers may have carried the run past the instant the
-		// own connection stopped at.
-		if rest := r.epoch + elapsed - v.v.Now(); rest > 0 {
-			v.v.Sleep(rest)
-		}
-		v.clk = v.v.Now()
-	} else {
-		// The campaign ran on clones: drive v's own clock through it so
-		// follow-up operations on this vantage see the same virtual time
-		// at any shard count. The vantage's own timeline advances with
-		// it — never from another vantage's concurrent activity on the
-		// shared clock.
-		v.v.Sleep(elapsed)
-		v.clk = r.epoch + elapsed
-	}
+	// The campaign ran on clones: drive v's own clock through it so
+	// follow-up operations on this vantage see the same virtual time at
+	// any shard count. The vantage's own timeline advances with it —
+	// never from another vantage's concurrent activity on the shared
+	// clock.
+	v.v.Sleep(elapsed)
+	v.clk = r.epoch + elapsed
 	res := result()
 	if r.opt.Graph {
 		res.Graph()
 	}
-	res.setPlanStats(v, r.vsBefore, r.growthsBefore, r.clones)
+	res.setPlanStats(v, r.growthsBefore, r.clones)
 	if reg := r.opt.Telemetry; reg != nil {
 		v.publishRunTelemetry(reg, r.simBefore, res)
 		res.Telemetry = reg.Snapshot()
@@ -621,10 +604,10 @@ func (v *Vantage) campaignResult(store *probe.Store, stats core.CampaignStats, p
 // split across that many concurrent prober instances, each on its own
 // cloned vantage connection, replaying the single-instance virtual
 // schedule in a fraction of the wall time (see YarrpOptions.Shards for
-// the exact equivalence guarantee); one shard probes on the vantage's
-// own connection. With opt.Adaptive the targets are instead the
-// generator's seed observations and a core.AdaptiveCampaign grows its
-// own domain epoch by epoch (see AdaptiveOptions).
+// the exact equivalence guarantee); one shard probes on one clone. With
+// opt.Adaptive the targets are instead the generator's seed observations
+// and a core.AdaptiveCampaign grows its own domain epoch by epoch (see
+// AdaptiveOptions).
 func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, error) {
 	cfg, err := opt.coreConfig(targets)
 	if err != nil {
@@ -641,12 +624,12 @@ func (v *Vantage) RunYarrp6(targets []netip.Addr, opt YarrpOptions) (*Result, er
 	}
 	ao := opt.Adaptive
 	if ao == nil {
-		run := v.beginRun(&opt, ccfg.Shards == 1)
+		run := v.beginRun(&opt)
 		return run.finishCampaign(core.NewCampaign(ccfg, run.connOf))
 	}
 	ccfg.Targets = nil
 	src := gen6prob.New(targets, gen6prob.Config{Key: opt.Key, AliasMinHits: ao.AliasMinHits})
-	run := v.beginRun(&opt, false)
+	run := v.beginRun(&opt)
 	return run.finishCampaign(core.NewAdaptive(core.AdaptiveConfig{
 		CampaignConfig: ccfg,
 		Source:         src,
@@ -703,7 +686,7 @@ func (v *Vantage) ResumeYarrp6(artifact []byte, opt YarrpOptions) (*Result, erro
 		ProgressPerShard: opt.ProgressPerShard,
 		InterruptAt:      opt.InterruptAt,
 	}
-	run := v.beginRun(&opt, false)
+	run := v.beginRun(&opt)
 	var camp engine
 	if info.Adaptive {
 		src := new(gen6prob.Source)
@@ -742,17 +725,11 @@ func aliasHook(pv *netsim.Vantage, seed int64, src *gen6prob.Source) func(int, *
 	}
 }
 
-// setPlanStats fills the result's flow-plan table counters — the parent
-// vantage's delta over the run plus, for sharded campaigns, the shard
-// clones' whole-life counters (clones are born zeroed and die with the
-// run) — and the table's shape at run end, with its rebuilds since
-// growthsBefore.
-func (r *Result) setPlanStats(v *Vantage, before netsim.VantageStats, growthsBefore int64, clones []*netsim.Vantage) {
-	after := v.v.Stats
-	r.PlanHits = after.PlanHits - before.PlanHits
-	r.PlanMisses = after.PlanMisses - before.PlanMisses
-	r.PlanEvictions = after.PlanEvictions - before.PlanEvictions
-	r.SharedPlanHits = after.SharedPlanHits - before.SharedPlanHits
+// setPlanStats fills the result's flow-plan table counters — the sum of
+// the run's clones' whole-life counters (clones are born zeroed and die
+// with the run; the vantage itself never probes) — and the table's shape
+// at run end, with its rebuilds since growthsBefore.
+func (r *Result) setPlanStats(v *Vantage, growthsBefore int64, clones []*netsim.Vantage) {
 	for _, c := range clones {
 		r.PlanHits += c.Stats.PlanHits
 		r.PlanMisses += c.Stats.PlanMisses

@@ -196,6 +196,55 @@ func TestFacadeFaultedSingleShard(t *testing.T) {
 	requireProgressTotals(t, faulted)
 }
 
+// TestFacadeCampaignsProbeOnClones: a facade campaign — one shard or
+// several, fresh or interrupted and resumed — probes on clones of the
+// vantage only, so the vantage's own connection counters do not move,
+// and whatever runs on the vantage afterwards sees it as the shard count
+// left it: a follow-up sequential run's store is the same after a 1- and
+// a 3-shard campaign.
+func TestFacadeCampaignsProbeOnClones(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	opt := YarrpOptions{Rate: 2000, MaxTTL: 12, Key: 1, Fill: true}
+	untouched := func(label string, v *Vantage, call func() (*Result, error)) *Result {
+		t.Helper()
+		before := v.v.Stats
+		res, err := call()
+		if err != nil && !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if after := v.v.Stats; after != before {
+			t.Fatalf("%s: vantage stats moved %+v -> %+v", label, before, after)
+		}
+		return res
+	}
+	var follow [][]byte
+	for _, shards := range []int{1, 3} {
+		opt.Shards = shards
+		in := NewSmallInternet(3)
+		v := in.NewVantage("clone-test")
+		targets, err := in.TargetSet("caida", 64, "lowbyte1", 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untouched(fmt.Sprintf("%d shards fresh", shards), v, func() (*Result, error) { return v.RunYarrp6(targets, opt) })
+		seq := v.RunSequential(targets, SequentialOptions{Rate: 2000, MaxTTL: 12, Window: 32})
+		follow = append(follow, seq.Store().AppendBinary(nil))
+
+		cut := opt
+		cut.InterruptAt = 400 * time.Millisecond
+		in = NewSmallInternet(3)
+		v = in.NewVantage("clone-test")
+		partial := untouched(fmt.Sprintf("%d shards interrupted", shards), v, func() (*Result, error) { return v.RunYarrp6(targets, cut) })
+		if len(partial.Checkpoint) == 0 {
+			t.Fatalf("%d shards: interrupted run carries no checkpoint", shards)
+		}
+		untouched(fmt.Sprintf("%d shards resumed", shards), v, func() (*Result, error) { return v.ResumeYarrp6(partial.Checkpoint, YarrpOptions{}) })
+	}
+	if !bytes.Equal(follow[0], follow[1]) {
+		t.Fatal("sequential run after a 1-shard campaign differs from the one after a 3-shard campaign")
+	}
+}
+
 // requireProgressTotals requires a run's progress series to end on its
 // totals: the probes sent and the interfaces in its merged store.
 func requireProgressTotals(t *testing.T, res *Result) {

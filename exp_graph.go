@@ -13,6 +13,7 @@ import (
 	"beholder/internal/analysis"
 	"beholder/internal/graph"
 	"beholder/internal/target"
+	"beholder/internal/wire"
 )
 
 // graphStudySeed is the target set the graph study probes: fdns_any
@@ -32,8 +33,8 @@ func (e *Experiments) graphCampaigns() []*graph.Graph {
 		subs[i] = submission{e.vantage(i), set.Targets.Addrs(),
 			SubmitOptions{MaxTTL: 16, Fill: true, Key: uint64(e.opt.Seed) ^ 0x67726166 ^ uint64(i)<<32}}
 	}
-	for _, r := range e.supervise(subs) {
-		e.graphs = append(e.graphs, r.Graph)
+	for i, r := range e.supervise(subs) {
+		e.graphs = append(e.graphs, graph.FromStore(r.Store, subs[i].v.v.Name(), wire.ProtoICMPv6))
 	}
 	return e.graphs
 }

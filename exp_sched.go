@@ -13,7 +13,9 @@ import (
 	"context"
 	"time"
 
+	"beholder/internal/graph"
 	"beholder/internal/target"
+	"beholder/internal/wire"
 )
 
 // SchedStudy runs concurrent supervised campaigns and tabulates each
@@ -99,13 +101,14 @@ func (e *Experiments) SchedStudy() *Table {
 		if c.deadline > 0 {
 			equal += " (partial)"
 		}
+		g := graph.FromStore(res.Store, c.vantage, wire.ProtoICMPv6)
 		state := res.State.String()
 		if res.Reason != "" {
 			state += "/" + res.Reason
 		}
 		t.AddRow(c.tenant, c.name, itoa(c.shards), state,
 			kfmt(res.Stats.ProbesSent), kfmt(res.Stats.Replies),
-			itoa(res.Graph.NumNodes()), itoa(res.Graph.NumEdges()), equal)
+			itoa(g.NumNodes()), itoa(g.NumEdges()), equal)
 	}
 	t.Notes = append(t.Notes,
 		"Each supervised campaign's merged store is compared against the same campaign run bare on a reset universe: token buckets, delivery queues, and reply authentication are all epoch-scoped to the campaign's vantage clone, so co-tenants cannot perturb each other's bytes.",

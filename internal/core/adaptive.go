@@ -24,7 +24,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -181,20 +180,14 @@ func (a *AdaptiveCampaign) MergedStore() *probe.Store {
 	return merged
 }
 
-// Run executes the adaptive campaign and returns the merged store and
-// statistics. It is RunContext without cancellation.
-func (a *AdaptiveCampaign) Run() (*probe.Store, CampaignStats, error) {
-	return a.RunContext(context.Background())
-}
-
-// RunContext executes the adaptive campaign: epochs of sharded probing
+// Run executes the adaptive campaign: epochs of sharded probing
 // alternating with target generation, until the budget, the epoch
 // bound, or the source itself is exhausted. The statistics carry the
-// per-epoch breakdown in Epochs. Cancelling ctx (or an InterruptAt
+// per-epoch breakdown in Epochs. An Interrupt (or an InterruptAt
 // instant) stops the run checkpointable, mid-epoch or at a boundary:
 // like Campaign's, the run then returns ErrInterrupted with the partial
 // statistics and a nil store, and MergedStore folds the partial results.
-func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats, error) {
+func (a *AdaptiveCampaign) Run() (*probe.Store, CampaignStats, error) {
 	cfg := &a.cfg
 	if cfg.Source == nil {
 		return nil, CampaignStats{}, fmt.Errorf("yarrp6: adaptive campaign needs a target source")
@@ -253,7 +246,7 @@ func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, Campai
 			return nil, CampaignStats{}, err
 		}
 		a.resumeInner = nil
-		if done, err := a.runEpoch(ctx, inner, ttlSpan); !done {
+		if done, err := a.runEpoch(inner, ttlSpan); !done {
 			return nil, a.snapshot(), err
 		}
 	} else if !a.resumed {
@@ -261,7 +254,7 @@ func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, Campai
 	}
 
 	for len(a.pending) > 0 {
-		if err := a.boundaryStop(ctx); err != nil {
+		if err := a.boundaryStop(); err != nil {
 			return nil, a.snapshot(), err
 		}
 		ccfg := cfg.CampaignConfig
@@ -278,7 +271,7 @@ func (a *AdaptiveCampaign) RunContext(ctx context.Context) (*probe.Store, Campai
 			ccfg.InterruptAt = cfg.InterruptAt - a.base
 		}
 		inner := NewCampaign(ccfg, a.epochConnOf())
-		if done, err := a.runEpoch(ctx, inner, ttlSpan); !done {
+		if done, err := a.runEpoch(inner, ttlSpan); !done {
 			return nil, a.snapshot(), err
 		}
 	}
@@ -297,14 +290,10 @@ func (a *AdaptiveCampaign) epochConnOf() ConnFactory {
 }
 
 // boundaryStop reports whether the run must stop at the current epoch
-// boundary: cancellation, a cooperative Interrupt, or an InterruptAt
-// instant at or before the boundary.
-func (a *AdaptiveCampaign) boundaryStop(ctx context.Context) error {
-	stopped := a.stop.Load() || (ctx != nil && ctx.Err() != nil)
-	if !stopped && a.cfg.InterruptAt > 0 && a.cfg.InterruptAt <= a.base {
-		stopped = true
-	}
-	if stopped {
+// boundary: a cooperative Interrupt, or an InterruptAt instant at or
+// before the boundary.
+func (a *AdaptiveCampaign) boundaryStop() error {
+	if a.stop.Load() || a.cfg.InterruptAt > 0 && a.cfg.InterruptAt <= a.base {
 		a.interrupted = true
 		return ErrInterrupted
 	}
@@ -331,7 +320,7 @@ func (a *AdaptiveCampaign) want(ttlSpan int64) int {
 // runEpoch drives one epoch campaign, folds its results, and generates
 // the next epoch's targets at the boundary. done is false when the run
 // must stop, interrupted or failed.
-func (a *AdaptiveCampaign) runEpoch(ctx context.Context, inner *Campaign, ttlSpan int64) (bool, error) {
+func (a *AdaptiveCampaign) runEpoch(inner *Campaign, ttlSpan int64) (bool, error) {
 	ep := a.epoch
 	a.mu.Lock()
 	a.inner = inner
@@ -339,7 +328,7 @@ func (a *AdaptiveCampaign) runEpoch(ctx context.Context, inner *Campaign, ttlSpa
 		inner.Interrupt()
 	}
 	a.mu.Unlock()
-	store, cst, err := inner.RunContext(ctx)
+	store, cst, err := inner.Run()
 	if !a.originSet && err == nil || !a.originSet && errors.Is(err, ErrInterrupted) {
 		a.origin = inner.Epoch() - a.base
 		a.originSet = true

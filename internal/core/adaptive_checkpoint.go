@@ -17,7 +17,7 @@ import (
 )
 
 // Checkpoint serializes the adaptive run's complete state after an
-// interrupted RunContext: generation state, accumulated results, and
+// interrupted Run: generation state, accumulated results, and
 // the interrupted epoch campaign's artifact when the cut landed inside
 // an epoch. ResumeAdaptive reconstructs a run that continues exactly.
 func (a *AdaptiveCampaign) Checkpoint() ([]byte, error) {
@@ -138,7 +138,7 @@ func decodeAdaptive(payload []byte) (a *AdaptiveCampaign, source []byte, err err
 // state); the rest of rc applies as for Resume. connOf must open
 // connections over the same (or an identically seeded) vantage universe
 // at the requested offsets from the adaptive origin —
-// AdaptiveCampaign.Epoch exposes it. RunContext then continues the run
+// AdaptiveCampaign.Epoch exposes it. Run then continues the run
 // exactly: the interrupted epoch finishes from its own embedded
 // artifact, and generation resumes from the restored source.
 func ResumeAdaptive(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*AdaptiveCampaign, error) {

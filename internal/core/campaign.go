@@ -127,9 +127,9 @@ type CampaignConfig struct {
 	ProgressPerShard bool
 	// InterruptAt, when nonzero, stops the campaign at that virtual
 	// instant (relative to the campaign epoch): no shard sends at or
-	// past it, RunContext returns ErrInterrupted with the partial
-	// statistics, and Checkpoint serializes the complete state so Resume
-	// continues the run as if it had never stopped.
+	// past it, Run returns ErrInterrupted with the partial statistics,
+	// and Checkpoint serializes the complete state so Resume continues
+	// the run as if it had never stopped.
 	InterruptAt time.Duration
 }
 
@@ -177,14 +177,14 @@ type CampaignStats struct {
 const maxRecoveryRounds = 3
 
 // Campaign is a sharded Yarrp6 run. A Campaign value runs once; after
-// an interrupted run (InterruptAt or context cancellation) it retains
-// the complete per-shard state: Checkpoint serializes it, Rewind hands it
-// to a continuation, MergedStore folds its partial results.
+// an interrupted run (InterruptAt or Interrupt) it retains the complete
+// per-shard state: Checkpoint serializes it, Rewind hands it to a
+// continuation, MergedStore folds its partial results.
 type Campaign struct {
 	cfg    CampaignConfig
 	connOf ConnFactory
 
-	// Run state, retained after RunContext for Checkpoint.
+	// Run state, retained after Run for Checkpoint.
 	domain      uint64
 	gap         time.Duration
 	epoch       time.Duration
@@ -413,17 +413,17 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 }
 
 // Epoch returns the campaign epoch in absolute virtual time, valid
-// after RunContext has started the shards. Resume factories use it to
-// position recovery and resumed connections.
+// after Run has started the shards. Resume factories use it to position
+// recovery and resumed connections.
 func (c *Campaign) Epoch() time.Duration { return c.epoch }
 
 // Interrupt requests a cooperative stop from outside the run: every
-// shard stops at its next batch boundary, RunContext returns
-// ErrInterrupted with the partial results, and the campaign stays
-// checkpointable. Safe to call from any goroutine, any number of
-// times, including before or after the run. This is the supervision
-// hook — a watchdog that stops seeing Beat advance calls Interrupt,
-// checkpoints, and resumes on fresh connections.
+// shard stops at its next batch boundary, Run returns ErrInterrupted
+// with the partial results, and the campaign stays checkpointable. Safe
+// to call from any goroutine, any number of times, including before or
+// after the run; called before, no shard sends a probe. This is the
+// supervision hook — a watchdog that stops seeing Beat advance calls
+// Interrupt, checkpoints, and resumes on fresh connections.
 func (c *Campaign) Interrupt() { c.stop.Store(true) }
 
 // Beat returns the campaign's liveness heartbeat: a counter every
@@ -455,31 +455,25 @@ func shardRange(domain uint64, s, n int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// Run executes the campaign and returns the merged store and statistics.
-// It is RunContext without cancellation.
+// Run executes the campaign as five steps over its shard records: open
+// builds them, startPrimer starts the shared bucket replay beside them,
+// probe drives them to completion or interrupt, recover re-probes what
+// quarantined shards left undone, and report folds the outcome. An
+// Interrupt — before the run or during it — or the InterruptAt instant
+// stops every shard at its next batch boundary: pending telemetry is
+// flushed, the partial statistics are returned with ErrInterrupted and
+// a nil store — MergedStore folds the partial results for callers that
+// publish them — and the campaign stays checkpointable. The merge is
+// deterministic: shards own disjoint permutation slices, and their
+// stores are folded in shard order (equal to virtual-time order of the
+// shard windows) after every goroutine has finished.
 func (c *Campaign) Run() (*probe.Store, CampaignStats, error) {
-	return c.RunContext(context.Background())
-}
-
-// RunContext executes the campaign as five steps over its shard
-// records: open builds them, prime starts the shared bucket replay
-// beside them, probe drives them to completion or interrupt, recover
-// re-probes what quarantined shards left undone, and report folds the
-// outcome. Cancelling ctx stops every shard at its next batch boundary:
-// pending telemetry is flushed, the partial statistics are returned
-// with ErrInterrupted and a nil store — MergedStore folds the partial
-// results for callers that publish them — and the campaign stays
-// checkpointable. The merge is deterministic: shards own disjoint
-// permutation slices, and their stores are folded in shard order (equal
-// to virtual-time order of the shard windows) after every goroutine has
-// finished.
-func (c *Campaign) RunContext(ctx context.Context) (*probe.Store, CampaignStats, error) {
 	began := time.Now()
 	if err := c.open(); err != nil {
 		return nil, CampaignStats{}, err
 	}
 	primer := c.startPrimer(began)
-	c.probe(ctx, primer)
+	c.probe(primer)
 	out, all, interrupted := c.recover()
 	return c.report(out, all, interrupted)
 }
@@ -531,39 +525,13 @@ func (c *Campaign) open() error {
 	return nil
 }
 
-// probe runs the configured shards to completion or interrupt under the
-// cancellation watcher, and joins the primer.
-func (c *Campaign) probe(ctx context.Context, primer <-chan struct{}) {
-	// Cancellation watcher: flips the shared stop flag the probers poll
-	// at batch boundaries. The watcher exits through stopWatch when the
-	// shards finish first, so no goroutine outlives RunContext.
-	stopWatch := make(chan struct{})
-	watcherDone := make(chan struct{})
-	if ctx != nil && ctx.Err() != nil {
-		// Already cancelled: flip the flag synchronously so no shard
-		// sends a single probe before noticing (the watcher goroutine
-		// could lose that race on a virtual-time run).
-		c.stop.Store(true)
-	}
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-ctx.Done():
-				c.stop.Store(true)
-			case <-stopWatch:
-			}
-		}()
-	} else {
-		close(watcherDone)
-	}
-
+// probe runs the configured shards to completion or interrupt and joins
+// the primer, so no goroutine outlives Run.
+func (c *Campaign) probe(primer <-chan struct{}) {
 	c.runShards(c.shards)
 	if primer != nil {
 		<-primer
 	}
-	close(stopWatch)
-	<-watcherDone
 }
 
 // recover classifies the shard outcomes — fatal shard errors quarantine
@@ -685,7 +653,7 @@ func (c *Campaign) mergeShards(all []*shardState) *probe.Store {
 // fold is paid only by callers that publish a partial view; a
 // checkpoint-and-continue cycle never asks. The campaign stays
 // checkpointable: the fold works on clones. It returns nil when the run
-// was not interrupted (RunContext returned the merged store itself).
+// was not interrupted (Run returned the merged store itself).
 func (c *Campaign) MergedStore() *probe.Store {
 	if c.partial == nil {
 		return nil
@@ -757,7 +725,7 @@ func (ss *shardState) remainder() (recoverRange, bool) {
 // deterministic simulator the re-probed replies are the ones the dead
 // shard would have collected, so the merged store matches the
 // fault-free run whenever no replies were lost. Recovery probers keep
-// the quarantined shard's instance byte, honor cancellation, and rounds
+// the quarantined shard's instance byte, honor Interrupt, and rounds
 // are bounded: ranges whose recovery probers keep dying are returned in
 // CampaignStats.Incomplete.
 func (c *Campaign) recoverRanges(ranges []recoverRange, out *CampaignStats) []*shardState {

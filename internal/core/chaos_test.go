@@ -211,8 +211,8 @@ func TestCampaignChaosMatrix(t *testing.T) {
 		},
 	}
 
-	// Every campaign below runs shard probers, a cancellation watcher,
-	// and recovery probers on their own goroutines; all must have exited.
+	// Every campaign below runs shard probers, a bucket primer, and
+	// recovery probers on their own goroutines; all must have exited.
 	testutil.NoGoroutineLeaks(t)
 	for _, sc := range scenarios {
 		fc := &faultsim.Config{Seed: 0xc4a05, Rules: sc.rules}

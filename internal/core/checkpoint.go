@@ -64,7 +64,7 @@ var (
 var ErrNotCheckpointable = errors.New("yarrp6: campaign is not checkpointable")
 
 // Checkpoint serializes the campaign's complete state after an
-// interrupted RunContext (InterruptAt or context cancellation). The
+// interrupted Run (InterruptAt or Interrupt). The
 // artifact captures per-shard permutation cursors, store snapshots,
 // progress series and first sightings, counter deltas, and in-flight
 // replies; Resume reconstructs a campaign that continues the run
@@ -130,7 +130,7 @@ func (c *Campaign) checkpointable() error {
 // path: each snapshot cycle pays one serialization for the durable
 // artifact, not a second full decode just to keep running. The
 // continuation is byte-identical to the artifact round trip — both feed
-// RunContext the records as they stood at the same probe boundary.
+// Run the records as they stood at the same probe boundary.
 func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
 	if err := c.checkpointable(); err != nil {
 		return nil, err
@@ -317,7 +317,7 @@ func (rc *ResumeConfig) apply(cfg *CampaignConfig) {
 // connections over the same (or an identically seeded) vantage universe
 // as the original run, opening each shard's clock at the requested
 // offset from the original campaign epoch — Campaign.Epoch exposes it.
-// RunContext then continues the run exactly where Checkpoint cut it.
+// Run then continues the run exactly where Checkpoint cut it.
 func Resume(artifact []byte, rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
 	sec, err := readSections(artifact)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -210,7 +209,7 @@ func TestCampaignRewindChain(t *testing.T) {
 	}
 }
 
-// TestCampaignCancelBeforeRun: a pre-cancelled context stops every
+// TestCampaignCancelBeforeRun: an Interrupt before Run stops every
 // shard before its first probe; the checkpoint resumes into the full
 // campaign.
 func TestCampaignCancelBeforeRun(t *testing.T) {
@@ -225,9 +224,8 @@ func TestCampaignCancelBeforeRun(t *testing.T) {
 		Config: cfg, Shards: 2, RecordPaths: true,
 		Telemetry: telemetry.NewRegistry(),
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, stats, err := camp.RunContext(ctx)
+	camp.Interrupt()
+	_, stats, err := camp.Run()
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("cancelled run: got %v, want ErrInterrupted", err)
 	}
@@ -245,10 +243,10 @@ func TestCampaignCancelBeforeRun(t *testing.T) {
 	assertRunsEqual(t, "resume from zero", got, ref)
 }
 
-// TestCampaignCancelMidRun cancels concurrently with the run under load.
+// TestCampaignCancelMidRun interrupts concurrently with the run under load.
 // Wherever the cut lands, the partial results must be valid and the
 // checkpoint must resume into the byte-identical full campaign; run with
-// -race this doubles as the cancellation data-race test.
+// -race this doubles as the Interrupt data-race test.
 func TestCampaignCancelMidRun(t *testing.T) {
 	const seed = 311
 	targets := campaignTargets(t, seed, 61)
@@ -261,12 +259,11 @@ func TestCampaignCancelMidRun(t *testing.T) {
 		Config: cfg, Shards: 4, RecordPaths: true,
 		Telemetry: telemetry.NewRegistry(),
 	}, func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(2 * time.Millisecond)
-		cancel()
+		camp.Interrupt()
 	}()
-	store, _, err := camp.RunContext(ctx)
+	store, _, err := camp.Run()
 	if err == nil {
 		// The campaign outran the cancel; nothing to resume.
 		if store == nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -64,7 +63,7 @@ func (noImportConn) ImportSimState([]byte) error { return errors.New("import ref
 
 // primeCut says how a pipelined-prime run is cut short.
 type primeCut struct {
-	cancelled   bool          // RunContext under an already-cancelled context
+	cancelled   bool          // Interrupt() before Run
 	interruptIn time.Duration // >0: Interrupt() from another goroutine after this much wall time
 	interruptAt time.Duration // >0: CampaignConfig.InterruptAt
 }
@@ -91,10 +90,8 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 	}, func(_ int, start time.Duration) probe.Conn {
 		return &slowPrimeConn{Vantage: v.Clone(start), replaying: &replaying}
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	if cut.cancelled {
-		cancel()
+		camp.Interrupt()
 	}
 	fired := make(chan struct{})
 	if cut.interruptIn > 0 {
@@ -107,7 +104,7 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 	} else {
 		close(fired)
 	}
-	store, stats, err := camp.RunContext(ctx)
+	store, stats, err := camp.Run()
 	<-fired
 	if err == nil {
 		// The campaign outran the interrupt: nothing to resume.
@@ -147,7 +144,7 @@ func primeCutRun(t *testing.T, seed int64, targets []netip.Addr, shards, batch i
 // checkpoint, resume and finish byte-equal to the uninterrupted serial
 // run; where the cut is a deterministic one the artifact itself must not
 // depend on scheduling; and the primer goroutine must be gone when
-// RunContext returns.
+// Run returns.
 func TestPipelinedPrimeChaosCancel(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 907

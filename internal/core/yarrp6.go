@@ -107,7 +107,7 @@ type Config struct {
 	// sent at or past it. Campaign sets it for checkpointing.
 	interruptAt time.Duration
 	// stop, when non-nil and set, requests an interrupt at the next
-	// batch boundary — the cancellation path. The prober polls it
+	// batch boundary — the Interrupt path. The prober polls it
 	// between send runs only, so a clean stop costs one predicted load
 	// per batch.
 	stop *atomic.Bool
@@ -225,7 +225,7 @@ func (s *Stats) add(o *Stats) {
 }
 
 // ErrInterrupted reports that a run stopped at its interrupt instant or
-// on a cancellation request. The prober's complete state was captured
+// on an Interrupt request. The prober's complete state was captured
 // first, so the run can be checkpointed and continued.
 var ErrInterrupted = errors.New("yarrp6: interrupted")
 
@@ -437,7 +437,7 @@ func (y *Yarrp6) recordSample(store *probe.Store, at time.Duration) {
 }
 
 // stopNow reports whether the run must interrupt before the next send:
-// the clock has reached the interrupt instant, or cancellation was
+// the clock has reached the interrupt instant, or an Interrupt was
 // requested. Both checks are dead predicted branches when the features
 // are off.
 func (y *Yarrp6) stopNow() bool {

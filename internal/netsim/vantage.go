@@ -301,15 +301,6 @@ func (v *Vantage) BeginShardGroup() *ClockGroup {
 	return v.group
 }
 
-// BeginOwnShardGroup is BeginShardGroup for a campaign whose shard 0
-// probes on this vantage itself: the parent keeps ordinal 0 and clones
-// are numbered from 1, so campaign prober s still probes through
-// ordinal s.
-func (v *Vantage) BeginOwnShardGroup() {
-	v.BeginShardGroup()
-	v.nextClone = 1
-}
-
 // ShardOrdinal returns this vantage's clone ordinal within its shard
 // group (0 for the parent), the identity fault rules match on.
 func (v *Vantage) ShardOrdinal() int { return v.shardOrd }

@@ -269,11 +269,10 @@ type Result struct {
 	// "drained", "drained-queued".
 	Reason string
 	// Store and Stats are the merged results (partial for Incomplete,
-	// nil for queued-drained campaigns).
+	// nil for queued-drained campaigns). The campaign's topology graph is
+	// graph.FromStore of Store, built by whoever reads it.
 	Store *probe.Store
 	Stats core.CampaignStats
-	// Graph is the topology graph derived from Store (nil without one).
-	Graph *graph.Graph
 	// Retries counts watchdog failovers performed.
 	Retries int
 	// Artifact is the drain checkpoint (StateDrained only; nil when
@@ -691,7 +690,8 @@ func (s *Supervisor) resumeConfig(j *job) core.ResumeConfig {
 // into it once its sink has returned, since the continuation is handed
 // over in-process and nothing else references it; an artifact that
 // escapes — a drain's Result.Artifact, or a watchdog failover's, which
-// core.Resume may alias — never does.
+// core.Resume may alias — never does. A campaign stopped by its own
+// deadline encodes nothing: no path resumes it.
 func (s *Supervisor) runJob(j *job, spare *[]byte) {
 	if !s.breaker.admit(j.spec.Vantage) {
 		// The vantage's breaker opened (or its half-open trial slot was
@@ -754,6 +754,13 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 			// An interrupted run returns no store: the terminal paths fold
 			// it on demand (MergedStore), and the periodic continuation
 			// below skips the fold entirely.
+			if !fired && !ckptReq && !s.isDraining() {
+				// The campaign's own virtual deadline fired: nothing
+				// resumes from here, so no artifact is encoded and the
+				// worker's memory stays with it.
+				s.finalize(j, &Result{State: StateIncomplete, Reason: "deadline", Store: camp.MergedStore(), Stats: stats})
+				return
+			}
 			encStart := time.Now()
 			art, ckErr := camp.AppendCheckpoint((*spare)[:0])
 			*spare = nil
@@ -794,7 +801,7 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 				}
 				artifact = art
 				continue
-			case ckptReq:
+			default:
 				// Periodic snapshot: persist the artifact and resume the
 				// same attempt loop. This is not a failover — no retry is
 				// consumed and no backoff is taken; the continuation picks
@@ -836,10 +843,6 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 				}
 				rewound, *spare = next, art
 				continue
-			default:
-				// The campaign's own virtual deadline fired.
-				s.finalize(j, &Result{State: StateIncomplete, Reason: "deadline", Store: camp.MergedStore(), Stats: stats})
-				return
 			}
 
 		default:
@@ -936,10 +939,6 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 	res.Tenant = j.spec.Tenant
 	res.Campaign = j.spec.Name
 	res.Retries = j.retries
-	if res.Store != nil {
-		// A result with a store comes from a live campaign.
-		res.Graph = graph.FromStore(res.Store, j.spec.Vantage, j.camp.Load().Proto())
-	}
 
 	s.mu.Lock()
 	wasRunning := j.state == StateRunning
@@ -967,11 +966,15 @@ func (s *Supervisor) finalize(j *job, res *Result) {
 		s.met.drained.Inc()
 	}
 	ev := Event{Event: res.State.String(), Tenant: j.spec.Tenant, Campaign: j.spec.Name, Reason: res.Reason}
-	if res.Store != nil {
+	if res.Store != nil && j.st != nil {
+		// Only the terminal event reads the graph: a campaign without a
+		// stream leaves it to whoever reads its store. A result with a
+		// store comes from a live campaign.
+		g := graph.FromStore(res.Store, j.spec.Vantage, j.camp.Load().Proto())
 		ev.Probes = res.Stats.ProbesSent
 		ev.Replies = res.Stats.Replies
-		ev.Nodes = res.Graph.NumNodes()
-		ev.Edges = res.Graph.NumEdges()
+		ev.Nodes = g.NumNodes()
+		ev.Edges = g.NumEdges()
 	}
 	j.st.event(ev)
 

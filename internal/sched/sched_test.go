@@ -416,6 +416,43 @@ func TestDeadlineIncomplete(t *testing.T) {
 	drainAll(t, s)
 }
 
+// TestDeadlineEncodesNoCheckpoint: a campaign stopped by its own
+// deadline hands no artifact on — no drain takes it and no attempt
+// resumes from it — so the supervisor encodes none: the encode
+// histogram stays empty and the artifact-size gauge unset.
+func TestDeadlineEncodesNoCheckpoint(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 4402
+	env := newTestEnv(seed, nil)
+	reg := telemetry.NewRegistry()
+	s, err := New(env.opener, Options{Tenants: []Tenant{{Name: "t"}}, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := testSpec("t", "slow", schedTargets(seed, 32))
+	sp.Shards, sp.Batch = 2, 16
+	sp.Deadline = 120 * time.Millisecond
+	h, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != StateIncomplete || res.Reason != "deadline" || res.Store == nil {
+		t.Fatalf("deadline result = %+v", res)
+	}
+	drainAll(t, s)
+	snap := reg.Snapshot()
+	if h, ok := snap.Histogram("sched_checkpoint_encode_usec"); ok && h.Count != 0 {
+		t.Fatalf("deadline stop encoded %d checkpoints", h.Count)
+	}
+	if g, ok := snap.Gauge("sched_checkpoint_bytes"); ok && g != 0 {
+		t.Fatalf("sched_checkpoint_bytes = %d after a deadline stop", g)
+	}
+}
+
 // wedgeConn hangs one send mid-campaign — a hung socket, not a
 // simulated fault, so virtual time and the result bytes are untouched.
 // While it hangs the supervision clock runs on, one watchdog poll (in

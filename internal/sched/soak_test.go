@@ -18,16 +18,6 @@ import (
 	"beholder/internal/wire"
 )
 
-// graphBytes renders a result graph for byte comparison.
-func graphBytes(t *testing.T, r *Result) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := r.Graph.WriteNDJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestSupervisedNeutrality is the core supervision invariant in
 // miniature: two tenants' campaigns run concurrently over one shared
 // universe, and each result is byte-identical to the same campaign run
@@ -400,7 +390,7 @@ func TestSoakDrainRestartChain(t *testing.T) {
 			t.Fatalf("%s: chained stats %+v vs %+v", sp.Tag(), res.Stats.Stats, want.stats.Stats)
 		}
 		wantGraph := graphFromStore(t, want.store, sp)
-		if !bytes.Equal(graphBytes(t, res), wantGraph) {
+		if !bytes.Equal(graphFromStore(t, res.Store, sp), wantGraph) {
 			t.Fatalf("%s: chained graph differs from uninterrupted run", sp.Tag())
 		}
 	}

@@ -10,7 +10,8 @@ import (
 // submitted, started, retry, checkpoint, and the terminal completed,
 // incomplete or drained. Checkpoint and terminal events carry the run's
 // cumulative probe and reply counts; terminal events with results also
-// carry the node and edge counts of the campaign's graph.
+// carry the node and edge counts of the campaign's graph (graph.FromStore
+// of the result's store, built for this event alone).
 type Event struct {
 	Event    string `json:"event"`
 	Tenant   string `json:"tenant"`

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"testing"
 
+	"beholder/internal/graph"
 	"beholder/internal/testutil"
+	"beholder/internal/wire"
 )
 
 // TestFacadeScheduler drives the multi-tenant supervisor through the
@@ -85,7 +87,7 @@ func TestFacadeScheduler(t *testing.T) {
 	if !resB.Store.Equal(refB.Store()) {
 		t.Fatal("bob's supervised store differs from bare run")
 	}
-	if !resA.Graph.Equal(refA.Graph()) {
+	if !graph.FromStore(resA.Store, "sched-a", wire.ProtoICMPv6).Equal(refA.Graph()) {
 		t.Fatal("alice's supervised graph differs from bare run")
 	}
 
