@@ -858,9 +858,9 @@ type ifaceSeen struct {
 
 // ifaceTimes is a shard's first-seen list behind the progress interface
 // counts: the virtual instant of every interface address's first
-// sighting, appended by the prober when the shard's store reports the
-// address as new — the store is the one set of known interfaces, so the
-// list holds each of its addresses exactly once.
+// sighting, appended by the prober's fold goroutine when the shard's
+// store reports the address as new — the store is the one set of known
+// interfaces, so the list holds each of its addresses exactly once.
 type ifaceTimes struct {
 	// seen is ascending by address up to nSorted — the order checkpoints
 	// serialize — and in arrival order beyond, so a checkpoint sorts only

@@ -79,8 +79,9 @@ type Config struct {
 	// DrainTimeout is how long to keep collecting replies after the last
 	// probe. Default 2s.
 	DrainTimeout time.Duration
-	// Observer, when non-nil, receives every stored reply as it
-	// arrives. It runs on the prober goroutine, after the store fold. The
+	// Observer, when non-nil, receives every stored reply in arrival
+	// order. It runs on the run's fold goroutine, right after the reply's
+	// store fold, and Run returns only once it has seen every reply. The
 	// service attaches none — a running campaign's live view is its
 	// progress series; the benchmark module's graph-layer timing does.
 	Observer probe.Observer
@@ -342,7 +343,8 @@ type Yarrp6 struct {
 	end uint64
 
 	// Neighborhood heuristic state: bounded by the TTL range, not by
-	// targets — the prober stays O(1) in destinations.
+	// targets — the prober stays O(1) in destinations. The fold goroutine
+	// writes it; the prober reads it only after fold.sync.
 	lastNew [256]time.Duration
 
 	// polls counts stop polls, pacing the heartbeat (see stopNow).
@@ -352,6 +354,11 @@ type Yarrp6 struct {
 	// after a clean completion. Campaign serializes it into checkpoint
 	// artifacts and feeds it to shard recovery.
 	rs *shardResume
+
+	// fold carries parsed replies and progress samples to the run's fold
+	// goroutine, which owns the store until Run returns (fold.go); nil
+	// outside Run.
+	fold *foldPipe
 }
 
 // telSink bundles the prober's telemetry instruments plus the
@@ -416,10 +423,11 @@ func (y *Yarrp6) telFlush() {
 	t.sh.Flush()
 }
 
-// recordSample appends the current counters to the progress recorder,
-// stamped at the virtual instant at. A shard without a first-sighting
-// list samples its store's interface count as well.
-func (y *Yarrp6) recordSample(store *probe.Store, at time.Duration) {
+// recordSample queues the current counters for the progress recorder,
+// stamped at the virtual instant at. The fold goroutine records the
+// sample once it has folded every reply queued before it, adding the
+// store's interface count for a shard without a first-sighting list.
+func (y *Yarrp6) recordSample(at time.Duration) {
 	s := telemetry.Sample{
 		At:           at,
 		Probes:       y.stats.ProbesSent,
@@ -430,10 +438,7 @@ func (y *Yarrp6) recordSample(store *probe.Store, at time.Duration) {
 		DestUnreach:  y.kindCount[probe.KindDestUnreach],
 		TCPRsts:      y.kindCount[probe.KindTCPRst],
 	}
-	if y.cfg.track == nil {
-		s.Interfaces = int64(store.NumInterfaces())
-	}
-	y.prog.Record(s)
+	y.fold.mark(s)
 }
 
 // stopNow reports whether the run must interrupt before the next send:
@@ -461,9 +466,12 @@ func (y *Yarrp6) stopNow() bool {
 // capture snapshots the run state at an interrupt, fatal send error, or
 // drain-tail stop. cursor is the next unsent permutation index;
 // drainDeadline is nonzero only when the capture happened inside the
-// drain tail (the window itself is complete). Pending telemetry is
-// flushed so the registry is exact at the capture instant.
+// drain tail (the window itself is complete). The fold catches up first,
+// so the store, the progress series and lastNew are those of the capture
+// instant, and pending telemetry is flushed so the registry is exact
+// there too.
 func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
+	y.fold.sync()
 	// Fold the live authentication-failure counter into the returned
 	// partial stats the same way a completed run would.
 	y.stats.NotMine = y.codec.NotMine
@@ -507,12 +515,12 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 // threshold instant. The crossing also folds pending telemetry into the
 // shared registry (~130 times per campaign): the live endpoint stays
 // fresh without shared-atomic traffic on the per-probe path.
-func (y *Yarrp6) maybeSample(store *probe.Store) {
+func (y *Yarrp6) maybeSample() {
 	if y.prog == nil {
 		return
 	}
 	if now := y.conn.Now(); now >= y.nextSample {
-		y.recordSample(store, now)
+		y.recordSample(now)
 		y.nextSample = y.prog.NextThreshold(now)
 		y.telFlush()
 	}
@@ -536,7 +544,9 @@ func (y *Yarrp6) initCodec() error {
 
 // Run executes the campaign, folding every recovered reply into store:
 // restore a previous run's capture or prime the window's rate-limiter
-// history, send the window, drain the tail.
+// history, send the window, drain the tail. While it sends and drains,
+// the store belongs to the run's fold goroutine (fold.go); Run returns
+// once every reply is folded and that goroutine has exited.
 //
 // There is one send loop, and it is batched: permutation indices are
 // drawn Batch at a time, the probes for a batch are pre-built into a
@@ -607,10 +617,12 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	// Batched sends may defer shared-counter updates; publish exact
 	// totals on every exit path so post-run readers see them.
 	defer y.bc.FlushStats()
-	if err := y.send(store, p.Resume(cursor)); err != nil {
+	y.startFold(store)
+	defer y.stopFold()
+	if err := y.send(p.Resume(cursor)); err != nil {
 		return y.stats, err
 	}
-	return y.drain(store, drainDeadline)
+	return y.drain(drainDeadline)
 }
 
 // restore continues an interrupted run exactly where rs captured it. The
@@ -655,12 +667,12 @@ func (y *Yarrp6) restore(rs *shardResume) error {
 // loop's schedule exactly, minus the empty iterations. A nonzero
 // deadline is a resumed tail's: the original run's deadline stands
 // instead of extending the tail from the resume instant.
-func (y *Yarrp6) drain(store *probe.Store, deadline time.Duration) (Stats, error) {
+func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 	if y.prog != nil {
 		// Pin the window-exit state: the shard may sit idle in its drain
 		// tail across many thresholds, and the merge needs a sample at or
 		// before each of them carrying the completed-window counters.
-		y.recordSample(store, y.conn.Now())
+		y.recordSample(y.conn.Now())
 	}
 	if deadline == 0 {
 		deadline = y.conn.Now() + y.cfg.DrainTimeout
@@ -693,18 +705,18 @@ func (y *Yarrp6) drain(store *probe.Store, deadline time.Duration) (Stats, error
 			}
 		}
 		y.conn.Sleep(time.Duration(steps) * gap)
-		y.drainAll(store)
+		y.drainAll()
 		if y.prog != nil {
 			// Pin tail activity at its drain instant so the merge
 			// attributes it to the right threshold; Record drops the
 			// sample when the drain changed nothing.
-			y.recordSample(store, y.conn.Now())
+			y.recordSample(y.conn.Now())
 		}
 	}
 	y.stats.Elapsed = y.conn.Now() - y.codec.Epoch()
 	y.stats.NotMine = y.codec.NotMine
 	if y.prog != nil {
-		y.recordSample(store, y.conn.Now())
+		y.recordSample(y.conn.Now())
 	}
 	y.telFlush()
 	return y.stats, nil
@@ -722,7 +734,7 @@ func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base time.Duration) {
 
 // send is the send loop — the only one: it walks the permutation window
 // [it.Pos(), end), Batch probes per SendBatch call.
-func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
+func (y *Yarrp6) send(it *perm.Iterator) error {
 	cfg := &y.cfg
 	gap, end := y.gap, y.end
 	batch := cfg.Batch
@@ -822,7 +834,7 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 					if y.prog != nil {
 						// The failed prober's counters are final: pin them
 						// for every threshold past the failure.
-						y.recordSample(store, y.conn.Now())
+						y.recordSample(y.conn.Now())
 					}
 					y.capture(posBase+uint64(sent), 0)
 					return err
@@ -838,9 +850,9 @@ func (y *Yarrp6) send(store *probe.Store, it *perm.Iterator) error {
 				deliverable = true
 			}
 			if deliverable {
-				y.drainAll(store)
+				y.drainAll()
 			}
-			y.maybeSample(store)
+			y.maybeSample()
 		}
 	}
 	return nil
@@ -883,9 +895,10 @@ func (y *Yarrp6) sendProbe(target netip.Addr, ttl uint8) error {
 
 // drainAll processes every deliverable reply, recvBatch at a time.
 // Replies come out in delivery order, and fills triggered while
-// processing schedule strictly future deliveries, so one pass folds
-// everything that is due.
-func (y *Yarrp6) drainAll(store *probe.Store) {
+// processing schedule strictly future deliveries, so one pass handles
+// everything that is due. Under the neighborhood heuristic the fold
+// catches up before the next skip decision reads lastNew.
+func (y *Yarrp6) drainAll() {
 	if y.rsizes == nil {
 		y.rbatch = make([]byte, recvBatch*wire.MinMTU)
 		y.rsizes = make([]int, recvBatch)
@@ -894,18 +907,21 @@ func (y *Yarrp6) drainAll(store *probe.Store) {
 		n := y.bc.RecvBatch(y.rbatch, y.rsizes)
 		off := 0
 		for i := 0; i < n; i++ {
-			y.handleReply(y.rbatch[off:off+y.rsizes[i]], store)
+			y.handleReply(y.rbatch[off : off+y.rsizes[i]])
 			off += y.rsizes[i]
 		}
 		if n < len(y.rsizes) {
-			return
+			break
 		}
+	}
+	if y.cfg.NeighborhoodWindow > 0 {
+		y.fold.sync()
 	}
 }
 
-// handleReply parses one reply, folds it into the store, and drives the
-// fill-mode and neighborhood mechanisms.
-func (y *Yarrp6) handleReply(b []byte, store *probe.Store) {
+// handleReply parses one reply, counts it, queues it for the fold, and
+// drives fill mode.
+func (y *Yarrp6) handleReply(b []byte) {
 	r, ok := y.codec.ParseReply(b)
 	if !ok {
 		return
@@ -915,16 +931,7 @@ func (y *Yarrp6) handleReply(b []byte, store *probe.Store) {
 	if y.tel.sh != nil && r.RTT > 0 {
 		y.tel.rtt.Observe(int64(r.RTT / time.Microsecond))
 	}
-	newIface := store.Add(r)
-	if newIface && y.cfg.track != nil {
-		y.cfg.track.add(r.From, r.At)
-	}
-	if y.cfg.Observer != nil {
-		y.cfg.Observer.OnReply(r)
-	}
-	if newIface && r.TTL != 0 && r.TTL <= y.cfg.NeighborhoodTTL {
-		y.lastNew[r.TTL] = y.conn.Now()
-	}
+	y.fold.add(r)
 	// Fill mode: a response from at or past the maximum randomized TTL
 	// extends the trace sequentially toward the destination. Fills are
 	// uncommon and land at path tails, where sequential probing has the

@@ -254,7 +254,9 @@ func TestForeignRepliesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := store.NumInterfaces()
-	y.handleReply(errPkt[:en], store)
+	y.startFold(store)
+	y.handleReply(errPkt[:en])
+	y.stopFold()
 	if y.codec.NotMine == 0 {
 		t.Error("forged reply not flagged NotMine")
 	}

@@ -113,9 +113,10 @@ type path struct {
 }
 
 // Graph is a deterministic interface-level directed multigraph under
-// incremental construction. It implements probe.Observer; a Graph is
-// owned by a single prober goroutine while its campaign runs, and
-// shard/vantage subgraphs are folded afterwards with Merge.
+// incremental construction. It implements probe.Observer; a Graph
+// observing a campaign is owned by that prober's fold goroutine while
+// the run lasts, and shard/vantage subgraphs are folded afterwards with
+// Merge.
 //
 // Every address the graph meets — hop source, reached destination, or
 // merely the target a path is keyed by — is interned once into a dense

@@ -187,7 +187,9 @@ type Reply struct {
 func (r *Reply) IsTimeExceeded() bool { return r.Kind == KindTimeExceeded }
 
 // Observer receives every parsed reply a prober folds into its store,
-// in arrival order, on the prober's own goroutine. It is the streaming
+// in arrival order, on the goroutine that folds them (Yarrp6's per-run
+// fold goroutine, beside the one that sends), one call at a time and
+// right after the reply's store fold. It is the streaming
 // hook derived artifacts (the topology graph) are built through during
 // a run instead of by post-hoc store scans. Implementations must not
 // retain r's address values beyond the call any differently than a

@@ -96,10 +96,12 @@ func (t *Trace) PathLength() int {
 
 // Store accumulates campaign results: per-target traces, the global
 // interface-address set, and response-mix counters. A Store is owned by a
-// single prober goroutine while a campaign runs — the sharded campaign
-// engine gives every shard its own Store and folds them together
-// afterwards with Merge, which is deterministic regardless of how the
-// shard goroutines interleaved.
+// single goroutine while a campaign runs — the fold goroutine of its
+// shard's prober, which applies the parsed replies in arrival order while
+// the prober goroutine sends and receives; Run returns only once the fold
+// is done. The sharded campaign engine gives every shard its own Store
+// and folds them together afterwards with Merge, which is deterministic
+// regardless of how the shard goroutines interleaved.
 //
 // The store's one address index is an ipv6.Table: a reply's source and
 // its target are each one table probe, and what the store knows about an

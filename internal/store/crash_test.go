@@ -12,6 +12,7 @@ import (
 
 	"beholder/internal/store"
 	"beholder/internal/store/faultfs"
+	"beholder/internal/telemetry"
 )
 
 // slot names one (key, kind) entry.
@@ -265,13 +266,16 @@ func TestFaultMatrix(t *testing.T) {
 // TestJournalFailureRefusesWrites: a failed journal append leaves a
 // partial frame that replay cuts as a torn tail, taking every later
 // record with it. The store must refuse writes until reopened, so no
-// Put that returned nil is lost.
+// Put that returned nil is lost, and its store_poisoned gauge reads 1
+// for exactly as long as it refuses them.
 func TestJournalFailureRefusesWrites(t *testing.T) {
 	for _, kind := range []faultfs.Fault{faultfs.ShortWrite, faultfs.SyncEIO} {
 		t.Run(kind.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultfs.New(store.OS, 0)
-			s, err := store.Open(store.Config{Dir: dir, FS: ffs})
+			reg := telemetry.NewRegistry()
+			poisoned := reg.Gauge("store_poisoned")
+			s, err := store.Open(store.Config{Dir: dir, FS: ffs, Telemetry: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,13 +288,30 @@ func TestJournalFailureRefusesWrites(t *testing.T) {
 			if err := s.Put("b", "spec", []byte("two")); err == nil {
 				t.Fatal("Put with a failed journal append returned nil")
 			}
+			if v := poisoned.Value(); v != 1 {
+				t.Errorf("store_poisoned after the failed append = %d, want 1", v)
+			}
 			acked := map[string]bool{
 				"c":  s.Put("c", "spec", []byte("c")) == nil,
 				"-a": s.Delete("a", "spec") == nil,
 				"d":  s.Put("d", "spec", []byte("d")) == nil,
 			}
+			if v := poisoned.Value(); v != 1 {
+				t.Errorf("store_poisoned while writes are refused = %d, want 1", v)
+			}
 			s.Close()
-			s2, _ := reopen(t, dir)
+			if v := poisoned.Value(); v != 0 {
+				t.Errorf("store_poisoned after Close = %d, want 0", v)
+			}
+			poisoned.Set(1)
+			s2, err := store.Open(store.Config{Dir: dir, Telemetry: reg})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			t.Cleanup(func() { s2.Close() })
+			if v := poisoned.Value(); v != 0 {
+				t.Errorf("store_poisoned after reopen = %d, want 0", v)
+			}
 			for _, k := range []string{"c", "d"} {
 				if _, err := s2.Get(k, "spec"); acked[k] && err != nil {
 					t.Errorf("Put(%s) returned nil but is lost on reopen: %v", k, err)

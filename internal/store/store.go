@@ -149,6 +149,9 @@ type storeMetrics struct {
 	truncated   *telemetry.Counter
 	entries     *telemetry.Gauge
 	generation  *telemetry.Gauge
+	// poisoned is 1 while a failed journal append has the store
+	// refusing writes, 0 after Open and after Close.
+	poisoned *telemetry.Gauge
 }
 
 // Store is a crash-safe key/kind -> blob store backed by one
@@ -191,6 +194,7 @@ func Open(cfg Config) (_ *Store, err error) {
 			truncated:   r.Counter("store_journal_truncated_bytes_total"),
 			entries:     r.Gauge("store_entries"),
 			generation:  r.Gauge("store_generation"),
+			poisoned:    r.Gauge("store_poisoned"),
 		}
 	}
 	path := filepath.Join(s.dir, manifestName)
@@ -232,6 +236,7 @@ func Open(cfg Config) (_ *Store, err error) {
 	s.report.Entries = len(s.entries)
 	s.publishLocked()
 	s.met.truncated.Add(s.report.JournalTruncated)
+	s.met.poisoned.Set(0)
 	return s, nil
 }
 
@@ -566,13 +571,14 @@ func (s *Store) Close() error {
 	}
 	s.man = nil
 	s.err = errors.New("store: closed")
+	s.met.poisoned.Set(0)
 	return err
 }
 
 // appendRecord frames, writes, and fsyncs one journal record. A
 // failure poisons the store: it refuses writes until reopened, when
-// replay cuts whatever partial frame the failure left. Callers hold
-// s.mu.
+// replay cuts whatever partial frame the failure left, and the
+// store_poisoned gauge reads 1 meanwhile. Callers hold s.mu.
 func (s *Store) appendRecord(rec record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -587,6 +593,7 @@ func (s *Store) appendRecord(rec record) error {
 	}
 	if err != nil {
 		s.err = fmt.Errorf("store: journal append failed, writes refused until reopen: %w", err)
+		s.met.poisoned.Set(1)
 		return s.err
 	}
 	s.met.fsyncs.Inc()
