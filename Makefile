@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzImportSimState$$' -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run xxx -fuzz '^FuzzSubmitTargets$$' -fuzztime $(FUZZTIME) ./cmd/beholderd
 	$(GO) test -run xxx -fuzz '^FuzzAggregate$$' -fuzztime $(FUZZTIME) ./internal/kip
+	$(GO) test -run xxx -fuzz '^FuzzNewSet$$' -fuzztime $(FUZZTIME) ./internal/ipv6
 
 # cover writes the aggregate coverage profile and prints the total; CI
 # fails if the total drops below its recorded baseline.

@@ -898,7 +898,9 @@ func (a *AliasSet) Skipped() int { return a.res.Skipped }
 func (a *AliasSet) Store() *alias.Store { return a.res.Aliased }
 
 // AliasCandidates derives the unique covering /64s of targets — the
-// candidate prefixes DetectAliases probes.
+// candidate prefixes DetectAliases probes. Targets are IPv6: like every
+// address set, an IPv4 address counts in its IPv4-mapped form and a zone
+// is ignored.
 func AliasCandidates(targets []netip.Addr) []netip.Prefix {
 	return alias.Candidates(ipv6.NewSet(targets), 64)
 }
@@ -934,8 +936,10 @@ func (v *Vantage) DetectAliases(candidates []netip.Prefix, opt AliasOptions) *Al
 type DealiasStats = alias.Stats
 
 // DealiasTargets drops every target inside a detected aliased prefix,
-// returning the cleaned list. The underlying library also offers a
-// Collapse mode that keeps one representative per aliased prefix.
+// returning the cleaned list, sorted and deduplicated. The underlying
+// library also offers a Collapse mode that keeps one representative per
+// aliased prefix. Targets are IPv6: an IPv4 address comes back in its
+// IPv4-mapped form and a zone is dropped (see ipv6.Set).
 func DealiasTargets(targets []netip.Addr, aliases *AliasSet) ([]netip.Addr, DealiasStats) {
 	kept, stats := alias.Dealias(ipv6.NewSet(targets), aliases.res.Aliased, alias.Drop)
 	return kept.Addrs(), stats

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"beholder/internal/probe"
+	"beholder/internal/seeds"
 	"beholder/internal/target"
 	"beholder/internal/wire"
 )
@@ -252,6 +253,26 @@ func BenchmarkTargetBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(int64(n)*int64(b.N))/b.Elapsed().Seconds(), "targets/s")
+}
+
+// BenchmarkSeedTargetsTUM measures the set-up path every campaign
+// starts from: the tum seed list at scale 3 on the campaign-scale
+// universe, then its z64 lowbyte1 target set (the wide-serial inputs).
+// The universe is built once, outside the timed region.
+func BenchmarkSeedTargetsTUM(b *testing.B) {
+	u := NewInternet(2018).Universe()
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		list, _ := seeds.TUM(u, rand.New(rand.NewSource(int64(i))), 3)
+		set := target.Build(list, target.Spec{SeedName: "tum", ZN: 64, Synth: target.LowByte1}, rand.New(rand.NewSource(2018)))
+		n = set.Targets.Len()
+		if n == 0 {
+			b.Fatal("empty target set")
+		}
+	}
+	b.ReportMetric(float64(n), "targets")
 }
 
 // BenchmarkAliasDetect measures APD throughput: probes routed through

@@ -130,10 +130,11 @@ func (e *Experiments) Table5() *Table {
 		}
 		// TUM: exclusives versus the independents.
 		tum := e.targetSet("tum", zn, target.FixedIID)
-		union := ipv6.EmptySet()
-		for _, s := range indep {
-			union = union.Union(pool[s])
+		indepSets := make([]*ipv6.Set, len(indep))
+		for i, s := range indep {
+			indepSets[i] = pool[s]
 		}
+		union := ipv6.Union(indepSets...)
 		tumExcl := tum.Targets.Diff(union)
 		tumFeat := analysis.FeaturesOf(tum.Targets, table)
 		tumExclFeat := analysis.FeaturesOf(tumExcl, table)
@@ -230,10 +231,11 @@ func (e *Experiments) Figure3() (alone, combined *Figure) {
 	}
 	// The union interleaves sets; each member's DPL is recomputed within
 	// the union, then attributed back to the sets containing it.
-	union := ipv6.EmptySet()
-	for _, s := range names {
-		union = union.Union(e.targetSet(s, 64, target.FixedIID).Targets)
+	sets := make([]*ipv6.Set, len(names))
+	for i, s := range names {
+		sets[i] = e.targetSet(s, 64, target.FixedIID).Targets
 	}
+	union := ipv6.Union(sets...)
 	unionDPL := make(map[netip.Addr]int, union.Len())
 	for i, d := range ipv6.DPLs(union) {
 		unionDPL[union.At(i)] = d

@@ -700,11 +700,12 @@ func (c *Campaign) runShards(shards []*shardState) {
 
 // recoverRange is a quarantined shard's unprobed remainder: the
 // permutation range past its cursor plus the replies that were in
-// flight when it died.
+// flight and the fills it could not send when it died.
 type recoverRange struct {
 	lo, hi   uint64
 	instance uint8
 	pending  []pendingReply
+	fills    []lostFill
 }
 
 // remainder returns what a failed prober left undone, and whether there
@@ -713,9 +714,9 @@ func (ss *shardState) remainder() (recoverRange, bool) {
 	rr := recoverRange{instance: ss.instance, lo: ss.lo, hi: ss.hi}
 	if ss.rs != nil {
 		rr.lo = ss.rs.cursor
-		rr.pending = ss.rs.pending
+		rr.pending, rr.fills = ss.rs.pending, ss.rs.fills
 	}
-	return rr, rr.lo < rr.hi || len(rr.pending) > 0
+	return rr, rr.lo < rr.hi || len(rr.pending) > 0 || len(rr.fills) > 0
 }
 
 // recoverRanges re-probes quarantined ranges through fresh connections.
@@ -748,24 +749,26 @@ func (c *Campaign) recoverRanges(ranges []recoverRange, out *CampaignStats) []*s
 				k = int(span)
 			}
 			if span == 0 {
-				k = 1 // pending replies only: one drain-only prober
+				k = 1 // pending replies and lost fills only: one drain-only prober
 			}
 			for j := 0; j < k; j++ {
 				a := rr.lo + span*uint64(j)/uint64(k)
 				b := rr.lo + span*uint64(j+1)/uint64(k)
-				if a == b && !(j == 0 && len(rr.pending) > 0) {
+				if a == b && !(j == 0 && (len(rr.pending) > 0 || len(rr.fills) > 0)) {
 					continue
 				}
 				ss := c.newShard(nextIdx, a, b, rr.instance, nil)
 				nextIdx++
-				if j == 0 && len(rr.pending) > 0 {
-					// The dead shard's in-flight replies drain through the
-					// first recovery connection at their original instants.
+				if j == 0 {
+					// The dead shard's in-flight replies drain, and its lost
+					// fills go out, through the first recovery connection at
+					// their original instants.
 					if ck, ok := ss.conn.(probe.ConnCheckpointer); ok {
 						for _, pr := range rr.pending {
 							ck.InjectReply(pr.at, pr.data)
 						}
 					}
+					ss.prober.cfg.fills = rr.fills
 				}
 				batch = append(batch, ss)
 			}

@@ -130,8 +130,9 @@ func foldRun(t *testing.T, seed int64, targets []netip.Addr, shards int, c foldC
 
 // TestFoldPipelineCuts cuts 1- and 3-shard campaigns at the edges of the
 // reply fold pipeline — an interrupt while a fold block is half full, one
-// in the drain tail, Interrupt from another goroutine, a host crash that
-// hands a shard's window to recovery probers, and the neighborhood
+// in the drain tail, Interrupt from another goroutine, host crashes that
+// hand a shard's window to recovery probers (late ones with a fill due,
+// which recovery must send), and the neighborhood
 // heuristic, which waits for the fold after every drain — and requires
 // each to finish with the store bytes, progress stream and counters of
 // the uninterrupted run, with no goroutine left behind. A cut whose
@@ -150,6 +151,13 @@ func TestFoldPipelineCuts(t *testing.T) {
 		{name: "interrupt-drain-tail", at: span + 5*time.Millisecond},
 		{name: "interrupt-call", interruptAfter: 700},
 		{name: "crash", crash: span / 7},
+		// Late enough that shard 0 dies with a fill due: the fill fails
+		// and recovery must send it at its instant.
+		{name: "crash-late", crash: span / 2},
+		// Just past a third of the span: with 3 shards, shard 0 dies in
+		// its drain tail, where only fills are sent, so recovery must
+		// step its drain to the lost fill's instant.
+		{name: "crash-tail", crash: span/3 + 20*time.Millisecond},
 		{name: "neighborhood-batch-1", neighborhood: true, at: span / 2},
 		{name: "last-new-only", lastNewOnly: true, at: span/2 + 3*time.Millisecond},
 	}
@@ -188,7 +196,12 @@ func TestFoldPipelineCuts(t *testing.T) {
 					if part.ProbesSent == 0 || part.ProbesSent >= ref.stats.ProbesSent {
 						t.Fatalf("Interrupt landed outside the run: %d of %d probes sent", part.ProbesSent, ref.stats.ProbesSent)
 					}
-				case "crash":
+				case "crash", "crash-late", "crash-tail":
+					if c.name == "crash-late" && shards > 1 {
+						// Shard 0 finished its window and its tail's
+						// fills before the crash.
+						break
+					}
 					if len(got.stats.Quarantined) != 1 || got.stats.Quarantined[0] != 0 {
 						t.Fatalf("quarantined = %v, want [0]", got.stats.Quarantined)
 					}
@@ -199,6 +212,79 @@ func TestFoldPipelineCuts(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fillFaultConn fails every fourth single-packet send (fills are the
+// only ones) with a transient error — always a fill's first attempt, as
+// the attempt before it went out — logs each attempt's destination and
+// hop limit, and refuses a send after a failure that is not its retry.
+// It also rebuilds every batch packet with the prober's codec for the
+// instant it departs and counts those stamped for another (stale).
+type fillFaultConn struct {
+	*netsim.Vantage
+	y               *Yarrp6
+	calls, failures int
+	attempts        []fillAttempt
+	stale           int
+	buf             [probeStride]byte
+}
+
+func (c *fillFaultConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
+	for i, p := range pkts {
+		n := c.y.codec.BuildProbeAt(c.buf[:], netip.AddrFrom16([16]byte(p[24:40])), p[7], c.Now()+time.Duration(i)*gap)
+		if !bytes.Equal(c.buf[:n], p) {
+			c.stale++
+		}
+	}
+	return c.Vantage.SendBatch(pkts, gap)
+}
+
+type fillAttempt struct {
+	dst    netip.Addr
+	hop    uint8
+	failed bool
+}
+
+func (c *fillFaultConn) Send(pkt []byte) error {
+	c.calls++
+	a := fillAttempt{dst: netip.AddrFrom16([16]byte(pkt[24:40])), hop: pkt[7]}
+	n := len(c.attempts)
+	if a.failed = c.calls%4 == 2; a.failed {
+		c.failures++
+	}
+	c.attempts = append(c.attempts, a)
+	if a.failed {
+		return &faultsim.TransientSendError{Vantage: "US-EDU-1", At: c.Now()}
+	}
+	if n > 0 && c.attempts[n-1].failed && (c.attempts[n-1].dst != a.dst || c.attempts[n-1].hop != a.hop) {
+		return fmt.Errorf("fill to %v hop %d failed and was not retried", c.attempts[n-1].dst, c.attempts[n-1].hop)
+	}
+	return c.Vantage.Send(pkt)
+}
+
+// TestFillTransientRetried: a fill whose send fails transiently backs
+// off one slot and is sent again, like a batch send, instead of being
+// dropped; the probes pre-built behind it are restamped, so every probe
+// carries the instant it departs.
+func TestFillTransientRetried(t *testing.T) {
+	const seed = 4711
+	targets := campaignTargets(t, seed, 120)
+	_, v := chaosEnv(seed, nil)
+	conn := &fillFaultConn{Vantage: v.Clone(v.Now())}
+	conn.y = New(conn, campaignCfg(targets))
+	stats, err := conn.y.Run(probe.NewStore(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conn.stale > 0 {
+		t.Fatalf("%d batch probes departed at an instant they were not stamped for", conn.stale)
+	}
+	if conn.failures < 3 {
+		t.Fatalf("%d of %d fill sends failed, want several", conn.failures, conn.calls)
+	}
+	if stats.Retries != int64(conn.failures) || stats.Fills != int64(conn.calls-conn.failures) {
+		t.Fatalf("%d fill sends, %d failed: stats report %d fills, %d retries", conn.calls, conn.failures, stats.Fills, stats.Retries)
 	}
 }
 

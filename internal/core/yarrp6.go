@@ -133,6 +133,10 @@ type Config struct {
 	// pass with snapshot handoff), so Run must not replay the serial
 	// prefix again.
 	primed bool
+	// fills, when set, are the fills a failed prober could not send,
+	// ascending by instant: a recovery prober sends each at its instant,
+	// taking it off the list.
+	fills []lostFill
 }
 
 func (c *Config) setDefaults() error {
@@ -241,6 +245,15 @@ const pulseEvery = 64
 // shifted instants; one more failure past the bound fails the shard.
 const retryMax = 3
 
+// lostFill is a fill probe a prober failed to send before it died,
+// keyed by the instant it was due. Recovery sends it then, as it
+// re-queues the dead prober's in-flight replies.
+type lostFill struct {
+	at     time.Duration
+	target netip.Addr
+	ttl    uint8
+}
+
 // pendingReply is one undelivered in-flight reply captured at an
 // interrupt, keyed by its virtual delivery instant.
 type pendingReply struct {
@@ -263,6 +276,9 @@ type shardResume struct {
 	kindCount     [probe.KindOther + 1]int64
 	lastNew       [256]time.Duration
 	pending       []pendingReply
+	// fills are the fills a failed prober could not send (never set by
+	// an interrupt, so never in a checkpoint).
+	fills []lostFill
 	// slab backs every pending reply's data: one copy per capture, not
 	// one per reply.
 	slab []byte
@@ -349,6 +365,12 @@ type Yarrp6 struct {
 
 	// polls counts stop polls, pacing the heartbeat (see stopNow).
 	polls uint32
+
+	// lost are the fills this run could not send, and fillErr the
+	// failure that lost the first: the run fails with it once the drain
+	// that lost it is done.
+	lost    []lostFill
+	fillErr error
 
 	// rs is the state captured when a run is interrupted or fails; nil
 	// after a clean completion. Campaign serializes it into checkpoint
@@ -482,6 +504,7 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 		drainDeadline: drainDeadline,
 		kindCount:     y.kindCount,
 		lastNew:       y.lastNew,
+		fills:         y.lost,
 	}
 	if prev := y.cfg.resume; prev != nil && prev.live {
 		// The capture this run continued from in-process is spent: its
@@ -586,6 +609,7 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	}
 	y.gap, y.end = sendGap(cfg.PPS), end
 	y.stats = Stats{}
+	y.lost, y.fillErr = nil, nil
 
 	// Progress sampling thresholds live on the same virtual-time grid as
 	// the probe schedule (the campaign's step is a whole multiple of gap),
@@ -619,6 +643,9 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	defer y.bc.FlushStats()
 	y.startFold(store)
 	defer y.stopFold()
+	if y.sendCarried(); y.fillErr != nil {
+		return y.stats, y.fail(cursor, 0, y.fillErr)
+	}
 	if err := y.send(p.Resume(cursor)); err != nil {
 		return y.stats, err
 	}
@@ -698,6 +725,9 @@ func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 		if at, ok := y.bc.NextDeliveryAt(); ok {
 			steps = min(steps, max(1, int64((at-now+gap-1)/gap)))
 		}
+		if fills := y.cfg.fills; len(fills) > 0 {
+			steps = min(steps, max(1, int64((fills[0].at-now+gap-1)/gap)))
+		}
 		if y.tel.sh != nil {
 			y.tel.drainGap.Observe(steps)
 			if steps > 1 {
@@ -706,6 +736,9 @@ func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 		}
 		y.conn.Sleep(time.Duration(steps) * gap)
 		y.drainAll()
+		if y.fillErr != nil {
+			return y.stats, y.fail(y.end, deadline, y.fillErr)
+		}
 		if y.prog != nil {
 			// Pin tail activity at its drain instant so the merge
 			// attributes it to the right threshold; Record drops the
@@ -831,13 +864,7 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 			}
 			if err != nil {
 				if !probe.IsTransient(err) || retries >= retryMax {
-					if y.prog != nil {
-						// The failed prober's counters are final: pin them
-						// for every threshold past the failure.
-						y.recordSample(y.conn.Now())
-					}
-					y.capture(posBase+uint64(sent), 0)
-					return err
+					return y.fail(posBase+uint64(sent), 0, err)
 				}
 				// Transient send failure: back off one slot, rebuild the
 				// unsent remainder for its shifted instants (the stamps
@@ -849,8 +876,13 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 				y.buildBatch(sent, n, y.conn.Now(), gap)
 				deliverable = true
 			}
-			if deliverable {
-				y.drainAll()
+			if deliverable && y.drainAll() {
+				// A fill backed off inside the drain: restamp the unsent
+				// remainder for its shifted instants.
+				y.buildBatch(sent, n, y.conn.Now(), gap)
+			}
+			if y.fillErr != nil {
+				return y.fail(posBase+uint64(sent), 0, y.fillErr)
 			}
 			y.maybeSample()
 		}
@@ -884,47 +916,95 @@ func (y *Yarrp6) skipByNeighborhood(ttl uint8) bool {
 	return last != 0 && y.conn.Now()-last > y.cfg.NeighborhoodWindow
 }
 
-func (y *Yarrp6) sendProbe(target netip.Addr, ttl uint8) error {
-	n := y.codec.BuildProbe(y.pkt, target, ttl)
-	if err := y.conn.Send(y.pkt[:n]); err != nil {
-		return err
+// fail ends a run whose send failed fatally with err, returning it: the
+// failed prober's counters are final, so they are pinned for every
+// threshold past the failure, and the capture hands recovery the unsent
+// window from cursor, the in-flight replies and the lost fills.
+func (y *Yarrp6) fail(cursor uint64, drainDeadline time.Duration, err error) error {
+	if y.prog != nil {
+		y.recordSample(y.conn.Now())
 	}
-	y.stats.ProbesSent++
-	return nil
+	y.capture(cursor, drainDeadline)
+	return err
 }
 
-// drainAll processes every deliverable reply, recvBatch at a time.
-// Replies come out in delivery order, and fills triggered while
-// processing schedule strictly future deliveries, so one pass handles
-// everything that is due. Under the neighborhood heuristic the fold
+// fill sends one fill probe under the bound batch sends retry under: a
+// transient failure backs off one send slot and tries again, and the
+// backoff is reported so the caller restamps what it pre-built. A fill
+// that fails fatally, and every fill after it, is kept for recovery
+// (y.lost) and the run fails once the current drain is done.
+func (y *Yarrp6) fill(target netip.Addr, ttl uint8) (backedOff bool) {
+	for retries := 0; y.fillErr == nil; retries++ {
+		n := y.codec.BuildProbe(y.pkt, target, ttl)
+		err := y.conn.Send(y.pkt[:n])
+		if err == nil {
+			y.stats.ProbesSent++
+			y.stats.Fills++
+			return backedOff
+		}
+		if !probe.IsTransient(err) || retries >= retryMax {
+			y.fillErr = err
+			break
+		}
+		y.stats.Retries++
+		y.conn.Sleep(y.gap)
+		backedOff = true
+	}
+	y.lost = append(y.lost, lostFill{at: y.conn.Now(), target: target, ttl: ttl})
+	return backedOff
+}
+
+// sendCarried sends the carried fills (Config.fills) that are due: a
+// recovery prober sends the fills its dead prober lost at the instants
+// they were due.
+func (y *Yarrp6) sendCarried() (backedOff bool) {
+	for len(y.cfg.fills) > 0 && y.cfg.fills[0].at <= y.conn.Now() {
+		f := y.cfg.fills[0]
+		y.cfg.fills = y.cfg.fills[1:]
+		backedOff = y.fill(f.target, f.ttl) || backedOff
+	}
+	return backedOff
+}
+
+// drainAll processes every deliverable reply, recvBatch at a time, after
+// sending any carried fill that is due. Replies come out in delivery
+// order, and fills triggered while processing schedule strictly future
+// deliveries, so one pass handles everything that is due; a fill that
+// backs off (the return value) moves the clock, so the pass repeats
+// until nothing is left. Under the neighborhood heuristic the fold
 // catches up before the next skip decision reads lastNew.
-func (y *Yarrp6) drainAll() {
+func (y *Yarrp6) drainAll() (backedOff bool) {
 	if y.rsizes == nil {
 		y.rbatch = make([]byte, recvBatch*wire.MinMTU)
 		y.rsizes = make([]int, recvBatch)
 	}
+	if len(y.cfg.fills) > 0 {
+		backedOff = y.sendCarried()
+	}
 	for {
 		n := y.bc.RecvBatch(y.rbatch, y.rsizes)
-		off := 0
+		off, slept := 0, false
 		for i := 0; i < n; i++ {
-			y.handleReply(y.rbatch[off : off+y.rsizes[i]])
+			slept = y.handleReply(y.rbatch[off:off+y.rsizes[i]]) || slept
 			off += y.rsizes[i]
 		}
-		if n < len(y.rsizes) {
+		backedOff = backedOff || slept
+		if n < len(y.rsizes) && !slept {
 			break
 		}
 	}
 	if y.cfg.NeighborhoodWindow > 0 {
 		y.fold.sync()
 	}
+	return backedOff
 }
 
 // handleReply parses one reply, counts it, queues it for the fold, and
-// drives fill mode.
-func (y *Yarrp6) handleReply(b []byte) {
+// drives fill mode; it reports a fill that backed off.
+func (y *Yarrp6) handleReply(b []byte) (backedOff bool) {
 	r, ok := y.codec.ParseReply(b)
 	if !ok {
-		return
+		return false
 	}
 	y.stats.Replies++
 	y.kindCount[r.Kind]++
@@ -936,14 +1016,13 @@ func (y *Yarrp6) handleReply(b []byte) {
 	// extends the trace sequentially toward the destination. Fills are
 	// uncommon and land at path tails, where sequential probing has the
 	// least rate-limiting impact (Section 4.1). The fill probe is built
-	// in the prober's own packet buffer (y.pkt via sendProbe) — safe
-	// even though b still holds the triggering reply, because the
-	// parsed Reply carries no slices into either buffer — so fills
-	// allocate nothing.
+	// in the prober's own packet buffer (y.pkt via fill) — safe even
+	// though b still holds the triggering reply, because the parsed
+	// Reply carries no slices into either buffer — so fills allocate
+	// nothing.
 	if y.cfg.Fill && r.Kind == probe.KindTimeExceeded && r.StateRecovered &&
 		r.TTL >= y.cfg.MaxTTL && r.TTL < y.cfg.FillLimit && r.Target.IsValid() {
-		if err := y.sendProbe(r.Target, r.TTL+1); err == nil {
-			y.stats.Fills++
-		}
+		return y.fill(r.Target, r.TTL+1)
 	}
+	return false
 }

@@ -25,7 +25,7 @@ func DPLs(s *Set) []int {
 	// LCP with every other member, so only neighbors need inspection.
 	lcpNext := make([]int, n-1)
 	for i := 0; i < n-1; i++ {
-		lcpNext[i] = CommonPrefixLen(s.At(i), s.At(i+1))
+		lcpNext[i] = s.keys[i].Xor(s.keys[i+1]).LeadingZeros()
 	}
 	for i := 0; i < n; i++ {
 		lcp := 0

@@ -2,112 +2,135 @@ package ipv6
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Set is an ordered, duplicate-free collection of IPv6 addresses. The
 // target-generation pipeline, DPL analysis, and campaign bookkeeping all
 // operate on Sets; operations preserve sortedness so that neighbor queries
 // (the heart of DPL) are O(log n).
+//
+// Members are 16-byte, zone-free addresses, the form U128.Addr returns,
+// and a set holds them as pointer-free keys: their key order is exactly
+// netip.Addr.Less. NewSet stores an IPv4 address in its IPv4-mapped form
+// and drops a zone, as FromAddr does; every generator in this module
+// (seed lists, zn bases, synthesized IIDs) produces 16-byte, zone-free
+// addresses already. The []netip.Addr form is built on the first Addrs
+// call, so a seed list that only feeds target generation never has one.
 type Set struct {
-	addrs []netip.Addr // sorted ascending, unique
+	keys  []U128 // sorted ascending, unique
+	once  sync.Once
+	addrs []netip.Addr // keys as addresses, built by the first Addrs call
 }
 
-// NewSet builds a set from addrs, sorting and deduplicating.
+// NewSet builds a set from addrs, sorting and deduplicating. Sorted
+// input costs one linear pass (see SortKeys).
 func NewSet(addrs []netip.Addr) *Set {
-	s := &Set{addrs: make([]netip.Addr, len(addrs))}
-	copy(s.addrs, addrs)
-	s.normalize()
-	return s
+	keys := make([]U128, len(addrs))
+	for i, a := range addrs {
+		keys[i] = FromAddr(a)
+	}
+	return SetOfKeys(keys)
 }
+
+// SetOfKeys builds a set from address keys, sorted and deduplicated by
+// SortKeys; the caller gives keys up.
+func SetOfKeys(keys []U128) *Set { return &Set{keys: SortKeys(keys)} }
 
 // EmptySet returns a set with no members.
 func EmptySet() *Set { return &Set{} }
 
-func (s *Set) normalize() {
-	sort.Slice(s.addrs, func(i, j int) bool { return s.addrs[i].Less(s.addrs[j]) })
-	out := s.addrs[:0]
-	var prev netip.Addr
-	for i, a := range s.addrs {
-		if i == 0 || a != prev {
-			out = append(out, a)
-		}
-		prev = a
-	}
-	s.addrs = out
-}
-
 // Len returns the number of addresses in the set.
-func (s *Set) Len() int { return len(s.addrs) }
+func (s *Set) Len() int { return len(s.keys) }
 
 // At returns the i'th address in sorted order.
-func (s *Set) At(i int) netip.Addr { return s.addrs[i] }
+func (s *Set) At(i int) netip.Addr { return s.keys[i].Addr() }
 
-// Addrs returns the underlying sorted slice. Callers must not mutate it.
-func (s *Set) Addrs() []netip.Addr { return s.addrs }
+// Keys returns the members as sorted keys. Callers must not mutate it.
+func (s *Set) Keys() []U128 { return s.keys }
 
-// Contains reports whether a is a member.
+// Addrs returns the members as a sorted slice of addresses, built once
+// and shared by every call. Callers must not mutate it.
+func (s *Set) Addrs() []netip.Addr {
+	s.once.Do(func() {
+		s.addrs = make([]netip.Addr, len(s.keys))
+		for i, k := range s.keys {
+			s.addrs[i] = k.Addr()
+		}
+	})
+	return s.addrs
+}
+
+// Contains reports whether a is a member. An address outside the
+// members' form (4-byte, zoned) is never one.
 func (s *Set) Contains(a netip.Addr) bool {
-	i := sort.Search(len(s.addrs), func(i int) bool { return !s.addrs[i].Less(a) })
-	return i < len(s.addrs) && s.addrs[i] == a
+	if !a.Is6() || a.Zone() != "" {
+		return false
+	}
+	_, ok := slices.BinarySearchFunc(s.keys, FromAddr(a), U128.Cmp)
+	return ok
 }
 
 // Union returns a new set with the members of s and t.
-func (s *Set) Union(t *Set) *Set {
-	merged := make([]netip.Addr, 0, len(s.addrs)+len(t.addrs))
-	merged = append(merged, s.addrs...)
-	merged = append(merged, t.addrs...)
-	return NewSet(merged)
+func (s *Set) Union(t *Set) *Set { return Union(s, t) }
+
+// Union returns a new set with the members of every set, merged by
+// MergeKeys in linear passes, without a sort.
+func Union(sets ...*Set) *Set {
+	runs := make([][]U128, len(sets))
+	for i, s := range sets {
+		runs[i] = s.keys
+	}
+	return &Set{keys: MergeKeys(runs...)}
 }
 
 // Intersect returns the members present in both s and t.
 func (s *Set) Intersect(t *Set) *Set {
-	a, b := s.addrs, t.addrs
+	a, b := s.keys, t.keys
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	var out []netip.Addr
+	var out []U128
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
+		switch c := a[i].Cmp(b[j]); {
+		case c == 0:
 			out = append(out, a[i])
 			i++
 			j++
-		case a[i].Less(b[j]):
+		case c < 0:
 			i++
 		default:
 			j++
 		}
 	}
-	return &Set{addrs: out}
+	return &Set{keys: out}
 }
 
 // Diff returns the members of s not present in t.
 func (s *Set) Diff(t *Set) *Set {
-	var out []netip.Addr
+	a, b := s.keys, t.keys
+	var out []U128
 	i, j := 0, 0
-	for i < len(s.addrs) {
+	for i < len(a) {
 		switch {
-		case j >= len(t.addrs) || s.addrs[i].Less(t.addrs[j]):
-			out = append(out, s.addrs[i])
+		case j >= len(b) || a[i].Cmp(b[j]) < 0:
+			out = append(out, a[i])
 			i++
-		case s.addrs[i] == t.addrs[j]:
+		case a[i] == b[j]:
 			i++
 			j++
 		default:
 			j++
 		}
 	}
-	return &Set{addrs: out}
+	return &Set{keys: out}
 }
 
 // Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	out := make([]netip.Addr, len(s.addrs))
-	copy(out, s.addrs)
-	return &Set{addrs: out}
-}
+func (s *Set) Clone() *Set { return &Set{keys: slices.Clone(s.keys)} }
 
 // Exclusive computes, for each named set, the members appearing in that set
 // and no other. This implements the paper's "exclusive" feature columns
@@ -116,21 +139,21 @@ func (s *Set) Clone() *Set {
 func Exclusive(sets map[string]*Set) map[string]*Set {
 	// Count occurrences across sets; an address is exclusive to a set when
 	// its total multiplicity is one.
-	mult := make(map[netip.Addr]int)
+	mult := make(map[U128]int)
 	for _, s := range sets {
-		for _, a := range s.addrs {
-			mult[a]++
+		for _, k := range s.keys {
+			mult[k]++
 		}
 	}
 	out := make(map[string]*Set, len(sets))
 	for name, s := range sets {
-		var excl []netip.Addr
-		for _, a := range s.addrs {
-			if mult[a] == 1 {
-				excl = append(excl, a)
+		var excl []U128
+		for _, k := range s.keys {
+			if mult[k] == 1 {
+				excl = append(excl, k)
 			}
 		}
-		out[name] = &Set{addrs: excl}
+		out[name] = &Set{keys: excl}
 	}
 	return out
 }
@@ -148,7 +171,7 @@ func NewPrefixSet(ps []netip.Prefix) *PrefixSet {
 	for i, p := range ps {
 		set.prefixes[i] = CanonicalPrefix(p)
 	}
-	sort.Slice(set.prefixes, func(i, j int) bool { return lessPrefix(set.prefixes[i], set.prefixes[j]) })
+	slices.SortFunc(set.prefixes, comparePrefix)
 	out := set.prefixes[:0]
 	var prev netip.Prefix
 	for i, p := range set.prefixes {
@@ -161,11 +184,11 @@ func NewPrefixSet(ps []netip.Prefix) *PrefixSet {
 	return set
 }
 
-func lessPrefix(a, b netip.Prefix) bool {
-	if a.Addr() != b.Addr() {
-		return a.Addr().Less(b.Addr())
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
 	}
-	return a.Bits() < b.Bits()
+	return a.Bits() - b.Bits()
 }
 
 // Len returns the number of prefixes.
@@ -180,6 +203,6 @@ func (s *PrefixSet) Prefixes() []netip.Prefix { return s.prefixes }
 // Contains reports whether p (canonicalized) is a member.
 func (s *PrefixSet) Contains(p netip.Prefix) bool {
 	p = CanonicalPrefix(p)
-	i := sort.Search(len(s.prefixes), func(i int) bool { return !lessPrefix(s.prefixes[i], p) })
+	i := sort.Search(len(s.prefixes), func(i int) bool { return comparePrefix(s.prefixes[i], p) >= 0 })
 	return i < len(s.prefixes) && s.prefixes[i] == p
 }

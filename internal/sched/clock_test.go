@@ -8,19 +8,23 @@ import (
 
 // fakeClock is a supervision clock that moves only when advanced. An
 // advance hands every timer it fires to that timer's receiver before
-// it returns, so the supervisor has taken each tick by then.
+// it returns, so the supervisor has taken each tick by then. A timer
+// that fired is disarmed until its receiver resets it.
 type fakeClock struct {
 	mu     sync.Mutex
 	armed  sync.Cond // broadcast whenever a timer is armed
 	t      time.Time
-	timers []*fakeTimer
+	timers []*fakeTimer // armed timers
+	made   int          // timers created
+	fired  int          // times delivered to a receiver
 }
 
 type fakeTimer struct {
-	at      time.Time
-	c       chan time.Time
-	stopped chan struct{}
-	stop    sync.Once
+	clk      *fakeClock
+	at       time.Time
+	ch       chan time.Time
+	stopped  chan struct{}
+	stopOnce sync.Once
 }
 
 func newFakeClock() *fakeClock {
@@ -35,20 +39,44 @@ func (c *fakeClock) now() time.Time {
 	return c.t
 }
 
-func (c *fakeClock) timer(d time.Duration) (<-chan time.Time, func()) {
+func (c *fakeClock) timer(d time.Duration) timer {
+	ft := &fakeTimer{clk: c, ch: make(chan time.Time), stopped: make(chan struct{})}
+	c.mu.Lock()
+	c.made++
+	c.mu.Unlock()
+	ft.reset(d)
+	return ft
+}
+
+func (ft *fakeTimer) c() <-chan time.Time { return ft.ch }
+
+func (ft *fakeTimer) reset(d time.Duration) {
+	c := ft.clk
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ft := &fakeTimer{at: c.t.Add(d), c: make(chan time.Time), stopped: make(chan struct{})}
-	c.timers = append(c.timers, ft)
-	c.armed.Broadcast()
-	return ft.c, func() {
-		ft.stop.Do(func() {
-			c.mu.Lock()
-			c.timers = slices.DeleteFunc(c.timers, func(o *fakeTimer) bool { return o == ft })
-			c.mu.Unlock()
-			close(ft.stopped)
-		})
+	ft.at = c.t.Add(d)
+	if !slices.Contains(c.timers, ft) {
+		c.timers = append(c.timers, ft)
 	}
+	c.armed.Broadcast()
+}
+
+func (ft *fakeTimer) stop() {
+	ft.stopOnce.Do(func() {
+		c := ft.clk
+		c.mu.Lock()
+		c.timers = slices.DeleteFunc(c.timers, func(o *fakeTimer) bool { return o == ft })
+		c.mu.Unlock()
+		close(ft.stopped)
+	})
+}
+
+// counts returns how many timers were created and how many times were
+// delivered.
+func (c *fakeClock) counts() (made, fired int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.made, c.fired
 }
 
 // advance moves the clock on by d and delivers every timer now due,
@@ -68,7 +96,10 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 	for _, ft := range due {
 		select {
-		case ft.c <- now:
+		case ft.ch <- now:
+			c.mu.Lock()
+			c.fired++
+			c.mu.Unlock()
 		case <-ft.stopped:
 		}
 	}

@@ -125,19 +125,33 @@ const (
 // system clock; tests advance a fake one.
 type clock interface {
 	now() time.Time
-	// timer returns a channel receiving the time once d has elapsed,
-	// and a stop that releases the timer early.
-	timer(d time.Duration) (<-chan time.Time, func())
+	// timer arms a timer whose channel receives the time once d has
+	// elapsed.
+	timer(d time.Duration) timer
+}
+
+// timer is one supervision timer. A timer whose time was received can
+// be re-armed, so a watchdog that polls all attempt long holds one.
+type timer interface {
+	c() <-chan time.Time
+	// reset re-arms the timer to fire d from now; call it only after
+	// the previous time was received.
+	reset(d time.Duration)
+	// stop releases the timer early.
+	stop()
 }
 
 type systemClock struct{}
 
 func (systemClock) now() time.Time { return time.Now() }
 
-func (systemClock) timer(d time.Duration) (<-chan time.Time, func()) {
-	t := time.NewTimer(d)
-	return t.C, func() { t.Stop() }
-}
+func (systemClock) timer(d time.Duration) timer { return systemTimer{time.NewTimer(d)} }
+
+type systemTimer struct{ t *time.Timer }
+
+func (t systemTimer) c() <-chan time.Time   { return t.t.C }
+func (t systemTimer) reset(d time.Duration) { t.t.Reset(d) }
+func (t systemTimer) stop()                 { t.t.Stop() }
 
 func (o *Options) setDefaults() error {
 	if len(o.Tenants) == 0 {
@@ -866,13 +880,14 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 	}
 	// The timers are armed before the run starts, so the checkpoint
 	// interval and the stall age count from the attempt's first probe.
-	poll, stopPoll := s.clock.timer(watchdogPoll)
-	defer func() { stopPoll() }()
+	// The poll timer is re-armed after each poll: one per attempt.
+	poll := s.clock.timer(watchdogPoll)
+	defer poll.stop()
 	var ckptCh <-chan time.Time
 	if s.opt.CheckpointEvery > 0 {
-		var stopCkpt func()
-		ckptCh, stopCkpt = s.clock.timer(s.opt.CheckpointEvery)
-		defer stopCkpt()
+		ckpt := s.clock.timer(s.opt.CheckpointEvery)
+		defer ckpt.stop()
+		ckptCh = ckpt.c()
 	}
 	lastBeat := camp.Beat()
 	lastMove := s.clock.now()
@@ -894,7 +909,7 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 				ckptReq = true
 				camp.Interrupt()
 			}
-		case now := <-poll:
+		case now := <-poll.c():
 			if b := camp.Beat(); b != lastBeat {
 				lastBeat, lastMove = b, now
 			} else if !fired && !ckptReq && now.Sub(lastMove) >= s.opt.StallBudget {
@@ -905,7 +920,7 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 				fired = true
 				camp.Interrupt()
 			}
-			poll, stopPoll = s.clock.timer(watchdogPoll)
+			poll.reset(watchdogPoll)
 		}
 	}
 }
@@ -917,10 +932,10 @@ func (s *Supervisor) backoff(retry int) bool {
 	if d > backoffMax || d <= 0 {
 		d = backoffMax
 	}
-	elapsed, stop := s.clock.timer(d)
-	defer stop()
+	elapsed := s.clock.timer(d)
+	defer elapsed.stop()
 	select {
-	case <-elapsed:
+	case <-elapsed.c():
 		return s.isDraining()
 	case <-s.drainCh:
 		return true

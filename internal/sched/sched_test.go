@@ -593,6 +593,73 @@ func TestWatchdogFailover(t *testing.T) {
 	drainAll(t, s)
 }
 
+// pollConn hands the watchdog one poll per send: it waits until the
+// poll timer is armed (the attempt's only timer), then advances the
+// clock over it. Virtual time and the result bytes are untouched.
+type pollConn struct {
+	*netsim.Vantage
+	clk *fakeClock
+}
+
+func (c *pollConn) poll() {
+	c.clk.blockUntil(1)
+	c.clk.advance(watchdogPoll)
+}
+
+func (c *pollConn) Send(pkt []byte) error {
+	c.poll()
+	return c.Vantage.Send(pkt)
+}
+
+func (c *pollConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error) {
+	c.poll()
+	return c.Vantage.SendBatch(pkts, gap)
+}
+
+// TestWatchdogArmsOneTimerPerAttempt: the watchdog re-arms one poll
+// timer for the whole attempt. An attempt that polls once per send,
+// hundreds of times, creates exactly one timer (no checkpoint timer, no
+// failover backoff).
+func TestWatchdogArmsOneTimerPerAttempt(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 1312
+	env := newTestEnv(seed, nil)
+	clk := newFakeClock()
+	op := func(spec *CampaignSpec) (core.ConnFactory, error) {
+		inner, err := env.opener(spec)
+		if err != nil {
+			return nil, err
+		}
+		return func(shard int, start time.Duration) probe.Conn {
+			return &pollConn{Vantage: inner(shard, start).(*netsim.Vantage), clk: clk}
+		}, nil
+	}
+	s, err := newSupervisor(op, Options{Tenants: []Tenant{{Name: "acme"}}, Workers: 1}, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec("acme", "polled", schedTargets(seed, 24))
+	spec.Batch = 1
+	h, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := h.Wait(ctx)
+	if err != nil || res.State != StateCompleted || res.Retries != 0 {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	drainAll(t, s)
+	made, fired := clk.counts()
+	if fired < 100 {
+		t.Fatalf("the attempt spanned %d polls, want a long one", fired)
+	}
+	if made != 1 {
+		t.Fatalf("%d timers created over %d polls, want 1", made, fired)
+	}
+}
+
 // TestBreakerLifecycle: consecutive campaign failures on one vantage
 // trip its breaker open (rejecting submissions), the cooldown admits a
 // half-open trial, and a successful trial closes it again.

@@ -46,17 +46,23 @@ type Scale float64
 // matching CAIDA's probed-target construction (half lowbyte, half random
 // in Table 1).
 func CAIDA(u *netsim.Universe, rng *rand.Rand) List {
-	var addrs []netip.Addr
-	for _, rt := range u.Table().Prefixes() {
+	routes := u.Table().Prefixes()
+	keys := make([]ipv6.U128, 0, 2*len(routes))
+	for _, rt := range routes {
 		if rt.Prefix.Bits() > 48 {
 			continue
 		}
-		addrs = append(addrs,
-			ipv6.WithIID(rt.Prefix.Addr(), 1),
-			ipv6.WithIID(ipv6.NthSubprefix(rt.Prefix, 64, rng.Uint64()&mask64(64-rt.Prefix.Bits())).Addr(), rng.Uint64()),
+		keys = append(keys,
+			iidKey(rt.Prefix.Addr(), 1),
+			iidKey(ipv6.NthSubprefix(rt.Prefix, 64, rng.Uint64()&mask64(64-rt.Prefix.Bits())).Addr(), rng.Uint64()),
 		)
 	}
-	return List{Name: "caida", Method: "BGP-derived", Addrs: ipv6.NewSet(addrs)}
+	return List{Name: "caida", Method: "BGP-derived", Addrs: ipv6.SetOfKeys(keys)}
+}
+
+// iidKey is the key of ipv6.WithIID(a, iid): a's top 64 bits under iid.
+func iidKey(a netip.Addr, iid uint64) ipv6.U128 {
+	return ipv6.U128{Hi: ipv6.FromAddr(a).Hi, Lo: iid}
 }
 
 func mask64(bits int) uint64 {
@@ -72,7 +78,7 @@ func mask64(bits int) uint64 {
 // addresses in unadvertised RIR infrastructure space — the source of the
 // list's large unrouted fraction (Table 5).
 func Fiebig(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
-	var addrs []netip.Addr
+	var keys []ipv6.U128
 	lansPerAS := scaled(30, scale)
 	for _, as := range u.ASes() {
 		if as.Kind != netsim.KindEnterprise && as.Kind != netsim.KindUniversity {
@@ -91,16 +97,16 @@ func Fiebig(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
 				if !ok {
 					continue
 				}
-				addrs = append(addrs, u.GatewayAddr(lan, as))
+				keys = append(keys, ipv6.FromAddr(u.GatewayAddr(lan, as)))
 				for s, n := 1, u.ServerCount(lan, as); s <= n; s++ {
-					addrs = append(addrs, ipv6.WithIID(lan.Addr(), uint64(s)))
+					keys = append(keys, iidKey(lan.Addr(), uint64(s)))
 				}
 				for e, n := 0, u.EUIHostCount(lan, as); e < n; e++ {
-					addrs = append(addrs, u.EUIHostAddr(lan, as, e))
+					keys = append(keys, ipv6.FromAddr(u.EUIHostAddr(lan, as, e)))
 				}
 				// Dynamic DNS entries for privacy-addressed clients.
 				for c := rng.Intn(6); c > 0; c-- {
-					addrs = append(addrs, ipv6.WithIID(lan.Addr(), rng.Uint64()))
+					keys = append(keys, iidKey(lan.Addr(), rng.Uint64()))
 				}
 			}
 		}
@@ -108,20 +114,27 @@ func Fiebig(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
 		if as.InfraRIR {
 			for i := 0; i < lansPerAS/2; i++ {
 				sub := ipv6.NthSubprefix(as.InfraPrefix, 64, rng.Uint64()&mask64(32))
-				addrs = append(addrs, ipv6.WithIID(sub.Addr(), 1))
+				keys = append(keys, iidKey(sub.Addr(), 1))
 			}
 		}
 	}
-	return List{Name: "fiebig", Method: "Reverse DNS", Addrs: ipv6.NewSet(addrs)}
+	return List{Name: "fiebig", Method: "Reverse DNS", Addrs: ipv6.SetOfKeys(keys)}
 }
 
 // FDNS builds the forward-DNS (Rapid7 Sonar style) list: named hosting
 // servers with lowbyte and service-port IIDs, embedded-IPv4 vanity
 // addresses, a random-IID minority, and a notorious 6to4 component.
 func FDNS(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
-	var addrs []netip.Addr
 	popsPerAS := scaled(3, scale)
 	lansPerPop := 14
+	n6to4 := scaled(2000, scale)
+	hosting := 0
+	for _, as := range u.ASes() {
+		if as.Kind == netsim.KindHosting {
+			hosting++
+		}
+	}
+	keys := make([]ipv6.U128, 0, hosting*popsPerAS*lansPerPop*fdnsPerLAN+n6to4)
 	for _, as := range u.ASes() {
 		if as.Kind != netsim.KindHosting {
 			continue
@@ -139,50 +152,55 @@ func FDNS(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
 				if !ok {
 					continue
 				}
-				addrs = fdnsLANAddrs(u, rng, as, lan, addrs)
+				keys = fdnsLANKeys(u, rng, as, lan, keys)
 			}
 		}
 	}
 	// 6to4: DNS is full of 2002::/16 names that are unrouted in the
 	// native BGP table.
-	for i, n := 0, scaled(2000, scale); i < n; i++ {
+	for i := 0; i < n6to4; i++ {
 		hi := uint64(0x2002)<<48 | uint64(rng.Uint32())<<16
-		addrs = append(addrs, ipv6.WithIID(ipv6.U128{Hi: hi, Lo: 0}.Addr(), 1))
+		keys = append(keys, ipv6.U128{Hi: hi, Lo: 1})
 	}
-	return List{Name: "fdns_any", Method: "Fwd. DNS", Addrs: ipv6.NewSet(addrs)}
+	return List{Name: "fdns_any", Method: "Fwd. DNS", Addrs: ipv6.SetOfKeys(keys)}
 }
 
-// fdnsLANAddrs emits the DNS-named addresses of one hosting LAN: lowbyte
+// fdnsPerLAN sizes FDNS's list: the mean of a hosting LAN's 2-40
+// servers plus its expected vanity and privacy names, rounded up.
+const fdnsPerLAN = 22
+
+// fdnsLANKeys emits the DNS-named addresses of one hosting LAN: lowbyte
 // servers, service-port and embedded-IPv4 vanity names, and a privacy
 // minority.
-func fdnsLANAddrs(u *netsim.Universe, rng *rand.Rand, as *netsim.AS, lan netip.Prefix, addrs []netip.Addr) []netip.Addr {
+func fdnsLANKeys(u *netsim.Universe, rng *rand.Rand, as *netsim.AS, lan netip.Prefix, keys []ipv6.U128) []ipv6.U128 {
+	hi := ipv6.FromAddr(lan.Addr()).Hi
 	n := u.ServerCount(lan, as)
 	for s := 1; s <= n; s++ {
-		addrs = append(addrs, ipv6.WithIID(lan.Addr(), uint64(s)))
+		keys = append(keys, ipv6.U128{Hi: hi, Lo: uint64(s)})
 	}
 	if n > 0 {
 		if rng.Intn(3) == 0 {
-			addrs = append(addrs, ipv6.WithIID(lan.Addr(), 0x80))
+			keys = append(keys, ipv6.U128{Hi: hi, Lo: 0x80})
 		}
 		if rng.Intn(5) == 0 {
-			addrs = append(addrs, ipv6.WithIID(lan.Addr(), 0x443))
+			keys = append(keys, ipv6.U128{Hi: hi, Lo: 0x443})
 		}
 		if rng.Intn(6) == 0 {
 			v4 := uint64(0xc0a80000 | rng.Intn(1<<16)) // 192.168.x.y embedded
-			addrs = append(addrs, ipv6.WithIID(lan.Addr(), v4))
+			keys = append(keys, ipv6.U128{Hi: hi, Lo: v4})
 		}
 	}
 	if rng.Intn(4) == 0 {
-		addrs = append(addrs, ipv6.WithIID(lan.Addr(), rng.Uint64()))
+		keys = append(keys, ipv6.U128{Hi: hi, Lo: rng.Uint64()})
 	}
-	return addrs
+	return keys
 }
 
 // DNSDB builds the passive-DNS list: a broad but shallow mix over every
 // edge kind, giving the widest ASN coverage per address of the DNS
 // sources.
 func DNSDB(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
-	var addrs []netip.Addr
+	var keys []ipv6.U128
 	lansPerAS := scaled(8, scale)
 	for _, as := range u.ASes() {
 		if as.Tier != 3 {
@@ -195,17 +213,17 @@ func DNSDB(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
 			}
 			switch n := u.ServerCount(lan, as); {
 			case n > 0:
-				addrs = append(addrs, ipv6.WithIID(lan.Addr(), uint64(1+rng.Intn(n))))
+				keys = append(keys, iidKey(lan.Addr(), uint64(1+rng.Intn(n))))
 			default:
 				// Client LANs show up in AAAA answers with privacy IIDs.
-				addrs = append(addrs, ipv6.WithIID(lan.Addr(), rng.Uint64()))
+				keys = append(keys, iidKey(lan.Addr(), rng.Uint64()))
 			}
 			if m := u.EUIHostCount(lan, as); m > 0 && rng.Intn(8) == 0 {
-				addrs = append(addrs, u.EUIHostAddr(lan, as, rng.Intn(m)))
+				keys = append(keys, ipv6.FromAddr(u.EUIHostAddr(lan, as, rng.Intn(m))))
 			}
 		}
 	}
-	return List{Name: "dnsdb", Method: "Passive DNS", Addrs: ipv6.NewSet(addrs)}
+	return List{Name: "dnsdb", Method: "Passive DNS", Addrs: ipv6.SetOfKeys(keys)}
 }
 
 // CDNObservations samples WWW client /64 activity the way a CDN's edge
@@ -306,14 +324,14 @@ func SixGen(u *netsim.Universe, rng *rand.Rand, scale Scale) List {
 // the advertised prefixes (random prefix, random IID).
 func Random(u *netsim.Universe, rng *rand.Rand, n int) List {
 	routes := u.Table().Prefixes()
-	addrs := make([]netip.Addr, 0, n)
+	keys := make([]ipv6.U128, 0, n)
 	for i := 0; i < n; i++ {
 		rt := routes[rng.Intn(len(routes))]
 		spare := 64 - rt.Prefix.Bits()
 		sub := ipv6.NthSubprefix(rt.Prefix, 64, rng.Uint64()&mask64(spare))
-		addrs = append(addrs, ipv6.WithIID(sub.Addr(), rng.Uint64()))
+		keys = append(keys, iidKey(sub.Addr(), rng.Uint64()))
 	}
-	return List{Name: "random", Method: "Random", Addrs: ipv6.NewSet(addrs)}
+	return List{Name: "random", Method: "Random", Addrs: ipv6.SetOfKeys(keys)}
 }
 
 func scaled(base int, scale Scale) int {

@@ -2,7 +2,6 @@ package seeds
 
 import (
 	"math/rand"
-	"net/netip"
 
 	"beholder/internal/ipv6"
 	"beholder/internal/netsim"
@@ -21,17 +20,22 @@ type Subset struct {
 // files), deduplicated into one list. It returns both the union and the
 // per-subset inventory for Table 2. The overlap with the fdns and caida
 // lists is intentional: the paper treats TUM as non-independent.
+//
+// Subsets are collected as address keys. Four of them (the fdns and
+// caida resamples, ct and zonefiles) are sorted already, so each becomes
+// a set in one linear pass and the union is a merge of sorted sets, not
+// a sort of their concatenation.
 func TUM(u *netsim.Universe, rng *rand.Rand, scale Scale) (List, []Subset) {
 	var subsets []Subset
-	var union []netip.Addr
-	add := func(name string, addrs []netip.Addr) {
-		subsets = append(subsets, Subset{Name: name, Count: len(addrs)})
-		union = append(union, addrs...)
+	var sets []*ipv6.Set
+	add := func(name string, keys []ipv6.U128) {
+		subsets = append(subsets, Subset{Name: name, Count: len(keys)})
+		sets = append(sets, ipv6.SetOfKeys(keys))
 	}
 
 	// rapid7-dnsany: a large subsample of the fdns list (the same scans).
-	fdns := FDNS(u, rng, scale).Addrs.Addrs()
-	sub := make([]netip.Addr, 0, len(fdns)*4/5)
+	fdns := FDNS(u, rng, scale).Addrs.Keys()
+	sub := make([]ipv6.U128, 0, len(fdns)*4/5)
 	for _, a := range fdns {
 		if rng.Intn(5) != 0 {
 			sub = append(sub, a)
@@ -40,8 +44,8 @@ func TUM(u *netsim.Universe, rng *rand.Rand, scale Scale) (List, []Subset) {
 	add("rapid7-dnsany", sub)
 
 	// caida-dnsnames: addresses CAIDA resolved names for.
-	caida := CAIDA(u, rng).Addrs.Addrs()
-	sub = sub[:0:0]
+	caida := CAIDA(u, rng).Addrs.Keys()
+	sub = make([]ipv6.U128, 0, len(caida)*2/3)
 	for _, a := range caida {
 		if rng.Intn(3) != 0 {
 			sub = append(sub, a)
@@ -52,7 +56,7 @@ func TUM(u *netsim.Universe, rng *rand.Rand, scale Scale) (List, []Subset) {
 	// ct: certificate transparency — named hosting servers again: largely
 	// the same hosts the forward-DNS scans see, so resample the same fdns
 	// data (heavy overlap is the point; TUM is not independent of fdns).
-	ct := make([]netip.Addr, 0, len(fdns)*3/5)
+	ct := make([]ipv6.U128, 0, len(fdns)*3/5)
 	for _, a := range fdns {
 		if rng.Intn(5) < 3 {
 			ct = append(ct, a)
@@ -62,34 +66,35 @@ func TUM(u *netsim.Universe, rng *rand.Rand, scale Scale) (List, []Subset) {
 
 	// traceroute: router interface addresses from public traceroute
 	// collections — infrastructure space.
-	var rtr []netip.Addr
+	var rtr []ipv6.U128
 	for _, as := range u.ASes() {
 		if as.Tier > 2 || len(as.Prefixes) == 0 {
 			continue
 		}
 		for i := 0; i < scaled(3, scale); i++ {
 			sub := ipv6.NthSubprefix(as.InfraPrefix, 64, rng.Uint64()&mask64(32))
-			rtr = append(rtr, ipv6.WithIID(sub.Addr(), 1))
+			rtr = append(rtr, iidKey(sub.Addr(), 1))
 		}
 	}
 	add("traceroute-v6", rtr)
 
 	// openipmap + alexa-country: tiny curated lists.
-	var curated []netip.Addr
+	var curated []ipv6.U128
 	for i := 0; i < scaled(6, scale); i++ {
 		as := u.RandomAS(rng, netsim.KindHosting)
 		if as == nil {
 			break
 		}
 		if lan, ok := u.RandomLAN(rng, as); ok {
-			curated = append(curated, ipv6.WithIID(lan.Addr(), 1))
+			curated = append(curated, iidKey(lan.Addr(), 1))
 		}
 	}
 	add("openipmap+alexa", curated)
 
 	// zonefiles: enterprise zones (fiebig-like but shallower).
-	zones := Fiebig(u, rand.New(rand.NewSource(rng.Int63())), Scale(float64(scale)*0.3)).Addrs.Addrs()
+	// The list is built for TUM alone, so its keys are given up to add.
+	zones := Fiebig(u, rand.New(rand.NewSource(rng.Int63())), Scale(float64(scale)*0.3)).Addrs.Keys()
 	add("zonefiles", zones)
 
-	return List{Name: "tum", Method: "Collection", Addrs: ipv6.NewSet(union)}, subsets
+	return List{Name: "tum", Method: "Collection", Addrs: ipv6.Union(sets...)}, subsets
 }

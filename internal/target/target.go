@@ -7,14 +7,16 @@
 // The pipeline is deterministic given its *rand.Rand: transformed
 // prefixes are sorted before any random IIDs are drawn, so the same
 // seed list and seed value always yield the identical target set
-// regardless of input ordering. Deduplication is a single sort pass
-// (ipv6.Set), so campaign-scale sets of millions of targets build in
-// O(n log n) without quadratic blowups.
+// regardless of input ordering. Seed lists are sorted sets, and every
+// step keeps their order: masking to /zn is monotone, and for zn ≤ 64
+// an IID below distinct /zn bases keeps them distinct and in order. So
+// a set builds in linear passes over address keys (ipv6.SortKeys finds
+// them sorted); only zn > 64, where the IID overwrites prefix bits, pays
+// for a sort.
 package target
 
 import (
 	"math/rand"
-	"net/netip"
 	"strconv"
 
 	"beholder/internal/ipv6"
@@ -97,46 +99,50 @@ func Build(list seeds.List, spec Spec, rng *rand.Rand) *Set {
 	if spec.Synth == Known {
 		return &Set{Spec: spec, Targets: knownTargets(list)}
 	}
-	bases := znBases(list, spec.ZN)
-	out := make([]netip.Addr, len(bases))
-	for i, b := range bases {
+	keys := znBases(list, spec.ZN)
+	for i := range keys {
 		switch spec.Synth {
 		case LowByte1:
-			out[i] = ipv6.WithIID(b, 1)
+			keys[i].Lo = 1
 		case FixedIID:
-			out[i] = ipv6.WithIID(b, FixedIIDValue)
+			keys[i].Lo = FixedIIDValue
 		default: // RandomIID
-			out[i] = ipv6.WithIID(b, rng.Uint64())
+			keys[i].Lo = rng.Uint64()
 		}
 	}
-	return &Set{Spec: spec, Targets: ipv6.NewSet(out)}
+	return &Set{Spec: spec, Targets: ipv6.SetOfKeys(keys)}
 }
 
 // znBases applies the zn prefix transformation to every seed and
-// returns the unique transformed base addresses in sorted order.
+// returns the unique transformed base addresses as sorted keys.
 // Prefixes shorter than zn are extended (zero-filled); prefixes longer
 // than zn aggregate up, so many seeds inside one /zn collapse to a
-// single base — the knob Table 3 turns.
-func znBases(list seeds.List, zn int) []netip.Addr {
-	n := 0
+// single base — the knob Table 3 turns. A canonical prefix is zero past
+// its length, so either way its base is its address masked to zn: the
+// mask is monotone, so the sorted addresses and the sorted prefixes
+// each give a sorted run, and the bases are their merge.
+func znBases(list seeds.List, zn int) []ipv6.U128 {
+	mask := ipv6.Mask(zn)
+	var addrs, prefixes []ipv6.U128
 	if list.Addrs != nil {
-		n += list.Addrs.Len()
-	}
-	if list.Prefixes != nil {
-		n += list.Prefixes.Len()
-	}
-	bases := make([]netip.Addr, 0, n)
-	if list.Addrs != nil {
-		for _, a := range list.Addrs.Addrs() {
-			bases = append(bases, ipv6.Extend(netip.PrefixFrom(a, 128), zn).Addr())
+		addrs = make([]ipv6.U128, list.Addrs.Len())
+		for i, k := range list.Addrs.Keys() {
+			addrs[i] = k.And(mask)
 		}
 	}
 	if list.Prefixes != nil {
-		for _, p := range list.Prefixes.Prefixes() {
-			bases = append(bases, ipv6.Extend(p, zn).Addr())
+		prefixes = make([]ipv6.U128, list.Prefixes.Len())
+		for i, p := range list.Prefixes.Prefixes() {
+			prefixes[i] = ipv6.FromAddr(p.Addr()).And(mask)
 		}
 	}
-	return ipv6.NewSet(bases).Addrs()
+	switch {
+	case prefixes == nil:
+		return ipv6.SortKeys(addrs)
+	case addrs == nil:
+		return ipv6.SortKeys(prefixes)
+	}
+	return ipv6.MergeKeys(addrs, prefixes)
 }
 
 // knownTargets passes seed addresses through verbatim. Prefix-only
@@ -148,27 +154,23 @@ func knownTargets(list seeds.List) *ipv6.Set {
 	if list.Prefixes == nil {
 		return ipv6.EmptySet()
 	}
-	out := make([]netip.Addr, list.Prefixes.Len())
+	keys := make([]ipv6.U128, list.Prefixes.Len())
 	for i, p := range list.Prefixes.Prefixes() {
-		out[i] = ipv6.WithIID(ipv6.PrefixBase(p), 1)
+		keys[i] = ipv6.U128{Hi: ipv6.FromAddr(ipv6.PrefixBase(p)).Hi, Lo: 1}
 	}
-	return ipv6.NewSet(out)
+	return ipv6.SetOfKeys(keys)
 }
 
 // Combine unions several sets into one named set (the paper's
-// "combined" and "total" rows). Membership is merged in a single
-// sort pass over all inputs.
+// "combined" and "total" rows). Membership is merged in one linear
+// k-way pass over the sorted inputs.
 func Combine(name string, zn int, synth Synth, sets ...*Set) *Set {
-	n := 0
-	for _, s := range sets {
-		n += s.Targets.Len()
-	}
-	all := make([]netip.Addr, 0, n)
-	for _, s := range sets {
-		all = append(all, s.Targets.Addrs()...)
+	targets := make([]*ipv6.Set, len(sets))
+	for i, s := range sets {
+		targets[i] = s.Targets
 	}
 	return &Set{
 		Spec:    Spec{SeedName: name, ZN: zn, Synth: synth},
-		Targets: ipv6.NewSet(all),
+		Targets: ipv6.Union(targets...),
 	}
 }

@@ -142,6 +142,31 @@ func TestPrefixListInput(t *testing.T) {
 	}
 }
 
+// TestMixedListBases: a list with both addresses and prefixes gives two
+// sorted runs of /zn bases, interleaved and overlapping; the bases are
+// their merge, each once, and RandomIID draws in that order.
+func TestMixedListBases(t *testing.T) {
+	list := addrList("2400:1:2:3::5", "2400:7:7:1::9", "2600:1::1")
+	list.Prefixes = prefixList("2400:5:5:500::/56", "2400:7:7:1::/64", "2500::/32").Prefixes
+	want := []string{"2400:1:2:3::", "2400:5:5:500::", "2400:7:7:1::", "2500::", "2600:1::"}
+	for _, synth := range []Synth{LowByte1, RandomIID} {
+		got := Build(list, Spec{SeedName: "mixed", ZN: 64, Synth: synth}, rand.New(rand.NewSource(4)))
+		rng := rand.New(rand.NewSource(4))
+		if got.Targets.Len() != len(want) {
+			t.Fatalf("%s: %d targets %v, want %d", synth, got.Targets.Len(), got.Targets.Addrs(), len(want))
+		}
+		for i, w := range want {
+			iid := uint64(1)
+			if synth == RandomIID {
+				iid = rng.Uint64()
+			}
+			if wa := ipv6.WithIID(netip.MustParseAddr(w), iid); got.Targets.At(i) != wa {
+				t.Errorf("%s: target %d = %v, want %v", synth, i, got.Targets.At(i), wa)
+			}
+		}
+	}
+}
+
 func TestCombine(t *testing.T) {
 	a := Build(addrList("2400:1:2:3::5"), Spec{SeedName: "a", ZN: 64, Synth: LowByte1}, rand.New(rand.NewSource(1)))
 	b := Build(addrList("2400:1:2:3::9", "2400:f:e:d::1"), Spec{SeedName: "b", ZN: 64, Synth: LowByte1}, rand.New(rand.NewSource(1)))
