@@ -56,8 +56,9 @@ bench:
 # below 0.95x the bare campaign's throughput, when a supervised
 # single-tenant campaign drops below 0.95x the bare campaign, when
 # periodic checkpointing costs more than 5% of drain-only supervised
-# throughput (-min-ckpt-ratio), or when the adaptive loop's discovery
-# per probe falls below 1.1x an equal-budget static target list.
+# throughput (-min-ckpt-ratio). The adaptive loop's deterministic
+# discovery-per-probe bound (1.1x an equal-budget static target list)
+# is TestAdaptiveYield, part of `go test`.
 bench-check:
 	$(GO) run ./cmd/bench -benchtime 150ms -check
 

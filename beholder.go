@@ -851,7 +851,7 @@ type Subnet struct {
 // /64 IA hack over a campaign's traces, returning candidates and the
 // count of traces pinned to exact /64s.
 func (v *Vantage) DiscoverSubnets(r *Result) ([]Subnet, int) {
-	res := subnet.Discover(r.store, v.in.u.Table(), v.v.AS().ASN, subnet.DefaultParams())
+	res := subnet.Discover(r.store, v.in.u.Table(), v.v.AS().ASN)
 	out := make([]Subnet, len(res.Candidates))
 	for i, c := range res.Candidates {
 		out[i] = Subnet{Prefix: c.Prefix, MinLen: c.MinLen, IAHack: c.IAHack}
@@ -920,7 +920,6 @@ func (v *Vantage) DetectAliases(candidates []netip.Prefix, opt AliasOptions) *Al
 		MinReplies: opt.MinReplies,
 		PPS:        opt.Rate,
 		Budget:     opt.Budget,
-		Instance:   alias.DefaultParams().Instance,
 	}
 	if opt.Telemetry != nil {
 		params.Telemetry = opt.Telemetry.NewShard()

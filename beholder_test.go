@@ -329,3 +329,45 @@ func TestExperimentAliasStudy(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveYield holds the closed-loop generator to its purpose:
+// spending a 4 096-probe budget it must discover at least 1.1× the
+// unique interfaces of the paper's best static pipeline (lowbyte /64
+// synthesis over the same dnsdb seeds, capped at the budget; at this
+// scale the list is shorter and sends 1 664 probes). Both runs are
+// virtual-time deterministic, so the ratio is exact on any host.
+func TestAdaptiveYield(t *testing.T) {
+	const (
+		budget   = 4096
+		maxTTL   = 16
+		minRatio = 1.1
+	)
+	in := NewSmallInternet(2018)
+	list, err := in.SeedList("dnsdb", 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := in.TargetSet("dnsdb", 64, "lowbyte1", 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static = static[:min(len(static), budget/maxTTL)]
+	opt := YarrpOptions{Rate: 10000, MaxTTL: maxTTL, Key: 0xada7}
+	in.Reset()
+	sres, err := in.NewVantageAt("adaptive-bench", "hosting", 3).RunYarrp6(static, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Reset()
+	opt.Adaptive = &AdaptiveOptions{Budget: budget}
+	ares, err := in.NewVantageAt("adaptive-bench", "hosting", 3).RunYarrp6(list.Addrs.Addrs(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(ares.NumInterfaces()) / float64(sres.NumInterfaces())
+	t.Logf("adaptive %d interfaces in %d probes over %d epochs, static %d in %d: ratio %.3f",
+		ares.NumInterfaces(), ares.ProbesSent, len(ares.Epochs), sres.NumInterfaces(), sres.ProbesSent, ratio)
+	if ratio < minRatio {
+		t.Fatalf("adaptive/static discovery ratio %.3f below %.1f", ratio, minRatio)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"beholder/internal/probe"
@@ -332,7 +333,7 @@ func BenchmarkCampaignSharded(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
+		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			var sent int64
 			var allocs uint64
 			b.ReportAllocs()
@@ -369,7 +370,7 @@ func BenchmarkCampaignSharded(b *testing.B) {
 // cells on private universes, up to N at a time.
 func BenchmarkCampaignMatrixWorkers(b *testing.B) {
 	for _, workers := range []int{1, 4} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := NewExperiments(ExpOptions{
 					Seed: int64(i) + 1, Scale: 0.2, Small: true, Rate: 4000, Workers: workers,
@@ -394,7 +395,7 @@ func BenchmarkYarrp6Batch(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, batch := range []int{1, 64} {
-		b.Run("batch="+itoa(batch), func(b *testing.B) {
+		b.Run("batch="+strconv.Itoa(batch), func(b *testing.B) {
 			var sent int64
 			b.ReportAllocs()
 			b.ResetTimer()

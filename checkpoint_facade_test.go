@@ -19,7 +19,7 @@ import (
 // reproduce the uninterrupted run byte for byte. The resume passes no
 // probing or adaptive options — the artifact alone carries the
 // campaign, an adaptive one's generator (seeds, alias threshold)
-// included.
+// included, and the engine defaults an adaptive run left unset.
 func TestFacadeCheckpointResume(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	for _, tc := range []struct {
@@ -40,6 +40,11 @@ func TestFacadeCheckpointResume(t *testing.T) {
 				e0, e2 := ref.Epochs[0], ref.Epochs[2]
 				return []time.Duration{e0.Base + e0.Stats.Elapsed/2, e2.Base + e2.Stats.Elapsed/2}
 			}},
+		// Rate, shards, batch and transport left unset: the artifact must
+		// record the defaults the epochs ran at, or no resume accepts it.
+		{"adaptive-defaults", YarrpOptions{MaxTTL: 8, Key: 5,
+			Adaptive: &AdaptiveOptions{EpochTargets: 32, MaxEpochs: 3}},
+			func(ref *Result) []time.Duration { return []time.Duration{ref.Elapsed / 2} }},
 	} {
 		run := func(interruptAt time.Duration) (*Result, *Vantage) {
 			in := NewSmallInternet(3)

@@ -71,25 +71,6 @@ type Result struct {
 	NsPerOp        int64   `json:"ns_per_op,omitempty"`
 }
 
-// AdaptiveYield is the AdaptiveVsStatic discovery-per-probe pair: the
-// same probe budget spent by the best static pipeline (lowbyte /64
-// synthesis over the seed set) and by the closed-loop adaptive
-// generator, scored by unique interfaces discovered. Both runs are
-// fully deterministic — virtual-time simulation, fixed keys — so the
-// gate measures the generation model, not benchmark noise.
-type AdaptiveYield struct {
-	Budget             int64 `json:"budget_probes"`
-	StaticTargets      int   `json:"static_targets"`
-	StaticProbes       int64 `json:"static_probes"`
-	StaticInterfaces   int   `json:"static_interfaces"`
-	AdaptiveProbes     int64 `json:"adaptive_probes"`
-	AdaptiveInterfaces int   `json:"adaptive_interfaces"`
-	AdaptiveEpochs     int   `json:"adaptive_epochs"`
-	// Ratio is adaptive interfaces over static interfaces at the shared
-	// budget — the discovery-per-probe advantage of the feedback loop.
-	Ratio float64 `json:"ratio"`
-}
-
 // Report is the BENCH_PR8.json document.
 type Report struct {
 	Note    string            `json:"note"`
@@ -101,7 +82,6 @@ type Report struct {
 	// ParallelEfficiency is probes/s at N shards over min(N, NumCPU) ×
 	// probes/s at 1 shard, at the default batch size.
 	ParallelEfficiency map[string]float64 `json:"parallel_efficiency"`
-	AdaptiveVsStatic   *AdaptiveYield     `json:"adaptive_vs_static"`
 	BaselinePR3        map[string]Result  `json:"baseline_pr3"`
 	BaselinePre        map[string]Result  `json:"baseline_pre_fastpath"`
 	Speedup            map[string]float64 `json:"speedup_vs_pr3"`
@@ -189,7 +169,6 @@ func main() {
 		minTelem  = flag.Float64("min-telemetry-ratio", 0.95, "with -check: fail when telemetry-on throughput falls below this fraction of telemetry-off")
 		minFaults = flag.Float64("min-faults-ratio", 0.98, "with -check: fail when an armed-but-idle fault plane drops throughput below this fraction of the fault-free campaign")
 		minSched  = flag.Float64("min-sched-ratio", 0.95, "with -check: fail when a supervised single-tenant campaign drops throughput below this fraction of the bare campaign")
-		minAdapt  = flag.Float64("min-adaptive-ratio", 1.1, "with -check: fail when adaptive generation discovers fewer than this multiple of the static pipeline's interfaces at equal probe budget")
 		minCkpt   = flag.Float64("min-ckpt-ratio", 0.95, "with -check: fail when periodic checkpointing drops supervised throughput below this fraction of the drain-only run")
 	)
 	flag.Parse()
@@ -439,58 +418,6 @@ func main() {
 		return aliases.ProbesSent()
 	})
 
-	// AdaptiveVsStatic: discovery-per-probe at equal budget. The static
-	// arm probes the paper's best fixed pipeline (lowbyte /64 synthesis
-	// over the dnsdb seeds); the adaptive arm seeds gen6prob with the
-	// same observations and lets epoch feedback re-weight its prefix
-	// trie. Both are virtual-time deterministic, so the resulting ratio
-	// is exact and -check can gate it tightly (unlike the throughput
-	// ratios, which need alternating-round noise control).
-	const advBudget = 4096
-	const advTTL = 16
-	advIn := beholder.NewSmallInternet(2018)
-	advList, err := advIn.SeedList("dnsdb", 0.15)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	advSeeds := advList.Addrs.Addrs()
-	staticTargets, err := advIn.TargetSet("dnsdb", 64, "lowbyte1", 0.15)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	if len(staticTargets) > advBudget/advTTL {
-		staticTargets = staticTargets[:advBudget/advTTL]
-	}
-	advIn.Reset()
-	sres, err := advIn.NewVantageAt("adaptive-bench", "hosting", 3).RunYarrp6(staticTargets, beholder.YarrpOptions{
-		Rate: 10000, MaxTTL: advTTL, Key: 0xada7,
-	})
-	if err != nil {
-		panic(err)
-	}
-	advIn.Reset()
-	ares, err := advIn.NewVantageAt("adaptive-bench", "hosting", 3).RunYarrp6(advSeeds, beholder.YarrpOptions{
-		Rate: 10000, MaxTTL: advTTL, Key: 0xada7,
-		Adaptive: &beholder.AdaptiveOptions{Budget: advBudget},
-	})
-	if err != nil {
-		panic(err)
-	}
-	advYield := &AdaptiveYield{
-		Budget:             advBudget,
-		StaticTargets:      len(staticTargets),
-		StaticProbes:       sres.ProbesSent,
-		StaticInterfaces:   sres.NumInterfaces(),
-		AdaptiveProbes:     ares.ProbesSent,
-		AdaptiveInterfaces: ares.NumInterfaces(),
-		AdaptiveEpochs:     len(ares.Epochs),
-	}
-	if advYield.StaticInterfaces > 0 {
-		advYield.Ratio = float64(advYield.AdaptiveInterfaces) / float64(advYield.StaticInterfaces)
-	}
-
 	// Shard-scaling sweep: engine time only (universe construction is
 	// per-iteration setup, excluded from the timer), so efficiency
 	// ratios compare the campaign engine against itself. -check trims
@@ -603,7 +530,6 @@ func main() {
 		Current:            cur,
 		ShardScaling:       sweep,
 		ParallelEfficiency: eff,
-		AdaptiveVsStatic:   advYield,
 		BaselinePR3:        baselinePR3,
 		BaselinePre:        baselinePreFastpath,
 		Speedup:            make(map[string]float64),
@@ -672,11 +598,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "bench: periodic-checkpoint throughput ratio %.3f below bound %.3f\n", ratio, *minCkpt)
 				failed = true
 			}
-		}
-		if advYield.Ratio < *minAdapt {
-			fmt.Fprintf(os.Stderr, "bench: adaptive/static discovery ratio %.3f below bound %.3f (%d vs %d interfaces at %d probes)\n",
-				advYield.Ratio, *minAdapt, advYield.AdaptiveInterfaces, advYield.StaticInterfaces, advYield.Budget)
-			failed = true
 		}
 		if failed {
 			os.Exit(1)

@@ -11,6 +11,7 @@ package beholder
 
 import (
 	"net/netip"
+	"strconv"
 	"time"
 
 	"beholder/internal/core"
@@ -53,7 +54,7 @@ func (e *Experiments) AdaptiveStudy() *Table {
 	// reward it.
 	addRow := func(name string, targets, probes, ifaces int64) {
 		perK := fmtF(float64(ifaces)*1000/float64(adaptiveStudyBudget), 1)
-		t.AddRow(name, itoa(int(targets)), kfmt(probes), itoa(int(ifaces)), perK)
+		t.AddRow(name, strconv.Itoa(int(targets)), kfmt(probes), strconv.Itoa(int(ifaces)), perK)
 	}
 
 	// Static pipelines: a fixed target list walked once, truncated to

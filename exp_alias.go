@@ -7,6 +7,7 @@ package beholder
 
 import (
 	"math/rand"
+	"strconv"
 
 	"beholder/internal/alias"
 	"beholder/internal/target"
@@ -54,8 +55,8 @@ func (e *Experiments) AliasStudy() *Table {
 
 		kept, stats := alias.Dealias(set.Targets, res.Aliased, alias.Drop)
 		t.AddRow(s, kfmt(int64(set.Targets.Len())), kfmt(int64(len(cands))),
-			itoa(res.Aliased.Len()), pct(precision), pct(recall),
-			kfmt(res.ProbesSent), kfmt(int64(kept.Len())), itoa(stats.Dropped))
+			strconv.Itoa(res.Aliased.Len()), pct(precision), pct(recall),
+			kfmt(res.ProbesSent), kfmt(int64(kept.Len())), strconv.Itoa(stats.Dropped))
 	}
 	t.Notes = append(t.Notes,
 		"Aliased /64s are CDN-style front ends answering for every IID; random-IID probes into genuine LANs elicit no echo replies, so precision stays near 100%.",

@@ -5,7 +5,8 @@ package beholder
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
+	"strconv"
 
 	"beholder/internal/analysis"
 	"beholder/internal/ipv6"
@@ -71,8 +72,8 @@ func (e *Experiments) Table7() *Table {
 			reachedSum += c.reached
 			nReach++
 		}
-		sortInts(pathLens)
-		sortInts(euiOffs)
+		slices.Sort(pathLens)
+		slices.Sort(euiOffs)
 		excl := 0
 		if exclBase != nil {
 			mult := make(map[netip.Addr]int)
@@ -97,9 +98,9 @@ func (e *Experiments) Table7() *Table {
 		}
 		t.AddRow(label, kfmt(traces), kfmt(targets), kfmt(int64(len(ifaces))), kfmt(int64(excl)),
 			"-", "-", "-", "-", pct(reach),
-			itoa(analysis.Percentile(pathLens, 95))+" ("+itoa(analysis.Percentile(pathLens, 50))+")",
+			strconv.Itoa(analysis.Percentile(pathLens, 95))+" ("+strconv.Itoa(analysis.Percentile(pathLens, 50))+")",
 			kfmt(int64(len(euiIfaces))), pct(euiPct),
-			itoa(analysis.Percentile(euiOffs, 5))+" ("+itoa(analysis.Percentile(euiOffs, 50))+")")
+			strconv.Itoa(analysis.Percentile(euiOffs, 5))+" ("+strconv.Itoa(analysis.Percentile(euiOffs, 50))+")")
 	}
 
 	// Per-vantage interface pools for cross-vantage exclusivity.
@@ -159,12 +160,12 @@ func (e *Experiments) Table7() *Table {
 		}
 		t.AddRow(c.setName, kfmt(c.stats.ProbesSent), kfmt(int64(c.targets)),
 			kfmt(int64(len(c.ifaces))), kfmt(int64(exclBySet[c.setName])),
-			kfmt(int64(len(c.pfxs))), itoa(exclPfx[c.setName]),
-			kfmt(int64(len(c.asns))), itoa(exclASN[c.setName]),
+			kfmt(int64(len(c.pfxs))), strconv.Itoa(exclPfx[c.setName]),
+			kfmt(int64(len(c.asns))), strconv.Itoa(exclASN[c.setName]),
 			pct(c.reached),
-			itoa(analysis.Percentile(c.pathLens, 95))+" ("+itoa(analysis.Percentile(c.pathLens, 50))+")",
+			strconv.Itoa(analysis.Percentile(c.pathLens, 95))+" ("+strconv.Itoa(analysis.Percentile(c.pathLens, 50))+")",
 			kfmt(int64(c.euiIfaces)), pct(euiPct),
-			itoa(analysis.Percentile(c.euiOffsets, 5))+" ("+itoa(analysis.Percentile(c.euiOffsets, 50))+")")
+			strconv.Itoa(analysis.Percentile(c.euiOffsets, 5))+" ("+strconv.Itoa(analysis.Percentile(c.euiOffsets, 50))+")")
 	}
 	t.Notes = append(t.Notes,
 		"Expected shape: cdn-k32 and tum lead overall and exclusive discovery; EUI-64 addresses concentrate at path ends for CDN sets (median offset 0); US-EDU-2's longer on-premise path lowers its yield.")
@@ -267,7 +268,7 @@ func (e *Experiments) PlatformValidation() *Table {
 		var traces int64
 		for i := 0; i < vantages; i++ {
 			v := e.in.u.NewVantage(netsim.VantageSpec{
-				Name: label + "-" + itoa(i), Kind: netsim.KindUniversity, ChainLen: 3 + i%4,
+				Name: label + "-" + strconv.Itoa(i), Kind: netsim.KindUniversity, ChainLen: 3 + i%4,
 			})
 			store := probe.NewStore(true)
 			seq := trace.NewSequential(v, trace.SequentialConfig{
@@ -287,7 +288,7 @@ func (e *Experiments) PlatformValidation() *Table {
 			traces += stats.ProbesSent
 			store.ForEachInterface(func(a netip.Addr) { ifaces[a] = struct{}{} })
 		}
-		t.AddRow(label, itoa(vantages), kfmt(int64(len(targets))), kfmt(traces), kfmt(int64(len(ifaces))))
+		t.AddRow(label, strconv.Itoa(vantages), kfmt(int64(len(targets))), kfmt(traces), kfmt(int64(len(ifaces))))
 	}
 	platform("Ark-like", 4, len(targets))
 	platform("Atlas-like", 12, len(targets)/10+1)
@@ -301,5 +302,3 @@ func (e *Experiments) PlatformValidation() *Table {
 		"Expected shape: Yarrp6 from a single vantage discovers a large multiple of the sequential platforms' interfaces.")
 	return t
 }
-
-func sortInts(v []int) { sort.Ints(v) }

@@ -10,6 +10,7 @@ package beholder
 // `beholder -faults`.
 
 import (
+	"strconv"
 	"time"
 
 	"beholder/internal/target"
@@ -81,9 +82,9 @@ func (e *Experiments) FaultStudy() *Table {
 		if !res.Store().Equal(clean.Store()) {
 			equal = "differs"
 		}
-		t.AddRow(sc.name, kfmt(res.ProbesSent), kfmt(res.Replies), itoa(int(retries)),
-			itoa(len(res.Quarantined)), itoa(len(res.Incomplete)),
-			itoa(res.NumInterfaces()), equal)
+		t.AddRow(sc.name, kfmt(res.ProbesSent), kfmt(res.Replies), strconv.Itoa(int(retries)),
+			strconv.Itoa(len(res.Quarantined)), strconv.Itoa(len(res.Incomplete)),
+			strconv.Itoa(res.NumInterfaces()), equal)
 	}
 	t.Notes = append(t.Notes,
 		"Fault draws are keyed hashes of absolute virtual time, so every scenario is exactly reproducible and commutes with checkpoint/resume.",

@@ -9,6 +9,8 @@ package beholder
 // against the simulator's exact aliased ground truth.
 
 import (
+	"strconv"
+
 	"beholder/internal/alias"
 	"beholder/internal/analysis"
 	"beholder/internal/graph"
@@ -87,7 +89,7 @@ func (e *Experiments) GraphStudy() *Table {
 		m := analysis.MetricsOf(g)
 		t.AddRow(label, kfmt(int64(m.Nodes)), kfmt(int64(m.IfaceNodes)), kfmt(int64(m.DestNodes)),
 			kfmt(int64(m.LinkEdges)), kfmt(int64(m.Edges)), kfmt(int64(m.DestEdges)),
-			itoa(m.MaxOut), dNodes, dLinks, excl)
+			strconv.Itoa(m.MaxOut), dNodes, dLinks, excl)
 	}
 	for i, g := range gs {
 		row(names[i], g,
@@ -100,8 +102,8 @@ func (e *Experiments) GraphStudy() *Table {
 		"+Nodes/+Links: marginal contribution when vantages are unioned in row order — every additional vantage still grows the graph.",
 		"Links are distinct directed interface pairs; AnnotEdges keep (TTL gap, protocol, vantage) annotation; DestEdges are periphery links into reached targets.",
 		"Router collapse of the union against exact aliased ground truth: "+
-			itoa(rg.NumRouters())+" routers from "+itoa(union.NumNodes())+" interfaces ("+
-			itoa(rg.Folded)+" folded, "+kfmt(rg.IntraRouter)+" intra-router traversals dropped), "+
-			itoa(rg.NumEdges())+" router edges.")
+			strconv.Itoa(rg.NumRouters())+" routers from "+strconv.Itoa(union.NumNodes())+" interfaces ("+
+			strconv.Itoa(rg.Folded)+" folded, "+kfmt(rg.IntraRouter)+" intra-router traversals dropped), "+
+			strconv.Itoa(rg.NumEdges())+" router edges.")
 	return t
 }

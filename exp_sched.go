@@ -11,6 +11,7 @@ package beholder
 
 import (
 	"context"
+	"strconv"
 	"time"
 
 	"beholder/internal/graph"
@@ -106,9 +107,9 @@ func (e *Experiments) SchedStudy() *Table {
 		if res.Reason != "" {
 			state += "/" + res.Reason
 		}
-		t.AddRow(c.tenant, c.name, itoa(c.shards), state,
+		t.AddRow(c.tenant, c.name, strconv.Itoa(c.shards), state,
 			kfmt(res.Stats.ProbesSent), kfmt(res.Stats.Replies),
-			itoa(g.NumNodes()), itoa(g.NumEdges()), equal)
+			strconv.Itoa(g.NumNodes()), strconv.Itoa(g.NumEdges()), equal)
 	}
 	t.Notes = append(t.Notes,
 		"Each supervised campaign's merged store is compared against the same campaign run bare on a reset universe: token buckets, delivery queues, and reply authentication are all epoch-scoped to the campaign's vantage clone, so co-tenants cannot perturb each other's bytes.",

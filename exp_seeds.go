@@ -5,6 +5,7 @@ package beholder
 
 import (
 	"net/netip"
+	"strconv"
 
 	"beholder/internal/addrclass"
 	"beholder/internal/analysis"
@@ -119,10 +120,10 @@ func (e *Experiments) Table5() *Table {
 				exclN = kfmt(int64(excl.Len()))
 				exclR = kfmt(int64(exclRouted))
 			}
-			t.AddRow(name, "z"+itoa(set.Spec.ZN), kfmt(int64(set.Targets.Len())), exclN,
+			t.AddRow(name, "z"+strconv.Itoa(set.Spec.ZN), kfmt(int64(set.Targets.Len())), exclN,
 				kfmt(int64(f.Routed)), exclR,
-				kfmt(int64(len(f.Prefixes))), itoa(exclPfxN),
-				kfmt(int64(len(f.ASNs))), itoa(exclASNn),
+				kfmt(int64(len(f.Prefixes))), strconv.Itoa(exclPfxN),
+				kfmt(int64(len(f.ASNs))), strconv.Itoa(exclASNn),
 				kfmt(int64(analysis.Count6to4(set.Targets))))
 		}
 		for _, s := range indep {
@@ -271,11 +272,4 @@ func cdfSeries(name string, cdf [129]float64) analysis.Series {
 		s.Y = append(s.Y, cdf[d])
 	}
 	return s
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ package beholder
 import (
 	"math/rand"
 	"net/netip"
+	"strconv"
 
 	"beholder/internal/analysis"
 	"beholder/internal/ipv6"
@@ -62,7 +63,7 @@ func (e *Experiments) Figure8() (cdf, counts *Figure) {
 	}
 	counts.Series = append(counts.Series, sComb)
 	counts.Notes = append(counts.Notes,
-		"IA-hack exact /64 pins across campaigns: "+itoa(totalIA),
+		"IA-hack exact /64 pins across campaigns: "+strconv.Itoa(totalIA),
 		"Expected shape: per-set discovery power tracks the sets' target DPL distributions (Figure 3a).")
 	return cdf, counts
 }
@@ -109,7 +110,7 @@ func (e *Experiments) SubnetValidation() *Table {
 		{v, tgtSet.Addrs(), opt},
 		{v, subnet.StratifiedSample(tgtSet.Addrs(), truth), opt},
 	}) {
-		res := subnet.Discover(r.Store, e.in.u.Table(), v.v.AS().ASN, subnet.DefaultParams())
+		res := subnet.Discover(r.Store, e.in.u.Table(), v.v.AS().ASN)
 		reports = append(reports, subnet.Validate(res.Candidates, truth))
 	}
 	dense, strat := reports[0], reports[1]
@@ -120,8 +121,8 @@ func (e *Experiments) SubnetValidation() *Table {
 		Headers: []string{"Campaign", "Truth", "Candidates", "Exact", "MoreSpecific", "Short-1", "Short-2", "TruthCovered"},
 	}
 	row := func(name string, r subnet.ValidationReport) {
-		t.AddRow(name, itoa(r.TruthTotal), itoa(r.Candidates), itoa(r.ExactMatches),
-			itoa(r.MoreSpecifics), itoa(r.ShortByOne), itoa(r.ShortByTwo), itoa(r.TruthCovered))
+		t.AddRow(name, strconv.Itoa(r.TruthTotal), strconv.Itoa(r.Candidates), strconv.Itoa(r.ExactMatches),
+			strconv.Itoa(r.MoreSpecifics), strconv.Itoa(r.ShortByOne), strconv.Itoa(r.ShortByTwo), strconv.Itoa(r.TruthCovered))
 	}
 	row("dense", dense)
 	row("stratified", strat)

@@ -5,6 +5,7 @@ package beholder
 
 import (
 	"net/netip"
+	"strconv"
 	"time"
 
 	"beholder/internal/analysis"
@@ -70,7 +71,7 @@ func (e *Experiments) Table3() *Table {
 				excl++
 			}
 		}
-		t.AddRow("/"+itoa(n), kfmt(r.probes), kfmt(r.other), kfmt(int64(len(r.ifaces))), kfmt(int64(excl)))
+		t.AddRow("/"+strconv.Itoa(n), kfmt(r.probes), kfmt(r.other), kfmt(int64(len(r.ifaces))), kfmt(int64(excl)))
 	}
 	t.Notes = append(t.Notes,
 		"Expected shape: z64 costs several times z40's probes, discovers a multiple of its addresses, and has a higher non-Time-Exceeded rate (probes reach deeper).")
@@ -156,7 +157,7 @@ func (e *Experiments) Table6() *Table {
 		if stats.ProbesSent > 0 {
 			yield = float64(tr.Store.NumInterfaces()) / float64(stats.ProbesSent) * 100
 		}
-		t.AddRow(itoa(maxTTL), kfmt(stats.ProbesSent), kfmt(stats.Fills),
+		t.AddRow(strconv.Itoa(maxTTL), kfmt(stats.ProbesSent), kfmt(stats.Fills),
 			kfmt(int64(tr.Store.NumInterfaces())), fmtF(yield, 1))
 	}
 	t.Notes = append(t.Notes,

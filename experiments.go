@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"runtime"
 	"sort"
+	"strconv"
 
 	"beholder/internal/analysis"
 	"beholder/internal/core"
@@ -192,7 +193,7 @@ func (e *Experiments) supervise(subs []submission) iter.Seq2[int, *CampaignResul
 		defer s.Drain(context.Background())
 		hs := make([]*CampaignHandle, len(subs))
 		for i, sub := range subs {
-			sub.opt.Tenant, sub.opt.Name = "experiments", itoa(i)
+			sub.opt.Tenant, sub.opt.Name = "experiments", strconv.Itoa(i)
 			if sub.opt.Rate == 0 {
 				sub.opt.Rate = e.opt.Rate
 			}
@@ -274,7 +275,7 @@ func (e *Experiments) summarize(vantage string, set *target.Set, r *CampaignResu
 	c.euiOffsets = analysis.EUIOffsets(store)
 
 	// Subnet inference per campaign (folded into Figure 8).
-	res := subnet.Discover(store, table, vantageASN, subnet.DefaultParams())
+	res := subnet.Discover(store, table, vantageASN)
 	for _, cand := range res.Candidates {
 		if cand.MinLen >= 24 && cand.MinLen <= 64 {
 			c.subnetLenHist[cand.MinLen]++
@@ -312,38 +313,21 @@ func pct(f float64) string {
 func fmtF(f float64, prec int) string {
 	switch prec {
 	case 0:
-		return itoa(int(f + 0.5))
+		return strconv.Itoa(int(f + 0.5))
 	case 1:
 		v := int(f*10 + 0.5)
-		return itoa(v/10) + "." + itoa(v%10)
+		return strconv.Itoa(v/10) + "." + strconv.Itoa(v%10)
 	default:
 		v := int(f*100 + 0.5)
-		return itoa(v/100) + "." + pad2(v%100)
+		return strconv.Itoa(v/100) + "." + pad2(v%100)
 	}
-}
-
-func itoa(v int) string {
-	if v < 0 {
-		return "-" + itoa(-v)
-	}
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 func pad2(v int) string {
 	if v < 10 {
-		return "0" + itoa(v)
+		return "0" + strconv.Itoa(v)
 	}
-	return itoa(v)
+	return strconv.Itoa(v)
 }
 
 // kfmt renders counts compactly (12.4k, 1.3M) the way the paper's
@@ -355,6 +339,6 @@ func kfmt(n int64) string {
 	case n >= 1_000:
 		return fmtF(float64(n)/1e3, 1) + "k"
 	default:
-		return itoa(int(n))
+		return strconv.Itoa(int(n))
 	}
 }

@@ -11,15 +11,19 @@ import (
 	"beholder/internal/wire"
 )
 
+// APD's fixed probing shape.
+const (
+	hopLimit = 64              // probe hop limit; exceeds every path length
+	cooldown = 2 * time.Second // post-send linger for straggler replies
+	instance = 0xAD            // codec instance byte, distinguishing APD from Yarrp6 probers
+)
+
 // Params tunes the APD scheme.
 type Params struct {
-	Probes     int           // random IIDs probed per candidate (k)
-	MinReplies int           // echo replies at or above which a candidate is aliased
-	PPS        float64       // probe departure rate
-	HopLimit   uint8         // probe hop limit; must exceed the path length
-	Cooldown   time.Duration // post-send linger for straggler replies
-	Budget     int64         // total probe cap; <= 0 means unlimited
-	Instance   uint8         // codec instance byte, distinguishing concurrent probers
+	Probes     int     // random IIDs probed per candidate (k)
+	MinReplies int     // echo replies at or above which a candidate is aliased
+	PPS        float64 // probe departure rate
+	Budget     int64   // total probe cap; <= 0 means unlimited
 	// Telemetry, when non-nil, receives each Detect run's counters
 	// (apd_* metrics) in one end-of-run fold — APD runs are short and
 	// low-rate, so per-event instrumentation buys nothing.
@@ -29,15 +33,12 @@ type Params struct {
 // DefaultParams returns the 6Prob-informed defaults: 8 probes per
 // candidate, a majority-vote threshold (tolerating per-hop probe loss
 // without admitting non-aliased prefixes, whose random addresses never
-// produce echo replies), 1 kpps pacing, and a 2 s cool-down.
+// produce echo replies), and 1 kpps pacing.
 func DefaultParams() Params {
 	return Params{
 		Probes:     8,
 		MinReplies: 4,
 		PPS:        1000,
-		HopLimit:   64,
-		Cooldown:   2 * time.Second,
-		Instance:   0xAD,
 	}
 }
 
@@ -74,13 +75,7 @@ func NewDetector(conn probe.Conn, p Params) *Detector {
 	if p.PPS <= 0 {
 		p.PPS = 1000
 	}
-	if p.HopLimit == 0 {
-		p.HopLimit = 64
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = 2 * time.Second
-	}
-	return &Detector{conn: conn, codec: probe.NewCodec(conn, wire.ProtoICMPv6, p.Instance), p: p}
+	return &Detector{conn: conn, codec: probe.NewCodec(conn, wire.ProtoICMPv6, instance), p: p}
 }
 
 // Detect runs APD over the candidate prefixes and returns the detected
@@ -125,7 +120,7 @@ func (d *Detector) Detect(cands []netip.Prefix, rng *rand.Rand) *Result {
 		for i := 0; i < n; i++ {
 			a := randomAddrIn(uniq[i], rng)
 			owner[a] = i
-			m := d.codec.BuildProbe(pkt, a, d.p.HopLimit)
+			m := d.codec.BuildProbe(pkt, a, hopLimit)
 			if err := d.conn.Send(pkt[:m]); err == nil {
 				res.ProbesSent++
 			}
@@ -136,7 +131,7 @@ func (d *Detector) Detect(cands []netip.Prefix, rng *rand.Rand) *Result {
 	// Linger for replies still in flight.
 	const steps = 20
 	for s := 0; s < steps; s++ {
-		d.conn.Sleep(d.p.Cooldown / steps)
+		d.conn.Sleep(cooldown / steps)
 		d.drain(rbuf, owner, counts)
 	}
 

@@ -268,10 +268,3 @@ func (f *Figure) Render() string {
 	}
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

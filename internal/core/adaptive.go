@@ -198,20 +198,13 @@ func (a *AdaptiveCampaign) Run() (*probe.Store, CampaignStats, error) {
 	if !a.resumed && len(cfg.Config.Targets) != 0 {
 		return nil, CampaignStats{}, fmt.Errorf("yarrp6: the target source supplies adaptive targets; clear Config.Targets")
 	}
+	// The template carries the engine defaults from here on: every epoch
+	// runs at them, and an artifact records them, not the unset fields.
+	cfg.CampaignConfig.defaults()
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 16
 	}
-	minTTL, maxTTL := cfg.MinTTL, cfg.MaxTTL
-	if minTTL == 0 {
-		minTTL = 1
-	}
-	if maxTTL == 0 {
-		maxTTL = 16
-	}
-	if minTTL > maxTTL {
-		return nil, CampaignStats{}, fmt.Errorf("yarrp6: MinTTL %d > MaxTTL %d", minTTL, maxTTL)
-	}
-	ttlSpan := int64(maxTTL-minTTL) + 1
+	ttlSpan := int64(cfg.MaxTTL-minTTL) + 1
 	if cfg.EpochTargets <= 0 {
 		// Default: spread a budgeted run across the full epoch allowance
 		// so feedback actually steers it — one giant epoch adapts nothing.

@@ -133,6 +133,14 @@ type CampaignConfig struct {
 	InterruptAt time.Duration
 }
 
+// defaults fills the unset fields with the engine's values.
+func (c *CampaignConfig) defaults() {
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
+	c.Config.defaults()
+}
+
 // PermRange is a half-open permutation index range [Lo, Hi) that a
 // degraded campaign could not probe.
 type PermRange struct {
@@ -483,10 +491,8 @@ func (c *Campaign) Run() (*probe.Store, CampaignStats, error) {
 // continuing the records of the run this campaign resumes.
 func (c *Campaign) open() error {
 	cfg := &c.cfg
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if err := cfg.Config.setDefaults(); err != nil {
+	cfg.defaults()
+	if err := cfg.Config.check(); err != nil {
 		return err
 	}
 	if cfg.PermStart != 0 || cfg.PermEnd != 0 {

@@ -40,7 +40,7 @@ import (
 
 // checkpointMagic opens every artifact; the trailing digits are the
 // format version, so a layout change bumps the magic itself.
-const checkpointMagic = "Y6CKPT03"
+const checkpointMagic = "Y6CKPT04"
 
 // Artifact section types.
 const (
@@ -183,16 +183,15 @@ func (c *Campaign) appendConfig(buf []byte) []byte {
 }
 
 // appendTuning appends the probing parameters every config-bearing
-// section carries behind its own flag byte, MinTTL through DrainTimeout;
-// ckReader.tuning is its decoder.
+// section carries behind its own flag byte, MaxTTL through
+// NeighborhoodWindow; ckReader.tuning is its decoder.
 func appendTuning(buf []byte, cfg *CampaignConfig) []byte {
-	buf = append(buf, cfg.MinTTL, cfg.MaxTTL, cfg.Proto, cfg.Instance, cfg.FillLimit, cfg.NeighborhoodTTL)
+	buf = append(buf, cfg.MaxTTL, cfg.Proto, cfg.Instance, cfg.NeighborhoodTTL)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.PPS))
 	buf = binary.LittleEndian.AppendUint64(buf, cfg.Key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Shards))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Batch))
-	buf = appendDur(buf, cfg.NeighborhoodWindow)
-	return appendDur(buf, cfg.DrainTimeout)
+	return appendDur(buf, cfg.NeighborhoodWindow)
 }
 
 // appendCounters appends a Stats' counters and elapsed time;
@@ -503,7 +502,7 @@ func (r *ckReader) done(what string) error {
 
 // tuning decodes the block appendTuning wrote.
 func (r *ckReader) tuning(cfg *CampaignConfig) {
-	for _, f := range []*uint8{&cfg.MinTTL, &cfg.MaxTTL, &cfg.Proto, &cfg.Instance, &cfg.FillLimit, &cfg.NeighborhoodTTL} {
+	for _, f := range []*uint8{&cfg.MaxTTL, &cfg.Proto, &cfg.Instance, &cfg.NeighborhoodTTL} {
 		*f = r.u8()
 	}
 	cfg.PPS = math.Float64frombits(r.u64())
@@ -518,7 +517,6 @@ func (r *ckReader) tuning(cfg *CampaignConfig) {
 	cfg.Shards = int(shards)
 	cfg.Batch = int(r.u32())
 	cfg.NeighborhoodWindow = r.dur()
-	cfg.DrainTimeout = r.dur()
 }
 
 // counters decodes the block appendCounters wrote.

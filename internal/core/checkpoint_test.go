@@ -75,13 +75,13 @@ func assertRunsEqual(t *testing.T, label string, got, want ckptRun) {
 
 // TestCheckpointBytePin pins the artifact format: the SHA-256 of
 // Checkpoint() for one fixed 2-shard fill campaign, interrupted at a
-// fixed virtual instant. The digest was recorded when the curve left the
-// shard sections (format 03), so "no format change" is enforced rather
-// than asserted; a deliberate format change bumps the magic and
-// re-records it.
+// fixed virtual instant. The digest was recorded when the fixed TTL
+// floor, fill limit and drain left the config section (format 04), so
+// "no format change" is enforced rather than asserted; a deliberate
+// format change bumps the magic and re-records it.
 func TestCheckpointBytePin(t *testing.T) {
 	const seed = 1213
-	const want = "8ed2b3105267340b7069c2a069cb41813d67416312aa4b741981dac6d79602b6"
+	const want = "25f2acb791798f9bd8fec46496710d94dad265895c497a15fe171e09891ca63a"
 	targets := campaignTargets(t, seed, 61)
 	v := ckptVantage(seed)
 	cfg := campaignCfg(targets)
@@ -335,9 +335,11 @@ func TestCheckpointErrors(t *testing.T) {
 	}
 	// Older versions are not read any more: their magic is just a wrong
 	// one.
-	old := append([]byte("Y6CKPT02"), art[len(checkpointMagic):]...)
-	if _, err := Resume(old, ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
-		t.Fatalf("version-02 magic: %v", err)
+	for _, magic := range []string{"Y6CKPT02", "Y6CKPT03"} {
+		old := append([]byte(magic), art[len(checkpointMagic):]...)
+		if _, err := Resume(old, ResumeConfig{}, nil); !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("%s magic: %v", magic, err)
+		}
 	}
 	// The encoder writes a shard's first-seen list strictly ascending by
 	// address, each interface once; the decoder holds artifacts to that

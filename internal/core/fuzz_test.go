@@ -79,6 +79,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(aflipped)
 	f.Add([]byte("Y6CKPT01"))
 	f.Add([]byte("Y6CKPT02"))
+	f.Add(append([]byte("Y6CKPT03"), valid[len(checkpointMagic):]...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(decoder string, resumed bool, err error) {

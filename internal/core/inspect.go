@@ -12,17 +12,17 @@ import "time"
 // fast on a mismatch instead of silently continuing with different
 // parameters than it asked for.
 type CheckpointInfo struct {
-	Shards         int
-	Batch          int
-	Proto          uint8
-	Instance       uint8
-	MinTTL, MaxTTL uint8
-	PPS            float64
-	Key            uint64
-	Targets        int // target count (the addresses themselves stay in the artifact)
-	Fill           bool
-	RecordPaths    bool
-	Epoch          time.Duration
+	Shards      int
+	Batch       int
+	Proto       uint8
+	Instance    uint8
+	MaxTTL      uint8
+	PPS         float64
+	Key         uint64
+	Targets     int // target count (the addresses themselves stay in the artifact)
+	Fill        bool
+	RecordPaths bool
+	Epoch       time.Duration
 	// Adaptive reports an adaptive-campaign artifact (ResumeAdaptive
 	// decodes it, not Resume). Targets then counts the pending
 	// boundary-generated batch, and Epoch is the adaptive origin.
@@ -56,14 +56,8 @@ func InspectCheckpoint(artifact []byte) (CheckpointInfo, error) {
 	}
 	info.Shards = cfg.Shards
 	info.Batch = cfg.Batch
-	if info.Batch == 0 {
-		// An adaptive config keeps the caller's unset batch and protocol;
-		// its epochs run at the defaults.
-		info.Batch = DefaultBatch
-	}
 	info.Proto = protoOf(&cfg.Config)
 	info.Instance = cfg.Instance
-	info.MinTTL = cfg.MinTTL
 	info.MaxTTL = cfg.MaxTTL
 	info.PPS = cfg.PPS
 	info.Key = cfg.Key

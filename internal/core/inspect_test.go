@@ -45,7 +45,7 @@ func TestInspectCheckpoint(t *testing.T) {
 	if info.Targets != len(targets) || info.Key != cfg.Key || info.PPS != cfg.PPS {
 		t.Fatalf("identity = targets %d key %d pps %v", info.Targets, info.Key, info.PPS)
 	}
-	if info.MinTTL != 1 || info.MaxTTL != cfg.MaxTTL || !info.Fill || !info.RecordPaths {
+	if info.MaxTTL != cfg.MaxTTL || !info.Fill || !info.RecordPaths {
 		t.Fatalf("options = %+v", info)
 	}
 	if info.Epoch != camp.Epoch() {

@@ -76,7 +76,7 @@ func replayPrefix(pr probe.Primer, p *perm.Perm, codec *probe.Codec, cfg *Config
 		at0 := base + time.Duration(pos)*gap
 		for i, v := range idx[:n] {
 			ti := v % nt
-			ttl := cfg.MinTTL + uint8(v/nt)
+			ttl := minTTL + uint8(v/nt)
 			if toks[ti] < 0 {
 				m := codec.BuildProbeAt(pkt, cfg.Targets[ti], ttl, at0+time.Duration(i)*gap)
 				if t, err := pr.PrimeFlow(pkt[:m]); err == nil {

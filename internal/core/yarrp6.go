@@ -36,9 +36,9 @@ const PayloadLen = probe.PayloadLen
 type Config struct {
 	// Targets to probe. The slice is not retained beyond Run.
 	Targets []netip.Addr
-	// MinTTL and MaxTTL bound the randomized TTL range (inclusive).
-	// Defaults: 1 and 16 (the paper's tuned maximum, Table 6).
-	MinTTL, MaxTTL uint8
+	// MaxTTL closes the randomized TTL range minTTL..MaxTTL. Default 16
+	// (the paper's tuned maximum, Table 6).
+	MaxTTL uint8
 	// PPS is the probing rate in packets per second. Default DefaultPPS.
 	PPS float64
 	// Proto selects the probe transport: wire.ProtoICMPv6 (default),
@@ -67,18 +67,14 @@ type Config struct {
 	// are taken per probe instant.
 	Batch int
 	// Fill enables fill mode: a response from hop h >= MaxTTL triggers
-	// an immediate probe at h+1, up to FillLimit (Section 4.1).
-	Fill      bool
-	FillLimit uint8 // default 32
+	// an immediate probe at h+1, below fillLimit (Section 4.1).
+	Fill bool
 	// NeighborhoodWindow, when nonzero, enables the local-neighborhood
 	// heuristic (Section 4.2): for TTLs at or below NeighborhoodTTL, if
 	// no new interface address has been discovered at that TTL within
 	// the window, further probes at that TTL are skipped.
 	NeighborhoodWindow time.Duration
 	NeighborhoodTTL    uint8
-	// DrainTimeout is how long to keep collecting replies after the last
-	// probe. Default 2s.
-	DrainTimeout time.Duration
 	// Observer, when non-nil, receives every stored reply in arrival
 	// order. It runs on the run's fold goroutine, right after the reply's
 	// store fold, and Run returns only once it has seen every reply. The
@@ -139,18 +135,21 @@ type Config struct {
 	fills []lostFill
 }
 
-func (c *Config) setDefaults() error {
-	if len(c.Targets) == 0 {
-		return fmt.Errorf("yarrp6: no targets")
-	}
-	if c.MinTTL == 0 {
-		c.MinTTL = 1
-	}
+// The probing shape every campaign shares (Section 4.1): TTLs from
+// minTTL, fill mode up to hop fillLimit, and a drain that collects
+// replies for drainTimeout after the last probe.
+const (
+	minTTL       = 1
+	fillLimit    = 32
+	drainTimeout = 2 * time.Second
+)
+
+// defaults fills the unset tuning fields with the engine's values. It
+// needs no targets, so an adaptive campaign, whose source supplies them
+// epoch by epoch, applies it to its template too.
+func (c *Config) defaults() {
 	if c.MaxTTL == 0 {
 		c.MaxTTL = 16
-	}
-	if c.MinTTL > c.MaxTTL {
-		return fmt.Errorf("yarrp6: MinTTL %d > MaxTTL %d", c.MinTTL, c.MaxTTL)
 	}
 	if c.PPS <= 0 {
 		c.PPS = DefaultPPS
@@ -158,33 +157,40 @@ func (c *Config) setDefaults() error {
 	if c.Proto == 0 {
 		c.Proto = wire.ProtoICMPv6
 	}
-	if c.Proto != wire.ProtoICMPv6 && c.Proto != wire.ProtoUDP && c.Proto != wire.ProtoTCP {
-		return fmt.Errorf("yarrp6: unsupported transport %d", c.Proto)
-	}
-	if c.FillLimit == 0 {
-		c.FillLimit = 32
-	}
 	if c.Batch == 0 {
 		c.Batch = DefaultBatch
 	}
 	if c.Batch < 1 {
 		c.Batch = 1
 	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 2 * time.Second
-	}
 	if c.NeighborhoodWindow > 0 && c.NeighborhoodTTL == 0 {
 		c.NeighborhoodTTL = 3
+	}
+}
+
+// setDefaults applies the defaults and refuses what no run can probe.
+func (c *Config) setDefaults() error {
+	c.defaults()
+	return c.check()
+}
+
+// check refuses a defaulted configuration no run can probe.
+func (c *Config) check() error {
+	if len(c.Targets) == 0 {
+		return fmt.Errorf("yarrp6: no targets")
+	}
+	if c.Proto != wire.ProtoICMPv6 && c.Proto != wire.ProtoUDP && c.Proto != wire.ProtoTCP {
+		return fmt.Errorf("yarrp6: unsupported transport %d", c.Proto)
 	}
 	// The whole schedule — every permutation slot, every fill the targets
 	// can add, then the drain tail — must fit the virtual clock, with as
 	// much again to spare for a nonzero starting instant. Past it the send
 	// loop's pacing arithmetic overflows and the prober spins in place.
 	slots := float64(Domain(c))
-	if c.Fill && c.FillLimit > c.MaxTTL {
-		slots += float64(len(c.Targets)) * float64(c.FillLimit-c.MaxTTL)
+	if c.Fill && c.MaxTTL < fillLimit {
+		slots += float64(len(c.Targets)) * float64(fillLimit-c.MaxTTL)
 	}
-	if slots*float64(time.Second)/c.PPS+float64(c.DrainTimeout) > math.MaxInt64/2 {
+	if slots*float64(time.Second)/c.PPS+float64(drainTimeout) > math.MaxInt64/2 {
 		return fmt.Errorf("yarrp6: at %g pps the schedule outruns the virtual clock", c.PPS)
 	}
 	if sendGap(c.PPS) <= 0 {
@@ -205,7 +211,7 @@ func sendGap(pps float64) time.Duration { return time.Duration(float64(time.Seco
 // Domain returns the size of the (target × TTL) permutation domain of a
 // configuration whose defaults have been applied.
 func Domain(c *Config) uint64 {
-	return uint64(len(c.Targets)) * (uint64(c.MaxTTL-c.MinTTL) + 1)
+	return uint64(len(c.Targets)) * (uint64(c.MaxTTL-minTTL) + 1)
 }
 
 // Stats reports a campaign's send-side and recovery counters.
@@ -702,7 +708,7 @@ func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 		y.recordSample(y.conn.Now())
 	}
 	if deadline == 0 {
-		deadline = y.conn.Now() + y.cfg.DrainTimeout
+		deadline = y.conn.Now() + drainTimeout
 	}
 	gap := y.gap
 	for {
@@ -802,7 +808,7 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 		if n == 0 {
 			break
 		}
-		if y.skipByNeighborhood(cfg.MinTTL + uint8(y.idx[0]/nt)) {
+		if y.skipByNeighborhood(minTTL + uint8(y.idx[0]/nt)) {
 			// Under the heuristic the batch is this one probe: the skipped
 			// index consumes no send slot and the clock stays where it is.
 			y.stats.Skipped++
@@ -903,7 +909,7 @@ func (y *Yarrp6) buildBatch(from, n int, t0, gap time.Duration) {
 	}
 	for i := from; i < n; i++ {
 		off := i * probeStride
-		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], y.tgts[i], cfg.MinTTL+uint8(y.idx[i]/nt), t0+time.Duration(i-from)*gap)
+		m := y.codec.BuildProbeAt(y.ring[off:off+probeStride], y.tgts[i], minTTL+uint8(y.idx[i]/nt), t0+time.Duration(i-from)*gap)
 		y.pkts[i] = y.ring[off : off+m]
 	}
 }
@@ -1021,7 +1027,7 @@ func (y *Yarrp6) handleReply(b []byte) (backedOff bool) {
 	// Reply carries no slices into either buffer — so fills allocate
 	// nothing.
 	if y.cfg.Fill && r.Kind == probe.KindTimeExceeded && r.StateRecovered &&
-		r.TTL >= y.cfg.MaxTTL && r.TTL < y.cfg.FillLimit && r.Target.IsValid() {
+		r.TTL >= y.cfg.MaxTTL && r.TTL < fillLimit && r.Target.IsValid() {
 		return y.fill(r.Target, r.TTL+1)
 	}
 	return false

@@ -299,10 +299,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(v, Config{}).Run(probe.NewStore(false)); err == nil {
 		t.Error("empty targets accepted")
 	}
-	bad := Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}, MinTTL: 9, MaxTTL: 4}
-	if _, err := New(v, bad).Run(probe.NewStore(false)); err == nil {
-		t.Error("inverted TTL range accepted")
-	}
 	badProto := Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}, Proto: 99}
 	if _, err := New(v, badProto).Run(probe.NewStore(false)); err == nil {
 		t.Error("unknown transport accepted")

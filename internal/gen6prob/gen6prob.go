@@ -22,7 +22,7 @@
 //   - Reward: after each probing epoch, targets whose traces revealed
 //     interfaces never seen before feed their discovery count back
 //     along the leading levels of their nybble paths (the covering
-//     /48 by default), pulling future samples toward regions that
+//     /48), pulling future samples toward regions that
 //     keep answering — and, because the reward stops above the /64
 //     level, toward fresh sibling prefixes inside those regions
 //     rather than back to already-probed leaves. Aliased prefixes
@@ -54,37 +54,40 @@ const nybbleDepth = 32
 // prefixes (16 nybbles) and completed with the low-byte ::1 IID.
 const prefixDepth = 16
 
+// The sampler's fixed tuning.
+const (
+	// seedWeight is the per-node weight each seed insertion adds, scaled
+	// by the seed's cluster-density rank. It dominates exploreWeight so
+	// the sampler drains the observed (highest-yield) /64s before
+	// generating fresh ones.
+	seedWeight = 4096
+	// exploreWeight is the implicit weight of each cluster-observed but
+	// unexpanded nybble value at depths at or below rewardDepth — the
+	// fine-grained levels where sibling subnets of observed LANs live.
+	// Above rewardDepth the implicit weight is 1: shallow divergence
+	// compounds the per-level provisioning odds against the probe, so
+	// exploration concentrates near the /64 boundary.
+	exploreWeight = 4
+	// rewardDepth is how many leading nybble levels a reward insertion
+	// credits (12: the /48): rewards reinforce the covering region, not
+	// the exact already-probed leaf, so feedback pulls sampling toward
+	// fresh sibling prefixes inside productive regions.
+	rewardDepth = 12
+	// maxMisses bounds consecutive rejected samples (duplicates or pruned
+	// dead ends) before an epoch batch is cut short.
+	maxMisses = 64
+	// maxClusterSpan caps a density-prior cluster's pattern size; the
+	// prior clusters seeds in 6Gen's tight mode.
+	maxClusterSpan = 1 << 20
+)
+
 // Config parameterizes a Source.
 type Config struct {
 	// Key seeds the sampler; equal keys and seeds generate equal series.
 	Key uint64
-	// Cluster is the 6Gen clustering configuration for the density
-	// prior. Budget is ignored; a zero value selects tight-pattern
-	// clustering with the default span cap.
-	Cluster sixgen.Config
-	// SeedWeight is the per-node weight each seed insertion adds,
-	// scaled by the seed's cluster-density rank. It must dominate
-	// ExploreWeight so the sampler drains the observed (highest-yield)
-	// /64s before generating fresh ones. Default 4096.
-	SeedWeight uint64
 	// RewardWeight multiplies the novel-interface count a target's trace
 	// feeds back along its path. Default 32.
 	RewardWeight uint64
-	// ExploreWeight is the implicit weight of each cluster-observed but
-	// unexpanded nybble value at depths at or below RewardDepth — the
-	// fine-grained levels where sibling subnets of observed LANs live.
-	// Above RewardDepth the implicit weight is 1: shallow divergence
-	// compounds the per-level provisioning odds against the probe, so
-	// exploration concentrates near the /64 boundary. Default 4.
-	ExploreWeight uint64
-	// RewardDepth is how many leading nybble levels a reward insertion
-	// credits: rewards reinforce the covering region, not the exact
-	// already-probed leaf, so feedback pulls sampling toward fresh
-	// sibling prefixes inside productive regions. Default 12 (the /48).
-	RewardDepth int
-	// MaxMisses bounds consecutive rejected samples (duplicates or
-	// pruned dead ends) before an epoch batch is cut short. Default 64.
-	MaxMisses int
 	// AliasMinHits is the fully-responsive-target count per /64 that
 	// nominates the prefix for alias detection (AliasCandidates). Default
 	// 1 — the sampler probes one low-byte address per /64; negative
@@ -96,33 +99,20 @@ type Config struct {
 // another onto one representative, so a configuration serializes
 // canonically.
 func (c *Config) setDefaults() {
-	c.Cluster.Budget = 0
-	if c.Cluster.Mode != sixgen.Loose {
-		c.Cluster.Mode = sixgen.Tight
-	}
-	if c.Cluster.MaxClusterSpan == 0 {
-		c.Cluster.MaxClusterSpan = 1 << 20
-	}
-	if c.SeedWeight == 0 {
-		c.SeedWeight = 4096
-	}
 	if c.RewardWeight == 0 {
 		c.RewardWeight = 32
-	}
-	if c.ExploreWeight == 0 {
-		c.ExploreWeight = 4
-	}
-	if c.RewardDepth <= 0 || c.RewardDepth > nybbleDepth {
-		c.RewardDepth = 12
-	}
-	if c.MaxMisses <= 0 {
-		c.MaxMisses = 64
 	}
 	if c.AliasMinHits == 0 {
 		c.AliasMinHits = 1
 	} else if c.AliasMinHits < 0 {
 		c.AliasMinHits = -1
 	}
+}
+
+// clusters builds the density prior from ascending seeds: 6Gen's
+// tight-mode clusters, densest first.
+func clusters(seeds []netip.Addr) []*sixgen.Cluster {
+	return sixgen.Clusters(seeds, sixgen.Config{Mode: sixgen.Tight, MaxClusterSpan: maxClusterSpan})
 }
 
 // node is one trie node; children index by the nybble value at the
@@ -161,7 +151,7 @@ func New(seeds []netip.Addr, cfg Config) *Source {
 	s := &Source{
 		cfg:      cfg,
 		seeds:    sorted,
-		clusters: sixgen.Clusters(sorted, cfg.Cluster),
+		clusters: clusters(sorted),
 		root:     &node{},
 		emitted:  make(map[netip.Addr]struct{}),
 	}
@@ -174,15 +164,12 @@ func New(seeds []netip.Addr, cfg Config) *Source {
 	}
 	for _, a := range sorted {
 		c := s.clusterOf(a)
-		w := cfg.SeedWeight
+		w := uint64(seedWeight)
 		if c != nil {
 			// Halve per density rank, floored at a sixteenth of the full
 			// weight: density orders the drain, but every observed /64
 			// still outranks every unobserved one by a wide margin.
-			floor := cfg.SeedWeight / 16
-			if floor < 2*cfg.ExploreWeight {
-				floor = 2 * cfg.ExploreWeight
-			}
+			const floor = max(seedWeight/16, 2*exploreWeight)
 			for r := rankOf[c]; r > 0 && w/2 >= floor; r-- {
 				w /= 2
 			}
@@ -198,7 +185,7 @@ func (s *Source) clusterOf(a netip.Addr) *sixgen.Cluster {
 	for _, c := range s.clusters {
 		ok := true
 		for i, v := range nyb {
-			if !maskAllows(c, i, v, s.cfg.Cluster.Mode) {
+			if c.Mask(i)&(1<<v) == 0 {
 				ok = false
 				break
 			}
@@ -208,35 +195,6 @@ func (s *Source) clusterOf(a netip.Addr) *sixgen.Cluster {
 		}
 	}
 	return nil
-}
-
-// maskAllows reports whether cluster c admits nybble value v at
-// position i under the clustering mode (loose patterns wildcard any
-// position where more than one value was observed).
-func maskAllows(c *sixgen.Cluster, i int, v uint8, m sixgen.Mode) bool {
-	mask := c.Mask(i)
-	if m == sixgen.Loose && popcount16(mask) > 1 {
-		return true
-	}
-	return mask&(1<<v) != 0
-}
-
-// clusterMask returns cluster c's exploration bitmask at position i:
-// always the observed values, never the loose wildcard. Exploration
-// under a wildcard would scatter candidates across unrouted space
-// (random nybbles almost never hit an advertised prefix); restricting
-// the frontier to observed values keeps generated prefixes inside the
-// structure the seeds exhibit, which is 6Gen's tight-mode insight.
-func clusterMask(c *sixgen.Cluster, i int) uint16 {
-	return c.Mask(i)
-}
-
-func popcount16(v uint16) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 // insert adds w to every node along a's nybble path, creating nodes as
@@ -301,15 +259,14 @@ func (s *Source) sample() (netip.Addr, bool) {
 	// far; their union mask at each depth is the exploration frontier.
 	active := make([]*sixgen.Cluster, len(s.clusters))
 	copy(active, s.clusters)
-	mode := s.cfg.Cluster.Mode
 	var u ipv6.U128
 	n := s.root
 	for d := 0; d < prefixDepth; d++ {
 		var explore uint16
 		for _, c := range active {
-			explore |= clusterMask(c, d)
+			explore |= c.Mask(d)
 		}
-		ew := s.exploreWeight(d)
+		ew := implicitWeight(d)
 		var total uint64
 		for v := 0; v < 16; v++ {
 			total += s.valueWeight(n, uint8(v), explore, ew)
@@ -334,7 +291,7 @@ func (s *Source) sample() (netip.Addr, bool) {
 		// Narrow the cluster frontier to patterns admitting the pick.
 		keep := active[:0]
 		for _, c := range active {
-			if maskAllows(c, d, pick, mode) {
+			if c.Mask(d)&(1<<pick) != 0 {
 				keep = append(keep, c)
 			}
 		}
@@ -345,14 +302,14 @@ func (s *Source) sample() (netip.Addr, bool) {
 	return u.Addr(), true
 }
 
-// exploreWeight is the implicit weight of an unexpanded cluster-observed
-// nybble value at depth d: ExploreWeight at the fine-grained levels at or
-// below RewardDepth (sibling subnets of observed LANs, where a fresh
+// implicitWeight is the weight of an unexpanded cluster-observed nybble
+// value at depth d: exploreWeight at the fine-grained levels at or
+// below rewardDepth (sibling subnets of observed LANs, where a fresh
 // prefix has one or two provisioning coin-flips against it), a token 1
 // above (shallow divergence compounds the odds to near zero).
-func (s *Source) exploreWeight(d int) uint64 {
-	if d >= s.cfg.RewardDepth {
-		return s.cfg.ExploreWeight
+func implicitWeight(d int) uint64 {
+	if d >= rewardDepth {
+		return exploreWeight
 	}
 	return 1
 }
@@ -388,11 +345,11 @@ func (s *Source) NextEpoch(epoch, want int, fb *core.Feedback) []netip.Addr {
 	}
 	out := make([]netip.Addr, 0, want)
 	misses := 0
-	for len(out) < want && misses < s.cfg.MaxMisses {
+	for len(out) < want && misses < maxMisses {
 		a, ok := s.sample()
 		if !ok {
 			// Dead-ended walk (pruned or fully spent subtree): a retry
-			// takes different branches, so only give up after MaxMisses.
+			// takes different branches, so only give up after maxMisses.
 			misses++
 			continue
 		}
@@ -438,7 +395,7 @@ func (s *Source) spend(a netip.Addr) {
 
 // applyFeedback reshapes the trie from one epoch's results: aliased
 // subtrees die, and every target whose trace surfaced interfaces absent
-// from the pre-epoch accumulation rewards the leading RewardDepth
+// from the pre-epoch accumulation rewards the leading rewardDepth
 // levels of its path by the novel count.
 func (s *Source) applyFeedback(fb *core.Feedback) {
 	for _, pfx := range fb.Aliased {
@@ -468,7 +425,7 @@ func (s *Source) applyFeedback(fb *core.Feedback) {
 			count++
 		})
 		if count > 0 {
-			s.insertTo(tr.Target, count*s.cfg.RewardWeight, s.cfg.RewardDepth)
+			s.insertTo(tr.Target, count*s.cfg.RewardWeight, rewardDepth)
 		}
 	}
 }

@@ -233,10 +233,11 @@ func TestRestoreStateErrors(t *testing.T) {
 	blob := s.AppendState(nil)
 	// A default field spelled out as zero, which would encode differently.
 	zeroWeight := append([]byte(nil), blob...)
-	clear(zeroWeight[len(stateMagic)+8+2+8 : len(stateMagic)+8+2+16])
+	clear(zeroWeight[len(stateMagic)+8 : len(stateMagic)+16])
 	cases := map[string][]byte{
 		"empty":         {},
 		"bad magic":     []byte("G6PBxx" + string(blob[6:])),
+		"retired magic": []byte("G6PB02" + string(blob[6:])),
 		"truncated":     blob[:len(blob)-3],
 		"trailing":      append(append([]byte(nil), blob...), 0xff),
 		"non-canonical": zeroWeight,

@@ -14,12 +14,10 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-
-	"beholder/internal/sixgen"
 )
 
 // stateMagic versions the serialized source.
-const stateMagic = "G6PB02"
+const stateMagic = "G6PB03"
 
 // AppendState implements core.TargetSource: it appends the complete
 // source — config, seeds, sampler counter, emitted-target set, weighted
@@ -27,9 +25,7 @@ const stateMagic = "G6PB02"
 func (s *Source) AppendState(buf []byte) []byte {
 	c := &s.cfg
 	buf = append(buf, stateMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, c.Key)
-	buf = append(buf, byte(c.Cluster.Mode), byte(c.RewardDepth))
-	for _, v := range []uint64{c.Cluster.MaxClusterSpan, c.SeedWeight, c.RewardWeight, c.ExploreWeight, uint64(c.MaxMisses), uint64(c.AliasMinHits)} {
+	for _, v := range []uint64{c.Key, c.RewardWeight, uint64(c.AliasMinHits)} {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	buf = appendAddrs(buf, s.seeds)
@@ -88,10 +84,7 @@ func (s *Source) RestoreState(data []byte) error {
 		return fmt.Errorf("gen6prob: bad state magic")
 	}
 	var cfg Config
-	cfg.Key = r.uint(8)
-	cfg.Cluster.Mode, cfg.RewardDepth = sixgen.Mode(r.uint(1)), int(r.uint(1))
-	cfg.Cluster.MaxClusterSpan, cfg.SeedWeight, cfg.RewardWeight, cfg.ExploreWeight = r.uint(8), r.uint(8), r.uint(8), r.uint(8)
-	cfg.MaxMisses, cfg.AliasMinHits = int(int64(r.uint(8))), int(int64(r.uint(8)))
+	cfg.Key, cfg.RewardWeight, cfg.AliasMinHits = r.uint(8), r.uint(8), int(int64(r.uint(8)))
 	canon := cfg
 	canon.setDefaults()
 	if canon != cfg {
@@ -110,7 +103,7 @@ func (s *Source) RestoreState(data []byte) error {
 	*s = Source{
 		cfg:      cfg,
 		seeds:    seeds,
-		clusters: sixgen.Clusters(seeds, cfg.Cluster),
+		clusters: clusters(seeds),
 		root:     root,
 		emitted:  make(map[netip.Addr]struct{}, len(emitted)),
 		ctr:      ctr,

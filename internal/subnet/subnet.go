@@ -25,41 +25,25 @@ import (
 	"beholder/internal/probe"
 )
 
-// Params are discoverByPathDiv's acceptance knobs, named after the
-// paper's parameter list in Section 6.
-type Params struct {
-	// MinLCS is c: the minimum length of the last common subpath, with
+// discoverByPathDiv's acceptance rules, the paper's Section 6
+// configuration c=2, C=1, A=1, s=1, S=1, z=0, T=1. The two flags hold
+// unconditionally: A, the hop immediately before divergence is outside
+// the vantage's ASN, and T, both targets share an origin ASN (modulo
+// equivalent-ASN groups). z=0 (no empty divergent suffix) is implied by
+// s >= 1.
+const (
+	// minLCS is c: the minimum length of the last common subpath, with
 	// no missing hops allowed inside it.
-	MinLCS int
-	// LCSTargetASNHops is C: at least this many LCS hops must resolve to
+	minLCS = 2
+	// lcsTargetASNHops is C: at least this many LCS hops must resolve to
 	// the target's ASN.
-	LCSTargetASNHops int
-	// LastHopNotVantageASN is A: the hop immediately before divergence
-	// must be outside the vantage's ASN.
-	LastHopNotVantageASN bool
-	// MinDS is s: the minimum length of each divergent suffix. The
-	// paper's z=0 (no empty DS) is implied by MinDS >= 1.
-	MinDS int
-	// DSTargetASNHops is S: at least this many hops of each divergent
+	lcsTargetASNHops = 1
+	// minDS is s: the minimum length of each divergent suffix.
+	minDS = 1
+	// dsTargetASNHops is S: at least this many hops of each divergent
 	// suffix must resolve to the target's ASN.
-	DSTargetASNHops int
-	// RequireSameTargetASN is T: both targets must share an origin ASN
-	// (modulo equivalent-ASN groups).
-	RequireSameTargetASN bool
-}
-
-// DefaultParams returns the paper's configuration:
-// c=2, C=1, A=1, s=1, S=1, z=0, T=1.
-func DefaultParams() Params {
-	return Params{
-		MinLCS:               2,
-		LCSTargetASNHops:     1,
-		LastHopNotVantageASN: true,
-		MinDS:                1,
-		DSTargetASNHops:      1,
-		RequireSameTargetASN: true,
-	}
-}
+	dsTargetASNHops = 1
+)
 
 // Candidate is one inferred subnet: a lower bound on the prefix length
 // of the subnet containing Target.
@@ -89,7 +73,7 @@ type Result struct {
 // neighbors: the nearest address pairs carry the highest DPLs and hence
 // the tightest subnet bounds, and more distant pairs can only yield
 // looser bounds for the same subnets.
-func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32, p Params) Result {
+func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32) Result {
 	traces := store.Traces()
 	sort.Slice(traces, func(i, j int) bool { return traces[i].Target.Less(traces[j].Target) })
 
@@ -100,7 +84,7 @@ func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32, p Params)
 	for i := 0; i+1 < len(traces); i++ {
 		a, b := traces[i], traces[i+1]
 		res.PairsExamined++
-		if dpl, ok := divergent(store, a, b, table, vantageASN, p); ok {
+		if dpl, ok := divergent(store, a, b, table, vantageASN); ok {
 			res.PairsAccepted++
 			if dpl > 64 {
 				dpl = 64 // subnets no more specific than /64 at the edge
@@ -165,15 +149,15 @@ func lanPinnedAddr(store *probe.Store, target netip.Addr) bool {
 	return t != nil && lanPinned(store, t)
 }
 
-// divergent tests one target pair per discoverByPathDiv's parameters,
+// divergent tests one target pair per discoverByPathDiv's rules,
 // returning the pair's DPL when accepted.
-func divergent(store *probe.Store, a, b *probe.Trace, table *bgp.Table, vantageASN uint32, p Params) (int, bool) {
+func divergent(store *probe.Store, a, b *probe.Trace, table *bgp.Table, vantageASN uint32) (int, bool) {
 	targetASNA := table.Origin(a.Target)
 	targetASNB := table.Origin(b.Target)
 	if targetASNA == 0 || targetASNB == 0 {
 		return 0, false
 	}
-	if p.RequireSameTargetASN && !table.SameOrg(targetASNA, targetASNB) {
+	if !table.SameOrg(targetASNA, targetASNB) { // T
 		return 0, false
 	}
 
@@ -211,29 +195,26 @@ func divergent(store *probe.Store, a, b *probe.Trace, table *bgp.Table, vantageA
 		lcs++
 		lcsHops = append(lcsHops, ha)
 	}
-	if lcs < p.MinLCS {
+	if lcs < minLCS {
 		return 0, false
 	}
-	if p.LastHopNotVantageASN {
-		last := lcsHops[0] // hop at div-1
-		if table.SameOrg(table.OriginAny(last), vantageASN) {
-			return 0, false
-		}
+	if table.SameOrg(table.OriginAny(lcsHops[0]), vantageASN) { // A: the hop at div-1
+		return 0, false
 	}
-	if countASNHops(lcsHops, table, targetASNA) < p.LCSTargetASNHops {
+	if countASNHops(lcsHops, table, targetASNA) < lcsTargetASNHops {
 		return 0, false
 	}
 
 	// Divergent suffixes: responsive hops from the divergence onward.
 	dsA := suffixHops(hopsA, div, maxTTL)
 	dsB := suffixHops(hopsB, div, maxTTL)
-	if len(dsA) < p.MinDS || len(dsB) < p.MinDS {
+	if len(dsA) < minDS || len(dsB) < minDS {
 		return 0, false
 	}
-	if countASNHops(dsA, table, targetASNA) < p.DSTargetASNHops {
+	if countASNHops(dsA, table, targetASNA) < dsTargetASNHops {
 		return 0, false
 	}
-	if countASNHops(dsB, table, targetASNB) < p.DSTargetASNHops {
+	if countASNHops(dsB, table, targetASNB) < dsTargetASNHops {
 		return 0, false
 	}
 

@@ -47,7 +47,7 @@ func TestDivergentPairAccepted(t *testing.T) {
 	mkTrace(store, "2400:100:0:2::1",
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:100:0:2::ff")
 
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 1 {
 		t.Fatalf("pairs accepted = %d want 1", res.PairsAccepted)
 	}
@@ -72,7 +72,7 @@ func TestRejectShortLCS(t *testing.T) {
 	// Divergence at TTL 2: only one common hop.
 	mkTrace(store, "2400:100:0:1::1", "2400:10::1", "2400:100:0:1::ff")
 	mkTrace(store, "2400:100:0:2::1", "2400:10::1", "2400:100:0:2::ff")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 0 {
 		t.Errorf("short LCS accepted")
 	}
@@ -87,7 +87,7 @@ func TestRejectMissingHopInLCS(t *testing.T) {
 		"2400:10::1", "", "2400:100::1", "2400:100:0:1::ff")
 	mkTrace(store, "2400:100:0:2::1",
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:100:0:2::ff")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 0 {
 		t.Errorf("LCS with missing hop accepted")
 	}
@@ -101,7 +101,7 @@ func TestRejectDifferentTargetASN(t *testing.T) {
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:100:0:1::ff")
 	mkTrace(store, "2400:200:0:1::1",
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:200:0:1::ff")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 0 {
 		t.Errorf("cross-ASN pair accepted")
 	}
@@ -118,7 +118,7 @@ func TestEquivalentASNsAccepted(t *testing.T) {
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:100:ffff::ff")
 	mkTrace(store, "2400:200:0:1::1",
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:200:0:1::ff")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 1 {
 		t.Errorf("equivalent-ASN pair rejected")
 	}
@@ -134,7 +134,7 @@ func TestRIRResolvedLCSHops(t *testing.T) {
 		"2400:10::1", "2a00:50::1", "2a00:50::2", "2400:50:0:1::ff")
 	mkTrace(store, "2400:50:0:2::1",
 		"2400:10::1", "2a00:50::1", "2a00:50::2", "2400:50:0:2::ff")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 1 {
 		t.Errorf("RIR-numbered LCS rejected: %+v", res)
 	}
@@ -149,7 +149,7 @@ func TestRejectLastLCSHopInVantageAS(t *testing.T) {
 		"2400:10::1", "2400:10::2", "2400:100:0:1::ff")
 	mkTrace(store, "2400:100:0:2::1",
 		"2400:10::1", "2400:10::2", "2400:100:0:2::ff")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.PairsAccepted != 0 {
 		t.Errorf("vantage-AS divergence accepted")
 	}
@@ -161,7 +161,7 @@ func TestIAHack(t *testing.T) {
 	// Last hop is the ::1 gateway of the target's own /64.
 	mkTrace(store, "2400:100:0:1:1234:5678:1234:5678",
 		"2400:10::1", "2400:50::1", "2400:100:0:1::1")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.IAHackCount != 1 {
 		t.Fatalf("IA hack count = %d", res.IAHackCount)
 	}
@@ -182,7 +182,7 @@ func TestIAHackRequiresMatchingPrefix(t *testing.T) {
 	// Last hop ::1 but in a different /64: not pinned.
 	mkTrace(store, "2400:100:0:1:1234:5678:1234:5678",
 		"2400:10::1", "2400:50::1", "2400:100:0:2::1")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	if res.IAHackCount != 0 {
 		t.Errorf("IA hack misfired")
 	}
@@ -240,7 +240,7 @@ func TestCandidateDPLCappedAt64(t *testing.T) {
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:100:0:1::fe")
 	mkTrace(store, "2400:100:0:1::b",
 		"2400:10::1", "2400:50::1", "2400:100::1", "2400:100:0:9::fe")
-	res := Discover(store, table, 10, DefaultParams())
+	res := Discover(store, table, 10)
 	for _, c := range res.Candidates {
 		if c.MinLen > 64 {
 			t.Errorf("candidate beyond /64: %+v", c)

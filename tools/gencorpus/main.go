@@ -4,6 +4,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -121,8 +122,9 @@ func main() {
 
 	// core: FuzzCheckpointDecode — a real interrupted-campaign artifact,
 	// a truncation, a CRC flip, a well-framed artifact whose first-seen
-	// list is out of address order, and an adaptive artifact cut
-	// mid-epoch (so it embeds an inner campaign artifact).
+	// list is out of address order, an adaptive artifact cut mid-epoch
+	// (so it embeds an inner campaign artifact), and the valid artifact
+	// under the retired format's magic.
 	art, adaptive, source := checkpointArtifacts()
 	cd := "internal/core/testdata/fuzz/FuzzCheckpointDecode"
 	write(cd, "seed-valid", bs(art))
@@ -132,15 +134,18 @@ func main() {
 	write(cd, "seed-crc-flip", bs(flipped))
 	write(cd, "seed-unsorted-seen", bs(unsortedSeen(art)))
 	write(cd, "seed-adaptive", bs(adaptive))
+	write(cd, "seed-retired-magic", bs(retired(art, "Y6CKPT03")))
 
 	// gen6prob: FuzzRestoreState — the adaptive campaign's source state
 	// as the interrupt left it (epoch 0 generated), a truncation of it,
-	// and a fresh source with alias nomination disabled.
+	// a fresh source with alias nomination disabled, and the interrupted
+	// state under the retired format's magic.
 	gd := "internal/gen6prob/testdata/fuzz/FuzzRestoreState"
 	write(gd, "seed-interrupted", bs(source))
 	write(gd, "seed-truncated", bs(source[:len(source)/2]))
 	fresh := gen6prob.New([]netip.Addr{src, dst, target}, gen6prob.Config{Key: 3, AliasMinHits: -1})
 	write(gd, "seed-fresh", bs(fresh.AppendState(nil)))
+	write(gd, "seed-retired-magic", bs(retired(source, "G6PB02")))
 
 	// cmd/beholderd: FuzzSubmitTargets — /submit targets values: plain
 	// and spaced lists, the empty list, null as the list and as an
@@ -169,6 +174,15 @@ func main() {
 	fmt.Println("corpus written")
 }
 
+// retired returns a copy of blob with its magic overwritten by magic, a
+// retired format's magic of the same length: a current body the decoder
+// must refuse.
+func retired(blob []byte, magic string) []byte {
+	out := append([]byte(nil), blob...)
+	copy(out, magic)
+	return out
+}
+
 // unsortedSeen returns a copy of a campaign artifact with the first two
 // entries of shard 0's first-seen list swapped and the section checksum
 // recomputed: every frame is right, but the list is not in the address
@@ -176,9 +190,10 @@ func main() {
 func unsortedSeen(art []byte) []byte {
 	le32 := func(b []byte) int { return int(binary.LittleEndian.Uint32(b)) }
 	out := append([]byte(nil), art...)
-	// Sections are [type u8][len u32][crc u32][payload]; the config
-	// section comes first, shard 0's second.
-	sect := len("Y6CKPT03")
+	// The magic is the artifact's leading run of capitals and digits; the
+	// sections behind it are [type u8][len u32][crc u32][payload], the
+	// config section (type 1) first, shard 0's second.
+	sect := bytes.IndexFunc(out, func(r rune) bool { return (r < 'A' || r > 'Z') && (r < '0' || r > '9') })
 	sect += 9 + le32(out[sect+1:])
 	p := out[sect+9 : sect+9+le32(out[sect+1:])]
 	off := 4 + 1 + 8 + 3*8 + 7*8          // index, done, cursor, three instants, counters
