@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseReply$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzProbeBuildEquivalence$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzDecodeStore$$' -fuzztime $(FUZZTIME) ./internal/probe
+	$(GO) test -run xxx -fuzz '^FuzzFoldBlock$$' -fuzztime $(FUZZTIME) ./internal/probe
 	$(GO) test -run xxx -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzRestoreState$$' -fuzztime $(FUZZTIME) ./internal/gen6prob
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store

@@ -10,7 +10,7 @@ import (
 // The reply fold runs on its own goroutine. The prober goroutine sends,
 // receives and parses; every parsed reply then crosses to the fold
 // goroutine, which owns the shard's store while the run lasts and applies
-// Store.Add, the first-seen list, the observer and the neighborhood
+// the store fold, the first-seen list, the observer and the neighborhood
 // heuristic's lastNew in exactly the order the prober parsed the replies.
 // Progress samples travel in the same stream, as marks between replies,
 // so a sample's interface count is the store's after precisely the
@@ -67,6 +67,8 @@ type foldPipe struct {
 	cur   *foldBlock
 	spare []*foldBlock
 	out   int
+	// gather is the fold goroutine's scratch for Store.Gather.
+	gather probe.Gathered
 }
 
 // foldPool keeps idle pipes for the next run. It is a plain free list,
@@ -177,16 +179,20 @@ func (y *Yarrp6) stopFold() {
 }
 
 // foldLoop is the fold goroutine: it folds the blocks f carries, in
-// order, until the nil that stops it.
+// order, until the nil that stops it. Each block is gathered whole
+// (Store.Gather) before its replies are applied between its marks.
 func (y *Yarrp6) foldLoop(f *foldPipe, store *probe.Store) {
+	g := &f.gather
 	for b := range f.full {
 		if b == nil {
 			f.done <- nil
 			return
 		}
+		rs := b.replies[:b.n]
+		store.Gather(rs, g)
 		i := 0
 		for _, m := range b.marks[:b.nm] {
-			y.foldReplies(store, b.replies[i:m.at])
+			y.foldReplies(store, g, rs, i, m.at)
 			i = m.at
 			s := m.s
 			if y.cfg.track == nil {
@@ -194,21 +200,21 @@ func (y *Yarrp6) foldLoop(f *foldPipe, store *probe.Store) {
 			}
 			y.prog.Record(s)
 		}
-		y.foldReplies(store, b.replies[i:b.n])
+		y.foldReplies(store, g, rs, i, b.n)
 		b.n, b.nm = 0, 0
 		f.done <- b
 	}
 }
 
-// foldReplies folds parsed replies into the store and drives what hangs
-// off a new interface: the first-seen list, the observer, and the
-// neighborhood heuristic's last discovery instant per TTL (a reply's At
-// is the instant the prober drained it).
-func (y *Yarrp6) foldReplies(store *probe.Store, rs []probe.Reply) {
+// foldReplies folds replies lo … hi-1 of rs, the block g gathered, into
+// the store and drives what hangs off a new interface: the first-seen
+// list, the observer, and the neighborhood heuristic's last discovery
+// instant per TTL (a reply's At is the instant the prober drained it).
+func (y *Yarrp6) foldReplies(store *probe.Store, g *probe.Gathered, rs []probe.Reply, lo, hi int) {
 	cfg := &y.cfg
-	for i := range rs {
+	for i := lo; i < hi; i++ {
 		r := &rs[i]
-		newIface := store.Add(*r)
+		newIface := store.AddGathered(g, i)
 		if newIface && cfg.track != nil {
 			cfg.track.add(r.From, r.At)
 		}

@@ -25,9 +25,10 @@ import (
 //
 // Ownership: a table belongs to one store or one graph and is written by
 // one goroutine at a time — the shard's prober during a run, whichever
-// fold owns the store or graph afterwards. Intern and writes through its
-// word pointer are writes; Find, Addr, Word, Len and Clone only read and
-// may run concurrently with each other.
+// fold owns the store or graph afterwards. Intern, InternHashed and
+// writes through their word pointer are writes; Find, FindHashed, Touch,
+// Addr, Key, Word, Len and Clone only read and may run concurrently with
+// each other.
 type Table struct {
 	slots []tableSlot // power-of-two length, or nil before the first Intern
 	byID  []uint32    // id -> slot index
@@ -89,51 +90,89 @@ func (k U128) hash() uint64 {
 	return h ^ h>>29
 }
 
+// Hashed is an address key with the hash a Table files it under,
+// computed once by Hash: a caller that looks one address up in several
+// passes (Touch, then FindHashed or InternHashed) hashes it only once.
+type Hashed struct {
+	Key  U128
+	hash uint64
+}
+
+// Hash returns k with its table hash.
+func Hash(k U128) Hashed { return Hashed{Key: k, hash: k.hash()} }
+
 // Intern returns a's id, assigning the next dense one on first sight, and
 // a pointer to the owner word of a's slot (zero for a new address). The
 // pointer is valid until the next Intern.
 func (t *Table) Intern(a netip.Addr) (id uint32, word *uint32) {
-	if len(t.byID) >= maxLoad(len(t.slots)) {
+	return t.InternHashed(Hash(FromAddr(a)))
+}
+
+// InternHashed is Intern of a hashed key. A table grows when a new key
+// would take it past its load limit, so its size depends only on how
+// many ids it has handed out, never on how often a known key is seen.
+func (t *Table) InternHashed(k Hashed) (id uint32, word *uint32) {
+	if len(t.slots) == 0 {
+		t.alloc(minTableSlots)
+	}
+	i := t.probe(k)
+	if t.slots[i].ref != 0 {
+		return t.slots[i].ref - 1, &t.slots[i].word
+	}
+	if len(t.byID) == maxLoad(len(t.slots)) {
 		t.grow()
+		i = t.probe(k)
 	}
-	k := FromAddr(a)
-	mask := uint64(len(t.slots) - 1)
-	for i := k.hash() >> t.shift; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.ref == 0 {
-			s.key = k
-			t.byID = append(t.byID, uint32(i))
-			s.ref = uint32(len(t.byID))
-			return s.ref - 1, &s.word
-		}
-		if s.key == k {
-			return s.ref - 1, &s.word
-		}
-	}
+	s := &t.slots[i]
+	s.key = k.Key
+	t.byID = append(t.byID, uint32(i))
+	s.ref = uint32(len(t.byID))
+	return s.ref - 1, &s.word
 }
 
 // Find returns a's id and owner word, and whether a has been interned.
 func (t *Table) Find(a netip.Addr) (id, word uint32, ok bool) {
+	return t.FindHashed(Hash(FromAddr(a)))
+}
+
+// FindHashed is Find of a hashed key.
+func (t *Table) FindHashed(k Hashed) (id, word uint32, ok bool) {
 	if len(t.slots) == 0 {
 		return 0, 0, false
 	}
-	k := FromAddr(a)
+	s := &t.slots[t.probe(k)]
+	if s.ref == 0 {
+		return 0, 0, false
+	}
+	return s.ref - 1, s.word, true
+}
+
+// probe returns the slot that holds k, or else the empty slot that ends
+// k's probe run — where k would go. The table must have slots.
+func (t *Table) probe(k Hashed) uint64 {
 	mask := uint64(len(t.slots) - 1)
-	for i := k.hash() >> t.shift; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.ref == 0 {
-			return 0, 0, false
-		}
-		if s.key == k {
-			return s.ref - 1, s.word, true
+	for i := k.hash >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.ref == 0 || s.key == k.Key {
+			return i
 		}
 	}
+}
+
+// Touch loads k's home slot and returns a word read from it. It changes
+// nothing: a fold that touches a block's keys before it interns them, one
+// after another, has their cache misses in flight at once instead of one
+// by one. Callers add the word to a sink so the load is kept.
+func (t *Table) Touch(k Hashed) uint64 {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	return uint64(t.slots[k.hash>>t.shift].ref)
 }
 
 // grow doubles the slot array and re-seats every id in it.
 func (t *Table) grow() {
 	old, n := t.slots, len(t.byID)
-	t.alloc(max(2*len(old), minTableSlots))
+	t.alloc(2 * len(old))
 	t.byID = t.byID[:n]
 	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
@@ -156,7 +195,10 @@ func (t *Table) Len() int { return len(t.byID) }
 func (t *Table) Slots() int { return len(t.slots) }
 
 // Addr returns the address of an interned id.
-func (t *Table) Addr(id uint32) netip.Addr { return t.slots[t.byID[id]].key.Addr() }
+func (t *Table) Addr(id uint32) netip.Addr { return t.Key(id).Addr() }
+
+// Key returns the key of an interned id.
+func (t *Table) Key(id uint32) U128 { return t.slots[t.byID[id]].key }
 
 // Word returns the owner word of an interned id.
 func (t *Table) Word(id uint32) uint32 { return t.slots[t.byID[id]].word }

@@ -874,23 +874,40 @@ func (v *Vantage) lost(pk uint64, now time.Duration, hops int) bool {
 // errors quoting ≤128-byte probes).
 const smallBufSize = 256
 
+// smallBufChunk is how many small buffers the pool carves from one
+// allocation when it grows: 4 KB a chunk, so a clone that needs few
+// buffers holds little more than it uses, and one that needs many makes
+// a sixteenth of the objects.
+const smallBufChunk = 16
+
 // getBuf returns the index of a free reply buffer able to hold n bytes,
 // growing the pool only when no recycled buffer of the class is
-// available.
+// available. The small class grows a chunk at a time: the new buffers
+// past the one returned go on its free stack, last first, so they are
+// handed out in index order.
 func (v *Vantage) getBuf(n int) int32 {
 	free := &v.freeSmall
-	size := smallBufSize
 	if n > smallBufSize {
 		free = &v.freeFull
-		size = wire.MinMTU
 	}
 	if k := len(*free); k > 0 {
 		bi := (*free)[k-1]
 		*free = (*free)[:k-1]
 		return bi
 	}
-	v.bufs = append(v.bufs, make([]byte, size))
-	return int32(len(v.bufs) - 1)
+	if n > smallBufSize {
+		v.bufs = append(v.bufs, make([]byte, wire.MinMTU))
+		return int32(len(v.bufs) - 1)
+	}
+	chunk := make([]byte, smallBufChunk*smallBufSize)
+	first := int32(len(v.bufs))
+	for i := range smallBufChunk {
+		v.bufs = append(v.bufs, chunk[i*smallBufSize:(i+1)*smallBufSize:(i+1)*smallBufSize])
+	}
+	for bi := first + smallBufChunk - 1; bi > first; bi-- {
+		v.freeSmall = append(v.freeSmall, bi)
+	}
+	return first
 }
 
 // putBuf returns pool buffer bi to its size-class free stack.

@@ -150,6 +150,10 @@ type Store struct {
 	// per trace (hopList).
 	hopSlab []hop
 
+	// sink keeps the gather passes' loads (Gather, Merge) from being
+	// optimised away.
+	sink uint64
+
 	// unreach holds every trace's destination-unreachable entries,
 	// chained per trace from Trace.unreach. Entries are only ever added,
 	// each to one trace's chain, so its length is the store's count of
@@ -223,6 +227,101 @@ func (s *Store) RecordsPaths() bool { return s.recordPaths }
 // Add folds one reply into the store and reports whether the reply's
 // source was a previously unseen interface address.
 func (s *Store) Add(r Reply) (newInterface bool) {
+	var f foldSlot
+	s.keys(&r, &f)
+	return s.apply(&r, &f)
+}
+
+// foldSlot is what a fold knows of one reply before applying it: the
+// keys the reply files in the table, hashed — its source if it is a Time
+// Exceeded, its target if the store keeps traces and the reply names one
+// (zero otherwise) — and, after Gather, the target's trace as Gather
+// found it, nil if it had none yet.
+type foldSlot struct {
+	from, target ipv6.Hashed
+	trace        *Trace
+}
+
+// keys fills f's keys for r.
+func (s *Store) keys(r *Reply, f *foldSlot) {
+	*f = foldSlot{}
+	if r.Kind == KindTimeExceeded {
+		f.from = ipv6.Hash(ipv6.FromAddr(r.From))
+	}
+	if s.recordPaths && r.Target.IsValid() {
+		f.target = ipv6.Hash(ipv6.FromAddr(r.Target))
+	}
+}
+
+// Gathered is the scratch of a block fold: a block of replies and what
+// Gather loaded for each. Its memory is reused by the next Gather, so a
+// fold that keeps one for its life allocates nothing once warm.
+type Gathered struct {
+	rs    []Reply
+	slots []foldSlot
+}
+
+// Gather, then fold. Yarrp6's permutation gives consecutive replies no
+// locality, so folding each into the store — its source's table slot,
+// its target's, the target's trace, then the trace's hop list — is a
+// chain of cache misses, each load waiting on the one before it. Gather
+// loads what folding rs will read in passes instead: it hashes every
+// reply's keys once, loads their home slots, then the trace of each
+// target already filed, then that trace's hop list — loads independent
+// of one another within a pass, so their misses overlap. It changes
+// nothing in the store; AddGathered then folds the replies one by one,
+// in order, finding their data in cache. A trace Gather found is a hint
+// AddGathered re-checks, so no result depends on it — a target filed by
+// an earlier reply of the same block is simply looked up again.
+func (s *Store) Gather(rs []Reply, g *Gathered) {
+	if cap(g.slots) < len(rs) {
+		g.slots = make([]foldSlot, len(rs))
+	}
+	g.rs, g.slots = rs, g.slots[:len(rs)]
+	for i := range rs {
+		s.keys(&rs[i], &g.slots[i])
+	}
+	var acc uint64
+	for i := range g.slots {
+		if rs[i].Kind == KindTimeExceeded {
+			acc += s.tab.Touch(g.slots[i].from)
+		}
+		if s.recordPaths && rs[i].Target.IsValid() {
+			acc += s.tab.Touch(g.slots[i].target)
+		}
+	}
+	if s.recordPaths {
+		for i := range g.slots {
+			if !rs[i].Target.IsValid() {
+				continue
+			}
+			if _, w, ok := s.tab.FindHashed(g.slots[i].target); ok {
+				g.slots[i].trace = s.traceIn(w)
+			}
+		}
+		for i := range g.slots {
+			if t := g.slots[i].trace; t != nil {
+				acc += uint64(len(t.hops))
+			}
+		}
+		for i := range g.slots {
+			if t := g.slots[i].trace; t != nil && len(t.hops) > 0 {
+				acc += uint64(t.hops[0].id) + uint64(t.hops[len(t.hops)-1].id)
+			}
+		}
+	}
+	s.sink += acc
+}
+
+// AddGathered is Add of the reply at index i of the block Gather last
+// loaded into g.
+func (s *Store) AddGathered(g *Gathered, i int) (newInterface bool) {
+	return s.apply(&g.rs[i], &g.slots[i])
+}
+
+// apply folds r, whose keys f holds, into the store: the one fold step
+// of Add and AddGathered.
+func (s *Store) apply(r *Reply, f *foldSlot) (newInterface bool) {
 	if !r.StateRecovered && r.Kind == KindTimeExceeded {
 		s.Unparseable++
 	}
@@ -233,7 +332,7 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	switch r.Kind {
 	case KindTimeExceeded:
 		s.TimeExceeded++
-		from, newInterface = s.addInterface(r.From)
+		from, newInterface = s.addInterface(f.from, r.From)
 	case KindEchoReply:
 		s.EchoReplies++
 	case KindTCPRst:
@@ -246,7 +345,10 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 	}
 	t := s.lastTrace
 	if t == nil || s.lastTarget != r.Target {
-		t = s.traceOf(r.Target)
+		if t = f.trace; t == nil || t.Target != r.Target {
+			_, w := s.tab.InternHashed(f.target)
+			t = s.traceAt(w, r.Target)
+		}
 		if t.hops == nil {
 			t.hops = s.hopList(hopPiece)
 		}
@@ -301,11 +403,11 @@ func (s *Store) ForEachUnreach(t *Trace, fn func(code uint8, n int64)) {
 	}
 }
 
-// addInterface inserts a into the interface set and returns its id and
-// whether it was new: one table probe, the verdict read off the slot it
-// lands on.
-func (s *Store) addInterface(a netip.Addr) (id uint32, added bool) {
-	id, w := s.tab.Intern(a)
+// addInterface inserts a, whose hashed key is k, into the interface set
+// and returns its id and whether it was new: one table probe, the
+// verdict read off the slot it lands on.
+func (s *Store) addInterface(k ipv6.Hashed, a netip.Addr) (id uint32, added bool) {
+	id, w := s.tab.InternHashed(k)
 	return id, s.markInterface(w, a)
 }
 
@@ -363,9 +465,9 @@ func (s *Store) traceIn(w uint32) *Trace {
 // no-op.
 //
 // Every address src files — interface, trace target, or both — costs one
-// probe of s's table, in one pass over src's table in id order that also
-// records the address's id in s. Hops then cross by id through that
-// array: no hop address is hashed again.
+// probe of s's table, in one pass over src's table in id order, gathered
+// in chunks of mergeChunk, that also records the address's id in s. Hops
+// then cross by id through that array: no hop address is hashed again.
 func (s *Store) Merge(src *Store) {
 	if s == src {
 		return
@@ -386,23 +488,35 @@ func (s *Store) Merge(src *Store) {
 		// into one allocation at most.
 		s.unreach = slices.Grow(s.unreach, len(src.unreach))
 	}
-	for id := range remap {
-		w := src.tab.Word(uint32(id))
-		n := w & traceMask
-		if !s.recordPaths {
-			n = 0
+	var (
+		keys [mergeChunk]ipv6.Hashed
+		ids  [mergeChunk]uint32
+	)
+	for lo := 0; lo < len(remap); lo += mergeChunk {
+		// Gather, then merge, as Gather does for a reply block: read a
+		// chunk's keys straight from src's slots, load their home slots
+		// in s, then intern them in id order.
+		m := 0
+		for id := lo; id < min(lo+mergeChunk, len(remap)); id++ {
+			if w := src.tab.Word(uint32(id)); w&ifaceBit != 0 || (s.recordPaths && w&traceMask != 0) {
+				keys[m], ids[m] = ipv6.Hash(src.tab.Key(uint32(id))), uint32(id)
+				m++
+			}
 		}
-		if w&ifaceBit == 0 && n == 0 {
-			continue
+		for _, k := range keys[:m] {
+			s.sink += s.tab.Touch(k)
 		}
-		a := src.tab.Addr(uint32(id))
-		sid, sw := s.tab.Intern(a)
-		remap[id] = sid + 1
-		if w&ifaceBit != 0 {
-			s.markInterface(sw, a)
-		}
-		if n != 0 {
-			into[n-1] = s.traceAt(sw, a)
+		for j, k := range keys[:m] {
+			w := src.tab.Word(ids[j])
+			a := k.Key.Addr()
+			sid, sw := s.tab.InternHashed(k)
+			remap[ids[j]] = sid + 1
+			if w&ifaceBit != 0 {
+				s.markInterface(sw, a)
+			}
+			if n := w & traceMask; s.recordPaths && n != 0 {
+				into[n-1] = s.traceAt(sw, a)
+			}
 		}
 	}
 	for n, t := range into {
@@ -426,6 +540,9 @@ func (s *Store) Merge(src *Store) {
 		src.ForEachUnreach(st, func(code uint8, n int64) { s.addUnreach(t, code, n) })
 	}
 }
+
+// mergeChunk is how many of src's addresses one gather of Merge loads.
+const mergeChunk = 256
 
 // Equal reports whether two stores hold identical results: the same
 // counters, interface set, and (when both record paths) the same traces

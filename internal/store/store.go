@@ -41,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"beholder/internal/telemetry"
 )
@@ -140,11 +141,18 @@ type record struct {
 
 type entryKey struct{ key, kind string }
 
+// latencyBucketsUSec buckets the store's put and fsync wall times in
+// microseconds: a tmpfs fsync takes a few, a disk's milliseconds, and a
+// Put is three fsyncs plus its write.
+var latencyBucketsUSec = []int64{10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000, 500000}
+
 type storeMetrics struct {
 	puts        *telemetry.Counter
 	dels        *telemetry.Counter
 	bytes       *telemetry.Counter
 	fsyncs      *telemetry.Counter
+	putUSec     *telemetry.Histogram // wall time of each Put
+	fsyncUSec   *telemetry.Histogram // wall time of each counted fsync
 	quarantined *telemetry.Counter
 	truncated   *telemetry.Counter
 	entries     *telemetry.Gauge
@@ -190,6 +198,8 @@ func Open(cfg Config) (_ *Store, err error) {
 			dels:        r.Counter("store_delete_total"),
 			bytes:       r.Counter("store_bytes_written_total"),
 			fsyncs:      r.Counter("store_fsync_total"),
+			putUSec:     r.Histogram("store_put_usec", latencyBucketsUSec),
+			fsyncUSec:   r.Histogram("store_fsync_usec", latencyBucketsUSec),
 			quarantined: r.Counter("store_quarantined_total"),
 			truncated:   r.Counter("store_journal_truncated_bytes_total"),
 			entries:     r.Gauge("store_entries"),
@@ -420,6 +430,7 @@ func (s *Store) quarantineLocked(name, reason string) error {
 // generation. On return the blob and its manifest record are fsynced;
 // a crash at any earlier instant leaves the previous generation live.
 func (s *Store) Put(key, kind string, data []byte) error {
+	defer observeSince(s.met.putUSec, time.Now())
 	if err := validName(key); err != nil {
 		return fmt.Errorf("store: key %q: %w", key, err)
 	}
@@ -444,10 +455,11 @@ func (s *Store) Put(key, kind string, data []byte) error {
 		s.fs.Remove(tmp)
 		return err
 	}
+	t0 := time.Now()
 	if err := s.fs.SyncDir(s.dir); err != nil {
 		return err
 	}
-	s.met.fsyncs.Inc()
+	s.fsynced(t0)
 	rec := record{
 		Gen: gen, Op: opPut, Key: key, Kind: kind,
 		File: fname, Size: int64(len(data)), CRC: crc32.ChecksumIEEE(data),
@@ -588,7 +600,9 @@ func (s *Store) appendRecord(rec record) error {
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
-	if _, err = s.man.Write(frame); err == nil {
+	_, err = s.man.Write(frame)
+	t0 := time.Now()
+	if err == nil {
 		err = s.man.Sync()
 	}
 	if err != nil {
@@ -596,7 +610,7 @@ func (s *Store) appendRecord(rec record) error {
 		s.met.poisoned.Set(1)
 		return s.err
 	}
-	s.met.fsyncs.Inc()
+	s.fsynced(t0)
 	return nil
 }
 
@@ -606,16 +620,29 @@ func (s *Store) writeFileSync(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err = f.Write(data); err == nil {
+	_, err = f.Write(data)
+	t0 := time.Now()
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		s.met.fsyncs.Inc()
+		s.fsynced(t0)
 	}
 	return err
+}
+
+// fsynced counts one fsync that began at t0.
+func (s *Store) fsynced(t0 time.Time) {
+	s.met.fsyncs.Inc()
+	observeSince(s.met.fsyncUSec, t0)
+}
+
+// observeSince records the microseconds since t0 in h.
+func observeSince(h *telemetry.Histogram, t0 time.Time) {
+	h.Observe(time.Since(t0).Microseconds())
 }
 
 // blobName builds the versioned on-disk filename for an entry.

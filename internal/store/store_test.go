@@ -353,3 +353,40 @@ func TestFsyncCount(t *testing.T) {
 		}
 	})
 }
+
+// TestLatencyHistograms: every Put observes store_put_usec once, and
+// store_fsync_usec observes every fsync store_fsync_total counts — the
+// blob, directory and journal syncs of a Put and a Delete's journal sync.
+func TestLatencyHistograms(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: t.TempDir(), Telemetry: reg})
+	fsyncs := reg.Counter("store_fsync_total")
+	count := func(name string) int64 {
+		h, ok := reg.Snapshot().Histogram(name)
+		if !ok {
+			t.Fatalf("no histogram %s", name)
+		}
+		return h.Count
+	}
+	step := func(what string, puts int64, op func()) {
+		t.Helper()
+		p0, f0, n0 := count("store_put_usec"), count("store_fsync_usec"), fsyncs.Value()
+		op()
+		if got := count("store_put_usec") - p0; got != puts {
+			t.Fatalf("%s: store_put_usec observed %d times, want %d", what, got, puts)
+		}
+		if got, want := count("store_fsync_usec")-f0, fsyncs.Value()-n0; got != want {
+			t.Fatalf("%s: store_fsync_usec observed %d times, store_fsync_total rose %d", what, got, want)
+		}
+	}
+	step("put", 1, func() { mustPut(t, s, "k", "spec", []byte("abcd")) })
+	step("replacing put", 1, func() { mustPut(t, s, "k", "spec", []byte("efgh")) })
+	step("delete", 0, func() {
+		if err := s.Delete("k", "spec"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if count("store_fsync_usec") != fsyncs.Value() {
+		t.Fatalf("store_fsync_usec count %d, store_fsync_total %d", count("store_fsync_usec"), fsyncs.Value())
+	}
+}
