@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRestoreState$$' -fuzztime $(FUZZTIME) ./internal/gen6prob
 	$(GO) test -run xxx -fuzz '^FuzzStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run xxx -fuzz '^FuzzImportSimState$$' -fuzztime $(FUZZTIME) ./internal/netsim
+	$(GO) test -run xxx -fuzz '^FuzzPrimeMatchesSend$$' -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run xxx -fuzz '^FuzzSubmitTargets$$' -fuzztime $(FUZZTIME) ./cmd/beholderd
 	$(GO) test -run xxx -fuzz '^FuzzAggregate$$' -fuzztime $(FUZZTIME) ./internal/kip
 	$(GO) test -run xxx -fuzz '^FuzzNewSet$$' -fuzztime $(FUZZTIME) ./internal/ipv6

@@ -279,8 +279,7 @@ func (c *Campaign) observePhase(name string, t0 time.Time) {
 // with the campaign's base instance byte and epoch — the serial prober's
 // exact schedule, which is the history being reproduced — is
 // uninterruptible, and pulses the campaign heartbeat so a watchdog never
-// mistakes it for a stall. Shards whose connections lack prime or
-// snapshot support, resumed shards (their artifact carries the
+// mistakes it for a stall. Resumed shards (their artifact carries the
 // interrupt-instant state), recovery probers, and any shard released
 // un-primed (failed import, replay cut short) keep the per-prober replay
 // inside Yarrp6.Run. The returned channel closes when the primer
@@ -297,16 +296,6 @@ func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 		return nil
 	}
 	last := cands[len(cands)-1]
-	pr, okP := last.conn.(probe.Primer)
-	exp, okS := last.conn.(probe.SimStateCheckpointer)
-	if !okP || !okS {
-		return nil
-	}
-	for _, ss := range cands[:len(cands)-1] {
-		if _, ok := ss.conn.(probe.SimStateCheckpointer); !ok {
-			return nil
-		}
-	}
 	cfg := &c.cfg.Config
 	p, err := perm.New(cfg.Key, c.domain)
 	if err != nil {
@@ -340,9 +329,9 @@ func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 		}()
 		pprof.Do(context.Background(), pprof.Labels("yarrp6-shard", "prime"), func(context.Context) {
 			t0 := time.Now()
-			last.prober.cfg.primed = replayPrefix(pr, p, codec, cfg, last.lo, base, c.gap, &c.beat, cuts, func(i int) {
+			last.prober.cfg.primed = replayPrefix(last.conn, p, codec, cfg, last.lo, base, c.gap, &c.beat, cuts, func(i int) {
 				ss := cands[i]
-				if ss.conn.(probe.SimStateCheckpointer).ImportSimState(exp.ExportSimState(nil)) == nil {
+				if ss.conn.ImportSimState(last.conn.ExportSimState(nil)) == nil {
 					ss.prober.cfg.primed = true
 				}
 				release()
@@ -769,10 +758,8 @@ func (c *Campaign) recoverRanges(ranges []recoverRange, out *CampaignStats) []*s
 					// The dead shard's in-flight replies drain, and its lost
 					// fills go out, through the first recovery connection at
 					// their original instants.
-					if ck, ok := ss.conn.(probe.ConnCheckpointer); ok {
-						for _, pr := range rr.pending {
-							ck.InjectReply(pr.at, pr.data)
-						}
+					for _, pr := range rr.pending {
+						ss.conn.InjectReply(pr.at, pr.data)
 					}
 					ss.prober.cfg.fills = rr.fills
 				}

@@ -15,11 +15,11 @@
 // current format version is read: an artifact written by an older
 // binary is rejected as a bad magic.
 //
-// Router token-bucket levels ride along when the connection supports
-// it: each shard section ends with an opaque simulator-state blob
-// (probe.SimStateCheckpointer) that the resumed connection imports, so
-// interrupt plus resume is byte-exact even when an ICMPv6 rate limiter
-// was saturated across the interrupt instant.
+// Router token-bucket levels ride along: each shard section ends with
+// the connection's opaque simulator-state blob (Conn.ExportSimState),
+// which the resumed connection imports, so interrupt plus resume is
+// byte-exact even when an ICMPv6 rate limiter was saturated across the
+// interrupt instant.
 package core
 
 import (

@@ -21,11 +21,11 @@ const replayPulseEvery = 1024
 const replayRun = 256
 
 // replayPrefix replays the serial probe schedule for permutation indices
-// [0, hi) against pr's rate-limiter state: every probe preceding a
+// [0, hi) against conn's rate-limiter state: every probe preceding a
 // permutation window is evaluated at its original departure instant
 // (base + i×gap), so router token buckets end exactly where the single
 // serial prober would have left them. The schedule is drawn in runs of
-// consecutive positions, each handed to pr.PrimeRun whole. Each target's
+// consecutive positions, each handed to conn.PrimeRun whole. Each target's
 // flow is registered once from its first replayed probe (built with
 // codec) and the remaining ~TTL-span probes of the flow replay through
 // the token — no per-probe packet build or decode. Fill-mode follow-ups
@@ -39,7 +39,7 @@ const replayRun = 256
 // for the shard whose window opens there. pulse, when non-nil, is bumped
 // every replayPulseEvery probes. The return value reports that the
 // replay covered the whole prefix.
-func replayPrefix(pr probe.Primer, p *perm.Perm, codec *probe.Codec, cfg *Config, hi uint64, base, gap time.Duration, pulse *atomic.Int64, cuts []uint64, reached func(i int)) bool {
+func replayPrefix(conn probe.Conn, p *perm.Perm, codec *probe.Codec, cfg *Config, hi uint64, base, gap time.Duration, pulse *atomic.Int64, cuts []uint64, reached func(i int)) bool {
 	nt := uint64(len(cfg.Targets))
 	toks := make([]int, len(cfg.Targets))
 	for i := range toks {
@@ -49,8 +49,8 @@ func replayPrefix(pr probe.Primer, p *perm.Perm, codec *probe.Codec, cfg *Config
 	run := make([]int, replayRun)
 	ttls := make([]uint8, replayRun)
 	pkt := make([]byte, probeStride)
-	pr.BeginPrime()
-	defer pr.EndPrime()
+	conn.BeginPrime()
+	defer conn.EndPrime()
 	it := p.Resume(0)
 	k := 0
 	for {
@@ -79,12 +79,12 @@ func replayPrefix(pr probe.Primer, p *perm.Perm, codec *probe.Codec, cfg *Config
 			ttl := minTTL + uint8(v/nt)
 			if toks[ti] < 0 {
 				m := codec.BuildProbeAt(pkt, cfg.Targets[ti], ttl, at0+time.Duration(i)*gap)
-				if t, err := pr.PrimeFlow(pkt[:m]); err == nil {
+				if t, err := conn.PrimeFlow(pkt[:m]); err == nil {
 					toks[ti] = t
 				}
 			}
 			run[i], ttls[i] = toks[ti], ttl
 		}
-		pr.PrimeRun(run[:n], ttls[:n], at0, gap)
+		conn.PrimeRun(run[:n], ttls[:n], at0, gap)
 	}
 }

@@ -289,9 +289,9 @@ type shardResume struct {
 	// one per reply.
 	slab []byte
 	// simState is the connection's exported simulator-state blob (router
-	// token-bucket levels) at the capture instant; nil for connections
-	// without checkpoint support. Restoring it makes a resumed run exact
-	// even when a rate limiter was saturated across the interrupt.
+	// token-bucket levels) at the capture instant. Restoring it makes a
+	// resumed run exact even when a rate limiter was saturated across the
+	// interrupt.
 	simState []byte
 	// live marks an in-process continuation on the very connection the
 	// state was captured from (Campaign.Rewind): the pending replies are
@@ -306,9 +306,9 @@ type shardResume struct {
 const DefaultPPS = 1000
 
 // DefaultBatch is the send-batch size used when Config.Batch is zero:
-// probes are built and routed DefaultBatch at a time through
-// batch-capable connections, amortizing per-probe dispatch without
-// changing the virtual schedule.
+// probes are built and routed DefaultBatch at a time through the
+// connection, amortizing per-probe dispatch without changing the virtual
+// schedule.
 const DefaultBatch = 64
 
 // probeStride is the per-slot width of the batched send ring; the
@@ -323,10 +323,6 @@ type Yarrp6 struct {
 	conn  probe.Conn
 	cfg   Config
 	codec *probe.Codec
-
-	// bc is conn as the batched contract the send loop and the drain
-	// run on; Run sets it, or rejects the connection.
-	bc probe.BatchConn
 
 	// pkt holds the fill probes, which go out one at a time.
 	pkt []byte
@@ -518,22 +514,18 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 		// This capture takes over its memory.
 		rs.pending, rs.slab, rs.simState = prev.pending[:0], prev.slab[:0], prev.simState[:0]
 	}
-	if ck, ok := y.conn.(probe.ConnCheckpointer); ok {
-		ck.ExportPending(func(at time.Duration, data []byte) {
-			// Until the slab stops growing, data only lends its length.
-			rs.slab = append(rs.slab, data...)
-			rs.pending = append(rs.pending, pendingReply{at: at, data: data})
-		})
-		off := 0
-		for i := range rs.pending {
-			n := len(rs.pending[i].data)
-			rs.pending[i].data = rs.slab[off : off+n : off+n]
-			off += n
-		}
+	y.conn.ExportPending(func(at time.Duration, data []byte) {
+		// Until the slab stops growing, data only lends its length.
+		rs.slab = append(rs.slab, data...)
+		rs.pending = append(rs.pending, pendingReply{at: at, data: data})
+	})
+	off := 0
+	for i := range rs.pending {
+		n := len(rs.pending[i].data)
+		rs.pending[i].data = rs.slab[off : off+n : off+n]
+		off += n
 	}
-	if sk, ok := y.conn.(probe.SimStateCheckpointer); ok {
-		rs.simState = sk.ExportSimState(rs.simState)
-	}
+	rs.simState = y.conn.ExportSimState(rs.simState)
 	y.telFlush()
 	y.rs = rs
 }
@@ -580,19 +572,14 @@ func (y *Yarrp6) initCodec() error {
 // There is one send loop, and it is batched: permutation indices are
 // drawn Batch at a time, the probes for a batch are pre-built into a
 // packet ring — each stamped for its own departure instant — and the
-// whole batch is handed to the connection in one BatchConn.SendBatch
+// whole batch is handed to the connection in one SendBatch
 // call, which paces the packets internally and stops early the moment a
 // reply becomes deliverable so the drain happens at exactly the instant
 // a per-probe loop would drain. Batching therefore changes dispatch
 // counts only; the virtual schedule — send times, drain times, fill
 // times, progress samples — is identical at every batch size, one
 // included.
-// The connection must implement probe.BatchConn.
 func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
-	var ok bool
-	if y.bc, ok = y.conn.(probe.BatchConn); !ok {
-		return Stats{}, fmt.Errorf("yarrp6: connection %T does not implement probe.BatchConn", y.conn)
-	}
 	if err := y.initCodec(); err != nil {
 		return Stats{}, err
 	}
@@ -639,14 +626,14 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 		// counters even past ICMPv6 rate-limit saturation. Campaign
 		// shards normally arrive already primed — the group does one
 		// shared replay pass and hands each clone a bucket snapshot —
-		// leaving this per-prober replay to recovery probers and direct
-		// windowed Run calls.
-		y.primeBuckets(p, start, y.conn.Now()-time.Duration(start)*y.gap)
+		// leaving this per-prober replay to recovery probers, direct
+		// windowed Run calls and shards whose snapshot import failed.
+		replayPrefix(y.conn, p, y.codec, cfg, start, y.conn.Now()-time.Duration(start)*y.gap, y.gap, cfg.pulse, nil, nil)
 	}
 
 	// Batched sends may defer shared-counter updates; publish exact
 	// totals on every exit path so post-run readers see them.
-	defer y.bc.FlushStats()
+	defer y.conn.FlushStats()
 	y.startFold(store)
 	defer y.stopFold()
 	if y.sendCarried(); y.fillErr != nil {
@@ -675,13 +662,11 @@ func (y *Yarrp6) restore(rs *shardResume) error {
 		// The connection still holds its queue and its buckets.
 		return nil
 	}
-	if ck, ok := y.conn.(probe.ConnCheckpointer); ok {
-		for _, pr := range rs.pending {
-			ck.InjectReply(pr.at, pr.data)
-		}
+	for _, pr := range rs.pending {
+		y.conn.InjectReply(pr.at, pr.data)
 	}
-	if sk, ok := y.conn.(probe.SimStateCheckpointer); ok && len(rs.simState) > 0 {
-		if err := sk.ImportSimState(rs.simState); err != nil {
+	if len(rs.simState) > 0 {
+		if err := y.conn.ImportSimState(rs.simState); err != nil {
 			return fmt.Errorf("yarrp6: sim state: %w", err)
 		}
 	}
@@ -728,7 +713,7 @@ func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 		// Whole gaps to the deadline, or to the earliest queued delivery
 		// when that comes first; a reply already due is one step away.
 		steps := int64((deadline - now + gap - 1) / gap)
-		if at, ok := y.bc.NextDeliveryAt(); ok {
+		if at, ok := y.conn.NextDeliveryAt(); ok {
 			steps = min(steps, max(1, int64((at-now+gap-1)/gap)))
 		}
 		if fills := y.cfg.fills; len(fills) > 0 {
@@ -759,16 +744,6 @@ func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 	}
 	y.telFlush()
 	return y.stats, nil
-}
-
-// primeBuckets is the per-prober fallback replay of the serial schedule
-// prefix [0, hi): recovery probers, direct windowed Run calls, and
-// shards whose snapshot import failed. Connections without prime support
-// (live sockets) skip it — a real network carries its own history.
-func (y *Yarrp6) primeBuckets(p *perm.Perm, hi uint64, base time.Duration) {
-	if pr, ok := y.conn.(probe.Primer); ok && hi > 0 {
-		replayPrefix(pr, p, y.codec, &y.cfg, hi, base, y.gap, y.cfg.pulse, nil, nil)
-	}
 }
 
 // send is the send loop — the only one: it walks the permutation window
@@ -854,7 +829,7 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 					return ErrInterrupted
 				}
 			}
-			m, deliverable, err := y.bc.SendBatch(y.pkts[sent:lim], gap)
+			m, deliverable, err := y.conn.SendBatch(y.pkts[sent:lim], gap)
 			if y.tel.sh != nil {
 				y.tel.batchFill.Observe(int64(m))
 				if deliverable && sent+m < lim {
@@ -988,7 +963,7 @@ func (y *Yarrp6) drainAll() (backedOff bool) {
 		backedOff = y.sendCarried()
 	}
 	for {
-		n := y.bc.RecvBatch(y.rbatch, y.rsizes)
+		n := y.conn.RecvBatch(y.rbatch, y.rsizes)
 		off, slept := 0, false
 		for i := 0; i < n; i++ {
 			slept = y.handleReply(y.rbatch[off:off+y.rsizes[i]]) || slept

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,6 +13,10 @@ import (
 	"beholder/internal/probe"
 	"beholder/internal/wire"
 )
+
+// The simulator's vantage is a whole connection: the compiler, not Run,
+// refuses a connection short of any part of the contract.
+var _ probe.Conn = (*netsim.Vantage)(nil)
 
 func testVantage(t testing.TB, seed int64) (*netsim.Universe, *netsim.Vantage) {
 	t.Helper()
@@ -320,22 +323,6 @@ func TestSendBuffersBoundedByWindow(t *testing.T) {
 	}
 	if window := 20 * 8; cap(y.ring) > window*probeStride {
 		t.Fatalf("send ring holds %d bytes for a %d-probe window", cap(y.ring), window)
-	}
-}
-
-// TestRunRejectsPlainConn: the one send loop is batched, so a connection
-// offering only the single-packet contract is a configuration error,
-// reported before the clock moves or anything is sent.
-func TestRunRejectsPlainConn(t *testing.T) {
-	_, v := testVantage(t, 10)
-	plain := struct{ probe.Conn }{v}
-	before := v.Now()
-	_, err := New(plain, Config{Targets: []netip.Addr{ipv6.MustAddr("2400::1")}}).Run(probe.NewStore(false))
-	if err == nil || !strings.Contains(err.Error(), "probe.BatchConn") {
-		t.Fatalf("plain Conn: got %v, want an error naming probe.BatchConn", err)
-	}
-	if v.Now() != before {
-		t.Fatalf("rejected run advanced the clock to %v", v.Now())
 	}
 }
 

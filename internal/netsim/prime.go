@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"beholder/internal/sorted"
-	"beholder/internal/wire"
 )
 
 // Prime replay and simulator-state checkpointing.
@@ -22,9 +21,10 @@ import (
 //
 //   - Prime replay (BeginPrime/PrimeFlow/PrimeRun/EndPrime): a shard
 //     clone replays the serial probe schedule that precedes its
-//     permutation window, evaluating every loss draw and token-bucket
-//     consumption at the replayed instants without decoding packets,
-//     scheduling replies, counting stats, or consulting the fault plane.
+//     permutation window, running send's routing decision (decide) —
+//     its draws and token-bucket consumption — at the replayed instants
+//     without decoding packets, scheduling replies, counting stats, or
+//     consulting the fault plane.
 //     After the replay the clone's buckets hold exactly the levels the
 //     single serial prober's would have held at the window-start
 //     instant, so N-shard reply counters match serial even past ICMPv6
@@ -55,14 +55,11 @@ func (v *Vantage) EndPrime() {
 
 // primeFlow is the per-flow replay state behind a PrimeFlow token: the
 // flow's plan — an immutable core, so holding the pointer pins it
-// whatever the table evicts — and whether its reached-destination probes
-// consult a bucket.
+// whatever the table evicts — and whether its destination answers the
+// probe itself (hostAnswers).
 type primeFlow struct {
-	plan *planCore
-	// nd marks a reached-destination flow whose probes fall through to
-	// the gateway neighbor-discovery failure path — the only
-	// reached-destination case that touches a router token bucket.
-	nd bool
+	plan    *planCore
+	answers bool
 }
 
 // PrimeFlow registers the probe's flow for replay and returns its
@@ -82,26 +79,16 @@ func (v *Vantage) PrimeFlow(pkt []byte) (int, error) {
 		// No table: the scratch core is overwritten by the next lookup.
 		plan = v.publish(plan)
 	}
-	f := primeFlow{plan: plan, nd: true}
-	if plan.exists {
-		switch {
-		case d.Proto == wire.ProtoICMPv6 && d.ICMPv6.Type == wire.ICMPv6EchoRequest,
-			d.Proto == wire.ProtoUDP, d.Proto == wire.ProtoTCP:
-			// The destination host answers (or its AS filters silently);
-			// either way no router bucket is consulted past the path.
-			f.nd = false
-		}
-	}
-	v.primeFlows = append(v.primeFlows, f)
+	v.primeFlows = append(v.primeFlows, primeFlow{plan: plan, answers: hostAnswers(plan, d)})
 	return len(v.primeFlows) - 1, nil
 }
 
 // PrimeRun replays a run of probes of registered flows, probe i being
 // flow toks[i] at hop limit ttls[i], departing at at0 + i·gap; a
 // negative token skips its probe (its flow could not be registered) but
-// not its instant. Each probe gets the same loss/ND draws and router
-// token-bucket refill/consume send1 performs for a sent probe, with
-// everything that cannot touch a bucket — packet parsing, plan lookup,
+// not its instant. Each probe runs send's routing decision (decide) —
+// its draws and its router token-bucket refill/consume — with everything
+// that cannot touch a bucket — packet parsing, plan lookup, counters,
 // reply construction — elided. Runs must be replayed in schedule order
 // (bucket refill clamps backwards time).
 //
@@ -137,49 +124,10 @@ func (v *Vantage) PrimeIdx(tok int, ttl uint8, at time.Duration) {
 	v.prime1(&v.primeFlows[tok], ttl, at)
 }
 
-// prime1 replays one probe of flow f. The branch structure mirrors
-// send1's; the prime-equivalence tests pin the replay to really sending
-// the schedule.
+// prime1 replays one probe of flow f: send's routing decision, kept
+// for its bucket effect alone.
 func (v *Vantage) prime1(f *primeFlow, ttl uint8, at time.Duration) {
-	plan := f.plan
-	pk := h(plan.fh, 40, uint64(ttl))
-	n := len(plan.steps)
-	if t := int(ttl); t <= n {
-		// Hop-limit expiry on the path: Time Exceeded from step ttl-1.
-		if v.lost(pk, at, 2*t) {
-			return
-		}
-		if r := v.stepRouter(plan, t-1, at); !r.unresponsive {
-			r.allowICMP(at)
-		}
-		return
-	}
-	switch plan.outcome {
-	case outNoRoute, outFilteredAdmin:
-		if plan.outcome == outNoRoute && hashFloat(h(pk, drawNoRoute, uint64(at))) < 0.65 {
-			return
-		}
-		idx := int(plan.errorIdx)
-		if v.lost(pk, at, 2*(idx+1)) {
-			return
-		}
-		if r := v.stepRouter(plan, idx, at); !r.unresponsive {
-			r.allowICMP(at)
-		}
-	case outFilteredSilent:
-	default: // outHost
-		if !f.nd {
-			return
-		}
-		if v.lost(pk, at, 2*(n+1)) {
-			return
-		}
-		if hashFloat(h(pk, drawND, uint64(at))) < 0.6 {
-			if r := v.stepRouter(plan, int(plan.errorIdx), at); !r.unresponsive {
-				r.allowICMP(at)
-			}
-		}
-	}
+	v.decide(f.plan, h(f.plan.fh, 40, uint64(ttl)), ttl, f.answers, at)
 }
 
 // simStateEntrySize is the serialized size of one router bucket record:

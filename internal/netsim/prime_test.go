@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/wire"
 )
 
@@ -115,24 +116,142 @@ func TestPrimeFastPathMatchesPrime(t *testing.T) {
 	}
 }
 
-// TestPrimeRunMatchesPrime replays TestPrimeFastPathMatchesPrime's
-// schedule through PrimeRun in uneven runs of 1, 7 and 64 probes, with
-// one target whose flow fails to register (its probe is undecodable, so
-// its token is skipped and a real send of it errors without effect): the
-// bucket state left behind must be byte-equal to really sending the
-// schedule and to replaying it one probe at a time through PrimeIdx.
+// primeProbe is a probe target of the replay tests and the transport
+// it is probed over.
+type primeProbe struct {
+	dst   netip.Addr
+	proto uint8
+}
+
+// build returns p's probe from src at hop limit ttl. Its flow identity
+// — the ICMPv6 checksum and identifier, or the port pair — is constant
+// per target, as a Yarrp6 probe's is.
+func (p primeProbe) build(src netip.Addr, ttl uint8) []byte {
+	if p.proto == wire.ProtoICMPv6 {
+		return buildEchoProbe(src, p.dst, ttl)
+	}
+	buf := make([]byte, wire.IPv6HeaderLen+wire.TCPHeaderLen+12)
+	hdr := wire.IPv6Header{HopLimit: ttl, Src: src, Dst: p.dst}
+	port := wire.AddrChecksum(p.dst)
+	n := wire.BuildPacket(buf, &hdr, p.proto,
+		&wire.UDPHeader{SrcPort: port, DstPort: 80},
+		&wire.TCPHeader{SrcPort: port, DstPort: 80, Flags: wire.TCPSyn},
+		nil, make([]byte, 12))
+	return buf[:n]
+}
+
+// primeOutcomes are the destination outcomes outcomePool samples
+// probes for: every branch of the routing decision past the path (Time
+// Exceeded on the way is every probe's at a low hop limit).
+var primeOutcomes = []string{
+	"no-route", "reject-route", "admin-filtered", "silent-filtered",
+	"echo-host", "echo-blocked", "udp-host", "tcp-host", "no-host",
+}
+
+// outcomePool samples per probes for each of primeOutcomes, every one
+// on a path shorter than maxTTL hops, classifying candidates — LAN
+// gateways, random interface identifiers, neighbouring /64s and
+// unrouted space, over each transport — by the plan v computes for
+// them. Policy-carrying ASes are tried first: reject-route, filtering
+// and echo blocking are rare.
+func outcomePool(t testing.TB, u *Universe, v *Vantage, per, maxTTL int) []primeProbe {
+	t.Helper()
+	cls := v.Clone(0)
+	outcome := func(p primeProbe) string {
+		if err := cls.dec.Decode(p.build(cls.LocalAddr(), 64)); err != nil {
+			t.Fatal(err)
+		}
+		plan := cls.lookupPlan(&cls.dec)
+		if len(plan.steps) >= maxTTL {
+			return ""
+		}
+		switch {
+		case plan.outcome == outNoRoute && plan.reject:
+			return "reject-route"
+		case plan.outcome == outNoRoute:
+			return "no-route"
+		case plan.outcome == outFilteredAdmin:
+			return "admin-filtered"
+		case plan.outcome == outFilteredSilent:
+			return "silent-filtered"
+		case !plan.exists:
+			return "no-host"
+		case p.proto == wire.ProtoUDP:
+			return "udp-host"
+		case p.proto == wire.ProtoTCP:
+			return "tcp-host"
+		case u.ases[plan.destAS].BlockEcho:
+			return "echo-blocked"
+		}
+		return "echo-host"
+	}
+	var ases []*AS
+	for _, as := range u.ASes() {
+		if as.RejectRoute || as.BlockUDP || as.BlockTCP || as.BlockEcho {
+			ases = append(ases, as)
+		}
+	}
+	ases = append(ases, u.ASes()...)
+	rng := rand.New(rand.NewSource(23))
+	got := make(map[string][]primeProbe)
+	add := func(dst netip.Addr) {
+		for _, proto := range []uint8{wire.ProtoICMPv6, wire.ProtoUDP, wire.ProtoTCP} {
+			p := primeProbe{dst, proto}
+			if o := outcome(p); o != "" && len(got[o]) < per {
+				got[o] = append(got[o], p)
+			}
+		}
+	}
+	for i := range per {
+		add(netip.AddrFrom16([16]byte{0x3f, 0xff, 15: byte(i + 1)}))
+	}
+	for _, as := range ases {
+		lan, ok := u.RandomLAN(rng, as)
+		if !ok {
+			continue
+		}
+		add(u.GatewayAddr(lan, as))
+		add(ipv6.WithIID(lan.Addr(), rng.Uint64()))
+		b := lan.Addr().As16()
+		b[6], b[7] = byte(rng.Intn(256)), byte(rng.Intn(256))
+		add(netip.AddrFrom16(b))
+	}
+	var out []primeProbe
+	for _, o := range primeOutcomes {
+		if len(got[o]) == 0 {
+			t.Fatalf("no %s probe within %d hops in the test universe", o, maxTTL)
+		}
+		out = append(out, got[o]...)
+	}
+	return out
+}
+
+// TestPrimeRunMatchesPrime replays a saturating schedule through
+// PrimeRun in uneven runs of 1, 7 and 64 probes and through PrimeIdx one
+// probe at a time: the bucket state each leaves behind must be
+// byte-equal to really sending the schedule. The schedule's targets are
+// TestPrimeFastPathMatchesPrime's gateways, one of them undecodable (its
+// flow fails to register, so its token is skipped, and a real send of it
+// errors without effect), plus outcomePool's probes over all three
+// transports, at hop limits past their paths' ends: every branch of the
+// routing decision the replay shares with send is taken, which the real
+// sends' counters confirm.
 func TestPrimeRunMatchesPrime(t *testing.T) {
 	const (
-		maxTTL = 8
+		maxTTL = 20
 		rounds = 16
 		gap    = 150 * time.Microsecond
 		skip   = 5 // the target whose flow fails to register
 	)
 	u := testUniverse(t)
 	v := u.NewVantage(VantageSpec{Name: "prime", Kind: KindUniversity, ChainLen: 3})
-	targets := primeTargets(u, 12)
+	var targets []primeProbe
+	for _, dst := range primeTargets(u, 12) {
+		targets = append(targets, primeProbe{dst, wire.ProtoICMPv6})
+	}
+	targets = append(targets, outcomePool(t, u, v, 2, maxTTL)...)
 	probeOf := func(src netip.Addr, ti int, ttl uint8) []byte {
-		p := buildEchoProbe(src, targets[ti], ttl)
+		p := targets[ti].build(src, ttl)
 		if ti == skip {
 			return p[:wire.IPv6HeaderLen-1]
 		}
@@ -140,10 +259,23 @@ func TestPrimeRunMatchesPrime(t *testing.T) {
 	}
 
 	real := v.Clone(0)
+	before := u.StatsSnapshot()
 	primeSchedule(len(targets), maxTTL, rounds, func(ti int, ttl uint8, at time.Duration) {
 		_ = real.Send(probeOf(real.LocalAddr(), ti, ttl))
 		real.Sleep(gap)
 	})
+	st := u.StatsSnapshot().Sub(before)
+	for name, n := range map[string]int64{
+		"TimeExceededSent": st.TimeExceededSent, "RateLimitDropped": st.RateLimitDropped,
+		"UnresponsiveDrops": st.UnresponsiveDrops, "ErrorsSent": st.ErrorsSent,
+		"EchoRepliesSent": st.EchoRepliesSent, "TCPRstsSent": st.TCPRstsSent,
+		"PortUnreachSent": st.PortUnreachSent, "LossDropped": st.LossDropped,
+		"FilteredDrops": st.FilteredDrops,
+	} {
+		if n == 0 {
+			t.Errorf("real sends counted no %s: the schedule misses a branch", name)
+		}
+	}
 
 	// register returns ti's token on p, registering its flow on first
 	// use; -1 when the flow cannot be registered.

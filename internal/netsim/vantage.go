@@ -682,83 +682,134 @@ func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
 	if plan == nil {
 		plan = v.lookupPlan(d)
 	}
-	planN := len(plan.steps)
-	ttl := int(d.IPv6.HopLimit)
 	now := v.clk.Now()
 	// The per-packet draw key folds the cached flow hash with the hop
 	// limit (the pktKey of old: h(flowHash(...), 40, hopLimit)).
 	pk := h(plan.fh, 40, uint64(d.IPv6.HopLimit))
-
-	// Hop-limit expiry before the path plan ends: Time Exceeded.
-	if ttl <= planN {
-		idx := ttl - 1
-		if v.lost(pk, now, 2*ttl) {
-			st.lossDropped++
-			return nil
-		}
-		r := v.stepRouter(plan, idx, now)
-		if r.unresponsive {
-			st.unresponsiveDrops++
-			return nil
-		}
-		if !r.allowICMP(now) {
-			st.rateLimitDropped++
-			return nil
-		}
+	switch vd, r, idx := v.decide(plan, pk, d.IPv6.HopLimit, hostAnswers(plan, d), now); vd {
+	case vLost:
+		st.lossDropped++
+	case vFiltered:
+		st.filteredDrops++
+	case vUnresponsive:
+		st.unresponsiveDrops++
+	case vRateLimited:
+		st.rateLimitDropped++
+	case vTimeExceeded:
 		st.timeExceededSent++
 		v.scheduleError(st, r, wire.ICMPv6TimeExceeded, 0, pkt, plan, idx, now, pk)
-		return nil
-	}
-
-	switch plan.outcome {
-	case outNoRoute, outFilteredAdmin:
-		// Unreachable generation is far less dependable than Time
-		// Exceeded on the real Internet: many networks blackhole
-		// unallocated space silently.
-		if plan.outcome == outNoRoute && hashFloat(h(pk, drawNoRoute, uint64(now))) < 0.65 {
-			st.filteredDrops++
-			return nil
-		}
-		idx := int(plan.errorIdx)
-		if v.lost(pk, now, 2*(idx+1)) {
-			st.lossDropped++
-			return nil
-		}
-		r := v.stepRouter(plan, idx, now)
-		if r.unresponsive {
-			st.unresponsiveDrops++
-			return nil
-		}
-		if !r.allowICMP(now) {
-			st.rateLimitDropped++
-			return nil
-		}
-		code := uint8(wire.CodeNoRoute)
-		if plan.outcome == outFilteredAdmin {
+	case vUnreach:
+		code := uint8(wire.CodeAddrUnreachable)
+		switch {
+		case plan.outcome == outFilteredAdmin:
 			code = wire.CodeAdminProhibited
-		} else if plan.reject {
+		case plan.outcome == outNoRoute && plan.reject:
 			code = wire.CodeRejectRoute
+		case plan.outcome == outNoRoute:
+			code = wire.CodeNoRoute
 		}
 		st.errorsSent++
 		v.scheduleError(st, r, wire.ICMPv6DstUnreach, code, pkt, plan, idx, now, pk)
-		return nil
-
-	case outFilteredSilent:
-		st.filteredDrops++
-		return nil
+	case vHost:
+		v.hostReply(st, pkt, plan, now, pk)
 	}
+	return nil
+}
 
-	// Destination /64 reached.
-	if v.lost(pk, now, 2*(planN+1)) {
-		st.lossDropped++
-		return nil
+// verdict is a probe's fate as decide rules it.
+type verdict uint8
+
+const (
+	vNoReply      verdict = iota // a nonexistent host's gateway stays silent (ND draw)
+	vLost                        // per-traversal loss
+	vFiltered                    // blackholed no-route or a silently filtering border
+	vUnresponsive                // the answering router never emits ICMPv6
+	vRateLimited                 // the answering router's token bucket is empty
+	vTimeExceeded                // Time Exceeded from the answering router
+	vUnreach                     // Destination Unreachable from the answering router
+	vHost                        // the destination host answers the probe itself
+)
+
+// decide is the routing decision of one probe of plan at hop limit ttl
+// departing at now, pk its draw key: the loss draw, the no-route
+// blackhole draw, the neighbor-discovery draw and the answering router's
+// token-bucket consume — the only simulator state a probe changes.
+// answers reports that a reached destination answers the probe itself
+// (hostAnswers). It returns the verdict and, when a router answers or is
+// asked to, that router and its plan step. send1 maps the verdict to
+// counters and a reply; the prime replay runs it for the bucket effect
+// alone, so a replayed schedule leaves exactly the buckets sending it
+// would have.
+func (v *Vantage) decide(plan *planCore, pk uint64, ttl uint8, answers bool, now time.Duration) (verdict, *routerRow, int) {
+	n := len(plan.steps)
+	idx, ok, silent := int(ttl)-1, vTimeExceeded, vUnresponsive
+	if idx < n {
+		// Hop-limit expiry before the path plan ends.
+		if v.lost(pk, now, 2*(idx+1)) {
+			return vLost, nil, 0
+		}
+	} else {
+		idx, ok = int(plan.errorIdx), vUnreach
+		switch plan.outcome {
+		case outNoRoute, outFilteredAdmin:
+			// Unreachable generation is far less dependable than Time
+			// Exceeded on the real Internet: many networks blackhole
+			// unallocated space silently.
+			if plan.outcome == outNoRoute && hashFloat(h(pk, drawNoRoute, uint64(now))) < 0.65 {
+				return vFiltered, nil, 0
+			}
+			if v.lost(pk, now, 2*(idx+1)) {
+				return vLost, nil, 0
+			}
+		case outFilteredSilent:
+			return vFiltered, nil, 0
+		default:
+			// Destination /64 reached.
+			if v.lost(pk, now, 2*(n+1)) {
+				return vLost, nil, 0
+			}
+			if answers {
+				return vHost, nil, 0
+			}
+			// No such host: the gateway's neighbor discovery fails and
+			// it reports address-unreachable some of the time
+			// (rate-limited); a gateway that stays silent counts as
+			// rate-limited, responsive or not.
+			if hashFloat(h(pk, drawND, uint64(now))) >= 0.6 {
+				return vNoReply, nil, 0
+			}
+			silent = vRateLimited
+		}
 	}
-	rtt := plan.steps[planN-1].rtt + v.jitter(pk, now)
-	switch {
-	case plan.exists && d.Proto == wire.ProtoICMPv6 && d.ICMPv6.Type == wire.ICMPv6EchoRequest:
+	r := v.stepRouter(plan, idx, now)
+	if r.unresponsive {
+		return silent, r, idx
+	}
+	if !r.allowICMP(now) {
+		return vRateLimited, r, idx
+	}
+	return ok, r, idx
+}
+
+// hostAnswers reports whether plan's destination answers the decoded
+// probe itself — an echo reply, a port unreachable or a RST from a live
+// host — instead of leaving its gateway's neighbor discovery to fail.
+func hostAnswers(plan *planCore, d *wire.Decoded) bool {
+	return plan.exists && (d.Proto == wire.ProtoICMPv6 && d.ICMPv6.Type == wire.ICMPv6EchoRequest ||
+		d.Proto == wire.ProtoUDP || d.Proto == wire.ProtoTCP)
+}
+
+// hostReply answers a probe that reached a live host (vHost): an echo
+// reply — unless the host's AS filters echo — a port unreachable or a
+// RST, after the round-trip to the path's end.
+func (v *Vantage) hostReply(st *simDelta, pkt []byte, plan *planCore, now time.Duration, pk uint64) {
+	d := &v.dec
+	rtt := plan.steps[len(plan.steps)-1].rtt + v.jitter(pk, now)
+	switch d.Proto {
+	case wire.ProtoICMPv6:
 		if v.u.ases[plan.destAS].BlockEcho {
 			st.filteredDrops++
-			return nil
+			return
 		}
 		st.echoRepliesSent++
 		payload := d.Payload
@@ -773,30 +824,17 @@ func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.ICMPv6HeaderLen + len(payload))
 		n := wire.BuildEchoReply(v.bufs[bi], d.IPv6.Dst, v.addr, &d.ICMPv6, payload, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
-	case plan.exists && d.Proto == wire.ProtoUDP:
+	case wire.ProtoUDP:
 		st.portUnreachSent++
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.ICMPv6HeaderLen + len(pkt))
 		n := wire.BuildICMPv6Error(v.bufs[bi], wire.ICMPv6DstUnreach, wire.CodePortUnreachable, d.IPv6.Dst, v.addr, pkt, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
-	case plan.exists && d.Proto == wire.ProtoTCP:
+	case wire.ProtoTCP:
 		st.tcpRstsSent++
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.TCPHeaderLen)
 		n := wire.BuildTCPRst(v.bufs[bi], d.IPv6.Dst, v.addr, &d.TCP, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
-	default:
-		// No such host: the gateway's neighbor discovery fails and it
-		// reports address-unreachable some of the time (rate-limited).
-		if hashFloat(h(pk, drawND, uint64(now))) < 0.6 {
-			r := v.stepRouter(plan, int(plan.errorIdx), now)
-			if !r.unresponsive && r.allowICMP(now) {
-				st.errorsSent++
-				v.scheduleError(st, r, wire.ICMPv6DstUnreach, wire.CodeAddrUnreachable, pkt, plan, int(plan.errorIdx), now, pk)
-			} else {
-				st.rateLimitDropped++
-			}
-		}
 	}
-	return nil
 }
 
 // scheduleError builds and enqueues an ICMPv6 error from router r quoting

@@ -10,18 +10,19 @@ import (
 	"beholder/internal/wire"
 )
 
-// fuzzConn is a minimal stationary Conn for codec fuzzing: fixed source
-// address, frozen clock, discarded sends.
+// fuzzConn is a minimal stationary Conn for codec fuzzing: a fixed
+// source address and a clock only the fuzz bodies advance. The embedded
+// nil Conn fills out the interface; neither the codec nor the bodies
+// call anything else.
 type fuzzConn struct {
+	Conn
 	addr netip.Addr
 	now  time.Duration
 }
 
-func (c *fuzzConn) LocalAddr() netip.Addr   { return c.addr }
-func (c *fuzzConn) Send([]byte) error       { return nil }
-func (c *fuzzConn) Recv([]byte) (int, bool) { return 0, false }
-func (c *fuzzConn) Now() time.Duration      { return c.now }
-func (c *fuzzConn) Sleep(d time.Duration)   { c.now += d }
+func (c *fuzzConn) LocalAddr() netip.Addr { return c.addr }
+func (c *fuzzConn) Now() time.Duration    { return c.now }
+func (c *fuzzConn) Sleep(d time.Duration) { c.now += d }
 
 // FuzzParseReply feeds arbitrary bytes to the reply parser — the code
 // that faces the raw network — and checks it never panics and never

@@ -2,10 +2,15 @@
 // baseline probers: the vantage connection contract, parsed reply records,
 // and the trace store that accumulates campaign results.
 //
-// Conn abstracts the vantage point the way a raw IPv6 socket would: probers
-// hand it complete wire-format packets and read back complete wire-format
-// replies. netsim.Vantage satisfies it; a PF_PACKET-backed implementation
-// would slot in for live measurement without touching prober code.
+// Conn is the one contract between a prober and its vantage point. It
+// abstracts the vantage the way a raw IPv6 socket would — probers hand it
+// complete wire-format packets and read back complete wire-format replies
+// — and carries the simulator's history across the engine's structural
+// transformations: in-flight replies and router token-bucket levels
+// through checkpoints, and the serial schedule preceding a shard's window
+// through the prime replay. netsim.Vantage implements it; a PF_PACKET-
+// backed implementation would implement the same interface for live
+// measurement without touching prober code.
 package probe
 
 import (
@@ -13,7 +18,16 @@ import (
 	"time"
 )
 
-// Conn is the packet conduit and virtual clock at a vantage point.
+// Conn is the packet conduit, virtual clock and history carrier at a
+// vantage point. The baseline probers and alias detection use its
+// single-packet methods alone; Yarrp6 uses all of it.
+//
+// A live raw-socket implementation maps SendBatch and RecvBatch to
+// sendmmsg and recvmmsg. It probes a network that already carries its
+// own history, so its prime replay is a no-op, ExportSimState appends
+// nothing and ImportSimState accepts only that empty state; its pending
+// replies are whatever it has read from the kernel and not yet handed
+// out.
 type Conn interface {
 	// LocalAddr returns the source address probes are sent from.
 	LocalAddr() netip.Addr
@@ -26,15 +40,7 @@ type Conn interface {
 	Now() time.Duration
 	// Sleep advances time; probers use it to pace departures.
 	Sleep(d time.Duration)
-}
 
-// BatchConn is the batched extension of Conn (sendmmsg / recvmmsg
-// shaped). netsim.Vantage implements it; a raw-socket implementation
-// would map SendBatch to sendmmsg and RecvBatch to recvmmsg. Yarrp6
-// requires it — its one send loop is batched; the baseline probers and
-// alias detection use the single-packet Conn contract alone.
-type BatchConn interface {
-	Conn
 	// SendBatch transmits pkts in order, advancing the clock by gap
 	// after each send — exactly the schedule a serial Send/Sleep loop
 	// would produce. It stops early (after the clock advance) as soon
@@ -55,42 +61,24 @@ type BatchConn interface {
 	// updates for throughput; probers call this once when a run ends so
 	// post-run readers observe exact totals.
 	FlushStats()
-}
 
-// ConnCheckpointer is the optional checkpoint extension of Conn: a
-// connection that can export its undelivered replies and accept them
-// back after a resume. netsim.Vantage implements it; a live raw-socket
-// implementation has no virtual in-flight queue and simply omits it
-// (the kernel's own queue drains into Recv regardless). Campaign
-// checkpointing uses it so that interrupt-at-any-instant plus resume
-// replays the uninterrupted run byte for byte.
-type ConnCheckpointer interface {
 	// ExportPending visits every undelivered reply in delivery order;
-	// the bytes are only valid during the callback.
+	// the bytes are only valid during the callback. Campaign
+	// checkpoints carry them, so that interrupt-at-any-instant plus
+	// resume replays the uninterrupted run byte for byte.
 	ExportPending(fn func(at time.Duration, data []byte))
 	// InjectReply enqueues a copy of reply bytes for delivery at
-	// virtual instant at.
+	// virtual instant at: a resumed run's, or a recovery prober's for
+	// the shard it replaces.
 	InjectReply(at time.Duration, data []byte)
-}
 
-// Primer is the optional window-priming extension of Conn: a connection
-// that can replay the probe schedule preceding a permutation window so
-// that history-dependent response state (router ICMPv6 token buckets)
-// opens at the levels the serial schedule would have left. netsim.Vantage
-// implements it; a live raw-socket connection probes a network that
-// already carries its own history and simply omits it. Yarrp6 primes a
-// window-sliced run ([PermStart, PermEnd) with PermStart > 0) through
-// this interface, which is what makes N-shard reply counters match the
-// serial run even past ICMPv6 rate-limit saturation.
-//
-// The replay hands the connection runs of consecutive schedule
-// positions rather than one probe at a time, so a connection can load a
-// whole run's state before it applies the run in order (netsim gathers
-// each run's plans, steps and router rows first).
-type Primer interface {
-	// BeginPrime opens a replay: PrimeFlow and PrimeRun evaluate probes
-	// at explicit replayed instants, mutating rate-limiter state only —
-	// no replies, no stats, no clock movement.
+	// BeginPrime opens a prime replay: the schedule preceding a
+	// permutation window is replayed so that history-dependent response
+	// state (router ICMPv6 token buckets) opens at the levels the serial
+	// schedule would have left — what makes N-shard reply counters match
+	// the serial run even past rate-limit saturation. PrimeFlow and
+	// PrimeRun evaluate probes at explicit replayed instants, mutating
+	// rate-limiter state only: no replies, no stats, no clock movement.
 	BeginPrime()
 	// PrimeFlow registers a probe's flow for replay, returning a token
 	// for PrimeRun. A Yarrp6 schedule revisits each flow once per TTL, so
@@ -104,23 +92,18 @@ type Primer interface {
 	// serial schedule: probe i is the one it sent for flow toks[i] at hop
 	// limit ttls[i] and virtual instant at0 + i·gap. A negative token
 	// skips its probe but not its instant. Runs must be replayed in
-	// schedule order.
+	// schedule order; handing over a run at once lets the connection
+	// load the whole run's state before it applies the run in order.
 	PrimeRun(toks []int, ttls []uint8, at0, gap time.Duration)
 	// EndPrime closes the replay.
 	EndPrime()
-}
 
-// SimStateCheckpointer is the optional simulator-state extension of
-// Conn: a connection that can export its history-dependent response
-// state (router token-bucket levels) as an opaque blob and restore it
-// after a resume. netsim.Vantage implements it; live connections omit
-// it. Campaign checkpointing stores the blob in the artifact so a
-// resumed run is byte-exact even when a rate limiter was saturated
-// across the interrupt instant — including bucket drain from fill
-// probes, which priming alone cannot replay.
-type SimStateCheckpointer interface {
-	// ExportSimState appends the state blob to buf and returns the
-	// extended slice.
+	// ExportSimState appends the connection's history-dependent
+	// response state (router token-bucket levels) as an opaque blob to
+	// buf and returns the extended slice. Campaign checkpoints store it
+	// so a resumed run is byte-exact even when a rate limiter was
+	// saturated across the interrupt instant — including bucket drain
+	// from fill probes, which priming alone cannot replay.
 	ExportSimState(buf []byte) []byte
 	// ImportSimState restores a blob produced by ExportSimState. It must
 	// be called before the connection routes any probes, and the

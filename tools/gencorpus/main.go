@@ -40,16 +40,17 @@ func bs(b []byte) string  { return "[]byte(" + strconv.Quote(string(b)) + ")" }
 func by(v uint8) string   { return "byte(" + strconv.QuoteRuneToASCII(rune(v)) + ")" }
 func u32(v uint32) string { return "uint32(" + strconv.FormatUint(uint64(v), 10) + ")" }
 
+// frozenConn is what a codec needs of a connection: a source address
+// and a clock. The embedded nil Conn fills out the interface; the codec
+// calls nothing of it.
 type frozenConn struct {
+	probe.Conn
 	addr netip.Addr
 	now  time.Duration
 }
 
-func (c *frozenConn) LocalAddr() netip.Addr   { return c.addr }
-func (c *frozenConn) Send([]byte) error       { return nil }
-func (c *frozenConn) Recv([]byte) (int, bool) { return 0, false }
-func (c *frozenConn) Now() time.Duration      { return c.now }
-func (c *frozenConn) Sleep(d time.Duration)   { c.now += d }
+func (c *frozenConn) LocalAddr() netip.Addr { return c.addr }
+func (c *frozenConn) Now() time.Duration    { return c.now }
 
 func main() {
 	src := netip.MustParseAddr("2001:db8::1")
