@@ -746,22 +746,7 @@ func (r *Result) setPlanStats(v *Vantage, growthsBefore int64, clones []*netsim.
 func (v *Vantage) publishRunTelemetry(reg *TelemetryRegistry, simBefore netsim.SimStats, res *Result) {
 	sim := v.in.u.StatsSnapshot().Sub(simBefore)
 	add := func(name string, n int64) { reg.Counter(name).Add(n) }
-	add("sim_packets_routed_total", sim.PacketsRouted)
-	add("sim_time_exceeded_sent_total", sim.TimeExceededSent)
-	add("sim_rate_limit_dropped_total", sim.RateLimitDropped)
-	add("sim_unresponsive_drops_total", sim.UnresponsiveDrops)
-	add("sim_errors_sent_total", sim.ErrorsSent)
-	add("sim_echo_replies_sent_total", sim.EchoRepliesSent)
-	add("sim_tcp_rsts_sent_total", sim.TCPRstsSent)
-	add("sim_port_unreach_sent_total", sim.PortUnreachSent)
-	add("sim_loss_dropped_total", sim.LossDropped)
-	add("sim_filtered_drops_total", sim.FilteredDrops)
-	add("sim_fault_crash_denials_total", sim.FaultCrashDenials)
-	add("sim_fault_stall_drops_total", sim.FaultStallDrops)
-	add("sim_fault_transient_errs_total", sim.FaultTransientErrs)
-	add("sim_fault_truncated_total", sim.FaultTruncated)
-	add("sim_fault_corrupted_total", sim.FaultCorrupted)
-	add("sim_fault_delayed_total", sim.FaultDelayed)
+	sim.Each(func(stem string, n int64) { add("sim_"+stem+"_total", n) })
 	add("plan_cache_hits_total", res.PlanHits)
 	add("plan_cache_misses_total", res.PlanMisses)
 	add("plan_cache_evictions_total", res.PlanEvictions)

@@ -197,8 +197,8 @@ func appendTuning(buf []byte, cfg *CampaignConfig) []byte {
 // appendCounters appends a Stats' counters and elapsed time;
 // ckReader.counters is its decoder.
 func appendCounters(buf []byte, st *Stats) []byte {
-	for _, n := range []int64{st.ProbesSent, st.Fills, st.Skipped, st.Replies, st.NotMine, st.Retries} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	for _, c := range st.counters() {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(*c.n))
 	}
 	return appendDur(buf, st.Elapsed)
 }
@@ -521,8 +521,8 @@ func (r *ckReader) tuning(cfg *CampaignConfig) {
 
 // counters decodes the block appendCounters wrote.
 func (r *ckReader) counters(st *Stats) {
-	for _, f := range []*int64{&st.ProbesSent, &st.Fills, &st.Skipped, &st.Replies, &st.NotMine, &st.Retries} {
-		*f = r.i64()
+	for _, c := range st.counters() {
+		*c.n = r.i64()
 	}
 	st.Elapsed = r.dur()
 }

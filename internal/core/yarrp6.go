@@ -225,14 +225,35 @@ type Stats struct {
 	Elapsed    time.Duration
 }
 
+// statCounter is one Stats counter field and its telemetry name.
+type statCounter struct {
+	n    *int64
+	name string
+}
+
+// statCounters is how many counters Stats.counters lists.
+const statCounters = 6
+
+// counters lists s's counter fields in declaration order, each with its
+// telemetry counter name: the one list add, the checkpoint codec and
+// the telemetry flush walk. Elapsed, a span, stays apart.
+func (s *Stats) counters() [statCounters]statCounter {
+	return [...]statCounter{
+		{&s.ProbesSent, "yarrp_probes_sent_total"},
+		{&s.Fills, "yarrp_fill_probes_total"},
+		{&s.Skipped, "yarrp_skipped_total"},
+		{&s.Replies, "yarrp_replies_total"},
+		{&s.NotMine, "yarrp_replies_not_mine_total"},
+		{&s.Retries, "yarrp_retries_total"},
+	}
+}
+
 // add sums o's counters into s; Elapsed, a span, is the caller's.
 func (s *Stats) add(o *Stats) {
-	s.ProbesSent += o.ProbesSent
-	s.Fills += o.Fills
-	s.Skipped += o.Skipped
-	s.Replies += o.Replies
-	s.NotMine += o.NotMine
-	s.Retries += o.Retries
+	from := o.counters()
+	for i, c := range s.counters() {
+		*c.n += *from[i].n
+	}
 }
 
 // ErrInterrupted reports that a run stopped at its interrupt instant or
@@ -385,18 +406,27 @@ type Yarrp6 struct {
 	fold *foldPipe
 }
 
+// kindCounters names the telemetry counter of each reply kind that has
+// one, indexed by kind; KindOther has none.
+var kindCounters = [probe.KindOther]string{
+	probe.KindTimeExceeded: "yarrp_replies_time_exceeded_total",
+	probe.KindDestUnreach:  "yarrp_replies_dest_unreach_total",
+	probe.KindEchoReply:    "yarrp_replies_echo_total",
+	probe.KindTCPRst:       "yarrp_replies_tcp_rst_total",
+}
+
 // telSink bundles the prober's telemetry instruments plus the
 // already-published values of the counters mirrored from Stats and
 // kindCount, so flushes add only the delta since the previous flush.
 type telSink struct {
 	sh *telemetry.Shard
 
-	probes, fills, skipped, replies, notMine *telemetry.Local
-	te, echo, unreach, rst                   *telemetry.Local
-	earlyStops, drainFF                      *telemetry.Local
-	rtt, batchFill, drainGap                 *telemetry.LocalHist
+	stats                    [statCounters]*telemetry.Local // like Stats.counters
+	kinds                    [len(kindCounters)]*telemetry.Local
+	earlyStops, drainFF      *telemetry.Local
+	rtt, batchFill, drainGap *telemetry.LocalHist
 
-	pub     Stats // published counter values
+	pub     [statCounters]int64 // published Stats counter values
 	pubKind [probe.KindOther + 1]int64
 }
 
@@ -408,15 +438,12 @@ func (y *Yarrp6) initTelemetry() {
 		return
 	}
 	y.tel.sh = sh
-	y.tel.probes = sh.Counter("yarrp_probes_sent_total")
-	y.tel.fills = sh.Counter("yarrp_fill_probes_total")
-	y.tel.skipped = sh.Counter("yarrp_skipped_total")
-	y.tel.replies = sh.Counter("yarrp_replies_total")
-	y.tel.notMine = sh.Counter("yarrp_replies_not_mine_total")
-	y.tel.te = sh.Counter("yarrp_replies_time_exceeded_total")
-	y.tel.echo = sh.Counter("yarrp_replies_echo_total")
-	y.tel.unreach = sh.Counter("yarrp_replies_dest_unreach_total")
-	y.tel.rst = sh.Counter("yarrp_replies_tcp_rst_total")
+	for i, c := range y.stats.counters() {
+		y.tel.stats[i] = sh.Counter(c.name)
+	}
+	for k, name := range kindCounters {
+		y.tel.kinds[k] = sh.Counter(name)
+	}
 	y.tel.earlyStops = sh.Counter("yarrp_batch_early_stops_total")
 	y.tel.drainFF = sh.Counter("yarrp_drain_fastforwards_total")
 	y.tel.rtt = sh.Histogram("yarrp_rtt_usec", telemetry.RTTBucketsUSec)
@@ -433,16 +460,13 @@ func (y *Yarrp6) telFlush() {
 	if t.sh == nil {
 		return
 	}
-	t.probes.Add(y.stats.ProbesSent - t.pub.ProbesSent)
-	t.fills.Add(y.stats.Fills - t.pub.Fills)
-	t.skipped.Add(y.stats.Skipped - t.pub.Skipped)
-	t.replies.Add(y.stats.Replies - t.pub.Replies)
-	t.notMine.Add(y.stats.NotMine - t.pub.NotMine)
-	t.te.Add(y.kindCount[probe.KindTimeExceeded] - t.pubKind[probe.KindTimeExceeded])
-	t.echo.Add(y.kindCount[probe.KindEchoReply] - t.pubKind[probe.KindEchoReply])
-	t.unreach.Add(y.kindCount[probe.KindDestUnreach] - t.pubKind[probe.KindDestUnreach])
-	t.rst.Add(y.kindCount[probe.KindTCPRst] - t.pubKind[probe.KindTCPRst])
-	t.pub = y.stats
+	for i, c := range y.stats.counters() {
+		t.stats[i].Add(*c.n - t.pub[i])
+		t.pub[i] = *c.n
+	}
+	for k, l := range t.kinds {
+		l.Add(y.kindCount[k] - t.pubKind[k])
+	}
 	t.pubKind = y.kindCount
 	t.sh.Flush()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -295,6 +296,35 @@ func TestNeighborhoodSkipsStableTTLs(t *testing.T) {
 		t.Errorf("sent %d skipped %d, want 1165 and 435", stats.ProbesSent, stats.Skipped)
 	}
 	pinDigest(t, "store", store.AppendBinary(nil), "ff593e494807d551ff27381b32144a0b30186f7e41f69f67e86ba7688f449f3c")
+}
+
+// TestStatsCounterList: Stats.counters, which add, the checkpoint codec
+// and the telemetry flush walk, lists every int64 counter field of Stats
+// exactly once, in declaration order, under distinct telemetry names —
+// a counter added to the struct but not to the list fails here.
+func TestStatsCounterList(t *testing.T) {
+	var s Stats
+	cs := s.counters()
+	rv := reflect.ValueOf(&s).Elem()
+	names := make(map[string]bool)
+	i := 0
+	for f := range rv.NumField() {
+		if rv.Field(f).Type() != reflect.TypeFor[int64]() {
+			continue
+		}
+		name := rv.Type().Field(f).Name
+		if i >= len(cs) || cs[i].n != rv.Field(f).Addr().Interface().(*int64) {
+			t.Fatalf("counter %d is not Stats.%s", i, name)
+		}
+		if cs[i].name == "" || names[cs[i].name] {
+			t.Fatalf("Stats.%s has an empty or repeated name %q", name, cs[i].name)
+		}
+		names[cs[i].name] = true
+		i++
+	}
+	if i != len(cs) {
+		t.Fatalf("the list has %d counters, Stats %d", len(cs), i)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -144,13 +144,6 @@ func (rg *RouterGraph) NumRouters() int { return len(rg.nodes) }
 // NumEdges returns the count of distinct router-level annotated edges.
 func (rg *RouterGraph) NumEdges() int { return len(rg.edges) }
 
-// ForEachRouter calls fn for every router node, in unspecified order.
-func (rg *RouterGraph) ForEachRouter(fn func(id RouterID, n RouterNode)) {
-	for id, n := range rg.nodes {
-		fn(id, n)
-	}
-}
-
 // ForEachEdge calls fn for every router-level edge with its
 // multiplicity, in unspecified order.
 func (rg *RouterGraph) ForEachEdge(fn func(e RouterEdge, n int64)) {

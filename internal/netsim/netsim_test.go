@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -419,6 +420,46 @@ func TestRateLimitingSuppressesBursts(t *testing.T) {
 	if sent < 15 {
 		t.Errorf("slow probing after refill: %d of 20 TE", sent)
 	}
+
+	// A nonexistent host behind an unresponsive gateway: probes one
+	// second apart never empty a bucket, so the gateway's silence is
+	// unresponsiveness, never rate limiting.
+	silent := silentGatewayHost(t, u, v.Clone(0))
+	sv := v.Clone(0)
+	from := u.StatsSnapshot()
+	for range 200 {
+		_ = sv.Send(buildEchoProbe(sv.LocalAddr(), silent, 64))
+		sv.Sleep(time.Second)
+	}
+	st := u.StatsSnapshot().Sub(from)
+	if st.RateLimitDropped != 0 || st.UnresponsiveDrops == 0 {
+		t.Errorf("silent gateway: RateLimitDropped %d, UnresponsiveDrops %d; want 0 and some",
+			st.RateLimitDropped, st.UnresponsiveDrops)
+	}
+}
+
+// silentGatewayHost finds, through scratch vantage v, an address in a
+// provisioned /64 that no host holds, whose gateway never emits ICMPv6.
+func silentGatewayHost(t *testing.T, u *Universe, v *Vantage) netip.Addr {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	for range 2000 {
+		as := u.ASes()[rng.Intn(len(u.ASes()))]
+		lan, ok := u.RandomLAN(rng, as)
+		if !ok {
+			continue
+		}
+		dst := ipv6.WithIID(lan.Addr(), 0x1234_5678_1234_5678)
+		if err := v.dec.Decode(buildEchoProbe(v.LocalAddr(), dst, 64)); err != nil {
+			t.Fatal(err)
+		}
+		plan := v.lookupPlan(&v.dec)
+		if plan.outcome == outHost && !plan.exists && v.stepRouter(plan, int(plan.errorIdx), 0).unresponsive {
+			return dst
+		}
+	}
+	t.Fatal("no nonexistent host behind an unresponsive gateway")
+	return netip.Addr{}
 }
 
 func TestRandomizedOrderAvoidsRateLimiting(t *testing.T) {
@@ -559,6 +600,33 @@ func TestResetStateFlushesPendingDeltas(t *testing.T) {
 	}
 	if got := u.StatsSnapshot().PacketsRouted; got != 1 {
 		t.Errorf("post-reset PacketsRouted = %d, want 1", got)
+	}
+}
+
+// TestSimStatsCounterList: simCounters, which the pending flush, Sub,
+// StatsSnapshot and Each walk, lists every int64 field of SimStats
+// exactly once, in declaration order, under distinct metric stems — a
+// counter added to the struct but not to the list fails here.
+func TestSimStatsCounterList(t *testing.T) {
+	typ := reflect.TypeFor[SimStats]()
+	stems := make(map[string]bool)
+	i := 0
+	for f := range typ.NumField() {
+		field := typ.Field(f)
+		if field.Type != reflect.TypeFor[int64]() {
+			continue
+		}
+		if i >= len(simCounters) || simCounters[i].off != field.Offset {
+			t.Fatalf("counter %d is not SimStats.%s", i, field.Name)
+		}
+		if stem := simCounters[i].stem; stem == "" || stems[stem] {
+			t.Fatalf("SimStats.%s has an empty or repeated stem %q", field.Name, stem)
+		}
+		stems[simCounters[i].stem] = true
+		i++
+	}
+	if i != len(simCounters) {
+		t.Fatalf("the list has %d counters, SimStats %d", len(simCounters), i)
 	}
 }
 

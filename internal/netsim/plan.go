@@ -129,15 +129,6 @@ func (u *Universe) EUIHostAddr(lan netip.Prefix, as *AS, i int) netip.Addr {
 	return ipv6.WithIID(lan.Addr(), ipv6.EUI64IID(mac))
 }
 
-// ClientCount returns how many simultaneously active SLAAC privacy
-// clients an eyeball LAN hosts (the quantity kIP aggregation anonymizes).
-func (u *Universe) ClientCount(lan netip.Prefix, as *AS) int {
-	if as.Kind != KindEyeballISP {
-		return 0
-	}
-	return int(between(hPrefix(u.seed, lan, uint64(as.ASN), 15), 1, 4))
-}
-
 // HostExists reports whether addr is a stable host (or LAN gateway) in a
 // fully provisioned /64. Privacy-addressed clients are intentionally not
 // recognized: probes to a random IID in a client LAN find nothing, as on

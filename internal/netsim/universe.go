@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 	"weak"
 
 	"beholder/internal/bgp"
@@ -153,28 +154,65 @@ type SimStats struct {
 	FaultDelayed       int64
 }
 
+// simCounters lists SimStats' counter fields in declaration order, each
+// by its offset and its metric stem: the one list the pending flush,
+// Sub, StatsSnapshot and Each walk. Offsets keep the list static, so the
+// flush that follows every Send builds nothing.
+var simCounters = [...]struct {
+	off  uintptr
+	stem string
+}{
+	{unsafe.Offsetof(SimStats{}.PacketsRouted), "packets_routed"},
+	{unsafe.Offsetof(SimStats{}.TimeExceededSent), "time_exceeded_sent"},
+	{unsafe.Offsetof(SimStats{}.RateLimitDropped), "rate_limit_dropped"},
+	{unsafe.Offsetof(SimStats{}.UnresponsiveDrops), "unresponsive_drops"},
+	{unsafe.Offsetof(SimStats{}.ErrorsSent), "errors_sent"},
+	{unsafe.Offsetof(SimStats{}.EchoRepliesSent), "echo_replies_sent"},
+	{unsafe.Offsetof(SimStats{}.TCPRstsSent), "tcp_rsts_sent"},
+	{unsafe.Offsetof(SimStats{}.PortUnreachSent), "port_unreach_sent"},
+	{unsafe.Offsetof(SimStats{}.LossDropped), "loss_dropped"},
+	{unsafe.Offsetof(SimStats{}.FilteredDrops), "filtered_drops"},
+	{unsafe.Offsetof(SimStats{}.FaultCrashDenials), "fault_crash_denials"},
+	{unsafe.Offsetof(SimStats{}.FaultStallDrops), "fault_stall_drops"},
+	{unsafe.Offsetof(SimStats{}.FaultTransientErrs), "fault_transient_errs"},
+	{unsafe.Offsetof(SimStats{}.FaultTruncated), "fault_truncated"},
+	{unsafe.Offsetof(SimStats{}.FaultCorrupted), "fault_corrupted"},
+	{unsafe.Offsetof(SimStats{}.FaultDelayed), "fault_delayed"},
+}
+
+// counter returns s's i'th counter in simCounters.
+func (s *SimStats) counter(i int) *int64 {
+	return (*int64)(unsafe.Add(unsafe.Pointer(s), simCounters[i].off))
+}
+
+// Each calls fn with every counter's metric stem (the snake_case field
+// name, "rate_limit_dropped" for RateLimitDropped) and value, in
+// declaration order.
+func (s *SimStats) Each(fn func(stem string, n int64)) {
+	for i, c := range simCounters {
+		fn(c.stem, *s.counter(i))
+	}
+}
+
 // Sub returns s minus prev, field for field — the event counts of the
 // window between two snapshots.
 func (s SimStats) Sub(prev SimStats) SimStats {
-	return SimStats{
-		PacketsRouted:     s.PacketsRouted - prev.PacketsRouted,
-		TimeExceededSent:  s.TimeExceededSent - prev.TimeExceededSent,
-		RateLimitDropped:  s.RateLimitDropped - prev.RateLimitDropped,
-		UnresponsiveDrops: s.UnresponsiveDrops - prev.UnresponsiveDrops,
-		ErrorsSent:        s.ErrorsSent - prev.ErrorsSent,
-		EchoRepliesSent:   s.EchoRepliesSent - prev.EchoRepliesSent,
-		TCPRstsSent:       s.TCPRstsSent - prev.TCPRstsSent,
-		PortUnreachSent:   s.PortUnreachSent - prev.PortUnreachSent,
-		LossDropped:       s.LossDropped - prev.LossDropped,
-		FilteredDrops:     s.FilteredDrops - prev.FilteredDrops,
-
-		FaultCrashDenials:  s.FaultCrashDenials - prev.FaultCrashDenials,
-		FaultStallDrops:    s.FaultStallDrops - prev.FaultStallDrops,
-		FaultTransientErrs: s.FaultTransientErrs - prev.FaultTransientErrs,
-		FaultTruncated:     s.FaultTruncated - prev.FaultTruncated,
-		FaultCorrupted:     s.FaultCorrupted - prev.FaultCorrupted,
-		FaultDelayed:       s.FaultDelayed - prev.FaultDelayed,
+	for i := range simCounters {
+		*s.counter(i) -= *prev.counter(i)
 	}
+	return s
+}
+
+// flushTo adds s, a vantage's pending counts, to the shared stats dst
+// with atomic adds — skipping zero counters, so an uneventful batch
+// costs one add — and zeroes s.
+func (s *SimStats) flushTo(dst *SimStats) {
+	for i := range simCounters {
+		if n := *s.counter(i); n != 0 {
+			atomic.AddInt64(dst.counter(i), n)
+		}
+	}
+	*s = SimStats{}
 }
 
 // CPE manufacturer OUIs (locally administered documentation values).
@@ -280,25 +318,11 @@ func (u *Universe) registerVantage(v *Vantage) {
 // contributions locally between flushes, so a mid-campaign snapshot
 // trails the true totals by at most one flush window per vantage.
 func (u *Universe) StatsSnapshot() SimStats {
-	return SimStats{
-		PacketsRouted:     atomic.LoadInt64(&u.Stats.PacketsRouted),
-		TimeExceededSent:  atomic.LoadInt64(&u.Stats.TimeExceededSent),
-		RateLimitDropped:  atomic.LoadInt64(&u.Stats.RateLimitDropped),
-		UnresponsiveDrops: atomic.LoadInt64(&u.Stats.UnresponsiveDrops),
-		ErrorsSent:        atomic.LoadInt64(&u.Stats.ErrorsSent),
-		EchoRepliesSent:   atomic.LoadInt64(&u.Stats.EchoRepliesSent),
-		TCPRstsSent:       atomic.LoadInt64(&u.Stats.TCPRstsSent),
-		PortUnreachSent:   atomic.LoadInt64(&u.Stats.PortUnreachSent),
-		LossDropped:       atomic.LoadInt64(&u.Stats.LossDropped),
-		FilteredDrops:     atomic.LoadInt64(&u.Stats.FilteredDrops),
-
-		FaultCrashDenials:  atomic.LoadInt64(&u.Stats.FaultCrashDenials),
-		FaultStallDrops:    atomic.LoadInt64(&u.Stats.FaultStallDrops),
-		FaultTransientErrs: atomic.LoadInt64(&u.Stats.FaultTransientErrs),
-		FaultTruncated:     atomic.LoadInt64(&u.Stats.FaultTruncated),
-		FaultCorrupted:     atomic.LoadInt64(&u.Stats.FaultCorrupted),
-		FaultDelayed:       atomic.LoadInt64(&u.Stats.FaultDelayed),
+	var out SimStats
+	for i := range simCounters {
+		*out.counter(i) = atomic.LoadInt64(u.Stats.counter(i))
 	}
+	return out
 }
 
 func (u *Universe) buildASGraph() {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/netip"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"beholder/internal/faultsim"
@@ -115,11 +114,11 @@ type Vantage struct {
 	freeSmall []int32
 	freeFull  []int32
 
-	// pend batches this vantage's universe-stat contributions between
+	// pend holds this vantage's universe-stat contributions between
 	// flushes (see SendBatch/FlushStats): the shared SimStats atomics
 	// are the only cross-shard writes on the packet path, so batched
-	// sends defer them.
-	pend simDelta
+	// sends count here and flushTo adds them every pendFlushEvery sends.
+	pend SimStats
 
 	// Fault-injection plane (internal/faultsim). faults is this clone's
 	// resolved plan; hasFaults guards every packet-path fault check
@@ -300,10 +299,6 @@ func (v *Vantage) BeginShardGroup() *ClockGroup {
 	v.nextClone = 0
 	return v.group
 }
-
-// ShardOrdinal returns this vantage's clone ordinal within its shard
-// group (0 for the parent), the identity fault rules match on.
-func (v *Vantage) ShardOrdinal() int { return v.shardOrd }
 
 // SetCampaign tags this vantage (and every clone created from it
 // afterwards) with a campaign name, and re-resolves its fault plan so
@@ -499,91 +494,12 @@ func hashFloat(key uint64) float64 {
 	return float64(key>>11) / (1 << 53)
 }
 
-// simDelta batches a vantage's universe-stat contributions so that the
-// shared SimStats atomics — the only cross-shard writes on the packet
-// path — are touched once per send batch instead of two or three times
-// per probe. Field order mirrors SimStats.
-type simDelta struct {
-	packetsRouted     int64
-	timeExceededSent  int64
-	rateLimitDropped  int64
-	unresponsiveDrops int64
-	errorsSent        int64
-	echoRepliesSent   int64
-	tcpRstsSent       int64
-	portUnreachSent   int64
-	lossDropped       int64
-	filteredDrops     int64
-
-	// Fault-injection plane counters (zero unless Config.Faults is set).
-	faultCrashDenials  int64
-	faultStallDrops    int64
-	faultTransientErrs int64
-	faultTruncated     int64
-	faultCorrupted     int64
-	faultDelayed       int64
-}
-
-// flush applies the accumulated counts to the shared universe stats,
-// skipping zero fields so an uneventful batch costs one atomic add.
-func (d *simDelta) flush(s *SimStats) {
-	if d.packetsRouted != 0 {
-		atomic.AddInt64(&s.PacketsRouted, d.packetsRouted)
-	}
-	if d.timeExceededSent != 0 {
-		atomic.AddInt64(&s.TimeExceededSent, d.timeExceededSent)
-	}
-	if d.rateLimitDropped != 0 {
-		atomic.AddInt64(&s.RateLimitDropped, d.rateLimitDropped)
-	}
-	if d.unresponsiveDrops != 0 {
-		atomic.AddInt64(&s.UnresponsiveDrops, d.unresponsiveDrops)
-	}
-	if d.errorsSent != 0 {
-		atomic.AddInt64(&s.ErrorsSent, d.errorsSent)
-	}
-	if d.echoRepliesSent != 0 {
-		atomic.AddInt64(&s.EchoRepliesSent, d.echoRepliesSent)
-	}
-	if d.tcpRstsSent != 0 {
-		atomic.AddInt64(&s.TCPRstsSent, d.tcpRstsSent)
-	}
-	if d.portUnreachSent != 0 {
-		atomic.AddInt64(&s.PortUnreachSent, d.portUnreachSent)
-	}
-	if d.lossDropped != 0 {
-		atomic.AddInt64(&s.LossDropped, d.lossDropped)
-	}
-	if d.filteredDrops != 0 {
-		atomic.AddInt64(&s.FilteredDrops, d.filteredDrops)
-	}
-	if d.faultCrashDenials != 0 {
-		atomic.AddInt64(&s.FaultCrashDenials, d.faultCrashDenials)
-	}
-	if d.faultStallDrops != 0 {
-		atomic.AddInt64(&s.FaultStallDrops, d.faultStallDrops)
-	}
-	if d.faultTransientErrs != 0 {
-		atomic.AddInt64(&s.FaultTransientErrs, d.faultTransientErrs)
-	}
-	if d.faultTruncated != 0 {
-		atomic.AddInt64(&s.FaultTruncated, d.faultTruncated)
-	}
-	if d.faultCorrupted != 0 {
-		atomic.AddInt64(&s.FaultCorrupted, d.faultCorrupted)
-	}
-	if d.faultDelayed != 0 {
-		atomic.AddInt64(&s.FaultDelayed, d.faultDelayed)
-	}
-	*d = simDelta{}
-}
-
 // Send routes one wire-format probe through the simulated internetwork,
 // scheduling at most one reply for later Recv. Malformed packets error.
 func (v *Vantage) Send(pkt []byte) error {
-	var st simDelta
+	var st SimStats
 	err := v.send1(pkt, gatherSlot{}, &st)
-	st.flush(&v.u.Stats)
+	st.flushTo(&v.u.Stats)
 	return err
 }
 
@@ -614,15 +530,15 @@ func (v *Vantage) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error)
 		}
 		v.clk.Sleep(gap)
 		if v.deliverable() {
-			if v.pend.packetsRouted >= pendFlushEvery {
-				v.pend.flush(&v.u.Stats)
+			if v.pend.PacketsRouted >= pendFlushEvery {
+				v.pend.flushTo(&v.u.Stats)
 			}
 			v.gatherStop(pkts, g, i+1)
 			return i + 1, true, nil
 		}
 	}
-	if v.pend.packetsRouted >= pendFlushEvery {
-		v.pend.flush(&v.u.Stats)
+	if v.pend.PacketsRouted >= pendFlushEvery {
+		v.pend.flushTo(&v.u.Stats)
 	}
 	v.gatherStop(pkts, g, len(pkts))
 	return len(pkts), false, nil
@@ -635,7 +551,7 @@ const pendFlushEvery = 4096
 // FlushStats publishes the pending batched-send stat delta to the
 // shared universe counters. Yarrp6 calls it when a run ends; universe
 // stats are documented as exact only while no campaign is in flight.
-func (v *Vantage) FlushStats() { v.pend.flush(&v.u.Stats) }
+func (v *Vantage) FlushStats() { v.pend.flushTo(&v.u.Stats) }
 
 // deliverable reports whether a queued reply's delivery time has
 // arrived.
@@ -647,7 +563,7 @@ func (v *Vantage) deliverable() bool {
 // and routes one probe, accumulating universe-stat contributions into
 // st instead of the shared atomics. gs is the probe's gather slot, zero
 // when it was not gathered.
-func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
+func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *SimStats) error {
 	if err := v.dec.Decode(pkt); err != nil {
 		return fmt.Errorf("netsim: undecodable probe: %w", err)
 	}
@@ -657,26 +573,26 @@ func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
 		if v.faults.CrashNow(now) {
 			// Fatal: the vantage's send path is dead. The packet was not
 			// sent; every further attempt fails the same way.
-			st.faultCrashDenials++
+			st.FaultCrashDenials++
 			at, _ := v.faults.CrashAt()
 			return &faultsim.CrashError{Vantage: v.spec.Name, Shard: v.shardOrd, At: at}
 		}
 		if v.faults.DrawTransient(v.id, now) {
 			// EAGAIN-shaped: the packet was not sent, a retry at a later
 			// instant redraws independently.
-			st.faultTransientErrs++
+			st.FaultTransientErrs++
 			v.errTransient.At = now
 			return &v.errTransient
 		}
 		if v.faults.Stalled(now) {
 			// The probe departs and vanishes; the prober sees nothing.
 			v.Stats.Sent++
-			st.faultStallDrops++
+			st.FaultStallDrops++
 			return nil
 		}
 	}
 	v.Stats.Sent++
-	st.packetsRouted++
+	st.PacketsRouted++
 
 	plan := v.gatheredPlan(d, gs)
 	if plan == nil {
@@ -688,15 +604,15 @@ func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
 	pk := h(plan.fh, 40, uint64(d.IPv6.HopLimit))
 	switch vd, r, idx := v.decide(plan, pk, d.IPv6.HopLimit, hostAnswers(plan, d), now); vd {
 	case vLost:
-		st.lossDropped++
+		st.LossDropped++
 	case vFiltered:
-		st.filteredDrops++
+		st.FilteredDrops++
 	case vUnresponsive:
-		st.unresponsiveDrops++
+		st.UnresponsiveDrops++
 	case vRateLimited:
-		st.rateLimitDropped++
+		st.RateLimitDropped++
 	case vTimeExceeded:
-		st.timeExceededSent++
+		st.TimeExceededSent++
 		v.scheduleError(st, r, wire.ICMPv6TimeExceeded, 0, pkt, plan, idx, now, pk)
 	case vUnreach:
 		code := uint8(wire.CodeAddrUnreachable)
@@ -708,7 +624,7 @@ func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *simDelta) error {
 		case plan.outcome == outNoRoute:
 			code = wire.CodeNoRoute
 		}
-		st.errorsSent++
+		st.ErrorsSent++
 		v.scheduleError(st, r, wire.ICMPv6DstUnreach, code, pkt, plan, idx, now, pk)
 	case vHost:
 		v.hostReply(st, pkt, plan, now, pk)
@@ -742,7 +658,7 @@ const (
 // would have.
 func (v *Vantage) decide(plan *planCore, pk uint64, ttl uint8, answers bool, now time.Duration) (verdict, *routerRow, int) {
 	n := len(plan.steps)
-	idx, ok, silent := int(ttl)-1, vTimeExceeded, vUnresponsive
+	idx, ok := int(ttl)-1, vTimeExceeded
 	if idx < n {
 		// Hop-limit expiry before the path plan ends.
 		if v.lost(pk, now, 2*(idx+1)) {
@@ -772,18 +688,17 @@ func (v *Vantage) decide(plan *planCore, pk uint64, ttl uint8, answers bool, now
 				return vHost, nil, 0
 			}
 			// No such host: the gateway's neighbor discovery fails and
-			// it reports address-unreachable some of the time
-			// (rate-limited); a gateway that stays silent counts as
-			// rate-limited, responsive or not.
+			// it reports address-unreachable some of the time, like any
+			// error: an unresponsive gateway stays silent, and one whose
+			// token bucket is empty is rate-limited.
 			if hashFloat(h(pk, drawND, uint64(now))) >= 0.6 {
 				return vNoReply, nil, 0
 			}
-			silent = vRateLimited
 		}
 	}
 	r := v.stepRouter(plan, idx, now)
 	if r.unresponsive {
-		return silent, r, idx
+		return vUnresponsive, r, idx
 	}
 	if !r.allowICMP(now) {
 		return vRateLimited, r, idx
@@ -802,16 +717,16 @@ func hostAnswers(plan *planCore, d *wire.Decoded) bool {
 // hostReply answers a probe that reached a live host (vHost): an echo
 // reply — unless the host's AS filters echo — a port unreachable or a
 // RST, after the round-trip to the path's end.
-func (v *Vantage) hostReply(st *simDelta, pkt []byte, plan *planCore, now time.Duration, pk uint64) {
+func (v *Vantage) hostReply(st *SimStats, pkt []byte, plan *planCore, now time.Duration, pk uint64) {
 	d := &v.dec
 	rtt := plan.steps[len(plan.steps)-1].rtt + v.jitter(pk, now)
 	switch d.Proto {
 	case wire.ProtoICMPv6:
 		if v.u.ases[plan.destAS].BlockEcho {
-			st.filteredDrops++
+			st.FilteredDrops++
 			return
 		}
-		st.echoRepliesSent++
+		st.EchoRepliesSent++
 		payload := d.Payload
 		if max := wire.MinMTU - wire.IPv6HeaderLen - wire.ICMPv6HeaderLen; len(payload) > max {
 			// The return path, like the quote path, is MinMTU-bound (the
@@ -825,12 +740,12 @@ func (v *Vantage) hostReply(st *simDelta, pkt []byte, plan *planCore, now time.D
 		n := wire.BuildEchoReply(v.bufs[bi], d.IPv6.Dst, v.addr, &d.ICMPv6, payload, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
 	case wire.ProtoUDP:
-		st.portUnreachSent++
+		st.PortUnreachSent++
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.ICMPv6HeaderLen + len(pkt))
 		n := wire.BuildICMPv6Error(v.bufs[bi], wire.ICMPv6DstUnreach, wire.CodePortUnreachable, d.IPv6.Dst, v.addr, pkt, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
 	case wire.ProtoTCP:
-		st.tcpRstsSent++
+		st.TCPRstsSent++
 		bi := v.getBuf(wire.IPv6HeaderLen + wire.TCPHeaderLen)
 		n := wire.BuildTCPRst(v.bufs[bi], d.IPv6.Dst, v.addr, &d.TCP, 64)
 		v.deliverReply(st, bi, n, now+rtt, pk, now)
@@ -839,7 +754,7 @@ func (v *Vantage) hostReply(st *simDelta, pkt []byte, plan *planCore, now time.D
 
 // scheduleError builds and enqueues an ICMPv6 error from router r quoting
 // the probe, arriving after the round-trip to step idx.
-func (v *Vantage) scheduleError(st *simDelta, r *routerRow, typ, code uint8, probe []byte, plan *planCore, idx int, now time.Duration, pk uint64) {
+func (v *Vantage) scheduleError(st *SimStats, r *routerRow, typ, code uint8, probe []byte, plan *planCore, idx int, now time.Duration, pk uint64) {
 	quote := probe
 	if r.truncateQuote && len(quote) > 48 {
 		// Legacy gear quoting IPv4-style: header plus 8 bytes.
@@ -857,7 +772,7 @@ func (v *Vantage) scheduleError(st *simDelta, r *routerRow, typ, code uint8, pro
 // deliverReply applies the reply-side fault plane — truncation,
 // corruption, delayed-burst release — to one built reply before
 // enqueueing it. With no faults configured it is a direct deliver.
-func (v *Vantage) deliverReply(st *simDelta, bi int32, n int, t time.Duration, pk uint64, now time.Duration) {
+func (v *Vantage) deliverReply(st *SimStats, bi int32, n int, t time.Duration, pk uint64, now time.Duration) {
 	if v.hasFaults {
 		const hdr = wire.IPv6HeaderLen + wire.ICMPv6HeaderLen
 		if n > hdr && v.faults.DrawTruncate(pk, now) {
@@ -866,16 +781,16 @@ func (v *Vantage) deliverReply(st *simDelta, bi int32, n int, t time.Duration, p
 			// the damage visible to the prober's parser, as on real
 			// networks.
 			n = hdr + (n-hdr)/4
-			st.faultTruncated++
+			st.FaultTruncated++
 		}
 		if n > hdr && v.faults.DrawCorrupt(pk, now) {
 			off, mask := v.faults.CorruptAt(pk, now, n-hdr)
 			v.bufs[bi][hdr+off] ^= mask
-			st.faultCorrupted++
+			st.FaultCorrupted++
 		}
 		if until, ok := v.faults.DelayedUntil(t); ok {
 			t = until
-			st.faultDelayed++
+			st.FaultDelayed++
 		}
 	}
 	v.deliver(bi, n, t)

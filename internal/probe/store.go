@@ -221,9 +221,6 @@ func NewStoreSized(recordPaths bool, addrs int) *Store {
 // the store's business alone.
 func (s *Store) AddrTable() *ipv6.Table { return s.tab }
 
-// RecordsPaths reports whether per-target traces are retained.
-func (s *Store) RecordsPaths() bool { return s.recordPaths }
-
 // Add folds one reply into the store and reports whether the reply's
 // source was a previously unseen interface address.
 func (s *Store) Add(r Reply) (newInterface bool) {

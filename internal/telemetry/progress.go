@@ -72,9 +72,6 @@ func NewProgress(epoch, step time.Duration) *Progress {
 // Epoch returns the campaign epoch the thresholds count from.
 func (p *Progress) Epoch() time.Duration { return p.epoch }
 
-// Step returns the sampling interval.
-func (p *Progress) Step() time.Duration { return p.step }
-
 // NextThreshold returns the earliest sampling threshold strictly after
 // now. now must be at or after the epoch.
 func (p *Progress) NextThreshold(now time.Duration) time.Duration {

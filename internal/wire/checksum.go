@@ -66,12 +66,6 @@ func (c *Checksummer) Add(data []byte) {
 	}
 }
 
-// AddUint16 folds a single big-endian 16-bit value into the sum. It must
-// only be used at even byte offsets.
-func (c *Checksummer) AddUint16(v uint16) {
-	c.sum += uint32(v)
-}
-
 // addrFold returns the ones'-complement partial sum of an address's
 // sixteen bytes, folded to 16 bits (same wide-word congruence argument
 // as Add).

@@ -178,6 +178,3 @@ func (h *ICMPv6Header) Unmarshal(b []byte) error {
 	h.Seq = binary.BigEndian.Uint16(b[6:8])
 	return nil
 }
-
-// IsError reports whether the type is an ICMPv6 error message (type < 128).
-func (h *ICMPv6Header) IsError() bool { return h.Type < 128 }

@@ -183,6 +183,48 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 		t.Fatal("adaptive run reports no epochs")
 	}
 	requireGraphGauges(t, ares)
+
+	// A faulted run publishes exactly these simulator and prober
+	// counters, the retries it sent again among them.
+	fin := NewSmallInternet(2018)
+	fin.SetFaults(&FaultConfig{Seed: 7, Rules: []FaultRule{
+		{Vantage: "TEL-3", Shard: FaultAnyShard, Kind: FaultTransientSend, Prob: 0.05},
+		{Vantage: "TEL-3", Shard: FaultAnyShard, Kind: FaultCorruptReply, Prob: 0.2},
+	}})
+	fres, err := fin.NewVantage("TEL-3").RunYarrp6(telemetryTargets(fin, t), YarrpOptions{
+		Rate: 8000, MaxTTL: 16, Shards: 2, Fill: true, Telemetry: NewTelemetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range fres.Telemetry.Counters {
+		if strings.HasPrefix(c.Name, "sim_") || strings.HasPrefix(c.Name, "yarrp_") {
+			names = append(names, c.Name)
+		}
+	}
+	want := []string{
+		"sim_echo_replies_sent_total", "sim_errors_sent_total", "sim_fault_corrupted_total",
+		"sim_fault_crash_denials_total", "sim_fault_delayed_total", "sim_fault_stall_drops_total",
+		"sim_fault_transient_errs_total", "sim_fault_truncated_total", "sim_filtered_drops_total",
+		"sim_loss_dropped_total", "sim_packets_routed_total", "sim_port_unreach_sent_total",
+		"sim_rate_limit_dropped_total", "sim_tcp_rsts_sent_total", "sim_time_exceeded_sent_total",
+		"sim_unresponsive_drops_total",
+		"yarrp_batch_early_stops_total", "yarrp_drain_fastforwards_total", "yarrp_fill_probes_total",
+		"yarrp_probes_sent_total", "yarrp_replies_dest_unreach_total", "yarrp_replies_echo_total",
+		"yarrp_replies_not_mine_total", "yarrp_replies_tcp_rst_total", "yarrp_replies_time_exceeded_total",
+		"yarrp_replies_total", "yarrp_retries_total", "yarrp_skipped_total",
+	}
+	if got := strings.Join(names, " "); got != strings.Join(want, " ") {
+		t.Errorf("faulted run published counters\n%s\nwant\n%s", got, strings.Join(want, " "))
+	}
+	var retries int64
+	for _, s := range fres.ShardStats {
+		retries += s.Retries
+	}
+	if n, _ := fres.Telemetry.Counter("yarrp_retries_total"); retries == 0 || n != retries {
+		t.Errorf("yarrp_retries_total = %d, shards retried %d", n, retries)
+	}
 }
 
 // TestTelemetryEquivalence proves that switching telemetry and progress
