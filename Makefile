@@ -7,9 +7,12 @@ GO ?= go
 # chaos runs the fault-injection matrix, the rewind chain, the interrupt
 # and cancellation tests, and the campaign equivalence property with its
 # matrix rows — shards, batches, plan table, checkpoint/resume and rewind
-# cuts, past rate-limit saturation — under the race detector.
+# cuts, past rate-limit saturation — under the race detector, then the
+# root package's crash tests: facade campaigns whose shards die mid-run
+# and the fault study.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Cancel|Rewind|Interrupt|Equivalence|Matrix|ShardedMatches|Scheduling' ./internal/core
+	$(GO) test -race -count=1 -run 'FacadeFaulted|FacadeCrashed|ExperimentFaultStudy' .
 
 # soak runs the multi-tenant scheduler chaos harness under the race
 # detector: concurrent tenant campaigns under injected crash/stall/

@@ -261,7 +261,7 @@ type YarrpOptions struct {
 	// shard included, and probes on clones only — the vantage's own
 	// connection never sends: a lone shard is clone 0 like the first of
 	// many, and when its connection dies mid-run it is quarantined and
-	// recovery probers re-probe its remainder on further clones.
+	// continues from where it stopped on a further clone.
 	Shards int
 	// Batch is the probe-pipeline send-batch size: permutation draw,
 	// probe build, and simulator routing are dispatched Batch probes at
@@ -384,10 +384,10 @@ type Result struct {
 	// YarrpOptions.Telemetry was set.
 	Telemetry TelemetrySnapshot
 	// Quarantined lists campaign shards whose connections failed fatally
-	// mid-run (e.g. an injected crash) and had their remaining
-	// permutation range re-sharded onto recovery probers; Incomplete
-	// lists any index ranges recovery could not finish. Both are empty
-	// on a clean run.
+	// mid-run (e.g. an injected crash) and which continued from where
+	// they stopped on fresh clones; Incomplete lists the index ranges
+	// of shards whose fresh clones kept failing until the campaign gave
+	// them up. Both are empty on a clean run.
 	Quarantined []int
 	Incomplete  []core.PermRange
 	// Checkpoint is the serialized resume artifact of an interrupted
@@ -444,8 +444,8 @@ func (r *Result) Store() *probe.Store { return r.store }
 
 // Graph returns the campaign's interface-level topology graph: a pure
 // function of the merged trace store (graph.FromStore), whatever produced
-// the store — one shard or many, recovery probers, a resumed or an
-// adaptive run. It is built once — before the run returned with
+// the store — one shard or many, shards continued after a crash, a
+// resumed or an adaptive run. It is built once — before the run returned with
 // YarrpOptions.Graph, on the first call otherwise — and cached. The graph
 // supports canonical NDJSON/DOT export, router collapse against
 // alias-detection results, and cross-vantage union via UnionGraphs.
@@ -525,10 +525,11 @@ func (v *Vantage) beginRun(opt *YarrpOptions) *campaignRun {
 }
 
 // connOf is the run's core.ConnFactory: every prober — each shard, a
-// lone one included, and every recovery prober — probes on a clone of
-// the vantage opened at its window's offset from the run's epoch. The
-// vantage itself never probes, and a static run's prober s is clone
-// ordinal s, the identity fault rules match on.
+// lone one included, and each shard continued after a crash — probes
+// on a clone of the vantage opened at the requested offset from the
+// run's epoch. The vantage itself never probes, and a static run's
+// shard s starts on clone ordinal s, the identity fault rules match on;
+// continuations take the ordinals after the last shard's.
 func (r *campaignRun) connOf(shard int, start time.Duration) probe.Conn {
 	nv := r.v.v.Clone(r.epoch + start)
 	r.clones = append(r.clones, nv)

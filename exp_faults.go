@@ -3,9 +3,9 @@ package beholder
 // Fault-robustness study: the campaign engine driven over an actively
 // misbehaving network. Each scenario installs one fault class from the
 // deterministic injection plane (internal/faultsim) and reruns the same
-// campaign, reporting what the recovery machinery did — quarantines,
-// re-sharded ranges, bounded retries — and whether the merged store
-// still matches the fault-free run. Not part of Experiments.All(): the
+// campaign, reporting what the recovery machinery did — quarantined
+// shards continued on fresh connections, bounded retries — and whether
+// the merged store still matches the fault-free run. Not part of Experiments.All(): the
 // paper's evaluation has no fault figures; run it with
 // `beholder -faults`.
 

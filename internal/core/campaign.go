@@ -46,12 +46,12 @@
 // The same statelessness that makes sharding trivial makes the campaign
 // recoverable. Each shard's progress is exactly one permutation cursor
 // plus its result store, so a campaign interrupted at any virtual
-// instant checkpoints into a small artifact (Checkpoint/Resume) and a
-// shard killed by a fatal connection fault is quarantined and its
-// remaining permutation range re-probed through fresh connections at
-// the original schedule instants (re-sharded across the survivors) —
-// against a deterministic simulator the recovered store equals the
-// fault-free one whenever no replies were lost.
+// instant checkpoints into a small artifact (Checkpoint/Resume), and a
+// shard killed by a fatal connection fault is handled as an interrupt:
+// it stops at its cursor and the campaign continues the same shard
+// record on a fresh connection opened at the failure instant — against
+// a deterministic simulator the continued store equals the fault-free
+// one.
 package core
 
 import (
@@ -80,9 +80,9 @@ import (
 // clock must open the connection's clock there so that the shard sends
 // its probes at the same virtual times a single prober would have.
 // Campaign.Run invokes the factory serially, before any shard starts —
-// and again, still serially, when building recovery connections for a
-// quarantined shard's remaining range (then with shard numbers past the
-// configured shard count).
+// and again, still serially, once the shards have stopped, for each
+// shard it continues after a fatal connection fault (then with start at
+// the failure instant).
 type ConnFactory func(shard int, start time.Duration) probe.Conn
 
 // CampaignConfig parameterizes a sharded campaign.
@@ -99,13 +99,13 @@ type CampaignConfig struct {
 	// reply, on the shard goroutine. The factory runs serially before
 	// any shard starts. Config's own Observer field must be left nil —
 	// shards may not share one unsynchronized observer. Only a fresh
-	// campaign's configured shards get observers: recovery probers and
-	// the shards of a resumed or rewound campaign run without them. A
-	// campaign's results — its graph included — are functions of the
-	// merged store (graph.FromStore), and a live view of a running
-	// campaign is its Progress series; what remains here serves the
-	// benchmark module's layer attribution, which times a streaming graph
-	// observer (bench/layers.go).
+	// campaign's shards get observers (a shard continued after a fault
+	// keeps its own); the shards of a resumed or rewound campaign run
+	// without them. A campaign's results — its graph included — are
+	// functions of the merged store (graph.FromStore), and a live view of
+	// a running campaign is its Progress series; what remains here serves
+	// the benchmark module's layer attribution, which times a streaming
+	// graph observer (bench/layers.go).
 	NewObserver func(shard int) probe.Observer
 	// Telemetry, when non-nil, aggregates hot-path metrics: each shard
 	// folds its counters and histograms into its own telemetry.Shard
@@ -142,7 +142,7 @@ func (c *CampaignConfig) defaults() {
 }
 
 // PermRange is a half-open permutation index range [Lo, Hi) that a
-// degraded campaign could not probe.
+// degraded campaign did not probe.
 type PermRange struct {
 	Lo, Hi uint64
 }
@@ -151,9 +151,8 @@ type PermRange struct {
 // breakdown.
 type CampaignStats struct {
 	Stats
-	// PerShard holds each shard's own counters. The first Shards entries
-	// are the configured shards in order; any further entries are
-	// recovery probers that re-probed quarantined ranges.
+	// PerShard holds each shard's own counters, one entry per shard in
+	// order.
 	PerShard []Stats
 	// Progress is the campaign's discovery series (the paper's Figure 7):
 	// cumulative counters and unique interfaces, sampled every
@@ -162,27 +161,29 @@ type CampaignStats struct {
 	// Timestamps are relative to the campaign epoch; the final point lands
 	// at Elapsed with the campaign totals.
 	Progress []telemetry.Point
-	// AddrTableSlots and AddrTableAddrs sum, over every shard and recovery
-	// prober, the slot count of the store's address table and the
-	// addresses interned in it when the shard stopped — before the fold
-	// fills shard 0's table with everybody else's.
+	// AddrTableSlots and AddrTableAddrs sum, over every shard, the slot
+	// count of the store's address table and the addresses interned in
+	// it when the shard stopped — before the fold fills shard 0's table
+	// with everybody else's.
 	AddrTableSlots int
 	AddrTableAddrs int
 	// Quarantined lists shards that failed with a fatal connection
-	// error; their remaining ranges were re-probed through recovery
-	// connections where possible.
+	// error, in this run or in the in-process run it continues (Rewind);
+	// each was continued on a fresh connection from where it stopped.
 	Quarantined []int
-	// Incomplete lists permutation ranges that stayed unprobed after
-	// recovery was exhausted — the explicit record of a degraded run.
+	// Incomplete lists the unprobed remainders [cursor, hi) of shards
+	// whose connections kept failing until maxRestarts ran out — the
+	// explicit record of a degraded run. Such a shard is captured like
+	// an interrupted one, so a continuation probes it again.
 	Incomplete []PermRange
 	// Epochs is an adaptive run's per-epoch breakdown, whose boundaries
 	// chart its discovery; nil for a static campaign.
 	Epochs []EpochStats
 }
 
-// maxRecoveryRounds bounds how many times the campaign re-shards a
-// quarantined range whose recovery probers themselves keep failing.
-const maxRecoveryRounds = 3
+// maxRestarts bounds how many times one Run continues a shard on a
+// fresh connection after a fatal connection fault.
+const maxRestarts = 3
 
 // Campaign is a sharded Yarrp6 run. A Campaign value runs once; after
 // an interrupted run (InterruptAt or Interrupt) it retains the complete
@@ -193,21 +194,20 @@ type Campaign struct {
 	connOf ConnFactory
 
 	// Run state, retained after Run for Checkpoint.
-	domain      uint64
-	gap         time.Duration
-	epoch       time.Duration
-	slots       uint64
-	stepDur     time.Duration
-	shards      []*shardState
-	stop        atomic.Bool
-	beat        atomic.Int64
-	keep        bool // per-shard state preserved (interruptible run)
-	quarantined bool
+	domain  uint64
+	gap     time.Duration
+	epoch   time.Duration
+	slots   uint64
+	stepDur time.Duration
+	shards  []*shardState
+	stop    atomic.Bool
+	beat    atomic.Int64
+	keep    bool // per-shard state preserved (interruptible run)
 	// prev holds the shard records this campaign continues — decoded by
 	// Resume or handed over by Rewind; nil for a fresh campaign.
 	prev []*shardState
-	// partial holds an interrupted run's shards and recovery probers,
-	// whose stores MergedStore folds on demand.
+	// partial holds an interrupted run's shards, whose stores MergedStore
+	// folds on demand.
 	partial []*shardState
 }
 
@@ -226,7 +226,7 @@ type shardState struct {
 	prog     *telemetry.Progress
 	track    *ifaceTimes
 	stats    Stats
-	err      error        // fatal run error (quarantines the shard)
+	err      error        // last fatal connection fault (quarantines the shard)
 	rs       *shardResume // capture from an interrupted or failed run
 	done     bool
 	// ready, when non-nil, parks the shard goroutine until the primer has
@@ -280,8 +280,8 @@ func (c *Campaign) observePhase(name string, t0 time.Time) {
 // exact schedule, which is the history being reproduced — is
 // uninterruptible, and pulses the campaign heartbeat so a watchdog never
 // mistakes it for a stall. Resumed shards (their artifact carries the
-// interrupt-instant state), recovery probers, and any shard released
-// un-primed (failed import, replay cut short) keep the per-prober replay
+// interrupt-instant state) need no replay, and any shard released
+// un-primed (failed import, replay cut short) keeps the per-prober replay
 // inside Yarrp6.Run. The returned channel closes when the primer
 // goroutine exits; nil means nothing needed priming.
 func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
@@ -342,24 +342,21 @@ func (c *Campaign) startPrimer(began time.Time) <-chan struct{} {
 	return done
 }
 
-// newShard builds one prober slot over the permutation window [lo, hi).
-// It serves the configured shards — fresh, or continuing prev when the
-// campaign was built by Resume or Rewind — and, with index at or past
-// the configured shard count, the recovery probers of a quarantined
-// range, which differ only in running without the interrupt instant.
-// Only fresh configured shards get the caller's observers. Shards keep a
-// first-sighting list only where more than one store is folded: a lone
-// configured shard's progress samples count its own store instead.
+// newShard builds one prober slot over the permutation window [lo, hi),
+// fresh or continuing prev: a record decoded by Resume, handed over by
+// Rewind, or stopped by a fatal connection fault (restart). Only fresh
+// shards get the caller's observers. Shards keep a first-sighting list
+// only where more than one store is folded: a lone shard's progress
+// samples count its own store instead.
 func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shardState) *shardState {
 	cfg := &c.cfg
-	recovery := index >= cfg.Shards
 	ss := &shardState{index: index, lo: lo, hi: hi, instance: instance}
 	if prev != nil {
-		ss.store, ss.track, ss.prog, ss.stats, ss.done = prev.store, prev.track, prev.prog, prev.stats, prev.done
+		ss.store, ss.track, ss.prog, ss.stats, ss.done, ss.err = prev.store, prev.track, prev.prog, prev.stats, prev.done, prev.err
 	} else {
 		ss.store = probe.NewStoreSized(cfg.RecordPaths, shardAddrs(len(cfg.Targets)))
 	}
-	if ss.track == nil && (cfg.Shards > 1 || recovery) {
+	if ss.track == nil && cfg.Shards > 1 {
 		ss.track = &ifaceTimes{}
 	}
 	if ss.done {
@@ -373,7 +370,7 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	scfg.stop = &c.stop
 	scfg.pulse = &c.beat
 	scfg.track = ss.track
-	if cfg.NewObserver != nil && !recovery && prev == nil {
+	if cfg.NewObserver != nil && prev == nil {
 		scfg.Observer = cfg.NewObserver(index)
 	}
 	if cfg.Telemetry != nil {
@@ -383,7 +380,8 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if prev != nil {
 		// A live rewind hands back the interrupted shard's own connection
 		// — already at the captured instant, in-flight replies queued,
-		// buckets current — so the prober restores neither.
+		// buckets current — so the prober restores neither. A restart or
+		// a resume opens a fresh one at the captured instant.
 		prev.rs.live = prev.conn != nil
 		scfg.resume, scfg.resumeStats = prev.rs, prev.stats
 		start = prev.rs.now - c.epoch
@@ -392,13 +390,13 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if ss.conn == nil {
 		ss.conn = c.connOf(index, start)
 	}
-	if index == 0 && c.prev == nil {
+	if index == 0 && prev == nil {
 		// Shard 0's window opens at offset zero, so its connection's
 		// current instant is the campaign epoch in absolute virtual
 		// time — the origin every progress threshold counts from.
 		c.epoch = ss.conn.Now()
 	}
-	if cfg.InterruptAt > 0 && !recovery {
+	if cfg.InterruptAt > 0 {
 		scfg.interruptAt = c.epoch + cfg.InterruptAt
 	}
 	if ss.prog == nil {
@@ -411,16 +409,17 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 
 // Epoch returns the campaign epoch in absolute virtual time, valid
 // after Run has started the shards. Resume factories use it to position
-// recovery and resumed connections.
+// restarted and resumed connections.
 func (c *Campaign) Epoch() time.Duration { return c.epoch }
 
 // Interrupt requests a cooperative stop from outside the run: every
 // shard stops at its next batch boundary, Run returns ErrInterrupted
 // with the partial results, and the campaign stays checkpointable. Safe
 // to call from any goroutine, any number of times, including before or
-// after the run; called before, no shard sends a probe. This is the
-// supervision hook — a watchdog that stops seeing Beat advance calls
-// Interrupt, checkpoints, and resumes on fresh connections.
+// after the run; called before, no shard sends a probe (a shard
+// continued after a fault stops at once too). This is the supervision
+// hook — a watchdog that stops seeing Beat advance calls Interrupt,
+// checkpoints, and resumes on fresh connections.
 func (c *Campaign) Interrupt() { c.stop.Store(true) }
 
 // Beat returns the campaign's liveness heartbeat: a counter every
@@ -452,10 +451,10 @@ func shardRange(domain uint64, s, n int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// Run executes the campaign as five steps over its shard records: open
+// Run executes the campaign as four steps over its shard records: open
 // builds them, startPrimer starts the shared bucket replay beside them,
-// probe drives them to completion or interrupt, recover re-probes what
-// quarantined shards left undone, and report folds the outcome. An
+// probe drives them to completion or interrupt — continuing any shard a
+// fatal connection fault stopped — and report folds the outcome. An
 // Interrupt — before the run or during it — or the InterruptAt instant
 // stops every shard at its next batch boundary: pending telemetry is
 // flushed, the partial statistics are returned with ErrInterrupted and
@@ -470,9 +469,7 @@ func (c *Campaign) Run() (*probe.Store, CampaignStats, error) {
 		return nil, CampaignStats{}, err
 	}
 	primer := c.startPrimer(began)
-	c.probe(primer)
-	out, all, interrupted := c.recover()
-	return c.report(out, all, interrupted)
+	return c.report(c.probe(primer))
 }
 
 // open validates the configuration, fixes the campaign's schedule grid,
@@ -520,59 +517,73 @@ func (c *Campaign) open() error {
 	return nil
 }
 
-// probe runs the configured shards to completion or interrupt and joins
-// the primer, so no goroutine outlives Run.
-func (c *Campaign) probe(primer <-chan struct{}) {
-	c.runShards(c.shards)
+// probe runs the shards to completion or interrupt, joins the primer,
+// and then handles each fatal connection fault as an interrupt: the
+// failed shard's record — cursor, store, progress, first sightings,
+// in-flight replies, bucket levels and the fills it could not send —
+// continues on a fresh connection opened at the failure instant, the
+// path Resume takes, up to maxRestarts times per shard. It returns the
+// shards whose restarts ran out, captured like interrupted ones.
+func (c *Campaign) probe(primer <-chan struct{}) (exhausted []*shardState) {
+	failed := c.runShards(c.shards)
 	if primer != nil {
 		<-primer
 	}
+	for range maxRestarts {
+		if len(failed) == 0 {
+			break
+		}
+		for i, ss := range failed {
+			failed[i] = c.restart(ss)
+			c.shards[ss.index] = failed[i]
+		}
+		failed = c.runShards(failed)
+	}
+	return failed
 }
 
-// recover classifies the shard outcomes — fatal shard errors quarantine
-// the shard and hand its remaining range to recovery probers; interrupts
-// keep the campaign checkpointable — and returns every record that
-// holds results: the configured shards, then the recovery probers.
-func (c *Campaign) recover() (out CampaignStats, all []*shardState, interrupted bool) {
-	var failed []recoverRange
-	for _, ss := range c.shards {
-		switch {
-		case ss.err != nil:
-			out.Quarantined = append(out.Quarantined, ss.index)
-			if rr, ok := ss.remainder(); ok {
-				failed = append(failed, rr)
-			}
-		case ss.rs != nil:
-			interrupted = true
-		}
-	}
-	recovered := c.recoverRanges(failed, &out)
-	c.quarantined = len(out.Quarantined) > 0
-	c.keep = interrupted || c.cfg.InterruptAt > 0
-	return out, slices.Concat(c.shards, recovered), interrupted
+// restart continues a failed shard's record on a fresh connection. The
+// continuation keeps the failed prober's observer and telemetry
+// instruments, whose published values already count the record's
+// totals.
+func (c *Campaign) restart(ss *shardState) *shardState {
+	ss.conn = nil
+	ns := c.newShard(ss.index, ss.lo, ss.hi, ss.instance, ss)
+	y := ns.prober
+	y.cfg.Observer, y.cfg.telemetry, y.tel = ss.prober.cfg.Observer, ss.prober.cfg.telemetry, ss.prober.tel
+	return ns
 }
 
 // report folds the shard records into the campaign's outcome: summed
 // counters, the progress series, and the merged store (a completed
-// run's; an interrupted run's partial fold waits for MergedStore).
-func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool) (*probe.Store, CampaignStats, error) {
-	out.PerShard = make([]Stats, 0, len(all))
+// run's; an interrupted run's partial fold waits for MergedStore). A
+// shard whose restarts ran out drops the fills it could not send and
+// reports its remainder in Incomplete; any other unfinished shard was
+// interrupted, which keeps the campaign checkpointable.
+func (c *Campaign) report(exhausted []*shardState) (*probe.Store, CampaignStats, error) {
+	var out CampaignStats
+	for _, ss := range exhausted {
+		ss.rs.fills = nil
+		if ss.rs.cursor < ss.hi {
+			out.Incomplete = append(out.Incomplete, PermRange{Lo: ss.rs.cursor, Hi: ss.hi})
+		}
+	}
+	interrupted := false
+	out.PerShard = make([]Stats, 0, len(c.shards))
 	var end time.Duration
-	starts := make([]time.Duration, 0, len(all))
+	starts := make([]time.Duration, 0, len(c.shards))
 	var tracks []*ifaceTimes
-	progs := make([]*telemetry.Progress, 0, len(all))
-	// sampled is a lone shard's store, whose interfaces its own progress
-	// samples count; the recovery probers beside it add only the
-	// addresses it does not hold.
-	var sampled *probe.Store
-	for _, ss := range all {
+	progs := make([]*telemetry.Progress, 0, len(c.shards))
+	for _, ss := range c.shards {
+		if ss.err != nil {
+			out.Quarantined = append(out.Quarantined, ss.index)
+		}
+		interrupted = interrupted || !ss.done && !slices.Contains(exhausted, ss)
 		st := ss.stats
 		out.PerShard = append(out.PerShard, st)
 		starts = append(starts, time.Duration(ss.lo)*c.gap)
 		if ss.track != nil {
 			tracks = append(tracks, ss.track)
-		} else {
-			sampled = ss.store
 		}
 		progs = append(progs, ss.prog)
 		out.add(&st)
@@ -588,6 +599,7 @@ func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool
 			end = t
 		}
 	}
+	c.keep = interrupted || c.cfg.InterruptAt > 0
 	// Elapsed spans the whole virtual schedule: from the campaign epoch
 	// to the last shard's drain deadline (or the interrupt instant).
 	out.Elapsed = end
@@ -595,16 +607,16 @@ func (c *Campaign) report(out CampaignStats, all []*shardState, interrupted bool
 	// counts interfaces by walking this list against each threshold. They
 	// are read before the fold fills shard 0's store with everybody
 	// else's.
-	seenAt := firstSeenAt(tracks, sampled)
+	seenAt := firstSeenAt(tracks)
 	for i := range seenAt {
 		seenAt[i] -= c.epoch
 	}
 	out.Progress = telemetry.Merge(progs, seenAt, c.stepDur, end)
 	var merged *probe.Store
 	if interrupted {
-		c.partial = all
+		c.partial = c.shards
 	} else {
-		merged = c.mergeShards(all)
+		merged = c.mergeShards(c.shards)
 	}
 	if w := c.cfg.ProgressWriter; w != nil && !interrupted {
 		if err := c.writeProgress(w, out, starts); err != nil {
@@ -644,7 +656,7 @@ func (c *Campaign) mergeShards(all []*shardState) *probe.Store {
 }
 
 // MergedStore folds an interrupted run's partial results — every shard's
-// and recovery prober's store, in shard order — into one store. The
+// store, in shard order — into one store. The
 // fold is paid only by callers that publish a partial view; a
 // checkpoint-and-continue cycle never asks. The campaign stays
 // checkpointable: the fold works on clones. It returns nil when the run
@@ -657,17 +669,19 @@ func (c *Campaign) MergedStore() *probe.Store {
 }
 
 // runShards drives the given probers concurrently, one goroutine per
-// shard, recording each outcome on its shardState. Done shards (resumed
-// completed ones) are skipped.
-func (c *Campaign) runShards(shards []*shardState) {
+// shard, recording each outcome on its shardState, and returns the
+// shards whose runs failed fatally. Done shards (resumed completed ones)
+// are skipped.
+func (c *Campaign) runShards(shards []*shardState) (failed []*shardState) {
 	var wg sync.WaitGroup
 	batchLabel := strconv.Itoa(c.cfg.Batch)
-	for _, ss := range shards {
+	fatal := make([]bool, len(shards))
+	for i, ss := range shards {
 		if ss.done || ss.prober == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(ss *shardState) {
+		go func(i int, ss *shardState) {
 			defer wg.Done()
 			if ss.ready != nil {
 				<-ss.ready // parked until the primer hands over the window-start buckets
@@ -684,110 +698,18 @@ func (c *Campaign) runShards(shards []*shardState) {
 				case errors.Is(err, ErrInterrupted):
 					ss.rs = ss.prober.rs
 				default:
-					ss.err = err
-					ss.rs = ss.prober.rs
+					ss.err, ss.rs, fatal[i] = err, ss.prober.rs, true
 				}
 			})
-		}(ss)
+		}(i, ss)
 	}
 	wg.Wait()
-}
-
-// recoverRange is a quarantined shard's unprobed remainder: the
-// permutation range past its cursor plus the replies that were in
-// flight and the fills it could not send when it died.
-type recoverRange struct {
-	lo, hi   uint64
-	instance uint8
-	pending  []pendingReply
-	fills    []lostFill
-}
-
-// remainder returns what a failed prober left undone, and whether there
-// is anything in it to recover.
-func (ss *shardState) remainder() (recoverRange, bool) {
-	rr := recoverRange{instance: ss.instance, lo: ss.lo, hi: ss.hi}
-	if ss.rs != nil {
-		rr.lo = ss.rs.cursor
-		rr.pending, rr.fills = ss.rs.pending, ss.rs.fills
-	}
-	return rr, rr.lo < rr.hi || len(rr.pending) > 0 || len(rr.fills) > 0
-}
-
-// recoverRanges re-probes quarantined ranges through fresh connections.
-// Each range is re-sharded across as many recovery probers as there are
-// surviving shards, every recovery connection's clock opening at the
-// instant the range's probes were originally scheduled — against a
-// deterministic simulator the re-probed replies are the ones the dead
-// shard would have collected, so the merged store matches the
-// fault-free run whenever no replies were lost. Recovery probers keep
-// the quarantined shard's instance byte, honor Interrupt, and rounds
-// are bounded: ranges whose recovery probers keep dying are returned in
-// CampaignStats.Incomplete.
-func (c *Campaign) recoverRanges(ranges []recoverRange, out *CampaignStats) []*shardState {
-	if len(ranges) == 0 {
-		return nil
-	}
-	cfg := &c.cfg
-	survivors := cfg.Shards - len(out.Quarantined)
-	if survivors < 1 {
-		survivors = 1
-	}
-	var recovered []*shardState
-	nextIdx := cfg.Shards
-	for round := 0; round < maxRecoveryRounds && len(ranges) > 0; round++ {
-		var batch []*shardState
-		for _, rr := range ranges {
-			span := rr.hi - rr.lo
-			k := survivors
-			if span > 0 && uint64(k) > span {
-				k = int(span)
-			}
-			if span == 0 {
-				k = 1 // pending replies and lost fills only: one drain-only prober
-			}
-			for j := 0; j < k; j++ {
-				a := rr.lo + span*uint64(j)/uint64(k)
-				b := rr.lo + span*uint64(j+1)/uint64(k)
-				if a == b && !(j == 0 && (len(rr.pending) > 0 || len(rr.fills) > 0)) {
-					continue
-				}
-				ss := c.newShard(nextIdx, a, b, rr.instance, nil)
-				nextIdx++
-				if j == 0 {
-					// The dead shard's in-flight replies drain, and its lost
-					// fills go out, through the first recovery connection at
-					// their original instants.
-					for _, pr := range rr.pending {
-						ss.conn.InjectReply(pr.at, pr.data)
-					}
-					ss.prober.cfg.fills = rr.fills
-				}
-				batch = append(batch, ss)
-			}
-		}
-		c.runShards(batch)
-		recovered = append(recovered, batch...)
-		ranges = ranges[:0]
-		for _, ss := range batch {
-			switch {
-			case ss.err != nil:
-				if rr, ok := ss.remainder(); ok {
-					ranges = append(ranges, rr)
-				}
-			case ss.rs != nil:
-				// Cancelled mid-recovery: the partial results merge and
-				// the remainder is reported, not retried.
-				out.Incomplete = append(out.Incomplete, PermRange{Lo: ss.rs.cursor, Hi: ss.hi})
-			}
+	for i, ss := range shards {
+		if fatal[i] {
+			failed = append(failed, ss)
 		}
 	}
-	for _, rr := range ranges {
-		if rr.lo < rr.hi {
-			out.Incomplete = append(out.Incomplete, PermRange{Lo: rr.lo, Hi: rr.hi})
-		}
-	}
-	return recovered
+	return failed
 }
 
 // writeProgress streams the merged progress series as NDJSON: sample
@@ -880,14 +802,12 @@ func (o *ifaceTimes) sortedSeen() []ifaceSeen {
 // firstSeenAt folds the per-shard first sightings into the global
 // first-seen instants — minimized across shards, one entry per distinct
 // interface address — sorted ascending; the progress merge counts
-// interfaces by walking this list. Addresses in sampled, a lone shard's
-// store whose own samples count them, are left out: the recovery probers
-// that re-probe its range saw them no earlier than it did.
+// interfaces by walking this list.
 //
 // Each list is sorted by address (the order checkpoints want anyway), so
 // a k-way merge meets every address's sightings side by side: the fold
 // needs no set, only the output.
-func firstSeenAt(tracks []*ifaceTimes, sampled *probe.Store) []time.Duration {
+func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
 	lists := make([][]ifaceSeen, 0, len(tracks))
 	n := 0
 	for _, tr := range tracks {
@@ -916,9 +836,7 @@ func firstSeenAt(tracks []*ifaceTimes, sampled *probe.Store) []time.Duration {
 			}
 		}
 		lists = live
-		if sampled == nil || !sampled.AddrSeen(low.addr) {
-			seenAt = append(seenAt, low.at)
-		}
+		seenAt = append(seenAt, low.at)
 	}
 	slices.Sort(seenAt)
 	return seenAt

@@ -31,6 +31,7 @@ type chaosOut struct {
 	progress []byte
 	stats    CampaignStats
 	sim      netsim.SimStats
+	tel      telemetry.Snapshot
 	err      error
 }
 
@@ -58,7 +59,7 @@ func chaosRun(t *testing.T, seed int64, fc *faultsim.Config, targets []netip.Add
 	store, stats, err := camp.Run()
 	if interruptAt == 0 {
 		return chaosOut{store: store, graph: graphNDJSON(t, store), progress: progress.Bytes(),
-			stats: stats, sim: u.StatsSnapshot(), err: err}
+			stats: stats, sim: u.StatsSnapshot(), tel: ccfg.Telemetry.Snapshot(), err: err}
 	}
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("faulted interrupt run: got %v, want ErrInterrupted", err)
@@ -80,7 +81,7 @@ func chaosRun(t *testing.T, seed int64, fc *faultsim.Config, targets []netip.Add
 		stats: stats, sim: u2.StatsSnapshot(), err: err}
 }
 
-// TestCampaignChaosMatrix drives the four headline failure modes across
+// TestCampaignChaosMatrix drives the headline failure modes across
 // the shard × batch grid. For every cell it checks the scenario's
 // recovery invariants on an uninterrupted faulted run, then interrupts
 // the same faulted campaign mid-flight, checkpoints, resumes on a fresh
@@ -91,6 +92,37 @@ func TestCampaignChaosMatrix(t *testing.T) {
 	const seed = 2718
 	targets := campaignTargets(t, seed, 61)
 	clean := ckptReference(t, seed, targets, 1, 1)
+	crash := []faultsim.Rule{{Vantage: "US-EDU-1", Shard: 0, Kind: faultsim.KindCrash, At: 300 * time.Millisecond}}
+	// A crash is an interrupt: the dead shard continues on a fresh
+	// connection from its cursor, so with lossless replies the run is
+	// the fault-free one — the same store, probes and progress stream.
+	crashCheck := func(t *testing.T, out chaosOut) {
+		if out.err != nil {
+			t.Fatalf("crash recovery: %v", out.err)
+		}
+		if len(out.stats.Quarantined) != 1 || out.stats.Quarantined[0] != 0 {
+			t.Fatalf("quarantined = %v, want [0]", out.stats.Quarantined)
+		}
+		if len(out.stats.Incomplete) != 0 {
+			t.Fatalf("incomplete ranges: %v", out.stats.Incomplete)
+		}
+		if !out.store.Equal(clean.store) {
+			t.Fatal("crash-recovered store differs from fault-free store")
+		}
+		if !bytes.Equal(out.progress, clean.progress) {
+			t.Fatalf("crash-recovered progress differs from fault-free:\nclean: %s\ngot:   %s", clean.progress, out.progress)
+		}
+		if out.stats.ProbesSent != clean.stats.ProbesSent {
+			t.Fatalf("probes sent %d, fault-free %d", out.stats.ProbesSent, clean.stats.ProbesSent)
+		}
+		// A continuation publishes only what it adds to the record.
+		if n, _ := out.tel.Counter("yarrp_probes_sent_total"); n != out.stats.ProbesSent {
+			t.Fatalf("yarrp_probes_sent_total = %d, run sent %d", n, out.stats.ProbesSent)
+		}
+		if out.sim.FaultCrashDenials == 0 {
+			t.Fatal("no crash denials counted")
+		}
+	}
 
 	scenarios := []struct {
 		name        string
@@ -100,33 +132,20 @@ func TestCampaignChaosMatrix(t *testing.T) {
 	}{
 		{
 			// Shard 0's host dies a fifth of the way through its window.
-			// Recovery re-probes the orphaned range at the original
-			// instants, so with lossless replies the merged store must
-			// equal the fault-free one: zero lost, zero duplicated
-			// permutation indices.
 			name:        "crash",
-			rules:       []faultsim.Rule{{Vantage: "US-EDU-1", Shard: 0, Kind: faultsim.KindCrash, At: 300 * time.Millisecond}},
+			rules:       crash,
 			interruptAt: 200 * time.Millisecond, // before the crash fires
-			check: func(t *testing.T, out chaosOut) {
-				if out.err != nil {
-					t.Fatalf("crash recovery: %v", out.err)
-				}
-				if len(out.stats.Quarantined) != 1 || out.stats.Quarantined[0] != 0 {
-					t.Fatalf("quarantined = %v, want [0]", out.stats.Quarantined)
-				}
-				if len(out.stats.Incomplete) != 0 {
-					t.Fatalf("incomplete ranges: %v", out.stats.Incomplete)
-				}
-				if !out.store.Equal(clean.store) {
-					t.Fatal("crash-recovered store differs from fault-free store")
-				}
-				if out.stats.ProbesSent != clean.stats.ProbesSent {
-					t.Fatalf("probes sent %d, fault-free %d", out.stats.ProbesSent, clean.stats.ProbesSent)
-				}
-				if out.sim.FaultCrashDenials == 0 {
-					t.Fatal("no crash denials counted")
-				}
-			},
+			check:       crashCheck,
+		},
+		{
+			// The same crash, then an interrupt: the continued shard stops
+			// at the interrupt like any shard, so the run checkpoints.
+			// Resumed on a fresh universe, shard 0 reopens on clone
+			// ordinal 0, meets its crash rule again and restarts at once.
+			name:        "crash-then-interrupt",
+			rules:       crash,
+			interruptAt: 400 * time.Millisecond,
+			check:       crashCheck,
 		},
 		{
 			// A blackhole window swallows outbound probes: sends succeed,
@@ -211,8 +230,8 @@ func TestCampaignChaosMatrix(t *testing.T) {
 		},
 	}
 
-	// Every campaign below runs shard probers, a bucket primer, and
-	// recovery probers on their own goroutines; all must have exited.
+	// Every campaign below runs shard probers, their restarts and a
+	// bucket primer on their own goroutines; all must have exited.
 	testutil.NoGoroutineLeaks(t)
 	for _, sc := range scenarios {
 		fc := &faultsim.Config{Seed: 0xc4a05, Rules: sc.rules}

@@ -58,9 +58,8 @@ var (
 )
 
 // ErrNotCheckpointable reports that the campaign has no interrupted
-// state to serialize: it has not run, ran to completion without an
-// interrupt request, or was degraded by shard quarantine (recovery
-// probers are not part of the artifact schema).
+// state to serialize: it has not run, or ran to completion without an
+// interrupt request.
 var ErrNotCheckpointable = errors.New("yarrp6: campaign is not checkpointable")
 
 // Checkpoint serializes the campaign's complete state after an
@@ -68,7 +67,8 @@ var ErrNotCheckpointable = errors.New("yarrp6: campaign is not checkpointable")
 // artifact captures per-shard permutation cursors, store snapshots,
 // progress series and first sightings, counter deltas, and in-flight
 // replies; Resume reconstructs a campaign that continues the run
-// exactly. Quarantine-degraded campaigns are not checkpointable.
+// exactly. A shard a fatal connection fault stopped is part of the
+// artifact like any other: its record continues on a fresh connection.
 func (c *Campaign) Checkpoint() ([]byte, error) { return c.AppendCheckpoint(nil) }
 
 // AppendCheckpoint is Checkpoint into a caller-supplied buffer: it
@@ -112,9 +112,6 @@ func (c *Campaign) AppendCheckpoint(buf []byte) ([]byte, error) {
 func (c *Campaign) checkpointable() error {
 	if !c.keep || len(c.shards) == 0 {
 		return ErrNotCheckpointable
-	}
-	if c.quarantined {
-		return fmt.Errorf("%w: shards were quarantined", ErrNotCheckpointable)
 	}
 	return nil
 }

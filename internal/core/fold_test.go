@@ -25,8 +25,8 @@ type foldCut struct {
 	// interruptAfter calls Interrupt, from a goroutine of its own, when
 	// the campaign's SendBatch calls reach this count.
 	interruptAfter int
-	// crash kills shard 0's host at this instant (faultsim), so recovery
-	// probers finish its window.
+	// crash kills shard 0's host at this instant (faultsim), so the
+	// shard finishes its window on a fresh connection.
 	crash time.Duration
 	// neighborhood runs the heuristic at batch 1 — the fold catches up
 	// after every drain — and cuts it at the at instant.
@@ -131,8 +131,8 @@ func foldRun(t *testing.T, seed int64, targets []netip.Addr, shards int, c foldC
 // TestFoldPipelineCuts cuts 1- and 3-shard campaigns at the edges of the
 // reply fold pipeline — an interrupt while a fold block is half full, one
 // in the drain tail, Interrupt from another goroutine, host crashes that
-// hand a shard's window to recovery probers (late ones with a fill due,
-// which recovery must send), and the neighborhood
+// continue a shard on a fresh connection (late ones with a fill due,
+// which the continuation must send), and the neighborhood
 // heuristic, which waits for the fold after every drain — and requires
 // each to finish with the store bytes, progress stream and counters of
 // the uninterrupted run, with no goroutine left behind. A cut whose
@@ -152,11 +152,11 @@ func TestFoldPipelineCuts(t *testing.T) {
 		{name: "interrupt-call", interruptAfter: 700},
 		{name: "crash", crash: span / 7},
 		// Late enough that shard 0 dies with a fill due: the fill fails
-		// and recovery must send it at its instant.
+		// and the continuation must send it at its instant.
 		{name: "crash-late", crash: span / 2},
 		// Just past a third of the span: with 3 shards, shard 0 dies in
-		// its drain tail, where only fills are sent, so recovery must
-		// step its drain to the lost fill's instant.
+		// its drain tail, where only fills are sent, so the continuation
+		// must send the lost fill and finish the original drain.
 		{name: "crash-tail", crash: span/3 + 20*time.Millisecond},
 		{name: "neighborhood-batch-1", neighborhood: true, at: span / 2},
 		{name: "last-new-only", lastNewOnly: true, at: span/2 + 3*time.Millisecond},

@@ -118,10 +118,11 @@ type Config struct {
 	// progress interface counts when the campaign folds more than one
 	// store. Without it the progress samples carry the store's own count.
 	track *ifaceTimes
-	// resume, when non-nil, continues a previous interrupted run from its
-	// capture; resumeStats carries that run's counters, and its progress
-	// samples are already in progress. Campaign sets them when it
-	// continues a shard record (Resume or Rewind).
+	// resume, when non-nil, continues a previous interrupted or failed
+	// run from its capture; resumeStats carries that run's counters, and
+	// its progress samples are already in progress. Campaign sets them
+	// when it continues a shard record (Resume, Rewind or a restart after
+	// a fatal connection fault).
 	resume      *shardResume
 	resumeStats Stats
 	// primed records that the campaign already advanced this shard's
@@ -129,10 +130,6 @@ type Config struct {
 	// pass with snapshot handoff), so Run must not replay the serial
 	// prefix again.
 	primed bool
-	// fills, when set, are the fills a failed prober could not send,
-	// ascending by instant: a recovery prober sends each at its instant,
-	// taking it off the list.
-	fills []lostFill
 }
 
 // The probing shape every campaign shares (Section 4.1): TTLs from
@@ -272,11 +269,10 @@ const pulseEvery = 64
 // shifted instants; one more failure past the bound fails the shard.
 const retryMax = 3
 
-// lostFill is a fill probe a prober failed to send before it died,
-// keyed by the instant it was due. Recovery sends it then, as it
-// re-queues the dead prober's in-flight replies.
+// lostFill is a fill probe a prober failed to send before it died. It
+// was due at the failure instant, where the continued run opens and
+// sends it first.
 type lostFill struct {
-	at     time.Duration
 	target netip.Addr
 	ttl    uint8
 }
@@ -304,7 +300,8 @@ type shardResume struct {
 	lastNew       [256]time.Duration
 	pending       []pendingReply
 	// fills are the fills a failed prober could not send (never set by
-	// an interrupt, so never in a checkpoint).
+	// an interrupt, and dropped when the campaign gives the shard up, so
+	// never in a checkpoint).
 	fills []lostFill
 	// slab backs every pending reply's data: one copy per capture, not
 	// one per reply.
@@ -397,7 +394,7 @@ type Yarrp6 struct {
 
 	// rs is the state captured when a run is interrupted or fails; nil
 	// after a clean completion. Campaign serializes it into checkpoint
-	// artifacts and feeds it to shard recovery.
+	// artifacts and continues a failed shard from it.
 	rs *shardResume
 
 	// fold carries parsed replies and progress samples to the run's fold
@@ -432,8 +429,14 @@ type telSink struct {
 
 // initTelemetry resolves the instrument set against the configured shard.
 func (y *Yarrp6) initTelemetry() {
-	y.tel = telSink{}
 	sh := y.cfg.telemetry
+	if sh != nil && y.tel.sh == sh {
+		// A restarted shard's prober continues its predecessor's
+		// instruments, whose published values already count the totals
+		// the run resumes from.
+		return
+	}
+	y.tel = telSink{}
 	if sh == nil {
 		return
 	}
@@ -639,19 +642,21 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	cursor, drainDeadline := start, time.Duration(0)
 	if rs := cfg.resume; rs != nil {
 		if err := y.restore(rs); err != nil {
-			return Stats{}, err
+			// Nothing ran: the capture this run continued still stands.
+			y.rs = rs
+			return y.stats, err
 		}
 		cursor, drainDeadline = rs.cursor, rs.drainDeadline
 	} else if start > 0 && !cfg.primed {
-		// Window-sliced run (campaign shard or recovery prober): advance
-		// the connection's rate-limiter state to the window-start instant
-		// by replaying the serial schedule that precedes the window, so
-		// the union of shard windows reproduces the serial run's reply
-		// counters even past ICMPv6 rate-limit saturation. Campaign
+		// Window-sliced run (campaign shard): advance the connection's
+		// rate-limiter state to the window-start instant by replaying the
+		// serial schedule that precedes the window, so the union of shard
+		// windows reproduces the serial run's reply counters even past
+		// ICMPv6 rate-limit saturation. Campaign
 		// shards normally arrive already primed — the group does one
 		// shared replay pass and hands each clone a bucket snapshot —
-		// leaving this per-prober replay to recovery probers, direct
-		// windowed Run calls and shards whose snapshot import failed.
+		// leaving this per-prober replay to direct windowed Run calls and
+		// shards whose snapshot import failed.
 		replayPrefix(y.conn, p, y.codec, cfg, start, y.conn.Now()-time.Duration(start)*y.gap, y.gap, cfg.pulse, nil, nil)
 	}
 
@@ -661,7 +666,7 @@ func (y *Yarrp6) Run(store *probe.Store) (Stats, error) {
 	y.startFold(store)
 	defer y.stopFold()
 	if y.sendCarried(); y.fillErr != nil {
-		return y.stats, y.fail(cursor, 0, y.fillErr)
+		return y.stats, y.fail(cursor, drainDeadline, y.fillErr)
 	}
 	if err := y.send(p.Resume(cursor)); err != nil {
 		return y.stats, err
@@ -739,9 +744,6 @@ func (y *Yarrp6) drain(deadline time.Duration) (Stats, error) {
 		steps := int64((deadline - now + gap - 1) / gap)
 		if at, ok := y.conn.NextDeliveryAt(); ok {
 			steps = min(steps, max(1, int64((at-now+gap-1)/gap)))
-		}
-		if fills := y.cfg.fills; len(fills) > 0 {
-			steps = min(steps, max(1, int64((fills[0].at-now+gap-1)/gap)))
 		}
 		if y.tel.sh != nil {
 			y.tel.drainGap.Observe(steps)
@@ -922,9 +924,9 @@ func (y *Yarrp6) skipByNeighborhood(ttl uint8) bool {
 }
 
 // fail ends a run whose send failed fatally with err, returning it: the
-// failed prober's counters are final, so they are pinned for every
-// threshold past the failure, and the capture hands recovery the unsent
-// window from cursor, the in-flight replies and the lost fills.
+// failed prober's counters are pinned at the failure instant, and the
+// capture hands the continuation the unsent window from cursor, the
+// in-flight replies and the lost fills.
 func (y *Yarrp6) fail(cursor uint64, drainDeadline time.Duration, err error) error {
 	if y.prog != nil {
 		y.recordSample(y.conn.Now())
@@ -936,8 +938,10 @@ func (y *Yarrp6) fail(cursor uint64, drainDeadline time.Duration, err error) err
 // fill sends one fill probe under the bound batch sends retry under: a
 // transient failure backs off one send slot and tries again, and the
 // backoff is reported so the caller restamps what it pre-built. A fill
-// that fails fatally, and every fill after it, is kept for recovery
-// (y.lost) and the run fails once the current drain is done.
+// that fails fatally, and every fill after it, is kept for the
+// continuation (y.lost) and the run fails once the current drain is
+// done, without moving the clock: every lost fill is due at the failure
+// instant.
 func (y *Yarrp6) fill(target netip.Addr, ttl uint8) (backedOff bool) {
 	for retries := 0; y.fillErr == nil; retries++ {
 		n := y.codec.BuildProbe(y.pkt, target, ttl)
@@ -955,36 +959,32 @@ func (y *Yarrp6) fill(target netip.Addr, ttl uint8) (backedOff bool) {
 		y.conn.Sleep(y.gap)
 		backedOff = true
 	}
-	y.lost = append(y.lost, lostFill{at: y.conn.Now(), target: target, ttl: ttl})
+	y.lost = append(y.lost, lostFill{target: target, ttl: ttl})
 	return backedOff
 }
 
-// sendCarried sends the carried fills (Config.fills) that are due: a
-// recovery prober sends the fills its dead prober lost at the instants
-// they were due.
-func (y *Yarrp6) sendCarried() (backedOff bool) {
-	for len(y.cfg.fills) > 0 && y.cfg.fills[0].at <= y.conn.Now() {
-		f := y.cfg.fills[0]
-		y.cfg.fills = y.cfg.fills[1:]
-		backedOff = y.fill(f.target, f.ttl) || backedOff
+// sendCarried opens a continued run by sending the fills its failed
+// predecessor lost: they were due at the failure instant, where the run
+// resumes.
+func (y *Yarrp6) sendCarried() {
+	if rs := y.cfg.resume; rs != nil {
+		for _, f := range rs.fills {
+			y.fill(f.target, f.ttl)
+		}
 	}
-	return backedOff
 }
 
-// drainAll processes every deliverable reply, recvBatch at a time, after
-// sending any carried fill that is due. Replies come out in delivery
-// order, and fills triggered while processing schedule strictly future
-// deliveries, so one pass handles everything that is due; a fill that
-// backs off (the return value) moves the clock, so the pass repeats
-// until nothing is left. Under the neighborhood heuristic the fold
-// catches up before the next skip decision reads lastNew.
+// drainAll processes every deliverable reply, recvBatch at a time.
+// Replies come out in delivery order, and fills triggered while
+// processing schedule strictly future deliveries, so one pass handles
+// everything that is due; a fill that backs off (the return value)
+// moves the clock, so the pass repeats until nothing is left. Under the
+// neighborhood heuristic the fold catches up before the next skip
+// decision reads lastNew.
 func (y *Yarrp6) drainAll() (backedOff bool) {
 	if y.rsizes == nil {
 		y.rbatch = make([]byte, recvBatch*wire.MinMTU)
 		y.rsizes = make([]int, recvBatch)
-	}
-	if len(y.cfg.fills) > 0 {
-		backedOff = y.sendCarried()
 	}
 	for {
 		n := y.conn.RecvBatch(y.rbatch, y.rsizes)

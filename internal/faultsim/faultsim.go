@@ -273,8 +273,8 @@ func (p *Plan) CorruptAt(pk uint64, now time.Duration, span int) (off int, mask 
 }
 
 // CrashError is the fatal send failure a crashed vantage returns. It is
-// not transient: the campaign quarantines the shard and re-shards its
-// remaining work.
+// not transient: the campaign quarantines the shard and continues it
+// from its cursor on a fresh connection.
 type CrashError struct {
 	Vantage string
 	Shard   int

@@ -423,7 +423,8 @@ func TestRateLimitingSuppressesBursts(t *testing.T) {
 
 	// A nonexistent host behind an unresponsive gateway: probes one
 	// second apart never empty a bucket, so the gateway's silence is
-	// unresponsiveness, never rate limiting.
+	// unresponsiveness, never rate limiting. Every routed probe's fate is
+	// counted exactly once, a silent neighbor-discovery draw included.
 	silent := silentGatewayHost(t, u, v.Clone(0))
 	sv := v.Clone(0)
 	from := u.StatsSnapshot()
@@ -435,6 +436,12 @@ func TestRateLimitingSuppressesBursts(t *testing.T) {
 	if st.RateLimitDropped != 0 || st.UnresponsiveDrops == 0 {
 		t.Errorf("silent gateway: RateLimitDropped %d, UnresponsiveDrops %d; want 0 and some",
 			st.RateLimitDropped, st.UnresponsiveDrops)
+	}
+	fates := st.TimeExceededSent + st.RateLimitDropped + st.UnresponsiveDrops + st.ErrorsSent +
+		st.EchoRepliesSent + st.TCPRstsSent + st.PortUnreachSent + st.LossDropped + st.FilteredDrops +
+		st.NDSilentDrops
+	if st.PacketsRouted != 200 || fates != st.PacketsRouted {
+		t.Errorf("silent gateway: %d probes routed, %d counted in a fate counter (%+v)", st.PacketsRouted, fates, st)
 	}
 }
 

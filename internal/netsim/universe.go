@@ -139,6 +139,7 @@ type SimStats struct {
 	PortUnreachSent   int64
 	LossDropped       int64
 	FilteredDrops     int64
+	NDSilentDrops     int64 // a nonexistent host's gateway stayed silent (neighbor discovery)
 
 	// Fault-injection plane counters (internal/faultsim): zero unless
 	// Config.Faults injects something. CrashDenials counts sends refused
@@ -172,6 +173,7 @@ var simCounters = [...]struct {
 	{unsafe.Offsetof(SimStats{}.PortUnreachSent), "port_unreach_sent"},
 	{unsafe.Offsetof(SimStats{}.LossDropped), "loss_dropped"},
 	{unsafe.Offsetof(SimStats{}.FilteredDrops), "filtered_drops"},
+	{unsafe.Offsetof(SimStats{}.NDSilentDrops), "nd_silent_drops"},
 	{unsafe.Offsetof(SimStats{}.FaultCrashDenials), "fault_crash_denials"},
 	{unsafe.Offsetof(SimStats{}.FaultStallDrops), "fault_stall_drops"},
 	{unsafe.Offsetof(SimStats{}.FaultTransientErrs), "fault_transient_errs"},

@@ -603,6 +603,8 @@ func (v *Vantage) send1(pkt []byte, gs gatherSlot, st *SimStats) error {
 	// limit (the pktKey of old: h(flowHash(...), 40, hopLimit)).
 	pk := h(plan.fh, 40, uint64(d.IPv6.HopLimit))
 	switch vd, r, idx := v.decide(plan, pk, d.IPv6.HopLimit, hostAnswers(plan, d), now); vd {
+	case vNoReply:
+		st.NDSilentDrops++
 	case vLost:
 		st.LossDropped++
 	case vFiltered:

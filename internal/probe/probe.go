@@ -68,8 +68,8 @@ type Conn interface {
 	// resume replays the uninterrupted run byte for byte.
 	ExportPending(fn func(at time.Duration, data []byte))
 	// InjectReply enqueues a copy of reply bytes for delivery at
-	// virtual instant at: a resumed run's, or a recovery prober's for
-	// the shard it replaces.
+	// virtual instant at: a resumed or restarted run's in-flight replies
+	// on its fresh connection.
 	InjectReply(at time.Duration, data []byte)
 
 	// BeginPrime opens a prime replay: the schedule preceding a

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"beholder/internal/core"
+	"beholder/internal/faultsim"
 	"beholder/internal/netsim"
 	"beholder/internal/probe"
 	"beholder/internal/telemetry"
@@ -51,17 +52,26 @@ func (c *slowConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, error
 	return c.Vantage.SendBatch(pkts, gap)
 }
 
-// periodicRun drives one slowed 2-shard campaign through a
-// single-worker supervisor snapshotting every `every` (0: never) and
-// returns its result, its tenant stream, and a copy of every artifact
-// the sink saw. The watchdog never fires: only the checkpoint timer may
-// interrupt.
-func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry) (*Result, CampaignSpec, string, [][]byte) {
+// periodicSpec is the slowed 2-shard campaign the periodic-checkpoint
+// tests run.
+func periodicSpec(seed int64, name string) CampaignSpec {
+	spec := testSpec("acme", name, schedTargets(seed, 48))
+	spec.Shards = 2
+	spec.Batch = 1
+	return spec
+}
+
+// periodicRun drives periodicSpec through a single-worker supervisor
+// snapshotting every `every` (0: never) on a universe faulted by fc
+// (nil: none) and returns its result, its tenant stream, and a copy of
+// every artifact the sink saw. The watchdog never fires: only the
+// checkpoint timer may interrupt.
+func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry, fc *faultsim.Config) (*Result, CampaignSpec, string, [][]byte) {
 	t.Helper()
 	clk := newFakeClock()
 	var mu sync.Mutex
 	var artifacts [][]byte
-	s, err := newSupervisor(newTestEnv(seed, nil).slowOpener(clk), Options{
+	s, err := newSupervisor(newTestEnv(seed, fc).slowOpener(clk), Options{
 		Tenants:         []Tenant{{Name: "acme"}},
 		Workers:         1,
 		StallBudget:     30 * time.Second,
@@ -81,9 +91,7 @@ func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.R
 	}
 
 	var stream bytes.Buffer
-	spec := testSpec("acme", "periodic", schedTargets(seed, 48))
-	spec.Shards = 2
-	spec.Batch = 1
+	spec := periodicSpec(seed, "periodic")
 	spec.Stream = &stream
 	h, err := s.Submit(spec)
 	if err != nil {
@@ -118,7 +126,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 1310
 	reg := telemetry.NewRegistry()
-	res, spec, stream, artifacts := periodicRun(t, seed, 25*time.Millisecond, reg)
+	res, spec, stream, artifacts := periodicRun(t, seed, 25*time.Millisecond, reg, nil)
 	n := len(artifacts)
 	if n < 3 {
 		t.Fatalf("%d periodic checkpoints reached the sink, want enough to reuse a buffer", n)
@@ -150,6 +158,95 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(res.Store.AppendBinary(nil), solo.AppendBinary(nil)) {
 		t.Fatalf("store after %d periodic checkpoint cycles differs from solo run", n)
+	}
+}
+
+// TestPeriodicCheckpointSurvivesCrash: a connection fault is an
+// interrupt, so a periodically checkpointed campaign whose shard 0 host
+// dies mid-window keeps checkpointing and completes. Its store equals
+// the same campaign without snapshots and the fault-free run, and the
+// crash still shows in Quarantined. A drain taken after the crash hands
+// over an artifact whose resubmission completes byte-equal to the bare
+// run.
+func TestPeriodicCheckpointSurvivesCrash(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const seed = 7
+	fc := &faultsim.Config{Seed: 0xc4a05, Rules: []faultsim.Rule{
+		{Vantage: "US-EDU-1", Shard: 0, Kind: faultsim.KindCrash, At: 300 * time.Millisecond},
+	}}
+	res, spec, _, artifacts := periodicRun(t, seed, 25*time.Millisecond, nil, fc)
+	if len(artifacts) < 3 {
+		t.Fatalf("%d periodic checkpoints reached the sink", len(artifacts))
+	}
+	if !slices.Equal(res.Stats.Quarantined, []int{0}) || len(res.Stats.Incomplete) != 0 {
+		t.Fatalf("quarantined %v, incomplete %v; want [0] and none", res.Stats.Quarantined, res.Stats.Incomplete)
+	}
+	plain, _, _, _ := periodicRun(t, seed, 0, nil, fc)
+	if !bytes.Equal(res.Store.AppendBinary(nil), plain.Store.AppendBinary(nil)) {
+		t.Fatal("checkpointed crash run differs from the same run without snapshots")
+	}
+	clean, _, err := soloRun(t, seed, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Store.AppendBinary(nil), clean.AppendBinary(nil)) {
+		t.Fatal("checkpointed crash run differs from the fault-free run")
+	}
+
+	// Drain at the first snapshot taken after the crash fired.
+	env := newTestEnv(seed, fc)
+	crashed := make(chan struct{})
+	var drainBegun <-chan struct{}
+	clk := newFakeClock()
+	s, err := newSupervisor(env.slowOpener(clk), Options{
+		Tenants:         []Tenant{{Name: "acme"}},
+		Workers:         1,
+		StallBudget:     30 * time.Second,
+		CheckpointEvery: 25 * time.Millisecond,
+		CheckpointSink: func(string, string, []byte) error {
+			if env.u.StatsSnapshot().FaultCrashDenials > 0 && crashed != nil {
+				close(crashed)
+				crashed = nil
+				<-drainBegun
+			}
+			return nil
+		},
+	}, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainBegun = s.drainCh
+	wait := crashed
+	h, err := s.Submit(periodicSpec(seed, "drained"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-wait
+	out := drainAll(t, s)
+	if dr := h.Result(); dr.State != StateDrained || len(out) != 1 || out[0].Artifact == nil {
+		t.Fatalf("drain after the crash: state %v (%s), %d drained", dr.State, dr.Reason, len(out))
+	}
+	s2, err := New(newTestEnv(seed, fc).opener, Options{Tenants: []Tenant{{Name: "acme"}}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := out[0].Spec
+	resumed.Resume = out[0].Artifact
+	h2, err := s2.Submit(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h2.Wait(t.Context())
+	if err != nil || got.State != StateCompleted {
+		t.Fatalf("resubmitted drain artifact: state %v (%s), err %v", got.State, got.Reason, err)
+	}
+	drainAll(t, s2)
+	bare, _, err := soloRun(t, seed, fc, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Store.AppendBinary(nil), bare.AppendBinary(nil)) {
+		t.Fatal("the campaign resumed from its post-crash drain differs from its bare run")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sched is the campaign supervisor: a long-running service
 // multiplexing many concurrent tenant campaigns over shared simulated
 // universes. Where core.Campaign recovers from faults *within* one run
-// (shard quarantine, re-sharding, checkpoint/resume), the supervisor
+// (a shard stopped by a connection fault continues on a fresh
+// connection; checkpoint/resume), the supervisor
 // adds the service layer around it — admission control with a bounded
 // queue and typed rejections, per-tenant rate budgets, deterministic
 // priority/fair-share dispatch, per-campaign virtual deadlines, a
@@ -755,8 +756,8 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 		case runErr == nil:
 			res := &Result{State: StateCompleted, Store: store, Stats: stats}
 			if len(stats.Quarantined) > 0 || len(stats.Incomplete) > 0 {
-				// Completed through recovery: the result stands, but the
-				// vantage misbehaved — that history feeds the breaker.
+				// Completed through shard restarts: the result stands, but
+				// the vantage misbehaved — that history feeds the breaker.
 				s.breakerFailure(j)
 			} else {
 				s.breaker.success(j.spec.Vantage)
@@ -778,27 +779,19 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 			encStart := time.Now()
 			art, ckErr := camp.AppendCheckpoint((*spare)[:0])
 			*spare = nil
-			if ckErr == nil {
-				s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
-				s.met.ckptBytes.Set(int64(len(art)))
+			if ckErr != nil {
+				s.breakerFailure(j)
+				s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
+				return
 			}
+			s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
+			s.met.ckptBytes.Set(int64(len(art)))
 			switch {
 			case s.isDraining():
-				if ckErr != nil {
-					// Quarantine-degraded mid-drain: nothing resumable to
-					// hand over; keep the partial results.
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
-					return
-				}
 				s.finalize(j, &Result{State: StateDrained, Reason: "drained", Store: camp.MergedStore(), Stats: stats, Artifact: art})
 				return
 			case fired:
 				s.met.watchdog.Inc()
-				if ckErr != nil {
-					s.breakerFailure(j)
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
-					return
-				}
 				if j.retries >= s.opt.MaxRetries {
 					s.breakerFailure(j)
 					s.finalize(j, &Result{State: StateIncomplete, Reason: "watchdog-exhausted", Store: camp.MergedStore(), Stats: stats})
@@ -821,15 +814,6 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 				// consumed and no backoff is taken; the continuation picks
 				// up from the exact probe boundary, so the final result
 				// stays byte-identical to an uninterrupted run.
-				if ckErr != nil {
-					// The interrupt landed on a quarantine-degraded run
-					// that cannot serialize; without an artifact the run
-					// cannot continue. Degrade like the watchdog's fatal
-					// path.
-					s.breakerFailure(j)
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
-					return
-				}
 				s.met.checkpoints.Inc()
 				if s.opt.CheckpointSink != nil {
 					sinkStart := time.Now()

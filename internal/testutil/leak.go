@@ -9,7 +9,7 @@ import (
 
 // NoGoroutineLeaks registers a cleanup that fails the test when it ends
 // with more goroutines than it started with. Campaign runs spawn shard
-// probers, bucket primers, recovery probers, and supervisor
+// probers and their restarts, bucket primers, and supervisor
 // workers; all of them must exit by the time the orchestrating call
 // returns, so a residue here is a real leak, not test noise. The check
 // polls briefly before judging, because exiting goroutines can still be

@@ -207,7 +207,7 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 		"sim_echo_replies_sent_total", "sim_errors_sent_total", "sim_fault_corrupted_total",
 		"sim_fault_crash_denials_total", "sim_fault_delayed_total", "sim_fault_stall_drops_total",
 		"sim_fault_transient_errs_total", "sim_fault_truncated_total", "sim_filtered_drops_total",
-		"sim_loss_dropped_total", "sim_packets_routed_total", "sim_port_unreach_sent_total",
+		"sim_loss_dropped_total", "sim_nd_silent_drops_total", "sim_packets_routed_total", "sim_port_unreach_sent_total",
 		"sim_rate_limit_dropped_total", "sim_tcp_rsts_sent_total", "sim_time_exceeded_sent_total",
 		"sim_unresponsive_drops_total",
 		"yarrp_batch_early_stops_total", "yarrp_drain_fastforwards_total", "yarrp_fill_probes_total",
