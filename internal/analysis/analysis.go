@@ -98,7 +98,7 @@ func ReachedTargetASNFraction(store *probe.Store, table *bgp.Table) float64 {
 	total, reached := 0, 0
 	tab := store.AddrTable()
 	for _, tr := range store.Traces() {
-		asn := table.Origin(tr.Target)
+		asn := table.Origin(tr.Target())
 		if asn == 0 {
 			continue
 		}

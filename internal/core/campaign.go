@@ -67,6 +67,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/perm"
 	"beholder/internal/probe"
 	"beholder/internal/sorted"
@@ -225,10 +226,12 @@ type shardState struct {
 	store    *probe.Store
 	prog     *telemetry.Progress
 	track    *ifaceTimes
-	stats    Stats
-	err      error        // last fatal connection fault (quarantines the shard)
-	rs       *shardResume // capture from an interrupted or failed run
-	done     bool
+	// reg is the registry prober publishes its counters into.
+	reg   *telemetry.Registry
+	stats Stats
+	err   error        // last fatal connection fault (quarantines the shard)
+	rs    *shardResume // capture from an interrupted or failed run
+	done  bool
 	// ready, when non-nil, parks the shard goroutine until the primer has
 	// imported the shard's window-start bucket snapshot (startPrimer).
 	ready chan struct{}
@@ -239,6 +242,14 @@ type shardState struct {
 // campaign discovers about as many interfaces again, so the table is
 // allocated once instead of doubling its way up while the shard probes.
 func shardAddrs(targets int) int { return 2 * targets }
+
+// shardHops sizes a fresh shard store's hop pieces: the TTL probes its
+// window [lo, hi) sends per target — the TTL span times the window's
+// share of the domain, rounded up. probe.NewShardStore holds it to its
+// piece range.
+func shardHops(targets int, lo, hi uint64) int {
+	return int((hi - lo + uint64(targets) - 1) / uint64(targets))
+}
 
 // NewCampaign creates a sharded campaign; validation happens in Run.
 func NewCampaign(cfg CampaignConfig, connOf ConnFactory) *Campaign {
@@ -354,7 +365,7 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if prev != nil {
 		ss.store, ss.track, ss.prog, ss.stats, ss.done, ss.err = prev.store, prev.track, prev.prog, prev.stats, prev.done, prev.err
 	} else {
-		ss.store = probe.NewStoreSized(cfg.RecordPaths, shardAddrs(len(cfg.Targets)))
+		ss.store = probe.NewShardStore(cfg.RecordPaths, shardAddrs(len(cfg.Targets)), shardHops(len(cfg.Targets), lo, hi))
 	}
 	if ss.track == nil && cfg.Shards > 1 {
 		ss.track = &ifaceTimes{}
@@ -403,7 +414,14 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 		ss.prog = telemetry.NewProgress(c.epoch, c.stepDur)
 	}
 	scfg.progress = ss.prog
-	ss.prober = New(ss.conn, scfg)
+	ss.prober, ss.reg = New(ss.conn, scfg), cfg.Telemetry
+	if prev != nil && prev.prober != nil && prev.reg != nil && prev.reg == cfg.Telemetry {
+		// The predecessor published into this registry already: its
+		// instruments count the totals the run resumes from, so the
+		// continuation carries them on instead of publishing those
+		// totals a second time.
+		ss.prober.cfg.telemetry, ss.prober.tel = prev.prober.cfg.telemetry, prev.prober.tel
+	}
 	return ss
 }
 
@@ -549,8 +567,7 @@ func (c *Campaign) probe(primer <-chan struct{}) (exhausted []*shardState) {
 func (c *Campaign) restart(ss *shardState) *shardState {
 	ss.conn = nil
 	ns := c.newShard(ss.index, ss.lo, ss.hi, ss.instance, ss)
-	y := ns.prober
-	y.cfg.Observer, y.cfg.telemetry, y.tel = ss.prober.cfg.Observer, ss.prober.cfg.telemetry, ss.prober.tel
+	ns.prober.cfg.Observer = ss.prober.cfg.Observer
 	return ns
 }
 
@@ -767,11 +784,11 @@ func mergeStoreTree(stores []*probe.Store) *probe.Store {
 	return stores[0]
 }
 
-// ifaceSeen is one interface address and the virtual instant a shard
-// first saw it at.
+// ifaceSeen is one interface address, as its key, and the virtual
+// instant a shard first saw it at: 24 pointer-free bytes.
 type ifaceSeen struct {
-	addr netip.Addr
-	at   time.Duration
+	key ipv6.U128
+	at  time.Duration
 }
 
 // ifaceTimes is a shard's first-seen list behind the progress interface
@@ -789,12 +806,12 @@ type ifaceTimes struct {
 
 // add records a's first sighting; the caller vouches that a is new.
 func (o *ifaceTimes) add(a netip.Addr, at time.Duration) {
-	o.seen = sorted.Append(o.seen, ifaceSeen{a, at})
+	o.seen = sorted.Append(o.seen, ifaceSeen{ipv6.FromAddr(a), at})
 }
 
 // sortedSeen returns the first sightings ascending by address.
 func (o *ifaceTimes) sortedSeen() []ifaceSeen {
-	sorted.Tail(o.seen, o.nSorted, func(a, b ifaceSeen) int { return a.addr.Compare(b.addr) })
+	sorted.Tail(o.seen, o.nSorted, func(a, b ifaceSeen) int { return a.key.Cmp(b.key) })
 	o.nSorted = len(o.seen)
 	return o.seen
 }
@@ -822,13 +839,13 @@ func firstSeenAt(tracks []*ifaceTimes) []time.Duration {
 		// every list that holds it; those lists advance past it.
 		low := lists[0][0]
 		for _, l := range lists[1:] {
-			if c := l[0].addr.Compare(low.addr); c < 0 || c == 0 && l[0].at < low.at {
+			if c := l[0].key.Cmp(low.key); c < 0 || c == 0 && l[0].at < low.at {
 				low = l[0]
 			}
 		}
 		live := lists[:0]
 		for _, l := range lists {
-			if l[0].addr == low.addr {
+			if l[0].key == low.key {
 				l = l[1:]
 			}
 			if len(l) > 0 {

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"time"
 
+	"beholder/internal/ipv6"
 	"beholder/internal/probe"
 	"beholder/internal/telemetry"
 )
@@ -253,8 +254,8 @@ func (ss *shardState) appendTo(buf []byte) []byte {
 		seen := ss.track.sortedSeen()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seen)))
 		for _, e := range seen {
-			a16 := e.addr.As16()
-			buf = append(buf, a16[:]...)
+			buf = binary.BigEndian.AppendUint64(buf, e.key.Hi)
+			buf = binary.BigEndian.AppendUint64(buf, e.key.Lo)
 			buf = appendDur(buf, e.at)
 		}
 	} else {
@@ -578,10 +579,10 @@ func (sec *sections) decodeShard(payload []byte) (*shardState, error) {
 	if r.u8() != 0 {
 		seen := make([]ifaceSeen, r.count(24))
 		for i := range seen {
-			seen[i] = ifaceSeen{addr: r.addr(), at: r.dur()}
+			seen[i] = ifaceSeen{key: ipv6.FromAddr(r.addr()), at: r.dur()}
 			// The encoder writes each interface once, ascending; the next
 			// checkpoint's index merge relies on it.
-			if i > 0 && seen[i-1].addr.Compare(seen[i].addr) >= 0 {
+			if i > 0 && seen[i-1].key.Cmp(seen[i].key) >= 0 {
 				r.fail("first-seen list out of order at entry %d", i)
 			}
 		}

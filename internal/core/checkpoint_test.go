@@ -353,7 +353,7 @@ func TestCheckpointErrors(t *testing.T) {
 	head := art[:len(art)-len(tail)-(9+len(sec.shards[0]))]
 	for name, mutate := range map[string]func(seen []ifaceSeen){
 		"swapped":    func(seen []ifaceSeen) { seen[0], seen[1] = seen[1], seen[0] },
-		"duplicated": func(seen []ifaceSeen) { seen[1].addr = seen[0].addr },
+		"duplicated": func(seen []ifaceSeen) { seen[1].key = seen[0].key },
 	} {
 		ss, err := sec.decodeShard(sec.shards[0])
 		if err != nil {

@@ -6,17 +6,19 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"beholder/internal/ipv6"
 )
 
 // firstSeenAtMap is the hash-set fold firstSeenAt replaced, kept as its
 // oracle: every sighting into a map keyed by address, keeping the
 // earliest instant, then the instants sorted.
 func firstSeenAtMap(tracks []*ifaceTimes) []time.Duration {
-	first := make(map[netip.Addr]time.Duration)
+	first := make(map[ipv6.U128]time.Duration)
 	for _, tr := range tracks {
 		for _, e := range tr.seen {
-			if cur, ok := first[e.addr]; !ok || e.at < cur {
-				first[e.addr] = e.at
+			if cur, ok := first[e.key]; !ok || e.at < cur {
+				first[e.key] = e.at
 			}
 		}
 	}

@@ -408,7 +408,7 @@ func (s *Source) applyFeedback(fb *core.Feedback) {
 	// Store iteration order is unspecified; attribution must not depend
 	// on it, so traces sort by target and each novel interface credits
 	// the first target (in that order) whose trace carries it.
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Target.Less(traces[j].Target) })
+	sort.Slice(traces, func(i, j int) bool { return traces[i].Target().Less(traces[j].Target()) })
 	novel := make(map[netip.Addr]struct{})
 	tab := fb.Store.AddrTable()
 	for _, tr := range traces {
@@ -425,7 +425,7 @@ func (s *Source) applyFeedback(fb *core.Feedback) {
 			count++
 		})
 		if count > 0 {
-			s.insertTo(tr.Target, count*s.cfg.RewardWeight, rewardDepth)
+			s.insertTo(tr.Target(), count*s.cfg.RewardWeight, rewardDepth)
 		}
 	}
 }
@@ -447,7 +447,7 @@ func (s *Source) AliasCandidates(st *probe.Store) []netip.Prefix {
 		if !tr.Reached {
 			continue
 		}
-		pfx, err := tr.Target.Prefix(64)
+		pfx, err := tr.Target().Prefix(64)
 		if err != nil {
 			continue
 		}

@@ -916,3 +916,45 @@ func TestOversizedEchoProbe(t *testing.T) {
 		t.Fatalf("reply type %d want echo reply", d.ICMPv6.Type)
 	}
 }
+
+// TestTiedRepliesKeepOrderAcrossExport: replies due at the same instant
+// are delivered in the order they were queued, so a queue rebuilt from
+// ExportPending — a resumed run's — delivers exactly what the original
+// would have, ties included. A, B and C are due at 5 ms and D at 1 ms;
+// once D is received, the three left are exported into a fresh vantage,
+// and E, due at 5 ms too, is queued into both.
+func TestTiedRepliesKeepOrderAcrossExport(t *testing.T) {
+	u := testUniverse(t)
+	orig := u.NewVantage(VantageSpec{Name: "ties", Kind: KindUniversity})
+	due := orig.Now() + 5*time.Millisecond
+	for _, c := range "ABC" {
+		orig.InjectReply(due, []byte{byte(c)})
+	}
+	orig.InjectReply(orig.Now()+time.Millisecond, []byte("D"))
+	orig.Sleep(time.Millisecond)
+	buf := make([]byte, 16)
+	if n, ok := orig.Recv(buf); !ok || string(buf[:n]) != "D" {
+		t.Fatalf("first delivery %q, %v; want D", buf[:n], ok)
+	}
+	resumed := u.NewVantage(VantageSpec{Name: "ties-resumed", Kind: KindUniversity})
+	orig.ExportPending(func(at time.Duration, data []byte) { resumed.InjectReply(at, data) })
+	order := func(v *Vantage) string {
+		v.InjectReply(due, []byte("E"))
+		v.Sleep(due - v.Now())
+		var got []byte
+		for {
+			n, ok := v.Recv(buf)
+			if !ok {
+				return string(got)
+			}
+			got = append(got, buf[:n]...)
+		}
+	}
+	want := order(orig)
+	if want != "ABCE" {
+		t.Fatalf("original vantage delivered %q, want ABCE (queue order among ties)", want)
+	}
+	if got := order(resumed); got != want {
+		t.Fatalf("re-injected vantage delivered %q, the original %q", got, want)
+	}
+}

@@ -82,7 +82,10 @@ type Vantage struct {
 	byKey []uint32
 
 	queue deliveryQueue
-	dec   wire.Decoded // scratch decoder reused across Send calls
+	// queued numbers the pushes onto queue, so replies due at the same
+	// instant come out in the order they were queued.
+	queued uint64
+	dec    wire.Decoded // scratch decoder reused across Send calls
 
 	// plans is the flow-plan table (plancache.go) this vantage reads
 	// and publishes into: the universe's table for the vantage's
@@ -877,7 +880,8 @@ func (v *Vantage) putBuf(bi int32) {
 // deliver enqueues n reply bytes held in pool buffer bi (ownership
 // transfers to the queue) for Recv at time t.
 func (v *Vantage) deliver(bi int32, n int, t time.Duration) {
-	v.queue.push(delivery{at: t, buf: bi, n: int32(n)})
+	v.queue.push(delivery{at: t, seq: v.queued, buf: bi, n: int32(n)})
+	v.queued++
 }
 
 // Recv copies the next reply whose delivery time has arrived into buf,
@@ -959,18 +963,28 @@ func (v *Vantage) InjectReply(at time.Duration, data []byte) {
 }
 
 // delivery is one scheduled reply: a pool buffer index plus its valid
-// length. Entries are unboxed, 16-byte, pointer-free values — no
-// interface conversions and no GC write barriers on the packet path.
+// length, and the vantage's number for the push that queued it. Entries
+// are unboxed, 24-byte, pointer-free values — no interface conversions
+// and no GC write barriers on the packet path.
 type delivery struct {
 	at  time.Duration
+	seq uint64
 	buf int32
 	n   int32
 }
 
-// deliveryQueue is a binary min-heap on arrival time, operated directly
-// on the slice. The sift order replicates container/heap exactly (strict
-// less-than comparisons, identical swap sequence), so replacing the boxed
-// heap changed no delivery order — not even among equal timestamps.
+// before orders deliveries by instant, and replies due at the same
+// instant by the order they were queued.
+func (d *delivery) before(o *delivery) bool {
+	return d.at < o.at || d.at == o.at && d.seq < o.seq
+}
+
+// deliveryQueue is a binary min-heap on (instant, push number), operated
+// directly on the slice. No two entries tie, so the heap pops one
+// sequence whatever its shape: a queue rebuilt from ExportPending — by
+// InjectReply, in the order it hands the replies back — delivers
+// exactly as the original would have, replies due at the same instant
+// included.
 type deliveryQueue []delivery
 
 func (q *deliveryQueue) push(it delivery) {
@@ -991,7 +1005,7 @@ func (q *deliveryQueue) pop() delivery {
 func (q deliveryQueue) up(j int) {
 	for j > 0 {
 		i := (j - 1) / 2
-		if q[i].at <= q[j].at {
+		if !q[j].before(&q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -1006,10 +1020,10 @@ func (q deliveryQueue) down(i, n int) {
 			return
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && q[j2].at < q[j1].at {
+		if j2 := j1 + 1; j2 < n && q[j2].before(&q[j1]) {
 			j = j2
 		}
-		if q[i].at <= q[j].at {
+		if !q[j].before(&q[i]) {
 			return
 		}
 		q[i], q[j] = q[j], q[i]

@@ -83,7 +83,7 @@ func addrOrder(s *Store) []addrEntry {
 	s.ForEachAddr(func(id uint32, iface bool, t *Trace) {
 		e := addrEntry{addr: s.AddrTable().Addr(id), iface: iface}
 		if t != nil {
-			e.target = t.Target
+			e.target = t.Target()
 		}
 		out = append(out, e)
 	})
@@ -165,9 +165,9 @@ func referenceMerge(s, src *Store) {
 		s.DestUnreachByCode[code] += n
 	}
 	remap := make([]uint32, src.tab.Len())
-	var into []*Trace
+	var into []uint32
 	if s.recordPaths {
-		into = make([]*Trace, len(src.traceIdx))
+		into = make([]uint32, len(src.traceIdx))
 	}
 	for id := range remap {
 		w := src.tab.Word(uint32(id))
@@ -182,18 +182,16 @@ func referenceMerge(s, src *Store) {
 		sid, sw := s.tab.Intern(a)
 		remap[id] = sid + 1
 		if w&ifaceBit != 0 {
-			s.markInterface(sw, a)
+			s.markInterface(sw, sid)
 		}
 		if n != 0 {
-			into[n-1] = s.traceAt(sw, a)
+			into[n-1] = s.traceAt(sw, ipv6.FromAddr(a))
 		}
 	}
-	for n, t := range into {
-		st := src.traceIn(uint32(n) + 1)
-		if t.hops == nil && len(st.hops) > 0 {
-			t.hops = s.hopList(len(st.hops))
-		}
-		for _, h := range st.hops {
+	for n, sn := range into {
+		st, t := src.row(uint32(n)), s.row(sn)
+		s.reserve(t, int(t.nHops)+int(st.nHops))
+		for _, h := range src.hopsOf(st) {
 			if t.HasTTL(h.ttl) {
 				continue
 			}
@@ -201,7 +199,7 @@ func referenceMerge(s, src *Store) {
 				sid, _ := s.tab.Intern(src.tab.Addr(h.id))
 				remap[h.id] = sid + 1
 			}
-			t.addHop(h.ttl, remap[h.id]-1)
+			s.addHop(t, h.ttl, remap[h.id]-1)
 		}
 		t.Reached = t.Reached || st.Reached
 		src.ForEachUnreach(st, func(code uint8, n int64) { s.addUnreach(t, code, n) })

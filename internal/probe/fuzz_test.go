@@ -164,18 +164,18 @@ func FuzzDecodeStore(f *testing.F) {
 			hops, last := 0, -1
 			s.ForEachHop(tr, func(ttl uint8, id uint32) {
 				if int(id) >= tab.Len() {
-					t.Fatalf("trace %s: hop id %d outside a table of %d", tr.Target, id, tab.Len())
+					t.Fatalf("trace %s: hop id %d outside a table of %d", tr.Target(), id, tab.Len())
 				}
 				if got, _, ok := tab.Find(tab.Addr(id)); !ok || got != id {
-					t.Fatalf("trace %s: hop id %d does not name its address %s", tr.Target, id, tab.Addr(id))
+					t.Fatalf("trace %s: hop id %d does not name its address %s", tr.Target(), id, tab.Addr(id))
 				}
 				if int(ttl) <= last || !tr.HasTTL(ttl) {
-					t.Fatalf("trace %s: hop TTL %d after %d, or missing from the TTL bitmap", tr.Target, ttl, last)
+					t.Fatalf("trace %s: hop TTL %d after %d, or missing from the TTL bitmap", tr.Target(), ttl, last)
 				}
 				hops, last = hops+1, int(ttl)
 			})
 			if hops > 0 && last != tr.PathLength() || hops == 0 && tr.PathLength() != 0 {
-				t.Fatalf("trace %s: last hop TTL %d, PathLength %d", tr.Target, last, tr.PathLength())
+				t.Fatalf("trace %s: last hop TTL %d, PathLength %d", tr.Target(), last, tr.PathLength())
 			}
 		}
 	})

@@ -28,28 +28,39 @@ type hop struct {
 	id  uint32
 }
 
-// Trace accumulates the responses attributable to one target.
+// Trace is one target's row in its store: everything the store keeps
+// about the responses attributable to the target, in 64 pointer-free
+// bytes. Rows live in slabs of traceBlock — one 4 096-byte allocation
+// each — that never move, so a *Trace stays valid for the store's life,
+// and the garbage collector never scans a row. The target is a key, and
+// the hops and unreachable counts are named by index into arenas of the
+// owning store: read them through Store.ForEachHop and
+// Store.ForEachUnreach.
 type Trace struct {
-	Target netip.Addr
-	// hops holds the Time-Exceeded sources in ascending TTL order, one per
-	// TTL: duplicate TTLs keep the first answer (Paris-stable flows make
-	// later answers identical in practice). The ids are the owning
-	// store's; read the hops through Store.ForEachHop.
-	hops []hop
-	// seen is a 256-bit bitmap of exactly the TTLs present in hops, so
-	// the per-reply duplicate check on the hot path is one word test
+	target ipv6.U128
+	// seen is a 256-bit bitmap of exactly the TTLs present in the hops,
+	// so the per-reply duplicate check on the hot path is one word test
 	// instead of a scan, and a new hop's place in the TTL-ordered list is
 	// the count of seen TTLs below it.
 	seen [4]uint64
+	// hops is the hopRef of the trace's piece of the store's hop arena,
+	// which holds its Time-Exceeded sources in ascending TTL order, one
+	// per TTL: duplicate TTLs keep the first answer (Paris-stable flows
+	// make later answers identical in practice). nHops of the piece's
+	// capHops entries are filled; capHops is zero until the first hop.
+	hops           uint32
+	nHops, capHops uint16
+	// unreach heads the trace's destination-unreachable counts: the index
+	// + 1 of its lowest-code entry in the owning store's unreach slab,
+	// zero when it has none.
+	unreach uint32
 	// Reached reports a destination-originated response (echo reply,
 	// port unreachable, RST) was received from the target itself.
 	Reached bool
-	// unreach heads the trace's destination-unreachable counts: the index
-	// + 1 of its lowest-code entry in the owning store's unreach slab,
-	// zero when it has none. Read the counts through
-	// Store.ForEachUnreach.
-	unreach uint32
 }
+
+// Target returns the address the trace belongs to.
+func (t *Trace) Target() netip.Addr { return t.target.Addr() }
 
 // unreachEntry is one destination-unreachable count of one trace: the
 // code, how many replies carried it, and the index + 1 of the trace's
@@ -65,22 +76,6 @@ type unreachEntry struct {
 // HasTTL reports whether a hop at ttl has been recorded.
 func (t *Trace) HasTTL(ttl uint8) bool {
 	return t.seen[ttl>>6]&(1<<(ttl&63)) != 0
-}
-
-// addHop files the hop (ttl, id) in TTL order unless ttl already has one.
-func (t *Trace) addHop(ttl uint8, id uint32) {
-	if t.HasTTL(ttl) {
-		return
-	}
-	w := ttl >> 6
-	i := bits.OnesCount64(t.seen[w] & (1<<(ttl&63) - 1))
-	for _, below := range t.seen[:w] {
-		i += bits.OnesCount64(below)
-	}
-	t.seen[w] |= 1 << (ttl & 63)
-	t.hops = append(t.hops, hop{})
-	copy(t.hops[i+1:], t.hops[i:])
-	t.hops[i] = hop{ttl: ttl, id: id}
 }
 
 // PathLength returns the highest responding TTL (the paper's path length
@@ -119,22 +114,28 @@ func (t *Trace) PathLength() int {
 // collecting and sorting keys on every encode. The index is sorted
 // lazily: each encode sorts only the entries appended since the previous
 // one and merges them into the sorted prefix.
+//
+// Nothing the store grows with its results holds a pointer — rows, hops,
+// unreachable entries, index entries and table slots are all plain
+// numbers — so however large a store gets, the garbage collector scans
+// no more of it than the short lists of its slabs and chunks.
 type Store struct {
 	recordPaths bool
 	tab         *ipv6.Table
 
-	// blocks holds every trace in creation order, in slabs of traceBlock:
-	// trace number n is blocks[n/traceBlock][n%traceBlock] (traceIn).
-	// The reply fold path therefore allocates once per traceBlock
-	// discovered targets, and trace pointers are stable for the store's
+	// blocks holds every trace row in creation order, in slabs of
+	// traceBlock: trace number n is blocks[n/traceBlock][n%traceBlock]
+	// (row). The reply fold path therefore allocates once per traceBlock
+	// discovered targets, and row pointers are stable for the store's
 	// lifetime.
-	blocks [][]Trace
+	blocks []*[traceBlock]Trace
 
-	// traceIdx and ifaceIdx are the canonical index: every trace, and
-	// every address whose word carries ifaceBit, each ascending up to its
-	// *Sorted mark and in creation order beyond it.
-	traceIdx     []*Trace
-	ifaceIdx     []netip.Addr
+	// traceIdx and ifaceIdx are the canonical index: the number of every
+	// trace, and the table id of every address whose word carries
+	// ifaceBit, each ascending by address up to its *Sorted mark and in
+	// creation order beyond it.
+	traceIdx     []uint32
+	ifaceIdx     []uint32
 	tracesSorted int
 	ifacesSorted int
 
@@ -142,13 +143,16 @@ type Store struct {
 	// Replies cluster by target (fill-mode follow-ups, the sequential
 	// baseline's per-destination bursts), so the memo removes the
 	// per-reply table probe for the common repeat case.
-	lastTarget netip.Addr
+	lastTarget ipv6.U128
 	lastTrace  *Trace
 
-	// hopSlab is handed out in hopPiece-hop pieces, so hop lists grow
-	// through a shared block instead of the 1-2-4-8 reallocation ladder
-	// per trace (hopList).
-	hopSlab []hop
+	// hopChunks is the hop arena every trace's hops live in: pieces are
+	// carved from the last chunk (hopUsed of its hops are taken), and a
+	// chunk never moves once made. A new trace's first piece holds piece
+	// hops; a full piece moves to one twice its size (addHop).
+	hopChunks [][]hop
+	hopUsed   int
+	piece     int
 
 	// sink keeps the gather passes' loads (Gather, Merge) from being
 	// optimised away.
@@ -178,26 +182,81 @@ const (
 	traceBlock        = 64
 )
 
-// A new hop list starts as a hopPiece-hop piece of a 64 KB slab that
-// holds hopChunk pieces; a piece covers the default randomized TTL
-// range, and deeper traces (fill mode) regrow normally.
+// The hop arena. A hopRef names a piece: its chunk's place in the arena
+// above hopRefBits, its offset in the chunk below. A store's chunks start
+// at hopChunkMin pieces and double up to hopChunk pieces, so a small
+// store allocates a few hundred bytes of hops, not a 64 KB slab. A piece
+// holds hopPiece hops unless the store was sized for fewer (NewShardStore),
+// at least minPiece; a piece that fills moves to one twice its size,
+// up to maxHops — one hop per TTL.
 const (
-	hopPiece = 16
-	hopChunk = 512
+	hopRefBits  = 13 // a chunk holds at most hopChunk*hopPiece = 1<<13 hops
+	hopChunkMin = 4
+	hopChunk    = 512
+	hopPiece    = 16
+	minPiece    = 4
+	maxHops     = 256
 )
 
-// hopList returns an empty hop list with room for n hops: a slab piece
-// while n fits one, a list of its own beyond.
-func (s *Store) hopList(n int) []hop {
-	if n > hopPiece {
-		return make([]hop, 0, n)
+// carve takes a piece of n hops from the arena and returns its hopRef.
+func (s *Store) carve(n int) uint32 {
+	k := len(s.hopChunks)
+	if k == 0 || len(s.hopChunks[k-1])-s.hopUsed < n {
+		pieces := hopChunkMin
+		if k > 0 {
+			pieces = min(2*len(s.hopChunks[k-1])/s.piece, hopChunk)
+		}
+		s.hopChunks = append(s.hopChunks, make([]hop, max(pieces*s.piece, n)))
+		s.hopUsed = 0
+		k++
 	}
-	if len(s.hopSlab) < hopPiece {
-		s.hopSlab = make([]hop, hopPiece*hopChunk)
+	ref := uint32(k-1)<<hopRefBits | uint32(s.hopUsed)
+	s.hopUsed += n
+	return ref
+}
+
+// hopsOf returns t's hops, in ascending TTL order, with the rest of its
+// piece as spare capacity; nil before its first hop.
+func (s *Store) hopsOf(t *Trace) []hop {
+	if t.capHops == 0 {
+		return nil
 	}
-	l := s.hopSlab[:0:hopPiece]
-	s.hopSlab = s.hopSlab[hopPiece:]
-	return l
+	c, off := s.hopChunks[t.hops>>hopRefBits], t.hops&(1<<hopRefBits-1)
+	return c[off : off+uint32(t.nHops) : off+uint32(t.capHops)]
+}
+
+// reserve makes room in t's piece for n hops: t keeps its piece if it
+// holds n, and otherwise moves to a new one of n hops, at least the
+// store's piece size.
+func (s *Store) reserve(t *Trace, n int) {
+	if n <= int(t.capHops) {
+		return
+	}
+	n = min(max(n, s.piece), maxHops)
+	old := s.hopsOf(t)
+	t.hops, t.capHops = s.carve(n), uint16(n)
+	copy(s.hopsOf(t), old)
+}
+
+// addHop files the hop (ttl, id) in t's TTL order unless ttl already has
+// one.
+func (s *Store) addHop(t *Trace, ttl uint8, id uint32) {
+	if t.HasTTL(ttl) {
+		return
+	}
+	w := ttl >> 6
+	i := bits.OnesCount64(t.seen[w] & (1<<(ttl&63) - 1))
+	for _, below := range t.seen[:w] {
+		i += bits.OnesCount64(below)
+	}
+	t.seen[w] |= 1 << (ttl & 63)
+	if t.nHops == t.capHops {
+		s.reserve(t, max(2*int(t.capHops), 1))
+	}
+	h := s.hopsOf(t)[:t.nHops+1]
+	copy(h[i+1:], h[i:])
+	h[i] = hop{ttl: ttl, id: id}
+	t.nHops++
 }
 
 // NewStore creates a result store. recordPaths enables per-target trace
@@ -209,9 +268,18 @@ func NewStore(recordPaths bool) *Store { return NewStoreSized(recordPaths, 0) }
 // NewStoreSized is NewStore with an address table that holds addrs
 // addresses — interfaces plus traced targets — before it first grows.
 func NewStoreSized(recordPaths bool, addrs int) *Store {
+	return NewShardStore(recordPaths, addrs, hopPiece)
+}
+
+// NewShardStore is NewStoreSized for a campaign shard whose window sends
+// about hops TTL probes per target: a trace's first hop piece holds that
+// many hops, held to [minPiece, hopPiece]. The size is a hint; it
+// changes no result.
+func NewShardStore(recordPaths bool, addrs, hops int) *Store {
 	return &Store{
 		recordPaths:       recordPaths,
 		tab:               ipv6.NewTable(addrs),
+		piece:             min(max(hops, minPiece), hopPiece),
 		DestUnreachByCode: make(map[uint8]int64),
 	}
 }
@@ -232,11 +300,11 @@ func (s *Store) Add(r Reply) (newInterface bool) {
 // foldSlot is what a fold knows of one reply before applying it: the
 // keys the reply files in the table, hashed — its source if it is a Time
 // Exceeded, its target if the store keeps traces and the reply names one
-// (zero otherwise) — and, after Gather, the target's trace as Gather
-// found it, nil if it had none yet.
+// (zero otherwise) — and, after Gather, the number + 1 of the target's
+// trace as Gather found it, zero if it had none yet.
 type foldSlot struct {
 	from, target ipv6.Hashed
-	trace        *Trace
+	trace        uint32
 }
 
 // keys fills f's keys for r.
@@ -260,11 +328,11 @@ type Gathered struct {
 
 // Gather, then fold. Yarrp6's permutation gives consecutive replies no
 // locality, so folding each into the store — its source's table slot,
-// its target's, the target's trace, then the trace's hop list — is a
+// its target's, the target's trace row, then the row's hop piece — is a
 // chain of cache misses, each load waiting on the one before it. Gather
 // loads what folding rs will read in passes instead: it hashes every
-// reply's keys once, loads their home slots, then the trace of each
-// target already filed, then that trace's hop list — loads independent
+// reply's keys once, loads their home slots, then the row of each
+// target already filed, then that row's hop piece — loads independent
 // of one another within a pass, so their misses overlap. It changes
 // nothing in the store; AddGathered then folds the replies one by one,
 // in order, finding their data in cache. A trace Gather found is a hint
@@ -293,17 +361,18 @@ func (s *Store) Gather(rs []Reply, g *Gathered) {
 				continue
 			}
 			if _, w, ok := s.tab.FindHashed(g.slots[i].target); ok {
-				g.slots[i].trace = s.traceIn(w)
+				g.slots[i].trace = w & traceMask
 			}
 		}
 		for i := range g.slots {
-			if t := g.slots[i].trace; t != nil {
-				acc += uint64(len(t.hops))
+			if t := s.traceIn(g.slots[i].trace); t != nil {
+				acc += uint64(t.hops)
 			}
 		}
 		for i := range g.slots {
-			if t := g.slots[i].trace; t != nil && len(t.hops) > 0 {
-				acc += uint64(t.hops[0].id) + uint64(t.hops[len(t.hops)-1].id)
+			if t := s.traceIn(g.slots[i].trace); t != nil && t.nHops > 0 {
+				h := s.hopsOf(t)
+				acc += uint64(h[0].id) + uint64(h[len(h)-1].id)
 			}
 		}
 	}
@@ -329,7 +398,7 @@ func (s *Store) apply(r *Reply, f *foldSlot) (newInterface bool) {
 	switch r.Kind {
 	case KindTimeExceeded:
 		s.TimeExceeded++
-		from, newInterface = s.addInterface(f.from, r.From)
+		from, newInterface = s.addInterface(f.from)
 	case KindEchoReply:
 		s.EchoReplies++
 	case KindTCPRst:
@@ -340,21 +409,18 @@ func (s *Store) apply(r *Reply, f *foldSlot) (newInterface bool) {
 	if !s.recordPaths || !r.Target.IsValid() {
 		return newInterface
 	}
-	t := s.lastTrace
-	if t == nil || s.lastTarget != r.Target {
-		if t = f.trace; t == nil || t.Target != r.Target {
+	t, key := s.lastTrace, f.target.Key
+	if t == nil || s.lastTarget != key {
+		if t = s.traceIn(f.trace); t == nil || t.target != key {
 			_, w := s.tab.InternHashed(f.target)
-			t = s.traceAt(w, r.Target)
+			t = s.row(s.traceAt(w, key))
 		}
-		if t.hops == nil {
-			t.hops = s.hopList(hopPiece)
-		}
-		s.lastTarget, s.lastTrace = r.Target, t
+		s.lastTarget, s.lastTrace = key, t
 	}
 	switch r.Kind {
 	case KindTimeExceeded:
 		if r.TTL != 0 {
-			t.addHop(r.TTL, from)
+			s.addHop(t, r.TTL, from)
 		}
 	case KindEchoReply, KindTCPRst:
 		t.Reached = true
@@ -400,56 +466,56 @@ func (s *Store) ForEachUnreach(t *Trace, fn func(code uint8, n int64)) {
 	}
 }
 
-// addInterface inserts a, whose hashed key is k, into the interface set
-// and returns its id and whether it was new: one table probe, the
-// verdict read off the slot it lands on.
-func (s *Store) addInterface(k ipv6.Hashed, a netip.Addr) (id uint32, added bool) {
+// addInterface inserts the address whose hashed key is k into the
+// interface set and returns its id and whether it was new: one table
+// probe, the verdict read off the slot it lands on.
+func (s *Store) addInterface(k ipv6.Hashed) (id uint32, added bool) {
 	id, w := s.tab.InternHashed(k)
-	return id, s.markInterface(w, a)
+	return id, s.markInterface(w, id)
 }
 
-// markInterface files the address a whose owner word is *w as an
-// interface, reporting whether it was not one yet.
-func (s *Store) markInterface(w *uint32, a netip.Addr) bool {
+// markInterface files the address with the given id, whose owner word is
+// *w, as an interface, reporting whether it was not one yet.
+func (s *Store) markInterface(w *uint32, id uint32) bool {
 	if *w&ifaceBit != 0 {
 		return false
 	}
 	*w |= ifaceBit
-	s.ifaceIdx = sorted.Append(s.ifaceIdx, a)
+	s.ifaceIdx = sorted.Append(s.ifaceIdx, id)
 	return true
 }
 
-// traceOf returns target's trace, creating an empty one (nil hops) on
-// first sight: one table probe either way.
-func (s *Store) traceOf(target netip.Addr) *Trace {
-	_, w := s.tab.Intern(target)
-	return s.traceAt(w, target)
-}
-
-// traceAt returns the trace of target, whose owner word is *w, creating
-// an empty one on first sight.
-func (s *Store) traceAt(w *uint32, target netip.Addr) *Trace {
-	if t := s.traceIn(*w); t != nil {
-		return t
+// traceAt returns the number of target's trace, whose owner word is *w,
+// creating an empty one on first sight.
+func (s *Store) traceAt(w *uint32, target ipv6.U128) uint32 {
+	if n := *w & traceMask; n != 0 {
+		return n - 1
 	}
 	n := uint32(len(s.traceIdx))
 	*w |= n + 1
 	if n%traceBlock == 0 {
-		s.blocks = append(s.blocks, make([]Trace, traceBlock))
+		s.blocks = append(s.blocks, new([traceBlock]Trace))
 	}
-	t := s.traceIn(*w)
-	t.Target = target
-	s.traceIdx = sorted.Append(s.traceIdx, t)
-	return t
+	s.row(n).target = target
+	s.traceIdx = sorted.Append(s.traceIdx, n)
+	return n
 }
+
+// row returns trace number n.
+func (s *Store) row(n uint32) *Trace { return &s.blocks[n/traceBlock][n%traceBlock] }
 
 // traceIn returns the trace a slot's owner word names, or nil.
 func (s *Store) traceIn(w uint32) *Trace {
-	n := w & traceMask
-	if n == 0 {
-		return nil
+	if n := w & traceMask; n != 0 {
+		return s.row(n - 1)
 	}
-	return &s.blocks[(n-1)/traceBlock][(n-1)%traceBlock]
+	return nil
+}
+
+// traceOf returns the trace of target, or nil.
+func (s *Store) traceOf(target ipv6.U128) *Trace {
+	_, w, _ := s.tab.FindHashed(ipv6.Hash(target))
+	return s.traceIn(w)
 }
 
 // Merge folds src into s. Campaign shards probe disjoint slices of the
@@ -478,9 +544,9 @@ func (s *Store) Merge(src *Store) {
 		s.DestUnreachByCode[code] += n
 	}
 	remap := make([]uint32, src.tab.Len()) // src id -> s id + 1; zero: not yet translated
-	var into []*Trace                      // src trace number -> s's trace
+	var into []uint32                      // src trace number -> s's
 	if s.recordPaths {
-		into = make([]*Trace, len(src.traceIdx))
+		into = make([]uint32, len(src.traceIdx))
 		// Room for every src entry up front, so the fold below appends
 		// into one allocation at most.
 		s.unreach = slices.Grow(s.unreach, len(src.unreach))
@@ -505,33 +571,31 @@ func (s *Store) Merge(src *Store) {
 		}
 		for j, k := range keys[:m] {
 			w := src.tab.Word(ids[j])
-			a := k.Key.Addr()
 			sid, sw := s.tab.InternHashed(k)
 			remap[ids[j]] = sid + 1
 			if w&ifaceBit != 0 {
-				s.markInterface(sw, a)
+				s.markInterface(sw, sid)
 			}
 			if n := w & traceMask; s.recordPaths && n != 0 {
-				into[n-1] = s.traceAt(sw, a)
+				into[n-1] = s.traceAt(sw, k.Key)
 			}
 		}
 	}
-	for n, t := range into {
-		st := src.traceIn(uint32(n) + 1)
-		if t.hops == nil && len(st.hops) > 0 {
-			t.hops = s.hopList(len(st.hops))
-		}
-		for _, h := range st.hops {
+	for n, sn := range into {
+		st, t := src.row(uint32(n)), s.row(sn)
+		// Room for every src hop at once: one move at most.
+		s.reserve(t, int(t.nHops)+int(st.nHops))
+		for _, h := range src.hopsOf(st) {
 			if t.HasTTL(h.ttl) {
 				continue
 			}
 			if remap[h.id] == 0 {
 				// A hop address that is no interface: only a decoded
 				// store holds one, and the pass above skipped it.
-				sid, _ := s.tab.Intern(src.tab.Addr(h.id))
+				sid, _ := s.tab.InternHashed(ipv6.Hash(src.tab.Key(h.id)))
 				remap[h.id] = sid + 1
 			}
-			t.addHop(h.ttl, remap[h.id]-1)
+			s.addHop(t, h.ttl, remap[h.id]-1)
 		}
 		t.Reached = t.Reached || st.Reached
 		src.ForEachUnreach(st, func(code uint8, n int64) { s.addUnreach(t, code, n) })
@@ -561,8 +625,8 @@ func (s *Store) Equal(o *Store) bool {
 	if len(s.ifaceIdx) != len(o.ifaceIdx) {
 		return false
 	}
-	for _, a := range s.ifaceIdx {
-		if !o.AddrSeen(a) {
+	for _, id := range s.ifaceIdx {
+		if _, w, _ := o.tab.FindHashed(ipv6.Hash(s.tab.Key(id))); w&ifaceBit == 0 {
 			return false
 		}
 	}
@@ -572,15 +636,17 @@ func (s *Store) Equal(o *Store) bool {
 	if len(s.traceIdx) != len(o.traceIdx) {
 		return false
 	}
-	for _, st := range s.traceIdx {
-		ot := o.Trace(st.Target)
+	for _, n := range s.traceIdx {
+		st := s.row(n)
+		ot := o.traceOf(st.target)
 		if ot == nil || st.Reached != ot.Reached || st.seen != ot.seen {
 			return false
 		}
 		// Equal TTL bitmaps line the TTL-ordered hop lists up entry for
 		// entry; each store's ids resolve through its own table.
-		for i, h := range st.hops {
-			if s.tab.Addr(h.id) != o.tab.Addr(ot.hops[i].id) {
+		oh := o.hopsOf(ot)
+		for i, h := range s.hopsOf(st) {
+			if s.tab.Key(h.id) != o.tab.Key(oh[i].id) {
 				return false
 			}
 		}
@@ -612,24 +678,33 @@ func (s *Store) AddrSeen(addr netip.Addr) bool {
 // own structures use it to avoid allocating the full slice Interfaces
 // returns.
 func (s *Store) ForEachInterface(fn func(netip.Addr)) {
-	for _, a := range s.ifaceIdx {
-		fn(a)
+	for _, id := range s.ifaceIdx {
+		fn(s.tab.Addr(id))
 	}
 }
 
 // Interfaces returns the discovered interface addresses, unordered. The
 // result is allocated exactly once at full size.
-func (s *Store) Interfaces() []netip.Addr { return slices.Clone(s.ifaceIdx) }
-
-// Trace returns the per-target record, or nil without path recording.
-func (s *Store) Trace(target netip.Addr) *Trace {
-	_, w, _ := s.tab.Find(target)
-	return s.traceIn(w)
+func (s *Store) Interfaces() []netip.Addr {
+	out := make([]netip.Addr, len(s.ifaceIdx))
+	for i, id := range s.ifaceIdx {
+		out[i] = s.tab.Addr(id)
+	}
+	return out
 }
 
+// Trace returns the per-target record, or nil without path recording.
+func (s *Store) Trace(target netip.Addr) *Trace { return s.traceOf(ipv6.FromAddr(target)) }
+
 // Traces returns all retained traces, unordered. The result is allocated
-// exactly once at full size.
-func (s *Store) Traces() []*Trace { return slices.Clone(s.traceIdx) }
+// exactly once at full size; the rows it points to never move.
+func (s *Store) Traces() []*Trace {
+	out := make([]*Trace, len(s.traceIdx))
+	for i, n := range s.traceIdx {
+		out[i] = s.row(n)
+	}
+	return out
+}
 
 // NumTraces returns how many targets have any recorded response.
 func (s *Store) NumTraces() int { return len(s.traceIdx) }
@@ -639,7 +714,7 @@ func (s *Store) NumTraces() int { return len(s.traceIdx) }
 // store's table. AddrTable().Addr resolves the id; a graph built on a
 // copy of the table (graph.FromStore) uses it as its node id.
 func (s *Store) ForEachHop(t *Trace, fn func(ttl uint8, id uint32)) {
-	for _, h := range t.hops {
+	for _, h := range s.hopsOf(t) {
 		fn(h.ttl, h.id)
 	}
 }

@@ -307,3 +307,33 @@ func TestUnreachAddAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceFootprint bounds what a stored trace costs on its own: 4 096
+// targets each answered once (one hop, TTL 1, through one of 16 routers)
+// into a store whose table is sized up front, so what is allocated is
+// the trace rows (64 bytes, in 4 096-byte slabs), the hop arena's
+// pieces, and the canonical index's trace numbers: 221 bytes a trace,
+// 128 of them the 16-hop piece.
+func TestTraceFootprint(t *testing.T) {
+	const traces, routers = 4096, 16
+	replies := make([]Reply, traces)
+	for i := range replies {
+		replies[i] = teReplyAt(addrN(10_000+i), addrN(i%routers), 1)
+	}
+	s := NewStoreSized(true, traces+routers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range replies {
+		s.Add(r)
+	}
+	runtime.ReadMemStats(&after)
+	if s.NumTraces() != traces || s.NumInterfaces() != routers {
+		t.Fatalf("fill stored %d traces, %d interfaces", s.NumTraces(), s.NumInterfaces())
+	}
+	perTrace := float64(after.TotalAlloc-before.TotalAlloc) / traces
+	t.Logf("%.1f bytes allocated per stored trace", perTrace)
+	if perTrace > 232 {
+		t.Fatalf("%.1f bytes allocated per stored trace, want <= 232", perTrace)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 	"slices"
 
 	"beholder/internal/ipv6"
@@ -25,17 +24,55 @@ var ErrStoreDecode = errors.New("probe: malformed store encoding")
 
 // canonicalize brings the canonical index into encoding order.
 func (s *Store) canonicalize() {
-	sorted.Tail(s.ifaceIdx, s.ifacesSorted, netip.Addr.Compare)
+	sortTail(s.ifaceIdx, s.ifacesSorted, s.tab.Key)
 	s.ifacesSorted = len(s.ifaceIdx)
-	sorted.Tail(s.traceIdx, s.tracesSorted, func(a, b *Trace) int { return a.Target.Compare(b.Target) })
+	sortTail(s.traceIdx, s.tracesSorted, func(n uint32) ipv6.U128 { return s.row(n).target })
 	s.tracesSorted = len(s.traceIdx)
+}
+
+// sortTail restores ascending key order on idx, whose first n entries
+// are already ascending: it sorts idx[n:] by key and merges it into the
+// prefix, like sorted.Tail. The tail's keys are gathered beside its
+// entries first, so the sort compares keys in hand instead of looking
+// every entry up again on every comparison; that scratch is the one
+// allocation, and only when there is a tail.
+func sortTail(idx []uint32, n int, key func(uint32) ipv6.U128) {
+	if len(idx) == n {
+		return
+	}
+	type keyed struct {
+		k ipv6.U128
+		e uint32
+	}
+	tail := make([]keyed, len(idx)-n)
+	for i, e := range idx[n:] {
+		tail[i] = keyed{key(e), e}
+	}
+	slices.SortFunc(tail, func(a, b keyed) int { return a.k.Cmp(b.k) })
+	// Merge from the back; the prefix entry in hand keeps its key.
+	i, j := n-1, len(tail)-1
+	var ki ipv6.U128
+	if i >= 0 {
+		ki = key(idx[i])
+	}
+	for k := len(idx) - 1; j >= 0; k-- {
+		if i >= 0 && ki.Cmp(tail[j].k) > 0 {
+			idx[k] = idx[i]
+			if i--; i >= 0 {
+				ki = key(idx[i])
+			}
+		} else {
+			idx[k] = tail[j].e
+			j--
+		}
+	}
 }
 
 // EncodedSize returns the exact length of the store's encoding.
 func (s *Store) EncodedSize() int {
 	n := 1 + 5*8 + 4 + 9*len(s.DestUnreachByCode) + 4 + 16*len(s.ifaceIdx) + 4 + 9*len(s.unreach)
-	for _, t := range s.traceIdx {
-		n += 16 + 1 + 4 + 17*len(t.hops) + 4
+	for _, tn := range s.traceIdx {
+		n += 16 + 1 + 4 + 17*int(s.row(tn).nHops) + 4
 	}
 	return n
 }
@@ -78,9 +115,8 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 	}
 
 	buf = appendU32(buf, uint32(len(s.ifaceIdx)))
-	for _, a := range s.ifaceIdx {
-		a16 := a.As16()
-		buf = append(buf, a16[:]...)
+	for _, id := range s.ifaceIdx {
+		buf = appendKey(buf, s.tab.Key(id))
 	}
 
 	// Hops are kept in TTL order, so they are written as they stand, each
@@ -89,25 +125,25 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 	// by id spares most hops the table's two dependent loads.
 	var cache [256]struct {
 		ref uint32 // id + 1; zero: empty
-		a16 [16]byte
+		k   ipv6.U128
 	}
 	buf = appendU32(buf, uint32(len(s.traceIdx)))
-	for _, t := range s.traceIdx {
-		t16 := t.Target.As16()
-		buf = append(buf, t16[:]...)
+	for _, tn := range s.traceIdx {
+		t := s.row(tn)
+		buf = appendKey(buf, t.target)
 		reached := byte(0)
 		if t.Reached {
 			reached = 1
 		}
 		buf = append(buf, reached)
-		buf = appendU32(buf, uint32(len(t.hops)))
-		for _, h := range t.hops {
+		buf = appendU32(buf, uint32(t.nHops))
+		for _, h := range s.hopsOf(t) {
 			e := &cache[h.id%uint32(len(cache))]
 			if e.ref != h.id+1 {
-				e.ref, e.a16 = h.id+1, s.tab.Addr(h.id).As16()
+				e.ref, e.k = h.id+1, s.tab.Key(h.id)
 			}
 			buf = append(buf, h.ttl)
-			buf = append(buf, e.a16[:]...)
+			buf = appendKey(buf, e.k)
 		}
 		// The chain runs in code order; its length is patched in after.
 		at, k := len(buf), uint32(0)
@@ -131,7 +167,7 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 // malformed input; every failure wraps ErrStoreDecode.
 func DecodeStore(data []byte) (*Store, error) {
 	r := byteReader{buf: data}
-	s := &Store{recordPaths: r.flag("path-recording")}
+	s := &Store{recordPaths: r.flag("path-recording"), piece: hopPiece}
 	s.TimeExceeded = r.i64()
 	s.EchoReplies = r.i64()
 	s.TCPRsts = r.i64()
@@ -142,11 +178,12 @@ func DecodeStore(data []byte) (*Store, error) {
 
 	// Ascending order makes every entry distinct, so the lists are the
 	// canonical index as they stand; the table is sized for both before
-	// either is filed in it.
-	s.ifaceIdx = make([]netip.Addr, r.count(16))
-	for i := range s.ifaceIdx {
-		s.ifaceIdx[i] = r.addr()
-		if i > 0 && s.ifaceIdx[i-1].Compare(s.ifaceIdx[i]) >= 0 {
+	// either is filed in it, and interface i gets id i.
+	nIfaces := r.count(16)
+	keys := make([]ipv6.U128, nIfaces)
+	for i := range keys {
+		keys[i] = r.key()
+		if i > 0 && keys[i-1].Cmp(keys[i]) >= 0 {
 			r.fail("interface %d out of order", i)
 		}
 	}
@@ -157,34 +194,39 @@ func DecodeStore(data []byte) (*Store, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	s.tab = ipv6.NewTable(len(s.ifaceIdx) + nTraces)
-	for _, a := range s.ifaceIdx {
-		_, w := s.tab.Intern(a)
+	s.tab = ipv6.NewTable(nIfaces + nTraces)
+	s.ifaceIdx = make([]uint32, nIfaces)
+	for i, k := range keys {
+		id, w := s.tab.InternHashed(ipv6.Hash(k))
 		*w |= ifaceBit
+		s.ifaceIdx[i] = id
 	}
-	s.ifacesSorted = len(s.ifaceIdx)
+	s.ifacesSorted = nIfaces
 
-	s.traceIdx = make([]*Trace, 0, nTraces)
+	s.traceIdx = make([]uint32, 0, nTraces)
+	var prev ipv6.U128
 	for i := 0; i < nTraces && r.err == nil; i++ {
-		target := r.addr()
-		if i > 0 && s.traceIdx[i-1].Target.Compare(target) >= 0 {
+		target := r.key()
+		if i > 0 && prev.Cmp(target) >= 0 {
 			r.fail("trace %d out of order", i)
 			break
 		}
-		t := s.traceOf(target)
+		prev = target
+		_, w := s.tab.InternHashed(ipv6.Hash(target))
+		t := s.row(s.traceAt(w, target))
 		t.Reached = r.flag("reached")
 		// Hop addresses are interned like the ones Add files, interfaces
 		// or not: a hop outside the interface list still decodes.
-		if nHops := r.count(17); nHops > 0 {
-			t.hops = s.hopList(nHops)
-			for j := 0; j < nHops && r.err == nil; j++ {
-				ttl, a := r.u8(), r.addr()
-				if j > 0 && t.hops[j-1].ttl >= ttl {
-					r.fail("trace %d: hop %d out of order", i, j)
-				}
-				id, _ := s.tab.Intern(a)
-				t.addHop(ttl, id)
+		nHops := r.count(17)
+		s.reserve(t, nHops)
+		for j, last := 0, -1; j < nHops && r.err == nil; j++ {
+			ttl, k := r.u8(), r.key()
+			if int(ttl) <= last {
+				r.fail("trace %d: hop %d out of order", i, j)
 			}
+			last = int(ttl)
+			id, _ := s.tab.InternHashed(ipv6.Hash(k))
+			s.addHop(t, ttl, id)
 		}
 		// Codes arrive ascending: each entry chains to the next one.
 		r.codes(func(code uint8, n int64) {
@@ -209,6 +251,11 @@ func appendU32(buf []byte, v uint32) []byte {
 
 func appendI64(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
+}
+
+// appendKey appends an address key as its 16 address bytes.
+func appendKey(buf []byte, k ipv6.U128) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(buf, k.Hi), k.Lo)
 }
 
 // byteReader is a bounds-checked cursor over an untrusted encoding. The
@@ -285,10 +332,12 @@ func (r *byteReader) count(elemMin int) int {
 	return int(v)
 }
 
-func (r *byteReader) addr() netip.Addr {
-	var a16 [16]byte
-	copy(a16[:], r.take(16))
-	return netip.AddrFrom16(a16)
+// key reads an address as its key.
+func (r *byteReader) key() ipv6.U128 {
+	if b := r.take(16); b != nil {
+		return ipv6.U128{Hi: binary.BigEndian.Uint64(b), Lo: binary.BigEndian.Uint64(b[8:])}
+	}
+	return ipv6.U128{}
 }
 
 // codes reads a counted (code, count) list, strictly ascending by code,

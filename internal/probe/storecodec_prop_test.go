@@ -48,7 +48,7 @@ func referenceEncode(s *Store) []byte {
 
 	targets := make([]netip.Addr, 0, s.NumTraces())
 	for _, t := range s.Traces() {
-		targets = append(targets, t.Target)
+		targets = append(targets, t.Target())
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
 	buf = appendU32(buf, uint32(len(targets)))

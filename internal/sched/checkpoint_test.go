@@ -148,6 +148,11 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	if g, ok := snap.Gauge("sched_checkpoint_bytes"); !ok || g != int64(len(artifacts[n-1])) {
 		t.Fatalf("sched_checkpoint_bytes = %d, last artifact has %d bytes", g, len(artifacts[n-1]))
 	}
+	// Each continuation publishes into the registry its predecessor
+	// published to: the campaign is counted once, not once per attempt.
+	if got := counterVal(t, snap, "yarrp_probes_sent_total"); got != res.Stats.ProbesSent {
+		t.Fatalf("yarrp_probes_sent_total = %d after %d checkpoint cycles, campaign sent %d", got, n, res.Stats.ProbesSent)
+	}
 	if !strings.Contains(stream, `"checkpoint"`) {
 		t.Fatal("no checkpoint event on the tenant stream")
 	}

@@ -75,7 +75,7 @@ type Result struct {
 // looser bounds for the same subnets.
 func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32) Result {
 	traces := store.Traces()
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Target.Less(traces[j].Target) })
+	sort.Slice(traces, func(i, j int) bool { return traces[i].Target().Less(traces[j].Target()) })
 
 	var res Result
 	// bound[target] = best (highest) inferred minimum prefix length.
@@ -89,11 +89,11 @@ func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32) Result {
 			if dpl > 64 {
 				dpl = 64 // subnets no more specific than /64 at the edge
 			}
-			if dpl > bound[a.Target] {
-				bound[a.Target] = dpl
+			if dpl > bound[a.Target()] {
+				bound[a.Target()] = dpl
 			}
-			if dpl > bound[b.Target] {
-				bound[b.Target] = dpl
+			if dpl > bound[b.Target()] {
+				bound[b.Target()] = dpl
 			}
 		}
 	}
@@ -102,8 +102,8 @@ func Discover(store *probe.Store, table *bgp.Table, vantageASN uint32) Result {
 	for _, t := range traces {
 		if lanPinned(store, t) {
 			res.IAHackCount++
-			if bound[t.Target] < 64 {
-				bound[t.Target] = 64
+			if bound[t.Target()] < 64 {
+				bound[t.Target()] = 64
 			}
 			// Record exact /64 candidates distinctly.
 		}
@@ -141,7 +141,7 @@ func lanPinned(store *probe.Store, t *probe.Trace) bool {
 		return false
 	}
 	a := store.AddrTable().Addr(last)
-	return ipv6.IID(a) == 1 && ipv6.SubnetPrefix64(a) == ipv6.SubnetPrefix64(t.Target)
+	return ipv6.IID(a) == 1 && ipv6.SubnetPrefix64(a) == ipv6.SubnetPrefix64(t.Target())
 }
 
 func lanPinnedAddr(store *probe.Store, target netip.Addr) bool {
@@ -152,8 +152,8 @@ func lanPinnedAddr(store *probe.Store, target netip.Addr) bool {
 // divergent tests one target pair per discoverByPathDiv's rules,
 // returning the pair's DPL when accepted.
 func divergent(store *probe.Store, a, b *probe.Trace, table *bgp.Table, vantageASN uint32) (int, bool) {
-	targetASNA := table.Origin(a.Target)
-	targetASNB := table.Origin(b.Target)
+	targetASNA := table.Origin(a.Target())
+	targetASNB := table.Origin(b.Target())
 	if targetASNA == 0 || targetASNB == 0 {
 		return 0, false
 	}
@@ -218,7 +218,7 @@ func divergent(store *probe.Store, a, b *probe.Trace, table *bgp.Table, vantageA
 		return 0, false
 	}
 
-	return ipv6.PairDPL(a.Target, b.Target), true
+	return ipv6.PairDPL(a.Target(), b.Target()), true
 }
 
 func hopMap(store *probe.Store, t *probe.Trace) map[int]netip.Addr {
