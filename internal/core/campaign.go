@@ -245,7 +245,7 @@ func shardAddrs(targets int) int { return 2 * targets }
 
 // shardHops sizes a fresh shard store's hop pieces: the TTL probes its
 // window [lo, hi) sends per target — the TTL span times the window's
-// share of the domain, rounded up. probe.NewShardStore holds it to its
+// share of the domain, rounded up. probe.NewStoreSized holds it to its
 // piece range.
 func shardHops(targets int, lo, hi uint64) int {
 	return int((hi - lo + uint64(targets) - 1) / uint64(targets))
@@ -365,7 +365,7 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if prev != nil {
 		ss.store, ss.track, ss.prog, ss.stats, ss.done, ss.err = prev.store, prev.track, prev.prog, prev.stats, prev.done, prev.err
 	} else {
-		ss.store = probe.NewShardStore(cfg.RecordPaths, shardAddrs(len(cfg.Targets)), shardHops(len(cfg.Targets), lo, hi))
+		ss.store = probe.NewStoreSized(cfg.RecordPaths, shardAddrs(len(cfg.Targets)), shardHops(len(cfg.Targets), lo, hi))
 	}
 	if ss.track == nil && cfg.Shards > 1 {
 		ss.track = &ifaceTimes{}
@@ -664,7 +664,8 @@ func (c *Campaign) mergeShards(all []*shardState) *probe.Store {
 	}
 	if c.keep {
 		for i := range stores {
-			clone := probe.NewStoreSized(c.cfg.RecordPaths, stores[i].AddrTable().Len())
+			// A clone gathers whole traces: pieces with room for every TTL.
+			clone := probe.NewStoreSized(c.cfg.RecordPaths, stores[i].AddrTable().Len(), int(c.cfg.MaxTTL))
 			clone.Merge(stores[i])
 			stores[i] = clone
 		}

@@ -301,7 +301,7 @@ func BenchmarkStoreFold(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			var g Gathered
 			for range b.N {
-				s := NewStoreSized(true, 2*targets)
+				s := NewStoreSized(true, 2*targets, hopPiece)
 				if mode == "add" {
 					for i := range rs {
 						s.Add(rs[i])
@@ -341,4 +341,39 @@ func BenchmarkStoreMerge(b *testing.B) {
 		right.Merge(shards[3])
 		left.Merge(right)
 	}
+}
+
+// BenchmarkStoreEncode encodes a store of the wide-serial replies (65 536
+// traces, about 1 M hops) as a periodic checkpoint would: "steady" again
+// and again with nothing added in between, "tail" once after the second
+// half of the replies arrived since the last encode, so the index tails
+// are sorted and merged first.
+func BenchmarkStoreEncode(b *testing.B) {
+	rs := wideSerialReplies(65536)
+	half := len(rs) / 2
+	fill := func(rs []Reply, s *Store) *Store {
+		for _, r := range rs {
+			s.Add(r)
+		}
+		return s
+	}
+	b.Run("steady", func(b *testing.B) {
+		s := fill(rs, NewStore(true))
+		buf := s.AppendBinary(nil)
+		b.ResetTimer()
+		for range b.N {
+			buf = s.AppendBinary(buf[:0])
+		}
+	})
+	b.Run("tail", func(b *testing.B) {
+		var buf []byte
+		for range b.N {
+			b.StopTimer()
+			s := fill(rs[:half], NewStore(true))
+			buf = s.AppendBinary(buf[:0])
+			fill(rs[half:], s)
+			b.StartTimer()
+			buf = s.AppendBinary(buf[:0])
+		}
+	})
 }

@@ -186,7 +186,7 @@ const (
 // above hopRefBits, its offset in the chunk below. A store's chunks start
 // at hopChunkMin pieces and double up to hopChunk pieces, so a small
 // store allocates a few hundred bytes of hops, not a 64 KB slab. A piece
-// holds hopPiece hops unless the store was sized for fewer (NewShardStore),
+// holds hopPiece hops unless the store was sized for fewer (NewStoreSized),
 // at least minPiece; a piece that fills moves to one twice its size,
 // up to maxHops — one hop per TTL.
 const (
@@ -263,19 +263,15 @@ func (s *Store) addHop(t *Trace, ttl uint8, id uint32) {
 // retention (needed for path analysis and subnet discovery); without it
 // only aggregate counters and the interface set are kept, which is what
 // pure discovery-power measurements need.
-func NewStore(recordPaths bool) *Store { return NewStoreSized(recordPaths, 0) }
+func NewStore(recordPaths bool) *Store { return NewStoreSized(recordPaths, 0, hopPiece) }
 
 // NewStoreSized is NewStore with an address table that holds addrs
-// addresses — interfaces plus traced targets — before it first grows.
-func NewStoreSized(recordPaths bool, addrs int) *Store {
-	return NewShardStore(recordPaths, addrs, hopPiece)
-}
-
-// NewShardStore is NewStoreSized for a campaign shard whose window sends
-// about hops TTL probes per target: a trace's first hop piece holds that
-// many hops, held to [minPiece, hopPiece]. The size is a hint; it
-// changes no result.
-func NewShardStore(recordPaths bool, addrs, hops int) *Store {
+// addresses — interfaces plus traced targets — before it first grows,
+// and hop pieces for traces that get about hops TTL probes each (a
+// campaign shard's window sends each target a share of its TTLs): a
+// trace's first piece holds that many hops, held to [minPiece,
+// hopPiece]. Both sizes are hints; they change no result.
+func NewStoreSized(recordPaths bool, addrs, hops int) *Store {
 	return &Store{
 		recordPaths:       recordPaths,
 		tab:               ipv6.NewTable(addrs),

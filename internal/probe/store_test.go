@@ -168,7 +168,7 @@ func TestStoreEqualDetectsDifferences(t *testing.T) {
 // up front holds exactly what an unsized one does.
 func TestStoreSelfMergeAndForeignAddresses(t *testing.T) {
 	replies := synthReplies(800, 7)
-	s, sized := NewStore(true), NewStoreSized(true, 4096)
+	s, sized := NewStore(true), NewStoreSized(true, 4096, hopPiece)
 	for _, r := range replies {
 		s.Add(r)
 		sized.Add(r)
@@ -177,7 +177,7 @@ func TestStoreSelfMergeAndForeignAddresses(t *testing.T) {
 	if !sized.Equal(s) || !bytes.Equal(sized.AppendBinary(nil), want) {
 		t.Fatal("a sized store differs from an unsized one")
 	}
-	if slots := sized.AddrTable().Slots(); slots != NewStoreSized(true, 4096).AddrTable().Slots() {
+	if slots := sized.AddrTable().Slots(); slots != NewStoreSized(true, 4096, hopPiece).AddrTable().Slots() {
 		t.Fatalf("a table sized for 4096 addresses grew to %d slots under %d", slots, sized.AddrTable().Len())
 	}
 
@@ -231,7 +231,7 @@ func TestHopFootprint(t *testing.T) {
 			replies = append(replies, teReplyAt(addrN(10_000+i), addrN(ttl), uint8(ttl)))
 		}
 	}
-	s := NewStoreSized(true, traces+ttls)
+	s := NewStoreSized(true, traces+ttls, hopPiece)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -271,7 +271,7 @@ func TestUnreachAddAllocs(t *testing.T) {
 		return Reply{Kind: KindDestUnreach, Code: code, From: addrN(2), Target: target(i)}
 	}
 	fill := func() *Store {
-		s := NewStoreSized(true, 2*traces)
+		s := NewStoreSized(true, 2*traces, hopPiece)
 		for i := 0; i < traces; i++ {
 			s.Add(teReplyAt(target(i), addrN(1), 1))
 		}
@@ -320,7 +320,7 @@ func TestTraceFootprint(t *testing.T) {
 	for i := range replies {
 		replies[i] = teReplyAt(addrN(10_000+i), addrN(i%routers), 1)
 	}
-	s := NewStoreSized(true, traces+routers)
+	s := NewStoreSized(true, traces+routers, hopPiece)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -24,48 +24,10 @@ var ErrStoreDecode = errors.New("probe: malformed store encoding")
 
 // canonicalize brings the canonical index into encoding order.
 func (s *Store) canonicalize() {
-	sortTail(s.ifaceIdx, s.ifacesSorted, s.tab.Key)
+	sorted.Tail(s.ifaceIdx, s.ifacesSorted, func(a, b uint32) int { return s.tab.Key(a).Cmp(s.tab.Key(b)) })
 	s.ifacesSorted = len(s.ifaceIdx)
-	sortTail(s.traceIdx, s.tracesSorted, func(n uint32) ipv6.U128 { return s.row(n).target })
+	sorted.Tail(s.traceIdx, s.tracesSorted, func(a, b uint32) int { return s.row(a).target.Cmp(s.row(b).target) })
 	s.tracesSorted = len(s.traceIdx)
-}
-
-// sortTail restores ascending key order on idx, whose first n entries
-// are already ascending: it sorts idx[n:] by key and merges it into the
-// prefix, like sorted.Tail. The tail's keys are gathered beside its
-// entries first, so the sort compares keys in hand instead of looking
-// every entry up again on every comparison; that scratch is the one
-// allocation, and only when there is a tail.
-func sortTail(idx []uint32, n int, key func(uint32) ipv6.U128) {
-	if len(idx) == n {
-		return
-	}
-	type keyed struct {
-		k ipv6.U128
-		e uint32
-	}
-	tail := make([]keyed, len(idx)-n)
-	for i, e := range idx[n:] {
-		tail[i] = keyed{key(e), e}
-	}
-	slices.SortFunc(tail, func(a, b keyed) int { return a.k.Cmp(b.k) })
-	// Merge from the back; the prefix entry in hand keeps its key.
-	i, j := n-1, len(tail)-1
-	var ki ipv6.U128
-	if i >= 0 {
-		ki = key(idx[i])
-	}
-	for k := len(idx) - 1; j >= 0; k-- {
-		if i >= 0 && ki.Cmp(tail[j].k) > 0 {
-			idx[k] = idx[i]
-			if i--; i >= 0 {
-				ki = key(idx[i])
-			}
-		} else {
-			idx[k] = tail[j].e
-			j--
-		}
-	}
 }
 
 // EncodedSize returns the exact length of the store's encoding.
