@@ -391,8 +391,8 @@ func (c *Campaign) newShard(index int, lo, hi uint64, instance uint8, prev *shar
 	if prev != nil {
 		// A live rewind hands back the interrupted shard's own connection
 		// — already at the captured instant, in-flight replies queued,
-		// buckets current — so the prober restores neither. A restart or
-		// a resume opens a fresh one at the captured instant.
+		// buckets current — so the prober restores neither. A restart, a
+		// resume or a failover opens a fresh one at the captured instant.
 		prev.rs.live = prev.conn != nil
 		scfg.resume, scfg.resumeStats = prev.rs, prev.stats
 		start = prev.rs.now - c.epoch
@@ -436,8 +436,8 @@ func (c *Campaign) Epoch() time.Duration { return c.epoch }
 // to call from any goroutine, any number of times, including before or
 // after the run; called before, no shard sends a probe (a shard
 // continued after a fault stops at once too). This is the supervision
-// hook — a watchdog that stops seeing Beat advance calls Interrupt,
-// checkpoints, and resumes on fresh connections.
+// hook — a watchdog that stops seeing Beat advance calls Interrupt and
+// continues the campaign with Rewind onto fresh connections.
 func (c *Campaign) Interrupt() { c.stop.Store(true) }
 
 // Beat returns the campaign's liveness heartbeat: a counter every

@@ -118,20 +118,26 @@ func (c *Campaign) checkpointable() error {
 }
 
 // Rewind returns a fresh campaign that continues this interrupted run
-// in-process — the same continuation Resume(Checkpoint(), ...) builds,
-// without the serialize/decode round trip. It is a hand-over of the
-// shard records themselves (stores, first-seen lists, progress samples,
-// captures, live connections), not a copy, so the receiver must not be
-// run, checkpointed, merged, or rewound again. Like a resumed one, the
-// continuation runs without observers; its live view is the progress
-// stream rc.ProgressWriter receives. Periodic checkpointing wants this
-// path: each snapshot cycle pays one serialization for the durable
-// artifact, not a second full decode just to keep running. The
-// continuation is byte-identical to the artifact round trip — both feed
-// Run the records as they stood at the same probe boundary.
+// in-process — the continuation Resume(Checkpoint(), ...) builds, without
+// the serialize/decode round trip. It hands over the shard records
+// themselves (stores, first-seen lists, progress samples, captures,
+// telemetry instruments), not a copy, so the receiver must not be run,
+// checkpointed, merged, or rewound again. A nil connOf keeps the live
+// connections and the campaign's own factory, as a periodic snapshot
+// does; a factory continues every unfinished shard on a fresh connection
+// from it, restoring the captured replies and bucket state, as a
+// failover does. Like a resumed one, the continuation runs without
+// observers, and it is byte-identical to the artifact round trip.
 func (c *Campaign) Rewind(rc ResumeConfig, connOf ConnFactory) (*Campaign, error) {
 	if err := c.checkpointable(); err != nil {
 		return nil, err
+	}
+	if connOf == nil {
+		connOf = c.connOf
+	} else {
+		for _, ss := range c.shards {
+			ss.conn = nil
+		}
 	}
 	cfg := c.cfg
 	rc.apply(&cfg)

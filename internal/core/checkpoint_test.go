@@ -111,100 +111,105 @@ func TestCheckpointBytePin(t *testing.T) {
 	}
 }
 
-// TestCampaignRewindChain drives the in-process continuation path the
-// scheduler's periodic checkpointing takes: an interrupted run folds no
+// TestCampaignRewindChain drives the two in-process continuations the
+// scheduler takes beside the artifact one, each as a chain of cuts. The
+// live chain is a periodic snapshot's: an interrupted run folds no
 // partial store unless asked, Checkpoint serializes the durable
-// artifact, and Rewind continues on the live connections —
-// no decode round trip, no fresh clones, stores and first-seen indexes
-// handed over rather than copied. Beside it runs the chain the hand-over
-// replaces, Resume(Checkpoint()) on a fresh universe at every cut: at
-// each cut the two must agree on the artifact bytes and the progress
-// series (whose interface counts derive from the first-seen instants), so a hand-over that aliased or dropped state
-// shows at the cut where it happens. The final results must be
-// byte-identical to the uninterrupted reference.
+// artifact, and Rewind(rc, nil) continues on the live connections — no
+// decode round trip, no fresh clones, stores and first-seen indexes
+// handed over rather than copied. The fresh-connection chain is a
+// failover's: Rewind onto fresh connections from a factory, which must
+// restore the captured replies and bucket state. Beside them runs
+// Resume(Checkpoint()) on a fresh universe at every cut: at each cut all
+// three must agree on the artifact bytes and the progress series (whose
+// interface counts derive from the first-seen instants), so a hand-over
+// that aliased or dropped state shows at the cut where it happens. The
+// final results must be byte-identical to the uninterrupted reference.
 func TestCampaignRewindChain(t *testing.T) {
 	const seed = 7171
 	targets := campaignTargets(t, seed, 61)
 	ref := ckptReference(t, seed, targets, 2, 64)
-
-	v := ckptVantage(seed)
 	cfg := campaignCfg(targets)
 	cfg.Batch = 64
-	var progress, progress2 bytes.Buffer
-	connOf := func(_ int, start time.Duration) probe.Conn { return v.Clone(start) }
 	cuts := []time.Duration{400 * time.Millisecond, 900 * time.Millisecond, 1400 * time.Millisecond}
-	ccfg := CampaignConfig{
-		Config: cfg, Shards: 2, RecordPaths: true,
-		Telemetry:      telemetry.NewRegistry(),
-		ProgressWriter: &progress,
-		InterruptAt:    cuts[0],
+	factory := func() ConnFactory {
+		v := ckptVantage(seed)
+		return func(_ int, start time.Duration) probe.Conn { return v.Clone(start) }
 	}
-	camp := NewCampaign(ccfg, connOf)
-	ccfg.Telemetry = telemetry.NewRegistry()
-	ccfg.ProgressWriter = &progress2
-	v2 := ckptVantage(seed)
-	decoded := NewCampaign(ccfg, func(_ int, start time.Duration) probe.Conn { return v2.Clone(start) })
+	type chain struct {
+		name     string
+		conns    ConnFactory
+		progress bytes.Buffer
+		camp     *Campaign
+		next     func(c *Campaign, conns ConnFactory, art []byte, rc ResumeConfig) (*Campaign, error)
+	}
+	chains := []*chain{
+		{name: "decoded", next: func(_ *Campaign, _ ConnFactory, art []byte, rc ResumeConfig) (*Campaign, error) {
+			return Resume(art, rc, factory())
+		}},
+		{name: "live", next: func(c *Campaign, _ ConnFactory, _ []byte, rc ResumeConfig) (*Campaign, error) {
+			return c.Rewind(rc, nil)
+		}},
+		{name: "fresh-connection", next: func(c *Campaign, conns ConnFactory, _ []byte, rc ResumeConfig) (*Campaign, error) {
+			return c.Rewind(rc, conns)
+		}},
+	}
+	for _, ch := range chains {
+		ch.conns = factory()
+		ch.camp = NewCampaign(CampaignConfig{
+			Config: cfg, Shards: 2, RecordPaths: true,
+			Telemetry:      telemetry.NewRegistry(),
+			ProgressWriter: &ch.progress,
+			InterruptAt:    cuts[0],
+		}, ch.conns)
+	}
 	for i := 0; ; i++ {
-		store, stats, err := camp.Run()
-		store2, stats2, err2 := decoded.Run()
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("cut %d: rewound chain: %v, decoded chain: %v", i, err, err2)
+		var decoded CampaignStats
+		var decodedArt []byte
+		finished := 0
+		for _, ch := range chains {
+			store, stats, err := ch.camp.Run()
+			if err == nil {
+				finished++
+				got := ckptRun{store: store, graph: graphNDJSON(t, store), progress: ch.progress.Bytes(), stats: stats}
+				assertRunsEqual(t, ch.name, got, ref)
+				continue
+			}
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("cut %d: %s chain: %v", i, ch.name, err)
+			}
+			if store != nil || ch.camp.MergedStore() == nil {
+				t.Fatalf("cut %d: %s chain: Run returned a merged store, or MergedStore none", i, ch.name)
+			}
+			// The durable artifact is cut on every path; it must stay
+			// decodable whichever way the run continues.
+			art, err := ch.camp.Checkpoint()
+			if err != nil {
+				t.Fatalf("cut %d: %s chain: checkpoint: %v", i, ch.name, err)
+			}
+			if _, err := InspectCheckpoint(art); err != nil {
+				t.Fatalf("cut %d: %s chain: artifact invalid: %v", i, ch.name, err)
+			}
+			if decodedArt == nil {
+				decoded, decodedArt = stats, art
+			} else if !slices.Equal(stats.Progress, decoded.Progress) {
+				t.Fatalf("cut %d: %s chain's partial progress series differs from the Resume(Checkpoint()) chain's", i, ch.name)
+			} else if !bytes.Equal(art, decodedArt) {
+				t.Fatalf("cut %d: %s chain's artifact differs from the Resume(Checkpoint()) chain's", i, ch.name)
+			}
+			rc := ResumeConfig{Telemetry: telemetry.NewRegistry(), ProgressWriter: &ch.progress}
+			if i+1 < len(cuts) {
+				rc.InterruptAt = cuts[i+1]
+			}
+			if ch.camp, err = ch.next(ch.camp, ch.conns, art, rc); err != nil {
+				t.Fatalf("cut %d: %s chain: continuing: %v", i, ch.name, err)
+			}
 		}
-		if err == nil {
-			got := ckptRun{store: store, graph: graphNDJSON(t, store), progress: progress.Bytes(), stats: stats}
-			assertRunsEqual(t, "rewound", got, ref)
-			got2 := ckptRun{store: store2, graph: graphNDJSON(t, store2), progress: progress2.Bytes(), stats: stats2}
-			assertRunsEqual(t, "decoded", got2, ref)
+		if finished == len(chains) {
 			break
 		}
-		if !errors.Is(err, ErrInterrupted) || !errors.Is(err2, ErrInterrupted) {
-			t.Fatalf("cut %d: %v / %v", i, err, err2)
-		}
-		if store != nil {
-			t.Fatalf("cut %d: interrupted run returned a merged store", i)
-		}
-		if camp.MergedStore() == nil {
-			t.Fatalf("cut %d: MergedStore returned nil after an interrupt", i)
-		}
-		if !slices.Equal(stats.Progress, stats2.Progress) {
-			t.Fatalf("cut %d: partial progress series differs between the chains", i)
-		}
-		// The durable artifact is still cut here on the periodic path;
-		// it must stay decodable even though the continuation is live.
-		art, err := camp.Checkpoint()
-		if err != nil {
-			t.Fatalf("cut %d: checkpoint: %v", i, err)
-		}
-		if _, err := InspectCheckpoint(art); err != nil {
-			t.Fatalf("cut %d: artifact invalid: %v", i, err)
-		}
-		art2, err := decoded.Checkpoint()
-		if err != nil {
-			t.Fatalf("cut %d: decoded chain checkpoint: %v", i, err)
-		}
-		if !bytes.Equal(art, art2) {
-			t.Fatalf("cut %d: rewound chain's artifact differs from the Resume(Checkpoint()) chain's", i)
-		}
-		next := time.Duration(0)
-		if i+1 < len(cuts) {
-			next = cuts[i+1]
-		}
-		camp, err = camp.Rewind(ResumeConfig{
-			Telemetry:      telemetry.NewRegistry(),
-			ProgressWriter: &progress,
-			InterruptAt:    next,
-		}, connOf)
-		if err != nil {
-			t.Fatalf("cut %d: rewind: %v", i, err)
-		}
-		fresh := ckptVantage(seed)
-		decoded, err = Resume(art2, ResumeConfig{
-			Telemetry:      telemetry.NewRegistry(),
-			ProgressWriter: &progress2,
-			InterruptAt:    next,
-		}, func(_ int, start time.Duration) probe.Conn { return fresh.Clone(start) })
-		if err != nil {
-			t.Fatalf("cut %d: resume: %v", i, err)
+		if finished > 0 {
+			t.Fatalf("cut %d: %d of %d chains finished", i, finished, len(chains))
 		}
 	}
 }

@@ -44,12 +44,24 @@ type eqVariant struct {
 	cuts          []eqCut
 }
 
-// eqCut interrupts a run at a virtual instant; the run continues by
-// Resume(Checkpoint()) on a fresh identically seeded universe, or else
-// by Rewind on the live connections.
+// eqCut interrupts a run at a virtual instant; the run continues as its
+// kind says.
 type eqCut struct {
-	at     time.Duration
-	resume bool
+	at   time.Duration
+	kind cutKind
+}
+
+// cutKind is how a run continues after a cut.
+type cutKind uint8
+
+const (
+	cutRewind   cutKind = iota // Rewind(rc, nil): on the live connections
+	cutFailover                // Rewind onto fresh connections from the draw's factory
+	cutResume                  // Resume(Checkpoint()) on a fresh identically seeded universe
+)
+
+func (k cutKind) String() string {
+	return [...]string{"Rewind cut", "Failover cut", "Resume cut"}[k]
 }
 
 func (d eqDraw) String() string {
@@ -87,7 +99,7 @@ func grid(shards, batches []int, cuts ...time.Duration) []eqVariant {
 				out = append(out, eqVariant{shards: s, batch: b})
 			}
 			for _, at := range cuts {
-				out = append(out, eqVariant{shards: s, batch: b, cuts: []eqCut{{at, true}}})
+				out = append(out, eqVariant{shards: s, batch: b, cuts: []eqCut{{at, cutResume}}})
 			}
 		}
 	}
@@ -128,7 +140,7 @@ var matrixRows = func() map[string]eqDraw {
 		"TestCampaignCheckpointResumeMatrix": row1213(grid([]int{1, 2, 4}, []int{1, 64}, 600*ms, 1600*ms)),
 		// Two resumes compose.
 		"TestCampaignCheckpointChain": {seed: 4242, targets: 61, cfg: campaignCfg(nil), exact: true,
-			variants: []eqVariant{{shards: 2, batch: 64, cuts: []eqCut{{400 * ms, true}, {900 * ms, true}}}}},
+			variants: []eqVariant{{shards: 2, batch: 64, cuts: []eqCut{{400 * ms, cutResume}, {900 * ms, cutResume}}}}},
 		// Fill mode past rate-limit saturation, exact at every shard count
 		// on this seed: 48 × 12 slots at 8 kpps span 72 ms.
 		"TestCampaignSaturationMatrix": {seed: 907, saturate: true, targets: 48, cfg: saturationCfg(nil), exact: true,
@@ -194,7 +206,7 @@ func equivalenceDraws() []eqDraw {
 			}
 			slices.Sort(ats)
 			for _, at := range slices.Compact(ats) {
-				vr.cuts = append(vr.cuts, eqCut{at, rng.Intn(2) == 0})
+				vr.cuts = append(vr.cuts, eqCut{at, cutKind(rng.Intn(3))})
 			}
 			d.variants = append(d.variants, vr)
 		}
@@ -206,7 +218,8 @@ func equivalenceDraws() []eqDraw {
 // TestCampaignEquivalence is the campaign's determinism contract (see
 // the package comment) as one property. Every variant of every draw —
 // shard count, send batch, plan table on or off, any chain of
-// interrupts continued by Rewind or by Resume on a fresh universe —
+// interrupts continued by Rewind on the live connections or onto fresh
+// ones, or by Resume on a fresh universe —
 // equals the serial reference run (1 shard, batch 1, table on,
 // uninterrupted) in store bytes, graph export, progress stream and
 // counters. The documented exceptions compare against the uninterrupted
@@ -258,7 +271,7 @@ func assertCoverage(t *testing.T, draws []eqDraw) (variants, cuts int) {
 				if !d.lands(c) {
 					continue
 				}
-				seen[map[bool]string{true: "Resume cut", false: "Rewind cut"}[c.resume]]++
+				seen[c.kind.String()]++
 				if c.at > d.span() {
 					seen["drain-tail cut"]++
 				}
@@ -268,7 +281,7 @@ func assertCoverage(t *testing.T, draws []eqDraw) (variants, cuts int) {
 	for _, regime := range []string{"1 shards", "2 shards", "3 shards", "4 shards",
 		fmt.Sprintf("proto %d", wire.ProtoICMPv6), fmt.Sprintf("proto %d", wire.ProtoUDP), fmt.Sprintf("proto %d", wire.ProtoTCP),
 		"saturated fill=true", "saturated fill=false", "neighborhood heuristic", "table off",
-		"Rewind cut", "Resume cut", "drain-tail cut"} {
+		cutRewind.String(), cutFailover.String(), cutResume.String(), "drain-tail cut"} {
 		if seen[regime] == 0 {
 			t.Errorf("no draw covers %s", regime)
 		}
@@ -350,7 +363,9 @@ func (d eqDraw) run(t *testing.T, vr eqVariant, art []byte, tap *probeTap) (ckpt
 			rc.InterruptAt = vr.cuts[i].at
 		}
 		switch {
-		case camp != nil && !vr.cuts[i-1].resume:
+		case camp != nil && vr.cuts[i-1].kind == cutRewind:
+			camp, err = camp.Rewind(rc, nil)
+		case camp != nil && vr.cuts[i-1].kind == cutFailover:
 			camp, err = camp.Rewind(rc, conns)
 		case art != nil:
 			open()

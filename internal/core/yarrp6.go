@@ -312,10 +312,10 @@ type shardResume struct {
 	// interrupt.
 	simState []byte
 	// live marks an in-process continuation on the very connection the
-	// state was captured from (Campaign.Rewind): the pending replies are
-	// still queued and the simulator state is still current, so the
-	// restore skips re-injection and import — both would be redundant,
-	// and injecting would duplicate the in-flight replies.
+	// state was captured from (Campaign.Rewind with a nil factory): the
+	// pending replies are still queued and the simulator state is still
+	// current, so the restore skips re-injection and import — both would
+	// be redundant, and injecting would duplicate the in-flight replies.
 	live bool
 }
 

@@ -610,6 +610,38 @@ func TestResetStateFlushesPendingDeltas(t *testing.T) {
 	}
 }
 
+// TestVantageListBounded: a daemon clones vantages for every campaign
+// and never resets its universe, so registration itself drops collected
+// entries from the weak vantage list: however many rounds of clones are
+// made and dropped, the list stays within twice a round.
+func TestVantageListBounded(t *testing.T) {
+	const round = 256
+	u := testUniverse(t)
+	v := u.NewVantage(VantageSpec{Name: "churn", Kind: KindUniversity, ChainLen: 3})
+	for range 16 {
+		for range round {
+			v.Clone(0)
+		}
+		runtime.GC()
+	}
+	for range round {
+		v.Clone(0)
+	}
+	u.vantMu.Lock()
+	n, c := len(u.vantages), cap(u.vantages)
+	u.vantMu.Unlock()
+	if n > 2*round || c > 4*round {
+		t.Fatalf("vantage list holds %d entries (capacity %d) after %d clones in rounds of %d", n, c, 17*round, round)
+	}
+	// Reset still flushes and compacts what is left.
+	runtime.GC()
+	u.ResetState()
+	if n := len(u.vantages); n > 2 {
+		t.Fatalf("%d vantage entries survive a reset with one vantage alive", n)
+	}
+	runtime.KeepAlive(v)
+}
+
 // TestSimStatsCounterList: simCounters, which the pending flush, Sub,
 // StatsSnapshot and Each walk, lists every int64 field of SimStats
 // exactly once, in declaration order, under distinct metric stems — a

@@ -35,6 +35,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,7 +116,7 @@ type Universe struct {
 	// ResetState must flush their pending stat deltas before zeroing
 	// Stats, but bench loops create a fresh vantage per Reset and a
 	// strong registry would pin every dead one (with its buffer pools)
-	// for the universe's lifetime. Dead entries are compacted on reset.
+	// for the universe's lifetime. A full list or a reset drops dead entries.
 	vantMu     sync.Mutex
 	vantages   []weak.Pointer[Vantage]
 	vantSerial uint32 // last serial handed to a vantage (plan publisher mark)
@@ -289,30 +290,36 @@ func (u *Universe) SetFaults(f *faultsim.Config) { u.cfg.Faults = f }
 func (u *Universe) ResetState() {
 	u.clock.reset()
 	u.vantMu.Lock()
-	live := u.vantages[:0]
+	u.compactVantages()
 	for _, wp := range u.vantages {
-		v := wp.Value()
-		if v == nil {
-			continue // collected; compact it away
+		if v := wp.Value(); v != nil {
+			v.FlushStats()
 		}
-		v.FlushStats()
-		live = append(live, wp)
 	}
-	clear(u.vantages[len(live):])
-	u.vantages = live
 	u.vantMu.Unlock()
 	u.Stats = SimStats{}
 }
 
 // registerVantage weakly tracks a vantage for ResetState's pending-delta
-// flush and gives it its serial. NewVantage and Clone call it; entries whose vantage has been
-// collected are compacted on the next reset.
+// flush and gives it its serial. NewVantage and Clone call it. A daemon
+// clones for every campaign and never resets, so a full list drops its
+// collected entries, then keeps room for as many again, before it grows.
 func (u *Universe) registerVantage(v *Vantage) {
 	u.vantMu.Lock()
 	u.vantSerial++
 	v.serial = u.vantSerial
+	if len(u.vantages) == cap(u.vantages) {
+		u.compactVantages()
+		u.vantages = slices.Grow(u.vantages, len(u.vantages))
+	}
 	u.vantages = append(u.vantages, weak.Make(v))
 	u.vantMu.Unlock()
+}
+
+// compactVantages drops the entries whose vantage has been collected;
+// vantMu must be held.
+func (u *Universe) compactVantages() {
+	u.vantages = slices.DeleteFunc(u.vantages, func(wp weak.Pointer[Vantage]) bool { return wp.Value() == nil })
 }
 
 // StatsSnapshot returns a consistent copy of the universe event counters

@@ -61,17 +61,28 @@ func periodicSpec(seed int64, name string) CampaignSpec {
 	return spec
 }
 
+// periodic is one periodicRun: the campaign's result, spec and tenant
+// stream, a copy of every artifact the sink saw, and the universe it
+// probed.
+type periodic struct {
+	res       *Result
+	spec      CampaignSpec
+	stream    string
+	artifacts [][]byte
+	u         *netsim.Universe
+}
+
 // periodicRun drives periodicSpec through a single-worker supervisor
 // snapshotting every `every` (0: never) on a universe faulted by fc
-// (nil: none) and returns its result, its tenant stream, and a copy of
-// every artifact the sink saw. The watchdog never fires: only the
-// checkpoint timer may interrupt.
-func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry, fc *faultsim.Config) (*Result, CampaignSpec, string, [][]byte) {
+// (nil: none). The watchdog never fires: only the checkpoint timer may
+// interrupt.
+func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.Registry, fc *faultsim.Config) periodic {
 	t.Helper()
 	clk := newFakeClock()
 	var mu sync.Mutex
 	var artifacts [][]byte
-	s, err := newSupervisor(newTestEnv(seed, fc).slowOpener(clk), Options{
+	env := newTestEnv(seed, fc)
+	s, err := newSupervisor(env.slowOpener(clk), Options{
 		Tenants:         []Tenant{{Name: "acme"}},
 		Workers:         1,
 		StallBudget:     30 * time.Second,
@@ -112,7 +123,7 @@ func periodicRun(t *testing.T, seed int64, every time.Duration, reg *telemetry.R
 	drainAll(t, s)
 	mu.Lock()
 	defer mu.Unlock()
-	return res, spec, stream.String(), artifacts
+	return periodic{res, spec, stream.String(), artifacts, env.u}
 }
 
 // TestPeriodicCheckpoint pins the periodic-checkpoint cycle: a
@@ -126,7 +137,8 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 1310
 	reg := telemetry.NewRegistry()
-	res, spec, stream, artifacts := periodicRun(t, seed, 25*time.Millisecond, reg, nil)
+	run := periodicRun(t, seed, 25*time.Millisecond, reg, nil)
+	res, artifacts := run.res, run.artifacts
 	n := len(artifacts)
 	if n < 3 {
 		t.Fatalf("%d periodic checkpoints reached the sink, want enough to reuse a buffer", n)
@@ -150,14 +162,12 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	}
 	// Each continuation publishes into the registry its predecessor
 	// published to: the campaign is counted once, not once per attempt.
-	if got := counterVal(t, snap, "yarrp_probes_sent_total"); got != res.Stats.ProbesSent {
-		t.Fatalf("yarrp_probes_sent_total = %d after %d checkpoint cycles, campaign sent %d", got, n, res.Stats.ProbesSent)
-	}
-	if !strings.Contains(stream, `"checkpoint"`) {
+	assertCountedOnce(t, snap, res.Stats.Stats)
+	if !strings.Contains(run.stream, `"checkpoint"`) {
 		t.Fatal("no checkpoint event on the tenant stream")
 	}
 
-	solo, _, err := soloRun(t, seed, nil, spec)
+	solo, _, err := soloRun(t, seed, nil, run.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,27 +180,34 @@ func TestPeriodicCheckpoint(t *testing.T) {
 // interrupt, so a periodically checkpointed campaign whose shard 0 host
 // dies mid-window keeps checkpointing and completes. Its store equals
 // the same campaign without snapshots and the fault-free run, and the
-// crash still shows in Quarantined. A drain taken after the crash hands
-// over an artifact whose resubmission completes byte-equal to the bare
-// run.
+// crash still shows in Quarantined. Snapshots continue on the campaign's
+// own connection factory, so the restart lands on a fresh clone the
+// crash rule does not arm: the universe denies one send with snapshots,
+// as without. A drain taken after the crash hands over an artifact whose
+// resubmission completes byte-equal to the bare run.
 func TestPeriodicCheckpointSurvivesCrash(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 7
 	fc := &faultsim.Config{Seed: 0xc4a05, Rules: []faultsim.Rule{
 		{Vantage: "US-EDU-1", Shard: 0, Kind: faultsim.KindCrash, At: 300 * time.Millisecond},
 	}}
-	res, spec, _, artifacts := periodicRun(t, seed, 25*time.Millisecond, nil, fc)
-	if len(artifacts) < 3 {
-		t.Fatalf("%d periodic checkpoints reached the sink", len(artifacts))
+	run := periodicRun(t, seed, 25*time.Millisecond, nil, fc)
+	res := run.res
+	if len(run.artifacts) < 3 {
+		t.Fatalf("%d periodic checkpoints reached the sink", len(run.artifacts))
 	}
 	if !slices.Equal(res.Stats.Quarantined, []int{0}) || len(res.Stats.Incomplete) != 0 {
 		t.Fatalf("quarantined %v, incomplete %v; want [0] and none", res.Stats.Quarantined, res.Stats.Incomplete)
 	}
-	plain, _, _, _ := periodicRun(t, seed, 0, nil, fc)
-	if !bytes.Equal(res.Store.AppendBinary(nil), plain.Store.AppendBinary(nil)) {
+	plain := periodicRun(t, seed, 0, nil, fc)
+	if !bytes.Equal(res.Store.AppendBinary(nil), plain.res.Store.AppendBinary(nil)) {
 		t.Fatal("checkpointed crash run differs from the same run without snapshots")
 	}
-	clean, _, err := soloRun(t, seed, nil, spec)
+	with, without := run.u.StatsSnapshot().FaultCrashDenials, plain.u.StatsSnapshot().FaultCrashDenials
+	if with != 1 || without != 1 {
+		t.Fatalf("crash denials: %d with snapshots, %d without; want 1 each", with, without)
+	}
+	clean, _, err := soloRun(t, seed, nil, run.spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,19 @@
 // priority/fair-share dispatch, per-campaign virtual deadlines, a
 // wall-clock watchdog that interrupts wedged campaigns through the
 // heartbeat core exposes (Campaign.Beat), automatic failover that
-// checkpoints on interrupt and resumes through core.Resume with capped
-// exponential backoff and a bounded retry budget, and a per-vantage
-// circuit breaker that quarantines persistently faulty vantages
-// instead of letting them wedge the service.
+// rewinds the campaign onto fresh connections with capped exponential
+// backoff and a bounded retry budget, and a per-vantage circuit breaker
+// that quarantines persistently faulty vantages instead of letting them
+// wedge the service.
 //
 // The supervision layer is deliberately invisible in the results: a
 // supervised campaign's store is byte-identical to the same campaign
 // run bare, because everything the supervisor does — interrupt,
-// checkpoint, back off, resume on fresh connections — commutes with
+// snapshot, back off, continue on fresh connections — commutes with
 // the deterministic virtual-time schedule (the chaos soak pins this
-// under concurrent crash/stall/transient faults). Graceful shutdown
-// drains running campaigns to checkpoint artifacts that a restarted
-// supervisor resumes byte-identically.
+// under concurrent crash/stall/transient faults). An artifact is
+// encoded only to leave the process: a periodic snapshot's for the sink,
+// or a drain's, which a restarted supervisor resumes byte-identically.
 package sched
 
 import (
@@ -38,16 +38,16 @@ import (
 	"beholder/internal/telemetry"
 )
 
-// Opener builds the connection factory for one campaign attempt. It is
-// called once per attempt — the initial run and again for every
-// checkpoint-resume failover — and must return a factory producing
-// fresh connections positioned so that the campaign's epoch is virtual
-// time zero: shard s's connection opens its clock at exactly the start
-// offset the factory is called with. That pin is what makes a
-// supervised campaign's store byte-identical to the same campaign run
-// bare on a fresh universe. Implementations must be safe for
-// concurrent calls (campaign attempts run on worker goroutines) and
-// must serialize any shared vantage mutation internally.
+// Opener builds a campaign's connection factory. It is called at
+// dispatch and for every watchdog failover, which moves the unfinished
+// shards onto fresh connections from the new factory, and must return a
+// factory producing fresh connections positioned so that the campaign's
+// epoch is virtual time zero: shard s's connection opens its clock at
+// exactly the start offset the factory is called with. That pin is what
+// makes a supervised campaign's store byte-identical to the same
+// campaign run bare on a fresh universe. Implementations must be safe
+// for concurrent calls (campaigns run on worker goroutines) and must
+// serialize any shared vantage mutation internally.
 type Opener func(spec *CampaignSpec) (core.ConnFactory, error)
 
 // Tenant declares one paying (or at least rate-accounted) user of the
@@ -78,7 +78,7 @@ type Options struct {
 	QueueLimit int
 	// StallBudget is how long a running campaign's heartbeat may sit
 	// still (wall clock) before the watchdog declares it stalled,
-	// interrupts it, and fails over from the checkpoint. Default 2s.
+	// interrupts it, and fails over onto fresh connections. Default 2s.
 	StallBudget time.Duration
 	// MaxRetries bounds watchdog failovers per campaign; exhaustion
 	// degrades the campaign to StateIncomplete. Default 2.
@@ -86,10 +86,10 @@ type Options struct {
 	// CheckpointEvery, when positive, periodically snapshots each
 	// running campaign: after that much wall time the attempt is
 	// interrupted at a probe boundary, its checkpoint artifact is
-	// handed to CheckpointSink, and the campaign resumes from the
-	// artifact on fresh connections — the same interrupt/resume cycle
-	// the watchdog uses, so results stay byte-identical to an
-	// uninterrupted run. A process killed between snapshots loses at
+	// handed to CheckpointSink, and the campaign continues in place on
+	// its live connections — the same Rewind a watchdog failover takes,
+	// without the fresh connections, so results stay byte-identical to
+	// an uninterrupted run. A process killed between snapshots loses at
 	// most one interval of virtual progress. Zero disables periodic
 	// checkpointing: a campaign is snapshotted only when drained.
 	CheckpointEvery time.Duration
@@ -669,27 +669,9 @@ func (s *Supervisor) isDraining() bool {
 	}
 }
 
-// campaignConfig maps a spec onto the core campaign configuration: a
-// campaign with a tenant stream records its progress series and writes
-// it there.
-func (s *Supervisor) campaignConfig(j *job) core.CampaignConfig {
-	sp := &j.spec
-	cfg := core.CampaignConfig{
-		Config:      sp.Config,
-		Shards:      sp.Shards,
-		RecordPaths: true,
-		Telemetry:   s.tel,
-		InterruptAt: sp.Deadline,
-	}
-	if j.st != nil {
-		cfg.ProgressWriter = j.st
-	}
-	return cfg
-}
-
-// resumeConfig is campaignConfig's counterpart for continuations — a
-// failover or resubmission from an artifact, or a periodic checkpoint's
-// in-process rewind.
+// resumeConfig is what the supervisor lays over every campaign it
+// builds or continues: its telemetry, its deadline, and — for a campaign
+// with a tenant stream — the stream its progress series is written to.
 func (s *Supervisor) resumeConfig(j *job) core.ResumeConfig {
 	rc := core.ResumeConfig{Telemetry: s.tel, InterruptAt: j.spec.Deadline}
 	if j.st != nil {
@@ -698,15 +680,12 @@ func (s *Supervisor) resumeConfig(j *job) core.ResumeConfig {
 	return rc
 }
 
-// runJob drives one campaign through its attempts: run, and on a
-// watchdog interrupt checkpoint → back off → resume on fresh
-// connections, bounded by the retry budget. Checkpoints encode into
-// *spare, the running worker's memory. A periodic snapshot goes back
-// into it once its sink has returned, since the continuation is handed
-// over in-process and nothing else references it; an artifact that
-// escapes — a drain's Result.Artifact, or a watchdog failover's, which
-// core.Resume may alias — never does. A campaign stopped by its own
-// deadline encodes nothing: no path resumes it.
+// runJob builds the campaign once — fresh, or from CampaignSpec.Resume —
+// and runs it until it ends. Every other interrupt ends in one Rewind: a
+// periodic snapshot continues on the live connections, a watchdog
+// failover on fresh ones from a new factory. Only a snapshot and a drain
+// encode an artifact, into *spare, the worker's memory: a snapshot's goes
+// back once the sink has returned, a drain's escapes.
 func (s *Supervisor) runJob(j *job, spare *[]byte) {
 	if !s.breaker.admit(j.spec.Vantage) {
 		// The vantage's breaker opened (or its half-open trial slot was
@@ -714,34 +693,21 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 		s.finalize(j, &Result{State: StateIncomplete, Reason: "breaker-open"})
 		return
 	}
-	artifact := j.spec.Resume
-	var rewound *core.Campaign
-	attempt := 0
-	for {
-		attempt++
-		var camp *core.Campaign
-		if rewound != nil {
-			// Periodic-checkpoint continuation handed over in-process; the
-			// durable artifact was persisted but needs no decoding.
-			camp, rewound = rewound, nil
-		} else {
-			factory, err := s.open(&j.spec)
-			if err != nil {
-				s.breakerFailure(j)
-				s.finalize(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: err})
-				return
-			}
-			if artifact == nil {
-				camp = core.NewCampaign(s.campaignConfig(j), factory)
-			} else {
-				camp, err = core.Resume(artifact, s.resumeConfig(j), factory)
-				if err != nil {
-					s.breakerFailure(j)
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Err: err})
-					return
-				}
-			}
-		}
+	factory, err := s.open(&j.spec)
+	if err != nil {
+		s.fault(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: err})
+		return
+	}
+	rc := s.resumeConfig(j)
+	var camp *core.Campaign
+	if j.spec.Resume == nil {
+		camp = core.NewCampaign(core.CampaignConfig{Config: j.spec.Config, Shards: j.spec.Shards, RecordPaths: true,
+			Telemetry: rc.Telemetry, ProgressWriter: rc.ProgressWriter, InterruptAt: rc.InterruptAt}, factory)
+	} else if camp, err = core.Resume(j.spec.Resume, rc, factory); err != nil {
+		s.fault(j, &Result{State: StateIncomplete, Reason: "fatal", Err: err})
+		return
+	}
+	for attempt := 1; ; attempt++ {
 		j.camp.Store(camp)
 		if s.isDraining() {
 			// Drain may have started between dispatch and campaign
@@ -750,105 +716,106 @@ func (s *Supervisor) runJob(j *job, spare *[]byte) {
 			camp.Interrupt()
 		}
 		j.st.event(Event{Event: "started", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt})
-
 		store, stats, runErr, fired, ckptReq := s.runAttempt(camp)
+		// An interrupted run returns no store: an ending folds it on
+		// demand, a continuation never does.
+		partial := func(reason string, err error) *Result {
+			return &Result{State: StateIncomplete, Reason: reason, Store: camp.MergedStore(), Stats: stats, Err: err}
+		}
+		var connOf core.ConnFactory // nil: continue on the live connections
 		switch {
 		case runErr == nil:
 			res := &Result{State: StateCompleted, Store: store, Stats: stats}
-			if len(stats.Quarantined) > 0 || len(stats.Incomplete) > 0 {
+			if len(stats.Quarantined) == 0 && len(stats.Incomplete) == 0 {
+				s.breaker.success(j.spec.Vantage)
+				s.finalize(j, res)
+			} else {
 				// Completed through shard restarts: the result stands, but
 				// the vantage misbehaved — that history feeds the breaker.
-				s.breakerFailure(j)
-			} else {
-				s.breaker.success(j.spec.Vantage)
+				s.fault(j, res)
 			}
-			s.finalize(j, res)
 			return
-
-		case errors.Is(runErr, core.ErrInterrupted):
-			// An interrupted run returns no store: the terminal paths fold
-			// it on demand (MergedStore), and the periodic continuation
-			// below skips the fold entirely.
-			if !fired && !ckptReq && !s.isDraining() {
-				// The campaign's own virtual deadline fired: nothing
-				// resumes from here, so no artifact is encoded and the
-				// worker's memory stays with it.
-				s.finalize(j, &Result{State: StateIncomplete, Reason: "deadline", Store: camp.MergedStore(), Stats: stats})
+		case !errors.Is(runErr, core.ErrInterrupted):
+			s.fault(j, &Result{State: StateIncomplete, Reason: "fatal", Store: store, Stats: stats, Err: runErr})
+			return
+		case s.isDraining():
+			s.drain(j, camp, stats, spare)
+			return
+		case !fired && !ckptReq:
+			// The campaign's own deadline: nothing continues, nothing is encoded.
+			s.finalize(j, partial("deadline", nil))
+			return
+		case fired:
+			s.met.watchdog.Inc()
+			if j.retries >= s.opt.MaxRetries {
+				s.fault(j, partial("watchdog-exhausted", nil))
 				return
 			}
-			encStart := time.Now()
-			art, ckErr := camp.AppendCheckpoint((*spare)[:0])
-			*spare = nil
-			if ckErr != nil {
-				s.breakerFailure(j)
-				s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: ckErr})
+			j.retries++
+			s.met.retries.Inc()
+			j.st.event(Event{Event: "retry", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt, Reason: "watchdog"})
+			if s.backoff(j.retries) {
+				s.drain(j, camp, stats, spare)
 				return
 			}
-			s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
-			s.met.ckptBytes.Set(int64(len(art)))
-			switch {
-			case s.isDraining():
-				s.finalize(j, &Result{State: StateDrained, Reason: "drained", Store: camp.MergedStore(), Stats: stats, Artifact: art})
+			if connOf, err = s.open(&j.spec); err != nil {
+				s.fault(j, partial("open-failed", err))
 				return
-			case fired:
-				s.met.watchdog.Inc()
-				if j.retries >= s.opt.MaxRetries {
-					s.breakerFailure(j)
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "watchdog-exhausted", Store: camp.MergedStore(), Stats: stats})
-					return
-				}
-				j.retries++
-				s.met.retries.Inc()
-				j.st.event(Event{Event: "retry", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt, Reason: "watchdog"})
-				if s.backoff(j.retries) {
-					// Drain began during the backoff; the checkpoint in
-					// hand is the drain artifact.
-					s.finalize(j, &Result{State: StateDrained, Reason: "drained", Store: camp.MergedStore(), Stats: stats, Artifact: art})
-					return
-				}
-				artifact = art
-				continue
-			default:
-				// Periodic snapshot: persist the artifact and resume the
-				// same attempt loop. This is not a failover — no retry is
-				// consumed and no backoff is taken; the continuation picks
-				// up from the exact probe boundary, so the final result
-				// stays byte-identical to an uninterrupted run.
-				s.met.checkpoints.Inc()
-				if s.opt.CheckpointSink != nil {
-					sinkStart := time.Now()
-					err := s.opt.CheckpointSink(j.spec.Tenant, j.spec.Name, art)
-					s.met.ckptSink.Observe(time.Since(sinkStart).Microseconds())
-					if err != nil {
-						s.met.ckptSinkErrors.Inc()
-					}
-				}
-				j.st.event(Event{Event: "checkpoint", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt,
-					Probes: stats.ProbesSent, Replies: stats.Replies})
-				// Continue in-process: the artifact already hit the sink,
-				// so the continuation skips the decode round trip.
-				factory, ferr := s.open(&j.spec)
-				if ferr != nil {
-					s.breakerFailure(j)
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "open-failed", Err: ferr})
-					return
-				}
-				next, rwErr := camp.Rewind(s.resumeConfig(j), factory)
-				if rwErr != nil {
-					s.breakerFailure(j)
-					s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: camp.MergedStore(), Stats: stats, Err: rwErr})
-					return
-				}
-				rewound, *spare = next, art
-				continue
 			}
-
 		default:
-			s.breakerFailure(j)
-			s.finalize(j, &Result{State: StateIncomplete, Reason: "fatal", Store: store, Stats: stats, Err: runErr})
+			// Periodic snapshot: persist the artifact and continue in place,
+			// consuming no retry and taking no backoff.
+			art, err := s.encode(camp, spare)
+			if err != nil {
+				s.fault(j, partial("fatal", err))
+				return
+			}
+			s.met.checkpoints.Inc()
+			if s.opt.CheckpointSink != nil {
+				sinkStart := time.Now()
+				if s.opt.CheckpointSink(j.spec.Tenant, j.spec.Name, art) != nil {
+					s.met.ckptSinkErrors.Inc()
+				}
+				s.met.ckptSink.Observe(time.Since(sinkStart).Microseconds())
+			}
+			j.st.event(Event{Event: "checkpoint", Tenant: j.spec.Tenant, Campaign: j.spec.Name, Attempt: attempt,
+				Probes: stats.ProbesSent, Replies: stats.Replies})
+			*spare = art
+		}
+		// The continuation picks up at the exact probe boundary, so the
+		// final result stays byte-identical to an uninterrupted run.
+		next, rwErr := camp.Rewind(rc, connOf)
+		if rwErr != nil {
+			s.fault(j, partial("fatal", rwErr))
 			return
 		}
+		camp = next
 	}
+}
+
+// encode appends an interrupted campaign's artifact to the worker's
+// memory, which it takes: a caller whose artifact stays hands it back.
+func (s *Supervisor) encode(camp *core.Campaign, spare *[]byte) ([]byte, error) {
+	encStart := time.Now()
+	art, err := camp.AppendCheckpoint((*spare)[:0])
+	*spare = nil
+	if err == nil {
+		s.met.ckptEncode.Observe(time.Since(encStart).Microseconds())
+		s.met.ckptBytes.Set(int64(len(art)))
+	}
+	return art, err
+}
+
+// drain ends an interrupted campaign as drained; its artifact is the one
+// that leaves the process.
+func (s *Supervisor) drain(j *job, camp *core.Campaign, stats core.CampaignStats, spare *[]byte) {
+	res := &Result{State: StateDrained, Reason: "drained", Store: camp.MergedStore(), Stats: stats}
+	if res.Artifact, res.Err = s.encode(camp, spare); res.Err != nil {
+		res.State, res.Reason = StateIncomplete, "fatal"
+		s.fault(j, res)
+		return
+	}
+	s.finalize(j, res)
 }
 
 // runAttempt runs the campaign while the watchdog samples its
@@ -886,8 +853,8 @@ func (s *Supervisor) runAttempt(camp *core.Campaign) (store *probe.Store, stats 
 			return out.store, out.stats, out.err, fired, ckptReq
 		case <-ckptCh:
 			// Periodic snapshot: interrupt at the next probe boundary;
-			// runJob checkpoints and resumes. One snapshot per attempt —
-			// the resumed attempt restarts the interval. A draining or
+			// runJob checkpoints and rewinds. One snapshot per attempt —
+			// the continuation restarts the interval. A draining or
 			// already-stalled attempt is left to its own path.
 			if !fired && !ckptReq && !s.isDraining() {
 				ckptReq = true
@@ -926,10 +893,13 @@ func (s *Supervisor) backoff(retry int) bool {
 	}
 }
 
-func (s *Supervisor) breakerFailure(j *job) {
+// fault finalizes an outcome the vantage is to blame for: it counts
+// toward the vantage's breaker.
+func (s *Supervisor) fault(j *job, res *Result) {
 	if s.breaker.failure(j.spec.Vantage) {
 		s.met.breakerOpened.Inc()
 	}
+	s.finalize(j, res)
 }
 
 // finalize publishes a job's terminal result and releases its

@@ -55,8 +55,8 @@ func schedTargets(seed int64, n int) []netip.Addr {
 // vantage, and the opener implementing the epoch-pinning discipline the
 // scheduler relies on. All vantage mutation (shard-group resets,
 // cloning) is serialized under one mutex because concurrent campaigns'
-// factories interleave — initial attempts, recovery shards, and
-// failover resumes all clone from here.
+// factories interleave — initial shards, restarted shards, and
+// failed-over shards all clone from here.
 type testEnv struct {
 	mu sync.Mutex
 	u  *netsim.Universe
@@ -117,6 +117,25 @@ func testSpec(tenant, name string, targets []netip.Addr) CampaignSpec {
 	return CampaignSpec{
 		Tenant: tenant, Name: name, Vantage: "US-EDU-1",
 		Config: core.Config{Targets: targets, PPS: 500, MaxTTL: 12, Key: 11, Fill: true},
+	}
+}
+
+// assertCountedOnce checks every yarrp_* counter a campaign's Stats
+// carries against the campaign's totals: a continuation that published
+// its restored totals again would count them twice.
+func assertCountedOnce(t *testing.T, snap telemetry.Snapshot, st core.Stats) {
+	t.Helper()
+	for name, want := range map[string]int64{
+		"yarrp_probes_sent_total":      st.ProbesSent,
+		"yarrp_fill_probes_total":      st.Fills,
+		"yarrp_skipped_total":          st.Skipped,
+		"yarrp_replies_total":          st.Replies,
+		"yarrp_replies_not_mine_total": st.NotMine,
+		"yarrp_retries_total":          st.Retries,
+	} {
+		if got, _ := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, campaign counted %d", name, got, want)
+		}
 	}
 }
 
@@ -521,10 +540,11 @@ func overBackoff(t *testing.T, clk *fakeClock, tap retryTap, h *Handle) {
 }
 
 // TestWatchdogFailover: a campaign whose connection hangs stops
-// heartbeating; the watchdog interrupts it, the supervisor checkpoints
-// and resumes on fresh connections, and the final store is
-// byte-identical to an unsupervised run — failover is invisible in the
-// results.
+// heartbeating; the watchdog interrupts it, the supervisor rewinds it
+// onto fresh connections, and the final store is byte-identical to an
+// unsupervised run — failover is invisible in the results. The
+// continuation carries on its predecessor's telemetry instruments, so
+// every yarrp_* counter reads the campaign's totals once.
 func TestWatchdogFailover(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	const seed = 4403
@@ -590,6 +610,7 @@ func TestWatchdogFailover(t *testing.T) {
 	if got := counterVal(t, snap, "sched_retries_total"); got != 1 {
 		t.Fatalf("retries = %d", got)
 	}
+	assertCountedOnce(t, snap, res.Stats.Stats)
 	drainAll(t, s)
 }
 

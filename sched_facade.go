@@ -3,7 +3,7 @@ package beholder
 // Campaign supervision through the facade: a Scheduler multiplexes many
 // tenants' Yarrp6 campaigns over one Internet, adding admission control,
 // per-tenant rate budgets, deterministic dispatch, watchdog failover
-// from checkpoints, and per-vantage circuit breaking on top of the
+// onto fresh connections, and per-vantage circuit breaking on top of the
 // single-campaign RunYarrp6 path. See DESIGN.md "Campaign supervision".
 
 import (
@@ -117,7 +117,7 @@ type Scheduler struct {
 
 	// mu serializes all shared-vantage mutation: concurrent campaigns'
 	// connection factories interleave arbitrarily (initial shards,
-	// recovery shards, failover resumes), and each clone bumps parent
+	// restarted shards, failed-over shards), and each clone bumps parent
 	// shard-group state.
 	mu       sync.Mutex
 	vantages map[string]*netsim.Vantage
@@ -134,13 +134,13 @@ func (in *Internet) NewScheduler(opt SchedulerOptions) (*Scheduler, error) {
 	return s, nil
 }
 
-// open is the supervisor's per-attempt connection factory builder. It
-// pins the campaign's epoch to virtual zero: a campaign-tagged parent
-// clone opens at 0, and every shard connection — fresh, recovery, or
-// resumed — clones from it at the campaign-relative start offset. This
-// is what makes a supervised campaign's results byte-identical to the
-// same campaign run bare, however many tenants run beside it and
-// however many failovers it survives.
+// open is the supervisor's connection factory builder, called at
+// dispatch and for every watchdog failover. It pins the campaign's epoch
+// to virtual zero: a campaign-tagged parent clone opens at 0, and every
+// shard connection — fresh, restarted, or failed over — clones from it
+// at the campaign-relative start offset. This is what makes a supervised
+// campaign's results byte-identical to the same campaign run bare,
+// however many tenants run beside it and failovers it survives.
 func (s *Scheduler) open(spec *sched.CampaignSpec) (core.ConnFactory, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
