@@ -28,20 +28,18 @@
 //
 // The replay covers the raw (target × TTL) schedule and nothing that
 // depends on replies: fill-mode follow-ups, which a shard sends only when
-// a reply calls for them, and neighborhood skips. A shard therefore
-// opens with buckets that have not paid for earlier windows' fills and
-// have paid for the probes the heuristic skipped. A bucket refills
-// within its depth/rate, so the difference reaches only routers such
-// probes crossed within that time of a window start, and changes a reply
-// only where one of those buckets runs dry: below rate-limit saturation
-// a fill-mode campaign is exact at any shard count, past it a few
-// replies near window starts may differ — measured on 400 drawn
-// configurations, 3 of the 85 fill-mode campaigns whose serial run
-// tripped a rate limiter differed at 2, 3 or 4 shards. The neighborhood
-// heuristic's skip pattern is shard-local by design, so campaigns using
-// it differ across shard counts regardless (78 of 78 drawn). Either kind
-// is still exact at its own shard count: any batch size, plan table on
-// or off, and any chain of interrupts reproduce its uninterrupted run.
+// a reply calls for them. A shard therefore opens with buckets that have
+// not paid for earlier windows' fills. A bucket refills within its
+// depth/rate, so the difference reaches only routers such fills crossed
+// within that time of a window start, and changes a reply only where one
+// of those buckets runs dry: a campaign without fill mode is exact at any
+// shard count, and so is a fill-mode campaign below rate-limit
+// saturation; past it a few replies near window starts may differ —
+// measured on 400 drawn configurations, 3 of the 85 fill-mode campaigns
+// whose serial run tripped a rate limiter differed at 2, 3 or 4 shards.
+// Such a campaign is still exact at its own shard count: any batch size,
+// plan table on or off, and any chain of interrupts reproduce its
+// uninterrupted run.
 //
 // The same statelessness that makes sharding trivial makes the campaign
 // recoverable. Each shard's progress is exactly one permutation cursor

@@ -41,7 +41,7 @@ import (
 
 // checkpointMagic opens every artifact; the trailing digits are the
 // format version, so a layout change bumps the magic itself.
-const checkpointMagic = "Y6CKPT04"
+const checkpointMagic = "Y6CKPT05"
 
 // Artifact section types.
 const (
@@ -187,15 +187,14 @@ func (c *Campaign) appendConfig(buf []byte) []byte {
 }
 
 // appendTuning appends the probing parameters every config-bearing
-// section carries behind its own flag byte, MaxTTL through
-// NeighborhoodWindow; ckReader.tuning is its decoder.
+// section carries behind its own flag byte, MaxTTL through Batch;
+// ckReader.tuning is its decoder.
 func appendTuning(buf []byte, cfg *CampaignConfig) []byte {
-	buf = append(buf, cfg.MaxTTL, cfg.Proto, cfg.Instance, cfg.NeighborhoodTTL)
+	buf = append(buf, cfg.MaxTTL, cfg.Proto, cfg.Instance)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.PPS))
 	buf = binary.LittleEndian.AppendUint64(buf, cfg.Key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Shards))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.Batch))
-	return appendDur(buf, cfg.NeighborhoodWindow)
+	return binary.LittleEndian.AppendUint32(buf, uint32(cfg.Batch))
 }
 
 // appendCounters appends a Stats' counters and elapsed time;
@@ -227,19 +226,6 @@ func (ss *shardState) appendTo(buf []byte) []byte {
 	buf = appendCounters(buf, &ss.stats)
 	for _, k := range rs.kindCount {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
-	}
-	nLast := 0
-	for _, at := range rs.lastNew {
-		if at != 0 {
-			nLast++
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(nLast))
-	for ttl, at := range rs.lastNew {
-		if at != 0 {
-			buf = append(buf, byte(ttl))
-			buf = appendDur(buf, at)
-		}
 	}
 	samples := ss.prog.Samples()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(samples)))
@@ -506,7 +492,7 @@ func (r *ckReader) done(what string) error {
 
 // tuning decodes the block appendTuning wrote.
 func (r *ckReader) tuning(cfg *CampaignConfig) {
-	for _, f := range []*uint8{&cfg.MaxTTL, &cfg.Proto, &cfg.Instance, &cfg.NeighborhoodTTL} {
+	for _, f := range []*uint8{&cfg.MaxTTL, &cfg.Proto, &cfg.Instance} {
 		*f = r.u8()
 	}
 	cfg.PPS = math.Float64frombits(r.u64())
@@ -520,7 +506,6 @@ func (r *ckReader) tuning(cfg *CampaignConfig) {
 	}
 	cfg.Shards = int(shards)
 	cfg.Batch = int(r.u32())
-	cfg.NeighborhoodWindow = r.dur()
 }
 
 // counters decodes the block appendCounters wrote.
@@ -561,10 +546,6 @@ func (sec *sections) decodeShard(payload []byte) (*shardState, error) {
 	r.counters(&ss.stats)
 	for i := range rs.kindCount {
 		rs.kindCount[i] = r.i64()
-	}
-	for n := r.count(9); n > 0; n-- {
-		ttl := r.u8()
-		rs.lastNew[ttl] = r.dur()
 	}
 	samples := make([]telemetry.Sample, r.count(72))
 	for i := range samples {

@@ -75,13 +75,15 @@ func assertRunsEqual(t *testing.T, label string, got, want ckptRun) {
 
 // TestCheckpointBytePin pins the artifact format: the SHA-256 of
 // Checkpoint() for one fixed 2-shard fill campaign, interrupted at a
-// fixed virtual instant. The digest was recorded when the fixed TTL
-// floor, fill limit and drain left the config section (format 04), so
-// "no format change" is enforced rather than asserted; a deliberate
-// format change bumps the magic and re-records it.
+// fixed virtual instant. The digest was recorded when the neighborhood
+// heuristic's window, TTL bound, skip counter and per-TTL discovery
+// instants left the artifact (format 05) — it equals format 04's pinned
+// artifact with only those fields cut out and the magic, lengths and
+// checksums rewritten — so "no format change" is enforced rather than
+// asserted; a deliberate format change bumps the magic and re-records it.
 func TestCheckpointBytePin(t *testing.T) {
 	const seed = 1213
-	const want = "25f2acb791798f9bd8fec46496710d94dad265895c497a15fe171e09891ca63a"
+	const want = "b41a894126dc3c120f1c6722ff2236db665972b53a36729612eec53668e104ca"
 	targets := campaignTargets(t, seed, 61)
 	v := ckptVantage(seed)
 	cfg := campaignCfg(targets)

@@ -65,8 +65,8 @@ func (k cutKind) String() string {
 }
 
 func (d eqDraw) String() string {
-	return fmt.Sprintf("seed=%d saturate=%v targets=%d maxttl=%d pps=%g proto=%d fill=%v neighborhood=%v key=%d exact=%v",
-		d.seed, d.saturate, d.targets, d.cfg.MaxTTL, d.cfg.PPS, d.cfg.Proto, d.cfg.Fill, d.cfg.NeighborhoodWindow, d.cfg.Key, d.exact)
+	return fmt.Sprintf("seed=%d saturate=%v targets=%d maxttl=%d pps=%g proto=%d fill=%v key=%d exact=%v",
+		d.seed, d.saturate, d.targets, d.cfg.MaxTTL, d.cfg.PPS, d.cfg.Proto, d.cfg.Fill, d.cfg.Key, d.exact)
 }
 
 // span is the draw's send span: its whole domain at the probing rate.
@@ -75,10 +75,9 @@ func (d eqDraw) span() time.Duration {
 }
 
 // lands reports whether a cut must interrupt the run. A drawn cut in the
-// drain tail, or under the heuristic, whose skips shorten the send span,
-// may find the campaign past its last reply.
+// drain tail may find the campaign past its last reply.
 func (d eqDraw) lands(c eqCut) bool {
-	return d.exact || c.at <= d.span() && d.cfg.NeighborhoodWindow == 0
+	return d.exact || c.at <= d.span()
 }
 
 func (d eqDraw) universe() (*netsim.Universe, *netsim.Vantage) {
@@ -192,7 +191,9 @@ func equivalenceDraws() []eqDraw {
 		}
 		span := d.span()
 		if rng.Intn(5) == 0 {
-			d.cfg.NeighborhoodWindow = span/8 + time.Duration(rng.Int63n(int64(span/4)))
+			// The retired neighborhood window was drawn here; drawing and
+			// discarding it keeps every later configuration where it was.
+			rng.Int63n(int64(span / 4))
 		}
 		for range 4 {
 			vr := eqVariant{
@@ -222,9 +223,9 @@ func equivalenceDraws() []eqDraw {
 // ones, or by Resume on a fresh universe —
 // equals the serial reference run (1 shard, batch 1, table on,
 // uninterrupted) in store bytes, graph export, progress stream and
-// counters. The documented exceptions compare against the uninterrupted
-// batch-1 run at the variant's own shard count: the neighborhood
-// heuristic, and fill mode whose reference tripped a rate limiter.
+// counters. The documented exception compares against the uninterrupted
+// batch-1 run at the variant's own shard count: fill mode whose
+// reference tripped a rate limiter.
 // Every run's progress series is monotone and ends on its totals, every
 // cut leaves a valid artifact, and every hop the reference stores is
 // the router the simulator's ground truth puts at that TTL. The
@@ -257,9 +258,6 @@ func assertCoverage(t *testing.T, draws []eqDraw) (variants, cuts int) {
 		if d.saturate {
 			seen[fmt.Sprintf("saturated fill=%v", d.cfg.Fill)]++
 		}
-		if d.cfg.NeighborhoodWindow > 0 {
-			seen["neighborhood heuristic"]++
-		}
 		for _, vr := range d.variants {
 			variants++
 			seen[fmt.Sprintf("%d shards", vr.shards)]++
@@ -280,7 +278,7 @@ func assertCoverage(t *testing.T, draws []eqDraw) (variants, cuts int) {
 	}
 	for _, regime := range []string{"1 shards", "2 shards", "3 shards", "4 shards",
 		fmt.Sprintf("proto %d", wire.ProtoICMPv6), fmt.Sprintf("proto %d", wire.ProtoUDP), fmt.Sprintf("proto %d", wire.ProtoTCP),
-		"saturated fill=true", "saturated fill=false", "neighborhood heuristic", "table off",
+		"saturated fill=true", "saturated fill=false", "table off",
 		cutRewind.String(), cutFailover.String(), cutResume.String(), "drain-tail cut"} {
 		if seen[regime] == 0 {
 			t.Errorf("no draw covers %s", regime)
@@ -305,8 +303,7 @@ func (d eqDraw) check(t *testing.T) {
 	if d.exact && d.saturate && dropped == 0 {
 		t.Fatal("reference run never tripped a rate limiter; the row is not testing saturation")
 	}
-	heuristic := d.cfg.NeighborhoodWindow > 0
-	ownShards := heuristic || d.cfg.Fill && dropped > 0 && !d.exact
+	ownShards := d.cfg.Fill && dropped > 0 && !d.exact
 	own := map[int]ckptRun{1: ref}
 	for i, vr := range d.variants {
 		label := fmt.Sprintf("variant %d %+v", i, vr)
@@ -320,7 +317,7 @@ func (d eqDraw) check(t *testing.T) {
 				own[vr.shards], _ = d.run(t, eqVariant{shards: vr.shards, batch: 1}, nil, nil)
 			}
 			want = own[vr.shards]
-			if g, w := got.stats.ProbesSent-got.stats.Fills, ref.stats.ProbesSent-ref.stats.Fills; !heuristic && g != w {
+			if g, w := got.stats.ProbesSent-got.stats.Fills, ref.stats.ProbesSent-ref.stats.Fills; g != w {
 				t.Fatalf("%s: %d permutation probes sent, the serial run %d", label, g, w)
 			}
 		}

@@ -10,15 +10,14 @@ import (
 // The reply fold runs on its own goroutine. The prober goroutine sends,
 // receives and parses; every parsed reply then crosses to the fold
 // goroutine, which owns the shard's store while the run lasts and applies
-// the store fold, the first-seen list, the observer and the neighborhood
-// heuristic's lastNew in exactly the order the prober parsed the replies.
-// Progress samples travel in the same stream, as marks between replies,
-// so a sample's interface count is the store's after precisely the
-// replies parsed before it. Fills are decided from the parsed reply
-// alone, and the one decision that reads fold state — the heuristic's
-// skip — waits for the fold to catch up, so the schedule, the store, the
-// progress series and every checkpoint are the bytes a single goroutine
-// would produce.
+// the store fold, the first-seen list and the observer in exactly the
+// order the prober parsed the replies. Progress samples travel in the
+// same stream, as marks between replies, so a sample's interface count is
+// the store's after precisely the replies parsed before it. Fills are
+// decided from the parsed reply alone, so no send decision reads fold
+// state: the prober waits for the fold only at a capture and at run end,
+// and the schedule, the store, the progress series and every checkpoint
+// are the bytes a single goroutine would produce.
 
 // foldBlockLen is how many parsed replies one fold block carries.
 const foldBlockLen = 256
@@ -144,8 +143,8 @@ func (f *foldPipe) ship() {
 }
 
 // sync waits until everything queued so far is folded. The prober calls
-// it before it reads what the fold writes: at a capture, at the end of a
-// run, and after each drain under the neighborhood heuristic.
+// it before it reads what the fold writes: at a capture and at the end of
+// a run.
 func (f *foldPipe) sync() {
 	if f.cur.n > 0 || f.cur.nm > 0 {
 		f.ship()
@@ -207,22 +206,18 @@ func (y *Yarrp6) foldLoop(f *foldPipe, store *probe.Store) {
 }
 
 // foldReplies folds replies lo … hi-1 of rs, the block g gathered, into
-// the store and drives what hangs off a new interface: the first-seen
-// list, the observer, and the neighborhood heuristic's last discovery
-// instant per TTL (a reply's At is the instant the prober drained it).
+// the store and drives what hangs off it: the first-seen list of new
+// interfaces (a reply's At is the instant the prober drained it) and the
+// observer.
 func (y *Yarrp6) foldReplies(store *probe.Store, g *probe.Gathered, rs []probe.Reply, lo, hi int) {
 	cfg := &y.cfg
 	for i := lo; i < hi; i++ {
 		r := &rs[i]
-		newIface := store.AddGathered(g, i)
-		if newIface && cfg.track != nil {
+		if store.AddGathered(g, i) && cfg.track != nil {
 			cfg.track.add(r.From, r.At)
 		}
 		if cfg.Observer != nil {
 			cfg.Observer.OnReply(*r)
-		}
-		if newIface && r.TTL != 0 && r.TTL <= cfg.NeighborhoodTTL {
-			y.lastNew[r.TTL] = r.At
 		}
 	}
 }

@@ -28,13 +28,6 @@ type foldCut struct {
 	// crash kills shard 0's host at this instant (faultsim), so the
 	// shard finishes its window on a fresh connection.
 	crash time.Duration
-	// neighborhood runs the heuristic at batch 1 — the fold catches up
-	// after every drain — and cuts it at the at instant.
-	neighborhood bool
-	// lastNewOnly sets NeighborhoodTTL without a window: nothing is
-	// skipped, but the fold still records last discoveries per TTL, which
-	// the capture must read after the fold has caught up.
-	lastNewOnly bool
 }
 
 // interruptConn calls fire before the campaign's after-th SendBatch,
@@ -52,19 +45,6 @@ func (c *interruptConn) SendBatch(pkts [][]byte, gap time.Duration) (int, bool, 
 	return c.Vantage.SendBatch(pkts, gap)
 }
 
-// foldCfg is the configuration every fold-pipeline run shares; the
-// heuristic's cut adds the neighborhood window at batch 1.
-func foldCfg(targets []netip.Addr, c foldCut) Config {
-	cfg := campaignCfg(targets)
-	if c.neighborhood {
-		cfg.NeighborhoodWindow, cfg.NeighborhoodTTL, cfg.Batch = 200*time.Millisecond, 3, 1
-	}
-	if c.lastNewOnly {
-		cfg.NeighborhoodTTL = 3
-	}
-	return cfg
-}
-
 // foldRun runs the campaign cut as c says (the zero cut runs it whole)
 // and, after a cut, continues it by Resume on a fresh identically seeded
 // universe. It returns the finished run, and the interrupted one's stats
@@ -78,7 +58,7 @@ func foldRun(t *testing.T, seed int64, targets []netip.Addr, shards int, c foldC
 	var progress bytes.Buffer
 	cut := c.at > 0 || c.interruptAfter > 0
 	_, v := chaosEnv(seed, fc)
-	ccfg := CampaignConfig{Config: foldCfg(targets, c), Shards: shards, RecordPaths: true,
+	ccfg := CampaignConfig{Config: campaignCfg(targets), Shards: shards, RecordPaths: true,
 		Telemetry: telemetry.NewRegistry(), InterruptAt: c.at}
 	if !cut {
 		ccfg.ProgressWriter = &progress
@@ -132,16 +112,15 @@ func foldRun(t *testing.T, seed int64, targets []netip.Addr, shards int, c foldC
 // reply fold pipeline — an interrupt while a fold block is half full, one
 // in the drain tail, Interrupt from another goroutine, host crashes that
 // continue a shard on a fresh connection (late ones with a fill due,
-// which the continuation must send), and the neighborhood
-// heuristic, which waits for the fold after every drain — and requires
-// each to finish with the store bytes, progress stream and counters of
-// the uninterrupted run, with no goroutine left behind. A cut whose
-// capture reads fold state (the last discovery per TTL) must also
-// checkpoint the same bytes every time.
+// which the continuation must send) — and requires each to finish with
+// the store bytes, progress stream and counters of the uninterrupted
+// run, with no goroutine left behind. A capture reads fold state (the
+// store, the first-seen list, the progress series), so the same cut
+// must also checkpoint the same bytes every time.
 func TestFoldPipelineCuts(t *testing.T) {
 	const seed = 4711
 	targets := campaignTargets(t, seed, 300)
-	cfg := foldCfg(targets, foldCut{})
+	cfg := campaignCfg(targets)
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,24 +137,14 @@ func TestFoldPipelineCuts(t *testing.T) {
 		// its drain tail, where only fills are sent, so the continuation
 		// must send the lost fill and finish the original drain.
 		{name: "crash-tail", crash: span/3 + 20*time.Millisecond},
-		{name: "neighborhood-batch-1", neighborhood: true, at: span / 2},
-		{name: "last-new-only", lastNewOnly: true, at: span/2 + 3*time.Millisecond},
 	}
 	for _, shards := range []int{1, 3} {
 		ref, _, _ := foldRun(t, seed, targets, shards, foldCut{name: "reference"})
-		hood, _, _ := foldRun(t, seed, targets, shards, foldCut{name: "neighborhood reference", neighborhood: true})
-		if hood.stats.Skipped == 0 {
-			t.Fatalf("%d shards: the neighborhood heuristic skipped nothing", shards)
-		}
 		for _, c := range cuts {
 			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
 				testutil.NoGoroutineLeaks(t)
 				got, part, art := foldRun(t, seed, targets, shards, c)
-				want := ref
-				if c.neighborhood {
-					want = hood
-				}
-				assertRunsEqual(t, c.name, got, want)
+				assertRunsEqual(t, c.name, got, ref)
 				switch c.name {
 				case "interrupt-mid-block":
 					// The shard probing at the cut has handed over more
@@ -187,6 +156,9 @@ func TestFoldPipelineCuts(t *testing.T) {
 					}
 					if !mid {
 						t.Fatalf("no shard was cut inside its reply stream: %+v", part.PerShard)
+					}
+					if _, _, again := foldRun(t, seed, targets, shards, c); !bytes.Equal(art, again) {
+						t.Fatal("the same cut checkpointed different bytes")
 					}
 				case "interrupt-drain-tail":
 					if part.ProbesSent-part.Fills != int64(Domain(&cfg)) {
@@ -204,10 +176,6 @@ func TestFoldPipelineCuts(t *testing.T) {
 					}
 					if len(got.stats.Quarantined) != 1 || got.stats.Quarantined[0] != 0 {
 						t.Fatalf("quarantined = %v, want [0]", got.stats.Quarantined)
-					}
-				case "last-new-only":
-					if _, _, again := foldRun(t, seed, targets, shards, c); !bytes.Equal(art, again) {
-						t.Fatal("the same cut checkpointed different bytes")
 					}
 				}
 			})

@@ -29,8 +29,8 @@ const replayRun = 256
 // flow is registered once from its first replayed probe (built with
 // codec) and the remaining ~TTL-span probes of the flow replay through
 // the token — no per-probe packet build or decode. Fill-mode follow-ups
-// and neighborhood skips are not part of the raw schedule the replay
-// covers; the package comment (campaign.go) states what that bounds.
+// are not part of the raw schedule the replay covers; the package comment
+// (campaign.go) states what that bounds.
 //
 // cuts, ascending and at most hi, are cursor positions the caller wants
 // to observe: reached(i) runs — still inside the prime bracket — the

@@ -3,22 +3,17 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"testing"
-	"time"
 
 	"beholder/internal/faultsim"
-	"beholder/internal/netsim"
-	"beholder/internal/probe"
 )
 
-// The digests in this file were recorded at the last commit that still
-// had a separate one-probe-per-iteration send loop, on the
-// configurations that loop served: Batch 1 and the neighborhood
-// heuristic. They hold the single batched loop, run at k = 1, to the
-// retired loop's output bytes — except under transient send faults, where
-// the two loops disagreed and fills are now retried
-// (TestTransientSendBatchOnePin).
+// One send loop serves every batch size. The batch-1 digests of the
+// seed-1213 row of TestCampaignEquivalence were recorded at the last
+// commit that still had a separate one-probe-per-iteration loop, so they
+// hold the batched loop, run at k = 1, to the retired loop's bytes. The
+// pin below covers the one case where the two loops disagreed: transient
+// send faults, under which fills are now retried.
 
 // pinDigest fails unless data hashes to want.
 func pinDigest(t *testing.T, what string, data []byte, want string) {
@@ -26,66 +21,6 @@ func pinDigest(t *testing.T, what string, data []byte, want string) {
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("%s digest %s (%d bytes), want %s", what, got, len(data), want)
-	}
-}
-
-// neighborhoodCfg is TestNeighborhoodSkipsStableTTLs' configuration.
-func neighborhoodCfg(u *netsim.Universe) Config {
-	return Config{
-		Targets: gatewayTargets(u, 200, 9), PPS: 2000, MaxTTL: 8, Key: 2,
-		NeighborhoodWindow: 200 * time.Millisecond, NeighborhoodTTL: 3,
-	}
-}
-
-// TestNeighborhoodInterruptResume cuts a neighborhood-heuristic campaign
-// at an instant inside the skip regime and resumes it from the artifact:
-// the per-TTL last-discovery instants ride the checkpoint, so the resumed
-// run must skip exactly what the uninterrupted one skipped.
-func TestNeighborhoodInterruptResume(t *testing.T) {
-	const (
-		wantSent    = 1165
-		wantSkipped = 435
-		wantStore   = "ff593e494807d551ff27381b32144a0b30186f7e41f69f67e86ba7688f449f3c"
-	)
-	run := func(interruptAt time.Duration) (*probe.Store, CampaignStats) {
-		u, v := testVantage(t, 9)
-		camp := NewCampaign(CampaignConfig{Config: neighborhoodCfg(u), InterruptAt: interruptAt},
-			func(_ int, start time.Duration) probe.Conn { return v.Clone(start) })
-		store, stats, err := camp.Run()
-		if interruptAt == 0 {
-			if err != nil {
-				t.Fatal(err)
-			}
-			return store, stats
-		}
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("interrupted run: %v", err)
-		}
-		if stats.Skipped == 0 || stats.Skipped == wantSkipped {
-			t.Fatalf("cut at %v is not inside the skip regime: %d skipped so far", interruptAt, stats.Skipped)
-		}
-		art, err := camp.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, v2 := testVantage(t, 9)
-		resumed, err := Resume(art, ResumeConfig{},
-			func(_ int, start time.Duration) probe.Conn { return v2.Clone(start) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, stats, err = resumed.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return store, stats
-	}
-	for _, at := range []time.Duration{0, 500 * time.Millisecond} {
-		store, stats := run(at)
-		if stats.ProbesSent != wantSent || stats.Skipped != wantSkipped {
-			t.Errorf("interrupt at %v: sent %d skipped %d, want %d and %d", at, stats.ProbesSent, stats.Skipped, wantSent, wantSkipped)
-		}
-		pinDigest(t, "store", store.AppendBinary(nil), wantStore)
 	}
 }
 

@@ -63,18 +63,11 @@ type Config struct {
 	// departs at the same instant, every reply is drained at the same
 	// instant, and all results are byte-identical at any batch size.
 	// Zero selects DefaultBatch; values below one mean one probe per
-	// call, and so does the neighborhood heuristic, whose skip decisions
-	// are taken per probe instant.
+	// call.
 	Batch int
 	// Fill enables fill mode: a response from hop h >= MaxTTL triggers
 	// an immediate probe at h+1, below fillLimit (Section 4.1).
 	Fill bool
-	// NeighborhoodWindow, when nonzero, enables the local-neighborhood
-	// heuristic (Section 4.2): for TTLs at or below NeighborhoodTTL, if
-	// no new interface address has been discovered at that TTL within
-	// the window, further probes at that TTL are skipped.
-	NeighborhoodWindow time.Duration
-	NeighborhoodTTL    uint8
 	// Observer, when non-nil, receives every stored reply in arrival
 	// order. It runs on the run's fold goroutine, right after the reply's
 	// store fold, and Run returns only once it has seen every reply. The
@@ -160,9 +153,6 @@ func (c *Config) defaults() {
 	if c.Batch < 1 {
 		c.Batch = 1
 	}
-	if c.NeighborhoodWindow > 0 && c.NeighborhoodTTL == 0 {
-		c.NeighborhoodTTL = 3
-	}
 }
 
 // setDefaults applies the defaults and refuses what no run can probe.
@@ -215,7 +205,6 @@ func Domain(c *Config) uint64 {
 type Stats struct {
 	ProbesSent int64
 	Fills      int64
-	Skipped    int64 // suppressed by the neighborhood heuristic
 	Replies    int64
 	NotMine    int64 // replies failing authentication
 	Retries    int64 // transient send failures retried after backoff
@@ -229,7 +218,7 @@ type statCounter struct {
 }
 
 // statCounters is how many counters Stats.counters lists.
-const statCounters = 6
+const statCounters = 5
 
 // counters lists s's counter fields in declaration order, each with its
 // telemetry counter name: the one list add, the checkpoint codec and
@@ -238,7 +227,6 @@ func (s *Stats) counters() [statCounters]statCounter {
 	return [...]statCounter{
 		{&s.ProbesSent, "yarrp_probes_sent_total"},
 		{&s.Fills, "yarrp_fill_probes_total"},
-		{&s.Skipped, "yarrp_skipped_total"},
 		{&s.Replies, "yarrp_replies_total"},
 		{&s.NotMine, "yarrp_replies_not_mine_total"},
 		{&s.Retries, "yarrp_retries_total"},
@@ -297,7 +285,6 @@ type shardResume struct {
 	now           time.Duration // clock at capture (absolute virtual time)
 	drainDeadline time.Duration // nonzero when captured inside the drain tail
 	kindCount     [probe.KindOther + 1]int64
-	lastNew       [256]time.Duration
 	pending       []pendingReply
 	// fills are the fills a failed prober could not send (never set by
 	// an interrupt, and dropped when the campaign gives the shard up, so
@@ -377,11 +364,6 @@ type Yarrp6 struct {
 	// window's last permutation index plus one.
 	gap time.Duration
 	end uint64
-
-	// Neighborhood heuristic state: bounded by the TTL range, not by
-	// targets — the prober stays O(1) in destinations. The fold goroutine
-	// writes it; the prober reads it only after fold.sync.
-	lastNew [256]time.Duration
 
 	// polls counts stop polls, pacing the heartbeat (see stopNow).
 	polls uint32
@@ -518,9 +500,9 @@ func (y *Yarrp6) stopNow() bool {
 // drain-tail stop. cursor is the next unsent permutation index;
 // drainDeadline is nonzero only when the capture happened inside the
 // drain tail (the window itself is complete). The fold catches up first,
-// so the store, the progress series and lastNew are those of the capture
-// instant, and pending telemetry is flushed so the registry is exact
-// there too.
+// so the store, the first-seen list and the progress series are those of
+// the capture instant, and pending telemetry is flushed so the registry
+// is exact there too.
 func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 	y.fold.sync()
 	// Fold the live authentication-failure counter into the returned
@@ -532,7 +514,6 @@ func (y *Yarrp6) capture(cursor uint64, drainDeadline time.Duration) {
 		now:           y.conn.Now(),
 		drainDeadline: drainDeadline,
 		kindCount:     y.kindCount,
-		lastNew:       y.lastNew,
 		fills:         y.lost,
 	}
 	if prev := y.cfg.resume; prev != nil && prev.live {
@@ -686,7 +667,6 @@ func (y *Yarrp6) restore(rs *shardResume) error {
 	y.codec.SetEpoch(rs.epoch)
 	y.codec.NotMine = y.stats.NotMine
 	y.kindCount = rs.kindCount
-	y.lastNew = rs.lastNew
 	if rs.live {
 		// The connection still holds its queue and its buckets.
 		return nil
@@ -778,11 +758,6 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 	cfg := &y.cfg
 	gap, end := y.gap, y.end
 	batch := cfg.Batch
-	if cfg.NeighborhoodWindow > 0 {
-		// The neighborhood heuristic's skip decision must be taken at
-		// each probe's own instant against drain-fresh state.
-		batch = 1
-	}
 	if w := end - it.Pos(); uint64(batch) > w {
 		// No batch outgrows the window, so neither do the send buffers.
 		batch = int(w)
@@ -793,7 +768,6 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 		y.ring = make([]byte, batch*probeStride)
 		y.pkts = make([][]byte, batch)
 	}
-	nt := uint64(len(cfg.Targets))
 	retries := 0
 	for it.Pos() < end {
 		posBase := it.Pos()
@@ -808,12 +782,6 @@ func (y *Yarrp6) send(it *perm.Iterator) error {
 		n := it.NextBatch(y.idx[:k])
 		if n == 0 {
 			break
-		}
-		if y.skipByNeighborhood(minTTL + uint8(y.idx[0]/nt)) {
-			// Under the heuristic the batch is this one probe: the skipped
-			// index consumes no send slot and the clock stays where it is.
-			y.stats.Skipped++
-			continue
 		}
 		// Pre-build the batch, each packet stamped for its own
 		// departure instant. The clock advances by exactly gap per
@@ -915,14 +883,6 @@ func (y *Yarrp6) buildBatch(from, n int, t0, gap time.Duration) {
 	}
 }
 
-func (y *Yarrp6) skipByNeighborhood(ttl uint8) bool {
-	if y.cfg.NeighborhoodWindow == 0 || ttl > y.cfg.NeighborhoodTTL {
-		return false
-	}
-	last := y.lastNew[ttl]
-	return last != 0 && y.conn.Now()-last > y.cfg.NeighborhoodWindow
-}
-
 // fail ends a run whose send failed fatally with err, returning it: the
 // failed prober's counters are pinned at the failure instant, and the
 // capture hands the continuation the unsent window from cursor, the
@@ -978,9 +938,7 @@ func (y *Yarrp6) sendCarried() {
 // Replies come out in delivery order, and fills triggered while
 // processing schedule strictly future deliveries, so one pass handles
 // everything that is due; a fill that backs off (the return value)
-// moves the clock, so the pass repeats until nothing is left. Under the
-// neighborhood heuristic the fold catches up before the next skip
-// decision reads lastNew.
+// moves the clock, so the pass repeats until nothing is left.
 func (y *Yarrp6) drainAll() (backedOff bool) {
 	if y.rsizes == nil {
 		y.rbatch = make([]byte, recvBatch*wire.MinMTU)
@@ -997,9 +955,6 @@ func (y *Yarrp6) drainAll() (backedOff bool) {
 		if n < len(y.rsizes) && !slept {
 			break
 		}
-	}
-	if y.cfg.NeighborhoodWindow > 0 {
-		y.fold.sync()
 	}
 	return backedOff
 }

@@ -275,29 +275,6 @@ func TestForeignRepliesIgnored(t *testing.T) {
 	_ = u
 }
 
-func TestNeighborhoodSkipsStableTTLs(t *testing.T) {
-	u, v := testVantage(t, 9)
-	cfg := neighborhoodCfg(u)
-	targets := cfg.Targets
-	store := probe.NewStore(false)
-	stats, err := New(v, cfg).Run(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Skipped == 0 {
-		t.Error("neighborhood heuristic never skipped (near hops stop yielding quickly)")
-	}
-	if stats.ProbesSent+stats.Skipped != int64(len(targets))*8 {
-		t.Errorf("sent %d + skipped %d != domain %d", stats.ProbesSent, stats.Skipped, len(targets)*8)
-	}
-	// Recorded from the retired one-probe-per-iteration loop; see
-	// serial_pin_test.go.
-	if stats.ProbesSent != 1165 || stats.Skipped != 435 {
-		t.Errorf("sent %d skipped %d, want 1165 and 435", stats.ProbesSent, stats.Skipped)
-	}
-	pinDigest(t, "store", store.AppendBinary(nil), "ff593e494807d551ff27381b32144a0b30186f7e41f69f67e86ba7688f449f3c")
-}
-
 // TestStatsCounterList: Stats.counters, which add, the checkpoint codec
 // and the telemetry flush walk, lists every int64 counter field of Stats
 // exactly once, in declaration order, under distinct telemetry names —

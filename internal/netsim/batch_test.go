@@ -90,8 +90,8 @@ func TestSendBatchMatchesSerial(t *testing.T) {
 			if d.name == "evicting-table" && batchV.Stats.PlanEvictions == 0 {
 				t.Fatal("the tiny table evicted nothing")
 			}
-			if batchV.Pending() != 0 {
-				t.Fatalf("batched drive left %d replies pending", batchV.Pending())
+			if at, ok := batchV.NextDeliveryAt(); ok {
+				t.Fatalf("batched drive left a reply pending, due at %v", at)
 			}
 		})
 	}

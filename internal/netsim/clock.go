@@ -13,10 +13,9 @@ import (
 // real Internet completes in however long the packet processing takes,
 // with identical rate-limiting dynamics.
 //
-// Reads and writes are atomic so that a ClockGroup coordinator (or a
-// monitoring goroutine) may observe a clock that another goroutine is
-// advancing. Each clock still has a single logical owner: only the owning
-// vantage calls Sleep.
+// Reads and writes are atomic so that a monitoring goroutine may observe
+// a clock that another goroutine is advancing. Each clock still has a
+// single logical owner: only the owning vantage calls Sleep.
 type Clock struct {
 	now int64 // virtual nanoseconds, accessed atomically
 }
@@ -45,53 +44,3 @@ func (c *Clock) Sleep(d time.Duration) {
 // reset rewinds the clock to zero; Universe.ResetState uses it between
 // campaigns.
 func (c *Clock) reset() { atomic.StoreInt64(&c.now, 0) }
-
-// ClockGroup coordinates the virtual clocks of concurrent vantages (one
-// per campaign shard). Each member owns a disjoint window of virtual time
-// and advances through it independently; the group's watermark — the
-// minimum member time — is the coordinated virtual clock of the whole
-// campaign: it only ever advances, and every simulator event with a
-// timestamp at or below it is final (no member can still emit an earlier
-// event).
-//
-// Members are registered before the campaign starts; the member list is
-// immutable while shards run, so Watermark and Horizon need no locking
-// beyond the members' atomic clock reads.
-type ClockGroup struct {
-	members []*Clock
-}
-
-// Add registers a member clock. Not safe to call concurrently with
-// Watermark/Horizon; register every shard before starting any.
-func (g *ClockGroup) Add(c *Clock) { g.members = append(g.members, c) }
-
-// Len returns the number of member clocks.
-func (g *ClockGroup) Len() int { return len(g.members) }
-
-// Watermark returns the coordinated virtual time: the minimum over all
-// member clocks. With no members it returns zero.
-func (g *ClockGroup) Watermark() time.Duration {
-	if len(g.members) == 0 {
-		return 0
-	}
-	min := g.members[0].Now()
-	for _, c := range g.members[1:] {
-		if t := c.Now(); t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-// Horizon returns the maximum member time: how far the fastest shard has
-// advanced. Horizon − Watermark bounds the virtual-time spread between
-// shards.
-func (g *ClockGroup) Horizon() time.Duration {
-	var max time.Duration
-	for _, c := range g.members {
-		if t := c.Now(); t > max {
-			max = t
-		}
-	}
-	return max
-}

@@ -43,7 +43,6 @@ func FuzzImportSimState(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v.BeginShardGroup() // keep the parent's clock group from growing per input
 		c := v.Clone(0)
 		drive(c, targets[:4])
 		if c.ImportSimState(bytes.Clone(data)) != nil {
@@ -115,7 +114,6 @@ func FuzzPrimeMatchesSend(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v.BeginShardGroup() // keep the parent's clock group from growing per input
 		real, replay := v.Clone(0), v.Clone(0)
 		replay.BeginPrime()
 		toks := make(map[primeProbe]int)

@@ -730,18 +730,6 @@ func TestCloneSharesIdentityOwnsState(t *testing.T) {
 	if v.Now() != 0 {
 		t.Fatal("clone sleep advanced the parent clock")
 	}
-	g := v.ShardClocks()
-	if g == nil || g.Len() != 1 || g.Watermark() != 6*time.Second {
-		t.Fatalf("clock group watermark wrong: %+v", g)
-	}
-	c2 := v.Clone(20 * time.Second)
-	_ = c2
-	if got := g.Watermark(); got != 6*time.Second {
-		t.Fatalf("watermark %v want 6s (minimum member)", got)
-	}
-	if got := g.Horizon(); got != 20*time.Second {
-		t.Fatalf("horizon %v want 20s", got)
-	}
 }
 
 // TestConcurrentClonesDeterministic drives several clones concurrently

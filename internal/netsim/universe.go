@@ -18,16 +18,15 @@
 // virtual clock, lazily materialized router token buckets, delivery
 // queue, scratch buffers — and universe-wide event counters are atomic.
 // The coordinated-clock invariant for sharded campaigns: shard vantages
-// (Vantage.Clone) own disjoint, ordered windows of virtual time; the
-// ClockGroup watermark — the minimum shard clock — is the campaign's
-// committed virtual time and only ever advances, so a sharded campaign
-// that replays a single prober's (packet, time) schedule elicits the
-// identical replies regardless of goroutine interleaving. Token-bucket
-// state is owned by the materializing vantage and carried across shard
-// windows explicitly: the campaign primes each clone's buckets to the
-// serial schedule's levels at its window start (prime.go,
-// ExportSimState/ImportSimState); core's package comment states what
-// that replay leaves out.
+// (Vantage.Clone) own disjoint, ordered windows of virtual time — the
+// minimum shard clock is the campaign's committed virtual time and only
+// ever advances — so a sharded campaign that replays a single prober's
+// (packet, time) schedule elicits the identical replies regardless of
+// goroutine interleaving. Token-bucket state is owned by the
+// materializing vantage and carried across shard windows explicitly: the
+// campaign primes each clone's buckets to the serial schedule's levels at
+// its window start (prime.go, ExportSimState/ImportSimState); core's
+// package comment states what that replay leaves out.
 package netsim
 
 import (

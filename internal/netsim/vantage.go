@@ -58,9 +58,6 @@ type Vantage struct {
 	// permutation window start.
 	clk *Clock
 
-	// group coordinates the clocks of shards cloned from this vantage.
-	group *ClockGroup
-
 	parent []int32 // BFS shortest-path tree over the AS graph, -1 at root
 
 	// rows holds the routers born at this vantage — routers are born,
@@ -259,10 +256,9 @@ func (u *Universe) plansFor(id planIdentity) (*planTable, *routerRegistry) {
 // AS, source address, access-chain router keys — but private mutable
 // state: its own clock opened at virtual time start, its own delivery
 // queue, buffer free list, counters, and router token buckets; it reads
-// and publishes into the parent's plan table and router registry. The
-// clone's clock joins the parent's ClockGroup so the campaign's
-// coordinated watermark covers it. Clones must be created before the
-// shards start running (Clone mutates the parent's group).
+// and publishes into the parent's plan table and router registry. Clone
+// numbers the clone (its shard ordinal, which fault rules match on), so
+// it must not race another Clone of the same parent.
 func (v *Vantage) Clone(start time.Duration) *Vantage {
 	nv := &Vantage{
 		u:        v.u,
@@ -282,25 +278,17 @@ func (v *Vantage) Clone(start time.Duration) *Vantage {
 	nv.faults = v.u.cfg.Faults.PlanFor(v.spec.Name, nv.campaign, nv.shardOrd)
 	nv.hasFaults = nv.faults.Active()
 	nv.errTransient.Vantage = v.spec.Name
-	if v.group == nil {
-		v.group = &ClockGroup{}
-	}
-	v.group.Add(nv.clk)
 	v.u.registerVantage(nv)
 	return nv
 }
 
-// BeginShardGroup starts a fresh clock group for an upcoming sharded
-// campaign: subsequent Clones join it, and earlier campaigns' dead
-// shard clocks no longer weigh on Watermark/Horizon. Callers running
-// more than one sharded campaign from the same vantage must call it
-// before each campaign's clones are created. Clone ordinals restart at
-// zero too, so fault rules keyed on campaign shard numbers re-match the
-// new campaign's clones.
-func (v *Vantage) BeginShardGroup() *ClockGroup {
-	v.group = &ClockGroup{}
+// BeginShardGroup opens an upcoming sharded campaign: clone ordinals
+// restart at zero, so fault rules keyed on campaign shard numbers match
+// the new campaign's clones. Callers running more than one sharded
+// campaign from the same vantage call it before each campaign's clones
+// are created.
+func (v *Vantage) BeginShardGroup() {
 	v.nextClone = 0
-	return v.group
 }
 
 // SetCampaign tags this vantage (and every clone created from it
@@ -317,11 +305,6 @@ func (v *Vantage) SetCampaign(tag string) {
 
 // Campaign returns the vantage's campaign tag ("" when untagged).
 func (v *Vantage) Campaign() string { return v.campaign }
-
-// ShardClocks returns the ClockGroup coordinating this vantage's cloned
-// shards (nil when no clone exists). Its Watermark is the current
-// campaign's committed virtual time.
-func (v *Vantage) ShardClocks() *ClockGroup { return v.group }
 
 // bfsTree computes the shortest-path tree over the AS adjacency graph.
 func (u *Universe) bfsTree(root int) []int32 {
@@ -513,8 +496,7 @@ func (v *Vantage) Send(pkt []byte) error {
 // have. Shared-universe stat atomics are deferred into the vantage's
 // pending delta and flushed every few thousand packets and at
 // FlushStats; the clock itself still advances per packet (per-packet
-// draws are keyed on the exact send time, and clock-group watermarks
-// stay fine-grained).
+// draws are keyed on the exact send time).
 //
 // The batch is gathered before it is routed (gather.go). A call that
 // continues where the previous one stopped — pkts starting at the slice
@@ -925,9 +907,6 @@ func (v *Vantage) RecvBatch(buf []byte, sizes []int) int {
 	}
 	return n
 }
-
-// Pending reports how many replies are queued (delivered or in flight).
-func (v *Vantage) Pending() int { return len(v.queue) }
 
 // NextDeliveryAt returns the earliest queued reply's delivery time; ok
 // is false when the queue is empty. Probers use it to fast-forward

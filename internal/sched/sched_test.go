@@ -128,7 +128,6 @@ func assertCountedOnce(t *testing.T, snap telemetry.Snapshot, st core.Stats) {
 	for name, want := range map[string]int64{
 		"yarrp_probes_sent_total":      st.ProbesSent,
 		"yarrp_fill_probes_total":      st.Fills,
-		"yarrp_skipped_total":          st.Skipped,
 		"yarrp_replies_total":          st.Replies,
 		"yarrp_replies_not_mine_total": st.NotMine,
 		"yarrp_retries_total":          st.Retries,

@@ -123,9 +123,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	lastMu sync.Mutex
-	last   Snapshot // previous Delta() baseline
 }
 
 // NewRegistry creates an empty registry.
@@ -204,18 +201,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Delta returns the change since the previous Delta call (or since
-// creation, the first time): counters and histogram counts are
-// subtracted, gauges report their current values.
-func (r *Registry) Delta() Snapshot {
-	cur := r.Snapshot()
-	r.lastMu.Lock()
-	defer r.lastMu.Unlock()
-	d := cur.Sub(r.last)
-	r.last = cur
-	return d
 }
 
 // Shard is a single goroutine's local view of a registry: counters and

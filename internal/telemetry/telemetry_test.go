@@ -67,19 +67,22 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestSnapshotDelta: Snapshot.Sub subtracts counters, passes through
+// what the earlier snapshot lacks, and keeps gauges at their current
+// readings.
 func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("probes")
 	g := r.Gauge("ifaces")
 	c.Add(10)
 	g.Set(3)
-	d1 := r.Delta()
-	if v, _ := d1.Counter("probes"); v != 10 {
+	s1 := r.Snapshot()
+	if v, _ := s1.Sub(Snapshot{}).Counter("probes"); v != 10 {
 		t.Fatalf("first delta probes = %d, want 10", v)
 	}
 	c.Add(5)
 	g.Set(9)
-	d2 := r.Delta()
+	d2 := r.Snapshot().Sub(s1)
 	if v, _ := d2.Counter("probes"); v != 5 {
 		t.Fatalf("second delta probes = %d, want 5", v)
 	}

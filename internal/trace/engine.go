@@ -32,8 +32,6 @@ type EngineConfig struct {
 	Window int
 	// Timeout is the per-probe reply deadline. Default 500ms.
 	Timeout time.Duration
-	// Attempts is how many times an unresponsive hop is retried. Default 1.
-	Attempts int
 	// Synchronized runs the window in strict global rounds: every trace
 	// sends its next probe, then the engine waits for the round to
 	// resolve before any trace advances. This reproduces the "per-TTL
@@ -61,15 +59,11 @@ func (c *EngineConfig) setDefaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 500 * time.Millisecond
 	}
-	if c.Attempts <= 0 {
-		c.Attempts = 1
-	}
 }
 
 // Stats summarizes a stateful campaign.
 type Stats struct {
 	ProbesSent  int64
-	Retries     int64
 	DestReached int64
 	StopSetHits int64 // probes avoided by Doubletree stop sets
 	Elapsed     time.Duration
@@ -97,7 +91,6 @@ type traceState struct {
 	pending bool
 	ttl     uint8
 	sentAt  time.Duration
-	tries   int
 	done    bool
 }
 
@@ -168,7 +161,7 @@ func (e *engine) run(targets []netip.Addr, newStrategy func(target netip.Addr) s
 			}
 			if ts.pending {
 				if e.conn.Now()-ts.sentAt >= e.cfg.Timeout {
-					e.resolve(ts, event{ttl: ts.ttl, timeout: true})
+					ts.resolve(event{ttl: ts.ttl, timeout: true})
 					progressed = true
 				}
 				live = append(live, ts)
@@ -256,8 +249,8 @@ func (e *engine) runSynchronized(targets []netip.Addr, newStrategy func(target n
 			live = append(live, ts)
 		}
 		e.order = live
-		// Wait out the round: replies resolve traces; stragglers time out
-		// and may retry (resolve re-arms them), so loop until quiescent.
+		// Wait out the round: replies resolve traces, and what is still
+		// pending at the deadline times out.
 		anyPending := func() bool {
 			for _, ts := range sent {
 				if ts.pending {
@@ -266,22 +259,14 @@ func (e *engine) runSynchronized(targets []netip.Addr, newStrategy func(target n
 			}
 			return false
 		}
-		for {
-			deadline := e.conn.Now() + e.cfg.Timeout
-			for e.conn.Now() < deadline && anyPending() {
-				e.conn.Sleep(2 * time.Millisecond)
-				e.drain()
-			}
-			if !anyPending() {
-				break
-			}
-			for _, ts := range sent {
-				if ts.pending {
-					e.resolve(ts, event{ttl: ts.ttl, timeout: true})
-				}
-			}
-			if !anyPending() {
-				break
+		deadline := e.conn.Now() + e.cfg.Timeout
+		for e.conn.Now() < deadline && anyPending() {
+			e.conn.Sleep(2 * time.Millisecond)
+			e.drain()
+		}
+		for _, ts := range sent {
+			if ts.pending {
+				ts.resolve(event{ttl: ts.ttl, timeout: true})
 			}
 		}
 	}
@@ -298,27 +283,13 @@ func (e *engine) publishTelemetry() {
 		return
 	}
 	sh.Counter("trace_probes_sent_total").Add(e.stats.ProbesSent)
-	sh.Counter("trace_retries_total").Add(e.stats.Retries)
 	sh.Counter("trace_dest_reached_total").Add(e.stats.DestReached)
 	sh.Counter("trace_stopset_hits_total").Add(e.stats.StopSetHits)
 	sh.Flush()
 }
 
-// resolve feeds an outcome to a trace, honoring the retry budget for
-// timeouts.
-func (e *engine) resolve(ts *traceState, ev event) {
-	if ev.timeout && ts.tries+1 < e.cfg.Attempts {
-		// Retry the same TTL.
-		ts.tries++
-		e.stats.Retries++
-		n := e.codec.BuildProbe(e.pkt, ts.target, ts.ttl)
-		if err := e.conn.Send(e.pkt[:n]); err == nil {
-			e.stats.ProbesSent++
-			ts.sentAt = e.conn.Now()
-			return
-		}
-	}
-	ts.tries = 0
+// resolve feeds an outcome to the trace.
+func (ts *traceState) resolve(ev event) {
 	ts.pending = false
 	ts.strat.observe(ev)
 }
@@ -351,6 +322,6 @@ func (e *engine) drain() {
 		if r.TTL != 0 && r.TTL != ts.ttl && r.Kind == probe.KindTimeExceeded {
 			continue
 		}
-		e.resolve(ts, event{ttl: ts.ttl, reply: r})
+		ts.resolve(event{ttl: ts.ttl, reply: r})
 	}
 }

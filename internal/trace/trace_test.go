@@ -98,19 +98,6 @@ func TestSequentialGapLimit(t *testing.T) {
 	}
 }
 
-func TestSequentialRetries(t *testing.T) {
-	_, v, targets := setup(t, 4)
-	store := probe.NewStore(false)
-	s := NewSequential(v, SequentialConfig{
-		Engine: EngineConfig{PPS: 100, Window: 8, Timeout: 200 * time.Millisecond, Attempts: 2},
-		MaxTTL: 12,
-	})
-	stats := s.Run(targets[:16], store)
-	if stats.Retries == 0 {
-		t.Error("no retries despite loss and unresponsive hops")
-	}
-}
-
 func TestDoubletreeStopSetsSaveProbes(t *testing.T) {
 	u, v, targets := setup(t, 5)
 	store := probe.NewStore(true)

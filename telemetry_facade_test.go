@@ -213,7 +213,7 @@ func TestRunYarrp6Telemetry(t *testing.T) {
 		"yarrp_batch_early_stops_total", "yarrp_drain_fastforwards_total", "yarrp_fill_probes_total",
 		"yarrp_probes_sent_total", "yarrp_replies_dest_unreach_total", "yarrp_replies_echo_total",
 		"yarrp_replies_not_mine_total", "yarrp_replies_tcp_rst_total", "yarrp_replies_time_exceeded_total",
-		"yarrp_replies_total", "yarrp_retries_total", "yarrp_skipped_total",
+		"yarrp_replies_total", "yarrp_retries_total",
 	}
 	if got := strings.Join(names, " "); got != strings.Join(want, " ") {
 		t.Errorf("faulted run published counters\n%s\nwant\n%s", got, strings.Join(want, " "))

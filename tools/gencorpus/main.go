@@ -135,7 +135,7 @@ func main() {
 	write(cd, "seed-crc-flip", bs(flipped))
 	write(cd, "seed-unsorted-seen", bs(unsortedSeen(art)))
 	write(cd, "seed-adaptive", bs(adaptive))
-	write(cd, "seed-retired-magic", bs(retired(art, "Y6CKPT03")))
+	write(cd, "seed-retired-magic", bs(retired(art, "Y6CKPT04")))
 
 	// gen6prob: FuzzRestoreState — the adaptive campaign's source state
 	// as the interrupt left it (epoch 0 generated), a truncation of it,
@@ -197,9 +197,8 @@ func unsortedSeen(art []byte) []byte {
 	sect := bytes.IndexFunc(out, func(r rune) bool { return (r < 'A' || r > 'Z') && (r < '0' || r > '9') })
 	sect += 9 + le32(out[sect+1:])
 	p := out[sect+9 : sect+9+le32(out[sect+1:])]
-	off := 4 + 1 + 8 + 3*8 + 7*8          // index, done, cursor, three instants, counters
+	off := 4 + 1 + 8 + 3*8 + 6*8          // index, done, cursor, three instants, counters
 	off += 8 * (int(probe.KindOther) + 1) // reply-kind tallies
-	off += 4 + 9*le32(p[off:])            // neighborhood instants
 	off += 4 + 72*le32(p[off:])           // progress samples
 	pending := le32(p[off:])
 	off += 4
